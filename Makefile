@@ -1,4 +1,4 @@
-.PHONY: check build test cover bench benchdiff bench-server bench-server-diff bench-all chaos
+.PHONY: check build test cover bench benchdiff bench-server bench-server-diff bench-all bench-pair chaos
 
 # The tier-1 gate (see ROADMAP.md): build + vet + tests under -race.
 check:
@@ -53,6 +53,36 @@ bench-server:
 BENCH_SERVER_THRESHOLD ?= 0.50
 bench-server-diff:
 	go run ./cmd/dploadgen $(LOADFLAGS) -bench | go run ./cmd/benchjson -prev BENCH_server.json -threshold $(BENCH_SERVER_THRESHOLD) > BENCH_server_new.json
+
+# Paired runs of the repository benchmark (BENCHMARK.json) against an
+# earlier revision — the routine every perf claim rests on: build
+# ./bench at BASE (in a throwaway git worktree) and at the working
+# tree, run the two alternately N times with the driver's flags (the
+# side that goes first alternates too), and print per-metric medians,
+# quartiles and pairs won. A gain counts when the head wins at least
+# nine pairs in ten and the medians differ by more than the distance
+# between the base's quartiles. ~75 s per pair.
+#   make bench-pair BASE=HEAD~1 [WORKLOAD=spend-small] [N=10] [SEED=1]
+WORKLOAD ?= spend-small
+N ?= 10
+SEED ?= 1
+PAIR := .bench_build/pair
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=spend-small] [N=10] [SEED=1]"; exit 64; }
+	rm -rf $(PAIR) && git worktree prune && mkdir -p $(PAIR)
+	git worktree add --detach $(PAIR)/base $(BASE)
+	cd $(PAIR)/base && go build -o ../base.bin ./bench
+	go build -o $(PAIR)/head.bin ./bench
+	@i=1; while [ $$i -le $(N) ]; do \
+		order="base head"; [ $$((i % 2)) -eq 0 ] && order="head base"; \
+		for side in $$order; do \
+			dir=.; [ $$side = base ] && dir=$(PAIR)/base; \
+			echo "pair $$i/$(N): $$side"; \
+			(cd $$dir && $(CURDIR)/$(PAIR)/$$side.bin -workload $(WORKLOAD) -seed $(SEED) -seconds 30 -trace 0 | tail -n 1) >> $(PAIR)/$$side.jsonl || exit 1; \
+		done; i=$$((i + 1)); \
+	done
+	git worktree remove --force $(PAIR)/base
+	go run ./cmd/benchjson -pairs $(PAIR)/base.jsonl $(PAIR)/head.jsonl
 
 # The original whole-repo benchmark sweep.
 bench-all:

@@ -18,6 +18,10 @@
 // nonzero when any benchmark regressed beyond -threshold (a fraction;
 // 0.20 tolerates +20%). The JSON document still goes to stdout, so the
 // same invocation can both gate and refresh the baseline.
+//
+// With -pairs it reads no bench text at all: it compares two files of
+// paired runs of the repository benchmark (see pairs.go; `make
+// bench-pair` produces them).
 package main
 
 import (
@@ -69,7 +73,19 @@ type Doc struct {
 func main() {
 	prevPath := flag.String("prev", "", "previous benchjson document to diff against (stderr report; regressions beyond -threshold exit nonzero)")
 	threshold := flag.Float64("threshold", 0.20, "fractional regression tolerated in ns/op or bytes/op before exiting nonzero (0.20 = +20%)")
+	pairs := flag.Bool("pairs", false, "compare paired runs of ./bench: benchjson -pairs base.jsonl head.jsonl (one last-line JSON object per run)")
 	flag.Parse()
+	if *pairs {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: benchjson -pairs base.jsonl head.jsonl")
+			os.Exit(64)
+		}
+		if err := comparePairs(flag.Arg(0), flag.Arg(1)); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	order := []string{}
 	samples := map[string][]sample{}

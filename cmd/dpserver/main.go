@@ -12,10 +12,11 @@
 // crypto/rand unless -seed is given (for reproducible demos only).
 //
 // -ledger-dir enables the durable privacy-budget ledger: every
-// acknowledged ε-charge, dataset registration, audit entry, and keyed
-// idempotent response is journaled to a checksummed WAL (fsync policy
-// -fsync always|interval|never, snapshots + compaction every
-// -snapshot-every events) and restored on restart, so a crash never
+// ε-charge, dataset registration, audit entry, and keyed idempotent
+// response is journaled to a checksummed WAL and made durable before
+// the answer it backs is released — one commit per request (fsync
+// policy -fsync always|interval|never, snapshots + compaction every
+// -snapshot-every events) — and restored on restart, so a crash never
 // resets analyst budgets. Without it, budgets are in-memory only and a
 // restart re-opens the full budget. Inspect a ledger directory with
 // the dpledger tool (inspect / verify / compact).
@@ -23,7 +24,8 @@
 // Replication (requires -ledger-dir): -repl-listen makes this node a
 // PRIMARY that streams every committed ledger event to followers
 // (with -repl-min-sync N, a spend is refused unless N followers are
-// connected and not acknowledged until they hold it durably);
+// connected and its answer is held until they hold everything the
+// request journaled durably — one wait per request);
 // -follow <addr> makes it a warm STANDBY that writes the primary's
 // WAL verbatim into its own ledger and serves read-only (/v1/readyz
 // answers 503 with role=follower and the replication lag) until
@@ -118,7 +120,7 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested X-DP-Timeout-Ms deadlines (0 = default only)")
 	drainWait := flag.Duration("drain-wait", 30*time.Second, "how long shutdown waits for in-flight queries to drain")
 	ledgerDir := flag.String("ledger-dir", "", "directory for the durable privacy-budget ledger (empty = in-memory budgets, lost on restart)")
-	fsyncPolicy := flag.String("fsync", "always", "ledger durability: always (sync every charge), interval, or never")
+	fsyncPolicy := flag.String("fsync", "always", "ledger durability: always (sync once per request, before its answer is released), interval, or never")
 	snapshotEvery := flag.Int("snapshot-every", 0, "ledger events between snapshots + compaction (0 = default 4096, negative = never)")
 	slowQuery := flag.Duration("slow-query", 0, "slow-query log threshold: completed queries at least this slow emit a slow_query warning event (0 = off)")
 	eventLog := flag.String("event-log", "stderr", "wide-event JSON stream destination: stderr, a file path, or 'none' (ring-only, still served at /v1/debug/queries)")
@@ -129,7 +131,7 @@ func main() {
 	replListen := flag.String("repl-listen", "", "replication listen address: stream committed ledger events to followers (requires -ledger-dir)")
 	follow := flag.String("follow", "", "run as a warm standby following the primary at this replication address (requires -ledger-dir; serves read-only until promoted)")
 	replName := flag.String("repl-name", "", "node name in replication handshakes and events (default: the hostname)")
-	replMinSync := flag.Int("repl-min-sync", 0, "refuse spends unless this many followers are connected, and hold each ack until they have the event durably (0 = async replication)")
+	replMinSync := flag.Int("repl-min-sync", 0, "refuse spends unless this many followers are connected, and hold each answer until they have the request's events durably — one wait per request (0 = async replication)")
 	promote := flag.String("promote", "", "client mode: POST /v1/admin/promote to the dpserver at this base URL and exit")
 	flag.Parse()
 

@@ -37,9 +37,9 @@ var ErrBudgetExceeded = errors.New("core: privacy budget exceeded")
 var ErrInvalidEpsilon = errors.New("core: epsilon must be positive and finite")
 
 // ErrJournal is returned (wrapped) when a RootAgent's spend journal
-// refuses an append: the charge is NOT applied. Durability gates
-// acknowledgement — a spend that could not be made durable must not
-// happen, or a crash would silently re-open the budget.
+// refuses an append: the charge is NOT applied. A spend that could not
+// even be journaled must not happen, or a crash would silently re-open
+// the budget.
 var ErrJournal = errors.New("core: spend journal append failed")
 
 // ErrInternal is returned (wrapped) when an aggregation recovers a
@@ -51,11 +51,17 @@ var ErrJournal = errors.New("core: spend journal append failed")
 // conservative reading is that budget was consumed.
 var ErrInternal = errors.New("core: internal error (recovered panic)")
 
-// A SpendJournal durably records budget movements. RootAgent calls
-// JournalSpend BEFORE acknowledging a charge (an error refuses the
-// charge) and JournalRollback when a previously-acked charge is undone
-// by an atomic multi-parent spend. Implementations are called with the
-// agent's lock held and must not call back into the agent.
+// A SpendJournal records budget movements in the order the agent
+// accepts them. RootAgent calls JournalSpend BEFORE applying a charge
+// (an error refuses the charge) and JournalRollback when a previously
+// applied charge is undone by an atomic multi-parent spend.
+// Implementations are called with the agent's lock held — which is what
+// makes journal order equal acceptance order — so they must not block on
+// an fsync or the network there, and must not call back into the agent:
+// the server's journal stages the record (ledger.Stage) and makes it
+// durable later, in the one commit that precedes the release of the
+// answer the charge paid for. Durable-before-release is the journal
+// owner's contract, not Apply's.
 type SpendJournal interface {
 	JournalSpend(epsilon float64) error
 	JournalRollback(epsilon float64)
@@ -98,8 +104,8 @@ func NewRootAgent(budget float64) *RootAgent {
 }
 
 // SetJournal installs a spend journal: every subsequent successful
-// Apply is journaled before it returns, and a journal error refuses
-// the charge. Install journals at setup time, before the agent serves
+// Apply is journaled (see SpendJournal for what that promises) before
+// it returns, and a journal error refuses the charge. Install journals at setup time, before the agent serves
 // concurrent spends.
 func (a *RootAgent) SetJournal(j SpendJournal) {
 	a.mu.Lock()
@@ -117,8 +123,8 @@ func (a *RootAgent) restoreSpent(spent float64) {
 }
 
 // Apply implements Agent. When a journal is installed, the spend is
-// journaled before it is acknowledged: a journal failure refuses the
-// charge, so an acked charge is never lost to a crash.
+// journaled before it is applied: a journal failure refuses the
+// charge, so no charge exists without its journal record.
 func (a *RootAgent) Apply(epsilon float64) error {
 	return a.apply(epsilon, true)
 }

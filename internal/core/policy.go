@@ -87,10 +87,10 @@ func (p *AnalystPolicy) analystRoot(analyst string) *RootAgent {
 	return root
 }
 
-// SetSpendJournal installs a durable spend journal on the policy:
-// every analyst's acknowledged charge first passes through spend (an
-// error refuses the charge), and rollbacks of acked charges pass
-// through rollback. Charges are journaled at the per-analyst agent —
+// SetSpendJournal installs a spend journal on the policy (see
+// SpendJournal): every analyst's accepted charge first passes through
+// spend (an error refuses the charge), and rollbacks of applied charges
+// pass through rollback. Charges are journaled at the per-analyst agent —
 // the shared total is the in-order sum of per-analyst movements, so a
 // replayed journal reconstructs both ledgers exactly. Install before
 // the policy serves queries; it applies to existing and future

@@ -119,9 +119,14 @@ func chaosRound(t *testing.T, seed uint64) {
 		return
 	}
 
+	// Every acked charge stands in memory. A charge whose commit failed
+	// stands too, its answer withheld (durable-before-release: a charge
+	// is taken when core accepts it, the result leaves only after the
+	// commit) — ε is over-counted, never under-counted.
 	ackedEps := float64(acked.Load()) * epsilon
-	if got := s.datasets["hotspot"].policy.TotalSpent(); math.Abs(got-ackedEps) > 1e-9 {
-		t.Errorf("seed %d: live spent %v != acked sum %v", seed, got, ackedEps)
+	liveSpent := s.datasets["hotspot"].policy.TotalSpent()
+	if liveSpent < ackedEps-1e-9 {
+		t.Errorf("seed %d: live spent %v < acked sum %v", seed, liveSpent, ackedEps)
 	}
 	// No charge without a journaled record: the directory replays to
 	// at least every acked charge, even while the ledger is live…
@@ -140,7 +145,7 @@ func chaosRound(t *testing.T, seed uint64) {
 	}
 	// …and after a power loss that drops everything not yet fsynced,
 	// recovery still holds every acked charge (fsync=always syncs
-	// before ack) without inventing new ones.
+	// before ack) without inventing any the live policy never took.
 	if err := fsys.SimulateCrash(); err != nil {
 		t.Fatalf("seed %d: crash: %v", seed, err)
 	}
@@ -151,8 +156,8 @@ func chaosRound(t *testing.T, seed uint64) {
 		if got := spent(state); got < ackedEps-1e-9 {
 			t.Errorf("seed %d: post-crash replay %v < acked %v", seed, got, ackedEps)
 		}
-		if got := spent(state); got > ackedEps+1e-9 {
-			t.Errorf("seed %d: post-crash replay %v exceeds pre-crash acked spend %v", seed, got, ackedEps)
+		if got := spent(state); got > liveSpent+1e-9 {
+			t.Errorf("seed %d: post-crash replay %v exceeds pre-crash live spend %v", seed, got, liveSpent)
 		}
 	}
 

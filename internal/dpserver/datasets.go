@@ -115,12 +115,12 @@ func (s *Server) handleLoadMatrix(w http.ResponseWriter, r *http.Request) {
 	v1 := isV1(r)
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
-		func(ctx context.Context) (int, []byte, bool) {
+		func(ctx context.Context) execResult {
 			return s.executeLoadMatrix(ctx, v1, explain, d, exec, &req)
 		})
 }
 
-func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *linkDataset, exec core.ExecOptions, req *MatrixRequest) (int, []byte, bool) {
+func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *linkDataset, exec core.ExecOptions, req *MatrixRequest) execResult {
 	if s.execHook != nil {
 		s.execHook(ctx)
 	}
@@ -129,7 +129,8 @@ func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *lin
 	samples := d.samples
 	s.mu.RUnlock()
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
-	q := core.NewQueryableFor(samples, d.policy.AgentFor(req.Analyst), s.src).
+	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
+	q := core.NewQueryableFor(samples, core.Agent(agent), s.src).
 		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(exec).WithContext(ctx)
 
 	linkKeys := make([]int32, d.links)
@@ -144,7 +145,7 @@ func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *lin
 	done := queryOutcome{
 		endpoint: "/query/loadmatrix", analyst: req.Analyst, dataset: req.Dataset,
 		query: "loadmatrix", epsilon: req.Epsilon, started: start,
-		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy,
+		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy, agent: agent,
 	}
 	data := make([]float64, d.bins*d.links)
 	byLink := core.Partition(q, linkKeys, func(x trace.LinkSample) int32 { return x.Link })
@@ -155,18 +156,17 @@ func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *lin
 			if err != nil {
 				charged := d.policy.SpentBy(req.Analyst) - spentBefore
 				outcome := auditOutcome(err)
-				s.recordAudit(AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
+				s.recordAudit(&done, AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
 					Query: "loadmatrix", Epsilon: req.Epsilon, Charged: charged, Outcome: outcome})
 				status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
 				cacheable := !(outcome == "canceled" && charged == 0)
 				done.outcome, done.status, done.charged, done.profile = outcome, status, charged, prof.Profile()
-				s.finishQuery(done)
-				return status, marshalError(v1, ae), cacheable
+				return s.queryResult(done, marshalError(v1, ae), cacheable)
 			}
 			data[b*d.links+l] = c
 		}
 	}
-	s.recordAudit(AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
+	s.recordAudit(&done, AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
 		Query: "loadmatrix", Epsilon: req.Epsilon, Charged: req.Epsilon, Outcome: "ok"})
 	resp := MatrixResponse{
 		Bins: d.bins, Links: d.links, Data: data,
@@ -175,11 +175,10 @@ func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *lin
 		Remaining: finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)),
 	}
 	done.outcome, done.status, done.charged, done.profile = "ok", http.StatusOK, resp.Spent-spentBefore, prof.Profile()
-	s.finishQuery(done)
 	if explain {
 		resp.Profile = done.profile.Redact()
 	}
-	return http.StatusOK, marshalJSON(resp), true
+	return s.queryResult(done, marshalJSON(resp), true)
 }
 
 // HopAveragesRequest is the POST /query/monitoravgs body (see
@@ -216,12 +215,12 @@ func (s *Server) handleMonitorAverages(w http.ResponseWriter, r *http.Request) {
 	v1 := isV1(r)
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
-		func(ctx context.Context) (int, []byte, bool) {
+		func(ctx context.Context) execResult {
 			return s.executeMonitorAverages(ctx, v1, explain, d, exec, &req)
 		})
 }
 
-func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d *hopDataset, exec core.ExecOptions, req *HopAveragesRequest) (int, []byte, bool) {
+func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d *hopDataset, exec core.ExecOptions, req *HopAveragesRequest) execResult {
 	if s.execHook != nil {
 		s.execHook(ctx)
 	}
@@ -230,7 +229,8 @@ func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d
 	records := d.records
 	s.mu.RUnlock()
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
-	q := core.NewQueryableFor(records, d.policy.AgentFor(req.Analyst), s.src).
+	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
+	q := core.NewQueryableFor(records, core.Agent(agent), s.src).
 		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(exec).WithContext(ctx)
 	keys := make([]int32, d.monitors)
 	for i := range keys {
@@ -240,7 +240,7 @@ func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d
 	done := queryOutcome{
 		endpoint: "/query/monitoravgs", analyst: req.Analyst, dataset: req.Dataset,
 		query: "monitoravgs", epsilon: req.Epsilon, started: start,
-		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy,
+		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy, agent: agent,
 	}
 	parts := core.Partition(q, keys, func(rec trace.HopRecord) int32 { return rec.Monitor })
 	averages := make([]float64, d.monitors)
@@ -250,17 +250,16 @@ func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d
 		if err != nil {
 			charged := d.policy.SpentBy(req.Analyst) - spentBefore
 			outcome := auditOutcome(err)
-			s.recordAudit(AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
+			s.recordAudit(&done, AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
 				Query: "monitoravgs", Epsilon: req.Epsilon, Charged: charged, Outcome: outcome})
 			status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
 			cacheable := !(outcome == "canceled" && charged == 0)
 			done.outcome, done.status, done.charged, done.profile = outcome, status, charged, prof.Profile()
-			s.finishQuery(done)
-			return status, marshalError(v1, ae), cacheable
+			return s.queryResult(done, marshalError(v1, ae), cacheable)
 		}
 		averages[m] = avg
 	}
-	s.recordAudit(AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
+	s.recordAudit(&done, AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
 		Query: "monitoravgs", Epsilon: req.Epsilon, Charged: req.Epsilon, Outcome: "ok"})
 	resp := HopAveragesResponse{
 		Averages:  averages,
@@ -268,11 +267,10 @@ func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d
 		Remaining: finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)),
 	}
 	done.outcome, done.status, done.charged, done.profile = "ok", http.StatusOK, resp.Spent-spentBefore, prof.Profile()
-	s.finishQuery(done)
 	if explain {
 		resp.Profile = done.profile.Redact()
 	}
-	return http.StatusOK, marshalJSON(resp), true
+	return s.queryResult(done, marshalJSON(resp), true)
 }
 
 // decodeJSON decodes a strict JSON body, writing a 400 on failure.

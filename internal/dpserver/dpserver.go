@@ -78,8 +78,9 @@ type Server struct {
 	audit    *auditLog
 
 	// ledger, when attached (WithLedger), makes budget state durable:
-	// charges are journaled before acknowledgement and replayed on
-	// restart (see persist.go). Nil keeps in-memory-only behavior.
+	// charges are journaled as they happen, made durable before the
+	// answer they paid for is released, and replayed on restart (see
+	// persist.go). Nil keeps in-memory-only behavior.
 	ledger *ledger.Ledger
 
 	// repl is the replication role (see repl.go): nil handles mean
@@ -601,7 +602,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	v1 := isV1(r)
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
-		func(ctx context.Context) (int, []byte, bool) {
+		func(ctx context.Context) execResult {
 			return s.executeQuery(ctx, v1, explain, d, &req)
 		})
 }
@@ -610,14 +611,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // returning the response status, its marshaled body, and whether the
 // outcome may be replayed for an idempotency key. The one
 // non-replayable outcome is a cancellation that charged nothing: a
-// retry should execute, not be handed back its own timeout.
+// retry should execute, not be handed back its own timeout. The
+// charges and the audit record it journals are staged, not durable:
+// the caller releases the result through Server.settle.
 //
 // Every execution — success or failure — ends in exactly one "query"
-// wide event carrying the full execution profile (see finishQuery).
+// wide event carrying the full execution profile (see finishQuery),
+// emitted by settle once the commit's cost is known.
 // explain additionally returns the redacted profile to the analyst in
 // the response envelope; it changes no budget accounting and no
 // ledger traffic.
-func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset, req *QueryRequest) (int, []byte, bool) {
+func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset, req *QueryRequest) execResult {
 	start := time.Now()
 	if s.execHook != nil {
 		s.execHook(ctx)
@@ -631,7 +635,8 @@ func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset,
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
 	rec := obs.Multi(s.engineRec, tr, prof)
 
-	q := core.NewQueryableFor(s.snapshotPackets(d), d.policy.AgentFor(req.Analyst), s.src).
+	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
+	q := core.NewQueryableFor(s.snapshotPackets(d), core.Agent(agent), s.src).
 		WithRecorder(rec).WithExecOptions(s.execFor(d)).WithContext(ctx)
 
 	spentBefore := d.policy.SpentBy(req.Analyst)
@@ -642,7 +647,7 @@ func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset,
 	done := queryOutcome{
 		endpoint: "/query", analyst: req.Analyst, dataset: req.Dataset,
 		query: req.Query, epsilon: req.Epsilon, started: start,
-		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy,
+		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy, agent: agent,
 	}
 	resp, err := runQuery(q, req)
 	if err != nil {
@@ -662,20 +667,19 @@ func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset,
 		charged := d.policy.SpentBy(req.Analyst) - spentBefore
 		entry.Outcome = auditOutcome(err)
 		entry.Charged = charged
-		s.recordAudit(entry)
+		s.recordAudit(&done, entry)
 		tr.SetLabel("outcome", entry.Outcome)
 		s.traces.Add(tr.Finish())
 		status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
 		cacheable := !(entry.Outcome == "canceled" && charged == 0)
 		done.outcome, done.status, done.charged, done.profile = entry.Outcome, status, charged, prof.Profile()
-		s.finishQuery(done)
-		return status, marshalError(v1, ae), cacheable
+		return s.queryResult(done, marshalError(v1, ae), cacheable)
 	}
 	resp.Spent = d.policy.SpentBy(req.Analyst)
 	resp.Remaining = finiteOrUnlimited(d.policy.RemainingFor(req.Analyst))
 	entry.Outcome = "ok"
 	entry.Charged = resp.Spent - spentBefore
-	s.recordAudit(entry)
+	s.recordAudit(&done, entry)
 	tr.SetLabel("outcome", entry.Outcome)
 	span := tr.Finish()
 	s.traces.Add(span)
@@ -683,11 +687,10 @@ func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset,
 		resp.Trace = span
 	}
 	done.outcome, done.status, done.charged, done.profile = entry.Outcome, http.StatusOK, entry.Charged, prof.Profile()
-	s.finishQuery(done)
 	if explain {
 		resp.Profile = done.profile.Redact()
 	}
-	return http.StatusOK, marshalJSON(resp), true
+	return s.queryResult(done, marshalJSON(resp), true)
 }
 
 // marshalJSON renders a success body exactly as writeJSON would,

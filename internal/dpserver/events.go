@@ -52,6 +52,27 @@ type queryOutcome struct {
 	status  int
 	charged float64
 	profile *obs.Profile
+
+	// agent is the execution's budget agent: the time spent in it is
+	// the staging of the charge records. stage accumulates the staging of
+	// the execution's other journal records; journal is the whole
+	// journaling cost, known once settle has committed them.
+	agent   *meteredAgent
+	stage   time.Duration
+	journal journalStats
+}
+
+// queryResult packages a finished execution for settle: the response
+// bytes plus the deferred "query" wide event, emitted once the commit
+// has settled which status is served and what the journal cost.
+func (s *Server) queryResult(o queryOutcome, body []byte, cacheable bool) execResult {
+	return execResult{
+		status: o.status, body: body, cacheable: cacheable, stage: o.stage + o.agent.busy(),
+		finish: func(status int, js journalStats) {
+			o.status, o.journal = status, js
+			s.finishQuery(o)
+		},
+	}
 }
 
 // idemStatus names how a request relates to the idempotency cache at
@@ -76,10 +97,10 @@ func slowQuery(d, threshold time.Duration) bool {
 // execution, feeds the ε histogram and the analyst burn-rate gauge,
 // and raises the slow-query warning past Limits.SlowQuery. Exactly one
 // call per execution — both the success and the failure path of every
-// executor end here.
+// executor end here, through queryResult.
 func (s *Server) finishQuery(o queryOutcome) {
 	dur := time.Since(o.started)
-	s.event(qlog.Info, "query",
+	s.event(qlog.Info, "query", append([]qlog.Field{
 		qlog.F("analyst", o.analyst),
 		qlog.F("dataset", o.dataset),
 		qlog.F("query", o.query),
@@ -97,7 +118,7 @@ func (s *Server) finishQuery(o queryOutcome) {
 		// /debug/queries are owner-side surfaces under the /audit trust
 		// model. Analyst-facing copies go through Redact.
 		qlog.F("profile", o.profile),
-	)
+	}, o.journal.fields()...)...)
 	s.metrics.Histogram("dp_query_epsilon", obs.EpsilonBuckets(),
 		"dataset", o.dataset, "analyst", o.analyst).Observe(o.epsilon)
 	s.ensureAnalystGauge(o.dataset, o.analyst, o.policy)

@@ -30,6 +30,10 @@ import (
 //   - At-most-once apply: a batch carrying a (source, seq) identity
 //     goes through the PR3 idempotency cache keyed on it — a retried
 //     batch replays the stored ACK instead of appending twice.
+//   - Durable before ACK: the standing windows a batch closes and its
+//     keyed reply are staged in the journal as they happen and made
+//     durable by ONE commit (Server.settle) before the ACK leaves and
+//     before the windows' results reach list/long-poll readers.
 //   - Fail-closed composition with degraded mode: while the ledger
 //     refuses spends (frozen or degraded), ingest refuses too — the
 //     dataset must not drift while ε-accounting cannot be journaled —
@@ -115,8 +119,10 @@ func (s *Server) ingestTarget(name string) (ingest.Kind, func(ingest.Decoded) (i
 			// appender goroutine, after the batch is visible and before
 			// it is ACKed: window execution order is the batch apply
 			// order, so the same record sequence produces the same
-			// results regardless of how batches chunk it.
-			s.standing.Advance(name, mark)
+			// results regardless of how batches chunk it. Their journal
+			// records are staged; the request's commit (settle) makes
+			// them durable and publishes the results.
+			s.standing.Stage(name, mark)
 			return applied, nil
 		}, true
 	}
@@ -231,23 +237,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		key = source + "\x00" + seq
 	}
 	s.serveIdempotent(w, r, name, source, key,
-		func(ctx context.Context) (int, []byte, bool) {
+		func(ctx context.Context) execResult {
 			return s.executeIngest(w, r, name, kind, ct, source, seq, apply)
 		})
 }
 
 // executeIngest admits, reads, and applies one batch. It may set the
 // Retry-After header on w (written when serveIdempotent flushes the
-// returned status). Only a 200 ACK is cacheable.
+// returned status). Only a 200 ACK is cacheable; the ACK and the
+// batch's "ingest" wide event wait for settle's commit.
 func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name string, kind ingest.Kind,
-	ct, source, seq string, apply func(ingest.Decoded) (ingestApplied, error)) (int, []byte, bool) {
+	ct, source, seq string, apply func(ingest.Decoded) (ingestApplied, error)) execResult {
 	start := time.Now()
 	pipe := s.pipeline()
 	if pipe == nil {
 		s.ingestShed(name, "shutting_down")
 		w.Header().Set("Retry-After", s.limits.retryAfter())
-		return http.StatusServiceUnavailable, marshalError(true, apiError{
-			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true}), false
+		return execResult{status: http.StatusServiceUnavailable, body: marshalError(true, apiError{
+			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})}
 	}
 
 	// Admission before the body read when Content-Length is declared:
@@ -263,22 +270,22 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 		b, err := io.ReadAll(r.Body)
 		if err != nil || int64(len(b)) != size {
 			pipe.Unreserve(size)
-			return http.StatusBadRequest, marshalError(true, apiError{
-				Code: codeBadRequest, Message: "body read failed or short"}), false
+			return execResult{status: http.StatusBadRequest, body: marshalError(true, apiError{
+				Code: codeBadRequest, Message: "body read failed or short"})}
 		}
 		body = b
 	} else {
 		max := pipe.Limits().MaxBatchBytes
 		b, err := io.ReadAll(io.LimitReader(r.Body, max+1))
 		if err != nil {
-			return http.StatusBadRequest, marshalError(true, apiError{
-				Code: codeBadRequest, Message: "body read failed: " + err.Error()}), false
+			return execResult{status: http.StatusBadRequest, body: marshalError(true, apiError{
+				Code: codeBadRequest, Message: "body read failed: " + err.Error()})}
 		}
 		if int64(len(b)) > max {
 			s.ingestShed(name, "too_large")
-			return http.StatusRequestEntityTooLarge, marshalError(true, apiError{
+			return execResult{status: http.StatusRequestEntityTooLarge, body: marshalError(true, apiError{
 				Code:    codeTooLarge,
-				Message: fmt.Sprintf("batch exceeds %d byte limit", max)}), false
+				Message: fmt.Sprintf("batch exceeds %d byte limit", max)})}
 		}
 		size = int64(len(b))
 		if err := pipe.Reserve(size); err != nil {
@@ -303,8 +310,8 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 		if errors.Is(err, ingest.ErrClosed) {
 			s.ingestShed(name, "shutting_down")
 			w.Header().Set("Retry-After", s.limits.retryAfter())
-			return http.StatusServiceUnavailable, marshalError(true, apiError{
-				Code: codeShuttingDown, Message: "server is shutting down", Retryable: true}), false
+			return execResult{status: http.StatusServiceUnavailable, body: marshalError(true, apiError{
+				Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})}
 		}
 		s.metrics.Counter("dp_ingest_batches_total", "dataset", name, "outcome", "error").Inc()
 		s.event(qlog.Warn, "ingest",
@@ -312,43 +319,55 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 			qlog.F("outcome", "error"), qlog.F("bytes", size),
 			qlog.F("error", err.Error()),
 			qlog.F("duration_ms", durationMs(time.Since(start))))
-		return http.StatusBadRequest, marshalError(true, apiError{
-			Code: codeBadRequest, Message: "bad batch: " + err.Error()}), false
+		return execResult{status: http.StatusBadRequest, body: marshalError(true, apiError{
+			Code: codeBadRequest, Message: "bad batch: " + err.Error()})}
 	}
 
 	s.metrics.Counter("dp_ingest_batches_total", "dataset", name, "outcome", "ok").Inc()
 	s.metrics.Counter("dp_ingest_records_total", "dataset", name).Add(float64(applied.records))
 	s.metrics.Counter("dp_ingest_bytes_total", "dataset", name).Add(float64(size))
-	s.event(qlog.Info, "ingest",
-		qlog.F("dataset", name), qlog.F("source", source), qlog.F("seq", seq),
-		qlog.F("outcome", "ok"), qlog.F("records", applied.records),
-		qlog.F("total_records", applied.total), qlog.F("bytes", size),
-		qlog.F("idempotency", idemStatus(source)),
-		qlog.F("duration_ms", durationMs(time.Since(start))))
-	return http.StatusOK, marshalJSON(api.IngestResponse{
-		Dataset: name, Records: applied.records, TotalRecords: applied.total,
-		Batches: applied.batches, Source: source, Seq: seq,
-	}), true
+	return execResult{
+		status: http.StatusOK, cacheable: true,
+		body: marshalJSON(api.IngestResponse{
+			Dataset: name, Records: applied.records, TotalRecords: applied.total,
+			Batches: applied.batches, Source: source, Seq: seq,
+		}),
+		finish: func(status int, js journalStats) {
+			outcome := "ok"
+			if status != http.StatusOK {
+				// Applied in memory, but the commit failed: the ACK is
+				// withheld and the sender will retry.
+				outcome = "unacked"
+			}
+			s.event(qlog.Info, "ingest", append([]qlog.Field{
+				qlog.F("dataset", name), qlog.F("source", source), qlog.F("seq", seq),
+				qlog.F("outcome", outcome), qlog.F("records", applied.records),
+				qlog.F("total_records", applied.total), qlog.F("bytes", size),
+				qlog.F("idempotency", idemStatus(source)),
+				qlog.F("duration_ms", durationMs(time.Since(start))),
+			}, js.fields()...)...)
+		},
+	}
 }
 
 // ingestRefusal maps a Reserve error to its response: 429 for
 // watermark sheds (retryable, with Retry-After), 413 for an oversized
 // batch (a retry cannot succeed), 503 when the pipeline is closed.
-func (s *Server) ingestRefusal(w http.ResponseWriter, name string, err error) (int, []byte, bool) {
+func (s *Server) ingestRefusal(w http.ResponseWriter, name string, err error) execResult {
 	switch {
 	case errors.Is(err, ingest.ErrTooLarge):
 		s.ingestShed(name, "too_large")
-		return http.StatusRequestEntityTooLarge, marshalError(true, apiError{
-			Code: codeTooLarge, Message: err.Error()}), false
+		return execResult{status: http.StatusRequestEntityTooLarge, body: marshalError(true, apiError{
+			Code: codeTooLarge, Message: err.Error()})}
 	case errors.Is(err, ingest.ErrClosed):
 		s.ingestShed(name, "shutting_down")
 		w.Header().Set("Retry-After", s.limits.retryAfter())
-		return http.StatusServiceUnavailable, marshalError(true, apiError{
-			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true}), false
+		return execResult{status: http.StatusServiceUnavailable, body: marshalError(true, apiError{
+			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})}
 	default:
 		s.ingestShed(name, "overloaded")
 		w.Header().Set("Retry-After", s.limits.retryAfter())
-		return http.StatusTooManyRequests, marshalError(true, apiError{
-			Code: codeOverloaded, Message: "ingest pipeline overloaded; retry later", Retryable: true}), false
+		return execResult{status: http.StatusTooManyRequests, body: marshalError(true, apiError{
+			Code: codeOverloaded, Message: "ingest pipeline overloaded; retry later", Retryable: true})}
 	}
 }

@@ -501,16 +501,62 @@ func (c *idemCache) finish(k idemKey, e *idemEntry, status int, body []byte, cac
 	close(e.done)
 }
 
+// execResult is what one execution hands back to serveIdempotent: the
+// response status, its marshaled body, and whether the outcome may be
+// replayed for an idempotency key. Nothing in it has been released
+// yet — the records it journaled are only staged.
+type execResult struct {
+	status    int
+	body      []byte
+	cacheable bool
+	// stage is the time the execution spent staging journal records.
+	stage time.Duration
+	// finish, when set, emits the execution's wide event. It runs after
+	// the journal commit, with the status actually served and what the
+	// journaling cost.
+	finish func(status int, js journalStats)
+}
+
+// settle is the one point where an execution's outcome leaves the
+// server: it stages the keyed reply (k non-nil and the outcome
+// replayable), commits everything the request journaled — one fsync
+// and one quorum wait however many records that was — and only then
+// returns what may be written to the client and stored for replays. A
+// failed commit withholds the outcome: the client gets a retryable 503,
+// nothing is cached for the key, and the charges stand (ε is only ever
+// over-counted).
+func (s *Server) settle(r *http.Request, k *idemKey, res execResult) execResult {
+	js := journalStats{stage: res.stage}
+	if k != nil && res.cacheable {
+		start := time.Now()
+		s.recordIdemReply(*k, res.status, res.body, start.Add(s.idem.ttl))
+		js.stage += time.Since(start)
+	}
+	if err := s.journalCommit(&js); err != nil {
+		code, msg := shedCodeFor(err)
+		s.event(qlog.Error, "query_shed",
+			qlog.F("endpoint", strings.TrimPrefix(r.URL.Path, "/v1")),
+			qlog.F("reason", code), qlog.F("cause", "journal commit: "+err.Error()))
+		res.status, res.cacheable = http.StatusServiceUnavailable, false
+		res.body = marshalError(isV1(r), apiError{Code: code, Message: msg, Retryable: true})
+	}
+	if res.finish != nil {
+		res.finish(res.status, js)
+	}
+	return res
+}
+
 // serveIdempotent runs exec at most once per (endpoint, dataset,
 // analyst, key), replaying the stored response on retries. Without a
-// key, exec simply runs. exec returns the response status, its
-// marshaled body, and whether the outcome may be replayed.
+// key, exec simply runs. Either way the outcome passes through settle
+// before a byte of it reaches the client, the replay cache, or a
+// concurrent duplicate waiting on the same key.
 func (s *Server) serveIdempotent(w http.ResponseWriter, r *http.Request, dataset, analyst, key string,
-	exec func(ctx context.Context) (int, []byte, bool)) {
+	exec func(ctx context.Context) execResult) {
 	ctx := r.Context()
 	if key == "" {
-		status, body, _ := exec(ctx)
-		writeRaw(w, status, body)
+		res := s.settle(r, nil, exec(ctx))
+		writeRaw(w, res.status, res.body)
 		return
 	}
 	k := idemKey{endpoint: r.URL.Path, dataset: dataset, analyst: analyst, key: key}
@@ -518,12 +564,9 @@ func (s *Server) serveIdempotent(w http.ResponseWriter, r *http.Request, dataset
 		e, leader := s.idem.begin(k)
 		if leader {
 			s.metrics.Counter("dp_idem_misses_total").Inc()
-			status, body, cacheable := exec(ctx)
-			s.idem.finish(k, e, status, body, cacheable)
-			if cacheable {
-				s.recordIdemReply(k, status, body, time.Now().Add(s.idem.ttl))
-			}
-			writeRaw(w, status, body)
+			res := s.settle(r, &k, exec(ctx))
+			s.idem.finish(k, e, res.status, res.body, res.cacheable)
+			writeRaw(w, res.status, res.body)
 			return
 		}
 		select {

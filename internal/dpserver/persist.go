@@ -16,11 +16,14 @@ import (
 // restarted server rebuilds all of them before serving. Without a
 // ledger the server keeps its original in-memory-only behavior.
 //
-// The privacy invariant: a charge is journaled BEFORE it is
-// acknowledged (core.SpendJournal), so no crash can forget an acked
-// spend; and a ledger that cannot be fully replayed freezes, which
-// refuses all new charges (fail closed) while read-only endpoints stay
-// up for inspection.
+// The privacy invariant is durable-before-release: a charge is
+// journaled when core accepts it (core.SpendJournal stages the record,
+// in acceptance order), and everything a request journaled is made
+// durable — one fsync, one quorum wait — before a byte that depends on
+// it leaves the server (Server.settle), so no crash can forget a
+// spend whose answer was seen; and a ledger that cannot be fully
+// replayed freezes, which refuses all new charges (fail closed) while
+// read-only endpoints stay up for inspection.
 
 // Dataset kind tags persisted in dataset_created events.
 const (
@@ -82,6 +85,7 @@ func (s *Server) ledgerRefusal() error {
 func (s *Server) restoreFromLedger() {
 	led := s.ledger
 	led.AttachMetrics(s.metrics)
+	led.AttachEvents(s.events)
 	if cause := led.Refusing(); cause != nil {
 		// The recovered history could not be fully replayed (or the
 		// journal already failed): the server comes up frozen, shedding
@@ -95,9 +99,9 @@ func (s *Server) restoreFromLedger() {
 
 // registerDataset is the ledger half of Add*Trace (callers hold s.mu):
 // a dataset already in the recovered state gets its spends restored
-// and no new event; a new dataset is journaled before registration is
-// acknowledged. Either way the policy's future charges flow through
-// the ledger. With no ledger attached it does nothing.
+// and no new event; a new dataset is journaled durably before
+// registration is acknowledged. Either way the policy's future charges
+// flow through the ledger. With no ledger attached it does nothing.
 func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, totalBudget, perAnalystBudget float64) error {
 	if s.ledger == nil {
 		return nil
@@ -113,11 +117,15 @@ func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, 
 		}
 		policy.RestoreSpent(ds.Spent, ds.TotalSpent)
 	} else {
-		if err := s.journalAppend(ledger.Event{
+		err := s.journalAppend(ledger.Event{
 			Type: ledger.EventDatasetCreated, Dataset: name, Kind: kind,
 			Total:      ledger.EncodeBudget(totalBudget),
 			PerAnalyst: ledger.EncodeBudget(perAnalystBudget),
-		}); err != nil {
+		})
+		if err == nil {
+			err = s.journalCommit(&journalStats{})
+		}
+		if err != nil {
 			if s.ledger.Refusing() == nil && !errors.Is(err, errNotPrimary) {
 				return fmt.Errorf("dpserver: journal dataset registration: %w", err)
 			}
@@ -151,12 +159,14 @@ func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, 
 	return nil
 }
 
-// recordAudit journals one audit entry (refusals under their own event
-// type, per the ledger's schema) and adds it to the live trail. The
-// ledger append is best-effort: the charge events are the ε ground
-// truth, the audit trail is the owner's activity record.
-func (s *Server) recordAudit(e AuditEntry) {
+// recordAudit stages one audit entry in the journal (refusals under
+// their own event type, per the ledger's schema), charging the time to
+// o.stage, and adds it to the live trail. The ledger append is
+// best-effort: the charge events are the ε ground truth, the audit
+// trail is the owner's activity record.
+func (s *Server) recordAudit(o *queryOutcome, e AuditEntry) {
 	if s.ledger != nil {
+		start := time.Now()
 		typ := ledger.EventAudit
 		if e.Outcome == "refused" {
 			typ = ledger.EventRefusal
@@ -166,12 +176,15 @@ func (s *Server) recordAudit(e AuditEntry) {
 			Query: e.Query, Epsilon: e.Epsilon, Charged: e.Charged,
 			Outcome: e.Outcome,
 		})
+		o.stage += time.Since(start)
 	}
 	s.audit.add(e)
 }
 
-// recordIdemReply journals one stored idempotent response so retries
-// across a restart replay bytes instead of re-charging ε.
+// recordIdemReply stages one stored idempotent response in the journal
+// so retries across a restart replay bytes instead of re-charging ε.
+// It follows the request's charge and audit records in the WAL: a
+// crash can keep a charge without its reply, never the reverse.
 func (s *Server) recordIdemReply(k idemKey, status int, body []byte, expires time.Time) {
 	if s.ledger == nil {
 		return

@@ -14,11 +14,13 @@ package dpserver
 //     with code "not_primary" until Promote flips it into a primary
 //     at exactly the replayed refusal boundary.
 //
-// The single seam is journalAppend: every ledger.Append the server
-// performs (charges, rollbacks, registrations, audit, idempotent
-// replies, standing events) routes through it, so the replication
-// role is enforced at the same choke point the durability invariant
-// already flows through. See DESIGN.md §S35 for the contract.
+// The single seam is journalAppend + journalCommit: every record the
+// server journals (charges, rollbacks, registrations, audit, idempotent
+// replies, standing events) is staged through the first, and every
+// answer that depends on one is released only after the second, so
+// the replication role is enforced at the same choke point the
+// durability invariant already flows through. See DESIGN.md §S35 for
+// the contract.
 
 import (
 	"errors"
@@ -33,6 +35,7 @@ import (
 	"dptrace/internal/obs/qlog"
 	"dptrace/internal/repl"
 	"dptrace/internal/retry"
+	"dptrace/internal/standing"
 )
 
 // errNotPrimary refuses a spend on a follower: only the primary may
@@ -166,26 +169,94 @@ func (s *Server) newPrimaryLocked(cfg *ReplicationConfig) *repl.Primary {
 	return p
 }
 
-// journalAppend is the single seam between the server and its ledger:
-// every event the server journals goes through here, so the
-// replication role gates all budget movement at one choke point. On a
-// follower it refuses (errNotPrimary); on a primary it runs the
-// synchronous-replication path (quorum gate before the local append,
-// then wait for follower acks); standalone it is ledger.Append.
+// journalAppend is the staging half of the single seam between the
+// server and its ledger: every event the server journals goes through
+// here, so the replication role gates all budget movement at one choke
+// point. On a follower it refuses (errNotPrimary); on a primary the
+// quorum gate runs first (nothing unreplicatable is journaled). The
+// record is then written to the WAL in arrival order and folded into
+// the ledger's state, but it is NOT durable yet: whatever depends on it
+// is released only after journalCommit.
 func (s *Server) journalAppend(ev ledger.Event) error {
 	s.replMu.Lock()
 	p, f, closed := s.repl.primary, s.repl.follower, s.repl.closed
 	s.replMu.Unlock()
-	if f != nil {
+	switch {
+	case f != nil:
 		return errNotPrimary
-	}
-	if p != nil {
-		return p.Append(ev)
-	}
-	if closed {
+	case p != nil:
+		if err := p.SyncGate(); err != nil {
+			return err
+		}
+	case closed:
 		return errReplRetired
 	}
-	return s.ledger.Append(ev)
+	_, err := s.ledger.Stage(ev)
+	return err
+}
+
+// journalStats is what one request's journaling cost: staging its
+// records, the commit's fsync (or the wait for a concurrent request's
+// fsync that covered it), and the follower quorum wait.
+type journalStats struct {
+	stage, fsync, quorum time.Duration
+}
+
+// fields renders the stats for the request's own wide event.
+func (j journalStats) fields() []qlog.Field {
+	return append([]qlog.Field{qlog.F("stage_ms", durationMs(j.stage))}, j.commitFields()...)
+}
+
+// commitFields renders the commit's share alone — for the events of
+// records that were staged elsewhere (standing windows carry their own
+// stage_ms) and made durable by this request's commit.
+func (j journalStats) commitFields() []qlog.Field {
+	return []qlog.Field{
+		qlog.F("commit_fsync_ms", durationMs(j.fsync)),
+		qlog.F("quorum_wait_ms", durationMs(j.quorum)),
+	}
+}
+
+// journalCommit is the release half of the seam, called once at the
+// point where a request's answer would leave the server: it makes
+// everything staged so far durable (one fsync) and, on a primary with
+// MinSync > 0, waits once for the followers' cumulative ack. Only then
+// may the result, a stored reply, an ingest ACK or a standing window's
+// result be released; standing results staged before the commit are
+// published here. An error means the answer must be withheld — the
+// charges stand in memory and possibly on disk (an over-count).
+func (s *Server) journalCommit(js *journalStats) error {
+	// Every window result staged by now was journaled before this
+	// commit begins, so a successful commit covers it.
+	windows := s.standing.Staged()
+	if s.ledger != nil {
+		s.replMu.Lock()
+		p, f, closed := s.repl.primary, s.repl.follower, s.repl.closed
+		s.replMu.Unlock()
+		switch {
+		case f != nil:
+			return errNotPrimary
+		case p == nil && closed:
+			return errReplRetired
+		}
+		seq := s.ledger.StagedSeq()
+		start := time.Now()
+		err := s.ledger.Commit(seq)
+		js.fsync = time.Since(start)
+		if err == nil && p != nil {
+			start = time.Now()
+			err = p.WaitSynced(seq)
+			js.quorum = time.Since(start)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	s.standing.Publish(windows, func(res standing.Result) {
+		fields, _ := res.Note.([]qlog.Field)
+		s.event(qlog.Info, "standing_window", append(fields, js.commitFields()...)...)
+	})
+	return nil
 }
 
 // shedCodeFor picks the error envelope for a spendRefusal cause: a

@@ -37,9 +37,11 @@ import (
 //     (core.AnalystPolicy.SilentAgentFor), then ONE standing_window
 //     ledger event carries both the charge and the cursor advance. A
 //     crash can never charge a window without advancing past it, nor
-//     advance past a window without its charge. If the journal append
-//     fails, the in-memory charge is rolled back and the window stays
-//     due (fail closed).
+//     advance past a window without its charge. If the record cannot
+//     be staged, the in-memory charge is rolled back and the window
+//     stays due (fail closed). The record is made durable by the commit
+//     of the ingest request that fired it, and only that commit
+//     publishes the window's result to the list and long-poll readers.
 //   - Reservation drip: before executing, the query's cumulative
 //     standing spend plus one window's ε is checked against its total
 //     reservation; an overdraw refuses the window at zero charge with
@@ -69,30 +71,43 @@ func (s *Server) StandingStats() standing.Stats { return s.standing.Stats() }
 // meteredAgent wraps a budget agent and accumulates the net ε applied
 // through it — the race-free way to measure what one window execution
 // charged (a SpentBy delta would count concurrent one-shot queries by
-// the same analyst). It sits at the top of the query's agent tree, so
-// scaled charges (e.g. GroupBy's ×2) are measured as the roots see
-// them.
+// the same analyst) — and the time spent inside it, which for a
+// journaled policy is the staging of the request's charge records. It
+// sits at the top of the query's agent tree, so scaled charges (e.g.
+// GroupBy's ×2) are measured as the roots see them.
 type meteredAgent struct {
 	inner core.Agent
 	mu    sync.Mutex
 	net   float64
+	spent time.Duration
 }
 
 func (m *meteredAgent) Apply(epsilon float64) error {
-	if err := m.inner.Apply(epsilon); err != nil {
-		return err
-	}
+	start := time.Now()
+	err := m.inner.Apply(epsilon)
 	m.mu.Lock()
-	m.net += epsilon
-	m.mu.Unlock()
-	return nil
+	defer m.mu.Unlock()
+	m.spent += time.Since(start)
+	if err == nil {
+		m.net += epsilon
+	}
+	return err
 }
 
 func (m *meteredAgent) Rollback(epsilon float64) {
+	start := time.Now()
 	m.inner.Rollback(epsilon)
 	m.mu.Lock()
 	m.net -= epsilon
+	m.spent += time.Since(start)
 	m.mu.Unlock()
+}
+
+// busy is the total time spent in Apply and Rollback.
+func (m *meteredAgent) busy() time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.spent
 }
 
 func (m *meteredAgent) charged() float64 {
@@ -115,7 +130,10 @@ func standingQueryRequest(spec *standing.Spec) *QueryRequest {
 }
 
 // fireStandingWindow is the registry's Fire callback: execute, charge,
-// journal, commit — or return ok=false and leave the window due.
+// stage the journal record — or return ok=false and leave the window
+// due. The returned result is staged, not released: journalCommit
+// publishes it (and emits its standing_window event) once the ingest
+// request's commit has made the record durable.
 func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (standing.Result, bool) {
 	spec := q.Spec
 	start := time.Now()
@@ -182,15 +200,18 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 
 	body, _ := json.Marshal(wire)
 	res.Body = body
+	var stage time.Duration
 	if s.ledger != nil {
+		staging := time.Now()
 		err := s.journalAppend(ledger.Event{
 			Type: ledger.EventStandingWindow, Dataset: spec.Dataset,
 			Analyst: spec.Analyst, Standing: spec.ID,
 			Window: w.Index, WindowStart: w.Start, Watermark: w.End,
 			Charged: res.Charged, Outcome: res.Outcome, Body: body,
 		})
+		stage = time.Since(staging)
 		if err != nil {
-			// The charge could not be made durable: undo the in-memory
+			// The charge could not be journaled: undo the in-memory
 			// silent charge and leave the window due. The ledger has
 			// degraded, so the fail-closed gate blocks further fires.
 			if res.Charged > 0 {
@@ -209,13 +230,17 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 		s.metrics.Counter("dp_standing_epsilon_total", "dataset", spec.Dataset).
 			Add(res.Charged)
 	}
-	s.event(qlog.Info, "standing_window",
+	// The window's wide event, emitted when the result is published
+	// (journalCommit appends what the commit cost).
+	res.Note = []qlog.Field{
 		qlog.F("dataset", spec.Dataset), qlog.F("standing", spec.ID),
 		qlog.F("analyst", spec.Analyst), qlog.F("query", spec.Kind),
 		qlog.F("window", w.Index), qlog.F("start", w.Start), qlog.F("end", w.End),
 		qlog.F("outcome", res.Outcome), qlog.F("charged_epsilon", res.Charged),
 		qlog.F("spent", spent+res.Charged),
-		qlog.F("duration_ms", durationMs(time.Since(start))))
+		qlog.F("duration_ms", durationMs(time.Since(start))),
+		qlog.F("stage_ms", durationMs(stage)),
+	}
 	if res.Exhausts {
 		s.event(qlog.Warn, "standing_exhausted",
 			qlog.F("dataset", spec.Dataset), qlog.F("standing", spec.ID),
@@ -330,13 +355,15 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	s.serveIdempotent(w, r, name, req.Analyst, req.IdempotencyKey,
-		func(ctx context.Context) (int, []byte, bool) {
+		func(ctx context.Context) execResult {
 			return s.executeStandingRegister(d, name, &req)
 		})
 }
 
-// executeStandingRegister registers under the current watermark.
-func (s *Server) executeStandingRegister(d *dataset, name string, req *api.StandingRequest) (int, []byte, bool) {
+// executeStandingRegister registers under the current watermark. The
+// registration record is staged; settle commits it before the
+// response leaves.
+func (s *Server) executeStandingRegister(d *dataset, name string, req *api.StandingRequest) execResult {
 	stored, _ := json.Marshal(req)
 	spec := standing.Spec{
 		Dataset: name, Analyst: req.Analyst, ID: req.ID, Kind: req.Query,
@@ -359,7 +386,7 @@ func (s *Server) executeStandingRegister(d *dataset, name string, req *api.Stand
 	})
 	if err != nil {
 		status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), 0)
-		return status, marshalError(true, ae), false
+		return execResult{status: status, body: marshalError(true, ae)}
 	}
 	snap := q.Snapshot()
 	s.metrics.Counter("dp_standing_queries_total", "dataset", name).Inc()
@@ -369,7 +396,8 @@ func (s *Server) executeStandingRegister(d *dataset, name string, req *api.Stand
 		qlog.F("epsilon", req.Epsilon), qlog.F("reservation", req.Reservation),
 		qlog.F("width", snap.Spec.Width), qlog.F("stride", snap.Spec.Stride),
 		qlog.F("every_ms", snap.Spec.EveryMs), qlog.F("base", snap.Spec.Base))
-	return http.StatusOK, marshalJSON(api.StandingRegistered{Info: standingInfo(snap)}), true
+	return execResult{status: http.StatusOK, cacheable: true,
+		body: marshalJSON(api.StandingRegistered{Info: standingInfo(snap)})}
 }
 
 // handleStandingList is GET /v1/standing/{dataset}: the dataset's
@@ -412,14 +440,16 @@ func (s *Server) handleStandingCancel(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, status, ae)
 		return
 	}
-	if did {
+	// The cancellation record is staged; it must be durable before the
+	// response says the query stopped.
+	res := s.settle(r, nil, execResult{status: http.StatusOK,
+		body: marshalJSON(api.StandingCanceled{Info: standingInfo(q.Snapshot()), AlreadyCanceled: !did})})
+	if did && res.status == http.StatusOK {
 		s.event(qlog.Info, "standing_canceled",
 			qlog.F("dataset", name), qlog.F("standing", id),
 			qlog.F("analyst", q.Spec.Analyst))
 	}
-	writeJSON(w, http.StatusOK, api.StandingCanceled{
-		Info: standingInfo(q.Snapshot()), AlreadyCanceled: !did,
-	})
+	writeRaw(w, res.status, res.body)
 }
 
 // handleStandingResults is GET /v1/standing/{dataset}/{id}/results:

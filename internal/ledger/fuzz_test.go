@@ -33,7 +33,7 @@ func FuzzLedgerDecode(f *testing.F) {
 	flipped[len(flipped)-1] ^= 0xFF // CRC mismatch
 	f.Add(flipped)
 	huge := make([]byte, recordHeaderSize)
-	binary.LittleEndian.PutUint32(huge, maxRecordSize+1) // oversized length
+	binary.LittleEndian.PutUint32(huge, uint32(maxRecordSize)+1) // oversized length
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

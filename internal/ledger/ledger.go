@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dptrace/internal/obs"
+	"dptrace/internal/obs/qlog"
 	"dptrace/internal/vfs"
 )
 
@@ -22,8 +23,10 @@ import (
 type FsyncPolicy string
 
 const (
-	// FsyncAlways syncs before every append returns: an acked charge is
-	// durable even across power loss. The safe default.
+	// FsyncAlways syncs in every Commit, before anything the committed
+	// records back is released: an acked charge is durable even across
+	// power loss. One sync covers every record staged before it, so a
+	// request that journals three records pays one. The safe default.
 	FsyncAlways FsyncPolicy = "always"
 	// FsyncInterval syncs on a background timer (Options.FsyncInterval).
 	//
@@ -50,7 +53,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return "", fmt.Errorf("ledger: unknown fsync policy %q (always, interval, never)", s)
 }
 
-// Errors returned by Append.
+// Errors returned by Stage, Commit and Append.
 var (
 	// ErrFrozen means recovery found corrupt history: the ledger
 	// refuses all new appends, which upstream refuses all new charges
@@ -130,6 +133,14 @@ type Recovery struct {
 // Ledger is an open budget ledger. All methods are safe for concurrent
 // use.
 type Ledger struct {
+	// syncMu serializes everything that makes staged records durable or
+	// replaces the active segment: Commit, Sync, Snapshot, the interval
+	// ticker, Close. It is taken before mu, and Commit keeps it (but not
+	// mu) across the fsync — so records keep being staged while one sync
+	// runs, and the committers queued behind it find their seq already
+	// covered (group commit).
+	syncMu sync.Mutex
+
 	mu          sync.Mutex
 	dir         string
 	opts        Options
@@ -139,20 +150,33 @@ type Ledger struct {
 	activeSize  int64
 	activeStart uint64
 	sinceSnap   int
-	dirty       bool // writes not yet synced (interval policy)
-	frozen      error
-	degraded    error
-	closed      bool
-	rec         Recovery
-	now         func() time.Time
-	epoch       uint64
-	commitHook  func(seq uint64, payload []byte)
+	dirty       bool // bytes written to the active segment and not yet synced
+	// staged holds the records written and folded into state but not yet
+	// published (commit hook not fired), in seq order; durable is the seq
+	// of the newest published record.
+	staged     []stagedRecord
+	durable    uint64
+	frozen     error
+	degraded   error
+	syncFailed bool // an fsync of the WAL failed: it is never synced again
+	closed     bool
+	rec        Recovery
+	now        func() time.Time
+	epoch      uint64
+	commitHook func(seq uint64, payload []byte)
 
 	metricsMu sync.Mutex
 	metrics   *obs.Registry
+	events    *qlog.Logger
 
 	stopInterval chan struct{}
 	intervalDone chan struct{}
+}
+
+// stagedRecord is one record awaiting its commit.
+type stagedRecord struct {
+	seq     uint64
+	payload []byte
 }
 
 const (
@@ -243,6 +267,7 @@ func (l *Ledger) recover() error {
 	start := time.Now()
 	state, rec, segs, tornPath, tornKeep := replay(l.fs, l.dir, l.opts.AuditCap, l.logf)
 	l.state = state
+	l.durable = state.Seq
 	l.rec = rec
 	l.rec.Duration = time.Since(start)
 	l.state.pruneIdem(l.now().UnixNano())
@@ -485,17 +510,28 @@ func (l *Ledger) Refusing() error {
 	return nil
 }
 
-// Append durably records one event. On return with a nil error the
-// event is in the WAL (and, under FsyncAlways, on stable storage) —
-// callers ack the charge only after that, so an acked charge is never
-// lost. Any error means the event must be treated as NOT recorded and
-// the charge refused; the one exception is a sync failure after a
-// successful write, where the event may still survive — recovery then
+// refusingLocked reports why the ledger takes no new records (frozen,
+// degraded or closed), or nil. Must hold l.mu.
+func (l *Ledger) refusingLocked() error {
+	switch {
+	case l.frozen != nil:
+		return fmt.Errorf("%w: %v", ErrFrozen, l.frozen)
+	case l.degraded != nil:
+		return fmt.Errorf("%w: %v", ErrDegraded, l.degraded)
+	case l.closed:
+		return ErrClosed
+	}
+	return nil
+}
+
+// Append is Stage followed by Commit: on return with a nil error the
+// event is in the WAL and, under FsyncAlways, on stable storage. Any
+// error means the event must be treated as NOT acknowledged; after a
+// commit failure it may still survive on disk — recovery then
 // over-counts spend, which is the safe (conservative) direction.
 //
-// The first I/O error permanently degrades the ledger (see
-// ErrDegraded): subsequent Appends refuse immediately without touching
-// the disk.
+// A caller that journals several records for one answer stages each
+// and commits once (see Stage); Append is for the single-record case.
 func (l *Ledger) Append(ev Event) error {
 	_, err := l.AppendSeq(ev)
 	return err
@@ -504,16 +540,33 @@ func (l *Ledger) Append(ev Event) error {
 // AppendSeq is Append, additionally returning the sequence number the
 // event committed at — the handle replication waits on.
 func (l *Ledger) AppendSeq(ev Event) (uint64, error) {
+	seq, err := l.Stage(ev)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.Commit(seq); err != nil {
+		return 0, err
+	}
+	return seq, nil
+}
+
+// Stage journals one event without making it durable yet: the record
+// is sequenced, written to the active segment and folded into State at
+// once — WAL order is the order Stage calls arrive in — and becomes
+// durable at the next Commit (or Sync, snapshot, Close) that covers its
+// seq. The contract is durable-before-release: nothing that depends on
+// a staged record (a result, a stored reply, an ACK) may leave the
+// process before a Commit covering it has returned nil.
+//
+// An error means the event is NOT recorded and the charge must be
+// refused. The first write error permanently degrades the ledger (see
+// ErrDegraded): later calls refuse immediately without touching the
+// disk.
+func (l *Ledger) Stage(ev Event) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.frozen != nil {
-		return 0, fmt.Errorf("%w: %v", ErrFrozen, l.frozen)
-	}
-	if l.degraded != nil {
-		return 0, fmt.Errorf("%w: %v", ErrDegraded, l.degraded)
-	}
-	if l.closed {
-		return 0, ErrClosed
+	if err := l.refusingLocked(); err != nil {
+		return 0, err
 	}
 	ev.Seq = l.state.Seq + 1
 	if ev.Time == 0 {
@@ -523,16 +576,16 @@ func (l *Ledger) AppendSeq(ev Event) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := l.appendRecordLocked(&ev, buf); err != nil {
+	if err := l.stageRecordLocked(&ev, buf); err != nil {
 		return 0, err
 	}
 	return ev.Seq, nil
 }
 
-// appendRecordLocked writes one encoded record (buf = header+payload,
-// ev its decoded form with ev.Seq == state.Seq+1), syncs per policy,
-// folds it into state, and fires the commit hook. Must hold l.mu.
-func (l *Ledger) appendRecordLocked(ev *Event, buf []byte) error {
+// stageRecordLocked writes one encoded record (buf = header+payload,
+// ev its decoded form with ev.Seq == state.Seq+1), folds it into state
+// and queues it for the commit that will publish it. Must hold l.mu.
+func (l *Ledger) stageRecordLocked(ev *Event, buf []byte) error {
 	if _, err := l.active.WriteAt(buf, l.activeSize); err != nil {
 		// A partial write leaves a torn tail that the next recovery
 		// truncates. Appending past it is NOT safe (a later successful
@@ -540,16 +593,7 @@ func (l *Ledger) appendRecordLocked(ev *Event, buf []byte) error {
 		// ledger degrades.
 		return l.degrade(fmt.Errorf("append: %w", err))
 	}
-	if l.opts.Fsync == FsyncAlways {
-		if err := l.syncActive(); err != nil {
-			// fsyncgate: the failed sync may have dropped the dirty
-			// pages and marked them clean — retrying could falsely
-			// report durability. Poison the segment instead.
-			return l.degrade(fmt.Errorf("fsync: %w", err))
-		}
-	} else {
-		l.dirty = true
-	}
+	l.dirty = true
 	l.activeSize += int64(len(buf))
 	if err := l.state.Apply(ev); err != nil {
 		// Cannot happen for events this process built; fail closed if
@@ -558,31 +602,111 @@ func (l *Ledger) appendRecordLocked(ev *Event, buf []byte) error {
 		return err
 	}
 	l.countAppend(ev.Type)
-	if l.commitHook != nil {
-		l.commitHook(ev.Seq, buf[recordHeaderSize:])
-	}
+	l.staged = append(l.staged, stagedRecord{seq: ev.Seq, payload: buf[recordHeaderSize:]})
 	l.sinceSnap++
-	if l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery {
-		if err := l.snapshotLocked(); err != nil {
-			// A failed snapshot is an operational problem, not a
-			// correctness one: the WAL still has everything. (If the
-			// failure implicated the WAL itself — a failed pre-sync or
-			// rotation — snapshotLocked already degraded the ledger.)
-			l.logf("ledger: snapshot failed (will retry): %v", err)
+	return nil
+}
+
+// Commit makes every record staged so far durable — one fsync under
+// FsyncAlways, none under the other policies (their crash window is
+// the policy's, not Commit's) — and publishes them to the commit hook
+// in seq order. It returns nil once seq is covered, so a committer
+// whose records an earlier Commit already covered returns without
+// syncing: concurrent requests share fsyncs.
+//
+// A failed fsync degrades the ledger (fsyncgate: it is never retried
+// and assumed durable). The records staged before it stay folded into
+// State and may or may not be on disk — an over-count at worst — and
+// are never published. A ledger degraded by a failed write, by
+// contrast, still commits the records staged before that write.
+func (l *Ledger) Commit(seq uint64) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq <= l.durable {
+		return nil
+	}
+	if l.closed {
+		return ErrClosed
+	}
+	// fsyncgate bars a second sync after a failed one. A failed WRITE
+	// does not: the records staged before it are intact, so the requests
+	// they belong to still get their commit (the torn bytes behind them
+	// are recovery's torn tail) — only new records are refused.
+	if l.syncFailed || l.active == nil {
+		return fmt.Errorf("%w: %v", ErrDegraded, l.degraded)
+	}
+	n := len(l.staged)
+	if l.opts.Fsync == FsyncAlways {
+		// The fsync runs without l.mu: records keep being staged behind
+		// it, and whoever holds syncMu next covers them all. Only the
+		// first n staged records are known to precede this sync.
+		f := l.active
+		l.dirty = false
+		l.mu.Unlock()
+		err := l.syncFile(f)
+		l.mu.Lock()
+		if err != nil {
+			return l.syncFailedLocked("fsync", err)
 		}
+	}
+	l.publishLocked(n)
+	if l.degraded == nil && l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery {
+		// Best effort, already reported: the WAL still has everything.
+		_ = l.snapshotLocked()
 	}
 	return nil
 }
 
-// syncActive fsyncs the active segment, timing it into the metrics.
-func (l *Ledger) syncActive() error {
+// syncFile fsyncs a WAL segment, timing it into the metrics — the one
+// place WAL records are made durable.
+func (l *Ledger) syncFile(f vfs.File) error {
 	start := time.Now()
-	err := l.active.Sync()
+	err := f.Sync()
 	l.observeFsync(time.Since(start))
-	if err == nil {
+	return err
+}
+
+// syncFailedLocked degrades the ledger after a failed WAL fsync and bars
+// any further one (fsyncgate: the failed sync may have dropped the
+// dirty pages and marked them clean — retrying could falsely report
+// durability, so the segment is poisoned instead). Must hold l.mu.
+func (l *Ledger) syncFailedLocked(what string, err error) error {
+	l.syncFailed = true
+	return l.degrade(fmt.Errorf("%s: %w", what, err))
+}
+
+// flushLocked syncs the active segment if it holds unsynced bytes and
+// publishes everything staged: the implicit commit inside Sync,
+// snapshot, rotation, the interval ticker and Close. what names the
+// caller in the degrade cause. Must hold l.syncMu and l.mu.
+func (l *Ledger) flushLocked(what string) error {
+	if l.dirty {
+		if err := l.syncFile(l.active); err != nil {
+			return l.syncFailedLocked(what, err)
+		}
 		l.dirty = false
 	}
-	return err
+	l.publishLocked(len(l.staged))
+	return nil
+}
+
+// publishLocked fires the commit hook for the first n staged records,
+// in seq order, and advances the durable prefix past them. Must hold
+// l.mu.
+func (l *Ledger) publishLocked(n int) {
+	if n == 0 {
+		return
+	}
+	for _, r := range l.staged[:n] {
+		if l.commitHook != nil {
+			l.commitHook(r.seq, r.payload)
+		}
+	}
+	l.durable = l.staged[n-1].seq
+	l.staged = append(l.staged[:0], l.staged[n:]...)
+	l.observeCommit(n)
 }
 
 // fsyncLoop is the FsyncInterval background syncer.
@@ -593,27 +717,28 @@ func (l *Ledger) fsyncLoop() {
 	for {
 		select {
 		case <-t.C:
+			l.syncMu.Lock()
 			l.mu.Lock()
 			if !l.closed && l.degraded == nil && l.dirty && l.active != nil {
-				if err := l.syncActive(); err != nil {
-					// fsyncgate again: the interval syncer must not
-					// keep retrying a sync the kernel may have already
-					// "absorbed" — degrade so no further charge is
-					// acked against a segment of unknown durability.
-					_ = l.degrade(fmt.Errorf("interval fsync: %w", err))
-				}
+				// A failure degrades: no further charge may be acked
+				// against a segment of unknown durability.
+				_ = l.flushLocked("interval fsync")
 			}
 			l.mu.Unlock()
+			l.syncMu.Unlock()
 		case <-l.stopInterval:
 			return
 		}
 	}
 }
 
-// Sync forces buffered appends to stable storage regardless of policy.
-// Under FsyncInterval it closes the crash window at the moment it
-// returns nil. A failure degrades the ledger (fsyncgate).
+// Sync forces buffered appends to stable storage regardless of policy
+// and publishes whatever was staged. Under FsyncInterval it closes the
+// crash window at the moment it returns nil. A failure degrades the
+// ledger (fsyncgate).
 func (l *Ledger) Sync() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.degraded != nil {
@@ -622,38 +747,47 @@ func (l *Ledger) Sync() error {
 	if l.closed || l.active == nil {
 		return nil
 	}
-	if err := l.syncActive(); err != nil {
-		return l.degrade(fmt.Errorf("sync: %w", err))
-	}
-	return nil
+	return l.flushLocked("sync")
 }
 
 // Snapshot checkpoints the current state and compacts the WAL: older
 // segments and snapshots are deleted once the new snapshot is durable.
 func (l *Ledger) Snapshot() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.frozen != nil {
-		return fmt.Errorf("%w: %v", ErrFrozen, l.frozen)
-	}
-	if l.degraded != nil {
-		return fmt.Errorf("%w: %v", ErrDegraded, l.degraded)
-	}
-	if l.closed {
-		return ErrClosed
+	if err := l.refusingLocked(); err != nil {
+		return err
 	}
 	return l.snapshotLocked()
 }
 
+// snapshotLocked attempts one snapshot and reports a failure (log line,
+// dp_ledger_snapshot_failures_total, one ledger_snapshot_failed event).
+// Whatever happens, the next automatic attempt is a full SnapshotEvery
+// away: a state too large to snapshot must not be re-marshalled on
+// every append. Must hold l.syncMu and l.mu.
 func (l *Ledger) snapshotLocked() error {
+	l.sinceSnap = 0
+	err := l.writeSnapshotLocked()
+	if err != nil {
+		// A failed snapshot is an operational problem, not a
+		// correctness one: the WAL still has everything. (If the
+		// failure implicated the WAL itself — a failed pre-sync or
+		// rotation — the ledger is already degraded.)
+		l.logf("ledger: snapshot failed (will retry): %v", err)
+		l.noteSnapshotFailure(err)
+	}
+	return err
+}
+
+func (l *Ledger) writeSnapshotLocked() error {
 	// The WAL must be durable through the snapshot seq before older
-	// segments become deletable.
-	if l.dirty {
-		if err := l.syncActive(); err != nil {
-			// The WAL's durability is now unknown — this is an append
-			// path failure, not a snapshot one.
-			return l.degrade(fmt.Errorf("pre-snapshot fsync: %w", err))
-		}
+	// segments become deletable; a failure here is an append-path
+	// failure (the WAL's durability is unknown), not a snapshot one.
+	if err := l.flushLocked("pre-snapshot fsync"); err != nil {
+		return err
 	}
 	l.state.pruneIdem(l.now().UnixNano())
 	body, err := json.Marshal(l.state)
@@ -678,7 +812,6 @@ func (l *Ledger) snapshotLocked() error {
 		return err
 	}
 	syncDir(l.fs, l.dir)
-	l.sinceSnap = 0
 
 	// Rotate to a fresh segment, then drop everything the snapshot
 	// covers. A rotation failure leaves no active segment to append to,
@@ -704,14 +837,12 @@ func (l *Ledger) snapshotLocked() error {
 	return nil
 }
 
-// rotateLocked closes the active segment and starts a new one at the
-// next sequence number.
+// rotateLocked closes the active segment — committing what it still
+// holds staged — and starts a new one at the next sequence number.
 func (l *Ledger) rotateLocked() error {
 	if l.active != nil {
-		if l.dirty {
-			if err := l.syncActive(); err != nil {
-				return err
-			}
+		if err := l.flushLocked("pre-rotate fsync"); err != nil {
+			return err
 		}
 		l.active.Close()
 		l.active = nil
@@ -737,18 +868,21 @@ func (l *Ledger) rotateLocked() error {
 	return nil
 }
 
-// Close syncs and closes the ledger. Further Appends fail.
+// Close syncs, publishes what the sync covered, and closes the ledger.
+// Further Appends fail.
 func (l *Ledger) Close() error {
+	l.syncMu.Lock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.syncMu.Unlock()
 		return nil
 	}
 	l.closed = true
 	var err error
 	if l.active != nil {
-		if l.dirty && l.degraded == nil {
-			err = l.syncActive()
+		if l.degraded == nil {
+			err = l.flushLocked("close fsync")
 		}
 		if cerr := l.active.Close(); err == nil && l.degraded == nil {
 			err = cerr
@@ -758,6 +892,7 @@ func (l *Ledger) Close() error {
 	stop := l.stopInterval
 	done := l.intervalDone
 	l.mu.Unlock()
+	l.syncMu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done
@@ -791,8 +926,11 @@ func syncDir(fsys vfs.FS, dir string) {
 // --- metrics ---------------------------------------------------------
 
 // AttachMetrics exports the ledger's telemetry into reg:
-// dp_ledger_appends_total{type=...}, dp_ledger_fsync_seconds,
-// dp_ledger_recovery_events_total, dp_ledger_recovery_torn_bytes_total,
+// dp_ledger_appends_total{type=...} (records staged),
+// dp_ledger_fsync_seconds, dp_ledger_commit_records (records one commit
+// published — made durable by one sync under FsyncAlways),
+// dp_ledger_snapshot_failures_total, dp_ledger_recovery_events_total,
+// dp_ledger_recovery_torn_bytes_total,
 // dp_ledger_recovery_seconds, and the live gauges dp_ledger_seq,
 // dp_ledger_frozen, and dp_ledger_degraded. Recovery totals are
 // recorded once, at attach time.
@@ -825,6 +963,15 @@ func (l *Ledger) AttachMetrics(reg *obs.Registry) {
 	})
 }
 
+// AttachEvents directs the ledger's operational wide events — today
+// one ledger_snapshot_failed warning per failed snapshot — at log (nil
+// discards them).
+func (l *Ledger) AttachEvents(log *qlog.Logger) {
+	l.metricsMu.Lock()
+	l.events = log
+	l.metricsMu.Unlock()
+}
+
 func (l *Ledger) countAppend(typ string) {
 	l.metricsMu.Lock()
 	reg := l.metrics
@@ -841,6 +988,30 @@ func (l *Ledger) observeFsync(d time.Duration) {
 	if reg != nil {
 		reg.Histogram("dp_ledger_fsync_seconds", obs.DurationBuckets()).Observe(d.Seconds())
 	}
+}
+
+// commitRecordBuckets spans one record per commit (a lone Append) to a
+// follower's catch-up burst.
+var commitRecordBuckets = []float64{1, 2, 3, 4, 6, 8, 16, 32, 64, 128, 256}
+
+func (l *Ledger) observeCommit(records int) {
+	l.metricsMu.Lock()
+	reg := l.metrics
+	l.metricsMu.Unlock()
+	if reg != nil {
+		reg.Histogram("dp_ledger_commit_records", commitRecordBuckets).Observe(float64(records))
+	}
+}
+
+func (l *Ledger) noteSnapshotFailure(err error) {
+	l.metricsMu.Lock()
+	reg, log := l.metrics, l.events
+	l.metricsMu.Unlock()
+	if reg != nil {
+		reg.Counter("dp_ledger_snapshot_failures_total").Inc()
+	}
+	log.Log(qlog.Warn, "ledger_snapshot_failed",
+		qlog.F("seq", l.state.Seq), qlog.F("error", err.Error()))
 }
 
 // --- inspection ------------------------------------------------------

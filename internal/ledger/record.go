@@ -7,8 +7,9 @@
 // ε-spend is never forgotten. Without this package a dpserver restart
 // resets every analyst's spend to zero and silently re-opens the full
 // budget. The ledger makes the spend history durable: every charge is
-// journaled *before* it is acknowledged, so an acked charge survives a
-// crash; recovery replays snapshot + WAL tail, tolerating a torn final
+// staged in the WAL as it is accepted and committed (made durable)
+// *before* the answer it paid for is released, so a charge whose answer
+// anyone saw survives a crash; recovery replays snapshot + WAL tail, tolerating a torn final
 // record (truncate-and-warn) but refusing corrupt history (fail closed:
 // a ledger that cannot be fully replayed refuses all new appends, which
 // in turn refuses all new charges upstream).
@@ -147,12 +148,13 @@ func DecodeBudget(v float64) float64 {
 	return v
 }
 
-const (
-	recordHeaderSize = 8
-	// maxRecordSize bounds one payload; a larger length prefix is
-	// corruption, not a real record (idem bodies are response-sized).
-	maxRecordSize = 16 << 20
-)
+const recordHeaderSize = 8
+
+// maxRecordSize bounds one payload; a larger length prefix is
+// corruption, not a real record (idem bodies are response-sized). A
+// snapshot is one record too, so this also bounds the state that can
+// be checkpointed. A variable only so a test can lower it.
+var maxRecordSize = 16 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -193,7 +195,7 @@ func DecodeRecord(b []byte) (Event, int, error) {
 		return ev, 0, ErrTornRecord
 	}
 	n := binary.LittleEndian.Uint32(b[0:4])
-	if n > maxRecordSize {
+	if int64(n) > int64(maxRecordSize) {
 		return ev, 0, fmt.Errorf("%w: implausible length %d", ErrCorrupt, n)
 	}
 	if len(b) < recordHeaderSize+int(n) {

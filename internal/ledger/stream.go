@@ -1,15 +1,18 @@
 // Replication seam: the pieces internal/repl builds on.
 //
-//   - A commit hook fires (under the ledger lock, post-fsync under
-//     FsyncAlways) for every committed record with its raw payload, so
-//     a primary can fan events out without re-reading the disk.
+//   - A commit hook fires (under the ledger lock, after the fsync that
+//     covers it under FsyncAlways) for every committed record with its
+//     raw payload, in seq order, so a primary can fan events out
+//     without re-reading the disk — and never ahead of its own durable
+//     prefix.
 //   - TailReader re-reads committed records from any seq, re-verifying
 //     every CRC — the catch-up path for followers that are behind the
 //     in-memory window, and the engine behind dpledger diff.
-//   - ReplicaAppend lets a follower write the primary's records into
-//     its own WAL verbatim (byte-identical segments, same refusal
-//     boundary on replay), and InstallSnapshot seeds an empty follower
-//     that is behind the primary's compaction horizon.
+//   - StageReplica (and ReplicaAppend, its stage-plus-commit form) lets
+//     a follower write the primary's records into its own WAL verbatim
+//     (byte-identical segments, same refusal boundary on replay), and
+//     InstallSnapshot seeds an empty follower that is behind the
+//     primary's compaction horizon.
 //   - A durable fencing epoch, stored next to the WAL, makes a deposed
 //     primary's late appends rejectable after a promotion.
 package ledger
@@ -40,11 +43,12 @@ func Checksum(payload []byte) uint32 {
 	return crc32.Checksum(payload, crcTable)
 }
 
-// SetCommitHook installs fn, called once per committed record (Append
-// and ReplicaAppend alike) with the assigned seq and the raw payload
-// bytes, in commit order, under the ledger lock — fn must not block
-// and must not call back into the ledger. Install before concurrent
-// appends begin.
+// SetCommitHook installs fn, called once per committed record (local
+// and replicated alike) with the assigned seq and the raw payload
+// bytes, in seq order, under the ledger lock, and only once the record
+// is as durable as the fsync policy makes it (Commit, or any implicit
+// sync that covered it) — fn must not block and must not call back
+// into the ledger. Install before concurrent appends begin.
 func (l *Ledger) SetCommitHook(fn func(seq uint64, payload []byte)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -59,8 +63,18 @@ func (l *Ledger) Dir() string { return l.dir }
 // filesystem.
 func (l *Ledger) FS() vfs.FS { return l.fs }
 
-// CommittedSeq returns the seq of the newest committed event.
+// CommittedSeq returns the seq of the newest committed event: the end
+// of the prefix that has been made durable and published. Records
+// staged past it are in State but not yet safe to act on.
 func (l *Ledger) CommittedSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.durable
+}
+
+// StagedSeq returns the seq of the newest staged event (>= CommittedSeq)
+// — what a Commit issued now must cover.
+func (l *Ledger) StagedSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.state.Seq
@@ -123,13 +137,22 @@ func (l *Ledger) SetEpoch(e uint64) error {
 
 // --- follower write path ----------------------------------------------
 
-// ReplicaAppend appends a replicated record verbatim: payload must be
-// the primary's raw record payload for exactly state.Seq+1. The bytes
-// written are identical to the primary's, so the two WALs replay to
-// the same refusal boundary and compare clean under dpledger diff.
-// Durability follows the ledger's fsync policy — under FsyncAlways a
-// nil return means the record is on stable storage and safe to ack.
+// ReplicaAppend is StageReplica followed by Commit: under FsyncAlways
+// a nil return means the record is on stable storage and safe to ack.
 func (l *Ledger) ReplicaAppend(seq uint64, payload []byte) error {
+	if err := l.StageReplica(seq, payload); err != nil {
+		return err
+	}
+	return l.Commit(seq)
+}
+
+// StageReplica stages a replicated record verbatim: payload must be
+// the primary's raw record payload for exactly the next seq. The bytes
+// written are identical to the primary's, so the two WALs replay to
+// the same refusal boundary and compare clean under dpledger diff. A
+// follower stages a burst of frames and Commits the last seq once
+// before acking it.
+func (l *Ledger) StageReplica(seq uint64, payload []byte) error {
 	var ev Event
 	if err := decodePayload(payload, &ev); err != nil {
 		return err
@@ -139,14 +162,8 @@ func (l *Ledger) ReplicaAppend(seq uint64, payload []byte) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.frozen != nil {
-		return fmt.Errorf("%w: %v", ErrFrozen, l.frozen)
-	}
-	if l.degraded != nil {
-		return fmt.Errorf("%w: %v", ErrDegraded, l.degraded)
-	}
-	if l.closed {
-		return ErrClosed
+	if err := l.refusingLocked(); err != nil {
+		return err
 	}
 	if seq != l.state.Seq+1 {
 		return fmt.Errorf("ledger: replica append seq %d, want %d", seq, l.state.Seq+1)
@@ -155,7 +172,7 @@ func (l *Ledger) ReplicaAppend(seq uint64, payload []byte) error {
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], Checksum(payload))
 	buf = append(buf, payload...)
-	return l.appendRecordLocked(&ev, buf)
+	return l.stageRecordLocked(&ev, buf)
 }
 
 // DecodeEventPayload re-verifies and decodes a raw record payload —
@@ -202,16 +219,12 @@ func (l *Ledger) InstallSnapshot(payload []byte) error {
 	if st.Seq != ev.Seq {
 		return fmt.Errorf("%w: snapshot state seq %d, record seq %d", ErrCorrupt, st.Seq, ev.Seq)
 	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.frozen != nil {
-		return fmt.Errorf("%w: %v", ErrFrozen, l.frozen)
-	}
-	if l.degraded != nil {
-		return fmt.Errorf("%w: %v", ErrDegraded, l.degraded)
-	}
-	if l.closed {
-		return ErrClosed
+	if err := l.refusingLocked(); err != nil {
+		return err
 	}
 	if l.state.Seq != 0 {
 		return fmt.Errorf("ledger: snapshot install refused: ledger has history through seq %d", l.state.Seq)
@@ -235,6 +248,7 @@ func (l *Ledger) InstallSnapshot(payload []byte) error {
 
 	emptySeg := filepath.Join(l.dir, segmentName(l.activeStart))
 	l.state = st
+	l.durable = st.Seq
 	l.sinceSnap = 0
 	l.rec.SnapshotSeq = ev.Seq
 	if err := l.rotateLocked(); err != nil {
@@ -254,7 +268,10 @@ func (l *Ledger) InstallSnapshot(payload []byte) error {
 // re-verifying every CRC, resuming across segment rotation, and
 // tolerating concurrent appends (a partially-written tail reads as
 // "no more yet"). It takes no ledger lock — it works off the on-disk
-// bytes, exactly like recovery would.
+// bytes, exactly like recovery would — so over a live ledger it also
+// sees records that are staged but not yet committed: a caller that
+// must stay within the durable prefix (the replication primary) stops
+// at CommittedSeq itself.
 //
 // Next returns io.EOF when it has delivered everything currently
 // committed (call again after more commits), ErrCompacted when the

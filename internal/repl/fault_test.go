@@ -9,6 +9,7 @@ package repl
 
 import (
 	"errors"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -170,4 +171,132 @@ func TestFollowerCrashBetweenReceiveAndFsync(t *testing.T) {
 	want := h.pl.CommittedSeq()
 	waitUntil(t, 5*time.Second, func() bool { return f2.Applied() == want }, "resync")
 	assertDiffClean(t, h.dirA, h.dirB)
+}
+
+// TestPrimaryKilledBetweenStageAndCommit: a request's records are
+// staged on the primary — written to its WAL, folded into its state —
+// and the machine dies before the commit's fsync. Replicas never run
+// ahead of the primary's durable prefix: the follower has none of the
+// staged records, neither live nor after a resubscribe that re-reads
+// the primary's segment from disk, and once the crash has dropped the
+// unsynced bytes the two directories are the same prefix.
+func TestPrimaryKilledBetweenStageAndCommit(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	fsys := vfs.NewFaultFS(nil)
+	pl := openLedger(t, dirA, fsys, ledger.FsyncAlways, -1)
+	seedDataset(t, pl)
+	for i := 0; i < 2; i++ {
+		if err := pl.Append(charge("alice", 0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed := pl.CommittedSeq()
+	p, addr := startPrimary(t, pl, PrimaryConfig{Name: "p", MinSync: 1, AckTimeout: 200 * time.Millisecond})
+	fl := openLedger(t, dirB, nil, ledger.FsyncAlways, -1)
+	f := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f"})
+	waitUntil(t, 5*time.Second, func() bool { return p.Connected() == 1 && f.Applied() == committed }, "catch-up")
+
+	// One request: charge, audit, reply — staged, not committed.
+	var last uint64
+	for _, ev := range []ledger.Event{
+		charge("bob", 0.5),
+		{Type: ledger.EventAudit, Dataset: "d", Analyst: "bob", Query: "count", Epsilon: 0.5, Charged: 0.5, Outcome: "ok"},
+		{Type: ledger.EventIdemReply, Endpoint: "/v1/query", Dataset: "d", Analyst: "bob", Key: "k", Status: 200, Body: []byte("{}"), Expires: 1},
+	} {
+		if err := p.SyncGate(); err != nil {
+			t.Fatal(err)
+		}
+		seq, err := pl.Stage(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = seq
+	}
+	// A follower resubscribing now, exactly caught up, makes the primary
+	// probe its own segment on disk for the next record — and the staged
+	// bytes are there. It must stop at the committed prefix all the same.
+	f.Close()
+	waitUntil(t, 5*time.Second, func() bool { return p.Connected() == 0 }, "first session gone")
+	f = startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f"})
+	waitUntil(t, 5*time.Second, func() bool { return p.Connected() == 1 }, "resubscribe")
+	time.Sleep(50 * time.Millisecond) // anything wrongly streamed would have landed by now
+	if f.Applied() != committed || fl.StagedSeq() != committed {
+		t.Fatalf("follower at %d (staged %d) ran ahead of the primary's durable prefix %d",
+			f.Applied(), fl.StagedSeq(), committed)
+	}
+
+	// The commit's fsync is where the power goes.
+	fsys.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal-", Crash: true})
+	if err := pl.Commit(last); err == nil {
+		t.Fatal("commit survived a crashed fsync")
+	}
+	if pl.CommittedSeq() != committed {
+		t.Fatalf("primary committed seq moved to %d across a failed commit", pl.CommittedSeq())
+	}
+	if err := fsys.SimulateCrash(); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	f.Close()
+	if f.Applied() != committed {
+		t.Fatalf("follower applied %d, want the committed prefix %d", f.Applied(), committed)
+	}
+	st, _, err := ledger.Replay(dirB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Seq != committed || len(st.Idem) != 0 || st.Datasets["d"].Spent["bob"] != 0 {
+		t.Fatalf("follower holds uncommitted records: seq %d, %d replies, bob spent %v",
+			st.Seq, len(st.Idem), st.Datasets["d"].Spent["bob"])
+	}
+	assertDiffClean(t, dirA, dirB)
+}
+
+// TestFollowerAppliesBurstWithOneSync: event frames that arrive
+// together are staged one by one and made durable by one fsync, acked
+// by one cumulative ack — and the ack still never precedes durability.
+func TestFollowerAppliesBurstWithOneSync(t *testing.T) {
+	const backlog = 200
+	dirA, dirB := t.TempDir(), t.TempDir()
+	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
+	seedDataset(t, pl)
+	for i := 0; i < backlog; i++ {
+		if err := pl.Append(charge("alice", 0.01)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, addr := startPrimary(t, pl, PrimaryConfig{Name: "p"})
+
+	fsys := vfs.NewFaultFS(nil)
+	fl := openLedger(t, dirB, fsys, ledger.FsyncAlways, -1)
+	syncs := fsys.Counts()[vfs.OpSync]
+	var mu sync.Mutex
+	var applied []uint64
+	f := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f", OnApply: func(ev ledger.Event) {
+		// OnApply's contract: the event is already durable locally.
+		if fl.CommittedSeq() < ev.Seq {
+			t.Errorf("OnApply(%d) before the commit covering it (committed %d)", ev.Seq, fl.CommittedSeq())
+		}
+		mu.Lock()
+		applied = append(applied, ev.Seq)
+		mu.Unlock()
+	}})
+	want := pl.CommittedSeq()
+	waitUntil(t, 5*time.Second, func() bool { return f.Applied() == want && p.MaxLag() == 0 }, "backlog catch-up")
+
+	if got := fsys.Counts()[vfs.OpSync] - syncs; got >= backlog/2 {
+		t.Fatalf("%d syncs to apply a %d-event backlog: the burst was not coalesced", got, backlog)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(applied) != int(want) {
+		t.Fatalf("OnApply saw %d events, want %d", len(applied), want)
+	}
+	for i, seq := range applied {
+		if seq != uint64(i+1) {
+			t.Fatalf("OnApply order broke at %d: %v", i, applied[:i+1])
+		}
+	}
+	f.Close()
+	assertDiffClean(t, dirA, dirB)
 }

@@ -43,8 +43,9 @@ type FollowerConfig struct {
 // DialFunc opens a connection to a primary's replication address.
 type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
 
-// Follower tails a primary into the local ledger, acking each seq only
-// after it is durable locally. It serves reads until Promote.
+// Follower tails a primary into the local ledger, acking a seq only
+// after it (and everything before it) is durable locally. It serves
+// reads until Promote.
 type Follower struct {
 	led *ledger.Ledger
 	cfg FollowerConfig
@@ -255,34 +256,61 @@ func (f *Follower) session() (bool, error) {
 	return true, f.stream(conn, br, bw)
 }
 
+// burst is the run of event frames staged in the local WAL since the
+// last commit: one fsync and one cumulative ack cover all of it.
+type burst struct {
+	events  []ledger.Event
+	lastCRC uint32
+}
+
 // stream applies events until the connection dies or the follower is
-// sealed. Every seq is durable locally BEFORE it is acked.
+// sealed. Frames that arrive together are staged one by one and
+// committed once; every seq is durable locally BEFORE it is acked.
 func (f *Follower) stream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	var b burst
+	err := f.streamFrames(conn, br, bw, &b)
+	// A dying connection can leave staged events behind: commit them,
+	// so the next handshake resumes from the ledger's true tail.
+	if _, cerr := f.commitBurst(&b); cerr != nil && !isFatal(err) {
+		err = cerr
+	}
+	return err
+}
+
+func (f *Follower) streamFrames(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, b *burst) error {
 	idle := 10 * time.Second
+	ack := func(seq uint64) error {
+		_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		if err := writeJSONFrame(bw, kindAck, ackMsg{Seq: seq}); err != nil {
+			return err
+		}
+		return bw.Flush()
+	}
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(idle))
 		kind, payload, err := readFrame(br)
 		if err != nil {
 			return err
 		}
+		if kind == kindEvent {
+			if err := f.stageEvent(payload, b); err != nil {
+				return err
+			}
+			if br.Buffered() >= frameHeaderSize {
+				continue // more of the burst is already here
+			}
+		}
+		// The burst ends here (or a control frame interrupts it): make
+		// it durable and ack its last seq before anything else.
+		if seq, err := f.commitBurst(b); err != nil {
+			return err
+		} else if seq > 0 {
+			if err := ack(seq); err != nil {
+				return err
+			}
+		}
 		switch kind {
 		case kindEvent:
-			ev, err := f.applyEvent(payload)
-			if err != nil {
-				return err
-			}
-			if f.cfg.OnApply != nil {
-				f.cfg.OnApply(ev)
-			}
-			_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-			if err := writeJSONFrame(bw, kindAck, ackMsg{Seq: ev.Seq}); err != nil {
-				return err
-			}
-			if br.Buffered() < frameHeaderSize {
-				if err := bw.Flush(); err != nil {
-					return err
-				}
-			}
 		case kindHeartbeat:
 			var hb heartbeatMsg
 			if err := decodeJSON(payload, &hb); err != nil {
@@ -294,11 +322,7 @@ func (f *Follower) stream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) err
 			if hb.Seq > f.primarySeq.Load() {
 				f.primarySeq.Store(hb.Seq)
 			}
-			_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-			if err := writeJSONFrame(bw, kindAck, ackMsg{Seq: f.applied.Load()}); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
+			if err := ack(f.applied.Load()); err != nil {
 				return err
 			}
 		case kindError:
@@ -313,28 +337,51 @@ func (f *Follower) stream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) err
 	}
 }
 
-// applyEvent writes one replicated record durably and returns the
-// decoded event. Sealed followers refuse: promotion froze the history.
-func (f *Follower) applyEvent(payload []byte) (ledger.Event, error) {
+// stageEvent writes one replicated record into the local WAL (not yet
+// durable) and adds it to the burst. Sealed followers refuse:
+// promotion froze the history.
+func (f *Follower) stageEvent(payload []byte, b *burst) error {
 	var ev ledger.Event
 	if err := ledger.DecodeEventPayload(payload, &ev); err != nil {
-		return ev, err
+		return err
 	}
 	f.mu.Lock()
 	sealed := f.sealed
 	f.mu.Unlock()
 	if sealed {
-		return ev, errors.New("repl: follower sealed (promotion in progress)")
+		return errors.New("repl: follower sealed (promotion in progress)")
 	}
-	if err := f.led.ReplicaAppend(ev.Seq, payload); err != nil {
-		return ev, err
+	if err := f.led.StageReplica(ev.Seq, payload); err != nil {
+		return err
 	}
-	f.applied.Store(ev.Seq)
 	if ev.Seq > f.primarySeq.Load() {
 		f.primarySeq.Store(ev.Seq)
 	}
-	f.lastCRC.Store(ledger.Checksum(payload))
-	return ev, nil
+	b.events = append(b.events, ev)
+	b.lastCRC = ledger.Checksum(payload)
+	return nil
+}
+
+// commitBurst makes the staged burst durable with one Commit, advances
+// the applied position, and hands each event to OnApply. It returns the
+// burst's last seq (0 for an empty burst) — the cumulative ack to send.
+func (f *Follower) commitBurst(b *burst) (uint64, error) {
+	if len(b.events) == 0 {
+		return 0, nil
+	}
+	last := b.events[len(b.events)-1].Seq
+	if err := f.led.Commit(last); err != nil {
+		return 0, err
+	}
+	f.applied.Store(last)
+	f.lastCRC.Store(b.lastCRC)
+	if f.cfg.OnApply != nil {
+		for _, ev := range b.events {
+			f.cfg.OnApply(ev)
+		}
+	}
+	b.events = b.events[:0]
+	return last, nil
 }
 
 // Promote seals the follower, verifies the replicated WAL tail

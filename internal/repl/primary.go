@@ -18,10 +18,10 @@ type PrimaryConfig struct {
 	// Name identifies this node in events and handshakes.
 	Name string
 	// MinSync is the number of connected followers that must durably
-	// ack an append before Append returns (0 = asynchronous
-	// replication). With MinSync > 0 and fewer followers connected,
-	// appends are refused BEFORE journaling — fail closed, no budget
-	// bleeds while the standby is away.
+	// ack an event before WaitSynced (and so Append) returns (0 =
+	// asynchronous replication). With MinSync > 0 and fewer followers
+	// connected, SyncGate refuses BEFORE anything is journaled — fail
+	// closed, no budget bleeds while the standby is away.
 	MinSync int
 	// AckTimeout bounds the wait for follower acks; <=0 means 5s. On
 	// timeout the append error wraps ErrAckTimeout: the event is
@@ -116,8 +116,11 @@ func NewPrimary(led *ledger.Ledger, cfg PrimaryConfig) *Primary {
 	return p
 }
 
-// onCommit runs under the ledger lock: record the payload in the ring
-// and poke every session's sender. Must not call back into the ledger.
+// onCommit runs under the ledger lock, once per record in seq order,
+// after the sync that made the record durable — followers never run
+// ahead of this node's durable prefix. It records the payload in the
+// ring and pokes every session's sender. Must not call back into the
+// ledger.
 func (p *Primary) onCommit(seq uint64, payload []byte) {
 	p.mu.Lock()
 	p.committed = seq
@@ -157,7 +160,10 @@ func (p *Primary) Serve(ln net.Listener) {
 // Append journals ev and, with MinSync > 0, holds until enough
 // followers have durably acked it. The quorum is checked BEFORE the
 // local append so that an unreplicatable spend is refused with
-// nothing journaled.
+// nothing journaled. A caller journaling several records for one
+// answer does the same three steps itself, the last two once: SyncGate
+// before staging each record on the ledger, then ledger.Commit and
+// WaitSynced on the last staged seq.
 func (p *Primary) Append(ev ledger.Event) error {
 	if err := p.SyncGate(); err != nil {
 		return err
@@ -166,7 +172,7 @@ func (p *Primary) Append(ev ledger.Event) error {
 	if err != nil {
 		return err
 	}
-	return p.waitSynced(seq)
+	return p.WaitSynced(seq)
 }
 
 // SyncGate reports why a new spend must be refused before journaling:
@@ -187,8 +193,12 @@ func (p *Primary) SyncGate() error {
 	return nil
 }
 
-// waitSynced blocks until MinSync followers acked seq or AckTimeout.
-func (p *Primary) waitSynced(seq uint64) error {
+// WaitSynced blocks until MinSync followers have durably acked seq —
+// acks are cumulative, so one wait on a request's last committed seq
+// covers every record before it — or AckTimeout passes. On timeout the
+// error wraps ErrAckTimeout: the events are durable locally, so callers
+// treat the spend as charged and withhold the answer.
+func (p *Primary) WaitSynced(seq uint64) error {
 	p.mu.Lock()
 	if p.cfg.MinSync == 0 || p.ackedByLocked(seq) >= p.cfg.MinSync {
 		p.mu.Unlock()
@@ -413,6 +423,10 @@ func (p *Primary) handle(conn net.Conn) {
 	probeSeq, probePayload, probeErr := tr.Next()
 	pending := [][]byte(nil)
 	switch {
+	case probeErr == nil && probeSeq > committed:
+		// On disk but only staged: not ours to send until its commit
+		// publishes it. Caught up; re-read it from the start then.
+		tr = ledger.NewTailReader(p.led.FS(), p.led.Dir(), sub.LastSeq)
 	case probeErr == nil:
 		if probeSeq != nextSeq {
 			sendError(bw, "internal", fmt.Sprintf("probe seq %d, want %d", probeSeq, nextSeq), epoch)

@@ -12,7 +12,7 @@
 // record-sequence terms against the dataset's monotonic watermark, so
 // the same record sequence produces the same windows regardless of how
 // ingest batches chunk it; firing is serialized (the ingest appender
-// goroutine drives Advance) and ordered by (registration order, window
+// goroutine drives Stage) and ordered by (registration order, window
 // index), so noise draws happen in a reproducible order; wall-clock
 // specs resolve to sequence watermarks at batch-apply time and the
 // resolved boundaries are journaled, so replay never re-reads a clock.
@@ -22,9 +22,12 @@
 // policy by the Fire callback; the registry additionally enforces the
 // query's total reservation — a window that would overdraw it is
 // refused with outcome "exhausted" at zero charge and the query stops
-// firing. Durability is the callback's job (journal before the
-// registry commits); the registry never acknowledges a window the
-// callback did not persist.
+// firing. Durability is the caller's job, in two steps: the Fire
+// callback journals the window (Stage then moves the cursor and holds
+// the result back), and once the caller has made those journal records
+// durable it calls Publish, which is what makes the results visible to
+// readers. Advance does both at once for callers with nothing to wait
+// for.
 package standing
 
 import (
@@ -107,14 +110,19 @@ type Result struct {
 	Body []byte
 	// Time is the fire wall time in Unix nanoseconds.
 	Time int64
+	// Note is the Fire callback's own data about this window, handed
+	// back untouched to Publish's callback (the server keeps the
+	// window's wide event here until the result is durable). The
+	// registry never reads it; restored results carry none.
+	Note any
 }
 
 // Fire executes one due window. It must (in order) run the query,
-// journal the outcome durably, and only then return ok=true with the
-// committed result. Returning ok=false aborts the advance without
-// moving the cursor — the window stays due and retries on the next
-// advance (the fail-closed path while the ledger refuses appends, and
-// the journal-failure path after rolling back the in-memory charge).
+// journal the outcome, and only then return ok=true with the result.
+// Returning ok=false aborts the advance without moving the cursor —
+// the window stays due and retries on the next advance (the
+// fail-closed path while the ledger refuses appends, and the
+// journal-failure path after rolling back the in-memory charge).
 type Fire func(q *Query, w Window) (Result, bool)
 
 // Outcome values for Result.Outcome (and the wire/journal records).
@@ -228,9 +236,13 @@ type Query struct {
 	spent    float64
 	status   Status
 	results  []Result
+	// published is the poll cursor: one past the newest window whose
+	// result is in the ring. It trails next while fired windows wait
+	// for their journal records to become durable.
+	published uint64
 	// updated is closed and replaced whenever the query's observable
-	// state changes (a window commit or a cancel) — the long-poll wake
-	// signal.
+	// state changes (a window's publication or a cancel) — the
+	// long-poll wake signal.
 	updated chan struct{}
 }
 
@@ -280,9 +292,11 @@ func (q *Query) Snapshot() Snapshot {
 }
 
 // ResultsAfter returns the ring's results with window index >= after
-// (oldest first), the query's status, its cursor, and a channel closed
-// on the next state change — the long-poll contract: if the slice is
-// empty, wait on the channel and re-read.
+// (oldest first), the query's status, the poll cursor (one past the
+// newest published window — fired windows still waiting for their
+// commit are not counted), and a channel closed on the next state
+// change — the long-poll contract: if the slice is empty, wait on the
+// channel and re-read.
 func (q *Query) ResultsAfter(after uint64) ([]Result, Status, uint64, <-chan struct{}) {
 	q.reg.mu.Lock()
 	defer q.reg.mu.Unlock()
@@ -292,7 +306,7 @@ func (q *Query) ResultsAfter(after uint64) ([]Result, Status, uint64, <-chan str
 			out = append(out, res)
 		}
 	}
-	return out, q.status, q.next, q.updated
+	return out, q.status, q.published, q.updated
 }
 
 // due reports the next due window under the registry lock. mark is the
@@ -328,12 +342,22 @@ type Registry struct {
 
 	mu       sync.Mutex
 	datasets map[string]*dsEntry
+	// pending holds fired windows whose results are not yet published,
+	// in firing order; staged counts every window ever staged, so
+	// pending[i] is staged window number staged-len(pending)+i+1.
+	pending []pendingResult
+	staged  uint64
 
 	// Fire latency reservoir + lifetime counters for Stats.
 	fireNS   []int64
 	fireNext int
 	windows  uint64
 	epsilon  float64
+}
+
+type pendingResult struct {
+	q   *Query
+	res Result
 }
 
 type dsEntry struct {
@@ -443,7 +467,8 @@ func (r *Registry) Restore(spec Spec, st Restored) (*Query, error) {
 		Spec: spec, reg: r,
 		next: st.NextWindow, lastMark: st.LastMark, lastFire: lastFire,
 		spent: st.Spent, status: st.Status,
-		results: results, updated: make(chan struct{}),
+		results: results, published: st.NextWindow,
+		updated: make(chan struct{}),
 	}
 	ds.order = append(ds.order, q)
 	ds.byID[spec.ID] = q
@@ -502,12 +527,22 @@ func (r *Registry) Cancel(dataset, id string, journal func(Spec) error) (*Query,
 }
 
 // Advance fires every window that became due when the dataset's
+// watermark reached mark and publishes the results at once: Stage plus
+// Publish, for callers whose Fire leaves nothing to wait for.
+func (r *Registry) Advance(dataset string, mark uint64) {
+	r.Stage(dataset, mark)
+	r.Publish(r.Staged(), nil)
+}
+
+// Stage fires every window that became due when the dataset's
 // watermark reached mark, in deterministic order: queries in
 // registration order, each query's windows in index order. It is the
 // stream-side hook — the ingest appender calls it after each batch
 // apply — and is serialized so concurrent callers cannot interleave
-// noise draws.
-func (r *Registry) Advance(dataset string, mark uint64) {
+// noise draws. Each fired window moves its query's cursor and spend at
+// once (the next window is computed from them), but its result is held
+// back until Publish.
+func (r *Registry) Stage(dataset string, mark uint64) {
 	r.advanceMu.Lock()
 	defer r.advanceMu.Unlock()
 	r.mu.Lock()
@@ -527,21 +562,21 @@ func (r *Registry) Advance(dataset string, mark uint64) {
 				break
 			}
 			t0 := r.cfg.Now()
-			res, committed := r.cfg.Fire(q, w)
-			if !committed {
+			res, journaled := r.cfg.Fire(q, w)
+			if !journaled {
 				// Fail closed: the window could not be journaled (ledger
 				// refusing). Nothing moved; it stays due for a healthier
 				// advance, and nothing later may fire before it.
 				return
 			}
-			r.commit(q, w, res, r.cfg.Now().Sub(t0))
+			r.stage(q, w, res, r.cfg.Now().Sub(t0))
 		}
 	}
 }
 
-// commit applies one journaled window to the query: cursor, spend,
-// status, ring, waiters, stats.
-func (r *Registry) commit(q *Query, w Window, res Result, dur time.Duration) {
+// stage applies one journaled window to the query's schedule — cursor,
+// spend, status, stats — and queues its result for Publish.
+func (r *Registry) stage(q *Query, w Window, res Result, dur time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	res.Window = w
@@ -552,12 +587,8 @@ func (r *Registry) commit(q *Query, w Window, res Result, dur time.Duration) {
 	if res.Exhausts {
 		q.status = StatusExhausted
 	}
-	if len(q.results) >= r.cfg.RingCap {
-		copy(q.results, q.results[1:])
-		q.results = q.results[:len(q.results)-1]
-	}
-	q.results = append(q.results, res)
-	q.wakeLocked()
+	r.pending = append(r.pending, pendingResult{q, res})
+	r.staged++
 
 	r.windows++
 	r.epsilon += res.Charged
@@ -568,6 +599,55 @@ func (r *Registry) commit(q *Query, w Window, res Result, dur time.Duration) {
 		r.fireNS[r.fireNext%reservoir] = int64(dur)
 	}
 	r.fireNext++
+}
+
+// Staged returns how many windows have been staged so far. Read it
+// before starting the commit that makes their journal records durable,
+// and pass it to Publish afterwards: every window counted was journaled
+// before the commit began.
+func (r *Registry) Staged() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.staged
+}
+
+// Publish releases the results of the first upTo staged windows (see
+// Staged) that are still held back, in firing order: each is appended
+// to its query's ring, moves the poll cursor and wakes long-pollers.
+// each, when set, is then called for every result published by this
+// call, outside the registry lock. Windows staged after upTo was read
+// stay pending for a later Publish; each result is published once.
+func (r *Registry) Publish(upTo uint64, each func(Result)) {
+	r.mu.Lock()
+	first := r.staged - uint64(len(r.pending)) // windows already published
+	if upTo <= first {
+		r.mu.Unlock()
+		return
+	}
+	n := len(r.pending)
+	if upTo < r.staged {
+		n = int(upTo - first)
+	}
+	out := append([]pendingResult(nil), r.pending[:n]...)
+	r.pending = append(r.pending[:0], r.pending[n:]...)
+	for _, p := range out {
+		q := p.q
+		if len(q.results) >= r.cfg.RingCap {
+			copy(q.results, q.results[1:])
+			q.results = q.results[:len(q.results)-1]
+		}
+		kept := p.res
+		kept.Note = nil // the callback below gets it; the ring need not hold it
+		q.results = append(q.results, kept)
+		q.published = p.res.Window.Index + 1
+		q.wakeLocked()
+	}
+	r.mu.Unlock()
+	if each != nil {
+		for _, p := range out {
+			each(p.res)
+		}
+	}
 }
 
 func (q *Query) wakeLocked() {

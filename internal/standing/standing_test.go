@@ -480,3 +480,62 @@ func TestStats(t *testing.T) {
 		t.Fatalf("Active()=%d after cancel, want 1", got)
 	}
 }
+
+// TestStageHoldsResultsUntilPublish pins the two-step release: Stage
+// fires windows and moves the schedule (the next window is computed
+// from the staged cursor and spend), but the ring, the poll cursor and
+// the long-poll wake signal move only at Publish — in firing order,
+// only up to the mark the caller read before its commit, each result
+// exactly once.
+func TestStageHoldsResultsUntilPublish(t *testing.T) {
+	h := newHarness(t, Config{})
+	q, err := h.reg.Register(spec("q", 10, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, updated := q.ResultsAfter(0)
+
+	h.reg.Stage("ds", 25) // windows 0 and 1
+	if len(h.fired) != 2 {
+		t.Fatalf("fired %v, want 2 windows", h.fired)
+	}
+	snap := q.Snapshot()
+	if snap.NextWindow != 2 || snap.Spent != 0.2 {
+		t.Fatalf("staged schedule: next %d spent %v, want 2 and 0.2", snap.NextWindow, snap.Spent)
+	}
+	results, _, cursor, _ := q.ResultsAfter(0)
+	if len(results) != 0 || cursor != 0 || snap.Windows != 0 {
+		t.Fatalf("unpublished windows are visible: %d results, cursor %d", len(results), cursor)
+	}
+	select {
+	case <-updated:
+		t.Fatal("long-pollers woke before the results were published")
+	default:
+	}
+
+	mark := h.reg.Staged() // read before "the commit"
+	h.reg.Stage("ds", 30)  // window 2 arrives while it runs
+	var got []uint64
+	h.reg.Publish(mark, func(res Result) { got = append(got, res.Window.Index) })
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("published windows %v, want [0 1] (window 2 was staged after the mark)", got)
+	}
+	select {
+	case <-updated:
+	default:
+		t.Fatal("publication did not wake long-pollers")
+	}
+	results, _, cursor, _ = q.ResultsAfter(0)
+	if len(results) != 2 || cursor != 2 {
+		t.Fatalf("after publish: %d results, cursor %d, want 2 and 2", len(results), cursor)
+	}
+
+	// Publishing the same mark again releases nothing twice; the next
+	// mark releases the rest.
+	h.reg.Publish(mark, func(res Result) { t.Errorf("window %d published twice", res.Window.Index) })
+	h.reg.Publish(h.reg.Staged(), func(res Result) { got = append(got, res.Window.Index) })
+	results, _, cursor, _ = q.ResultsAfter(0)
+	if len(got) != 3 || got[2] != 2 || len(results) != 3 || cursor != 3 {
+		t.Fatalf("second publish: callbacks %v, %d results, cursor %d", got, len(results), cursor)
+	}
+}

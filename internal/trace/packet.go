@@ -11,6 +11,7 @@ package trace
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 )
 
 // IPv4 is an IPv4 address as a big-endian 32-bit integer. Using a
@@ -23,9 +24,17 @@ func MakeIPv4(a, b, c, d byte) IPv4 {
 	return IPv4(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// String renders dotted-quad form.
+// String renders dotted-quad form. It is called once per record by the
+// source-keyed sketch queries, so it formats into a stack buffer and
+// allocates only the result.
 func (ip IPv4) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+	var buf [15]byte // len("255.255.255.255")
+	b := strconv.AppendUint(buf[:0], uint64(ip>>24), 10)
+	for shift := 16; shift >= 0; shift -= 8 {
+		b = append(b, '.')
+		b = strconv.AppendUint(b, uint64(byte(ip>>shift)), 10)
+	}
+	return string(b)
 }
 
 // Addr converts to a netip.Addr for interoperability with the standard

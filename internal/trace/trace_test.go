@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,31 @@ func TestIPv4String(t *testing.T) {
 	}
 	if got := ip.Addr().String(); got != "192.168.1.200" {
 		t.Fatalf("Addr = %q", got)
+	}
+}
+
+// String feeds the sketch hashes of the source-keyed queries, so its
+// output is part of the result digest: every octet width boundary, in
+// every position, must print exactly as fmt's %d did, and the whole
+// address as net/netip prints it.
+func TestIPv4StringOctetBoundaries(t *testing.T) {
+	octets := []byte{0, 9, 10, 99, 100, 255}
+	for _, a := range octets {
+		for _, b := range octets {
+			for _, c := range octets {
+				for _, d := range octets {
+					ip := MakeIPv4(a, b, c, d)
+					want := fmt.Sprintf("%d.%d.%d.%d", a, b, c, d)
+					if got := ip.String(); got != want {
+						t.Fatalf("String(%d,%d,%d,%d) = %q, want %q", a, b, c, d, got, want)
+					}
+				}
+			}
+		}
+	}
+	same := func(v uint32) bool { return IPv4(v).String() == IPv4(v).Addr().String() }
+	if err := quick.Check(same, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
 	}
 }
 
