@@ -81,11 +81,11 @@ func TestFacadeAggregations(t *testing.T) {
 	}
 	q, _ := dptrace.NewQueryable(values, math.Inf(1), dptrace.NewSeededSource(5, 6))
 
-	sum, err := dptrace.NoisySum(q, 1.0, func(v float64) float64 { return v })
+	sum, err := dptrace.Sum(q, 1.0, func(v float64) float64 { return v })
 	if err != nil || math.Abs(sum-499.5) > 10 {
 		t.Errorf("sum %v, %v; want ~499.5", sum, err)
 	}
-	avg, err := dptrace.NoisyAverage(q, 1.0, func(v float64) float64 { return v })
+	avg, err := dptrace.Average(q, 1.0, func(v float64) float64 { return v })
 	if err != nil || math.Abs(avg-0.4995) > 0.05 {
 		t.Errorf("avg %v, %v; want ~0.5", avg, err)
 	}
@@ -97,41 +97,13 @@ func TestFacadeAggregations(t *testing.T) {
 	if err != nil || math.Abs(q90-0.9) > 0.05 {
 		t.Errorf("p90 %v, %v; want ~0.9", q90, err)
 	}
-	scaled, err := dptrace.NoisySumScaled(q, 1.0, 10, func(v float64) float64 { return v * 5 })
+	scaled, err := dptrace.Sum(q, 1.0, func(v float64) float64 { return v * 5 }, dptrace.WithBound(10))
 	if err != nil || math.Abs(scaled-2497.5) > 50 {
 		t.Errorf("scaled sum %v, %v; want ~2497.5", scaled, err)
 	}
-	avgScaled, err := dptrace.NoisyAverageScaled(q, 1.0, 10, func(v float64) float64 { return v * 5 })
+	avgScaled, err := dptrace.Average(q, 1.0, func(v float64) float64 { return v * 5 }, dptrace.WithBound(10))
 	if err != nil || math.Abs(avgScaled-2.4975) > 0.2 {
 		t.Errorf("scaled avg %v, %v; want ~2.5", avgScaled, err)
-	}
-}
-
-func TestFacadeSumAverageOptions(t *testing.T) {
-	values := make([]float64, 1000)
-	for i := range values {
-		values[i] = float64(i) / 1000
-	}
-	// Identical seeds draw identical noise, so the new entry points
-	// must agree exactly with the deprecated wrappers they replace.
-	qa, _ := dptrace.NewQueryable(values, math.Inf(1), dptrace.NewSeededSource(5, 6))
-	qb, _ := dptrace.NewQueryable(values, math.Inf(1), dptrace.NewSeededSource(5, 6))
-
-	id := func(v float64) float64 { return v }
-	sumNew, err1 := dptrace.Sum(qa, 1.0, id)
-	sumOld, err2 := dptrace.NoisySum(qb, 1.0, id)
-	if err1 != nil || err2 != nil || sumNew != sumOld {
-		t.Errorf("Sum %v/%v vs NoisySum %v/%v", sumNew, err1, sumOld, err2)
-	}
-	avgNew, err1 := dptrace.Average(qa, 1.0, id, dptrace.WithBound(10))
-	avgOld, err2 := dptrace.NoisyAverageScaled(qb, 1.0, 10, id)
-	if err1 != nil || err2 != nil || avgNew != avgOld {
-		t.Errorf("Average %v/%v vs NoisyAverageScaled %v/%v", avgNew, err1, avgOld, err2)
-	}
-	scaledNew, err1 := dptrace.Sum(qa, 1.0, id, dptrace.WithBound(10))
-	scaledOld, err2 := dptrace.NoisySumScaled(qb, 1.0, 10, id)
-	if err1 != nil || err2 != nil || scaledNew != scaledOld {
-		t.Errorf("Sum(WithBound) %v/%v vs NoisySumScaled %v/%v", scaledNew, err1, scaledOld, err2)
 	}
 }
 

@@ -23,10 +23,18 @@ if command -v staticcheck >/dev/null 2>&1; then
 else
 	echo "staticcheck not installed; skipping (go vet still ran)"
 fi
+# The spellings internal/core/benchforwards.go keeps for the frozen
+# bench/ directory must not regrow callers: with none, the file is
+# deleted the moment bench/ moves off them.
+if grep -rnE '\b(WhereRecorded|StreamNoisy[A-Za-z]*)\b' --include='*.go' --exclude-dir=.bench_build . |
+	grep -vE '^\./(bench/|internal/core/benchforwards\.go:)'; then
+	echo "bench-only forwards (core.WhereRecorded, core.StreamNoisy*) referenced outside bench/" >&2
+	exit 1
+fi
 go test -race -shuffle=on -timeout 10m ./...
-# Allocation-budget guards for the fused streaming path run without
-# the race detector: its instrumentation inflates allocation counts,
-# so these tests skip themselves under -race (see alloc_test.go).
+# Allocation guards for the chunk loop run without the race detector:
+# its instrumentation inflates allocation counts, so these tests skip
+# themselves under -race (see alloc_test.go).
 go test -run 'TestAlloc' -count=1 ./internal/core
 # Short fuzz smoke over the ledger's WAL record decoder: the recovery
 # path must classify arbitrary bytes without ever panicking.

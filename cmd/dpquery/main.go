@@ -21,11 +21,17 @@
 //	hosts    noisy count of distinct source hosts sending more than
 //	         -minbytes bytes (the paper's §2.3 example)
 //	lencdf   packet length CDF (CDF2), printed as "edge count" rows
-//	portcdf  destination port CDF (CDF2; local mode only)
-//	lenquantile  noisy packet-length quantile at -fraction, from the
-//	         fused one-pass sketch build (-sketcheps tunes rank accuracy)
+//	portcdf  destination port CDF (CDF2)
+//	medianlen  noisy median packet length (exponential mechanism)
+//	rttcdf   handshake-RTT CDF (ms);  losscdf  per-flow loss-rate CDF
+//	lenquantile  noisy packet-length quantile at -fraction, from a
+//	         one-pass rank sketch (-sketcheps tunes rank accuracy)
 //	srcfreq  noisy packet count for the source IP in -key (count-min)
 //	distinctsrc  noisy distinct source-IP count (HLL-style registers)
+//
+// Both modes build the same api.QueryRequest from the flags; local mode
+// hands it to the server's own executor (dpserver.RunPacketQuery), so
+// the two cannot disagree on what a kind means.
 //
 // The tool prints the remaining privacy budget after each query; a
 // refused query reports the budget error instead of an answer.
@@ -49,10 +55,10 @@ import (
 	"os"
 	"time"
 
-	"dptrace/internal/analyses/packetdist"
 	"dptrace/internal/core"
 	"dptrace/internal/dpclient"
 	"dptrace/internal/dpserver"
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/noise"
 	"dptrace/internal/obs"
 	"dptrace/internal/trace"
@@ -72,7 +78,7 @@ func main() {
 	dataset := flag.String("dataset", "", "dataset name on the server (remote mode)")
 	timeout := flag.Duration("timeout", 30*time.Second, "remote query deadline")
 	budget := flag.Float64("budget", 1.0, "total privacy budget for this session (local mode)")
-	query := flag.String("query", "count", "count, hosts, lencdf, portcdf, lenquantile, srcfreq, or distinctsrc")
+	query := flag.String("query", "count", "one of: "+api.PacketQueryKindList())
 	eps := flag.Float64("eps", 0.1, "privacy cost of this query")
 	dstPort := flag.Int("dstport", -1, "filter: destination port")
 	srcPort := flag.Int("srcport", -1, "filter: source port")
@@ -85,9 +91,29 @@ func main() {
 	explain := flag.Bool("explain", false, "print the query's execution profile (plan, timings, ε accounting); costs no extra ε")
 	flag.Parse()
 
+	if *query == "srcfreq" && *key == "" {
+		fmt.Fprintln(os.Stderr, "dpquery: srcfreq requires -key (a source IP)")
+		os.Exit(2)
+	}
+	req := api.QueryRequest{
+		Dataset: *dataset, Query: *query, Epsilon: *eps,
+		MinBytes: *minBytes, Fraction: *fraction, SketchEps: *sketchEps, Key: *key,
+	}
+	if *dstPort >= 0 || *srcPort >= 0 || *minLen >= 0 {
+		req.Filter = &api.Filter{}
+		if *dstPort >= 0 {
+			req.Filter.DstPort = dstPort
+		}
+		if *srcPort >= 0 {
+			req.Filter.SrcPort = srcPort
+		}
+		if *minLen >= 0 {
+			req.Filter.MinLen = minLen
+		}
+	}
+
 	if *server != "" {
-		remote(*server, *analyst, *dataset, *timeout, *query, *eps, *dstPort, *srcPort, *minLen, *minBytes,
-			*fraction, *sketchEps, *key, *explain)
+		remote(*server, *analyst, *timeout, req, *explain)
 		return
 	}
 
@@ -112,56 +138,13 @@ func main() {
 		src = noise.NewSeededSource(*seed, *seed+1)
 	}
 	q, root := core.NewQueryable(packets, *budget, src)
-	// The profile recorder assembles the -explain plan; plain Where
-	// skips recorder hooks, so the filter goes through WhereRecorded.
 	prof := obs.NewProfileRecorder(func() float64 { return root.Spent() })
 	if *explain {
 		q = q.WithRecorder(prof)
 	}
-
-	match := func(p trace.Packet) bool {
-		if *dstPort >= 0 && int(p.DstPort) != *dstPort {
-			return false
-		}
-		if *srcPort >= 0 && int(p.SrcPort) != *srcPort {
-			return false
-		}
-		if *minLen >= 0 && int(p.Len) < *minLen {
-			return false
-		}
-		return true
-	}
-
-	// The sketch-backed kinds run the filter on the fused streaming
-	// path (one pass, no materialized intermediate; -explain shows the
-	// "fused" strategy rows). The rest filter through WhereRecorded.
-	switch *query {
-	case "lenquantile":
-		st := q.Stream().Where(match)
-		v, err := core.StreamNoisyQuantile(st, *eps, *fraction, *sketchEps,
-			func(p trace.Packet) float64 { return float64(p.Len) })
-		report(err)
-		fmt.Printf("noisy length quantile (fraction %.3f): %.1f\n", *fraction, v)
-	case "srcfreq":
-		if *key == "" {
-			fmt.Fprintln(os.Stderr, "dpquery: srcfreq requires -key (a source IP)")
-			os.Exit(2)
-		}
-		st := q.Stream().Where(match)
-		v, err := core.StreamNoisyFrequency(st, *eps,
-			func(p trace.Packet) string { return p.SrcIP.String() }, *key)
-		report(err)
-		fmt.Printf("noisy packets from %s: %.1f (noise std %.2f)\n", *key, v, noise.LaplaceStd(*eps))
-	case "distinctsrc":
-		st := q.Stream().Where(match)
-		v, err := core.StreamNoisyDistinctSketch(st, *eps,
-			func(p trace.Packet) string { return p.SrcIP.String() })
-		report(err)
-		fmt.Printf("noisy distinct source IPs: %.1f (noise std %.2f)\n", v, noise.LaplaceStd(*eps))
-	default:
-		runLocal(q, match, query, eps, minBytes)
-	}
-
+	resp, err := dpserver.RunPacketQuery(q, &req)
+	report(err)
+	printAnswer(&req, resp.Values, resp.Buckets, resp.NoiseStd)
 	if *explain {
 		fmt.Println("plan:")
 		prof.Profile().WriteText(os.Stdout)
@@ -169,127 +152,57 @@ func main() {
 	fmt.Printf("budget: spent %.3f of %.3f\n", root.Spent(), *budget)
 }
 
-// runLocal dispatches the materializing local query kinds.
-func runLocal(q *core.Queryable[trace.Packet], match func(trace.Packet) bool, query *string, eps *float64, minBytes *int) {
-	filtered := core.WhereRecorded(q, match)
-
-	switch *query {
-	case "count":
-		v, err := filtered.NoisyCount(*eps)
-		report(err)
-		fmt.Printf("noisy count: %.1f (noise std %.2f)\n", v, noise.LaplaceStd(*eps))
-	case "hosts":
-		grouped := core.GroupBy(filtered, func(p trace.Packet) trace.IPv4 { return p.SrcIP })
-		heavy := core.WhereRecorded(grouped, func(g core.Group[trace.IPv4, trace.Packet]) bool {
-			total := 0
-			for _, p := range g.Items {
-				total += int(p.Len)
-			}
-			return total > *minBytes
-		})
-		v, err := heavy.NoisyCount(*eps)
-		report(err)
-		fmt.Printf("noisy distinct hosts over %d bytes: %.1f (noise std %.2f)\n",
-			*minBytes, v, 2*noise.LaplaceStd(*eps))
-	case "lencdf":
-		buckets := packetdist.LengthBuckets(16)
-		values, err := packetdist.PrivateLengthCDF(filtered, *eps, buckets)
-		report(err)
-		for i, edge := range buckets {
-			fmt.Printf("%d %.1f\n", edge, values[i])
-		}
-	case "portcdf":
-		buckets := packetdist.PortBuckets(1024)
-		values, err := packetdist.PrivatePortCDF(filtered, *eps, buckets)
-		report(err)
-		for i, edge := range buckets {
-			fmt.Printf("%d %.1f\n", edge, values[i])
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "dpquery: unknown query %q\n", *query)
-		os.Exit(2)
-	}
-}
-
 // remote runs one query against a dpserver through the v1 client.
-func remote(server, analyst, dataset string, timeout time.Duration, query string, eps float64, dstPort, srcPort, minLen, minBytes int, fraction, sketchEps float64, key string, explain bool) {
-	if dataset == "" {
+func remote(server, analyst string, timeout time.Duration, req api.QueryRequest, explain bool) {
+	if req.Dataset == "" {
 		fmt.Fprintln(os.Stderr, "dpquery: -dataset is required with -server")
 		os.Exit(2)
 	}
 	c := dpclient.New(server, analyst, dpclient.WithTimeout(timeout))
 	ctx := context.Background()
-
-	var filter *dpserver.Filter
-	if dstPort >= 0 || srcPort >= 0 || minLen >= 0 {
-		filter = &dpserver.Filter{}
-		if dstPort >= 0 {
-			filter.DstPort = &dstPort
-		}
-		if srcPort >= 0 {
-			filter.SrcPort = &srcPort
-		}
-		if minLen >= 0 {
-			filter.MinLen = &minLen
-		}
-	}
-
 	run := c.Query
 	if explain {
 		run = c.Explain
 	}
-	var r *dpclient.Result
-	var err error
-	switch query {
-	case "count":
-		r, err = run(ctx, dpserver.QueryRequest{
-			Dataset: dataset, Query: "count", Epsilon: eps, Filter: filter})
-		report(err)
-		fmt.Printf("noisy count: %.1f (noise std %.2f)\n", r.Values[0], noise.LaplaceStd(eps))
-	case "hosts":
-		r, err = run(ctx, dpserver.QueryRequest{
-			Dataset: dataset, Query: "hosts", Epsilon: eps, Filter: filter, MinBytes: minBytes})
-		report(err)
-		fmt.Printf("noisy distinct hosts over %d bytes: %.1f (noise std %.2f)\n",
-			minBytes, r.Values[0], 2*noise.LaplaceStd(eps))
-	case "lencdf":
-		r, err = run(ctx, dpserver.QueryRequest{
-			Dataset: dataset, Query: "lencdf", Epsilon: eps, BucketStep: 16})
-		report(err)
-		for i, edge := range r.Buckets {
-			fmt.Printf("%d %.1f\n", edge, r.Values[i])
-		}
-	case "lenquantile":
-		r, err = run(ctx, dpserver.QueryRequest{
-			Dataset: dataset, Query: "lenquantile", Epsilon: eps, Filter: filter,
-			Fraction: fraction, SketchEps: sketchEps})
-		report(err)
-		fmt.Printf("noisy length quantile (fraction %.3f): %.1f\n", fraction, r.Values[0])
-	case "srcfreq":
-		if key == "" {
-			fmt.Fprintln(os.Stderr, "dpquery: srcfreq requires -key (a source IP)")
-			os.Exit(2)
-		}
-		r, err = run(ctx, dpserver.QueryRequest{
-			Dataset: dataset, Query: "srcfreq", Epsilon: eps, Filter: filter, Key: key})
-		report(err)
-		fmt.Printf("noisy packets from %s: %.1f (noise std %.2f)\n", key, r.Values[0], noise.LaplaceStd(eps))
-	case "distinctsrc":
-		r, err = run(ctx, dpserver.QueryRequest{
-			Dataset: dataset, Query: "distinctsrc", Epsilon: eps, Filter: filter})
-		report(err)
-		fmt.Printf("noisy distinct source IPs: %.1f (noise std %.2f)\n", r.Values[0], noise.LaplaceStd(eps))
-	default:
-		fmt.Fprintf(os.Stderr, "dpquery: unknown remote query %q (count, hosts, lencdf, lenquantile, srcfreq, distinctsrc)\n", query)
-		os.Exit(2)
-	}
+	r, err := run(ctx, req)
+	report(err)
+	printAnswer(&req, r.Values, r.Buckets, r.NoiseStd)
 	if explain && r.Profile != nil {
 		fmt.Println("plan:")
 		r.Profile.WriteText(os.Stdout)
 	}
-	spent, remaining, err := c.Budget(ctx, dataset)
+	spent, remaining, err := c.Budget(ctx, req.Dataset)
 	report(err)
 	fmt.Printf("budget: spent %.3f, remaining %.3f\n", spent, remaining)
+}
+
+// printAnswer renders one answer: CDF kinds as "edge count" rows,
+// scalar kinds as one labelled line.
+func printAnswer(req *api.QueryRequest, values []float64, buckets []int64, noiseStd float64) {
+	if len(buckets) > 0 {
+		for i, edge := range buckets {
+			fmt.Printf("%d %.1f\n", edge, values[i])
+		}
+		return
+	}
+	label := "noisy " + req.Query
+	switch req.Query {
+	case "hosts":
+		label = fmt.Sprintf("noisy distinct hosts over %d bytes", req.MinBytes)
+	case "lenquantile":
+		label = fmt.Sprintf("noisy length quantile (fraction %.3f)", req.Fraction)
+	case "srcfreq":
+		label = "noisy packets from " + req.Key
+	case "distinctsrc":
+		label = "noisy distinct source IPs"
+	case "medianlen":
+		label = "noisy median length"
+	}
+	if noiseStd > 0 {
+		fmt.Printf("%s: %.1f (noise std %.2f)\n", label, values[0], noiseStd)
+	} else {
+		fmt.Printf("%s: %.1f\n", label, values[0])
+	}
 }
 
 func report(err error) {

@@ -62,8 +62,9 @@ var (
 	// ErrInvalidEpsilon is returned for non-positive or non-finite ε.
 	ErrInvalidEpsilon = core.ErrInvalidEpsilon
 	// ErrCanceled is returned by aggregations whose pipeline context
-	// was cancelled before the privacy charge; such queries spend zero
-	// ε. It wraps the context's own error, so errors.Is also matches
+	// was cancelled: before the privacy charge, and the query spent
+	// zero ε; or during the aggregation's scan, and the charge stands.
+	// It wraps the context's own error, so errors.Is also matches
 	// context.Canceled or context.DeadlineExceeded.
 	ErrCanceled = core.ErrCanceled
 )
@@ -177,10 +178,14 @@ func applyAggOptions(opts []AggOption) aggConfig {
 	return c
 }
 
+// Streamer is either handle on a protected dataset: a *Queryable or a
+// Stream. Every aggregation below accepts both.
+type Streamer[T any] = core.Streamer[T]
+
 // Sum returns the noisy sum of f over the dataset, each contribution
 // clamped to ±bound (default 1.0, see WithBound), plus Laplace noise
 // of std bound·√2/ε.
-func Sum[T any](q *Queryable[T], epsilon float64, f func(T) float64, opts ...AggOption) (float64, error) {
+func Sum[T any](q Streamer[T], epsilon float64, f func(T) float64, opts ...AggOption) (float64, error) {
 	c := applyAggOptions(opts)
 	return core.NoisySumScaled(q, epsilon, c.bound, f)
 }
@@ -188,49 +193,20 @@ func Sum[T any](q *Queryable[T], epsilon float64, f func(T) float64, opts ...Agg
 // Average returns the noisy average of f over the dataset, each
 // contribution clamped to ±bound (default 1.0, see WithBound); noise
 // std ≈ bound·√8/(εn).
-func Average[T any](q *Queryable[T], epsilon float64, f func(T) float64, opts ...AggOption) (float64, error) {
+func Average[T any](q Streamer[T], epsilon float64, f func(T) float64, opts ...AggOption) (float64, error) {
 	c := applyAggOptions(opts)
 	return core.NoisyAverageScaled(q, epsilon, c.bound, f)
 }
 
-// NoisySum sums f clamped to [-1, 1] plus Laplace noise (std √2/ε).
-//
-// Deprecated: use Sum.
-func NoisySum[T any](q *Queryable[T], epsilon float64, f func(T) float64) (float64, error) {
-	return Sum(q, epsilon, f)
-}
-
-// NoisySumScaled sums f clamped to [-bound, bound] with
-// correspondingly scaled noise.
-//
-// Deprecated: use Sum with WithBound.
-func NoisySumScaled[T any](q *Queryable[T], epsilon, bound float64, f func(T) float64) (float64, error) {
-	return Sum(q, epsilon, f, WithBound(bound))
-}
-
-// NoisyAverage averages f clamped to [-1, 1]; noise std ≈ √8/(εn).
-//
-// Deprecated: use Average.
-func NoisyAverage[T any](q *Queryable[T], epsilon float64, f func(T) float64) (float64, error) {
-	return Average(q, epsilon, f)
-}
-
-// NoisyAverageScaled averages f clamped to [-bound, bound].
-//
-// Deprecated: use Average with WithBound.
-func NoisyAverageScaled[T any](q *Queryable[T], epsilon, bound float64, f func(T) float64) (float64, error) {
-	return Average(q, epsilon, f, WithBound(bound))
-}
-
 // NoisyMedian selects an approximate median via the exponential
 // mechanism.
-func NoisyMedian[T any](q *Queryable[T], epsilon float64, f func(T) float64) (float64, error) {
+func NoisyMedian[T any](q Streamer[T], epsilon float64, f func(T) float64) (float64, error) {
 	return core.NoisyMedian(q, epsilon, f)
 }
 
 // NoisyOrderStatistic selects an approximate quantile via the
 // exponential mechanism.
-func NoisyOrderStatistic[T any](q *Queryable[T], epsilon, fraction float64, f func(T) float64) (float64, error) {
+func NoisyOrderStatistic[T any](q Streamer[T], epsilon, fraction float64, f func(T) float64) (float64, error) {
 	return core.NoisyOrderStatistic(q, epsilon, fraction, f)
 }
 
@@ -249,34 +225,35 @@ const DefaultQuantileAccuracy = core.DefaultQuantileAccuracy
 // exponential mechanism over a one-pass mergeable rank summary with
 // accuracy target sketchEps (0 selects DefaultQuantileAccuracy).
 // Memory is O(1/sketchEps) instead of a full sort.
-func NoisyQuantile[T any](q *Queryable[T], epsilon, fraction, sketchEps float64, f func(T) float64) (float64, error) {
+func NoisyQuantile[T any](q Streamer[T], epsilon, fraction, sketchEps float64, f func(T) float64) (float64, error) {
 	return core.NoisyQuantile(q, epsilon, fraction, sketchEps, f)
 }
 
 // NoisyFrequency returns the approximate number of records whose key
 // equals target, from a one-pass count-min sketch plus Laplace noise
 // of scale 1/ε (sensitivity 1, like NoisyCount).
-func NoisyFrequency[T any](q *Queryable[T], epsilon float64, key func(T) string, target string) (float64, error) {
+func NoisyFrequency[T any](q Streamer[T], epsilon float64, key func(T) string, target string) (float64, error) {
 	return core.NoisyFrequency(q, epsilon, key, target)
 }
 
 // NoisyDistinctSketch returns the approximate number of distinct keys
 // from one-pass HLL-style registers plus Laplace noise of scale 1/ε.
-func NoisyDistinctSketch[T any](q *Queryable[T], epsilon float64, key func(T) string) (float64, error) {
+func NoisyDistinctSketch[T any](q Streamer[T], epsilon float64, key func(T) string) (float64, error) {
 	return core.NoisyDistinctSketch(q, epsilon, key)
 }
 
 // Fused streaming execution: a Stream is the lazy counterpart of a
 // Queryable for chains of record-wise operators — Where, StreamSelect,
-// and StreamSelectMany compile into one loop that feeds the
+// and StreamSelectMany run as one chunked loop that feeds the
 // aggregation directly, with no intermediate slices. Results, noise
-// draws, and ε-charges are byte-identical to the materializing path;
-// fusion is purely an execution choice.
+// draws, and ε-charges are identical to the eager spelling; the only
+// difference is that analyst functions run inside the aggregation.
 
 // Stream is a lazily-fused pipeline over a protected dataset; build
-// one with Queryable.Stream(). Its Where, NoisyCount, NoisyCountInt,
-// and Materialize are methods; the type-changing stages and remaining
-// terminals are the Stream* functions below.
+// one with Queryable.Stream(). Where, NoisyCount, NoisyCountInt and
+// Materialize are methods; the type-changing stages are StreamSelect
+// and StreamSelectMany; every other aggregation takes a Stream
+// wherever it takes a Queryable.
 type Stream[T any] = core.Stream[T]
 
 // StreamSelect fuses a one-to-one mapping stage onto a stream.
@@ -289,34 +266,6 @@ func StreamSelect[T, U any](s Stream[T], f func(T) U) Stream[U] {
 // SelectMany.
 func StreamSelectMany[T, U any](s Stream[T], fanout int, f func(T) []U) Stream[U] {
 	return core.StreamSelectMany(s, fanout, f)
-}
-
-// StreamSum is Sum on the fused path: one pass, no intermediate
-// slices, byte-identical to Sum on the materialized pipeline.
-func StreamSum[T any](s Stream[T], epsilon float64, f func(T) float64, opts ...AggOption) (float64, error) {
-	c := applyAggOptions(opts)
-	return core.StreamNoisySumScaled(s, epsilon, c.bound, f)
-}
-
-// StreamAverage is Average on the fused path.
-func StreamAverage[T any](s Stream[T], epsilon float64, f func(T) float64, opts ...AggOption) (float64, error) {
-	c := applyAggOptions(opts)
-	return core.StreamNoisyAverageScaled(s, epsilon, c.bound, f)
-}
-
-// StreamNoisyQuantile is NoisyQuantile on the fused path.
-func StreamNoisyQuantile[T any](s Stream[T], epsilon, fraction, sketchEps float64, f func(T) float64) (float64, error) {
-	return core.StreamNoisyQuantile(s, epsilon, fraction, sketchEps, f)
-}
-
-// StreamNoisyFrequency is NoisyFrequency on the fused path.
-func StreamNoisyFrequency[T any](s Stream[T], epsilon float64, key func(T) string, target string) (float64, error) {
-	return core.StreamNoisyFrequency(s, epsilon, key, target)
-}
-
-// StreamNoisyDistinctSketch is NoisyDistinctSketch on the fused path.
-func StreamNoisyDistinctSketch[T any](s Stream[T], epsilon float64, key func(T) string) (float64, error) {
-	return core.StreamNoisyDistinctSketch(s, epsilon, key)
 }
 
 // Toolkit re-exports (paper §4).

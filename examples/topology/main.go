@@ -42,8 +42,8 @@ func main() {
 	byMonitor := dptrace.Partition(q, monitorKeys, func(r trace.HopRecord) int32 { return r.Monitor })
 	averages := make([]float64, monitors)
 	for m, key := range monitorKeys {
-		avg, err := dptrace.NoisyAverageScaled(byMonitor[key], eps, maxHops,
-			func(r trace.HopRecord) float64 { return float64(r.Hops) })
+		avg, err := dptrace.Average(byMonitor[key], eps,
+			func(r trace.HopRecord) float64 { return float64(r.Hops) }, dptrace.WithBound(maxHops))
 		if err != nil {
 			panic(err)
 		}
@@ -96,8 +96,8 @@ func main() {
 			center := make([]float64, monitors)
 			for m := 0; m < monitors; m++ {
 				coord := m
-				sum, err := dptrace.NoisySumScaled(parts[c], epsShare, maxHops,
-					func(v vec) float64 { return v.coords[coord] })
+				sum, err := dptrace.Sum(parts[c], epsShare,
+					func(v vec) float64 { return v.coords[coord] }, dptrace.WithBound(maxHops))
 				if err != nil {
 					panic(err)
 				}

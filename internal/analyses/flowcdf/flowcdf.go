@@ -62,7 +62,7 @@ func PrivateFlowSizeCDF(q *core.Queryable[trace.Packet], epsilonPerProbe, sketch
 	for i, f := range fractions {
 		sizes := core.StreamSelect(grouped.Stream(),
 			func(g core.Group[FlowKey, trace.Packet]) float64 { return float64(len(g.Items)) })
-		v, err := core.StreamNoisyQuantile(sizes, epsilonPerProbe, f, sketchEps,
+		v, err := core.NoisyQuantile(sizes, epsilonPerProbe, f, sketchEps,
 			func(s float64) float64 { return s })
 		if err != nil {
 			return nil, fmt.Errorf("flowcdf: probe %d (fraction %v): %w", i, f, err)

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"dptrace/internal/noise"
-	"dptrace/internal/obs"
 )
 
 // clamp restricts v to [-bound, bound].
@@ -21,22 +19,48 @@ func clamp(v, bound float64) float64 {
 	return v
 }
 
-// recoverAgg is the aggregation-boundary panic guard: deferred at the
-// top of every Noisy* aggregation, it converts a panic — typically a
-// bug in an analyst-supplied selector, or a *WorkerPanic re-raised by
-// runWorkers — into an ErrInternal result instead of unwinding into
-// the caller (and, in dpserver, killing the process). The ε-contract
-// mirrors cancellation: the panic sites all lie after agent.Apply, so
-// a recovered panic leaves any applied charge standing (conservative);
-// a panic before Apply never charged. aggDone still fires so the
-// telemetry records the failed aggregation.
-func recoverAgg[V any](rec obs.Recorder, agg string, start time.Time, epsilon float64, v *V, err *error) {
-	if r := recover(); r != nil {
-		var zero V
-		*v = zero
-		*err = panicError(r)
-		aggDone(rec, agg, start, epsilon, *err)
+// aggregate is the aggregation contract, written once for every
+// mechanism on either handle:
+//
+//  1. the context is checked BEFORE the charge, so a query cancelled
+//     before its aggregation fires costs zero ε (ErrCanceled);
+//  2. ε and the mechanism's own parameters (invalid, computed by the
+//     caller from public inputs) are validated before the charge;
+//  3. agent.Apply charges ε through the pipeline's agent chain, or
+//     refuses;
+//  4. release scans the pipeline and draws the mechanism's noise. A
+//     scan the context abandons midway (release reports !ok) returns
+//     ErrCanceled with the charge standing, and so does a panic —
+//     typically a bug in an analyst-supplied function, or a
+//     *WorkerPanic re-raised by runWorkers — as ErrInternal: both lie
+//     after Apply, and ε is only ever over-counted;
+//  5. exactly one AggDone reaches the recorder, whatever the outcome.
+func aggregate[T, V any](s *Stream[T], agg string, epsilon float64, invalid error, release func() (V, bool)) (v V, err error) {
+	start := opStart(s.rec)
+	defer func() {
+		if r := recover(); r != nil {
+			var zero V
+			v, err = zero, panicError(r)
+		}
+		aggDone(s.rec, agg, start, epsilon, err)
+	}()
+	if cerr := ctxErr(s.ctx); cerr != nil {
+		return v, canceledErr(cerr)
 	}
+	if err := validEpsilon(epsilon); err != nil {
+		return v, err
+	}
+	if invalid != nil {
+		return v, invalid
+	}
+	if err := s.agent.Apply(epsilon); err != nil {
+		return v, err
+	}
+	out, ok := release()
+	if !ok {
+		return v, canceledErr(ctxErr(s.ctx))
+	}
+	return out, nil
 }
 
 // panicError wraps a recovered panic value as ErrInternal.
@@ -47,90 +71,131 @@ func panicError(r any) error {
 	return fmt.Errorf("%w: %v", ErrInternal, r)
 }
 
+func validEpsilon(epsilon float64) error {
+	if epsilon <= 0 || math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
+		return ErrInvalidEpsilon
+	}
+	return nil
+}
+
+// validBound validates a clamp bound.
+func validBound(bound float64) error {
+	if bound <= 0 || math.IsNaN(bound) || math.IsInf(bound, 0) {
+		return ErrInvalidEpsilon
+	}
+	return nil
+}
+
+// validFraction validates a rank fraction.
+func validFraction(fraction float64) error {
+	if fraction < 0 || fraction > 1 || math.IsNaN(fraction) {
+		return ErrInvalidEpsilon
+	}
+	return nil
+}
+
+// countSink tallies records.
+type countSink[T any] struct{ n int }
+
+func (k *countSink[T]) acceptChunk(c []T) { k.n += len(c) }
+
+// count returns the pipeline's output record count; a bare source
+// knows it without a scan.
+func (s *Stream[T]) count() (int, bool) {
+	if s.depth == 0 {
+		return len(s.recs), true
+	}
+	parts, ok := scan(*s, 0, false, func(int) *countSink[T] { return &countSink[T]{} })
+	if !ok {
+		return 0, false
+	}
+	return parts[0].n, true
+}
+
 // NoisyCount returns the number of records perturbed with Laplace noise
 // of scale 1/ε (standard deviation √2/ε, Table 1), charging ε —
 // amplified by any accumulated sensitivity scaling — to the budget.
-func (q *Queryable[T]) NoisyCount(epsilon float64) (v float64, err error) {
-	start := opStart(q.rec)
-	defer recoverAgg(q.rec, "count", start, epsilon, &v, &err)
-	if cerr := q.aggCtxErr(); cerr != nil {
-		aggDone(q.rec, "count", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(q.rec, "count", start, epsilon, err)
-		return 0, err
-	}
-	if err := q.agent.Apply(epsilon); err != nil {
-		aggDone(q.rec, "count", start, epsilon, err)
-		return 0, err
-	}
-	v = float64(len(q.records)) + noise.LaplaceForEpsilon(q.src, 1, epsilon)
-	aggDone(q.rec, "count", start, epsilon, nil)
-	return v, nil
+func (s Stream[T]) NoisyCount(epsilon float64) (float64, error) {
+	return aggregate(&s, "count", epsilon, nil, func() (float64, bool) {
+		n, ok := s.count()
+		if !ok {
+			return 0, false
+		}
+		return float64(n) + noise.LaplaceForEpsilon(s.nsrc, 1, epsilon), true
+	})
+}
+
+// NoisyCount is Stream.NoisyCount over this Queryable's records.
+func (q *Queryable[T]) NoisyCount(epsilon float64) (float64, error) {
+	return q.Stream().NoisyCount(epsilon)
 }
 
 // NoisyCountInt is NoisyCount with the geometric (discrete Laplace)
 // mechanism, for analyses that need an integral count. The noise
 // magnitude is essentially that of NoisyCount.
-func (q *Queryable[T]) NoisyCountInt(epsilon float64) (v int64, err error) {
-	start := opStart(q.rec)
-	defer recoverAgg(q.rec, "countint", start, epsilon, &v, &err)
-	if cerr := q.aggCtxErr(); cerr != nil {
-		aggDone(q.rec, "countint", start, epsilon, cerr)
-		return 0, cerr
+func (s Stream[T]) NoisyCountInt(epsilon float64) (int64, error) {
+	return aggregate(&s, "countint", epsilon, nil, func() (int64, bool) {
+		n, ok := s.count()
+		if !ok {
+			return 0, false
+		}
+		return int64(n) + noise.Geometric(s.nsrc, 1, epsilon), true
+	})
+}
+
+// NoisyCountInt is Stream.NoisyCountInt over this Queryable's records.
+func (q *Queryable[T]) NoisyCountInt(epsilon float64) (int64, error) {
+	return q.Stream().NoisyCountInt(epsilon)
+}
+
+// sumSink accumulates clamped values in stream order — the float64
+// additions happen in record order whatever the chunking — and counts
+// the records NoisyAverage divides by.
+type sumSink[T any] struct {
+	f          func(T) float64
+	bound, sum float64
+	n          int
+}
+
+func (k *sumSink[T]) acceptChunk(c []T) {
+	sum := k.sum
+	for _, v := range c {
+		sum += clamp(k.f(v), k.bound)
 	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(q.rec, "countint", start, epsilon, err)
-		return 0, err
+	k.sum = sum
+	k.n += len(c)
+}
+
+// clampedSum scans src into a sumSink.
+func clampedSum[T any](s *Stream[T], bound float64, f func(T) float64) (*sumSink[T], bool) {
+	parts, ok := scan(*s, 0, false, func(int) *sumSink[T] { return &sumSink[T]{f: f, bound: bound} })
+	if !ok {
+		return nil, false
 	}
-	if err := q.agent.Apply(epsilon); err != nil {
-		aggDone(q.rec, "countint", start, epsilon, err)
-		return 0, err
-	}
-	v = int64(len(q.records)) + noise.Geometric(q.src, 1, epsilon)
-	aggDone(q.rec, "countint", start, epsilon, nil)
-	return v, nil
+	return parts[0], true
 }
 
 // NoisySum sums f over the records after clamping each value to
 // [-1, 1], then adds Laplace noise of scale 1/ε (std √2/ε, Table 1).
 // The clamping is what bounds the sensitivity: without it one record
 // could move the sum arbitrarily and no finite noise would suffice.
-func NoisySum[T any](q *Queryable[T], epsilon float64, f func(T) float64) (float64, error) {
-	return NoisySumScaled(q, epsilon, 1, f)
+func NoisySum[T any](src Streamer[T], epsilon float64, f func(T) float64) (float64, error) {
+	return NoisySumScaled(src, epsilon, 1, f)
 }
 
 // NoisySumScaled is NoisySum with values clamped to [-bound, bound] and
 // noise scaled to match: Laplace of scale bound/ε. It still charges ε;
 // the wider clamp trades more noise for less truncation bias, a choice
 // the analyst makes from public knowledge of the value range.
-func NoisySumScaled[T any](q *Queryable[T], epsilon, bound float64, f func(T) float64) (v float64, err error) {
-	start := opStart(q.rec)
-	defer recoverAgg(q.rec, "sum", start, epsilon, &v, &err)
-	if cerr := q.aggCtxErr(); cerr != nil {
-		aggDone(q.rec, "sum", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(q.rec, "sum", start, epsilon, err)
-		return 0, err
-	}
-	if bound <= 0 || math.IsNaN(bound) || math.IsInf(bound, 0) {
-		aggDone(q.rec, "sum", start, epsilon, ErrInvalidEpsilon)
-		return 0, ErrInvalidEpsilon
-	}
-	if err := q.agent.Apply(epsilon); err != nil {
-		aggDone(q.rec, "sum", start, epsilon, err)
-		return 0, err
-	}
-	sum := 0.0
-	for _, r := range q.records {
-		sum += clamp(f(r), bound)
-	}
-	v = sum + noise.LaplaceForEpsilon(q.src, bound, epsilon)
-	aggDone(q.rec, "sum", start, epsilon, nil)
-	return v, nil
+func NoisySumScaled[T any](src Streamer[T], epsilon, bound float64, f func(T) float64) (float64, error) {
+	s := src.Stream()
+	return aggregate(&s, "sum", epsilon, validBound(bound), func() (float64, bool) {
+		k, ok := clampedSum(&s, bound, f)
+		if !ok {
+			return 0, false
+		}
+		return k.sum + noise.LaplaceForEpsilon(s.nsrc, bound, epsilon), true
+	})
 }
 
 // NoisyAverage returns the mean of f over the records, clamped to
@@ -138,8 +203,8 @@ func NoisySumScaled[T any](q *Queryable[T], epsilon, bound float64, f func(T) fl
 // mean of n clamped values moves by at most 2/n when one record
 // changes, so the Laplace scale is 2/(εn). An empty dataset yields 0
 // plus noise at the n=1 scale.
-func NoisyAverage[T any](q *Queryable[T], epsilon float64, f func(T) float64) (float64, error) {
-	return NoisyAverageScaled(q, epsilon, 1, f)
+func NoisyAverage[T any](src Streamer[T], epsilon float64, f func(T) float64) (float64, error) {
+	return NoisyAverageScaled(src, epsilon, 1, f)
 }
 
 // NoisyAverageScaled is NoisyAverage with values clamped to
@@ -147,38 +212,60 @@ func NoisyAverage[T any](q *Queryable[T], epsilon float64, f func(T) float64) (f
 // deviation is bound·√8/(εn). The analyst picks the bound from public
 // knowledge of the value range (e.g. hop counts ≤ 32); it does not
 // depend on the data.
-func NoisyAverageScaled[T any](q *Queryable[T], epsilon, bound float64, f func(T) float64) (v float64, err error) {
-	start := opStart(q.rec)
-	defer recoverAgg(q.rec, "average", start, epsilon, &v, &err)
-	if cerr := q.aggCtxErr(); cerr != nil {
-		aggDone(q.rec, "average", start, epsilon, cerr)
-		return 0, cerr
+func NoisyAverageScaled[T any](src Streamer[T], epsilon, bound float64, f func(T) float64) (float64, error) {
+	s := src.Stream()
+	return aggregate(&s, "average", epsilon, validBound(bound), func() (float64, bool) {
+		k, ok := clampedSum(&s, bound, f)
+		if !ok {
+			return 0, false
+		}
+		if k.n == 0 {
+			return noise.LaplaceForEpsilon(s.nsrc, 2*bound, epsilon), true
+		}
+		n := float64(k.n)
+		return k.sum/n + noise.LaplaceForEpsilon(s.nsrc, 2*bound/n, epsilon), true
+	})
+}
+
+// valuesSink collects f over the pipeline's output.
+type valuesSink[T any] struct {
+	f    func(T) float64
+	vals []float64
+}
+
+func (k *valuesSink[T]) acceptChunk(c []T) {
+	for _, v := range c {
+		k.vals = append(k.vals, k.f(v))
 	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(q.rec, "average", start, epsilon, err)
-		return 0, err
+}
+
+// chooseByRank is the exponential mechanism over the distinct values
+// of f: the values are sorted, each distinct value's run of equal
+// elements [i, j) is scored, and one value is drawn. Moving one record
+// shifts every run boundary by at most one, so rank-based scores have
+// sensitivity 1. An empty pipeline yields 0 and draws no noise.
+func chooseByRank[T any](s *Stream[T], epsilon float64, f func(T) float64, score func(i, j, n int) float64) (float64, bool) {
+	parts, ok := scan(*s, 0, false, func(n int) *valuesSink[T] { return &valuesSink[T]{f: f, vals: make([]float64, 0, n)} })
+	if !ok {
+		return 0, false
 	}
-	if bound <= 0 || math.IsNaN(bound) || math.IsInf(bound, 0) {
-		aggDone(q.rec, "average", start, epsilon, ErrInvalidEpsilon)
-		return 0, ErrInvalidEpsilon
+	values := parts[0].vals
+	if len(values) == 0 {
+		return 0, true
 	}
-	if err := q.agent.Apply(epsilon); err != nil {
-		aggDone(q.rec, "average", start, epsilon, err)
-		return 0, err
+	sort.Float64s(values)
+	cands := make([]float64, 0, len(values))
+	scores := make([]float64, 0, len(values))
+	for i := 0; i < len(values); {
+		j := i
+		for j < len(values) && values[j] == values[i] {
+			j++
+		}
+		cands = append(cands, values[i])
+		scores = append(scores, score(i, j, len(values)))
+		i = j
 	}
-	n := len(q.records)
-	if n == 0 {
-		v = noise.LaplaceForEpsilon(q.src, 2*bound, epsilon)
-		aggDone(q.rec, "average", start, epsilon, nil)
-		return v, nil
-	}
-	sum := 0.0
-	for _, r := range q.records {
-		sum += clamp(f(r), bound)
-	}
-	v = sum/float64(n) + noise.LaplaceForEpsilon(q.src, 2*bound/float64(n), epsilon)
-	aggDone(q.rec, "average", start, epsilon, nil)
-	return v, nil
+	return cands[noise.Exponential(s.nsrc, scores, 1, epsilon)], true
 }
 
 // NoisyMedian selects a record value via the exponential mechanism with
@@ -187,114 +274,24 @@ func NoisyAverageScaled[T any](q *Queryable[T], epsilon, bound float64, f func(T
 // √2/ε (Table 1). The candidate set is the distinct values present in
 // the data; the mechanism's randomization is what protects each
 // record's presence.
-func NoisyMedian[T any](q *Queryable[T], epsilon float64, f func(T) float64) (v float64, err error) {
-	start := opStart(q.rec)
-	defer recoverAgg(q.rec, "median", start, epsilon, &v, &err)
-	if cerr := q.aggCtxErr(); cerr != nil {
-		aggDone(q.rec, "median", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(q.rec, "median", start, epsilon, err)
-		return 0, err
-	}
-	if err := q.agent.Apply(epsilon); err != nil {
-		aggDone(q.rec, "median", start, epsilon, err)
-		return 0, err
-	}
-	if len(q.records) == 0 {
-		aggDone(q.rec, "median", start, epsilon, nil)
-		return 0, nil
-	}
-	values := make([]float64, len(q.records))
-	for i, r := range q.records {
-		values[i] = f(r)
-	}
-	sort.Float64s(values)
-	// Distinct candidates with their rank ranges.
-	type cand struct {
-		value float64
-		below int // strictly below
-		above int // strictly above
-	}
-	cands := make([]cand, 0, len(values))
-	i := 0
-	for i < len(values) {
-		j := i
-		for j < len(values) && values[j] == values[i] {
-			j++
-		}
-		cands = append(cands, cand{value: values[i], below: i, above: len(values) - j})
-		i = j
-	}
-	scores := make([]float64, len(cands))
-	for i, c := range cands {
-		scores[i] = -math.Abs(float64(c.below - c.above))
-	}
-	// Moving one record changes each |below-above| by at most 1.
-	idx := noise.Exponential(q.src, scores, 1, epsilon)
-	aggDone(q.rec, "median", start, epsilon, nil)
-	return cands[idx].value, nil
+func NoisyMedian[T any](src Streamer[T], epsilon float64, f func(T) float64) (float64, error) {
+	s := src.Stream()
+	return aggregate(&s, "median", epsilon, nil, func() (float64, bool) {
+		return chooseByRank(&s, epsilon, f, func(i, j, n int) float64 {
+			return -math.Abs(float64(i - (n - j))) // i strictly below, n-j strictly above
+		})
+	})
 }
 
 // NoisyOrderStatistic generalizes NoisyMedian to an arbitrary rank
-// fraction in [0, 1] (0.5 recovers the median). Useful for the noisy
-// quantiles that several trace analyses report.
-func NoisyOrderStatistic[T any](q *Queryable[T], epsilon, fraction float64, f func(T) float64) (v float64, err error) {
-	start := opStart(q.rec)
-	defer recoverAgg(q.rec, "orderstat", start, epsilon, &v, &err)
-	if cerr := q.aggCtxErr(); cerr != nil {
-		aggDone(q.rec, "orderstat", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(q.rec, "orderstat", start, epsilon, err)
-		return 0, err
-	}
-	if fraction < 0 || fraction > 1 || math.IsNaN(fraction) {
-		aggDone(q.rec, "orderstat", start, epsilon, ErrInvalidEpsilon)
-		return 0, ErrInvalidEpsilon
-	}
-	if err := q.agent.Apply(epsilon); err != nil {
-		aggDone(q.rec, "orderstat", start, epsilon, err)
-		return 0, err
-	}
-	if len(q.records) == 0 {
-		aggDone(q.rec, "orderstat", start, epsilon, nil)
-		return 0, nil
-	}
-	values := make([]float64, len(q.records))
-	for i, r := range q.records {
-		values[i] = f(r)
-	}
-	sort.Float64s(values)
-	target := fraction * float64(len(values))
-	type cand struct {
-		value float64
-		rank  float64
-	}
-	cands := make([]cand, 0, len(values))
-	i := 0
-	for i < len(values) {
-		j := i
-		for j < len(values) && values[j] == values[i] {
-			j++
-		}
-		cands = append(cands, cand{value: values[i], rank: float64(i+j) / 2})
-		i = j
-	}
-	scores := make([]float64, len(cands))
-	for i, c := range cands {
-		scores[i] = -math.Abs(c.rank - target)
-	}
-	idx := noise.Exponential(q.src, scores, 1, epsilon)
-	aggDone(q.rec, "orderstat", start, epsilon, nil)
-	return cands[idx].value, nil
-}
-
-func validEpsilon(epsilon float64) error {
-	if epsilon <= 0 || math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
-		return ErrInvalidEpsilon
-	}
-	return nil
+// fraction in [0, 1], scoring each distinct value by the distance from
+// its mid-rank to fraction·n. Useful for the noisy quantiles that
+// several trace analyses report.
+func NoisyOrderStatistic[T any](src Streamer[T], epsilon, fraction float64, f func(T) float64) (float64, error) {
+	s := src.Stream()
+	return aggregate(&s, "orderstat", epsilon, validFraction(fraction), func() (float64, bool) {
+		return chooseByRank(&s, epsilon, f, func(i, j, n int) float64 {
+			return -math.Abs(float64(i+j)/2 - fraction*float64(n))
+		})
+	})
 }

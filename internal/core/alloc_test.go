@@ -2,33 +2,38 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"dptrace/internal/noise"
 )
 
-// Allocation-budget guards for the fused streaming path. The fused
-// engine's reason to exist is that a chained pipeline costs a constant
-// handful of heap objects instead of per-operator record slices; these
-// tests pin that contract with testing.AllocsPerRun so a regression
-// (an accidental closure capture, an interface box in the hot path)
-// fails the gate rather than silently eating the win.
+// Allocation guards for the chunk loop. What the design guarantees is
+// that a scan's heap use does not depend on the record count: building
+// a stage allocates a constant handful of small objects, and running
+// the pipeline allocates one scratch buffer per stage plus one sink —
+// sized by chunkSize, never by n. These tests pin that by running the
+// same pipeline at two sizes 64× apart and requiring identical
+// allocation counts and byte totals, within a budget of one chunk-sized
+// buffer per stage, so a regression (a stage materializing, a sink
+// buffering its input) fails the gate rather than silently eating the
+// win.
 //
 // The guards skip under -race (the detector's instrumentation inflates
 // allocation counts); check.sh runs them in a dedicated non-race
 // invocation.
 
-// allocQueryable is small — allocation counts don't depend on n, and
-// AllocsPerRun runs the function many times.
-func allocQueryable(tb testing.TB) *Queryable[int] {
+var allocSizes = [2]int{4 * chunkSize, 256 * chunkSize}
+
+func allocQueryable(tb testing.TB, n int) *Queryable[int] {
 	tb.Helper()
-	records := make([]int, 4096)
+	records := make([]int, n)
 	for i := range records {
 		records[i] = i
 	}
 	q, _ := NewQueryable(records, math.Inf(1), noise.NewSeededSource(1, 2))
-	// Force the unrecorded fast path regardless of any process-wide
-	// default recorder another test may have installed.
+	// Unrecorded regardless of any process-wide default recorder another
+	// test may have installed.
 	return q.WithRecorder(nil)
 }
 
@@ -39,63 +44,114 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestAllocFusedWhereSelectSum: the flagship fused chain is at most 2
-// allocations per run — one stage link for the type-changing Select
-// (the source Where folds into the scan loop for free) and one
-// accumulator sink for the terminal.
-func TestAllocFusedWhereSelectSum(t *testing.T) {
+// measure reports fn's allocations and bytes per run: the least of
+// three measurements, since anything the runtime allocates on the side
+// while one runs can only add.
+func measure(fn func()) (allocs, bytes float64) {
+	const runs = 20
+	fn() // warm up
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	for attempt := 0; attempt < 3; attempt++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, math.Round(float64(after.Mallocs-before.Mallocs)/runs))
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	return allocs, bytes
+}
+
+// scanIsConstant runs pipeline at both sizes and requires the same
+// allocations, within maxBytes per run.
+func scanIsConstant(t *testing.T, name string, maxBytes float64, pipeline func(q *Queryable[int])) {
+	t.Helper()
 	skipUnderRace(t)
-	q := allocQueryable(t)
-	allocs := testing.AllocsPerRun(20, func() {
+	var allocs, bytes [2]float64
+	for i, n := range allocSizes {
+		q := allocQueryable(t, n)
+		allocs[i], bytes[i] = measure(func() { pipeline(q) })
+	}
+	if allocs[0] != allocs[1] || math.Abs(bytes[0]-bytes[1]) > slack {
+		t.Fatalf("%s: %.0f allocs / %.0f B at n=%d but %.0f allocs / %.0f B at n=%d: the scan's heap use depends on the record count",
+			name, allocs[0], bytes[0], allocSizes[0], allocs[1], bytes[1], allocSizes[1])
+	}
+	if bytes[0] > maxBytes+slack {
+		t.Fatalf("%s: %.0f B per run, budget %.0f", name, bytes[0], maxBytes)
+	}
+}
+
+// chunkBytes is one scratch buffer of 8-byte records; overhead covers
+// the small fixed objects (stage and sink structs, closures, counters).
+// slack absorbs the few hundred bytes the runtime itself may allocate
+// while a measurement runs.
+const (
+	chunkBytes = chunkSize * 8
+	overhead   = 2048
+	slack      = 512
+)
+
+func TestAllocFusedWhereSelectSum(t *testing.T) {
+	scanIsConstant(t, "fused Where→Select→Sum", 2*chunkBytes+overhead, func(q *Queryable[int]) {
 		s := q.Stream().Where(func(x int) bool { return x%2 == 0 })
 		m := StreamSelect(s, func(x int) float64 { return float64(x) })
-		if _, err := StreamNoisySum(m, 1.0, func(v float64) float64 { return v }); err != nil {
+		if _, err := NoisySum(m, 1.0, func(v float64) float64 { return v }); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("fused Where→Select→Sum: %.0f allocs/op, budget is 2", allocs)
-	}
 }
 
-// TestAllocFusedWhereCount: a filtered count is 1 allocation — the
-// predicate folds into the source loop, leaving only the count sink.
 func TestAllocFusedWhereCount(t *testing.T) {
-	skipUnderRace(t)
-	q := allocQueryable(t)
-	allocs := testing.AllocsPerRun(20, func() {
-		s := q.Stream().Where(func(x int) bool { return x%2 == 0 })
-		if _, err := s.NoisyCount(1.0); err != nil {
+	scanIsConstant(t, "fused Where→Count", chunkBytes+overhead, func(q *Queryable[int]) {
+		if _, err := q.Stream().Where(func(x int) bool { return x%2 == 0 }).NoisyCount(1.0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("fused Where→Count: %.0f allocs/op, budget is 1", allocs)
-	}
 }
 
-// TestAllocUnfusedWhere / TestAllocUnfusedSelect: the materializing
-// operators stay at their long-standing 1 allocation (the output
-// slice) — the fused path must never regress the plain path, whose
-// inlining contract is documented in instrument.go.
-func TestAllocUnfusedWhere(t *testing.T) {
-	skipUnderRace(t)
-	q := allocQueryable(t)
-	allocs := testing.AllocsPerRun(20, func() {
-		_ = q.Where(func(x int) bool { return x%2 == 0 })
+func TestAllocFusedSelectManyWhereCount(t *testing.T) {
+	// The flattening stage's buffer grows, in a few steps, to two records per input
+	// record, and so does the filter's behind it.
+	var pair [2]int // the engine copies f's result before calling f again
+	scanIsConstant(t, "fused SelectMany→Where→Count", 10*chunkBytes+overhead, func(q *Queryable[int]) {
+		m := StreamSelectMany(q.Stream(), 2, func(x int) []int { pair = [2]int{x, -x}; return pair[:] })
+		if _, err := m.Where(func(x int) bool { return x > 0 }).NoisyCount(1.0); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if allocs != 1 {
-		t.Fatalf("materializing Where: %.0f allocs/op, want exactly 1 (the output slice)", allocs)
-	}
 }
 
-func TestAllocUnfusedSelect(t *testing.T) {
-	skipUnderRace(t)
-	q := allocQueryable(t)
-	allocs := testing.AllocsPerRun(20, func() {
-		_ = Select(q, func(x int) int { return x * 2 })
+// TestAllocBareAggregations: on a bare source a count allocates
+// nothing at all, and a sum only its sink and the scan's bookkeeping.
+func TestAllocBareAggregations(t *testing.T) {
+	scanIsConstant(t, "bare Count", 0, func(q *Queryable[int]) {
+		if _, err := q.NoisyCount(1.0); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if allocs != 1 {
-		t.Fatalf("materializing Select: %.0f allocs/op, want exactly 1 (the output slice)", allocs)
+	scanIsConstant(t, "bare Sum", overhead, func(q *Queryable[int]) {
+		if _, err := NoisySum(q, 1.0, func(x int) float64 { return float64(x & 1) }); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestAllocEagerWhere: an eager transformation allocates its output —
+// pre-sized to the source, as it always has been — and, beyond that,
+// the same constant handful: the last stage builds its chunks straight
+// in the output, so there is no scratch buffer and no second copy.
+func TestAllocEagerWhere(t *testing.T) {
+	skipUnderRace(t)
+	var extra [2]float64
+	for i, n := range allocSizes {
+		q := allocQueryable(t, n)
+		_, bytes := measure(func() { _ = q.Where(func(x int) bool { return x%2 == 0 }) })
+		extra[i] = bytes - float64(n*8)
+	}
+	if math.Abs(extra[0]-extra[1]) > slack || extra[0] > overhead {
+		t.Fatalf("eager Where allocates %.0f B beyond its output at n=%d and %.0f B at n=%d, want equal and ≤ %d",
+			extra[0], allocSizes[0], extra[1], allocSizes[1], overhead)
 	}
 }

@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	"dptrace/internal/noise"
-	"dptrace/internal/obs"
 )
 
 // Micro-benchmarks for the engine's operations, sized at 1M records to
 // expose per-record costs and allocation behaviour (-benchmem). Every
-// transformation benchmark has a sequential and a parallel variant
+// transformation benchmark has a one-worker and a parallel variant
 // (suffix "Parallel", workers = GOMAXPROCS, threshold forced low), so
 // `go test -bench . -cpu 1,4` reports the execution engine's scaling.
 // `make bench` parses the output into BENCH_core.json for the perf
@@ -55,7 +54,7 @@ func BenchmarkWhere1MParallel(b *testing.B) {
 	q := benchParallel(benchQueryable(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = WhereRecorded(q, func(x int) bool { return x%2 == 0 })
+		_ = q.Where(func(x int) bool { return x%2 == 0 })
 	}
 	reportRecords(b, benchRecords)
 }
@@ -73,7 +72,7 @@ func BenchmarkSelect1MParallel(b *testing.B) {
 	q := benchParallel(benchQueryable(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SelectRecorded(q, func(x int) int { return x * 2 })
+		_ = Select(q, func(x int) int { return x * 2 })
 	}
 	reportRecords(b, benchRecords)
 }
@@ -166,29 +165,6 @@ func BenchmarkJoin1MParallel(b *testing.B) {
 	reportRecords(b, 2*benchRecords)
 }
 
-// BenchmarkWhere1MRecorded measures the instrumented path (metrics
-// recorder attached, WhereRecorded entry point); compare against
-// BenchmarkWhere1M for the telemetry overhead. Plain Where carries no
-// hooks at all — see the inlining note in instrument.go.
-func BenchmarkWhere1MRecorded(b *testing.B) {
-	q := benchQueryable(b).WithRecorder(obs.NewMetricsRecorder(obs.NewRegistry()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = WhereRecorded(q, func(x int) bool { return x%2 == 0 })
-	}
-	reportRecords(b, benchRecords)
-}
-
-func BenchmarkNoisyCountRecorded(b *testing.B) {
-	q := benchQueryable(b).WithRecorder(obs.NewMetricsRecorder(obs.NewRegistry()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.NoisyCount(1.0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkNoisyCount(b *testing.B) {
 	q := benchQueryable(b)
 	b.ResetTimer()
@@ -225,10 +201,9 @@ func BenchmarkNoisyMedian100k(b *testing.B) {
 	reportRecords(b, 100_000)
 }
 
-// BenchmarkWhereSelectSum1M is the three-pass materializing pipeline
-// the fused engine is measured against: Where and Select each
-// materialize a full intermediate slice before NoisySum scans the
-// last one.
+// BenchmarkWhereSelectSum1M is the eager spelling the fused one is
+// measured against: Where and Select each materialize a full
+// intermediate slice before NoisySum scans the last one.
 func BenchmarkWhereSelectSum1M(b *testing.B) {
 	q := benchQueryable(b)
 	b.ResetTimer()
@@ -242,17 +217,17 @@ func BenchmarkWhereSelectSum1M(b *testing.B) {
 	reportRecords(b, benchRecords)
 }
 
-// BenchmarkFusedWhereSelectSum1M is the same pipeline on the fused
-// streaming path: one loop, no intermediate slices, ≤ 2 allocs/op
-// (pinned by alloc_test.go). Compare bytes/op against
-// BenchmarkWhereSelectSum1M for the memory-traffic win.
+// BenchmarkFusedWhereSelectSum1M is the same pipeline spelled lazily:
+// one pass, two chunk-sized scratch buffers instead of two full
+// slices (pinned by alloc_test.go). The roadmap's bar: this row is
+// never slower than BenchmarkWhereSelectSum1M.
 func BenchmarkFusedWhereSelectSum1M(b *testing.B) {
 	q := benchQueryable(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := q.Stream().Where(func(x int) bool { return x%2 == 0 })
 		m := StreamSelect(s, func(x int) float64 { return float64(x&1023) / 1024 })
-		if _, err := StreamNoisySum(m, 1.0, func(v float64) float64 { return v }); err != nil {
+		if _, err := NoisySum(m, 1.0, func(v float64) float64 { return v }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,7 +278,21 @@ func BenchmarkPacketFusedWhereSelectSum1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := q.Stream().Where(func(p benchPacket) bool { return p.Port < 512 })
 		m := StreamSelect(s, func(p benchPacket) float64 { return float64(p.Len) / 1500 })
-		if _, err := StreamNoisySum(m, 1.0, func(v float64) float64 { return v }); err != nil {
+		if _, err := NoisySum(m, 1.0, func(v float64) float64 { return v }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRecords(b, benchRecords)
+}
+
+// BenchmarkPacketFusedCount1M is the served `count` kind's pipeline:
+// the request filter as a fused stage under NoisyCount, nothing
+// materialized.
+func BenchmarkPacketFusedCount1M(b *testing.B) {
+	q := benchPacketQueryable(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.Stream().Where(func(p benchPacket) bool { return p.Port < 512 }).NoisyCount(1.0); err != nil {
 			b.Fatal(err)
 		}
 	}

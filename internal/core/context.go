@@ -12,32 +12,32 @@ import (
 // nobody.
 //
 // The contract matters more than the mechanism: cancellation NEVER
-// changes privacy accounting. Every aggregation checks its context
-// BEFORE charging the budget agent, so a query cancelled before its
-// aggregation fires charges zero ε and returns ErrCanceled; once the
-// charge has been applied the aggregation completes normally (the
-// remaining work is a noise draw, not worth abandoning a paid-for
-// answer over). Transformations on a cancelled context short-circuit
-// to empty outputs — harmless, because the only way to observe a
-// transformation's output is an aggregation, which will refuse.
+// under-counts. Every aggregation checks its context BEFORE charging
+// the budget agent, so a query cancelled before its aggregation fires
+// charges zero ε and returns ErrCanceled. Once the charge is applied
+// the aggregation's scan still stops when the context fires — a
+// deadline must bound a 180 ms quantile build — and returns ErrCanceled
+// with the charge standing; a scan that finished keeps its answer
+// whatever the context does afterwards. Transformations on a cancelled
+// context short-circuit to empty outputs — harmless, because the only
+// way to observe a transformation's output is an aggregation, which
+// will refuse.
 //
-// Check placement follows the execution strategies (see exec.go):
-// sequential non-inline operators check once at entry; the parallel
-// strategies additionally check between chunk strides
-// (cancelStride records) so long scans abandon mid-chunk. The plain
-// Where method and Select function remain check-free for the same
-// inlining-budget reason they are hook- and dispatch-free
-// (instrument.go); their Recorded twins honor cancellation.
+// Check placement: every operator checks once at entry; the chunk loop
+// (stream.go) polls between chunks, which covers every record-wise scan
+// on any worker count; the keyed strategies poll their canceler every
+// cancelStride records.
 
 // ErrCanceled is returned by aggregations whose context was cancelled
-// or past its deadline before the privacy charge was applied. It
-// always wraps the context's own error, so
+// or past its deadline. It always wraps the context's own error, so
 // errors.Is(err, context.Canceled) and
-// errors.Is(err, context.DeadlineExceeded) also hold. No budget is
-// consumed on this path.
-var ErrCanceled = errors.New("core: query canceled before aggregation; no budget charged")
+// errors.Is(err, context.DeadlineExceeded) also hold. Cancelled before
+// the aggregation fired, no budget was consumed; cancelled during its
+// scan, the charge stands (the budget agent's spent counter says
+// which).
+var ErrCanceled = errors.New("core: query canceled")
 
-// cancelStride is how many records a parallel worker processes
+// cancelStride is how many records a keyed-strategy worker processes
 // between context checks: large enough that the mask-and-compare is
 // noise next to the per-record work, small enough that cancellation
 // lands within microseconds on commodity cores.
@@ -81,21 +81,13 @@ func combineCtx(a, b context.Context) context.Context {
 	return b
 }
 
-// aggCtxErr is the aggregation-side gate: it returns the ErrCanceled
-// wrapper to surface, or nil when the query may proceed to charge.
-func (q *Queryable[T]) aggCtxErr() error {
-	if err := ctxErr(q.ctx); err != nil {
-		return canceledErr(err)
-	}
-	return nil
-}
-
-// canceler coordinates cooperative cancellation across parallel
-// workers. Each worker polls once per record with its loop index; the
+// canceler coordinates cooperative cancellation across workers. A
+// keyed-strategy worker polls once per record with its loop index; the
 // context itself is consulted only at cancelStride boundaries, and in
 // between workers observe each other's verdict through a shared flag,
-// so the per-record cost is a nil check and a mask compare. A nil
-// canceler (nil context) never cancels.
+// so the per-record cost is a nil check and a mask compare. The chunk
+// loop polls once per chunk with index 0. A nil canceler (nil context)
+// never cancels.
 type canceler struct {
 	ctx  context.Context
 	stop atomic.Bool

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -13,8 +14,10 @@ import (
 
 // The cancellation contract: a query cancelled before its aggregation
 // fires charges zero ε and surfaces ErrCanceled wrapping the context's
-// own error; a live (or nil) context leaves results byte-identical to
-// an un-contextualized pipeline.
+// own error; one cancelled during the aggregation's scan stops within
+// a chunk and surfaces the same error with the charge standing; a live
+// (or nil) context leaves results byte-identical to an
+// un-contextualized pipeline.
 
 func TestCancelBeforeAggregationChargesZero(t *testing.T) {
 	records := make([]float64, 1000)
@@ -36,24 +39,34 @@ func TestCancelBeforeAggregationChargesZero(t *testing.T) {
 		t.Fatalf("cancelled query charged ε = %v, want 0", spent)
 	}
 
-	// Every aggregation honors the gate.
-	if _, err := filtered.NoisyCountInt(1.0); !errors.Is(err, ErrCanceled) {
-		t.Errorf("NoisyCountInt: err = %v, want ErrCanceled", err)
-	}
-	if _, err := NoisySum(filtered, 1.0, func(v float64) float64 { return v }); !errors.Is(err, ErrCanceled) {
-		t.Errorf("NoisySum: err = %v, want ErrCanceled", err)
-	}
-	if _, err := NoisyAverage(filtered, 1.0, func(v float64) float64 { return v }); !errors.Is(err, ErrCanceled) {
-		t.Errorf("NoisyAverage: err = %v, want ErrCanceled", err)
-	}
-	if _, err := NoisyMedian(filtered, 1.0, func(v float64) float64 { return v }); !errors.Is(err, ErrCanceled) {
-		t.Errorf("NoisyMedian: err = %v, want ErrCanceled", err)
-	}
-	if _, err := NoisyOrderStatistic(filtered, 1.0, 0.25, func(v float64) float64 { return v }); !errors.Is(err, ErrCanceled) {
-		t.Errorf("NoisyOrderStatistic: err = %v, want ErrCanceled", err)
+	// Every aggregation honors the gate, on either handle.
+	id := func(v float64) float64 { return v }
+	key := func(v float64) string { return "k" }
+	for name, h := range map[string]Streamer[float64]{"queryable": filtered, "stream": q.WithContext(ctx).Stream().Where(func(v float64) bool { return v > 2 })} {
+		gated := map[string]func() error{
+			"NoisyCount":          func() error { _, err := h.Stream().NoisyCount(1.0); return err },
+			"NoisyCountInt":       func() error { _, err := h.Stream().NoisyCountInt(1.0); return err },
+			"NoisySum":            func() error { _, err := NoisySum(h, 1.0, id); return err },
+			"NoisyAverage":        func() error { _, err := NoisyAverage(h, 1.0, id); return err },
+			"NoisyMedian":         func() error { _, err := NoisyMedian(h, 1.0, id); return err },
+			"NoisyOrderStatistic": func() error { _, err := NoisyOrderStatistic(h, 1.0, 0.25, id); return err },
+			"NoisyQuantile":       func() error { _, err := NoisyQuantile(h, 1.0, 0.5, 0, id); return err },
+			"NoisyFrequency":      func() error { _, err := NoisyFrequency(h, 1.0, key, "k"); return err },
+			"NoisyDistinctSketch": func() error { _, err := NoisyDistinctSketch(h, 1.0, key); return err },
+		}
+		for agg, run := range gated {
+			if err := run(); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Errorf("%s on a %s: err = %v, want ErrCanceled wrapping context.Canceled", agg, name, err)
+			}
+		}
 	}
 	if spent := root.Spent(); spent != 0 {
 		t.Fatalf("after all refused aggregations, ε = %v, want 0", spent)
+	}
+	// Materialize on a cancelled context short-circuits to empty, like
+	// every transformation.
+	if out := q.WithContext(ctx).Stream().Where(func(float64) bool { return true }).Materialize(); len(out.records) != 0 {
+		t.Fatalf("Materialize on cancelled ctx produced %d records, want 0", len(out.records))
 	}
 }
 
@@ -105,8 +118,8 @@ func TestCancelledTransformationsShortCircuit(t *testing.T) {
 
 	calls := 0
 	count := func(v int) int { calls++; return v }
-	_ = WhereRecorded(cq, func(v int) bool { count(v); return true })
-	_ = SelectRecorded(cq, count)
+	_ = cq.Where(func(v int) bool { count(v); return true })
+	_ = Select(cq, count)
 	_ = SelectMany(cq, 1, func(v int) []int { count(v); return nil })
 	_ = Distinct(cq, count)
 	_ = GroupBy(cq, count)
@@ -127,27 +140,86 @@ func TestCancelledTransformationsShortCircuit(t *testing.T) {
 	}
 }
 
-func TestCancelMidScanParallel(t *testing.T) {
+// TestCancelMidScan: the one loop polls the context between chunks, so
+// a context that fires during a scan stops it within a chunk per worker
+// — on a bare slice and on a fused chain, on one worker and on four. A
+// scan that belongs to an aggregation has already charged: ErrCanceled
+// with the charge standing. A scan that belongs to an eager
+// transformation has not: its (empty) output reaches an aggregation
+// that refuses at zero ε.
+func TestCancelMidScan(t *testing.T) {
 	n := DefaultParallelThreshold * 2
 	records := make([]float64, n)
-	q, root := NewQueryable(records, 1.0, noise.NewSeededSource(11, 12))
-	ctx, cancel := context.WithCancel(context.Background())
+	for _, workers := range []int{1, 4} {
+		for _, fused := range []bool{false, true} {
+			for _, eager := range []bool{false, true} {
+				label := fmt.Sprintf("workers=%d fused=%v eager=%v", workers, fused, eager)
+				q, root := NewQueryable(records, 1.0, noise.NewSeededSource(11, 12))
+				ctx, cancel := context.WithCancel(context.Background())
+				q = q.WithContext(ctx).WithParallelism(workers)
 
-	var seen atomic.Int64
-	pred := func(float64) bool {
-		if seen.Add(1) == int64(n/4) {
+				var seen atomic.Int64
+				tick := func() {
+					if seen.Add(1) == int64(n/4) {
+						cancel()
+					}
+				}
+				var err error
+				wantSpent := 0.5
+				switch {
+				case eager:
+					// The transformation's own scan is the one cut short.
+					var out *Queryable[float64]
+					if fused {
+						out = Select(q.Where(func(float64) bool { return true }), func(v float64) float64 { tick(); return v })
+					} else {
+						out = q.Where(func(float64) bool { tick(); return true })
+					}
+					if len(out.records) != 0 {
+						t.Errorf("%s: abandoned transformation kept %d records", label, len(out.records))
+					}
+					_, err = out.NoisyCount(0.5)
+					wantSpent = 0
+				case fused:
+					st := q.Stream().Where(func(float64) bool { tick(); return true })
+					_, err = NoisyFrequency(st, 0.5, func(float64) string { return "k" }, "k")
+				default:
+					_, err = NoisyFrequency(q, 0.5, func(float64) string { tick(); return "k" }, "k")
+				}
+				cancel()
+				if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+					t.Errorf("%s: err = %v, want ErrCanceled wrapping context.Canceled", label, err)
+				}
+				if got := root.Spent(); got != wantSpent {
+					t.Errorf("%s: ε = %v, want %v", label, got, wantSpent)
+				}
+				if got, limit := seen.Load(), int64(n/4+workers*chunkSize); got > limit {
+					t.Errorf("%s: scan ran on for %d records after the context fired at %d (limit %d)", label, got-int64(n/4), n/4, limit)
+				}
+			}
+		}
+	}
+}
+
+// TestCancelMidScanOrderedSink: the aggregations that fold in order
+// (one sink, never split across workers) stop the same way.
+func TestCancelMidScanOrderedSink(t *testing.T) {
+	n := 50 * chunkSize
+	q, root := NewQueryable(make([]float64, n), 1.0, noise.NewSeededSource(11, 12))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := 0
+	_, err := NoisySum(q.WithContext(ctx), 0.5, func(float64) float64 {
+		if seen++; seen == n/2 {
 			cancel()
 		}
-		return true
+		return 1
+	})
+	if !errors.Is(err, ErrCanceled) || root.Spent() != 0.5 {
+		t.Fatalf("err = %v, ε = %v; want ErrCanceled with the 0.5 charge standing", err, root.Spent())
 	}
-	out := WhereRecorded(q.WithContext(ctx).WithParallelism(4), pred)
-	// Whether or not the workers abandoned before finishing, the
-	// aggregation must observe the cancellation and refuse to charge.
-	if _, err := out.NoisyCount(0.5); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if root.Spent() != 0 {
-		t.Fatalf("ε = %v, want 0", root.Spent())
+	if seen > n/2+chunkSize {
+		t.Fatalf("scan ran on for %d records after the context fired", seen-n/2)
 	}
 }
 
@@ -158,7 +230,7 @@ func TestLiveContextKeepsResultsIdentical(t *testing.T) {
 		records[i] = float64(i % 97)
 	}
 	pipeline := func(q *Queryable[float64]) (float64, error) {
-		f := WhereRecorded(q, func(v float64) bool { return v > 10 })
+		f := q.Where(func(v float64) bool { return v > 10 })
 		g := GroupBy(f, func(v float64) float64 { return math.Mod(v, 7) })
 		return g.NoisyCount(0.25)
 	}

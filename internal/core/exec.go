@@ -9,29 +9,29 @@ import (
 )
 
 // This file is the execution-strategy layer of the engine. Every
-// transformation has one privacy semantics (Table 1) but may have two
-// execution strategies: the sequential single-pass loops the seed
-// shipped with, and the data-parallel implementations in parallel.go.
-// ExecOptions selects between them per Queryable; the default is
-// sequential, so pipelines that never opt in behave (and benchmark)
+// transformation has one privacy semantics (Table 1); ExecOptions says
+// how many workers may execute it. The record-wise operators and the
+// aggregations run the one chunk loop in stream.go over one source
+// range per worker; the keyed operators have sharded strategies in
+// parallel.go beside their sequential loops. The default is one
+// worker, so pipelines that never opt in behave (and benchmark)
 // exactly as before.
 //
 // The headline guarantee is determinism: for a fixed input ordering
-// and noise seed, the parallel and sequential strategies produce
-// byte-identical output slices in identical order and identical
-// privacy-budget charges. Parallelism is therefore invisible to the
-// privacy accounting — agents are constructed from the transformation
-// graph alone, transformations never spend budget, and aggregations
-// observe the same records in the same order either way. The
-// differential test in parallel_test.go enforces this for every
-// operator on randomized inputs.
+// and noise seed, any worker count produces byte-identical output
+// slices in identical order and identical privacy-budget charges.
+// Parallelism is therefore invisible to the privacy accounting —
+// agents are constructed from the transformation graph alone,
+// transformations never spend budget, and aggregations observe the
+// same records in the same order either way. exec_test.go (against a
+// naive reference) and parallel_test.go (sequential vs sharded)
+// enforce this on randomized inputs.
 
-// DefaultParallelThreshold is the input size below which the parallel
-// strategies fall back to the sequential loops when ExecOptions.
-// Threshold is zero. Splitting a small input across goroutines costs
-// more in scheduling and merge overhead than the loop itself; 32k
-// records is roughly where chunked filtering starts to win on
-// commodity cores.
+// DefaultParallelThreshold is the input size below which execution
+// stays on one worker when ExecOptions.Threshold is zero. Splitting a
+// small input across goroutines costs more in scheduling and merge
+// overhead than the loop itself; 32k records is roughly where chunked
+// filtering starts to win on commodity cores.
 const DefaultParallelThreshold = 1 << 15
 
 // ExecOptions selects the execution strategy for a Queryable's
@@ -78,13 +78,6 @@ func (o ExecOptions) width(n int) int {
 // noise source and recorder are shared; only the execution strategy
 // differs. Inputs smaller than the threshold (DefaultParallelThreshold
 // unless overridden with WithExecOptions) still run sequentially.
-//
-// Two operators are exempt: the plain Where method and Select function
-// always run sequentially, because their bodies must stay within the
-// compiler's inlining budget (see the note in instrument.go — a
-// dispatch branch costs the same budget as a recorder hook). Their
-// exec-aware twins WhereRecorded and SelectRecorded honor the
-// parallelism setting, as do all other operators in their plain form.
 func (q *Queryable[T]) WithParallelism(workers int) *Queryable[T] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -15,24 +15,6 @@ import (
 // chain exactly like the noise source; when it is nil — the default —
 // the instrumentation collapses to a nil check and zero clock reads,
 // so library users who never ask for telemetry pay nothing.
-//
-// Two operators are the exception: Where and Select have bodies small
-// enough (inline cost ~66 of the 80 budget) that the compiler
-// inlines them into callers and devirtualizes their per-record
-// closures. Any in-method hook — even a guarded call — costs at least
-// 57 budget units and breaks that, doubling 1M-record scan times for
-// everyone, recorded or not. So those two stay hook-free and have
-// explicit recorded twins below (WhereRecorded, SelectRecorded) that
-// instrumented pipelines call instead. All other operators do enough
-// work per call (maps, sorts, multi-slice merges) that they were never
-// inline candidates, and keep their dynamic hooks.
-//
-// The same budget arithmetic applies to the execution engine's
-// parallel dispatch (exec.go): a strategy branch inside Where or
-// Select would cost an out-of-line call and break the same inlining.
-// The twins therefore also carry the parallel dispatch — they are the
-// parallel-capable spellings of Where and Select — while every other
-// operator dispatches in its plain form.
 
 // defaultRecorder is the process-wide recorder picked up by
 // NewQueryable/NewQueryableFor at construction time. It exists for
@@ -66,47 +48,6 @@ func (q *Queryable[T]) WithRecorder(rec obs.Recorder) *Queryable[T] {
 	out := *q
 	out.rec = rec
 	return &out
-}
-
-// WhereRecorded is Where plus recorder instrumentation and parallel
-// dispatch: the filter's duration and records in/out reach the
-// pipeline's recorder, and Queryables configured with WithParallelism
-// filter with the chunked worker pool. Semantics, output ordering,
-// and budget accounting are identical to Where.
-func WhereRecorded[T any](q *Queryable[T], pred func(T) bool) *Queryable[T] {
-	if ctxErr(q.ctx) != nil {
-		return derive(q, []T{}, q.agent)
-	}
-	start := opStart(q.rec)
-	var out *Queryable[T]
-	var w int
-	if q.exec.active(len(q.records)) {
-		out = whereParallel(q, pred)
-		w = q.exec.width(len(q.records))
-	} else {
-		out = q.Where(pred)
-	}
-	opDone(q.rec, "where", start, len(q.records), len(out.records), w)
-	return out
-}
-
-// SelectRecorded is Select plus recorder instrumentation and parallel
-// dispatch (see WhereRecorded).
-func SelectRecorded[T, U any](q *Queryable[T], f func(T) U) *Queryable[U] {
-	if ctxErr(q.ctx) != nil {
-		return derive(q, []U{}, q.agent)
-	}
-	start := opStart(q.rec)
-	var out *Queryable[U]
-	var w int
-	if q.exec.active(len(q.records)) {
-		out = selectParallel(q, f)
-		w = q.exec.width(len(q.records))
-	} else {
-		out = Select(q, f)
-	}
-	opDone(q.rec, "select", start, len(q.records), len(out.records), w)
-	return out
 }
 
 // opStart samples the clock only when a recorder is attached.

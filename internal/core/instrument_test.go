@@ -44,8 +44,8 @@ func TestRecorderSeesPipeline(t *testing.T) {
 	rec := &captureRecorder{}
 	q = q.WithRecorder(rec)
 
-	filtered := WhereRecorded(q, func(x int) bool { return x%2 == 0 })
-	mapped := SelectRecorded(filtered, func(x int) int { return x })
+	filtered := q.Where(func(x int) bool { return x%2 == 0 })
+	mapped := Select(filtered, func(x int) int { return x })
 	grouped := GroupBy(mapped, func(x int) int { return x % 5 })
 	if _, err := grouped.NoisyCount(0.1); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestDefaultRecorder(t *testing.T) {
 	defer SetDefaultRecorder(nil)
 
 	q, _ := NewQueryable([]int{1, 2, 3}, math.Inf(1), noise.NewSeededSource(1, 2))
-	WhereRecorded(q, func(int) bool { return true })
+	q.Where(func(int) bool { return true })
 	if _, err := q.NoisyCount(0.1); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestDefaultRecorder(t *testing.T) {
 
 	SetDefaultRecorder(nil)
 	q2, _ := NewQueryable([]int{1}, math.Inf(1), noise.NewSeededSource(1, 2))
-	WhereRecorded(q2, func(int) bool { return true })
+	q2.Where(func(int) bool { return true })
 	if got := reg.Counter("dp_op_records_in_total", "op", "where").Value(); got != 3 {
 		t.Fatalf("recorder not detached: %v", got)
 	}

@@ -32,7 +32,7 @@ func TestWorkerPanicIsRecoverableOnCaller(t *testing.T) {
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
-		WhereRecorded(q, func(v int) bool {
+		q.Where(func(v int) bool {
 			if v == 617 {
 				panic("predicate bug")
 			}
@@ -101,7 +101,7 @@ func TestAggregationPanicAfterApplyChargesAndReturnsErrInternal(t *testing.T) {
 func TestParallelWorkerPanicBecomesErrInternalAtAggregation(t *testing.T) {
 	// End-to-end through both layers: the worker guard re-raises on the
 	// caller, whose next aggregation boundary... is not in this chain —
-	// WhereRecorded is a transformation. So run the panicking predicate
+	// Where is a transformation. So run the panicking predicate
 	// inside an aggregation's selector via a derived pipeline instead:
 	// the panic must cross runWorkers (transformation) and be caught by
 	// a caller-side recover, then a direct aggregation panic must come
@@ -115,7 +115,7 @@ func TestParallelWorkerPanicBecomesErrInternalAtAggregation(t *testing.T) {
 				err = panicError(r)
 			}
 		}()
-		filtered := WhereRecorded(q, func(v int) bool {
+		filtered := q.Where(func(v int) bool {
 			if v == 1999 {
 				panic("late worker bug")
 			}

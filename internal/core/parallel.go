@@ -5,24 +5,25 @@ import (
 	"sort"
 )
 
-// This file holds the data-parallel execution strategies selected by
-// ExecOptions (see exec.go). Two families:
+// This file holds the keyed operators' data-parallel strategies,
+// selected by ExecOptions (see exec.go) beside their sequential loops
+// in queryable.go. (The record-wise operators have no strategy of
+// their own: the chunk loop in stream.go runs over one source range per
+// worker.) Two families:
 //
-//   - Chunked worker-pool execution for the embarrassingly-parallel
-//     operators (Where/Select/SelectMany/Distinct/Partition): the
+//   - Chunked worker-pool execution for Distinct and Partition: the
 //     input is split into one contiguous chunk per worker, each worker
 //     processes its chunk independently into private storage, and the
 //     results are merged in chunk order. Because chunks cover the
 //     input in order and the merge concatenates in chunk order, the
 //     output is byte-identical to the sequential single-pass loop.
 //
-//   - Sharded-hash execution for the keyed operators (GroupBy/Join/
-//     GroupJoin/Intersect/Except): keys are hash-partitioned across
-//     one shard per worker, each worker builds its shard's map
-//     concurrently (a key's records all land in exactly one shard, so
-//     no locks), and the shards are merged by each key's global
-//     first-appearance index — restoring the documented
-//     first-appearance order exactly.
+//   - Sharded-hash execution for GroupBy/Join/GroupJoin/Intersect/
+//     Except: keys are hash-partitioned across one shard per worker,
+//     each worker builds its shard's map concurrently (a key's records
+//     all land in exactly one shard, so no locks), and the shards are
+//     merged by each key's global first-appearance index — restoring
+//     the documented first-appearance order exactly.
 //
 // Key functions are user code of unknown cost, so both families
 // evaluate them inside the parallel phase (once per record — the
@@ -55,87 +56,6 @@ func mergeChunks[T any](parts [][]T) []T {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// whereParallel is the chunked strategy behind WhereRecorded; see the
-// sequential Where for the semantics.
-func whereParallel[T any](q *Queryable[T], pred func(T) bool) *Queryable[T] {
-	n := len(q.records)
-	w := q.exec.width(n)
-	cn := newCanceler(q.ctx)
-	parts := make([][]T, w)
-	runWorkers(w, func(i int) {
-		lo, hi := chunk(n, w, i)
-		out := make([]T, 0, hi-lo)
-		for j, r := range q.records[lo:hi] {
-			if cn.poll(j) {
-				return
-			}
-			if pred(r) {
-				out = append(out, r)
-			}
-		}
-		parts[i] = out
-	})
-	if cn.abandoned() {
-		return derive(q, []T{}, q.agent)
-	}
-	parallelExecs.Add(1)
-	return derive(q, mergeChunks(parts), q.agent)
-}
-
-// selectParallel is the chunked strategy behind SelectRecorded:
-// workers write disjoint ranges of a pre-sized output slice.
-func selectParallel[T, U any](q *Queryable[T], f func(T) U) *Queryable[U] {
-	n := len(q.records)
-	w := q.exec.width(n)
-	cn := newCanceler(q.ctx)
-	out := make([]U, n)
-	runWorkers(w, func(i int) {
-		lo, hi := chunk(n, w, i)
-		for j := lo; j < hi; j++ {
-			if cn.poll(j - lo) {
-				return
-			}
-			out[j] = f(q.records[j])
-		}
-	})
-	if cn.abandoned() {
-		return derive(q, []U{}, q.agent)
-	}
-	parallelExecs.Add(1)
-	return derive(q, out, q.agent)
-}
-
-// selectManyParallel is the chunked strategy for SelectMany.
-func selectManyParallel[T, U any](q *Queryable[T], fanout int, f func(T) []U) *Queryable[U] {
-	start := opStart(q.rec)
-	n := len(q.records)
-	w := q.exec.width(n)
-	cn := newCanceler(q.ctx)
-	parts := make([][]U, w)
-	runWorkers(w, func(i int) {
-		lo, hi := chunk(n, w, i)
-		out := make([]U, 0, hi-lo)
-		for j, r := range q.records[lo:hi] {
-			if cn.poll(j) {
-				return
-			}
-			mapped := f(r)
-			if len(mapped) > fanout {
-				mapped = mapped[:fanout]
-			}
-			out = append(out, mapped...)
-		}
-		parts[i] = out
-	})
-	if cn.abandoned() {
-		return derive(q, []U{}, newScaleAgent(q.agent, float64(fanout)))
-	}
-	parallelExecs.Add(1)
-	out := mergeChunks(parts)
-	opDone(q.rec, "selectmany", start, n, len(out), w)
-	return derive(q, out, newScaleAgent(q.agent, float64(fanout)))
 }
 
 // distinctParallel parallelizes the key computation and per-chunk

@@ -10,11 +10,12 @@ import (
 	"dptrace/internal/noise"
 )
 
-// Differential determinism tests for the parallel execution engine:
-// for a fixed input ordering, every operator must produce identical
-// output records in identical order — and identical budget charges —
-// whether it runs sequentially or under the chunked/sharded parallel
-// strategies, at any GOMAXPROCS. These run under -race in the tier-1
+// Differential determinism tests for the keyed operators' parallel
+// strategies (the record-wise operators have one executor, checked
+// against a naive reference in exec_test.go): for a fixed input
+// ordering, every keyed operator must produce identical output records
+// in identical order — and identical budget charges — whether it runs
+// sequentially or under the sharded strategies, at any GOMAXPROCS. These run under -race in the tier-1
 // gate, so they double as the engine's concurrency-safety tests.
 
 // parExec forces the parallel strategies on for any input size.
@@ -96,20 +97,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 			flows := randomFlows(rng, n)
 			other := randomFlows(rng, max(n/2, 1))
 			for _, workers := range []int{2, 4, 7} {
-				diffCase(t, "where", flows, workers, func(q *Queryable[flowRec]) (*Queryable[flowRec], float64) {
-					return WhereRecorded(q, func(f flowRec) bool { return f.Len%3 == 0 }), 0.5
-				})
-				diffCase(t, "select", flows, workers, func(q *Queryable[flowRec]) (*Queryable[flowRec], float64) {
-					return SelectRecorded(q, func(f flowRec) flowRec { f.Len *= 2; return f }), 0.5
-				})
-				diffCase(t, "selectmany", flows, workers, func(q *Queryable[flowRec]) (*Queryable[flowRec], float64) {
-					return SelectMany(q, 2, func(f flowRec) []flowRec {
-						if f.Port%2 == 0 {
-							return []flowRec{f, f, f} // clamped to fanout
-						}
-						return []flowRec{f}
-					}), 0.5
-				})
 				diffCase(t, "distinct", flows, workers, func(q *Queryable[flowRec]) (*Queryable[flowRec], float64) {
 					return Distinct(q, func(f flowRec) uint32 { return f.Src }), 0.5
 				})

@@ -51,19 +51,11 @@ func derive[T, U any](q *Queryable[T], records []U, agent Agent) *Queryable[U] {
 // Queryable's agent. The predicate may inspect records arbitrarily: its
 // outputs stay behind the privacy curtain.
 //
-// Where carries no recorder hooks and no parallel dispatch: its body
-// must stay within the compiler's inlining budget so the predicate
-// devirtualizes in the hot loop (a hook or dispatch call costs 2x on
-// a 1M-record scan). Instrumented or parallel pipelines use
-// WhereRecorded instead, which honors WithParallelism.
+// Queryable transformations are eager: pred runs now, over every
+// record, on the engine's one chunk loop (stream.go) — across workers
+// when WithParallelism says so — and reports to the recorder.
 func (q *Queryable[T]) Where(pred func(T) bool) *Queryable[T] {
-	out := make([]T, 0, len(q.records))
-	for _, r := range q.records {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return derive(q, out, q.agent)
+	return q.Stream().Where(pred).Materialize()
 }
 
 // Concat appends other's records to this Queryable's. Each output
@@ -88,45 +80,19 @@ func (q *Queryable[T]) Concat(other *Queryable[T]) *Queryable[T] {
 	return res
 }
 
-// Select applies f to every record, yielding a Queryable of the mapped
-// type. One-to-one record mappings do not amplify sensitivity.
-//
-// Like Where, Select is hook- and dispatch-free to keep its trivial
-// loop inlinable; instrumented or parallel pipelines use
-// SelectRecorded, which honors WithParallelism.
+// Select applies f to every record, eagerly, yielding a Queryable of
+// the mapped type. One-to-one record mappings do not amplify
+// sensitivity.
 func Select[T, U any](q *Queryable[T], f func(T) U) *Queryable[U] {
-	out := make([]U, len(q.records))
-	for i, r := range q.records {
-		out[i] = f(r)
-	}
-	return derive(q, out, q.agent)
+	return StreamSelect(q.Stream(), f).Materialize()
 }
 
-// SelectMany applies f to every record and flattens the results,
-// keeping at most fanout outputs per record. Because one input record
-// can influence up to fanout output records, the result's sensitivity
-// is amplified by fanout; fanout must be ≥ 1.
+// SelectMany applies f to every record, eagerly, and flattens the
+// results, keeping at most fanout outputs per record. Because one input
+// record can influence up to fanout output records, the result's
+// sensitivity is amplified by fanout; fanout must be ≥ 1.
 func SelectMany[T, U any](q *Queryable[T], fanout int, f func(T) []U) *Queryable[U] {
-	if fanout < 1 {
-		panic("core: SelectMany fanout must be >= 1")
-	}
-	if ctxErr(q.ctx) != nil {
-		return derive(q, []U{}, newScaleAgent(q.agent, float64(fanout)))
-	}
-	if q.exec.active(len(q.records)) {
-		return selectManyParallel(q, fanout, f)
-	}
-	start := opStart(q.rec)
-	out := make([]U, 0, len(q.records))
-	for _, r := range q.records {
-		mapped := f(r)
-		if len(mapped) > fanout {
-			mapped = mapped[:fanout]
-		}
-		out = append(out, mapped...)
-	}
-	opDone(q.rec, "selectmany", start, len(q.records), len(out), 0)
-	return derive(q, out, newScaleAgent(q.agent, float64(fanout)))
+	return StreamSelectMany(q.Stream(), fanout, f).Materialize()
 }
 
 // Distinct keeps one record per distinct key. Removing duplicates does

@@ -55,15 +55,6 @@ const (
 // standard error on distinct counts.
 const distinctSketchPrecision = 12
 
-// validFraction validates a rank fraction the way NoisyOrderStatistic
-// does.
-func validFraction(fraction float64) error {
-	if fraction < 0 || fraction > 1 || math.IsNaN(fraction) {
-		return ErrInvalidEpsilon
-	}
-	return nil
-}
-
 // resolveSketchEps applies the default and validates.
 func resolveSketchEps(sketchEps float64) (float64, error) {
 	if sketchEps == 0 {
@@ -73,51 +64,6 @@ func resolveSketchEps(sketchEps float64) (float64, error) {
 		return 0, ErrInvalidEpsilon
 	}
 	return sketchEps, nil
-}
-
-// buildQuantileSketch builds the fold of fixed-block summaries over
-// records, in parallel when exec says so. Block boundaries depend
-// only on record positions, merges happen in block order, and every
-// per-block build is deterministic — so worker count never changes a
-// byte of the result.
-func buildQuantileSketch[T any](records []T, exec ExecOptions, sketchEps float64, f func(T) float64) *sketch.Quantile {
-	n := len(records)
-	merged := sketch.NewQuantile(sketchEps)
-	if n == 0 {
-		return merged
-	}
-	blocks := (n + sketchBlock - 1) / sketchBlock
-	buildBlock := func(b int) *sketch.Quantile {
-		blk := sketch.NewQuantile(sketchEps)
-		lo := b * sketchBlock
-		hi := lo + sketchBlock
-		if hi > n {
-			hi = n
-		}
-		for _, r := range records[lo:hi] {
-			blk.Insert(f(r))
-		}
-		return blk
-	}
-	if exec.active(n) {
-		w := exec.width(blocks)
-		parts := make([]*sketch.Quantile, blocks)
-		runWorkers(w, func(worker int) {
-			lo, hi := chunk(blocks, w, worker)
-			for b := lo; b < hi; b++ {
-				parts[b] = buildBlock(b)
-			}
-		})
-		parallelExecs.Add(1)
-		for _, p := range parts {
-			merged.Merge(p)
-		}
-		return merged
-	}
-	for b := 0; b < blocks; b++ {
-		merged.Merge(buildBlock(b))
-	}
-	return merged
 }
 
 // quantileChoose runs the exponential mechanism over the summary's
@@ -154,78 +100,83 @@ func quantileChoose(src noise.Source, qs *sketch.Quantile, fraction, epsilon flo
 	return tuples[idx].Value
 }
 
+// quantileSink builds the fixed-block quantile fold over its range of
+// the pipeline's output: one summary per sketchBlock consecutive
+// records, chunks split at block boundaries, the summaries kept in
+// block order for NoisyQuantile to fold. Block boundaries depend only
+// on output positions, every per-block build is deterministic and the
+// fold runs in block order — so neither chunking nor, on a bare source
+// cut at block multiples, the worker count changes a byte of the result.
+type quantileSink[T any] struct {
+	f      func(T) float64
+	se     float64
+	blocks []*sketch.Quantile
+	room   int // records the last block still takes
+}
+
+func (k *quantileSink[T]) acceptChunk(c []T) {
+	for len(c) > 0 {
+		if k.room == 0 {
+			k.blocks = append(k.blocks, sketch.NewQuantile(k.se))
+			k.room = sketchBlock
+		}
+		n := min(len(c), k.room)
+		blk := k.blocks[len(k.blocks)-1]
+		for _, v := range c[:n] {
+			blk.Insert(k.f(v))
+		}
+		k.room -= n
+		c = c[n:]
+	}
+}
+
 // NoisyQuantile returns a value whose rank is near fraction·n,
 // selected by the exponential mechanism over a mergeable one-pass
 // rank summary with accuracy target sketchEps (0 means
 // DefaultQuantileAccuracy). It is the sketch-backed, trace-scale
 // counterpart of NoisyOrderStatistic: O(1/sketchEps) memory instead
 // of a full sort, at the cost of candidates being summary tuples
-// rather than every distinct value. Charges ε like every aggregation.
-func NoisyQuantile[T any](q *Queryable[T], epsilon, fraction, sketchEps float64, f func(T) float64) (v float64, err error) {
-	start := opStart(q.rec)
-	defer recoverAgg(q.rec, "quantile", start, epsilon, &v, &err)
-	if cerr := q.aggCtxErr(); cerr != nil {
-		aggDone(q.rec, "quantile", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(q.rec, "quantile", start, epsilon, err)
-		return 0, err
-	}
+// rather than every distinct value. Charges ε like every aggregation;
+// an empty pipeline yields 0 and draws no noise.
+func NoisyQuantile[T any](src Streamer[T], epsilon, fraction, sketchEps float64, f func(T) float64) (float64, error) {
+	s := src.Stream()
+	se, invalid := resolveSketchEps(sketchEps)
 	if err := validFraction(fraction); err != nil {
-		aggDone(q.rec, "quantile", start, epsilon, err)
-		return 0, err
+		invalid = err
 	}
-	se, serr := resolveSketchEps(sketchEps)
-	if serr != nil {
-		aggDone(q.rec, "quantile", start, epsilon, serr)
-		return 0, serr
-	}
-	if err := q.agent.Apply(epsilon); err != nil {
-		aggDone(q.rec, "quantile", start, epsilon, err)
-		return 0, err
-	}
-	if len(q.records) == 0 {
-		aggDone(q.rec, "quantile", start, epsilon, nil)
-		return 0, nil
-	}
-	qs := buildQuantileSketch(q.records, q.exec, se, f)
-	v = quantileChoose(q.src, qs, fraction, epsilon)
-	aggDone(q.rec, "quantile", start, epsilon, nil)
-	return v, nil
-}
-
-// buildFrequencySketch builds the count-min sketch over keys, sharded
-// across workers when exec says so. Counter addition is exact, so the
-// merged shard sketches equal the sequential build bit for bit.
-func buildFrequencySketch[T any](records []T, exec ExecOptions, key func(T) string) *sketch.CountMin {
-	n := len(records)
-	if exec.active(n) {
-		w := exec.width(n)
-		parts := make([]*sketch.CountMin, w)
-		runWorkers(w, func(worker int) {
-			c := sketch.NewCountMin(freqSketchWidth, freqSketchDepth)
-			lo, hi := chunk(n, w, worker)
-			for _, r := range records[lo:hi] {
-				c.Add(key(r))
-			}
-			parts[worker] = c
-		})
-		parallelExecs.Add(1)
-		merged := parts[0]
-		for _, p := range parts[1:] {
-			// Same geometry by construction; the error is impossible.
-			if err := merged.Merge(p); err != nil {
-				panic(err)
+	return aggregate(&s, "quantile", epsilon, invalid, func() (float64, bool) {
+		// Output positions are source positions only on a bare source;
+		// behind a fused stage the blocks must be cut in one ordered pass.
+		split := 0
+		if s.depth == 0 {
+			split = sketchBlock
+		}
+		parts, ok := scan(s, split, false, func(int) *quantileSink[T] { return &quantileSink[T]{f: f, se: se} })
+		if !ok {
+			return 0, false
+		}
+		merged := sketch.NewQuantile(se)
+		for _, p := range parts {
+			for _, blk := range p.blocks {
+				merged.Merge(blk)
 			}
 		}
-		return merged
+		return quantileChoose(s.nsrc, merged, fraction, epsilon), true
+	})
+}
+
+// freqSink feeds its range of the pipeline's output into a count-min
+// sketch. Counter addition is exact, so per-range sketches merge into
+// the sequential build bit for bit.
+type freqSink[T any] struct {
+	key func(T) string
+	c   *sketch.CountMin
+}
+
+func (k *freqSink[T]) acceptChunk(c []T) {
+	for _, v := range c {
+		k.c.Add(k.key(v))
 	}
-	c := sketch.NewCountMin(freqSketchWidth, freqSketchDepth)
-	for _, r := range records {
-		c.Add(key(r))
-	}
-	return c
 }
 
 // NoisyFrequency returns the approximate number of records whose key
@@ -234,57 +185,37 @@ func buildFrequencySketch[T any](records []T, exec ExecOptions, key func(T) stri
 // so the estimate's sensitivity is 1 — the same calibration as
 // NoisyCount — and the sketch's (public-geometry) overcount is a
 // bias, not a privacy cost. Charges ε like every aggregation.
-func NoisyFrequency[T any](q *Queryable[T], epsilon float64, key func(T) string, target string) (v float64, err error) {
-	start := opStart(q.rec)
-	defer recoverAgg(q.rec, "frequency", start, epsilon, &v, &err)
-	if cerr := q.aggCtxErr(); cerr != nil {
-		aggDone(q.rec, "frequency", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(q.rec, "frequency", start, epsilon, err)
-		return 0, err
-	}
-	if err := q.agent.Apply(epsilon); err != nil {
-		aggDone(q.rec, "frequency", start, epsilon, err)
-		return 0, err
-	}
-	c := buildFrequencySketch(q.records, q.exec, key)
-	v = float64(c.Estimate(target)) + noise.LaplaceForEpsilon(q.src, 1, epsilon)
-	aggDone(q.rec, "frequency", start, epsilon, nil)
-	return v, nil
-}
-
-// buildDistinctSketch builds the HLL-style registers over keys,
-// sharded across workers when exec says so; register-max merge is
-// exact, so shard builds equal the sequential build bit for bit.
-func buildDistinctSketch[T any](records []T, exec ExecOptions, key func(T) string) *sketch.Distinct {
-	n := len(records)
-	if exec.active(n) {
-		w := exec.width(n)
-		parts := make([]*sketch.Distinct, w)
-		runWorkers(w, func(worker int) {
-			d := sketch.NewDistinct(distinctSketchPrecision)
-			lo, hi := chunk(n, w, worker)
-			for _, r := range records[lo:hi] {
-				d.Add(key(r))
-			}
-			parts[worker] = d
+func NoisyFrequency[T any](src Streamer[T], epsilon float64, key func(T) string, target string) (float64, error) {
+	s := src.Stream()
+	return aggregate(&s, "frequency", epsilon, nil, func() (float64, bool) {
+		parts, ok := scan(s, 1, false, func(int) *freqSink[T] {
+			return &freqSink[T]{key: key, c: sketch.NewCountMin(freqSketchWidth, freqSketchDepth)}
 		})
-		parallelExecs.Add(1)
-		merged := parts[0]
+		if !ok {
+			return 0, false
+		}
+		merged := parts[0].c
 		for _, p := range parts[1:] {
-			if err := merged.Merge(p); err != nil {
+			// Same geometry by construction; the error is impossible.
+			if err := merged.Merge(p.c); err != nil {
 				panic(err)
 			}
 		}
-		return merged
+		return float64(merged.Estimate(target)) + noise.LaplaceForEpsilon(s.nsrc, 1, epsilon), true
+	})
+}
+
+// distinctSink feeds its range of the pipeline's output into HLL-style
+// registers; register-max merge is exact.
+type distinctSink[T any] struct {
+	key func(T) string
+	d   *sketch.Distinct
+}
+
+func (k *distinctSink[T]) acceptChunk(c []T) {
+	for _, v := range c {
+		k.d.Add(k.key(v))
 	}
-	d := sketch.NewDistinct(distinctSketchPrecision)
-	for _, r := range records {
-		d.Add(key(r))
-	}
-	return d
 }
 
 // NoisyDistinctSketch returns the approximate number of distinct keys
@@ -296,157 +227,21 @@ func buildDistinctSketch[T any](records []T, exec ExecOptions, key func(T) strin
 // count is public-geometry bias, like count-min's overcount. Charges
 // ε like every aggregation. See DESIGN.md §S32 for the honest caveat
 // on estimator-level vs ideal sensitivity.
-func NoisyDistinctSketch[T any](q *Queryable[T], epsilon float64, key func(T) string) (v float64, err error) {
-	start := opStart(q.rec)
-	defer recoverAgg(q.rec, "distinctcount", start, epsilon, &v, &err)
-	if cerr := q.aggCtxErr(); cerr != nil {
-		aggDone(q.rec, "distinctcount", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(q.rec, "distinctcount", start, epsilon, err)
-		return 0, err
-	}
-	if err := q.agent.Apply(epsilon); err != nil {
-		aggDone(q.rec, "distinctcount", start, epsilon, err)
-		return 0, err
-	}
-	d := buildDistinctSketch(q.records, q.exec, key)
-	v = d.Estimate() + noise.LaplaceForEpsilon(q.src, 1, epsilon)
-	aggDone(q.rec, "distinctcount", start, epsilon, nil)
-	return v, nil
-}
-
-// quantileSink feeds a fused stream into the same fixed-block
-// quantile fold the materializing build uses: a fresh block summary
-// every sketchBlock accepted records, folded in order. Record
-// positions in the fused output stream line up with positions in the
-// materialized slice, so the sketches — and every noisy output — are
-// byte-identical across the two paths.
-type quantileSink[T any] struct {
-	f      func(T) float64
-	merged *sketch.Quantile
-	cur    *sketch.Quantile
-	se     float64
-	inCur  int
-	n      int
-}
-
-func (k *quantileSink[T]) accept(v T) {
-	if k.inCur == sketchBlock {
-		k.merged.Merge(k.cur)
-		k.cur = sketch.NewQuantile(k.se)
-		k.inCur = 0
-	}
-	k.cur.Insert(k.f(v))
-	k.inCur++
-	k.n++
-}
-
-func (k *quantileSink[T]) finish() *sketch.Quantile {
-	if k.inCur > 0 {
-		k.merged.Merge(k.cur)
-		k.inCur = 0
-	}
-	return k.merged
-}
-
-// StreamNoisyQuantile is the fused NoisyQuantile: the summary is
-// built directly from the fused pipeline's output, one pass, no
-// intermediate slices, byte-identical to the materializing path.
-func StreamNoisyQuantile[T any](s Stream[T], epsilon, fraction, sketchEps float64, f func(T) float64) (v float64, err error) {
-	start := opStart(s.rec)
-	defer recoverAgg(s.rec, "quantile", start, epsilon, &v, &err)
-	if cerr := s.aggCtxErr(); cerr != nil {
-		aggDone(s.rec, "quantile", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(s.rec, "quantile", start, epsilon, err)
-		return 0, err
-	}
-	if err := validFraction(fraction); err != nil {
-		aggDone(s.rec, "quantile", start, epsilon, err)
-		return 0, err
-	}
-	se, serr := resolveSketchEps(sketchEps)
-	if serr != nil {
-		aggDone(s.rec, "quantile", start, epsilon, serr)
-		return 0, serr
-	}
-	if err := s.agent.Apply(epsilon); err != nil {
-		aggDone(s.rec, "quantile", start, epsilon, err)
-		return 0, err
-	}
-	k := &quantileSink[T]{f: f, se: se, merged: sketch.NewQuantile(se), cur: sketch.NewQuantile(se)}
-	s.consume(k)
-	if k.n == 0 {
-		aggDone(s.rec, "quantile", start, epsilon, nil)
-		return 0, nil
-	}
-	v = quantileChoose(s.nsrc, k.finish(), fraction, epsilon)
-	aggDone(s.rec, "quantile", start, epsilon, nil)
-	return v, nil
-}
-
-// freqSink feeds a fused stream into a count-min sketch.
-type freqSink[T any] struct {
-	key func(T) string
-	c   *sketch.CountMin
-}
-
-func (k *freqSink[T]) accept(v T) { k.c.Add(k.key(v)) }
-
-// StreamNoisyFrequency is the fused NoisyFrequency.
-func StreamNoisyFrequency[T any](s Stream[T], epsilon float64, key func(T) string, target string) (v float64, err error) {
-	start := opStart(s.rec)
-	defer recoverAgg(s.rec, "frequency", start, epsilon, &v, &err)
-	if cerr := s.aggCtxErr(); cerr != nil {
-		aggDone(s.rec, "frequency", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(s.rec, "frequency", start, epsilon, err)
-		return 0, err
-	}
-	if err := s.agent.Apply(epsilon); err != nil {
-		aggDone(s.rec, "frequency", start, epsilon, err)
-		return 0, err
-	}
-	k := &freqSink[T]{key: key, c: sketch.NewCountMin(freqSketchWidth, freqSketchDepth)}
-	s.consume(k)
-	v = float64(k.c.Estimate(target)) + noise.LaplaceForEpsilon(s.nsrc, 1, epsilon)
-	aggDone(s.rec, "frequency", start, epsilon, nil)
-	return v, nil
-}
-
-// distinctSink feeds a fused stream into HLL-style registers.
-type distinctSink[T any] struct {
-	key func(T) string
-	d   *sketch.Distinct
-}
-
-func (k *distinctSink[T]) accept(v T) { k.d.Add(k.key(v)) }
-
-// StreamNoisyDistinctSketch is the fused NoisyDistinctSketch.
-func StreamNoisyDistinctSketch[T any](s Stream[T], epsilon float64, key func(T) string) (v float64, err error) {
-	start := opStart(s.rec)
-	defer recoverAgg(s.rec, "distinctcount", start, epsilon, &v, &err)
-	if cerr := s.aggCtxErr(); cerr != nil {
-		aggDone(s.rec, "distinctcount", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(s.rec, "distinctcount", start, epsilon, err)
-		return 0, err
-	}
-	if err := s.agent.Apply(epsilon); err != nil {
-		aggDone(s.rec, "distinctcount", start, epsilon, err)
-		return 0, err
-	}
-	k := &distinctSink[T]{key: key, d: sketch.NewDistinct(distinctSketchPrecision)}
-	s.consume(k)
-	v = k.d.Estimate() + noise.LaplaceForEpsilon(s.nsrc, 1, epsilon)
-	aggDone(s.rec, "distinctcount", start, epsilon, nil)
-	return v, nil
+func NoisyDistinctSketch[T any](src Streamer[T], epsilon float64, key func(T) string) (float64, error) {
+	s := src.Stream()
+	return aggregate(&s, "distinctcount", epsilon, nil, func() (float64, bool) {
+		parts, ok := scan(s, 1, false, func(int) *distinctSink[T] {
+			return &distinctSink[T]{key: key, d: sketch.NewDistinct(distinctSketchPrecision)}
+		})
+		if !ok {
+			return 0, false
+		}
+		merged := parts[0].d
+		for _, p := range parts[1:] {
+			if err := merged.Merge(p.d); err != nil {
+				panic(err)
+			}
+		}
+		return merged.Estimate() + noise.LaplaceForEpsilon(s.nsrc, 1, epsilon), true
+	})
 }

@@ -2,491 +2,329 @@ package core
 
 import (
 	"context"
-	"math"
+	"slices"
+	"time"
 
 	"dptrace/internal/noise"
 	"dptrace/internal/obs"
 )
 
-// This file is the fused streaming execution path of the engine. The
-// materializing operators in queryable.go allocate one output slice
-// per transformation, so a Where→Select→NoisySum pipeline makes three
-// full passes and three heap copies over data it could scan once. A
-// Stream is the lazy alternative for chains of record-wise operators
-// (Where, Select, SelectMany): stages compose into a single loop that
-// feeds the aggregation directly, with no intermediate slices.
+// This file is the engine's one record-wise executor. Where, Select
+// and SelectMany — eager on a Queryable, lazy on a Stream — and every
+// aggregation run through the same loop (Stream.push): the source is
+// cut into chunks of at most chunkSize records, each fused stage
+// filters or maps a chunk into its own scratch buffer and hands that
+// buffer down, and a sink at the end folds the chunks into whatever
+// the caller releases (a count, a clamped sum, a sketch, a
+// materialized slice). The context is polled once per chunk, stages
+// count records per chunk, and nothing in the loop branches on
+// whether a recorder is attached or on how the pipeline was spelled.
 //
-// The hard invariant is that fusion is purely an execution choice:
-// for the same pipeline and the same noise-source state, the fused
-// and materializing paths produce byte-identical results, identical
-// noise draws (same number of Source.Float64 calls in the same
-// order), and identical ε-charges including refusal boundaries. That
-// holds by construction —
+// Because there is one loop, the engine's hard invariant — values,
+// record order, noise draws (same number of Source.Float64 calls in
+// the same order), ε-charges and the refusal boundary are identical
+// however a pipeline is written or executed — holds by construction
+// rather than by several implementations agreeing:
 //
-//   - stages visit records in input order, exactly like the
-//     sequential loops (and therefore like the parallel strategies,
-//     which are themselves byte-identical to sequential — the PR2
-//     invariant), so floating-point accumulation order is unchanged;
-//   - SelectMany truncates to fanout and wraps the budget agent in
-//     the same newScaleAgent call the materializing operator uses, so
-//     the ε arithmetic is the same float64 expression;
-//   - aggregation terminals run the same contract in the same order
-//     as aggregate.go: recoverAgg guard, ctx check BEFORE
-//     agent.Apply (a cancelled query charges zero ε), ε/bound
-//     validation, Apply, scan, one calibrated noise draw
+//   - stages visit records in input order, so floating-point
+//     accumulation order never depends on chunking or worker count;
+//   - parallel execution (scan) cuts the SOURCE into one contiguous
+//     range per worker, runs the same loop over each range into a
+//     private sink, and combines the sinks in range order; only sinks
+//     whose combination is exact ask for it (concatenation, counter
+//     addition, register max, fixed-position quantile blocks), the
+//     order-sensitive float sums always take one range;
+//   - SelectMany wraps the budget agent in the same newScaleAgent call
+//     on either handle, so the ε arithmetic is one float64 expression.
 //
-// — and is pinned by the differential tests in stream_test.go at
-// GOMAXPROCS {1,4} under -race.
+// Eager and lazy differ only in WHEN analyst code runs. A Queryable
+// transformation materializes on the spot, so a panicking predicate
+// unwinds out of the transformation before any charge. A Stream stage
+// runs inside the aggregation's scan, after agent.Apply, so the same
+// panic surfaces as ErrInternal with the charge standing — never less
+// is charged than the eager spelling would charge (DESIGN.md §S27).
 //
-// One deliberate divergence, in the conservative direction: fusion is
-// lazy, so analyst-supplied predicates/selectors execute during the
-// terminal scan, which happens AFTER agent.Apply. A stage that panics
-// therefore surfaces as ErrInternal with the charge standing, where
-// the materializing path would have panicked while transforming —
-// before any charge. Never less is charged than the materializing
-// path would charge (DESIGN.md §S32).
-//
-// Allocation budget: constructing a Stream and folding the first
-// Where into it are allocation-free; each further stage is exactly
-// one heap object (the stage link, or a composed predicate closure);
-// each terminal allocates one accumulator sink. Where→Select→Sum is
-// 2 allocs/op total, pinned by alloc_test.go. Recorded pipelines
-// (rec != nil) trade that for per-stage record counting: every stage
-// becomes a counted link and appears in the profile with the "fused"
-// strategy tag (obs.FusedWorkers) and zero duration — the single
-// pass's wall time lands on the aggregation row.
-//
-// Streams may be freely derived from (each derivation owns its
-// chain), but a single Stream must not be consumed by two
-// aggregations concurrently: stage links hold per-run state.
+// Allocation: building a stage allocates a constant handful of small
+// objects; a scan allocates one scratch buffer per stage plus one
+// sink, per worker, sized by chunkSize and never by the record count.
 
-// sink consumes a fused stream one record at a time.
-type sink[T any] interface{ accept(T) }
+// chunkSize is the number of source records the loop hands down at a
+// time: large enough that per-chunk costs (one dynamic call per stage,
+// one context poll, one counter update) vanish next to the per-record
+// work, small enough that a stage's scratch buffer of trace records
+// (56-byte packets: 28 KB) stays cache-resident and a small-object
+// allocation, which is what a query over a thousand-record window pays.
+const chunkSize = 512
 
-// feeder replays a derived stream's fused chain into a sink.
-type feeder[T any] interface{ feedInto(down sink[T]) }
+// sink consumes a pipeline's output one chunk at a time. A chunk is
+// only valid during the call: stages reuse their scratch buffers.
+type sink[T any] interface{ acceptChunk(chunk []T) }
 
-// fusedStage is the per-stage record counter behind profile rows; it
-// is only allocated (and only counted) on recorded pipelines.
-type fusedStage struct {
+// Streamer is either handle on a protected dataset — a *Queryable or
+// a Stream — so each aggregation is one function that accepts both.
+type Streamer[T any] interface{ Stream() Stream[T] }
+
+// stageCount is one fused stage's profile row for one scan worker.
+type stageCount struct {
 	op      string
 	in, out int
 }
 
+// scanRun is one worker's state for one scan: the cancellation flag
+// it shares with its siblings and its private per-stage counters.
+type scanRun struct {
+	cn     *canceler
+	counts []stageCount
+}
+
 // Stream is a lazily-fused pipeline over a Queryable's records:
-// transformations accumulate into a single loop that runs when an
-// aggregation terminal consumes the stream. Construct one with
-// Queryable.Stream.
+// stages accumulate and run, chunk by chunk, when an aggregation or
+// Materialize consumes the stream. Construct one with Queryable.Stream.
 //
-// Streams are values: deriving a new stage never mutates its input
-// stream, so a Stream can be reused as the base of several pipelines.
+// Streams are values: deriving a stage never mutates its input, so one
+// Stream can be the base of several pipelines, consumed concurrently.
 type Stream[T any] struct {
-	recs   []T          // source records (source mode; feed == nil)
-	pred   func(T) bool // filter folded onto the source, nil = none
-	feed   feeder[T]    // fused chain replay (derived mode)
-	agent  Agent
-	nsrc   noise.Source
-	rec    obs.Recorder
-	exec   ExecOptions
-	ctx    context.Context
-	stages []*fusedStage // profile rows, recorded pipelines only
+	agent Agent
+	nsrc  noise.Source
+	rec   obs.Recorder
+	exec  ExecOptions
+	ctx   context.Context
+	n     int // source record count: what scan's worker ranges divide
+	depth int // number of fused stages
+	recs  []T // the source itself while depth == 0
+	// feed (depth > 0) pushes source records [lo, hi) through fresh
+	// stage state — one scratch buffer per stage — into down.
+	feed func(r *scanRun, lo, hi int, down sink[T])
 }
 
-// Stream returns a fused streaming view of this Queryable: the same
-// records, budget agent, noise source, recorder, execution options,
-// and context, consumed lazily in one pass instead of per-operator
-// materialized slices.
+// Stream returns the lazy view of this Queryable: same records, budget
+// agent, noise source, recorder, execution options and context.
 func (q *Queryable[T]) Stream() Stream[T] {
-	return Stream[T]{
-		recs:  q.records,
-		agent: q.agent,
-		nsrc:  q.src,
-		rec:   q.rec,
-		exec:  q.exec,
-		ctx:   q.ctx,
+	return Stream[T]{agent: q.agent, nsrc: q.src, rec: q.rec, exec: q.exec, ctx: q.ctx, n: len(q.records), recs: q.records}
+}
+
+// Stream returns s, making a Stream its own Streamer.
+func (s Stream[T]) Stream() Stream[T] { return s }
+
+// push is the loop: it drives source records [lo, hi) through the
+// fused stages into down, a chunk at a time, polling the context
+// between chunks.
+func (s Stream[T]) push(r *scanRun, lo, hi int, down sink[T]) {
+	if s.feed != nil {
+		s.feed(r, lo, hi, down)
+		return
+	}
+	for ; lo < hi && !r.cn.poll(0); lo += chunkSize {
+		down.acceptChunk(s.recs[lo:min(lo+chunkSize, hi)])
 	}
 }
 
-// appendStage returns a fresh slice so sibling derivations never
-// share a tail (streams are values; their stage lists must be too).
-func appendStage(stages []*fusedStage, st *fusedStage) []*fusedStage {
-	out := make([]*fusedStage, len(stages)+1)
-	copy(out, stages)
-	out[len(stages)] = st
-	return out
+// stage is one fused operator at run time: it applies itself to each
+// chunk, counts, and hands its output down. apply may build the output
+// in *buf, a scratch buffer it can grow — the stage's own, or, when the
+// stage feeds a collectSink, the unused tail of the collected slice, so
+// that materializing copies each record once, not twice — or, when a
+// filter rejects nothing, return the input chunk itself. Chunks are
+// therefore read-only to whoever receives them.
+type stage[T, U any] struct {
+	apply func(in []T, buf *[]U) []U
+	down  sink[U]
+	into  *collectSink[U] // down, when it collects
+	cnt   *stageCount
+	buf   []U
 }
 
-// Where fuses a filter stage onto the stream. On an unrecorded source
-// stream the predicate folds directly into the source loop
-// (allocation-free for the first Where, one composed closure per
-// further Where); recorded or derived streams add one stage link.
-// Filtering does not amplify sensitivity, so the agent is unchanged —
-// exactly like the materializing Where.
+func (k *stage[T, U]) acceptChunk(in []T) {
+	if k.into != nil {
+		k.buf = k.into.tail(len(in))
+	}
+	out := k.apply(in, &k.buf)
+	k.cnt.in += len(in)
+	k.cnt.out += len(out)
+	k.down.acceptChunk(out)
+}
+
+// fuse derives the stream that runs op after s.
+func fuse[T, U any](s Stream[T], op string, agent Agent, apply func(in []T, buf *[]U) []U) Stream[U] {
+	i := s.depth
+	return Stream[U]{agent: agent, nsrc: s.nsrc, rec: s.rec, exec: s.exec, ctx: s.ctx, n: s.n, depth: i + 1,
+		feed: func(r *scanRun, lo, hi int, down sink[U]) {
+			r.counts[i].op = op
+			st := &stage[T, U]{apply: apply, down: down, cnt: &r.counts[i]}
+			st.into, _ = down.(*collectSink[U])
+			s.push(r, lo, hi, st)
+		}}
+}
+
+// Where fuses a filter stage onto the stream. Filtering does not
+// amplify sensitivity (Table 1), so the agent is unchanged. A nil pred
+// passes every record: the stage keeps its place (and its row) in the
+// pipeline without a pass over the records — on a large source that
+// pass is a memory-bound read nothing else would overlap.
 func (s Stream[T]) Where(pred func(T) bool) Stream[T] {
-	if s.rec == nil && s.feed == nil {
-		if s.pred == nil {
-			s.pred = pred
-			return s
+	return fuse(s, "where", s.agent, func(in []T, buf *[]T) []T {
+		if pred == nil {
+			return in
 		}
-		prev := s.pred
-		s.pred = func(v T) bool { return prev(v) && pred(v) }
-		return s
-	}
-	k := &whereLink[T]{src: s, pred: pred}
-	if s.rec != nil {
-		k.st = &fusedStage{op: "where"}
-		s.stages = appendStage(s.stages, k.st)
-	}
-	s.feed = k
-	s.recs, s.pred = nil, nil
-	return s
+		i := 0
+		for i < len(in) && pred(in[i]) {
+			i++
+		}
+		if i == len(in) {
+			return in // nothing rejected: the chunk goes down as it came
+		}
+		out := slices.Grow((*buf)[:0], len(in))[:len(in)]
+		n := copy(out, in[:i]) // the passing prefix moves in one copy
+		for _, v := range in[i+1:] {
+			if pred(v) {
+				out[n] = v
+				n++
+			}
+		}
+		*buf = out[:n]
+		return out[:n]
+	})
 }
 
-// StreamSelect fuses a one-to-one mapping stage onto the stream,
-// yielding a stream of the mapped type. One stage link is allocated;
-// no records are. Sensitivity and agent are unchanged, exactly like
-// the materializing Select.
+// StreamSelect fuses a one-to-one mapping stage onto the stream.
+// One-to-one mappings do not amplify sensitivity.
 func StreamSelect[T, U any](s Stream[T], f func(T) U) Stream[U] {
-	out := Stream[U]{agent: s.agent, nsrc: s.nsrc, rec: s.rec, exec: s.exec, ctx: s.ctx, stages: s.stages}
-	k := &selectLink[T, U]{src: s, f: f}
-	if s.rec != nil {
-		k.st = &fusedStage{op: "select"}
-		out.stages = appendStage(s.stages, k.st)
-	}
-	out.feed = k
-	return out
+	return fuse(s, "select", s.agent, func(in []T, buf *[]U) []U {
+		out := slices.Grow((*buf)[:0], len(in))[:len(in)]
+		for i, v := range in {
+			out[i] = f(v)
+		}
+		*buf = out
+		return out
+	})
 }
 
 // StreamSelectMany fuses a flattening stage: f maps each record to a
-// slice, truncated to at most fanout outputs. Exactly like the
-// materializing SelectMany, one input record can influence up to
-// fanout output records, so the stream's agent is wrapped in the
-// same sensitivity scaling (the identical newScaleAgent call, so the
-// downstream ε arithmetic is bit-for-bit the same expression).
+// slice, truncated to at most fanout outputs. One input record can
+// influence up to fanout output records, so the stream's agent is
+// wrapped in the matching sensitivity scaling; fanout must be ≥ 1.
 func StreamSelectMany[T, U any](s Stream[T], fanout int, f func(T) []U) Stream[U] {
 	if fanout < 1 {
 		panic("core: SelectMany fanout must be >= 1")
 	}
-	out := Stream[U]{agent: newScaleAgent(s.agent, float64(fanout)), nsrc: s.nsrc, rec: s.rec, exec: s.exec, ctx: s.ctx, stages: s.stages}
-	k := &selectManyLink[T, U]{src: s, fanout: fanout, f: f}
+	return fuse(s, "selectmany", newScaleAgent(s.agent, float64(fanout)), func(in []T, buf *[]U) []U {
+		out := (*buf)[:0]
+		for _, v := range in {
+			mapped := f(v)
+			if len(mapped) > fanout {
+				mapped = mapped[:fanout]
+			}
+			out = append(out, mapped...)
+		}
+		*buf = out
+		return out
+	})
+}
+
+// scan runs the pipeline into sinks made by mk and returns them in
+// source order, or false when the context fired mid-scan and the sinks
+// are partial. split says where the source may be cut into
+// per-worker ranges: 0 for sinks that must see the whole output in
+// order (one sink, always), k ≥ 1 for sinks that combine exactly when
+// each range starts at a multiple of k source records — those get one
+// sink per worker once the source is large enough for ExecOptions.
+// mk receives its range's source record count as a sizing hint.
+//
+// On a recorded pipeline scan emits one OpDone per fused stage, in
+// pipeline order. The stages ran interleaved, so their rows carry zero
+// duration and the obs.FusedWorkers tag and the pass's wall time lands
+// on the aggregation's row — except under Materialize (mat), which has
+// no such row: there the last stage carries the wall time and the
+// worker count, so an eager single-operator transformation reports
+// exactly what it cost.
+func scan[T any, K sink[T]](s Stream[T], split int, mat bool, mk func(n int) K) ([]K, bool) {
+	start := opStart(s.rec)
+	if split == 0 {
+		split = max(s.n, 1)
+	}
+	units := (s.n + split - 1) / split // ranges are whole numbers of units
+	w := 1
+	if units > 1 && s.exec.active(s.n) {
+		w = s.exec.width(units)
+	}
+	cn := newCanceler(s.ctx)
+	parts := make([]K, w)
+	runs := make([]scanRun, w)
+	runWorkers(w, func(i int) {
+		lo, hi := chunk(units, w, i)
+		lo, hi = lo*split, min(hi*split, s.n)
+		parts[i] = mk(hi - lo)
+		runs[i] = scanRun{cn: cn, counts: make([]stageCount, s.depth)}
+		s.push(&runs[i], lo, hi, parts[i])
+	})
+	if cn.abandoned() {
+		return nil, false
+	}
+	workers := 0 // OpDone's tag for a sequential operator
+	if w > 1 {
+		parallelExecs.Add(1)
+		workers = w
+	}
 	if s.rec != nil {
-		k.st = &fusedStage{op: "selectmany"}
-		out.stages = appendStage(s.stages, k.st)
-	}
-	out.feed = k
-	return out
-}
-
-// whereLink is a fused filter stage. It is both the feeder of its
-// output stream and the sink its source pushes into — one object per
-// stage, which is what keeps fused chains at one alloc per stage.
-type whereLink[T any] struct {
-	src  Stream[T]
-	pred func(T) bool
-	st   *fusedStage
-	down sink[T]
-}
-
-func (k *whereLink[T]) feedInto(down sink[T]) {
-	k.down = down
-	k.src.feedSink(k)
-}
-
-func (k *whereLink[T]) accept(v T) {
-	if k.st != nil {
-		k.st.in++
-	}
-	if k.pred(v) {
-		if k.st != nil {
-			k.st.out++
-		}
-		k.down.accept(v)
-	}
-}
-
-// selectLink is a fused mapping stage (see whereLink).
-type selectLink[T, U any] struct {
-	src  Stream[T]
-	f    func(T) U
-	st   *fusedStage
-	down sink[U]
-}
-
-func (k *selectLink[T, U]) feedInto(down sink[U]) {
-	k.down = down
-	k.src.feedSink(k)
-}
-
-func (k *selectLink[T, U]) accept(v T) {
-	if k.st != nil {
-		k.st.in++
-		k.st.out++
-	}
-	k.down.accept(k.f(v))
-}
-
-// selectManyLink is a fused flattening stage (see whereLink). The
-// truncation order matches the materializing SelectMany: f's result
-// is cut to fanout, then emitted in order.
-type selectManyLink[T, U any] struct {
-	src    Stream[T]
-	fanout int
-	f      func(T) []U
-	st     *fusedStage
-	down   sink[U]
-}
-
-func (k *selectManyLink[T, U]) feedInto(down sink[U]) {
-	k.down = down
-	k.src.feedSink(k)
-}
-
-func (k *selectManyLink[T, U]) accept(v T) {
-	if k.st != nil {
-		k.st.in++
-	}
-	mapped := k.f(v)
-	if len(mapped) > k.fanout {
-		mapped = mapped[:k.fanout]
-	}
-	if k.st != nil {
-		k.st.out += len(mapped)
-	}
-	for _, u := range mapped {
-		k.down.accept(u)
-	}
-}
-
-// feedSink pushes the stream's records into down: derived streams
-// replay their chain, source streams loop the records (with the
-// folded predicate hoisted out of the loop).
-func (s *Stream[T]) feedSink(down sink[T]) {
-	if s.feed != nil {
-		s.feed.feedInto(down)
-		return
-	}
-	if s.pred == nil {
-		for _, r := range s.recs {
-			down.accept(r)
-		}
-		return
-	}
-	for _, r := range s.recs {
-		if s.pred(r) {
-			down.accept(r)
+		for st, c := range runs[0].counts {
+			for _, other := range runs[1:] {
+				c.in += other.counts[st].in
+				c.out += other.counts[st].out
+			}
+			if mat && st == s.depth-1 {
+				s.rec.OpDone(c.op, time.Since(start), c.in, c.out, workers)
+			} else {
+				s.rec.OpDone(c.op, 0, c.in, c.out, obs.FusedWorkers)
+			}
 		}
 	}
+	return parts, true
 }
 
-// consume runs the fused loop into down and, on recorded pipelines,
-// emits one OpDone per fused stage in pipeline order with the
-// obs.FusedWorkers sentinel. Per-stage durations are reported as
-// zero: the stages ran interleaved in one loop whose wall time the
-// aggregation row carries.
-func (s *Stream[T]) consume(down sink[T]) {
-	if s.rec == nil {
-		s.feedSink(down)
-		return
-	}
-	for _, st := range s.stages {
-		st.in, st.out = 0, 0
-	}
-	s.feedSink(down)
-	for _, st := range s.stages {
-		s.rec.OpDone(st.op, 0, st.in, st.out, obs.FusedWorkers)
-	}
-}
-
-// aggCtxErr mirrors Queryable.aggCtxErr for stream terminals.
-func (s *Stream[T]) aggCtxErr() error {
-	if err := ctxErr(s.ctx); err != nil {
-		return canceledErr(err)
-	}
-	return nil
-}
-
-// countSink tallies records.
-type countSink[T any] struct{ n int }
-
-func (k *countSink[T]) accept(T) { k.n++ }
-
-// sumSink accumulates clamped values in stream order — the same
-// float64 additions, in the same order, as the materializing
-// NoisySumScaled loop.
-type sumSink[T any] struct {
-	sum, bound float64
-	f          func(T) float64
-}
-
-func (k *sumSink[T]) accept(v T) { k.sum += clamp(k.f(v), k.bound) }
-
-// avgSink is sumSink plus the record count NoisyAverage divides by.
-type avgSink[T any] struct {
-	sum, bound float64
-	n          int
-	f          func(T) float64
-}
-
-func (k *avgSink[T]) accept(v T) {
-	k.n++
-	k.sum += clamp(k.f(v), k.bound)
-}
-
-// collectSink materializes the stream.
+// collectSink materializes a range of the pipeline's output.
 type collectSink[T any] struct{ out []T }
 
-func (k *collectSink[T]) accept(v T) { k.out = append(k.out, v) }
+func (k *collectSink[T]) acceptChunk(c []T) { k.out = append(k.out, c...) }
 
-// NoisyCount runs the fused pipeline once and returns the record
-// count perturbed with Laplace noise of scale 1/ε, charging ε exactly
-// like Queryable.NoisyCount: same validation order, same ctx-before-
-// Apply contract, same single noise draw.
-func (s Stream[T]) NoisyCount(epsilon float64) (v float64, err error) {
-	start := opStart(s.rec)
-	defer recoverAgg(s.rec, "count", start, epsilon, &v, &err)
-	if cerr := s.aggCtxErr(); cerr != nil {
-		aggDone(s.rec, "count", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(s.rec, "count", start, epsilon, err)
-		return 0, err
-	}
-	if err := s.agent.Apply(epsilon); err != nil {
-		aggDone(s.rec, "count", start, epsilon, err)
-		return 0, err
-	}
-	k := &countSink[T]{}
-	s.consume(k)
-	v = float64(k.n) + noise.LaplaceForEpsilon(s.nsrc, 1, epsilon)
-	aggDone(s.rec, "count", start, epsilon, nil)
-	return v, nil
+// tail returns the unused capacity behind the collected records, grown
+// to hold at least n more. A chunk built there is accepted in place:
+// the append above copies it onto itself.
+func (k *collectSink[T]) tail(n int) []T {
+	k.out = slices.Grow(k.out, n)
+	return k.out[len(k.out):len(k.out):cap(k.out)]
 }
 
-// NoisyCountInt is NoisyCount with the geometric (discrete Laplace)
-// mechanism, mirroring Queryable.NoisyCountInt.
-func (s Stream[T]) NoisyCountInt(epsilon float64) (v int64, err error) {
-	start := opStart(s.rec)
-	defer recoverAgg(s.rec, "countint", start, epsilon, &v, &err)
-	if cerr := s.aggCtxErr(); cerr != nil {
-		aggDone(s.rec, "countint", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(s.rec, "countint", start, epsilon, err)
-		return 0, err
-	}
-	if err := s.agent.Apply(epsilon); err != nil {
-		aggDone(s.rec, "countint", start, epsilon, err)
-		return 0, err
-	}
-	k := &countSink[T]{}
-	s.consume(k)
-	v = int64(k.n) + noise.Geometric(s.nsrc, 1, epsilon)
-	aggDone(s.rec, "countint", start, epsilon, nil)
-	return v, nil
-}
-
-// StreamNoisySum is the fused NoisySum: values clamped to [-1, 1],
-// summed in one pass, Laplace noise of scale 1/ε.
-func StreamNoisySum[T any](s Stream[T], epsilon float64, f func(T) float64) (float64, error) {
-	return StreamNoisySumScaled(s, epsilon, 1, f)
-}
-
-// StreamNoisySumScaled is the fused NoisySumScaled: one pass, byte-
-// identical result, noise draw, and ε-charge to the materializing
-// path on the same pipeline and noise-source state.
-func StreamNoisySumScaled[T any](s Stream[T], epsilon, bound float64, f func(T) float64) (v float64, err error) {
-	start := opStart(s.rec)
-	defer recoverAgg(s.rec, "sum", start, epsilon, &v, &err)
-	if cerr := s.aggCtxErr(); cerr != nil {
-		aggDone(s.rec, "sum", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(s.rec, "sum", start, epsilon, err)
-		return 0, err
-	}
-	if err := validBound(bound); err != nil {
-		aggDone(s.rec, "sum", start, epsilon, err)
-		return 0, err
-	}
-	if err := s.agent.Apply(epsilon); err != nil {
-		aggDone(s.rec, "sum", start, epsilon, err)
-		return 0, err
-	}
-	k := &sumSink[T]{bound: bound, f: f}
-	s.consume(k)
-	v = k.sum + noise.LaplaceForEpsilon(s.nsrc, bound, epsilon)
-	aggDone(s.rec, "sum", start, epsilon, nil)
-	return v, nil
-}
-
-// StreamNoisyAverage is the fused NoisyAverage (clamp to [-1, 1]).
-func StreamNoisyAverage[T any](s Stream[T], epsilon float64, f func(T) float64) (float64, error) {
-	return StreamNoisyAverageScaled(s, epsilon, 1, f)
-}
-
-// StreamNoisyAverageScaled is the fused NoisyAverageScaled: the count
-// and the clamped sum come from the same single pass, and the empty-
-// stream noise floor matches the materializing path.
-func StreamNoisyAverageScaled[T any](s Stream[T], epsilon, bound float64, f func(T) float64) (v float64, err error) {
-	start := opStart(s.rec)
-	defer recoverAgg(s.rec, "average", start, epsilon, &v, &err)
-	if cerr := s.aggCtxErr(); cerr != nil {
-		aggDone(s.rec, "average", start, epsilon, cerr)
-		return 0, cerr
-	}
-	if err := validEpsilon(epsilon); err != nil {
-		aggDone(s.rec, "average", start, epsilon, err)
-		return 0, err
-	}
-	if err := validBound(bound); err != nil {
-		aggDone(s.rec, "average", start, epsilon, err)
-		return 0, err
-	}
-	if err := s.agent.Apply(epsilon); err != nil {
-		aggDone(s.rec, "average", start, epsilon, err)
-		return 0, err
-	}
-	k := &avgSink[T]{bound: bound, f: f}
-	s.consume(k)
-	if k.n == 0 {
-		v = noise.LaplaceForEpsilon(s.nsrc, 2*bound, epsilon)
-		aggDone(s.rec, "average", start, epsilon, nil)
-		return v, nil
-	}
-	v = k.sum/float64(k.n) + noise.LaplaceForEpsilon(s.nsrc, 2*bound/float64(k.n), epsilon)
-	aggDone(s.rec, "average", start, epsilon, nil)
-	return v, nil
-}
-
-// Materialize runs the fused pipeline once and returns its records as
-// an ordinary Queryable — the escape hatch for continuing into
-// operators the streaming path does not fuse (GroupBy, Join,
-// Partition, the order-statistic aggregations). The result carries
-// the stream's agent, noise source, recorder, execution options, and
-// context, so the rest of the pipeline behaves as if it had been
-// built from materializing operators all along. On a cancelled
-// context it short-circuits to an empty Queryable, exactly like the
-// materializing transformations.
+// Materialize runs the pipeline once and returns its records as an
+// ordinary Queryable carrying the stream's agent, noise source,
+// recorder, execution options and context — how the eager Queryable
+// transformations execute, and the way from a fused chain into the
+// operators that need all records at once (GroupBy, Join, Distinct,
+// Partition). Each worker range collects into a buffer pre-sized to
+// its source range, as the eager operators always have. On a context
+// that is already cancelled, or fires mid-scan, the result is empty —
+// harmless, because the only way to observe it is an aggregation,
+// which will refuse.
 func (s Stream[T]) Materialize() *Queryable[T] {
-	out := &Queryable[T]{agent: s.agent, src: s.nsrc, rec: s.rec, exec: s.exec, ctx: s.ctx}
+	out := &Queryable[T]{records: []T{}, agent: s.agent, src: s.nsrc, rec: s.rec, exec: s.exec, ctx: s.ctx}
 	if ctxErr(s.ctx) != nil {
-		out.records = []T{}
 		return out
 	}
-	k := &collectSink[T]{out: make([]T, 0)}
-	s.consume(k)
-	out.records = k.out
-	return out
-}
-
-// validBound validates a clamp bound the way the materializing
-// aggregations do.
-func validBound(bound float64) error {
-	if bound <= 0 || math.IsNaN(bound) || math.IsInf(bound, 0) {
-		return ErrInvalidEpsilon
+	if s.depth == 0 {
+		out.records = s.recs
+		return out
 	}
-	return nil
+	parts, ok := scan(s, 1, true, func(n int) *collectSink[T] { return &collectSink[T]{out: make([]T, 0, n)} })
+	if !ok {
+		return out
+	}
+	if len(parts) == 1 {
+		out.records = parts[0].out
+		return out
+	}
+	chunks := make([][]T, len(parts))
+	for i, p := range parts {
+		chunks[i] = p.out
+	}
+	out.records = mergeChunks(chunks)
+	return out
 }

@@ -233,7 +233,7 @@ func TestWorkerPanicCrossesToEnvelope(t *testing.T) {
 		vals := make([]int, 100)
 		q, _ := core.NewQueryable(vals, math.Inf(1), noise.NewSeededSource(3, 4))
 		q = q.WithExecOptions(core.ExecOptions{Workers: 4, Threshold: 1})
-		core.WhereRecorded(q, func(int) bool { panic("worker bug") })
+		q.Where(func(int) bool { panic("worker bug") })
 	}
 
 	explode.Store(true)

@@ -649,7 +649,7 @@ func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset,
 		query: req.Query, epsilon: req.Epsilon, started: start,
 		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy, agent: agent,
 	}
-	resp, err := runQuery(q, req)
+	resp, err := RunPacketQuery(q, req)
 	if err != nil {
 		if errors.Is(err, core.ErrInternal) {
 			// A panic recovered at the aggregation boundary (the worker
@@ -700,139 +700,107 @@ func marshalJSON(v any) []byte {
 	return append(b, '\n')
 }
 
-// runQuery dispatches one packet-trace query. Most kinds filter and
-// derive through the materializing operators; the sketch-backed kinds
-// (lenquantile, srcfreq, distinctsrc) run the request filter through
-// the fused streaming path instead — same results and ε-charges, one
-// pass and no intermediate slices, visible as "fused" strategy rows in
-// the execution profile.
-func runQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryResponse, error) {
-	match := func(p trace.Packet) bool { return req.Filter.Match(&p) }
-
-	switch req.Query {
-	case "lenquantile":
-		fraction := req.Fraction
-		if fraction == 0 {
-			fraction = 0.5
-		}
-		st := q.Stream().Where(match)
-		v, err := core.StreamNoisyQuantile(st, req.Epsilon, fraction, req.SketchEps,
-			func(p trace.Packet) float64 { return float64(p.Len) })
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: []float64{v}}, nil
-
-	case "srcfreq":
-		if req.Key == "" {
-			return nil, fmt.Errorf(`srcfreq requires "key": the target source IP, e.g. "10.0.0.1"`)
-		}
-		st := q.Stream().Where(match)
-		v, err := core.StreamNoisyFrequency(st, req.Epsilon,
-			func(p trace.Packet) string { return p.SrcIP.String() }, req.Key)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: []float64{v}, NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
-
-	case "distinctsrc":
-		st := q.Stream().Where(match)
-		v, err := core.StreamNoisyDistinctSketch(st, req.Epsilon,
-			func(p trace.Packet) string { return p.SrcIP.String() })
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: []float64{v}, NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
+// RunPacketQuery executes one packet-trace query kind over q — the one
+// executor behind POST /v1/query, standing windows and dpquery's local
+// mode, covering exactly api.PacketQueryKinds(). Every kind starts from
+// the request filter as a fused stage, q.Stream().Where(match): the
+// record-wise kinds (count, medianlen and the sketch-backed three)
+// aggregate straight off the chunk loop without materializing a
+// filtered slice; hosts and the CDF kinds Materialize() once, in front
+// of the operator that needs all records (GroupBy, Partition).
+func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryResponse, error) {
+	var match func(trace.Packet) bool // nil without a filter: every packet passes, unread
+	if req.Filter != nil {
+		match = func(p trace.Packet) bool { return req.Filter.Match(&p) }
 	}
-
-	filtered := core.WhereRecorded(q, match)
+	filtered := q.Stream().Where(match)
+	length := func(p trace.Packet) float64 { return float64(p.Len) }
+	source := func(p trace.Packet) string { return p.SrcIP.String() }
+	// cdf wraps a CDF analysis' output; they all charge ε once.
+	cdf := func(buckets []int64, values []float64, err error) (*QueryResponse, error) {
+		if err != nil {
+			return nil, err
+		}
+		return &QueryResponse{Values: values, Buckets: buckets, NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
+	}
+	var (
+		v        float64
+		err      error
+		noiseStd = noise.LaplaceStd(req.Epsilon)
+	)
 	switch req.Query {
 	case "count":
-		v, err := filtered.NoisyCount(req.Epsilon)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: []float64{v}, NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
+		v, err = filtered.NoisyCount(req.Epsilon)
 
 	case "hosts":
-		minBytes := req.MinBytes
-		if minBytes <= 0 {
-			minBytes = 1024
-		}
-		grouped := core.GroupBy(filtered, func(p trace.Packet) trace.IPv4 { return p.SrcIP })
-		heavy := core.WhereRecorded(grouped, func(g core.Group[trace.IPv4, trace.Packet]) bool {
+		minBytes := orDefault(req.MinBytes, 1024)
+		grouped := core.GroupBy(filtered.Materialize(), func(p trace.Packet) trace.IPv4 { return p.SrcIP })
+		heavy := grouped.Stream().Where(func(g core.Group[trace.IPv4, trace.Packet]) bool {
 			total := 0
 			for _, p := range g.Items {
 				total += int(p.Len)
 			}
 			return total > minBytes
 		})
-		v, err := heavy.NoisyCount(req.Epsilon)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: []float64{v}, NoiseStd: 2 * noise.LaplaceStd(req.Epsilon)}, nil
+		v, err = heavy.NoisyCount(req.Epsilon)
+		noiseStd *= 2 // GroupBy doubles the sensitivity
 
 	case "lencdf":
-		step := req.BucketStep
-		if step <= 0 {
-			step = 16
-		}
-		buckets := packetdist.LengthBuckets(step)
-		values, err := packetdist.PrivateLengthCDF(filtered, req.Epsilon, buckets)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: values, Buckets: buckets, NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
+		buckets := packetdist.LengthBuckets(orDefault(req.BucketStep, 16))
+		values, err := packetdist.PrivateLengthCDF(filtered.Materialize(), req.Epsilon, buckets)
+		return cdf(buckets, values, err)
 
 	case "portcdf":
-		step := req.BucketStep
-		if step <= 0 {
-			step = 1024
-		}
-		buckets := packetdist.PortBuckets(step)
-		values, err := packetdist.PrivatePortCDF(filtered, req.Epsilon, buckets)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: values, Buckets: buckets, NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
-
-	case "medianlen":
-		v, err := core.NoisyMedian(filtered, req.Epsilon, func(p trace.Packet) float64 { return float64(p.Len) })
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: []float64{v}}, nil
+		buckets := packetdist.PortBuckets(orDefault(req.BucketStep, 1024))
+		values, err := packetdist.PrivatePortCDF(filtered.Materialize(), req.Epsilon, buckets)
+		return cdf(buckets, values, err)
 
 	case "rttcdf":
-		step := req.BucketStep
-		if step <= 0 {
-			step = 10 // ms
-		}
-		buckets := toolkit.LinearBuckets(0, step, 64)
-		values, err := flowstats.PrivateRTTCDF(filtered, req.Epsilon, buckets)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: values, Buckets: buckets,
-			NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
+		buckets := toolkit.LinearBuckets(0, orDefault(req.BucketStep, 10), 64) // ms
+		values, err := flowstats.PrivateRTTCDF(filtered.Materialize(), req.Epsilon, buckets)
+		return cdf(buckets, values, err)
 
 	case "losscdf":
-		step := req.BucketStep
-		if step <= 0 {
-			step = 25 // permille
+		buckets := toolkit.LinearBuckets(0, orDefault(req.BucketStep, 25), 41) // permille
+		values, err := flowstats.PrivateLossCDF(filtered.Materialize(), req.Epsilon, 10, buckets)
+		return cdf(buckets, values, err)
+
+	case "medianlen":
+		v, err = core.NoisyMedian(filtered, req.Epsilon, length)
+		noiseStd = 0 // exponential mechanism: no additive noise scale
+
+	case "lenquantile":
+		fraction := req.Fraction
+		if fraction == 0 {
+			fraction = 0.5
 		}
-		buckets := toolkit.LinearBuckets(0, step, 41)
-		values, err := flowstats.PrivateLossCDF(filtered, req.Epsilon, 10, buckets)
-		if err != nil {
-			return nil, err
+		v, err = core.NoisyQuantile(filtered, req.Epsilon, fraction, req.SketchEps, length)
+		noiseStd = 0
+
+	case "srcfreq":
+		if req.Key == "" {
+			return nil, fmt.Errorf(`srcfreq requires "key": the target source IP, e.g. "10.0.0.1"`)
 		}
-		return &QueryResponse{Values: values, Buckets: buckets,
-			NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
+		v, err = core.NoisyFrequency(filtered, req.Epsilon, source, req.Key)
+
+	case "distinctsrc":
+		v, err = core.NoisyDistinctSketch(filtered, req.Epsilon, source)
 
 	default:
 		return nil, fmt.Errorf("unknown query %q (%s)", req.Query, api.PacketQueryKindList())
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &QueryResponse{Values: []float64{v}, NoiseStd: noiseStd}, nil
+}
+
+// orDefault is v, or def when the request left the field unset.
+func orDefault[N int | int64](v, def N) N {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

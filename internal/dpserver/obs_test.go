@@ -122,10 +122,11 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		`dpserver_requests_total{code="400",endpoint="/query"} 1`,
 		// Latency histogram saw all four requests.
 		`dpserver_request_seconds_count{endpoint="/query"} 4`,
-		// Per-operator engine timings: every query runs the filter
-		// Where (4 of them, the bogus query included), hosts adds
-		// GroupBy plus the heaviness Where.
-		`dp_op_duration_seconds_count{op="where"} 5`,
+		// Per-operator engine rows: the filter is a fused stage, so it
+		// runs only under a scan — the two ok queries, not the refused
+		// or the bogus one — and hosts adds GroupBy plus the heaviness
+		// Where.
+		`dp_op_duration_seconds_count{op="where"} 3`,
 		`dp_op_duration_seconds_count{op="groupby"} 1`,
 		// Aggregation outcomes: count ok twice, refused once.
 		`dp_agg_total{agg="count",outcome="ok"} 2`,
@@ -137,7 +138,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		}
 	}
 	// Histogram families render cumulative le buckets.
-	if !strings.Contains(text, `dp_op_duration_seconds_bucket{op="where",le="+Inf"} 5`) {
+	if !strings.Contains(text, `dp_op_duration_seconds_bucket{op="where",le="+Inf"} 3`) {
 		t.Errorf("scrape missing the +Inf where bucket")
 	}
 	// Records-in/out counters exist for the instrumented operators.
@@ -189,7 +190,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		`dpserver_requests_total{code="200",endpoint="/query"} 3`,
 		`dp_agg_total{agg="count",outcome="ok"} 3`,
-		`dp_op_duration_seconds_count{op="where"} 6`,
+		`dp_op_duration_seconds_count{op="where"} 4`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("after extra query, scrape missing %q", want)

@@ -106,8 +106,7 @@ func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, 
 	if s.ledger == nil {
 		return nil
 	}
-	state := s.ledger.State()
-	if ds, ok := state.Datasets[name]; ok {
+	if ds, ok := s.ledger.Dataset(name); ok {
 		if ds.Kind != kind ||
 			ds.Total != ledger.EncodeBudget(totalBudget) ||
 			ds.PerAnalyst != ledger.EncodeBudget(perAnalystBudget) {

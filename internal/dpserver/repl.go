@@ -305,7 +305,7 @@ func (s *Server) applyReplicated(ev ledger.Event) {
 // Unhosted datasets are skipped — their state lives in the ledger and
 // warms at registration.
 func (s *Server) warmPolicy(name string) {
-	ds, ok := s.ledger.State().Datasets[name]
+	ds, ok := s.ledger.Dataset(name)
 	if !ok {
 		return
 	}

@@ -28,7 +28,7 @@ import (
 // The budget invariants:
 //
 //   - ε-parity with one-shot queries: a window executes through the
-//     same runQuery dispatch, over a frozen snapshot slice of the
+//     same RunPacketQuery dispatch, over a frozen snapshot slice of the
 //     dataset, drawing from the same noise source — its noise draws
 //     and ε-charges are byte-identical to an equivalent one-shot query
 //     over the same records at the same point in the draw sequence.
@@ -174,7 +174,7 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 		}
 		qry := core.NewQueryableFor(snap[w.Start:w.End], core.Agent(agent), s.src).
 			WithExecOptions(s.execFor(d))
-		resp, err := runQuery(qry, standingQueryRequest(&spec))
+		resp, err := RunPacketQuery(qry, standingQueryRequest(&spec))
 		res.Charged = agent.charged()
 		wire.Charged = res.Charged
 		wire.Spent = spent + res.Charged

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -474,8 +475,23 @@ func decodeSnapshotState(ev *Event, auditCap int) (*State, error) {
 
 // State returns the ledger's folded state. Read it during startup
 // restoration, before concurrent Appends begin: the same object is
-// updated in place by Append.
+// updated in place by Append. Code that can run beside appends — a
+// follower's replicated stream never stops — reads through Dataset.
 func (l *Ledger) State() *State { return l.state }
+
+// Dataset returns a copy of one dataset's folded state, taken under
+// the ledger lock, so it is safe beside concurrent appends.
+func (l *Ledger) Dataset(name string) (DatasetState, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ds, ok := l.state.Datasets[name]
+	if !ok {
+		return DatasetState{}, false
+	}
+	out := *ds
+	out.Spent = maps.Clone(ds.Spent)
+	return out, true
+}
 
 // Recovery reports what Open reconstructed.
 func (l *Ledger) Recovery() Recovery { return l.rec }
