@@ -57,32 +57,39 @@ bench-server-diff:
 # Paired runs of the repository benchmark (BENCHMARK.json) against an
 # earlier revision — the routine every perf claim rests on: build
 # ./bench at BASE (in a throwaway git worktree) and at the working
-# tree, run the two alternately N times with the driver's flags (the
-# side that goes first alternates too), and print per-metric medians,
-# quartiles and pairs won. A gain counts when the head wins at least
-# nine pairs in ten and the medians differ by more than the distance
-# between the base's quartiles. ~75 s per pair.
-#   make bench-pair BASE=HEAD~1 [WORKLOAD=spend-small] [N=10] [SEED=1]
+# tree, once, and for each workload in WORKLOAD run the two alternately
+# N times with the driver's flags (the side that goes first alternates
+# too) and print per-metric medians, quartiles and pairs won — one table
+# per workload. A gain counts when the head wins at least nine pairs in
+# ten and the medians differ by more than the distance between the
+# base's quartiles; a row whose base quartiles are further apart than
+# the metric's bound reads "unresolved". ~75 s per pair and workload.
+#   make bench-pair BASE=HEAD~1 [WORKLOAD="scan-large spend-small mixed-live"] [N=10] [SEED=1]
 WORKLOAD ?= spend-small
 N ?= 10
 SEED ?= 1
 PAIR := .bench_build/pair
 bench-pair:
-	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=spend-small] [N=10] [SEED=1]"; exit 64; }
+	@test -n "$(BASE)" || { echo 'usage: make bench-pair BASE=<rev> [WORKLOAD="spend-small ..."] [N=10] [SEED=1]'; exit 64; }
 	rm -rf $(PAIR) && git worktree prune && mkdir -p $(PAIR)
 	git worktree add --detach $(PAIR)/base $(BASE)
 	cd $(PAIR)/base && go build -o ../base.bin ./bench
 	go build -o $(PAIR)/head.bin ./bench
-	@i=1; while [ $$i -le $(N) ]; do \
-		order="base head"; [ $$((i % 2)) -eq 0 ] && order="head base"; \
-		for side in $$order; do \
-			dir=.; [ $$side = base ] && dir=$(PAIR)/base; \
-			echo "pair $$i/$(N): $$side"; \
-			(cd $$dir && $(CURDIR)/$(PAIR)/$$side.bin -workload $(WORKLOAD) -seed $(SEED) -seconds 30 -trace 0 | tail -n 1) >> $(PAIR)/$$side.jsonl || exit 1; \
-		done; i=$$((i + 1)); \
+	@for w in $(WORKLOAD); do \
+		i=1; while [ $$i -le $(N) ]; do \
+			order="base head"; [ $$((i % 2)) -eq 0 ] && order="head base"; \
+			for side in $$order; do \
+				dir=.; [ $$side = base ] && dir=$(PAIR)/base; \
+				echo "$$w pair $$i/$(N): $$side"; \
+				(cd $$dir && $(CURDIR)/$(PAIR)/$$side.bin -workload $$w -seed $(SEED) -seconds 30 -trace 0 | tail -n 1) >> $(PAIR)/$$side.$$w.jsonl || exit 1; \
+			done; i=$$((i + 1)); \
+		done; \
 	done
 	git worktree remove --force $(PAIR)/base
-	go run ./cmd/benchjson -pairs $(PAIR)/base.jsonl $(PAIR)/head.jsonl
+	@for w in $(WORKLOAD); do \
+		echo "== $$w"; \
+		go run ./cmd/benchjson -pairs $(PAIR)/base.$$w.jsonl $(PAIR)/head.$$w.jsonl || exit 1; \
+	done
 
 # The original whole-repo benchmark sweep.
 bench-all:

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -12,7 +14,11 @@ import (
 // `make bench-pair`: each file holds the last-line JSON object of N
 // runs of `go run ./bench -workload W ...`, run i of one file paired
 // with run i of the other. Per end-to-end metric it prints each side's
-// median and quartiles and how many pairs the head won.
+// median and quartiles and how many pairs the head won, and marks a row
+// "unresolved" when the base's own runs spread — the distance between
+// their quartiles, over their median — by more than the metric's
+// BENCHMARK.json bound: such a row cannot say the metric held (unless
+// every head run beat every base run).
 
 type benchRun struct {
 	Correct bool                               `json:"correct"`
@@ -51,6 +57,15 @@ func quartiles(vs []float64) (q [3]float64) {
 	return q
 }
 
+// allBetter reports whether every head run reads better than every base
+// run.
+func allBetter(base, head []float64, higher bool) bool {
+	if higher {
+		return slices.Min(head) > slices.Max(base)
+	}
+	return slices.Max(head) < slices.Min(base)
+}
+
 func comparePairs(basePath, headPath string) error {
 	base, err := readRuns(basePath)
 	if err != nil {
@@ -63,16 +78,20 @@ func comparePairs(basePath, headPath string) error {
 	if len(base) != len(head) {
 		return fmt.Errorf("%d base runs, %d head runs: pairs need one of each", len(base), len(head))
 	}
-	// BENCHMARK.json says which way each metric is better (default lower).
+	// BENCHMARK.json says which way each metric is better (default lower)
+	// and by how much it may worsen.
 	var decl struct {
-		EndToEnd []struct{ Name, Better string } `json:"end_to_end"`
+		EndToEnd []struct {
+			Name, Better string
+			Bound        float64
+		} `json:"end_to_end"`
 	}
 	if raw, err := os.ReadFile("BENCHMARK.json"); err == nil {
-		_ = json.Unmarshal(raw, &decl) // undeclared metrics just read as lower-is-better
+		_ = json.Unmarshal(raw, &decl) // undeclared metrics just read as lower-is-better, unbounded
 	}
-	higher := map[string]bool{}
+	higher, bound := map[string]bool{}, map[string]float64{}
 	for _, m := range decl.EndToEnd {
-		higher[m.Name] = m.Better == "higher"
+		higher[m.Name], bound[m.Name] = m.Better == "higher", m.Bound
 	}
 	var names []string
 	for name := range head[0].Metrics {
@@ -94,8 +113,12 @@ func comparePairs(basePath, headPath string) error {
 			}
 		}
 		bq, hq := quartiles(b), quartiles(h)
-		fmt.Printf("  %-22s %10.4g [%.4g, %.4g] → %10.4g [%.4g, %.4g] %+6.1f%%  won %d lost %d\n",
-			name, bq[1], bq[0], bq[2], hq[1], hq[0], hq[2], 100*frac(hq[1], bq[1]), won, lost)
+		verdict := ""
+		if spread := (bq[2] - bq[0]) / math.Abs(bq[1]); bound[name] > 0 && spread > bound[name] && !allBetter(b, h, higher[name]) {
+			verdict = fmt.Sprintf("  unresolved: base spread %.0f%% > bound %.0f%%", 100*spread, 100*bound[name])
+		}
+		fmt.Printf("  %-22s %10.4g [%.4g, %.4g] → %10.4g [%.4g, %.4g] %+6.1f%%  won %d lost %d%s\n",
+			name, bq[1], bq[0], bq[2], hq[1], hq[0], hq[2], 100*frac(hq[1], bq[1]), won, lost, verdict)
 	}
 	for i, runs := range [][]benchRun{base, head} {
 		failed, incorrect := 0, 0

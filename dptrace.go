@@ -29,9 +29,14 @@
 //	count, err := heavy.NoisyCount(0.1) // ≈ true count ± Laplace noise
 //	_ = budget.Spent()                  // 0.2: GroupBy doubles sensitivity
 //
+// (When all a pipeline wants from a group is something it can
+// accumulate — here a byte total — GroupFold does the same at the same
+// cost without storing the group.)
+//
 // The privacy accounting follows the paper's Table 1: Where, Select,
 // Distinct, Join, Concat and Intersect do not amplify sensitivity;
-// GroupBy doubles it; Partition charges the maximum over its parts.
+// GroupBy (and GroupFold) doubles it; Partition charges the maximum
+// over its parts.
 package dptrace
 
 import (
@@ -47,6 +52,8 @@ type (
 	Queryable[T any] = core.Queryable[T]
 	// Group is one GroupBy output record.
 	Group[K comparable, T any] = core.Group[K, T]
+	// Folded is one GroupFold output record.
+	Folded[K comparable, A any] = core.Folded[K, A]
 	// RootAgent tracks a dataset's cumulative privacy expenditure.
 	RootAgent = core.RootAgent
 	// Source yields the uniform randomness behind the noise
@@ -124,6 +131,13 @@ func Distinct[T any, K comparable](q *Queryable[T], key func(T) K) *Queryable[T]
 // GroupBy groups records by key, doubling sensitivity (Table 1).
 func GroupBy[T any, K comparable](q *Queryable[T], key func(T) K) *Queryable[Group[K, T]] {
 	return core.GroupBy(q, key)
+}
+
+// GroupFold is GroupBy with each group reduced in place: fold runs over
+// a key's records in order, from A's zero value, and only the
+// accumulator is kept. Same doubled sensitivity, no group stored.
+func GroupFold[T any, K comparable, A any](q *Queryable[T], key func(T) K, fold func(A, T) A) *Queryable[Folded[K, A]] {
+	return core.GroupFold(q, key, fold)
 }
 
 // Join is PINQ's bounded join: both inputs grouped by key and zipped,

@@ -60,6 +60,28 @@ func ExampleGroupBy() {
 	// grouped count cost 0.6
 }
 
+// ExampleGroupFold counts the keys whose records add up to more than a
+// threshold without ever storing a group: GroupBy's ×2, one accumulator
+// per key.
+func ExampleGroupFold() {
+	type sale struct {
+		shop   string
+		amount int
+	}
+	sales := []sale{{"a", 30}, {"b", 5}, {"a", 40}, {"c", 90}, {"b", 10}, {"c", 20}}
+	q, budget := dptrace.NewQueryable(sales, 1.0, dptrace.NewSeededSource(5, 5))
+	totals := dptrace.GroupFold(q,
+		func(s sale) string { return s.shop },
+		func(total int, s sale) int { return total + s.amount })
+	big := totals.Where(func(t dptrace.Folded[string, int]) bool { return t.Value > 50 })
+	if _, err := big.NoisyCount(0.2); err != nil {
+		fmt.Println("error:", err)
+	}
+	fmt.Printf("shops over 50 counted at cost %.1f\n", budget.Spent())
+	// Output:
+	// shops over 50 counted at cost 0.4
+}
+
 // ExampleCDF2 measures a whole distribution for one ε.
 func ExampleCDF2() {
 	values := make([]int64, 0, 900)

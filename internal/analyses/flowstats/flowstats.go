@@ -11,6 +11,7 @@
 package flowstats
 
 import (
+	"math"
 	"sort"
 
 	"dptrace/internal/core"
@@ -127,6 +128,13 @@ type retxKey struct {
 	seq  uint32
 }
 
+// transmissions is what RetransmitDelaysMs keeps of one (flow, seq)
+// group: how many packets carried it and the two earliest times.
+type transmissions struct {
+	n             int
+	first, second int64
+}
+
 // RetransmitDelaysMs derives, behind the curtain, the time difference
 // in milliseconds between each packet and its retransmission — the
 // quantity Figure 1 builds its CDFs over. First transmissions join
@@ -134,28 +142,29 @@ type retxKey struct {
 // first transmission with one retransmission.
 func RetransmitDelaysMs(q *core.Queryable[trace.Packet]) *core.Queryable[int64] {
 	data := dataPackets(q)
-	// Within each (flow, seq) group, split first packet vs rest using
-	// GroupBy, then measure last-first. Groups with one packet (no
-	// retransmission) yield no sample; the Where drops them.
-	groups := core.GroupBy(data, func(p trace.Packet) retxKey {
-		return retxKey{flow: p.Flow(), seq: p.Seq}
-	})
-	dup := groups.Where(func(g core.Group[retxKey, trace.Packet]) bool {
-		return len(g.Items) >= 2
-	})
-	return core.Select(dup, func(g core.Group[retxKey, trace.Packet]) int64 {
-		const maxInt64 = int64(^uint64(0) >> 1)
-		first, second := maxInt64, maxInt64
-		for _, p := range g.Items {
-			switch {
-			case p.Time < first:
-				second = first
-				first = p.Time
-			case p.Time < second:
-				second = p.Time
+	// Keys are almost all distinct (a retransmission is the exception),
+	// and all a sample needs from a (flow, seq) group is its size and its
+	// two earliest timestamps: fold those instead of storing the group.
+	// Groups with one packet (no retransmission) yield no sample; the
+	// Where drops them.
+	groups := core.GroupFold(data,
+		func(p trace.Packet) retxKey { return retxKey{flow: p.Flow(), seq: p.Seq} },
+		func(t transmissions, p trace.Packet) transmissions {
+			if t.n == 0 {
+				t.first, t.second = math.MaxInt64, math.MaxInt64
 			}
-		}
-		return (second - first) / 1000
+			t.n++
+			switch {
+			case p.Time < t.first:
+				t.first, t.second = p.Time, t.first
+			case p.Time < t.second:
+				t.second = p.Time
+			}
+			return t
+		})
+	dup := groups.Where(func(g core.Folded[retxKey, transmissions]) bool { return g.Value.n >= 2 })
+	return core.Select(dup, func(g core.Folded[retxKey, transmissions]) int64 {
+		return (g.Value.second - g.Value.first) / 1000
 	})
 }
 

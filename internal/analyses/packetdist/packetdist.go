@@ -26,14 +26,15 @@ func PortBuckets(step int64) []int64 {
 }
 
 // PrivateLengthCDF measures the packet-length CDF at privacy level
-// epsilon (total — CDF2's cost is resolution-independent).
-func PrivateLengthCDF(q *core.Queryable[trace.Packet], epsilon float64, buckets []int64) ([]float64, error) {
+// epsilon (total — CDF2's cost is resolution-independent). q is either
+// handle on the packets.
+func PrivateLengthCDF(q core.Streamer[trace.Packet], epsilon float64, buckets []int64) ([]float64, error) {
 	return toolkit.CDF2(q, epsilon, func(p trace.Packet) int64 { return int64(p.Len) }, buckets)
 }
 
 // PrivatePortCDF measures the destination-port CDF at privacy level
 // epsilon.
-func PrivatePortCDF(q *core.Queryable[trace.Packet], epsilon float64, buckets []int64) ([]float64, error) {
+func PrivatePortCDF(q core.Streamer[trace.Packet], epsilon float64, buckets []int64) ([]float64, error) {
 	return toolkit.CDF2(q, epsilon, func(p trace.Packet) int64 { return int64(p.DstPort) }, buckets)
 }
 

@@ -99,13 +99,14 @@ type countSink[T any] struct{ n int }
 
 func (k *countSink[T]) acceptChunk(c []T) { k.n += len(c) }
 
-// count returns the pipeline's output record count; a bare source
-// knows it without a scan.
+// count returns the pipeline's output record count; a bare source —
+// a slice, or a Partition part, gathered or not — knows it without a
+// scan.
 func (s *Stream[T]) count() (int, bool) {
 	if s.depth == 0 {
-		return len(s.recs), true
+		return s.n, true
 	}
-	parts, ok := scan(*s, 0, false, func(int) *countSink[T] { return &countSink[T]{} })
+	parts, ok := scan(*s, 0, false, func(_, _ int) *countSink[T] { return &countSink[T]{} })
 	if !ok {
 		return 0, false
 	}
@@ -159,8 +160,8 @@ type sumSink[T any] struct {
 
 func (k *sumSink[T]) acceptChunk(c []T) {
 	sum := k.sum
-	for _, v := range c {
-		sum += clamp(k.f(v), k.bound)
+	for j := range c {
+		sum += clamp(k.f(c[j]), k.bound)
 	}
 	k.sum = sum
 	k.n += len(c)
@@ -168,7 +169,7 @@ func (k *sumSink[T]) acceptChunk(c []T) {
 
 // clampedSum scans src into a sumSink.
 func clampedSum[T any](s *Stream[T], bound float64, f func(T) float64) (*sumSink[T], bool) {
-	parts, ok := scan(*s, 0, false, func(int) *sumSink[T] { return &sumSink[T]{f: f, bound: bound} })
+	parts, ok := scan(*s, 0, false, func(_, _ int) *sumSink[T] { return &sumSink[T]{f: f, bound: bound} })
 	if !ok {
 		return nil, false
 	}
@@ -234,8 +235,8 @@ type valuesSink[T any] struct {
 }
 
 func (k *valuesSink[T]) acceptChunk(c []T) {
-	for _, v := range c {
-		k.vals = append(k.vals, k.f(v))
+	for j := range c {
+		k.vals = append(k.vals, k.f(c[j]))
 	}
 }
 
@@ -245,7 +246,7 @@ func (k *valuesSink[T]) acceptChunk(c []T) {
 // shifts every run boundary by at most one, so rank-based scores have
 // sensitivity 1. An empty pipeline yields 0 and draws no noise.
 func chooseByRank[T any](s *Stream[T], epsilon float64, f func(T) float64, score func(i, j, n int) float64) (float64, bool) {
-	parts, ok := scan(*s, 0, false, func(n int) *valuesSink[T] { return &valuesSink[T]{f: f, vals: make([]float64, 0, n)} })
+	parts, ok := scan(*s, 0, false, func(_, n int) *valuesSink[T] { return &valuesSink[T]{f: f, vals: make([]float64, 0, n)} })
 	if !ok {
 		return 0, false
 	}

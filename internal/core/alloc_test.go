@@ -155,3 +155,34 @@ func TestAllocEagerWhere(t *testing.T) {
 			extra[0], allocSizes[0], extra[1], allocSizes[1], overhead)
 	}
 }
+
+// TestAllocGroupFold: folding by key holds one accumulator per key and
+// nothing per record, so over a fixed key set its heap use is the same
+// at any record count.
+func TestAllocGroupFold(t *testing.T) {
+	scanIsConstant(t, "GroupFold over 64 keys", 16<<10, func(q *Queryable[int]) {
+		_ = GroupFold(q, func(x int) int { return x % 64 }, func(sum, x int) int { return sum + x })
+	})
+}
+
+// TestAllocPartitionCounts: Partition followed by a NoisyCount of every
+// part — a CDF — allocates the index pass's 4 bytes per record plus a
+// handful of small objects per key, and no arena (8 more bytes per
+// record here): counting the parts copies no record.
+func TestAllocPartitionCounts(t *testing.T) {
+	skipUnderRace(t)
+	keys := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	for _, n := range allocSizes {
+		q := allocQueryable(t, n)
+		_, bytes := measure(func() {
+			for _, p := range Partition(q, keys, func(x int) int { return x % 16 }) {
+				if _, err := p.NoisyCount(1.0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if perKey := (bytes - float64(4*n)) / float64(len(keys)); perKey > 512 {
+			t.Fatalf("Partition + a count per part allocates %.0f B at n=%d: %.0f B per key beyond 4 B per record, want ≤ 512", bytes, n, perKey)
+		}
+	}
+}

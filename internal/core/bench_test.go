@@ -95,6 +95,17 @@ func BenchmarkGroupBy1MParallel(b *testing.B) {
 	reportRecords(b, benchRecords)
 }
 
+// BenchmarkGroupFold1M is BenchmarkGroupBy1M's grouping with each group
+// reduced in place: one accumulator per key, no index pass, no arena.
+func BenchmarkGroupFold1M(b *testing.B) {
+	q := benchQueryable(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = GroupFold(q, func(x int) int { return x % 1024 }, func(sum, x int) int { return sum + x })
+	}
+	reportRecords(b, benchRecords)
+}
+
 func BenchmarkDistinct1M(b *testing.B) {
 	q := benchQueryable(b)
 	b.ResetTimer()
@@ -137,6 +148,24 @@ func BenchmarkPartition1MParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Partition(q, keys, func(x int) int { return x % 256 })
+	}
+	reportRecords(b, benchRecords)
+}
+
+// BenchmarkPartitionCount1M is what a CDF does with a Partition: count
+// every part, scan none. The parts know their sizes from the index pass,
+// so no record is gathered. (BenchmarkPartition1M stops after the index
+// pass too — nothing asks its parts for records.)
+func BenchmarkPartitionCount1M(b *testing.B) {
+	q := benchQueryable(b)
+	keys := benchPartitionKeys()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range Partition(q, keys, func(x int) int { return x % 256 }) {
+			if _, err := p.NoisyCount(1.0); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 	reportRecords(b, benchRecords)
 }

@@ -25,8 +25,8 @@ import (
 //
 // Check placement: every operator checks once at entry; the chunk loop
 // (stream.go) polls between chunks, which covers every record-wise scan
-// on any worker count; the keyed strategies poll their canceler every
-// cancelStride records.
+// and every keyed pass on any worker count; the sharded join strategies
+// poll their canceler every cancelStride records.
 
 // ErrCanceled is returned by aggregations whose context was cancelled
 // or past its deadline. It always wraps the context's own error, so
@@ -37,7 +37,7 @@ import (
 // which).
 var ErrCanceled = errors.New("core: query canceled")
 
-// cancelStride is how many records a keyed-strategy worker processes
+// cancelStride is how many records a sharded-join worker processes
 // between context checks: large enough that the mask-and-compare is
 // noise next to the per-record work, small enough that cancellation
 // lands within microseconds on commodity cores.
@@ -82,7 +82,7 @@ func combineCtx(a, b context.Context) context.Context {
 }
 
 // canceler coordinates cooperative cancellation across workers. A
-// keyed-strategy worker polls once per record with its loop index; the
+// sharded-join worker polls once per record with its loop index; the
 // context itself is consulted only at cancelStride boundaries, and in
 // between workers observe each other's verdict through a shared flag,
 // so the per-record cost is a nil check and a mask compare. The chunk

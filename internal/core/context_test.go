@@ -201,6 +201,93 @@ func TestCancelMidScan(t *testing.T) {
 	}
 }
 
+// TestCancelMidKeyedPass: the keyed operators' passes are scans of the
+// same loop, so the context stops them within a chunk per worker too —
+// with one worker as with four. An
+// abandoned pass of a transformation yields the empty result the
+// pre-cancelled path returns, and the aggregation behind it refuses at
+// zero ε. A Partition's deferred gather belongs to the aggregation that
+// scans a part, which has charged: ErrCanceled with the charge
+// standing — and the partition as it was, for a later scan under a live
+// context to gather.
+func TestCancelMidKeyedPass(t *testing.T) {
+	n := DefaultParallelThreshold * 2
+	records := make([]float64, n)
+	for i := range records {
+		records[i] = float64(i % 8)
+	}
+	keys := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	group := func(v float64) int { return int(v) }
+	share := func(v float64) float64 { return v / 8 }
+	for _, workers := range []int{1, 4} {
+		for _, op := range []string{"GroupBy", "GroupFold", "Distinct", "Partition", "gather"} {
+			label := fmt.Sprintf("%s workers=%d", op, workers)
+			q, root := NewQueryable(records, 1.0, noise.NewSeededSource(11, 12))
+			ctx, cancel := context.WithCancel(context.Background())
+			q = q.WithContext(ctx).WithParallelism(workers)
+
+			var seen atomic.Int64
+			fireAt := int64(n / 4)
+			tick := func() {
+				if seen.Add(1) == fireAt {
+					cancel()
+				}
+			}
+			key := func(v float64) int { tick(); return group(v) }
+			var (
+				kept      int // records the abandoned transformation handed on
+				count     func(eps float64) (float64, error)
+				wantSpent float64
+				part      *Queryable[float64]
+			)
+			switch op {
+			case "GroupBy":
+				g := GroupBy(q, key)
+				kept, count = len(g.records), g.NoisyCount
+			case "GroupFold":
+				g := GroupFold(q, key, func(acc, v float64) float64 { return acc + v })
+				kept, count = len(g.records), g.NoisyCount
+			case "Distinct":
+				d := Distinct(q, key)
+				kept, count = len(d.records), d.NoisyCount
+			case "Partition":
+				parts := Partition(q, keys, key)
+				for _, p := range parts {
+					kept += p.Stream().n
+				}
+				count = parts[1].NoisyCount
+			case "gather":
+				// The index pass sees every record; the context fires a
+				// quarter of the way into the pass that gathers them.
+				fireAt = int64(n + n/4)
+				st := q.Stream().Where(func(float64) bool { tick(); return true })
+				part = Partition(st, keys, group)[1]
+				count = func(eps float64) (float64, error) { return NoisySum(part, eps, share) }
+				wantSpent = 0.5
+			}
+			if kept != 0 {
+				t.Errorf("%s: abandoned pass kept %d records", label, kept)
+			}
+			_, err := count(0.5)
+			cancel()
+			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: err = %v, want ErrCanceled wrapping context.Canceled", label, err)
+			}
+			if got := root.Spent(); got != wantSpent {
+				t.Errorf("%s: ε = %v, want %v", label, got, wantSpent)
+			}
+			if got, limit := seen.Load(), fireAt+int64(workers*chunkSize); got > limit {
+				t.Errorf("%s: pass ran on for %d records after the context fired at %d (limit %d)", label, got-fireAt, fireAt, limit)
+			}
+			if part != nil {
+				if got := part.WithContext(context.Background()).Where(func(float64) bool { return true }).records; len(got) != n/8 {
+					t.Errorf("%s: after the abandoned gather the part holds %d records under a live context, want %d", label, len(got), n/8)
+				}
+			}
+		}
+	}
+}
+
 // TestCancelMidScanOrderedSink: the aggregations that fold in order
 // (one sink, never split across workers) stop the same way.
 func TestCancelMidScanOrderedSink(t *testing.T) {

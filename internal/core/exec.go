@@ -10,12 +10,12 @@ import (
 
 // This file is the execution-strategy layer of the engine. Every
 // transformation has one privacy semantics (Table 1); ExecOptions says
-// how many workers may execute it. The record-wise operators and the
-// aggregations run the one chunk loop in stream.go over one source
-// range per worker; the keyed operators have sharded strategies in
-// parallel.go beside their sequential loops. The default is one
-// worker, so pipelines that never opt in behave (and benchmark)
-// exactly as before.
+// how many workers may execute it. The record-wise operators, the
+// aggregations and the keyed operators run the one chunk loop in
+// stream.go over one source range per worker (keyed.go has the keyed
+// sinks); Join and GroupJoin have sharded strategies in parallel.go
+// beside their sequential loops. The default is one worker, so
+// pipelines that never opt in behave (and benchmark) exactly as before.
 //
 // The headline guarantee is determinism: for a fixed input ordering
 // and noise seed, any worker count produces byte-identical output
@@ -23,9 +23,9 @@ import (
 // Parallelism is therefore invisible to the privacy accounting —
 // agents are constructed from the transformation graph alone,
 // transformations never spend budget, and aggregations observe the
-// same records in the same order either way. exec_test.go (against a
-// naive reference) and parallel_test.go (sequential vs sharded)
-// enforce this on randomized inputs.
+// same records in the same order either way. exec_test.go and
+// keyed_test.go (against naive references) and parallel_test.go
+// (sequential vs sharded joins) enforce this on randomized inputs.
 
 // DefaultParallelThreshold is the input size below which execution
 // stays on one worker when ExecOptions.Threshold is zero. Splitting a

@@ -1,0 +1,505 @@
+package core
+
+import (
+	"slices"
+	"sync"
+)
+
+// This file is the keyed half of the engine: Distinct, GroupBy,
+// GroupFold, Partition, Intersect and Except as sinks on the one chunk
+// loop (stream.go). Each takes either handle, evaluates its key
+// function exactly once per record, in a pass that polls the context
+// per chunk like every scan, and stores a record only when the analyst
+// asked for records:
+//
+//   - GroupFold folds each record into its key's accumulator as the
+//     chunks go by and never holds a group;
+//   - Distinct keeps each key's first record;
+//   - GroupBy and Partition make an index pass — 4 bytes a record: the
+//     number of the group it belongs to — and then scatter the records
+//     into one exactly-sized arena, carved per group with clipped
+//     capacity. GroupBy scatters on the spot. Partition's parts know
+//     their sizes from the index pass alone, so a NoisyCount on a part
+//     is O(1) as on a bare slice, and the scatter waits until something
+//     scans a part (partition.gather).
+//
+// Under ExecOptions the passes run as one sink per contiguous source
+// range, combined in range order: a key's first appearance overall is
+// its first appearance in the earliest range that has it, so
+// first-appearance order falls out of range order and the output is
+// the sequential one byte for byte. GroupFold's fold has no merge, so
+// like the float sums it always takes one ordered range.
+
+// keyed runs a keyed operator's pass: nothing at all on a context that
+// is already cancelled, else one scan into sinks made by mk.
+func keyed[T any, S sink[T]](s Stream[T], split int, mk func(i, n int) S) ([]S, bool) {
+	if ctxErr(s.ctx) != nil {
+		return nil, false
+	}
+	return scan(s, split, false, mk)
+}
+
+// firstSink keeps the first record of each key in its range, and the
+// keys in that order.
+type firstSink[T any, K comparable] struct {
+	key  func(T) K
+	seen map[K]struct{}
+	keys []K
+	recs []T
+	n    int
+}
+
+func (k *firstSink[T, K]) acceptChunk(c []T) {
+	k.n += len(c)
+	for j := range c {
+		key := k.key(c[j])
+		if _, dup := k.seen[key]; !dup {
+			k.seen[key] = struct{}{}
+			k.keys = append(k.keys, key)
+			k.recs = append(k.recs, c[j])
+		}
+	}
+}
+
+// Distinct keeps one record per distinct key: the first, in input
+// order. Removing duplicates does not amplify sensitivity (Table 1):
+// adding or removing one input record changes the output by at most
+// one record.
+func Distinct[T any, K comparable](src Streamer[T], key func(T) K) *Queryable[T] {
+	s := src.Stream()
+	out := empty[T, T](s, s.agent)
+	start := opStart(s.rec)
+	ranges, ok := keyed(s, 1, func(_, _ int) *firstSink[T, K] {
+		return &firstSink[T, K]{key: key, seen: map[K]struct{}{}, recs: []T{}}
+	})
+	if !ok {
+		return out
+	}
+	first := ranges[0]
+	for _, p := range ranges[1:] {
+		first.n += p.n
+		for j, k := range p.keys {
+			if _, dup := first.seen[k]; !dup {
+				first.seen[k] = struct{}{}
+				first.recs = append(first.recs, p.recs[j])
+			}
+		}
+	}
+	opDone(s.rec, "distinct", start, first.n, len(first.recs), workersTag(len(ranges)))
+	out.records = first.recs
+	return out
+}
+
+// Group is one output record of GroupBy: a key and the records that
+// share it. Group contents are only ever inspected inside later
+// transformations, never revealed directly.
+type Group[K comparable, T any] struct {
+	Key   K
+	Items []T
+}
+
+// Folded is one output record of GroupFold: a key and what the fold
+// made of the records that share it.
+type Folded[K comparable, A any] struct {
+	Key   K
+	Value A
+}
+
+// foldSink folds each record into its key's accumulator, keys numbered
+// in first-appearance order.
+type foldSink[T any, K comparable, A any] struct {
+	key   func(T) K
+	fold  func(A, T) A
+	index map[K]int32
+	out   []Folded[K, A]
+	n     int
+}
+
+func (k *foldSink[T, K, A]) acceptChunk(c []T) {
+	k.n += len(c)
+	for j := range c {
+		v := c[j] // read twice: one copy off the chunk (stream.go, "By value")
+		key := k.key(v)
+		id, ok := k.index[key]
+		if !ok {
+			id = int32(len(k.out))
+			k.index[key] = id
+			k.out = append(k.out, Folded[K, A]{Key: key})
+		}
+		g := &k.out[id]
+		g.Value = k.fold(g.Value, v)
+	}
+}
+
+// GroupFold is Select(GroupBy(src, key), g → fold over g.Items in record
+// order, from A's zero value) — Table 1's GroupBy with each group
+// reduced in place: the same sensitivity ×2, the same first-appearance
+// order, the same "groupby" row in a profile — holding one accumulator
+// per key instead of the group's records. Use it when all a pipeline
+// wants from a group is something it can accumulate (a size, a byte
+// total, the two smallest timestamps); use GroupBy when it needs the
+// records.
+func GroupFold[T any, K comparable, A any](src Streamer[T], key func(T) K, fold func(A, T) A) *Queryable[Folded[K, A]] {
+	s := src.Stream()
+	out := empty[T, Folded[K, A]](s, newScaleAgent(s.agent, 2))
+	start := opStart(s.rec)
+	ranges, ok := keyed(s, 0, func(_, _ int) *foldSink[T, K, A] {
+		return &foldSink[T, K, A]{key: key, fold: fold, index: map[K]int32{}, out: []Folded[K, A]{}}
+	})
+	if !ok {
+		return out
+	}
+	opDone(s.rec, "groupby", start, ranges[0].n, len(ranges[0].out), 0)
+	out.records = ranges[0].out
+	return out
+}
+
+// indexSink is the first pass of the operators that hand records back
+// by key: it keeps, for its range, the number of the group each output
+// record belongs to (-1: none) and each group's size. GroupBy numbers
+// keys as they first appear in the range; Partition looks them up in
+// the caller's list (fixed: the index is shared by the ranges and only
+// read, and an unlisted key belongs to no group).
+type indexSink[T any, K comparable] struct {
+	key    func(T) K
+	index  map[K]int32
+	fixed  bool
+	keys   []K     // number → key, where the sink does the numbering
+	counts []int   // number → records
+	ids    []int32 // one per output record
+}
+
+func (k *indexSink[T, K]) acceptChunk(c []T) {
+	base := len(k.ids)
+	k.ids = slices.Grow(k.ids, len(c))[:base+len(c)]
+	ids := k.ids[base:]
+	for j := range c {
+		key := k.key(c[j])
+		id, ok := k.index[key]
+		switch {
+		case ok:
+			k.counts[id]++
+		case k.fixed:
+			id = -1
+		default:
+			id = int32(len(k.keys))
+			k.index[key] = id
+			k.keys = append(k.keys, key)
+			k.counts = append(k.counts, 1)
+		}
+		ids[j] = id
+	}
+}
+
+// placement is what an index pass leaves for the scatter pass.
+type placement struct {
+	ids [][]int32 // per range: each output record's number in the range's numbering
+	at  [][]int   // per range and number: where the range's first record of that group goes
+	off []int     // group g is arena[off[g]:off[g+1]]
+	n   int       // records the pass saw
+}
+
+// place lays the ranges' groups out in one arena: group by group and,
+// within a group, range by range — which is record order. remap[i]
+// translates range i's numbers into groups; nil where they already are.
+func place[T any, K comparable](ranges []*indexSink[T, K], remap [][]int32, groups int) placement {
+	group := func(i, number int) int {
+		if remap[i] == nil {
+			return number
+		}
+		return int(remap[i][number])
+	}
+	l := placement{ids: make([][]int32, len(ranges)), at: make([][]int, len(ranges)), off: make([]int, groups+1)}
+	for i, p := range ranges {
+		l.ids[i] = p.ids
+		l.n += len(p.ids)
+		for number, c := range p.counts {
+			l.off[group(i, number)+1] += c
+		}
+	}
+	for g := 0; g < groups; g++ {
+		l.off[g+1] += l.off[g]
+	}
+	next := slices.Clone(l.off[:groups])
+	for i, p := range ranges {
+		l.at[i] = make([]int, len(p.counts))
+		for number, c := range p.counts {
+			g := group(i, number)
+			l.at[i][number] = next[g]
+			next[g] += c
+		}
+	}
+	return l
+}
+
+// scatterSink is the second pass over a range: it consumes the range's
+// numbers in step with its records and writes each record to its
+// group's next place. Ranges write disjoint places.
+type scatterSink[T any] struct {
+	ids   []int32
+	at    []int
+	arena []T
+}
+
+func (k *scatterSink[T]) acceptChunk(c []T) {
+	ids := k.ids[:len(c)]
+	k.ids = k.ids[len(c):]
+	for j := range c {
+		if id := ids[j]; id >= 0 {
+			k.arena[k.at[id]] = c[j]
+			k.at[id]++
+		}
+	}
+}
+
+// scatter runs s a second time — over the same ranges, re-running its
+// fused stages if it has any, as consuming a Stream twice always has —
+// and returns the arena l describes. It advances the cursors in at. It
+// reports nothing: the pass belongs to the operator whose index pass
+// did.
+func scatter[T any](s Stream[T], l *placement, at [][]int) ([]T, bool) {
+	arena := make([]T, l.off[len(l.off)-1])
+	_, _, ok := run(s, 1, func(i, _ int) *scatterSink[T] {
+		return &scatterSink[T]{ids: l.ids[i], at: at[i], arena: arena}
+	})
+	return arena, ok
+}
+
+// GroupBy groups records by key. One input record arriving or departing
+// changes at most one group, but that change both removes the old
+// version of the group and adds a new one — hence GroupBy "increases
+// sensitivity by two" (Table 1), which the result's agent accounts for.
+//
+// Groups are emitted in first-appearance order of their keys, so the
+// pipeline is deterministic for a fixed input ordering.
+//
+// Memory: all group contents live in one shared arena sized exactly to
+// the input, carved into capacity-clipped sub-slices per group.
+// Appending to a group's Items reallocates (the cap is clipped), so
+// groups stay independent.
+func GroupBy[T any, K comparable](src Streamer[T], key func(T) K) *Queryable[Group[K, T]] {
+	s := src.Stream()
+	out := empty[T, Group[K, T]](s, newScaleAgent(s.agent, 2))
+	start := opStart(s.rec)
+	ranges, ok := keyed(s, 1, func(_, n int) *indexSink[T, K] {
+		return &indexSink[T, K]{key: key, index: map[K]int32{}, ids: make([]int32, 0, n)}
+	})
+	if !ok {
+		return out
+	}
+	// Range 0 numbered its keys as the whole input would; each later
+	// range's new keys follow, in range order.
+	first := ranges[0]
+	remap := make([][]int32, len(ranges))
+	for i, p := range ranges[1:] {
+		remap[i+1] = make([]int32, len(p.keys))
+		for number, k := range p.keys {
+			g, seen := first.index[k]
+			if !seen {
+				g = int32(len(first.keys))
+				first.index[k] = g
+				first.keys = append(first.keys, k)
+			}
+			remap[i+1][number] = g
+		}
+	}
+	l := place(ranges, remap, len(first.keys))
+	arena, ok := scatter(s, &l, l.at)
+	if !ok {
+		return out
+	}
+	groups := make([]Group[K, T], len(first.keys))
+	for g, k := range first.keys {
+		groups[g] = Group[K, T]{Key: k, Items: arena[l.off[g]:l.off[g+1]:l.off[g+1]]}
+	}
+	opDone(s.rec, "groupby", start, l.n, len(groups), workersTag(len(ranges)))
+	out.records = groups
+	return out
+}
+
+// partition is what the parts of one Partition share: the input, the
+// index pass's placement, and — once some part has been scanned — the
+// arena holding every part's records.
+type partition[T any] struct {
+	src Stream[T]
+	placement
+	mu    sync.Mutex // sibling parts are consumed concurrently
+	arena []T
+}
+
+// gather returns the arena, filling it on first use by a scatter pass
+// under the consuming scan's context. A pass that context abandons, or
+// that panics in a fused stage, leaves the partition as it was for the
+// next scan to try again.
+func (p *partition[T]) gather(cn *canceler) ([]T, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.arena == nil {
+		s, at := p.src, make([][]int, len(p.at))
+		s.ctx = nil
+		if cn != nil {
+			s.ctx = cn.ctx
+		}
+		for i := range at {
+			at[i] = slices.Clone(p.at[i])
+		}
+		arena, ok := scatter(s, &p.placement, at)
+		if !ok {
+			return nil, false
+		}
+		p.arena, p.ids, p.at = arena, nil, nil
+	}
+	return p.arena, true
+}
+
+// part is one Partition part whose records are still to be gathered.
+type part[T any] struct {
+	of  *partition[T]
+	idx int
+}
+
+func (p *part[T]) size() int { return p.of.off[p.idx+1] - p.of.off[p.idx] }
+
+// records returns the part's window of the arena.
+func (p *part[T]) records(cn *canceler) ([]T, bool) {
+	arena, ok := p.of.gather(cn)
+	if !ok {
+		return nil, false
+	}
+	lo, hi := p.of.off[p.idx], p.of.off[p.idx+1]
+	return arena[lo:hi:hi], true
+}
+
+// feed is the part's Stream.feed: the loop over its records.
+func (p *part[T]) feed(r *scanRun, lo, hi int, down sink[T]) {
+	recs, ok := p.records(r.cn)
+	if !ok {
+		r.cn.poll(0) // the gather saw the scan's context fire; so must the scan
+		return
+	}
+	Stream[T]{recs: recs}.push(r, lo, hi, down)
+}
+
+// settled returns q with its records in hand — q itself, unless q is a
+// Partition part that has not been scanned yet: the one way to
+// q.records for the operators that read whole slices (Concat, Join,
+// GroupJoin). A gather the context abandons leaves no records, under a
+// context that refuses every aggregation.
+func (q *Queryable[T]) settled() *Queryable[T] {
+	if q.part == nil {
+		return q
+	}
+	out := *q
+	out.records, _ = q.part.records(newCanceler(q.ctx))
+	out.part = nil
+	return &out
+}
+
+// Partition splits the dataset into one part per key. The parts are
+// disjoint, so the privacy cost charged to the source is the MAXIMUM of
+// the parts' cumulative costs rather than their sum — the property the
+// paper leans on throughout (per-bucket CDFs, per-link matrices,
+// per-candidate evaluations). Records whose key is not listed are
+// dropped. The returned map has exactly the given keys; missing keys
+// map to empty parts.
+//
+// Partition makes one pass that notes which part each record belongs
+// to and counts the parts; the records are gathered — every part's at
+// once, into one shared arena — only when something scans a part, so
+// counting the parts (a CDF, a link matrix) copies no record.
+func Partition[T any, K comparable](src Streamer[T], keys []K, keyOf func(T) K) map[K]*Queryable[T] {
+	wanted := make(map[K]int32, len(keys))
+	for i, k := range keys {
+		if _, dup := wanted[k]; dup {
+			panic("core: Partition keys must be distinct")
+		}
+		wanted[k] = int32(i)
+	}
+	s := src.Stream()
+	start := opStart(s.rec)
+	shared := &partition[T]{src: s}
+	ranges, ok := keyed(s, 1, func(_, n int) *indexSink[T, K] {
+		return &indexSink[T, K]{key: keyOf, index: wanted, fixed: true, counts: make([]int, len(keys)), ids: make([]int32, 0, n)}
+	})
+	if ok {
+		shared.placement = place(ranges, make([][]int32, len(ranges)), len(keys))
+		opDone(s.rec, "partition", start, shared.n, shared.off[len(keys)], workersTag(len(ranges)))
+	}
+	agent := newPartitionAgent(s.agent, len(keys))
+	members := make([]part[T], len(keys))
+	parts := make(map[K]*Queryable[T], len(keys))
+	for i, k := range keys {
+		q := empty[T, T](s, agent.member(i))
+		if ok && shared.off[i+1] > shared.off[i] {
+			members[i] = part[T]{of: shared, idx: i}
+			q.part = &members[i]
+		}
+		parts[k] = q
+	}
+	return parts
+}
+
+// keySetSink collects its range's keys.
+type keySetSink[T any, K comparable] struct {
+	key func(T) K
+	set map[K]struct{}
+}
+
+func (k *keySetSink[T, K]) acceptChunk(c []T) {
+	for j := range c {
+		k.set[k.key(c[j])] = struct{}{}
+	}
+}
+
+// semiJoin is Intersect (keep) and Except (!keep): a key-set build over
+// other, then q filtered against the set — a Where with a protected
+// predicate, materialized under both inputs' agents and reported as one
+// row counting both inputs.
+func semiJoin[T, U any, K comparable](q *Queryable[T], other *Queryable[U], keyQ func(T) K, keyOther func(U) K, keep bool, op string) *Queryable[T] {
+	s, o := q.Stream(), other.Stream()
+	s.agent = newDualAgent(q.agent, other.agent)
+	s.rec = combineRec(q.rec, other.rec)
+	s.ctx = combineCtx(q.ctx, other.ctx)
+	o.exec, o.ctx = s.exec, s.ctx
+	out := empty[T, T](s, s.agent)
+	start := opStart(s.rec)
+	sets, ok := keyed(o, 1, func(_, _ int) *keySetSink[U, K] {
+		return &keySetSink[U, K]{key: keyOther, set: map[K]struct{}{}}
+	})
+	if !ok {
+		return out
+	}
+	present := sets[0].set
+	for _, p := range sets[1:] {
+		for k := range p.set {
+			present[k] = struct{}{}
+		}
+	}
+	filter := s
+	filter.rec = nil // semiJoin reports the row
+	recs, workers, ok := filter.Where(func(r T) bool {
+		_, in := present[keyQ(r)]
+		return in == keep
+	}).collect()
+	if !ok {
+		return out
+	}
+	opDone(s.rec, op, start, s.n+o.n, len(recs), workersTag(workers))
+	out.records = recs
+	return out
+}
+
+// Intersect keeps records of q whose key also appears in other,
+// emitting each matched key's records from q once. Like Where with a
+// protected predicate; no sensitivity increase for either input.
+func Intersect[T, U any, K comparable](q *Queryable[T], other *Queryable[U], keyQ func(T) K, keyOther func(U) K) *Queryable[T] {
+	return semiJoin(q, other, keyQ, keyOther, true, "intersect")
+}
+
+// Except keeps records of q whose key does NOT appear in other — the
+// set-difference counterpart of Intersect. Like a Where with a
+// protected predicate: no sensitivity increase for either input, but
+// aggregations charge both budgets.
+func Except[T, U any, K comparable](q *Queryable[T], other *Queryable[U], keyQ func(T) K, keyOther func(U) K) *Queryable[T] {
+	return semiJoin(q, other, keyQ, keyOther, false, "except")
+}

@@ -10,13 +10,14 @@ import (
 	"dptrace/internal/noise"
 )
 
-// Differential determinism tests for the keyed operators' parallel
-// strategies (the record-wise operators have one executor, checked
-// against a naive reference in exec_test.go): for a fixed input
-// ordering, every keyed operator must produce identical output records
-// in identical order — and identical budget charges — whether it runs
-// sequentially or under the sharded strategies, at any GOMAXPROCS. These run under -race in the tier-1
-// gate, so they double as the engine's concurrency-safety tests.
+// Differential determinism tests for Join and GroupJoin, the two
+// operators that still have a sharded strategy beside a sequential loop:
+// for a fixed input ordering both must produce identical output records
+// in identical order — and identical budget charges — either way, at any
+// GOMAXPROCS. (Every other operator has one body, held to a naive
+// reference: the record-wise ones in exec_test.go, the keyed ones in
+// keyed_test.go.) These run under -race in the tier-1 gate, so they
+// double as the sharded strategies' concurrency-safety tests.
 
 // parExec forces the parallel strategies on for any input size.
 func parExec(workers int) ExecOptions {
@@ -84,9 +85,8 @@ func diffCase[R any](t *testing.T, name string, flows []flowRec, workers int,
 	}
 }
 
-// TestParallelMatchesSequential is the differential test the engine's
-// determinism guarantee rests on: every operator, randomized inputs,
-// several sizes and worker counts, GOMAXPROCS 1 and 4.
+// TestParallelMatchesSequential: both joins, randomized inputs, several
+// sizes and worker counts, GOMAXPROCS 1 and 4.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, gmp := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(gmp)
@@ -97,12 +97,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 			flows := randomFlows(rng, n)
 			other := randomFlows(rng, max(n/2, 1))
 			for _, workers := range []int{2, 4, 7} {
-				diffCase(t, "distinct", flows, workers, func(q *Queryable[flowRec]) (*Queryable[flowRec], float64) {
-					return Distinct(q, func(f flowRec) uint32 { return f.Src }), 0.5
-				})
-				diffCase(t, "groupby", flows, workers, func(q *Queryable[flowRec]) (*Queryable[Group[uint16, flowRec]], float64) {
-					return GroupBy(q, func(f flowRec) uint16 { return f.Port }), 0.5
-				})
 				diffCase(t, "join", flows, workers, func(q *Queryable[flowRec]) (*Queryable[int], float64) {
 					b := NewQueryableFor(other, NewRootAgent(math.Inf(1)), noise.NewSeededSource(3, 5)).
 						WithExecOptions(q.Exec())
@@ -119,54 +113,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 						func(f flowRec) uint16 { return f.Port },
 						func(k uint16, ga, gb []flowRec) [3]int { return [3]int{int(k), len(ga), len(gb)} }), 0.5
 				})
-				diffCase(t, "intersect", flows, workers, func(q *Queryable[flowRec]) (*Queryable[flowRec], float64) {
-					b := NewQueryableFor(other, NewRootAgent(math.Inf(1)), noise.NewSeededSource(3, 5))
-					return Intersect(q, b,
-						func(f flowRec) uint32 { return f.Src },
-						func(f flowRec) uint32 { return f.Src }), 0.5
-				})
-				diffCase(t, "except", flows, workers, func(q *Queryable[flowRec]) (*Queryable[flowRec], float64) {
-					b := NewQueryableFor(other, NewRootAgent(math.Inf(1)), noise.NewSeededSource(3, 5))
-					return Except(q, b,
-						func(f flowRec) uint32 { return f.Src },
-						func(f flowRec) uint32 { return f.Src }), 0.5
-				})
 			}
-		}
-	}
-}
-
-// TestParallelPartitionMatchesSequential covers Partition separately
-// (its output is a map of parts, not one Queryable).
-func TestParallelPartitionMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	keys := []uint16{0, 1, 2, 3, 5, 8, 13}
-	for _, n := range inputSizes {
-		flows := randomFlows(rng, n)
-		run := func(exec ExecOptions) (map[uint16][]flowRec, float64) {
-			q, root := NewQueryable(flows, 100, noise.NewSeededSource(11, 13))
-			parts := Partition(q.WithExecOptions(exec), keys, func(f flowRec) uint16 { return f.Port })
-			outs := make(map[uint16][]flowRec, len(parts))
-			for k, p := range parts {
-				outs[k] = p.records
-				if _, err := p.NoisyCount(0.25); err != nil {
-					t.Fatalf("partition count: %v", err)
-				}
-			}
-			return outs, root.Spent()
-		}
-		seqOut, seqSpent := run(ExecOptions{})
-		parOut, parSpent := run(parExec(4))
-		if !reflect.DeepEqual(seqOut, parOut) {
-			t.Fatalf("partition (n=%d): parallel parts differ from sequential", n)
-		}
-		if seqSpent != parSpent {
-			t.Fatalf("partition (n=%d): budget charge differs: seq %v, par %v", n, seqSpent, parSpent)
-		}
-		// Partition max-accounting: 7 parts each charged 0.25 must cost
-		// 0.25 total, regardless of execution strategy.
-		if want := 0.25; seqSpent != want {
-			t.Fatalf("partition charge = %v, want %v", seqSpent, want)
 		}
 	}
 }

@@ -285,12 +285,12 @@ func TestPartitionDisjointCover(t *testing.T) {
 	parts := Partition(q, keys, func(x int) int { return x % 3 })
 	total := 0
 	for k, p := range parts {
-		for _, x := range p.records {
+		for _, x := range p.settled().records {
 			if x%3 != k {
 				t.Fatalf("record %d in part %d", x, k)
 			}
 		}
-		total += len(p.records)
+		total += len(p.settled().records)
 	}
 	if total != 100 {
 		t.Fatalf("parts cover %d records, want 100", total)
@@ -300,8 +300,8 @@ func TestPartitionDisjointCover(t *testing.T) {
 func TestPartitionDropsUnlistedKeys(t *testing.T) {
 	q, _ := newTestQueryable(ints(10), math.Inf(1))
 	parts := Partition(q, []int{0}, func(x int) int { return x % 3 })
-	if len(parts) != 1 || len(parts[0].records) != 4 {
-		t.Fatalf("unexpected parts: %d keys, %d records", len(parts), len(parts[0].records))
+	if len(parts) != 1 || len(parts[0].settled().records) != 4 {
+		t.Fatalf("unexpected parts: %d keys, %d records", len(parts), len(parts[0].settled().records))
 	}
 }
 
@@ -309,7 +309,7 @@ func TestPartitionMissingKeyYieldsEmptyPart(t *testing.T) {
 	q, _ := newTestQueryable(ints(10), math.Inf(1))
 	parts := Partition(q, []int{99}, func(x int) int { return x })
 	p, ok := parts[99]
-	if !ok || len(p.records) != 0 {
+	if !ok || len(p.settled().records) != 0 {
 		t.Fatalf("missing key should map to empty part, got %v", parts)
 	}
 	if _, err := p.NoisyCount(1.0); err != nil {
@@ -420,12 +420,12 @@ func TestPartitionProperty(t *testing.T) {
 		parts := Partition(q, keys, func(x int) int { return x % 4 })
 		total := 0
 		for k, p := range parts {
-			for _, x := range p.records {
+			for _, x := range p.settled().records {
 				if x%4 != k {
 					return false
 				}
 			}
-			total += len(p.records)
+			total += len(p.settled().records)
 		}
 		wantTotal := 0
 		for _, x := range recs {

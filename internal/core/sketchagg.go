@@ -122,8 +122,8 @@ func (k *quantileSink[T]) acceptChunk(c []T) {
 		}
 		n := min(len(c), k.room)
 		blk := k.blocks[len(k.blocks)-1]
-		for _, v := range c[:n] {
-			blk.Insert(k.f(v))
+		for j := range c[:n] {
+			blk.Insert(k.f(c[j]))
 		}
 		k.room -= n
 		c = c[n:]
@@ -151,7 +151,7 @@ func NoisyQuantile[T any](src Streamer[T], epsilon, fraction, sketchEps float64,
 		if s.depth == 0 {
 			split = sketchBlock
 		}
-		parts, ok := scan(s, split, false, func(int) *quantileSink[T] { return &quantileSink[T]{f: f, se: se} })
+		parts, ok := scan(s, split, false, func(_, _ int) *quantileSink[T] { return &quantileSink[T]{f: f, se: se} })
 		if !ok {
 			return 0, false
 		}
@@ -174,8 +174,8 @@ type freqSink[T any] struct {
 }
 
 func (k *freqSink[T]) acceptChunk(c []T) {
-	for _, v := range c {
-		k.c.Add(k.key(v))
+	for j := range c {
+		k.c.Add(k.key(c[j]))
 	}
 }
 
@@ -188,7 +188,7 @@ func (k *freqSink[T]) acceptChunk(c []T) {
 func NoisyFrequency[T any](src Streamer[T], epsilon float64, key func(T) string, target string) (float64, error) {
 	s := src.Stream()
 	return aggregate(&s, "frequency", epsilon, nil, func() (float64, bool) {
-		parts, ok := scan(s, 1, false, func(int) *freqSink[T] {
+		parts, ok := scan(s, 1, false, func(_, _ int) *freqSink[T] {
 			return &freqSink[T]{key: key, c: sketch.NewCountMin(freqSketchWidth, freqSketchDepth)}
 		})
 		if !ok {
@@ -213,8 +213,8 @@ type distinctSink[T any] struct {
 }
 
 func (k *distinctSink[T]) acceptChunk(c []T) {
-	for _, v := range c {
-		k.d.Add(k.key(v))
+	for j := range c {
+		k.d.Add(k.key(c[j]))
 	}
 }
 
@@ -230,7 +230,7 @@ func (k *distinctSink[T]) acceptChunk(c []T) {
 func NoisyDistinctSketch[T any](src Streamer[T], epsilon float64, key func(T) string) (float64, error) {
 	s := src.Stream()
 	return aggregate(&s, "distinctcount", epsilon, nil, func() (float64, bool) {
-		parts, ok := scan(s, 1, false, func(int) *distinctSink[T] {
+		parts, ok := scan(s, 1, false, func(_, _ int) *distinctSink[T] {
 			return &distinctSink[T]{key: key, d: sketch.NewDistinct(distinctSketchPrecision)}
 		})
 		if !ok {

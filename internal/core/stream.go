@@ -44,6 +44,19 @@ import (
 // panic surfaces as ErrInternal with the charge standing — never less
 // is charged than the eager spelling would charge (DESIGN.md §S27).
 //
+// By value, through the stack: analyst functions take records by value,
+// and the compiler hands a record too large for registers (a 64-byte
+// trace.Packet) over by way of a stack temporary — chunk to temporary,
+// temporary to argument slots, 16 bytes at a time — however the loop is
+// spelled. When the temporary straddles a cache line the reload stalls
+// on store forwarding, and whether it straddles depends on the frame
+// sizes above the loop: the same query has read 3× slower served than
+// called directly. So every per-record loop here and in the sinks
+// indexes its chunk (f(c[j])), and one that reads a record twice copies
+// it to a local first — f(c[j]) … g(c[j]) keeps four addresses live
+// across the call and measures slower. The dpserver BenchmarkServed*
+// rows are the shape that shows it; A/B them after touching a loop.
+//
 // Allocation: building a stage allocates a constant handful of small
 // objects; a scan allocates one scratch buffer per stage plus one
 // sink, per worker, sized by chunkSize and never by the record count.
@@ -100,7 +113,11 @@ type Stream[T any] struct {
 // Stream returns the lazy view of this Queryable: same records, budget
 // agent, noise source, recorder, execution options and context.
 func (q *Queryable[T]) Stream() Stream[T] {
-	return Stream[T]{agent: q.agent, nsrc: q.src, rec: q.rec, exec: q.exec, ctx: q.ctx, n: len(q.records), recs: q.records}
+	s := Stream[T]{agent: q.agent, nsrc: q.src, rec: q.rec, exec: q.exec, ctx: q.ctx, n: len(q.records), recs: q.records}
+	if q.part != nil {
+		s.n, s.feed = q.part.size(), q.part.feed
+	}
+	return s
 }
 
 // Stream returns s, making a Stream its own Streamer.
@@ -175,7 +192,8 @@ func (s Stream[T]) Where(pred func(T) bool) Stream[T] {
 		}
 		out := slices.Grow((*buf)[:0], len(in))[:len(in)]
 		n := copy(out, in[:i]) // the passing prefix moves in one copy
-		for _, v := range in[i+1:] {
+		for j := i + 1; j < len(in); j++ {
+			v := in[j] // read twice below: see "By value, through the stack" above
 			if pred(v) {
 				out[n] = v
 				n++
@@ -191,8 +209,8 @@ func (s Stream[T]) Where(pred func(T) bool) Stream[T] {
 func StreamSelect[T, U any](s Stream[T], f func(T) U) Stream[U] {
 	return fuse(s, "select", s.agent, func(in []T, buf *[]U) []U {
 		out := slices.Grow((*buf)[:0], len(in))[:len(in)]
-		for i, v := range in {
-			out[i] = f(v)
+		for j := range in {
+			out[j] = f(in[j])
 		}
 		*buf = out
 		return out
@@ -209,8 +227,8 @@ func StreamSelectMany[T, U any](s Stream[T], fanout int, f func(T) []U) Stream[U
 	}
 	return fuse(s, "selectmany", newScaleAgent(s.agent, float64(fanout)), func(in []T, buf *[]U) []U {
 		out := (*buf)[:0]
-		for _, v := range in {
-			mapped := f(v)
+		for j := range in {
+			mapped := f(in[j])
 			if len(mapped) > fanout {
 				mapped = mapped[:fanout]
 			}
@@ -221,24 +239,18 @@ func StreamSelectMany[T, U any](s Stream[T], fanout int, f func(T) []U) Stream[U
 	})
 }
 
-// scan runs the pipeline into sinks made by mk and returns them in
-// source order, or false when the context fired mid-scan and the sinks
-// are partial. split says where the source may be cut into
-// per-worker ranges: 0 for sinks that must see the whole output in
-// order (one sink, always), k ≥ 1 for sinks that combine exactly when
-// each range starts at a multiple of k source records — those get one
-// sink per worker once the source is large enough for ExecOptions.
-// mk receives its range's source record count as a sizing hint.
-//
-// On a recorded pipeline scan emits one OpDone per fused stage, in
-// pipeline order. The stages ran interleaved, so their rows carry zero
-// duration and the obs.FusedWorkers tag and the pass's wall time lands
-// on the aggregation's row — except under Materialize (mat), which has
-// no such row: there the last stage carries the wall time and the
-// worker count, so an eager single-operator transformation reports
-// exactly what it cost.
-func scan[T any, K sink[T]](s Stream[T], split int, mat bool, mk func(n int) K) ([]K, bool) {
-	start := opStart(s.rec)
+// run is one pass of the loop: it cuts the source into ranges, pushes
+// each through the fused stages into a sink made by mk, and returns
+// the sinks in source order with each range's stage counters, or false
+// when the context fired mid-pass and the sinks are partial. split says
+// where the source may be cut: 0 for sinks that must see the whole
+// output in order (one sink, always), k ≥ 1 for sinks that combine
+// exactly when each range starts at a multiple of k source records —
+// those get one sink per worker once the source is large enough for
+// ExecOptions. The ranges depend on the stream alone, so a second pass
+// cuts the same ones. mk receives its range's position and source
+// record count (a sizing hint).
+func run[T any, K sink[T]](s Stream[T], split int, mk func(i, n int) K) ([]K, []scanRun, bool) {
 	if split == 0 {
 		split = max(s.n, 1)
 	}
@@ -253,17 +265,40 @@ func scan[T any, K sink[T]](s Stream[T], split int, mat bool, mk func(n int) K) 
 	runWorkers(w, func(i int) {
 		lo, hi := chunk(units, w, i)
 		lo, hi = lo*split, min(hi*split, s.n)
-		parts[i] = mk(hi - lo)
+		parts[i] = mk(i, hi-lo)
 		runs[i] = scanRun{cn: cn, counts: make([]stageCount, s.depth)}
 		s.push(&runs[i], lo, hi, parts[i])
 	})
-	if cn.abandoned() {
+	return parts, runs, !cn.abandoned()
+}
+
+// workersTag is OpDone's tag for an operator that ran on w ranges: the
+// worker count, or 0 for sequential.
+func workersTag(w int) int {
+	if w > 1 {
+		return w
+	}
+	return 0
+}
+
+// scan is run plus the bookkeeping of a pass that stands for itself (a
+// keyed operator's second pass, over the same ranges, calls run): it
+// counts a parallel execution and, on a recorded pipeline, emits one
+// OpDone per fused stage, in pipeline order. The stages ran
+// interleaved, so their rows carry zero duration and the
+// obs.FusedWorkers tag and the pass's wall time lands on the row of the
+// aggregation or keyed operator that consumed it — except under
+// Materialize (mat), which has no such row: there the last stage
+// carries the wall time and the worker count, so an eager
+// single-operator transformation reports exactly what it cost.
+func scan[T any, K sink[T]](s Stream[T], split int, mat bool, mk func(i, n int) K) ([]K, bool) {
+	start := opStart(s.rec)
+	parts, runs, ok := run(s, split, mk)
+	if !ok {
 		return nil, false
 	}
-	workers := 0 // OpDone's tag for a sequential operator
-	if w > 1 {
+	if len(parts) > 1 {
 		parallelExecs.Add(1)
-		workers = w
 	}
 	if s.rec != nil {
 		for st, c := range runs[0].counts {
@@ -272,7 +307,7 @@ func scan[T any, K sink[T]](s Stream[T], split int, mat bool, mk func(n int) K) 
 				c.out += other.counts[st].out
 			}
 			if mat && st == s.depth-1 {
-				s.rec.OpDone(c.op, time.Since(start), c.in, c.out, workers)
+				s.rec.OpDone(c.op, time.Since(start), c.in, c.out, workersTag(len(parts)))
 			} else {
 				s.rec.OpDone(c.op, 0, c.in, c.out, obs.FusedWorkers)
 			}
@@ -294,37 +329,51 @@ func (k *collectSink[T]) tail(n int) []T {
 	return k.out[len(k.out):len(k.out):cap(k.out)]
 }
 
+// empty is the Queryable a transformation of s returns before it has
+// records: under agent, with the stream's noise source, recorder,
+// execution options and context.
+func empty[T, U any](s Stream[T], agent Agent) *Queryable[U] {
+	return &Queryable[U]{records: []U{}, agent: agent, src: s.nsrc, rec: s.rec, exec: s.exec, ctx: s.ctx}
+}
+
 // Materialize runs the pipeline once and returns its records as an
 // ordinary Queryable carrying the stream's agent, noise source,
 // recorder, execution options and context — how the eager Queryable
 // transformations execute, and the way from a fused chain into the
-// operators that need all records at once (GroupBy, Join, Distinct,
-// Partition). Each worker range collects into a buffer pre-sized to
-// its source range, as the eager operators always have. On a context
-// that is already cancelled, or fires mid-scan, the result is empty —
-// harmless, because the only way to observe it is an aggregation,
-// which will refuse.
+// operators that read whole record slices (Join, GroupJoin, Concat).
+// Each worker range collects into a buffer pre-sized to its source
+// range, as the eager operators always have. On a context that is
+// already cancelled, or fires mid-scan, the result is empty — harmless,
+// because the only way to observe it is an aggregation, which will
+// refuse.
 func (s Stream[T]) Materialize() *Queryable[T] {
-	out := &Queryable[T]{records: []T{}, agent: s.agent, src: s.nsrc, rec: s.rec, exec: s.exec, ctx: s.ctx}
+	out := empty[T, T](s, s.agent)
 	if ctxErr(s.ctx) != nil {
 		return out
 	}
-	if s.depth == 0 {
+	if s.depth == 0 && s.feed == nil {
 		out.records = s.recs
 		return out
 	}
-	parts, ok := scan(s, 1, true, func(n int) *collectSink[T] { return &collectSink[T]{out: make([]T, 0, n)} })
+	if recs, _, ok := s.collect(); ok {
+		out.records = recs
+	}
+	return out
+}
+
+// collect runs the pipeline once into one slice, and says on how many
+// ranges it ran.
+func (s Stream[T]) collect() (recs []T, workers int, ok bool) {
+	parts, ok := scan(s, 1, true, func(_, n int) *collectSink[T] { return &collectSink[T]{out: make([]T, 0, n)} })
 	if !ok {
-		return out
+		return nil, 0, false
 	}
 	if len(parts) == 1 {
-		out.records = parts[0].out
-		return out
+		return parts[0].out, 1, true
 	}
 	chunks := make([][]T, len(parts))
 	for i, p := range parts {
 		chunks[i] = p.out
 	}
-	out.records = mergeChunks(chunks)
-	return out
+	return mergeChunks(chunks), len(parts), true
 }

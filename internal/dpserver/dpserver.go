@@ -703,11 +703,13 @@ func marshalJSON(v any) []byte {
 // RunPacketQuery executes one packet-trace query kind over q — the one
 // executor behind POST /v1/query, standing windows and dpquery's local
 // mode, covering exactly api.PacketQueryKinds(). Every kind starts from
-// the request filter as a fused stage, q.Stream().Where(match): the
-// record-wise kinds (count, medianlen and the sketch-backed three)
-// aggregate straight off the chunk loop without materializing a
-// filtered slice; hosts and the CDF kinds Materialize() once, in front
-// of the operator that needs all records (GroupBy, Partition).
+// the request filter as a fused stage, q.Stream().Where(match), and
+// most never copy a record: the record-wise kinds (count, medianlen and
+// the sketch-backed three) aggregate straight off the chunk loop, hosts
+// folds each source's byte total as the chunks go by (GroupFold), and
+// lencdf / portcdf count Partition's parts. rttcdf and losscdf
+// Materialize() once, in front of the Join and GroupBy that need the
+// records.
 func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryResponse, error) {
 	var match func(trace.Packet) bool // nil without a filter: every packet passes, unread
 	if req.Filter != nil {
@@ -734,25 +736,21 @@ func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryR
 
 	case "hosts":
 		minBytes := orDefault(req.MinBytes, 1024)
-		grouped := core.GroupBy(filtered.Materialize(), func(p trace.Packet) trace.IPv4 { return p.SrcIP })
-		heavy := grouped.Stream().Where(func(g core.Group[trace.IPv4, trace.Packet]) bool {
-			total := 0
-			for _, p := range g.Items {
-				total += int(p.Len)
-			}
-			return total > minBytes
-		})
+		bytesBySource := core.GroupFold(filtered,
+			func(p trace.Packet) trace.IPv4 { return p.SrcIP },
+			func(total int, p trace.Packet) int { return total + int(p.Len) })
+		heavy := bytesBySource.Stream().Where(func(g core.Folded[trace.IPv4, int]) bool { return g.Value > minBytes })
 		v, err = heavy.NoisyCount(req.Epsilon)
 		noiseStd *= 2 // GroupBy doubles the sensitivity
 
 	case "lencdf":
 		buckets := packetdist.LengthBuckets(orDefault(req.BucketStep, 16))
-		values, err := packetdist.PrivateLengthCDF(filtered.Materialize(), req.Epsilon, buckets)
+		values, err := packetdist.PrivateLengthCDF(filtered, req.Epsilon, buckets)
 		return cdf(buckets, values, err)
 
 	case "portcdf":
 		buckets := packetdist.PortBuckets(orDefault(req.BucketStep, 1024))
-		values, err := packetdist.PrivatePortCDF(filtered.Materialize(), req.Epsilon, buckets)
+		values, err := packetdist.PrivatePortCDF(filtered, req.Epsilon, buckets)
 		return cdf(buckets, values, err)
 
 	case "rttcdf":

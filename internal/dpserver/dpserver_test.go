@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -505,7 +506,9 @@ func TestServerParallelExecutionDeterminism(t *testing.T) {
 	cfg.Sessions = 500
 	packets, _ := tracegen.Hotspot(cfg)
 
-	run := func(parallel bool) (QueryResponse, float64, *Server) {
+	// hosts folds in one ordered range whatever the worker count; lencdf's
+	// Partition pass is the one that runs per worker range.
+	run := func(parallel bool) ([]QueryResponse, float64, *Server) {
 		s := New(noise.NewSeededSource(21, 22))
 		if err := s.AddPacketTrace("hotspot", packets, math.Inf(1), math.Inf(1)); err != nil {
 			t.Fatal(err)
@@ -520,23 +523,27 @@ func TestServerParallelExecutionDeterminism(t *testing.T) {
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		port := 80
-		body, _ := json.Marshal(QueryRequest{
-			Analyst: "alice", Dataset: "hotspot", Query: "hosts",
-			Epsilon: 0.5, Filter: &Filter{DstPort: &port}, MinBytes: 512,
-		})
-		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		var out []QueryResponse
+		for _, kind := range []string{"hosts", "lencdf"} {
+			body, _ := json.Marshal(QueryRequest{
+				Analyst: "alice", Dataset: "hotspot", Query: kind,
+				Epsilon: 0.5, Filter: &Filter{DstPort: &port}, MinBytes: 512,
+			})
+			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", kind, resp.StatusCode)
+			}
+			var qr QueryResponse
+			if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, qr)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		var qr QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			t.Fatal(err)
-		}
-		return qr, s.datasets["hotspot"].policy.SpentBy("alice"), s
+		return out, s.datasets["hotspot"].policy.SpentBy("alice"), s
 	}
 
 	before := core.ParallelExecutions()
@@ -549,8 +556,10 @@ func TestServerParallelExecutionDeterminism(t *testing.T) {
 	if core.ParallelExecutions() == mid {
 		t.Fatal("parallel server never took a parallel path")
 	}
-	if seq.Values[0] != par.Values[0] {
-		t.Fatalf("parallel result differs: seq %v, par %v", seq.Values, par.Values)
+	for i := range seq {
+		if !reflect.DeepEqual(seq[i].Values, par[i].Values) {
+			t.Fatalf("parallel result differs: seq %v, par %v", seq[i].Values, par[i].Values)
+		}
 	}
 	if seqSpent != parSpent {
 		t.Fatalf("budget charge differs: seq %v, par %v", seqSpent, parSpent)

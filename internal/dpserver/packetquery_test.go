@@ -1,7 +1,12 @@
 package dpserver
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,6 +15,7 @@ import (
 	"dptrace/internal/dpserver/api"
 	"dptrace/internal/noise"
 	"dptrace/internal/trace"
+	"dptrace/internal/tracegen"
 )
 
 func packetQueryable(n int) *core.Queryable[trace.Packet] {
@@ -77,3 +83,89 @@ func TestCountPipelineAllocatesO1(t *testing.T) {
 		t.Fatalf("count allocates %.0f B per query over 1k packets but %.0f B over 64k: it grows with the record count", small, large)
 	}
 }
+
+// TestKeyedKindsCopyNoRecord: hosts folds a byte total per source as the
+// chunks go by and lencdf counts Partition's parts, so neither holds a
+// packet: over a fixed source population hosts allocates the same at any
+// size, and lencdf the index pass's 4 bytes per packet. (They used to
+// materialize the filter's output and then the groups or the buckets:
+// ≈ 137 and ≈ 420 bytes per packet.)
+func TestKeyedKindsCopyNoRecord(t *testing.T) {
+	const n = 1 << 16
+	packets := ingestPkts(n)
+	for i := range packets {
+		packets[i].SrcIP = trace.IPv4(i % 64)
+	}
+	q, _ := core.NewQueryable(packets, math.Inf(1), noise.NewSeededSource(3, 4))
+	for _, req := range []*QueryRequest{
+		{Query: "hosts", Epsilon: 0.1},
+		{Query: "lencdf", Epsilon: 0.1},
+	} {
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := RunPacketQuery(q, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perRecord := float64(after.TotalAlloc-before.TotalAlloc) / runs / n; perRecord > 8 {
+			t.Errorf("%s allocates %.1f B per packet, want ≤ 8: it is copying records again", req.Query, perRecord)
+		}
+	}
+}
+
+// benchServed POSTs one query kind through Server.Handler() over n
+// hotspot packets: the way an analyst gets it, and the only shape that
+// measures what they get. The chunk loop hands each record to analyst
+// functions by value, through a stack temporary; when that temporary
+// straddles a cache line its reload stalls, and whether it straddles
+// depends on the frames above the loop (DESIGN.md §S27) — a direct
+// RunPacketQuery call has other frames and has read 3× faster than the
+// same query served. A/B these against the parent's test binary after
+// any change to a loop on the chunk path or to what a Stream carries.
+func benchServed(b *testing.B, query string) {
+	for _, n := range []int{10_000, 500_000} {
+		b.Run(fmt.Sprintf("packets=%d", n), func(b *testing.B) {
+			cfg := tracegen.DefaultHotspotConfig() // ≈ 2.6e5 packets
+			f := 1.3 * float64(n) / 2.6e5
+			cfg.Sessions = int(math.Ceil(float64(cfg.Sessions) * f))
+			cfg.BackgroundTotal = int(math.Ceil(float64(cfg.BackgroundTotal) * f))
+			cfg.StoneActivations = int(math.Ceil(float64(cfg.StoneActivations) * f))
+			packets, _ := tracegen.Hotspot(cfg)
+			if len(packets) < n {
+				b.Fatalf("generated %d packets, want %d", len(packets), n)
+			}
+			s := New(noise.NewSeededSource(1, 2))
+			if err := s.AddPacketTrace("bench", packets[:n:n], math.Inf(1), math.Inf(1)); err != nil {
+				b.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			body := []byte(`{"analyst":"a","dataset":"bench","epsilon":0.001,` + query + `}`)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Fatalf("status %d", resp.StatusCode)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkServedCount(b *testing.B) {
+	benchServed(b, `"query":"count","filter":{"dstPort":443}`)
+}
+func BenchmarkServedHosts(b *testing.B)  { benchServed(b, `"query":"hosts","minBytes":1024`) }
+func BenchmarkServedLenCDF(b *testing.B) { benchServed(b, `"query":"lencdf","bucketStep":16`) }
+func BenchmarkServedLenQuantile(b *testing.B) {
+	benchServed(b, `"query":"lenquantile","fraction":0.5`)
+}
+func BenchmarkServedDistinctSrc(b *testing.B) { benchServed(b, `"query":"distinctsrc"`) }

@@ -72,7 +72,11 @@ func CDF1[T any](q *core.Queryable[T], epsilon float64, value func(T) int64, buc
 // bucketOf(v) is the index of the bucket edge a value belongs to:
 // the smallest i with v < buckets[i]; values ≥ the last edge are
 // dropped, matching the Where(value < x) reading of CDF1.
-func CDF2[T any](q *core.Queryable[T], epsilon float64, value func(T) int64, buckets []int64) ([]float64, error) {
+//
+// q is either handle: Partition counts its parts in one pass and the
+// per-bucket NoisyCounts read those counts, so a CDF over a fused
+// Stream copies no record.
+func CDF2[T any](q core.Streamer[T], epsilon float64, value func(T) int64, buckets []int64) ([]float64, error) {
 	if err := checkBuckets(buckets); err != nil {
 		return nil, err
 	}
