@@ -14,14 +14,17 @@ test:
 cover:
 	go test -cover ./... | grep -v '\[no test files\]'
 
-# Engine + ledger benchmarks, parsed into BENCH_core.json
+# Engine, ledger and trace-codec benchmarks, parsed into BENCH_core.json
 # (cmd/benchjson) so every PR leaves a perf trajectory. Sequential and
 # Parallel variants of each operator land side by side, as do the
 # ledger's fsync=never vs fsync=always append costs (the price of
 # durable ε-accounting); run with e.g.
-# `make bench BENCHFLAGS='-cpu 1,4'` to add scaling points.
+# `make bench BENCHFLAGS='-cpu 1,4'` to add scaling points. -p 1: one
+# package at a time, so no benchmark is timed against another package's
+# load (on a 2-CPU host two ran at once and core's rows went missing).
+BENCHPKGS := ./internal/core/... ./internal/sketch/... ./internal/ledger/... ./internal/trace/...
 bench:
-	go test -bench=. -benchmem -count=5 $(BENCHFLAGS) ./internal/core/... ./internal/sketch/... ./internal/ledger/... | go run ./cmd/benchjson > BENCH_core.json
+	go test -p 1 -bench=. -benchmem -count=5 $(BENCHFLAGS) $(BENCHPKGS) | go run ./cmd/benchjson > BENCH_core.json
 	@echo "wrote BENCH_core.json"
 
 # Re-run the benchmarks and diff against the checked-in baseline:
@@ -32,7 +35,7 @@ bench:
 # `mv BENCH_new.json BENCH_core.json` when the delta is intentional.
 BENCHDIFF_THRESHOLD ?= 0.20
 benchdiff:
-	go test -bench=. -benchmem -count=5 $(BENCHFLAGS) ./internal/core/... ./internal/sketch/... ./internal/ledger/... | go run ./cmd/benchjson -prev BENCH_core.json -threshold $(BENCHDIFF_THRESHOLD) > BENCH_new.json
+	go test -p 1 -bench=. -benchmem -count=5 $(BENCHFLAGS) $(BENCHPKGS) | go run ./cmd/benchjson -prev BENCH_core.json -threshold $(BENCHDIFF_THRESHOLD) > BENCH_new.json
 
 # Whole-server throughput benchmark, parsed into BENCH_server.json:
 # cmd/dploadgen self-hosts an in-process dpserver and drives concurrent

@@ -44,6 +44,11 @@ go test -run=. -fuzz=FuzzLedgerDecode -fuzztime=5s ./internal/ledger
 # exact, rank bounds valid, estimates never undercounting.
 go test -run=. -fuzz=FuzzQuantileMerge -fuzztime=5s ./internal/sketch
 go test -run=. -fuzz=FuzzCountMinMerge -fuzztime=5s ./internal/sketch
+# Short differential fuzz smoke over the NDJSON line codec: on arbitrary
+# bytes the table-driven fast path (or its deferral) must be
+# indistinguishable from encoding/json plus the one-object-per-line
+# rule — same accept/reject, same records, same error strings.
+go test -run=. -fuzz=FuzzNDJSONLine -fuzztime=5s ./internal/trace
 # Short chaos smoke (make chaos runs the full 30s soak): randomized
 # I/O faults + handler panics under a query storm must keep the
 # failure surface closed and the ε invariants intact.

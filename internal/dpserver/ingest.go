@@ -267,13 +267,16 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 		if err := pipe.Reserve(size); err != nil {
 			return s.ingestRefusal(w, name, err)
 		}
-		b, err := io.ReadAll(r.Body)
-		if err != nil || int64(len(b)) != size {
+		// The length is known and admitted: one exact buffer, not
+		// ReadAll's doublings. A byte beyond it means the length lied.
+		body = make([]byte, size)
+		_, err := io.ReadFull(r.Body, body)
+		over, _ := io.ReadFull(r.Body, make([]byte, 1))
+		if err != nil || over > 0 {
 			pipe.Unreserve(size)
 			return execResult{status: http.StatusBadRequest, body: marshalError(true, apiError{
 				Code: codeBadRequest, Message: "body read failed or short"})}
 		}
-		body = b
 	} else {
 		max := pipe.Limits().MaxBatchBytes
 		b, err := io.ReadAll(io.LimitReader(r.Body, max+1))
@@ -295,7 +298,7 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 	}
 
 	var applied ingestApplied
-	_, err := pipe.Submit(&ingest.Job{
+	job := &ingest.Job{
 		Kind: kind, ContentType: ct, Data: body,
 		Apply: func(d ingest.Decoded) error {
 			a, err := apply(d)
@@ -305,8 +308,8 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 			applied = a
 			return nil
 		},
-	}, size)
-	if err != nil {
+	}
+	if _, err := pipe.Submit(job, size); err != nil {
 		if errors.Is(err, ingest.ErrClosed) {
 			s.ingestShed(name, "shutting_down")
 			w.Header().Set("Retry-After", s.limits.retryAfter())
@@ -318,6 +321,8 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 			qlog.F("dataset", name), qlog.F("source", source), qlog.F("seq", seq),
 			qlog.F("outcome", "error"), qlog.F("bytes", size),
 			qlog.F("error", err.Error()),
+			qlog.F("decode_ms", durationMs(job.DecodeTime)),
+			qlog.F("apply_ms", durationMs(job.ApplyTime)),
 			qlog.F("duration_ms", durationMs(time.Since(start))))
 		return execResult{status: http.StatusBadRequest, body: marshalError(true, apiError{
 			Code: codeBadRequest, Message: "bad batch: " + err.Error()})}
@@ -344,6 +349,8 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 				qlog.F("outcome", outcome), qlog.F("records", applied.records),
 				qlog.F("total_records", applied.total), qlog.F("bytes", size),
 				qlog.F("idempotency", idemStatus(source)),
+				qlog.F("decode_ms", durationMs(job.DecodeTime)),
+				qlog.F("apply_ms", durationMs(job.ApplyTime)),
 				qlog.F("duration_ms", durationMs(time.Since(start))),
 			}, js.fields()...)...)
 		},

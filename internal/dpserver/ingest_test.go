@@ -437,3 +437,39 @@ func TestIngestDegradedFailsClosed(t *testing.T) {
 		t.Fatalf("degraded ingest applied batches: %+v", st)
 	}
 }
+
+// TestIngestBodyLengthMismatch: a body shorter or longer than the
+// admitted Content-Length answers 400, changes nothing and gives its
+// reservation back, and the events of good batches say where their
+// time went.
+func TestIngestBodyLengthMismatch(t *testing.T) {
+	s, ts := ingestTestServer(t, nil, ingest.Limits{})
+	body := trace.MarshalPacketsNDJSON(ingestPkts(10))
+	for name, declared := range map[string]int64{"short": int64(len(body)) + 5, "over-long": int64(len(body)) - 5} {
+		// Straight into the handler: net/http's client and server both
+		// refuse to put a mismatched length on the wire.
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest/live", bytes.NewReader(body))
+		req.ContentLength = declared
+		req.Header.Set("Content-Type", api.ContentTypeNDJSON)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s body: status %d, want 400: %s", name, rec.Code, rec.Body)
+		}
+	}
+	if st := s.IngestStats(); st.BytesInFlight != 0 || st.BatchesInFlight != 0 || st.FailedBatches != 2 || st.AppliedBatches != 0 {
+		t.Fatalf("after two mismatched bodies: %+v", st)
+	}
+	if resp, out := postIngest(t, ts.URL+"/v1/ingest/live", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("exact body: %d: %s", resp.StatusCode, out)
+	}
+	ev := eventsNamed(s, "ingest")
+	if len(ev) != 1 {
+		t.Fatalf("expected one ingest event, got %+v", ev)
+	}
+	for _, key := range []string{"decode_ms", "apply_ms"} {
+		if ms, ok := fieldValue(ev[0], key).(float64); !ok || ms < 0 {
+			t.Errorf("ingest event %s = %v, want a duration", key, fieldValue(ev[0], key))
+		}
+	}
+}

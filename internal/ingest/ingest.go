@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dptrace/internal/trace"
 )
@@ -118,6 +119,9 @@ type Job struct {
 	// decoded. It must be short: it holds whatever lock the dataset
 	// store needs.
 	Apply func(Decoded) error
+	// DecodeTime and ApplyTime are what the two stages took, queueing
+	// excluded; set by the pipeline, readable once Submit has returned.
+	DecodeTime, ApplyTime time.Duration
 
 	reservation int64
 	done        chan error
@@ -280,7 +284,9 @@ func (p *Pipeline) Submit(job *Job, size int64) (int, error) {
 func (p *Pipeline) decodeWorker() {
 	defer p.decodeWg.Done()
 	for job := range p.decodeCh {
+		start := time.Now()
 		d, err := Decode(job.Kind, job.ContentType, job.Data)
+		job.DecodeTime = time.Since(start)
 		job.Data = nil // decoded; let the raw bytes go before apply queues
 		p.applyCh <- appliedJob{job: job, decoded: d, err: err}
 	}
@@ -293,7 +299,9 @@ func (p *Pipeline) appender() {
 	for aj := range p.applyCh {
 		err := aj.err
 		if err == nil {
+			start := time.Now()
 			err = aj.job.Apply(aj.decoded)
+			aj.job.ApplyTime = time.Since(start)
 		}
 		if err != nil {
 			p.failedBatches.Add(1)

@@ -2,6 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"testing"
 )
 
@@ -70,5 +75,220 @@ func FuzzReadHopRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = ReadHopRecords(bytes.NewReader(data))
+	})
+}
+
+// refDecode and refParse spell the NDJSON contract with encoding/json
+// alone: each non-blank line is one value that a strict Decoder
+// accepts, followed by nothing but EOF.
+func refDecode(raw []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("more than one JSON value on the line")
+	}
+	return nil
+}
+
+func refParse[J, T any](data []byte, convert func(*J) (T, string, error)) ([]T, error) {
+	out := []T{}
+	for n, raw := range bytes.Split(data, []byte("\n")) {
+		if raw = bytes.TrimSpace(raw); len(raw) == 0 {
+			continue
+		}
+		var j J
+		err := refDecode(raw, &j)
+		what := ":"
+		if err == nil {
+			var rec T
+			if rec, what, err = convert(&j); err == nil {
+				out = append(out, rec)
+				continue
+			}
+		}
+		return nil, fmt.Errorf("trace: ndjson line %d%s %w", n+1, what, err)
+	}
+	return out, nil
+}
+
+func refPacket(pj *PacketJSON) (Packet, string, error) {
+	src, err := ParseIPv4(pj.SrcIP)
+	if err != nil {
+		return Packet{}, " srcIP:", err
+	}
+	dst, err := ParseIPv4(pj.DstIP)
+	if err != nil {
+		return Packet{}, " dstIP:", err
+	}
+	return Packet{Time: pj.Time, SrcIP: src, DstIP: dst, SrcPort: pj.SrcPort, DstPort: pj.DstPort, Proto: pj.Proto,
+		Flags: TCPFlags(pj.Flags), Seq: pj.Seq, Ack: pj.Ack, Len: pj.Len, Payload: pj.Payload}, "", nil
+}
+
+func refLinkSample(lj *LinkSampleJSON) (LinkSample, string, error) {
+	if lj.Link < 0 || lj.Bin < 0 {
+		return LinkSample{}, ":", errors.New("link and bin must be non-negative")
+	}
+	return LinkSample{Link: lj.Link, Bin: lj.Bin}, "", nil
+}
+
+func refHopRecord(hj *HopRecordJSON) (HopRecord, string, error) {
+	ip, err := ParseIPv4(hj.IP)
+	if err != nil {
+		return HopRecord{}, " ip:", err
+	}
+	if hj.Monitor < 0 {
+		return HopRecord{}, ":", errors.New("monitor must be non-negative")
+	}
+	return HopRecord{Monitor: hj.Monitor, IP: ip, Hops: hj.Hops}, "", nil
+}
+
+// agree fails unless the parser under test and the reference accept
+// the same batches with the same records (nil and empty payloads
+// apart) and refuse the rest in the same words.
+func agree[T any](t *testing.T, kind string, data []byte, got []T, gotErr error, want []T, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%s %q: parser says %v, encoding/json says %v", kind, data, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %q: parser decoded %+v, encoding/json %+v", kind, data, got, want)
+	}
+}
+
+// FuzzNDJSONLine is the differential check behind the fast path: on
+// arbitrary bytes, all three NDJSON parsers must be indistinguishable
+// from encoding/json plus the nothing-after-the-object rule.
+func FuzzNDJSONLine(f *testing.F) {
+	// One shape per seed: a key of another shape is an unknown field,
+	// which would defer (and refuse) the line before the interesting
+	// token is reached.
+	for _, seed := range []string{
+		// canonical and Python-spaced
+		`{"time":1000,"srcIP":"10.0.0.1","dstIP":"10.0.0.2","srcPort":443,"dstPort":51000,"proto":6,"flags":18,"seq":7,"ack":9,"len":1200,"payload":"aGVsbG8="}`,
+		`{"time": 1, "srcIP": "1.2.3.4", "dstIP": "5.6.7.8", "len": 1}`,
+		`{"link":3,"bin":12}`,
+		`{"monitor":1,"ip":"172.16.0.9","hops":14}`,
+		// case-folded keys
+		`{"TIME":1,"SrcIp":"1.2.3.4","dstip":"5.6.7.8","LEN":1}`,
+		`{"LINK":1,"Bin":2}`,
+		`{"Monitor":1,"IP":"1.2.3.4","hopS":3}`,
+		// escapes in keys and values
+		`{"t\u0069me":1,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.\u0034","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"a\/\/+"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"aGk=\""}`,
+		`{"l\u0069nk":1,"bin":2}`,
+		`{"monitor":1,"ip":"\u0031.2.3.4"}`,
+		// duplicate keys: the last one wins
+		`{"time":1,"time":2,"srcIP":"1.2.3.4","srcIP":"9.9.9.9","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"aGk=","payload":""}`,
+		`{"link":1,"link":2,"bin":3}`,
+		`{"ip":"1.1.1.1","ip":"2.2.2.2"}`,
+		// null
+		`{"time":null,"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":null}`,
+		`{"srcIP":null,"dstIP":"5.6.7.8"}`,
+		`{"link":null,"bin":1}`,
+		`{"monitor":1,"ip":null}`,
+		`null`,
+		// -0, leading zeros, fractions and exponents
+		`{"time":-0,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":-0}`,
+		`{"link":-0,"bin":0}`,
+		`{"ip":"1.2.3.4","hops":-0}`,
+		`{"time":01,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"time":-01,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"link":01,"bin":00}`,
+		`{"ip":"1.2.3.4","hops":01}`,
+		`{"time":1e3,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"link":1e3,"bin":1.0}`,
+		`{"ip":"1.2.3.4","hops":1.0}`,
+		`{"time":-,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		// integer range edges
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","srcPort":65535,"proto":255}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","srcPort":65536}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","proto":256}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","seq":4294967295,"ack":4294967296}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","seq":-1}`,
+		`{"time":9223372036854775807,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"time":9223372036854775808,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"time":-9223372036854775808,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"time":-9223372036854775809,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"time":18446744073709551616,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"time":123456789012345678901234567890,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"link":2147483647,"bin":2147483648}`,
+		`{"link":-1,"bin":2}`,
+		`{"monitor":-1,"ip":"1.2.3.4"}`,
+		`{"monitor":2147483648,"ip":"1.2.3.4"}`,
+		`{"ip":"1.2.3.4","hops":-2147483648}`,
+		`{"ip":"1.2.3.4","hops":-2147483649}`,
+		// addresses
+		`{"srcIP":"1.2.3.04","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"1.2.3.4.5"}`,
+		`{"srcIP":"1.2.3.4.","dstIP":"5.6.7.8"}`,
+		`{"srcIP":".1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1..2.3","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"0.0.0.0","dstIP":"255.255.255.255"}`,
+		`{"srcIP":"","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.4"}`,
+		`{"dstIP":"1.2.3.4"}`,
+		`{"srcIP":"::1","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"::ffff:1.2.3.4"}`,
+		`{"ip":"256.1.1.1"}`,
+		`{"ip":"1.2.3.0004"}`,
+		`{"ip":"fe80::1%eth0"}`,
+		`{"monitor":1,"hops":2}`,
+		// payloads
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"aGVsbG8"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":""}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"aGVs\nbG8="}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"aGk=aGk="}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"a-_="}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"+//+AA=="}`,
+		"{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\",\"payload\":\"aGk=\"}\n{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\",\"payload\":\"\"}\n{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\",\"payload\":\"eW8=\"}",
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":12}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":"12"}`,
+		// structure and whitespace
+		`{}`,
+		`{ }`,
+		"{\"link\":1,\"bin\":2}\r\n{\"link\":3,\"bin\":4}\r\n",
+		"{\t\"link\"\t:\t1\t,\t\"bin\"\t:\t2\t}\t",
+		"\n\n{\"link\":1,\"bin\":2}\n   \n{\"link\":3}\n",
+		`{"link":1,"bin":2}{"link":3,"bin":4}`,
+		`{"link":1,"bin":2} garbage`,
+		`{"link":1,"bin":2}}`,
+		`{"link":1,"bin":2,}`,
+		`{"link":1 "bin":2}`,
+		`{"link" 1}`,
+		`{,"link":1}`,
+		`{"link":1,"bogus":true}`,
+		`{"bin":2,"link":1}`,
+		`{"hops":3,"ip":"1.2.3.4","monitor":1}`,
+		"{\"link\":1,\"bin\":2}\v",
+		"{\"link\":1,\v\"bin\":2}",
+		"\u00a0{\"link\":1,\"bin\":2}\u0085",
+		"{\"link\":1,\"b\x80n\":2}",
+		"{\"ip\":\"1.2.3.4\x7f\"}",
+		`[{"link":1}]`,
+		`{"link":1`,
+		`{"srcIP":"1.2.3.4`,
+		`"link"`,
+		`7`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		packets, err := ParsePacketsNDJSON(data)
+		wantPackets, wantErr := refParse(data, refPacket)
+		agree(t, "packets", data, packets, err, wantPackets, wantErr)
+		links, err := ParseLinkSamplesNDJSON(data)
+		wantLinks, wantErr := refParse(data, refLinkSample)
+		agree(t, "links", data, links, err, wantLinks, wantErr)
+		hops, err := ParseHopRecordsNDJSON(data)
+		wantHops, wantErr := refParse(data, refHopRecord)
+		agree(t, "hops", data, hops, err, wantHops, wantErr)
 	})
 }

@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/netip"
+	"strconv"
 )
 
 // NDJSON batch encoding: one JSON object per line, the wire format
@@ -12,12 +16,26 @@ import (
 // internal/dpserver/api). It exists alongside the DPTR binary
 // container because ingest senders are often not Go programs — a
 // capture agent shelling out packets as JSON lines needs no varint
-// framing — while high-volume senders use the binary form. Both
-// decode to identical records.
+// framing. Both decode to identical records.
 //
-// The decoders are strict (unknown fields refused, addresses must be
-// IPv4) and report the 1-based line number of the first bad record,
-// because an ingest 400 must tell the sender which line to look at.
+// The wire contract is: whatever encoding/json with
+// DisallowUnknownFields decodes into the *JSON structs below
+// (addresses must then parse as IPv4), one object per line, nothing
+// after it. decodeStrict and the slow* functions are that contract
+// and the only place a line is refused; errors name the 1-based line,
+// because an ingest 400 must tell the sender which one to look at.
+//
+// Reflection costs ~2.7 µs a record, so each line is first offered to
+// parseFlat, a tokenizer for a flat object of integer / string fields
+// driven by the shape's field table. It answers only for lines it can
+// prove encoding/json would decode to the same value: exact-case
+// known keys at most once each, unescaped ASCII strings, plain
+// decimal integers in range, strict dotted quads, std-base64
+// payload, optional JSON whitespace between tokens. Everything else —
+// case-folded or unknown keys, escapes, duplicates, null, 1e3,
+// leading zeros, overflow, a missing address, anything after the
+// closing brace — is deferred, never rejected: the slow path decides.
+// The input alone selects the path.
 
 // PacketJSON is the NDJSON wire shape of one Packet. Payload rides as
 // standard JSON base64; absent fields are zero.
@@ -84,104 +102,394 @@ func forEachLine(data []byte, fn func(line int, raw []byte) error) error {
 	return nil
 }
 
-// decodeStrict unmarshals one line refusing unknown fields.
+// errTrailing refuses a line with anything after its first JSON
+// value: json.Decoder stops there, so the rest would be dropped
+// without a word.
+var errTrailing = errors.New("more than one JSON value on the line")
+
+// decodeStrict unmarshals one line refusing unknown fields and
+// trailing data.
 func decodeStrict(raw []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if skipSpace(raw, int(dec.InputOffset())) < len(raw) {
+		return errTrailing
+	}
+	return nil
+}
+
+// fieldKind is what parseFlat accepts as a field's value.
+type fieldKind uint8
+
+const (
+	kindInt    fieldKind = iota // plain decimal integer within [-max-1 if neg, max]
+	kindIPv4                    // string holding a strict dotted quad
+	kindBase64                  // string holding std-base64 bytes
+)
+
+// field is one row of a wire shape's table: the JSON key, which values
+// the fast path answers for, and where the value lands in T.
+type field[T any] struct {
+	name     string
+	kind     fieldKind
+	max      uint64 // kindInt: largest value
+	neg      bool   // kindInt: negatives down to -max-1 too
+	required bool   // absent defers the line (the slow path refuses "")
+	set      func(rec *T, v int64, b []byte)
+}
+
+// shape is one record type on the wire: its field table, the
+// encoding/json path for the lines the table cannot answer, and the
+// length of the shortest line that yields a record, which keeps a body
+// of bare newlines from presizing the output.
+type shape[T any] struct {
+	fields  []field[T]
+	minLine int
+	slow    func(line int, raw []byte) (T, error)
+}
+
+var packetShape = shape[Packet]{
+	minLine: len(`{"srcIP":"1.1.1.1","dstIP":"1.1.1.1"}`),
+	slow:    slowPacket,
+	fields: []field[Packet]{
+		{name: "time", max: math.MaxInt64, neg: true, set: func(p *Packet, v int64, _ []byte) { p.Time = v }},
+		{name: "srcIP", kind: kindIPv4, required: true, set: func(p *Packet, v int64, _ []byte) { p.SrcIP = IPv4(v) }},
+		{name: "dstIP", kind: kindIPv4, required: true, set: func(p *Packet, v int64, _ []byte) { p.DstIP = IPv4(v) }},
+		{name: "srcPort", max: math.MaxUint16, set: func(p *Packet, v int64, _ []byte) { p.SrcPort = uint16(v) }},
+		{name: "dstPort", max: math.MaxUint16, set: func(p *Packet, v int64, _ []byte) { p.DstPort = uint16(v) }},
+		{name: "proto", max: math.MaxUint8, set: func(p *Packet, v int64, _ []byte) { p.Proto = uint8(v) }},
+		{name: "flags", max: math.MaxUint8, set: func(p *Packet, v int64, _ []byte) { p.Flags = TCPFlags(v) }},
+		{name: "seq", max: math.MaxUint32, set: func(p *Packet, v int64, _ []byte) { p.Seq = uint32(v) }},
+		{name: "ack", max: math.MaxUint32, set: func(p *Packet, v int64, _ []byte) { p.Ack = uint32(v) }},
+		{name: "len", max: math.MaxUint16, set: func(p *Packet, v int64, _ []byte) { p.Len = uint16(v) }},
+		{name: "payload", kind: kindBase64, set: func(p *Packet, _ int64, b []byte) { p.Payload = b }},
+	},
+}
+
+// link, bin and monitor are int32 on the wire but must be
+// non-negative: a negative one is deferred so the slow path words the
+// refusal.
+var linkShape = shape[LinkSample]{
+	minLine: len(`{}`),
+	slow:    slowLinkSample,
+	fields: []field[LinkSample]{
+		{name: "link", max: math.MaxInt32, set: func(s *LinkSample, v int64, _ []byte) { s.Link = int32(v) }},
+		{name: "bin", max: math.MaxInt32, set: func(s *LinkSample, v int64, _ []byte) { s.Bin = int32(v) }},
+	},
+}
+
+var hopShape = shape[HopRecord]{
+	minLine: len(`{"ip":"1.1.1.1"}`),
+	slow:    slowHopRecord,
+	fields: []field[HopRecord]{
+		{name: "monitor", max: math.MaxInt32, set: func(h *HopRecord, v int64, _ []byte) { h.Monitor = int32(v) }},
+		{name: "ip", kind: kindIPv4, required: true, set: func(h *HopRecord, v int64, _ []byte) { h.IP = IPv4(v) }},
+		{name: "hops", max: math.MaxInt32, neg: true, set: func(h *HopRecord, v int64, _ []byte) { h.Hops = int32(v) }},
+	},
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// scanString reads the string literal opening at b[i] and returns its
+// contents and the index after the closing quote. It gives up on an
+// escape, a control character or a non-ASCII byte, where the contents
+// would not be the bytes between the quotes.
+func scanString(b []byte, i int) (s []byte, next int, ok bool) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, 0, false
+	}
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			return b[i+1 : j], j + 1, true
+		case c < ' ' || c == '\\' || c >= 0x80:
+			return nil, 0, false
+		}
+	}
+	return nil, 0, false
+}
+
+// scanDigits reads 0|[1-9][0-9]* at b[i]. Nineteen digits cannot
+// overflow a uint64, so callers' range checks are exact.
+func scanDigits(b []byte, i int) (v uint64, next int, ok bool) {
+	start := i
+	for i < len(b) && b[i]-'0' <= 9 {
+		v = v*10 + uint64(b[i]-'0')
+		i++
+	}
+	n := i - start
+	return v, i, n > 0 && n <= 19 && (n == 1 || b[start] != '0')
+}
+
+// scanInt reads an integer in [-max-1 if negOK else 0, max] at b[i].
+func scanInt(b []byte, i int, max uint64, negOK bool) (v int64, next int, ok bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	m, i, ok := scanDigits(b, i)
+	if neg {
+		return -int64(m), i, ok && negOK && m <= max+1 // -int64(1<<63) is MinInt64
+	}
+	return int64(m), i, ok && m <= max
+}
+
+// scanQuad reads a string holding exactly the dotted quads
+// netip.ParseAddr accepts: four octets, no leading zero, at most 255.
+func scanQuad(b []byte, i int) (ip int64, next int, ok bool) {
+	s, next, ok := scanString(b, i)
+	i = 0
+	for octet := 0; ok && octet < 4; octet++ {
+		if octet > 0 {
+			if i == len(s) || s[i] != '.' {
+				return 0, 0, false
+			}
+			i++
+		}
+		var v uint64
+		v, i, ok = scanDigits(s, i)
+		ip, ok = ip<<8|int64(v), ok && v <= 255
+	}
+	return ip, next, ok && i == len(s)
+}
+
+// payloadChunk is how much payload space a batch allocates at a time:
+// its payloads are carved, capacity-clipped, from shared chunks
+// instead of costing an allocation each.
+const payloadChunk = 4096
+
+// scanBase64 reads a string holding std-base64 into the arena, with
+// encoding/json's own decoding call.
+func scanBase64(b []byte, i int, arena *[]byte) (payload []byte, next int, ok bool) {
+	s, next, ok := scanString(b, i)
+	if !ok {
+		return nil, 0, false
+	}
+	// >= so that "" finds an arena too and is empty, not nil.
+	if need := base64.StdEncoding.DecodedLen(len(s)); need >= len(*arena) {
+		*arena = make([]byte, max(need, payloadChunk))
+	}
+	n, err := base64.StdEncoding.Decode(*arena, s)
+	if err != nil {
+		return nil, 0, false
+	}
+	payload, *arena = (*arena)[:n:n], (*arena)[n:]
+	return payload, next, true
+}
+
+// parseFlat decodes one line into rec through the field table. A
+// false return means "ask encoding/json", not "bad line"; rec may be
+// half-written by then.
+func parseFlat[T any](line []byte, fields []field[T], rec *T, arena *[]byte) bool {
+	i := skipSpace(line, 0)
+	if i == len(line) || line[i] != '{' {
+		return false
+	}
+	i++
+	var seen uint
+	next := 0 // senders keep table order, so the first probe usually hits
+	for n := 0; ; n++ {
+		i = skipSpace(line, i)
+		if n == 0 && i < len(line) && line[i] == '}' {
+			i++
+			break
+		}
+		key, j, ok := scanString(line, i)
+		if !ok {
+			return false
+		}
+		k := -1
+		for probe := range fields {
+			if at := (next + probe) % len(fields); string(key) == fields[at].name {
+				k = at
+				break
+			}
+		}
+		if k < 0 || seen&(1<<k) != 0 {
+			return false
+		}
+		seen |= 1 << k
+		next = k + 1
+		f := &fields[k]
+
+		i = skipSpace(line, j)
+		if i == len(line) || line[i] != ':' {
+			return false
+		}
+		i = skipSpace(line, i+1)
+		var v int64
+		var payload []byte
+		switch f.kind {
+		case kindInt:
+			v, i, ok = scanInt(line, i, f.max, f.neg)
+		case kindIPv4:
+			v, i, ok = scanQuad(line, i)
+		case kindBase64:
+			payload, i, ok = scanBase64(line, i, arena)
+		}
+		if !ok {
+			return false
+		}
+		f.set(rec, v, payload)
+
+		i = skipSpace(line, i)
+		if i == len(line) {
+			return false
+		}
+		i++
+		if line[i-1] == '}' {
+			break
+		}
+		if line[i-1] != ',' {
+			return false
+		}
+	}
+	for k := range fields {
+		if fields[k].required && seen&(1<<k) == 0 {
+			return false
+		}
+	}
+	return skipSpace(line, i) == len(line)
+}
+
+// parseNDJSON decodes a batch line by line straight into the output
+// slice, presized from the newline count, and reports how many lines
+// the fast path answered (tests pin that marshalled lines all do).
+func parseNDJSON[T any](data []byte, sh *shape[T]) (out []T, fast int, err error) {
+	out = make([]T, 0, min(bytes.Count(data, []byte{'\n'})+1, len(data)/sh.minLine+1))
+	var arena []byte
+	err = forEachLine(data, func(line int, raw []byte) error {
+		var zero T
+		out = append(out, zero)
+		rec := &out[len(out)-1]
+		if parseFlat(raw, sh.fields, rec, &arena) {
+			fast++
+			return nil
+		}
+		var err error
+		*rec, err = sh.slow(line, raw)
+		return err
+	})
+	if err != nil {
+		return nil, fast, err
+	}
+	return out, fast, nil
 }
 
 // ParsePacketsNDJSON decodes a batch of PacketJSON lines.
 func ParsePacketsNDJSON(data []byte) ([]Packet, error) {
-	var out []Packet
-	err := forEachLine(data, func(line int, raw []byte) error {
-		var pj PacketJSON
-		if err := decodeStrict(raw, &pj); err != nil {
-			return fmt.Errorf("trace: ndjson line %d: %w", line, err)
-		}
-		src, err := ParseIPv4(pj.SrcIP)
-		if err != nil {
-			return fmt.Errorf("trace: ndjson line %d srcIP: %w", line, err)
-		}
-		dst, err := ParseIPv4(pj.DstIP)
-		if err != nil {
-			return fmt.Errorf("trace: ndjson line %d dstIP: %w", line, err)
-		}
-		out = append(out, Packet{
-			Time: pj.Time, SrcIP: src, DstIP: dst,
-			SrcPort: pj.SrcPort, DstPort: pj.DstPort,
-			Proto: pj.Proto, Flags: TCPFlags(pj.Flags),
-			Seq: pj.Seq, Ack: pj.Ack, Len: pj.Len, Payload: pj.Payload,
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	out, _, err := parseNDJSON(data, &packetShape)
+	return out, err
+}
+
+func slowPacket(line int, raw []byte) (Packet, error) {
+	var pj PacketJSON
+	if err := decodeStrict(raw, &pj); err != nil {
+		return Packet{}, fmt.Errorf("trace: ndjson line %d: %w", line, err)
 	}
-	return out, nil
+	src, err := ParseIPv4(pj.SrcIP)
+	if err != nil {
+		return Packet{}, fmt.Errorf("trace: ndjson line %d srcIP: %w", line, err)
+	}
+	dst, err := ParseIPv4(pj.DstIP)
+	if err != nil {
+		return Packet{}, fmt.Errorf("trace: ndjson line %d dstIP: %w", line, err)
+	}
+	return Packet{
+		Time: pj.Time, SrcIP: src, DstIP: dst,
+		SrcPort: pj.SrcPort, DstPort: pj.DstPort,
+		Proto: pj.Proto, Flags: TCPFlags(pj.Flags),
+		Seq: pj.Seq, Ack: pj.Ack, Len: pj.Len, Payload: pj.Payload,
+	}, nil
 }
 
 // ParseLinkSamplesNDJSON decodes a batch of LinkSampleJSON lines.
 func ParseLinkSamplesNDJSON(data []byte) ([]LinkSample, error) {
-	var out []LinkSample
-	err := forEachLine(data, func(line int, raw []byte) error {
-		var lj LinkSampleJSON
-		if err := decodeStrict(raw, &lj); err != nil {
-			return fmt.Errorf("trace: ndjson line %d: %w", line, err)
-		}
-		if lj.Link < 0 || lj.Bin < 0 {
-			return fmt.Errorf("trace: ndjson line %d: link and bin must be non-negative", line)
-		}
-		out = append(out, LinkSample{Link: lj.Link, Bin: lj.Bin})
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	out, _, err := parseNDJSON(data, &linkShape)
+	return out, err
+}
+
+func slowLinkSample(line int, raw []byte) (LinkSample, error) {
+	var lj LinkSampleJSON
+	if err := decodeStrict(raw, &lj); err != nil {
+		return LinkSample{}, fmt.Errorf("trace: ndjson line %d: %w", line, err)
 	}
-	return out, nil
+	if lj.Link < 0 || lj.Bin < 0 {
+		return LinkSample{}, fmt.Errorf("trace: ndjson line %d: link and bin must be non-negative", line)
+	}
+	return LinkSample{Link: lj.Link, Bin: lj.Bin}, nil
 }
 
 // ParseHopRecordsNDJSON decodes a batch of HopRecordJSON lines.
 func ParseHopRecordsNDJSON(data []byte) ([]HopRecord, error) {
-	var out []HopRecord
-	err := forEachLine(data, func(line int, raw []byte) error {
-		var hj HopRecordJSON
-		if err := decodeStrict(raw, &hj); err != nil {
-			return fmt.Errorf("trace: ndjson line %d: %w", line, err)
-		}
-		ip, err := ParseIPv4(hj.IP)
-		if err != nil {
-			return fmt.Errorf("trace: ndjson line %d ip: %w", line, err)
-		}
-		if hj.Monitor < 0 {
-			return fmt.Errorf("trace: ndjson line %d: monitor must be non-negative", line)
-		}
-		out = append(out, HopRecord{Monitor: hj.Monitor, IP: ip, Hops: hj.Hops})
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	out, _, err := parseNDJSON(data, &hopShape)
+	return out, err
+}
+
+func slowHopRecord(line int, raw []byte) (HopRecord, error) {
+	var hj HopRecordJSON
+	if err := decodeStrict(raw, &hj); err != nil {
+		return HopRecord{}, fmt.Errorf("trace: ndjson line %d: %w", line, err)
 	}
-	return out, nil
+	ip, err := ParseIPv4(hj.IP)
+	if err != nil {
+		return HopRecord{}, fmt.Errorf("trace: ndjson line %d ip: %w", line, err)
+	}
+	if hj.Monitor < 0 {
+		return HopRecord{}, fmt.Errorf("trace: ndjson line %d: monitor must be non-negative", line)
+	}
+	return HopRecord{Monitor: hj.Monitor, IP: ip, Hops: hj.Hops}, nil
+}
+
+// The append encoders write exactly the bytes json.Marshal produces
+// for the *JSON structs (a test holds them to it), with strconv and
+// base64 straight into dst.
+
+// appendNonZero appends key and v unless v is zero (omitempty).
+func appendNonZero(dst []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendUint(append(dst, key...), v, 10)
 }
 
 // AppendPacketNDJSON appends one packet as a JSON line (with trailing
-// newline) to dst — the sender-side encoder, allocation-friendly for
-// batch building.
+// newline) to dst — the sender-side encoder, allocation-free when dst
+// has room.
 func AppendPacketNDJSON(dst []byte, p *Packet) []byte {
-	b, _ := json.Marshal(PacketJSON{
-		Time: p.Time, SrcIP: p.SrcIP.String(), DstIP: p.DstIP.String(),
-		SrcPort: p.SrcPort, DstPort: p.DstPort,
-		Proto: p.Proto, Flags: uint8(p.Flags),
-		Seq: p.Seq, Ack: p.Ack, Len: p.Len, Payload: p.Payload,
-	})
-	dst = append(dst, b...)
-	return append(dst, '\n')
+	dst = strconv.AppendInt(append(dst, `{"time":`...), p.Time, 10)
+	dst = p.SrcIP.appendTo(append(dst, `,"srcIP":"`...))
+	dst = p.DstIP.appendTo(append(dst, `","dstIP":"`...))
+	dst = append(dst, '"')
+	dst = appendNonZero(dst, `,"srcPort":`, uint64(p.SrcPort))
+	dst = appendNonZero(dst, `,"dstPort":`, uint64(p.DstPort))
+	dst = appendNonZero(dst, `,"proto":`, uint64(p.Proto))
+	dst = appendNonZero(dst, `,"flags":`, uint64(p.Flags))
+	dst = appendNonZero(dst, `,"seq":`, uint64(p.Seq))
+	dst = appendNonZero(dst, `,"ack":`, uint64(p.Ack))
+	dst = strconv.AppendUint(append(dst, `,"len":`...), uint64(p.Len), 10)
+	if len(p.Payload) > 0 {
+		dst = base64.StdEncoding.AppendEncode(append(dst, `,"payload":"`...), p.Payload)
+		dst = append(dst, '"')
+	}
+	return append(dst, "}\n"...)
 }
 
 // MarshalPacketsNDJSON encodes a packet batch as NDJSON.
 func MarshalPacketsNDJSON(packets []Packet) []byte {
-	var dst []byte
+	// Lines without payload run to ~130 bytes, 184 at most; growing
+	// from nil instead copies the batch five times over.
+	dst := make([]byte, 0, 160*len(packets))
 	for i := range packets {
 		dst = AppendPacketNDJSON(dst, &packets[i])
 	}
@@ -190,9 +498,9 @@ func MarshalPacketsNDJSON(packets []Packet) []byte {
 
 // AppendLinkSampleNDJSON appends one link sample as a JSON line.
 func AppendLinkSampleNDJSON(dst []byte, s LinkSample) []byte {
-	b, _ := json.Marshal(LinkSampleJSON{Link: s.Link, Bin: s.Bin})
-	dst = append(dst, b...)
-	return append(dst, '\n')
+	dst = strconv.AppendInt(append(dst, `{"link":`...), int64(s.Link), 10)
+	dst = strconv.AppendInt(append(dst, `,"bin":`...), int64(s.Bin), 10)
+	return append(dst, "}\n"...)
 }
 
 // MarshalLinkSamplesNDJSON encodes a link-sample batch as NDJSON.
@@ -206,9 +514,10 @@ func MarshalLinkSamplesNDJSON(samples []LinkSample) []byte {
 
 // AppendHopRecordNDJSON appends one hop record as a JSON line.
 func AppendHopRecordNDJSON(dst []byte, h HopRecord) []byte {
-	b, _ := json.Marshal(HopRecordJSON{Monitor: h.Monitor, IP: h.IP.String(), Hops: h.Hops})
-	dst = append(dst, b...)
-	return append(dst, '\n')
+	dst = strconv.AppendInt(append(dst, `{"monitor":`...), int64(h.Monitor), 10)
+	dst = h.IP.appendTo(append(dst, `,"ip":"`...))
+	dst = strconv.AppendInt(append(dst, `","hops":`...), int64(h.Hops), 10)
+	return append(dst, "}\n"...)
 }
 
 // MarshalHopRecordsNDJSON encodes a hop-record batch as NDJSON.

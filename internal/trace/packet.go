@@ -37,6 +37,18 @@ func (ip IPv4) String() string {
 	return string(b)
 }
 
+// appendTo appends the dotted-quad form to b, for the NDJSON encoder.
+// String keeps its own copy of the loop: routed through this call it
+// measured ~5 % slower, and distinctsrc pays it per record.
+func (ip IPv4) appendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(ip>>24), 10)
+	for shift := 16; shift >= 0; shift -= 8 {
+		b = append(b, '.')
+		b = strconv.AppendUint(b, uint64(byte(ip>>shift)), 10)
+	}
+	return b
+}
+
 // Addr converts to a netip.Addr for interoperability with the standard
 // library's address handling.
 func (ip IPv4) Addr() netip.Addr {
