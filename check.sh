@@ -31,6 +31,20 @@ if grep -rnE '\b(WhereRecorded|StreamNoisy[A-Za-z]*)\b' --include='*.go' --exclu
 	echo "bench-only forwards (core.WhereRecorded, core.StreamNoisy*) referenced outside bench/" >&2
 	exit 1
 fi
+# Every Test* / Fuzz* / Benchmark* the docs name must be declared in
+# some test file (a trailing * names a prefix), so prose cannot keep
+# pointing at a test that was renamed or deleted.
+grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*\*?' README.md DESIGN.md EXPERIMENTS.md | sort -u |
+	while read -r name; do
+		case $name in
+		*\*) decl="^func ${name%\*}" ;;
+		*) decl="^func $name\(" ;;
+		esac
+		if ! grep -rqE --include='*_test.go' --exclude-dir=.bench_build "$decl" .; then
+			echo "the docs name $name, which no test file declares" >&2
+			exit 1
+		fi
+	done
 go test -race -shuffle=on -timeout 10m ./...
 # Allocation guards for the chunk loop run without the race detector:
 # its instrumentation inflates allocation counts, so these tests skip
@@ -49,6 +63,10 @@ go test -run=. -fuzz=FuzzCountMinMerge -fuzztime=5s ./internal/sketch
 # indistinguishable from encoding/json plus the one-object-per-line
 # rule — same accept/reject, same records, same error strings.
 go test -run=. -fuzz=FuzzNDJSONLine -fuzztime=5s ./internal/trace
+# Short differential fuzz smoke over the CDF bucket indexer: for any
+# strictly increasing edges, the table lookup must assign every value
+# the bucket the binary search does.
+go test -run=. -fuzz=FuzzBucketIndex -fuzztime=3s ./internal/toolkit
 # Short chaos smoke (make chaos runs the full 30s soak): randomized
 # I/O faults + handler panics under a query storm must keep the
 # failure surface closed and the ε invariants intact.

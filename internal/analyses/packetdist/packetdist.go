@@ -53,10 +53,9 @@ func ExactPortCDF(packets []trace.Packet, buckets []int64) []float64 {
 func exactCDF(packets []trace.Packet, buckets []int64, value func(trace.Packet) int64) []float64 {
 	out := make([]float64, len(buckets))
 	freq := make([]float64, len(buckets))
+	b := toolkit.NewBucketer(buckets)
 	for _, p := range packets {
-		v := value(p)
-		idx := searchBucket(v, buckets)
-		if idx >= 0 {
+		if idx := b.Index(value(p)); idx >= 0 {
 			freq[idx]++
 		}
 	}
@@ -66,22 +65,6 @@ func exactCDF(packets []trace.Packet, buckets []int64, value func(trace.Packet) 
 		out[i] = run
 	}
 	return out
-}
-
-func searchBucket(v int64, buckets []int64) int {
-	lo, hi := 0, len(buckets)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v < buckets[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == len(buckets) {
-		return -1
-	}
-	return lo
 }
 
 // RMSE computes the paper's relative error metric between a private

@@ -156,15 +156,12 @@ func GroupFold[T any, K comparable, A any](src Streamer[T], key func(T) K, fold 
 
 // indexSink is the first pass of the operators that hand records back
 // by key: it keeps, for its range, the number of the group each output
-// record belongs to (-1: none) and each group's size. GroupBy numbers
-// keys as they first appear in the range; Partition looks them up in
-// the caller's list (fixed: the index is shared by the ranges and only
-// read, and an unlisted key belongs to no group).
+// record belongs to and each group's size. This one is GroupBy's: it
+// numbers keys as they first appear in the range.
 type indexSink[T any, K comparable] struct {
 	key    func(T) K
 	index  map[K]int32
-	fixed  bool
-	keys   []K     // number → key, where the sink does the numbering
+	keys   []K     // number → key
 	counts []int   // number → records
 	ids    []int32 // one per output record
 }
@@ -176,12 +173,9 @@ func (k *indexSink[T, K]) acceptChunk(c []T) {
 	for j := range c {
 		key := k.key(c[j])
 		id, ok := k.index[key]
-		switch {
-		case ok:
+		if ok {
 			k.counts[id]++
-		case k.fixed:
-			id = -1
-		default:
+		} else {
 			id = int32(len(k.keys))
 			k.index[key] = id
 			k.keys = append(k.keys, key)
@@ -190,6 +184,32 @@ func (k *indexSink[T, K]) acceptChunk(c []T) {
 		ids[j] = id
 	}
 }
+
+func (k *indexSink[T, K]) numbers() ([]int32, []int) { return k.ids, k.counts }
+
+// partSink is Partition's index pass: number, shared by the ranges,
+// says which part a key is in (-1: none).
+type partSink[T any, K comparable] struct {
+	key    func(T) K
+	number func(K) int32
+	counts []int
+	ids    []int32
+}
+
+func (k *partSink[T, K]) acceptChunk(c []T) {
+	base := len(k.ids)
+	k.ids = slices.Grow(k.ids, len(c))[:base+len(c)]
+	ids := k.ids[base:]
+	for j := range c {
+		id := k.number(k.key(c[j]))
+		if id >= 0 {
+			k.counts[id]++
+		}
+		ids[j] = id
+	}
+}
+
+func (k *partSink[T, K]) numbers() ([]int32, []int) { return k.ids, k.counts }
 
 // placement is what an index pass leaves for the scatter pass.
 type placement struct {
@@ -202,7 +222,7 @@ type placement struct {
 // place lays the ranges' groups out in one arena: group by group and,
 // within a group, range by range — which is record order. remap[i]
 // translates range i's numbers into groups; nil where they already are.
-func place[T any, K comparable](ranges []*indexSink[T, K], remap [][]int32, groups int) placement {
+func place[S interface{ numbers() ([]int32, []int) }](ranges []S, remap [][]int32, groups int) placement {
 	group := func(i, number int) int {
 		if remap[i] == nil {
 			return number
@@ -210,10 +230,11 @@ func place[T any, K comparable](ranges []*indexSink[T, K], remap [][]int32, grou
 		return int(remap[i][number])
 	}
 	l := placement{ids: make([][]int32, len(ranges)), at: make([][]int, len(ranges)), off: make([]int, groups+1)}
-	for i, p := range ranges {
-		l.ids[i] = p.ids
-		l.n += len(p.ids)
-		for number, c := range p.counts {
+	for i, r := range ranges {
+		ids, counts := r.numbers()
+		l.ids[i] = ids
+		l.n += len(ids)
+		for number, c := range counts {
 			l.off[group(i, number)+1] += c
 		}
 	}
@@ -221,9 +242,10 @@ func place[T any, K comparable](ranges []*indexSink[T, K], remap [][]int32, grou
 		l.off[g+1] += l.off[g]
 	}
 	next := slices.Clone(l.off[:groups])
-	for i, p := range ranges {
-		l.at[i] = make([]int, len(p.counts))
-		for number, c := range p.counts {
+	for i, r := range ranges {
+		_, counts := r.numbers()
+		l.at[i] = make([]int, len(counts))
+		for number, c := range counts {
 			g := group(i, number)
 			l.at[i][number] = next[g]
 			next[g] += c
@@ -408,18 +430,12 @@ func (q *Queryable[T]) settled() *Queryable[T] {
 // once, into one shared arena — only when something scans a part, so
 // counting the parts (a CDF, a link matrix) copies no record.
 func Partition[T any, K comparable](src Streamer[T], keys []K, keyOf func(T) K) map[K]*Queryable[T] {
-	wanted := make(map[K]int32, len(keys))
-	for i, k := range keys {
-		if _, dup := wanted[k]; dup {
-			panic("core: Partition keys must be distinct")
-		}
-		wanted[k] = int32(i)
-	}
+	number := numbering(keys)
 	s := src.Stream()
 	start := opStart(s.rec)
 	shared := &partition[T]{src: s}
-	ranges, ok := keyed(s, 1, func(_, n int) *indexSink[T, K] {
-		return &indexSink[T, K]{key: keyOf, index: wanted, fixed: true, counts: make([]int, len(keys)), ids: make([]int32, 0, n)}
+	ranges, ok := keyed(s, 1, func(_, n int) *partSink[T, K] {
+		return &partSink[T, K]{key: keyOf, number: number, counts: make([]int, len(keys)), ids: make([]int32, 0, n)}
 	})
 	if ok {
 		shared.placement = place(ranges, make([][]int32, len(ranges)), len(keys))
@@ -437,6 +453,54 @@ func Partition[T any, K comparable](src Streamer[T], keys []K, keyOf func(T) K) 
 		parts[k] = q
 	}
 	return parts
+}
+
+// numbering turns Partition's key list into the number of a key's part
+// (-1: unlisted): key − lo for integer keys lo, lo+1, …, lo+n−1 (a CDF's
+// buckets, a link matrix's links and bins), else a map lookup.
+func numbering[K comparable](keys []K) func(K) int32 {
+	var f any
+	switch ks := any(keys).(type) {
+	case []int:
+		f = consecutive(ks)
+	case []int32:
+		f = consecutive(ks)
+	case []int64:
+		f = consecutive(ks)
+	}
+	if f, ok := f.(func(K) int32); ok {
+		return f
+	}
+	index := make(map[K]int32, len(keys)) // key → number + 1
+	for i, k := range keys {
+		if index[k] != 0 {
+			panic("core: Partition keys must be distinct")
+		}
+		index[k] = int32(i) + 1
+	}
+	return func(k K) int32 { return index[k] - 1 }
+}
+
+// consecutive is a func(N) int32 numbering keys lo, lo+1, …, lo+n−1 as
+// key − lo, or nil for any other list. The subtraction may wrap, but a
+// key whose difference lands in [0, n) is the listed key with that
+// number.
+func consecutive[N int | int32 | int64](keys []N) any {
+	if len(keys) == 0 {
+		return nil
+	}
+	for i, k := range keys {
+		if k-keys[0] != N(i) {
+			return nil
+		}
+	}
+	lo, n := keys[0], uint64(len(keys))
+	return func(k N) int32 {
+		if d := uint64(k - lo); d < n {
+			return int32(d)
+		}
+		return -1
+	}
 }
 
 // keySetSink collects its range's keys.

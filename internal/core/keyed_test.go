@@ -238,25 +238,9 @@ func TestKeyedOperatorsMatchReference(t *testing.T) {
 							t.Fatalf("%s: %s called the key function %d times over %d records", label, op, got, records)
 						}
 					}
-					// counted runs a count on both sides and compares answer,
-					// refusal, cumulative ε and draws.
 					counted := func(op string, count func(float64) (float64, error), records int, payer refCharger, eps float64) {
 						t.Helper()
-						want, ok := refCount(records, payer, refSrc, eps)
-						got, err := count(eps)
-						if !ok {
-							if !errors.Is(err, ErrBudgetExceeded) || got != 0 {
-								t.Fatalf("%s: %s: (%v, %v), the reference refuses", label, op, got, err)
-							}
-						} else if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s: %s = (%v, %v), reference %v", label, op, got, err, want)
-						}
-						if r.root.Spent() != ref.spent {
-							t.Fatalf("%s: %s: spent %v, reference %v", label, op, r.root.Spent(), ref.spent)
-						}
-						if r.src.draws != refSrc.draws {
-							t.Fatalf("%s: %s: %d noise draws, reference %d", label, op, r.src.draws, refSrc.draws)
-						}
+						sameCount(t, label+": "+op, count, records, payer, eps, r, ref, refSrc)
 					}
 
 					// Distinct: first of each key, stability 1.
@@ -304,45 +288,12 @@ func TestKeyedOperatorsMatchReference(t *testing.T) {
 					}
 					counted("GroupFold count", f.NoisyCount, len(wantG), refScaled{ref, 2}, 0.3)
 
-					// Partition: charged by max; the second round runs on a budget
-					// the third part's count exhausts exactly.
 					listed := ks.listed(flows)
-					wantP := refPartition(in, listed, ks.key)
-					epsOf := func(i int) float64 { return 0.1 + 0.05*float64(i%4) }
-					tight := 0.0 // set by the first, unlimited round
-					for round := 0; round < 2; round++ {
-						budget := math.Inf(1)
-						if round == 1 {
-							budget = tight
-						}
-						reset(budget)
-						parts := Partition(r.h, listed, key)
-						called("Partition", len(in))
-						if len(parts) != len(listed) {
-							t.Fatalf("%s: Partition returned %d parts for %d keys", label, len(parts), len(listed))
-						}
-						payers := &refParts{parent: ref, spent: make([]float64, len(listed))}
-						for i, k := range listed {
-							counted(fmt.Sprintf("count of part %d", i), parts[k].NoisyCount, len(wantP[k]), refPart{payers, i}, epsOf(i))
-							if i == 2 && math.IsInf(budget, 1) {
-								tight = ref.spent
-							}
-						}
-						if !math.IsInf(budget, 1) && ref.spent != tight {
-							t.Fatalf("%s: scenario broken: tight budget %v, reference spent %v", label, tight, ref.spent)
-						}
-						// Scanned after its count, a part holds the records the
-						// eager spelling would; the gather re-runs no key function.
-						for _, k := range listed {
-							if got := parts[k].settled().records; !sameRecords(got, wantP[k]) {
-								t.Fatalf("%s: part %v holds %d records, reference %d (or another order)", label, k, len(got), len(wantP[k]))
-							}
-						}
-						called("scanning the parts", 0)
-					}
+					checkPartition(t, label, fresh, in, listed, ks.key)
 
 					// Nested Partition: every count of every inner part of every
 					// outer part costs the source the maximum, once.
+					wantP := refPartition(in, listed, ks.key)
 					reset(1)
 					outer := Partition(r.h, listed, ks.key)
 					outerPayers := &refParts{parent: ref, spent: make([]float64, len(listed))}
@@ -389,8 +340,117 @@ func TestKeyedOperatorsMatchReference(t *testing.T) {
 						}
 					}
 				}
+
+				// Integer key lists, numbered without a map when consecutive.
+				if n <= chunkSize+1 {
+					label := fmt.Sprintf("n=%d fused=%v %s", n, fused, mode.name)
+					checkIntegerKeys(t, label+" int", fresh, in, math.MinInt, math.MaxInt)
+					checkIntegerKeys(t, label+" int32", fresh, in, math.MinInt32, math.MaxInt32)
+					checkIntegerKeys(t, label+" int64", fresh, in, math.MinInt64, math.MaxInt64)
+				}
 			}
 		}
+	}
+}
+
+// sameCount runs a count on both sides and compares answer, refusal,
+// cumulative ε and draws.
+func sameCount(t *testing.T, label string, count func(float64) (float64, error), records int, payer refCharger, eps float64, r keyedRun, ref *refRoot, refSrc *countingSource) {
+	t.Helper()
+	want, ok := refCount(records, payer, refSrc, eps)
+	got, err := count(eps)
+	if !ok {
+		if !errors.Is(err, ErrBudgetExceeded) || got != 0 {
+			t.Fatalf("%s: (%v, %v), the reference refuses", label, got, err)
+		}
+	} else if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s = (%v, %v), reference %v", label, got, err, want)
+	}
+	if r.root.Spent() != ref.spent {
+		t.Fatalf("%s: spent %v, reference %v", label, r.root.Spent(), ref.spent)
+	}
+	if r.src.draws != refSrc.draws {
+		t.Fatalf("%s: %d noise draws, reference %d", label, r.src.draws, refSrc.draws)
+	}
+}
+
+// checkPartition holds Partition(h, listed, key) to refPartition over in,
+// the records h yields: charged by max, and the second round runs on a
+// budget the third part's count (or the last's, with fewer parts)
+// exhausts exactly. Every part's count, draws, cumulative ε and refusal,
+// then every part's records, with one key call per record in the pass
+// and none in a gather.
+func checkPartition[K comparable](t *testing.T, label string, fresh func(budget float64) keyedRun, in []flowRec, listed []K, key func(flowRec) K) {
+	t.Helper()
+	var calls atomic.Int64
+	counting := func(f flowRec) K { calls.Add(1); return key(f) }
+	called := func(op string, records int) {
+		t.Helper()
+		if got := calls.Swap(0); got != int64(records) {
+			t.Fatalf("%s: %s called the key function %d times over %d records", label, op, got, records)
+		}
+	}
+	wantP := refPartition(in, listed, key)
+	epsOf := func(i int) float64 { return 0.1 + 0.05*float64(i%4) }
+	tight := 0.0 // set by the first, unlimited round
+	for round := 0; round < 2; round++ {
+		budget := math.Inf(1)
+		if round == 1 {
+			budget = tight
+		}
+		r := fresh(budget)
+		ref, refSrc := &refRoot{budget: budget}, &countingSource{src: noise.NewSeededSource(5, 8)}
+		parts := Partition(r.h, listed, counting)
+		called("Partition", len(in))
+		if len(parts) != len(listed) {
+			t.Fatalf("%s: Partition returned %d parts for %d keys", label, len(parts), len(listed))
+		}
+		payers := &refParts{parent: ref, spent: make([]float64, len(listed))}
+		for i, k := range listed {
+			sameCount(t, fmt.Sprintf("%s: count of part %d", label, i), parts[k].NoisyCount, len(wantP[k]), refPart{payers, i}, epsOf(i), r, ref, refSrc)
+			if i == min(2, len(listed)-1) && math.IsInf(budget, 1) {
+				tight = ref.spent
+			}
+		}
+		if !math.IsInf(budget, 1) && ref.spent != tight {
+			t.Fatalf("%s: scenario broken: tight budget %v, reference spent %v", label, tight, ref.spent)
+		}
+		// Scanned after its count, a part holds the records the eager
+		// spelling would; the gather re-runs no key function.
+		for _, k := range listed {
+			if got := parts[k].settled().records; !sameRecords(got, wantP[k]) {
+				t.Fatalf("%s: part %v holds %d records, reference %d (or another order)", label, k, len(got), len(wantP[k]))
+			}
+		}
+		called("scanning the parts", 0)
+	}
+}
+
+// checkIntegerKeys runs checkPartition over key lists of an integer type:
+// consecutive ascending ones, which Partition numbers as key − lo, and
+// ones that are not, which go through a map. Record keys are every
+// listed key, the keys just outside each list (−1, n, lo − 1) and both
+// ends of the type, so a bound off by one, a signed compare or a wrapped
+// difference would put a record in a part the reference leaves it out of.
+func checkIntegerKeys[N int | int32 | int64](t *testing.T, label string, fresh func(budget float64) keyedRun, in []flowRec, minN, maxN N) {
+	t.Helper()
+	values := []N{-4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, minN, maxN}
+	key := func(f flowRec) N { return values[f.Dst%uint32(len(values))] }
+	for _, c := range []struct {
+		name   string
+		listed []N
+		dense  bool
+	}{
+		{"0..n-1", []N{0, 1, 2, 3, 4, 5, 6, 7}, true},
+		{"lo..lo+n-1", []N{-3, -2, -1, 0, 1, 2, 3, 4}, true},
+		{"{0}", []N{0}, true},
+		{"{0,2,3}", []N{0, 2, 3}, false},
+		{"{1,0}", []N{1, 0}, false},
+	} {
+		if dense := consecutive(c.listed) != nil; dense != c.dense {
+			t.Fatalf("%s %s: numbered densely %v, want %v", label, c.name, dense, c.dense)
+		}
+		checkPartition(t, label+" "+c.name, fresh, in, c.listed, key)
 	}
 }
 

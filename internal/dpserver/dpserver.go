@@ -711,6 +711,9 @@ func marshalJSON(v any) []byte {
 // Materialize() once, in front of the Join and GroupBy that need the
 // records.
 func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryResponse, error) {
+	if err := checkBucketStep(req.Query, req.BucketStep); err != nil {
+		return nil, err
+	}
 	var match func(trace.Packet) bool // nil without a filter: every packet passes, unread
 	if req.Filter != nil {
 		match = func(p trace.Packet) bool { return req.Filter.Match(&p) }
@@ -791,6 +794,27 @@ func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryR
 		return nil, err
 	}
 	return &QueryResponse{Values: []float64{v}, NoiseStd: noiseStd}, nil
+}
+
+// maxBucketStep is each CDF kind's widest bucketStep: lencdf and portcdf
+// need one edge inside their 1,520-byte and 65,536-port domains, and
+// rttcdf's 64 and losscdf's 41 edges must not overflow an int64.
+var maxBucketStep = map[string]int64{
+	"lencdf":  1520,
+	"portcdf": 65536,
+	"rttcdf":  math.MaxInt64 / 64,
+	"losscdf": math.MaxInt64 / 41,
+}
+
+// checkBucketStep refuses a bucketStep wider than its kind's domain, so
+// a one-shot query answers 400 before it builds a pipeline or charges,
+// and a standing query is refused at registration, before any window
+// can fire.
+func checkBucketStep(kind string, step int64) error {
+	if widest, ok := maxBucketStep[kind]; ok && step > widest {
+		return fmt.Errorf("bucketStep %d is wider than %s's domain: at most %d", step, kind, widest)
+	}
+	return nil
 }
 
 // orDefault is v, or def when the request left the field unset.

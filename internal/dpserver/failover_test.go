@@ -329,13 +329,18 @@ func TestKillPrimaryFailover(t *testing.T) {
 	failoverCycle(t, 42)
 }
 
+// failoverMinRounds is the floor of the soak: seeds 100..200 always
+// run, however loaded the machine, so the set of subtests does not
+// depend on timing. The -failoverdur budget only adds rounds past it.
+const failoverMinRounds = 101
+
 // TestFailoverStorm soaks the cycle with fresh seeds until the
 // -failoverdur budget runs out (check.sh smokes ~3s; `make chaos`
-// runs 30s).
+// runs 30s), and never fewer than failoverMinRounds.
 func TestFailoverStorm(t *testing.T) {
 	deadline := time.Now().Add(*failoverDur)
 	rounds := 0
-	for seed := uint64(100); rounds == 0 || time.Now().Before(deadline); seed++ {
+	for seed := uint64(100); rounds < failoverMinRounds || time.Now().Before(deadline); seed++ {
 		rounds++
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			failoverCycle(t, seed)
@@ -344,5 +349,5 @@ func TestFailoverStorm(t *testing.T) {
 			t.Fatalf("failover invariant violated in round %d", rounds)
 		}
 	}
-	t.Logf("failover storm: %d rounds clean in %v", rounds, *failoverDur)
+	t.Logf("failover storm: %d rounds clean (budget %v)", rounds, *failoverDur)
 }

@@ -116,6 +116,46 @@ func TestKeyedKindsCopyNoRecord(t *testing.T) {
 	}
 }
 
+// TestBucketStepWithinDomain: a CDF's bucketStep up to its kind's domain
+// answers 200, and a wider one 400 bad_request at zero ε, on /v1/query
+// and at standing registration — never a 500 from a bucket list too
+// short to build (lencdf at 2,000 used to panic in LinearBuckets).
+func TestBucketStepWithinDomain(t *testing.T) {
+	s, ts := obsServer(t, math.Inf(1), 1e6)
+	policy := s.datasets["hotspot"].policy
+	for kind, domain := range maxBucketStep {
+		for _, step := range []int64{0, 1, domain, domain + 1, math.MaxInt64} {
+			label := fmt.Sprintf("%s bucketStep %d", kind, step)
+			want := http.StatusOK
+			if step > domain {
+				want = http.StatusBadRequest
+			}
+			remaining := policy.RemainingFor("a")
+			resp, body := postV1(t, ts.URL+"/v1/query", map[string]any{
+				"analyst": "a", "dataset": "hotspot", "query": kind, "epsilon": 0.01, "bucketStep": step,
+			}, nil)
+			if resp.StatusCode != want {
+				t.Fatalf("%s: query status %d, want %d: %s", label, resp.StatusCode, want, body)
+			}
+			if want == http.StatusBadRequest {
+				if !strings.Contains(string(body), `"code":"bad_request"`) || policy.RemainingFor("a") != remaining {
+					t.Fatalf("%s: %s, remaining %v → %v; want bad_request at zero ε", label, body, remaining, policy.RemainingFor("a"))
+				}
+			}
+			resp, body = postV1(t, ts.URL+"/v1/standing/hotspot", map[string]any{
+				"analyst": "mon", "query": kind, "epsilon": 0.01, "reservation": 1,
+				"window": map[string]any{"width": 100}, "bucketStep": step,
+			}, nil)
+			if resp.StatusCode != want {
+				t.Fatalf("%s: registration status %d, want %d: %s", label, resp.StatusCode, want, body)
+			}
+		}
+	}
+	if metrics := scrapeText(t, ts); strings.Contains(metrics, "dp_panics_total") {
+		t.Fatalf("a bucketStep panicked:\n%s", metrics)
+	}
+}
+
 // benchServed POSTs one query kind through Server.Handler() over n
 // hotspot packets: the way an analyst gets it, and the only shape that
 // measures what they get. The chunk loop hands each record to analyst
@@ -126,7 +166,7 @@ func TestKeyedKindsCopyNoRecord(t *testing.T) {
 // same query served. A/B these against the parent's test binary after
 // any change to a loop on the chunk path or to what a Stream carries.
 func benchServed(b *testing.B, query string) {
-	for _, n := range []int{10_000, 500_000} {
+	for _, n := range []int{1_000, 10_000, 500_000} {
 		b.Run(fmt.Sprintf("packets=%d", n), func(b *testing.B) {
 			cfg := tracegen.DefaultHotspotConfig() // ≈ 2.6e5 packets
 			f := 1.3 * float64(n) / 2.6e5
@@ -165,6 +205,9 @@ func BenchmarkServedCount(b *testing.B) {
 }
 func BenchmarkServedHosts(b *testing.B)  { benchServed(b, `"query":"hosts","minBytes":1024`) }
 func BenchmarkServedLenCDF(b *testing.B) { benchServed(b, `"query":"lencdf","bucketStep":16`) }
+func BenchmarkServedPortCDF(b *testing.B) {
+	benchServed(b, `"query":"portcdf","bucketStep":1024`)
+}
 func BenchmarkServedLenQuantile(b *testing.B) {
 	benchServed(b, `"query":"lenquantile","fraction":0.5`)
 }

@@ -346,6 +346,10 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 			Message: fmt.Sprintf("unknown query %q (%s)", req.Query, api.PacketQueryKindList())})
 		return
 	}
+	if err := checkBucketStep(req.Query, req.BucketStep); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
+		return
+	}
 	d, ok := s.lookup(name)
 	if !ok {
 		// Standing queries run the packet-kind dispatch; link/hop

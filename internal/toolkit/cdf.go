@@ -14,6 +14,8 @@ package toolkit
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"dptrace/internal/core"
 )
@@ -69,9 +71,9 @@ func CDF1[T any](q *core.Queryable[T], epsilon float64, value func(T) int64, buc
 // accumulation makes errors drift (a run may consistently over- or
 // under-estimate), which Figure 1(b) zooms in on.
 //
-// bucketOf(v) is the index of the bucket edge a value belongs to:
-// the smallest i with v < buckets[i]; values ≥ the last edge are
-// dropped, matching the Where(value < x) reading of CDF1.
+// A value's bucket is the smallest i with v < buckets[i] (a Bucketer
+// finds it); values ≥ the last edge are dropped, matching the
+// Where(value < x) reading of CDF1.
 //
 // q is either handle: Partition counts its parts in one pass and the
 // per-bucket NoisyCounts read those counts, so a CDF over a fused
@@ -80,13 +82,8 @@ func CDF2[T any](q core.Streamer[T], epsilon float64, value func(T) int64, bucke
 	if err := checkBuckets(buckets); err != nil {
 		return nil, err
 	}
-	keys := make([]int, len(buckets))
-	for i := range keys {
-		keys[i] = i
-	}
-	parts := core.Partition(q, keys, func(r T) int {
-		return bucketIndex(value(r), buckets)
-	})
+	b := NewBucketer(buckets)
+	parts := core.Partition(q, upTo(len(buckets)), func(r T) int { return b.Index(value(r)) })
 	out := make([]float64, len(buckets))
 	tally := 0.0
 	for i := range buckets {
@@ -98,6 +95,62 @@ func CDF2[T any](q core.Streamer[T], epsilon float64, value func(T) int64, bucke
 		out[i] = tally
 	}
 	return out, nil
+}
+
+// Bucketer is bucketIndex over one edge list, mostly without the
+// search, whose branches a mix of values mispredicts: a table of bucket
+// numbers over [lo, last edge) in cells of 2^shift values, the largest
+// power of two dividing every edge's distance from lo (linear edges at
+// a step of 16 or 1,024 make 95 or 64 cells). lo is 0 if the edges start
+// above it and the table still fits (lengths, ports, RTTs and loss rates
+// start there, and a port below the first edge is common), else the
+// first edge. Values outside the table, and every value of a list that
+// needs more than tableSpan cells, take the search.
+type Bucketer struct {
+	edges []int64
+	lo    int64
+	shift int
+	table []uint16 // table[(v−lo)>>shift] = bucketIndex(v, edges)
+}
+
+// tableSpan is the most cells a table has: 65,536 ports at a step of 1.
+const tableSpan = 1 << 16
+
+// NewBucketer indexes edges, which must be strictly increasing.
+// uint64(e−lo) is e's distance above lo, wrapped or not.
+func NewBucketer(edges []int64) *Bucketer {
+	b := &Bucketer{edges: edges}
+	if len(edges) < 2 || len(edges) > math.MaxUint16+1 {
+		return b
+	}
+	for _, lo := range []int64{min(edges[0], 0), edges[0]} {
+		var distances uint64
+		for _, e := range edges {
+			distances |= uint64(e - lo)
+		}
+		shift := bits.TrailingZeros64(distances)
+		cell := func(e int64) uint64 { return uint64(e-lo) >> shift }
+		if cell(edges[len(edges)-1]) <= tableSpan {
+			b.lo, b.shift, b.table = lo, shift, make([]uint16, cell(edges[len(edges)-1]))
+			for i := 1; i < len(edges); i++ {
+				bucket := b.table[cell(edges[i-1]):cell(edges[i])]
+				for j := range bucket {
+					bucket[j] = uint16(i)
+				}
+			}
+			break
+		}
+	}
+	return b
+}
+
+// Index is bucketIndex(v, edges). uint64(v−lo) is below the table's span
+// exactly when v is in it, so one unsigned compare bounds the table.
+func (b *Bucketer) Index(v int64) int {
+	if d := uint64(v-b.lo) >> b.shift; d < uint64(len(b.table)) {
+		return int(b.table[d])
+	}
+	return bucketIndex(v, b.edges)
 }
 
 // bucketIndex returns the smallest i with v < buckets[i], or -1 when v
@@ -140,9 +193,8 @@ func CDF3[T any](q *core.Queryable[T], epsilon float64, value func(T) int64, buc
 	}
 	// Map each record to its bucket index once; indices outside the
 	// range are dropped by the recursion's partitions.
-	indexed := core.Select(q, func(r T) int {
-		return bucketIndex(value(r), buckets)
-	})
+	b := NewBucketer(buckets)
+	indexed := core.Select(q, func(r T) int { return b.Index(value(r)) })
 	inRange := indexed.Where(func(i int) bool { return i >= 0 })
 	return cdf3Rec(inRange, epsilon, n)
 }
@@ -183,6 +235,16 @@ func cdf3Rec(q *core.Queryable[int], epsilon float64, max int) ([]float64, error
 		out = append(out, v+leftCount)
 	}
 	return out, nil
+}
+
+// upTo is the key list 0, 1, …, n−1, which Partition numbers without a
+// map.
+func upTo(n int) []int {
+	keys := make([]int, n)
+	for i := range keys {
+		keys[i] = i
+	}
+	return keys
 }
 
 // LinearBuckets builds count uniformly spaced bucket edges

@@ -170,11 +170,97 @@ func TestBucketIndex(t *testing.T) {
 	}{
 		{-5, 0}, {0, 0}, {9, 0}, {10, 1}, {19, 1}, {20, 2}, {29, 2}, {30, -1}, {99, -1},
 	}
+	b := NewBucketer(buckets)
 	for _, c := range cases {
 		if got := bucketIndex(c.v, buckets); got != c.want {
 			t.Errorf("bucketIndex(%d) = %d, want %d", c.v, got, c.want)
 		}
+		if got := b.Index(c.v); got != c.want {
+			t.Errorf("Bucketer.Index(%d) = %d, want %d", c.v, got, c.want)
+		}
 	}
+}
+
+// TestBucketerTables: which edge lists get a table, from where, and in
+// cells of what size — the served CDFs' lists all do, in cells as wide
+// as their step's power-of-two factor.
+func TestBucketerTables(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		edges        []int64
+		lo           int64
+		shift, cells int // cells 0: no table, the search
+	}{
+		{"lengths at 16 B", LinearBuckets(0, 16, 95), 0, 4, 95},
+		{"ports at 1024", LinearBuckets(0, 1024, 64), 0, 10, 64},
+		{"ports at 1", LinearBuckets(0, 1, 65536), 0, 0, 65536},
+		{"RTT at 10 ms", LinearBuckets(0, 10, 64), 0, 1, 320},
+		{"loss at 25 ‰", LinearBuckets(0, 25, 41), 0, 0, 1025},
+		{"far from zero", []int64{1 << 40, 1<<40 + 3}, 1 << 40, 0, 3},
+		{"below zero", []int64{-7, -5, 0, 1}, -7, 0, 8},
+		{"one cell too many", []int64{0, 1, tableSpan + 1}, 0, 0, 0},
+		{"one edge", []int64{5}, 0, 0, 0},
+		{"no edges", nil, 0, 0, 0},
+	} {
+		b := NewBucketer(c.edges)
+		if len(b.table) != c.cells || (c.cells > 0 && (b.lo != c.lo || b.shift != c.shift)) {
+			t.Errorf("%s: table of %d cells of 2^%d from %d, want %d of 2^%d from %d",
+				c.name, len(b.table), b.shift, b.lo, c.cells, c.shift, c.lo)
+		}
+	}
+}
+
+// fuzzEdges builds a strictly increasing edge list from first, a cell
+// shift and steps of 1..65,536 cells read two bytes at a time, stopping
+// before an edge would overflow.
+func fuzzEdges(first int64, shift uint8, steps []byte) []int64 {
+	edges := []int64{first}
+	for i := 0; i+1 < len(steps) && len(edges) < 1024; i += 2 {
+		step := int64((uint64(steps[i])<<8|uint64(steps[i+1]))+1) << (shift % 48)
+		last := edges[len(edges)-1]
+		if step <= 0 || last+step <= last {
+			break
+		}
+		edges = append(edges, last+step)
+	}
+	return edges
+}
+
+// FuzzBucketIndex: for any strictly increasing edges, Bucketer.Index is
+// the binary search, at v, around v, at each edge ±1 and at both ends
+// of int64.
+func FuzzBucketIndex(f *testing.F) {
+	repeat := func(hi, lo byte, n int) []byte {
+		var out []byte
+		for i := 0; i < n; i++ {
+			out = append(out, hi, lo)
+		}
+		return out
+	}
+	f.Add(int64(16), uint8(0), repeat(0, 15, 94), int64(1492))      // lengths at 16 B
+	f.Add(int64(1024), uint8(0), repeat(3, 255, 63), int64(443))    // ports at 1024
+	f.Add(int64(0), uint8(0), repeat(255, 255, 1), int64(65535))    // a span of 65,536
+	f.Add(int64(0), uint8(0), repeat(255, 254, 1), int64(-1))       // 65,535
+	f.Add(int64(0), uint8(0), []byte{255, 255, 0, 0}, int64(65536)) // 65,537
+	f.Add(int64(1), uint8(0), repeat(255, 255, 1), int64(0))        // from zero: 65,537
+	f.Add(int64(-3), uint8(2), []byte{0, 1, 0, 0, 7, 9}, int64(5))
+	f.Add(int64(math.MinInt64), uint8(0), repeat(0, 4, 5), int64(math.MaxInt64))
+	f.Add(int64(math.MaxInt64-40), uint8(0), repeat(0, 9, 5), int64(math.MinInt64))
+	f.Add(int64(0), uint8(62), []byte{0, 0, 0, 0}, int64(1<<62))
+	f.Fuzz(func(t *testing.T, first int64, shift uint8, steps []byte, v int64) {
+		edges := fuzzEdges(first, shift, steps)
+		b := NewBucketer(edges)
+		values := []int64{v, v - 1, v + 1, 0, math.MinInt64, math.MaxInt64}
+		for _, e := range edges {
+			values = append(values, e-1, e, e+1)
+		}
+		for _, x := range values {
+			if got, want := b.Index(x), bucketIndex(x, edges); got != want {
+				t.Fatalf("edges %v (table of %d cells of 2^%d from %d): Index(%d) = %d, search %d",
+					edges, len(b.table), b.shift, b.lo, x, got, want)
+			}
+		}
+	})
 }
 
 func TestLinearBuckets(t *testing.T) {

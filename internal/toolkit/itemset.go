@@ -108,11 +108,7 @@ func FrequentItemsets(q *core.Queryable[Basket], universe int, cfg FrequentItems
 // contributes to exactly one count. One Partition, so the round costs
 // a single epsilon.
 func partitionedSupport(q *core.Queryable[Basket], cands [][]int, epsilon float64) ([]float64, error) {
-	keys := make([]int, len(cands))
-	for i := range keys {
-		keys[i] = i
-	}
-	parts := core.Partition(q, keys, func(rec Basket) int {
+	parts := core.Partition(q, upTo(len(cands)), func(rec Basket) int {
 		have := make(map[int]bool, len(rec.Items))
 		for _, it := range rec.Items {
 			have[it] = true

@@ -30,9 +30,9 @@ type RangeTree struct {
 	epsilon float64
 }
 
-// NewRangeTree measures a range tree over bucket indices
-// bucketIndex(value(r), buckets): the domain is the bucket list, which
-// must have power-of-two length. Privacy cost: epsilon ×
+// NewRangeTree measures a range tree over the bucket indices of
+// value(r): the domain is the bucket list, which must have
+// power-of-two length. Privacy cost: epsilon ×
 // (log₂(len(buckets)) + 1), charged through the Queryable's agent.
 func NewRangeTree[T any](q *core.Queryable[T], epsilon float64, value func(T) int64, buckets []int64) (*RangeTree, error) {
 	if err := checkBuckets(buckets); err != nil {
@@ -42,9 +42,8 @@ func NewRangeTree[T any](q *core.Queryable[T], epsilon float64, value func(T) in
 	if n&(n-1) != 0 {
 		return nil, fmt.Errorf("%w: RangeTree needs a power-of-two bucket count, got %d", ErrBadBuckets, n)
 	}
-	indexed := core.Select(q, func(r T) int {
-		return bucketIndex(value(r), buckets)
-	})
+	b := NewBucketer(buckets)
+	indexed := core.Select(q, func(r T) int { return b.Index(value(r)) })
 	inRange := indexed.Where(func(i int) bool { return i >= 0 })
 
 	depth := int(math.Log2(float64(n))) + 1
@@ -55,13 +54,9 @@ func NewRangeTree[T any](q *core.Queryable[T], epsilon float64, value func(T) in
 	for d := 0; d < depth; d++ {
 		nodes := 1 << d
 		width := n / nodes
-		keys := make([]int, nodes)
-		for i := range keys {
-			keys[i] = i
-		}
-		parts := core.Partition(inRange, keys, func(idx int) int { return idx / width })
+		parts := core.Partition(inRange, upTo(nodes), func(idx int) int { return idx / width })
 		level := make([]float64, nodes)
-		for i := range keys {
+		for i := range nodes {
 			c, err := parts[i].NoisyCount(epsilon)
 			if err != nil {
 				return nil, fmt.Errorf("toolkit: RangeTree level %d node %d: %w", d, i, err)

@@ -87,13 +87,8 @@ func NoisyHistogram[T any](q *core.Queryable[T], epsilon float64, value func(T) 
 	if err := checkBuckets(buckets); err != nil {
 		return nil, err
 	}
-	keys := make([]int, len(buckets))
-	for i := range keys {
-		keys[i] = i
-	}
-	parts := core.Partition(q, keys, func(r T) int {
-		return bucketIndex(value(r), buckets)
-	})
+	b := NewBucketer(buckets)
+	parts := core.Partition(q, upTo(len(buckets)), func(r T) int { return b.Index(value(r)) })
 	out := make([]float64, len(buckets))
 	for i := range buckets {
 		c, err := parts[i].NoisyCount(epsilon)
