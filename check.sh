@@ -58,6 +58,10 @@ go test -run=. -fuzz=FuzzLedgerDecode -fuzztime=5s ./internal/ledger
 # exact, rank bounds valid, estimates never undercounting.
 go test -run=. -fuzz=FuzzQuantileMerge -fuzztime=5s ./internal/sketch
 go test -run=. -fuzz=FuzzCountMinMerge -fuzztime=5s ./internal/sketch
+# Short differential fuzz smoke over the quantile summary: any program
+# of inserts and merges must leave tuple lists bit-equal to the
+# reference flush/merge (quantile_ref_test.go) after every step.
+go test -run=. -fuzz=FuzzQuantileMatchesReference -fuzztime=3s ./internal/sketch
 # Short differential fuzz smoke over the NDJSON line codec: on arbitrary
 # bytes the table-driven fast path (or its deferral) must be
 # indistinguishable from encoding/json plus the one-object-per-line

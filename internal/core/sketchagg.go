@@ -137,7 +137,8 @@ func (k *quantileSink[T]) acceptChunk(c []T) {
 // counterpart of NoisyOrderStatistic: O(1/sketchEps) memory instead
 // of a full sort, at the cost of candidates being summary tuples
 // rather than every distinct value. Charges ε like every aggregation;
-// an empty pipeline yields 0 and draws no noise.
+// an empty pipeline yields 0 and draws no noise. A NaN from f has no
+// rank: the summary drops it, as a Where in front would.
 func NoisyQuantile[T any](src Streamer[T], epsilon, fraction, sketchEps float64, f func(T) float64) (float64, error) {
 	s := src.Stream()
 	se, invalid := resolveSketchEps(sketchEps)

@@ -396,7 +396,7 @@ func (c *Client) SourceFrequency(ctx context.Context, dataset string, epsilon fl
 }
 
 // DistinctSources returns the noisy approximate number of distinct
-// source IPs, from HLL-style registers built on the fused path.
+// source IPs, from HLL-style registers that see each source once.
 func (c *Client) DistinctSources(ctx context.Context, dataset string, epsilon float64, filter *dpserver.Filter) (float64, error) {
 	r, err := c.Query(ctx, dpserver.QueryRequest{
 		Dataset: dataset, Query: "distinctsrc", Epsilon: epsilon, Filter: filter,

@@ -33,7 +33,7 @@ var queryKinds = []QueryKind{
 	{Name: "losscdf", Dataset: "packet", Endpoint: "/v1/query", Description: "per-flow retransmission-rate CDF"},
 	{Name: "lenquantile", Dataset: "packet", Endpoint: "/v1/query", Description: "packet-length quantile from a mergeable rank sketch (fused path)"},
 	{Name: "srcfreq", Dataset: "packet", Endpoint: "/v1/query", NeedsKey: true, Description: "per-source packet frequency from a count-min sketch (fused path)"},
-	{Name: "distinctsrc", Dataset: "packet", Endpoint: "/v1/query", Description: "distinct sources from HLL-style registers (fused path)"},
+	{Name: "distinctsrc", Dataset: "packet", Endpoint: "/v1/query", Description: "distinct sources from HLL-style registers, each source added once"},
 	{Name: "loadmatrix", Dataset: "link", Endpoint: "/v1/query/loadmatrix", Description: "noisy link×bin count matrix at one ε"},
 	{Name: "monitoravgs", Dataset: "hop", Endpoint: "/v1/query/monitoravgs", Description: "per-monitor noisy average hop counts at one ε"},
 }

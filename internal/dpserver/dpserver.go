@@ -108,6 +108,10 @@ type Server struct {
 	// observe cancellation; production code leaves it nil.
 	execHook func(context.Context)
 
+	// execPacket executes one-shot and standing packet queries:
+	// RunPacketQuery, unless a test runs a reference pipeline on a twin.
+	execPacket func(*core.Queryable[trace.Packet], *QueryRequest) (*QueryResponse, error)
+
 	// events is the server's wide-event spine: every operational
 	// occurrence — query completions, panics, sheds, degrade
 	// transitions, ledger freezes, drains — is one typed structured
@@ -224,6 +228,8 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 		traces:   obs.NewTraceBuffer(0),
 		idem:     newIdemCache(),
 		events:   qlog.New(qlog.Options{}),
+
+		execPacket: RunPacketQuery,
 	}
 	s.standing = s.newStandingRegistry()
 	for _, opt := range opts {
@@ -649,7 +655,7 @@ func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset,
 		query: req.Query, epsilon: req.Epsilon, started: start,
 		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy, agent: agent,
 	}
-	resp, err := RunPacketQuery(q, req)
+	resp, err := s.execPacket(q, req)
 	if err != nil {
 		if errors.Is(err, core.ErrInternal) {
 			// A panic recovered at the aggregation boundary (the worker
@@ -704,14 +710,15 @@ func marshalJSON(v any) []byte {
 // executor behind POST /v1/query, standing windows and dpquery's local
 // mode, covering exactly api.PacketQueryKinds(). Every kind starts from
 // the request filter as a fused stage, q.Stream().Where(match), and
-// most never copy a record: the record-wise kinds (count, medianlen and
-// the sketch-backed three) aggregate straight off the chunk loop, hosts
-// folds each source's byte total as the chunks go by (GroupFold), and
-// lencdf / portcdf count Partition's parts. rttcdf and losscdf
-// Materialize() once, in front of the Join and GroupBy that need the
-// records.
+// most never copy a record: the record-wise kinds (count, medianlen,
+// lenquantile, srcfreq) aggregate straight off the chunk loop, hosts
+// folds each source's byte total as the chunks go by (GroupFold),
+// distinctsrc keeps each source once (Distinct) in front of its
+// registers, and lencdf / portcdf count Partition's parts. rttcdf and
+// losscdf Materialize() once, in front of the Join and GroupBy that
+// need the records.
 func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryResponse, error) {
-	if err := checkBucketStep(req.Query, req.BucketStep); err != nil {
+	if err := checkParams(req); err != nil {
 		return nil, err
 	}
 	var match func(trace.Packet) bool // nil without a filter: every packet passes, unread
@@ -779,13 +786,14 @@ func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryR
 		noiseStd = 0
 
 	case "srcfreq":
-		if req.Key == "" {
-			return nil, fmt.Errorf(`srcfreq requires "key": the target source IP, e.g. "10.0.0.1"`)
-		}
 		v, err = core.NoisyFrequency(filtered, req.Epsilon, source, req.Key)
 
 	case "distinctsrc":
-		v, err = core.NoisyDistinctSketch(filtered, req.Epsilon, source)
+		// Each source once, then the registers: an add is a register max,
+		// so a source's later packets would change nothing (DESIGN §S32).
+		srcIP := func(p trace.Packet) trace.IPv4 { return p.SrcIP }
+		sources := core.Distinct(core.StreamSelect(filtered, srcIP), func(ip trace.IPv4) trace.IPv4 { return ip })
+		v, err = core.NoisyDistinctSketch(sources, req.Epsilon, trace.IPv4.String)
 
 	default:
 		return nil, fmt.Errorf("unknown query %q (%s)", req.Query, api.PacketQueryKindList())
@@ -806,13 +814,23 @@ var maxBucketStep = map[string]int64{
 	"losscdf": math.MaxInt64 / 41,
 }
 
-// checkBucketStep refuses a bucketStep wider than its kind's domain, so
-// a one-shot query answers 400 before it builds a pipeline or charges,
-// and a standing query is refused at registration, before any window
-// can fire.
-func checkBucketStep(kind string, step int64) error {
-	if widest, ok := maxBucketStep[kind]; ok && step > widest {
-		return fmt.Errorf("bucketStep %d is wider than %s's domain: at most %d", step, kind, widest)
+// checkParams refuses parameters its kind could never execute with —
+// a bucketStep wider than the kind's domain, a lenquantile fraction or
+// sketchEps out of range, a srcfreq without its key — naming the
+// parameter, so a one-shot query answers 400 before it builds a
+// pipeline or charges, and a standing query is refused at registration,
+// before any window can fire.
+func checkParams(req *QueryRequest) error {
+	if widest, ok := maxBucketStep[req.Query]; ok && req.BucketStep > widest {
+		return fmt.Errorf("bucketStep %d is wider than %s's domain: at most %d", req.BucketStep, req.Query, widest)
+	}
+	switch {
+	case req.Query == "lenquantile" && !(req.Fraction >= 0 && req.Fraction <= 1):
+		return fmt.Errorf("fraction %v is outside [0, 1] (0 selects the median)", req.Fraction)
+	case req.Query == "lenquantile" && !(req.SketchEps >= 0 && req.SketchEps < 1):
+		return fmt.Errorf("sketchEps %v is outside (0, 1) (0 selects the default)", req.SketchEps)
+	case req.Query == "srcfreq" && req.Key == "":
+		return fmt.Errorf(`srcfreq requires "key": the target source IP, e.g. "10.0.0.1"`)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/noise"
 	"dptrace/internal/obs"
 	"dptrace/internal/tracegen"
@@ -202,6 +203,36 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTraceCarriesNoRecordCount: "trace":true hands the analyst a span
+// per operator, and an operator's record count is a pre-noise value —
+// distinctsrc's distinct row is the exact answer beside the noisy one.
+// Every packet kind's spans carry only the labels below.
+func TestTraceCarriesNoRecordCount(t *testing.T) {
+	_, ts := obsServer(t, math.Inf(1), math.Inf(1))
+	allowed := map[string]bool{"strategy": true, "workers": true, "outcome": true, "epsilon": true}
+	for _, kind := range api.QueryKinds() {
+		if kind.Dataset != "packet" {
+			continue
+		}
+		resp, body := postQuery(t, ts, QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind.Name,
+			Epsilon: 0.1, Key: "10.0.0.1", Trace: true})
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil || resp.StatusCode != http.StatusOK || qr.Trace == nil {
+			t.Fatalf("%s: status %d, %v: %s", kind.Name, resp.StatusCode, err, body)
+		}
+		if len(qr.Trace.Children) < 2 {
+			t.Fatalf("%s: %d spans, want the operators and the aggregation", kind.Name, len(qr.Trace.Children))
+		}
+		for _, c := range qr.Trace.Children {
+			for k, v := range c.Labels {
+				if !allowed[k] {
+					t.Errorf("%s: span %s carries %s=%s", kind.Name, c.Name, k, v)
+				}
+			}
+		}
+	}
+}
+
 // TestQueryTraceSpanTree covers the tracing acceptance criterion: a
 // query with "trace":true returns a span tree naming each operator in
 // the executed pipeline with non-zero durations, and the same trace
@@ -252,8 +283,10 @@ func TestQueryTraceSpanTree(t *testing.T) {
 	if agg.Labels["outcome"] != "ok" {
 		t.Errorf("aggregate span outcome %q, want ok", agg.Labels["outcome"])
 	}
-	if root.Children[0].Labels["records_in"] == "" || root.Children[0].Labels["records_out"] == "" {
-		t.Errorf("where span missing record counts: %v", root.Children[0].Labels)
+	// The groupby's records out is the exact number of sources: the
+	// analyst's trace must not carry it (TestTraceCarriesNoRecordCount).
+	if l := root.Children[1].Labels; l["strategy"] == "" || l["records_in"] != "" || l["records_out"] != "" {
+		t.Errorf("groupby span labels %v: want a strategy and no record counts", l)
 	}
 
 	// A traced response omitting "trace" still lands in the ring.

@@ -116,37 +116,57 @@ func TestKeyedKindsCopyNoRecord(t *testing.T) {
 	}
 }
 
-// TestBucketStepWithinDomain: a CDF's bucketStep up to its kind's domain
-// answers 200, and a wider one 400 bad_request at zero ε, on /v1/query
-// and at standing registration — never a 500 from a bucket list too
-// short to build (lencdf at 2,000 used to panic in LinearBuckets).
+// TestBucketStepWithinDomain: every kind parameter inside its range
+// answers 200, and one outside it 400 bad_request at zero ε with a
+// message naming the parameter, on /v1/query and at standing
+// registration — never a 500 from a bucket list too short to build
+// (lencdf at 2,000 used to panic in LinearBuckets), a registration
+// whose every window then fails, or a refusal blaming epsilon (what
+// lenquantile's fraction and sketchEps used to get).
 func TestBucketStepWithinDomain(t *testing.T) {
 	s, ts := obsServer(t, math.Inf(1), 1e6)
 	policy := s.datasets["hotspot"].policy
+	type param struct {
+		name string
+		v    any
+		ok   bool
+	}
+	cases := map[string][]param{
+		"lenquantile": {{"fraction", 0, true}, {"fraction", 1, true}, {"fraction", 1.5, false}, {"fraction", -0.25, false},
+			{"sketchEps", 0.01, true}, {"sketchEps", 1, false}, {"sketchEps", 2, false}, {"sketchEps", -0.5, false}},
+		"srcfreq": {{"key", "10.0.0.1", true}, {"key", "", false}},
+	}
 	for kind, domain := range maxBucketStep {
 		for _, step := range []int64{0, 1, domain, domain + 1, math.MaxInt64} {
-			label := fmt.Sprintf("%s bucketStep %d", kind, step)
+			cases[kind] = append(cases[kind], param{"bucketStep", step, step <= domain})
+		}
+	}
+	for kind, params := range cases {
+		for _, p := range params {
+			label := fmt.Sprintf("%s %s %v", kind, p.name, p.v)
 			want := http.StatusOK
-			if step > domain {
+			if !p.ok {
 				want = http.StatusBadRequest
 			}
 			remaining := policy.RemainingFor("a")
 			resp, body := postV1(t, ts.URL+"/v1/query", map[string]any{
-				"analyst": "a", "dataset": "hotspot", "query": kind, "epsilon": 0.01, "bucketStep": step,
+				"analyst": "a", "dataset": "hotspot", "query": kind, "epsilon": 0.01, p.name: p.v,
 			}, nil)
 			if resp.StatusCode != want {
 				t.Fatalf("%s: query status %d, want %d: %s", label, resp.StatusCode, want, body)
 			}
 			if want == http.StatusBadRequest {
-				if !strings.Contains(string(body), `"code":"bad_request"`) || policy.RemainingFor("a") != remaining {
-					t.Fatalf("%s: %s, remaining %v → %v; want bad_request at zero ε", label, body, remaining, policy.RemainingFor("a"))
+				if !strings.Contains(string(body), `"code":"bad_request"`) || !strings.Contains(string(body), p.name) ||
+					policy.RemainingFor("a") != remaining {
+					t.Fatalf("%s: %s, remaining %v → %v; want bad_request naming %s at zero ε",
+						label, body, remaining, policy.RemainingFor("a"), p.name)
 				}
 			}
 			resp, body = postV1(t, ts.URL+"/v1/standing/hotspot", map[string]any{
 				"analyst": "mon", "query": kind, "epsilon": 0.01, "reservation": 1,
-				"window": map[string]any{"width": 100}, "bucketStep": step,
+				"window": map[string]any{"width": 100}, p.name: p.v,
 			}, nil)
-			if resp.StatusCode != want {
+			if resp.StatusCode != want || want == http.StatusBadRequest && !strings.Contains(string(body), p.name) {
 				t.Fatalf("%s: registration status %d, want %d: %s", label, resp.StatusCode, want, body)
 			}
 		}
@@ -165,8 +185,10 @@ func TestBucketStepWithinDomain(t *testing.T) {
 // RunPacketQuery call has other frames and has read 3× faster than the
 // same query served. A/B these against the parent's test binary after
 // any change to a loop on the chunk path or to what a Stream carries.
+// The sizes are a standing window's (1,000), spend-small's (20,000) and
+// scan-large's (500,000).
 func benchServed(b *testing.B, query string) {
-	for _, n := range []int{1_000, 10_000, 500_000} {
+	for _, n := range []int{1_000, 10_000, 20_000, 500_000} {
 		b.Run(fmt.Sprintf("packets=%d", n), func(b *testing.B) {
 			cfg := tracegen.DefaultHotspotConfig() // ≈ 2.6e5 packets
 			f := 1.3 * float64(n) / 2.6e5

@@ -174,7 +174,7 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 		}
 		qry := core.NewQueryableFor(snap[w.Start:w.End], core.Agent(agent), s.src).
 			WithExecOptions(s.execFor(d))
-		resp, err := RunPacketQuery(qry, standingQueryRequest(&spec))
+		resp, err := s.execPacket(qry, standingQueryRequest(&spec))
 		res.Charged = agent.charged()
 		wire.Charged = res.Charged
 		wire.Spent = spent + res.Charged
@@ -346,7 +346,8 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 			Message: fmt.Sprintf("unknown query %q (%s)", req.Query, api.PacketQueryKindList())})
 		return
 	}
-	if err := checkBucketStep(req.Query, req.BucketStep); err != nil {
+	if err := checkParams(&QueryRequest{Query: req.Query, BucketStep: req.BucketStep,
+		Fraction: req.Fraction, SketchEps: req.SketchEps, Key: req.Key}); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
 		return
 	}

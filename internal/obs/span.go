@@ -8,8 +8,9 @@ import (
 // Span is one timed region of work. A query's execution produces a
 // tree of spans: the root covers the whole request, children cover
 // each pipeline operator and the final aggregation. Spans carry only
-// operational metadata (names, durations, record counts) — never
-// record contents.
+// operational metadata (names, durations, strategies, ε) — never
+// record contents, and never record counts, which are pre-noise values
+// (DESIGN.md §S31).
 type Span struct {
 	Name     string            `json:"name"`
 	Start    time.Time         `json:"start"`
@@ -78,13 +79,11 @@ func (t *TraceRecorder) SetLabel(k, v string) {
 	t.root.SetLabel(k, v)
 }
 
-// OpDone implements Recorder.
-func (t *TraceRecorder) OpDone(op string, d time.Duration, in, out, workers int) {
-	labels := map[string]string{
-		"records_in":  itoa(in),
-		"records_out": itoa(out),
-		"strategy":    StrategyName(workers),
-	}
+// OpDone implements Recorder. The span drops in and out: a trace is
+// returned to the analyst, and an operator's record count is the exact
+// answer its noise exists to hide.
+func (t *TraceRecorder) OpDone(op string, d time.Duration, _, _ int, workers int) {
+	labels := map[string]string{"strategy": StrategyName(workers)}
 	if workers >= 2 {
 		labels["workers"] = itoa(workers)
 	}

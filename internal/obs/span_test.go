@@ -83,8 +83,9 @@ func TestTraceRecorderBuildsChildren(t *testing.T) {
 			t.Fatalf("child %q duration = %v, want > 0", c.Name, c.Duration)
 		}
 	}
-	if root.Children[0].Labels["records_out"] != "60" {
-		t.Fatalf("op labels = %v", root.Children[0].Labels)
+	// A trace goes back to the analyst: record counts stay off it.
+	if l := root.Children[1].Labels; l["strategy"] == "" || l["workers"] != "4" || len(l) != 2 {
+		t.Fatalf("op labels = %v, want strategy and workers only", l)
 	}
 	if root.Children[2].Labels["outcome"] != OutcomeOK {
 		t.Fatalf("agg labels = %v", root.Children[2].Labels)

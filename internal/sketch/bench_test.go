@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -21,20 +22,24 @@ func BenchmarkQuantileInsert1M(b *testing.B) {
 	b.ReportMetric(float64(n), "records/op")
 }
 
+// BenchmarkQuantileMerge merges one flushed 65,536-value summary into a
+// copy of another: the inputs are built once, and an iteration pays the
+// copy (one tuple list) and the merge. Rebuilding them per iteration
+// under StopTimer made b.N, and the wall time, grow with every speedup.
 func BenchmarkQuantileMerge(b *testing.B) {
 	mk := func(lo int) *Quantile {
 		q := NewQuantile(0.01)
 		for j := 0; j < 1<<16; j++ {
 			q.Insert(float64((lo + j) % 997))
 		}
+		q.Tuples()
 		return q
 	}
+	a, c := mk(0), mk(1<<15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		a, c := mk(0), mk(1<<15)
-		b.StartTimer()
-		a.Merge(c)
+		into := &Quantile{eps: a.eps, n: a.n, bufCap: a.bufCap, tuples: slices.Clone(a.tuples)}
+		into.Merge(c)
 	}
 }
 

@@ -42,17 +42,25 @@ type Tuple struct {
 type Quantile struct {
 	eps    float64
 	n      int
+	bufCap int       // pending inserts flushed at this many (see NewQuantile)
 	tuples []Tuple   // sorted by Value, strictly increasing
-	buf    []float64 // pending inserts, compacted at bufCap
+	spare  []Tuple   // the previous tuple list: the next merge writes here
+	exact  []Tuple   // flush's exact summary of the sorted buffer
+	buf    []float64 // pending inserts
 }
 
 // NewQuantile returns an empty summary targeting rank error ε·n,
 // 0 < ε < 1. Memory is O(1/ε) tuples.
+//
+// The pending-insert buffer holds 2/ε values, within [64, 2^14]: small
+// enough to bound transient memory, large enough that compaction cost
+// amortizes. It is a pure function of ε, so identical insert sequences
+// compact at identical points — part of the determinism contract.
 func NewQuantile(eps float64) *Quantile {
 	if !(eps > 0 && eps < 1) || math.IsNaN(eps) {
 		panic(fmt.Sprintf("sketch: quantile eps must be in (0,1), got %v", eps))
 	}
-	return &Quantile{eps: eps}
+	return &Quantile{eps: eps, bufCap: min(max(int(2/eps), 64), 1<<14)}
 }
 
 // Eps returns the summary's rank-error target.
@@ -62,25 +70,15 @@ func (q *Quantile) Eps() float64 { return q.eps }
 // summaries' counts).
 func (q *Quantile) Count() int { return q.n + len(q.buf) }
 
-// bufCap is the pending-insert buffer size: small enough to bound
-// transient memory, large enough that compaction cost amortizes. It
-// is a pure function of ε, so identical insert sequences compact at
-// identical points — part of the determinism contract.
-func (q *Quantile) bufCap() int {
-	c := int(2 / q.eps)
-	if c < 64 {
-		c = 64
-	}
-	if c > 1<<14 {
-		c = 1 << 14
-	}
-	return c
-}
-
-// Insert adds one value to the summary.
+// Insert adds one value to the summary. NaN has no rank, so Insert
+// drops it uncounted — what a Where dropping NaN in front of the
+// summary would do, at the same stability 1.
 func (q *Quantile) Insert(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
 	q.buf = append(q.buf, v)
-	if len(q.buf) >= q.bufCap() {
+	if len(q.buf) >= q.bufCap {
 		q.flush()
 	}
 }
@@ -92,19 +90,17 @@ func (q *Quantile) flush() {
 		return
 	}
 	sort.Float64s(q.buf)
-	exact := make([]Tuple, 0, len(q.buf))
+	q.exact = q.exact[:0]
 	for i := 0; i < len(q.buf); {
-		j := i
+		j := i + 1
 		for j < len(q.buf) && q.buf[j] == q.buf[i] {
 			j++
 		}
-		exact = append(exact, Tuple{Value: q.buf[i], RMin: j, RMax: j, Dups: j - i})
+		q.exact = append(q.exact, Tuple{Value: q.buf[i], RMin: j, RMax: j, Dups: j - i})
 		i = j
 	}
-	q.tuples = mergeTuples(q.tuples, q.n, exact, len(q.buf))
-	q.n += len(q.buf)
+	q.fold(q.exact, len(q.buf))
 	q.buf = q.buf[:0]
-	q.compact()
 }
 
 // Merge folds other into q. Both summaries' pending buffers are
@@ -114,69 +110,59 @@ func (q *Quantile) flush() {
 func (q *Quantile) Merge(other *Quantile) {
 	q.flush()
 	other.flush()
-	q.tuples = mergeTuples(q.tuples, q.n, other.tuples, other.n)
-	q.n += other.n
+	q.fold(other.tuples, other.n)
+}
+
+// fold merges b, a summary of nb values, into the tuple list and
+// compacts. The merge writes into the spare list, and the list it
+// replaces becomes the next spare, so a summary allocates only while
+// its lists grow.
+func (q *Quantile) fold(b []Tuple, nb int) {
+	q.tuples, q.spare = mergeTuples(q.spare[:0], q.tuples, q.n, b, nb), q.tuples
+	q.n += nb
 	q.compact()
 }
 
 // rankBoundsAt reports the summary's bounds on #{x ≤ v} for an
-// arbitrary v, from the nearest retained tuples.
-func rankBoundsAt(tuples []Tuple, n int, v float64) (lo, hi int) {
-	if len(tuples) == 0 {
-		return 0, n
-	}
+// arbitrary v, from the nearest retained tuples of a non-empty list; i
+// is the index of the first tuple with Value > v (len(tuples) if none).
+func rankBoundsAt(tuples []Tuple, n int, v float64, i int) (lo, hi int) {
 	// The first and last tuples are always retained (flush summarizes
 	// exactly and compact keeps both anchors), so they pin the true
 	// extremes: below the minimum nothing is ≤ v, above the maximum
 	// everything is. Without these anchors a merge inflates RMax for
 	// values below the partner summary's minimum, and Query can then
 	// prefer a near-minimum value for a high-rank target.
-	if v < tuples[0].Value {
+	if i == 0 {
 		return 0, 0
 	}
-	if v > tuples[len(tuples)-1].Value {
+	// The largest tuple value ≤ v gives the lower bound, and the upper
+	// too when it is v itself.
+	prev := tuples[i-1]
+	if prev.Value == v {
+		return prev.RMin, prev.RMax
+	}
+	if i == len(tuples) {
 		return n, n
 	}
-	// Largest tuple value ≤ v gives the lower bound; the tuple at v
-	// (or the next one above, minus the element that realizes it)
-	// gives the upper bound.
-	i := sort.Search(len(tuples), func(i int) bool { return tuples[i].Value > v })
-	// tuples[i] is the first with Value > v.
-	if i > 0 {
-		lo = tuples[i-1].RMin
-		if tuples[i-1].Value == v {
-			return lo, tuples[i-1].RMax
-		}
-	}
-	if i < len(tuples) {
-		// tuples[i].Value > v, and at least Dups elements of that value
-		// sit above v, so all of them come off its RMax.
-		d := tuples[i].Dups
-		if d < 1 {
-			d = 1
-		}
-		hi = tuples[i].RMax - d
-		if hi < lo {
-			hi = lo
-		}
-		return lo, hi
-	}
-	return lo, n
+	// tuples[i].Value > v, and at least Dups elements of that value sit
+	// above v, so all of them come off its RMax.
+	return prev.RMin, max(tuples[i].RMax-max(tuples[i].Dups, 1), prev.RMin)
 }
 
-// mergeTuples combines two tuple lists over disjoint multisets into
-// the summary of their union: the value set is the (deduplicated)
-// union, and each bound is the symmetric sum of the two inputs'
-// bounds at that value. O(|a|+|b|·log|a|) in the worst case; the
-// lists stay O(1/ε) after compaction so this is cheap.
-func mergeTuples(a []Tuple, na int, b []Tuple, nb int) []Tuple {
+// mergeTuples appends to out the summary of the union of two tuple
+// lists over disjoint multisets: the value set is the (deduplicated)
+// union, and each bound is the symmetric sum of the two inputs' bounds
+// at that value. One walk, O(|a|+|b|): once past a tuple equal to v,
+// each list's cursor is its first tuple above v, since every tuple
+// behind it is below v and the lists are strictly increasing.
+func mergeTuples(out, a []Tuple, na int, b []Tuple, nb int) []Tuple {
 	if len(a) == 0 {
-		return append([]Tuple(nil), b...)
+		return append(out, b...)
 	}
 	if len(b) == 0 {
-		return append([]Tuple(nil), a...)
+		return append(out, a...)
 	}
-	out := make([]Tuple, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
 		var v float64
@@ -190,19 +176,19 @@ func mergeTuples(a []Tuple, na int, b []Tuple, nb int) []Tuple {
 		default:
 			v = b[j].Value
 		}
-		aLo, aHi := rankBoundsAt(a, na, v)
-		bLo, bHi := rankBoundsAt(b, nb, v)
 		// The streams are disjoint, so duplicate counts add (a side
 		// without a tuple at v contributes none it can prove).
 		dups := 0
-		for i < len(a) && a[i].Value == v {
+		if i < len(a) && a[i].Value == v {
 			dups += a[i].Dups
 			i++
 		}
-		for j < len(b) && b[j].Value == v {
+		if j < len(b) && b[j].Value == v {
 			dups += b[j].Dups
 			j++
 		}
+		aLo, aHi := rankBoundsAt(a, na, v, i)
+		bLo, bHi := rankBoundsAt(b, nb, v, j)
 		out = append(out, Tuple{Value: v, RMin: aLo + bLo, RMax: aHi + bHi, Dups: dups})
 	}
 	return out
@@ -281,8 +267,9 @@ func distToSpan(t, lo, hi float64) float64 {
 
 // Tuples returns the retained tuples (after flushing pending
 // inserts). The DP layer uses them as the candidate set for the
-// exponential mechanism; mutating the returned slice corrupts the
-// summary.
+// exponential mechanism. The slice is the summary's own and valid
+// until the next Insert or Merge, which may overwrite it; mutating it
+// corrupts the summary.
 func (q *Quantile) Tuples() []Tuple {
 	q.flush()
 	return q.tuples
