@@ -14,7 +14,7 @@ test:
 cover:
 	go test -cover ./... | grep -v '\[no test files\]'
 
-# Engine, ledger and trace-codec benchmarks, parsed into BENCH_core.json
+# Engine, ledger, trace-codec and trace-generator benchmarks, parsed into BENCH_core.json
 # (cmd/benchjson) so every PR leaves a perf trajectory. Sequential and
 # Parallel variants of each operator land side by side, as do the
 # ledger's fsync=never vs fsync=always append costs (the price of
@@ -22,7 +22,7 @@ cover:
 # `make bench BENCHFLAGS='-cpu 1,4'` to add scaling points. -p 1: one
 # package at a time, so no benchmark is timed against another package's
 # load (on a 2-CPU host two ran at once and core's rows went missing).
-BENCHPKGS := ./internal/core/... ./internal/sketch/... ./internal/ledger/... ./internal/trace/...
+BENCHPKGS := ./internal/core/... ./internal/sketch/... ./internal/ledger/... ./internal/trace/... ./internal/tracegen/...
 bench:
 	go test -p 1 -bench=. -benchmem -count=5 $(BENCHFLAGS) $(BENCHPKGS) | go run ./cmd/benchjson > BENCH_core.json
 	@echo "wrote BENCH_core.json"

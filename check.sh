@@ -67,6 +67,10 @@ go test -run=. -fuzz=FuzzQuantileMatchesReference -fuzztime=3s ./internal/sketch
 # indistinguishable from encoding/json plus the one-object-per-line
 # rule — same accept/reject, same records, same error strings.
 go test -run=. -fuzz=FuzzNDJSONLine -fuzztime=5s ./internal/trace
+# Short differential fuzz smoke over the time-order kernel: on any keys
+# (ties, sign bit, extremes) the radix permutation must equal the
+# stable sort's, which is what keeps generated traces byte-identical.
+go test -run=. -fuzz=FuzzTimeOrder -fuzztime=3s ./internal/trace
 # Short differential fuzz smoke over the CDF bucket indexer: for any
 # strictly increasing edges, the table lookup must assign every value
 # the bucket the binary search does.

@@ -12,7 +12,7 @@
 package degrees
 
 import (
-	"sort"
+	"slices"
 
 	"dptrace/internal/core"
 	"dptrace/internal/toolkit"
@@ -75,7 +75,7 @@ func exactDegrees(packets []trace.Packet, in bool) []int64 {
 	for _, set := range peers {
 		out = append(out, int64(len(set)))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -1,7 +1,7 @@
 package flowstats
 
 import (
-	"sort"
+	"slices"
 
 	"dptrace/internal/core"
 	"dptrace/internal/toolkit"
@@ -50,13 +50,7 @@ func canonicalFlow(f trace.FlowKey) trace.FlowKey {
 // The input is not modified.
 func WithConnectionIDs(packets []trace.Packet) []ConnPacket {
 	// Process in time order without disturbing the caller's slice.
-	order := make([]int, len(packets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return packets[order[a]].Time < packets[order[b]].Time
-	})
+	order := trace.TimeOrder(packets)
 	type flowState struct {
 		conn    uint32
 		sawSYN  bool
@@ -115,6 +109,6 @@ func ExactPacketsPerConnection(packets []ConnPacket) []int64 {
 	for _, c := range counts {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

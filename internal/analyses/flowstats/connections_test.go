@@ -2,6 +2,9 @@ package flowstats
 
 import (
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"sort"
 	"testing"
 
 	"dptrace/internal/core"
@@ -67,6 +70,62 @@ func TestWithConnectionIDsUnsortedInput(t *testing.T) {
 		if cp.Conn != want[i] {
 			t.Fatalf("packet %d: conn %d, want %d", i, cp.Conn, want[i])
 		}
+	}
+}
+
+// connIDsByStableSort is WithConnectionIDs over the ordering it used
+// before trace.TimeOrder: a stable reflective sort of an index slice.
+func connIDsByStableSort(packets []trace.Packet) []ConnPacket {
+	order := make([]int, len(packets))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return packets[order[a]].Time < packets[order[b]].Time })
+	sorted := make([]trace.Packet, len(packets))
+	for i, idx := range order {
+		sorted[i] = packets[idx]
+	}
+	tagged := WithConnectionIDs(sorted) // already in order: tagged in place
+	out := make([]ConnPacket, len(packets))
+	for i, idx := range order {
+		out[idx] = tagged[i]
+	}
+	return out
+}
+
+func TestWithConnectionIDsTiesKeepInputOrder(t *testing.T) {
+	// Three SYNs on one flow at the same instant: the one earlier in
+	// the slice opens the earlier connection.
+	pkts := []trace.Packet{
+		mkPkt(10, trace.FlagSYN, 300),
+		mkPkt(5, trace.FlagACK, 50),
+		mkPkt(10, trace.FlagSYN, 100),
+		mkPkt(0, trace.FlagSYN, 10),
+		mkPkt(10, trace.FlagSYN, 200),
+	}
+	tagged := WithConnectionIDs(pkts)
+	want := []uint32{1, 0, 2, 0, 3}
+	for i, cp := range tagged {
+		if cp.Conn != want[i] {
+			t.Fatalf("packet %d: conn %d, want %d", i, cp.Conn, want[i])
+		}
+	}
+
+	// A shuffled generated trace with timestamps cut to 10 ms, so most
+	// packets tie with others, tags as the stable sort ordered it.
+	cfg := tracegen.DefaultHotspotConfig()
+	cfg.Sessions, cfg.FlowReuse = 400, 0.4
+	cfg.Worms, cfg.LowDispersionPayloads, cfg.BackgroundTotal = 0, 0, 0
+	cfg.StonePairs, cfg.DecoyFlows = 0, 0
+	gen, _ := tracegen.Hotspot(cfg)
+	rng := rand.New(rand.NewPCG(3, 4))
+	shuffled := make([]trace.Packet, len(gen))
+	for i, j := range rng.Perm(len(gen)) {
+		shuffled[i] = gen[j]
+		shuffled[i].Time -= shuffled[i].Time % 10_000
+	}
+	if got, want := WithConnectionIDs(shuffled), connIDsByStableSort(shuffled); !reflect.DeepEqual(got, want) {
+		t.Fatal("connection ids differ from the stable-sort ordering")
 	}
 }
 

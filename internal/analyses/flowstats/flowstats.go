@@ -12,6 +12,7 @@ package flowstats
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"dptrace/internal/core"
@@ -118,7 +119,7 @@ func ExactLossPermille(packets []trace.Packet, minPackets int) []int64 {
 			out = append(out, lossPermilleOf(pkts))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -192,10 +193,10 @@ func ExactRetransmitDelaysMs(packets []trace.Packet) []int64 {
 		if len(times) < 2 {
 			continue
 		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+		slices.Sort(times)
 		out = append(out, (times[1]-times[0])/1000)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

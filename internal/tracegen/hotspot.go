@@ -11,10 +11,12 @@
 package tracegen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
+	"strings"
 
 	"dptrace/internal/trace"
 )
@@ -155,7 +157,8 @@ type HotspotTruth struct {
 }
 
 // Hotspot generates the packet trace and its ground truth. Packets are
-// returned sorted by timestamp, as a capture would be.
+// returned sorted by timestamp, as a capture would be, with ties in
+// the order they were generated (TestHotspotGolden pins the bytes).
 func Hotspot(cfg HotspotConfig) ([]trace.Packet, *HotspotTruth) {
 	if cfg.Sessions < 0 || cfg.Hosts <= 0 || cfg.Servers <= 0 {
 		panic(fmt.Sprintf("tracegen: invalid hotspot config %+v", cfg))
@@ -167,7 +170,7 @@ func Hotspot(cfg HotspotConfig) ([]trace.Packet, *HotspotTruth) {
 	g.genWorms()
 	g.genBackgroundStrings()
 	g.genSteppingStones()
-	sort.SliceStable(g.packets, func(i, j int) bool { return g.packets[i].Time < g.packets[j].Time })
+	permute(g.packets, trace.TimeOrder(g.packets))
 	truth := &HotspotTruth{
 		Payloads:    g.payloadTruth(),
 		StonePairs:  g.stonePairs,
@@ -178,6 +181,30 @@ func Hotspot(cfg HotspotConfig) ([]trace.Packet, *HotspotTruth) {
 		},
 	}
 	return g.packets, truth
+}
+
+// permute moves ps[order[i]] to ps[i] for every i, in place, walking
+// each cycle of the permutation once: a gather into a second slice
+// would hold two copies of a full-volume trace at once. It consumes
+// order, marking placed positions with -1.
+func permute(ps []trace.Packet, order []int32) {
+	for i := range order {
+		if order[i] < 0 {
+			continue
+		}
+		held := ps[i]
+		j := i
+		for {
+			k := int(order[j])
+			order[j] = -1
+			if k == i {
+				ps[j] = held
+				break
+			}
+			ps[j] = ps[k]
+			j = k
+		}
+	}
 }
 
 type payloadStats struct {
@@ -558,11 +585,11 @@ func (g *hotspotGen) payloadTruth() []PayloadTruth {
 			IsWorm:   st.isWorm,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b PayloadTruth) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return out[i].Payload < out[j].Payload
+		return strings.Compare(a.Payload, b.Payload)
 	})
 	return out
 }
