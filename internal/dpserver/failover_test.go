@@ -329,10 +329,10 @@ func TestKillPrimaryFailover(t *testing.T) {
 	failoverCycle(t, 42)
 }
 
-// failoverMinRounds is the floor of the soak: seeds 100..200 always
+// failoverMinRounds is the floor of the soak: seeds 100..227 always
 // run, however loaded the machine, so the set of subtests does not
 // depend on timing. The -failoverdur budget only adds rounds past it.
-const failoverMinRounds = 101
+const failoverMinRounds = 128
 
 // TestFailoverStorm soaks the cycle with fresh seeds until the
 // -failoverdur budget runs out (check.sh smokes ~3s; `make chaos`
