@@ -1,4 +1,4 @@
-.PHONY: check build test cover bench benchdiff bench-server bench-server-diff bench-all bench-pair chaos
+.PHONY: check build test cover bench benchdiff bench-all bench-pair chaos
 
 # The tier-1 gate (see ROADMAP.md): build + vet + tests under -race.
 check:
@@ -36,26 +36,6 @@ bench:
 BENCHDIFF_THRESHOLD ?= 0.20
 benchdiff:
 	go test -p 1 -bench=. -benchmem -count=5 $(BENCHFLAGS) $(BENCHPKGS) | go run ./cmd/benchjson -prev BENCH_core.json -threshold $(BENCHDIFF_THRESHOLD) > BENCH_new.json
-
-# Whole-server throughput benchmark, parsed into BENCH_server.json:
-# cmd/dploadgen self-hosts an in-process dpserver and drives concurrent
-# analysts + ingest senders through the real HTTP stack, emitting
-# bench-format lines (query/ingest latency as ns/op, qps and pps as
-# custom metrics). The run doubles as an end-to-end audit — it exits
-# nonzero if the ACKed ε-spends drift from the server's budget
-# accounting. Tune with e.g. `make bench-server LOADFLAGS='-duration
-# 30s -analysts 16'`.
-LOADFLAGS ?= -duration 10s -analysts 4 -senders 2 -standing 2
-bench-server:
-	go run ./cmd/dploadgen $(LOADFLAGS) -bench | go run ./cmd/benchjson > BENCH_server.json
-	@echo "wrote BENCH_server.json"
-
-# Re-run the server benchmark and diff against the checked-in
-# baseline (same promote flow as benchdiff). Server numbers are
-# noisier than microbenchmarks, hence the looser default threshold.
-BENCH_SERVER_THRESHOLD ?= 0.50
-bench-server-diff:
-	go run ./cmd/dploadgen $(LOADFLAGS) -bench | go run ./cmd/benchjson -prev BENCH_server.json -threshold $(BENCH_SERVER_THRESHOLD) > BENCH_server_new.json
 
 # Paired runs of the repository benchmark (BENCHMARK.json) against an
 # earlier revision — the routine every perf claim rests on: build

@@ -90,9 +90,9 @@ go test -race -run 'TestKillPrimaryFailover|TestFailoverStorm' -count=1 ./intern
 # double-charged or skipped) — the continual-monitoring contract in
 # ~2s under the race detector.
 go test -race -run 'TestStandingEndToEnd|TestStandingKillRestart' -count=1 ./internal/dpserver
-# Load-harness smoke (make bench-server runs the full measurement): a
-# short self-hosted run of concurrent analysts + ingest senders
-# through the real HTTP stack, with a standing query riding the ingest
-# stream. Exits nonzero on any budget-accounting drift between client
-# ACKs and the server's ledger surfaces (standing charges included).
+# Load-harness smoke: a short self-hosted run of concurrent analysts +
+# ingest senders through the real HTTP stack, with a standing query
+# riding the ingest stream. Exits nonzero on any budget-accounting
+# drift between client ACKs and the server's ledger surfaces (standing
+# charges included).
 go run ./cmd/dploadgen -duration 2s -analysts 2 -senders 1 -standing 1 -seed-records 2000 > /dev/null

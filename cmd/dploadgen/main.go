@@ -34,10 +34,7 @@
 // reports, with the registration's Spent, and with the server's
 // per-analyst budget ledger. Standing drift also exits nonzero.
 //
-// Output is a JSON report on stdout; -bench instead emits
-// go-test-bench-format lines (BenchmarkServerQuery/.../ns/op + qps,
-// pps) for cmd/benchjson, which is how `make bench-server` records
-// BENCH_server.json.
+// Output is a JSON report on stdout.
 package main
 
 import (
@@ -77,7 +74,6 @@ func main() {
 	seedRecords := flag.Int("seed-records", 10000, "records in the self-hosted seed dataset")
 	seed := flag.Uint64("seed", 1, "noise + workload seed (self-host mode)")
 	standingN := flag.Int("standing", 0, "standing queries registered before load (one window per ingest batch)")
-	bench := flag.Bool("bench", false, "emit go-bench-format lines for cmd/benchjson instead of the JSON report")
 	flag.Parse()
 
 	kindList := strings.Split(*kinds, ",")
@@ -115,13 +111,9 @@ func main() {
 		r.Standing.FireMeanMs = float64(st.FireMean) / float64(time.Millisecond)
 	}
 
-	if *bench {
-		writeBench(os.Stdout, r)
-	} else {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r)
-	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(r)
 	if !r.Budget.Consistent {
 		fatalf("BUDGET DRIFT: %s", r.Budget.Detail)
 	}
@@ -579,23 +571,6 @@ func summarize(lat []time.Duration) LatSumm {
 		P50: pick(0.50), P90: pick(0.90), P99: pick(0.99),
 		Max:  float64(lat[len(lat)-1]) / float64(time.Millisecond),
 		Mean: float64(sum) / float64(len(lat)) / float64(time.Millisecond),
-	}
-}
-
-// writeBench renders the run as go-test-bench lines for cmd/benchjson:
-// iteration count, mean ns/op, and throughput as a custom unit.
-func writeBench(w *os.File, r Report) {
-	if r.Queries.Count > 0 {
-		fmt.Fprintf(w, "BenchmarkServerQuery-1 %d %.0f ns/op %.1f qps\n",
-			r.Queries.Count, r.Queries.Latency.Mean*1e6, r.Queries.PerSecond)
-	}
-	if r.Ingest.Count > 0 {
-		fmt.Fprintf(w, "BenchmarkServerIngest-1 %d %.0f ns/op %.1f batches/sec %.0f pps\n",
-			r.Ingest.Count, r.Ingest.Latency.Mean*1e6, r.Ingest.PerSecond, r.Ingest.RecordsPerSecond)
-	}
-	if r.Standing != nil && r.Standing.Windows > 0 {
-		fmt.Fprintf(w, "BenchmarkServerStandingWindow-1 %d %.0f ns/op %.3f p50-ms %.3f p99-ms\n",
-			r.Standing.Windows, r.Standing.FireMeanMs*1e6, r.Standing.FireP50Ms, r.Standing.FireP99Ms)
 	}
 }
 

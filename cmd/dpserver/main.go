@@ -38,8 +38,8 @@
 // budget drift between the two ledger directories. See DESIGN.md
 // §S35 and the README failover runbook.
 //
-// The API is mounted under /v1/ (legacy unversioned paths remain as
-// deprecated aliases). Admission control: -max-concurrent bounds
+// The API is mounted under /v1/ (an unversioned path answers 404).
+// Admission control: -max-concurrent bounds
 // concurrently executing queries, with -queue-wait of patience before
 // shedding 429 + Retry-After; -timeout / -max-timeout bound query
 // deadlines (per-request override via X-DP-Timeout-Ms, capped at
@@ -57,10 +57,11 @@
 // The server self-instruments: GET /v1/metrics (Prometheus text),
 // GET /v1/healthz (liveness), GET /v1/readyz (readiness — 503 while
 // draining or while a frozen/degraded ledger has spending shed
-// fail-closed), GET /v1/debug/traces, and GET /v1/debug/queries (the
-// ring of recent wide events) are always on; -pprof additionally
-// mounts net/http/pprof under /debug/pprof/. These are owner-side
-// endpoints — shield them at your ingress.
+// fail-closed), and GET /v1/debug/queries (the ring of recent wide
+// events) are always on; -pprof additionally mounts net/http/pprof
+// under /debug/pprof/. These, with /v1/datasets, /v1/audit,
+// /v1/ingest and /v1/admin/promote, are the owner-side endpoints
+// (dpserver.Route.Owner) — shield them at your ingress.
 //
 // Operational events leave the process as structured wide events: one
 // JSON object per occurrence (query completions carrying their full

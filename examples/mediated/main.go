@@ -76,7 +76,8 @@ func main() {
 	must(err)
 	fmt.Printf("bob's RTT CDF: %d points (cost 0.2: the join charges twice)\n", len(rtts.Values))
 
-	infos, err := bob.Datasets(ctx)
+	// ---- The owner's ledger view (an owner-side route) ----
+	infos, err := dpclient.New(ts.URL, "owner").Datasets(ctx)
 	must(err)
 	for _, info := range infos {
 		fmt.Printf("dataset %s: total spent %.2f, remaining %.2f\n",

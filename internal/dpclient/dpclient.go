@@ -293,9 +293,6 @@ type Result struct {
 	NoiseStd  float64
 	Spent     float64
 	Remaining float64 // -1 means unlimited
-	// Trace is the server-side span tree of the executed pipeline,
-	// present when the request set Trace: true.
-	Trace *obs.Span
 	// Profile is the query's execution profile, present on Explain
 	// calls. It is redacted server-side (no record counts) and costs
 	// no extra ε.
@@ -337,8 +334,7 @@ func (c *Client) query(ctx context.Context, req dpserver.QueryRequest, headers m
 	}
 	return &Result{
 		Values: qr.Values, Buckets: qr.Buckets, NoiseStd: qr.NoiseStd,
-		Spent: qr.Spent, Remaining: qr.Remaining, Trace: qr.Trace,
-		Profile: qr.Profile,
+		Spent: qr.Spent, Remaining: qr.Remaining, Profile: qr.Profile,
 	}, nil
 }
 
@@ -437,7 +433,9 @@ func (c *Client) Budget(ctx context.Context, dataset string) (spent, remaining f
 	return body["spent"], body["remaining"], nil
 }
 
-// Datasets lists the server's hosted datasets.
+// Datasets lists the server's hosted datasets with their sizes and
+// every analyst's usage. It is an owner-side route (see the dpserver
+// package docs), for the data owner's tooling rather than analysts.
 func (c *Client) Datasets(ctx context.Context) ([]dpserver.DatasetInfo, error) {
 	out, err := c.call(ctx, http.MethodGet, "/v1/datasets", nil)
 	if err != nil {
@@ -508,28 +506,9 @@ func (c *Client) Promote(ctx context.Context) (uint64, error) {
 	return pr.Epoch, nil
 }
 
-// RecentTraces fetches the server's ring of recent query traces
+// RecentEvents fetches the server's ring of recent wide events
 // (newest first); n ≤ 0 fetches everything the server holds. This is
 // an owner-side surface — see the dpserver package docs.
-func (c *Client) RecentTraces(ctx context.Context, n int) ([]*obs.Span, error) {
-	path := "/v1/debug/traces"
-	if n > 0 {
-		path += "?n=" + url.QueryEscape(fmt.Sprint(n))
-	}
-	out, err := c.call(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	var spans []*obs.Span
-	if err := json.Unmarshal(out, &spans); err != nil {
-		return nil, fmt.Errorf("dpclient: decoding traces: %w", err)
-	}
-	return spans, nil
-}
-
-// RecentEvents fetches the server's ring of recent wide events
-// (newest first); n ≤ 0 fetches everything the server holds. Like
-// RecentTraces, this is an owner-side surface.
 func (c *Client) RecentEvents(ctx context.Context, n int) ([]qlog.Event, error) {
 	path := "/v1/debug/queries"
 	if n > 0 {

@@ -171,45 +171,42 @@ func TestClientObservability(t *testing.T) {
 	ctx := context.Background()
 	c := clientAndServer(t, 10, 5)
 
-	// A traced query carries the span tree through the client.
-	r, err := c.Query(ctx, dpserver.QueryRequest{
-		Dataset: "hotspot", Query: "count", Epsilon: 0.5, Trace: true,
+	// An explained query carries its redacted plan through the client.
+	r, err := c.Explain(ctx, dpserver.QueryRequest{
+		Dataset: "hotspot", Query: "count", Epsilon: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Trace == nil || r.Trace.Name != "query:count" {
-		t.Fatalf("traced query returned trace %+v", r.Trace)
-	}
-	if len(r.Trace.Children) == 0 || r.Trace.Children[0].Name != "where" {
-		t.Errorf("trace children %+v, want a where span first", r.Trace.Children)
+	if r.Profile == nil || !r.Profile.Redacted || len(r.Profile.Ops) == 0 || r.Profile.Ops[0].Op != "where" {
+		t.Fatalf("explained query returned profile %+v, want a redacted plan opening with where", r.Profile)
 	}
 
-	// Untraced queries do not.
+	// Plain queries do not.
 	r, err = c.Query(ctx, dpserver.QueryRequest{
 		Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Trace != nil {
-		t.Error("untraced query returned a trace")
+	if r.Profile != nil {
+		t.Error("plain query returned a profile")
 	}
 
 	hs, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hs.Status != "ok" || hs.Datasets != 1 || hs.RecentTraces != 2 {
+	if hs.Status != "ok" || hs.Datasets != 1 || hs.AuditEntries != 2 {
 		t.Errorf("health %+v", hs)
 	}
 
-	spans, err := c.RecentTraces(ctx, 1)
+	events, err := c.RecentEvents(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 1 || spans[0].Name != "query:count" {
-		t.Errorf("recent traces %+v", spans)
+	if len(events) != 1 || events[0].Name != "query" {
+		t.Errorf("recent events %+v", events)
 	}
 
 	text, err := c.MetricsText(ctx)

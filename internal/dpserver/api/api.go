@@ -10,8 +10,8 @@
 //
 // The package is pure data: no handlers, no transport, no privacy
 // machinery. It may import internal/trace (record shapes ride in
-// ingest batches) and internal/obs (span trees and execution profiles
-// ride in query responses), and nothing else of the engine.
+// ingest batches) and internal/obs (redacted execution profiles ride
+// in query responses), and nothing else of the engine.
 package api
 
 // Protocol headers.
@@ -58,9 +58,3 @@ type Error struct {
 	Remaining float64 `json:"remaining,omitempty"`
 	Charged   float64 `json:"charged,omitempty"`
 }
-
-// LegacySunset is the documented removal date for the deprecated
-// unversioned path aliases (RFC 8594 Sunset header, sent on every
-// legacy response alongside Deprecation). After this date the aliases
-// may be removed in any release; clients must use the /v1 paths.
-const LegacySunset = "Mon, 01 Feb 2027 00:00:00 GMT"

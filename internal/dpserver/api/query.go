@@ -56,9 +56,6 @@ type QueryRequest struct {
 	// Key is the target for the srcfreq query: a source IP in dotted
 	// form, e.g. "10.0.0.1".
 	Key string `json:"key,omitempty"`
-	// Trace asks the server to return the executed pipeline as a span
-	// tree in the response (operational metadata only, no record data).
-	Trace bool `json:"trace,omitempty"`
 	// IdempotencyKey, when set, makes the query at-most-once per
 	// dataset/analyst: the first execution's response is stored and
 	// replayed byte-identically on retries instead of re-charging ε.
@@ -78,12 +75,10 @@ type QueryResponse struct {
 	// no infinity).
 	Spent     float64 `json:"spent"`
 	Remaining float64 `json:"remaining"`
-	// Trace is the executed pipeline's span tree, present when the
-	// request set "trace":true.
-	Trace *obs.Span `json:"trace,omitempty"`
 	// Profile is the query's execution profile, present when the
 	// request carried the X-DP-Explain header. It is redacted (no
-	// record counts — see DESIGN.md §S31) and costs no extra ε.
+	// record counts, no worker counts — see DESIGN.md §S31) and costs
+	// no extra ε.
 	Profile *obs.Profile `json:"profile,omitempty"`
 }
 
@@ -149,15 +144,17 @@ type AnalystUsage struct {
 	Spent     float64 `json:"spent"`
 }
 
-// DatasetInfo describes one hosted dataset in GET /v1/datasets.
+// DatasetInfo describes one hosted dataset in GET /v1/datasets, an
+// owner-facing route: it lists every analyst's usage and the exact
+// record count.
 type DatasetInfo struct {
 	Name           string  `json:"name"`
 	TotalSpent     float64 `json:"totalSpent"`
 	TotalRemaining float64 `json:"totalRemaining"`
 	// Records is the dataset's live record count — the static load
-	// plus everything ingested so far. It is owner-side operational
-	// metadata (the /datasets listing is the owner's surface, like
-	// /audit), never derived from a query.
+	// plus everything ingested so far. A dataset's size is private
+	// (DESIGN.md §S1: count is a Laplace release), so it is shown to
+	// the owner only.
 	Records int `json:"records"`
 	// IngestedBatches counts batches applied via /v1/ingest.
 	IngestedBatches uint64         `json:"ingestedBatches,omitempty"`
@@ -172,7 +169,6 @@ type HealthStatus struct {
 	Datasets      int     `json:"datasets"`
 	Goroutines    int     `json:"goroutines"`
 	AuditEntries  int     `json:"auditEntries"`
-	RecentTraces  int     `json:"recentTraces"`
 	Degraded      bool    `json:"degraded,omitempty"`
 	LedgerError   string  `json:"ledgerError,omitempty"`
 }

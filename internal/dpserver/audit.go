@@ -92,7 +92,7 @@ func (s *Server) Audit() []AuditEntry {
 	return s.audit.snapshot()
 }
 
-// handleAudit serves GET /audit with optional ?analyst=, ?dataset=,
+// handleAudit serves GET /v1/audit with optional ?analyst=, ?dataset=,
 // and ?outcome= filters; ?limit=N keeps only the N most recent
 // matches. This endpoint is for the data owner; expose it accordingly.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
@@ -103,7 +103,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if lStr := r.URL.Query().Get("limit"); lStr != "" {
 		l, err := strconv.Atoi(lStr)
 		if err != nil || l < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "limit must be a non-negative integer"})
+			writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "limit must be a non-negative integer"})
 			return
 		}
 		limit = l

@@ -81,7 +81,7 @@ func (s *Server) AddHopTrace(name string, records []trace.HopRecord, monitors in
 	return nil
 }
 
-// MatrixRequest is the POST /query/loadmatrix body (see
+// MatrixRequest is the POST /v1/query/loadmatrix body (see
 // api.MatrixRequest): extract the full noisy link×bin count matrix
 // (the Fig 4 pipeline's first step) at one ε.
 type MatrixRequest = api.MatrixRequest
@@ -95,7 +95,7 @@ func (s *Server) handleLoadMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Analyst == "" || req.Dataset == "" || req.Epsilon <= 0 {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst, dataset and positive epsilon required"})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst, dataset and positive epsilon required"})
 		return
 	}
 	s.mu.RLock()
@@ -106,21 +106,20 @@ func (s *Server) handleLoadMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown link dataset %q", req.Dataset)})
+		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown link dataset %q", req.Dataset)})
 		return
 	}
 	// NOTE: the executor captures its record snapshot itself (under
 	// s.mu) at execution time, which for keyed requests may be later
 	// than this admission check.
-	v1 := isV1(r)
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
 		func(ctx context.Context) execResult {
-			return s.executeLoadMatrix(ctx, v1, explain, d, exec, &req)
+			return s.executeLoadMatrix(ctx, explain, d, exec, &req)
 		})
 }
 
-func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *linkDataset, exec core.ExecOptions, req *MatrixRequest) execResult {
+func (s *Server) executeLoadMatrix(ctx context.Context, explain bool, d *linkDataset, exec core.ExecOptions, req *MatrixRequest) execResult {
 	if s.execHook != nil {
 		s.execHook(ctx)
 	}
@@ -161,7 +160,7 @@ func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *lin
 				status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
 				cacheable := !(outcome == "canceled" && charged == 0)
 				done.outcome, done.status, done.charged, done.profile = outcome, status, charged, prof.Profile()
-				return s.queryResult(done, marshalError(v1, ae), cacheable)
+				return s.queryResult(done, marshalJSON(ae), cacheable)
 			}
 			data[b*d.links+l] = c
 		}
@@ -181,7 +180,7 @@ func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *lin
 	return s.queryResult(done, marshalJSON(resp), true)
 }
 
-// HopAveragesRequest is the POST /query/monitoravgs body (see
+// HopAveragesRequest is the POST /v1/query/monitoravgs body (see
 // api.HopAveragesRequest): per-monitor noisy average hop counts (the
 // topology analysis's imputation step).
 type HopAveragesRequest = api.HopAveragesRequest
@@ -195,7 +194,7 @@ func (s *Server) handleMonitorAverages(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Analyst == "" || req.Dataset == "" || req.Epsilon <= 0 {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst, dataset and positive epsilon required"})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst, dataset and positive epsilon required"})
 		return
 	}
 	if req.MaxHops <= 0 {
@@ -209,18 +208,17 @@ func (s *Server) handleMonitorAverages(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown hop dataset %q", req.Dataset)})
+		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown hop dataset %q", req.Dataset)})
 		return
 	}
-	v1 := isV1(r)
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
 		func(ctx context.Context) execResult {
-			return s.executeMonitorAverages(ctx, v1, explain, d, exec, &req)
+			return s.executeMonitorAverages(ctx, explain, d, exec, &req)
 		})
 }
 
-func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d *hopDataset, exec core.ExecOptions, req *HopAveragesRequest) execResult {
+func (s *Server) executeMonitorAverages(ctx context.Context, explain bool, d *hopDataset, exec core.ExecOptions, req *HopAveragesRequest) execResult {
 	if s.execHook != nil {
 		s.execHook(ctx)
 	}
@@ -255,7 +253,7 @@ func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d
 			status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
 			cacheable := !(outcome == "canceled" && charged == 0)
 			done.outcome, done.status, done.charged, done.profile = outcome, status, charged, prof.Profile()
-			return s.queryResult(done, marshalError(v1, ae), cacheable)
+			return s.queryResult(done, marshalJSON(ae), cacheable)
 		}
 		averages[m] = avg
 	}
@@ -277,7 +275,7 @@ func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := jsonDecoder(r)
 	if err := dec.Decode(v); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "bad request: " + err.Error()})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "bad request: " + err.Error()})
 		return false
 	}
 	return true

@@ -17,6 +17,7 @@ import (
 	"dptrace/internal/core"
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
+	"dptrace/internal/obs/qlog"
 	"dptrace/internal/vfs"
 )
 
@@ -319,9 +320,19 @@ func TestFrozenLedgerStillHostsReadOnly(t *testing.T) {
 	if led.Frozen() == nil {
 		t.Fatal("corrupt WAL did not freeze the ledger")
 	}
-	s := New(noise.NewSeededSource(1, 2), WithLedger(led), WithLogf(t.Logf))
+	events := qlog.New(qlog.Options{})
+	s := New(noise.NewSeededSource(1, 2), WithLedger(led), WithEventLog(events))
 	if err := s.AddPacketTrace("hotspot", restartTrace(), 2.0, 1.0); err != nil {
 		t.Fatalf("registration on a frozen ledger must host read-only, got %v", err)
+	}
+	// Both halves of the story reach the event log: the freeze, and the
+	// registration hosted without a journal record.
+	seen := map[string]bool{}
+	for _, e := range events.Recent(0) {
+		seen[e.Name] = true
+	}
+	if !seen["ledger_frozen"] || !seen["registration_unjournaled"] {
+		t.Fatalf("events %v, want ledger_frozen and registration_unjournaled", seen)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

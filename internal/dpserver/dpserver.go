@@ -4,12 +4,14 @@
 // only noisy aggregates ever leave — with per-analyst and total
 // privacy budgets enforced by the §7 policy machinery.
 //
-// The wire protocol is JSON over HTTP (stdlib net/http only):
+// The wire protocol is JSON over HTTP (stdlib net/http only), mounted
+// under /v1. Analysts call:
 //
-//	GET  /datasets              list datasets, budget state, per-analyst usage
-//	GET  /budget?dataset=&analyst=   an analyst's remaining allowance
-//	POST /query                 run one differentially-private query
-//	GET  /audit?analyst=&dataset=&outcome=&limit=   the owner's query ledger
+//	POST /v1/query                   run one differentially-private query
+//	POST /v1/query/loadmatrix        the noisy link×bin matrix
+//	POST /v1/query/monitoravgs       per-monitor noisy hop averages
+//	GET  /v1/budget?dataset=&analyst=   an analyst's remaining allowance
+//	/v1/standing/{dataset}[/{id}[/results]]   standing queries
 //
 // A query names the analyst (authentication is out of scope — wire it
 // to your ingress), the dataset, the query kind, its ε, and optional
@@ -21,25 +23,25 @@
 // Refused queries (budget exhausted) return 403 with the remaining
 // allowance; they consume nothing, and the refusal is data-independent
 // (unlike the bit-leakage schemes the paper critiques, it reveals only
-// the analyst's own spending).
+// the analyst's own spending). X-DP-Explain adds the query's redacted
+// execution profile to the response.
 //
-// The server also instruments itself (see internal/obs) for the data
-// owner operating it as a long-lived service:
+// The data owner operating the server as a long-lived service has the
+// owner-facing routes (Route.Owner) — shield them at the ingress:
 //
-//	GET  /metrics        Prometheus text exposition (?format=json for a
-//	                     JSON snapshot): per-endpoint request counts and
-//	                     latency histograms, per-dataset budget
-//	                     total/spent/remaining gauges, per-operator
-//	                     engine timings, aggregation outcome counters
-//	GET  /healthz        liveness: uptime, dataset count, goroutines
-//	GET  /debug/traces   ring buffer of recent query traces (?n= limit)
-//	/debug/pprof/*       optional; mount with Handler(WithPprof())
+//	GET  /v1/datasets       datasets, sizes, budget state, per-analyst usage
+//	GET  /v1/audit          the query ledger (?analyst=&dataset=&outcome=&limit=)
+//	POST /v1/ingest/{dataset}   append a record batch
+//	POST /v1/admin/promote  promote a replication follower
+//	GET  /v1/metrics        Prometheus text exposition (?format=json)
+//	GET  /v1/healthz        liveness: uptime, dataset count, goroutines
+//	GET  /v1/readyz         readiness
+//	GET  /v1/debug/queries  ring of recent wide events (?n= limit)
+//	/debug/pprof/*          optional; mount with Handler(WithPprof())
 //
-// Setting "trace":true on POST /query returns the executed pipeline as
-// a span tree in the response's "trace" field. None of these surfaces
-// expose record data — only operational metadata and the budget ledger
-// the owner already governs by — but /audit, /debug/*, and /metrics
-// are owner-side endpoints; expose them accordingly.
+// Everything an analyst-facing route returns, outside its noisy
+// values, is the same on neighbouring datasets
+// (TestAnalystRoutesNeighbourDiff).
 package dpserver
 
 import (
@@ -92,7 +94,6 @@ type Server struct {
 	start     time.Time
 	metrics   *obs.Registry
 	engineRec obs.Recorder // aggregates engine telemetry into metrics
-	traces    *obs.TraceBuffer
 
 	// Request lifecycle (see lifecycle.go).
 	limits        Limits
@@ -139,40 +140,6 @@ type Server struct {
 	// registered standing queries fire on deterministic window
 	// boundaries as ingest advances each dataset's record watermark.
 	standing *standing.Registry
-
-	// log is the deprecated printf mirror (WithLogf): Warn+ events are
-	// rendered to it as text lines. Nil discards them.
-	log func(format string, args ...any)
-}
-
-// event emits one structured wide event, mirroring Warn and Error
-// events to the deprecated WithLogf sink as rendered text.
-func (s *Server) event(level qlog.Level, name string, fields ...qlog.Field) {
-	e := qlog.Event{Level: level, Name: name}.With(fields...)
-	s.events.Emit(e)
-	if s.log != nil && level >= qlog.Warn {
-		s.log("dpserver: %s", e.Text())
-	}
-}
-
-// logf emits one operational warning through the deprecated printf
-// mirror only (used where the caller already emitted a typed event
-// with richer fields and just wants the legacy rendering).
-func (s *Server) logf(format string, args ...any) {
-	if s.log != nil {
-		s.log(format, args...)
-	}
-}
-
-// WithLogf directs a text rendering of the server's Warn and Error
-// events — recovered panics, ledger trouble, drains — to f (e.g.
-// log.Printf).
-//
-// Deprecated: WithLogf predates the structured event log and remains
-// as a shim. New code should read the JSON event stream instead: pass
-// WithEventLog a qlog.Logger writing to your sink.
-func WithLogf(f func(format string, args ...any)) ServerOption {
-	return func(s *Server) { s.log = f }
 }
 
 // WithEventLog replaces the server's structured event logger — the
@@ -225,7 +192,6 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 		audit:    newAuditLog(0, nil),
 		start:    time.Now(),
 		metrics:  obs.NewRegistry(),
-		traces:   obs.NewTraceBuffer(0),
 		idem:     newIdemCache(),
 		events:   qlog.New(qlog.Options{}),
 
@@ -351,16 +317,12 @@ func (s *Server) AddPacketTrace(name string, packets []trace.Packet, totalBudget
 }
 
 // Handler returns the HTTP handler for the query API. Every endpoint
-// reports request counts and latency to the server's metrics registry.
-//
-// All endpoints are mounted under /v1/; the unversioned paths remain
-// as deprecated aliases that answer identically but add a
-// `Deprecation: true` header (and a Link to the successor). Errors on
-// /v1/ use the uniform {code, message, retryable} envelope; the
-// legacy paths keep the original {error, remaining} body. The three
-// query-executing endpoints run behind the admission-control
-// lifecycle (see lifecycle.go); read-only endpoints bypass it so
-// health checks and scrapes keep working during drains and overload.
+// is mounted under /v1/, answers errors with the uniform {code,
+// message, retryable} envelope, and reports request counts and latency
+// to the server's metrics registry. The query-executing endpoints run
+// behind the admission-control lifecycle (see lifecycle.go); read-only
+// endpoints bypass it so health checks and scrapes keep working during
+// drains and overload.
 func (s *Server) Handler(opts ...HandlerOption) http.Handler {
 	var cfg handlerConfig
 	for _, opt := range opts {
@@ -374,9 +336,6 @@ func (s *Server) Handler(opts ...HandlerOption) http.Handler {
 		}
 		h = s.recoverPanics(h)
 		mux.HandleFunc(rt.Method+" /v1"+rt.Path, s.instrument("/v1"+rt.Path, h))
-		if rt.Legacy {
-			mux.HandleFunc(rt.Method+" "+rt.Path, s.instrument(rt.Path, deprecated(rt.Path, h)))
-		}
 	}
 	if cfg.pprof {
 		attachPprof(mux)
@@ -384,44 +343,43 @@ func (s *Server) Handler(opts ...HandlerOption) http.Handler {
 	return mux
 }
 
-// Route describes one API route: its method, its canonical path
-// (mounted under /v1), and whether a deprecated unversioned alias is
-// still served. Every endpoint has exactly one canonical /v1 mount —
-// a test enforces it against this table.
+// Route describes one API route: its method, its path (mounted under
+// /v1), and its audience. Every endpoint has exactly one /v1 mount — a
+// test enforces it against this table.
 type Route struct {
 	Method string
-	// Path is the canonical path relative to /v1 (ServeMux pattern
-	// syntax; {dataset} is a wildcard).
+	// Path is the path relative to /v1 (ServeMux pattern syntax;
+	// {dataset} is a wildcard).
 	Path string
-	// Legacy reports whether the unversioned alias is (still) mounted.
-	// Aliases answer identically but carry Deprecation + Sunset
-	// headers; they are removed at api.LegacySunset.
-	Legacy bool
+	// Owner marks a route for the data owner only: it may show exact,
+	// data-derived values (dataset sizes, operator record counts, the
+	// audit trail). Every other route is analyst-facing, and
+	// TestAnalystRoutesNeighbourDiff checks that it answers the same on
+	// neighbouring datasets outside its noisy values.
+	Owner bool
 
 	query   bool // behind the admission lifecycle (admit)
 	handler func(*Server) http.HandlerFunc
 }
 
 // routeTable is the single source of truth for what Handler mounts.
-// Endpoints added after the /v1 cutover (ingest) are v1-only.
 var routeTable = []Route{
-	{Method: "GET", Path: "/datasets", Legacy: true, handler: func(s *Server) http.HandlerFunc { return s.handleDatasets }},
-	{Method: "GET", Path: "/budget", Legacy: true, handler: func(s *Server) http.HandlerFunc { return s.handleBudget }},
-	{Method: "POST", Path: "/query", Legacy: true, query: true, handler: func(s *Server) http.HandlerFunc { return s.handleQuery }},
-	{Method: "GET", Path: "/audit", Legacy: true, handler: func(s *Server) http.HandlerFunc { return s.handleAudit }},
-	{Method: "POST", Path: "/query/loadmatrix", Legacy: true, query: true, handler: func(s *Server) http.HandlerFunc { return s.handleLoadMatrix }},
-	{Method: "POST", Path: "/query/monitoravgs", Legacy: true, query: true, handler: func(s *Server) http.HandlerFunc { return s.handleMonitorAverages }},
-	{Method: "POST", Path: "/ingest/{dataset}", handler: func(s *Server) http.HandlerFunc { return s.handleIngest }},
+	{Method: "GET", Path: "/datasets", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handleDatasets }},
+	{Method: "GET", Path: "/budget", handler: func(s *Server) http.HandlerFunc { return s.handleBudget }},
+	{Method: "POST", Path: "/query", query: true, handler: func(s *Server) http.HandlerFunc { return s.handleQuery }},
+	{Method: "GET", Path: "/audit", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handleAudit }},
+	{Method: "POST", Path: "/query/loadmatrix", query: true, handler: func(s *Server) http.HandlerFunc { return s.handleLoadMatrix }},
+	{Method: "POST", Path: "/query/monitoravgs", query: true, handler: func(s *Server) http.HandlerFunc { return s.handleMonitorAverages }},
+	{Method: "POST", Path: "/ingest/{dataset}", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handleIngest }},
 	{Method: "POST", Path: "/standing/{dataset}", query: true, handler: func(s *Server) http.HandlerFunc { return s.handleStandingRegister }},
 	{Method: "GET", Path: "/standing/{dataset}", handler: func(s *Server) http.HandlerFunc { return s.handleStandingList }},
 	{Method: "DELETE", Path: "/standing/{dataset}/{id}", query: true, handler: func(s *Server) http.HandlerFunc { return s.handleStandingCancel }},
 	{Method: "GET", Path: "/standing/{dataset}/{id}/results", handler: func(s *Server) http.HandlerFunc { return s.handleStandingResults }},
-	{Method: "POST", Path: "/admin/promote", handler: func(s *Server) http.HandlerFunc { return s.handlePromote }},
-	{Method: "GET", Path: "/metrics", Legacy: true, handler: func(s *Server) http.HandlerFunc { return s.handleMetrics }},
-	{Method: "GET", Path: "/healthz", Legacy: true, handler: func(s *Server) http.HandlerFunc { return s.handleHealthz }},
-	{Method: "GET", Path: "/readyz", Legacy: true, handler: func(s *Server) http.HandlerFunc { return s.handleReadyz }},
-	{Method: "GET", Path: "/debug/traces", Legacy: true, handler: func(s *Server) http.HandlerFunc { return s.handleDebugTraces }},
-	{Method: "GET", Path: "/debug/queries", Legacy: true, handler: func(s *Server) http.HandlerFunc { return s.handleDebugQueries }},
+	{Method: "POST", Path: "/admin/promote", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handlePromote }},
+	{Method: "GET", Path: "/metrics", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handleMetrics }},
+	{Method: "GET", Path: "/healthz", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handleHealthz }},
+	{Method: "GET", Path: "/readyz", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handleReadyz }},
+	{Method: "GET", Path: "/debug/queries", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handleDebugQueries }},
 }
 
 // Routes returns the mounted route table (a copy).
@@ -429,18 +387,6 @@ func Routes() []Route {
 	out := make([]Route, len(routeTable))
 	copy(out, routeTable)
 	return out
-}
-
-// deprecated marks a legacy (unversioned) mount: responses carry a
-// Deprecation header, a pointer at the /v1 successor (RFC 9745), and
-// the Sunset date after which the alias is removed (RFC 8594).
-func deprecated(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Sunset", api.LegacySunset)
-		w.Header().Set("Link", `</v1`+path+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // The /v1 wire contract — request/response structs, the error
@@ -452,7 +398,7 @@ func deprecated(path string, h http.HandlerFunc) http.HandlerFunc {
 // Filter restricts the packets a query sees (see api.Filter).
 type Filter = api.Filter
 
-// QueryRequest is the POST /query body (see api.QueryRequest).
+// QueryRequest is the POST /v1/query body (see api.QueryRequest).
 type QueryRequest = api.QueryRequest
 
 // QueryResponse is the success body (see api.QueryResponse).
@@ -467,17 +413,11 @@ func finiteOrUnlimited(v float64) float64 {
 	return v
 }
 
-// errorResponse is the failure body.
-type errorResponse struct {
-	Error     string  `json:"error"`
-	Remaining float64 `json:"remaining,omitempty"`
-}
-
 // AnalystUsage summarizes one analyst's activity on one dataset (see
 // api.AnalystUsage).
 type AnalystUsage = api.AnalystUsage
 
-// DatasetInfo describes one hosted dataset in GET /datasets (see
+// DatasetInfo describes one hosted dataset in GET /v1/datasets (see
 // api.DatasetInfo).
 type DatasetInfo = api.DatasetInfo
 
@@ -530,12 +470,12 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("dataset")
 	analyst := r.URL.Query().Get("analyst")
 	if name == "" || analyst == "" {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "dataset and analyst are required"})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "dataset and analyst are required"})
 		return
 	}
 	d, ok := s.lookup(name)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown dataset %q", name)})
+		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown dataset %q", name)})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]float64{
@@ -589,27 +529,26 @@ func jsonDecoder(r *http.Request) *json.Decoder {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := jsonDecoder(r).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "bad request: " + err.Error()})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "bad request: " + err.Error()})
 		return
 	}
 	if req.Analyst == "" || req.Dataset == "" {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst and dataset are required"})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst and dataset are required"})
 		return
 	}
 	if req.Epsilon <= 0 {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "epsilon must be positive"})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "epsilon must be positive"})
 		return
 	}
 	d, ok := s.lookup(req.Dataset)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown dataset %q", req.Dataset)})
+		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown dataset %q", req.Dataset)})
 		return
 	}
-	v1 := isV1(r)
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
 		func(ctx context.Context) execResult {
-			return s.executeQuery(ctx, v1, explain, d, &req)
+			return s.executeQuery(ctx, explain, d, &req)
 		})
 }
 
@@ -627,23 +566,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // explain additionally returns the redacted profile to the analyst in
 // the response envelope; it changes no budget accounting and no
 // ledger traffic.
-func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset, req *QueryRequest) execResult {
+func (s *Server) executeQuery(ctx context.Context, explain bool, d *dataset, req *QueryRequest) execResult {
 	start := time.Now()
 	if s.execHook != nil {
 		s.execHook(ctx)
 	}
-	// Every query executes under a trace recorder (feeding the
-	// /debug/traces ring), a profile recorder (feeding the wide event
-	// and X-DP-Explain), and the server's metrics recorder.
-	tr := obs.NewTraceRecorder("query:" + req.Query)
-	tr.SetLabel("analyst", req.Analyst)
-	tr.SetLabel("dataset", req.Dataset)
+	// Every query executes under a profile recorder (feeding the wide
+	// event and X-DP-Explain) and the server's metrics recorder.
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
-	rec := obs.Multi(s.engineRec, tr, prof)
-
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
 	q := core.NewQueryableFor(s.snapshotPackets(d), core.Agent(agent), s.src).
-		WithRecorder(rec).WithExecOptions(s.execFor(d)).WithContext(ctx)
+		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(s.execFor(d)).WithContext(ctx)
 
 	spentBefore := d.policy.SpentBy(req.Analyst)
 	entry := AuditEntry{
@@ -663,7 +596,7 @@ func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset,
 			// the process lives, but the panic is still a bug — count
 			// and log it like one the HTTP middleware caught.
 			s.metrics.Counter("dp_panics_total", "site", "aggregation").Inc()
-			s.event(qlog.Error, "panic_recovered",
+			s.events.Log(qlog.Error, "panic_recovered",
 				qlog.F("site", "aggregation"),
 				qlog.F("analyst", req.Analyst),
 				qlog.F("dataset", req.Dataset),
@@ -674,24 +607,16 @@ func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset,
 		entry.Outcome = auditOutcome(err)
 		entry.Charged = charged
 		s.recordAudit(&done, entry)
-		tr.SetLabel("outcome", entry.Outcome)
-		s.traces.Add(tr.Finish())
 		status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
 		cacheable := !(entry.Outcome == "canceled" && charged == 0)
 		done.outcome, done.status, done.charged, done.profile = entry.Outcome, status, charged, prof.Profile()
-		return s.queryResult(done, marshalError(v1, ae), cacheable)
+		return s.queryResult(done, marshalJSON(ae), cacheable)
 	}
 	resp.Spent = d.policy.SpentBy(req.Analyst)
 	resp.Remaining = finiteOrUnlimited(d.policy.RemainingFor(req.Analyst))
 	entry.Outcome = "ok"
 	entry.Charged = resp.Spent - spentBefore
 	s.recordAudit(&done, entry)
-	tr.SetLabel("outcome", entry.Outcome)
-	span := tr.Finish()
-	s.traces.Add(span)
-	if req.Trace {
-		resp.Trace = span
-	}
 	done.outcome, done.status, done.charged, done.profile = entry.Outcome, http.StatusOK, entry.Charged, prof.Profile()
 	if explain {
 		resp.Profile = done.profile.Redact()

@@ -41,7 +41,7 @@ func postQuery(t *testing.T, ts *httptest.Server, req QueryRequest) (*http.Respo
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestServerBudgetRefusal(t *testing.T) {
 	if refused.StatusCode != http.StatusForbidden {
 		t.Fatalf("over-budget status %d: %s", refused.StatusCode, body)
 	}
-	var er errorResponse
+	var er apiError
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(er.Remaining-0.2) > 1e-9 {
+	if er.Code != codeBudgetExhausted || math.Abs(er.Remaining-0.2) > 1e-9 {
 		t.Errorf("remaining %v, want 0.2", er.Remaining)
 	}
 	// A different analyst is unaffected.
@@ -180,7 +180,7 @@ func TestServerValidation(t *testing.T) {
 		}
 	}
 	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestServerDatasetsAndBudgetEndpoints(t *testing.T) {
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 1.0,
 	})
 
-	resp, err := http.Get(ts.URL + "/datasets")
+	resp, err := http.Get(ts.URL + "/v1/datasets")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestServerDatasetsAndBudgetEndpoints(t *testing.T) {
 		t.Errorf("budget state: %+v", infos[0])
 	}
 
-	resp, err = http.Get(ts.URL + "/budget?dataset=hotspot&analyst=alice")
+	resp, err = http.Get(ts.URL + "/v1/budget?dataset=hotspot&analyst=alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestServerConcurrentAnalysts(t *testing.T) {
 					Analyst: fmt.Sprintf("analyst-%d", id),
 					Dataset: "hotspot", Query: "count", Epsilon: 0.5,
 				})
-				resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errs <- err
 					return
@@ -334,7 +334,7 @@ func TestAuditLedger(t *testing.T) {
 		Analyst: "bob", Dataset: "hotspot", Query: "bogus", Epsilon: 0.1,
 	})
 
-	resp, err := http.Get(ts.URL + "/audit")
+	resp, err := http.Get(ts.URL + "/v1/audit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestAuditLedger(t *testing.T) {
 	}
 
 	// Filtered view.
-	resp, err = http.Get(ts.URL + "/audit?analyst=bob")
+	resp, err = http.Get(ts.URL + "/v1/audit?analyst=bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestServerLinkMatrixQuery(t *testing.T) {
 	defer ts.Close()
 
 	body, _ := json.Marshal(MatrixRequest{Analyst: "alice", Dataset: "isp", Epsilon: 1.0})
-	resp, err := http.Post(ts.URL+"/query/loadmatrix", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query/loadmatrix", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestServerMonitorAveragesQuery(t *testing.T) {
 	body, _ := json.Marshal(HopAveragesRequest{
 		Analyst: "bob", Dataset: "scatter", Epsilon: 1.0, MaxHops: 32,
 	})
-	resp, err := http.Post(ts.URL+"/query/monitoravgs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query/monitoravgs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestServerMonitorAveragesQuery(t *testing.T) {
 	body, _ = json.Marshal(HopAveragesRequest{
 		Analyst: "bob", Dataset: "scatter", Epsilon: 1.5, MaxHops: 32,
 	})
-	resp2, err := http.Post(ts.URL+"/query/monitoravgs", "application/json", bytes.NewReader(body))
+	resp2, err := http.Post(ts.URL+"/v1/query/monitoravgs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestServerLinkMatrixValidation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body, _ := json.Marshal(MatrixRequest{Analyst: "a", Dataset: "nope", Epsilon: 1})
-	resp, err := http.Post(ts.URL+"/query/loadmatrix", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query/loadmatrix", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestServerLinkMatrixValidation(t *testing.T) {
 		t.Fatalf("unknown dataset status %d", resp.StatusCode)
 	}
 	body, _ = json.Marshal(MatrixRequest{Analyst: "a", Dataset: "x"})
-	resp, err = http.Post(ts.URL+"/query/loadmatrix", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(ts.URL+"/v1/query/loadmatrix", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestServerParallelExecutionDeterminism(t *testing.T) {
 				Analyst: "alice", Dataset: "hotspot", Query: kind,
 				Epsilon: 0.5, Filter: &Filter{DstPort: &port}, MinBytes: 512,
 			})
-			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -567,7 +567,7 @@ func TestServerParallelExecutionDeterminism(t *testing.T) {
 
 	// The parallel-execution counter is exposed for owner dashboards.
 	rec := httptest.NewRecorder()
-	ps.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	ps.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/metrics", nil))
 	if !bytes.Contains(rec.Body.Bytes(), []byte("dp_parallel_exec_total")) {
 		t.Fatal("metrics exposition missing dp_parallel_exec_total")
 	}

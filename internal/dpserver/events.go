@@ -100,7 +100,7 @@ func slowQuery(d, threshold time.Duration) bool {
 // executor end here, through queryResult.
 func (s *Server) finishQuery(o queryOutcome) {
 	dur := time.Since(o.started)
-	s.event(qlog.Info, "query", append([]qlog.Field{
+	s.events.Log(qlog.Info, "query", append([]qlog.Field{
 		qlog.F("analyst", o.analyst),
 		qlog.F("dataset", o.dataset),
 		qlog.F("query", o.query),
@@ -123,7 +123,7 @@ func (s *Server) finishQuery(o queryOutcome) {
 		"dataset", o.dataset, "analyst", o.analyst).Observe(o.epsilon)
 	s.ensureAnalystGauge(o.dataset, o.analyst, o.policy)
 	if slowQuery(dur, s.limits.SlowQuery) {
-		s.event(qlog.Warn, "slow_query",
+		s.events.Log(qlog.Warn, "slow_query",
 			qlog.F("analyst", o.analyst),
 			qlog.F("dataset", o.dataset),
 			qlog.F("query", o.query),
@@ -173,9 +173,9 @@ func (s *Server) noteDegraded(cause error) {
 	degraded := cause != nil
 	if s.degradedNoted.CompareAndSwap(!degraded, degraded) {
 		if degraded {
-			s.event(qlog.Error, "degraded_entered", qlog.F("cause", cause.Error()))
+			s.events.Log(qlog.Error, "degraded_entered", qlog.F("cause", cause.Error()))
 		} else {
-			s.event(qlog.Info, "degraded_exited")
+			s.events.Log(qlog.Info, "degraded_exited")
 		}
 	}
 }
@@ -188,7 +188,7 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	if nStr := r.URL.Query().Get("n"); nStr != "" {
 		n, err := strconv.Atoi(nStr)
 		if err != nil || n < 0 {
-			s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "n must be a non-negative integer"})
+			writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "n must be a non-negative integer"})
 			return
 		}
 		if n < len(events) {

@@ -172,7 +172,7 @@ func ingestContentType(r *http.Request) string {
 // ingestShed emits the shed event + counter for one refused batch.
 func (s *Server) ingestShed(dataset, reason string) {
 	s.metrics.Counter("dp_ingest_shed_total", "dataset", dataset, "reason", reason).Inc()
-	s.event(qlog.Warn, "ingest_shed",
+	s.events.Log(qlog.Warn, "ingest_shed",
 		qlog.F("dataset", dataset), qlog.F("reason", reason))
 }
 
@@ -182,7 +182,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("dataset")
 	ct := ingestContentType(r)
 	if ct != api.ContentTypeNDJSON && ct != api.ContentTypeDPTR {
-		s.writeError(w, r, http.StatusUnsupportedMediaType, apiError{
+		writeError(w, http.StatusUnsupportedMediaType, apiError{
 			Code: codeBadRequest,
 			Message: fmt.Sprintf("unsupported content type %q (want %s or %s)",
 				ct, api.ContentTypeNDJSON, api.ContentTypeDPTR),
@@ -191,14 +191,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	kind, apply, ok := s.ingestTarget(name)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, apiError{
+		writeError(w, http.StatusNotFound, apiError{
 			Code: codeNotFound, Message: fmt.Sprintf("unknown dataset %q", name)})
 		return
 	}
 	source := r.Header.Get(api.BatchSourceHeader)
 	seq := r.Header.Get(api.BatchSeqHeader)
 	if (source == "") != (seq == "") {
-		s.writeError(w, r, http.StatusBadRequest, apiError{
+		writeError(w, http.StatusBadRequest, apiError{
 			Code: codeBadRequest,
 			Message: fmt.Sprintf("%s and %s must be sent together",
 				api.BatchSourceHeader, api.BatchSeqHeader)})
@@ -213,7 +213,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.enter() {
 		s.ingestShed(name, "shutting_down")
 		w.Header().Set("Retry-After", s.limits.retryAfter())
-		s.writeError(w, r, http.StatusServiceUnavailable, apiError{
+		writeError(w, http.StatusServiceUnavailable, apiError{
 			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})
 		return
 	}
@@ -223,7 +223,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		code, msg := shedCodeFor(cause)
 		s.ingestShed(name, code)
 		w.Header().Set("Retry-After", s.limits.retryAfter())
-		s.writeError(w, r, http.StatusServiceUnavailable, apiError{
+		writeError(w, http.StatusServiceUnavailable, apiError{
 			Code: code, Message: msg, Retryable: true})
 		return
 	}
@@ -253,7 +253,7 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 	if pipe == nil {
 		s.ingestShed(name, "shutting_down")
 		w.Header().Set("Retry-After", s.limits.retryAfter())
-		return execResult{status: http.StatusServiceUnavailable, body: marshalError(true, apiError{
+		return execResult{status: http.StatusServiceUnavailable, body: marshalJSON(apiError{
 			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})}
 	}
 
@@ -274,19 +274,19 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 		over, _ := io.ReadFull(r.Body, make([]byte, 1))
 		if err != nil || over > 0 {
 			pipe.Unreserve(size)
-			return execResult{status: http.StatusBadRequest, body: marshalError(true, apiError{
+			return execResult{status: http.StatusBadRequest, body: marshalJSON(apiError{
 				Code: codeBadRequest, Message: "body read failed or short"})}
 		}
 	} else {
 		max := pipe.Limits().MaxBatchBytes
 		b, err := io.ReadAll(io.LimitReader(r.Body, max+1))
 		if err != nil {
-			return execResult{status: http.StatusBadRequest, body: marshalError(true, apiError{
+			return execResult{status: http.StatusBadRequest, body: marshalJSON(apiError{
 				Code: codeBadRequest, Message: "body read failed: " + err.Error()})}
 		}
 		if int64(len(b)) > max {
 			s.ingestShed(name, "too_large")
-			return execResult{status: http.StatusRequestEntityTooLarge, body: marshalError(true, apiError{
+			return execResult{status: http.StatusRequestEntityTooLarge, body: marshalJSON(apiError{
 				Code:    codeTooLarge,
 				Message: fmt.Sprintf("batch exceeds %d byte limit", max)})}
 		}
@@ -313,18 +313,18 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 		if errors.Is(err, ingest.ErrClosed) {
 			s.ingestShed(name, "shutting_down")
 			w.Header().Set("Retry-After", s.limits.retryAfter())
-			return execResult{status: http.StatusServiceUnavailable, body: marshalError(true, apiError{
+			return execResult{status: http.StatusServiceUnavailable, body: marshalJSON(apiError{
 				Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})}
 		}
 		s.metrics.Counter("dp_ingest_batches_total", "dataset", name, "outcome", "error").Inc()
-		s.event(qlog.Warn, "ingest",
+		s.events.Log(qlog.Warn, "ingest",
 			qlog.F("dataset", name), qlog.F("source", source), qlog.F("seq", seq),
 			qlog.F("outcome", "error"), qlog.F("bytes", size),
 			qlog.F("error", err.Error()),
 			qlog.F("decode_ms", durationMs(job.DecodeTime)),
 			qlog.F("apply_ms", durationMs(job.ApplyTime)),
 			qlog.F("duration_ms", durationMs(time.Since(start))))
-		return execResult{status: http.StatusBadRequest, body: marshalError(true, apiError{
+		return execResult{status: http.StatusBadRequest, body: marshalJSON(apiError{
 			Code: codeBadRequest, Message: "bad batch: " + err.Error()})}
 	}
 
@@ -344,7 +344,7 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 				// withheld and the sender will retry.
 				outcome = "unacked"
 			}
-			s.event(qlog.Info, "ingest", append([]qlog.Field{
+			s.events.Log(qlog.Info, "ingest", append([]qlog.Field{
 				qlog.F("dataset", name), qlog.F("source", source), qlog.F("seq", seq),
 				qlog.F("outcome", outcome), qlog.F("records", applied.records),
 				qlog.F("total_records", applied.total), qlog.F("bytes", size),
@@ -364,17 +364,17 @@ func (s *Server) ingestRefusal(w http.ResponseWriter, name string, err error) ex
 	switch {
 	case errors.Is(err, ingest.ErrTooLarge):
 		s.ingestShed(name, "too_large")
-		return execResult{status: http.StatusRequestEntityTooLarge, body: marshalError(true, apiError{
+		return execResult{status: http.StatusRequestEntityTooLarge, body: marshalJSON(apiError{
 			Code: codeTooLarge, Message: err.Error()})}
 	case errors.Is(err, ingest.ErrClosed):
 		s.ingestShed(name, "shutting_down")
 		w.Header().Set("Retry-After", s.limits.retryAfter())
-		return execResult{status: http.StatusServiceUnavailable, body: marshalError(true, apiError{
+		return execResult{status: http.StatusServiceUnavailable, body: marshalJSON(apiError{
 			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})}
 	default:
 		s.ingestShed(name, "overloaded")
 		w.Header().Set("Retry-After", s.limits.retryAfter())
-		return execResult{status: http.StatusTooManyRequests, body: marshalError(true, apiError{
+		return execResult{status: http.StatusTooManyRequests, body: marshalJSON(apiError{
 			Code: codeOverloaded, Message: "ingest pipeline overloaded; retry later", Retryable: true})}
 	}
 }

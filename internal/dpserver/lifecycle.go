@@ -2,7 +2,6 @@ package dpserver
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -114,25 +113,9 @@ const (
 // code, a human message, and whether a retry can succeed.
 type apiError = api.Error
 
-// marshalError renders e in the shape the mounted path promises:
-// the v1 envelope, or the legacy {error, remaining} body.
-func marshalError(v1 bool, e apiError) []byte {
-	var body any = e
-	if !v1 {
-		body = errorResponse{Error: e.Message, Remaining: e.Remaining}
-	}
-	b, _ := json.Marshal(body)
-	return append(b, '\n')
-}
-
-// isV1 reports whether the request came through a /v1/ mount.
-func isV1(r *http.Request) bool {
-	return strings.HasPrefix(r.URL.Path, "/v1/")
-}
-
-// writeError writes e with the shape matching the request's path.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, e apiError) {
-	writeRaw(w, status, marshalError(isV1(r), e))
+// writeError writes the error envelope e as the response.
+func writeError(w http.ResponseWriter, status int, e apiError) {
+	writeRaw(w, status, marshalJSON(e))
 }
 
 // writeRaw writes a pre-marshaled JSON body — the replay path for
@@ -279,10 +262,10 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		endpoint := strings.TrimPrefix(r.URL.Path, "/v1")
 		if !s.enter() {
-			s.event(qlog.Warn, "query_shed",
+			s.events.Log(qlog.Warn, "query_shed",
 				qlog.F("endpoint", endpoint), qlog.F("reason", "shutting_down"))
 			w.Header().Set("Retry-After", s.limits.retryAfter())
-			s.writeError(w, r, http.StatusServiceUnavailable, apiError{
+			writeError(w, http.StatusServiceUnavailable, apiError{
 				Code: codeShuttingDown, Message: "server is shutting down", Retryable: true,
 			})
 			return
@@ -298,21 +281,21 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 			// read-only endpoints are mounted without admit and keep
 			// serving.
 			code, msg := shedCodeFor(cause)
-			s.event(qlog.Warn, "query_shed",
+			s.events.Log(qlog.Warn, "query_shed",
 				qlog.F("endpoint", endpoint), qlog.F("reason", code),
 				qlog.F("cause", cause.Error()))
 			w.Header().Set("Retry-After", s.limits.retryAfter())
-			s.writeError(w, r, http.StatusServiceUnavailable, apiError{
+			writeError(w, http.StatusServiceUnavailable, apiError{
 				Code: code, Message: msg, Retryable: true,
 			})
 			return
 		}
 		if !s.acquire(r.Context()) {
 			s.metrics.Counter("dp_shed_total", "endpoint", endpoint).Inc()
-			s.event(qlog.Warn, "query_shed",
+			s.events.Log(qlog.Warn, "query_shed",
 				qlog.F("endpoint", endpoint), qlog.F("reason", "overloaded"))
 			w.Header().Set("Retry-After", s.limits.retryAfter())
-			s.writeError(w, r, http.StatusTooManyRequests, apiError{
+			writeError(w, http.StatusTooManyRequests, apiError{
 				Code: codeOverloaded, Message: "concurrency limit reached; retry later", Retryable: true,
 			})
 			return
@@ -338,7 +321,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.lifecycleMu.Unlock()
 	start := time.Now()
 	if !already {
-		s.event(qlog.Info, "drain_started",
+		s.events.Log(qlog.Info, "drain_started",
 			qlog.F("inflight", s.inflightGauge.Load()))
 	}
 	done := make(chan struct{})
@@ -352,14 +335,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// pipeline so its workers exit with the server.
 		s.closeIngest()
 		if !already {
-			s.event(qlog.Info, "drain_completed",
+			s.events.Log(qlog.Info, "drain_completed",
 				qlog.F("duration_ms", durationMs(time.Since(start))))
 		}
 		return nil
 	case <-ctx.Done():
 		s.closeIngest()
 		if !already {
-			s.event(qlog.Warn, "drain_completed",
+			s.events.Log(qlog.Warn, "drain_completed",
 				qlog.F("duration_ms", durationMs(time.Since(start))),
 				qlog.F("error", ctx.Err().Error()))
 		}
@@ -534,11 +517,11 @@ func (s *Server) settle(r *http.Request, k *idemKey, res execResult) execResult 
 	}
 	if err := s.journalCommit(&js); err != nil {
 		code, msg := shedCodeFor(err)
-		s.event(qlog.Error, "query_shed",
+		s.events.Log(qlog.Error, "query_shed",
 			qlog.F("endpoint", strings.TrimPrefix(r.URL.Path, "/v1")),
 			qlog.F("reason", code), qlog.F("cause", "journal commit: "+err.Error()))
 		res.status, res.cacheable = http.StatusServiceUnavailable, false
-		res.body = marshalError(isV1(r), apiError{Code: code, Message: msg, Retryable: true})
+		res.body = marshalJSON(apiError{Code: code, Message: msg, Retryable: true})
 	}
 	if res.finish != nil {
 		res.finish(res.status, js)
@@ -573,12 +556,12 @@ func (s *Server) serveIdempotent(w http.ResponseWriter, r *http.Request, dataset
 		case <-e.done:
 		case <-ctx.Done():
 			status, ae := classify(canceledBy(ctx), 0, 0)
-			s.writeError(w, r, status, ae)
+			writeError(w, status, ae)
 			return
 		}
 		if e.cached {
 			s.metrics.Counter("dp_idem_hits_total").Inc()
-			s.event(qlog.Info, "query_replayed",
+			s.events.Log(qlog.Info, "query_replayed",
 				qlog.F("endpoint", r.URL.Path),
 				qlog.F("analyst", analyst),
 				qlog.F("dataset", dataset),

@@ -364,7 +364,9 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		{"budget unknown", "GET", "/v1/budget?dataset=nope&analyst=a", "", http.StatusNotFound, codeNotFound},
 		{"loadmatrix unknown", "POST", "/v1/query/loadmatrix", `{"analyst":"a","dataset":"nope","epsilon":1}`, http.StatusNotFound, codeNotFound},
 		{"monitoravgs unknown", "POST", "/v1/query/monitoravgs", `{"analyst":"a","dataset":"nope","epsilon":1}`, http.StatusNotFound, codeNotFound},
-		{"traces bad n", "GET", "/v1/debug/traces?n=-1", "", http.StatusBadRequest, codeBadRequest},
+		{"audit bad limit", "GET", "/v1/audit?limit=-1", "", http.StatusBadRequest, codeBadRequest},
+		{"events bad n", "GET", "/v1/debug/queries?n=-1", "", http.StatusBadRequest, codeBadRequest},
+		{"trace field", "POST", "/v1/query", `{"analyst":"a","dataset":"hotspot","query":"count","epsilon":1,"trace":true}`, http.StatusBadRequest, codeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -392,47 +394,28 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasesDeprecated: the unversioned paths answer exactly as
-// before (legacy error shape included) but advertise their succession.
-func TestLegacyAliasesDeprecated(t *testing.T) {
-	_, ts := lifecycleServer(t, math.Inf(1), math.Inf(1))
-	resp, body := postV1(t, ts.URL+"/query", QueryRequest{
-		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
-	}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy query status = %d: %s", resp.StatusCode, body)
+// TestUnversionedPathsNotFound: /v1 is the API. Every route's path
+// without the prefix answers 404 and spends nothing.
+func TestUnversionedPathsNotFound(t *testing.T) {
+	s, ts := lifecycleServer(t, math.Inf(1), math.Inf(1))
+	for _, rt := range Routes() {
+		path := strings.NewReplacer("{dataset}", "hotspot", "{id}", "sq-1").Replace(rt.Path)
+		req, err := http.NewRequest(rt.Method, ts.URL+path,
+			strings.NewReader(`{"analyst":"alice","dataset":"hotspot","query":"count","epsilon":0.1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", rt.Method, path, resp.StatusCode)
+		}
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy path missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/query") {
-		t.Fatalf("legacy Link header = %q, want successor /v1/query", link)
-	}
-
-	// Legacy error shape is the flat {error, remaining} body.
-	resp, body = postV1(t, ts.URL+"/query", QueryRequest{
-		Analyst: "alice", Dataset: "nope", Query: "count", Epsilon: 0.1,
-	}, nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp.StatusCode)
-	}
-	var legacy map[string]any
-	if err := json.Unmarshal(body, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, hasCode := legacy["code"]; hasCode {
-		t.Fatalf("legacy path leaked v1 envelope: %s", body)
-	}
-	if _, hasErr := legacy["error"]; !hasErr {
-		t.Fatalf("legacy error body missing \"error\": %s", body)
-	}
-
-	// The v1 mount answers without deprecation headers.
-	resp, _ = postV1(t, ts.URL+"/v1/query", QueryRequest{
-		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
-	}, nil)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("v1 mount: status %d, Deprecation %q", resp.StatusCode, resp.Header.Get("Deprecation"))
+	if spent := s.datasets["hotspot"].policy.TotalSpent(); spent != 0 {
+		t.Fatalf("unversioned requests spent ε %v", spent)
 	}
 }
 

@@ -17,17 +17,14 @@ import (
 )
 
 // This file is the server's observability surface: per-endpoint
-// request metrics, the Prometheus/JSON scrape endpoint, a health
-// probe, and the flight recorder of recent query traces. None of it
+// request metrics, the Prometheus/JSON scrape endpoint, and the
+// health and readiness probes — all owner-facing routes. None of it
 // exposes record data — only operational metadata and the budget
 // ledger the data owner already governs by.
 
 // Metrics returns the server's metrics registry, for embedding
 // servers that want to add their own series or scrape in-process.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// Traces returns the ring buffer of recent query traces.
-func (s *Server) Traces() *obs.TraceBuffer { return s.traces }
 
 // HandlerOption configures Handler.
 type HandlerOption func(*handlerConfig)
@@ -58,8 +55,8 @@ func (w *statusWriter) WriteHeader(code int) {
 // instrument wraps one endpoint with a request counter and a latency
 // histogram, labeled by endpoint and response code:
 //
-//	dpserver_requests_total{endpoint="/query",code="200"}
-//	dpserver_request_seconds{endpoint="/query"}
+//	dpserver_requests_total{endpoint="/v1/query",code="200"}
+//	dpserver_request_seconds{endpoint="/v1/query"}
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -96,7 +93,7 @@ func (s *Server) recoverPanics(h http.HandlerFunc) http.HandlerFunc {
 			if wp, ok := rec.(*core.WorkerPanic); ok {
 				msg = wp.Error()
 			}
-			s.event(qlog.Error, "panic_recovered",
+			s.events.Log(qlog.Error, "panic_recovered",
 				qlog.F("site", site),
 				qlog.F("method", r.Method),
 				qlog.F("path", r.URL.Path),
@@ -104,7 +101,7 @@ func (s *Server) recoverPanics(h http.HandlerFunc) http.HandlerFunc {
 				qlog.F("stack", string(debug.Stack())))
 			// The handler may have already written a header; if so this
 			// write fails harmlessly and the client sees a torn body.
-			s.writeError(w, r, http.StatusInternalServerError, apiError{
+			writeError(w, http.StatusInternalServerError, apiError{
 				Code: codeInternal, Message: msg,
 			})
 		}()
@@ -178,7 +175,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Datasets:      n,
 		Goroutines:    runtime.NumGoroutine(),
 		AuditEntries:  s.audit.len(),
-		RecentTraces:  s.traces.Len(),
 	}
 	// Role-based shedding (follower, quorum) is /readyz's concern;
 	// liveness only flags actual ledger damage.
@@ -188,23 +184,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.LedgerError = cause.Error()
 	}
 	writeJSON(w, http.StatusOK, h)
-}
-
-// handleDebugTraces serves the most recent query traces, newest
-// first; ?n= limits the count.
-func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	spans := s.traces.Snapshot()
-	if nStr := r.URL.Query().Get("n"); nStr != "" {
-		n, err := strconv.Atoi(nStr)
-		if err != nil || n < 0 {
-			s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "n must be a non-negative integer"})
-			return
-		}
-		if n < len(spans) {
-			spans = spans[:n]
-		}
-	}
-	writeJSON(w, http.StatusOK, spans)
 }
 
 // attachPprof mounts the standard profiling handlers.

@@ -12,27 +12,16 @@ import (
 	"sync"
 	"testing"
 
-	"dptrace/internal/dpserver/api"
 	"dptrace/internal/noise"
 	"dptrace/internal/obs"
-	"dptrace/internal/tracegen"
 )
 
 // obsServer is like testServer but also returns the Server so tests
 // can compare scraped telemetry against in-process ground truth.
 func obsServer(t *testing.T, total, perAnalyst float64, opts ...HandlerOption) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg := tracegen.DefaultHotspotConfig()
-	cfg.Sessions = 300
-	cfg.Worms = 0
-	cfg.LowDispersionPayloads = 0
-	cfg.BackgroundStrings = 0
-	cfg.BackgroundTotal = 0
-	cfg.StonePairs = 0
-	cfg.DecoyFlows = 0
-	packets, _ := tracegen.Hotspot(cfg)
 	s := New(noise.NewSeededSource(1, 2))
-	if err := s.AddPacketTrace("hotspot", packets, total, perAnalyst); err != nil {
+	if err := s.AddPacketTrace("hotspot", obsPackets(300), total, perAnalyst); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler(opts...))
@@ -42,7 +31,7 @@ func obsServer(t *testing.T, total, perAnalyst float64, opts ...HandlerOption) (
 
 func scrapeText(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +51,7 @@ func scrapeText(t *testing.T, ts *httptest.Server) string {
 
 func scrapeJSON(t *testing.T, ts *httptest.Server) *obs.Snapshot {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics?format=json")
+	resp, err := http.Get(ts.URL + "/v1/metrics?format=json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +107,11 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	text := scrapeText(t, ts)
 	// Per-endpoint request counters, labeled by response code.
 	for _, want := range []string{
-		`dpserver_requests_total{code="200",endpoint="/query"} 2`,
-		`dpserver_requests_total{code="403",endpoint="/query"} 1`,
-		`dpserver_requests_total{code="400",endpoint="/query"} 1`,
+		`dpserver_requests_total{code="200",endpoint="/v1/query"} 2`,
+		`dpserver_requests_total{code="403",endpoint="/v1/query"} 1`,
+		`dpserver_requests_total{code="400",endpoint="/v1/query"} 1`,
 		// Latency histogram saw all four requests.
-		`dpserver_request_seconds_count{endpoint="/query"} 4`,
+		`dpserver_request_seconds_count{endpoint="/v1/query"} 4`,
 		// Per-operator engine rows: the filter is a fused stage, so it
 		// runs only under a scan — the two ok queries, not the refused
 		// or the bogus one — and hosts adds GroupBy plus the heaviness
@@ -189,7 +178,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	postQuery(t, ts, QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.5})
 	text = scrapeText(t, ts)
 	for _, want := range []string{
-		`dpserver_requests_total{code="200",endpoint="/query"} 3`,
+		`dpserver_requests_total{code="200",endpoint="/v1/query"} 3`,
 		`dp_agg_total{agg="count",outcome="ok"} 3`,
 		`dp_op_duration_seconds_count{op="where"} 4`,
 	} {
@@ -200,134 +189,6 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	snap = scrapeJSON(t, ts)
 	if got, want := gaugeValue(t, snap, "dp_budget_spent", labels), d.policy.TotalSpent(); got != want || want <= 0.9 {
 		t.Errorf("dp_budget_spent %v after extra query, policy %v (want >0.9)", got, want)
-	}
-}
-
-// TestTraceCarriesNoRecordCount: "trace":true hands the analyst a span
-// per operator, and an operator's record count is a pre-noise value —
-// distinctsrc's distinct row is the exact answer beside the noisy one.
-// Every packet kind's spans carry only the labels below.
-func TestTraceCarriesNoRecordCount(t *testing.T) {
-	_, ts := obsServer(t, math.Inf(1), math.Inf(1))
-	allowed := map[string]bool{"strategy": true, "workers": true, "outcome": true, "epsilon": true}
-	for _, kind := range api.QueryKinds() {
-		if kind.Dataset != "packet" {
-			continue
-		}
-		resp, body := postQuery(t, ts, QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind.Name,
-			Epsilon: 0.1, Key: "10.0.0.1", Trace: true})
-		var qr QueryResponse
-		if err := json.Unmarshal(body, &qr); err != nil || resp.StatusCode != http.StatusOK || qr.Trace == nil {
-			t.Fatalf("%s: status %d, %v: %s", kind.Name, resp.StatusCode, err, body)
-		}
-		if len(qr.Trace.Children) < 2 {
-			t.Fatalf("%s: %d spans, want the operators and the aggregation", kind.Name, len(qr.Trace.Children))
-		}
-		for _, c := range qr.Trace.Children {
-			for k, v := range c.Labels {
-				if !allowed[k] {
-					t.Errorf("%s: span %s carries %s=%s", kind.Name, c.Name, k, v)
-				}
-			}
-		}
-	}
-}
-
-// TestQueryTraceSpanTree covers the tracing acceptance criterion: a
-// query with "trace":true returns a span tree naming each operator in
-// the executed pipeline with non-zero durations, and the same trace
-// lands in GET /debug/traces.
-func TestQueryTraceSpanTree(t *testing.T) {
-	_, ts := obsServer(t, math.Inf(1), math.Inf(1))
-	resp, body := postQuery(t, ts, QueryRequest{
-		Analyst: "alice", Dataset: "hotspot", Query: "hosts",
-		Epsilon: 0.2, MinBytes: 1024, Trace: true,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var qr QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Trace == nil {
-		t.Fatal("trace:true but no trace in response")
-	}
-	root := qr.Trace
-	if root.Name != "query:hosts" {
-		t.Errorf("root span %q, want query:hosts", root.Name)
-	}
-	for k, want := range map[string]string{
-		"analyst": "alice", "dataset": "hotspot", "outcome": "ok",
-	} {
-		if root.Labels[k] != want {
-			t.Errorf("root label %s=%q, want %q", k, root.Labels[k], want)
-		}
-	}
-	if root.Duration <= 0 {
-		t.Errorf("root duration %v, want > 0", root.Duration)
-	}
-	// The hosts pipeline is Where → GroupBy → Where → NoisyCount.
-	var names []string
-	for _, c := range root.Children {
-		names = append(names, c.Name)
-		if c.Duration <= 0 {
-			t.Errorf("child %s duration %v, want > 0", c.Name, c.Duration)
-		}
-	}
-	want := []string{"where", "groupby", "where", "aggregate:count"}
-	if fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Fatalf("span children %v, want %v", names, want)
-	}
-	agg := root.Children[3]
-	if agg.Labels["outcome"] != "ok" {
-		t.Errorf("aggregate span outcome %q, want ok", agg.Labels["outcome"])
-	}
-	// The groupby's records out is the exact number of sources: the
-	// analyst's trace must not carry it (TestTraceCarriesNoRecordCount).
-	if l := root.Children[1].Labels; l["strategy"] == "" || l["records_in"] != "" || l["records_out"] != "" {
-		t.Errorf("groupby span labels %v: want a strategy and no record counts", l)
-	}
-
-	// A traced response omitting "trace" still lands in the ring.
-	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1})
-	httpResp, err := http.Get(ts.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spans []*obs.Span
-	if err := json.NewDecoder(httpResp.Body).Decode(&spans); err != nil {
-		t.Fatal(err)
-	}
-	httpResp.Body.Close()
-	if len(spans) != 2 {
-		t.Fatalf("debug/traces has %d spans, want 2", len(spans))
-	}
-	// Newest first.
-	if spans[0].Name != "query:count" || spans[1].Name != "query:hosts" {
-		t.Errorf("trace order %q, %q; want count then hosts", spans[0].Name, spans[1].Name)
-	}
-
-	// ?n= limits; invalid n is a 400.
-	httpResp, err = http.Get(ts.URL + "/debug/traces?n=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans = nil
-	if err := json.NewDecoder(httpResp.Body).Decode(&spans); err != nil {
-		t.Fatal(err)
-	}
-	httpResp.Body.Close()
-	if len(spans) != 1 || spans[0].Name != "query:count" {
-		t.Errorf("?n=1 returned %d spans", len(spans))
-	}
-	httpResp, err = http.Get(ts.URL + "/debug/traces?n=-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad n status %d, want 400", httpResp.StatusCode)
 	}
 }
 
@@ -476,7 +337,7 @@ func TestDatasetsAnalystUsage(t *testing.T) {
 	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "hosts", Epsilon: 0.25})
 	postQuery(t, ts, QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 2.0}) // refused
 
-	resp, err := http.Get(ts.URL + "/datasets")
+	resp, err := http.Get(ts.URL + "/v1/datasets")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +374,7 @@ func TestAuditOutcomeAndLimitFilters(t *testing.T) {
 
 	get := func(params string) []AuditEntry {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/audit" + params)
+		resp, err := http.Get(ts.URL + "/v1/audit" + params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,7 +398,7 @@ func TestAuditOutcomeAndLimitFilters(t *testing.T) {
 	if entries := get("?analyst=alice&outcome=ok"); len(entries) != 1 || entries[0].Epsilon != 0.5 {
 		t.Errorf("analyst=alice&outcome=ok: %+v", entries)
 	}
-	resp, err := http.Get(ts.URL + "/audit?limit=nope")
+	resp, err := http.Get(ts.URL + "/v1/audit?limit=nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +412,7 @@ func TestHealthz(t *testing.T) {
 	_, ts := obsServer(t, math.Inf(1), math.Inf(1))
 	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1})
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,8 +427,8 @@ func TestHealthz(t *testing.T) {
 	if hs.Status != "ok" || hs.Datasets != 1 || hs.UptimeSeconds < 0 || hs.Goroutines <= 0 {
 		t.Errorf("healthz %+v", hs)
 	}
-	if hs.AuditEntries != 1 || hs.RecentTraces != 1 {
-		t.Errorf("healthz counts %+v, want 1 audit entry and 1 trace", hs)
+	if hs.AuditEntries != 1 {
+		t.Errorf("healthz counts %+v, want 1 audit entry", hs)
 	}
 }
 

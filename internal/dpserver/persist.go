@@ -91,7 +91,7 @@ func (s *Server) restoreFromLedger() {
 		// journal already failed): the server comes up frozen, shedding
 		// every spend until the operator intervenes. Say so loudly —
 		// this is the first thing to look for when queries 503.
-		s.event(qlog.Error, "ledger_frozen", qlog.F("cause", cause.Error()))
+		s.events.Log(qlog.Error, "ledger_frozen", qlog.F("cause", cause.Error()))
 		s.degradedNoted.Store(true)
 	}
 	s.restoreAuditIdem(led.State())
@@ -135,7 +135,7 @@ func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, 
 			// without a journaled record) while the read-only surface
 			// stays up. A healthy restart re-registers and journals
 			// normally; a promoted follower journals it during resync.
-			s.event(qlog.Warn, "registration_unjournaled",
+			s.events.Log(qlog.Warn, "registration_unjournaled",
 				qlog.F("dataset", name), qlog.F("kind", kind),
 				qlog.F("error", err.Error()))
 		}

@@ -162,7 +162,7 @@ func (s *Server) newPrimaryLocked(cfg *ReplicationConfig) *repl.Primary {
 			// A higher epoch exists somewhere: a follower was promoted
 			// while we were alive. Every further spend sheds (see
 			// spendRefusal); the WAL gains nothing a diff would flag.
-			s.event(qlog.Error, "repl_self_fenced", qlog.F("cause", err.Error()))
+			s.events.Log(qlog.Error, "repl_self_fenced", qlog.F("cause", err.Error()))
 		},
 	})
 	go p.Serve(cfg.Listen)
@@ -254,7 +254,7 @@ func (s *Server) journalCommit(js *journalStats) error {
 	}
 	s.standing.Publish(windows, func(res standing.Result) {
 		fields, _ := res.Note.([]qlog.Field)
-		s.event(qlog.Info, "standing_window", append(fields, js.commitFields()...)...)
+		s.events.Log(qlog.Info, "standing_window", append(fields, js.commitFields()...)...)
 	})
 	return nil
 }
@@ -403,7 +403,7 @@ func (s *Server) Promote() (uint64, error) {
 	}
 	s.replMu.Unlock()
 	s.resyncAfterPromote()
-	s.event(qlog.Info, "promoted",
+	s.events.Log(qlog.Info, "promoted",
 		qlog.F("node", cfg.Name), qlog.F("epoch", epoch),
 		qlog.F("seq", s.ledger.CommittedSeq()))
 	return epoch, nil
@@ -432,7 +432,7 @@ func (s *Server) resyncAfterPromote() {
 				Total:      ledger.EncodeBudget(total),
 				PerAnalyst: ledger.EncodeBudget(perAnalyst),
 			}); err != nil {
-				s.event(qlog.Warn, "registration_unjournaled",
+				s.events.Log(qlog.Warn, "registration_unjournaled",
 					qlog.F("dataset", name), qlog.F("kind", kind),
 					qlog.F("error", err.Error()))
 			}
@@ -468,15 +468,15 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, errNotFollower):
-			s.writeError(w, r, http.StatusConflict, apiError{
+			writeError(w, http.StatusConflict, apiError{
 				Code: api.CodeNotFollower, Message: err.Error(),
 			})
 		default:
 			// Seal/verify failed: the node refuses to serve spends it
 			// cannot prove. This is divergence or local corruption —
 			// run dpledger diff against the old primary and re-seed.
-			s.event(qlog.Error, "promote_failed", qlog.F("error", err.Error()))
-			s.writeError(w, r, http.StatusInternalServerError, apiError{
+			s.events.Log(qlog.Error, "promote_failed", qlog.F("error", err.Error()))
+			writeError(w, http.StatusInternalServerError, apiError{
 				Code: api.CodeInternal, Message: "promote failed: " + err.Error(),
 			})
 		}

@@ -1,19 +1,17 @@
 package dpserver
 
 import (
-	"math"
-	"net/http"
+	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
-
-	"dptrace/internal/dpserver/api"
 )
 
 // These tests pin the route table as the API's single source of
-// truth: every endpoint has exactly one canonical /v1 mount, legacy
-// aliases all carry the deprecation trio (Deprecation + Sunset +
-// successor Link), and canonical mounts carry none of it. A new
-// endpoint wired outside the table, or mounted twice, fails here.
+// truth: every endpoint has exactly one /v1 mount, and README's list of
+// owner-side endpoints is the table's Owner routes. A new endpoint
+// wired outside the table, or mounted twice, fails here.
 
 func TestEveryRouteHasExactlyOneCanonicalV1Path(t *testing.T) {
 	routes := Routes()
@@ -36,59 +34,38 @@ func TestEveryRouteHasExactlyOneCanonicalV1Path(t *testing.T) {
 		}
 		seen[key] = true
 	}
-	// Ingest postdates the /v1 cutover: it must never grow a legacy
-	// alias.
-	for _, rt := range routes {
-		if strings.HasPrefix(rt.Path, "/ingest/") && rt.Legacy {
-			t.Errorf("ingest route %q has a legacy alias", rt.Path)
-		}
-	}
 }
 
-func TestLegacyAliasesCarryDeprecationSunsetAndSuccessor(t *testing.T) {
-	if _, err := http.ParseTime(api.LegacySunset); err != nil {
-		t.Fatalf("api.LegacySunset %q is not an HTTP date: %v", api.LegacySunset, err)
+// TestReadmeOwnerEndpointsMatchRoutes turns README's split between
+// analyst and owner endpoints into a checked fact: the bullet list
+// under "Owner-side endpoints" names exactly the Owner routes.
+func TestReadmeOwnerEndpointsMatchRoutes(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, ts := lifecycleServer(t, math.Inf(1), math.Inf(1))
-
-	// probe issues a bare request to path; the deprecation headers are
-	// set before the handler runs, so the status (often 400/405 for a
-	// bodiless probe) is irrelevant here.
-	probe := func(method, path string) http.Header {
-		t.Helper()
-		req, err := http.NewRequest(method, ts.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.Header
+	_, rest, ok := strings.Cut(string(readme), "\nOwner-side endpoints")
+	if !ok {
+		t.Fatal(`README has no "Owner-side endpoints" list`)
 	}
-
+	// The list is the block after the introducing paragraph.
+	_, rest, _ = strings.Cut(rest, "\n\n")
+	list, _, _ := strings.Cut(rest, "\n\n")
+	entry := regexp.MustCompile("(?m)^- `([A-Z]+) /v1(/[^`]*)`")
+	var documented []string
+	for _, m := range entry.FindAllStringSubmatch(list, -1) {
+		documented = append(documented, m[1]+" "+m[2])
+	}
+	var owner []string
 	for _, rt := range Routes() {
-		if strings.Contains(rt.Path, "{") {
-			continue // wildcard routes need operands; none are legacy today
+		if rt.Owner {
+			owner = append(owner, rt.Method+" "+rt.Path)
 		}
-		canonical := probe(rt.Method, "/v1"+rt.Path)
-		if canonical.Get("Deprecation") != "" || canonical.Get("Sunset") != "" {
-			t.Errorf("canonical /v1%s carries deprecation headers", rt.Path)
-		}
-		if !rt.Legacy {
-			continue
-		}
-		h := probe(rt.Method, rt.Path)
-		if h.Get("Deprecation") != "true" {
-			t.Errorf("legacy %s missing Deprecation header", rt.Path)
-		}
-		if got := h.Get("Sunset"); got != api.LegacySunset {
-			t.Errorf("legacy %s Sunset = %q, want %q", rt.Path, got, api.LegacySunset)
-		}
-		link := h.Get("Link")
-		if !strings.Contains(link, "/v1"+rt.Path) || !strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("legacy %s Link = %q, want successor-version pointer at /v1%s", rt.Path, link, rt.Path)
-		}
+	}
+	sort.Strings(documented)
+	sort.Strings(owner)
+	if strings.Join(documented, "\n") != strings.Join(owner, "\n") {
+		t.Fatalf("README's owner-side endpoints:\n%s\nOwner routes in the table:\n%s",
+			strings.Join(documented, "\n"), strings.Join(owner, "\n"))
 	}
 }

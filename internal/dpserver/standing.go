@@ -65,7 +65,7 @@ func (s *Server) newStandingRegistry() *standing.Registry {
 }
 
 // StandingStats exposes the registry's counters and fire-latency
-// percentiles (the bench-server standing row reads it).
+// percentiles (the benchmark and cmd/dploadgen report them).
 func (s *Server) StandingStats() standing.Stats { return s.standing.Stats() }
 
 // meteredAgent wraps a budget agent and accumulates the net ε applied
@@ -217,7 +217,7 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 			if res.Charged > 0 {
 				d.policy.SilentAgentFor(spec.Analyst).Rollback(res.Charged)
 			}
-			s.event(qlog.Error, "standing_window_unjournaled",
+			s.events.Log(qlog.Error, "standing_window_unjournaled",
 				qlog.F("dataset", spec.Dataset), qlog.F("standing", spec.ID),
 				qlog.F("window", w.Index), qlog.F("error", err.Error()))
 			return standing.Result{}, false
@@ -242,7 +242,7 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 		qlog.F("stage_ms", durationMs(stage)),
 	}
 	if res.Exhausts {
-		s.event(qlog.Warn, "standing_exhausted",
+		s.events.Log(qlog.Warn, "standing_exhausted",
 			qlog.F("dataset", spec.Dataset), qlog.F("standing", spec.ID),
 			qlog.F("analyst", spec.Analyst),
 			qlog.F("spent", spent+res.Charged),
@@ -298,12 +298,12 @@ func (s *Server) restoreStanding(name string) {
 			// A persisted registration the live registry refuses is a
 			// ledger/server version skew, not corruption: say so and
 			// keep the rest.
-			s.event(qlog.Error, "standing_restore_failed",
+			s.events.Log(qlog.Error, "standing_restore_failed",
 				qlog.F("dataset", st.Dataset), qlog.F("standing", st.ID),
 				qlog.F("error", err.Error()))
 			continue
 		}
-		s.event(qlog.Info, "standing_restored",
+		s.events.Log(qlog.Info, "standing_restored",
 			qlog.F("dataset", st.Dataset), qlog.F("standing", st.ID),
 			qlog.F("next_window", st.NextWindow), qlog.F("spent", st.Spent),
 			qlog.F("status", st.Status))
@@ -334,28 +334,28 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 	name := r.PathValue("dataset")
 	var req api.StandingRequest
 	if err := jsonDecoder(r).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "bad request: " + err.Error()})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "bad request: " + err.Error()})
 		return
 	}
 	if req.Analyst == "" {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst is required"})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst is required"})
 		return
 	}
 	if !api.KnownQueryKind(req.Query) {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest,
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest,
 			Message: fmt.Sprintf("unknown query %q (%s)", req.Query, api.PacketQueryKindList())})
 		return
 	}
 	if err := checkParams(&QueryRequest{Query: req.Query, BucketStep: req.BucketStep,
 		Fraction: req.Fraction, SketchEps: req.SketchEps, Key: req.Key}); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
 		return
 	}
 	d, ok := s.lookup(name)
 	if !ok {
 		// Standing queries run the packet-kind dispatch; link/hop
 		// datasets are not windowable (their records are pre-binned).
-		s.writeError(w, r, http.StatusNotFound, apiError{Code: codeNotFound,
+		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound,
 			Message: fmt.Sprintf("unknown packet dataset %q", name)})
 		return
 	}
@@ -391,11 +391,11 @@ func (s *Server) executeStandingRegister(d *dataset, name string, req *api.Stand
 	})
 	if err != nil {
 		status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), 0)
-		return execResult{status: status, body: marshalError(true, ae)}
+		return execResult{status: status, body: marshalJSON(ae)}
 	}
 	snap := q.Snapshot()
 	s.metrics.Counter("dp_standing_queries_total", "dataset", name).Inc()
-	s.event(qlog.Info, "standing_registered",
+	s.events.Log(qlog.Info, "standing_registered",
 		qlog.F("dataset", name), qlog.F("standing", snap.Spec.ID),
 		qlog.F("analyst", req.Analyst), qlog.F("query", req.Query),
 		qlog.F("epsilon", req.Epsilon), qlog.F("reservation", req.Reservation),
@@ -410,7 +410,7 @@ func (s *Server) executeStandingRegister(d *dataset, name string, req *api.Stand
 func (s *Server) handleStandingList(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("dataset")
 	if _, ok := s.lookup(name); !ok {
-		s.writeError(w, r, http.StatusNotFound, apiError{Code: codeNotFound,
+		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound,
 			Message: fmt.Sprintf("unknown packet dataset %q", name)})
 		return
 	}
@@ -437,12 +437,12 @@ func (s *Server) handleStandingCancel(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		if errors.Is(err, standing.ErrNotFound) {
-			s.writeError(w, r, http.StatusNotFound, apiError{Code: codeNotFound,
+			writeError(w, http.StatusNotFound, apiError{Code: codeNotFound,
 				Message: fmt.Sprintf("no standing query %q on %q", id, name)})
 			return
 		}
 		status, ae := classify(err, 0, 0)
-		s.writeError(w, r, status, ae)
+		writeError(w, status, ae)
 		return
 	}
 	// The cancellation record is staged; it must be durable before the
@@ -450,7 +450,7 @@ func (s *Server) handleStandingCancel(w http.ResponseWriter, r *http.Request) {
 	res := s.settle(r, nil, execResult{status: http.StatusOK,
 		body: marshalJSON(api.StandingCanceled{Info: standingInfo(q.Snapshot()), AlreadyCanceled: !did})})
 	if did && res.status == http.StatusOK {
-		s.event(qlog.Info, "standing_canceled",
+		s.events.Log(qlog.Info, "standing_canceled",
 			qlog.F("dataset", name), qlog.F("standing", id),
 			qlog.F("analyst", q.Spec.Analyst))
 	}
@@ -466,7 +466,7 @@ func (s *Server) handleStandingResults(w http.ResponseWriter, r *http.Request) {
 	name, id := r.PathValue("dataset"), r.PathValue("id")
 	q, ok := s.standing.Get(name, id)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, apiError{Code: codeNotFound,
+		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound,
 			Message: fmt.Sprintf("no standing query %q on %q", id, name)})
 		return
 	}
@@ -474,7 +474,7 @@ func (s *Server) handleStandingResults(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest,
+			writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest,
 				Message: "after must be a non-negative integer"})
 			return
 		}
@@ -484,7 +484,7 @@ func (s *Server) handleStandingResults(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("waitMs"); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || ms < 0 {
-			s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest,
+			writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest,
 				Message: "waitMs must be a non-negative integer"})
 			return
 		}
@@ -516,7 +516,7 @@ func (s *Server) handleStandingResults(w http.ResponseWriter, r *http.Request) {
 			deadline = nil
 		case <-r.Context().Done():
 			status, ae := classify(canceledBy(r.Context()), 0, 0)
-			s.writeError(w, r, status, ae)
+			writeError(w, status, ae)
 			return
 		}
 	}

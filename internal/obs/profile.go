@@ -16,8 +16,8 @@ type ProfileOp struct {
 	DurationNs int64   `json:"durationNs"`
 	RecordsIn  float64 `json:"recordsIn"`
 	RecordsOut float64 `json:"recordsOut"`
-	Strategy   string  `json:"strategy"`          // "sequential", "parallel", or "fused"
-	Workers    int     `json:"workers,omitempty"` // shard count when parallel
+	Strategy   string  `json:"strategy,omitempty"` // "sequential", "parallel", or "fused"; redacted rows keep only "fused"
+	Workers    int     `json:"workers,omitempty"`  // shard count when parallel
 	Redacted   bool    `json:"redacted,omitempty"`
 }
 
@@ -38,12 +38,12 @@ type ProfileAgg struct {
 // per-query artifact behind wide events, GET /debug/queries, and the
 // X-DP-Explain response field.
 //
-// Privacy: durations, strategies, operator names, and ε amounts are
-// operational metadata. Exact record counts are NOT — the row count
-// flowing into an aggregation is the raw, pre-noise value of that
-// aggregate (DESIGN.md §S31) — so profiles bound for analysts must
-// pass through Redact first. Owner-side surfaces keep the counts
-// under the same trust model as /audit.
+// Privacy: durations, operator names, and ε amounts are operational
+// metadata. Exact record counts are NOT — the row count flowing into
+// an aggregation is the raw, pre-noise value of that aggregate
+// (DESIGN.md §S31) — and neither is a strategy chosen by input size,
+// so profiles bound for analysts must pass through Redact first.
+// Owner-side surfaces keep both under the same trust model as /audit.
 type Profile struct {
 	Ops      []ProfileOp  `json:"ops,omitempty"`
 	Aggs     []ProfileAgg `json:"aggs,omitempty"`
@@ -92,11 +92,15 @@ func (p *Profile) FusedOps() int {
 	return n
 }
 
-// Redact returns a copy safe for analyst-facing responses: record
-// counts are zeroed and rows are marked, because exact operator
-// cardinalities are pre-noise aggregate values. Everything else —
-// operators, durations, strategies, ε accounting — survives, which is
-// what an analyst needs to understand a plan and its cost.
+// Redact returns a copy safe for analyst-facing responses, with rows
+// marked. Record counts are zeroed, because exact operator
+// cardinalities are pre-noise aggregate values. The sequential /
+// parallel strategy and the worker count go too: the engine picks them
+// from the input's size (core.ExecOptions' threshold), so they reveal
+// whether the dataset holds at least that many records. "fused"
+// depends only on the plan and stays. Operators, durations and ε
+// accounting survive, which is what an analyst needs to understand a
+// plan and its cost.
 func (p *Profile) Redact() *Profile {
 	if p == nil {
 		return nil
@@ -107,7 +111,10 @@ func (p *Profile) Redact() *Profile {
 		Redacted: true,
 	}
 	for i, op := range p.Ops {
-		op.RecordsIn, op.RecordsOut, op.Redacted = 0, 0, true
+		op.RecordsIn, op.RecordsOut, op.Workers, op.Redacted = 0, 0, 0, true
+		if op.Strategy != StrategyFused {
+			op.Strategy = ""
+		}
 		out.Ops[i] = op
 	}
 	return out

@@ -54,10 +54,13 @@ func TestProfileRecorderNilMeter(t *testing.T) {
 
 // TestProfileRedact pins the §S31 invariant: an analyst-facing profile
 // must not carry exact record counts (they are pre-noise aggregate
-// values), while plan shape, timings, and ε accounting survive.
+// values) nor the size-chosen strategy, while plan shape, fusion,
+// timings, and ε accounting survive.
 func TestProfileRedact(t *testing.T) {
 	r := NewProfileRecorder(nil)
 	r.OpDone("where", time.Millisecond, 12345, 678, 4)
+	r.OpDone("select", 0, 678, 678, FusedWorkers)
+	r.OpDone("groupby", time.Millisecond, 678, 9, 0)
 	r.AggDone("count", OutcomeOK, 0.1, time.Microsecond)
 	p := r.Profile()
 
@@ -68,14 +71,21 @@ func TestProfileRedact(t *testing.T) {
 	if red.Ops[0].RecordsIn != 0 || red.Ops[0].RecordsOut != 0 {
 		t.Fatalf("record counts leaked: %+v", red.Ops[0])
 	}
-	if red.Ops[0].Op != "where" || red.Ops[0].Workers != 4 || red.Ops[0].DurationNs == 0 {
+	// A parallel and a sequential row read alike; a fused row says so.
+	for i, want := range []string{"", StrategyFused, ""} {
+		if op := red.Ops[i]; op.Strategy != want || op.Workers != 0 {
+			t.Errorf("redacted row %d = %+v, want strategy %q and no workers", i, op, want)
+		}
+	}
+	if red.Ops[0].Op != "where" || red.Ops[0].DurationNs == 0 {
 		t.Fatalf("plan shape lost: %+v", red.Ops[0])
 	}
 	if len(red.Aggs) != 1 || red.Aggs[0].EpsilonRequested != 0.1 {
 		t.Fatalf("agg rows lost: %+v", red.Aggs)
 	}
-	// The original is untouched (owner-side surfaces keep counts).
-	if p.Ops[0].RecordsIn != 12345 || p.Redacted {
+	// The original is untouched (owner-side surfaces keep counts and
+	// strategies).
+	if p.Ops[0].RecordsIn != 12345 || p.Ops[0].Workers != 4 || p.Ops[0].Strategy != StrategyParallel || p.Redacted {
 		t.Fatalf("original mutated: %+v", p.Ops[0])
 	}
 	if (*Profile)(nil).Redact() != nil {

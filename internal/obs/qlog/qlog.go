@@ -242,11 +242,6 @@ type Options struct {
 	Sample map[string]int
 	// Now is the clock (a test seam); nil means time.Now.
 	Now func() time.Time
-	// Mirror, when set, additionally receives a human-readable
-	// rendering of every kept event at Warn or above. It exists for
-	// the deprecated WithLogf plumbing; new code should consume the
-	// JSON stream.
-	Mirror func(format string, args ...any)
 }
 
 // DefaultRingSize bounds the recent-event ring when Options.RingSize
@@ -266,7 +261,6 @@ type Logger struct {
 	sample   map[string]int
 	counters map[string]uint64
 	now      func() time.Time
-	mirror   func(format string, args ...any)
 	dropped  uint64
 }
 
@@ -287,7 +281,6 @@ func New(opts Options) *Logger {
 		sample:   opts.Sample,
 		counters: make(map[string]uint64),
 		now:      now,
-		mirror:   opts.Mirror,
 	}
 }
 
@@ -299,8 +292,8 @@ func (l *Logger) Log(level Level, name string, fields ...Field) {
 	l.Emit(Event{Level: level, Name: name}.With(fields...))
 }
 
-// Emit records one event: into the ring, onto the writer, and through
-// the mirror (Warn+). A zero Time is stamped with the logger's clock.
+// Emit records one event: into the ring and onto the writer. A zero
+// Time is stamped with the logger's clock.
 // Events below MinLevel, and events thinned by sampling, are counted
 // as dropped and otherwise ignored.
 func (l *Logger) Emit(e Event) {
@@ -325,7 +318,7 @@ func (l *Logger) Emit(e Event) {
 	if l.w != nil {
 		line, _ = json.Marshal(e)
 	}
-	w, mirror := l.w, l.mirror
+	w := l.w
 	l.mu.Unlock()
 
 	// I/O happens outside the lock so a slow sink cannot stall the
@@ -333,9 +326,6 @@ func (l *Logger) Emit(e Event) {
 	// granularity because each write is a single call).
 	if w != nil && line != nil {
 		_, _ = w.Write(append(line, '\n'))
-	}
-	if mirror != nil && e.Level >= Warn {
-		mirror("%s", e.Text())
 	}
 }
 
@@ -387,17 +377,6 @@ func (l *Logger) Dropped() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.dropped
-}
-
-// Text renders the event for humans — "event k=v k=v ..." — the form
-// the mirror and the deprecated printf-style shims emit.
-func (e Event) Text() string {
-	var b bytes.Buffer
-	b.WriteString(e.Name)
-	for _, f := range e.Fields {
-		fmt.Fprintf(&b, " %s=%v", f.Key, f.Value)
-	}
-	return b.String()
 }
 
 // Logf adapts the logger to the func(format, args...) shape older

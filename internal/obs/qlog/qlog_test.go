@@ -210,21 +210,6 @@ func TestNilLoggerSafe(t *testing.T) {
 	}
 }
 
-func TestMirrorWarnOnly(t *testing.T) {
-	var lines []string
-	l := New(Options{RingSize: 8, Mirror: func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}})
-	l.Log(Info, "quiet", F("k", "v"))
-	l.Log(Warn, "loud", F("err", "boom"))
-	if len(lines) != 1 {
-		t.Fatalf("mirror got %d lines, want 1: %v", len(lines), lines)
-	}
-	if want := "loud err=boom"; lines[0] != want {
-		t.Errorf("mirror line = %q, want %q", lines[0], want)
-	}
-}
-
 func TestLogfAdapter(t *testing.T) {
 	l := New(Options{RingSize: 8})
 	f := l.Logf(Warn, "ledger_warning")
