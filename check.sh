@@ -75,6 +75,11 @@ go test -run=. -fuzz=FuzzTimeOrder -fuzztime=3s ./internal/trace
 # strictly increasing edges, the table lookup must assign every value
 # the bucket the binary search does.
 go test -run=. -fuzz=FuzzBucketIndex -fuzztime=3s ./internal/toolkit
+# Short differential fuzz smoke over the keyed operators' key index: on
+# any program of inserts and lookups (growth points, extreme and strided
+# keys, any multiplier) the open-addressing table and the map path must
+# number keys as a map[K]int32 does.
+go test -run=FuzzKeyIndex -fuzz=FuzzKeyIndex -fuzztime=3s ./internal/core
 # Short chaos smoke (make chaos runs the full 30s soak): randomized
 # I/O faults + handler panics under a query storm must keep the
 # failure surface closed and the ε invariants intact.

@@ -9,8 +9,9 @@ import (
 // GroupFold, Partition, Intersect and Except as sinks on the one chunk
 // loop (stream.go). Each takes either handle, evaluates its key
 // function exactly once per record, in a pass that polls the context
-// per chunk like every scan, and stores a record only when the analyst
-// asked for records:
+// per chunk like every scan, numbers keys with one keyIndex
+// (keyindex.go), and stores a record only when the analyst asked for
+// records:
 //
 //   - GroupFold folds each record into its key's accumulator as the
 //     chunks go by and never holds a group;
@@ -43,8 +44,7 @@ func keyed[T any, S sink[T]](s Stream[T], split int, mk func(i, n int) S) ([]S, 
 // keys in that order.
 type firstSink[T any, K comparable] struct {
 	key  func(T) K
-	seen map[K]struct{}
-	keys []K
+	seen *keyIndex[K]
 	recs []T
 	n    int
 }
@@ -52,10 +52,7 @@ type firstSink[T any, K comparable] struct {
 func (k *firstSink[T, K]) acceptChunk(c []T) {
 	k.n += len(c)
 	for j := range c {
-		key := k.key(c[j])
-		if _, dup := k.seen[key]; !dup {
-			k.seen[key] = struct{}{}
-			k.keys = append(k.keys, key)
+		if _, added := k.seen.insert(k.key(c[j])); added {
 			k.recs = append(k.recs, c[j])
 		}
 	}
@@ -69,11 +66,11 @@ func Distinct[T any, K comparable](src Streamer[T], key func(T) K) *Queryable[T]
 	s := src.Stream()
 	out := empty[T, T](s, s.agent)
 	start := opStart(s.rec)
-	// The map starts at its range's length, up to 1,024 keys: a window
-	// of a thousand records then never rehashes (measured ~20 % off a
-	// served distinctsrc at that size), and a large range grows as before.
+	// The index starts at a quarter of its range's length, up to 1,024
+	// keys: a 1,000-packet window's ~240 sources fill half of a 4 KiB
+	// table, and a large range grows from 2,048 slots by doubling.
 	ranges, ok := keyed(s, 1, func(_, n int) *firstSink[T, K] {
-		return &firstSink[T, K]{key: key, seen: make(map[K]struct{}, min(n, 1<<10)), recs: []T{}}
+		return &firstSink[T, K]{key: key, seen: newKeyIndex[K](min(n/4, 1<<10)), recs: []T{}}
 	})
 	if !ok {
 		return out
@@ -81,9 +78,8 @@ func Distinct[T any, K comparable](src Streamer[T], key func(T) K) *Queryable[T]
 	first := ranges[0]
 	for _, p := range ranges[1:] {
 		first.n += p.n
-		for j, k := range p.keys {
-			if _, dup := first.seen[k]; !dup {
-				first.seen[k] = struct{}{}
+		for j, k := range p.seen.keys {
+			if _, added := first.seen.insert(k); added {
 				first.recs = append(first.recs, p.recs[j])
 			}
 		}
@@ -113,7 +109,7 @@ type Folded[K comparable, A any] struct {
 type foldSink[T any, K comparable, A any] struct {
 	key   func(T) K
 	fold  func(A, T) A
-	index map[K]int32
+	index *keyIndex[K]
 	out   []Folded[K, A]
 	n     int
 }
@@ -123,10 +119,8 @@ func (k *foldSink[T, K, A]) acceptChunk(c []T) {
 	for j := range c {
 		v := c[j] // read twice: one copy off the chunk (stream.go, "By value")
 		key := k.key(v)
-		id, ok := k.index[key]
-		if !ok {
-			id = int32(len(k.out))
-			k.index[key] = id
+		id, added := k.index.insert(key)
+		if added {
 			k.out = append(k.out, Folded[K, A]{Key: key})
 		}
 		g := &k.out[id]
@@ -147,7 +141,7 @@ func GroupFold[T any, K comparable, A any](src Streamer[T], key func(T) K, fold 
 	out := empty[T, Folded[K, A]](s, newScaleAgent(s.agent, 2))
 	start := opStart(s.rec)
 	ranges, ok := keyed(s, 0, func(_, _ int) *foldSink[T, K, A] {
-		return &foldSink[T, K, A]{key: key, fold: fold, index: map[K]int32{}, out: []Folded[K, A]{}}
+		return &foldSink[T, K, A]{key: key, fold: fold, index: newKeyIndex[K](0), out: []Folded[K, A]{}}
 	})
 	if !ok {
 		return out
@@ -163,8 +157,7 @@ func GroupFold[T any, K comparable, A any](src Streamer[T], key func(T) K, fold 
 // numbers keys as they first appear in the range.
 type indexSink[T any, K comparable] struct {
 	key    func(T) K
-	index  map[K]int32
-	keys   []K     // number → key
+	index  *keyIndex[K]
 	counts []int   // number → records
 	ids    []int32 // one per output record
 }
@@ -174,16 +167,11 @@ func (k *indexSink[T, K]) acceptChunk(c []T) {
 	k.ids = slices.Grow(k.ids, len(c))[:base+len(c)]
 	ids := k.ids[base:]
 	for j := range c {
-		key := k.key(c[j])
-		id, ok := k.index[key]
-		if ok {
-			k.counts[id]++
-		} else {
-			id = int32(len(k.keys))
-			k.index[key] = id
-			k.keys = append(k.keys, key)
-			k.counts = append(k.counts, 1)
+		id, added := k.index.insert(k.key(c[j]))
+		if added {
+			k.counts = append(k.counts, 0)
 		}
+		k.counts[id]++
 		ids[j] = id
 	}
 }
@@ -307,25 +295,19 @@ func GroupBy[T any, K comparable](src Streamer[T], key func(T) K) *Queryable[Gro
 	out := empty[T, Group[K, T]](s, newScaleAgent(s.agent, 2))
 	start := opStart(s.rec)
 	ranges, ok := keyed(s, 1, func(_, n int) *indexSink[T, K] {
-		return &indexSink[T, K]{key: key, index: map[K]int32{}, ids: make([]int32, 0, n)}
+		return &indexSink[T, K]{key: key, index: newKeyIndex[K](0), ids: make([]int32, 0, n)}
 	})
 	if !ok {
 		return out
 	}
 	// Range 0 numbered its keys as the whole input would; each later
 	// range's new keys follow, in range order.
-	first := ranges[0]
+	first := ranges[0].index
 	remap := make([][]int32, len(ranges))
 	for i, p := range ranges[1:] {
-		remap[i+1] = make([]int32, len(p.keys))
-		for number, k := range p.keys {
-			g, seen := first.index[k]
-			if !seen {
-				g = int32(len(first.keys))
-				first.index[k] = g
-				first.keys = append(first.keys, k)
-			}
-			remap[i+1][number] = g
+		remap[i+1] = make([]int32, len(p.index.keys))
+		for number, k := range p.index.keys {
+			remap[i+1][number], _ = first.insert(k)
 		}
 	}
 	l := place(ranges, remap, len(first.keys))
@@ -460,7 +442,7 @@ func Partition[T any, K comparable](src Streamer[T], keys []K, keyOf func(T) K) 
 
 // numbering turns Partition's key list into the number of a key's part
 // (-1: unlisted): key − lo for integer keys lo, lo+1, …, lo+n−1 (a CDF's
-// buckets, a link matrix's links and bins), else a map lookup.
+// buckets, a link matrix's links and bins), else a keyIndex lookup.
 func numbering[K comparable](keys []K) func(K) int32 {
 	var f any
 	switch ks := any(keys).(type) {
@@ -474,14 +456,13 @@ func numbering[K comparable](keys []K) func(K) int32 {
 	if f, ok := f.(func(K) int32); ok {
 		return f
 	}
-	index := make(map[K]int32, len(keys)) // key → number + 1
-	for i, k := range keys {
-		if index[k] != 0 {
+	index := newKeyIndex[K](len(keys))
+	for _, k := range keys {
+		if _, added := index.insert(k); !added {
 			panic("core: Partition keys must be distinct")
 		}
-		index[k] = int32(i) + 1
 	}
-	return func(k K) int32 { return index[k] - 1 }
+	return index.lookup
 }
 
 // consecutive is a func(N) int32 numbering keys lo, lo+1, …, lo+n−1 as
@@ -509,12 +490,12 @@ func consecutive[N int | int32 | int64](keys []N) any {
 // keySetSink collects its range's keys.
 type keySetSink[T any, K comparable] struct {
 	key func(T) K
-	set map[K]struct{}
+	set *keyIndex[K]
 }
 
 func (k *keySetSink[T, K]) acceptChunk(c []T) {
 	for j := range c {
-		k.set[k.key(c[j])] = struct{}{}
+		k.set.insert(k.key(c[j]))
 	}
 }
 
@@ -531,22 +512,21 @@ func semiJoin[T, U any, K comparable](q *Queryable[T], other *Queryable[U], keyQ
 	out := empty[T, T](s, s.agent)
 	start := opStart(s.rec)
 	sets, ok := keyed(o, 1, func(_, _ int) *keySetSink[U, K] {
-		return &keySetSink[U, K]{key: keyOther, set: map[K]struct{}{}}
+		return &keySetSink[U, K]{key: keyOther, set: newKeyIndex[K](0)}
 	})
 	if !ok {
 		return out
 	}
 	present := sets[0].set
 	for _, p := range sets[1:] {
-		for k := range p.set {
-			present[k] = struct{}{}
+		for _, k := range p.set.keys {
+			present.insert(k)
 		}
 	}
 	filter := s
 	filter.rec = nil // semiJoin reports the row
 	recs, workers, ok := filter.Where(func(r T) bool {
-		_, in := present[keyQ(r)]
-		return in == keep
+		return (present.lookup(keyQ(r)) >= 0) == keep
 	}).collect()
 	if !ok {
 		return out

@@ -150,25 +150,47 @@ var keyedSizes = []int{chunkSize - 1, chunkSize, chunkSize + 1,
 
 // keySet is one key function with the key list Partition gets: some
 // keys present, one (the last) in no record; a present key that is not
-// listed is dropped.
+// listed is dropped. check runs every keyed operator with it on one cell
+// of the matrix.
 type keySet struct {
-	name   string
-	key    func(flowRec) uint32
-	listed func(flows []flowRec) []uint32
+	name  string
+	check func(t *testing.T, c keyedCase)
 }
 
+func keySetOf[K comparable](name string, key func(flowRec) K, listed func(flows []flowRec) []K) keySet {
+	return keySet{name, func(t *testing.T, c keyedCase) { checkKeyed(t, c, key, listed(c.flows)) }}
+}
+
+// portParity is a key of no integer kind, which the key index holds in a
+// Go map; the integer keys below take its open-addressing table.
+type portParity struct {
+	Port uint16
+	Odd  bool
+}
+
+// negSrc is a negative int64 key; every one ends in the same 32 bits.
+func negSrc(src uint32) int64 { return -int64(src)<<32 - 1 }
+
 var keySets = []keySet{
-	{"few-keys", func(f flowRec) uint32 { return uint32(f.Port) },
-		func([]flowRec) []uint32 { return []uint32{0, 1, 2, 3, 5, 8, 13, 99} }},
+	keySetOf("few-keys", func(f flowRec) uint32 { return uint32(f.Port) },
+		func([]flowRec) []uint32 { return []uint32{0, 1, 2, 3, 5, 8, 13, 99} }),
 	// keyedFlows makes Dst unique, so every group and part has one record.
-	{"all-distinct", func(f flowRec) uint32 { return f.Dst },
+	keySetOf("all-distinct", func(f flowRec) uint32 { return f.Dst },
 		func(flows []flowRec) []uint32 {
 			var keys []uint32
 			for i := 0; i < len(flows) && len(keys) < 30; i += 3 {
 				keys = append(keys, flows[i].Dst)
 			}
 			return append(keys, math.MaxUint32)
-		}},
+		}),
+	keySetOf("struct", func(f flowRec) portParity { return portParity{f.Port, f.Len%2 == 1} },
+		func([]flowRec) []portParity {
+			return []portParity{{0, false}, {0, true}, {1, true}, {3, false}, {16, true}, {99, false}}
+		}),
+	keySetOf("negative-int64", func(f flowRec) int64 { return negSrc(f.Src) },
+		func([]flowRec) []int64 {
+			return []int64{negSrc(0), negSrc(1), negSrc(2), negSrc(5), negSrc(8), negSrc(13), math.MinInt64}
+		}),
 }
 
 // keyedFlows is randomFlows with Dst a permutation of 0..n-1.
@@ -190,6 +212,16 @@ type keyedRun struct {
 	h    Streamer[flowRec]
 	root *RootAgent
 	src  *countingSource
+}
+
+// keyedCase is one cell of the matrix: the input, what an operator sees
+// of it (in: fused behind a Where or not), a semi-join's other side, and
+// how to make a fresh engine-side dataset over it.
+type keyedCase struct {
+	label            string
+	flows, in, other []flowRec
+	fused            bool
+	fresh            func(budget float64) keyedRun
 }
 
 func TestKeyedOperatorsMatchReference(t *testing.T) {
@@ -215,140 +247,146 @@ func TestKeyedOperatorsMatchReference(t *testing.T) {
 					}
 					return keyedRun{q, root, src}
 				}
+				label := fmt.Sprintf("n=%d fused=%v %s", n, fused, mode.name)
 				for _, ks := range keySets {
-					label := fmt.Sprintf("n=%d fused=%v %s %s", n, fused, mode.name, ks.name)
-					// Every check starts both sides over: a new engine dataset, a new
-					// reference ledger, the same noise seed.
-					var (
-						r      keyedRun
-						ref    *refRoot
-						refSrc *countingSource
-					)
-					reset := func(budget float64) {
-						r = fresh(budget)
-						ref, refSrc = &refRoot{budget: budget}, &countingSource{src: noise.NewSeededSource(5, 8)}
-					}
-					var calls atomic.Int64
-					key := func(f flowRec) uint32 { calls.Add(1); return ks.key(f) }
-					// called asserts the key function ran once per input record
-					// since the last check.
-					called := func(op string, records int) {
-						t.Helper()
-						if got := calls.Swap(0); got != int64(records) {
-							t.Fatalf("%s: %s called the key function %d times over %d records", label, op, got, records)
-						}
-					}
-					counted := func(op string, count func(float64) (float64, error), records int, payer refCharger, eps float64) {
-						t.Helper()
-						sameCount(t, label+": "+op, count, records, payer, eps, r, ref, refSrc)
-					}
-
-					// Distinct: first of each key, stability 1.
-					reset(1)
-					d := Distinct(r.h, key)
-					called("Distinct", len(in))
-					wantD := refDistinct(in, ks.key)
-					if !sameRecords(d.records, wantD) {
-						t.Fatalf("%s: Distinct kept %d records, reference %d (or another order)", label, len(d.records), len(wantD))
-					}
-					counted("Distinct count", d.NoisyCount, len(wantD), ref, 0.3)
-
-					// GroupBy: first-appearance order, records in order, stability 2.
-					reset(1)
-					g := GroupBy(r.h, key)
-					called("GroupBy", len(in))
-					wantG := refGroupBy(in, ks.key)
-					if len(g.records) != len(wantG) {
-						t.Fatalf("%s: GroupBy made %d groups, reference %d", label, len(g.records), len(wantG))
-					}
-					for i, grp := range g.records {
-						if grp.Key != wantG[i].key || !sameRecords(grp.Items, wantG[i].items) || cap(grp.Items) != len(grp.Items) {
-							t.Fatalf("%s: GroupBy group %d differs from the reference's (key %v/%v, %d/%d records, cap %d)",
-								label, i, grp.Key, wantG[i].key, len(grp.Items), len(wantG[i].items), cap(grp.Items))
-						}
-					}
-					counted("GroupBy count", g.NoisyCount, len(wantG), refScaled{ref, 2}, 0.3)
-					counted("GroupBy count past the budget", g.NoisyCount, len(wantG), refScaled{ref, 2}, 0.3)
-
-					// GroupFold ≡ Select∘GroupBy, values bit for bit.
-					reset(1)
-					f := GroupFold(r.h, key, orderedFold)
-					called("GroupFold", len(in))
-					if len(f.records) != len(wantG) {
-						t.Fatalf("%s: GroupFold made %d groups, reference %d", label, len(f.records), len(wantG))
-					}
-					for i, got := range f.records {
-						want := 0.0
-						for _, rec := range wantG[i].items {
-							want = orderedFold(want, rec)
-						}
-						if got.Key != wantG[i].key || math.Float64bits(got.Value) != math.Float64bits(want) {
-							t.Fatalf("%s: GroupFold group %d = %+v, reference {%v %v}", label, i, got, wantG[i].key, want)
-						}
-					}
-					counted("GroupFold count", f.NoisyCount, len(wantG), refScaled{ref, 2}, 0.3)
-
-					listed := ks.listed(flows)
-					checkPartition(t, label, fresh, in, listed, ks.key)
-
-					// Nested Partition: every count of every inner part of every
-					// outer part costs the source the maximum, once.
-					wantP := refPartition(in, listed, ks.key)
-					reset(1)
-					outer := Partition(r.h, listed, ks.key)
-					outerPayers := &refParts{parent: ref, spent: make([]float64, len(listed))}
-					mod3 := func(f flowRec) int { return f.Len % 3 }
-					for i, k := range listed[:min(len(listed), 4)] {
-						inner := Partition(outer[k], []int{0, 1, 2}, mod3)
-						wantInner := refPartition(wantP[k], []int{0, 1, 2}, mod3)
-						innerPayers := &refParts{parent: refPart{outerPayers, i}, spent: make([]float64, 3)}
-						for j := 0; j < 3; j++ {
-							if got := inner[j].settled().records; !sameRecords(got, wantInner[j]) {
-								t.Fatalf("%s: inner part %d of part %v holds %d records, reference %d", label, j, k, len(got), len(wantInner[j]))
-							}
-							counted("nested count", inner[j].NoisyCount, len(wantInner[j]), refPart{innerPayers, j}, 0.25)
-						}
-						counted("outer count after its inner ones", outer[k].NoisyCount, len(wantP[k]), refPart{outerPayers, i}, 0.1*float64(i+1))
-					}
-
-					// Intersect / Except: both inputs pay.
-					for _, keep := range []bool{true, false} {
-						reset(1)
-						left, _ := r.h.(*Queryable[flowRec])
-						if fused {
-							left = r.h.Stream().Materialize()
-						}
-						oq, oroot := NewQueryable(other, 1, noise.NewSeededSource(1, 1))
-						var otherCalls atomic.Int64
-						keyOther := func(f flowRec) uint32 { otherCalls.Add(1); return ks.key(f) }
-						op, semi := "Except", Except[flowRec, flowRec, uint32]
-						if keep {
-							op, semi = "Intersect", Intersect[flowRec, flowRec, uint32]
-						}
-						got := semi(left, oq.WithRecorder(nil), key, keyOther)
-						called(op, len(in))
-						if otherCalls.Load() != int64(len(other)) {
-							t.Fatalf("%s: %s called the other side's key function %d times over %d records", label, op, otherCalls.Load(), len(other))
-						}
-						want := refSemiJoin(in, other, ks.key, ks.key, keep)
-						if !sameRecords(got.records, want) {
-							t.Fatalf("%s: %s kept %d records, reference %d (or another order)", label, op, len(got.records), len(want))
-						}
-						counted(op+" count", got.NoisyCount, len(want), ref, 0.4)
-						if oroot.Spent() != 0.4 {
-							t.Fatalf("%s: %s charged the other input %v, want 0.4", label, op, oroot.Spent())
-						}
-					}
+					ks.check(t, keyedCase{label + " " + ks.name, flows, in, other, fused, fresh})
 				}
 
-				// Integer key lists, numbered without a map when consecutive.
+				// Integer key lists, numbered without a hash when consecutive.
 				if n <= chunkSize+1 {
-					label := fmt.Sprintf("n=%d fused=%v %s", n, fused, mode.name)
 					checkIntegerKeys(t, label+" int", fresh, in, math.MinInt, math.MaxInt)
 					checkIntegerKeys(t, label+" int32", fresh, in, math.MinInt32, math.MaxInt32)
 					checkIntegerKeys(t, label+" int64", fresh, in, math.MinInt64, math.MaxInt64)
 				}
 			}
+		}
+	}
+}
+
+// checkKeyed holds every keyed operator over c.in, keyed by key, to the
+// reference; listed is Partition's key list.
+func checkKeyed[K comparable](t *testing.T, c keyedCase, key func(flowRec) K, listed []K) {
+	t.Helper()
+	label, in := c.label, c.in
+	// Every check starts both sides over: a new engine dataset, a new
+	// reference ledger, the same noise seed.
+	var (
+		r      keyedRun
+		ref    *refRoot
+		refSrc *countingSource
+	)
+	reset := func(budget float64) {
+		r = c.fresh(budget)
+		ref, refSrc = &refRoot{budget: budget}, &countingSource{src: noise.NewSeededSource(5, 8)}
+	}
+	var calls atomic.Int64
+	counting := func(f flowRec) K { calls.Add(1); return key(f) }
+	// called asserts the key function ran once per input record since
+	// the last check.
+	called := func(op string, records int) {
+		t.Helper()
+		if got := calls.Swap(0); got != int64(records) {
+			t.Fatalf("%s: %s called the key function %d times over %d records", label, op, got, records)
+		}
+	}
+	counted := func(op string, count func(float64) (float64, error), records int, payer refCharger, eps float64) {
+		t.Helper()
+		sameCount(t, label+": "+op, count, records, payer, eps, r, ref, refSrc)
+	}
+
+	// Distinct: first of each key, stability 1.
+	reset(1)
+	d := Distinct(r.h, counting)
+	called("Distinct", len(in))
+	wantD := refDistinct(in, key)
+	if !sameRecords(d.records, wantD) {
+		t.Fatalf("%s: Distinct kept %d records, reference %d (or another order)", label, len(d.records), len(wantD))
+	}
+	counted("Distinct count", d.NoisyCount, len(wantD), ref, 0.3)
+
+	// GroupBy: first-appearance order, records in order, stability 2.
+	reset(1)
+	g := GroupBy(r.h, counting)
+	called("GroupBy", len(in))
+	wantG := refGroupBy(in, key)
+	if len(g.records) != len(wantG) {
+		t.Fatalf("%s: GroupBy made %d groups, reference %d", label, len(g.records), len(wantG))
+	}
+	for i, grp := range g.records {
+		if grp.Key != wantG[i].key || !sameRecords(grp.Items, wantG[i].items) || cap(grp.Items) != len(grp.Items) {
+			t.Fatalf("%s: GroupBy group %d differs from the reference's (key %v/%v, %d/%d records, cap %d)",
+				label, i, grp.Key, wantG[i].key, len(grp.Items), len(wantG[i].items), cap(grp.Items))
+		}
+	}
+	counted("GroupBy count", g.NoisyCount, len(wantG), refScaled{ref, 2}, 0.3)
+	counted("GroupBy count past the budget", g.NoisyCount, len(wantG), refScaled{ref, 2}, 0.3)
+
+	// GroupFold ≡ Select∘GroupBy, values bit for bit.
+	reset(1)
+	f := GroupFold(r.h, counting, orderedFold)
+	called("GroupFold", len(in))
+	if len(f.records) != len(wantG) {
+		t.Fatalf("%s: GroupFold made %d groups, reference %d", label, len(f.records), len(wantG))
+	}
+	for i, got := range f.records {
+		want := 0.0
+		for _, rec := range wantG[i].items {
+			want = orderedFold(want, rec)
+		}
+		if got.Key != wantG[i].key || math.Float64bits(got.Value) != math.Float64bits(want) {
+			t.Fatalf("%s: GroupFold group %d = %+v, reference {%v %v}", label, i, got, wantG[i].key, want)
+		}
+	}
+	counted("GroupFold count", f.NoisyCount, len(wantG), refScaled{ref, 2}, 0.3)
+
+	checkPartition(t, label, c.fresh, in, listed, key)
+
+	// Nested Partition: every count of every inner part of every outer
+	// part costs the source the maximum, once.
+	wantP := refPartition(in, listed, key)
+	reset(1)
+	outer := Partition(r.h, listed, key)
+	outerPayers := &refParts{parent: ref, spent: make([]float64, len(listed))}
+	mod3 := func(f flowRec) int { return f.Len % 3 }
+	for i, k := range listed[:min(len(listed), 4)] {
+		inner := Partition(outer[k], []int{0, 1, 2}, mod3)
+		wantInner := refPartition(wantP[k], []int{0, 1, 2}, mod3)
+		innerPayers := &refParts{parent: refPart{outerPayers, i}, spent: make([]float64, 3)}
+		for j := 0; j < 3; j++ {
+			if got := inner[j].settled().records; !sameRecords(got, wantInner[j]) {
+				t.Fatalf("%s: inner part %d of part %v holds %d records, reference %d", label, j, k, len(got), len(wantInner[j]))
+			}
+			counted("nested count", inner[j].NoisyCount, len(wantInner[j]), refPart{innerPayers, j}, 0.25)
+		}
+		counted("outer count after its inner ones", outer[k].NoisyCount, len(wantP[k]), refPart{outerPayers, i}, 0.1*float64(i+1))
+	}
+
+	// Intersect / Except: both inputs pay.
+	for _, keep := range []bool{true, false} {
+		reset(1)
+		left, _ := r.h.(*Queryable[flowRec])
+		if c.fused {
+			left = r.h.Stream().Materialize()
+		}
+		oq, oroot := NewQueryable(c.other, 1, noise.NewSeededSource(1, 1))
+		var otherCalls atomic.Int64
+		keyOther := func(f flowRec) K { otherCalls.Add(1); return key(f) }
+		op, semi := "Except", Except[flowRec, flowRec, K]
+		if keep {
+			op, semi = "Intersect", Intersect[flowRec, flowRec, K]
+		}
+		got := semi(left, oq.WithRecorder(nil), counting, keyOther)
+		called(op, len(in))
+		if otherCalls.Load() != int64(len(c.other)) {
+			t.Fatalf("%s: %s called the other side's key function %d times over %d records", label, op, otherCalls.Load(), len(c.other))
+		}
+		want := refSemiJoin(in, c.other, key, key, keep)
+		if !sameRecords(got.records, want) {
+			t.Fatalf("%s: %s kept %d records, reference %d (or another order)", label, op, len(got.records), len(want))
+		}
+		counted(op+" count", got.NoisyCount, len(want), ref, 0.4)
+		if oroot.Spent() != 0.4 {
+			t.Fatalf("%s: %s charged the other input %v, want 0.4", label, op, oroot.Spent())
 		}
 	}
 }
@@ -428,7 +466,7 @@ func checkPartition[K comparable](t *testing.T, label string, fresh func(budget 
 
 // checkIntegerKeys runs checkPartition over key lists of an integer type:
 // consecutive ascending ones, which Partition numbers as key − lo, and
-// ones that are not, which go through a map. Record keys are every
+// ones that are not, which go through the key index. Record keys are every
 // listed key, the keys just outside each list (−1, n, lo − 1) and both
 // ends of the type, so a bound off by one, a signed compare or a wrapped
 // difference would put a record in a part the reference leaves it out of.
