@@ -14,17 +14,20 @@ test:
 cover:
 	go test -cover ./... | grep -v '\[no test files\]'
 
-# Engine, ledger, trace-codec and trace-generator benchmarks, parsed into BENCH_core.json
-# (cmd/benchjson) so every PR leaves a perf trajectory. Sequential and
-# Parallel variants of each operator land side by side, as do the
-# ledger's fsync=never vs fsync=always append costs (the price of
-# durable ε-accounting); run with e.g.
+# Engine, ledger, trace-codec, trace-generator and served-query
+# benchmarks, parsed into BENCH_core.json (cmd/benchjson) so every PR
+# leaves a perf trajectory. Sequential and Parallel variants of each
+# operator land side by side, as do the ledger's fsync=never vs
+# fsync=always append costs (the price of durable ε-accounting) and
+# dpserver's BenchmarkServed* rows (six kinds × four sizes, through the
+# HTTP handler at the server's default width); run with e.g.
 # `make bench BENCHFLAGS='-cpu 1,4'` to add scaling points. -p 1: one
 # package at a time, so no benchmark is timed against another package's
 # load (on a 2-CPU host two ran at once and core's rows went missing).
-BENCHPKGS := ./internal/core/... ./internal/sketch/... ./internal/ledger/... ./internal/trace/... ./internal/tracegen/...
+# -run '^$': the tests are check's job, not five times over here.
+BENCHPKGS := ./internal/core/... ./internal/sketch/... ./internal/ledger/... ./internal/trace/... ./internal/tracegen/... ./internal/dpserver
 bench:
-	go test -p 1 -bench=. -benchmem -count=5 $(BENCHFLAGS) $(BENCHPKGS) | go run ./cmd/benchjson > BENCH_core.json
+	go test -p 1 -run '^$$' -bench=. -benchmem -count=5 $(BENCHFLAGS) $(BENCHPKGS) | go run ./cmd/benchjson > BENCH_core.json
 	@echo "wrote BENCH_core.json"
 
 # Re-run the benchmarks and diff against the checked-in baseline:
@@ -35,7 +38,7 @@ bench:
 # `mv BENCH_new.json BENCH_core.json` when the delta is intentional.
 BENCHDIFF_THRESHOLD ?= 0.20
 benchdiff:
-	go test -p 1 -bench=. -benchmem -count=5 $(BENCHFLAGS) $(BENCHPKGS) | go run ./cmd/benchjson -prev BENCH_core.json -threshold $(BENCHDIFF_THRESHOLD) > BENCH_new.json
+	go test -p 1 -run '^$$' -bench=. -benchmem -count=5 $(BENCHFLAGS) $(BENCHPKGS) | go run ./cmd/benchjson -prev BENCH_core.json -threshold $(BENCHDIFF_THRESHOLD) > BENCH_new.json
 
 # Paired runs of the repository benchmark (BENCHMARK.json) against an
 # earlier revision — the routine every perf claim rests on: build

@@ -10,6 +10,8 @@
 //
 // Multiple -trace flags host multiple datasets. Noise is drawn from
 // crypto/rand unless -seed is given (for reproducible demos only).
+// Scans over at least 32,768 records run on GOMAXPROCS workers; the
+// answers are those of one worker, byte for byte.
 //
 // -ledger-dir enables the durable privacy-budget ledger: every
 // ε-charge, dataset registration, audit entry, and keyed idempotent
@@ -87,7 +89,6 @@ import (
 	"syscall"
 	"time"
 
-	"dptrace/internal/core"
 	"dptrace/internal/dpclient"
 	"dptrace/internal/dpserver"
 	"dptrace/internal/ingest"
@@ -114,7 +115,6 @@ func main() {
 	perAnalyst := flag.Float64("per-analyst", 1.0, "per-analyst privacy budget")
 	seed := flag.Uint64("seed", 0, "noise seed; 0 uses crypto randomness")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	parallel := flag.Int("parallel", 0, "worker count for data-parallel query execution on every hosted dataset (0 = sequential)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrently executing queries (0 = unlimited)")
 	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "how long a query waits for an execution slot before being shed with 429")
 	timeout := flag.Duration("timeout", 0, "default per-query deadline (0 = none)")
@@ -280,17 +280,8 @@ func main() {
 		if err := srv.AddPacketTrace(name, packets, *total, *perAnalyst); err != nil {
 			fatal(err)
 		}
-		if *parallel > 1 {
-			if err := srv.SetParallelism(name, *parallel); err != nil {
-				fatal(err)
-			}
-		}
 		fmt.Printf("hosting %s: %d packets, total budget %.2f, per-analyst %.2f\n",
 			name, len(packets), *total, *perAnalyst)
-	}
-	if *parallel > 1 {
-		fmt.Printf("data-parallel execution: %d workers above %d records (results identical to sequential)\n",
-			*parallel, core.DefaultParallelThreshold)
 	}
 	if *maxConcurrent > 0 {
 		fmt.Printf("admission control: %d concurrent queries, %v queue wait\n", *maxConcurrent, *queueWait)

@@ -85,6 +85,8 @@ func NewQueryable[T any](records []T, budget float64, src Source) (*Queryable[T]
 // ExecOptions selects the pipeline execution strategy (sequential or
 // data-parallel). Execution strategy never changes results: parallel
 // runs produce byte-identical records, ordering, and privacy charges.
+// A Queryable runs on one worker unless it opts in; the server runs
+// every query on GOMAXPROCS workers.
 type ExecOptions = core.ExecOptions
 
 // DefaultParallelThreshold is the record count below which parallel

@@ -101,16 +101,20 @@ func (k *countSink[T]) acceptChunk(c []T) { k.n += len(c) }
 
 // count returns the pipeline's output record count; a bare source —
 // a slice, or a Partition part, gathered or not — knows it without a
-// scan.
+// scan. Counter addition is exact, so the source may be cut anywhere.
 func (s *Stream[T]) count() (int, bool) {
 	if s.depth == 0 {
 		return s.n, true
 	}
-	parts, ok := scan(*s, 0, false, func(_, _ int) *countSink[T] { return &countSink[T]{} })
+	parts, ok := scan(*s, 1, false, func(_, _ int) *countSink[T] { return &countSink[T]{} })
 	if !ok {
 		return 0, false
 	}
-	return parts[0].n, true
+	n := 0
+	for _, p := range parts {
+		n += p.n
+	}
+	return n, true
 }
 
 // NoisyCount returns the number of records perturbed with Laplace noise

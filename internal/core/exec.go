@@ -14,8 +14,9 @@ import (
 // aggregations and the keyed operators run the one chunk loop in
 // stream.go over one source range per worker (keyed.go has the keyed
 // sinks); Join and GroupJoin have sharded strategies in parallel.go
-// beside their sequential loops. The default is one worker, so
-// pipelines that never opt in behave (and benchmark) exactly as before.
+// beside their sequential loops. A Queryable's default is one worker;
+// dpserver runs every query on GOMAXPROCS workers at the default
+// threshold.
 //
 // The headline guarantee is determinism: for a fixed input ordering
 // and noise seed, any worker count produces byte-identical output
@@ -30,8 +31,11 @@ import (
 // DefaultParallelThreshold is the input size below which execution
 // stays on one worker when ExecOptions.Threshold is zero. Splitting a
 // small input across goroutines costs more in scheduling and merge
-// overhead than the loop itself; 32k records is roughly where chunked
-// filtering starts to win on commodity cores.
+// overhead than the loop itself. Measured on served queries on a 2-CPU
+// host (dpserver's BenchmarkServed* at threshold 1 against this one): a
+// second worker gains nothing at 10k records, still loses on a filtered
+// count at 20k, and gains on every kind that splits at 50k — the
+// crossover lies between 20k and 50k.
 const DefaultParallelThreshold = 1 << 15
 
 // ExecOptions selects the execution strategy for a Queryable's

@@ -36,22 +36,37 @@ type refStage struct {
 }
 
 // refRun pushes records through the stages one record at a time and
-// returns the output plus each stage's records in/out.
-func refRun(records []flowRec, stages []refStage) (out []flowRec, counts [][2]int) {
+// returns the output, the source position each output record came
+// from, and each stage's records in/out.
+func refRun(records []flowRec, stages []refStage) (out []flowRec, pos []int, counts [][2]int) {
 	cur := records
+	pos = identity(len(records))
 	for _, st := range stages {
 		var next []flowRec
-		for _, r := range cur {
+		var nextPos []int
+		for i, r := range cur {
 			emitted := st.emit(r)
 			if st.fanout > 0 && len(emitted) > st.fanout {
 				emitted = emitted[:st.fanout]
 			}
 			next = append(next, emitted...)
+			for range emitted {
+				nextPos = append(nextPos, pos[i])
+			}
 		}
 		counts = append(counts, [2]int{len(cur), len(next)})
-		cur = next
+		cur, pos = next, nextPos
 	}
-	return cur, counts
+	return cur, pos, counts
+}
+
+// identity is 0, 1, …, n−1: the source positions of a bare source.
+func identity(n int) []int {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = i
+	}
+	return pos
 }
 
 // The operators every spelling shares.
@@ -161,18 +176,21 @@ func refChoose(src noise.Source, out []flowRec, eps float64, score func(below, t
 }
 
 // aggCase is one mechanism: the engine call on either handle and the
-// naive computation over the reference output, drawing from src.
+// naive computation over the reference output, drawing from src. pos
+// holds each output record's position in the handle's source: where a
+// lazy pipeline's source was cut, or 0, 1, … on an eager handle, whose
+// source is the materialized output.
 type aggCase struct {
 	name string
 	eps  float64
 	run  func(src Streamer[flowRec], eps float64) (float64, error)
-	ref  func(out []flowRec, src noise.Source, eps float64) float64
+	ref  func(out []flowRec, pos []int, src noise.Source, eps float64) float64
 }
 
 var aggCases = []aggCase{
 	{"count", 0.4,
 		func(s Streamer[flowRec], eps float64) (float64, error) { return s.Stream().NoisyCount(eps) },
-		func(out []flowRec, src noise.Source, eps float64) float64 {
+		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
 			return float64(len(out)) + noise.LaplaceForEpsilon(src, 1, eps)
 		}},
 	{"countint", 0.3,
@@ -180,12 +198,12 @@ var aggCases = []aggCase{
 			v, err := s.Stream().NoisyCountInt(eps)
 			return float64(v), err
 		},
-		func(out []flowRec, src noise.Source, eps float64) float64 {
+		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
 			return float64(int64(len(out)) + noise.Geometric(src, 1, eps))
 		}},
 	{"sum", 0.25,
 		func(s Streamer[flowRec], eps float64) (float64, error) { return NoisySum(s, eps, unitLen) },
-		func(out []flowRec, src noise.Source, eps float64) float64 {
+		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
 			sum := 0.0
 			for _, r := range out {
 				sum += math.Max(-1, math.Min(1, unitLen(r)))
@@ -194,7 +212,7 @@ var aggCases = []aggCase{
 		}},
 	{"sumscaled", 0.2,
 		func(s Streamer[flowRec], eps float64) (float64, error) { return NoisySumScaled(s, eps, 1000, rawLen) },
-		func(out []flowRec, src noise.Source, eps float64) float64 {
+		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
 			sum := 0.0
 			for _, r := range out {
 				sum += math.Min(1000, rawLen(r))
@@ -205,7 +223,7 @@ var aggCases = []aggCase{
 		func(s Streamer[flowRec], eps float64) (float64, error) {
 			return NoisyAverageScaled(s, eps, 1000, rawLen)
 		},
-		func(out []flowRec, src noise.Source, eps float64) float64 {
+		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
 			if len(out) == 0 {
 				return noise.LaplaceForEpsilon(src, 2000, eps)
 			}
@@ -218,7 +236,7 @@ var aggCases = []aggCase{
 		}},
 	{"median", 0.5,
 		func(s Streamer[flowRec], eps float64) (float64, error) { return NoisyMedian(s, eps, rawLen) },
-		func(out []flowRec, src noise.Source, eps float64) float64 {
+		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
 			return refChoose(src, out, eps, func(below, through, n int) float64 {
 				return -math.Abs(float64(below - (n - through)))
 			})
@@ -227,7 +245,7 @@ var aggCases = []aggCase{
 		func(s Streamer[flowRec], eps float64) (float64, error) {
 			return NoisyOrderStatistic(s, eps, 0.9, rawLen)
 		},
-		func(out []flowRec, src noise.Source, eps float64) float64 {
+		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
 			return refChoose(src, out, eps, func(below, through, n int) float64 {
 				return -math.Abs(float64(below+through)/2 - 0.9*float64(n))
 			})
@@ -236,12 +254,13 @@ var aggCases = []aggCase{
 		func(s Streamer[flowRec], eps float64) (float64, error) {
 			return NoisyQuantile(s, eps, 0.75, 0.02, rawLen)
 		},
-		func(out []flowRec, src noise.Source, eps float64) float64 {
-			// One summary per sketchBlock consecutive outputs, folded in order.
+		func(out []flowRec, pos []int, src noise.Source, eps float64) float64 {
+			// One summary per sketchBlock source positions that let a
+			// record through, folded in order.
 			merged := sketch.NewQuantile(0.02)
 			var blk *sketch.Quantile
 			for i, r := range out {
-				if i%sketchBlock == 0 {
+				if i == 0 || pos[i]/sketchBlock != pos[i-1]/sketchBlock {
 					if blk != nil {
 						merged.Merge(blk)
 					}
@@ -267,7 +286,7 @@ var aggCases = []aggCase{
 		}},
 	{"frequency", 0.4,
 		func(s Streamer[flowRec], eps float64) (float64, error) { return NoisyFrequency(s, eps, portKey, "c") },
-		func(out []flowRec, src noise.Source, eps float64) float64 {
+		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
 			cm := sketch.NewCountMin(freqSketchWidth, freqSketchDepth)
 			for _, r := range out {
 				cm.Add(portKey(r))
@@ -276,7 +295,7 @@ var aggCases = []aggCase{
 		}},
 	{"distinctcount", 0.4,
 		func(s Streamer[flowRec], eps float64) (float64, error) { return NoisyDistinctSketch(s, eps, srcKey) },
-		func(out []flowRec, src noise.Source, eps float64) float64 {
+		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
 			d := sketch.NewDistinct(distinctSketchPrecision)
 			for _, r := range out {
 				d.Add(srcKey(r))
@@ -329,20 +348,31 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 			}
 		}()
 		for _, pc := range pipeCases {
-			out, counts := refRun(flows, pc.stages)
+			out, pos, counts := refRun(flows, pc.stages)
 			scale := 1.0
 			for _, st := range pc.stages {
 				if st.fanout > 0 {
 					scale *= float64(st.fanout)
 				}
 			}
-			// The reference answers, charges and draw count, in order.
-			refSrc := &countingSource{src: noise.NewSeededSource(11, 13)}
-			wantVals := make([]float64, len(aggCases))
+			// The reference answers, charges and draw count, in order, for
+			// the eager handle (its source is out) and the lazy one.
+			refDraws := 0
+			wantVals := map[bool][]float64{}
+			for _, lazy := range []bool{false, true} {
+				refSrc := &countingSource{src: noise.NewSeededSource(11, 13)}
+				at := identity(len(out))
+				if lazy {
+					at = pos
+				}
+				for _, ac := range aggCases {
+					wantVals[lazy] = append(wantVals[lazy], ac.ref(out, at, refSrc, ac.eps))
+				}
+				refDraws = refSrc.draws
+			}
 			wantSpent := make([]float64, len(aggCases)) // cumulative
 			spent := 0.0
 			for i, ac := range aggCases {
-				wantVals[i] = ac.ref(out, refSrc, ac.eps)
 				spent += ac.eps * scale
 				wantSpent[i] = spent
 			}
@@ -393,8 +423,8 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 								if err != nil {
 									t.Fatalf("%s: %s: %v", label, ac.name, err)
 								}
-								if math.Float64bits(v) != math.Float64bits(wantVals[i]) {
-									t.Fatalf("%s: %s = %v, reference %v", label, ac.name, v, wantVals[i])
+								if math.Float64bits(v) != math.Float64bits(wantVals[lazy][i]) {
+									t.Fatalf("%s: %s = %v, reference %v", label, ac.name, v, wantVals[lazy][i])
 								}
 								if got := root.Spent(); got != wantSpent[i] {
 									t.Fatalf("%s: spent %v after %s, reference %v", label, got, ac.name, wantSpent[i])
@@ -406,8 +436,8 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 								}
 								continue
 							}
-							if src.draws != refSrc.draws {
-								t.Fatalf("%s: %d noise draws, reference %d", label, src.draws, refSrc.draws)
+							if src.draws != refDraws {
+								t.Fatalf("%s: %d noise draws, reference %d", label, src.draws, refDraws)
 							}
 							// A lazy handle re-runs its stages under every
 							// aggregation but a bare-source count; an eager

@@ -235,7 +235,7 @@ func TestKeyedOperatorsMatchReference(t *testing.T) {
 		for _, fused := range []bool{false, true} {
 			in := flows // what the operator sees
 			if fused {
-				in, _ = refRun(flows, []refStage{refWhere(lenDiv3)})
+				in, _, _ = refRun(flows, []refStage{refWhere(lenDiv3)})
 			}
 			for _, mode := range execModes {
 				fresh := func(budget float64) keyedRun {

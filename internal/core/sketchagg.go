@@ -23,20 +23,30 @@ import (
 // DESIGN.md §S32 for the sensitivity calibration of each mechanism.
 //
 // Determinism: sketch builds are deterministic functions of the
-// record sequence. The quantile build partitions the sequence into
-// fixed sketchBlock-sized blocks and folds per-block summaries in
+// record sequence. The quantile build cuts the SOURCE into fixed
+// blocks of sketchBlock records and folds per-block summaries in
 // block order, so the parallel build (workers each building their
 // own blocks) is byte-identical to the sequential one — the block
-// structure, not the worker count, decides every merge. Count-min
-// and distinct merges are exact (counter addition / register max), so
-// any deterministic sharding yields identical sketches. Both
-// properties are pinned by tests.
+// structure, not the worker count, decides every merge — behind any
+// fused stage. Count-min and distinct merges are exact (counter
+// addition / register max), so any deterministic sharding yields
+// identical sketches. Both properties are pinned by tests.
 
-// sketchBlock is the fixed number of consecutive records per
+// sketchBlock is the fixed number of consecutive source records per
 // quantile-summary block. It is a structural constant of the build —
 // never derived from worker count — which is exactly why parallel
 // and sequential builds agree to the byte.
 const sketchBlock = 1 << 14
+
+// blockChunks is how many source chunks one quantile block takes. The
+// loop cuts the source at chunkSize multiples and each stage hands one
+// chunk down per chunk it receives, so counting chunks at the sink
+// counts source positions.
+const blockChunks = sketchBlock / chunkSize
+
+// A block must be a whole number of chunks: this fails to compile when
+// sketchBlock is not a multiple of chunkSize.
+var _ [0]struct{} = [sketchBlock % chunkSize]struct{}{}
 
 // DefaultQuantileAccuracy is the quantile summary's rank-accuracy
 // target ε_sketch when the caller passes 0: ranks are off by at most
@@ -101,33 +111,55 @@ func quantileChoose(src noise.Source, qs *sketch.Quantile, fraction, epsilon flo
 }
 
 // quantileSink builds the fixed-block quantile fold over its range of
-// the pipeline's output: one summary per sketchBlock consecutive
-// records, chunks split at block boundaries, the summaries kept in
-// block order for NoisyQuantile to fold. Block boundaries depend only
-// on output positions, every per-block build is deterministic and the
-// fold runs in block order — so neither chunking nor, on a bare source
-// cut at block multiples, the worker count changes a byte of the result.
+// the pipeline's output: one summary per blockChunks consecutive source
+// chunks, the summaries kept in block order for NoisyQuantile to fold.
+// Block boundaries depend only on source positions (a range starts at a
+// sketchBlock multiple), every per-block build is deterministic and the
+// fold runs in block order — so the worker count changes no byte of the
+// result, whatever stages run in front. On a bare source or behind
+// Select a chunk carries all its records, so a block is sketchBlock
+// consecutive output records; behind a filter a block holds what its
+// source chunks let through, and a block that lets nothing through is
+// never made.
 type quantileSink[T any] struct {
 	f      func(T) float64
 	se     float64
 	blocks []*sketch.Quantile
-	room   int // records the last block still takes
+	cur    *sketch.Quantile // the open block; nil until it takes a record
+	chunks int              // chunks seen
 }
 
 func (k *quantileSink[T]) acceptChunk(c []T) {
-	for len(c) > 0 {
-		if k.room == 0 {
-			k.blocks = append(k.blocks, sketch.NewQuantile(k.se))
-			k.room = sketchBlock
-		}
-		n := min(len(c), k.room)
-		blk := k.blocks[len(k.blocks)-1]
-		for j := range c[:n] {
-			blk.Insert(k.f(c[j]))
-		}
-		k.room -= n
-		c = c[n:]
+	if k.chunks%blockChunks == 0 {
+		k.cur = nil // this chunk opens a block
 	}
+	k.chunks++
+	if len(c) == 0 {
+		return
+	}
+	if k.cur == nil {
+		k.cur = sketch.NewQuantile(k.se)
+		k.blocks = append(k.blocks, k.cur)
+	}
+	for j := range c {
+		k.cur.Insert(k.f(c[j]))
+	}
+}
+
+// quantileSummary scans s into per-block summaries, cut at source
+// positions, and folds them in block order.
+func quantileSummary[T any](s Stream[T], se float64, f func(T) float64) (*sketch.Quantile, bool) {
+	parts, ok := scan(s, sketchBlock, false, func(_, _ int) *quantileSink[T] { return &quantileSink[T]{f: f, se: se} })
+	if !ok {
+		return nil, false
+	}
+	merged := sketch.NewQuantile(se)
+	for _, p := range parts {
+		for _, blk := range p.blocks {
+			merged.Merge(blk)
+		}
+	}
+	return merged, true
 }
 
 // NoisyQuantile returns a value whose rank is near fraction·n,
@@ -146,21 +178,9 @@ func NoisyQuantile[T any](src Streamer[T], epsilon, fraction, sketchEps float64,
 		invalid = err
 	}
 	return aggregate(&s, "quantile", epsilon, invalid, func() (float64, bool) {
-		// Output positions are source positions only on a bare source;
-		// behind a fused stage the blocks must be cut in one ordered pass.
-		split := 0
-		if s.depth == 0 {
-			split = sketchBlock
-		}
-		parts, ok := scan(s, split, false, func(_, _ int) *quantileSink[T] { return &quantileSink[T]{f: f, se: se} })
+		merged, ok := quantileSummary(s, se, f)
 		if !ok {
 			return 0, false
-		}
-		merged := sketch.NewQuantile(se)
-		for _, p := range parts {
-			for _, blk := range p.blocks {
-				merged.Merge(blk)
-			}
 		}
 		return quantileChoose(s.nsrc, merged, fraction, epsilon), true
 	})

@@ -23,8 +23,10 @@ import (
 // Because there is one loop, the engine's hard invariant — values,
 // record order, noise draws (same number of Source.Float64 calls in
 // the same order), ε-charges and the refusal boundary are identical
-// however a pipeline is written or executed — holds by construction
-// rather than by several implementations agreeing:
+// however a pipeline is executed, and however it is written but for a
+// filtered NoisyQuantile, whose blocks follow its source (sketchagg.go)
+// — holds by construction rather than by several implementations
+// agreeing:
 //
 //   - stages visit records in input order, so floating-point
 //     accumulation order never depends on chunking or worker count;
@@ -32,17 +34,21 @@ import (
 //     range per worker, runs the same loop over each range into a
 //     private sink, and combines the sinks in range order; only sinks
 //     whose combination is exact ask for it (concatenation, counter
-//     addition, register max, fixed-position quantile blocks), the
-//     order-sensitive float sums always take one range;
+//     addition, register max, quantile blocks cut at fixed source
+//     positions), the order-sensitive float sums always take one range;
+//   - each stage hands exactly one chunk down per chunk it receives, so
+//     a sink can count source positions by counting chunks (the
+//     quantile fold's blocks do);
 //   - SelectMany wraps the budget agent in the same newScaleAgent call
 //     on either handle, so the ε arithmetic is one float64 expression.
 //
-// Eager and lazy differ only in WHEN analyst code runs. A Queryable
-// transformation materializes on the spot, so a panicking predicate
-// unwinds out of the transformation before any charge. A Stream stage
-// runs inside the aggregation's scan, after agent.Apply, so the same
-// panic surfaces as ErrInternal with the charge standing — never less
-// is charged than the eager spelling would charge (DESIGN.md §S27).
+// Eager and lazy otherwise differ only in WHEN analyst code runs. A
+// Queryable transformation materializes on the spot, so a panicking
+// predicate unwinds out of the transformation before any charge. A
+// Stream stage runs inside the aggregation's scan, after agent.Apply,
+// so the same panic surfaces as ErrInternal with the charge standing —
+// never less is charged than the eager spelling would charge
+// (DESIGN.md §S27).
 //
 // By value, through the stack: analyst functions take records by value,
 // and the compiler hands a record too large for registers (a 64-byte

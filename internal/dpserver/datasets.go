@@ -26,7 +26,6 @@ type linkDataset struct {
 	links           int
 	bins            int
 	policy          *core.AnalystPolicy
-	exec            core.ExecOptions
 	ingestedBatches uint64
 }
 
@@ -35,7 +34,6 @@ type hopDataset struct {
 	records         []trace.HopRecord
 	monitors        int
 	policy          *core.AnalystPolicy
-	exec            core.ExecOptions
 	ingestedBatches uint64
 }
 
@@ -100,10 +98,6 @@ func (s *Server) handleLoadMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RLock()
 	d, ok := s.linkSets[req.Dataset]
-	var exec core.ExecOptions
-	if ok {
-		exec = d.exec
-	}
 	s.mu.RUnlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown link dataset %q", req.Dataset)})
@@ -115,11 +109,11 @@ func (s *Server) handleLoadMatrix(w http.ResponseWriter, r *http.Request) {
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
 		func(ctx context.Context) execResult {
-			return s.executeLoadMatrix(ctx, explain, d, exec, &req)
+			return s.executeLoadMatrix(ctx, explain, d, &req)
 		})
 }
 
-func (s *Server) executeLoadMatrix(ctx context.Context, explain bool, d *linkDataset, exec core.ExecOptions, req *MatrixRequest) execResult {
+func (s *Server) executeLoadMatrix(ctx context.Context, explain bool, d *linkDataset, req *MatrixRequest) execResult {
 	if s.execHook != nil {
 		s.execHook(ctx)
 	}
@@ -130,7 +124,7 @@ func (s *Server) executeLoadMatrix(ctx context.Context, explain bool, d *linkDat
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
 	q := core.NewQueryableFor(samples, core.Agent(agent), s.src).
-		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(exec).WithContext(ctx)
+		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(s.exec).WithContext(ctx)
 
 	linkKeys := make([]int32, d.links)
 	for i := range linkKeys {
@@ -202,10 +196,6 @@ func (s *Server) handleMonitorAverages(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RLock()
 	d, ok := s.hopSets[req.Dataset]
-	var exec core.ExecOptions
-	if ok {
-		exec = d.exec
-	}
 	s.mu.RUnlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown hop dataset %q", req.Dataset)})
@@ -214,11 +204,11 @@ func (s *Server) handleMonitorAverages(w http.ResponseWriter, r *http.Request) {
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
 		func(ctx context.Context) execResult {
-			return s.executeMonitorAverages(ctx, explain, d, exec, &req)
+			return s.executeMonitorAverages(ctx, explain, d, &req)
 		})
 }
 
-func (s *Server) executeMonitorAverages(ctx context.Context, explain bool, d *hopDataset, exec core.ExecOptions, req *HopAveragesRequest) execResult {
+func (s *Server) executeMonitorAverages(ctx context.Context, explain bool, d *hopDataset, req *HopAveragesRequest) execResult {
 	if s.execHook != nil {
 		s.execHook(ctx)
 	}
@@ -229,7 +219,7 @@ func (s *Server) executeMonitorAverages(ctx context.Context, explain bool, d *ho
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
 	q := core.NewQueryableFor(records, core.Agent(agent), s.src).
-		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(exec).WithContext(ctx)
+		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(s.exec).WithContext(ctx)
 	keys := make([]int32, d.monitors)
 	for i := range keys {
 		keys[i] = int32(i)

@@ -49,11 +49,8 @@ func twinServer(t *testing.T, packets []trace.Packet, opts core.ExecOptions,
 	}
 	t.Cleanup(func() { led.Close() })
 	s := New(noise.NewSeededSource(7, 11), WithLedger(led))
-	s.execPacket = exec
+	s.execPacket, s.exec = exec, opts
 	if err := s.AddPacketTrace("live", packets, math.Inf(1), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetExecOptions("live", opts); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())

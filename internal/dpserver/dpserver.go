@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -113,6 +114,12 @@ type Server struct {
 	// RunPacketQuery, unless a test runs a reference pipeline on a twin.
 	execPacket func(*core.Queryable[trace.Packet], *QueryRequest) (*QueryResponse, error)
 
+	// exec is the execution width of every query on every dataset:
+	// GOMAXPROCS workers above core.DefaultParallelThreshold records.
+	// Results, draws and charges do not depend on it (core/exec.go), so
+	// nothing configures it; tests overwrite it before serving.
+	exec core.ExecOptions
+
 	// events is the server's wide-event spine: every operational
 	// occurrence — query completions, panics, sheds, degrade
 	// transitions, ledger freezes, drains — is one typed structured
@@ -164,7 +171,6 @@ type dataset struct {
 	// and run against that immutable snapshot (see snapshotPackets).
 	packets []trace.Packet
 	policy  *core.AnalystPolicy
-	exec    core.ExecOptions
 	// ingestedBatches counts batches applied via /v1/ingest (guarded
 	// by s.mu like packets).
 	ingestedBatches uint64
@@ -196,6 +202,7 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 		events:   qlog.New(qlog.Options{}),
 
 		execPacket: RunPacketQuery,
+		exec:       core.ExecOptions{Workers: runtime.GOMAXPROCS(0)},
 	}
 	s.standing = s.newStandingRegistry()
 	for _, opt := range opts {
@@ -236,35 +243,6 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 		return float64(s.standing.Active())
 	})
 	return s
-}
-
-// SetExecOptions configures the execution strategy for queries against
-// the named dataset of any kind (see core.ExecOptions; the zero value
-// restores sequential execution). Parallel execution changes only
-// wall-clock time: results, ordering, and budget charges are identical
-// to sequential execution, so it is safe to toggle on a live dataset.
-func (s *Server) SetExecOptions(name string, exec core.ExecOptions) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.datasets[name] != nil:
-		s.datasets[name].exec = exec
-	case s.linkSets[name] != nil:
-		s.linkSets[name].exec = exec
-	case s.hopSets[name] != nil:
-		s.hopSets[name].exec = exec
-	default:
-		return fmt.Errorf("dpserver: unknown dataset %q", name)
-	}
-	return nil
-}
-
-// SetParallelism is SetExecOptions with the default size threshold:
-// queries against the named dataset use workers concurrent workers for
-// transformations over at least core.DefaultParallelThreshold records
-// (workers <= 1 restores sequential execution).
-func (s *Server) SetParallelism(name string, workers int) error {
-	return s.SetExecOptions(name, core.ExecOptions{Workers: workers})
 }
 
 // ErrDatasetExists is returned when registering a dataset under a name
@@ -491,14 +469,6 @@ func (s *Server) lookup(name string) (*dataset, bool) {
 	return d, ok
 }
 
-// execFor reads a dataset's execution options under the server lock
-// (mutable after registration via SetExecOptions).
-func (s *Server) execFor(d *dataset) core.ExecOptions {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return d.exec
-}
-
 // watermark reads a dataset's record-sequence position under the
 // server lock.
 func (s *Server) watermark(d *dataset) uint64 {
@@ -576,7 +546,7 @@ func (s *Server) executeQuery(ctx context.Context, explain bool, d *dataset, req
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
 	q := core.NewQueryableFor(s.snapshotPackets(d), core.Agent(agent), s.src).
-		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(s.execFor(d)).WithContext(ctx)
+		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(s.exec).WithContext(ctx)
 
 	spentBefore := d.policy.SpentBy(req.Analyst)
 	entry := AuditEntry{

@@ -497,7 +497,7 @@ func TestServerLinkMatrixValidation(t *testing.T) {
 
 // TestServerParallelExecutionDeterminism is the end-to-end half of the
 // engine's determinism guarantee: two servers over the same trace and
-// noise seed, one sequential and one with per-dataset parallelism,
+// noise seed, one sequential and one on four workers at threshold 1,
 // must return byte-identical query results and identical budget
 // state; and the parallel server must actually have taken the
 // parallel path (visible in dp_parallel_exec_total).
@@ -510,15 +510,14 @@ func TestServerParallelExecutionDeterminism(t *testing.T) {
 	// Partition pass is the one that runs per worker range.
 	run := func(parallel bool) ([]QueryResponse, float64, *Server) {
 		s := New(noise.NewSeededSource(21, 22))
-		if err := s.AddPacketTrace("hotspot", packets, math.Inf(1), math.Inf(1)); err != nil {
-			t.Fatal(err)
-		}
+		s.exec = core.ExecOptions{}
 		if parallel {
 			// Threshold 1 so the modest test trace exercises the
 			// parallel strategies.
-			if err := s.SetExecOptions("hotspot", core.ExecOptions{Workers: 4, Threshold: 1}); err != nil {
-				t.Fatal(err)
-			}
+			s.exec = core.ExecOptions{Workers: 4, Threshold: 1}
+		}
+		if err := s.AddPacketTrace("hotspot", packets, math.Inf(1), math.Inf(1)); err != nil {
+			t.Fatal(err)
 		}
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
@@ -570,37 +569,5 @@ func TestServerParallelExecutionDeterminism(t *testing.T) {
 	ps.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/metrics", nil))
 	if !bytes.Contains(rec.Body.Bytes(), []byte("dp_parallel_exec_total")) {
 		t.Fatal("metrics exposition missing dp_parallel_exec_total")
-	}
-}
-
-// TestSetExecOptionsUnknownDataset documents the error contract.
-func TestSetExecOptionsUnknownDataset(t *testing.T) {
-	s := New(noise.NewSeededSource(1, 2))
-	if err := s.SetParallelism("nope", 4); err == nil {
-		t.Fatal("expected an error for an unknown dataset")
-	}
-}
-
-// TestSetParallelismAllDatasetKinds: the exec option must reach link
-// and hop datasets too.
-func TestSetParallelismAllDatasetKinds(t *testing.T) {
-	s := New(noise.NewSeededSource(1, 2))
-	if err := s.AddLinkTrace("links", nil, 2, 2, math.Inf(1), math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddHopTrace("hops", nil, 2, math.Inf(1), math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetParallelism("links", 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetParallelism("hops", 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.linkSets["links"].exec.Workers; got != 4 {
-		t.Fatalf("link dataset workers = %d", got)
-	}
-	if got := s.hopSets["hops"].exec.Workers; got != 4 {
-		t.Fatalf("hop dataset workers = %d", got)
 	}
 }

@@ -26,10 +26,11 @@ import (
 // (and wall times) are masked. Anything else that differs is data the
 // noise does not cover — a record count, a size-chosen strategy.
 //
-// It runs at the default execution options and again with two workers
-// at |D| = DefaultParallelThreshold − 1, where D′ crosses the size at
-// which the engine goes parallel. Timing is a side channel it does not
-// cover.
+// It runs at the server's default execution width and again with two
+// workers at |D| = DefaultParallelThreshold − 1, where D′ crosses the
+// size at which the engine goes parallel — on any host, one CPU
+// included. Timing is a side channel it does not cover: a scan's
+// latency drops once |D| reaches the threshold (DESIGN.md §S31).
 func TestAnalystRoutesNeighbourDiff(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		runNeighbourDiff(t, obsPackets(300), 0)
@@ -197,10 +198,14 @@ func adversarialPacket(t *testing.T, packets []trace.Packet) trace.Packet {
 }
 
 // neighbourServer hosts the three dataset kinds with unlimited budgets
-// and the noise seed every neighbour shares.
+// and the noise seed every neighbour shares, at workers workers above
+// the default threshold (0: the server's default width).
 func neighbourServer(t *testing.T, packets []trace.Packet, links []trace.LinkSample, hops []trace.HopRecord, workers int) *httptest.Server {
 	t.Helper()
 	s := New(noise.NewSeededSource(1, 2))
+	if workers > 0 {
+		s.exec = core.ExecOptions{Workers: workers}
+	}
 	inf := math.Inf(1)
 	if err := s.AddPacketTrace("hotspot", packets, inf, inf); err != nil {
 		t.Fatal(err)
@@ -210,11 +215,6 @@ func neighbourServer(t *testing.T, packets []trace.Packet, links []trace.LinkSam
 	}
 	if err := s.AddHopTrace("scatter", hops, 3, inf, inf); err != nil {
 		t.Fatal(err)
-	}
-	for _, name := range []string{"hotspot", "isp", "scatter"} {
-		if err := s.SetParallelism(name, workers); err != nil {
-			t.Fatal(err)
-		}
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

@@ -176,6 +176,64 @@ func TestBucketStepWithinDomain(t *testing.T) {
 	}
 }
 
+// TestServedKindsParallelByDefault: a server from New runs every scan
+// over at least DefaultParallelThreshold records on GOMAXPROCS workers,
+// and every packet kind, with and without a filter, answers byte for
+// byte what a one-worker server with the same seed answers. With two
+// or more procs, the scans behind count, lencdf, lenquantile and
+// distinctsrc must have split: dp_parallel_exec_total moves for each.
+func TestServedKindsParallelByDefault(t *testing.T) {
+	packets := obsPackets(1400)
+	if len(packets) < core.DefaultParallelThreshold {
+		t.Fatalf("fixture has %d packets, want at least %d", len(packets), core.DefaultParallelThreshold)
+	}
+	serve := func(one bool) (*Server, *httptest.Server) {
+		s := New(noise.NewSeededSource(5, 6))
+		if one {
+			s.exec = core.ExecOptions{}
+		}
+		// Finite budgets: the JSON snapshot has no encoding for +Inf.
+		if err := s.AddPacketTrace("hotspot", packets, 1e9, 1e9); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return s, ts
+	}
+	def, tsDef := serve(false)
+	if want := runtime.GOMAXPROCS(0); def.exec != (core.ExecOptions{Workers: want}) {
+		t.Fatalf("default execution %+v, want %d workers at the default threshold", def.exec, want)
+	}
+	_, tsOne := serve(true)
+	split := map[string]bool{"count": true, "lencdf": true, "lenquantile": true, "distinctsrc": true}
+	parallelExecs := func() float64 {
+		for _, g := range scrapeJSON(t, tsDef).Gauges {
+			if g.Name == "dp_parallel_exec_total" {
+				return g.Value
+			}
+		}
+		t.Fatal("no dp_parallel_exec_total gauge")
+		return 0
+	}
+	minLen := 100
+	for _, filter := range []*api.Filter{nil, {MinLen: &minLen}} {
+		for _, kind := range api.PacketQueryKinds() {
+			req := QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1, Key: "10.0.0.1", Filter: filter}
+			before := parallelExecs()
+			respDef, bodyDef := postV1(t, tsDef.URL+"/v1/query", req, nil)
+			moved := parallelExecs() > before
+			respOne, bodyOne := postV1(t, tsOne.URL+"/v1/query", req, nil)
+			label := fmt.Sprintf("%s filter=%v", kind, filter != nil)
+			if respDef.StatusCode != http.StatusOK || respDef.StatusCode != respOne.StatusCode || !bytes.Equal(bodyDef, bodyOne) {
+				t.Errorf("%s: default server %d %s, one worker %d %s", label, respDef.StatusCode, bodyDef, respOne.StatusCode, bodyOne)
+			}
+			if split[kind] && runtime.GOMAXPROCS(0) >= 2 && !moved {
+				t.Errorf("%s: dp_parallel_exec_total did not move on %d procs", label, runtime.GOMAXPROCS(0))
+			}
+		}
+	}
+}
+
 // benchServed POSTs one query kind through Server.Handler() over n
 // hotspot packets: the way an analyst gets it, and the only shape that
 // measures what they get. The chunk loop hands each record to analyst

@@ -173,7 +173,7 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 			return standing.Result{}, false
 		}
 		qry := core.NewQueryableFor(snap[w.Start:w.End], core.Agent(agent), s.src).
-			WithExecOptions(s.execFor(d))
+			WithExecOptions(s.exec)
 		resp, err := s.execPacket(qry, standingQueryRequest(&spec))
 		res.Charged = agent.charged()
 		wire.Charged = res.Charged
