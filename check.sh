@@ -80,6 +80,11 @@ go test -run=. -fuzz=FuzzBucketIndex -fuzztime=3s ./internal/toolkit
 # keys, any multiplier) the open-addressing table and the map path must
 # number keys as a map[K]int32 does.
 go test -run=FuzzKeyIndex -fuzz=FuzzKeyIndex -fuzztime=3s ./internal/core
+# Short differential fuzz smoke over the dataset log's views: for any
+# segment capacity, append batch sizes and view bounds, the chunks a
+# sink receives from a view must equal, in length and content, those
+# one contiguous slice of the same records hands down.
+go test -run=FuzzLogView -fuzz=FuzzLogView -fuzztime=3s ./internal/core
 # Short chaos smoke (make chaos runs the full 30s soak): randomized
 # I/O faults + handler panics under a query storm must keep the
 # failure surface closed and the ε invariants intact.

@@ -499,11 +499,12 @@ func TestPartitionCountedNeverGathers(t *testing.T) {
 	q, _ := NewQueryable(flows, math.Inf(1), noise.NewSeededSource(1, 2))
 	for name, h := range map[string]Streamer[flowRec]{"queryable": q, "stream": q.Stream().Where(lenDiv3)} {
 		parts := Partition(h, []uint16{0, 1, 2, 3}, func(f flowRec) uint16 { return f.Port })
+		of := func(q *Queryable[flowRec]) *partition[flowRec] { return q.lazy.source.(*part[flowRec]).of }
 		for k, p := range parts {
 			if _, err := p.NoisyCount(0.1); err != nil {
 				t.Fatal(err)
 			}
-			if p.part == nil || p.part.of.arena != nil {
+			if p.lazy == nil || of(p).arena != nil {
 				t.Fatalf("%s: counting part %d gathered the partition's records", name, k)
 			}
 		}
@@ -511,8 +512,8 @@ func TestPartitionCountedNeverGathers(t *testing.T) {
 		if _, err := NoisySum(parts[2], 0.1, unitLen); err != nil {
 			t.Fatal(err)
 		}
-		arena := parts[2].part.of.arena
-		if arena == nil || parts[0].part.of.ids != nil {
+		arena := of(parts[2]).arena
+		if arena == nil || of(parts[0]).ids != nil {
 			t.Fatalf("%s: scanning a part did not gather (arena %v) or kept the index", name, arena != nil)
 		}
 		if got := parts[0].settled().records; len(got) == 0 || &got[0] != &arena[0] {

@@ -15,7 +15,7 @@ import (
 // The zero value is not usable; construct one with NewQueryable.
 type Queryable[T any] struct {
 	records []T
-	part    *part[T] // set on a Partition part whose records are still to be gathered (keyed.go)
+	lazy    *lazySource[T] // set when the records are not one slice in hand (keyed.go)
 	agent   Agent
 	src     noise.Source
 	rec     obs.Recorder    // nil (the default) disables telemetry

@@ -110,9 +110,10 @@ type Stream[T any] struct {
 	ctx   context.Context
 	n     int // source record count: what scan's worker ranges divide
 	depth int // number of fused stages
-	recs  []T // the source itself while depth == 0
-	// feed (depth > 0) pushes source records [lo, hi) through fresh
-	// stage state — one scratch buffer per stage — into down.
+	recs  []T // the source itself while depth == 0, unless it is a lazy source
+	// feed pushes source records [lo, hi) through fresh stage state —
+	// one scratch buffer per stage — into down (depth > 0), or is the
+	// lazy source's own loop over its records (depth == 0).
 	feed func(r *scanRun, lo, hi int, down sink[T])
 }
 
@@ -120,8 +121,10 @@ type Stream[T any] struct {
 // agent, noise source, recorder, execution options and context.
 func (q *Queryable[T]) Stream() Stream[T] {
 	s := Stream[T]{agent: q.agent, nsrc: q.src, rec: q.rec, exec: q.exec, ctx: q.ctx, n: len(q.records), recs: q.records}
-	if q.part != nil {
-		s.n, s.feed = q.part.size(), q.part.feed
+	if q.lazy != nil {
+		// The source's own method, not lazySource's promoted one: no
+		// wrapper frame between push and the source's loop.
+		s.n, s.feed = q.lazy.size(), q.lazy.source.feed
 	}
 	return s
 }
@@ -131,7 +134,8 @@ func (s Stream[T]) Stream() Stream[T] { return s }
 
 // push is the loop: it drives source records [lo, hi) through the
 // fused stages into down, a chunk at a time, polling the context
-// between chunks.
+// between chunks. A lazy source (a Partition part, a Log view) runs its
+// own feed, which cuts its records at the same positions.
 func (s Stream[T]) push(r *scanRun, lo, hi int, down sink[T]) {
 	if s.feed != nil {
 		s.feed(r, lo, hi, down)

@@ -17,30 +17,30 @@ import (
 // de-aggregated link traces (IspTraffic-shaped) and hop-count traces
 // (IPscatter-shaped), with the queries their analyses start from.
 
-// linkDataset hosts LinkSample records. Like dataset.packets, the
-// samples slice is replaced wholesale under s.mu's write lock on
-// ingest; executors run against a snapshot captured under the read
-// lock.
+// linkDataset hosts LinkSample records in an append-only log, like
+// dataset.packets: ingest appends under s.mu's write lock, and
+// executors run against a view of the log taken under the read lock
+// (see snapshot).
 type linkDataset struct {
-	samples         []trace.LinkSample
+	samples         *core.Log[trace.LinkSample]
 	links           int
 	bins            int
 	policy          *core.AnalystPolicy
 	ingestedBatches uint64
 }
 
-// hopDataset hosts HopRecord records (same snapshot discipline).
+// hopDataset hosts HopRecord records (same log, same snapshots).
 type hopDataset struct {
-	records         []trace.HopRecord
+	records         *core.Log[trace.HopRecord]
 	monitors        int
 	policy          *core.AnalystPolicy
 	ingestedBatches uint64
 }
 
 // AddLinkTrace registers a de-aggregated link trace with the given
-// dimensions and budgets. Like AddPacketTrace, it refuses name
-// collisions (ErrDatasetExists) rather than discard a spent-budget
-// ledger.
+// dimensions and budgets. Like AddPacketTrace, it copies samples into
+// the dataset's log and refuses name collisions (ErrDatasetExists)
+// rather than discard a spent-budget ledger.
 func (s *Server) AddLinkTrace(name string, samples []trace.LinkSample, links, bins int, totalBudget, perAnalystBudget float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -48,7 +48,7 @@ func (s *Server) AddLinkTrace(name string, samples []trace.LinkSample, links, bi
 		return fmt.Errorf("%w: %q", ErrDatasetExists, name)
 	}
 	d := &linkDataset{
-		samples: samples, links: links, bins: bins,
+		samples: core.NewLog(samples), links: links, bins: bins,
 		policy: core.NewAnalystPolicy(totalBudget, perAnalystBudget),
 	}
 	if err := s.registerDataset(name, kindLink, d.policy, totalBudget, perAnalystBudget); err != nil {
@@ -59,8 +59,8 @@ func (s *Server) AddLinkTrace(name string, samples []trace.LinkSample, links, bi
 	return nil
 }
 
-// AddHopTrace registers a hop-count trace, refusing name collisions
-// (ErrDatasetExists).
+// AddHopTrace registers a copy of a hop-count trace, refusing name
+// collisions (ErrDatasetExists).
 func (s *Server) AddHopTrace(name string, records []trace.HopRecord, monitors int, totalBudget, perAnalystBudget float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -68,7 +68,7 @@ func (s *Server) AddHopTrace(name string, records []trace.HopRecord, monitors in
 		return fmt.Errorf("%w: %q", ErrDatasetExists, name)
 	}
 	d := &hopDataset{
-		records: records, monitors: monitors,
+		records: core.NewLog(records), monitors: monitors,
 		policy: core.NewAnalystPolicy(totalBudget, perAnalystBudget),
 	}
 	if err := s.registerDataset(name, kindHop, d.policy, totalBudget, perAnalystBudget); err != nil {
@@ -118,12 +118,10 @@ func (s *Server) executeLoadMatrix(ctx context.Context, explain bool, d *linkDat
 		s.execHook(ctx)
 	}
 	start := time.Now()
-	s.mu.RLock()
-	samples := d.samples
-	s.mu.RUnlock()
+	samples := snapshot(s, d.samples)
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
-	q := core.NewQueryableFor(samples, core.Agent(agent), s.src).
+	q := core.NewQueryableForView(samples, core.Agent(agent), s.src).
 		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(s.exec).WithContext(ctx)
 
 	linkKeys := make([]int32, d.links)
@@ -213,12 +211,10 @@ func (s *Server) executeMonitorAverages(ctx context.Context, explain bool, d *ho
 		s.execHook(ctx)
 	}
 	start := time.Now()
-	s.mu.RLock()
-	records := d.records
-	s.mu.RUnlock()
+	records := snapshot(s, d.records)
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
-	q := core.NewQueryableFor(records, core.Agent(agent), s.src).
+	q := core.NewQueryableForView(records, core.Agent(agent), s.src).
 		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(s.exec).WithContext(ctx)
 	keys := make([]int32, d.monitors)
 	for i := range keys {

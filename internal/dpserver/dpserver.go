@@ -165,11 +165,11 @@ func WithEventLog(l *qlog.Logger) ServerOption {
 func (s *Server) Events() *qlog.Logger { return s.events }
 
 type dataset struct {
-	// packets is the dataset's live record slice. It is only ever
-	// replaced wholesale (append returns a new header) under s.mu's
-	// write lock; queries capture the header once under the read lock
-	// and run against that immutable snapshot (see snapshotPackets).
-	packets []trace.Packet
+	// packets is the dataset's append-only record log. Ingest appends
+	// under s.mu's write lock, never moving a record the log holds;
+	// queries take a view of it once under the read lock and run
+	// against that immutable snapshot (see snapshot).
+	packets *core.Log[trace.Packet]
 	policy  *core.AnalystPolicy
 	// ingestedBatches counts batches applied via /v1/ingest (guarded
 	// by s.mu like packets).
@@ -179,8 +179,8 @@ type dataset struct {
 	// exactly once per batch at ingest apply (guarded by s.mu). It is
 	// the single clock standing-query windows and the /v1/datasets
 	// record count read — on the live server it always equals
-	// len(packets), but the watermark is the contractual stream
-	// position while the slice length is an implementation detail.
+	// packets.Len(), but the watermark is the contractual stream
+	// position while the log's length is an implementation detail.
 	watermark uint64
 }
 
@@ -264,11 +264,12 @@ func (s *Server) nameTaken(name string) bool {
 	return ok
 }
 
-// AddPacketTrace registers a packet trace under name with the given
-// total and per-analyst privacy budgets. It refuses (ErrDatasetExists)
-// if the name is taken by any dataset kind: replacement would reset
-// the spent-budget ledger and let analysts re-spend against the same
-// records.
+// AddPacketTrace registers a copy of a packet trace under name with
+// the given total and per-analyst privacy budgets: the dataset's log
+// holds its own records, so ingest never writes into the caller's
+// slice. It refuses (ErrDatasetExists) if the name is taken by any
+// dataset kind: replacement would reset the spent-budget ledger and
+// let analysts re-spend against the same records.
 func (s *Server) AddPacketTrace(name string, packets []trace.Packet, totalBudget, perAnalystBudget float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,7 +277,7 @@ func (s *Server) AddPacketTrace(name string, packets []trace.Packet, totalBudget
 		return fmt.Errorf("%w: %q", ErrDatasetExists, name)
 	}
 	d := &dataset{
-		packets:   packets,
+		packets:   core.NewLog(packets),
 		policy:    core.NewAnalystPolicy(totalBudget, perAnalystBudget),
 		watermark: uint64(len(packets)),
 	}
@@ -477,16 +478,16 @@ func (s *Server) watermark(d *dataset) uint64 {
 	return d.watermark
 }
 
-// snapshotPackets captures the dataset's record slice under the read
-// lock. The returned snapshot is immutable: ingest appends replace
-// the slice header (never elements below its length), so a query
-// holding a snapshot sees a frozen dataset for its whole execution —
-// its noise draws and ε-charges are byte-identical to a run against a
-// static dataset with the same contents.
-func (s *Server) snapshotPackets(d *dataset) []trace.Packet {
+// snapshot takes a view of a dataset's record log under the read
+// lock. The view is immutable: ingest appends write only above the
+// log's length and never move a record, so a query holding a snapshot
+// sees a frozen dataset for its whole execution — its noise draws and
+// ε-charges are byte-identical to a run against a static dataset with
+// the same contents.
+func snapshot[T any](s *Server, l *core.Log[T]) core.LogView[T] {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return d.packets
+	return l.View()
 }
 
 // jsonDecoder builds the strict decoder shared by the query handlers.
@@ -545,7 +546,7 @@ func (s *Server) executeQuery(ctx context.Context, explain bool, d *dataset, req
 	// event and X-DP-Explain) and the server's metrics recorder.
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
-	q := core.NewQueryableFor(s.snapshotPackets(d), core.Agent(agent), s.src).
+	q := core.NewQueryableForView(snapshot(s, d.packets), core.Agent(agent), s.src).
 		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(s.exec).WithContext(ctx)
 
 	spentBefore := d.policy.SpentBy(req.Analyst)

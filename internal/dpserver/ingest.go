@@ -20,13 +20,17 @@ import (
 // the same lock discipline queries snapshot against. The privacy
 // invariants it preserves:
 //
-//   - Snapshot consistency: a query captures its record slice once,
-//     under s.mu's read lock, and runs against that frozen snapshot.
-//     Appends replace the slice wholesale under the write lock, so
-//     for any fixed snapshot the query's ε-charges and noise draws
-//     are byte-identical to a run against a static dataset with the
-//     same contents. A batch is either fully visible to a snapshot or
-//     not at all.
+//   - Snapshot consistency: every dataset's records live in an
+//     append-only core.Log of fixed-capacity segments. A query takes
+//     one view of it — the segment list and a length — under s.mu's
+//     read lock, and runs against that frozen snapshot. An append
+//     copies the batch in above the log's length under the write
+//     lock, never moving or rewriting a record the log holds, so for
+//     any fixed snapshot the query's ε-charges and noise draws are
+//     byte-identical to a run against a static dataset with the same
+//     contents. A batch is either fully visible to a snapshot or not
+//     at all, and an append costs the batch's own copy, however large
+//     the dataset has grown.
 //   - At-most-once apply: a batch carrying a (source, seq) identity
 //     goes through the PR3 idempotency cache keyed on it — a retried
 //     batch replays the stored ACK instead of appending twice.
@@ -101,18 +105,18 @@ type ingestApplied struct {
 
 // ingestTarget resolves a dataset name to its record kind and an
 // apply function. The apply function validates then appends the
-// decoded batch under s.mu's write lock — atomically: a batch that
-// fails validation changes nothing.
+// decoded batch to the dataset's log under s.mu's write lock —
+// atomically: a batch that fails validation changes nothing.
 func (s *Server) ingestTarget(name string) (ingest.Kind, func(ingest.Decoded) (ingestApplied, error), bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if d := s.datasets[name]; d != nil {
 		return ingest.KindPacket, func(dec ingest.Decoded) (ingestApplied, error) {
 			s.mu.Lock()
-			d.packets = append(d.packets, dec.Packets...)
+			d.packets.Append(dec.Packets)
 			d.watermark += uint64(len(dec.Packets))
 			d.ingestedBatches++
-			applied := ingestApplied{len(dec.Packets), len(d.packets), d.ingestedBatches}
+			applied := ingestApplied{len(dec.Packets), d.packets.Len(), d.ingestedBatches}
 			mark := d.watermark
 			s.mu.Unlock()
 			// Standing windows fire here, on the pipeline's single
@@ -136,9 +140,9 @@ func (s *Server) ingestTarget(name string) (ingest.Kind, func(ingest.Decoded) (i
 			}
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			d.samples = append(d.samples, dec.Links...)
+			d.samples.Append(dec.Links)
 			d.ingestedBatches++
-			return ingestApplied{len(dec.Links), len(d.samples), d.ingestedBatches}, nil
+			return ingestApplied{len(dec.Links), d.samples.Len(), d.ingestedBatches}, nil
 		}, true
 	}
 	if d := s.hopSets[name]; d != nil {
@@ -151,9 +155,9 @@ func (s *Server) ingestTarget(name string) (ingest.Kind, func(ingest.Decoded) (i
 			}
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			d.records = append(d.records, dec.Hops...)
+			d.records.Append(dec.Hops)
 			d.ingestedBatches++
-			return ingestApplied{len(dec.Hops), len(d.records), d.ingestedBatches}, nil
+			return ingestApplied{len(dec.Hops), d.records.Len(), d.ingestedBatches}, nil
 		}, true
 	}
 	return 0, nil, false

@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -56,11 +58,27 @@ func ingestTestServer(t *testing.T, packets []trace.Packet, limits ingest.Limits
 // postIngest posts body as one NDJSON batch.
 func postIngest(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
+	return postIngestAs(t, url, api.ContentTypeNDJSON, body)
+}
+
+// postIngestDPTR posts packets as one DPTR batch.
+func postIngestDPTR(t *testing.T, url string, packets []trace.Packet) (*http.Response, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WritePackets(&buf, packets); err != nil {
+		t.Fatal(err)
+	}
+	return postIngestAs(t, url, api.ContentTypeDPTR, buf.Bytes())
+}
+
+// postIngestAs posts body as one batch of the given content type.
+func postIngestAs(t *testing.T, url, contentType string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", api.ContentTypeNDJSON)
+	req.Header.Set("Content-Type", contentType)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +303,7 @@ func TestIngestFloodExactCountsUnderShedding(t *testing.T) {
 		t.Fatalf("peak %d exceeded watermark %d", st.PeakBytesInFlight, limits.MaxBytesInFlight)
 	}
 	s.mu.RLock()
-	records := len(s.datasets["live"].packets)
+	records := s.datasets["live"].packets.Len()
 	batches := s.datasets["live"].ingestedBatches
 	s.mu.RUnlock()
 	if records != senders*perG*10+20 || batches != wantBatches {
@@ -294,43 +312,68 @@ func TestIngestFloodExactCountsUnderShedding(t *testing.T) {
 	}
 }
 
-// TestIngestQuerySnapshotConsistency races count queries against a
-// stream of 500-record batches. Two invariants: every noisy count
-// must sit near base + 500k for a whole k (a query never sees a torn
-// batch), and the policy ledger must hold exactly ε × queries (a
-// mid-ingest query charges once, like any other). ε=1 makes the noise
-// scale 1, so a result ≥100 away from every whole-batch size has
-// probability e^{-100} — an impossibility, not flakiness.
+// TestIngestQuerySnapshotConsistency races count queries (each analyst
+// at least ten, and on until the stream ends) and a standing query's
+// windows against a stream of 15,000-record batches
+// that grows the dataset's log past two segment boundaries (2^16
+// records each). Three invariants: every noisy count must sit near
+// base + 15,000k for a whole k (a query never sees a torn batch),
+// every window — those straddling a boundary too — must count its
+// 2,500 records, and the policy ledger must hold exactly ε × (queries
+// + windows) (a mid-ingest query charges once, like any other). ε=1
+// makes the noise scale 1, so a result ≥100 away from the right size
+// has probability e^{-100} — an impossibility, not flakiness.
 func TestIngestQuerySnapshotConsistency(t *testing.T) {
 	const (
 		base         = 1000
-		batchRecords = 500
+		batchRecords = 15_000
 		batches      = 10
 		analysts     = 2
 		perAnalyst   = 10
 		eps          = 1.0
+		width        = 2_500
+		windows      = (base + batches*batchRecords) / width
 	)
+	if base+batches*batchRecords <= 2<<16 {
+		t.Fatalf("the stream stops short of the second segment boundary")
+	}
 	s, ts := ingestTestServer(t, ingestPkts(base), ingest.Limits{})
 	url := ts.URL + "/v1/ingest/live"
+	info := registerStanding(t, ts.URL, api.StandingRequest{
+		Analyst: "mon", Query: "count", Epsilon: eps, Reservation: windows * eps,
+		Window: api.StandingWindow{Width: width},
+	})
 
 	var wg sync.WaitGroup
+	var queries atomic.Int64
+	ingested := make(chan struct{})
 	wg.Add(1)
 	go func() { // the ingest stream
 		defer wg.Done()
+		defer close(ingested)
 		for i := 0; i < batches; i++ {
-			body := trace.MarshalPacketsNDJSON(ingestPkts(batchRecords))
-			resp, out := postIngest(t, url, body)
+			resp, out := postIngestDPTR(t, url, ingestPkts(batchRecords))
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("batch %d: %d: %s", i, resp.StatusCode, out)
 				return
 			}
 		}
 	}()
+	// Each analyst queries until the stream ends, and at least
+	// perAnalyst times.
 	for a := 0; a < analysts; a++ {
 		wg.Add(1)
 		go func(a int) {
 			defer wg.Done()
-			for i := 0; i < perAnalyst; i++ {
+			for i := 0; ; i++ {
+				if i >= perAnalyst {
+					select {
+					case <-ingested:
+						return
+					default:
+					}
+				}
+				queries.Add(1)
 				resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
 					Analyst: fmt.Sprintf("analyst-%d", a), Dataset: "live",
 					Query: "count", Epsilon: eps,
@@ -360,15 +403,104 @@ func TestIngestQuerySnapshotConsistency(t *testing.T) {
 	}
 	wg.Wait()
 
+	results, out := standingResults(t, ts.URL, "live", info.ID)
+	if len(results) != windows || out.NextWindow != windows {
+		t.Fatalf("%d window results (next %d), want %d", len(results), out.NextWindow, windows)
+	}
+	for _, r := range results {
+		if r.Outcome != "ok" || len(r.Values) != 1 || math.Abs(r.Values[0]-width) > 100 {
+			t.Fatalf("window [%d,%d): %+v, want a count near %d", r.Start, r.End, r, width)
+		}
+	}
 	spent := s.datasets["live"].policy.TotalSpent()
-	if want := float64(analysts*perAnalyst) * eps; math.Abs(spent-want) > 1e-9 {
-		t.Fatalf("total ε = %v, want exactly %v (one charge per query, none for appends)", spent, want)
+	if want := float64(queries.Load()+windows) * eps; math.Abs(spent-want) > 1e-9 {
+		t.Fatalf("total ε = %v, want exactly %v (one charge per query and window, none for appends)", spent, want)
 	}
 	s.mu.RLock()
-	records := len(s.datasets["live"].packets)
+	records := s.datasets["live"].packets.Len()
 	s.mu.RUnlock()
 	if records != base+batches*batchRecords {
 		t.Fatalf("dataset holds %d records, want %d", records, base+batches*batchRecords)
+	}
+}
+
+// TestIngestedDatasetServesLikeRegistered: a dataset grown by ingest
+// past two log segment boundaries serves every packet kind, with and
+// without a filter, byte for byte what a dataset registered with the
+// same records in one call serves.
+func TestIngestedDatasetServesLikeRegistered(t *testing.T) {
+	packets := obsPackets(6000)
+	if len(packets) <= 2<<16 {
+		t.Fatalf("fixture has %d packets, want more than two segments' worth", len(packets))
+	}
+	serve := func(seed []trace.Packet) *httptest.Server {
+		s := New(noise.NewSeededSource(5, 6))
+		// Finite budgets: the JSON snapshot has no encoding for +Inf.
+		if err := s.AddPacketTrace("hotspot", seed, 1e9, 1e9); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	grown := serve(packets[:1000])
+	for lo := 1000; lo < len(packets); lo += 17_000 {
+		resp, body := postIngestDPTR(t, grown.URL+"/v1/ingest/hotspot", packets[lo:min(lo+17_000, len(packets))])
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch at %d: %d: %s", lo, resp.StatusCode, body)
+		}
+	}
+	whole := serve(packets)
+	minLen := 100
+	for _, filter := range []*api.Filter{nil, {MinLen: &minLen}} {
+		for _, kind := range api.PacketQueryKinds() {
+			req := QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1, Key: "10.0.0.1", Filter: filter}
+			respG, bodyG := postV1(t, grown.URL+"/v1/query", req, nil)
+			respW, bodyW := postV1(t, whole.URL+"/v1/query", req, nil)
+			if respG.StatusCode != http.StatusOK || respG.StatusCode != respW.StatusCode || !bytes.Equal(bodyG, bodyW) {
+				t.Errorf("%s filter=%v: grown %d %s, registered %d %s", kind, filter != nil, respG.StatusCode, bodyG, respW.StatusCode, bodyW)
+			}
+		}
+	}
+}
+
+// TestRegistrationCopiesRecords: registering recs[:n] of a longer
+// slice and then ingesting leaves recs[n:] as it was — for every
+// dataset kind, the dataset holds its own copy of the records.
+func TestRegistrationCopiesRecords(t *testing.T) {
+	s := New(noise.NewSeededSource(1, 2))
+	pkts := ingestPkts(10)
+	links := make([]trace.LinkSample, 8)
+	for i := range links {
+		links[i] = trace.LinkSample{Link: int32(i % 2), Bin: int32(i / 4)}
+	}
+	hops := make([]trace.HopRecord, 6)
+	for i := range hops {
+		hops[i] = trace.HopRecord{Monitor: int32(i % 2), IP: trace.IPv4(i + 1), Hops: int32(i + 3)}
+	}
+	wantPkts, wantLinks, wantHops := slices.Clone(pkts), slices.Clone(links), slices.Clone(hops)
+	if err := s.AddPacketTrace("p", pkts[:4], math.Inf(1), math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddLinkTrace("l", links[:4], 2, 2, math.Inf(1), math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddHopTrace("h", hops[:2], 2, math.Inf(1), math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for name, body := range map[string][]byte{
+		"p": trace.MarshalPacketsNDJSON(ingestPkts(3)),
+		"l": trace.MarshalLinkSamplesNDJSON([]trace.LinkSample{{Link: 0, Bin: 1}, {Link: 1, Bin: 0}}),
+		"h": trace.MarshalHopRecordsNDJSON([]trace.HopRecord{{Monitor: 0, IP: 9, Hops: 9}}),
+	} {
+		if resp, out := postIngest(t, ts.URL+"/v1/ingest/"+name, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest into %s: %d: %s", name, resp.StatusCode, out)
+		}
+	}
+	if !reflect.DeepEqual(pkts, wantPkts) || !slices.Equal(links, wantLinks) || !slices.Equal(hops, wantHops) {
+		t.Fatal("an ingest wrote into the spare capacity of a slice passed at registration")
 	}
 }
 
@@ -417,7 +549,7 @@ func TestIngestDegradedFailsClosed(t *testing.T) {
 	}
 
 	s.mu.RLock()
-	before := len(s.datasets["hotspot"].packets)
+	before := s.datasets["hotspot"].packets.Len()
 	s.mu.RUnlock()
 	resp, body := postIngest(t, url, trace.MarshalPacketsNDJSON(ingestPkts(5)))
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -428,7 +560,7 @@ func TestIngestDegradedFailsClosed(t *testing.T) {
 		t.Fatalf("degraded envelope: %s", body)
 	}
 	s.mu.RLock()
-	after := len(s.datasets["hotspot"].packets)
+	after := s.datasets["hotspot"].packets.Len()
 	s.mu.RUnlock()
 	if after != before {
 		t.Fatalf("degraded ingest appended %d records", after-before)

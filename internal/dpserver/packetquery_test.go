@@ -248,17 +248,9 @@ func TestServedKindsParallelByDefault(t *testing.T) {
 func benchServed(b *testing.B, query string) {
 	for _, n := range []int{1_000, 10_000, 20_000, 500_000} {
 		b.Run(fmt.Sprintf("packets=%d", n), func(b *testing.B) {
-			cfg := tracegen.DefaultHotspotConfig() // ≈ 2.6e5 packets
-			f := 1.3 * float64(n) / 2.6e5
-			cfg.Sessions = int(math.Ceil(float64(cfg.Sessions) * f))
-			cfg.BackgroundTotal = int(math.Ceil(float64(cfg.BackgroundTotal) * f))
-			cfg.StoneActivations = int(math.Ceil(float64(cfg.StoneActivations) * f))
-			packets, _ := tracegen.Hotspot(cfg)
-			if len(packets) < n {
-				b.Fatalf("generated %d packets, want %d", len(packets), n)
-			}
+			packets := benchPackets(b, n)
 			s := New(noise.NewSeededSource(1, 2))
-			if err := s.AddPacketTrace("bench", packets[:n:n], math.Inf(1), math.Inf(1)); err != nil {
+			if err := s.AddPacketTrace("bench", packets, math.Inf(1), math.Inf(1)); err != nil {
 				b.Fatal(err)
 			}
 			ts := httptest.NewServer(s.Handler())
@@ -280,6 +272,20 @@ func benchServed(b *testing.B, query string) {
 	}
 }
 
+// benchPackets returns n hotspot packets.
+func benchPackets(b *testing.B, n int) []trace.Packet {
+	cfg := tracegen.DefaultHotspotConfig() // ≈ 2.6e5 packets
+	f := 1.3 * float64(n) / 2.6e5
+	cfg.Sessions = int(math.Ceil(float64(cfg.Sessions) * f))
+	cfg.BackgroundTotal = int(math.Ceil(float64(cfg.BackgroundTotal) * f))
+	cfg.StoneActivations = int(math.Ceil(float64(cfg.StoneActivations) * f))
+	packets, _ := tracegen.Hotspot(cfg)
+	if len(packets) < n {
+		b.Fatalf("generated %d packets, want %d", len(packets), n)
+	}
+	return packets[:n:n]
+}
+
 func BenchmarkServedCount(b *testing.B) {
 	benchServed(b, `"query":"count","filter":{"dstPort":443}`)
 }
@@ -292,3 +298,65 @@ func BenchmarkServedLenQuantile(b *testing.B) {
 	benchServed(b, `"query":"lenquantile","fraction":0.5`)
 }
 func BenchmarkServedDistinctSrc(b *testing.B) { benchServed(b, `"query":"distinctsrc"`) }
+
+// BenchmarkServedIngest POSTs 1,000-record batches through
+// Server.Handler() into one growing dataset, as a live monitor feeds
+// it: one op is one batch's ACK, records/s the ingest rate. The
+// batches cycle through 40 pre-encoded bodies, and every 1,000 batches
+// (a dataset of a million records) a fresh server takes over, off the
+// clock, so the run's memory stays bounded however long it is.
+func BenchmarkServedIngest(b *testing.B) {
+	const batch, pool, grow = 1_000, 40, 1_000
+	packets := benchPackets(b, batch*pool)
+	for _, enc := range []struct {
+		name, contentType string
+		encode            func([]trace.Packet) []byte
+	}{
+		{"dptr", api.ContentTypeDPTR, func(ps []trace.Packet) []byte {
+			var buf bytes.Buffer
+			if err := trace.WritePackets(&buf, ps); err != nil {
+				b.Fatal(err)
+			}
+			return buf.Bytes()
+		}},
+		{"ndjson", api.ContentTypeNDJSON, trace.MarshalPacketsNDJSON},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			bodies := make([][]byte, pool)
+			for i := range bodies {
+				bodies[i] = enc.encode(packets[i*batch : (i+1)*batch])
+			}
+			var ts *httptest.Server
+			serve := func() {
+				if ts != nil {
+					ts.Close()
+				}
+				s := New(noise.NewSeededSource(1, 2))
+				if err := s.AddPacketTrace("bench", nil, math.Inf(1), math.Inf(1)); err != nil {
+					b.Fatal(err)
+				}
+				ts = httptest.NewServer(s.Handler())
+			}
+			serve()
+			defer func() { ts.Close() }()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%grow == 0 {
+					b.StopTimer()
+					serve()
+					b.StartTimer()
+				}
+				resp, err := http.Post(ts.URL+"/v1/ingest/bench", enc.contentType, bytes.NewReader(bodies[i%pool]))
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Fatalf("status %d", resp.StatusCode)
+				}
+			}
+			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}

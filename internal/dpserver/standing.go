@@ -164,15 +164,15 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 			spent, spec.Reservation, spec.Epsilon)
 	} else {
 		agent := &meteredAgent{inner: d.policy.SilentAgentFor(spec.Analyst)}
-		snap := s.snapshotPackets(d)
-		if uint64(len(snap)) < w.End {
+		snap := snapshot(s, d.packets)
+		if uint64(snap.Len()) < w.End {
 			// The snapshot has not caught up to the window's end — only
 			// possible outside the ingest-apply call path (e.g. a
 			// restarted server whose records have not been re-ingested
 			// yet). Not due in any meaningful sense; leave it.
 			return standing.Result{}, false
 		}
-		qry := core.NewQueryableFor(snap[w.Start:w.End], core.Agent(agent), s.src).
+		qry := core.NewQueryableForView(snap.Slice(int(w.Start), int(w.End)), core.Agent(agent), s.src).
 			WithExecOptions(s.exec)
 		resp, err := s.execPacket(qry, standingQueryRequest(&spec))
 		res.Charged = agent.charged()
