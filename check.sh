@@ -80,6 +80,10 @@ go test -run=. -fuzz=FuzzBucketIndex -fuzztime=3s ./internal/toolkit
 # keys, any multiplier) the open-addressing table and the map path must
 # number keys as a map[K]int32 does.
 go test -run=FuzzKeyIndex -fuzz=FuzzKeyIndex -fuzztime=3s ./internal/core
+# Short differential fuzz smoke over the joins: for any records, key
+# skew, segment capacity and width, Join and GroupJoin must release the
+# records the naive map-loop references do, in the same order.
+go test -run=FuzzJoin -fuzz=FuzzJoin -fuzztime=3s ./internal/core
 # Short differential fuzz smoke over the dataset log's views: for any
 # segment capacity, append batch sizes and view bounds, the chunks a
 # sink receives from a view must equal, in length and content, those

@@ -7,13 +7,15 @@
 //	experiments -seed 7         # change the noise seed
 //	experiments -list           # list experiment names
 //	experiments -metrics        # append the run's engine metrics snapshot
-//	experiments -parallel 4     # data-parallel pipelines (same results, less wall time)
 //
 // Results go to stdout; EXPERIMENTS.md records a reference run side by
 // side with the paper's numbers. With -metrics, every engine pipeline
 // in the run reports to an obs registry (per-operator timings,
 // records in/out, aggregation outcomes, ε spend) and the JSON snapshot
-// is printed after the tables.
+// is printed after the tables. Every pipeline splits inputs of
+// core.DefaultParallelThreshold records or more across GOMAXPROCS
+// workers; the tables are the same at any width (GOMAXPROCS=1 gives a
+// one-worker run to diff against).
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -85,7 +86,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also write plottable series to <dir>/<name>.csv")
 	metrics := flag.Bool("metrics", false, "dump the run's engine metrics snapshot (JSON) after the tables")
-	parallel := flag.Int("parallel", 0, "worker count for data-parallel pipeline execution; 0 or 1 = sequential, -1 = GOMAXPROCS")
 	flag.Parse()
 
 	var reg *obs.Registry
@@ -93,18 +93,6 @@ func main() {
 		reg = obs.NewRegistry()
 		core.SetDefaultRecorder(obs.NewMetricsRecorder(reg))
 		defer core.SetDefaultRecorder(nil)
-	}
-
-	// Results are execution-strategy-independent (the engine's
-	// determinism guarantee), so -parallel changes wall time only —
-	// every table below is identical either way for a fixed -seed.
-	if *parallel != 0 && *parallel != 1 {
-		workers := *parallel
-		if workers < 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		core.SetDefaultExecOptions(core.ExecOptions{Workers: workers})
-		defer core.SetDefaultExecOptions(core.ExecOptions{})
 	}
 
 	if *csvDir != "" {

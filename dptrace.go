@@ -82,27 +82,19 @@ func NewQueryable[T any](records []T, budget float64, src Source) (*Queryable[T]
 	return core.NewQueryable(records, budget, src)
 }
 
-// ExecOptions selects the pipeline execution strategy (sequential or
-// data-parallel). Execution strategy never changes results: parallel
-// runs produce byte-identical records, ordering, and privacy charges.
-// A Queryable runs on one worker unless it opts in; the server runs
-// every query on GOMAXPROCS workers.
+// ExecOptions is the width a Queryable's scans run on. Every Queryable
+// starts at GOMAXPROCS workers for inputs of DefaultParallelThreshold
+// records or more; WithExecOptions sets another width. The width never
+// changes results: records, ordering and privacy charges are
+// byte-identical at any width.
 type ExecOptions = core.ExecOptions
 
 // DefaultParallelThreshold is the record count below which parallel
 // execution falls back to sequential.
 const DefaultParallelThreshold = core.DefaultParallelThreshold
 
-// SetDefaultExecOptions sets the process-wide execution strategy
-// inherited by new Queryables; see core.SetDefaultExecOptions.
-func SetDefaultExecOptions(o ExecOptions) { core.SetDefaultExecOptions(o) }
-
-// DefaultExecOptions returns the current process-wide execution
-// strategy.
-func DefaultExecOptions() ExecOptions { return core.DefaultExecOptions() }
-
-// ParallelExecutions reports how many operator executions have taken
-// the data-parallel path process-wide (an observability counter).
+// ParallelExecutions reports how many scans have run on more than one
+// worker, process-wide (an observability counter).
 func ParallelExecutions() uint64 { return core.ParallelExecutions() }
 
 // NewSeededSource returns a deterministic noise source for

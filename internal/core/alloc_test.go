@@ -33,8 +33,9 @@ func allocQueryable(tb testing.TB, n int) *Queryable[int] {
 	}
 	q, _ := NewQueryable(records, math.Inf(1), noise.NewSeededSource(1, 2))
 	// Unrecorded regardless of any process-wide default recorder another
-	// test may have installed.
-	return q.WithRecorder(nil)
+	// test may have installed, and on one worker: the budgets below are
+	// one scan's, not one per worker.
+	return q.WithRecorder(nil).WithExecOptions(ExecOptions{})
 }
 
 func skipUnderRace(t *testing.T) {

@@ -25,7 +25,7 @@ func benchQueryable(b *testing.B) *Queryable[int] {
 		records[i] = i
 	}
 	q, _ := NewQueryable(records, math.Inf(1), noise.NewSeededSource(1, 2))
-	return q
+	return q.WithExecOptions(ExecOptions{}) // the one-worker rows; benchParallel sets the others
 }
 
 // benchParallel configures q for parallel execution at the benchmark's
@@ -285,7 +285,7 @@ func benchPacketQueryable(b *testing.B) *Queryable[benchPacket] {
 		}
 	}
 	q, _ := NewQueryable(records, math.Inf(1), noise.NewSeededSource(1, 2))
-	return q
+	return q.WithExecOptions(ExecOptions{}) // one worker, like benchQueryable
 }
 
 func BenchmarkPacketWhereSelectSum1M(b *testing.B) {

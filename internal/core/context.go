@@ -23,10 +23,11 @@ import (
 // way to observe a transformation's output is an aggregation, which
 // will refuse.
 //
-// Check placement: every operator checks once at entry; the chunk loop
-// (stream.go) polls between chunks, which covers every record-wise scan
-// and every keyed pass on any worker count; the sharded join strategies
-// poll their canceler every cancelStride records.
+// Check placement: every operator checks once at entry, and the chunk
+// loop (stream.go) polls between chunks. Every scan runs that loop —
+// the record-wise operators, the aggregations and every keyed pass,
+// Join's and GroupJoin's included — so a context that fires stops any
+// of them within a chunk per worker, at any width.
 
 // ErrCanceled is returned by aggregations whose context was cancelled
 // or past its deadline. It always wraps the context's own error, so
@@ -37,18 +38,11 @@ import (
 // which).
 var ErrCanceled = errors.New("core: query canceled")
 
-// cancelStride is how many records a sharded-join worker processes
-// between context checks: large enough that the mask-and-compare is
-// noise next to the per-record work, small enough that cancellation
-// lands within microseconds on commodity cores.
-const cancelStride = 1 << 13
-
 // WithContext returns a view of this Queryable whose derived pipeline
 // observes ctx: transformations stop early and aggregations refuse —
 // without charging — once ctx is cancelled or past its deadline.
-// Records, budget agent, noise source, recorder, and execution
-// strategy are shared; a nil ctx restores the never-cancelled
-// default.
+// Records, budget agent, noise source, recorder, and width are
+// shared; a nil ctx restores the never-cancelled default.
 func (q *Queryable[T]) WithContext(ctx context.Context) *Queryable[T] {
 	out := *q
 	out.ctx = ctx
@@ -81,13 +75,10 @@ func combineCtx(a, b context.Context) context.Context {
 	return b
 }
 
-// canceler coordinates cooperative cancellation across workers. A
-// sharded-join worker polls once per record with its loop index; the
-// context itself is consulted only at cancelStride boundaries, and in
-// between workers observe each other's verdict through a shared flag,
-// so the per-record cost is a nil check and a mask compare. The chunk
-// loop polls once per chunk with index 0. A nil canceler (nil context)
-// never cancels.
+// canceler coordinates cooperative cancellation across the workers of
+// one scan: each polls it once per chunk, and the first to see the
+// context fire sets a flag its siblings see. A nil canceler (nil
+// context) never cancels.
 type canceler struct {
 	ctx  context.Context
 	stop atomic.Bool
@@ -100,13 +91,9 @@ func newCanceler(ctx context.Context) *canceler {
 	return &canceler{ctx: ctx}
 }
 
-// poll reports whether the worker at loop index i should abandon its
-// chunk.
-func (c *canceler) poll(i int) bool {
+// poll reports whether the worker should abandon its range.
+func (c *canceler) poll() bool {
 	if c == nil {
-		return false
-	}
-	if i&(cancelStride-1) != 0 {
 		return false
 	}
 	if c.stop.Load() {

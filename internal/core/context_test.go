@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,7 +157,7 @@ func TestCancelMidScan(t *testing.T) {
 				label := fmt.Sprintf("workers=%d fused=%v eager=%v", workers, fused, eager)
 				q, root := NewQueryable(records, 1.0, noise.NewSeededSource(11, 12))
 				ctx, cancel := context.WithCancel(context.Background())
-				q = q.WithContext(ctx).WithParallelism(workers)
+				q = q.WithContext(ctx).WithExecOptions(ExecOptions{Workers: workers})
 
 				var seen atomic.Int64
 				tick := func() {
@@ -203,10 +204,10 @@ func TestCancelMidScan(t *testing.T) {
 
 // TestCancelMidKeyedPass: the keyed operators' passes are scans of the
 // same loop, so the context stops them within a chunk per worker too —
-// with one worker as with four. An
-// abandoned pass of a transformation yields the empty result the
+// with one worker as with four, and in either input's pass of a join.
+// An abandoned pass of a transformation yields the empty result the
 // pre-cancelled path returns, and the aggregation behind it refuses at
-// zero ε. A Partition's deferred gather belongs to the aggregation that
+// zero ε to every input. A Partition's deferred gather belongs to the aggregation that
 // scans a part, which has charged: ErrCanceled with the charge
 // standing — and the partition as it was, for a later scan under a live
 // context to gather.
@@ -220,11 +221,11 @@ func TestCancelMidKeyedPass(t *testing.T) {
 	group := func(v float64) int { return int(v) }
 	share := func(v float64) float64 { return v / 8 }
 	for _, workers := range []int{1, 4} {
-		for _, op := range []string{"GroupBy", "GroupFold", "Distinct", "Partition", "gather"} {
+		for _, op := range []string{"GroupBy", "GroupFold", "Distinct", "Partition", "gather", "Join a", "Join b", "GroupJoin a", "GroupJoin b"} {
 			label := fmt.Sprintf("%s workers=%d", op, workers)
 			q, root := NewQueryable(records, 1.0, noise.NewSeededSource(11, 12))
 			ctx, cancel := context.WithCancel(context.Background())
-			q = q.WithContext(ctx).WithParallelism(workers)
+			q = q.WithContext(ctx).WithExecOptions(ExecOptions{Workers: workers})
 
 			var seen atomic.Int64
 			fireAt := int64(n / 4)
@@ -239,6 +240,7 @@ func TestCancelMidKeyedPass(t *testing.T) {
 				count     func(eps float64) (float64, error)
 				wantSpent float64
 				part      *Queryable[float64]
+				other     *RootAgent // a join's right input's
 			)
 			switch op {
 			case "GroupBy":
@@ -264,6 +266,20 @@ func TestCancelMidKeyedPass(t *testing.T) {
 				part = Partition(st, keys, group)[1]
 				count = func(eps float64) (float64, error) { return NoisySum(part, eps, share) }
 				wantSpent = 0.5
+			default: // a join whose context fires in the index pass of input a or b
+				var b *Queryable[float64]
+				b, other = NewQueryable(records, 1.0, noise.NewSeededSource(13, 14))
+				keyA, keyB := key, group
+				if strings.HasSuffix(op, "b") {
+					keyA, keyB = group, key
+				}
+				if strings.HasPrefix(op, "GroupJoin") {
+					j := GroupJoin(q, b, keyA, keyB, func(k int, _, _ []float64) int { return k })
+					kept, count = len(j.records), j.NoisyCount
+				} else {
+					j := Join(q, b, keyA, keyB, func(v, _ float64) float64 { return v })
+					kept, count = len(j.records), j.NoisyCount
+				}
 			}
 			if kept != 0 {
 				t.Errorf("%s: abandoned pass kept %d records", label, kept)
@@ -275,6 +291,9 @@ func TestCancelMidKeyedPass(t *testing.T) {
 			}
 			if got := root.Spent(); got != wantSpent {
 				t.Errorf("%s: ε = %v, want %v", label, got, wantSpent)
+			}
+			if other != nil && other.Spent() != 0 {
+				t.Errorf("%s: ε = %v charged to the join's other input, want 0", label, other.Spent())
 			}
 			if got, limit := seen.Load(), fireAt+int64(workers*chunkSize); got > limit {
 				t.Errorf("%s: pass ran on for %d records after the context fired at %d (limit %d)", label, got-fireAt, fireAt, limit)
@@ -328,7 +347,7 @@ func TestLiveContextKeepsResultsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	withCtx, _ := NewQueryable(records, 1.0, noise.NewSeededSource(21, 22))
-	vCtx, err := pipeline(withCtx.WithContext(context.Background()).WithParallelism(4))
+	vCtx, err := pipeline(withCtx.WithContext(context.Background()).WithExecOptions(ExecOptions{Workers: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,15 @@ import (
 	"sync/atomic"
 )
 
-// This file is the execution-strategy layer of the engine. Every
-// transformation has one privacy semantics (Table 1); ExecOptions says
-// how many workers may execute it. The record-wise operators, the
-// aggregations and the keyed operators run the one chunk loop in
-// stream.go over one source range per worker (keyed.go has the keyed
-// sinks); Join and GroupJoin have sharded strategies in parallel.go
-// beside their sequential loops. A Queryable's default is one worker;
-// dpserver runs every query on GOMAXPROCS workers at the default
-// threshold.
+// This file sets how many workers run a scan. Every transformation has
+// one privacy semantics (Table 1) and one body: the record-wise
+// operators, the aggregations and the keyed operators, Join and
+// GroupJoin among them, run the one chunk loop in stream.go over one
+// contiguous source range per worker (keyed.go has the keyed sinks).
+// The width is derived, not chosen: a Queryable starts at GOMAXPROCS
+// workers, and a scan of fewer than DefaultParallelThreshold source
+// records, or of a sink that must see its input in one range, runs on
+// one. Tests set other widths with WithExecOptions.
 //
 // The headline guarantee is determinism: for a fixed input ordering
 // and noise seed, any worker count produces byte-identical output
@@ -25,8 +25,8 @@ import (
 // agents are constructed from the transformation graph alone,
 // transformations never spend budget, and aggregations observe the
 // same records in the same order either way. exec_test.go and
-// keyed_test.go (against naive references) and parallel_test.go
-// (sequential vs sharded joins) enforce this on randomized inputs.
+// keyed_test.go enforce this against naive references on randomized
+// inputs.
 
 // DefaultParallelThreshold is the input size below which execution
 // stays on one worker when ExecOptions.Threshold is zero. Splitting a
@@ -38,20 +38,20 @@ import (
 // crossover lies between 20k and 50k.
 const DefaultParallelThreshold = 1 << 15
 
-// ExecOptions selects the execution strategy for a Queryable's
-// transformations. The zero value means sequential execution.
+// ExecOptions is the width a Queryable's scans run on. The zero value
+// is one worker.
 type ExecOptions struct {
-	// Workers is the number of concurrent workers for the parallel
-	// strategies. Values <= 1 select the sequential loops.
+	// Workers is the number of source ranges, one per goroutine, that a
+	// large scan is cut into. Values <= 1 mean one.
 	Workers int
-	// Threshold is the minimum input record count before the parallel
-	// strategy engages; below it the sequential loop runs even when
-	// Workers > 1. Zero means DefaultParallelThreshold.
+	// Threshold is the source record count from which a scan is cut
+	// into Workers ranges; below it one worker runs the scan. Zero means
+	// DefaultParallelThreshold.
 	Threshold int
 }
 
-// active reports whether the parallel strategy should run for an input
-// of n records.
+// active reports whether a scan of n source records runs on more than
+// one worker.
 func (o ExecOptions) active(n int) bool {
 	if o.Workers <= 1 {
 		return false
@@ -76,62 +76,28 @@ func (o ExecOptions) width(n int) int {
 	return w
 }
 
-// WithParallelism returns a view of this Queryable whose derived
-// pipeline uses workers concurrent workers for large transformations
-// (workers <= 0 means runtime.GOMAXPROCS(0)). Records, budget agent,
-// noise source and recorder are shared; only the execution strategy
-// differs. Inputs smaller than the threshold (DefaultParallelThreshold
-// unless overridden with WithExecOptions) still run sequentially.
-func (q *Queryable[T]) WithParallelism(workers int) *Queryable[T] {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := *q
-	out.exec.Workers = workers
-	return &out
-}
+// gomaxprocsExec is the width every Queryable starts at: GOMAXPROCS
+// workers, above the default threshold.
+func gomaxprocsExec() ExecOptions { return ExecOptions{Workers: runtime.GOMAXPROCS(0)} }
 
-// WithExecOptions returns a view of this Queryable with the full
-// execution configuration applied; see WithParallelism.
+// WithExecOptions returns a view of this Queryable whose derived
+// pipeline runs on the given width. Records, budget agent, noise source
+// and recorder are shared. Tests use it to compare widths; results do
+// not depend on it.
 func (q *Queryable[T]) WithExecOptions(o ExecOptions) *Queryable[T] {
 	out := *q
 	out.exec = o
 	return &out
 }
 
-// Exec returns this Queryable's execution configuration.
-func (q *Queryable[T]) Exec() ExecOptions { return q.exec }
-
-// defaultExec is the process-wide execution configuration picked up by
-// NewQueryable/NewQueryableFor, mirroring defaultRecorder: it exists
-// for whole-program opt-in (cmd/experiments -parallel) where threading
-// options through every analysis would be noise.
-var defaultExec atomic.Value // of ExecOptions
-
-// SetDefaultExecOptions installs the execution configuration future
-// NewQueryable and NewQueryableFor calls inherit. The zero value turns
-// parallel execution back off. Existing Queryables are unaffected.
-func SetDefaultExecOptions(o ExecOptions) {
-	defaultExec.Store(o)
-}
-
-// DefaultExecOptions returns the configuration set by
-// SetDefaultExecOptions (zero value when unset).
-func DefaultExecOptions() ExecOptions {
-	if o, ok := defaultExec.Load().(ExecOptions); ok {
-		return o
-	}
-	return ExecOptions{}
-}
-
-// parallelExecs counts transformations that took a parallel strategy,
+// parallelExecs counts scans that ran on more than one worker,
 // process-wide. Exposed for operational dashboards (dpserver registers
 // it as dp_parallel_exec_total); it carries no per-dataset or
 // per-record information.
 var parallelExecs atomic.Uint64
 
-// ParallelExecutions reports how many transformations have executed
-// under a parallel strategy since process start.
+// ParallelExecutions reports how many scans have run on more than one
+// worker since process start.
 func ParallelExecutions() uint64 { return parallelExecs.Load() }
 
 // chunk returns the half-open bounds [lo, hi) of chunk i when n items
@@ -167,7 +133,7 @@ func (p *WorkerPanic) Error() string {
 
 // runWorkers runs fn(0) … fn(w-1) on w goroutines and waits for all of
 // them. Workers must write to disjoint state (their own chunk of a
-// pre-sized slice, their own shard); the WaitGroup provides the
+// pre-sized slice, their own sink); the WaitGroup provides the
 // happens-before edge that makes those writes visible to the caller.
 // A panic in any worker is contained: every worker still runs to
 // completion (or its own panic), and the first panic is re-raised on

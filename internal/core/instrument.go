@@ -58,9 +58,8 @@ func opStart(rec obs.Recorder) time.Time {
 	return time.Now()
 }
 
-// opDone reports one completed transformation. workers is 0 for
-// sequential execution and the shard count when the parallel engine
-// ran the operator.
+// opDone reports one completed transformation. workers is 0 for one
+// worker and the worker count when the operator's scans split.
 func opDone(rec obs.Recorder, op string, start time.Time, in, out, workers int) {
 	if rec == nil {
 		return

@@ -6,12 +6,11 @@ import (
 )
 
 // This file is the keyed half of the engine: Distinct, GroupBy,
-// GroupFold, Partition, Intersect and Except as sinks on the one chunk
-// loop (stream.go). Each takes either handle, evaluates its key
-// function exactly once per record, in a pass that polls the context
-// per chunk like every scan, numbers keys with one keyIndex
-// (keyindex.go), and stores a record only when the analyst asked for
-// records:
+// GroupFold, Partition, Intersect, Except, Join and GroupJoin as sinks
+// on the one chunk loop (stream.go). Each evaluates its key function
+// exactly once per record, in a pass that polls the context per chunk
+// like every scan, numbers keys with one keyIndex (keyindex.go), and
+// stores a record only when the analyst asked for records:
 //
 //   - GroupFold folds each record into its key's accumulator as the
 //     chunks go by and never holds a group;
@@ -22,14 +21,19 @@ import (
 //     capacity. GroupBy scatters on the spot. Partition's parts know
 //     their sizes from the index pass alone, so a NoisyCount on a part
 //     is O(1) as on a bare slice, and the scatter waits until something
-//     scans a part (partition.gather).
+//     scans a part (partition.gather);
+//   - Join and GroupJoin group both inputs as GroupBy does (group),
+//     then walk the left input's keys in first-appearance order and
+//     look each up in the right input's key index.
 //
-// Under ExecOptions the passes run as one sink per contiguous source
-// range, combined in range order: a key's first appearance overall is
-// its first appearance in the earliest range that has it, so
-// first-appearance order falls out of range order and the output is
-// the sequential one byte for byte. GroupFold's fold has no merge, so
-// like the float sums it always takes one ordered range.
+// On an input of DefaultParallelThreshold records or more the passes
+// run on the Queryable's width — GOMAXPROCS workers unless a test set
+// another — as one sink per contiguous source range, combined in range
+// order: a key's first appearance overall is its first appearance in
+// the earliest range that has it, so first-appearance order falls out
+// of range order and the output is the one-worker one byte for byte.
+// GroupFold's fold has no merge, so like the float sums it always takes
+// one ordered range.
 
 // keyed runs a keyed operator's pass: nothing at all on a context that
 // is already cancelled, else one scan into sinks made by mk.
@@ -294,11 +298,46 @@ func GroupBy[T any, K comparable](src Streamer[T], key func(T) K) *Queryable[Gro
 	s := src.Stream()
 	out := empty[T, Group[K, T]](s, newScaleAgent(s.agent, 2))
 	start := opStart(s.rec)
+	g, ok := group(s, key)
+	if !ok {
+		return out
+	}
+	groups := make([]Group[K, T], len(g.index.keys))
+	for i, k := range g.index.keys {
+		groups[i] = Group[K, T]{Key: k, Items: g.items(i)}
+	}
+	opDone(s.rec, "groupby", start, g.n, len(groups), workersTag(g.workers))
+	out.records = groups
+	return out
+}
+
+// grouping is what GroupBy's two passes leave: the keys numbered in
+// first-appearance order and each group's records, in record order, in
+// one arena.
+type grouping[K comparable, T any] struct {
+	index   *keyIndex[K]
+	arena   []T
+	off     []int // group g is arena[off[g]:off[g+1]]
+	n       int   // records the passes saw
+	workers int   // ranges they ran on
+}
+
+// items returns group i's records, capacity-clipped so that appending
+// to them reallocates.
+func (g *grouping[K, T]) items(i int) []T {
+	return g.arena[g.off[i]:g.off[i+1]:g.off[i+1]]
+}
+
+// group groups s by key: an index pass that numbers every record's key,
+// then a scatter pass into one arena sized exactly to the input. It
+// charges nothing and reports no row: both belong to its caller. false
+// means the context stopped a pass (or had fired before the first).
+func group[T any, K comparable](s Stream[T], key func(T) K) (grouping[K, T], bool) {
 	ranges, ok := keyed(s, 1, func(_, n int) *indexSink[T, K] {
 		return &indexSink[T, K]{key: key, index: newKeyIndex[K](0), ids: make([]int32, 0, n)}
 	})
 	if !ok {
-		return out
+		return grouping[K, T]{}, false
 	}
 	// Range 0 numbered its keys as the whole input would; each later
 	// range's new keys follow, in range order.
@@ -313,15 +352,9 @@ func GroupBy[T any, K comparable](src Streamer[T], key func(T) K) *Queryable[Gro
 	l := place(ranges, remap, len(first.keys))
 	arena, ok := scatter(s, &l, l.at)
 	if !ok {
-		return out
+		return grouping[K, T]{}, false
 	}
-	groups := make([]Group[K, T], len(first.keys))
-	for g, k := range first.keys {
-		groups[g] = Group[K, T]{Key: k, Items: arena[l.off[g]:l.off[g+1]:l.off[g+1]]}
-	}
-	opDone(s.rec, "groupby", start, l.n, len(groups), workersTag(len(ranges)))
-	out.records = groups
-	return out
+	return grouping[K, T]{index: first, arena: arena, off: l.off, n: l.n, workers: len(ranges)}, true
 }
 
 // partition is what the parts of one Partition share: the input, the
@@ -402,18 +435,18 @@ func (p *part[T]) records(cn *canceler) ([]T, bool) {
 func (p *part[T]) feed(r *scanRun, lo, hi int, down sink[T]) {
 	recs, ok := p.records(r.cn)
 	if !ok {
-		r.cn.poll(0) // the gather saw the scan's context fire; so must the scan
+		r.cn.poll() // the gather saw the scan's context fire; so must the scan
 		return
 	}
 	Stream[T]{recs: recs}.push(r, lo, hi, down)
 }
 
 // settled returns q with its records in one slice — q itself, unless
-// its records come from a lazy source: the one way to q.records for
-// the operators that read whole slices (Concat, Join, GroupJoin). A
-// Partition part gathers, a Log view copies its records out of their
-// segments; a gather the context abandons leaves no records, under a
-// context that refuses every aggregation.
+// its records come from a lazy source: how Concat, which reads whole
+// slices, gets at q.records. A Partition part gathers, a Log view
+// copies its records out of their segments; a gather the context
+// abandons leaves no records, under a context that refuses every
+// aggregation.
 func (q *Queryable[T]) settled() *Queryable[T] {
 	if q.lazy == nil {
 		return q
@@ -572,4 +605,78 @@ func Intersect[T, U any, K comparable](q *Queryable[T], other *Queryable[U], key
 // aggregations charge both budgets.
 func Except[T, U any, K comparable](q *Queryable[T], other *Queryable[U], keyQ func(T) K, keyOther func(U) K) *Queryable[T] {
 	return semiJoin(q, other, keyQ, keyOther, false, "except")
+}
+
+// joinGroups is Join and GroupJoin: both inputs grouped by key, each on
+// the width of a's execution options, then a's keys walked in
+// first-appearance order and each looked up among b's. pair appends the
+// outputs for a key both inputs have, handed the two groups in record
+// order. The operator reports one row counting both inputs.
+func joinGroups[T, U any, K comparable, R any](a *Queryable[T], b *Queryable[U], keyA func(T) K, keyB func(U) K,
+	op string, agent Agent, pair func(out []R, k K, ga []T, gb []U) []R) *Queryable[R] {
+	sa, sb := a.Stream(), b.Stream()
+	sa.rec = combineRec(a.rec, b.rec)
+	sa.ctx = combineCtx(a.ctx, b.ctx)
+	sb.exec, sb.ctx = sa.exec, sa.ctx
+	out := empty[T, R](sa, agent)
+	start := opStart(sa.rec)
+	ga, ok := group(sa, keyA)
+	if !ok {
+		return out
+	}
+	gb, ok := group(sb, keyB)
+	if !ok {
+		return out
+	}
+	// Room for one output per key of a: the most GroupJoin makes, and
+	// what a Join of distinct keys makes.
+	recs := make([]R, 0, len(ga.index.keys))
+	for i, k := range ga.index.keys {
+		if j := gb.index.lookup(k); j >= 0 {
+			recs = pair(recs, k, ga.items(i), gb.items(int(j)))
+		}
+	}
+	opDone(sa.rec, op, start, ga.n+gb.n, len(recs), workersTag(max(ga.workers, gb.workers)))
+	out.records = recs
+	return out
+}
+
+// Join is PINQ's bounded join. Unlike a SQL equijoin, where one record
+// can match unboundedly many partners, both inputs are grouped by key
+// and, for every key both have, the two groups are zipped in record
+// order: a's i-th record of the key with b's i-th, up to the shorter
+// group. Each output record uses one record of each input, so neither
+// input's charge is scaled (Table 1). A record's partner depends on its
+// place in its group, though: removing the first of a key's g records
+// re-pairs the rest, which changes 2g − 1 output records, not one.
+// Whether the unscaled charge covers that is open (ROADMAP.md, item
+// 1(c)); the zip stays as it is until then.
+func Join[T, U any, K comparable, R any](
+	a *Queryable[T], b *Queryable[U],
+	keyA func(T) K, keyB func(U) K,
+	result func(T, U) R,
+) *Queryable[R] {
+	return joinGroups(a, b, keyA, keyB, "join", newDualAgent(a.agent, b.agent),
+		func(out []R, _ K, ga []T, gb []U) []R {
+			for i := range min(len(ga), len(gb)) {
+				out = append(out, result(ga[i], gb[i]))
+			}
+			return out
+		})
+}
+
+// GroupJoin is the variant of the bounded join that hands the result
+// function the full pair of matched groups rather than zipped record
+// pairs, matching the paper's description that "the Join results in a
+// list of pairs of groups". Each output record corresponds to one key,
+// so each input record influences at most two output records (its
+// group's pair changes); the ×2 is folded into each input's charge.
+func GroupJoin[T, U any, K comparable, R any](
+	a *Queryable[T], b *Queryable[U],
+	keyA func(T) K, keyB func(U) K,
+	result func(K, []T, []U) R,
+) *Queryable[R] {
+	agent := newDualAgent(newScaleAgent(a.agent, 2), newScaleAgent(b.agent, 2))
+	return joinGroups(a, b, keyA, keyB, "groupjoin", agent,
+		func(out []R, k K, ga []T, gb []U) []R { return append(out, result(k, ga, gb)) })
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ import (
 )
 
 // The keyed operators — Distinct, GroupBy, GroupFold, Partition,
-// Intersect, Except — against an independent reference, the way
+// Intersect, Except, Join, GroupJoin — against an independent reference, the way
 // exec_test.go holds the record-wise executor to one. Each operator has
 // one body (keyed.go), so one worker count against another compares
 // that body with itself. The reference below is written from the
@@ -22,7 +23,7 @@ import (
 // shares nothing with the engine but the noise package: it says which
 // records come out in which order, and what every count charges —
 // stability 2 behind a grouping, the maximum over a Partition's parts,
-// both inputs of a semi-join.
+// both inputs of a semi-join or a join.
 
 // refGroup is one group of the reference's GroupBy.
 type refGroup[K comparable] struct {
@@ -87,6 +88,40 @@ func refSemiJoin[K comparable](in, other []flowRec, keyIn, keyOther func(flowRec
 		}
 	}
 	return out
+}
+
+// refJoin is Join written as a map loop: b grouped by key, a's groups
+// in first-appearance order, each zipped with b's group of its key up
+// to the shorter of the two.
+func refJoin[K comparable, R any](a, b []flowRec, keyA, keyB func(flowRec) K, result func(x, y flowRec) R) []R {
+	var out []R
+	refJoinGroups(a, b, keyA, keyB, func(_ K, ga, gb []flowRec) {
+		for i := 0; i < len(ga) && i < len(gb); i++ {
+			out = append(out, result(ga[i], gb[i]))
+		}
+	})
+	return out
+}
+
+// refGroupJoin is GroupJoin written the same way: one output per key
+// both inputs have.
+func refGroupJoin[K comparable, R any](a, b []flowRec, keyA, keyB func(flowRec) K, result func(k K, ga, gb []flowRec) R) []R {
+	var out []R
+	refJoinGroups(a, b, keyA, keyB, func(k K, ga, gb []flowRec) { out = append(out, result(k, ga, gb)) })
+	return out
+}
+
+func refJoinGroups[K comparable](a, b []flowRec, keyA, keyB func(flowRec) K, pair func(k K, ga, gb []flowRec)) {
+	groupsB := map[K][]flowRec{}
+	for _, r := range b {
+		k := keyB(r)
+		groupsB[k] = append(groupsB[k], r)
+	}
+	for _, g := range refGroupBy(a, keyA) {
+		if gb, ok := groupsB[g.key]; ok {
+			pair(g.key, g.items, gb)
+		}
+	}
 }
 
 // refCharger is the reference's accounting: who pays for a count.
@@ -261,6 +296,11 @@ func TestKeyedOperatorsMatchReference(t *testing.T) {
 			}
 		}
 	}
+
+	for _, gmp := range []int{1, 4} {
+		runtime.GOMAXPROCS(gmp)
+		checkJoins(t, fmt.Sprintf("GOMAXPROCS=%d", gmp), rand.New(rand.NewSource(int64(gmp))))
+	}
 }
 
 // checkKeyed holds every keyed operator over c.in, keyed by key, to the
@@ -389,6 +429,134 @@ func checkKeyed[K comparable](t *testing.T, c keyedCase, key func(flowRec) K, li
 			t.Fatalf("%s: %s charged the other input %v, want 0.4", label, op, oroot.Spent())
 		}
 	}
+}
+
+// joinSide is one way a join's input reaches it, holding recs: an
+// eager slice, a Partition part, or a Log view.
+type joinSide struct {
+	name string
+	make func(recs []flowRec, src noise.Source) (*Queryable[flowRec], *RootAgent)
+}
+
+// decoyPort marks the records a part's Partition leaves out.
+const decoyPort = 1000
+
+var joinSides = []joinSide{
+	{"slice", func(recs []flowRec, src noise.Source) (*Queryable[flowRec], *RootAgent) {
+		return NewQueryable(recs, math.Inf(1), src)
+	}},
+	{"part", func(recs []flowRec, src noise.Source) (*Queryable[flowRec], *RootAgent) {
+		var mixed []flowRec
+		for i, r := range recs {
+			if i%3 == 0 {
+				mixed = append(mixed, flowRec{Port: decoyPort})
+			}
+			mixed = append(mixed, r)
+		}
+		q, root := NewQueryable(mixed, math.Inf(1), src)
+		return Partition(q, []bool{true}, func(f flowRec) bool { return f.Port != decoyPort })[true], root
+	}},
+	{"log", func(recs []flowRec, src noise.Source) (*Queryable[flowRec], *RootAgent) {
+		// Segments of 300 records behind a 100-record prefix: the view
+		// straddles a boundary once it holds more than 200 records.
+		l := fillLog(300, append(make([]flowRec, 100), recs...), 64)
+		root := NewRootAgent(math.Inf(1))
+		return NewQueryableForView(l.View().Slice(100, 100+len(recs)), root, src), root
+	}},
+}
+
+// flowPair is a 16-byte struct key shaped like the RTT join's
+// handshakeKey (two addresses, two ports, a sequence number).
+type flowPair struct {
+	a, b   uint32
+	pa, pb uint16
+	val    uint32
+}
+
+func pairKey(f flowRec) flowPair {
+	return flowPair{a: f.Src, b: f.Src >> 2, pa: f.Port % 2, val: f.Src * 3}
+}
+
+// checkJoins holds Join and GroupJoin to refJoin and refGroupJoin with
+// each input an eager slice, a Partition part or a Log view, at widths
+// 1, 2 and 4 on every input size, on integer and struct keys.
+func checkJoins(t *testing.T, label string, rng *rand.Rand) {
+	t.Helper()
+	n := 3*chunkSize + 5
+	disjoint := randomFlows(rng, 2*chunkSize)
+	for i := range disjoint {
+		disjoint[i].Src += 1 << 24 // randomFlows keeps Src below n/7
+	}
+	cases := []struct {
+		name string
+		a, b []flowRec
+	}{
+		{"a empty", nil, randomFlows(rng, 300)},
+		{"b empty", randomFlows(rng, 300), nil},
+		{"no common key", randomFlows(rng, n), disjoint},
+		{"skewed", randomFlows(rng, n), randomFlows(rng, 2*chunkSize+1)},
+	}
+	for _, c := range cases {
+		for _, sa := range joinSides {
+			for _, sb := range joinSides {
+				for _, workers := range []int{1, 2, 4} {
+					l := fmt.Sprintf("%s %s: a %s, b %s, workers=%d", label, c.name, sa.name, sb.name, workers)
+					checkJoin(t, l+" uint32", c.a, c.b, sa, sb, workers, func(f flowRec) uint32 { return f.Src })
+					checkJoin(t, l+" struct", c.a, c.b, sa, sb, workers, pairKey)
+				}
+			}
+		}
+	}
+}
+
+// checkJoin runs Join and GroupJoin of a and b, made by sa and sb, on
+// the given width and compares the records, their order, and what a
+// count of the result charges each input and draws.
+func checkJoin[K comparable](t *testing.T, label string, a, b []flowRec, sa, sb joinSide, workers int, key func(flowRec) K) {
+	t.Helper()
+	type zipped struct{ A, B flowRec }
+	type paired struct {
+		Key  K
+		A, B []flowRec
+	}
+	zip := func(x, y flowRec) zipped { return zipped{x, y} }
+	pair := func(k K, x, y []flowRec) paired { return paired{k, x, y} }
+	exec := ExecOptions{Workers: workers, Threshold: 1}
+	for _, grouped := range []bool{false, true} {
+		src := &countingSource{src: noise.NewSeededSource(5, 8)}
+		qa, rootA := sa.make(a, src)
+		qb, rootB := sb.make(b, noise.NewSeededSource(1, 1))
+		qa, qb = qa.WithRecorder(nil).WithExecOptions(exec), qb.WithRecorder(nil).WithExecOptions(exec)
+		op, n, scale, count := "Join", 0, 1.0, func(float64) (float64, error) { return 0, nil }
+		if grouped {
+			got, want := GroupJoin(qa, qb, key, key, pair), refGroupJoin(a, b, key, key, pair)
+			if !sameOutputs(got.records, want) {
+				t.Fatalf("%s: GroupJoin made %d records, reference %d (or others, or another order)", label, len(got.records), len(want))
+			}
+			op, n, scale, count = "GroupJoin", len(want), 2, got.NoisyCount
+		} else {
+			got, want := Join(qa, qb, key, key, zip), refJoin(a, b, key, key, zip)
+			if !sameOutputs(got.records, want) {
+				t.Fatalf("%s: Join made %d records, reference %d (or others, or another order)", label, len(got.records), len(want))
+			}
+			n, count = len(want), got.NoisyCount
+		}
+		refSrc := &countingSource{src: noise.NewSeededSource(5, 8)}
+		want, _ := refCount(n, &refRoot{budget: math.Inf(1)}, refSrc, 0.25)
+		if got, err := count(0.25); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %s count = (%v, %v), reference %v", label, op, got, err, want)
+		}
+		if rootA.Spent() != scale*0.25 || rootB.Spent() != scale*0.25 || src.draws != refSrc.draws {
+			t.Fatalf("%s: %s count charged a %v and b %v with %d draws, want %v each and %d draws",
+				label, op, rootA.Spent(), rootB.Spent(), src.draws, scale*0.25, refSrc.draws)
+		}
+	}
+}
+
+// sameOutputs compares a join's records with the reference's, an empty
+// output equal to a nil one.
+func sameOutputs[R any](got, want []R) bool {
+	return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
 }
 
 // sameCount runs a count on both sides and compares answer, refusal,
@@ -532,7 +700,7 @@ func TestPartitionSiblingsGatherOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		q, _ := NewQueryable(flows, math.Inf(1), noise.NewSeededSource(1, 2))
 		var staged atomic.Int64
-		st := q.WithParallelism(workers).Stream().Where(func(f flowRec) bool { staged.Add(1); return f.Len%3 != 0 })
+		st := q.WithExecOptions(ExecOptions{Workers: workers}).Stream().Where(func(f flowRec) bool { staged.Add(1); return f.Len%3 != 0 })
 		keys := []uint16{0, 1, 2, 3, 4, 5, 6, 7}
 		parts := Partition(st, keys, func(f flowRec) uint16 { return f.Port })
 		want := refPartition(flows, keys, func(f flowRec) uint16 {
@@ -600,5 +768,55 @@ func TestDeferredPartIsForced(t *testing.T) {
 	}
 	if got := parts[1].WithContext(context.Background()).Where(anyLen).records; !sameRecords(got, want[1]) {
 		t.Fatalf("part under a new context holds %d records, want %d", len(got), len(want[1]))
+	}
+}
+
+// FuzzJoin holds Join and GroupJoin to refJoin and refGroupJoin on
+// arbitrary inputs: keys over a key space of any size (one key, a few
+// large groups, all distinct), both sides Log views of any segment
+// capacity or b an eager slice, widths 1 to 4, integer and struct keys.
+func FuzzJoin(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 1, 1}, uint16(3*chunkSize+7), uint16(700), uint16(3), uint16(7), uint8(2))
+	f.Add([]byte{}, uint16(0), uint16(5), uint16(0), uint16(1), uint8(0))
+	f.Add([]byte{9}, uint16(chunkSize+1), uint16(chunkSize+1), uint16(0), uint16(chunkSize), uint8(7))
+	f.Add([]byte{}, uint16(2000), uint16(1999), uint16(math.MaxUint16), uint16(513), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, na, nb, keys, seg uint16, workers uint8) {
+		flows := func(n, salt int) []flowRec {
+			out := make([]flowRec, n)
+			for i := range out {
+				v := i*31 + salt
+				if len(data) > 0 {
+					v += int(data[i%len(data)]) << 16
+				}
+				out[i] = flowRec{Src: uint32(v % (1 + int(keys))), Port: uint16(i % 3), Len: i}
+			}
+			return out
+		}
+		a, b := flows(int(na)%(4*chunkSize), 0), flows(int(nb)%(4*chunkSize), 1)
+		capacity, skip := 1+int(seg)%(2*chunkSize), int(seg)%7
+		view := func(recs []flowRec) *Queryable[flowRec] {
+			l := fillLog(capacity, append(make([]flowRec, skip), recs...), 1+int(seg)%97)
+			return NewQueryableForView(l.View().Slice(skip, skip+len(recs)), NewRootAgent(math.Inf(1)), noise.NewSeededSource(1, 2))
+		}
+		exec := ExecOptions{Workers: 1 + int(workers)%4, Threshold: 1}
+		qa, qb := view(a), view(b)
+		if workers&4 != 0 {
+			qb = NewQueryableFor(b, NewRootAgent(math.Inf(1)), noise.NewSeededSource(1, 2))
+		}
+		qa, qb = qa.WithExecOptions(exec), qb.WithExecOptions(exec)
+		fuzzJoin(t, qa, qb, a, b, func(f flowRec) uint32 { return f.Src })
+		fuzzJoin(t, qa, qb, a, b, pairKey)
+	})
+}
+
+func fuzzJoin[K comparable](t *testing.T, qa, qb *Queryable[flowRec], a, b []flowRec, key func(flowRec) K) {
+	t.Helper()
+	zip := func(x, y flowRec) [2]int { return [2]int{x.Len, y.Len} }
+	pair := func(k K, x, y []flowRec) string { return fmt.Sprint(k, x, y) }
+	if got, want := Join(qa, qb, key, key, zip).records, refJoin(a, b, key, key, zip); !sameOutputs(got, want) {
+		t.Fatalf("Join of %d and %d records: %d outputs, reference %d (or others, or another order)", len(a), len(b), len(got), len(want))
+	}
+	if got, want := GroupJoin(qa, qb, key, key, pair).records, refGroupJoin(a, b, key, key, pair); !sameOutputs(got, want) {
+		t.Fatalf("GroupJoin of %d and %d records: %d outputs, reference %d (or others, or another order)", len(a), len(b), len(got), len(want))
 	}
 }

@@ -126,7 +126,7 @@ func (v LogView[T]) size() int { return v.Len() }
 // chunks push cuts a slice into, polling the context between chunks.
 func (v LogView[T]) feed(r *scanRun, lo, hi int, down sink[T]) {
 	var scratch []T // this worker's, for chunks that straddle a boundary
-	for lo, hi = v.lo+lo, v.lo+hi; lo < hi && !r.cn.poll(0); lo += chunkSize {
+	for lo, hi = v.lo+lo, v.lo+hi; lo < hi && !r.cn.poll(); lo += chunkSize {
 		n := min(chunkSize, hi-lo)
 		if seg, at := lo/v.seg, lo%v.seg; at+n <= v.seg {
 			down.acceptChunk(v.segs[seg][at : at+n : at+n])

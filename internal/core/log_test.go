@@ -46,8 +46,8 @@ type logOutcome struct {
 }
 
 // logBattery runs every aggregation, every pipeline shape, the keyed
-// operators, Partition, and the slice-reading operators (Join,
-// GroupJoin, Concat through settled; Intersect and Except) over q.
+// operators, Partition, and the two-input operators (Join, GroupJoin,
+// Concat through settled, Intersect and Except) over q.
 func logBattery(q *Queryable[flowRec], root *RootAgent, src *countingSource, rec *captureRecorder) logOutcome {
 	var out logOutcome
 	note := func(v float64, err error) {

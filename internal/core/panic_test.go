@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -70,6 +71,51 @@ func TestGroupByWorkerPanicIsRecoverable(t *testing.T) {
 	}()
 	if _, ok := recovered.(*WorkerPanic); !ok {
 		t.Fatalf("recovered %T, want *WorkerPanic", recovered)
+	}
+}
+
+// TestJoinKeyPanicBecomesErrInternal: a key function that panics in
+// either input's index pass unwinds out of Join and GroupJoin — across
+// workers as a *WorkerPanic — to a caller-side recover that makes it
+// ErrInternal, before any aggregation has charged either input.
+func TestJoinKeyPanicBecomesErrInternal(t *testing.T) {
+	fine := func(v int) int { return v % 7 }
+	buggy := func(v int) int {
+		if v == 1234 {
+			panic("key bug")
+		}
+		return v % 7
+	}
+	for _, workers := range []int{1, 4} {
+		for _, op := range []string{"Join a", "Join b", "GroupJoin a", "GroupJoin b"} {
+			label := fmt.Sprintf("%s workers=%d", op, workers)
+			a, rootA := NewQueryable(manyInts(2000), 1, noise.NewSeededSource(1, 2))
+			b, rootB := NewQueryable(manyInts(2000), 1, noise.NewSeededSource(3, 4))
+			a = a.WithExecOptions(ExecOptions{Workers: workers, Threshold: 1})
+			keyA, keyB := buggy, fine
+			if strings.HasSuffix(op, "b") {
+				keyA, keyB = fine, buggy
+			}
+			run := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = panicError(r)
+					}
+				}()
+				if strings.HasPrefix(op, "GroupJoin") {
+					_, err = GroupJoin(a, b, keyA, keyB, func(k int, _, _ []int) int { return k }).NoisyCount(0.1)
+				} else {
+					_, err = Join(a, b, keyA, keyB, func(x, _ int) int { return x }).NoisyCount(0.1)
+				}
+				return err
+			}
+			if err := run(); !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "key bug") {
+				t.Fatalf("%s: err = %v, want ErrInternal carrying the panic", label, err)
+			}
+			if rootA.Spent() != 0 || rootB.Spent() != 0 {
+				t.Fatalf("%s: spent %v and %v, want 0 (the panic came before any charge)", label, rootA.Spent(), rootB.Spent())
+			}
+		}
 	}
 }
 

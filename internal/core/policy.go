@@ -25,7 +25,7 @@ func NewQueryableFor[T any](records []T, agent Agent, src noise.Source) *Queryab
 		agent:   agent,
 		src:     noise.NewLockedSource(src),
 		rec:     DefaultRecorder(),
-		exec:    DefaultExecOptions(),
+		exec:    gomaxprocsExec(),
 	}
 }
 

@@ -19,7 +19,7 @@ type Queryable[T any] struct {
 	agent   Agent
 	src     noise.Source
 	rec     obs.Recorder    // nil (the default) disables telemetry
-	exec    ExecOptions     // zero value (the default) = sequential execution
+	exec    ExecOptions     // the width its scans run on; see exec.go
 	ctx     context.Context // nil (the default) = never cancelled; see WithContext
 }
 
@@ -37,7 +37,7 @@ func NewQueryable[T any](records []T, budget float64, src noise.Source) (*Querya
 		agent:   root,
 		src:     noise.NewLockedSource(src),
 		rec:     DefaultRecorder(),
-		exec:    DefaultExecOptions(),
+		exec:    gomaxprocsExec(),
 	}, root
 }
 
@@ -54,7 +54,7 @@ func derive[T, U any](q *Queryable[T], records []U, agent Agent) *Queryable[U] {
 //
 // Queryable transformations are eager: pred runs now, over every
 // record, on the engine's one chunk loop (stream.go) — across workers
-// when WithParallelism says so — and reports to the recorder.
+// when the input is large enough — and reports to the recorder.
 func (q *Queryable[T]) Where(pred func(T) bool) *Queryable[T] {
 	return q.Stream().Where(pred).Materialize()
 }
@@ -95,120 +95,4 @@ func Select[T, U any](q *Queryable[T], f func(T) U) *Queryable[U] {
 // sensitivity is amplified by fanout; fanout must be ≥ 1.
 func SelectMany[T, U any](q *Queryable[T], fanout int, f func(T) []U) *Queryable[U] {
 	return StreamSelectMany(q.Stream(), fanout, f).Materialize()
-}
-
-// Join is PINQ's bounded join. Unlike a SQL equijoin — where one record
-// can match unboundedly many partners and would destroy the privacy
-// guarantee — both inputs are grouped by key and the matched groups are
-// zipped pairwise, so each input record influences at most one output
-// record. Neither input's sensitivity increases (Table 1).
-func Join[T, U any, K comparable, R any](
-	a *Queryable[T], b *Queryable[U],
-	keyA func(T) K, keyB func(U) K,
-	result func(T, U) R,
-) *Queryable[R] {
-	rec := combineRec(a.rec, b.rec)
-	ctx := combineCtx(a.ctx, b.ctx)
-	if ctxErr(ctx) != nil {
-		res := derive(a, []R{}, newDualAgent(a.agent, b.agent))
-		res.rec = rec
-		res.ctx = ctx
-		return res
-	}
-	a, b = a.settled(), b.settled()
-	if a.exec.active(len(a.records) + len(b.records)) {
-		return joinParallel(a, b, keyA, keyB, result)
-	}
-	start := opStart(rec)
-	groupsA := make(map[K][]T, len(a.records))
-	orderA := make([]K, 0, len(a.records))
-	for _, r := range a.records {
-		k := keyA(r)
-		if _, ok := groupsA[k]; !ok {
-			orderA = append(orderA, k)
-		}
-		groupsA[k] = append(groupsA[k], r)
-	}
-	groupsB := make(map[K][]U, len(b.records))
-	for _, r := range b.records {
-		k := keyB(r)
-		groupsB[k] = append(groupsB[k], r)
-	}
-	// Each left record contributes at most one zipped pair.
-	out := make([]R, 0, min(len(a.records), len(b.records)))
-	for _, k := range orderA {
-		ga := groupsA[k]
-		gb, ok := groupsB[k]
-		if !ok {
-			continue
-		}
-		n := len(ga)
-		if len(gb) < n {
-			n = len(gb)
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, result(ga[i], gb[i]))
-		}
-	}
-	opDone(rec, "join", start, len(a.records)+len(b.records), len(out), 0)
-	res := derive(a, out, newDualAgent(a.agent, b.agent))
-	res.rec = rec
-	res.ctx = ctx
-	return res
-}
-
-// GroupJoin is the variant of the bounded join that hands the result
-// function the full pair of matched groups rather than zipped record
-// pairs, matching the paper's description that "the Join results in a
-// list of pairs of groups". Each output record corresponds to one key,
-// so each input record influences at most two output records (its
-// group's pair changes); the ×2 is folded into each input's charge.
-func GroupJoin[T, U any, K comparable, R any](
-	a *Queryable[T], b *Queryable[U],
-	keyA func(T) K, keyB func(U) K,
-	result func(K, []T, []U) R,
-) *Queryable[R] {
-	rec := combineRec(a.rec, b.rec)
-	ctx := combineCtx(a.ctx, b.ctx)
-	if ctxErr(ctx) != nil {
-		agent := newDualAgent(newScaleAgent(a.agent, 2), newScaleAgent(b.agent, 2))
-		res := derive(a, []R{}, agent)
-		res.rec = rec
-		res.ctx = ctx
-		return res
-	}
-	a, b = a.settled(), b.settled()
-	if a.exec.active(len(a.records) + len(b.records)) {
-		return groupJoinParallel(a, b, keyA, keyB, result)
-	}
-	start := opStart(rec)
-	groupsA := make(map[K][]T, len(a.records))
-	orderA := make([]K, 0, len(a.records))
-	for _, r := range a.records {
-		k := keyA(r)
-		if _, ok := groupsA[k]; !ok {
-			orderA = append(orderA, k)
-		}
-		groupsA[k] = append(groupsA[k], r)
-	}
-	groupsB := make(map[K][]U, len(b.records))
-	for _, r := range b.records {
-		k := keyB(r)
-		groupsB[k] = append(groupsB[k], r)
-	}
-	// At most one output record per distinct left key.
-	out := make([]R, 0, len(orderA))
-	for _, k := range orderA {
-		gb, ok := groupsB[k]
-		if !ok {
-			continue
-		}
-		out = append(out, result(k, groupsA[k], gb))
-	}
-	opDone(rec, "groupjoin", start, len(a.records)+len(b.records), len(out), 0)
-	agent := newDualAgent(newScaleAgent(a.agent, 2), newScaleAgent(b.agent, 2))
-	res := derive(a, out, agent)
-	res.rec = rec
-	res.ctx = ctx
-	return res
 }

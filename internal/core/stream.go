@@ -141,7 +141,7 @@ func (s Stream[T]) push(r *scanRun, lo, hi int, down sink[T]) {
 		s.feed(r, lo, hi, down)
 		return
 	}
-	for ; lo < hi && !r.cn.poll(0); lo += chunkSize {
+	for ; lo < hi && !r.cn.poll(); lo += chunkSize {
 		down.acceptChunk(s.recs[lo:min(lo+chunkSize, hi)])
 	}
 }
@@ -350,7 +350,7 @@ func empty[T, U any](s Stream[T], agent Agent) *Queryable[U] {
 // ordinary Queryable carrying the stream's agent, noise source,
 // recorder, execution options and context — how the eager Queryable
 // transformations execute, and the way from a fused chain into the
-// operators that read whole record slices (Join, GroupJoin, Concat).
+// operators that take a *Queryable (Concat, the joins and semi-joins).
 // Each worker range collects into a buffer pre-sized to its source
 // range, as the eager operators always have. On a context that is
 // already cancelled, or fires mid-scan, the result is empty — harmless,
@@ -386,4 +386,17 @@ func (s Stream[T]) collect() (recs []T, workers int, ok bool) {
 		chunks[i] = p.out
 	}
 	return mergeChunks(chunks), len(parts), true
+}
+
+// mergeChunks concatenates per-range output slices in range order.
+func mergeChunks[T any](parts [][]T) []T {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := make([]T, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
