@@ -17,8 +17,8 @@ cover:
 # Engine, ledger, trace-codec, trace-generator and served-query
 # benchmarks, parsed into BENCH_core.json (cmd/benchjson) so every PR
 # leaves a perf trajectory. Sequential and Parallel variants of each
-# operator land side by side, as do the ledger's fsync=never vs
-# fsync=always append costs (the price of durable ε-accounting) and
+# operator land side by side, as do the ledger's append cost (one
+# fsync per record, the price of durable ε-accounting) and
 # dpserver's BenchmarkServed* rows (six kinds × four sizes, through the
 # HTTP handler at the server's default width); run with e.g.
 # `make bench BENCHFLAGS='-cpu 1,4'` to add scaling points. -p 1: one

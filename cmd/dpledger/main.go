@@ -30,10 +30,11 @@
 // the exit code. inspect prints the recovered budget state as JSON
 // (-events additionally dumps every WAL record as JSON lines; -json
 // emits ONLY the NDJSON event stream, one object per WAL record, for
-// piping into jq or a log shipper). compact
-// opens the ledger, writes a fresh snapshot, and deletes the WAL
-// segments and snapshots it supersedes. Only run compact while no
-// dpserver has the ledger open — the ledger assumes a single writer.
+// piping into jq or a log shipper). compact opens the ledger, writes a
+// fresh snapshot (holding the same newest ledger.AuditCap audit entries
+// the server keeps), and deletes the WAL segments and snapshots it
+// supersedes. Only run compact while no dpserver has the ledger open —
+// the ledger assumes a single writer.
 package main
 
 import (
@@ -63,14 +64,13 @@ func main() {
 	events := fs.Bool("events", false, "inspect: also dump every WAL event as JSON lines")
 	ndjson := fs.Bool("json", false, "inspect: emit NDJSON only — one JSON object per WAL record, no state summary")
 	quiet := fs.Bool("q", false, "verify: suppress the report, communicate via exit code only")
-	auditCap := fs.Int("audit-cap", 0, "audit-trail bound during replay (0 = server default)")
 	fs.Parse(os.Args[2:])
 	if cmd == "diff" {
 		if fs.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "dpledger: diff takes exactly two ledger directories")
 			os.Exit(exitUsage)
 		}
-		diff(fs.Arg(0), fs.Arg(1), *auditCap, *quiet)
+		diff(fs.Arg(0), fs.Arg(1), *quiet)
 		return
 	}
 	if *dir == "" {
@@ -80,11 +80,11 @@ func main() {
 
 	switch cmd {
 	case "verify":
-		verify(*dir, *auditCap, *quiet)
+		verify(*dir, *quiet)
 	case "inspect":
-		inspect(*dir, *auditCap, *events, *ndjson)
+		inspect(*dir, *events, *ndjson)
 	case "compact":
-		compact(*dir, *auditCap)
+		compact(*dir)
 	default:
 		usage()
 	}
@@ -103,8 +103,8 @@ func usage() {
 // the histories hold different bytes for the same seq, printing the
 // first divergent seq and the per-analyst ε drift. The failover
 // runbook (README) ends with this check.
-func diff(dirA, dirB string, auditCap int, quiet bool) {
-	r, err := ledger.Diff(dirA, dirB, auditCap)
+func diff(dirA, dirB string, quiet bool) {
+	r, err := ledger.Diff(dirA, dirB, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -139,8 +139,8 @@ func printDeltas(r *ledger.DiffReport) {
 	}
 }
 
-func verify(dir string, auditCap int, quiet bool) {
-	state, rec, err := ledger.Replay(dir, auditCap)
+func verify(dir string, quiet bool) {
+	state, rec, err := ledger.Replay(dir, 0)
 	if err != nil {
 		if !quiet {
 			fmt.Fprintf(os.Stderr, "dpledger: CORRUPT: %v\n", err)
@@ -166,7 +166,7 @@ func verify(dir string, auditCap int, quiet bool) {
 	os.Exit(exitClean)
 }
 
-func inspect(dir string, auditCap int, dumpEvents, ndjson bool) {
+func inspect(dir string, dumpEvents, ndjson bool) {
 	if ndjson {
 		// Machine mode: nothing but NDJSON on stdout — one JSON object
 		// per WAL record, pipeable straight into jq or a log shipper.
@@ -178,7 +178,7 @@ func inspect(dir string, auditCap int, dumpEvents, ndjson bool) {
 		}
 		return
 	}
-	state, _, err := ledger.Replay(dir, auditCap)
+	state, _, err := ledger.Replay(dir, 0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dpledger: warning: history corrupt after seq %d: %v\n", state.Seq, err)
 	}
@@ -198,9 +198,9 @@ func inspect(dir string, auditCap int, dumpEvents, ndjson bool) {
 	}
 }
 
-func compact(dir string, auditCap int) {
+func compact(dir string) {
 	led, err := ledger.Open(ledger.Options{
-		Dir: dir, AuditCap: auditCap,
+		Dir: dir,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -16,12 +16,12 @@
 // -ledger-dir enables the durable privacy-budget ledger: every
 // ε-charge, dataset registration, audit entry, and keyed idempotent
 // response is journaled to a checksummed WAL and made durable before
-// the answer it backs is released — one commit per request (fsync
-// policy -fsync always|interval|never, snapshots + compaction every
-// -snapshot-every events) — and restored on restart, so a crash never
-// resets analyst budgets. Without it, budgets are in-memory only and a
-// restart re-opens the full budget. Inspect a ledger directory with
-// the dpledger tool (inspect / verify / compact).
+// the answer it backs is released — one commit, one fsync, per request
+// (snapshots + compaction every -snapshot-every events) — and restored
+// on restart, so a crash or power loss never resets analyst budgets.
+// Without it, budgets are in-memory only and a restart re-opens the
+// full budget. Inspect a ledger directory with the dpledger tool
+// (inspect / verify / compact).
 //
 // Replication (requires -ledger-dir): -repl-listen makes this node a
 // PRIMARY that streams every committed ledger event to followers
@@ -121,7 +121,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested X-DP-Timeout-Ms deadlines (0 = default only)")
 	drainWait := flag.Duration("drain-wait", 30*time.Second, "how long shutdown waits for in-flight queries to drain")
 	ledgerDir := flag.String("ledger-dir", "", "directory for the durable privacy-budget ledger (empty = in-memory budgets, lost on restart)")
-	fsyncPolicy := flag.String("fsync", "always", "ledger durability: always (sync once per request, before its answer is released), interval, or never")
 	snapshotEvery := flag.Int("snapshot-every", 0, "ledger events between snapshots + compaction (0 = default 4096, negative = never)")
 	slowQuery := flag.Duration("slow-query", 0, "slow-query log threshold: completed queries at least this slow emit a slow_query warning event (0 = off)")
 	eventLog := flag.String("event-log", "stderr", "wide-event JSON stream destination: stderr, a file path, or 'none' (ring-only, still served at /v1/debug/queries)")
@@ -192,13 +191,9 @@ func main() {
 	}
 	var led *ledger.Ledger
 	if *ledgerDir != "" {
-		policy, err := ledger.ParseFsyncPolicy(*fsyncPolicy)
-		if err != nil {
-			fatal(err)
-		}
+		var err error
 		led, err = ledger.Open(ledger.Options{
 			Dir:           *ledgerDir,
-			Fsync:         policy,
 			SnapshotEvery: *snapshotEvery,
 			Logf:          events.Logf(qlog.Warn, "ledger"),
 		})
@@ -211,8 +206,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dpserver: LEDGER CORRUPT, all charges will be refused (fail closed): %v\n", rec.Err)
 			fmt.Fprintf(os.Stderr, "dpserver: inspect with: dpledger verify -dir %s\n", *ledgerDir)
 		} else {
-			fmt.Printf("ledger %s: recovered snapshot seq %d + %d events (fsync=%s)\n",
-				*ledgerDir, rec.SnapshotSeq, rec.Events, *fsyncPolicy)
+			fmt.Printf("ledger %s: recovered snapshot seq %d + %d events\n",
+				*ledgerDir, rec.SnapshotSeq, rec.Events)
 			if rec.TornBytes > 0 {
 				fmt.Printf("ledger: truncated %d-byte torn tail from an unclean shutdown\n", rec.TornBytes)
 			}

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"dptrace/internal/ledger"
 )
 
 // AuditEntry records one query attempt for the data owner's ledger.
@@ -27,33 +29,20 @@ type AuditEntry struct {
 	Outcome string `json:"outcome"`
 }
 
-// auditLog is a bounded in-memory ledger.
+// auditLog is a bounded in-memory ledger: it keeps at most
+// ledger.AuditCap entries, the bound the durable trail replays under.
 type auditLog struct {
 	mu      sync.Mutex
 	entries []AuditEntry
-	max     int
-	now     func() time.Time
-}
-
-const defaultAuditCap = 10000
-
-func newAuditLog(max int, now func() time.Time) *auditLog {
-	if max <= 0 {
-		max = defaultAuditCap
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &auditLog{max: max, now: now}
 }
 
 func (l *auditLog) add(e AuditEntry) {
-	e.Time = l.now()
+	e.Time = time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.entries) >= l.max {
+	if len(l.entries) >= ledger.AuditCap {
 		// Drop the oldest half to amortize copying.
-		keep := l.max / 2
+		keep := ledger.AuditCap / 2
 		copy(l.entries, l.entries[len(l.entries)-keep:])
 		l.entries = l.entries[:keep]
 	}
@@ -61,13 +50,10 @@ func (l *auditLog) add(e AuditEntry) {
 }
 
 // restore replaces the trail with ledger-recovered entries (startup
-// only), keeping at most the newest max.
+// only); the fold already bounds them by ledger.AuditCap.
 func (l *auditLog) restore(entries []AuditEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(entries) > l.max {
-		entries = entries[len(entries)-l.max:]
-	}
 	l.entries = append([]AuditEntry(nil), entries...)
 }
 

@@ -59,7 +59,7 @@ func chaosRound(t *testing.T, seed uint64) {
 	dir := t.TempDir()
 	fsys := vfs.NewFaultFS(vfs.OS{})
 	led, err := ledger.Open(ledger.Options{
-		Dir: dir, FS: fsys, Fsync: ledger.FsyncAlways, SnapshotEvery: 8, Logf: t.Logf,
+		Dir: dir, FS: fsys, SnapshotEvery: 8, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("seed %d: open: %v", seed, err)

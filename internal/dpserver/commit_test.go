@@ -380,7 +380,7 @@ func TestWriteFaultAfterChargeStillCommits(t *testing.T) {
 // cached for the key.
 func TestAckTimeoutWithholdsResult(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	ledA, err := ledger.Open(ledger.Options{Dir: dirA, Fsync: ledger.FsyncAlways, Logf: t.Logf})
+	ledA, err := ledger.Open(ledger.Options{Dir: dirA, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestAckTimeoutWithholdsResult(t *testing.T) {
 	// The standby's disk dies at its next fsync: it receives the
 	// request's records, cannot make them durable, and never acks.
 	fsysB := vfs.NewFaultFS(nil)
-	ledB, err := ledger.Open(ledger.Options{Dir: dirB, FS: fsysB, Fsync: ledger.FsyncAlways, Logf: t.Logf})
+	ledB, err := ledger.Open(ledger.Options{Dir: dirB, FS: fsysB, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

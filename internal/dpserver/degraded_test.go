@@ -34,7 +34,7 @@ func faultLedgerServer(t *testing.T, total, perAnalyst float64) (*Server, *httpt
 	fsys := vfs.NewFaultFS(vfs.OS{})
 	dir := t.TempDir()
 	led, err := ledger.Open(ledger.Options{
-		Dir: dir, FS: fsys, Fsync: ledger.FsyncAlways, Logf: t.Logf,
+		Dir: dir, FS: fsys, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func twinServer(t *testing.T, packets []trace.Packet, opts core.ExecOptions,
 	exec func(*core.Queryable[trace.Packet], *QueryRequest) (*QueryResponse, error)) (*Server, *httptest.Server, string) {
 	t.Helper()
 	dir := t.TempDir()
-	led, err := ledger.Open(ledger.Options{Dir: dir, Fsync: ledger.FsyncNever, Logf: t.Logf})
+	led, err := ledger.Open(ledger.Options{Dir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,7 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 		linkSets: make(map[string]*linkDataset),
 		hopSets:  make(map[string]*hopDataset),
 		src:      noise.NewLockedSource(src),
-		audit:    newAuditLog(0, nil),
+		audit:    new(auditLog),
 		start:    time.Now(),
 		metrics:  obs.NewRegistry(),
 		idem:     newIdemCache(),

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dptrace/internal/core"
+	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
 	"dptrace/internal/trace"
 	"dptrace/internal/tracegen"
@@ -372,12 +373,12 @@ func TestAuditLedger(t *testing.T) {
 }
 
 func TestAuditLogBounded(t *testing.T) {
-	l := newAuditLog(10, nil)
-	for i := 0; i < 100; i++ {
+	l := new(auditLog)
+	for i := 0; i < 2*ledger.AuditCap+5; i++ {
 		l.add(AuditEntry{Analyst: "a"})
 	}
-	if got := len(l.snapshot()); got > 10 {
-		t.Fatalf("audit log grew to %d entries, cap 10", got)
+	if got := len(l.snapshot()); got > ledger.AuditCap {
+		t.Fatalf("audit log grew to %d entries, cap %d", got, ledger.AuditCap)
 	}
 }
 

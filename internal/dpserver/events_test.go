@@ -214,7 +214,7 @@ func TestSlowQueryEvent(t *testing.T) {
 // ε-parity test below.
 func explainLedgerServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
-	led, err := ledger.Open(ledger.Options{Dir: dir, Fsync: ledger.FsyncNever, Logf: t.Logf})
+	led, err := ledger.Open(ledger.Options{Dir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

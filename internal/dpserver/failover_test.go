@@ -52,7 +52,7 @@ func newFailoverPair(t *testing.T, seed uint64) *failoverPair {
 	p := &failoverPair{dirA: t.TempDir(), dirB: t.TempDir()}
 
 	var err error
-	p.ledA, err = ledger.Open(ledger.Options{Dir: p.dirA, Fsync: ledger.FsyncAlways, Logf: t.Logf})
+	p.ledA, err = ledger.Open(ledger.Options{Dir: p.dirA, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func newFailoverPair(t *testing.T, seed uint64) *failoverPair {
 	p.tsA = httptest.NewServer(p.sA.Handler())
 	t.Cleanup(p.tsA.Close)
 
-	p.ledB, err = ledger.Open(ledger.Options{Dir: p.dirB, Fsync: ledger.FsyncAlways, Logf: t.Logf})
+	p.ledB, err = ledger.Open(ledger.Options{Dir: p.dirB, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
 	"dptrace/internal/obs"
 )
@@ -220,14 +221,14 @@ func TestAddTraceNameCollision(t *testing.T) {
 // goroutines (run under -race) and checks the cap holds and the most
 // recent entries survive eviction.
 func TestAuditEvictionConcurrent(t *testing.T) {
-	const logCap = 64
-	l := newAuditLog(logCap, nil)
+	const logCap = ledger.AuditCap
+	l := new(auditLog)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < logCap/2; i++ {
 				l.add(AuditEntry{Analyst: fmt.Sprintf("g%d", g), Epsilon: float64(i)})
 			}
 		}(g)

@@ -18,7 +18,7 @@ import (
 // with -race; the assertions only check the restore was coherent.
 func TestRegisterDatasetBesideReplicaAppends(t *testing.T) {
 	// The primary's history: a registration, then charges.
-	primary, err := ledger.Open(ledger.Options{Dir: t.TempDir(), Fsync: ledger.FsyncNever})
+	primary, err := ledger.Open(ledger.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRegisterDatasetBesideReplicaAppends(t *testing.T) {
 		return seq, payload
 	}
 
-	replica, err := ledger.Open(ledger.Options{Dir: t.TempDir(), Fsync: ledger.FsyncNever})
+	replica, err := ledger.Open(ledger.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

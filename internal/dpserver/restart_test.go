@@ -25,12 +25,11 @@ func restartTrace() []trace.Packet {
 	return pkts
 }
 
-// openLedger opens (or re-opens) a ledger over dir. Fsync is never:
-// the "kill" below is dropping the server without Close, and the
-// page-cache contents survive an in-process kill regardless of fsync.
+// openLedger opens (or re-opens) a ledger over dir. The "kill" below is
+// dropping the server without Close.
 func openLedger(t *testing.T, dir string) *ledger.Ledger {
 	t.Helper()
-	led, err := ledger.Open(ledger.Options{Dir: dir, Fsync: ledger.FsyncNever, Logf: t.Logf})
+	led, err := ledger.Open(ledger.Options{Dir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,13 @@ import (
 	"testing"
 )
 
-// benchAppend measures charge-append throughput under one fsync
-// policy. The spread between fsync=never and fsync=always is the
-// price of the durability guarantee (one fdatasync per acknowledged
-// ε-charge) and is recorded into BENCH_core.json by `make bench`.
-func benchAppend(b *testing.B, policy FsyncPolicy) {
+// BenchmarkLedgerAppendFsyncAlways measures charge-append throughput:
+// each Append is one record and one fsync, the price of the durability
+// guarantee per acknowledged ε-charge. `make bench` records it into
+// BENCH_core.json.
+func BenchmarkLedgerAppendFsyncAlways(b *testing.B) {
 	dir := b.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: policy, SnapshotEvery: -1})
+	l, err := Open(Options{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,31 +29,25 @@ func benchAppend(b *testing.B, policy FsyncPolicy) {
 	}
 }
 
-func BenchmarkLedgerAppendFsyncNever(b *testing.B)  { benchAppend(b, FsyncNever) }
-func BenchmarkLedgerAppendFsyncAlways(b *testing.B) { benchAppend(b, FsyncAlways) }
-
 func BenchmarkLedgerRecovery(b *testing.B) {
 	dir := b.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotEvery: -1})
+	l, err := Open(Options{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	appendAllB(b, l, chargeEvents(10000))
+	// Staged, then committed once by Close: recovery reads the same
+	// 10,000 records whether or not each paid its own fsync.
+	for _, ev := range chargeEvents(10000) {
+		if _, err := l.Stage(ev); err != nil {
+			b.Fatal(err)
+		}
+	}
 	l.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Replay(dir, 0); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func appendAllB(b *testing.B, l *Ledger, evs []Event) {
-	b.Helper()
-	for i := range evs {
-		if err := l.Append(evs[i]); err != nil {
-			b.Fatalf("append %d: %v", i, err)
 		}
 	}
 }

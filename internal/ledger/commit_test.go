@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"syscall"
@@ -67,7 +68,7 @@ func stageN(t *testing.T, l *Ledger, n int) uint64 {
 }
 
 func TestStageIsNotDurableUntilCommit(t *testing.T) {
-	l, fsys, dir := openFault(t, Options{Fsync: FsyncAlways, SnapshotEvery: -1})
+	l, fsys, dir := openFault(t, Options{SnapshotEvery: -1})
 	var h hookLog
 	l.SetCommitHook(h.hook)
 	seedDataset(t, l) // seq 1, committed
@@ -127,20 +128,9 @@ func TestImplicitSyncsPublishWhatTheyCover(t *testing.T) {
 		opts Options
 		do   func(*Ledger) error
 	}{
-		{"sync", Options{Fsync: FsyncAlways, SnapshotEvery: -1}, (*Ledger).Sync},
-		{"snapshot", Options{Fsync: FsyncAlways, SnapshotEvery: -1}, (*Ledger).Snapshot},
-		{"close", Options{Fsync: FsyncNever, SnapshotEvery: -1}, (*Ledger).Close},
-		{"interval ticker", Options{Fsync: FsyncInterval, FsyncInterval: time.Millisecond, SnapshotEvery: -1},
-			func(l *Ledger) error {
-				deadline := time.Now().Add(5 * time.Second)
-				for l.CommittedSeq() != l.StagedSeq() {
-					if time.Now().After(deadline) {
-						return errors.New("the ticker never published the staged records")
-					}
-					time.Sleep(time.Millisecond)
-				}
-				return nil
-			}},
+		{"sync", Options{SnapshotEvery: -1}, (*Ledger).Sync},
+		{"snapshot", Options{SnapshotEvery: -1}, (*Ledger).Snapshot},
+		{"close", Options{SnapshotEvery: -1}, (*Ledger).Close},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,29 +155,73 @@ func TestImplicitSyncsPublishWhatTheyCover(t *testing.T) {
 	}
 }
 
-// Under the policies that do not sync per commit, Commit still gates
-// publication: nothing reaches the hook (and so no follower) before it.
+// syncHookFS runs during (when set) inside every file Sync, before the
+// sync itself: the moment a Commit holds the sync lock but not the
+// ledger lock.
+type syncHookFS struct {
+	vfs.FS
+	during func()
+}
+
+type syncHookFile struct {
+	vfs.File
+	fs *syncHookFS
+}
+
+func (f *syncHookFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncHookFile{file, f}, nil
+}
+
+func (f syncHookFile) Sync() error {
+	if f.fs.during != nil {
+		f.fs.during()
+	}
+	return f.File.Sync()
+}
+
+// Commit publishes only what its fsync covered: a record staged while
+// that fsync runs is in the WAL and in State, but reaches the hook (and
+// so a follower) only with the next commit's sync.
 func TestCommitGatesPublishWithoutSync(t *testing.T) {
-	for _, policy := range []FsyncPolicy{FsyncNever, FsyncInterval} {
-		l, fsys, _ := openFault(t, Options{Fsync: policy, FsyncInterval: time.Hour, SnapshotEvery: -1})
-		var h hookLog
-		l.SetCommitHook(h.hook)
-		seedDataset(t, l)
-		last := stageN(t, l, 2)
-		h.wantInOrder(t, 1)
-		syncs := fsys.Counts()[vfs.OpSync]
-		if err := l.Commit(last); err != nil {
-			t.Fatal(err)
-		}
-		h.wantInOrder(t, 3)
-		if got := fsys.Counts()[vfs.OpSync]; got != syncs {
-			t.Fatalf("%s: commit synced (%d -> %d)", policy, syncs, got)
+	fsys := &syncHookFS{FS: vfs.OS{}}
+	l, err := Open(Options{Dir: t.TempDir(), FS: fsys, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var h hookLog
+	l.SetCommitHook(h.hook)
+	seedDataset(t, l) // seq 1
+	first := stageN(t, l, 1)
+	var late uint64
+	fsys.during = func() {
+		fsys.during = nil
+		if late, err = l.Stage(charge()); err != nil {
+			t.Error(err)
 		}
 	}
+	if err := l.Commit(first); err != nil {
+		t.Fatal(err)
+	}
+	if late != first+1 {
+		t.Fatalf("staged seq %d during the commit's fsync, want %d", late, first+1)
+	}
+	h.wantInOrder(t, int(first))
+	if l.CommittedSeq() != first || l.StagedSeq() != late {
+		t.Fatalf("committed %d staged %d, want %d and %d", l.CommittedSeq(), l.StagedSeq(), first, late)
+	}
+	if err := l.Commit(late); err != nil {
+		t.Fatal(err)
+	}
+	h.wantInOrder(t, int(late))
 }
 
 func TestCommitSyncFaultDegradesAndNeverPublishes(t *testing.T) {
-	l, fsys, dir := openFault(t, Options{Fsync: FsyncAlways, SnapshotEvery: -1})
+	l, fsys, dir := openFault(t, Options{SnapshotEvery: -1})
 	var h hookLog
 	l.SetCommitHook(h.hook)
 	seedDataset(t, l)
@@ -222,7 +256,7 @@ func TestCommitSyncFaultDegradesAndNeverPublishes(t *testing.T) {
 // staged before it: they are intact, and the request they belong to has
 // already been charged.
 func TestCommitAfterWriteFaultCoversEarlierRecords(t *testing.T) {
-	l, fsys, dir := openFault(t, Options{Fsync: FsyncAlways, SnapshotEvery: -1})
+	l, fsys, dir := openFault(t, Options{SnapshotEvery: -1})
 	var h hookLog
 	l.SetCommitHook(h.hook)
 	seedDataset(t, l)
@@ -256,7 +290,7 @@ func TestCommitAfterWriteFaultCoversEarlierRecords(t *testing.T) {
 // Concurrent requests share fsyncs: each stages three records and
 // commits once, and whoever syncs covers everyone staged behind it.
 func TestConcurrentCommittersShareSyncs(t *testing.T) {
-	l, fsys, dir := openFault(t, Options{Fsync: FsyncAlways, SnapshotEvery: -1})
+	l, fsys, dir := openFault(t, Options{SnapshotEvery: -1})
 	var h hookLog
 	l.SetCommitHook(h.hook)
 	seedDataset(t, l)
@@ -315,7 +349,7 @@ func TestSnapshotTooLargeDoesNotRetryEveryAppend(t *testing.T) {
 
 	const every = 8
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotEvery: every})
+	l, err := Open(Options{Dir: dir, SnapshotEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func TestRecoveryAtEveryTruncationOffset(t *testing.T) {
 	const n = 8
 	master := t.TempDir()
-	l, err := Open(Options{Dir: master, Fsync: FsyncNever, SnapshotEvery: -1})
+	l, err := Open(Options{Dir: master, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTornRecordMidHistoryIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	// Two segments: force rotation via an explicit snapshot, then
 	// delete the snapshot so recovery must rely on both segments.
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotEvery: -1})
+	l, err := Open(Options{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

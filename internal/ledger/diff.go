@@ -50,7 +50,8 @@ func (r *DiffReport) Clean() bool { return r.Diverged == nil }
 // Diff compares the ledgers in dirA and dirB: replays both, walks the
 // overlapping retained seq range byte-for-byte (CRC re-verified), and
 // computes per-analyst spend deltas from the folded states. It returns
-// an error when either history is itself unreadable or corrupt.
+// an error when either history is itself unreadable or corrupt, or when
+// auditCap is not 0 (see Replay).
 func Diff(dirA, dirB string, auditCap int) (*DiffReport, error) {
 	stA, _, errA := Replay(dirA, auditCap)
 	if errA != nil {

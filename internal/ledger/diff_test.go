@@ -9,7 +9,7 @@ import (
 // replicate copies everything in src's WAL into a fresh ledger at dir.
 func replicate(t *testing.T, srcDir, dir string) *Ledger {
 	t.Helper()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func replicate(t *testing.T, srcDir, dir string) *Ledger {
 
 func TestDiffIdenticalAndPrefix(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	a, err := Open(Options{Dir: dirA, Fsync: FsyncNever})
+	a, err := Open(Options{Dir: dirA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDiffIdenticalAndPrefix(t *testing.T) {
 
 func TestDiffDetectsDivergence(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	a, err := Open(Options{Dir: dirA, Fsync: FsyncNever})
+	a, err := Open(Options{Dir: dirA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDiffDetectsDivergence(t *testing.T) {
 
 func TestDiffAcrossCompactionHorizon(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	a, err := Open(Options{Dir: dirA, Fsync: FsyncNever})
+	a, err := Open(Options{Dir: dirA})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,19 +5,17 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"dptrace/internal/vfs"
 )
 
 // This file is the fault-injection suite for every ledger I/O site:
-// append writes, fsync (always and interval policies), snapshot
-// writes, renames, segment rotation, and directory syncs. The
-// invariant under every injected fault: an Append that returns an
-// error has NOT acked the charge (callers refuse it), and any record
-// that slips onto disk anyway (a write that landed before its sync
-// failed) only ever makes recovery over-count spend — the
-// conservative direction.
+// append writes, fsync, snapshot writes, renames, segment rotation,
+// and directory syncs. The invariant under every injected fault: an
+// Append that returns an error has NOT acked the charge (callers
+// refuse it), and any record that slips onto disk anyway (a write that
+// landed before its sync failed) only ever makes recovery over-count
+// spend — the conservative direction.
 
 // openFault opens a fresh ledger on a FaultFS in a temp dir. Rules are
 // injected by the caller afterwards, so Open's own I/O is not in the
@@ -48,7 +46,7 @@ func seedDataset(t *testing.T, l *Ledger) {
 }
 
 func TestAppendWriteFaultRefusesAndDegrades(t *testing.T) {
-	l, fsys, _ := openFault(t, Options{Fsync: FsyncAlways})
+	l, fsys, _ := openFault(t, Options{})
 	seedDataset(t, l)
 	fsys.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Err: syscall.EIO})
 
@@ -79,7 +77,7 @@ func TestAppendWriteFaultRefusesAndDegrades(t *testing.T) {
 }
 
 func TestFsyncFaultPoisonsSegment(t *testing.T) {
-	l, fsys, _ := openFault(t, Options{Fsync: FsyncAlways})
+	l, fsys, _ := openFault(t, Options{})
 	seedDataset(t, l)
 	fsys.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal-", Err: syscall.EIO})
 
@@ -98,7 +96,7 @@ func TestFsyncFaultPoisonsSegment(t *testing.T) {
 }
 
 func TestFsyncFaultOvercountsConservatively(t *testing.T) {
-	l, fsys, dir := openFault(t, Options{Fsync: FsyncAlways})
+	l, fsys, dir := openFault(t, Options{})
 	seedDataset(t, l)
 	appendAll(t, l, []Event{charge(), charge()}) // acked: 0.2
 	fsys.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal-", Err: syscall.EIO, Sticky: true})
@@ -119,7 +117,7 @@ func TestFsyncFaultOvercountsConservatively(t *testing.T) {
 }
 
 func TestStickyENOSPCRefusesWithoutErrorLoop(t *testing.T) {
-	l, fsys, _ := openFault(t, Options{Fsync: FsyncAlways})
+	l, fsys, _ := openFault(t, Options{})
 	seedDataset(t, l)
 	fsys.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Err: syscall.ENOSPC, Sticky: true})
 
@@ -138,7 +136,7 @@ func TestStickyENOSPCRefusesWithoutErrorLoop(t *testing.T) {
 }
 
 func TestSnapshotWriteFaultIsBestEffort(t *testing.T) {
-	l, fsys, _ := openFault(t, Options{Fsync: FsyncAlways, SnapshotEvery: -1})
+	l, fsys, _ := openFault(t, Options{SnapshotEvery: -1})
 	seedDataset(t, l)
 	appendAll(t, l, []Event{charge(), charge()})
 	fsys.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".tmp", Err: syscall.EIO})
@@ -160,7 +158,7 @@ func TestSnapshotWriteFaultIsBestEffort(t *testing.T) {
 }
 
 func TestSnapshotRenameFaultIsBestEffort(t *testing.T) {
-	l, fsys, _ := openFault(t, Options{Fsync: FsyncAlways, SnapshotEvery: -1})
+	l, fsys, _ := openFault(t, Options{SnapshotEvery: -1})
 	seedDataset(t, l)
 	appendAll(t, l, []Event{charge()})
 	fsys.Inject(vfs.Rule{Op: vfs.OpRename, Path: ".tmp", Err: syscall.EIO})
@@ -180,7 +178,7 @@ func TestRotateFaultAfterSnapshotDegrades(t *testing.T) {
 	// Regression: a failed segment rotation inside snapshotLocked used
 	// to leave l.active nil, so the NEXT Append dereferenced a nil file
 	// and panicked. It must instead degrade and refuse cleanly.
-	l, fsys, _ := openFault(t, Options{Fsync: FsyncAlways, SnapshotEvery: -1})
+	l, fsys, _ := openFault(t, Options{SnapshotEvery: -1})
 	seedDataset(t, l)
 	appendAll(t, l, []Event{charge()})
 	fsys.Inject(vfs.Rule{Op: vfs.OpOpen, Path: "wal-", Err: syscall.EIO})
@@ -194,7 +192,7 @@ func TestRotateFaultAfterSnapshotDegrades(t *testing.T) {
 }
 
 func TestDirSyncFaultIsIgnored(t *testing.T) {
-	l, fsys, _ := openFault(t, Options{Fsync: FsyncAlways, SnapshotEvery: -1})
+	l, fsys, _ := openFault(t, Options{SnapshotEvery: -1})
 	fsys.Inject(vfs.Rule{Op: vfs.OpSyncDir, Err: syscall.EINVAL, Sticky: true})
 	seedDataset(t, l)
 	appendAll(t, l, []Event{charge(), charge()})
@@ -207,7 +205,7 @@ func TestDirSyncFaultIsIgnored(t *testing.T) {
 }
 
 func TestShortWriteTornTailIsTruncatedOnRecovery(t *testing.T) {
-	l, fsys, dir := openFault(t, Options{Fsync: FsyncNever})
+	l, fsys, dir := openFault(t, Options{})
 	seedDataset(t, l)
 	appendAll(t, l, []Event{charge(), charge()})
 	if err := l.Sync(); err != nil {
@@ -240,57 +238,8 @@ func TestShortWriteTornTailIsTruncatedOnRecovery(t *testing.T) {
 	}
 }
 
-func TestIntervalFsyncFaultDegrades(t *testing.T) {
-	l, fsys, _ := openFault(t, Options{Fsync: FsyncInterval, FsyncInterval: 5 * time.Millisecond})
-	seedDataset(t, l)
-	fsys.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal-", Err: syscall.EIO, Sticky: true})
-	if err := l.Append(charge()); err != nil {
-		t.Fatalf("append (buffered): %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for l.Degraded() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("background fsync failure never degraded the ledger")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := l.Append(charge()); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("append after interval-fsync failure = %v, want ErrDegraded", err)
-	}
-}
-
-// TestIntervalCrashWindow pins down the documented FsyncInterval
-// contract: a crash may lose acked charges from the last interval, and
-// recovery lands at or below the acked total — never above — with
-// equality from the moment of an explicit Sync.
-func TestIntervalCrashWindow(t *testing.T) {
-	l, fsys, dir := openFault(t, Options{Fsync: FsyncInterval, FsyncInterval: time.Hour})
-	seedDataset(t, l)
-	appendAll(t, l, []Event{charge(), charge(), charge(), charge(), charge()})
-	if err := l.Sync(); err != nil { // closes the window at 0.5 spent
-		t.Fatal(err)
-	}
-	appendAll(t, l, []Event{charge(), charge(), charge()}) // acked 0.8, unsynced
-	acked := 0.8
-
-	if err := fsys.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	st, rec, err := Replay(dir, 0)
-	if err != nil {
-		t.Fatalf("post-crash replay: %v (rec %+v)", err, rec)
-	}
-	got := st.Datasets["d"].TotalSpent
-	if got > acked+1e-9 {
-		t.Fatalf("recovered spend %v exceeds pre-crash acked %v", got, acked)
-	}
-	if got != 0.5 {
-		t.Fatalf("recovered spend %v, want exactly the synced 0.5 (power-loss model drops unsynced bytes)", got)
-	}
-}
-
 func TestDegradedErrorMentionsCause(t *testing.T) {
-	l, fsys, _ := openFault(t, Options{Fsync: FsyncAlways})
+	l, fsys, _ := openFault(t, Options{})
 	seedDataset(t, l)
 	fsys.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Err: syscall.EIO})
 	err := l.Append(charge())

@@ -19,41 +19,6 @@ import (
 	"dptrace/internal/vfs"
 )
 
-// FsyncPolicy controls when appended records are forced to stable
-// storage.
-type FsyncPolicy string
-
-const (
-	// FsyncAlways syncs in every Commit, before anything the committed
-	// records back is released: an acked charge is durable even across
-	// power loss. One sync covers every record staged before it, so a
-	// request that journals three records pays one. The safe default.
-	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval syncs on a background timer (Options.FsyncInterval).
-	//
-	// Crash window: a power loss (or kernel crash) can lose every record
-	// written since the last timer sync, INCLUDING charges that were
-	// already acked to analysts. Recovery then lands strictly at or
-	// below the pre-crash acked total — never above it — so budgets may
-	// be re-spent by up to one interval's worth of charges. That is the
-	// only invariant this policy offers; deployments that cannot afford
-	// the window must use FsyncAlways. An explicit Sync() closes the
-	// window at the moment it returns. (Tested in fault_test.go.)
-	FsyncInterval FsyncPolicy = "interval"
-	// FsyncNever leaves syncing to the OS. Survives process crashes
-	// (the data is in the page cache) but not power loss.
-	FsyncNever FsyncPolicy = "never"
-)
-
-// ParseFsyncPolicy parses the -fsync flag value.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch FsyncPolicy(s) {
-	case FsyncAlways, FsyncInterval, FsyncNever:
-		return FsyncPolicy(s), nil
-	}
-	return "", fmt.Errorf("ledger: unknown fsync policy %q (always, interval, never)", s)
-}
-
 // Errors returned by Stage, Commit and Append.
 var (
 	// ErrFrozen means recovery found corrupt history: the ledger
@@ -88,16 +53,14 @@ type Options struct {
 	// Dir is the ledger directory, created if missing. The ledger owns
 	// it exclusively.
 	Dir string
-	// Fsync is the durability policy; empty means FsyncAlways.
+	// Fsync is kept for the frozen bench/ directory only (see
+	// benchforwards.go): every Commit fsyncs, and Open refuses any value
+	// but "" and FsyncAlways.
 	Fsync FsyncPolicy
-	// FsyncInterval is the FsyncInterval timer period; <=0 means 100ms.
-	FsyncInterval time.Duration
 	// SnapshotEvery snapshots + compacts after this many appended
 	// events. 0 means the 4096 default; negative disables automatic
 	// snapshots (Snapshot can still be called explicitly).
 	SnapshotEvery int
-	// AuditCap bounds the persisted audit trail; <=0 uses the default.
-	AuditCap int
 	// Logf receives recovery warnings (torn-tail truncations, skipped
 	// snapshots). Nil discards them.
 	Logf func(format string, args ...any)
@@ -135,11 +98,11 @@ type Recovery struct {
 // use.
 type Ledger struct {
 	// syncMu serializes everything that makes staged records durable or
-	// replaces the active segment: Commit, Sync, Snapshot, the interval
-	// ticker, Close. It is taken before mu, and Commit keeps it (but not
-	// mu) across the fsync — so records keep being staged while one sync
-	// runs, and the committers queued behind it find their seq already
-	// covered (group commit).
+	// replaces the active segment: Commit, Sync, Snapshot, Close. It is
+	// taken before mu, and Commit keeps it (but not mu) across the fsync
+	// — so records keep being staged while one sync runs, and the
+	// committers queued behind it find their seq already covered (group
+	// commit).
 	syncMu sync.Mutex
 
 	mu          sync.Mutex
@@ -169,9 +132,6 @@ type Ledger struct {
 	metricsMu sync.Mutex
 	metrics   *obs.Registry
 	events    *qlog.Logger
-
-	stopInterval chan struct{}
-	intervalDone chan struct{}
 }
 
 // stagedRecord is one record awaiting its commit.
@@ -207,14 +167,8 @@ func Open(opts Options) (*Ledger, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("ledger: Options.Dir is required")
 	}
-	if opts.Fsync == "" {
-		opts.Fsync = FsyncAlways
-	}
-	if _, err := ParseFsyncPolicy(string(opts.Fsync)); err != nil {
-		return nil, err
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = 100 * time.Millisecond
+	if opts.Fsync != "" && opts.Fsync != FsyncAlways {
+		return nil, fmt.Errorf("ledger: fsync mode %q is not supported: every commit fsyncs", opts.Fsync)
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
@@ -236,11 +190,6 @@ func Open(opts Options) (*Ledger, error) {
 	}
 	if err := l.loadEpoch(); err != nil {
 		return nil, err
-	}
-	if l.frozen == nil && l.opts.Fsync == FsyncInterval {
-		l.stopInterval = make(chan struct{})
-		l.intervalDone = make(chan struct{})
-		go l.fsyncLoop()
 	}
 	return l, nil
 }
@@ -266,7 +215,7 @@ func (l *Ledger) degrade(cause error) error {
 // opens the active segment for appending.
 func (l *Ledger) recover() error {
 	start := time.Now()
-	state, rec, segs, tornPath, tornKeep := replay(l.fs, l.dir, l.opts.AuditCap, l.logf)
+	state, rec, segs, tornPath, tornKeep := replay(l.fs, l.dir, l.logf)
 	l.state = state
 	l.durable = state.Seq
 	l.rec = rec
@@ -322,11 +271,11 @@ type segment struct {
 // and — when the final segment ends in a torn record — that segment's
 // path plus the byte offset to keep. rec.Err is set (and folding stops)
 // on corrupt history.
-func replay(fsys vfs.FS, dir string, auditCap int, logf func(string, ...any)) (*State, Recovery, []segment, string, int64) {
+func replay(fsys vfs.FS, dir string, logf func(string, ...any)) (*State, Recovery, []segment, string, int64) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	state := NewState(auditCap)
+	state := NewState()
 	var rec Recovery
 
 	entries, err := fsys.ReadDir(dir)
@@ -349,7 +298,7 @@ func replay(fsys vfs.FS, dir string, auditCap int, logf func(string, ...any)) (*
 	// Newest loadable snapshot wins; unreadable ones are warned past.
 	for _, seq := range snaps {
 		path := filepath.Join(dir, snapshotName(seq))
-		st, err := loadSnapshot(fsys, path, auditCap)
+		st, err := loadSnapshot(fsys, path)
 		if err != nil {
 			logf("ledger: skipping unreadable snapshot %s: %v", filepath.Base(path), err)
 			continue
@@ -422,16 +371,20 @@ func replay(fsys vfs.FS, dir string, auditCap int, logf func(string, ...any)) (*
 
 // Replay reconstructs the ledger state read-only (nothing on disk is
 // modified, torn tails included) — the engine behind `dpledger verify`
-// and `dpledger inspect`.
+// and `dpledger inspect`. auditCap must be 0: the audit trail is bounded
+// by AuditCap (see benchforwards.go).
 func Replay(dir string, auditCap int) (*State, Recovery, error) {
+	if err := checkAuditCap(auditCap); err != nil {
+		return NewState(), Recovery{Err: err}, err
+	}
 	start := time.Now()
-	state, rec, _, _, _ := replay(vfs.OS{}, dir, auditCap, nil)
+	state, rec, _, _, _ := replay(vfs.OS{}, dir, nil)
 	rec.Duration = time.Since(start)
 	return state, rec, rec.Err
 }
 
 // loadSnapshot reads and verifies one snapshot file.
-func loadSnapshot(fsys vfs.FS, path string, auditCap int) (*State, error) {
+func loadSnapshot(fsys vfs.FS, path string) (*State, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -446,16 +399,16 @@ func loadSnapshot(fsys vfs.FS, path string, auditCap int) (*State, error) {
 	if int64(magicSize+n) != int64(len(data)) {
 		return nil, errors.New("trailing bytes after snapshot record")
 	}
-	return decodeSnapshotState(&ev, auditCap)
+	return decodeSnapshotState(&ev)
 }
 
 // decodeSnapshotState folds a decoded snapshot record into a State,
 // normalizing maps JSON may have left nil.
-func decodeSnapshotState(ev *Event, auditCap int) (*State, error) {
+func decodeSnapshotState(ev *Event) (*State, error) {
 	if ev.Type != "snapshot" {
 		return nil, fmt.Errorf("unexpected record type %q", ev.Type)
 	}
-	st := NewState(auditCap)
+	st := NewState()
 	if err := json.Unmarshal(ev.Body, st); err != nil {
 		return nil, err
 	}
@@ -541,10 +494,10 @@ func (l *Ledger) refusingLocked() error {
 }
 
 // Append is Stage followed by Commit: on return with a nil error the
-// event is in the WAL and, under FsyncAlways, on stable storage. Any
-// error means the event must be treated as NOT acknowledged; after a
-// commit failure it may still survive on disk — recovery then
-// over-counts spend, which is the safe (conservative) direction.
+// event is in the WAL on stable storage. Any error means the event must
+// be treated as NOT acknowledged; after a commit failure it may still
+// survive on disk — recovery then over-counts spend, which is the safe
+// (conservative) direction.
 //
 // A caller that journals several records for one answer stages each
 // and commits once (see Stage); Append is for the single-record case.
@@ -623,12 +576,11 @@ func (l *Ledger) stageRecordLocked(ev *Event, buf []byte) error {
 	return nil
 }
 
-// Commit makes every record staged so far durable — one fsync under
-// FsyncAlways, none under the other policies (their crash window is
-// the policy's, not Commit's) — and publishes them to the commit hook
-// in seq order. It returns nil once seq is covered, so a committer
-// whose records an earlier Commit already covered returns without
-// syncing: concurrent requests share fsyncs.
+// Commit makes every record staged so far durable with one fsync and
+// publishes them to the commit hook in seq order. It returns nil once
+// seq is covered, so a committer whose records an earlier Commit
+// already covered returns without syncing: concurrent requests share
+// fsyncs.
 //
 // A failed fsync degrades the ledger (fsyncgate: it is never retried
 // and assumed durable). The records staged before it stay folded into
@@ -653,19 +605,17 @@ func (l *Ledger) Commit(seq uint64) error {
 	if l.syncFailed || l.active == nil {
 		return fmt.Errorf("%w: %v", ErrDegraded, l.degraded)
 	}
+	// The fsync runs without l.mu: records keep being staged behind it,
+	// and whoever holds syncMu next covers them all. Only the first n
+	// staged records are known to precede this sync.
 	n := len(l.staged)
-	if l.opts.Fsync == FsyncAlways {
-		// The fsync runs without l.mu: records keep being staged behind
-		// it, and whoever holds syncMu next covers them all. Only the
-		// first n staged records are known to precede this sync.
-		f := l.active
-		l.dirty = false
-		l.mu.Unlock()
-		err := l.syncFile(f)
-		l.mu.Lock()
-		if err != nil {
-			return l.syncFailedLocked("fsync", err)
-		}
+	f := l.active
+	l.dirty = false
+	l.mu.Unlock()
+	err := l.syncFile(f)
+	l.mu.Lock()
+	if err != nil {
+		return l.syncFailedLocked("fsync", err)
 	}
 	l.publishLocked(n)
 	if l.degraded == nil && l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery {
@@ -695,8 +645,8 @@ func (l *Ledger) syncFailedLocked(what string, err error) error {
 
 // flushLocked syncs the active segment if it holds unsynced bytes and
 // publishes everything staged: the implicit commit inside Sync,
-// snapshot, rotation, the interval ticker and Close. what names the
-// caller in the degrade cause. Must hold l.syncMu and l.mu.
+// snapshot, rotation and Close. what names the caller in the degrade
+// cause. Must hold l.syncMu and l.mu.
 func (l *Ledger) flushLocked(what string) error {
 	if l.dirty {
 		if err := l.syncFile(l.active); err != nil {
@@ -725,33 +675,8 @@ func (l *Ledger) publishLocked(n int) {
 	l.observeCommit(n)
 }
 
-// fsyncLoop is the FsyncInterval background syncer.
-func (l *Ledger) fsyncLoop() {
-	defer close(l.intervalDone)
-	t := time.NewTicker(l.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			l.syncMu.Lock()
-			l.mu.Lock()
-			if !l.closed && l.degraded == nil && l.dirty && l.active != nil {
-				// A failure degrades: no further charge may be acked
-				// against a segment of unknown durability.
-				_ = l.flushLocked("interval fsync")
-			}
-			l.mu.Unlock()
-			l.syncMu.Unlock()
-		case <-l.stopInterval:
-			return
-		}
-	}
-}
-
-// Sync forces buffered appends to stable storage regardless of policy
-// and publishes whatever was staged. Under FsyncInterval it closes the
-// crash window at the moment it returns nil. A failure degrades the
-// ledger (fsyncgate).
+// Sync makes everything staged so far durable and publishes it, for
+// callers that hold no seq. A failure degrades the ledger (fsyncgate).
 func (l *Ledger) Sync() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -873,11 +798,9 @@ func (l *Ledger) rotateLocked() error {
 		f.Close()
 		return fmt.Errorf("ledger: write segment header: %w", err)
 	}
-	if l.opts.Fsync == FsyncAlways {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("ledger: sync segment header: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("ledger: sync segment header: %w", err)
 	}
 	syncDir(l.fs, l.dir)
 	l.active, l.activeSize, l.activeStart = f, magicSize, start
@@ -888,10 +811,10 @@ func (l *Ledger) rotateLocked() error {
 // Further Appends fail.
 func (l *Ledger) Close() error {
 	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
-		l.syncMu.Unlock()
 		return nil
 	}
 	l.closed = true
@@ -904,14 +827,6 @@ func (l *Ledger) Close() error {
 			err = cerr
 		}
 		l.active = nil
-	}
-	stop := l.stopInterval
-	done := l.intervalDone
-	l.mu.Unlock()
-	l.syncMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
 	}
 	return err
 }
@@ -944,7 +859,7 @@ func syncDir(fsys vfs.FS, dir string) {
 // AttachMetrics exports the ledger's telemetry into reg:
 // dp_ledger_appends_total{type=...} (records staged),
 // dp_ledger_fsync_seconds, dp_ledger_commit_records (records one commit
-// published — made durable by one sync under FsyncAlways),
+// published — made durable by one sync),
 // dp_ledger_snapshot_failures_total, dp_ledger_recovery_events_total,
 // dp_ledger_recovery_torn_bytes_total,
 // dp_ledger_recovery_seconds, and the live gauges dp_ledger_seq,

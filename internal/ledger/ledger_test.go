@@ -30,7 +30,7 @@ func appendAll(t *testing.T, l *Ledger, evs []Event) {
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 
 func TestSnapshotAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotEvery: 10})
+	l, err := Open(Options{Dir: dir, SnapshotEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSnapshotAndCompaction(t *testing.T) {
 		t.Fatalf("compaction left %d snapshots, want 1", snaps)
 	}
 
-	l2, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,18 +145,28 @@ func TestSnapshotAndCompaction(t *testing.T) {
 	}
 }
 
+// TestFsyncPolicies: the one durability mode ("always", also spelled
+// "") round-trips what it acks; the removed modes are refused before
+// Open touches the directory.
 func TestFsyncPolicies(t *testing.T) {
-	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
+	for _, policy := range []FsyncPolicy{FsyncAlways, "interval", "never"} {
 		t.Run(string(policy), func(t *testing.T) {
-			dir := t.TempDir()
-			l, err := Open(Options{Dir: dir, Fsync: policy, FsyncInterval: 5 * time.Millisecond})
+			dir := filepath.Join(t.TempDir(), "ledger")
+			l, err := Open(Options{Dir: dir, Fsync: policy})
+			if policy != FsyncAlways {
+				if err == nil {
+					l.Close()
+					t.Fatalf("Open accepted fsync mode %q", policy)
+				}
+				if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+					t.Fatalf("refused Open created %s (%v)", dir, serr)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			appendAll(t, l, chargeEvents(3))
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -172,9 +182,34 @@ func TestFsyncPolicies(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesRemovedKnobs: Open takes no fsync mode but the one,
+// and Replay and Diff no audit bound but AuditCap (spelled 0).
+func TestOpenRefusesRemovedKnobs(t *testing.T) {
+	for _, policy := range []FsyncPolicy{"never", "interval"} {
+		_, err := Open(Options{Dir: t.TempDir(), Fsync: policy})
+		if err == nil || !strings.Contains(err.Error(), string(policy)) {
+			t.Errorf("Open(Fsync: %q) = %v, want an error naming %q", policy, err, policy)
+		}
+	}
+	for _, policy := range []FsyncPolicy{"", FsyncAlways} {
+		l, err := Open(Options{Dir: t.TempDir(), Fsync: policy})
+		if err != nil {
+			t.Fatalf("Open(Fsync: %q): %v", policy, err)
+		}
+		l.Close()
+	}
+	dir := t.TempDir()
+	if _, _, err := Replay(dir, 5); err == nil {
+		t.Error("Replay with audit cap 5 succeeded")
+	}
+	if _, err := Diff(dir, t.TempDir(), 5); err == nil {
+		t.Error("Diff with audit cap 5 succeeded")
+	}
+}
+
 func TestCorruptHistoryFreezes(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +252,7 @@ func TestCorruptHistoryFreezes(t *testing.T) {
 }
 
 func TestChargeForUnknownDatasetIsCorrupt(t *testing.T) {
-	st := NewState(0)
+	st := NewState()
 	err := st.Apply(&Event{Seq: 1, Type: EventCharge, Dataset: "ghost", Analyst: "a", Epsilon: 0.1})
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
@@ -225,7 +260,7 @@ func TestChargeForUnknownDatasetIsCorrupt(t *testing.T) {
 }
 
 func TestSequenceGapIsCorrupt(t *testing.T) {
-	st := NewState(0)
+	st := NewState()
 	if err := st.Apply(&Event{Seq: 1, Type: EventDatasetCreated, Dataset: "d"}); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +272,7 @@ func TestSequenceGapIsCorrupt(t *testing.T) {
 
 func TestIdemReplyPersistAndExpiry(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +315,7 @@ func TestBudgetSentinel(t *testing.T) {
 	// And through a real ledger: unlimited budgets must survive the
 	// JSON encoding, which cannot carry +Inf directly.
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,17 +339,17 @@ func TestBudgetSentinel(t *testing.T) {
 }
 
 func TestAuditCapBoundsState(t *testing.T) {
-	st := NewState(10)
+	st := NewState()
 	if err := st.Apply(&Event{Seq: 1, Type: EventDatasetCreated, Dataset: "d"}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 30; i++ {
+	for i := 0; i < AuditCap+20; i++ {
 		if err := st.Apply(&Event{Seq: uint64(i + 2), Type: EventAudit,
 			Dataset: "d", Analyst: "a", Query: "count", Outcome: "ok"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(st.Audit) > 10 {
-		t.Fatalf("audit trail grew to %d entries, cap is 10", len(st.Audit))
+	if len(st.Audit) > AuditCap {
+		t.Fatalf("audit trail grew to %d entries, cap is %d", len(st.Audit), AuditCap)
 	}
 }

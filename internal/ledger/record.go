@@ -7,9 +7,9 @@
 // ε-spend is never forgotten. Without this package a dpserver restart
 // resets every analyst's spend to zero and silently re-opens the full
 // budget. The ledger makes the spend history durable: every charge is
-// staged in the WAL as it is accepted and committed (made durable)
-// *before* the answer it paid for is released, so a charge whose answer
-// anyone saw survives a crash; recovery replays snapshot + WAL tail, tolerating a torn final
+// staged in the WAL as it is accepted and committed (fsynced) *before*
+// the answer it paid for is released, so a charge whose answer anyone
+// saw survives a crash or power loss; recovery replays snapshot + WAL tail, tolerating a torn final
 // record (truncate-and-warn) but refusing corrupt history (fail closed:
 // a ledger that cannot be fully replayed refuses all new appends, which
 // in turn refuses all new charges upstream).

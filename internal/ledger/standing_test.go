@@ -34,7 +34,7 @@ func standingWindow(i uint64, charged float64, outcome string) Event {
 
 func TestStandingRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestStandingRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestStandingRoundTrip(t *testing.T) {
 }
 
 func TestStandingExhaustedWindowStopsQuery(t *testing.T) {
-	st := NewState(0)
+	st := NewState()
 	seq := uint64(0)
 	apply := func(ev Event) error {
 		seq++
@@ -110,7 +110,7 @@ func TestStandingExhaustedWindowStopsQuery(t *testing.T) {
 }
 
 func TestStandingRingCapBoundsState(t *testing.T) {
-	st := NewState(0)
+	st := NewState()
 	seq := uint64(0)
 	apply := func(ev Event) {
 		seq++
@@ -157,7 +157,7 @@ func TestStandingCorruptReferences(t *testing.T) {
 			Analyst: "mon", Standing: "sq-2", Query: "count", Epsilon: 0.1, Reservation: 1, Width: 20}},
 	}
 	for _, tc := range cases {
-		st := NewState(0)
+		st := NewState()
 		seq := uint64(0)
 		for _, ev := range base {
 			seq++
@@ -184,7 +184,7 @@ func standingWindowFor(id string) Event {
 // the snapshot, not just the WAL tail — compaction happens mid-stream.
 func TestStandingSurvivesSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotEvery: 8})
+	l, err := Open(Options{Dir: dir, SnapshotEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestStandingSurvivesSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

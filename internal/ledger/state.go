@@ -17,7 +17,7 @@ type State struct {
 	Seq      uint64                   `json:"seq"`
 	Datasets map[string]*DatasetState `json:"datasets,omitempty"`
 	// Audit is the persisted audit trail, oldest first, bounded by
-	// auditCap with the same drop-oldest-half policy as the live log.
+	// AuditCap with the same drop-oldest-half policy as the live log.
 	Audit []AuditRecord `json:"audit,omitempty"`
 	// Idem maps idemKeyString() to stored idempotent replies.
 	Idem map[string]*IdemRecord `json:"idem,omitempty"`
@@ -25,8 +25,6 @@ type State struct {
 	// registration, window cursor, cumulative standing spend, and the
 	// bounded ring of recent window results.
 	Standing map[string]*StandingState `json:"standing,omitempty"`
-
-	auditCap int
 }
 
 // DatasetState is one dataset's durable budget ledger.
@@ -139,18 +137,15 @@ const (
 	StandingCanceled  = "canceled"
 )
 
-// defaultAuditCap mirrors the server-side audit log bound.
-const defaultAuditCap = 10000
+// AuditCap bounds the audit trail, in the fold and in the server's live
+// log alike: past it, the oldest half is dropped.
+const AuditCap = 10000
 
-// NewState returns an empty state. auditCap <= 0 uses the default.
-func NewState(auditCap int) *State {
-	if auditCap <= 0 {
-		auditCap = defaultAuditCap
-	}
+// NewState returns an empty state.
+func NewState() *State {
 	return &State{
 		Datasets: make(map[string]*DatasetState),
 		Idem:     make(map[string]*IdemRecord),
-		auditCap: auditCap,
 	}
 }
 
@@ -201,12 +196,8 @@ func (s *State) Apply(ev *Event) error {
 		}
 
 	case EventRefusal, EventAudit:
-		cap := s.auditCap
-		if cap <= 0 {
-			cap = defaultAuditCap
-		}
-		if len(s.Audit) >= cap {
-			keep := cap / 2
+		if len(s.Audit) >= AuditCap {
+			keep := AuditCap / 2
 			copy(s.Audit, s.Audit[len(s.Audit)-keep:])
 			s.Audit = s.Audit[:keep]
 		}

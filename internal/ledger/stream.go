@@ -1,10 +1,9 @@
 // Replication seam: the pieces internal/repl builds on.
 //
 //   - A commit hook fires (under the ledger lock, after the fsync that
-//     covers it under FsyncAlways) for every committed record with its
-//     raw payload, in seq order, so a primary can fan events out
-//     without re-reading the disk — and never ahead of its own durable
-//     prefix.
+//     covers it) for every committed record with its raw payload, in
+//     seq order, so a primary can fan events out without re-reading
+//     the disk — and never ahead of its own durable prefix.
 //   - TailReader re-reads committed records from any seq, re-verifying
 //     every CRC — the catch-up path for followers that are behind the
 //     in-memory window, and the engine behind dpledger diff.
@@ -45,10 +44,10 @@ func Checksum(payload []byte) uint32 {
 
 // SetCommitHook installs fn, called once per committed record (local
 // and replicated alike) with the assigned seq and the raw payload
-// bytes, in seq order, under the ledger lock, and only once the record
-// is as durable as the fsync policy makes it (Commit, or any implicit
-// sync that covered it) — fn must not block and must not call back
-// into the ledger. Install before concurrent appends begin.
+// bytes, in seq order, under the ledger lock, and only once an fsync
+// has covered the record (Commit, or any implicit sync) — fn must not
+// block and must not call back into the ledger. Install before
+// concurrent appends begin.
 func (l *Ledger) SetCommitHook(fn func(seq uint64, payload []byte)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -137,8 +136,8 @@ func (l *Ledger) SetEpoch(e uint64) error {
 
 // --- follower write path ----------------------------------------------
 
-// ReplicaAppend is StageReplica followed by Commit: under FsyncAlways
-// a nil return means the record is on stable storage and safe to ack.
+// ReplicaAppend is StageReplica followed by Commit: a nil return means
+// the record is on stable storage and safe to ack.
 func (l *Ledger) ReplicaAppend(seq uint64, payload []byte) error {
 	if err := l.StageReplica(seq, payload); err != nil {
 		return err
@@ -212,7 +211,7 @@ func (l *Ledger) InstallSnapshot(payload []byte) error {
 	if ev.Seq == 0 {
 		return fmt.Errorf("%w: snapshot at seq 0", ErrCorrupt)
 	}
-	st, err := decodeSnapshotState(&ev, l.opts.AuditCap)
+	st, err := decodeSnapshotState(&ev)
 	if err != nil {
 		return fmt.Errorf("%w: snapshot state: %v", ErrCorrupt, err)
 	}

@@ -27,7 +27,7 @@ func drain(t *testing.T, tr *TailReader) (seqs []uint64, payloads [][]byte) {
 
 func TestTailReaderStreamsAndResumes(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTailReaderStreamsAndResumes(t *testing.T) {
 
 func TestTailReaderAcrossRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotEvery: 4})
+	l, err := Open(Options{Dir: dir, SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTailReaderAcrossRotationAndCompaction(t *testing.T) {
 
 func TestTailReaderDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestTailReaderDetectsCorruption(t *testing.T) {
 
 func TestCommitHookFiresInOrderWithPayload(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +161,12 @@ func TestCommitHookFiresInOrderWithPayload(t *testing.T) {
 
 func TestReplicaAppendByteIdentical(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	a, err := Open(Options{Dir: dirA, Fsync: FsyncNever})
+	a, err := Open(Options{Dir: dirA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := Open(Options{Dir: dirB, Fsync: FsyncNever})
+	b, err := Open(Options{Dir: dirB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestReplicaAppendByteIdentical(t *testing.T) {
 
 func TestInstallSnapshotSeedsEmptyLedgerOnly(t *testing.T) {
 	dirA := t.TempDir()
-	a, err := Open(Options{Dir: dirA, Fsync: FsyncNever})
+	a, err := Open(Options{Dir: dirA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestInstallSnapshotSeedsEmptyLedgerOnly(t *testing.T) {
 	}
 
 	dirB := t.TempDir()
-	b, err := Open(Options{Dir: dirB, Fsync: FsyncNever})
+	b, err := Open(Options{Dir: dirB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestInstallSnapshotSeedsEmptyLedgerOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Close()
-	b2, err := Open(Options{Dir: dirB, Fsync: FsyncNever})
+	b2, err := Open(Options{Dir: dirB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestInstallSnapshotSeedsEmptyLedgerOnly(t *testing.T) {
 
 func TestEpochPersists(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestEpochPersists(t *testing.T) {
 		t.Fatalf("idempotent SetEpoch: %v", err)
 	}
 	l.Close()
-	l2, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestEpochPersists(t *testing.T) {
 
 func TestRecordPayloadDivergenceProbe(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@ package repl
 // a follower never acks a seq that is not durable on its own disk, a
 // sick follower fails closed (stops acking, primary lag grows), and a
 // crashed follower resyncs cleanly from its durable position. These
-// tests script vfs.FaultFS faults under FsyncAlways — the production
-// durability policy — and check each of those promises.
+// tests script vfs.FaultFS faults under the ledger's one durability
+// mode (every commit fsyncs) and check each of those promises.
 
 import (
 	"errors"
@@ -34,7 +34,7 @@ type faultHarness struct {
 func newFaultHarness(t *testing.T, charges int) *faultHarness {
 	t.Helper()
 	h := &faultHarness{dirA: t.TempDir(), dirB: t.TempDir()}
-	h.pl = openLedger(t, h.dirA, nil, ledger.FsyncNever, -1)
+	h.pl = openLedger(t, h.dirA, nil, -1)
 	seedDataset(t, h.pl)
 	for i := 0; i < charges; i++ {
 		if err := h.pl.Append(charge("alice", 0.1)); err != nil {
@@ -45,7 +45,7 @@ func newFaultHarness(t *testing.T, charges int) *faultHarness {
 	_, h.addr = startPrimary(t, h.pl, PrimaryConfig{Name: "p"})
 
 	h.fsys = vfs.NewFaultFS(nil)
-	h.fl = openLedger(t, h.dirB, h.fsys, ledger.FsyncAlways, -1)
+	h.fl = openLedger(t, h.dirB, h.fsys, -1)
 	h.f = startFollower(t, h.fl, FollowerConfig{Primary: h.addr, Name: "f"})
 	waitUntil(t, 5*time.Second, func() bool { return h.f.Applied() == h.seeded }, "seed catch-up")
 	return h
@@ -82,6 +82,8 @@ func TestFollowerEIOFailsClosed(t *testing.T) {
 	}
 }
 
+// "Never" is the follower's ack, not a durability mode: a seq whose
+// fsync failed is never acked.
 func TestFollowerENOSPCOnFsyncNeverAcksUndurable(t *testing.T) {
 	h := newFaultHarness(t, 3)
 	// The write lands but the fsync fails with ENOSPC, sticky. Under
@@ -123,7 +125,7 @@ func TestFollowerTornWriteCrashAndResync(t *testing.T) {
 	// "Reboot": reopen on the surviving bytes with a healthy disk.
 	// Recovery sees a clean tail (the torn bytes are gone) and the
 	// follower resyncs from its durable position.
-	fl2 := openLedger(t, h.dirB, nil, ledger.FsyncAlways, -1)
+	fl2 := openLedger(t, h.dirB, nil, -1)
 	if fl2.Recovery().Err != nil {
 		t.Fatalf("recovery after crash: %v", fl2.Recovery().Err)
 	}
@@ -157,7 +159,7 @@ func TestFollowerCrashBetweenReceiveAndFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fl2 := openLedger(t, h.dirB, nil, ledger.FsyncAlways, -1)
+	fl2 := openLedger(t, h.dirB, nil, -1)
 	if fl2.Recovery().Err != nil {
 		t.Fatalf("recovery after crash: %v", fl2.Recovery().Err)
 	}
@@ -183,7 +185,7 @@ func TestFollowerCrashBetweenReceiveAndFsync(t *testing.T) {
 func TestPrimaryKilledBetweenStageAndCommit(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	fsys := vfs.NewFaultFS(nil)
-	pl := openLedger(t, dirA, fsys, ledger.FsyncAlways, -1)
+	pl := openLedger(t, dirA, fsys, -1)
 	seedDataset(t, pl)
 	for i := 0; i < 2; i++ {
 		if err := pl.Append(charge("alice", 0.1)); err != nil {
@@ -192,7 +194,7 @@ func TestPrimaryKilledBetweenStageAndCommit(t *testing.T) {
 	}
 	committed := pl.CommittedSeq()
 	p, addr := startPrimary(t, pl, PrimaryConfig{Name: "p", MinSync: 1, AckTimeout: 200 * time.Millisecond})
-	fl := openLedger(t, dirB, nil, ledger.FsyncAlways, -1)
+	fl := openLedger(t, dirB, nil, -1)
 	f := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f"})
 	waitUntil(t, 5*time.Second, func() bool { return p.Connected() == 1 && f.Applied() == committed }, "catch-up")
 
@@ -258,7 +260,7 @@ func TestPrimaryKilledBetweenStageAndCommit(t *testing.T) {
 func TestFollowerAppliesBurstWithOneSync(t *testing.T) {
 	const backlog = 200
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
+	pl := openLedger(t, dirA, nil, -1)
 	seedDataset(t, pl)
 	for i := 0; i < backlog; i++ {
 		if err := pl.Append(charge("alice", 0.01)); err != nil {
@@ -268,7 +270,7 @@ func TestFollowerAppliesBurstWithOneSync(t *testing.T) {
 	p, addr := startPrimary(t, pl, PrimaryConfig{Name: "p"})
 
 	fsys := vfs.NewFaultFS(nil)
-	fl := openLedger(t, dirB, fsys, ledger.FsyncAlways, -1)
+	fl := openLedger(t, dirB, fsys, -1)
 	syncs := fsys.Counts()[vfs.OpSync]
 	var mu sync.Mutex
 	var applied []uint64

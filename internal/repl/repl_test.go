@@ -12,9 +12,9 @@ import (
 	"dptrace/internal/vfs"
 )
 
-func openLedger(t *testing.T, dir string, fsys vfs.FS, fsync ledger.FsyncPolicy, snapEvery int) *ledger.Ledger {
+func openLedger(t *testing.T, dir string, fsys vfs.FS, snapEvery int) *ledger.Ledger {
 	t.Helper()
-	l, err := ledger.Open(ledger.Options{Dir: dir, FS: fsys, Fsync: fsync, SnapshotEvery: snapEvery})
+	l, err := ledger.Open(ledger.Options{Dir: dir, FS: fsys, SnapshotEvery: snapEvery})
 	if err != nil {
 		t.Fatalf("ledger.Open(%s): %v", dir, err)
 	}
@@ -89,7 +89,7 @@ func assertDiffClean(t *testing.T, dirA, dirB string) {
 
 func TestStreamBacklogAndLiveTail(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
+	pl := openLedger(t, dirA, nil, -1)
 	seedDataset(t, pl)
 	for i := 0; i < 5; i++ {
 		if err := pl.Append(charge("alice", 0.1)); err != nil {
@@ -100,7 +100,7 @@ func TestStreamBacklogAndLiveTail(t *testing.T) {
 
 	var mu sync.Mutex
 	var applied []uint64
-	fl := openLedger(t, dirB, nil, ledger.FsyncNever, -1)
+	fl := openLedger(t, dirB, nil, -1)
 	f := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f", OnApply: func(ev ledger.Event) {
 		mu.Lock()
 		applied = append(applied, ev.Seq)
@@ -130,7 +130,7 @@ func TestStreamBacklogAndLiveTail(t *testing.T) {
 
 func TestFollowerResumesFromMidSeq(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
+	pl := openLedger(t, dirA, nil, -1)
 	seedDataset(t, pl)
 	for i := 0; i < 6; i++ {
 		if err := pl.Append(charge("alice", 0.1)); err != nil {
@@ -139,7 +139,7 @@ func TestFollowerResumesFromMidSeq(t *testing.T) {
 	}
 	_, addr := startPrimary(t, pl, PrimaryConfig{Name: "p"})
 
-	fl := openLedger(t, dirB, nil, ledger.FsyncNever, -1)
+	fl := openLedger(t, dirB, nil, -1)
 	f := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f"})
 	waitUntil(t, 5*time.Second, func() bool { return f.Applied() == 7 }, "first catch-up")
 	f.Close()
@@ -161,7 +161,7 @@ func TestSnapshotCatchUpBehindCompaction(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	// SnapshotEvery 4 compacts early history away: an empty follower
 	// must be seeded with a snapshot, not a stream from seq 1.
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, 4)
+	pl := openLedger(t, dirA, nil, 4)
 	seedDataset(t, pl)
 	for i := 0; i < 10; i++ {
 		if err := pl.Append(charge("alice", 0.05)); err != nil {
@@ -171,7 +171,7 @@ func TestSnapshotCatchUpBehindCompaction(t *testing.T) {
 	_, addr := startPrimary(t, pl, PrimaryConfig{Name: "p"})
 
 	reset := 0
-	fl := openLedger(t, dirB, nil, ledger.FsyncNever, -1)
+	fl := openLedger(t, dirB, nil, -1)
 	f := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f", OnReset: func() { reset++ }})
 	waitUntil(t, 5*time.Second, func() bool { return f.Applied() == 11 }, "snapshot catch-up")
 	if reset != 1 {
@@ -186,7 +186,7 @@ func TestSnapshotCatchUpBehindCompaction(t *testing.T) {
 
 func TestQuorumGateRefusesBeforeJournaling(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
+	pl := openLedger(t, dirA, nil, -1)
 	p, addr := startPrimary(t, pl, PrimaryConfig{Name: "p", MinSync: 1, AckTimeout: 5 * time.Second})
 
 	// No follower connected: the spend is refused BEFORE the journal —
@@ -198,7 +198,7 @@ func TestQuorumGateRefusesBeforeJournaling(t *testing.T) {
 		t.Fatalf("refused append journaled anyway (seq %d)", pl.CommittedSeq())
 	}
 
-	fl := openLedger(t, dirB, nil, ledger.FsyncNever, -1)
+	fl := openLedger(t, dirB, nil, -1)
 	f := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f"})
 	waitUntil(t, 5*time.Second, func() bool { return p.Connected() == 1 }, "follower attach")
 
@@ -254,7 +254,7 @@ func dialFake(t *testing.T, addr string, sub subRequest) (*fakeFollower, byte, [
 
 func TestAckTimeoutIsConservative(t *testing.T) {
 	dirA := t.TempDir()
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
+	pl := openLedger(t, dirA, nil, -1)
 	seedDataset(t, pl)
 	p, addr := startPrimary(t, pl, PrimaryConfig{Name: "p", MinSync: 1, AckTimeout: 150 * time.Millisecond})
 
@@ -282,7 +282,7 @@ func TestAckTimeoutIsConservative(t *testing.T) {
 // refuse with ErrClosed before journaling anything.
 func TestCloseFailsWaitersImmediately(t *testing.T) {
 	dirA := t.TempDir()
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
+	pl := openLedger(t, dirA, nil, -1)
 	seedDataset(t, pl)
 	// AckTimeout far beyond the test timeout: only Close can end the wait.
 	p, addr := startPrimary(t, pl, PrimaryConfig{Name: "p", MinSync: 1, AckTimeout: time.Hour})
@@ -325,7 +325,7 @@ func TestCloseFailsWaitersImmediately(t *testing.T) {
 
 func TestFencingBothDirections(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
+	pl := openLedger(t, dirA, nil, -1)
 	seedDataset(t, pl)
 	if err := pl.Append(charge("alice", 0.1)); err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestFencingBothDirections(t *testing.T) {
 	// The follower has lived through a promotion (epoch 3); this
 	// primary is from a dead regime (epoch 0). The follower must refuse
 	// it AND the primary must realize it has been deposed.
-	fl := openLedger(t, dirB, nil, ledger.FsyncNever, -1)
+	fl := openLedger(t, dirB, nil, -1)
 	if err := fl.SetEpoch(3); err != nil {
 		t.Fatal(err)
 	}
@@ -355,8 +355,8 @@ func TestFencingBothDirections(t *testing.T) {
 
 func TestDivergedHistoriesRefused(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
-	fl := openLedger(t, dirB, nil, ledger.FsyncNever, -1)
+	pl := openLedger(t, dirA, nil, -1)
+	fl := openLedger(t, dirB, nil, -1)
 	seedDataset(t, pl)
 	seedDataset(t, fl)
 	// Two independent histories: same seqs, different bytes.
@@ -381,7 +381,7 @@ func TestDivergedHistoriesRefused(t *testing.T) {
 
 func TestPromoteSealsVerifiesAndBumpsEpoch(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pl := openLedger(t, dirA, nil, ledger.FsyncNever, -1)
+	pl := openLedger(t, dirA, nil, -1)
 	seedDataset(t, pl)
 	_, addr := startPrimary(t, pl, PrimaryConfig{Name: "p"})
 	for i := 0; i < 8; i++ {
@@ -389,7 +389,7 @@ func TestPromoteSealsVerifiesAndBumpsEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fl := openLedger(t, dirB, nil, ledger.FsyncNever, -1)
+	fl := openLedger(t, dirB, nil, -1)
 	f := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f"})
 	waitUntil(t, 5*time.Second, func() bool { return f.Applied() == 9 }, "catch-up")
 
