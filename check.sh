@@ -47,10 +47,11 @@ grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*\*?' README.md DESIGN.md EXP
 		fi
 	done
 go test -race -shuffle=on -timeout 10m ./...
-# Allocation guards for the chunk loop run without the race detector:
-# its instrumentation inflates allocation counts, so these tests skip
-# themselves under -race (see alloc_test.go).
-go test -run 'TestAlloc' -count=1 ./internal/core
+# Allocation guards for the chunk loop and the DPTR batch decoder run
+# without the race detector: its instrumentation inflates allocation
+# counts, so these tests skip themselves (core) or are not built
+# (trace) under -race (see each package's alloc_test.go).
+go test -run 'TestAlloc' -count=1 ./internal/core ./internal/trace
 # Short fuzz smoke over the ledger's WAL record decoder: the recovery
 # path must classify arbitrary bytes without ever panicking.
 go test -run=. -fuzz=FuzzLedgerDecode -fuzztime=5s ./internal/ledger
@@ -68,6 +69,12 @@ go test -run=. -fuzz=FuzzQuantileMatchesReference -fuzztime=3s ./internal/sketch
 # indistinguishable from encoding/json plus the one-object-per-line
 # rule — same accept/reject, same records, same error strings.
 go test -run=. -fuzz=FuzzNDJSONLine -fuzztime=5s ./internal/trace
+# Short differential fuzz smoke over the DPTR decoders: on arbitrary
+# bytes, for every record kind, decoding the bytes as one batch and
+# reading them through a reader in small pieces must return the same
+# records or both fail, the batch also refusing bytes after its
+# declared records.
+go test -run=. -fuzz=FuzzDecodeDPTR -fuzztime=3s ./internal/trace
 # Short differential fuzz smoke over the time-order kernel: on any keys
 # (ties, sign bit, extremes) the radix permutation must equal the
 # stable sort's, which is what keeps generated traces byte-identical.

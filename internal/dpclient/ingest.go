@@ -1,7 +1,6 @@
 package dpclient
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -144,19 +143,14 @@ func (b *Batch) encode(ndjson bool) (contentType string, body []byte, err error)
 			return api.ContentTypeNDJSON, trace.MarshalHopRecordsNDJSON(b.Hops), nil
 		}
 	}
-	var buf bytes.Buffer
 	switch {
 	case len(b.Packets) > 0:
-		err = trace.WritePackets(&buf, b.Packets)
+		return api.ContentTypeDPTR, trace.MarshalPacketsDPTR(b.Packets), nil
 	case len(b.Links) > 0:
-		err = trace.WriteLinkSamples(&buf, b.Links)
+		return api.ContentTypeDPTR, trace.MarshalLinkSamplesDPTR(b.Links), nil
 	default:
-		err = trace.WriteHopRecords(&buf, b.Hops)
+		return api.ContentTypeDPTR, trace.MarshalHopRecordsDPTR(b.Hops), nil
 	}
-	if err != nil {
-		return "", nil, fmt.Errorf("dpclient: encoding batch: %w", err)
-	}
-	return api.ContentTypeDPTR, buf.Bytes(), nil
 }
 
 // IngestBatch appends one batch of records to a live dataset,

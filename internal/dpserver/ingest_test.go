@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -64,11 +65,7 @@ func postIngest(t *testing.T, url string, body []byte) (*http.Response, []byte) 
 // postIngestDPTR posts packets as one DPTR batch.
 func postIngestDPTR(t *testing.T, url string, packets []trace.Packet) (*http.Response, []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := trace.WritePackets(&buf, packets); err != nil {
-		t.Fatal(err)
-	}
-	return postIngestAs(t, url, api.ContentTypeDPTR, buf.Bytes())
+	return postIngestAs(t, url, api.ContentTypeDPTR, trace.MarshalPacketsDPTR(packets))
 }
 
 // postIngestAs posts body as one batch of the given content type.
@@ -603,5 +600,33 @@ func TestIngestBodyLengthMismatch(t *testing.T) {
 		if ms, ok := fieldValue(ev[0], key).(float64); !ok || ms < 0 {
 			t.Errorf("ingest event %s = %v, want a duration", key, fieldValue(ev[0], key))
 		}
+	}
+}
+
+// TestIngestRefusesDPTRTrailingRecords: a DPTR batch whose header
+// declares fewer records than its body holds answers 400 naming the
+// offset where the undeclared bytes start, and appends nothing — not
+// the declared record with the rest silently dropped.
+func TestIngestRefusesDPTRTrailingRecords(t *testing.T) {
+	s, ts := ingestTestServer(t, nil, ingest.Limits{})
+	two := trace.MarshalPacketsDPTR(ingestPkts(2))
+	one := trace.MarshalPacketsDPTR(ingestPkts(1))
+	body := append(append([]byte(nil), one[:16]...), two[16:]...)
+	resp, out := postIngestAs(t, ts.URL+"/v1/ingest/live", api.ContentTypeDPTR, body)
+	var e apiError
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil || e.Code != codeBadRequest {
+		t.Fatalf("got %d %s, want a 400 bad_request", resp.StatusCode, out)
+	}
+	if want := fmt.Sprintf("at offset %d,", len(one)); !strings.Contains(e.Message, want) {
+		t.Errorf("refusal %q does not name %q", e.Message, want)
+	}
+	s.mu.RLock()
+	records := s.datasets["live"].packets.Len()
+	s.mu.RUnlock()
+	if records != 0 {
+		t.Fatalf("refused batch appended %d records", records)
+	}
+	if resp, out := postIngestAs(t, ts.URL+"/v1/ingest/live", api.ContentTypeDPTR, two); resp.StatusCode != http.StatusOK {
+		t.Fatalf("the same records, declared: %d %s", resp.StatusCode, out)
 	}
 }

@@ -314,13 +314,7 @@ func BenchmarkServedIngest(b *testing.B) {
 		name, contentType string
 		encode            func([]trace.Packet) []byte
 	}{
-		{"dptr", api.ContentTypeDPTR, func(ps []trace.Packet) []byte {
-			var buf bytes.Buffer
-			if err := trace.WritePackets(&buf, ps); err != nil {
-				b.Fatal(err)
-			}
-			return buf.Bytes()
-		}},
+		{"dptr", api.ContentTypeDPTR, trace.MarshalPacketsDPTR},
 		{"ndjson", api.ContentTypeNDJSON, trace.MarshalPacketsNDJSON},
 	} {
 		b.Run(enc.name, func(b *testing.B) {

@@ -27,7 +27,6 @@
 package ingest
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -366,16 +365,15 @@ func Decode(kind Kind, contentType string, data []byte) (Decoded, error) {
 			return Decoded{Hops: hs}, err
 		}
 	case ContentTypeDPTR:
-		r := bytes.NewReader(data)
 		switch kind {
 		case KindPacket:
-			ps, err := trace.ReadPackets(r)
+			ps, err := trace.ParsePacketsDPTR(data)
 			return Decoded{Packets: ps}, err
 		case KindLink:
-			ls, err := trace.ReadLinkSamples(r)
+			ls, err := trace.ParseLinkSamplesDPTR(data)
 			return Decoded{Links: ls}, err
 		case KindHop:
-			hs, err := trace.ReadHopRecords(r)
+			hs, err := trace.ParseHopRecordsDPTR(data)
 			return Decoded{Hops: hs}, err
 		}
 	default:

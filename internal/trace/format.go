@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // The on-disk format is a little-endian binary container:
@@ -21,6 +21,12 @@ import (
 // the privacy machinery, not a pcap replacement — but it is versioned
 // and self-describing enough that the CLI tools can refuse mismatched
 // inputs with a clear error.
+//
+// The same container is the binary ingest wire format. One decoder per
+// record kind reads it off a byte window: a batch's window is its body,
+// decoded in place; a file's window refills from its reader. One append
+// encoder per record kind writes it, into an exactly-sized batch body
+// or through a fileChunk buffer to a file.
 
 // Record-stream kinds.
 const (
@@ -38,207 +44,385 @@ const (
 
 var magic = [4]byte{'D', 'P', 'T', 'R'}
 
+// Encoded sizes: the header, a packet's fixed fields (a varint payload
+// length and the payload follow, so a packet takes at least
+// packetFixed+1 bytes), a link sample and a hop record.
+const (
+	headerSize  = 16
+	packetFixed = 32
+	packetMin   = packetFixed + 1
+	linkSize    = 8
+	hopSize     = 12
+)
+
 // maxPrealloc caps slice pre-allocation from the (untrusted) header
-// count: a forged count must not let a tiny file allocate gigabytes.
-// Reads beyond this grow normally via append.
+// count where the input cannot say how many bytes follow (a file, a
+// stream); see prealloc. Reads beyond it grow normally via append.
 const maxPrealloc = 1 << 20
 
-// Errors returned by the readers.
+// fileChunk is the unit files are read and written in: a reader's
+// window (grown once for a record longer than it, a payload near
+// maxPayload), each payload arena of a file, and the writers' buffer.
+const fileChunk = 64 << 10
+
+// Errors returned by the decoders.
 var (
 	ErrBadMagic   = errors.New("trace: bad magic (not a DPTR file)")
 	ErrBadVersion = errors.New("trace: unsupported format version")
 	ErrWrongKind  = errors.New("trace: file holds a different record kind")
+	// ErrTrailingData refuses a batch holding more bytes than its
+	// declared records: they would otherwise be dropped without a word.
+	ErrTrailingData = errors.New("trace: data after the declared records")
 )
 
-func writeHeader(w io.Writer, kind uint16, count uint64) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], formatVersion)
-	binary.LittleEndian.PutUint16(hdr[2:4], kind)
-	binary.LittleEndian.PutUint64(hdr[4:12], count)
-	_, err := w.Write(hdr[:])
-	return err
+// window is what the decoders read from: the unread input is buf[off:].
+// A batch's window is its whole body and has no reader; a file's
+// refills from r, keeping the bytes not yet consumed.
+type window struct {
+	buf  []byte
+	off  int
+	r    io.Reader
+	rerr error // r's error, once it has returned one
+	// Payloads are copied out of buf into arena, so records never alias
+	// the input; chunk sizes the next arena when this one runs out.
+	arena []byte
+	chunk int
 }
 
-func readHeader(r io.Reader, wantKind uint16) (count uint64, err error) {
-	var m [4]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return 0, fmt.Errorf("trace: reading magic: %w", err)
+func newReadWindow(r io.Reader) *window {
+	return &window{buf: make([]byte, 0, fileChunk), r: r, chunk: fileChunk}
+}
+
+// need reports whether n unread bytes are in the window, refilling it
+// from the reader when there is one.
+func (w *window) need(n int) bool {
+	return len(w.buf)-w.off >= n || w.refill(n)
+}
+
+func (w *window) refill(n int) bool {
+	if w.r == nil || w.rerr != nil {
+		return false
 	}
-	if m != magic {
+	buf := w.buf
+	if n > cap(buf) {
+		buf = make([]byte, 0, n)
+	}
+	rest := copy(buf[:cap(buf)], w.buf[w.off:])
+	m, err := io.ReadAtLeast(w.r, buf[rest:cap(buf)], n-rest)
+	w.buf, w.off, w.rerr = buf[:rest+m], 0, err
+	return rest+m >= n
+}
+
+// short is the error for input that ends before a need is met, as
+// io.ReadFull reports it: EOF on no bytes, ErrUnexpectedEOF on some.
+func (w *window) short() error {
+	switch {
+	case w.rerr != nil && w.rerr != io.EOF && w.rerr != io.ErrUnexpectedEOF:
+		return w.rerr
+	case w.off == len(w.buf):
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
+}
+
+// header consumes the 16-byte header and returns its record count.
+func (w *window) header(wantKind uint16) (count uint64, err error) {
+	if !w.need(len(magic)) {
+		return 0, fmt.Errorf("trace: reading magic: %w", w.short())
+	}
+	if [4]byte(w.buf[w.off:]) != magic {
 		return 0, ErrBadMagic
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("trace: reading header: %w", err)
+	if !w.need(headerSize) {
+		return 0, fmt.Errorf("trace: reading header: %w", w.short())
 	}
+	hdr := w.buf[w.off+len(magic) : w.off+headerSize]
 	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != formatVersion {
 		return 0, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	if k := binary.LittleEndian.Uint16(hdr[2:4]); k != wantKind {
 		return 0, fmt.Errorf("%w: got kind %d, want %d", ErrWrongKind, k, wantKind)
 	}
+	w.off += headerSize
 	return binary.LittleEndian.Uint64(hdr[4:12]), nil
 }
 
-// WritePackets writes a packet trace.
-func WritePackets(w io.Writer, packets []Packet) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := writeHeader(bw, KindPacket, uint64(len(packets))); err != nil {
-		return err
+// prealloc is the capacity to reserve for count records of at least
+// size bytes each: no more than the input's remaining bytes could hold,
+// when they are known — a batch's are, and so are an in-memory
+// reader's (its Len) — so a forged count reserves nothing the input
+// does not back.
+func (w *window) prealloc(count uint64, size int) int {
+	n := min(count, maxPrealloc)
+	left, known := len(w.buf)-w.off, w.r == nil
+	if r, ok := w.r.(interface{ Len() int }); ok {
+		left, known = left+r.Len(), true
 	}
-	var fixed [31]byte
-	var lenBuf [binary.MaxVarintLen64]byte
-	for i := range packets {
-		p := &packets[i]
-		binary.LittleEndian.PutUint64(fixed[0:8], uint64(p.Time))
-		binary.LittleEndian.PutUint32(fixed[8:12], uint32(p.SrcIP))
-		binary.LittleEndian.PutUint32(fixed[12:16], uint32(p.DstIP))
-		binary.LittleEndian.PutUint16(fixed[16:18], p.SrcPort)
-		binary.LittleEndian.PutUint16(fixed[18:20], p.DstPort)
-		fixed[20] = p.Proto
-		fixed[21] = byte(p.Flags)
-		binary.LittleEndian.PutUint32(fixed[22:26], p.Seq)
-		binary.LittleEndian.PutUint32(fixed[26:30], p.Ack)
-		// Len is 2 bytes but offset 30 would overflow 31; write after.
-		if _, err := bw.Write(fixed[:30]); err != nil {
-			return err
-		}
-		var l [2]byte
-		binary.LittleEndian.PutUint16(l[:], p.Len)
-		if _, err := bw.Write(l[:]); err != nil {
-			return err
-		}
-		n := binary.PutUvarint(lenBuf[:], uint64(len(p.Payload)))
-		if _, err := bw.Write(lenBuf[:n]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(p.Payload); err != nil {
-			return err
-		}
+	if known {
+		n = min(n, uint64(left/size))
 	}
-	return bw.Flush()
+	return int(n)
 }
 
-// ReadPackets reads a packet trace written by WritePackets.
-func ReadPackets(r io.Reader) ([]Packet, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	count, err := readHeader(br, KindPacket)
+// carve copies src into the payload arena, capped so that appending to
+// one payload cannot overwrite the next.
+func (w *window) carve(src []byte) []byte {
+	if len(src) > len(w.arena) {
+		w.arena = make([]byte, max(len(src), w.chunk))
+	}
+	p := w.arena[:len(src):len(src)]
+	copy(p, src)
+	w.arena = w.arena[len(src):]
+	return p
+}
+
+// decodePackets is the packet decoder, for batches and files alike.
+func decodePackets(w *window) ([]Packet, error) {
+	count, err := w.header(KindPacket)
 	if err != nil {
 		return nil, err
 	}
-	packets := make([]Packet, 0, min(count, maxPrealloc))
-	var fixed [32]byte
+	reserve := w.prealloc(count, packetMin)
+	packets := make([]Packet, 0, reserve)
+	if w.r == nil {
+		// Every payload fits in what the reserved records' minimal
+		// encodings leave of the body: one arena holds the batch's.
+		w.chunk = len(w.buf) - w.off - packetMin*reserve
+	}
 	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, fixed[:]); err != nil {
-			return nil, fmt.Errorf("trace: packet %d: %w", i, err)
+		if !w.need(packetMin) {
+			return nil, fmt.Errorf("trace: packet %d: %w", i, w.short())
 		}
-		p := Packet{
-			Time:    int64(binary.LittleEndian.Uint64(fixed[0:8])),
-			SrcIP:   IPv4(binary.LittleEndian.Uint32(fixed[8:12])),
-			DstIP:   IPv4(binary.LittleEndian.Uint32(fixed[12:16])),
-			SrcPort: binary.LittleEndian.Uint16(fixed[16:18]),
-			DstPort: binary.LittleEndian.Uint16(fixed[18:20]),
-			Proto:   fixed[20],
-			Flags:   TCPFlags(fixed[21]),
-			Seq:     binary.LittleEndian.Uint32(fixed[22:26]),
-			Ack:     binary.LittleEndian.Uint32(fixed[26:30]),
-			Len:     binary.LittleEndian.Uint16(fixed[30:32]),
+		b := w.buf[w.off:]
+		plen, n := binary.Uvarint(b[packetFixed:])
+		if n == 0 && w.r != nil {
+			// The length may straddle the window's end.
+			w.need(packetFixed + binary.MaxVarintLen64)
+			b = w.buf[w.off:]
+			plen, n = binary.Uvarint(b[packetFixed:])
 		}
-		plen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: packet %d payload length: %w", i, err)
-		}
-		if plen > maxPayload {
+		switch {
+		case n == 0:
+			return nil, fmt.Errorf("trace: packet %d payload length: %w", i, w.short())
+		case n < 0:
+			return nil, fmt.Errorf("trace: packet %d payload length: varint overflows a 64-bit integer", i)
+		case plen > maxPayload:
 			return nil, fmt.Errorf("trace: packet %d payload length %d exceeds limit", i, plen)
 		}
+		size := packetFixed + n + int(plen)
+		if !w.need(size) {
+			return nil, fmt.Errorf("trace: packet %d payload: %w", i, w.short())
+		}
+		b = w.buf[w.off : w.off+size]
+		p := Packet{
+			Time:    int64(binary.LittleEndian.Uint64(b[0:8])),
+			SrcIP:   IPv4(binary.LittleEndian.Uint32(b[8:12])),
+			DstIP:   IPv4(binary.LittleEndian.Uint32(b[12:16])),
+			SrcPort: binary.LittleEndian.Uint16(b[16:18]),
+			DstPort: binary.LittleEndian.Uint16(b[18:20]),
+			Proto:   b[20],
+			Flags:   TCPFlags(b[21]),
+			Seq:     binary.LittleEndian.Uint32(b[22:26]),
+			Ack:     binary.LittleEndian.Uint32(b[26:30]),
+			Len:     binary.LittleEndian.Uint16(b[30:32]),
+		}
 		if plen > 0 {
-			p.Payload = make([]byte, plen)
-			if _, err := io.ReadFull(br, p.Payload); err != nil {
-				return nil, fmt.Errorf("trace: packet %d payload: %w", i, err)
-			}
+			p.Payload = w.carve(b[packetFixed+n:])
 		}
 		packets = append(packets, p)
+		w.off += size
 	}
 	return packets, nil
 }
 
-// WriteLinkSamples writes a de-aggregated link trace.
-func WriteLinkSamples(w io.Writer, samples []LinkSample) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := writeHeader(bw, KindLink, uint64(len(samples))); err != nil {
-		return err
-	}
-	var buf [8]byte
-	for _, s := range samples {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(s.Link))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(s.Bin))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadLinkSamples reads a link trace written by WriteLinkSamples.
-func ReadLinkSamples(r io.Reader) ([]LinkSample, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	count, err := readHeader(br, KindLink)
+// decodeLinkSamples is the link-sample decoder.
+func decodeLinkSamples(w *window) ([]LinkSample, error) {
+	count, err := w.header(KindLink)
 	if err != nil {
 		return nil, err
 	}
-	samples := make([]LinkSample, 0, min(count, maxPrealloc))
-	var buf [8]byte
+	samples := make([]LinkSample, 0, w.prealloc(count, linkSize))
 	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("trace: link sample %d: %w", i, err)
+		if !w.need(linkSize) {
+			return nil, fmt.Errorf("trace: link sample %d: %w", i, w.short())
 		}
+		b := w.buf[w.off : w.off+linkSize]
 		samples = append(samples, LinkSample{
-			Link: int32(binary.LittleEndian.Uint32(buf[0:4])),
-			Bin:  int32(binary.LittleEndian.Uint32(buf[4:8])),
+			Link: int32(binary.LittleEndian.Uint32(b[0:4])),
+			Bin:  int32(binary.LittleEndian.Uint32(b[4:8])),
 		})
+		w.off += linkSize
 	}
 	return samples, nil
 }
 
-// WriteHopRecords writes an IPscatter-style hop-count trace.
-func WriteHopRecords(w io.Writer, records []HopRecord) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := writeHeader(bw, KindHop, uint64(len(records))); err != nil {
-		return err
+// decodeHopRecords is the hop-record decoder.
+func decodeHopRecords(w *window) ([]HopRecord, error) {
+	count, err := w.header(KindHop)
+	if err != nil {
+		return nil, err
 	}
-	var buf [12]byte
-	for _, rec := range records {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(rec.Monitor))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(rec.IP))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(rec.Hops))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
+	records := make([]HopRecord, 0, w.prealloc(count, hopSize))
+	for i := uint64(0); i < count; i++ {
+		if !w.need(hopSize) {
+			return nil, fmt.Errorf("trace: hop record %d: %w", i, w.short())
 		}
+		b := w.buf[w.off : w.off+hopSize]
+		records = append(records, HopRecord{
+			Monitor: int32(binary.LittleEndian.Uint32(b[0:4])),
+			IP:      IPv4(binary.LittleEndian.Uint32(b[4:8])),
+			Hops:    int32(binary.LittleEndian.Uint32(b[8:12])),
+		})
+		w.off += hopSize
 	}
-	return bw.Flush()
+	return records, nil
+}
+
+// batchEnd finishes a batch decode, refusing bytes after the declared
+// records. Each caller builds its own window: one handed to a decoder
+// through a func value would move to the heap.
+func batchEnd[T any](w *window, records []T, err error) ([]T, error) {
+	if err == nil && w.off < len(w.buf) {
+		err = fmt.Errorf("%w: %d bytes at offset %d, after %d records", ErrTrailingData, len(w.buf)-w.off, w.off, len(records))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return records, nil
+}
+
+// ParsePacketsDPTR decodes a DPTR packet batch in place: no read
+// buffer, one arena for all its payloads (which never alias data), and
+// a refusal naming the offset of any bytes after the declared records.
+func ParsePacketsDPTR(data []byte) ([]Packet, error) {
+	w := window{buf: data}
+	packets, err := decodePackets(&w)
+	return batchEnd(&w, packets, err)
+}
+
+// ParseLinkSamplesDPTR decodes a DPTR link-sample batch in place.
+func ParseLinkSamplesDPTR(data []byte) ([]LinkSample, error) {
+	w := window{buf: data}
+	samples, err := decodeLinkSamples(&w)
+	return batchEnd(&w, samples, err)
+}
+
+// ParseHopRecordsDPTR decodes a DPTR hop-record batch in place.
+func ParseHopRecordsDPTR(data []byte) ([]HopRecord, error) {
+	w := window{buf: data}
+	records, err := decodeHopRecords(&w)
+	return batchEnd(&w, records, err)
+}
+
+// ReadPackets reads a packet trace written by WritePackets. It stops
+// at the declared count; whatever follows is left unread.
+func ReadPackets(r io.Reader) ([]Packet, error) {
+	return decodePackets(newReadWindow(r))
+}
+
+// ReadLinkSamples reads a link trace written by WriteLinkSamples.
+func ReadLinkSamples(r io.Reader) ([]LinkSample, error) {
+	return decodeLinkSamples(newReadWindow(r))
 }
 
 // ReadHopRecords reads a hop-count trace written by WriteHopRecords.
 func ReadHopRecords(r io.Reader) ([]HopRecord, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	count, err := readHeader(br, KindHop)
-	if err != nil {
-		return nil, err
+	return decodeHopRecords(newReadWindow(r))
+}
+
+func appendHeader(dst []byte, kind uint16, count int) []byte {
+	dst = append(dst, magic[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, formatVersion)
+	dst = binary.LittleEndian.AppendUint16(dst, kind)
+	return binary.LittleEndian.AppendUint64(dst, uint64(count))
+}
+
+// appendPacket is the packet encoder.
+func appendPacket(dst []byte, p *Packet) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Time))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.SrcIP))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.DstIP))
+	dst = binary.LittleEndian.AppendUint16(dst, p.SrcPort)
+	dst = binary.LittleEndian.AppendUint16(dst, p.DstPort)
+	dst = append(dst, p.Proto, byte(p.Flags))
+	dst = binary.LittleEndian.AppendUint32(dst, p.Seq)
+	dst = binary.LittleEndian.AppendUint32(dst, p.Ack)
+	dst = binary.LittleEndian.AppendUint16(dst, p.Len)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Payload)))
+	return append(dst, p.Payload...)
+}
+
+// appendLinkSample is the link-sample encoder.
+func appendLinkSample(dst []byte, s *LinkSample) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Link))
+	return binary.LittleEndian.AppendUint32(dst, uint32(s.Bin))
+}
+
+// appendHopRecord is the hop-record encoder.
+func appendHopRecord(dst []byte, h *HopRecord) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.Monitor))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.IP))
+	return binary.LittleEndian.AppendUint32(dst, uint32(h.Hops))
+}
+
+// marshalRecords encodes records into one body of exactly size bytes.
+func marshalRecords[T any](kind uint16, records []T, size int, appendRecord func([]byte, *T) []byte) []byte {
+	dst := appendHeader(make([]byte, 0, size), kind, len(records))
+	for i := range records {
+		dst = appendRecord(dst, &records[i])
 	}
-	records := make([]HopRecord, 0, min(count, maxPrealloc))
-	var buf [12]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("trace: hop record %d: %w", i, err)
+	return dst
+}
+
+// MarshalPacketsDPTR encodes a packet batch as one exactly-sized DPTR
+// body, byte-identical to what WritePackets writes.
+func MarshalPacketsDPTR(packets []Packet) []byte {
+	size := headerSize
+	for i := range packets {
+		n := len(packets[i].Payload)
+		size += packetFixed + (bits.Len64(uint64(n)|1)+6)/7 + n
+	}
+	return marshalRecords(KindPacket, packets, size, appendPacket)
+}
+
+// MarshalLinkSamplesDPTR encodes a link-sample batch as one DPTR body.
+func MarshalLinkSamplesDPTR(samples []LinkSample) []byte {
+	return marshalRecords(KindLink, samples, headerSize+linkSize*len(samples), appendLinkSample)
+}
+
+// MarshalHopRecordsDPTR encodes a hop-record batch as one DPTR body.
+func MarshalHopRecordsDPTR(records []HopRecord) []byte {
+	return marshalRecords(KindHop, records, headerSize+hopSize*len(records), appendHopRecord)
+}
+
+// writeRecords streams records to w through one fileChunk buffer, so
+// writing a trace never holds a second copy of it.
+func writeRecords[T any](w io.Writer, kind uint16, records []T, appendRecord func([]byte, *T) []byte) error {
+	buf := appendHeader(make([]byte, 0, fileChunk), kind, len(records))
+	for i := range records {
+		buf = appendRecord(buf, &records[i])
+		if len(buf) >= fileChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
-		records = append(records, HopRecord{
-			Monitor: int32(binary.LittleEndian.Uint32(buf[0:4])),
-			IP:      IPv4(binary.LittleEndian.Uint32(buf[4:8])),
-			Hops:    int32(binary.LittleEndian.Uint32(buf[8:12])),
-		})
 	}
-	return records, nil
+	_, err := w.Write(buf)
+	return err
+}
+
+// WritePackets writes a packet trace.
+func WritePackets(w io.Writer, packets []Packet) error {
+	return writeRecords(w, KindPacket, packets, appendPacket)
+}
+
+// WriteLinkSamples writes a de-aggregated link trace.
+func WriteLinkSamples(w io.Writer, samples []LinkSample) error {
+	return writeRecords(w, KindLink, samples, appendLinkSample)
+}
+
+// WriteHopRecords writes an IPscatter-style hop-count trace.
+func WriteHopRecords(w io.Writer, records []HopRecord) error {
+	return writeRecords(w, KindHop, records, appendHopRecord)
 }

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +78,97 @@ func FuzzReadHopRecords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = ReadHopRecords(bytes.NewReader(data))
 	})
+}
+
+// FuzzDecodeDPTR holds the batch decoders to the file readers on
+// arbitrary bytes, for all three record kinds. The readers are fed at
+// most chunk bytes per Read, so records straddle window refills. The
+// two must return equal records (payload bytes included) or both fail,
+// except that a batch must also refuse bytes after its declared
+// records, which a reader leaves unread: then the batch cut at the
+// offset the refusal names decodes to the reader's records.
+func FuzzDecodeDPTR(f *testing.F) {
+	packets := MarshalPacketsDPTR([]Packet{
+		{Time: 1, SrcIP: 2, DstIP: 3, Proto: ProtoTCP, Len: 40, Payload: []byte("hello")},
+		{Time: -1, Payload: bytes.Repeat([]byte{7}, 200)},
+		{Seq: 9},
+	})
+	links := MarshalLinkSamplesDPTR([]LinkSample{{Link: 1, Bin: 2}, {Link: -3, Bin: 4}})
+	hops := MarshalHopRecordsDPTR([]HopRecord{{Monitor: 1, IP: 2, Hops: 3}})
+	for _, body := range [][]byte{packets, links, hops} {
+		f.Add(uint8(0), body)
+		f.Add(uint8(3), body[:len(body)-3])
+		f.Add(uint8(5), append(body[:len(body):len(body)], 0))
+	}
+	// A non-minimal varint payload length, and a count with no records.
+	long := append(append([]byte(nil), packets[:headerSize+packetFixed]...), 0x85, 0x00, 'h', 'e', 'l', 'l', 'o')
+	binary.LittleEndian.PutUint64(long[8:16], 1)
+	f.Add(uint8(1), long)
+	f.Add(uint8(0), appendHeader(nil, KindHop, 1<<40))
+	f.Add(uint8(0), []byte("DPTR"))
+
+	f.Fuzz(func(t *testing.T, chunk uint8, data []byte) {
+		n := int(chunk%16) + 1
+		diffDecode(t, "packet", data, n, decodePackets, ParsePacketsDPTR, MarshalPacketsDPTR)
+		diffDecode(t, "link", data, n, decodeLinkSamples, ParseLinkSamplesDPTR, MarshalLinkSamplesDPTR)
+		diffDecode(t, "hop", data, n, decodeHopRecords, ParseHopRecordsDPTR, MarshalHopRecordsDPTR)
+	})
+}
+
+func diffDecode[T any](t *testing.T, kind string, data []byte, chunk int,
+	decode func(*window) ([]T, error), parse func([]byte) ([]T, error), marshal func([]T) []byte) {
+	t.Helper()
+	file, ferr := decode(newReadWindow(&chunkReader{data: data, n: chunk}))
+	batch, berr := parse(data)
+	switch {
+	case ferr != nil:
+		if berr == nil {
+			t.Fatalf("%s: batch decoded what the reader refused (%v)", kind, ferr)
+		}
+		return
+	case berr == nil:
+		if !reflect.DeepEqual(batch, file) {
+			t.Fatalf("%s: batch and reader records differ", kind)
+		}
+		// The records end exactly at the body's end only if losing
+		// the last byte truncates them.
+		if _, err := parse(data[:len(data)-1]); err == nil {
+			t.Fatalf("%s: the batch decodes without its last byte too: trailing bytes accepted", kind)
+		}
+	default:
+		var end int
+		if !errors.Is(berr, ErrTrailingData) {
+			t.Fatalf("%s: reader decoded %d records, batch refused: %v", kind, len(file), berr)
+		} else if _, err := fmt.Sscanf(berr.Error()[strings.Index(berr.Error(), "at offset "):], "at offset %d,", &end); err != nil || end >= len(data) {
+			t.Fatalf("%s: %q names no offset inside the batch", kind, berr)
+		}
+		if batch, berr = parse(data[:end]); berr != nil || !reflect.DeepEqual(batch, file) {
+			t.Fatalf("%s: the batch up to offset %d: %v, or records differ from the reader's", kind, end, berr)
+		}
+	}
+	// Records decoded re-encode to a batch that decodes to them again.
+	again, err := parse(marshal(batch))
+	if err != nil || !reflect.DeepEqual(again, batch) {
+		t.Fatalf("%s: round trip: %v", kind, err)
+	}
+}
+
+// chunkReader returns at most n bytes per Read. Like a bytes.Reader,
+// it reports the bytes it has left.
+type chunkReader struct {
+	data []byte
+	n    int
+}
+
+func (r *chunkReader) Len() int { return len(r.data) }
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.n)], r.data)
+	r.data = r.data[n:]
+	return n, nil
 }
 
 // refDecode and refParse spell the NDJSON contract with encoding/json
