@@ -32,6 +32,17 @@ if grep -rnE '\b(WhereRecorded|StreamNoisy[A-Za-z]*|FsyncAlways|FsyncPolicy)\b|\
 	echo "bench-only forwards (core.WhereRecorded, core.StreamNoisy*, ledger.FsyncPolicy, ledger.FsyncAlways, Options.Fsync) referenced outside bench/" >&2
 	exit 1
 fi
+# Each served query kind is declared once, in internal/dpserver's kind
+# table (kinds.go): no other non-test file of the package may spell a
+# kind's name as a string literal, so a second hand-written list of
+# kinds — a dispatch switch, a parameter map, a registry — cannot regrow.
+kinds=$(grep -oE '\{name: "[a-z]+"' internal/dpserver/kinds.go | cut -d'"' -f2 | paste -sd'|' -)
+test -n "$kinds"
+if grep -rnE --include='*.go' "\"($kinds)\"" internal/dpserver |
+	grep -vE '_test\.go:|^internal/dpserver/kinds\.go:|^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "a served query kind's name is spelled outside internal/dpserver/kinds.go's table" >&2
+	exit 1
+fi
 # Every Test* / Fuzz* / Benchmark* the docs name must be declared in
 # some test file (a trailing * names a prefix), so prose cannot keep
 # pointing at a test that was renamed or deleted.

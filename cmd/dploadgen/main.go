@@ -46,6 +46,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,8 +79,8 @@ func main() {
 
 	kindList := strings.Split(*kinds, ",")
 	for _, k := range kindList {
-		if !api.KnownQueryKind(strings.TrimSpace(k)) {
-			fatalf("unknown query kind %q (%s)", k, api.PacketQueryKindList())
+		if !slices.ContainsFunc(dpserver.PacketKinds(), func(pk dpserver.Kind) bool { return pk.Name == strings.TrimSpace(k) }) {
+			fatalf("%q is not a packet query kind (dpquery -h lists them)", k)
 		}
 	}
 

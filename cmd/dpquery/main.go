@@ -15,19 +15,7 @@
 //	dpquery -server http://127.0.0.1:8080 -analyst alice \
 //	    -dataset hotspot -query count -eps 0.1 -dstport 80 -timeout 30s
 //
-// Queries:
-//
-//	count    noisy packet count (filters: -dstport, -srcport, -minlen)
-//	hosts    noisy count of distinct source hosts sending more than
-//	         -minbytes bytes (the paper's §2.3 example)
-//	lencdf   packet length CDF (CDF2), printed as "edge count" rows
-//	portcdf  destination port CDF (CDF2)
-//	medianlen  noisy median packet length (exponential mechanism)
-//	rttcdf   handshake-RTT CDF (ms);  losscdf  per-flow loss-rate CDF
-//	lenquantile  noisy packet-length quantile at -fraction, from a
-//	         one-pass rank sketch (-sketcheps tunes rank accuracy)
-//	srcfreq  noisy packet count for the source IP in -key (count-min)
-//	distinctsrc  noisy distinct source-IP count (HLL-style registers)
+// -query names a kind from dpserver's kind table; -h lists them.
 //
 // Both modes build the same api.QueryRequest from the flags; local mode
 // hands it to the server's own executor (dpserver.RunPacketQuery), so
@@ -53,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"dptrace/internal/core"
@@ -78,7 +67,7 @@ func main() {
 	dataset := flag.String("dataset", "", "dataset name on the server (remote mode)")
 	timeout := flag.Duration("timeout", 30*time.Second, "remote query deadline")
 	budget := flag.Float64("budget", 1.0, "total privacy budget for this session (local mode)")
-	query := flag.String("query", "count", "one of: "+api.PacketQueryKindList())
+	query := flag.String("query", "count", "query kind, one of:"+kindHelp())
 	eps := flag.Float64("eps", 0.1, "privacy cost of this query")
 	dstPort := flag.Int("dstport", -1, "filter: destination port")
 	srcPort := flag.Int("srcport", -1, "filter: source port")
@@ -91,10 +80,6 @@ func main() {
 	explain := flag.Bool("explain", false, "print the query's execution profile (plan, timings, ε accounting); costs no extra ε")
 	flag.Parse()
 
-	if *query == "srcfreq" && *key == "" {
-		fmt.Fprintln(os.Stderr, "dpquery: srcfreq requires -key (a source IP)")
-		os.Exit(2)
-	}
 	req := api.QueryRequest{
 		Dataset: *dataset, Query: *query, Epsilon: *eps,
 		MinBytes: *minBytes, Fraction: *fraction, SketchEps: *sketchEps, Key: *key,
@@ -185,24 +170,20 @@ func printAnswer(req *api.QueryRequest, values []float64, buckets []int64, noise
 		}
 		return
 	}
-	label := "noisy " + req.Query
-	switch req.Query {
-	case "hosts":
-		label = fmt.Sprintf("noisy distinct hosts over %d bytes", req.MinBytes)
-	case "lenquantile":
-		label = fmt.Sprintf("noisy length quantile (fraction %.3f)", req.Fraction)
-	case "srcfreq":
-		label = "noisy packets from " + req.Key
-	case "distinctsrc":
-		label = "noisy distinct source IPs"
-	case "medianlen":
-		label = "noisy median length"
-	}
+	fmt.Printf("noisy %s: %.1f", req.Query, values[0])
 	if noiseStd > 0 {
-		fmt.Printf("%s: %.1f (noise std %.2f)\n", label, values[0], noiseStd)
-	} else {
-		fmt.Printf("%s: %.1f\n", label, values[0])
+		fmt.Printf(" (noise std %.2f)", noiseStd)
 	}
+	fmt.Println()
+}
+
+// kindHelp lists the packet kinds with their descriptions, one a line.
+func kindHelp() string {
+	var b strings.Builder
+	for _, k := range dpserver.PacketKinds() {
+		fmt.Fprintf(&b, "\n  %-12s %s", k.Name, k.Description)
+	}
+	return b.String()
 }
 
 func report(err error) {

@@ -64,24 +64,38 @@ type HopVector struct {
 	coords []float64
 }
 
-// AssembleVectors builds, behind the curtain, one hop-count vector per
-// IP with missing monitors imputed from the noisy per-monitor
-// averages. Monitors' averages cost EpsilonImpute once (Partition by
-// monitor; max-accounting).
-func AssembleVectors(q *core.Queryable[trace.HopRecord], cfg Config) (*core.Queryable[HopVector], []float64, error) {
-	monitorKeys := make([]int32, cfg.Monitors)
+// MonitorAverages measures each monitor's average hop count at
+// privacy level epsilon, hop values clamped to [0, maxHops]: Partition
+// by monitor, then one noisy average per part. Its total cost is
+// epsilon because the parts are disjoint.
+func MonitorAverages(q *core.Queryable[trace.HopRecord], monitors int, epsilon, maxHops float64) ([]float64, error) {
+	if monitors <= 0 {
+		return nil, fmt.Errorf("topology: need a positive monitor count, got %d", monitors)
+	}
+	monitorKeys := make([]int32, monitors)
 	for i := range monitorKeys {
 		monitorKeys[i] = int32(i)
 	}
 	byMonitor := core.Partition(q, monitorKeys, func(r trace.HopRecord) int32 { return r.Monitor })
-	averages := make([]float64, cfg.Monitors)
+	averages := make([]float64, monitors)
 	for m, key := range monitorKeys {
-		avg, err := core.NoisyAverageScaled(byMonitor[key], cfg.EpsilonImpute, cfg.MaxHops,
+		avg, err := core.NoisyAverageScaled(byMonitor[key], epsilon, maxHops,
 			func(r trace.HopRecord) float64 { return float64(r.Hops) })
 		if err != nil {
-			return nil, nil, fmt.Errorf("topology: monitor %d average: %w", m, err)
+			return nil, fmt.Errorf("topology: monitor %d average: %w", m, err)
 		}
 		averages[m] = avg
+	}
+	return averages, nil
+}
+
+// AssembleVectors builds, behind the curtain, one hop-count vector per
+// IP with missing monitors imputed from the noisy per-monitor
+// averages (MonitorAverages at EpsilonImpute).
+func AssembleVectors(q *core.Queryable[trace.HopRecord], cfg Config) (*core.Queryable[HopVector], []float64, error) {
+	averages, err := MonitorAverages(q, cfg.Monitors, cfg.EpsilonImpute, cfg.MaxHops)
+	if err != nil {
+		return nil, nil, err
 	}
 	groups := core.GroupBy(q, func(r trace.HopRecord) trace.IPv4 { return r.IP })
 	vectors := core.Select(groups, func(g core.Group[trace.IPv4, trace.HopRecord]) HopVector {

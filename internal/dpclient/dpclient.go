@@ -537,8 +537,8 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 // LoadMatrix extracts the noisy link×bin count matrix from a hosted
 // link trace (one ε total). Data is row-major with rows = bins. The
 // call is idempotent under retries.
-func (c *Client) LoadMatrix(ctx context.Context, dataset string, epsilon float64) (*dpserver.MatrixResponse, error) {
-	body, err := json.Marshal(dpserver.MatrixRequest{
+func (c *Client) LoadMatrix(ctx context.Context, dataset string, epsilon float64) (*api.MatrixResponse, error) {
+	body, err := json.Marshal(api.MatrixRequest{
 		Analyst: c.analyst, Dataset: dataset, Epsilon: epsilon,
 		IdempotencyKey: NewIdempotencyKey(),
 	})
@@ -549,7 +549,7 @@ func (c *Client) LoadMatrix(ctx context.Context, dataset string, epsilon float64
 	if err != nil {
 		return nil, err
 	}
-	var mr dpserver.MatrixResponse
+	var mr api.MatrixResponse
 	if err := json.Unmarshal(out, &mr); err != nil {
 		return nil, fmt.Errorf("dpclient: decoding matrix: %w", err)
 	}
@@ -560,7 +560,7 @@ func (c *Client) LoadMatrix(ctx context.Context, dataset string, epsilon float64
 // hosted hop trace (one ε total via Partition max-accounting). The
 // call is idempotent under retries.
 func (c *Client) MonitorAverages(ctx context.Context, dataset string, epsilon, maxHops float64) ([]float64, error) {
-	body, err := json.Marshal(dpserver.HopAveragesRequest{
+	body, err := json.Marshal(api.HopAveragesRequest{
 		Analyst: c.analyst, Dataset: dataset, Epsilon: epsilon, MaxHops: maxHops,
 		IdempotencyKey: NewIdempotencyKey(),
 	})
@@ -571,7 +571,7 @@ func (c *Client) MonitorAverages(ctx context.Context, dataset string, epsilon, m
 	if err != nil {
 		return nil, err
 	}
-	var hr dpserver.HopAveragesResponse
+	var hr api.HopAveragesResponse
 	if err := json.Unmarshal(out, &hr); err != nil {
 		return nil, fmt.Errorf("dpclient: decoding averages: %w", err)
 	}

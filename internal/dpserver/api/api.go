@@ -1,12 +1,12 @@
 // Package api is the single source of truth for the server's /v1 wire
 // contract: every request and response struct, the uniform error
-// envelope and its stable codes, the protocol headers, the query-kind
-// registry, and the ingest batch formats. internal/dpserver serves
-// these shapes and internal/dpclient consumes them — both import this
-// package instead of keeping duplicated struct literals, so a contract
-// change is one edit that the compiler propagates to both sides (and
-// to cmd/dploadgen, which speaks the same types when hammering a
-// server).
+// envelope and its stable codes, the protocol headers and the ingest
+// batch formats (the query kinds are internal/dpserver's kind table).
+// internal/dpserver serves these shapes and internal/dpclient consumes
+// them — both import this package instead of keeping duplicated struct
+// literals, so a contract change is one edit that the compiler
+// propagates to both sides (and to cmd/dploadgen, which speaks the same
+// types when hammering a server).
 //
 // The package is pure data: no handlers, no transport, no privacy
 // machinery. It may import internal/trace (record shapes ride in

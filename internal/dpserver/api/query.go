@@ -39,7 +39,7 @@ func (f *Filter) Match(p *trace.Packet) bool {
 type QueryRequest struct {
 	Analyst string  `json:"analyst"`
 	Dataset string  `json:"dataset"`
-	Query   string  `json:"query"` // see QueryKinds for the registry
+	Query   string  `json:"query"` // a packet kind: dpserver.PacketKinds
 	Epsilon float64 `json:"epsilon"`
 	Filter  *Filter `json:"filter,omitempty"`
 	// MinBytes applies to the hosts query (paper §2.3 threshold).
@@ -82,6 +82,12 @@ type QueryResponse struct {
 	Profile *obs.Profile `json:"profile,omitempty"`
 }
 
+// SetBudget fills the fields every spending route's success body ends
+// with: the analyst's budget after the query and the optional profile.
+func (r *QueryResponse) SetBudget(spent, remaining float64, profile *obs.Profile) {
+	r.Spent, r.Remaining, r.Profile = spent, remaining, profile
+}
+
 // MatrixRequest is the POST /v1/query/loadmatrix body: extract the
 // full noisy link×bin count matrix (the Fig 4 pipeline's first step).
 // The nested partition prices the whole matrix at one ε.
@@ -107,6 +113,11 @@ type MatrixResponse struct {
 	Profile *obs.Profile `json:"profile,omitempty"`
 }
 
+// SetBudget fills the budget and profile fields, as QueryResponse's.
+func (r *MatrixResponse) SetBudget(spent, remaining float64, profile *obs.Profile) {
+	r.Spent, r.Remaining, r.Profile = spent, remaining, profile
+}
+
 // HopAveragesRequest is the POST /v1/query/monitoravgs body:
 // per-monitor noisy average hop counts (the topology analysis's
 // imputation step).
@@ -130,6 +141,11 @@ type HopAveragesResponse struct {
 	Profile *obs.Profile `json:"profile,omitempty"`
 }
 
+// SetBudget fills the budget and profile fields, as QueryResponse's.
+func (r *HopAveragesResponse) SetBudget(spent, remaining float64, profile *obs.Profile) {
+	r.Spent, r.Remaining, r.Profile = spent, remaining, profile
+}
+
 // AnalystUsage summarizes one analyst's activity on one dataset, so
 // the owner's ledger is queryable rather than dump-only. Requested is
 // the sum of ε values analysts asked for; Charged is what the ledger
@@ -148,7 +164,10 @@ type AnalystUsage struct {
 // owner-facing route: it lists every analyst's usage and the exact
 // record count.
 type DatasetInfo struct {
-	Name           string  `json:"name"`
+	Name string `json:"name"`
+	// Kind is the record type the dataset holds: "packet", "link" or
+	// "hop".
+	Kind           string  `json:"kind"`
 	TotalSpent     float64 `json:"totalSpent"`
 	TotalRemaining float64 `json:"totalRemaining"`
 	// Records is the dataset's live record count — the static load

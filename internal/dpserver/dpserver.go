@@ -10,7 +10,7 @@
 //	POST /v1/query                   run one differentially-private query
 //	POST /v1/query/loadmatrix        the noisy link×bin matrix
 //	POST /v1/query/monitoravgs       per-monitor noisy hop averages
-//	GET  /v1/budget?dataset=&analyst=   an analyst's remaining allowance
+//	GET  /v1/budget?dataset=&analyst=   an analyst's remaining allowance, on any dataset
 //	/v1/standing/{dataset}[/{id}[/results]]   standing queries
 //
 // A query names the analyst (authentication is out of scope — wire it
@@ -29,7 +29,7 @@
 // The data owner operating the server as a long-lived service has the
 // owner-facing routes (Route.Owner) — shield them at the ingress:
 //
-//	GET  /v1/datasets       datasets, sizes, budget state, per-analyst usage
+//	GET  /v1/datasets       every dataset: kind, size, budget state, per-analyst usage
 //	GET  /v1/audit          the query ledger (?analyst=&dataset=&outcome=&limit=)
 //	POST /v1/ingest/{dataset}   append a record batch
 //	POST /v1/admin/promote  promote a replication follower
@@ -53,12 +53,11 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dptrace/internal/analyses/flowstats"
-	"dptrace/internal/analyses/packetdist"
 	"dptrace/internal/core"
 	"dptrace/internal/dpserver/api"
 	"dptrace/internal/ingest"
@@ -67,16 +66,13 @@ import (
 	"dptrace/internal/obs"
 	"dptrace/internal/obs/qlog"
 	"dptrace/internal/standing"
-	"dptrace/internal/toolkit"
 	"dptrace/internal/trace"
 )
 
 // Server hosts protected datasets behind the query API.
 type Server struct {
 	mu       sync.RWMutex
-	datasets map[string]*dataset
-	linkSets map[string]*linkDataset
-	hopSets  map[string]*hopDataset
+	datasets map[string]*dataset // every hosted dataset, of every kind
 	src      noise.Source
 	audit    *auditLog
 
@@ -164,26 +160,6 @@ func WithEventLog(l *qlog.Logger) ServerOption {
 // Events returns the server's structured event logger (never nil).
 func (s *Server) Events() *qlog.Logger { return s.events }
 
-type dataset struct {
-	// packets is the dataset's append-only record log. Ingest appends
-	// under s.mu's write lock, never moving a record the log holds;
-	// queries take a view of it once under the read lock and run
-	// against that immutable snapshot (see snapshot).
-	packets *core.Log[trace.Packet]
-	policy  *core.AnalystPolicy
-	// ingestedBatches counts batches applied via /v1/ingest (guarded
-	// by s.mu like packets).
-	ingestedBatches uint64
-	// watermark is the dataset's monotonic record-sequence counter:
-	// the registration packets plus every ingested record, advanced
-	// exactly once per batch at ingest apply (guarded by s.mu). It is
-	// the single clock standing-query windows and the /v1/datasets
-	// record count read — on the live server it always equals
-	// packets.Len(), but the watermark is the contractual stream
-	// position while the log's length is an implementation detail.
-	watermark uint64
-}
-
 // New creates a server drawing noise from src (pass
 // noise.NewCryptoSource() in production; tests use a seeded source).
 // Options configure the request lifecycle: WithLimits for admission
@@ -192,8 +168,6 @@ type dataset struct {
 func New(src noise.Source, opts ...ServerOption) *Server {
 	s := &Server{
 		datasets: make(map[string]*dataset),
-		linkSets: make(map[string]*linkDataset),
-		hopSets:  make(map[string]*hopDataset),
 		src:      noise.NewLockedSource(src),
 		audit:    new(auditLog),
 		start:    time.Now(),
@@ -250,50 +224,6 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 // dataset's spent-budget ledger — exactly the state the privacy
 // guarantee depends on — so collisions are refused.
 var ErrDatasetExists = errors.New("dpserver: dataset already exists")
-
-// nameTaken reports whether any dataset kind holds name; callers hold
-// s.mu.
-func (s *Server) nameTaken(name string) bool {
-	if _, ok := s.datasets[name]; ok {
-		return true
-	}
-	if _, ok := s.linkSets[name]; ok {
-		return true
-	}
-	_, ok := s.hopSets[name]
-	return ok
-}
-
-// AddPacketTrace registers a copy of a packet trace under name with
-// the given total and per-analyst privacy budgets: the dataset's log
-// holds its own records, so ingest never writes into the caller's
-// slice. It refuses (ErrDatasetExists) if the name is taken by any
-// dataset kind: replacement would reset the spent-budget ledger and
-// let analysts re-spend against the same records.
-func (s *Server) AddPacketTrace(name string, packets []trace.Packet, totalBudget, perAnalystBudget float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.nameTaken(name) {
-		return fmt.Errorf("%w: %q", ErrDatasetExists, name)
-	}
-	d := &dataset{
-		packets:   core.NewLog(packets),
-		policy:    core.NewAnalystPolicy(totalBudget, perAnalystBudget),
-		watermark: uint64(len(packets)),
-	}
-	if err := s.registerDataset(name, kindPacket, d.policy, totalBudget, perAnalystBudget); err != nil {
-		return err
-	}
-	s.datasets[name] = d
-	// A follower does not schedule standing queries — it cannot spend.
-	// The replication stream keeps the ledger's standing state current,
-	// and Promote installs it fresh into the scheduler.
-	if s.replFollowerHandle() == nil {
-		s.restoreStanding(name)
-	}
-	d.policy.RegisterGauges(s.metrics, "dataset", name)
-	return nil
-}
 
 // Handler returns the HTTP handler for the query API. Every endpoint
 // is mounted under /v1/, answers errors with the uniform {code,
@@ -421,6 +351,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	for name, d := range s.datasets {
 		info := DatasetInfo{
 			Name:           name,
+			Kind:           d.kind.String(),
 			TotalSpent:     d.policy.TotalSpent(),
 			TotalRemaining: finiteOrUnlimited(d.policy.TotalRemaining()),
 			// The record count IS the watermark: the same monotonic
@@ -490,19 +421,30 @@ func snapshot[T any](s *Server, l *core.Log[T]) core.LogView[T] {
 	return l.View()
 }
 
-// jsonDecoder builds the strict decoder shared by the query handlers.
-func jsonDecoder(r *http.Request) *json.Decoder {
+// decodeJSON decodes a request body strictly — an unknown field is an
+// error — writing a 400 on failure.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	return dec
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "bad request: " + err.Error()})
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := jsonDecoder(r).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "bad request: " + err.Error()})
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
+	s.serveQuery(w, r, kindPacket, request{QueryRequest: &req})
+}
+
+// serveQuery admits one spending query on a route that serves datasets
+// of kind dataset, then runs it through the envelope, at most once per
+// idempotency key.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, dataset ingest.Kind, req request) {
 	if req.Analyst == "" || req.Dataset == "" {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst and dataset are required"})
 		return
@@ -511,55 +453,76 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "epsilon must be positive"})
 		return
 	}
-	d, ok := s.lookup(req.Dataset)
+	d, ok := s.datasetFor(w, req.Dataset, dataset)
 	if !ok {
-		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown dataset %q", req.Dataset)})
 		return
 	}
+	endpoint := strings.TrimPrefix(r.URL.Path, "/v1")
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
 		func(ctx context.Context) execResult {
-			return s.executeQuery(ctx, explain, d, &req)
+			return s.execute(ctx, endpoint, explain, d, req)
 		})
 }
 
-// executeQuery runs one packet-trace query to completion under ctx,
-// returning the response status, its marshaled body, and whether the
-// outcome may be replayed for an idempotency key. The one
-// non-replayable outcome is a cancellation that charged nothing: a
-// retry should execute, not be handed back its own timeout. The
-// charges and the audit record it journals are staged, not durable:
-// the caller releases the result through Server.settle.
-//
-// Every execution — success or failure — ends in exactly one "query"
-// wide event carrying the full execution profile (see finishQuery),
-// emitted by settle once the commit's cost is known.
-// explain additionally returns the redacted profile to the analyst in
-// the response envelope; it changes no budget accounting and no
-// ledger traffic.
-func (s *Server) executeQuery(ctx context.Context, explain bool, d *dataset, req *QueryRequest) execResult {
+// datasetFor resolves the dataset a request names for a route serving
+// datasets of kind want, writing a 404 when no dataset has the name and
+// a 400 when it holds another kind's records.
+func (s *Server) datasetFor(w http.ResponseWriter, name string, want ingest.Kind) (*dataset, bool) {
+	d, ok := s.lookup(name)
+	switch {
+	case !ok:
+		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown dataset %q", name)})
+	case d.kind != want:
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest,
+			Message: fmt.Sprintf("dataset %q holds %s records; this route queries %s datasets", name, d.kind, want)})
+		return nil, false
+	}
+	return d, ok
+}
+
+// execute runs one spending query to completion under ctx — the one
+// envelope behind /v1/query, /v1/query/loadmatrix and
+// /v1/query/monitoravgs: snapshot the dataset, meter the analyst's
+// agent, record the engine and the profile, run the kind, audit what it
+// charged, then complete the success body with the analyst's budget
+// and, when explain is set, the redacted profile (explaining changes no
+// accounting and no ledger traffic). Every outcome may be replayed for
+// an idempotency key but a cancellation that charged nothing, which a
+// retry should execute. What it journals is staged: the caller releases
+// the result through Server.settle, which also emits the execution's
+// one "query" wide event.
+func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *dataset, req request) execResult {
 	start := time.Now()
 	if s.execHook != nil {
 		s.execHook(ctx)
 	}
-	// Every query executes under a profile recorder (feeding the wide
-	// event and X-DP-Explain) and the server's metrics recorder.
 	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
-	q := core.NewQueryableForView(snapshot(s, d.packets), core.Agent(agent), s.src).
-		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(s.exec).WithContext(ctx)
-
+	rec := obs.Multi(s.engineRec, prof)
 	spentBefore := d.policy.SpentBy(req.Analyst)
+	var resp reply
+	var err error
+	switch d.kind {
+	case kindPacket:
+		resp, err = s.execPacket(open(s, d.packets, agent, rec, ctx), req.QueryRequest)
+	case kindLink:
+		resp, err = runKind(input{samples: open(s, d.samples, agent, rec, ctx), d: d}, req)
+	case kindHop:
+		resp, err = runKind(input{hops: open(s, d.hops, agent, rec, ctx), d: d}, req)
+	}
 	entry := AuditEntry{
 		Analyst: req.Analyst, Dataset: req.Dataset,
-		Query: req.Query, Epsilon: req.Epsilon,
+		Query: req.Query, Epsilon: req.Epsilon, Outcome: "ok",
 	}
 	done := queryOutcome{
-		endpoint: "/query", analyst: req.Analyst, dataset: req.Dataset,
+		endpoint: endpoint, analyst: req.Analyst, dataset: req.Dataset,
 		query: req.Query, epsilon: req.Epsilon, started: start,
 		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy, agent: agent,
 	}
-	resp, err := s.execPacket(q, req)
+	spent := d.policy.SpentBy(req.Analyst)
+	remaining := finiteOrUnlimited(d.policy.RemainingFor(req.Analyst))
+	entry.Charged = spent - spentBefore
 	if err != nil {
 		if errors.Is(err, core.ErrInternal) {
 			// A panic recovered at the aggregation boundary (the worker
@@ -574,25 +537,27 @@ func (s *Server) executeQuery(ctx context.Context, explain bool, d *dataset, req
 				qlog.F("query", req.Query),
 				qlog.F("error", err.Error()))
 		}
-		charged := d.policy.SpentBy(req.Analyst) - spentBefore
 		entry.Outcome = auditOutcome(err)
-		entry.Charged = charged
 		s.recordAudit(&done, entry)
-		status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
-		cacheable := !(entry.Outcome == "canceled" && charged == 0)
-		done.outcome, done.status, done.charged, done.profile = entry.Outcome, status, charged, prof.Profile()
-		return s.queryResult(done, marshalJSON(ae), cacheable)
+		status, ae := classify(err, remaining, entry.Charged)
+		done.outcome, done.status, done.charged, done.profile = entry.Outcome, status, entry.Charged, prof.Profile()
+		return s.queryResult(done, marshalJSON(ae), !(entry.Outcome == "canceled" && entry.Charged == 0))
 	}
-	resp.Spent = d.policy.SpentBy(req.Analyst)
-	resp.Remaining = finiteOrUnlimited(d.policy.RemainingFor(req.Analyst))
-	entry.Outcome = "ok"
-	entry.Charged = resp.Spent - spentBefore
 	s.recordAudit(&done, entry)
 	done.outcome, done.status, done.charged, done.profile = entry.Outcome, http.StatusOK, entry.Charged, prof.Profile()
+	var redacted *obs.Profile
 	if explain {
-		resp.Profile = done.profile.Redact()
+		redacted = done.profile.Redact()
 	}
+	resp.SetBudget(spent, remaining, redacted)
 	return s.queryResult(done, marshalJSON(resp), true)
+}
+
+// open builds a query's Queryable over a snapshot of l, behind agent,
+// recording to rec and bounded by ctx, at the server's execution width.
+func open[T any](s *Server, l *core.Log[T], agent core.Agent, rec obs.Recorder, ctx context.Context) *core.Queryable[T] {
+	return core.NewQueryableForView(snapshot(s, l), agent, s.src).
+		WithRecorder(rec).WithExecOptions(s.exec).WithContext(ctx)
 }
 
 // marshalJSON renders a success body exactly as writeJSON would,
@@ -602,11 +567,12 @@ func marshalJSON(v any) []byte {
 	return append(b, '\n')
 }
 
-// RunPacketQuery executes one packet-trace query kind over q — the one
-// executor behind POST /v1/query, standing windows and dpquery's local
-// mode, covering exactly api.PacketQueryKinds(). Every kind starts from
-// the request filter as a fused stage, q.Stream().Where(match), and
-// most never copy a record: the record-wise kinds (count, medianlen,
+// RunPacketQuery executes one packet query kind over q — what the
+// envelope runs for POST /v1/query, and standing windows and dpquery's
+// local mode run directly. It looks req's kind up in the kind table,
+// checks its parameters, and runs the kind's run function from the
+// request filter as a fused stage, q.Stream().Where(match). Most kinds
+// never copy a record: the record-wise kinds (count, medianlen,
 // lenquantile, srcfreq) aggregate straight off the chunk loop, hosts
 // folds each source's byte total as the chunks go by (GroupFold),
 // distinctsrc keeps each source once (Distinct) in front of its
@@ -614,129 +580,29 @@ func marshalJSON(v any) []byte {
 // losscdf Materialize() once, in front of the Join and GroupBy that
 // need the records.
 func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryResponse, error) {
-	if err := checkParams(req); err != nil {
+	k, err := kindFor(req, kindPacket)
+	if err != nil {
 		return nil, err
 	}
 	var match func(trace.Packet) bool // nil without a filter: every packet passes, unread
 	if req.Filter != nil {
 		match = func(p trace.Packet) bool { return req.Filter.Match(&p) }
 	}
-	filtered := q.Stream().Where(match)
-	length := func(p trace.Packet) float64 { return float64(p.Len) }
-	source := func(p trace.Packet) string { return p.SrcIP.String() }
-	// cdf wraps a CDF analysis' output; they all charge ε once.
-	cdf := func(buckets []int64, values []float64, err error) (*QueryResponse, error) {
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResponse{Values: values, Buckets: buckets, NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
-	}
-	var (
-		v        float64
-		err      error
-		noiseStd = noise.LaplaceStd(req.Epsilon)
-	)
-	switch req.Query {
-	case "count":
-		v, err = filtered.NoisyCount(req.Epsilon)
-
-	case "hosts":
-		minBytes := orDefault(req.MinBytes, 1024)
-		bytesBySource := core.GroupFold(filtered,
-			func(p trace.Packet) trace.IPv4 { return p.SrcIP },
-			func(total int, p trace.Packet) int { return total + int(p.Len) })
-		heavy := bytesBySource.Stream().Where(func(g core.Folded[trace.IPv4, int]) bool { return g.Value > minBytes })
-		v, err = heavy.NoisyCount(req.Epsilon)
-		noiseStd *= 2 // GroupBy doubles the sensitivity
-
-	case "lencdf":
-		buckets := packetdist.LengthBuckets(orDefault(req.BucketStep, 16))
-		values, err := packetdist.PrivateLengthCDF(filtered, req.Epsilon, buckets)
-		return cdf(buckets, values, err)
-
-	case "portcdf":
-		buckets := packetdist.PortBuckets(orDefault(req.BucketStep, 1024))
-		values, err := packetdist.PrivatePortCDF(filtered, req.Epsilon, buckets)
-		return cdf(buckets, values, err)
-
-	case "rttcdf":
-		buckets := toolkit.LinearBuckets(0, orDefault(req.BucketStep, 10), 64) // ms
-		values, err := flowstats.PrivateRTTCDF(filtered.Materialize(), req.Epsilon, buckets)
-		return cdf(buckets, values, err)
-
-	case "losscdf":
-		buckets := toolkit.LinearBuckets(0, orDefault(req.BucketStep, 25), 41) // permille
-		values, err := flowstats.PrivateLossCDF(filtered.Materialize(), req.Epsilon, 10, buckets)
-		return cdf(buckets, values, err)
-
-	case "medianlen":
-		v, err = core.NoisyMedian(filtered, req.Epsilon, length)
-		noiseStd = 0 // exponential mechanism: no additive noise scale
-
-	case "lenquantile":
-		fraction := req.Fraction
-		if fraction == 0 {
-			fraction = 0.5
-		}
-		v, err = core.NoisyQuantile(filtered, req.Epsilon, fraction, req.SketchEps, length)
-		noiseStd = 0
-
-	case "srcfreq":
-		v, err = core.NoisyFrequency(filtered, req.Epsilon, source, req.Key)
-
-	case "distinctsrc":
-		// Each source once, then the registers: an add is a register max,
-		// so a source's later packets would change nothing (DESIGN §S32).
-		srcIP := func(p trace.Packet) trace.IPv4 { return p.SrcIP }
-		sources := core.Distinct(core.StreamSelect(filtered, srcIP), func(ip trace.IPv4) trace.IPv4 { return ip })
-		v, err = core.NoisyDistinctSketch(sources, req.Epsilon, trace.IPv4.String)
-
-	default:
-		return nil, fmt.Errorf("unknown query %q (%s)", req.Query, api.PacketQueryKindList())
-	}
+	resp, err := k.run(input{packets: q.Stream().Where(match)}, request{QueryRequest: req})
 	if err != nil {
 		return nil, err
 	}
-	return &QueryResponse{Values: []float64{v}, NoiseStd: noiseStd}, nil
+	return resp.(*QueryResponse), nil
 }
 
-// maxBucketStep is each CDF kind's widest bucketStep: lencdf and portcdf
-// need one edge inside their 1,520-byte and 65,536-port domains, and
-// rttcdf's 64 and losscdf's 41 edges must not overflow an int64.
-var maxBucketStep = map[string]int64{
-	"lencdf":  1520,
-	"portcdf": 65536,
-	"rttcdf":  math.MaxInt64 / 64,
-	"losscdf": math.MaxInt64 / 41,
-}
-
-// checkParams refuses parameters its kind could never execute with —
-// a bucketStep wider than the kind's domain, a lenquantile fraction or
-// sketchEps out of range, a srcfreq without its key — naming the
-// parameter, so a one-shot query answers 400 before it builds a
-// pipeline or charges, and a standing query is refused at registration,
-// before any window can fire.
-func checkParams(req *QueryRequest) error {
-	if widest, ok := maxBucketStep[req.Query]; ok && req.BucketStep > widest {
-		return fmt.Errorf("bucketStep %d is wider than %s's domain: at most %d", req.BucketStep, req.Query, widest)
+// runKind runs a link or hop kind: look it up for its dataset's kind,
+// check its parameters, and run it over in.
+func runKind(in input, req request) (reply, error) {
+	k, err := kindFor(req.QueryRequest, in.d.kind)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case req.Query == "lenquantile" && !(req.Fraction >= 0 && req.Fraction <= 1):
-		return fmt.Errorf("fraction %v is outside [0, 1] (0 selects the median)", req.Fraction)
-	case req.Query == "lenquantile" && !(req.SketchEps >= 0 && req.SketchEps < 1):
-		return fmt.Errorf("sketchEps %v is outside (0, 1) (0 selects the default)", req.SketchEps)
-	case req.Query == "srcfreq" && req.Key == "":
-		return fmt.Errorf(`srcfreq requires "key": the target source IP, e.g. "10.0.0.1"`)
-	}
-	return nil
-}
-
-// orDefault is v, or def when the request left the field unset.
-func orDefault[N int | int64](v, def N) N {
-	if v <= 0 {
-		return def
-	}
-	return v
+	return k.run(in, req)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

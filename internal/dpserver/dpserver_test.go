@@ -2,6 +2,7 @@ package dpserver
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"dptrace/internal/core"
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
 	"dptrace/internal/trace"
@@ -19,6 +21,13 @@ import (
 )
 
 func testServer(t *testing.T, total, perAnalyst float64) *httptest.Server {
+	t.Helper()
+	_, ts := hotspotServer(t, total, perAnalyst)
+	return ts
+}
+
+// hotspotServer hosts a small hotspot trace as "hotspot".
+func hotspotServer(t *testing.T, total, perAnalyst float64) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := tracegen.DefaultHotspotConfig()
 	cfg.Sessions = 300
@@ -33,7 +42,7 @@ func testServer(t *testing.T, total, perAnalyst float64) *httptest.Server {
 	s.AddPacketTrace("hotspot", packets, total, perAnalyst)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	return s, ts
 }
 
 func postQuery(t *testing.T, ts *httptest.Server, req QueryRequest) (*http.Response, []byte) {
@@ -191,11 +200,24 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestServerDatasetsAndBudgetEndpoints: /v1/datasets lists every
+// hosted dataset, of every kind, with its kind and record count, and
+// /v1/budget answers for every kind.
 func TestServerDatasetsAndBudgetEndpoints(t *testing.T) {
-	ts := testServer(t, 5.0, 2.0)
+	s, ts := hotspotServer(t, 5.0, 2.0)
+	links, hops := neighbourLinksAndHops()
+	if err := s.AddLinkTrace("isp", links, 6, 8, 3.0, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddHopTrace("scatter", hops, 3, 3.0, 1.0); err != nil {
+		t.Fatal(err)
+	}
 	_, _ = postQuery(t, ts, QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 1.0,
 	})
+	if resp, body := postV1(t, ts.URL+"/v1/query/loadmatrix", api.MatrixRequest{Analyst: "bob", Dataset: "isp", Epsilon: 0.25}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("loadmatrix: %d %s", resp.StatusCode, body)
+	}
 
 	resp, err := http.Get(ts.URL + "/v1/datasets")
 	if err != nil {
@@ -206,24 +228,34 @@ func TestServerDatasetsAndBudgetEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(infos) != 1 || infos[0].Name != "hotspot" {
+	if len(infos) != 3 {
 		t.Fatalf("datasets: %+v", infos)
+	}
+	for i, want := range []struct {
+		name, kind string
+		records    int
+		spent      float64
+	}{{"hotspot", "packet", int(s.datasets["hotspot"].watermark), 1.0}, {"isp", "link", len(links), 0.25}, {"scatter", "hop", len(hops), 0}} {
+		if got := infos[i]; got.Name != want.name || got.Kind != want.kind || got.Records != want.records || got.TotalSpent != want.spent {
+			t.Errorf("dataset %d: %+v, want %s of kind %s, %d records, %v spent", i, got, want.name, want.kind, want.records, want.spent)
+		}
 	}
 	if math.Abs(infos[0].TotalSpent-1.0) > 1e-9 || math.Abs(infos[0].TotalRemaining-4.0) > 1e-9 {
 		t.Errorf("budget state: %+v", infos[0])
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/budget?dataset=hotspot&analyst=alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var budget map[string]float64
-	if err := json.NewDecoder(resp.Body).Decode(&budget); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if math.Abs(budget["spent"]-1.0) > 1e-9 || math.Abs(budget["remaining"]-1.0) > 1e-9 {
-		t.Errorf("alice budget: %v", budget)
+	for _, c := range []struct {
+		dataset, analyst string
+		spent, remaining float64
+	}{{"hotspot", "alice", 1.0, 1.0}, {"isp", "bob", 0.25, 0.75}, {"scatter", "bob", 0, 1.0}} {
+		resp, body := getBody(t, ts.URL+"/v1/budget?dataset="+c.dataset+"&analyst="+c.analyst)
+		var budget map[string]float64
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &budget) != nil {
+			t.Fatalf("%s budget: %d %s", c.dataset, resp.StatusCode, body)
+		}
+		if math.Abs(budget["spent"]-c.spent) > 1e-9 || math.Abs(budget["remaining"]-c.remaining) > 1e-9 {
+			t.Errorf("%s budget of %s: %v, want spent %v, remaining %v", c.dataset, c.analyst, budget, c.spent, c.remaining)
+		}
 	}
 }
 
@@ -392,7 +424,7 @@ func TestServerLinkMatrixQuery(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(MatrixRequest{Analyst: "alice", Dataset: "isp", Epsilon: 1.0})
+	body, _ := json.Marshal(api.MatrixRequest{Analyst: "alice", Dataset: "isp", Epsilon: 1.0})
 	resp, err := http.Post(ts.URL+"/v1/query/loadmatrix", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +433,7 @@ func TestServerLinkMatrixQuery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var mr MatrixResponse
+	var mr api.MatrixResponse
 	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +450,16 @@ func TestServerLinkMatrixQuery(t *testing.T) {
 	if math.Abs(got-want) > 20 {
 		t.Errorf("cell (link 3, bin 7) = %v, want ~%v", got, want)
 	}
+	// Pinned release: this seed's served matrix, bit for bit (its JSON's
+	// SHA-256). The route must keep drawing §5.3.1's nested Partition
+	// cell by cell in this order; bench/digests.json reaches Fig 4 only
+	// through internal/experiments, not through this route.
+	js, _ := json.Marshal(mr.Data)
+	if sum := fmt.Sprintf("%x", sha256.Sum256(js)); sum != "1313ca455065ff322aaebdc4536eddcd87d46f14b226e00abc427d785daa0b26" ||
+		mr.Data[0] != 116.4352719294775 || mr.Data[199] != 125.33478661724936 || mr.Spent != 1 || mr.NoiseStd != math.Sqrt2 {
+		t.Errorf("served matrix moved: data sha256 %s, data[0] %v, data[199] %v, spent %v, noiseStd %v",
+			sum, mr.Data[0], mr.Data[199], mr.Spent, mr.NoiseStd)
+	}
 }
 
 func TestServerMonitorAveragesQuery(t *testing.T) {
@@ -431,7 +473,7 @@ func TestServerMonitorAveragesQuery(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(HopAveragesRequest{
+	body, _ := json.Marshal(api.HopAveragesRequest{
 		Analyst: "bob", Dataset: "scatter", Epsilon: 1.0, MaxHops: 32,
 	})
 	resp, err := http.Post(ts.URL+"/v1/query/monitoravgs", "application/json", bytes.NewReader(body))
@@ -442,7 +484,7 @@ func TestServerMonitorAveragesQuery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var hr HopAveragesResponse
+	var hr api.HopAveragesResponse
 	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
 		t.Fatal(err)
 	}
@@ -454,12 +496,19 @@ func TestServerMonitorAveragesQuery(t *testing.T) {
 			t.Errorf("monitor %d average %v implausible", m, avg)
 		}
 	}
+	// Pinned release: this seed's served averages, bit for bit (Fig 5's
+	// digests do not reach this route either).
+	pinned := []float64{18.40965646207507, 10.235504046745941, 17.685187012265164,
+		18.813424393567125, 11.211173790644388, 10.981116550455647}
+	if !reflect.DeepEqual(hr.Averages, pinned) || hr.Remaining != 1 {
+		t.Errorf("served averages moved: %v (remaining %v), want %v (remaining 1)", hr.Averages, hr.Remaining, pinned)
+	}
 	// Partition max-accounting: one epsilon for all monitors.
 	if math.Abs(hr.Spent-1.0) > 1e-9 {
 		t.Errorf("spent %v, want 1.0", hr.Spent)
 	}
 	// A second query exceeding bob's 2.0 cap is refused.
-	body, _ = json.Marshal(HopAveragesRequest{
+	body, _ = json.Marshal(api.HopAveragesRequest{
 		Analyst: "bob", Dataset: "scatter", Epsilon: 1.5, MaxHops: 32,
 	})
 	resp2, err := http.Post(ts.URL+"/v1/query/monitoravgs", "application/json", bytes.NewReader(body))
@@ -472,11 +521,14 @@ func TestServerMonitorAveragesQuery(t *testing.T) {
 	}
 }
 
+// TestServerLinkMatrixValidation: the extraction routes refuse unknown
+// datasets and missing ε; registration and the analyses refuse
+// non-positive dimensions; and an audit entry records the charge made.
 func TestServerLinkMatrixValidation(t *testing.T) {
 	s := New(noise.NewSeededSource(1, 1))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body, _ := json.Marshal(MatrixRequest{Analyst: "a", Dataset: "nope", Epsilon: 1})
+	body, _ := json.Marshal(api.MatrixRequest{Analyst: "a", Dataset: "nope", Epsilon: 1})
 	resp, err := http.Post(ts.URL+"/v1/query/loadmatrix", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +537,7 @@ func TestServerLinkMatrixValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown dataset status %d", resp.StatusCode)
 	}
-	body, _ = json.Marshal(MatrixRequest{Analyst: "a", Dataset: "x"})
+	body, _ = json.Marshal(api.MatrixRequest{Analyst: "a", Dataset: "x"})
 	resp, err = http.Post(ts.URL+"/v1/query/loadmatrix", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -493,6 +545,82 @@ func TestServerLinkMatrixValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing epsilon status %d", resp.StatusCode)
+	}
+
+	// Registration refuses non-positive dimensions.
+	inf := math.Inf(1)
+	if err := s.AddLinkTrace("flat", nil, 0, 4, inf, inf); err == nil {
+		t.Error("AddLinkTrace accepted 0 links")
+	}
+	if err := s.AddLinkTrace("flat", nil, 4, 0, inf, inf); err == nil {
+		t.Error("AddLinkTrace accepted 0 bins")
+	}
+	if err := s.AddHopTrace("blind", nil, 0, inf, inf); err == nil {
+		t.Error("AddHopTrace accepted 0 monitors")
+	}
+	// The analyses refuse them at query time too: a dataset hosted
+	// without registration's check answers 400 at zero ε.
+	s.mu.Lock()
+	s.datasets["flat"] = &dataset{kind: kindLink, samples: core.NewLog[trace.LinkSample](nil), policy: core.NewAnalystPolicy(inf, inf)}
+	s.datasets["blind"] = &dataset{kind: kindHop, hops: core.NewLog[trace.HopRecord](nil), policy: core.NewAnalystPolicy(inf, inf)}
+	s.mu.Unlock()
+	for _, c := range []struct {
+		route string
+		body  any
+	}{
+		{"/v1/query/loadmatrix", api.MatrixRequest{Analyst: "a", Dataset: "flat", Epsilon: 0.5}},
+		{"/v1/query/monitoravgs", api.HopAveragesRequest{Analyst: "a", Dataset: "blind", Epsilon: 0.5}},
+	} {
+		if resp, body := postV1(t, ts.URL+c.route, c.body, nil); resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("positive")) {
+			t.Errorf("%s on a zero-dimension dataset: %d %s, want 400 naming the dimension", c.route, resp.StatusCode, body)
+		}
+	}
+
+	// The audit entry records the charge actually made: the analyst's
+	// spend after the query less the spend before, as /v1/query's entry
+	// does — not the requested ε (0.1 + 0.2 − 0.1 is not 0.2 in floats).
+	links, hops := neighbourLinksAndHops()
+	if err := s.AddLinkTrace("isp", links, 6, 8, inf, inf); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddHopTrace("scatter", hops, 3, inf, inf); err != nil {
+		t.Fatal(err)
+	}
+	// A route refuses (400, zero ε) a dataset of another kind than its own.
+	for route, body := range map[string]any{
+		"/v1/query":             QueryRequest{Analyst: "b", Dataset: "isp", Query: "count", Epsilon: 0.1},
+		"/v1/query/loadmatrix":  api.MatrixRequest{Analyst: "b", Dataset: "scatter", Epsilon: 0.1},
+		"/v1/query/monitoravgs": api.HopAveragesRequest{Analyst: "b", Dataset: "isp", Epsilon: 0.1},
+	} {
+		if resp, out := postV1(t, ts.URL+route, body, nil); resp.StatusCode != http.StatusBadRequest || !bytes.Contains(out, []byte("records")) {
+			t.Errorf("%s on another kind's dataset: %d %s, want 400", route, resp.StatusCode, out)
+		}
+	}
+	for _, c := range []struct {
+		route string
+		at    func(eps float64) any
+	}{
+		{"/v1/query/loadmatrix", func(eps float64) any { return api.MatrixRequest{Analyst: "b", Dataset: "isp", Epsilon: eps} }},
+		{"/v1/query/monitoravgs", func(eps float64) any { return api.HopAveragesRequest{Analyst: "b", Dataset: "scatter", Epsilon: eps} }},
+	} {
+		var spent []float64
+		for _, eps := range []float64{0.1, 0.2} {
+			resp, body := postV1(t, ts.URL+c.route, c.at(eps), nil)
+			var out struct{ Spent float64 }
+			if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil {
+				t.Fatalf("%s: %d %s", c.route, resp.StatusCode, body)
+			}
+			spent = append(spent, out.Spent)
+		}
+		audit := s.Audit()
+		if last := audit[len(audit)-1]; last.Charged != spent[1]-spent[0] || last.Outcome != "ok" {
+			t.Errorf("%s audit entry %+v, want charged %v (spent %v → %v)", c.route, last, spent[1]-spent[0], spent[0], spent[1])
+		}
+	}
+	for _, e := range s.Audit() {
+		if (e.Dataset == "flat" || e.Dataset == "blind") && (e.Charged != 0 || e.Outcome != "error") {
+			t.Errorf("zero-dimension query audited as %+v, want an error charging 0", e)
+		}
 	}
 }
 

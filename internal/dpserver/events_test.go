@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
 	"dptrace/internal/obs"
@@ -134,7 +135,7 @@ func TestWideEventPerEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	postV1(t, ts.URL+"/v1/query/monitoravgs", HopAveragesRequest{
+	postV1(t, ts.URL+"/v1/query/monitoravgs", api.HopAveragesRequest{
 		Analyst: "alice", Dataset: "hops", Epsilon: 0.5, MaxHops: 32,
 	}, nil)
 

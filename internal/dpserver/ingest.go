@@ -108,59 +108,32 @@ type ingestApplied struct {
 // decoded batch to the dataset's log under s.mu's write lock —
 // atomically: a batch that fails validation changes nothing.
 func (s *Server) ingestTarget(name string) (ingest.Kind, func(ingest.Decoded) (ingestApplied, error), bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if d := s.datasets[name]; d != nil {
-		return ingest.KindPacket, func(dec ingest.Decoded) (ingestApplied, error) {
-			s.mu.Lock()
-			d.packets.Append(dec.Packets)
-			d.watermark += uint64(len(dec.Packets))
-			d.ingestedBatches++
-			applied := ingestApplied{len(dec.Packets), d.packets.Len(), d.ingestedBatches}
-			mark := d.watermark
+	d, ok := s.lookup(name)
+	if !ok {
+		return 0, nil, false
+	}
+	return d.kind, func(dec ingest.Decoded) (ingestApplied, error) {
+		s.mu.Lock()
+		n, err := d.append(dec)
+		if err != nil {
 			s.mu.Unlock()
-			// Standing windows fire here, on the pipeline's single
-			// appender goroutine, after the batch is visible and before
-			// it is ACKed: window execution order is the batch apply
-			// order, so the same record sequence produces the same
-			// results regardless of how batches chunk it. Their journal
-			// records are staged; the request's commit (settle) makes
-			// them durable and publishes the results.
-			s.standing.Stage(name, mark)
-			return applied, nil
-		}, true
-	}
-	if d := s.linkSets[name]; d != nil {
-		return ingest.KindLink, func(dec ingest.Decoded) (ingestApplied, error) {
-			for _, x := range dec.Links {
-				if int(x.Link) >= d.links || int(x.Bin) >= d.bins {
-					return ingestApplied{}, fmt.Errorf("link sample (link=%d, bin=%d) outside dataset dims %dx%d",
-						x.Link, x.Bin, d.links, d.bins)
-				}
-			}
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			d.samples.Append(dec.Links)
-			d.ingestedBatches++
-			return ingestApplied{len(dec.Links), d.samples.Len(), d.ingestedBatches}, nil
-		}, true
-	}
-	if d := s.hopSets[name]; d != nil {
-		return ingest.KindHop, func(dec ingest.Decoded) (ingestApplied, error) {
-			for _, x := range dec.Hops {
-				if int(x.Monitor) >= d.monitors {
-					return ingestApplied{}, fmt.Errorf("hop record monitor %d outside dataset's %d monitors",
-						x.Monitor, d.monitors)
-				}
-			}
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			d.records.Append(dec.Hops)
-			d.ingestedBatches++
-			return ingestApplied{len(dec.Hops), d.records.Len(), d.ingestedBatches}, nil
-		}, true
-	}
-	return 0, nil, false
+			return ingestApplied{}, err
+		}
+		d.watermark += uint64(n)
+		d.ingestedBatches++
+		applied := ingestApplied{n, int(d.watermark), d.ingestedBatches}
+		mark := d.watermark
+		s.mu.Unlock()
+		// Standing windows fire here, on the pipeline's single appender
+		// goroutine, after the batch is visible and before it is ACKed:
+		// window execution order is the batch apply order, so the same
+		// record sequence produces the same results regardless of how
+		// batches chunk it. Their journal records are staged; the
+		// request's commit (settle) makes them durable and publishes the
+		// results.
+		s.standing.Stage(name, mark)
+		return applied, nil
+	}, true
 }
 
 // ingestContentType normalizes the Content-Type header (drops
@@ -255,10 +228,7 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 	start := time.Now()
 	pipe := s.pipeline()
 	if pipe == nil {
-		s.ingestShed(name, "shutting_down")
-		w.Header().Set("Retry-After", s.limits.retryAfter())
-		return execResult{status: http.StatusServiceUnavailable, body: marshalJSON(apiError{
-			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})}
+		return s.ingestRefusal(w, name, ingest.ErrClosed)
 	}
 
 	// Admission before the body read when Content-Length is declared:
@@ -315,10 +285,7 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 	}
 	if _, err := pipe.Submit(job, size); err != nil {
 		if errors.Is(err, ingest.ErrClosed) {
-			s.ingestShed(name, "shutting_down")
-			w.Header().Set("Retry-After", s.limits.retryAfter())
-			return execResult{status: http.StatusServiceUnavailable, body: marshalJSON(apiError{
-				Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})}
+			return s.ingestRefusal(w, name, err)
 		}
 		s.metrics.Counter("dp_ingest_batches_total", "dataset", name, "outcome", "error").Inc()
 		s.events.Log(qlog.Warn, "ingest",

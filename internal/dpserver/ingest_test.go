@@ -450,7 +450,7 @@ func TestIngestedDatasetServesLikeRegistered(t *testing.T) {
 	whole := serve(packets)
 	minLen := 100
 	for _, filter := range []*api.Filter{nil, {MinLen: &minLen}} {
-		for _, kind := range api.PacketQueryKinds() {
+		for _, kind := range packetKindNames() {
 			req := QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1, Key: "10.0.0.1", Filter: filter}
 			respG, bodyG := postV1(t, grown.URL+"/v1/query", req, nil)
 			respW, bodyW := postV1(t, whole.URL+"/v1/query", req, nil)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/noise"
 	"dptrace/internal/trace"
 	"dptrace/internal/tracegen"
@@ -430,13 +431,13 @@ func TestIdempotencyMetrics(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req := MatrixRequest{Analyst: "alice", Dataset: "isp", Epsilon: 0.2, IdempotencyKey: "m1"}
+	req := api.MatrixRequest{Analyst: "alice", Dataset: "isp", Epsilon: 0.2, IdempotencyKey: "m1"}
 	_, first := postV1(t, ts.URL+"/v1/query/loadmatrix", req, nil)
 	_, second := postV1(t, ts.URL+"/v1/query/loadmatrix", req, nil)
 	if !bytes.Equal(first, second) {
 		t.Fatalf("matrix replay diverged:\n%s\n%s", first, second)
 	}
-	if spent := s.linkSets["isp"].policy.TotalSpent(); spent != 0.2 {
+	if spent := s.datasets["isp"].policy.TotalSpent(); spent != 0.2 {
 		t.Fatalf("ε = %v, want one 0.2 charge", spent)
 	}
 	rec := httptest.NewRecorder()

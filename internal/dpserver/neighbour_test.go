@@ -79,24 +79,26 @@ type neighbourCase struct {
 
 var neighbourCases = []neighbourCase{
 	{route: "POST /query", run: func(p *neighbourPair) {
-		for _, kind := range api.PacketQueryKinds() {
+		for _, kind := range packetKindNames() {
 			req := QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1, Key: "10.0.0.1"}
 			p.compare("POST", "/v1/query", req, false)
 			p.compare("POST", "/v1/query", req, true)
 		}
 	}},
 	{route: "POST /query/loadmatrix", run: func(p *neighbourPair) {
-		req := MatrixRequest{Analyst: "a", Dataset: "isp", Epsilon: 0.1}
+		req := api.MatrixRequest{Analyst: "a", Dataset: "isp", Epsilon: 0.1}
 		p.compare("POST", "/v1/query/loadmatrix", req, false)
 		p.compare("POST", "/v1/query/loadmatrix", req, true)
 	}},
 	{route: "POST /query/monitoravgs", run: func(p *neighbourPair) {
-		req := HopAveragesRequest{Analyst: "a", Dataset: "scatter", Epsilon: 0.1, MaxHops: 32}
+		req := api.HopAveragesRequest{Analyst: "a", Dataset: "scatter", Epsilon: 0.1, MaxHops: 32}
 		p.compare("POST", "/v1/query/monitoravgs", req, false)
 		p.compare("POST", "/v1/query/monitoravgs", req, true)
 	}},
 	{route: "GET /budget", run: func(p *neighbourPair) {
-		p.compare("GET", "/v1/budget?dataset=hotspot&analyst=a", nil, false)
+		for _, dataset := range []string{"hotspot", "isp", "scatter"} {
+			p.compare("GET", "/v1/budget?dataset="+dataset+"&analyst=a", nil, false)
+		}
 	}},
 	// The standing cases run in order: register, let the owner ingest
 	// one batch into both servers (two windows fire), then read and

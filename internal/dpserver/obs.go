@@ -167,7 +167,7 @@ type HealthStatus = api.HealthStatus
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	n := len(s.datasets) + len(s.linkSets) + len(s.hopSets)
+	n := len(s.datasets)
 	s.mu.RUnlock()
 	h := HealthStatus{
 		Status:        "ok",

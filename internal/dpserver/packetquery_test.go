@@ -23,37 +23,48 @@ func packetQueryable(n int) *core.Queryable[trace.Packet] {
 	return q
 }
 
-// TestEveryRegisteredPacketKindExecutes: the registry (api/kinds.go) and
-// the executor (RunPacketQuery) are two lists of the same names. Every
-// registered packet kind must execute on a small trace, and a name the
-// registry does not have must be refused with the registry's list — so
-// neither can grow a kind the other lacks.
+// TestEveryRegisteredPacketKindExecutes: every packet kind in the kind
+// table must execute on a small trace, srcfreq must refuse to run
+// without its key, and a name the table does not have — or a kind of
+// another dataset kind — must be refused, the unknown name with the
+// packet kinds' list.
 func TestEveryRegisteredPacketKindExecutes(t *testing.T) {
 	q := packetQueryable(500)
-	for _, kind := range api.QueryKinds() {
-		if kind.Dataset != "packet" {
-			continue
-		}
-		req := &QueryRequest{Query: kind.Name, Epsilon: 0.5}
-		if kind.NeedsKey {
-			if _, err := RunPacketQuery(q, req); err == nil || !strings.Contains(err.Error(), "key") {
-				t.Errorf("%s without its key: err = %v, want a refusal naming the key", kind.Name, err)
-			}
-			req.Key = "10.0.0.1"
-		}
-		resp, err := RunPacketQuery(q, req)
+	if _, err := RunPacketQuery(q, &QueryRequest{Query: "srcfreq", Epsilon: 0.5}); err == nil || !strings.Contains(err.Error(), "key") {
+		t.Errorf("srcfreq without its key: err = %v, want a refusal naming the key", err)
+	}
+	for _, kind := range packetKindNames() {
+		resp, err := RunPacketQuery(q, &QueryRequest{Query: kind, Epsilon: 0.5, Key: "10.0.0.1"})
 		if err != nil {
-			t.Errorf("registered kind %q does not execute: %v", kind.Name, err)
+			t.Errorf("registered kind %q does not execute: %v", kind, err)
 			continue
 		}
 		if len(resp.Values) == 0 || len(resp.Buckets) != 0 && len(resp.Buckets) != len(resp.Values) {
-			t.Errorf("%s: %d values for %d buckets", kind.Name, len(resp.Values), len(resp.Buckets))
+			t.Errorf("%s: %d values for %d buckets", kind, len(resp.Values), len(resp.Buckets))
 		}
 	}
+	list := strings.Join(packetKindNames(), ", ")
 	_, err := RunPacketQuery(q, &QueryRequest{Query: "bogus", Epsilon: 0.5})
-	if err == nil || !strings.Contains(err.Error(), api.PacketQueryKindList()) {
-		t.Fatalf("unknown kind: err = %v, want a refusal listing %s", err, api.PacketQueryKindList())
+	if err == nil || !strings.Contains(err.Error(), list) {
+		t.Fatalf("unknown kind: err = %v, want a refusal listing %s", err, list)
 	}
+	for _, k := range queryKinds {
+		if k.dataset == kindPacket {
+			continue
+		}
+		if _, err := RunPacketQuery(q, &QueryRequest{Query: k.name, Epsilon: 0.5}); err == nil || !strings.Contains(err.Error(), k.dataset.String()) {
+			t.Errorf("%s on packets: err = %v, want a refusal naming %s datasets", k.name, err, k.dataset)
+		}
+	}
+}
+
+// packetKindNames lists the packet kinds' names in table order.
+func packetKindNames() []string {
+	var names []string
+	for _, k := range PacketKinds() {
+		names = append(names, k.Name)
+	}
+	return names
 }
 
 // TestCountPipelineAllocatesO1: the served count runs the request
@@ -138,9 +149,11 @@ func TestBucketStepWithinDomain(t *testing.T) {
 			{"sketchEps", 0.01, true}, {"sketchEps", 1, false}, {"sketchEps", 2, false}, {"sketchEps", -0.5, false}},
 		"srcfreq": {{"key", "10.0.0.1", true}, {"key", "", false}},
 	}
-	for kind, domain := range maxBucketStep {
-		for _, step := range []int64{0, 1, domain, domain + 1, math.MaxInt64} {
-			cases[kind] = append(cases[kind], param{"bucketStep", step, step <= domain})
+	for _, k := range queryKinds {
+		if domain := k.widestStep; domain > 0 {
+			for _, step := range []int64{0, 1, domain, domain + 1, math.MaxInt64} {
+				cases[k.name] = append(cases[k.name], param{"bucketStep", step, step <= domain})
+			}
 		}
 	}
 	for kind, params := range cases {
@@ -219,7 +232,7 @@ func TestServedKindsParallelByDefault(t *testing.T) {
 	}
 	minLen := 100
 	for _, filter := range []*api.Filter{nil, {MinLen: &minLen}} {
-		for _, kind := range api.PacketQueryKinds() {
+		for _, kind := range packetKindNames() {
 			req := QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1, Key: "10.0.0.1", Filter: filter}
 			before := parallelExecs()
 			respDef, bodyDef := postV1(t, tsDef.URL+"/v1/query", req, nil)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dptrace/internal/core"
+	"dptrace/internal/ingest"
 	"dptrace/internal/ledger"
 	"dptrace/internal/obs/qlog"
 )
@@ -25,11 +26,12 @@ import (
 // replayed freezes, which refuses all new charges (fail closed) while
 // read-only endpoints stay up for inspection.
 
-// Dataset kind tags persisted in dataset_created events.
+// A dataset's kind is the record type it holds, as the ingest decoder
+// names it; dataset_created events persist its String.
 const (
-	kindPacket = "packet"
-	kindLink   = "link"
-	kindHop    = "hop"
+	kindPacket = ingest.KindPacket
+	kindLink   = ingest.KindLink
+	kindHop    = ingest.KindHop
 )
 
 // ErrLedgerMismatch is returned when a dataset is re-registered with a

@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"time"
 
-	"dptrace/internal/core"
 	"dptrace/internal/dpserver/api"
 	"dptrace/internal/ledger"
 	"dptrace/internal/obs/qlog"
@@ -309,27 +308,9 @@ func (s *Server) warmPolicy(name string) {
 	if !ok {
 		return
 	}
-	s.mu.RLock()
-	p := s.policyFor(name)
-	s.mu.RUnlock()
-	if p != nil {
-		p.RestoreSpent(ds.Spent, ds.TotalSpent)
+	if d, ok := s.lookup(name); ok {
+		d.policy.RestoreSpent(ds.Spent, ds.TotalSpent)
 	}
-}
-
-// policyFor returns the named dataset's policy regardless of kind, or
-// nil. Callers hold s.mu.
-func (s *Server) policyFor(name string) *core.AnalystPolicy {
-	if d := s.datasets[name]; d != nil {
-		return d.policy
-	}
-	if d := s.linkSets[name]; d != nil {
-		return d.policy
-	}
-	if d := s.hopSets[name]; d != nil {
-		return d.policy
-	}
-	return nil
 }
 
 // resetReplicated runs when the follower installs a full snapshot
@@ -339,10 +320,9 @@ func (s *Server) policyFor(name string) *core.AnalystPolicy {
 func (s *Server) resetReplicated() {
 	state := s.ledger.State()
 	s.mu.RLock()
-	for name := range state.Datasets {
-		if p := s.policyFor(name); p != nil {
-			ds := state.Datasets[name]
-			p.RestoreSpent(ds.Spent, ds.TotalSpent)
+	for name, ds := range state.Datasets {
+		if d := s.datasets[name]; d != nil {
+			d.policy.RestoreSpent(ds.Spent, ds.TotalSpent)
 		}
 	}
 	s.mu.RUnlock()
@@ -418,22 +398,21 @@ func (s *Server) Promote() (uint64, error) {
 func (s *Server) resyncAfterPromote() {
 	state := s.ledger.State()
 	s.mu.Lock()
-	for name, kind := range s.hostedKinds() {
-		p := s.policyFor(name)
+	for name, d := range s.datasets {
 		if ds, ok := state.Datasets[name]; ok {
-			p.RestoreSpent(ds.Spent, ds.TotalSpent)
+			d.policy.RestoreSpent(ds.Spent, ds.TotalSpent)
 		} else {
-			total, perAnalyst := p.Budgets()
+			total, perAnalyst := d.policy.Budgets()
 			// Direct append, not journalAppend: a fresh primary with
 			// MinSync > 0 has no followers yet, and registrations are
 			// this node's own catch-up, not client-acked spends.
 			if err := s.ledger.Append(ledger.Event{
-				Type: ledger.EventDatasetCreated, Dataset: name, Kind: kind,
+				Type: ledger.EventDatasetCreated, Dataset: name, Kind: d.kind.String(),
 				Total:      ledger.EncodeBudget(total),
 				PerAnalyst: ledger.EncodeBudget(perAnalyst),
 			}); err != nil {
 				s.events.Log(qlog.Warn, "registration_unjournaled",
-					qlog.F("dataset", name), qlog.F("kind", kind),
+					qlog.F("dataset", name), qlog.F("kind", d.kind.String()),
 					qlog.F("error", err.Error()))
 			}
 		}
@@ -441,22 +420,6 @@ func (s *Server) resyncAfterPromote() {
 	}
 	s.mu.Unlock()
 	s.restoreAuditIdem(state)
-}
-
-// hostedKinds maps every hosted dataset name to its kind tag. Callers
-// hold s.mu.
-func (s *Server) hostedKinds() map[string]string {
-	kinds := make(map[string]string, len(s.datasets)+len(s.linkSets)+len(s.hopSets))
-	for name := range s.datasets {
-		kinds[name] = kindPacket
-	}
-	for name := range s.linkSets {
-		kinds[name] = kindLink
-	}
-	for name := range s.hopSets {
-		kinds[name] = kindHop
-	}
-	return kinds
 }
 
 // handlePromote serves POST /v1/admin/promote. It bypasses the

@@ -333,30 +333,24 @@ func standingInfo(snap standing.Snapshot) api.StandingInfo {
 func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("dataset")
 	var req api.StandingRequest
-	if err := jsonDecoder(r).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "bad request: " + err.Error()})
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Analyst == "" {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst is required"})
 		return
 	}
-	if !api.KnownQueryKind(req.Query) {
-		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest,
-			Message: fmt.Sprintf("unknown query %q (%s)", req.Query, api.PacketQueryKindList())})
-		return
-	}
-	if err := checkParams(&QueryRequest{Query: req.Query, BucketStep: req.BucketStep,
-		Fraction: req.Fraction, SketchEps: req.SketchEps, Key: req.Key}); err != nil {
+	// Windows run the packet kinds' executor — link and hop records come
+	// pre-binned, so only packet datasets are windowed: a kind of another
+	// dataset kind, or parameters it could never execute with, are
+	// refused here, before any window can fire.
+	if _, err := kindFor(&QueryRequest{Query: req.Query, BucketStep: req.BucketStep,
+		Fraction: req.Fraction, SketchEps: req.SketchEps, Key: req.Key}, kindPacket); err != nil {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
 		return
 	}
-	d, ok := s.lookup(name)
+	d, ok := s.datasetFor(w, name, kindPacket)
 	if !ok {
-		// Standing queries run the packet-kind dispatch; link/hop
-		// datasets are not windowable (their records are pre-binned).
-		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound,
-			Message: fmt.Sprintf("unknown packet dataset %q", name)})
 		return
 	}
 	s.serveIdempotent(w, r, name, req.Analyst, req.IdempotencyKey,
@@ -409,9 +403,7 @@ func (s *Server) executeStandingRegister(d *dataset, name string, req *api.Stand
 // registrations in registration order. Read-only.
 func (s *Server) handleStandingList(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("dataset")
-	if _, ok := s.lookup(name); !ok {
-		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound,
-			Message: fmt.Sprintf("unknown packet dataset %q", name)})
+	if _, ok := s.datasetFor(w, name, kindPacket); !ok {
 		return
 	}
 	list := api.StandingList{Dataset: name, Queries: []api.StandingInfo{}}

@@ -389,6 +389,8 @@ func TestStandingValidation(t *testing.T) {
 		want int
 	}{
 		{"unknown kind", api.StandingRequest{Analyst: "a", Query: "dnslookup", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
+		{"link kind on a packet dataset", api.StandingRequest{Analyst: "a", Query: "loadmatrix", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
+		{"hop kind on a packet dataset", api.StandingRequest{Analyst: "a", Query: "monitoravgs", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
 		{"missing analyst", api.StandingRequest{Query: "count", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
 		{"no window", api.StandingRequest{Analyst: "a", Query: "count", Epsilon: 0.1, Reservation: 1}, "/v1/standing/live", http.StatusBadRequest},
 		{"both windows", api.StandingRequest{Analyst: "a", Query: "count", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10, EveryMs: 100}}, "/v1/standing/live", http.StatusBadRequest},

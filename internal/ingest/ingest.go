@@ -48,7 +48,8 @@ var ErrClosed = errors.New("ingest: pipeline closed")
 // distinct from ErrOverloaded (413 vs 429 at the HTTP layer).
 var ErrTooLarge = errors.New("ingest: batch exceeds size limit")
 
-// Kind names which record stream a batch belongs to.
+// Kind names which record stream a batch belongs to — the record type
+// a hosted dataset holds.
 type Kind uint8
 
 const (
@@ -56,6 +57,19 @@ const (
 	KindLink
 	KindHop
 )
+
+// String is the kind's name: "packet", "link" or "hop".
+func (k Kind) String() string {
+	switch k {
+	case KindPacket:
+		return "packet"
+	case KindLink:
+		return "link"
+	case KindHop:
+		return "hop"
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
 
 // Content types the decoder stage understands (mirrored in
 // internal/dpserver/api).
