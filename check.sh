@@ -58,7 +58,7 @@ grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*\*?' README.md DESIGN.md EXP
 		fi
 	done
 go test -race -shuffle=on -timeout 10m ./...
-# Allocation guards for the chunk loop and the DPTR batch decoder run
+# Allocation guards for the chunk loop and the batch decoders run
 # without the race detector: its instrumentation inflates allocation
 # counts, so these tests skip themselves (core) or are not built
 # (trace) under -race (see each package's alloc_test.go).
@@ -78,7 +78,9 @@ go test -run=. -fuzz=FuzzQuantileMatchesReference -fuzztime=3s ./internal/sketch
 # Short differential fuzz smoke over the NDJSON line codec: on arbitrary
 # bytes the table-driven fast path (or its deferral) must be
 # indistinguishable from encoding/json plus the one-object-per-line
-# rule — same accept/reject, same records, same error strings.
+# rule — same accept/reject, same records, same error strings — and a
+# batch cut into 1, 2 or 3 pieces parsed concurrently must decode as
+# one pass does, fast-path count included.
 go test -run=. -fuzz=FuzzNDJSONLine -fuzztime=5s ./internal/trace
 # Short differential fuzz smoke over the DPTR decoders: on arbitrary
 # bytes, for every record kind, decoding the bytes as one batch and

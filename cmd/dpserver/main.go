@@ -127,7 +127,6 @@ func main() {
 	ingestBatchBytes := flag.Int64("ingest-batch-bytes", 0, "max bytes in one POST /v1/ingest batch (0 = default 8MiB; larger batches answer 413)")
 	ingestBytesInFlight := flag.Int64("ingest-bytes-inflight", 0, "ingest admission watermark: max admitted-but-unapplied batch bytes (0 = default 64MiB; past it batches shed 429)")
 	ingestBatchesInFlight := flag.Int64("ingest-batches-inflight", 0, "ingest admission watermark: max admitted-but-unapplied batches (0 = default 256)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "ingest decoder parallelism (0 = default 2)")
 	replListen := flag.String("repl-listen", "", "replication listen address: stream committed ledger events to followers (requires -ledger-dir)")
 	follow := flag.String("follow", "", "run as a warm standby following the primary at this replication address (requires -ledger-dir; serves read-only until promoted)")
 	replName := flag.String("repl-name", "", "node name in replication handshakes and events (default: the hostname)")
@@ -186,7 +185,6 @@ func main() {
 			MaxBatchBytes:      *ingestBatchBytes,
 			MaxBytesInFlight:   *ingestBytesInFlight,
 			MaxBatchesInFlight: *ingestBatchesInFlight,
-			DecodeWorkers:      *ingestWorkers,
 		}),
 	}
 	var led *ledger.Ledger

@@ -47,8 +47,8 @@ import (
 // flight) answers 429 + Retry-After before the body is read, a
 // too-large batch answers 413, and a draining server answers 503.
 
-// WithIngestLimits configures the ingestion pipeline's watermarks and
-// decoder parallelism (see ingest.Limits; zero fields take defaults).
+// WithIngestLimits configures the ingestion pipeline's watermarks
+// (see ingest.Limits; zero fields take defaults).
 func WithIngestLimits(l ingest.Limits) ServerOption {
 	return func(s *Server) { s.ingestLimits = l }
 }
@@ -136,14 +136,15 @@ func (s *Server) ingestTarget(name string) (ingest.Kind, func(ingest.Decoded) (i
 	}, true
 }
 
-// ingestContentType normalizes the Content-Type header (drops
-// parameters like charset).
+// ingestContentType normalizes the Content-Type header: parameters
+// like charset dropped, and lowercased, since media types match
+// case-insensitively (RFC 9110 §8.3.1).
 func ingestContentType(r *http.Request) string {
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = ct[:i]
 	}
-	return strings.TrimSpace(ct)
+	return strings.ToLower(strings.TrimSpace(ct))
 }
 
 // ingestShed emits the shed event + counter for one refused batch.

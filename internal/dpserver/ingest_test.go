@@ -144,7 +144,6 @@ func TestIngestBackpressureShedsDeterministically(t *testing.T) {
 		// One big reservation fits; big + small does not.
 		MaxBytesInFlight:   int64(len(big) + len(small) - 1),
 		MaxBatchesInFlight: 8,
-		DecodeWorkers:      1,
 	}
 	s, ts := ingestTestServer(t, nil, limits)
 	url := ts.URL + "/v1/ingest/live"
@@ -226,7 +225,6 @@ func TestIngestFloodExactCountsUnderShedding(t *testing.T) {
 		// While the blocker holds len(big), no small batch fits.
 		MaxBytesInFlight:   int64(len(big) + len(small) - 1),
 		MaxBatchesInFlight: 8,
-		DecodeWorkers:      2,
 	}
 	s, ts := ingestTestServer(t, nil, limits)
 	url := ts.URL + "/v1/ingest/live"
@@ -628,5 +626,32 @@ func TestIngestRefusesDPTRTrailingRecords(t *testing.T) {
 	}
 	if resp, out := postIngestAs(t, ts.URL+"/v1/ingest/live", api.ContentTypeDPTR, two); resp.StatusCode != http.StatusOK {
 		t.Fatalf("the same records, declared: %d %s", resp.StatusCode, out)
+	}
+}
+
+// TestIngestMediaTypeCaseInsensitive: media type and subtype match
+// case-insensitively (RFC 9110 §8.3.1) and parameters are ignored;
+// any other type still answers 415.
+func TestIngestMediaTypeCaseInsensitive(t *testing.T) {
+	_, ts := ingestTestServer(t, nil, ingest.Limits{})
+	url := ts.URL + "/v1/ingest/live"
+	ndjson := trace.MarshalPacketsNDJSON(ingestPkts(3))
+	dptr := trace.MarshalPacketsDPTR(ingestPkts(3))
+	for _, c := range []struct {
+		contentType string
+		body        []byte
+		status      int
+	}{
+		{"application/x-ndjson; charset=utf-8", ndjson, http.StatusOK},
+		{"Application/X-NDJSON", ndjson, http.StatusOK},
+		{" APPLICATION/X-NDJSON ; charset=UTF-8", ndjson, http.StatusOK},
+		{"APPLICATION/X-DPTR", dptr, http.StatusOK},
+		{"Application/x-Dptr", dptr, http.StatusOK},
+		{"text/plain", ndjson, http.StatusUnsupportedMediaType},
+		{"application/x-ndjsonx", ndjson, http.StatusUnsupportedMediaType},
+	} {
+		if resp, out := postIngestAs(t, url, c.contentType, c.body); resp.StatusCode != c.status {
+			t.Errorf("Content-Type %q: %d %s, want %d", c.contentType, resp.StatusCode, out, c.status)
+		}
 	}
 }

@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dptrace/internal/core"
 	"dptrace/internal/dpserver/api"
+	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
 	"dptrace/internal/trace"
 	"dptrace/internal/tracegen"
@@ -320,6 +322,13 @@ func BenchmarkServedDistinctSrc(b *testing.B) { benchServed(b, `"query":"distinc
 // batches cycle through 40 pre-encoded bodies, and every 1,000 batches
 // (a dataset of a million records) a fresh server takes over, off the
 // clock, so the run's memory stays bounded however long it is.
+//
+// The -standing variants are the in-process twin of the repository
+// benchmark's ingest-standing section: a durable ledger in a temporary
+// directory, that section's four standing queries each tumbling at one
+// batch, and batches keyed by (source, seq). Each batch's "ingest" wide
+// event splits its time into decode_ms and apply_ms, so a change to
+// either can be A/B'd here with two test binaries.
 func BenchmarkServedIngest(b *testing.B) {
 	const batch, pool, grow = 1_000, 40, 1_000
 	packets := benchPackets(b, batch*pool)
@@ -330,42 +339,100 @@ func BenchmarkServedIngest(b *testing.B) {
 		{"dptr", api.ContentTypeDPTR, trace.MarshalPacketsDPTR},
 		{"ndjson", api.ContentTypeNDJSON, trace.MarshalPacketsNDJSON},
 	} {
-		b.Run(enc.name, func(b *testing.B) {
-			bodies := make([][]byte, pool)
-			for i := range bodies {
-				bodies[i] = enc.encode(packets[i*batch : (i+1)*batch])
+		for _, standing := range []bool{false, true} {
+			name := enc.name
+			if standing {
+				name += "-standing"
 			}
-			var ts *httptest.Server
-			serve := func() {
-				if ts != nil {
-					ts.Close()
+			b.Run(name, func(b *testing.B) {
+				bodies := make([][]byte, pool)
+				for i := range bodies {
+					bodies[i] = enc.encode(packets[i*batch : (i+1)*batch])
 				}
-				s := New(noise.NewSeededSource(1, 2))
-				if err := s.AddPacketTrace("bench", nil, math.Inf(1), math.Inf(1)); err != nil {
-					b.Fatal(err)
+				var ts *httptest.Server
+				var led *ledger.Ledger
+				stop := func() {
+					if ts != nil {
+						ts.Close()
+					}
+					if led != nil {
+						led.Close()
+					}
 				}
-				ts = httptest.NewServer(s.Handler())
-			}
-			serve()
-			defer func() { ts.Close() }()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i > 0 && i%grow == 0 {
-					b.StopTimer()
-					serve()
-					b.StartTimer()
+				serve := func() {
+					stop()
+					var opts []ServerOption
+					if standing {
+						var err error
+						if led, err = ledger.Open(ledger.Options{Dir: b.TempDir()}); err != nil {
+							b.Fatal(err)
+						}
+						opts = append(opts, WithLedger(led))
+					}
+					s := New(noise.NewSeededSource(1, 2), opts...)
+					if err := s.AddPacketTrace("bench", nil, math.Inf(1), math.Inf(1)); err != nil {
+						b.Fatal(err)
+					}
+					ts = httptest.NewServer(s.Handler())
+					if standing {
+						registerIngestStanding(b, ts.URL, batch)
+					}
 				}
-				resp, err := http.Post(ts.URL+"/v1/ingest/bench", enc.contentType, bytes.NewReader(bodies[i%pool]))
-				if err != nil {
-					b.Fatal(err)
+				serve()
+				defer stop()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i > 0 && i%grow == 0 {
+						b.StopTimer()
+						serve()
+						b.StartTimer()
+					}
+					req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/ingest/bench", bytes.NewReader(bodies[i%pool]))
+					if err != nil {
+						b.Fatal(err)
+					}
+					req.Header.Set("Content-Type", enc.contentType)
+					if standing {
+						req.Header.Set(api.BatchSourceHeader, "bench")
+						req.Header.Set(api.BatchSeqHeader, strconv.Itoa(i))
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						b.Fatal(err)
+					}
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						b.Fatalf("status %d", resp.StatusCode)
+					}
 				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					b.Fatalf("status %d", resp.StatusCode)
-				}
-			}
-			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "records/s")
-		})
+				b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "records/s")
+			})
+		}
+	}
+}
+
+// registerIngestStanding registers the ingest-standing section's four
+// standing queries on dataset "bench", each under its own analyst and
+// tumbling at width records, with budget enough never to run out.
+func registerIngestStanding(b *testing.B, base string, width int) {
+	b.Helper()
+	for i, spec := range []string{
+		`"query":"count","filter":{"dstPort":443}`,
+		`"query":"count"`,
+		`"query":"distinctsrc"`,
+		`"query":"lenquantile","fraction":0.5`,
+	} {
+		body := fmt.Sprintf(`{"analyst":"standing-%02d","id":"sq-%02d","epsilon":0.01,"reservation":1e4,"window":{"width":%d},%s}`,
+			i, i, width, spec)
+		resp, err := http.Post(base+"/v1/standing/bench", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("register standing %d: %d %s", i, resp.StatusCode, out)
+		}
 	}
 }

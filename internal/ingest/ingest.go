@@ -1,19 +1,22 @@
 // Package ingest is the bounded-buffer live-ingestion pipeline behind
-// POST /v1/ingest/{dataset}: receiver → batched decoder → dataset
-// appender, modeled on the receiver/writer split of production trace
-// agents. Its one structural guarantee is that memory is bounded by
-// configuration, not by offered load: every batch must reserve its
-// bytes and a batch slot against hard watermarks BEFORE its body is
-// read, and reservations are only released when the batch has been
-// fully applied (or refused). When the watermarks are hit the caller
-// gets ErrOverloaded synchronously — the HTTP layer turns that into
-// 429 + Retry-After — so overload sheds at the edge instead of
-// queueing toward OOM.
+// POST /v1/ingest/{dataset}: receive and decode on the request's own
+// goroutine, then one dataset appender, modeled on the receiver/writer
+// split of production trace agents. Its one structural guarantee is
+// that memory is bounded by configuration, not by offered load: every
+// batch must reserve its bytes and a batch slot against hard
+// watermarks BEFORE its body is read, and reservations are only
+// released when the batch has been fully applied (or refused). When
+// the watermarks are hit the caller gets ErrOverloaded synchronously —
+// the HTTP layer turns that into 429 + Retry-After — so overload sheds
+// at the edge instead of queueing toward OOM.
 //
 // Stages:
 //
-//	receiver (HTTP handler)  — admission: Reserve(bytes) or shed
-//	decode workers           — Content-Type → typed records, CPU-parallel
+//	receiver (HTTP handler)  — admission: Reserve(bytes) or shed, then
+//	                           Submit decodes Content-Type → typed
+//	                           records on the caller's goroutine (a
+//	                           large NDJSON batch on every core: see
+//	                           internal/trace/ndjson.go)
 //	appender (single)        — applies batches serially via the Apply
 //	                           callback, which takes the dataset write
 //	                           lock; serial apply keeps lock hold times
@@ -71,15 +74,14 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Content types the decoder stage understands (mirrored in
-// internal/dpserver/api).
+// Content types Decode understands (mirrored in internal/dpserver/api).
 const (
 	ContentTypeNDJSON = "application/x-ndjson"
 	ContentTypeDPTR   = "application/x-dptr"
 )
 
-// Limits are the pipeline's admission watermarks and worker shape.
-// Zero values take the defaults below.
+// Limits are the pipeline's admission watermarks. Zero values take
+// the defaults below.
 type Limits struct {
 	// MaxBatchBytes caps one batch body; larger batches are refused
 	// with ErrTooLarge. Default 8 MiB.
@@ -90,8 +92,6 @@ type Limits struct {
 	// MaxBatchesInFlight caps the number of admitted-but-unapplied
 	// batches. Default 256.
 	MaxBatchesInFlight int64
-	// DecodeWorkers is the decoder-stage parallelism. Default 2.
-	DecodeWorkers int
 }
 
 func (l Limits) withDefaults() Limits {
@@ -104,14 +104,11 @@ func (l Limits) withDefaults() Limits {
 	if l.MaxBatchesInFlight <= 0 {
 		l.MaxBatchesInFlight = 256
 	}
-	if l.DecodeWorkers <= 0 {
-		l.DecodeWorkers = 2
-	}
 	return l
 }
 
-// Decoded is one batch after the decoder stage: exactly one of the
-// slices is non-nil, matching the job's Kind.
+// Decoded is one batch after decoding: exactly one of the slices is
+// non-nil, matching the job's Kind.
 type Decoded struct {
 	Packets []trace.Packet
 	Links   []trace.LinkSample
@@ -132,11 +129,13 @@ type Job struct {
 	// decoded. It must be short: it holds whatever lock the dataset
 	// store needs.
 	Apply func(Decoded) error
-	// DecodeTime and ApplyTime are what the two stages took, queueing
-	// excluded; set by the pipeline, readable once Submit has returned.
+	// DecodeTime and ApplyTime are what decoding and applying took,
+	// queueing excluded; set by the pipeline, readable once Submit has
+	// returned.
 	DecodeTime, ApplyTime time.Duration
 
 	reservation int64
+	decoded     Decoded
 	done        chan error
 }
 
@@ -176,8 +175,7 @@ type Pipeline struct {
 	appliedRecords  atomic.Uint64
 	failedBatches   atomic.Uint64
 
-	decodeCh chan *Job
-	applyCh  chan appliedJob
+	applyCh chan *Job
 
 	// closeMu serializes channel sends against close: Submit sends
 	// under RLock, Close flips closed under Lock, so once Close holds
@@ -187,29 +185,17 @@ type Pipeline struct {
 	closeMu   sync.RWMutex
 	closeOnce sync.Once
 	closed    atomic.Bool
-	decodeWg  sync.WaitGroup
 	applyWg   sync.WaitGroup
 }
 
-type appliedJob struct {
-	job     *Job
-	decoded Decoded
-	err     error
-}
-
-// New starts the pipeline's decode workers and appender.
+// New starts the pipeline's appender.
 func New(limits Limits) *Pipeline {
 	limits = limits.withDefaults()
 	p := &Pipeline{
 		limits: limits,
 		// Admission bounds batches in flight, so a channel with that
 		// capacity never blocks an admitted Submit.
-		decodeCh: make(chan *Job, limits.MaxBatchesInFlight),
-		applyCh:  make(chan appliedJob, limits.MaxBatchesInFlight),
-	}
-	for i := 0; i < limits.DecodeWorkers; i++ {
-		p.decodeWg.Add(1)
-		go p.decodeWorker()
+		applyCh: make(chan *Job, limits.MaxBatchesInFlight),
 	}
 	p.applyWg.Add(1)
 	go p.appender()
@@ -261,75 +247,64 @@ func (p *Pipeline) Unreserve(size int64) {
 	p.failedBatches.Add(1)
 }
 
-// Submit sends an admitted job through decode and apply, blocking
-// until the batch is fully applied (or fails). size must be the value
-// passed to the matching Reserve. Returns the number of records
-// applied.
+// Submit decodes an admitted job on the calling goroutine and hands it
+// to the appender, blocking until the batch is fully applied (or
+// fails). size must be the value passed to the matching Reserve.
+// Returns the number of records applied.
 func (p *Pipeline) Submit(job *Job, size int64) (int, error) {
 	job.reservation = size
-	job.done = make(chan error, 1)
-	recs := make(chan int, 1)
-	// Thread the record count back alongside the error: wrap Apply so
-	// the appender stays ignorant of the response shape.
-	userApply := job.Apply
-	job.Apply = func(d Decoded) error {
-		if err := userApply(d); err != nil {
-			return err
-		}
-		recs <- d.Records()
-		return nil
+	start := time.Now()
+	d, err := Decode(job.Kind, job.ContentType, job.Data)
+	job.DecodeTime = time.Since(start)
+	job.Data = nil // decoded; let the raw bytes go before apply queues
+	if err != nil {
+		p.release(job, 0, err)
+		return 0, err
 	}
+	job.decoded = d
+	job.done = make(chan error, 1)
 	p.closeMu.RLock()
 	if p.closed.Load() {
 		p.closeMu.RUnlock()
 		p.Unreserve(size)
 		return 0, ErrClosed
 	}
-	p.decodeCh <- job
+	p.applyCh <- job
 	p.closeMu.RUnlock()
 	if err := <-job.done; err != nil {
 		return 0, err
 	}
-	return <-recs, nil
-}
-
-// decodeWorker turns batch bytes into typed records.
-func (p *Pipeline) decodeWorker() {
-	defer p.decodeWg.Done()
-	for job := range p.decodeCh {
-		start := time.Now()
-		d, err := Decode(job.Kind, job.ContentType, job.Data)
-		job.DecodeTime = time.Since(start)
-		job.Data = nil // decoded; let the raw bytes go before apply queues
-		p.applyCh <- appliedJob{job: job, decoded: d, err: err}
-	}
+	return d.Records(), nil
 }
 
 // appender applies decoded batches serially and releases
 // reservations. Apply callbacks run on this one goroutine.
 func (p *Pipeline) appender() {
 	defer p.applyWg.Done()
-	for aj := range p.applyCh {
-		err := aj.err
-		if err == nil {
-			start := time.Now()
-			err = aj.job.Apply(aj.decoded)
-			aj.job.ApplyTime = time.Since(start)
-		}
-		if err != nil {
-			p.failedBatches.Add(1)
-		} else {
-			p.appliedBatches.Add(1)
-			p.appliedRecords.Add(uint64(aj.decoded.Records()))
-		}
-		p.bytesInFlight.Add(-aj.job.reservation)
-		p.batchesInFlight.Add(-1)
-		aj.job.done <- err
+	for job := range p.applyCh {
+		start := time.Now()
+		err := job.Apply(job.decoded)
+		job.ApplyTime = time.Since(start)
+		p.release(job, job.decoded.Records(), err)
+		job.done <- err
 	}
 }
 
+// release counts a finished batch, applied (with its records) or
+// failed, and returns its reservation.
+func (p *Pipeline) release(job *Job, records int, err error) {
+	if err != nil {
+		p.failedBatches.Add(1)
+	} else {
+		p.appliedBatches.Add(1)
+		p.appliedRecords.Add(uint64(records))
+	}
+	p.bytesInFlight.Add(-job.reservation)
+	p.batchesInFlight.Add(-1)
+}
+
 // Close stops intake and drains in-flight batches: every job already
-// submitted is decoded, applied, and answered before Close returns.
+// handed to the appender is applied and answered before Close returns.
 // Safe to call more than once; Reserve/Submit afterwards return
 // ErrClosed.
 func (p *Pipeline) Close() {
@@ -337,8 +312,6 @@ func (p *Pipeline) Close() {
 		p.closeMu.Lock()
 		p.closed.Store(true)
 		p.closeMu.Unlock()
-		close(p.decodeCh)
-		p.decodeWg.Wait()
 		close(p.applyCh)
 		p.applyWg.Wait()
 	})

@@ -176,7 +176,7 @@ func TestPipelineApplyErrorPropagates(t *testing.T) {
 // every ACKed batch is applied exactly once.
 func TestPipelineBoundedUnderFlood(t *testing.T) {
 	const limitBytes = 4096
-	p := New(Limits{MaxBytesInFlight: limitBytes, MaxBatchesInFlight: 8, DecodeWorkers: 2})
+	p := New(Limits{MaxBytesInFlight: limitBytes, MaxBatchesInFlight: 8})
 	defer p.Close()
 
 	var applied atomic.Int64

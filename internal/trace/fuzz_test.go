@@ -370,6 +370,8 @@ func FuzzNDJSONLine(f *testing.F) {
 		`{"srcIP":"1.2.3.4`,
 		`"link"`,
 		`7`,
+		// a bad line behind blank lines, another after it: the first wins
+		"{\"link\":1,\"bin\":2}\n{\"link\":3,\"bin\":4}\n\n\n{\"link\":-5}\n{\"link\":6}\n{\"bin\":x}\n{\"link\":7}",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -377,11 +379,29 @@ func FuzzNDJSONLine(f *testing.F) {
 		packets, err := ParsePacketsNDJSON(data)
 		wantPackets, wantErr := refParse(data, refPacket)
 		agree(t, "packets", data, packets, err, wantPackets, wantErr)
+		samePieces(t, "packets", data, &packetShape)
 		links, err := ParseLinkSamplesNDJSON(data)
 		wantLinks, wantErr := refParse(data, refLinkSample)
 		agree(t, "links", data, links, err, wantLinks, wantErr)
+		samePieces(t, "links", data, &linkShape)
 		hops, err := ParseHopRecordsNDJSON(data)
 		wantHops, wantErr := refParse(data, refHopRecord)
 		agree(t, "hops", data, hops, err, wantHops, wantErr)
+		samePieces(t, "hops", data, &hopShape)
 	})
+}
+
+// samePieces fails unless the batch decodes in 2 and 3 forced pieces
+// exactly as in one: the same records, the same error and the same
+// number of lines answered by the fast path.
+func samePieces[T any](t *testing.T, kind string, data []byte, sh *shape[T]) {
+	t.Helper()
+	want, wantFast, wantErr := parseNDJSONIn(data, sh, 1)
+	for pieces := 2; pieces <= 3; pieces++ {
+		got, fast, err := parseNDJSONIn(data, sh, pieces)
+		agree(t, fmt.Sprintf("%s in %d pieces", kind, pieces), data, got, err, want, wantErr)
+		if fast != wantFast {
+			t.Fatalf("%s in %d pieces %q: %d lines took the fast path, %d in one piece", kind, pieces, data, fast, wantFast)
+		}
+	}
 }

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"runtime"
 	"strconv"
+	"sync"
 )
 
 // NDJSON batch encoding: one JSON object per line, the wire format
@@ -36,6 +38,11 @@ import (
 // leading zeros, overflow, a missing address, anything after the
 // closing brace — is deferred, never rejected: the slow path decides.
 // The input alone selects the path.
+//
+// A batch of at least two minPiece pieces is cut at newlines into up
+// to GOMAXPROCS pieces, parsed concurrently (the caller takes the last)
+// into their own regions of one record slice; the split changes no
+// record, error or fast-path count.
 
 // PacketJSON is the NDJSON wire shape of one Packet. Payload rides as
 // standard JSON base64; absent fields are zero.
@@ -79,29 +86,6 @@ func ParseIPv4(s string) (IPv4, error) {
 	return MakeIPv4(b[0], b[1], b[2], b[3]), nil
 }
 
-// forEachLine invokes fn for every non-blank line with its 1-based
-// line number, stopping on the first error.
-func forEachLine(data []byte, fn func(line int, raw []byte) error) error {
-	lineNo := 0
-	for len(data) > 0 {
-		lineNo++
-		var line []byte
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			line, data = data, nil
-		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		if err := fn(lineNo, line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // errTrailing refuses a line with anything after its first JSON
 // value: json.Decoder stops there, so the rest would be dropped
 // without a word.
@@ -133,12 +117,22 @@ const (
 // field is one row of a wire shape's table: the JSON key, which values
 // the fast path answers for, and where the value lands in T.
 type field[T any] struct {
-	name     string
-	kind     fieldKind
-	max      uint64 // kindInt: largest value
-	neg      bool   // kindInt: negatives down to -max-1 too
-	required bool   // absent defers the line (the slow path refuses "")
-	set      func(rec *T, v int64, b []byte)
+	name      string
+	lit       string // `"name":`, set by keyed
+	kind      fieldKind
+	max       uint64 // kindInt: largest value
+	neg       bool   // kindInt: negatives down to -max-1 too
+	required  bool   // absent defers the line (the slow path refuses "")
+	omitempty bool   // the encoders leave it out when zero
+	set       func(rec *T, v int64, b []byte)
+}
+
+// keyed fills in each field's key literal.
+func keyed[T any](fields []field[T]) []field[T] {
+	for k := range fields {
+		fields[k].lit = `"` + fields[k].name + `":`
+	}
+	return fields
 }
 
 // shape is one record type on the wire: its field table, the
@@ -154,19 +148,19 @@ type shape[T any] struct {
 var packetShape = shape[Packet]{
 	minLine: len(`{"srcIP":"1.1.1.1","dstIP":"1.1.1.1"}`),
 	slow:    slowPacket,
-	fields: []field[Packet]{
+	fields: keyed([]field[Packet]{
 		{name: "time", max: math.MaxInt64, neg: true, set: func(p *Packet, v int64, _ []byte) { p.Time = v }},
 		{name: "srcIP", kind: kindIPv4, required: true, set: func(p *Packet, v int64, _ []byte) { p.SrcIP = IPv4(v) }},
 		{name: "dstIP", kind: kindIPv4, required: true, set: func(p *Packet, v int64, _ []byte) { p.DstIP = IPv4(v) }},
-		{name: "srcPort", max: math.MaxUint16, set: func(p *Packet, v int64, _ []byte) { p.SrcPort = uint16(v) }},
-		{name: "dstPort", max: math.MaxUint16, set: func(p *Packet, v int64, _ []byte) { p.DstPort = uint16(v) }},
-		{name: "proto", max: math.MaxUint8, set: func(p *Packet, v int64, _ []byte) { p.Proto = uint8(v) }},
-		{name: "flags", max: math.MaxUint8, set: func(p *Packet, v int64, _ []byte) { p.Flags = TCPFlags(v) }},
-		{name: "seq", max: math.MaxUint32, set: func(p *Packet, v int64, _ []byte) { p.Seq = uint32(v) }},
-		{name: "ack", max: math.MaxUint32, set: func(p *Packet, v int64, _ []byte) { p.Ack = uint32(v) }},
+		{name: "srcPort", max: math.MaxUint16, omitempty: true, set: func(p *Packet, v int64, _ []byte) { p.SrcPort = uint16(v) }},
+		{name: "dstPort", max: math.MaxUint16, omitempty: true, set: func(p *Packet, v int64, _ []byte) { p.DstPort = uint16(v) }},
+		{name: "proto", max: math.MaxUint8, omitempty: true, set: func(p *Packet, v int64, _ []byte) { p.Proto = uint8(v) }},
+		{name: "flags", max: math.MaxUint8, omitempty: true, set: func(p *Packet, v int64, _ []byte) { p.Flags = TCPFlags(v) }},
+		{name: "seq", max: math.MaxUint32, omitempty: true, set: func(p *Packet, v int64, _ []byte) { p.Seq = uint32(v) }},
+		{name: "ack", max: math.MaxUint32, omitempty: true, set: func(p *Packet, v int64, _ []byte) { p.Ack = uint32(v) }},
 		{name: "len", max: math.MaxUint16, set: func(p *Packet, v int64, _ []byte) { p.Len = uint16(v) }},
-		{name: "payload", kind: kindBase64, set: func(p *Packet, _ int64, b []byte) { p.Payload = b }},
-	},
+		{name: "payload", kind: kindBase64, omitempty: true, set: func(p *Packet, _ int64, b []byte) { p.Payload = b }},
+	}),
 }
 
 // link, bin and monitor are int32 on the wire but must be
@@ -175,25 +169,28 @@ var packetShape = shape[Packet]{
 var linkShape = shape[LinkSample]{
 	minLine: len(`{}`),
 	slow:    slowLinkSample,
-	fields: []field[LinkSample]{
+	fields: keyed([]field[LinkSample]{
 		{name: "link", max: math.MaxInt32, set: func(s *LinkSample, v int64, _ []byte) { s.Link = int32(v) }},
 		{name: "bin", max: math.MaxInt32, set: func(s *LinkSample, v int64, _ []byte) { s.Bin = int32(v) }},
-	},
+	}),
 }
 
 var hopShape = shape[HopRecord]{
 	minLine: len(`{"ip":"1.1.1.1"}`),
 	slow:    slowHopRecord,
-	fields: []field[HopRecord]{
+	fields: keyed([]field[HopRecord]{
 		{name: "monitor", max: math.MaxInt32, set: func(h *HopRecord, v int64, _ []byte) { h.Monitor = int32(v) }},
 		{name: "ip", kind: kindIPv4, required: true, set: func(h *HopRecord, v int64, _ []byte) { h.IP = IPv4(v) }},
 		{name: "hops", max: math.MaxInt32, neg: true, set: func(h *HopRecord, v int64, _ []byte) { h.Hops = int32(v) }},
-	},
+	}),
 }
 
 // skipSpace returns the index of the first byte at or after i that is
 // not JSON whitespace.
 func skipSpace(b []byte, i int) int {
+	if i < len(b) && b[i] > ' ' {
+		return i
+	}
 	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
 		i++
 	}
@@ -263,10 +260,11 @@ func scanQuad(b []byte, i int) (ip int64, next int, ok bool) {
 	return ip, next, ok && i == len(s)
 }
 
-// payloadChunk is how much payload space a batch allocates at a time:
+// payloadChunk is how much payload space a piece allocates at a time:
 // its payloads are carved, capacity-clipped, from shared chunks
-// instead of costing an allocation each.
-const payloadChunk = 4096
+// instead of costing an allocation each. 8 KiB holds the payloads of
+// a 1,000-packet Hotspot batch, or of either half of one.
+const payloadChunk = 8192
 
 // scanBase64 reads a string holding std-base64 into the arena, with
 // encoding/json's own decoding call.
@@ -297,38 +295,55 @@ func parseFlat[T any](line []byte, fields []field[T], rec *T, arena *[]byte) boo
 	}
 	i++
 	var seen uint
-	next := 0 // senders keep table order, so the first probe usually hits
+	next := 0 // senders keep table order: the next key is usually fields[next]
 	for n := 0; ; n++ {
 		i = skipSpace(line, i)
 		if n == 0 && i < len(line) && line[i] == '}' {
 			i++
 			break
 		}
-		key, j, ok := scanString(line, i)
-		if !ok {
-			return false
-		}
+		// The key as one literal, quotes and colon included, trying
+		// fields in table order past those a sender may omit.
 		k := -1
-		for probe := range fields {
-			if at := (next + probe) % len(fields); string(key) == fields[at].name {
-				k = at
+		for at := next; at < len(fields); at++ {
+			if lit := fields[at].lit; len(line)-i >= len(lit) && string(line[i:i+len(lit)]) == lit {
+				k, i = at, i+len(lit)
+				break
+			}
+			if !fields[at].omitempty {
 				break
 			}
 		}
-		if k < 0 || seen&(1<<k) != 0 {
+		if k < 0 {
+			key, j, ok := scanString(line, i)
+			if !ok {
+				return false
+			}
+			for probe := range fields {
+				if at := (next + probe) % len(fields); string(key) == fields[at].name {
+					k = at
+					break
+				}
+			}
+			if k < 0 {
+				return false
+			}
+			if i = skipSpace(line, j); i == len(line) || line[i] != ':' {
+				return false
+			}
+			i++
+		}
+		if seen&(1<<k) != 0 {
 			return false
 		}
 		seen |= 1 << k
 		next = k + 1
 		f := &fields[k]
 
-		i = skipSpace(line, j)
-		if i == len(line) || line[i] != ':' {
-			return false
-		}
-		i = skipSpace(line, i+1)
+		i = skipSpace(line, i)
 		var v int64
 		var payload []byte
+		var ok bool
 		switch f.kind {
 		case kindInt:
 			v, i, ok = scanInt(line, i, f.max, f.neg)
@@ -362,28 +377,132 @@ func parseFlat[T any](line []byte, fields []field[T], rec *T, arena *[]byte) boo
 	return skipSpace(line, i) == len(line)
 }
 
-// parseNDJSON decodes a batch line by line straight into the output
-// slice, presized from the newline count, and reports how many lines
-// the fast path answered (tests pin that marshalled lines all do).
-func parseNDJSON[T any](data []byte, sh *shape[T]) (out []T, fast int, err error) {
-	out = make([]T, 0, min(bytes.Count(data, []byte{'\n'})+1, len(data)/sh.minLine+1))
+// minPiece is the smallest piece of a batch worth its own goroutine:
+// 64 KiB parses in about 0.2 ms, well above the cost of handing it off.
+const minPiece = 64 << 10
+
+// ndjsonPieces is how many pieces a batch of n bytes is parsed in.
+func ndjsonPieces(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/minPiece))
+}
+
+// piece is one run of whole lines of a batch and what parsing it left.
+type piece[T any] struct {
+	data []byte
+	line int // 1-based number of its first line
+	off  int // its region of the record slice: [off, off+size)
+	size int
+	recs []T // its region, filled from the front
+	fast int
+	err  error
+}
+
+// parse decodes the piece's lines into its region, stopping at the
+// first bad line. Each piece carves payloads from its own arena.
+func (p *piece[T]) parse(sh *shape[T]) {
 	var arena []byte
-	err = forEachLine(data, func(line int, raw []byte) error {
-		var zero T
-		out = append(out, zero)
-		rec := &out[len(out)-1]
-		if parseFlat(raw, sh.fields, rec, &arena) {
-			fast++
-			return nil
+	line, data := p.line-1, p.data
+	for len(data) > 0 {
+		line++
+		var raw []byte
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			raw, data = data[:i], data[i+1:]
+		} else {
+			raw, data = data, nil
 		}
-		var err error
-		*rec, err = sh.slow(line, raw)
-		return err
-	})
-	if err != nil {
-		return nil, fast, err
+		if raw = bytes.TrimSpace(raw); len(raw) == 0 {
+			continue
+		}
+		var zero T
+		p.recs = append(p.recs, zero)
+		rec := &p.recs[len(p.recs)-1]
+		if parseFlat(raw, sh.fields, rec, &arena) {
+			p.fast++
+			continue
+		}
+		if *rec, p.err = sh.slow(line, raw); p.err != nil {
+			return
+		}
 	}
-	return out, fast, nil
+}
+
+// parseNDJSON decodes a batch in ndjsonPieces pieces and reports how
+// many lines the fast path answered (tests pin that marshalled lines
+// all do).
+func parseNDJSON[T any](data []byte, sh *shape[T]) ([]T, int, error) {
+	return parseNDJSONIn(data, sh, ndjsonPieces(len(data)))
+}
+
+// parseNDJSONIn cuts the batch at newlines into at most pieces pieces,
+// each region presized from its line count under the minLine guard,
+// parses them concurrently, and closes the gaps blank lines left.
+// Records, the error (the earliest bad line's) and the fast count are
+// those of one sequential pass whatever pieces is.
+func parseNDJSONIn[T any](data []byte, sh *shape[T], pieces int) ([]T, int, error) {
+	ps := make([]piece[T], 0, pieces)
+	size, line := 0, 1
+	for start := 0; start < len(data); {
+		end := len(data)
+		if k := len(ps) + 1; k < pieces {
+			end = max(start, k*len(data)/pieces)
+			if i := bytes.IndexByte(data[end:], '\n'); i >= 0 {
+				end += i + 1
+			} else {
+				end = len(data)
+			}
+		}
+		b := data[start:end]
+		nl := bytes.Count(b, []byte{'\n'})
+		lines := nl
+		if b[len(b)-1] != '\n' {
+			lines++
+		}
+		n := min(lines, len(b)/sh.minLine+1)
+		ps = append(ps, piece[T]{data: b, line: line, off: size, size: n})
+		size += n
+		line += nl
+		start = end
+	}
+	out := make([]T, size)
+	for k := range ps {
+		p := &ps[k]
+		p.recs = out[p.off : p.off : p.off+p.size]
+	}
+	if len(ps) > 1 {
+		var wg sync.WaitGroup
+		for k := range ps[:len(ps)-1] {
+			p := &ps[k]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.parse(sh)
+			}()
+		}
+		ps[len(ps)-1].parse(sh)
+		wg.Wait()
+	} else if len(ps) == 1 {
+		ps[0].parse(sh)
+	}
+	fast, n, overflow := 0, 0, false
+	for k := range ps {
+		p := &ps[k]
+		if fast += p.fast; p.err != nil {
+			return nil, fast, p.err
+		}
+		n += len(p.recs)
+		overflow = overflow || len(p.recs) > p.size
+	}
+	if overflow { // a region outgrew its guard; join into a fresh slice
+		out = make([]T, n)
+	}
+	n = 0
+	for k := range ps {
+		if p := &ps[k]; overflow || p.off != n {
+			copy(out[n:], p.recs)
+		}
+		n += len(ps[k].recs)
+	}
+	return out[:n], fast, nil
 }
 
 // ParsePacketsNDJSON decodes a batch of PacketJSON lines.

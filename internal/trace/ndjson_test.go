@@ -96,6 +96,7 @@ func TestParseNDJSONNoTrailingNewline(t *testing.T) {
 }
 
 func TestParsePacketsNDJSONErrors(t *testing.T) {
+	good := `{"time":1,"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":1}` + "\n"
 	cases := []struct {
 		name, data, want string
 	}{
@@ -107,15 +108,22 @@ func TestParsePacketsNDJSONErrors(t *testing.T) {
 			`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}{"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`, "line 2: more than one JSON value"},
 		{"garbage after object", `{"srcIP":"1.2.3.4","dstIP":"5.6.7.8"} garbage`, "line 1: more than one JSON value"},
 		{"stray brace after object", `{"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}}`, "line 1: more than one JSON value"},
+		// Cut in two or three, a piece ends after line 4, so line 7
+		// is the next piece's third, behind two blank lines; line 9
+		// fails too, later (in three pieces, in the last).
+		{"bad line in the second piece behind blank lines",
+			strings.Repeat(good, 4) + "\n\nnot json\n" + good + "also not json\n" + good, "line 7:"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParsePacketsNDJSON([]byte(c.data))
-			if err == nil {
-				t.Fatal("expected error, got nil")
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Errorf("error %q does not mention %q", err, c.want)
+			for pieces := 1; pieces <= 3; pieces++ {
+				_, _, err := parseNDJSONIn([]byte(c.data), &packetShape, pieces)
+				if err == nil {
+					t.Fatalf("%d pieces: expected error, got nil", pieces)
+				}
+				if !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%d pieces: error %q does not mention %q", pieces, err, c.want)
+				}
 			}
 		})
 	}
