@@ -105,6 +105,10 @@ go test -run=FuzzKeyIndex -fuzz=FuzzKeyIndex -fuzztime=3s ./internal/core
 # skew, segment capacity and width, Join and GroupJoin must release the
 # records the naive map-loop references do, in the same order.
 go test -run=FuzzJoin -fuzz=FuzzJoin -fuzztime=3s ./internal/core
+# Short differential fuzz smoke over GroupFold's split: for any records,
+# key space, segment capacity and width, folding with an exact merge
+# must release the keys, order and values of the nil merge's one range.
+go test -run=FuzzGroupFold -fuzz=FuzzGroupFold -fuzztime=3s ./internal/core
 # Short differential fuzz smoke over the dataset log's views: for any
 # segment capacity, append batch sizes and view bounds, the chunks a
 # sink receives from a view must equal, in length and content, those

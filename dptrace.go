@@ -129,9 +129,13 @@ func GroupBy[T any, K comparable](q *Queryable[T], key func(T) K) *Queryable[Gro
 
 // GroupFold is GroupBy with each group reduced in place: fold runs over
 // a key's records in order, from A's zero value, and only the
-// accumulator is kept. Same doubled sensitivity, no group stored.
-func GroupFold[T any, K comparable, A any](q *Queryable[T], key func(T) K, fold func(A, T) A) *Queryable[Folded[K, A]] {
-	return core.GroupFold(q, key, fold)
+// accumulator is kept. Same doubled sensitivity, no group stored. With
+// a merge — which must be exact, merge(fold over xs, fold over ys) ==
+// fold over xs ++ ys bit for bit (integer sums, counts, min/max; not a
+// float sum) — a large input folds on every worker; nil folds it in
+// one ordered range.
+func GroupFold[T any, K comparable, A any](q *Queryable[T], key func(T) K, fold func(A, T) A, merge func(A, A) A) *Queryable[Folded[K, A]] {
+	return core.GroupFold(q, key, fold, merge)
 }
 
 // Join is PINQ's bounded join: both inputs grouped by key and zipped,

@@ -62,7 +62,8 @@ func ExampleGroupBy() {
 
 // ExampleGroupFold counts the keys whose records add up to more than a
 // threshold without ever storing a group: GroupBy's ×2, one accumulator
-// per key.
+// per key. Integer addition is an exact merge, so a large input would
+// fold on every worker.
 func ExampleGroupFold() {
 	type sale struct {
 		shop   string
@@ -72,7 +73,8 @@ func ExampleGroupFold() {
 	q, budget := dptrace.NewQueryable(sales, 1.0, dptrace.NewSeededSource(5, 5))
 	totals := dptrace.GroupFold(q,
 		func(s sale) string { return s.shop },
-		func(total int, s sale) int { return total + s.amount })
+		func(total int, s sale) int { return total + s.amount },
+		func(a, b int) int { return a + b })
 	big := totals.Where(func(t dptrace.Folded[string, int]) bool { return t.Value > 50 })
 	if _, err := big.NoisyCount(0.2); err != nil {
 		fmt.Println("error:", err)

@@ -147,7 +147,10 @@ func RetransmitDelaysMs(q *core.Queryable[trace.Packet]) *core.Queryable[int64] 
 	// and all a sample needs from a (flow, seq) group is its size and its
 	// two earliest timestamps: fold those instead of storing the group.
 	// Groups with one packet (no retransmission) yield no sample; the
-	// Where drops them.
+	// Where drops them. The fold gets no merge although one would be
+	// exact: with keys new on nearly every packet, merging a later
+	// range re-inserts almost all of its keys on one worker, which costs
+	// more than the split saves.
 	groups := core.GroupFold(data,
 		func(p trace.Packet) retxKey { return retxKey{flow: p.Flow(), seq: p.Seq} },
 		func(t transmissions, p trace.Packet) transmissions {
@@ -162,7 +165,7 @@ func RetransmitDelaysMs(q *core.Queryable[trace.Packet]) *core.Queryable[int64] 
 				t.second = p.Time
 			}
 			return t
-		})
+		}, nil)
 	dup := groups.Where(func(g core.Folded[retxKey, transmissions]) bool { return g.Value.n >= 2 })
 	return core.Select(dup, func(g core.Folded[retxKey, transmissions]) int64 {
 		return (g.Value.second - g.Value.first) / 1000

@@ -162,7 +162,7 @@ func TestAllocEagerWhere(t *testing.T) {
 // at any record count.
 func TestAllocGroupFold(t *testing.T) {
 	scanIsConstant(t, "GroupFold over 64 keys", 16<<10, func(q *Queryable[int]) {
-		_ = GroupFold(q, func(x int) int { return x % 64 }, func(sum, x int) int { return sum + x })
+		_ = GroupFold(q, func(x int) int { return x % 64 }, func(sum, x int) int { return sum + x }, func(a, b int) int { return a + b })
 	})
 }
 

@@ -101,7 +101,16 @@ func BenchmarkGroupFold1M(b *testing.B) {
 	q := benchQueryable(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = GroupFold(q, func(x int) int { return x % 1024 }, func(sum, x int) int { return sum + x })
+		_ = GroupFold(q, func(x int) int { return x % 1024 }, func(sum, x int) int { return sum + x }, nil)
+	}
+	reportRecords(b, benchRecords)
+}
+
+func BenchmarkGroupFold1MParallel(b *testing.B) {
+	q := benchParallel(benchQueryable(b))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = GroupFold(q, func(x int) int { return x % 1024 }, func(sum, x int) int { return sum + x }, func(a, b int) int { return a + b })
 	}
 	reportRecords(b, benchRecords)
 }

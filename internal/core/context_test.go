@@ -247,7 +247,7 @@ func TestCancelMidKeyedPass(t *testing.T) {
 				g := GroupBy(q, key)
 				kept, count = len(g.records), g.NoisyCount
 			case "GroupFold":
-				g := GroupFold(q, key, func(acc, v float64) float64 { return acc + v })
+				g := GroupFold(q, key, func(acc int, v float64) int { return acc + int(v) }, func(a, b int) int { return a + b })
 				kept, count = len(g.records), g.NoisyCount
 			case "Distinct":
 				d := Distinct(q, key)

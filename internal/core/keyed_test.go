@@ -301,6 +301,7 @@ func TestKeyedOperatorsMatchReference(t *testing.T) {
 		runtime.GOMAXPROCS(gmp)
 		checkJoins(t, fmt.Sprintf("GOMAXPROCS=%d", gmp), rand.New(rand.NewSource(int64(gmp))))
 	}
+	checkMergedFolds(t, rand.New(rand.NewSource(2010)))
 }
 
 // checkKeyed holds every keyed operator over c.in, keyed by key, to the
@@ -363,7 +364,7 @@ func checkKeyed[K comparable](t *testing.T, c keyedCase, key func(flowRec) K, li
 
 	// GroupFold ≡ Select∘GroupBy, values bit for bit.
 	reset(1)
-	f := GroupFold(r.h, counting, orderedFold)
+	f := GroupFold(r.h, counting, orderedFold, nil)
 	called("GroupFold", len(in))
 	if len(f.records) != len(wantG) {
 		t.Fatalf("%s: GroupFold made %d groups, reference %d", label, len(f.records), len(wantG))
@@ -427,6 +428,116 @@ func checkKeyed[K comparable](t *testing.T, c keyedCase, key func(flowRec) K, li
 		counted(op+" count", got.NoisyCount, len(want), ref, 0.4)
 		if oroot.Spent() != 0.4 {
 			t.Fatalf("%s: %s charged the other input %v, want 0.4", label, op, oroot.Spent())
+		}
+	}
+}
+
+// tally is a fold with an exact merge: a count, a byte sum and the
+// smallest Dst, the way a per-source total and an earliest time are.
+type tally struct {
+	n, bytes int
+	least    uint32
+}
+
+func tallyFold(a tally, f flowRec) tally {
+	if a.n == 0 || f.Dst < a.least {
+		a.least = f.Dst
+	}
+	a.n++
+	a.bytes += f.Len
+	return a
+}
+
+func tallyMerge(a, b tally) tally {
+	if a.n == 0 || (b.n > 0 && b.least < a.least) {
+		a.least = b.least
+	}
+	a.n += b.n
+	a.bytes += b.bytes
+	return a
+}
+
+// foldSides are the handles checkMergedFolds folds: the records as a
+// bare Queryable, behind a fused Where, or as a Log view straddling
+// segments of 300 records behind a 100-record prefix. set configures
+// the Queryable under the handle; in is what the operator sees of
+// flows.
+var foldSides = []struct {
+	name   string
+	handle func(flows []flowRec, set func(*Queryable[flowRec]) *Queryable[flowRec]) Streamer[flowRec]
+	in     func(flows []flowRec) []flowRec
+}{
+	{"queryable", func(flows []flowRec, set func(*Queryable[flowRec]) *Queryable[flowRec]) Streamer[flowRec] {
+		q, _ := NewQueryable(flows, math.Inf(1), noise.NewSeededSource(1, 2))
+		return set(q)
+	}, func(flows []flowRec) []flowRec { return flows }},
+	{"stream", func(flows []flowRec, set func(*Queryable[flowRec]) *Queryable[flowRec]) Streamer[flowRec] {
+		q, _ := NewQueryable(flows, math.Inf(1), noise.NewSeededSource(1, 2))
+		return set(q).Stream().Where(lenDiv3)
+	}, func(flows []flowRec) []flowRec {
+		in, _, _ := refRun(flows, []refStage{refWhere(lenDiv3)})
+		return in
+	}},
+	{"log", func(flows []flowRec, set func(*Queryable[flowRec]) *Queryable[flowRec]) Streamer[flowRec] {
+		l := fillLog(300, append(make([]flowRec, 100), flows...), 64)
+		return set(NewQueryableForView(l.View().Slice(100, 100+len(flows)), NewRootAgent(math.Inf(1)), noise.NewSeededSource(1, 2)))
+	}, func(flows []flowRec) []flowRec { return flows }},
+}
+
+// checkMergedFolds holds GroupFold with an exact merge to the reference
+// and to the nil merge's one ordered range — keys, order and values,
+// one key call per record — at widths 1, 2 and 4 on every input, over
+// each of foldSides, on integer and struct keys.
+func checkMergedFolds(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	for _, n := range []int{0, 1, chunkSize + 1, 3*chunkSize + 5, DefaultParallelThreshold + 1} {
+		flows := keyedFlows(rng, n)
+		for _, side := range foldSides {
+			in := side.in(flows)
+			for _, workers := range []int{1, 2, 4} {
+				label := fmt.Sprintf("merged fold n=%d %s workers=%d", n, side.name, workers)
+				handle := func(rec *captureRecorder) Streamer[flowRec] {
+					return side.handle(flows, func(q *Queryable[flowRec]) *Queryable[flowRec] {
+						return q.WithRecorder(rec).WithExecOptions(ExecOptions{Workers: workers, Threshold: 1})
+					})
+				}
+				checkMergedFold(t, label+" port", handle, in, workers, func(f flowRec) uint16 { return f.Port })
+				checkMergedFold(t, label+" src", handle, in, workers, func(f flowRec) uint32 { return f.Src })
+				checkMergedFold(t, label+" struct", handle, in, workers, func(f flowRec) portParity { return portParity{f.Port, f.Len%2 == 1} })
+			}
+		}
+	}
+}
+
+func checkMergedFold[K comparable](t *testing.T, label string, handle func(*captureRecorder) Streamer[flowRec], in []flowRec, workers int, key func(flowRec) K) {
+	t.Helper()
+	var calls atomic.Int64
+	counting := func(f flowRec) K { calls.Add(1); return key(f) }
+	var want []Folded[K, tally]
+	for _, g := range refGroupBy(in, key) {
+		var acc tally
+		for _, r := range g.items {
+			acc = tallyFold(acc, r)
+		}
+		want = append(want, Folded[K, tally]{g.key, acc})
+	}
+	for _, merge := range []func(a, b tally) tally{tallyMerge, nil} {
+		rec := &captureRecorder{}
+		got := GroupFold(handle(rec), counting, tallyFold, merge).records
+		if c := calls.Swap(0); c != int64(len(in)) {
+			t.Fatalf("%s (merge %v): the key function ran %d times over %d records", label, merge != nil, c, len(in))
+		}
+		if !sameOutputs(got, want) {
+			t.Fatalf("%s (merge %v): %d groups, reference %d (or other keys, values or order)", label, merge != nil, len(got), len(want))
+		}
+		// The merge splits the pass one range per worker; nil keeps one.
+		wantWorkers := 0
+		if merge != nil {
+			wantWorkers = workersTag(min(workers, len(in)))
+		}
+		row := rec.ops[len(rec.ops)-1]
+		if row.op != "groupby" || row.in != len(in) || row.out != len(want) || row.workers != wantWorkers {
+			t.Fatalf("%s (merge %v): row %+v, want groupby %d → %d on %d workers", label, merge != nil, row, len(in), len(want), wantWorkers)
 		}
 	}
 }
@@ -807,6 +918,41 @@ func FuzzJoin(f *testing.F) {
 		fuzzJoin(t, qa, qb, a, b, func(f flowRec) uint32 { return f.Src })
 		fuzzJoin(t, qa, qb, a, b, pairKey)
 	})
+}
+
+// FuzzGroupFold holds GroupFold's split to its one ordered range: for
+// any records, key space, Log segment capacity and width, folding with
+// an exact merge releases the keys, order and values that the nil merge
+// does, on integer and struct keys.
+func FuzzGroupFold(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 1, 1}, uint16(3*chunkSize+7), uint16(3), uint16(7), uint8(1))
+	f.Add([]byte{}, uint16(0), uint16(0), uint16(1), uint8(0))
+	f.Add([]byte{9, 200}, uint16(chunkSize+1), uint16(math.MaxUint16), uint16(chunkSize), uint8(3))
+	f.Add([]byte{255}, uint16(2000), uint16(1), uint16(513), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, n, keys, seg uint16, workers uint8) {
+		recs := make([]flowRec, int(n)%(4*chunkSize))
+		for i := range recs {
+			v := i * 31
+			if len(data) > 0 {
+				v += int(data[i%len(data)]) << 16
+			}
+			recs[i] = flowRec{Src: uint32(v % (1 + int(keys))), Dst: uint32(v ^ i<<3), Port: uint16(i % 3), Len: v % 1500}
+		}
+		capacity, skip := 1+int(seg)%(2*chunkSize), int(seg)%7
+		l := fillLog(capacity, append(make([]flowRec, skip), recs...), 1+int(seg)%97)
+		q := NewQueryableForView(l.View().Slice(skip, skip+len(recs)), NewRootAgent(math.Inf(1)), noise.NewSeededSource(1, 2)).
+			WithExecOptions(ExecOptions{Workers: 1 + int(workers)%4, Threshold: 1})
+		fuzzFold(t, q, func(f flowRec) uint32 { return f.Src })
+		fuzzFold(t, q, pairKey)
+	})
+}
+
+func fuzzFold[K comparable](t *testing.T, q *Queryable[flowRec], key func(flowRec) K) {
+	t.Helper()
+	split, one := GroupFold(q, key, tallyFold, tallyMerge).records, GroupFold(q, key, tallyFold, nil).records
+	if !sameOutputs(split, one) {
+		t.Fatalf("GroupFold over %d records: the split made %d groups, one range %d (or other keys, values or order)", q.Stream().n, len(split), len(one))
+	}
 }
 
 func fuzzJoin[K comparable](t *testing.T, qa, qb *Queryable[flowRec], a, b []flowRec, key func(flowRec) K) {

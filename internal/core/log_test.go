@@ -83,7 +83,7 @@ func logBattery(q *Queryable[flowRec], root *RootAgent, src *countingSource, rec
 	g := GroupBy(q, port)
 	note(g.NoisyCount(0.1))
 	keep(g.records)
-	gf := GroupFold(q, port, func(a int, f flowRec) int { return a + f.Len })
+	gf := GroupFold(q, port, func(a int, f flowRec) int { return a + f.Len }, func(a, b int) int { return a + b })
 	note(gf.NoisyCount(0.1))
 	keep(gf.records)
 

@@ -76,7 +76,8 @@ var queryKinds = []queryKind{
 			minBytes := orDefault(req.MinBytes, 1024)
 			bytesBySource := core.GroupFold(in.packets,
 				func(p trace.Packet) trace.IPv4 { return p.SrcIP },
-				func(total int, p trace.Packet) int { return total + int(p.Len) })
+				func(total int, p trace.Packet) int { return total + int(p.Len) },
+				func(a, b int) int { return a + b })
 			heavy := bytesBySource.Stream().Where(func(g core.Folded[trace.IPv4, int]) bool { return g.Value > minBytes })
 			v, err := heavy.NoisyCount(req.Epsilon)
 			return value(v, err, 2*noise.LaplaceStd(req.Epsilon)) // GroupBy doubles the sensitivity

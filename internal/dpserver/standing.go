@@ -116,11 +116,10 @@ func (m *meteredAgent) charged() float64 {
 	return m.net
 }
 
-// standingQueryRequest rebuilds the per-window QueryRequest from the
-// registration's stored request bytes.
-func standingQueryRequest(spec *standing.Spec) *QueryRequest {
-	var sr api.StandingRequest
-	_ = json.Unmarshal(spec.Request, &sr)
+// standingQueryRequest is the QueryRequest every window of a standing
+// query executes, made from its registration request; the spec keeps
+// it as its Params.
+func standingQueryRequest(spec *standing.Spec, sr *api.StandingRequest) *QueryRequest {
 	return &QueryRequest{
 		Analyst: spec.Analyst, Dataset: spec.Dataset, Query: spec.Kind,
 		Epsilon: spec.Epsilon, Filter: sr.Filter, MinBytes: sr.MinBytes,
@@ -174,7 +173,7 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 		}
 		qry := core.NewQueryableForView(snap.Slice(int(w.Start), int(w.End)), core.Agent(agent), s.src).
 			WithExecOptions(s.exec)
-		resp, err := s.execPacket(qry, standingQueryRequest(&spec))
+		resp, err := s.execPacket(qry, spec.Params.(*QueryRequest))
 		res.Charged = agent.charged()
 		wire.Charged = res.Charged
 		wire.Spent = spent + res.Charged
@@ -284,20 +283,27 @@ func (s *Server) restoreStanding(name string) {
 		if st.LastFireNS != 0 {
 			lastFire = time.Unix(0, st.LastFireNS)
 		}
-		_, err := s.standing.Restore(standing.Spec{
+		spec := standing.Spec{
 			Dataset: st.Dataset, Analyst: st.Analyst, ID: st.ID,
 			Kind: st.Kind, Epsilon: st.Epsilon, Reservation: st.Reservation,
 			Width: st.Width, Stride: st.Stride, EveryMs: st.EveryMs,
 			Base: st.Base, Request: st.Request,
-		}, standing.Restored{
-			NextWindow: st.NextWindow, LastMark: st.LastMark,
-			LastFire: lastFire, Spent: st.Spent,
-			Status: standing.Status(st.Status), Results: results,
-		})
+		}
+		var sr api.StandingRequest
+		err := json.Unmarshal(st.Request, &sr)
+		if err == nil {
+			spec.Params = standingQueryRequest(&spec, &sr)
+			_, err = s.standing.Restore(spec, standing.Restored{
+				NextWindow: st.NextWindow, LastMark: st.LastMark,
+				LastFire: lastFire, Spent: st.Spent,
+				Status: standing.Status(st.Status), Results: results,
+			})
+		}
 		if err != nil {
-			// A persisted registration the live registry refuses is a
-			// ledger/server version skew, not corruption: say so and
-			// keep the rest.
+			// A persisted registration whose request does not decode, or
+			// that the live registry refuses, is a ledger/server version
+			// skew, not corruption: say so and keep the rest. Installed,
+			// it would fire with zero-valued parameters.
 			s.events.Log(qlog.Error, "standing_restore_failed",
 				qlog.F("dataset", st.Dataset), qlog.F("standing", st.ID),
 				qlog.F("error", err.Error()))
@@ -371,6 +377,7 @@ func (s *Server) executeStandingRegister(d *dataset, name string, req *api.Stand
 		EveryMs: req.Window.EveryMs,
 		Base:    s.watermark(d), Request: stored,
 	}
+	spec.Params = standingQueryRequest(&spec, req)
 	q, err := s.standing.Register(spec, func(sp standing.Spec) error {
 		if s.ledger == nil {
 			return nil

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"dptrace/internal/dpserver/api"
+	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
+	"dptrace/internal/obs/qlog"
 	"dptrace/internal/trace"
 	"dptrace/internal/vfs"
 )
@@ -523,6 +525,61 @@ func TestStandingKillRestart(t *testing.T) {
 	}
 	if got := s2.datasets["hotspot"].policy.SpentBy("mon"); got != 0.2 {
 		t.Fatalf("resumed spend %v, want 0.2", got)
+	}
+}
+
+// TestStandingRestoreUndecodableRequest: a persisted registration whose
+// request does not decode is left out of the restore, and the restore
+// says so. Installed, its windows would fire with zero-valued
+// parameters: a filtered count would count every record.
+func TestStandingRestoreUndecodableRequest(t *testing.T) {
+	dir := t.TempDir()
+	led1 := openLedger(t, dir)
+	ledgerServer(t, led1, 100, 100)
+	if err := led1.Append(ledger.Event{
+		Type: ledger.EventStandingRegistered, Dataset: "hotspot",
+		Analyst: "mon", Standing: "sq-1", Query: "count",
+		Epsilon: 0.1, Reservation: 1, Width: 20, Base: 64,
+		Body: []byte("not json"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := led1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	led2 := openLedger(t, dir)
+	defer led2.Close()
+	events := qlog.New(qlog.Options{})
+	s2 := New(noise.NewSeededSource(1, 2), WithLedger(led2), WithEventLog(events))
+	if err := s2.AddPacketTrace("hotspot", restartTrace(), 100, 100); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+
+	failed := false
+	for _, e := range events.Recent(0) {
+		failed = failed || e.Name == "standing_restore_failed"
+	}
+	if !failed {
+		t.Error("no standing_restore_failed event for the undecodable registration")
+	}
+	_, body := getBody(t, ts2.URL+"/v1/standing/hotspot")
+	var list api.StandingList
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Queries) != 0 {
+		t.Fatalf("restored %d standing queries from an undecodable registration: %s", len(list.Queries), body)
+	}
+	// 30 records would close the registration's first window.
+	if resp, body := postIngest(t, ts2.URL+"/v1/ingest/hotspot",
+		trace.MarshalPacketsNDJSON(ingestPkts(30))); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
+	}
+	if got := s2.datasets["hotspot"].policy.SpentBy("mon"); got != 0 {
+		t.Fatalf("a window of the undecodable registration charged %v", got)
 	}
 }
 

@@ -83,9 +83,12 @@ type Spec struct {
 	// present before the registration are never windowed.
 	Base uint64
 	// Request is the full registration request (wire JSON), carried so
-	// the executor can rebuild kind-specific parameters and a restart
-	// can rebuild the query.
+	// a restart can rebuild the query.
 	Request []byte
+	// Params is the caller's decoded form of Request, made once when
+	// the query is registered or restored, so that firing a window never
+	// decodes the request again. The registry does not read it.
+	Params any
 }
 
 // Window identifies one due window: its index and its record-sequence
