@@ -1,4 +1,4 @@
-.PHONY: check build test cover bench benchdiff bench-all bench-pair chaos
+.PHONY: check build test cover bench benchdiff bench-all bench-pair chaos experiments
 
 # The tier-1 gate (see ROADMAP.md): build + vet + tests under -race.
 check:
@@ -76,6 +76,13 @@ bench-pair:
 		echo "== $$w"; \
 		go run ./cmd/benchjson -pairs $(PAIR)/base.$$w.jsonl $(PAIR)/head.$$w.jsonl || exit 1; \
 	done
+
+# Every table and figure of the paper's evaluation, in the paper's
+# order, each followed by its wall time ("[fig1 completed in 812ms]").
+# Pass cmd/experiments flags through EXPERIMENTS_FLAGS, e.g.
+#   make experiments EXPERIMENTS_FLAGS='-run fig3 -seed 7'
+experiments:
+	go run ./cmd/experiments $(EXPERIMENTS_FLAGS)
 
 # The original whole-repo benchmark sweep.
 bench-all:

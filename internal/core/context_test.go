@@ -159,10 +159,13 @@ func TestCancelMidScan(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				q = q.WithContext(ctx).WithExecOptions(ExecOptions{Workers: workers})
 
-				var seen atomic.Int64
+				// fired is the count once cancel has returned: until then a
+				// sibling's poll may still find the context live.
+				var seen, fired atomic.Int64
 				tick := func() {
 					if seen.Add(1) == int64(n/4) {
 						cancel()
+						fired.Store(seen.Load())
 					}
 				}
 				var err error
@@ -194,8 +197,8 @@ func TestCancelMidScan(t *testing.T) {
 				if got := root.Spent(); got != wantSpent {
 					t.Errorf("%s: ε = %v, want %v", label, got, wantSpent)
 				}
-				if got, limit := seen.Load(), int64(n/4+workers*chunkSize); got > limit {
-					t.Errorf("%s: scan ran on for %d records after the context fired at %d (limit %d)", label, got-int64(n/4), n/4, limit)
+				if got, at := seen.Load(), fired.Load(); got > at+int64(workers*chunkSize) {
+					t.Errorf("%s: scan ran on for %d records after the context fired at %d (limit %d)", label, got-at, at, workers*chunkSize)
 				}
 			}
 		}
@@ -227,11 +230,14 @@ func TestCancelMidKeyedPass(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			q = q.WithContext(ctx).WithExecOptions(ExecOptions{Workers: workers})
 
-			var seen atomic.Int64
+			// fired is the count once cancel has returned: until then a
+			// sibling's poll may still find the context live.
+			var seen, fired atomic.Int64
 			fireAt := int64(n / 4)
 			tick := func() {
 				if seen.Add(1) == fireAt {
 					cancel()
+					fired.Store(seen.Load())
 				}
 			}
 			key := func(v float64) int { tick(); return group(v) }
@@ -295,8 +301,8 @@ func TestCancelMidKeyedPass(t *testing.T) {
 			if other != nil && other.Spent() != 0 {
 				t.Errorf("%s: ε = %v charged to the join's other input, want 0", label, other.Spent())
 			}
-			if got, limit := seen.Load(), fireAt+int64(workers*chunkSize); got > limit {
-				t.Errorf("%s: pass ran on for %d records after the context fired at %d (limit %d)", label, got-fireAt, fireAt, limit)
+			if got, at := seen.Load(), fired.Load(); got > at+int64(workers*chunkSize) {
+				t.Errorf("%s: pass ran on for %d records after the context fired at %d (limit %d)", label, got-at, at, workers*chunkSize)
 			}
 			if part != nil {
 				if got := part.WithContext(context.Background()).Where(func(float64) bool { return true }).records; len(got) != n/8 {

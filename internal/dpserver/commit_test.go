@@ -47,6 +47,11 @@ type crashCase struct {
 	// reply in the ledger state.
 	analyst string
 	idemKey string
+	// appends is the number of records the request ingests. Its keyed
+	// ACK lives in the process only — the records are not journaled, so
+	// no stored reply may outlive them — and a retry after the restart
+	// appends them again, charging no window twice.
+	appends int
 	// retried reports the analyst's spend a retry after restart must
 	// land on, given the replayed spend and whether the reply survived.
 	retried func(eps, replayed float64, hasReply bool) float64
@@ -151,8 +156,10 @@ func crashCases() []crashCase {
 			},
 			analyst: "mon",
 			idemKey: ledger.IdemKeyString("/v1/ingest/hotspot", "hotspot", "probe", "probe\x001"),
+			appends: 20,
 			// A window's charge and cursor are one record: whatever
-			// survived is not fired again, whatever did not fires once.
+			// survived is not fired again, whatever did not fires once
+			// when the re-sent batch brings the records back.
 			retried: func(eps, _ float64, _ bool) float64 { return eps },
 			// The ACK itself carries no result; the windows' results are
 			// read through the (journal-free) results endpoint.
@@ -270,7 +277,10 @@ func crashAndRestart(t *testing.T, tc crashCase, eps float64, rule *vfs.Rule, po
 	if replayed < seen-1e-9 {
 		t.Fatalf("the client has seen results worth ε=%v, the ledger replays only %v", seen, replayed)
 	}
-	if acked && (seen > 0 || tc.want != 0) && !hasReply {
+	if tc.appends > 0 && hasReply {
+		t.Fatal("an ingest ACK was journaled: it would outlive the records it acknowledges")
+	}
+	if tc.appends == 0 && acked && (seen > 0 || tc.want != 0) && !hasReply {
 		t.Fatalf("the client holds a %d (ε=%v) whose stored reply did not survive", resp.StatusCode, seen)
 	}
 
@@ -292,6 +302,10 @@ func crashAndRestart(t *testing.T, tc crashCase, eps float64, rule *vfs.Rule, po
 	if want, got := tc.retried(eps, replayed, hasReply), spent(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("retry left spend %v, want %v (replayed %v, reply stored: %v)", got, want, replayed, hasReply)
 	}
+	records := len(restartTrace()) + tc.appends
+	if got := hostedRecords(t, ts2.URL, "hotspot"); got != records {
+		t.Fatalf("retry after restart left %d records, want %d", got, records)
+	}
 	settled := spent()
 	resp2, body2 := tc.do(t, ts2.URL)
 	if resp2.StatusCode != tc.status() || !bytes.Equal(body2, body1) {
@@ -299,6 +313,9 @@ func crashAndRestart(t *testing.T, tc crashCase, eps float64, rule *vfs.Rule, po
 	}
 	if got := spent(); got != settled {
 		t.Fatalf("second retry charged again: %v -> %v", settled, got)
+	}
+	if got := hostedRecords(t, ts2.URL, "hotspot"); got != records {
+		t.Fatalf("second retry left %d records, want %d", got, records)
 	}
 }
 

@@ -351,3 +351,44 @@ func TestFailoverStorm(t *testing.T) {
 	}
 	t.Logf("failover storm: %d rounds clean (budget %v)", rounds, *failoverDur)
 }
+
+// TestKeyedReingestAfterFailover is TestKeyedReingestAfterRestart's
+// twin across a promotion: replication carries budgets, not records,
+// so the promoted follower must append a re-sent keyed batch instead
+// of replaying the dead primary's ACK over a dataset that never held it.
+func TestKeyedReingestAfterFailover(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		name := "ack in memory"
+		if journaled {
+			name = "ack journaled by an older build"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := newFailoverPair(t, 7)
+			base := len(restartTrace())
+			ack := reingest(t, p.tsA.URL, base+30)
+			if journaled {
+				if err := p.ledA.Append(oldIngestReply(ack)); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, 5*time.Second, func() bool {
+					st := getReady(t, p.tsB)
+					return st.Repl != nil && st.Repl.LagSeq == 0
+				}, "follower to apply the stored ACK")
+			}
+			p.tsA.CloseClientConnections()
+			p.sA.CloseReplication()
+			p.tsA.Close()
+
+			if resp, body, err := tryPostV1(p.tsB.URL+"/v1/admin/promote", struct{}{}); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("promote: %v %s", err, body)
+			}
+			if got := hostedRecords(t, p.tsB.URL, "hotspot"); got != base {
+				t.Fatalf("promoted with %d records, want the %d registered", got, base)
+			}
+			after := reingest(t, p.tsB.URL, base+30)
+			if again := reingest(t, p.tsB.URL, base+30); !bytes.Equal(again, after) {
+				t.Fatalf("second re-send after failover appended again:\n was: %s\n now: %s", after, again)
+			}
+		})
+	}
+}

@@ -31,13 +31,16 @@ import (
 //     contents. A batch is either fully visible to a snapshot or not
 //     at all, and an append costs the batch's own copy, however large
 //     the dataset has grown.
-//   - At-most-once apply: a batch carrying a (source, seq) identity
-//     goes through the PR3 idempotency cache keyed on it — a retried
-//     batch replays the stored ACK instead of appending twice.
-//   - Durable before ACK: the standing windows a batch closes and its
-//     keyed reply are staged in the journal as they happen and made
-//     durable by ONE commit (Server.settle) before the ACK leaves and
-//     before the windows' results reach list/long-poll readers.
+//   - At-most-once apply within one server lifetime: a batch carrying
+//     a (source, seq) identity goes through the idempotency cache keyed
+//     on it — a retried batch replays the stored ACK instead of
+//     appending twice. The ACK is not journaled or replicated
+//     (ingestReply): the records live in memory only, so after a
+//     restart or a failover the same batch is appended again.
+//   - Durable before ACK: the standing windows a batch closes are
+//     staged in the journal as they happen and made durable by ONE
+//     commit (Server.settle) before the ACK leaves and before the
+//     windows' results reach list/long-poll readers.
 //   - Fail-closed composition with degraded mode: while the ledger
 //     refuses spends (frozen or degraded), ingest refuses too — the
 //     dataset must not drift while ε-accounting cannot be journaled —
@@ -206,10 +209,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// At-most-once: (source, seq) rides the idempotency cache exactly
-	// like a query's idempotency key — the endpoint path (which embeds
-	// the dataset) scopes it, source takes the analyst slot. Only the
-	// applied ACK is cached; refusals and errors re-execute on retry.
+	// At-most-once: (source, seq) rides the idempotency cache like a
+	// query's idempotency key — the endpoint path (which embeds the
+	// dataset) scopes it, source takes the analyst slot — but in this
+	// process only (ingestReply). Only the applied ACK is cached;
+	// refusals and errors re-execute on retry.
 	var key string
 	if source != "" {
 		key = source + "\x00" + seq

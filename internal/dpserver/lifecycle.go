@@ -501,16 +501,16 @@ type execResult struct {
 }
 
 // settle is the one point where an execution's outcome leaves the
-// server: it stages the keyed reply (k non-nil and the outcome
-// replayable), commits everything the request journaled — one fsync
-// and one quorum wait however many records that was — and only then
-// returns what may be written to the client and stored for replays. A
-// failed commit withholds the outcome: the client gets a retryable 503,
-// nothing is cached for the key, and the charges stand (ε is only ever
-// over-counted).
+// server: it stages the keyed reply (k non-nil, the outcome replayable,
+// and not an ingest ACK — see ingestReply), commits everything the
+// request journaled — one fsync and one quorum wait however many
+// records that was — and only then returns what may be written to the
+// client and stored for replays. A failed commit withholds the outcome:
+// the client gets a retryable 503, nothing is cached for the key, and
+// the charges stand (ε is only ever over-counted).
 func (s *Server) settle(r *http.Request, k *idemKey, res execResult) execResult {
 	js := journalStats{stage: res.stage}
-	if k != nil && res.cacheable {
+	if k != nil && res.cacheable && !ingestReply(k.endpoint) {
 		start := time.Now()
 		s.recordIdemReply(*k, res.status, res.body, start.Add(s.idem.ttl))
 		js.stage += time.Since(start)

@@ -3,6 +3,7 @@ package dpserver
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"dptrace/internal/core"
@@ -180,6 +181,18 @@ func (s *Server) recordAudit(o *queryOutcome, e AuditEntry) {
 		o.stage += time.Since(start)
 	}
 	s.audit.add(e)
+}
+
+// ingestReply reports whether a keyed reply answers an ingest path.
+// Such a reply lives in the process's idempotency cache only: the
+// records an ingest ACK acknowledges are held in memory, so a journaled
+// ACK would outlive them, and a sender re-sending the batch after a
+// restart or a failover would be told it was applied while nothing is
+// appended. settle does not journal it, and restore and follower
+// warm-up skip the ones older ledgers hold. The unversioned spelling
+// covers replies journaled while the API had a second mount.
+func ingestReply(endpoint string) bool {
+	return strings.HasPrefix(strings.TrimPrefix(endpoint, "/v1"), "/ingest/")
 }
 
 // recordIdemReply stages one stored idempotent response in the journal

@@ -288,7 +288,7 @@ func (s *Server) applyReplicated(ev ledger.Event) {
 		})
 	case ledger.EventIdemReply:
 		expires := time.Unix(0, ev.Expires)
-		if expires.After(time.Now()) {
+		if expires.After(time.Now()) && !ingestReply(ev.Endpoint) {
 			s.idem.restore(
 				idemKey{endpoint: ev.Endpoint, dataset: ev.Dataset, analyst: ev.Analyst, key: ev.Key},
 				ev.Status, ev.Body, expires)
@@ -346,7 +346,7 @@ func (s *Server) restoreAuditIdem(state *ledger.State) {
 	now := time.Now()
 	for _, rec := range state.Idem {
 		expires := time.Unix(0, rec.Expires)
-		if !expires.After(now) {
+		if !expires.After(now) || ingestReply(rec.Endpoint) {
 			continue
 		}
 		s.idem.restore(

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
 	"dptrace/internal/trace"
@@ -223,5 +226,92 @@ func TestFrozenLedgerFailsClosed(t *testing.T) {
 	}
 	if got := s2.datasets["hotspot"].policy.SpentBy("alice"); got != 0.4 {
 		t.Fatalf("refused charge on frozen ledger moved spend to %v, want 0.4", got)
+	}
+}
+
+// hostedRecords reads a dataset's record count from GET /v1/datasets.
+func hostedRecords(t *testing.T, base, name string) int {
+	t.Helper()
+	resp, body := getBody(t, base+"/v1/datasets")
+	var infos []DatasetInfo
+	if err := json.Unmarshal(body, &infos); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("datasets: %d %s (err %v)", resp.StatusCode, body, err)
+	}
+	for _, info := range infos {
+		if info.Name == name {
+			return info.Records
+		}
+	}
+	t.Fatalf("dataset %q not listed: %s", name, body)
+	return 0
+}
+
+// reingest sends one keyed 30-record batch and checks the ACK and the
+// dataset's record count against want.
+func reingest(t *testing.T, base string, want int) []byte {
+	t.Helper()
+	resp, body := postIngestKeyed(t, base+"/v1/ingest/hotspot",
+		trace.MarshalPacketsNDJSON(ingestPkts(30)), "probe", "1")
+	var ack api.IngestResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &ack) != nil {
+		t.Fatalf("keyed ingest: %d %s", resp.StatusCode, body)
+	}
+	if got := hostedRecords(t, base, "hotspot"); got != want || ack.TotalRecords != want {
+		t.Fatalf("the ACK says %d records, the dataset holds %d, want %d: %s", ack.TotalRecords, got, want, body)
+	}
+	return body
+}
+
+// oldIngestReply is the idem_reply a build that journaled ingest ACKs
+// left in the WAL for reingest's batch: restore and follower warm-up
+// must skip it as well.
+func oldIngestReply(ack []byte) ledger.Event {
+	return ledger.Event{
+		Type: ledger.EventIdemReply, Endpoint: "/v1/ingest/hotspot",
+		Dataset: "hotspot", Analyst: "probe", Key: "probe\x001",
+		Status: http.StatusOK, Body: ack, Expires: time.Now().Add(time.Hour).UnixNano(),
+	}
+}
+
+// TestKeyedReingestAfterRestart: a keyed ingest ACK must not outlive
+// the records it acknowledges. Ingested records live in memory only, so
+// after a kill and restart the sender's re-send of the same
+// (source, seq) is appended again — not answered with the first
+// server's ACK over a dataset that lost the batch — and within the new
+// server's lifetime a second re-send still replays instead of
+// appending twice.
+func TestKeyedReingestAfterRestart(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		name := "ack in memory"
+		if journaled {
+			name = "ack journaled by an older build"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := len(restartTrace())
+			led1 := openLedger(t, dir)
+			_, ts1 := ledgerServer(t, led1, math.Inf(1), math.Inf(1))
+			first := reingest(t, ts1.URL, base+30)
+			if again := reingest(t, ts1.URL, base+30); !bytes.Equal(again, first) {
+				t.Fatalf("re-send within one lifetime is not a replay:\n was: %s\n now: %s", first, again)
+			}
+			if journaled {
+				if err := led1.Append(oldIngestReply(first)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ts1.Close()
+
+			led2 := openLedger(t, dir)
+			defer led2.Close()
+			_, ts2 := ledgerServer(t, led2, math.Inf(1), math.Inf(1))
+			if got := hostedRecords(t, ts2.URL, "hotspot"); got != base {
+				t.Fatalf("restarted with %d records, want the %d registered", got, base)
+			}
+			after := reingest(t, ts2.URL, base+30)
+			if again := reingest(t, ts2.URL, base+30); !bytes.Equal(again, after) {
+				t.Fatalf("second re-send after restart appended again:\n was: %s\n now: %s", after, again)
+			}
+		})
 	}
 }

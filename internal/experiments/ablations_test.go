@@ -11,12 +11,16 @@ import (
 func TestEMAblationShape(t *testing.T) {
 	// Average over seeds: both algorithms are noisy.
 	var kmSum, emSum, exact float64
+	var res *EMAblationResult // seed 1's run
 	const runs = 3
 	for s := uint64(1); s <= runs; s++ {
-		res := RunEMAblation(s, 1.0)
-		kmSum += res.KMeansFinal
-		emSum += res.EMFinal
-		exact = res.ExactFinal
+		r := RunEMAblation(s, 1.0)
+		if res == nil {
+			res = r
+		}
+		kmSum += r.KMeansFinal
+		emSum += r.EMFinal
+		exact = r.ExactFinal
 	}
 	km, em := kmSum/runs, emSum/runs
 	if em < km*0.95 {
@@ -25,7 +29,6 @@ func TestEMAblationShape(t *testing.T) {
 	if km < exact*0.9 {
 		t.Errorf("private k-means (%v) implausibly beats exact (%v)", km, exact)
 	}
-	res := RunEMAblation(1, 1.0)
 	if res.EMMeasurements <= res.KMeansMeasurements {
 		t.Errorf("EM measurement count %d not above k-means %d",
 			res.EMMeasurements, res.KMeansMeasurements)
@@ -73,7 +76,7 @@ func TestPrincipalGranularityCost(t *testing.T) {
 // the output with noise-promoted junk; very high thresholds prune real
 // strings; a noise-aware middle recovers everything cleanly.
 func TestThresholdSweepShape(t *testing.T) {
-	res := RunThresholdSweep(1, 0.5)
+	res := thresholdsSeed1()
 	if res.FalsePositives[0] < 20 {
 		t.Errorf("sub-noise threshold admitted only %d false positives; expected a flood",
 			res.FalsePositives[0])

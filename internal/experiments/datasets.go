@@ -6,9 +6,10 @@
 // testing.B benchmark.
 //
 // The datasets are generated once per process and shared across
-// experiments (they are read-only); every private run wraps them in a
+// experiments (they are read-only); every experiment wraps them in a
 // fresh Queryable with its own budget, exactly as a data owner would
-// host one dataset for many analyses.
+// host one dataset for many analyses. A figure whose curves measure
+// one derived dataset derives it once for all of them (curves.go).
 package experiments
 
 import (

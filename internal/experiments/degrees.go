@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"dptrace/internal/analyses/degrees"
-	"dptrace/internal/core"
-	"dptrace/internal/noise"
 	"dptrace/internal/stats"
 	"dptrace/internal/toolkit"
 )
@@ -45,17 +42,20 @@ func RunDegrees(seed uint64) *DegreesResult {
 	res.OutExact = exactCDF(degrees.ExactOutDegrees(h.packets))
 	res.InExact = exactCDF(degrees.ExactInDegrees(h.packets))
 
+	q, curve := curveQueryable(h.packets)
+	outDeg, inDeg := degrees.OutDegrees(q), degrees.InDegrees(q)
+	id := func(v int64) int64 { return v }
 	for i, eps := range Epsilons {
-		q, _ := core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, uint64(170+i)))
-		out, err := degrees.PrivateOutDegreeCDF(q, eps, res.Buckets)
+		curve.use(seed, uint64(170+i))
+		out, err := toolkit.CDF2(outDeg, eps, id, res.Buckets)
 		if err != nil {
 			panic(err)
 		}
 		rmse, _ := stats.RMSE(out, res.OutExact)
 		res.OutCurves = append(res.OutCurves, Fig2Curve{Epsilon: eps, Values: out, RMSE: rmse})
 
-		q, _ = core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, uint64(180+i)))
-		in, err := degrees.PrivateInDegreeCDF(q, eps, res.Buckets)
+		curve.use(seed, uint64(180+i))
+		in, err := toolkit.CDF2(inDeg, eps, id, res.Buckets)
 		if err != nil {
 			panic(err)
 		}

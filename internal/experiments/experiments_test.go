@@ -3,12 +3,20 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
 // These tests assert the SHAPE of every reproduced table and figure:
 // who wins, by roughly what factor, and where the crossovers fall —
 // the reproduction contract stated in DESIGN.md.
+
+// The seed-1 runs that several tests read are made once per test
+// binary: under -race each takes seconds. Tests only read them.
+var (
+	table5Seed1     = sync.OnceValue(func() *Table5Result { return RunTable5(1) })
+	thresholdsSeed1 = sync.OnceValue(func() *ThresholdSweepResult { return RunThresholdSweep(1, 0.5) })
+)
 
 func TestTable1NoiseMatchesTheory(t *testing.T) {
 	res := RunTable1(1)
@@ -158,7 +166,7 @@ func TestFig3AccuracyAtStrongPrivacy(t *testing.T) {
 // in the low-signal regime strong privacy fails while medium and weak
 // succeed — the paper's crossover.
 func TestTable5Shape(t *testing.T) {
-	res := RunTable5(1)
+	res := table5Seed1()
 	for _, l := range res.Levels {
 		if l.K == 0 {
 			t.Errorf("paper-scale eps=%v: nothing detected", l.Epsilon)

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"dptrace/internal/analyses/flowstats"
-	"dptrace/internal/core"
-	"dptrace/internal/noise"
 	"dptrace/internal/stats"
 	"dptrace/internal/toolkit"
 )
@@ -41,27 +39,29 @@ func RunFig1(seed uint64, totalEpsilon float64) *Fig1Result {
 	nb := float64(len(buckets))
 	levels := math.Log2(nb) + 1
 
-	// All three run over the same derived dataset; each estimator's
-	// per-measurement ε is scaled so the TOTAL cost (through the
-	// GroupBy ×2 of the retransmit derivation) matches.
-	run := func(srcSeed uint64, f func(q *core.Queryable[int64]) ([]float64, error)) []float64 {
-		q, _ := core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, srcSeed))
-		delays := flowstats.RetransmitDelaysMs(q)
-		out, err := f(delays)
+	// All three measure one derived dataset, each on its own noise
+	// stream; each estimator's per-measurement ε is scaled so the TOTAL
+	// cost (through the GroupBy ×2 of the retransmit derivation)
+	// matches.
+	q, curve := curveQueryable(h.packets)
+	delays := flowstats.RetransmitDelaysMs(q)
+	run := func(stream uint64, f func() ([]float64, error)) []float64 {
+		curve.use(seed, stream)
+		out, err := f()
 		if err != nil {
 			panic(err)
 		}
 		return out
 	}
 	id := func(v int64) int64 { return v }
-	res.CDF1 = run(11, func(q *core.Queryable[int64]) ([]float64, error) {
-		return toolkit.CDF1(q, totalEpsilon/nb, id, buckets)
+	res.CDF1 = run(11, func() ([]float64, error) {
+		return toolkit.CDF1(delays, totalEpsilon/nb, id, buckets)
 	})
-	res.CDF2 = run(12, func(q *core.Queryable[int64]) ([]float64, error) {
-		return toolkit.CDF2(q, totalEpsilon, id, buckets)
+	res.CDF2 = run(12, func() ([]float64, error) {
+		return toolkit.CDF2(delays, totalEpsilon, id, buckets)
 	})
-	res.CDF3 = run(13, func(q *core.Queryable[int64]) ([]float64, error) {
-		return toolkit.CDF3(q, totalEpsilon/levels, id, buckets)
+	res.CDF3 = run(13, func() ([]float64, error) {
+		return toolkit.CDF3(delays, totalEpsilon/levels, id, buckets)
 	})
 	res.CDF3Isotonic = toolkit.IsotonicRegression(res.CDF3)
 

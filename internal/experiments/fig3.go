@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"dptrace/internal/analyses/flowstats"
-	"dptrace/internal/core"
-	"dptrace/internal/noise"
 	"dptrace/internal/stats"
 	"dptrace/internal/toolkit"
 )
@@ -42,17 +39,22 @@ func RunFig3(seed uint64) *Fig3Result {
 	res.LossExact = flowstats.ExactCDFFromValues(
 		flowstats.ExactLossPermille(h.packets, lossMinPackets), res.LossBuckets)
 
+	// Each curve measures the two derived datasets on its own noise
+	// stream; the Join and the GroupBy run once for all three ε.
+	q, curve := curveQueryable(h.packets)
+	rtts := flowstats.RTTMicros(q)
+	loss := flowstats.LossPermille(q, lossMinPackets)
 	for i, eps := range Epsilons {
-		q, _ := core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, uint64(80+i)))
-		values, err := flowstats.PrivateRTTCDF(q, eps, res.RTTBucketsMs)
+		curve.use(seed, uint64(80+i))
+		values, err := toolkit.CDF2(rtts, eps, func(us int64) int64 { return us / 1000 }, res.RTTBucketsMs)
 		if err != nil {
 			panic(err)
 		}
 		rmse, _ := stats.RMSE(values, res.RTTExact)
 		res.RTTCurves = append(res.RTTCurves, Fig2Curve{Epsilon: eps, Values: values, RMSE: rmse})
 
-		q, _ = core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, uint64(90+i)))
-		values, err = flowstats.PrivateLossCDF(q, eps, lossMinPackets, res.LossBuckets)
+		curve.use(seed, uint64(90+i))
+		values, err = toolkit.CDF2(loss, eps, func(v int64) int64 { return v }, res.LossBuckets)
 		if err != nil {
 			panic(err)
 		}

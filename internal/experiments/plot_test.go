@@ -26,7 +26,7 @@ func TestWriteCSVFormat(t *testing.T) {
 func TestPlottersProduceConsistentSeries(t *testing.T) {
 	plotters := map[string]Plotter{
 		"fig5":       RunFig5(1),
-		"thresholds": RunThresholdSweep(1, 0.5),
+		"thresholds": thresholdsSeed1(),
 	}
 	for name, p := range plotters {
 		for _, s := range p.Series() {

@@ -38,15 +38,32 @@ type Table4Result struct {
 // generator's planted payloads are distinct at this length.
 const prefixLen = 8
 
+// payloadPrefixes derives, behind the curtain, the payloads long
+// enough to spell a prefixLen-byte string.
+func payloadPrefixes(q *core.Queryable[trace.Packet]) *core.Queryable[[]byte] {
+	return core.Select(
+		q.Where(func(p trace.Packet) bool { return len(p.Payload) >= prefixLen }),
+		func(p trace.Packet) []byte { return p.Payload })
+}
+
+// plantedPrefixCounts is the ground truth of a payload search: how
+// many packets the generator planted under each prefixLen-byte prefix.
+func plantedPrefixCounts(h *hotspotData) map[string]int {
+	trueCount := make(map[string]int)
+	for _, pt := range h.truth.Payloads {
+		if len(pt.Payload) >= prefixLen {
+			trueCount[pt.Payload[:prefixLen]] += pt.Count
+		}
+	}
+	return trueCount
+}
+
 // RunTable4 runs the frequent-string search over the Hotspot payloads
 // and scores the top 10 against ground truth.
 func RunTable4(seed uint64, epsilonPerRound float64) *Table4Result {
 	h := hotspot()
 	q, _ := core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, 44))
-	payloads := core.Select(
-		q.Where(func(p trace.Packet) bool { return len(p.Payload) >= prefixLen }),
-		func(p trace.Packet) []byte { return p.Payload })
-	found, err := toolkit.FrequentStrings(payloads, toolkit.FrequentStringsConfig{
+	found, err := toolkit.FrequentStrings(payloadPrefixes(q), toolkit.FrequentStringsConfig{
 		Length:          prefixLen,
 		EpsilonPerRound: epsilonPerRound,
 		Threshold:       120,
@@ -61,12 +78,7 @@ func RunTable4(seed uint64, epsilonPerRound float64) *Table4Result {
 	}
 
 	// Ground truth by 8-byte prefix.
-	trueCount := make(map[string]int)
-	for _, pt := range h.truth.Payloads {
-		if len(pt.Payload) >= prefixLen {
-			trueCount[pt.Payload[:prefixLen]] += pt.Count
-		}
-	}
+	trueCount := plantedPrefixCounts(h)
 	type kv struct {
 		s string
 		n int

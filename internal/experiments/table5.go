@@ -46,13 +46,25 @@ type Table5Result struct {
 // level against the exact baseline, on both the paper-scale and the
 // low-signal traces.
 func RunTable5(seed uint64) *Table5Result {
+	// Every level measures one derived set of activations per trace,
+	// each on its own noise stream.
+	levels := func(h *hotspotData, seed uint64) []Table5Level {
+		q, curve := curveQueryable(h.packets)
+		acts := steppingstone.Activations(q, steppingstone.DefaultTIdleUs)
+		return runTable5On(h, func(i int) *core.Queryable[steppingstone.Activation] {
+			curve.use(seed, uint64(100+i))
+			return acts
+		})
+	}
 	res := &Table5Result{TruePairs: len(hotspot().truth.StonePairs)}
-	res.Levels = runTable5On(hotspot(), seed)
-	res.SparseLevels = runTable5On(hotspotSparse(), seed+1000)
+	res.Levels = levels(hotspot(), seed)
+	res.SparseLevels = levels(hotspotSparse(), seed+1000)
 	return res
 }
 
-func runTable5On(h *hotspotData, seed uint64) []Table5Level {
+// runTable5On evaluates every privacy level on h; actsAt hands level i
+// (at Epsilons[i]) the activations it measures.
+func runTable5On(h *hotspotData, actsAt func(level int) *core.Queryable[steppingstone.Activation]) []Table5Level {
 	// Candidate flows: the interactive flows, as the paper restricts
 	// to flows with [1200, 1400] activations. The flow universe is
 	// public; membership in the band is checked privately below.
@@ -67,8 +79,7 @@ func runTable5On(h *hotspotData, seed uint64) []Table5Level {
 	const k = 20
 
 	for i, eps := range Epsilons {
-		q, _ := core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, uint64(100+i)))
-		acts := steppingstone.Activations(q, steppingstone.DefaultTIdleUs)
+		acts := actsAt(i)
 		candidates, err := steppingstone.CandidateFlows(acts, flows, eps,
 			float64(h.cfg.StoneActivations)*0.5, float64(h.cfg.StoneActivations)*2)
 		if err != nil {

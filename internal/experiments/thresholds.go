@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"dptrace/internal/core"
 	"dptrace/internal/noise"
 	"dptrace/internal/toolkit"
-	"dptrace/internal/trace"
 )
 
 // ThresholdSweepResult quantifies the paper's counter-intuitive §4.3
@@ -36,14 +34,21 @@ const sweepTopK = 25
 
 // RunThresholdSweep sweeps the survival threshold at ε=0.5/round.
 func RunThresholdSweep(seed uint64, epsilon float64) *ThresholdSweepResult {
-	h := hotspot()
+	// Every threshold searches one derived payload dataset, each on its
+	// own noise stream.
+	q, curve := curveQueryable(hotspot().packets)
+	payloads := payloadPrefixes(q)
+	return thresholdSweep(epsilon, func(i int) *core.Queryable[[]byte] {
+		curve.use(seed, uint64(160+i))
+		return payloads
+	})
+}
+
+// thresholdSweep runs the sweep; payloadsAt hands point i (at
+// Thresholds[i]) the payloads it searches.
+func thresholdSweep(epsilon float64, payloadsAt func(point int) *core.Queryable[[]byte]) *ThresholdSweepResult {
 	// Ground truth: the top planted strings by 8-byte prefix.
-	trueCount := make(map[string]int)
-	for _, pt := range h.truth.Payloads {
-		if len(pt.Payload) >= prefixLen {
-			trueCount[pt.Payload[:prefixLen]] += pt.Count
-		}
-	}
+	trueCount := plantedPrefixCounts(hotspot())
 	type kv struct {
 		s string
 		n int
@@ -72,11 +77,7 @@ func RunThresholdSweep(seed uint64, epsilon float64) *ThresholdSweepResult {
 		Thresholds: []float64{noiseStd, 3 * noiseStd, 60, 120, 300, 1000, 5000},
 	}
 	for i, thr := range res.Thresholds {
-		q, _ := core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, uint64(160+i)))
-		payloads := core.Select(
-			q.Where(func(p trace.Packet) bool { return len(p.Payload) >= prefixLen }),
-			func(p trace.Packet) []byte { return p.Payload })
-		found, err := toolkit.FrequentStrings(payloads, toolkit.FrequentStringsConfig{
+		found, err := toolkit.FrequentStrings(payloadsAt(i), toolkit.FrequentStringsConfig{
 			Length:          prefixLen,
 			EpsilonPerRound: epsilon,
 			Threshold:       thr,
