@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 )
@@ -10,6 +11,9 @@ import (
 // aggregation costs (engine contract, noise, parallel builds) live in
 // internal/core's bench suite.
 
+// BenchmarkQuantileInsert1M flushes buffers whose values are all
+// distinct and, but for about one flush in eight, already sorted: flush
+// walks those without the count table.
 func BenchmarkQuantileInsert1M(b *testing.B) {
 	const n = 1 << 20
 	b.ResetTimer()
@@ -17,6 +21,33 @@ func BenchmarkQuantileInsert1M(b *testing.B) {
 		q := NewQuantile(0.01)
 		for j := 0; j < n; j++ {
 			q.Insert(float64(j % 1500))
+		}
+	}
+	b.ReportMetric(float64(n), "records/op")
+}
+
+// BenchmarkQuantileInsertLengths feeds a packet-length mix: about 30
+// distinct values in each 200-value flush, the regime the counting
+// flush is for.
+func BenchmarkQuantileInsertLengths(b *testing.B) {
+	const n = 1 << 20
+	lengths := make([]float64, 4096)
+	r := rand.New(rand.NewPCG(1, 2))
+	for j := range lengths {
+		switch u := r.IntN(10); {
+		case u < 4:
+			lengths[j] = 40 + float64(r.IntN(4)*12)
+		case u < 7:
+			lengths[j] = 1500
+		default:
+			lengths[j] = float64(64 + r.IntN(24)*56)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := NewQuantile(0.01)
+		for j := 0; j < n; j++ {
+			q.Insert(lengths[j&4095])
 		}
 	}
 	b.ReportMetric(float64(n), "records/op")

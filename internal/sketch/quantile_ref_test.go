@@ -11,7 +11,9 @@ import (
 // sort.Search), mergeTuples and compact kept verbatim apart from their
 // names. FuzzQuantileMatchesReference holds the production summary to
 // it bit for bit. It is given no NaN: its flush loop never advances on
-// one (Quantile.Insert drops NaN before it reaches the buffer).
+// one (Quantile.Insert drops NaN before it reaches the buffer). Its
+// Insert stores −0 as +0, as Quantile.Insert does: otherwise the sort
+// leaves whichever zero comes first in a run of mixed zeros.
 type refQuantile struct {
 	eps    float64
 	n      int
@@ -40,6 +42,9 @@ func (q *refQuantile) bufCap() int {
 }
 
 func (q *refQuantile) Insert(v float64) {
+	if v == 0 {
+		v = 0
+	}
 	q.buf = append(q.buf, v)
 	if len(q.buf) >= q.bufCap() {
 		q.flush()

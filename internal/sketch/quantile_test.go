@@ -268,6 +268,44 @@ func TestQuantileNaNDropped(t *testing.T) {
 	}
 }
 
+// TestQuantileNegativeZero: −0 and +0 compare equal, so they are one
+// value with one rank, released as +0. The flush counts values by order
+// key, where the two zeros differ, so Insert stores −0 as +0; before,
+// the sort released whichever zero it happened to put first.
+func TestQuantileNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	q := NewQuantile(0.02)
+	for range 3 {
+		q.Insert(negZero)
+	}
+	if tuples := q.Tuples(); len(tuples) != 1 || math.Signbit(tuples[0].Value) || tuples[0].Dups != 3 {
+		t.Errorf("a summary of −0 alone holds %v, want one +0 tuple of 3", tuples)
+	}
+	if v := q.Query(0.5); math.Signbit(v) {
+		t.Errorf("a summary of −0 alone releases %v, want +0", v)
+	}
+	mixed := NewQuantile(0.02)
+	for i := range 150 { // one flush of 100 values, 50 pending
+		v := float64(i%3 - 1)
+		if i%4 == 0 {
+			v = negZero
+		}
+		mixed.Insert(v)
+	}
+	zeros := 0
+	for _, tu := range mixed.Tuples() {
+		if tu.Value == 0 {
+			zeros++
+			if math.Signbit(tu.Value) {
+				t.Errorf("mixed zeros released as −0: %v", tu)
+			}
+		}
+	}
+	if zeros != 1 {
+		t.Errorf("mixed ±0 yields %d zero tuples, want 1: %v", zeros, mixed.Tuples())
+	}
+}
+
 // TestQuantileInsertAllocs: a summary reuses its buffer, its flush's
 // exact list and a spare tuple list, so a build allocates while its
 // lists grow to O(1/ε) and then no more — four times the inserts cost
