@@ -129,9 +129,12 @@ go test -race -run 'TestKillPrimaryFailover|TestFailoverStorm' -count=1 ./intern
 # double-charged or skipped) — the continual-monitoring contract in
 # ~2s under the race detector.
 go test -race -run 'TestStandingEndToEnd|TestStandingKillRestart' -count=1 ./internal/dpserver
-# Load-harness smoke: a short self-hosted run of concurrent analysts +
-# ingest senders through the real HTTP stack, with a standing query
-# riding the ingest stream. Exits nonzero on any budget-accounting
-# drift between client ACKs and the server's ledger surfaces (standing
-# charges included).
-go run ./cmd/dploadgen -duration 2s -analysts 2 -senders 1 -standing 1 -seed-records 2000 > /dev/null
+# Load-harness smoke: a 2-second mixed-live run of the repository
+# benchmark (BENCHMARK.json) — concurrent analysts and an ingest sender
+# through the real HTTP stack, the spend phases in every ledger mode,
+# and standing queries riding the ingest stream. Exits nonzero on any
+# budget-accounting drift between client ACKs and the server's ledger
+# surfaces (standing charges included), on a durability replay that
+# disagrees with the live server, or on a follower whose ledger
+# differs from its primary's.
+go run ./bench -workload mixed-live -seconds 2 -trace 0 > /dev/null

@@ -8,6 +8,13 @@ import (
 	"dptrace/internal/linalg"
 )
 
+// emRecord is a hop vector beside its K responsibilities under one
+// iteration's parameters; like HopVector it stays behind the curtain.
+type emRecord struct {
+	coords []float64
+	resp   []float64
+}
+
 // PrivateGaussianEM is the clustering algorithm Eriksson et al.
 // originally used, run under differential privacy — the option the
 // paper declines ("Gaussian EM is also expressible, [but] has a higher
@@ -44,25 +51,22 @@ func PrivateGaussianEM(vectors *core.Queryable[HopVector], cfg Config, evalPoint
 	varBound := cfg.MaxHops * cfg.MaxHops * dim
 
 	for it := 0; it < cfg.Iterations; it++ {
-		// Freeze the current parameters for the responsibility
-		// closures (public state + one record in, a weight out).
-		means := make([][]float64, cfg.K)
-		for c := range means {
-			means[c] = state.Means[c]
-		}
-		variances := append([]float64(nil), state.Variances...)
-		weights := append([]float64(nil), state.Weights...)
-		resp := func(v HopVector, c int) float64 {
+		// The responsibilities are fixed for the iteration, so one
+		// Select computes each record's K of them (public state + one
+		// record in) and every measurement below reads them back. A
+		// one-to-one Select charges nothing and amplifies nothing.
+		// state changes only after the last measurement.
+		weighted := core.Select(vectors, func(v HopVector) emRecord {
 			logp := make([]float64, cfg.K)
 			maxLog := math.Inf(-1)
 			for k := 0; k < cfg.K; k++ {
-				vr := variances[k]
+				vr := state.Variances[k]
 				if vr <= 0 {
 					vr = 1e-9
 				}
-				logp[k] = math.Log(weights[k]+1e-12) -
+				logp[k] = math.Log(state.Weights[k]+1e-12) -
 					0.5*dim*math.Log(2*math.Pi*vr) -
-					linalg.EuclideanDistSq(v.coords, means[k])/(2*vr)
+					linalg.EuclideanDistSq(v.coords, state.Means[k])/(2*vr)
 				if logp[k] > maxLog {
 					maxLog = logp[k]
 				}
@@ -71,8 +75,11 @@ func PrivateGaussianEM(vectors *core.Queryable[HopVector], cfg Config, evalPoint
 			for k := 0; k < cfg.K; k++ {
 				denom += math.Exp(logp[k] - maxLog)
 			}
-			return math.Exp(logp[c]-maxLog) / denom
-		}
+			for k := range logp { // in place: log-densities to responsibilities
+				logp[k] = math.Exp(logp[k]-maxLog) / denom
+			}
+			return emRecord{coords: v.coords, resp: logp}
+		})
 
 		newMeans := make([][]float64, cfg.K)
 		newVars := make([]float64, cfg.K)
@@ -80,8 +87,8 @@ func PrivateGaussianEM(vectors *core.Queryable[HopVector], cfg Config, evalPoint
 		var totalResp float64
 		for c := 0; c < cfg.K; c++ {
 			comp := c
-			softCount, err := core.NoisySum(vectors, epsShare, func(v HopVector) float64 {
-				return resp(v, comp)
+			softCount, err := core.NoisySum(weighted, epsShare, func(r emRecord) float64 {
+				return r.resp[comp]
 			})
 			if err != nil {
 				return nil, fmt.Errorf("topology: EM iteration %d component %d: %w", it, c, err)
@@ -95,16 +102,16 @@ func PrivateGaussianEM(vectors *core.Queryable[HopVector], cfg Config, evalPoint
 			mean := make([]float64, cfg.Monitors)
 			for m := 0; m < cfg.Monitors; m++ {
 				coord := m
-				s, err := core.NoisySumScaled(vectors, epsShare, cfg.MaxHops, func(v HopVector) float64 {
-					return resp(v, comp) * v.coords[coord]
+				s, err := core.NoisySumScaled(weighted, epsShare, cfg.MaxHops, func(r emRecord) float64 {
+					return r.resp[comp] * r.coords[coord]
 				})
 				if err != nil {
 					return nil, err
 				}
 				mean[m] = s / softCount
 			}
-			sq, err := core.NoisySumScaled(vectors, epsShare, varBound, func(v HopVector) float64 {
-				return resp(v, comp) * linalg.EuclideanDistSq(v.coords, means[comp])
+			sq, err := core.NoisySumScaled(weighted, epsShare, varBound, func(r emRecord) float64 {
+				return r.resp[comp] * linalg.EuclideanDistSq(r.coords, state.Means[comp])
 			})
 			if err != nil {
 				return nil, err

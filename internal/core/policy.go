@@ -1,20 +1,15 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"sync"
-	"time"
 
 	"dptrace/internal/noise"
 )
 
 // This file implements the budget-policy machinery the paper's §7
 // sketches for data owners: sequential composition across analysts
-// (costs add, so a shared total budget bounds cumulative leakage),
-// per-analyst caps, and budgets that relax over time ("reduce privacy
-// cost (i.e., increase ε) with time such that the data is available
-// longer").
+// (costs add, so a shared total budget bounds cumulative leakage) and
+// per-analyst caps.
 
 // NewQueryableFor wraps records with an explicit budget agent, for
 // policy layers that manage agents themselves (e.g. AnalystPolicy).
@@ -171,87 +166,3 @@ func (p *AnalystPolicy) TotalSpent() float64 { return p.total.Spent() }
 
 // TotalRemaining reports the shared budget's remainder.
 func (p *AnalystPolicy) TotalRemaining() float64 { return p.total.Remaining() }
-
-// RelaxingBudget is a budget that grows with time: it starts at base
-// and gains ratePerSecond indefinitely (or up to max, if max is
-// finite). The paper's §7 suggests this as a policy for long-lived
-// datasets: early analysts get strong protection; as data ages the
-// owner tolerates more cumulative leakage.
-type RelaxingBudget struct {
-	mu            sync.Mutex
-	base          float64
-	ratePerSecond float64
-	max           float64
-	start         time.Time
-	now           func() time.Time
-	spent         float64
-}
-
-// NewRelaxingBudget creates a relaxing budget. now may be nil (wall
-// clock); tests inject a fake clock.
-func NewRelaxingBudget(base, ratePerSecond, max float64, now func() time.Time) *RelaxingBudget {
-	if base < 0 || ratePerSecond < 0 || math.IsNaN(base) || math.IsNaN(ratePerSecond) {
-		panic(fmt.Sprintf("core: invalid relaxing budget base=%v rate=%v", base, ratePerSecond))
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &RelaxingBudget{
-		base:          base,
-		ratePerSecond: ratePerSecond,
-		max:           max,
-		start:         now(),
-		now:           now,
-	}
-}
-
-// allowance returns the budget available at the current time.
-func (b *RelaxingBudget) allowance() float64 {
-	elapsed := b.now().Sub(b.start).Seconds()
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	a := b.base + b.ratePerSecond*elapsed
-	if a > b.max {
-		a = b.max
-	}
-	return a
-}
-
-// Apply implements Agent.
-func (b *RelaxingBudget) Apply(epsilon float64) error {
-	if epsilon <= 0 || math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
-		return ErrInvalidEpsilon
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.spent+epsilon > b.allowance()+1e-12 {
-		return fmt.Errorf("%w: requested %v, available now %v", ErrBudgetExceeded, epsilon, b.allowance()-b.spent)
-	}
-	b.spent += epsilon
-	return nil
-}
-
-// Rollback implements Agent.
-func (b *RelaxingBudget) Rollback(epsilon float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.spent -= epsilon
-	if b.spent < 0 {
-		b.spent = 0
-	}
-}
-
-// Spent reports the cumulative privacy cost so far.
-func (b *RelaxingBudget) Spent() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spent
-}
-
-// Available reports what could be spent right now.
-func (b *RelaxingBudget) Available() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.allowance() - b.spent
-}

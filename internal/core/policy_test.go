@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"dptrace/internal/noise"
 )
@@ -108,75 +107,4 @@ func TestNewQueryableForUsesPolicyAgent(t *testing.T) {
 	if got := p.SpentBy("dave"); math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("dave spent %v", got)
 	}
-}
-
-func TestRelaxingBudgetGrowsWithTime(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	now := func() time.Time { return clock }
-	b := NewRelaxingBudget(0.5, 0.1, math.Inf(1), now)
-
-	if err := b.Apply(0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Apply(0.4); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("early over-spend allowed: %v", err)
-	}
-	// 10 seconds later the allowance grew by 1.0.
-	clock = clock.Add(10 * time.Second)
-	if err := b.Apply(0.4); err != nil {
-		t.Fatalf("relaxed budget still refused: %v", err)
-	}
-	if got := b.Spent(); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("spent %v, want 0.8", got)
-	}
-	if got := b.Available(); math.Abs(got-0.7) > 1e-12 {
-		t.Errorf("available %v, want 0.7", got)
-	}
-}
-
-func TestRelaxingBudgetCappedAtMax(t *testing.T) {
-	clock := time.Unix(0, 0)
-	b := NewRelaxingBudget(0, 1, 2.0, func() time.Time { return clock })
-	clock = clock.Add(time.Hour)
-	if err := b.Apply(2.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Apply(0.1); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("max cap not enforced: %v", err)
-	}
-}
-
-func TestRelaxingBudgetRollback(t *testing.T) {
-	clock := time.Unix(0, 0)
-	b := NewRelaxingBudget(1, 0, 1, func() time.Time { return clock })
-	_ = b.Apply(0.8)
-	b.Rollback(0.8)
-	if err := b.Apply(1.0); err != nil {
-		t.Fatalf("rollback did not restore: %v", err)
-	}
-}
-
-func TestRelaxingBudgetAsQueryableAgent(t *testing.T) {
-	clock := time.Unix(0, 0)
-	b := NewRelaxingBudget(0.1, 0.1, math.Inf(1), func() time.Time { return clock })
-	q := NewQueryableFor(ints(100), b, noise.NewSeededSource(3, 4))
-	if _, err := q.NoisyCount(0.1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.NoisyCount(0.5); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatal("early query should be refused")
-	}
-	clock = clock.Add(5 * time.Second)
-	if _, err := q.NoisyCount(0.5); err != nil {
-		t.Fatalf("later query refused: %v", err)
-	}
-}
-
-func TestRelaxingBudgetInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative base did not panic")
-		}
-	}()
-	NewRelaxingBudget(-1, 0, 1, nil)
 }

@@ -62,26 +62,9 @@ func (id *ingestIdentity) nextSeq() string {
 type IngestOption func(*ingestConfig)
 
 type ingestConfig struct {
-	source     string
-	seq        string
 	ndjson     bool
 	noIdentity bool
 	batchSize  int
-}
-
-// WithBatchSource overrides the minted sender id — use one stable
-// source per logical sending agent to deduplicate across client
-// instances or process restarts.
-func WithBatchSource(source string) IngestOption {
-	return func(c *ingestConfig) { c.source = source }
-}
-
-// WithBatchSeq pins the batch's sequence token instead of drawing the
-// next counter value. Single-batch calls only: a stream flushing
-// several batches under one pinned seq would collapse them into one
-// at-most-once identity.
-func WithBatchSeq(seq string) IngestOption {
-	return func(c *ingestConfig) { c.seq = seq }
 }
 
 // WithNDJSON sends the batch as newline-delimited JSON instead of the
@@ -174,14 +157,8 @@ func (c *Client) IngestBatch(ctx context.Context, dataset string, batch Batch, o
 		cc.retry = NoRetry()
 		caller = &cc
 	} else {
-		if cfg.source == "" {
-			cfg.source = c.ingestID.sourceID()
-		}
-		if cfg.seq == "" {
-			cfg.seq = c.ingestID.nextSeq()
-		}
-		headers[api.BatchSourceHeader] = cfg.source
-		headers[api.BatchSeqHeader] = cfg.seq
+		headers[api.BatchSourceHeader] = c.ingestID.sourceID()
+		headers[api.BatchSeqHeader] = c.ingestID.nextSeq()
 	}
 	out, err := caller.callWith(ctx, http.MethodPost, api.IngestPath(url.PathEscape(dataset)), body, headers)
 	if err != nil {

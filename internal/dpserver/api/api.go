@@ -5,8 +5,7 @@
 // internal/dpserver serves these shapes and internal/dpclient consumes
 // them — both import this package instead of keeping duplicated struct
 // literals, so a contract change is one edit that the compiler
-// propagates to both sides (and to cmd/dploadgen, which speaks the same
-// types when hammering a server).
+// propagates to both sides.
 //
 // The package is pure data: no handlers, no transport, no privacy
 // machinery. It may import internal/trace (record shapes ride in

@@ -163,8 +163,7 @@ func (s *Server) Events() *qlog.Logger { return s.events }
 // New creates a server drawing noise from src (pass
 // noise.NewCryptoSource() in production; tests use a seeded source).
 // Options configure the request lifecycle: WithLimits for admission
-// control and deadlines, WithIdempotencyCache for the at-most-once
-// replay cache.
+// control and deadlines.
 func New(src noise.Source, opts ...ServerOption) *Server {
 	s := &Server{
 		datasets: make(map[string]*dataset),

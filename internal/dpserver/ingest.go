@@ -157,8 +157,7 @@ func (s *Server) ingestShed(dataset, reason string) {
 		qlog.F("dataset", dataset), qlog.F("reason", reason))
 }
 
-// handleIngest is POST /v1/ingest/{dataset}. Mounted v1-only: live
-// ingestion has no legacy alias to honor.
+// handleIngest is POST /v1/ingest/{dataset}.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("dataset")
 	ct := ingestContentType(r)

@@ -21,7 +21,7 @@ import (
 // queryKind is one served query kind. Every kind is declared once, in
 // queryKinds: /v1/query and the two extraction routes run it through
 // the one envelope (execute), standing registration admits it, and
-// dpquery and dploadgen list it (PacketKinds).
+// dpquery lists it (PacketKinds).
 type queryKind struct {
 	name        string
 	dataset     ingest.Kind // the dataset kind it runs on
@@ -204,8 +204,8 @@ type Kind struct {
 }
 
 // PacketKinds lists the query kinds that run on packet datasets, in
-// table order: what /v1/query, standing registration, dpquery's local
-// mode and dploadgen accept.
+// table order: what /v1/query, standing registration and dpquery's
+// local mode accept.
 func PacketKinds() []Kind {
 	var out []Kind
 	for _, k := range queryKinds {

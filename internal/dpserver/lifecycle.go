@@ -67,20 +67,6 @@ func WithLimits(l Limits) ServerOption {
 	return func(s *Server) { s.limits = l }
 }
 
-// WithIdempotencyCache sizes the replay cache for idempotency keys:
-// capacity entries, each valid for ttl (both must be positive to
-// change the defaults of 1024 entries and 10 minutes).
-func WithIdempotencyCache(capacity int, ttl time.Duration) ServerOption {
-	return func(s *Server) {
-		if capacity > 0 {
-			s.idem.capacity = capacity
-		}
-		if ttl > 0 {
-			s.idem.ttl = ttl
-		}
-	}
-}
-
 // retryAfter returns the Retry-After hint in whole seconds (≥ 1).
 func (l Limits) retryAfter() string {
 	d := l.RetryAfter
@@ -352,10 +338,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // --- idempotency -----------------------------------------------------
 
-// idemKey identifies one logical budget-spending request. The mount
-// path scopes it (v1 and legacy bodies differ), and dataset+analyst
-// scope it to one ledger so analysts cannot replay each other's
-// responses.
+// idemKey identifies one logical budget-spending request. The request
+// path scopes it (each route answers its own body shape), and
+// dataset+analyst scope it to one ledger so analysts cannot replay
+// each other's responses.
 type idemKey struct {
 	endpoint string
 	dataset  string

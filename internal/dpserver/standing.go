@@ -65,7 +65,7 @@ func (s *Server) newStandingRegistry() *standing.Registry {
 }
 
 // StandingStats exposes the registry's counters and fire-latency
-// percentiles (the benchmark and cmd/dploadgen report them).
+// percentiles (the benchmark reports them).
 func (s *Server) StandingStats() standing.Stats { return s.standing.Stats() }
 
 // meteredAgent wraps a budget agent and accumulates the net ε applied

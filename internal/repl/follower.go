@@ -484,9 +484,6 @@ func (f *Follower) Connected() bool { return f.connected.Load() }
 // Applied returns the highest locally-durable replicated seq.
 func (f *Follower) Applied() uint64 { return f.applied.Load() }
 
-// PrimarySeq returns the primary's last advertised committed seq.
-func (f *Follower) PrimarySeq() uint64 { return f.primarySeq.Load() }
-
 // Epoch returns the last adopted primary epoch.
 func (f *Follower) Epoch() uint64 { return f.primaryEpoch.Load() }
 
