@@ -2,6 +2,7 @@ package dpclient
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -60,11 +61,19 @@ func TestIngestBatchDPTRAndNDJSON(t *testing.T) {
 		t.Fatalf("expected auto-minted batch identity, got %+v", ack)
 	}
 
-	ack, err = c.IngestBatch(ctx, "live", Batch{Packets: ingestPackets(10)}, WithNDJSON())
+	// The client always sends DPTR; the server still takes an NDJSON
+	// batch (without an identity) from other senders.
+	out, err := c.callWith(ctx, http.MethodPost, api.IngestPath("live"),
+		trace.MarshalPacketsNDJSON(ingestPackets(10)),
+		map[string]string{"Content-Type": api.ContentTypeNDJSON})
 	if err != nil {
-		t.Fatalf("IngestBatch (ndjson): %v", err)
+		t.Fatalf("ingest (ndjson): %v", err)
 	}
-	if ack.TotalRecords != 50 || ack.Batches != 2 {
+	ack = new(IngestAck)
+	if err := json.Unmarshal(out, ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.TotalRecords != 50 || ack.Batches != 2 || ack.Source != "" {
 		t.Fatalf("ack: %+v", ack)
 	}
 
@@ -138,8 +147,9 @@ func TestIngestStreamFlushesBatches(t *testing.T) {
 	ctx := context.Background()
 	_, c := ingestServer(t)
 
-	st := c.IngestStream(ctx, "live", WithStreamBatchSize(16))
-	for _, p := range ingestPackets(50) {
+	st := c.IngestStream(ctx, "live")
+	const n = 2*streamBatchSize + 50
+	for _, p := range ingestPackets(n) {
 		if err := st.Packets(p); err != nil {
 			t.Fatalf("Packets: %v", err)
 		}
@@ -148,13 +158,13 @@ func TestIngestStreamFlushesBatches(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	batches, records := st.Sent()
-	if records != 50 {
-		t.Fatalf("sent %d records, want 50", records)
+	if records != n {
+		t.Fatalf("sent %d records, want %d", records, n)
 	}
-	if batches != 4 { // 16+16+16+2
-		t.Fatalf("sent %d batches, want 4", batches)
+	if batches != 3 { // 1000+1000+50
+		t.Fatalf("sent %d batches, want 3", batches)
 	}
-	if ack := st.LastAck(); ack == nil || ack.TotalRecords != 50 {
+	if ack := st.LastAck(); ack == nil || ack.TotalRecords != n || ack.Records != 50 {
 		t.Fatalf("last ack: %+v", ack)
 	}
 }
@@ -163,7 +173,7 @@ func TestIngestStreamLinksAndHops(t *testing.T) {
 	ctx := context.Background()
 	_, c := ingestServer(t)
 
-	st := c.IngestStream(ctx, "links", WithStreamBatchSize(8), WithNDJSON())
+	st := c.IngestStream(ctx, "links")
 	for i := 0; i < 20; i++ {
 		if err := st.Links(trace.LinkSample{Link: int32(i % 4), Bin: int32(i % 4)}); err != nil {
 			t.Fatal(err)
@@ -185,33 +195,5 @@ func TestIngestStreamLinksAndHops(t *testing.T) {
 	}
 	if _, records := hs.Sent(); records != 1 {
 		t.Fatalf("sent %d hop records, want 1", records)
-	}
-}
-
-func TestIngestWithoutBatchIdentity(t *testing.T) {
-	ctx := context.Background()
-	var sawSource atomic.Bool
-	s := dpserver.New(noise.NewSeededSource(1, 2))
-	if err := s.AddPacketTrace("live", nil, 100, 10); err != nil {
-		t.Fatal(err)
-	}
-	inner := s.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(api.BatchSourceHeader) != "" {
-			sawSource.Store(true)
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	c := New(ts.URL, "alice")
-	ack, err := c.IngestBatch(ctx, "live", Batch{Packets: ingestPackets(3)}, WithoutBatchIdentity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sawSource.Load() {
-		t.Fatal("fire-and-forget batch carried a source header")
-	}
-	if ack.Source != "" || ack.Seq != "" {
-		t.Fatalf("ack echoed an identity: %+v", ack)
 	}
 }

@@ -131,13 +131,9 @@ type Server struct {
 	// gauges are registered, so each is created once.
 	analystGauges sync.Map // "dataset\x00analyst" -> struct{}
 
-	// Live ingestion (see ingest.go): the bounded pipeline behind
-	// POST /v1/ingest/{dataset}, started lazily on first batch and
-	// closed by Shutdown after the drain.
-	ingestLimits ingest.Limits
-	ingestMu     sync.Mutex
-	ingestPipe   *ingest.Pipeline
-	ingestClosed bool
+	// ingest is the bounded pipeline behind POST /v1/ingest/{dataset}
+	// (see ingest.go), closed by Shutdown after the drain.
+	ingest *ingest.Pipeline
 
 	// standing is the continual-monitoring subsystem (see standing.go):
 	// registered standing queries fire on deterministic window
@@ -146,9 +142,8 @@ type Server struct {
 }
 
 // WithEventLog replaces the server's structured event logger — the
-// way to direct the wide-event JSON stream at a file or stderr, tune
-// the ring size, or set sampling (see qlog.Options). Passing nil
-// keeps the default ring-only logger.
+// way to direct the wide-event JSON stream at a file or stderr (see
+// qlog.Options). Passing nil keeps the default ring-only logger.
 func WithEventLog(l *qlog.Logger) ServerOption {
 	return func(s *Server) {
 		if l != nil {
@@ -173,6 +168,7 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 		metrics:  obs.NewRegistry(),
 		idem:     newIdemCache(),
 		events:   qlog.New(qlog.Options{}),
+		ingest:   ingest.New(ingest.Limits{}),
 
 		execPacket: RunPacketQuery,
 		exec:       core.ExecOptions{Workers: runtime.GOMAXPROCS(0)},
@@ -210,6 +206,12 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 			return 1
 		}
 		return 0
+	})
+	s.metrics.GaugeFunc("dp_ingest_bytes_inflight", func() float64 {
+		return float64(s.ingest.Stats().BytesInFlight)
+	})
+	s.metrics.GaugeFunc("dp_ingest_batches_inflight", func() float64 {
+		return float64(s.ingest.Stats().BatchesInFlight)
 	})
 	// Standing queries currently firing windows (any dataset).
 	s.metrics.GaugeFunc("dp_standing_active", func() float64 {

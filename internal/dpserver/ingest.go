@@ -53,51 +53,11 @@ import (
 // WithIngestLimits configures the ingestion pipeline's watermarks
 // (see ingest.Limits; zero fields take defaults).
 func WithIngestLimits(l ingest.Limits) ServerOption {
-	return func(s *Server) { s.ingestLimits = l }
+	return func(s *Server) { s.ingest = ingest.New(l) }
 }
 
-// pipeline returns the ingest pipeline, starting it on first use so
-// the many servers that never ingest don't pay its goroutines. Returns
-// nil after closeIngest (post-drain): callers answer 503.
-func (s *Server) pipeline() *ingest.Pipeline {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.ingestPipe == nil && !s.ingestClosed {
-		pipe := ingest.New(s.ingestLimits)
-		s.ingestPipe = pipe
-		s.metrics.GaugeFunc("dp_ingest_bytes_inflight", func() float64 {
-			return float64(pipe.Stats().BytesInFlight)
-		})
-		s.metrics.GaugeFunc("dp_ingest_batches_inflight", func() float64 {
-			return float64(pipe.Stats().BatchesInFlight)
-		})
-	}
-	return s.ingestPipe
-}
-
-// closeIngest drains and stops the pipeline; Shutdown calls it after
-// the in-flight drain so every admitted batch is applied first.
-func (s *Server) closeIngest() {
-	s.ingestMu.Lock()
-	pipe := s.ingestPipe
-	s.ingestClosed = true
-	s.ingestMu.Unlock()
-	if pipe != nil {
-		pipe.Close()
-	}
-}
-
-// IngestStats snapshots the pipeline counters (zero value before any
-// ingest traffic).
-func (s *Server) IngestStats() ingest.Stats {
-	s.ingestMu.Lock()
-	pipe := s.ingestPipe
-	s.ingestMu.Unlock()
-	if pipe == nil {
-		return ingest.Stats{}
-	}
-	return pipe.Stats()
-}
+// IngestStats snapshots the pipeline counters.
+func (s *Server) IngestStats() ingest.Stats { return s.ingest.Stats() }
 
 // ingestApplied is what one applied batch did to its dataset.
 type ingestApplied struct {
@@ -127,8 +87,8 @@ func (s *Server) ingestTarget(name string) (ingest.Kind, func(ingest.Decoded) (i
 		applied := ingestApplied{n, int(d.watermark), d.ingestedBatches}
 		mark := d.watermark
 		s.mu.Unlock()
-		// Standing windows fire here, on the pipeline's single appender
-		// goroutine, after the batch is visible and before it is ACKed:
+		// Standing windows fire here, under the pipeline's apply mutex,
+		// after the batch is visible and before it is ACKed:
 		// window execution order is the batch apply order, so the same
 		// record sequence produces the same results regardless of how
 		// batches chunk it. Their journal records are staged; the
@@ -192,7 +152,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// own watermarks bound it.
 	if !s.enter() {
 		s.ingestShed(name, "shutting_down")
-		w.Header().Set("Retry-After", s.limits.retryAfter())
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusServiceUnavailable, apiError{
 			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})
 		return
@@ -202,7 +162,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if cause := s.spendRefusal(); cause != nil {
 		code, msg := shedCodeFor(cause)
 		s.ingestShed(name, code)
-		w.Header().Set("Retry-After", s.limits.retryAfter())
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusServiceUnavailable, apiError{
 			Code: code, Message: msg, Retryable: true})
 		return
@@ -230,10 +190,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name string, kind ingest.Kind,
 	ct, source, seq string, apply func(ingest.Decoded) (ingestApplied, error)) execResult {
 	start := time.Now()
-	pipe := s.pipeline()
-	if pipe == nil {
-		return s.ingestRefusal(w, name, ingest.ErrClosed)
-	}
+	pipe := s.ingest
 
 	// Admission before the body read when Content-Length is declared:
 	// an overloaded server refuses without buffering the batch.
@@ -343,12 +300,12 @@ func (s *Server) ingestRefusal(w http.ResponseWriter, name string, err error) ex
 			Code: codeTooLarge, Message: err.Error()})}
 	case errors.Is(err, ingest.ErrClosed):
 		s.ingestShed(name, "shutting_down")
-		w.Header().Set("Retry-After", s.limits.retryAfter())
+		w.Header().Set("Retry-After", retryAfter)
 		return execResult{status: http.StatusServiceUnavailable, body: marshalJSON(apiError{
 			Code: codeShuttingDown, Message: "server is shutting down", Retryable: true})}
 	default:
 		s.ingestShed(name, "overloaded")
-		w.Header().Set("Retry-After", s.limits.retryAfter())
+		w.Header().Set("Retry-After", retryAfter)
 		return execResult{status: http.StatusTooManyRequests, body: marshalJSON(apiError{
 			Code: codeOverloaded, Message: "ingest pipeline overloaded; retry later", Retryable: true})}
 	}

@@ -167,7 +167,7 @@ func TestShedUnderSaturation(t *testing.T) {
 	block := make(chan struct{})
 	entered := make(chan struct{}, 8)
 	s, ts := lifecycleServer(t, math.Inf(1), math.Inf(1),
-		WithLimits(Limits{MaxConcurrent: 1, QueueWait: 10 * time.Millisecond, RetryAfter: 7 * time.Second}))
+		WithLimits(Limits{MaxConcurrent: 1, QueueWait: 10 * time.Millisecond}))
 	s.execHook = func(ctx context.Context) {
 		entered <- struct{}{}
 		<-block
@@ -188,8 +188,8 @@ func TestShedUnderSaturation(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429; body %s", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After = %q, want \"7\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	var e apiError
 	if err := json.Unmarshal(body, &e); err != nil {

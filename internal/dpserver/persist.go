@@ -56,18 +56,8 @@ func WithLedger(led *ledger.Ledger) ServerOption {
 // runtime journal I/O failure). Without a ledger there is nothing to
 // refuse.
 func (s *Server) spendRefusal() error {
-	s.replMu.Lock()
-	p, f, closed := s.repl.primary, s.repl.follower, s.repl.closed
-	s.replMu.Unlock()
-	if f != nil {
-		return errNotPrimary
-	}
-	if p != nil {
-		if err := p.SyncGate(); err != nil {
-			return err
-		}
-	} else if closed {
-		return errReplRetired
+	if err := s.replGate(); err != nil {
+		return err
 	}
 	return s.ledgerRefusal()
 }

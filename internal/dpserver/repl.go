@@ -33,7 +33,6 @@ import (
 	"dptrace/internal/ledger"
 	"dptrace/internal/obs/qlog"
 	"dptrace/internal/repl"
-	"dptrace/internal/retry"
 	"dptrace/internal/standing"
 )
 
@@ -71,11 +70,6 @@ type ReplicationConfig struct {
 	MinSync int
 	// AckTimeout bounds the synchronous wait (0 = repl default).
 	AckTimeout time.Duration
-	// Retry paces follower reconnects (zero value = repl defaults:
-	// capped exponential backoff with jitter).
-	Retry retry.Policy
-	// Dial overrides the follower's dialer (tests).
-	Dial repl.DialFunc
 }
 
 // replState is the server's replication handle. role transitions are
@@ -130,8 +124,6 @@ func (s *Server) StartReplication(cfg ReplicationConfig) error {
 		f, err := repl.NewFollower(s.ledger, repl.FollowerConfig{
 			Primary: cfg.Follow,
 			Name:    cfg.Name,
-			Retry:   cfg.Retry,
-			Dial:    cfg.Dial,
 			Events:  s.events,
 			OnApply: s.applyReplicated,
 			OnReset: s.resetReplicated,
@@ -177,20 +169,36 @@ func (s *Server) newPrimaryLocked(cfg *ReplicationConfig) *repl.Primary {
 // the ledger's state, but it is NOT durable yet: whatever depends on it
 // is released only after journalCommit.
 func (s *Server) journalAppend(ev ledger.Event) error {
-	s.replMu.Lock()
-	p, f, closed := s.repl.primary, s.repl.follower, s.repl.closed
-	s.replMu.Unlock()
-	switch {
-	case f != nil:
-		return errNotPrimary
-	case p != nil:
-		if err := p.SyncGate(); err != nil {
-			return err
-		}
-	case closed:
-		return errReplRetired
+	if err := s.replGate(); err != nil {
+		return err
 	}
 	_, err := s.ledger.Stage(ev)
+	return err
+}
+
+// replRole reads the replication role once: the live primary (nil
+// when the node is not one), and the refusal the role gives anything
+// that would journal — errNotPrimary on a follower, errReplRetired
+// after CloseReplication.
+func (s *Server) replRole() (*repl.Primary, error) {
+	s.replMu.Lock()
+	defer s.replMu.Unlock()
+	switch {
+	case s.repl.follower != nil:
+		return nil, errNotPrimary
+	case s.repl.primary == nil && s.repl.closed:
+		return nil, errReplRetired
+	}
+	return s.repl.primary, nil
+}
+
+// replGate is replRole's refusal plus, on a primary, its quorum gate:
+// nil when the role lets a spend be journaled now.
+func (s *Server) replGate() error {
+	p, err := s.replRole()
+	if err == nil && p != nil {
+		err = p.SyncGate()
+	}
 	return err
 }
 
@@ -229,18 +237,13 @@ func (s *Server) journalCommit(js *journalStats) error {
 	// commit begins, so a successful commit covers it.
 	windows := s.standing.Staged()
 	if s.ledger != nil {
-		s.replMu.Lock()
-		p, f, closed := s.repl.primary, s.repl.follower, s.repl.closed
-		s.replMu.Unlock()
-		switch {
-		case f != nil:
-			return errNotPrimary
-		case p == nil && closed:
-			return errReplRetired
+		p, err := s.replRole()
+		if err != nil {
+			return err
 		}
 		seq := s.ledger.StagedSeq()
 		start := time.Now()
-		err := s.ledger.Commit(seq)
+		err = s.ledger.Commit(seq)
 		js.fsync = time.Since(start)
 		if err == nil && p != nil {
 			start = time.Now()

@@ -58,10 +58,7 @@ const reservationSlack = 1e-9
 
 // newStandingRegistry builds the server's registry; called from New.
 func (s *Server) newStandingRegistry() *standing.Registry {
-	return standing.NewRegistry(standing.Config{
-		Fire:    s.fireStandingWindow,
-		RingCap: ledger.StandingRingCap,
-	})
+	return standing.NewRegistry(standing.Config{Fire: s.fireStandingWindow})
 }
 
 // StandingStats exposes the registry's counters and fire-latency

@@ -1,10 +1,10 @@
 // Package ingest is the bounded-buffer live-ingestion pipeline behind
 // POST /v1/ingest/{dataset}: receive and decode on the request's own
-// goroutine, then one dataset appender, modeled on the receiver/writer
-// split of production trace agents. Its one structural guarantee is
-// that memory is bounded by configuration, not by offered load: every
-// batch must reserve its bytes and a batch slot against hard
-// watermarks BEFORE its body is read, and reservations are only
+// goroutine, then apply one batch at a time, modeled on the
+// receiver/writer split of production trace agents. Its one structural
+// guarantee is that memory is bounded by configuration, not by offered
+// load: every batch must reserve its bytes and a batch slot against
+// hard watermarks BEFORE its body is read, and reservations are only
 // released when the batch has been fully applied (or refused). When
 // the watermarks are hit the caller gets ErrOverloaded synchronously —
 // the HTTP layer turns that into 429 + Retry-After — so overload sheds
@@ -17,11 +17,12 @@
 //	                           records on the caller's goroutine (a
 //	                           large NDJSON batch on every core: see
 //	                           internal/trace/ndjson.go)
-//	appender (single)        — applies batches serially via the Apply
-//	                           callback, which takes the dataset write
-//	                           lock; serial apply keeps lock hold times
-//	                           short and makes applied-batch ordering
-//	                           deterministic per pipeline
+//	apply (serial)           — still on the caller's goroutine, under
+//	                           the pipeline's apply mutex, runs the
+//	                           Apply callback, which takes the dataset
+//	                           write lock; serial apply keeps lock hold
+//	                           times short and makes applied-batch
+//	                           ordering deterministic per pipeline
 //
 // The pipeline knows nothing about datasets or privacy budgets: the
 // Apply callback owns that. Snapshot consistency for concurrent
@@ -125,9 +126,8 @@ type Job struct {
 	Kind        Kind
 	ContentType string
 	Data        []byte
-	// Apply is run by the single appender goroutine once the batch is
-	// decoded. It must be short: it holds whatever lock the dataset
-	// store needs.
+	// Apply runs once the batch is decoded, one batch at a time. It
+	// must be short: it holds whatever lock the dataset store needs.
 	Apply func(Decoded) error
 	// DecodeTime and ApplyTime are what decoding and applying took,
 	// queueing excluded; set by the pipeline, readable once Submit has
@@ -135,8 +135,6 @@ type Job struct {
 	DecodeTime, ApplyTime time.Duration
 
 	reservation int64
-	decoded     Decoded
-	done        chan error
 }
 
 // Stats is a snapshot of pipeline counters, all monotonic except the
@@ -175,31 +173,16 @@ type Pipeline struct {
 	appliedRecords  atomic.Uint64
 	failedBatches   atomic.Uint64
 
-	applyCh chan *Job
-
-	// closeMu serializes channel sends against close: Submit sends
-	// under RLock, Close flips closed under Lock, so once Close holds
-	// the write lock no sender is mid-send and later senders observe
-	// closed. Sends cannot block under the lock because admission
-	// bounds in-flight batches to the channel capacity.
-	closeMu   sync.RWMutex
-	closeOnce sync.Once
-	closed    atomic.Bool
-	applyWg   sync.WaitGroup
+	// applyMu serialises Apply callbacks and guards the flip of
+	// closed: once Close has held it, no Apply is running and every
+	// later Submit sees closed.
+	applyMu sync.Mutex
+	closed  atomic.Bool
 }
 
-// New starts the pipeline's appender.
+// New builds a pipeline with the given watermarks.
 func New(limits Limits) *Pipeline {
-	limits = limits.withDefaults()
-	p := &Pipeline{
-		limits: limits,
-		// Admission bounds batches in flight, so a channel with that
-		// capacity never blocks an admitted Submit.
-		applyCh: make(chan *Job, limits.MaxBatchesInFlight),
-	}
-	p.applyWg.Add(1)
-	go p.appender()
-	return p
+	return &Pipeline{limits: limits.withDefaults()}
 }
 
 // Limits reports the configured (defaulted) watermarks.
@@ -247,47 +230,34 @@ func (p *Pipeline) Unreserve(size int64) {
 	p.failedBatches.Add(1)
 }
 
-// Submit decodes an admitted job on the calling goroutine and hands it
-// to the appender, blocking until the batch is fully applied (or
-// fails). size must be the value passed to the matching Reserve.
-// Returns the number of records applied.
+// Submit decodes an admitted job on the calling goroutine, then
+// applies it, one batch at a time, blocking until the batch is fully
+// applied (or fails). size must be the value passed to the matching
+// Reserve. Returns the number of records applied.
 func (p *Pipeline) Submit(job *Job, size int64) (int, error) {
 	job.reservation = size
 	start := time.Now()
 	d, err := Decode(job.Kind, job.ContentType, job.Data)
 	job.DecodeTime = time.Since(start)
-	job.Data = nil // decoded; let the raw bytes go before apply queues
+	job.Data = nil // decoded; let the raw bytes go before apply waits
 	if err != nil {
 		p.release(job, 0, err)
 		return 0, err
 	}
-	job.decoded = d
-	job.done = make(chan error, 1)
-	p.closeMu.RLock()
+	p.applyMu.Lock()
+	defer p.applyMu.Unlock()
 	if p.closed.Load() {
-		p.closeMu.RUnlock()
 		p.Unreserve(size)
 		return 0, ErrClosed
 	}
-	p.applyCh <- job
-	p.closeMu.RUnlock()
-	if err := <-job.done; err != nil {
+	start = time.Now()
+	err = job.Apply(d)
+	job.ApplyTime = time.Since(start)
+	p.release(job, d.Records(), err)
+	if err != nil {
 		return 0, err
 	}
 	return d.Records(), nil
-}
-
-// appender applies decoded batches serially and releases
-// reservations. Apply callbacks run on this one goroutine.
-func (p *Pipeline) appender() {
-	defer p.applyWg.Done()
-	for job := range p.applyCh {
-		start := time.Now()
-		err := job.Apply(job.decoded)
-		job.ApplyTime = time.Since(start)
-		p.release(job, job.decoded.Records(), err)
-		job.done <- err
-	}
 }
 
 // release counts a finished batch, applied (with its records) or
@@ -303,18 +273,13 @@ func (p *Pipeline) release(job *Job, records int, err error) {
 	p.batchesInFlight.Add(-1)
 }
 
-// Close stops intake and drains in-flight batches: every job already
-// handed to the appender is applied and answered before Close returns.
-// Safe to call more than once; Reserve/Submit afterwards return
-// ErrClosed.
+// Close stops intake: it waits for the batch being applied, and
+// Reserve/Submit afterwards return ErrClosed. Safe to call more than
+// once.
 func (p *Pipeline) Close() {
-	p.closeOnce.Do(func() {
-		p.closeMu.Lock()
-		p.closed.Store(true)
-		p.closeMu.Unlock()
-		close(p.applyCh)
-		p.applyWg.Wait()
-	})
+	p.applyMu.Lock()
+	p.closed.Store(true)
+	p.applyMu.Unlock()
 }
 
 // Stats snapshots the counters.

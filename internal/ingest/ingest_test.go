@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -259,6 +260,64 @@ func TestCloseDrainsAndRefuses(t *testing.T) {
 		t.Fatalf("expected ErrClosed after close, got %v", err)
 	}
 	p.Close() // idempotent
+}
+
+// TestCloseDuringSubmits closes the pipeline while batches are being
+// submitted from several goroutines: no Apply runs once Close has
+// returned, every Submit either applies its batch or answers
+// ErrClosed, and no reservation leaks.
+func TestCloseDuringSubmits(t *testing.T) {
+	p := New(Limits{})
+	body := trace.MarshalLinkSamplesNDJSON([]trace.LinkSample{{Link: 1, Bin: 1}})
+	size := int64(len(body))
+
+	var closed atomic.Bool
+	var applied, acked atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := p.Reserve(size); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("reserve: %v", err)
+					}
+					return
+				}
+				n, err := p.Submit(&Job{
+					Kind: KindLink, ContentType: ContentTypeNDJSON, Data: body,
+					Apply: func(d Decoded) error {
+						if closed.Load() {
+							t.Error("Apply ran after Close returned")
+						}
+						applied.Add(int64(len(d.Links)))
+						return nil
+					},
+				}, size)
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				acked.Add(int64(n))
+			}
+		}()
+	}
+	for p.Stats().AppliedBatches < 100 {
+		runtime.Gosched()
+	}
+	p.Close()
+	closed.Store(true)
+	wg.Wait()
+	if applied.Load() != acked.Load() {
+		t.Fatalf("applied %d records but acked %d", applied.Load(), acked.Load())
+	}
+	if st := p.Stats(); st.BytesInFlight != 0 || st.BatchesInFlight != 0 {
+		t.Fatalf("leaked reservations: %+v", st)
+	}
 }
 
 func TestDecodeUnsupportedContentType(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"dptrace/internal/standing"
 )
 
 // These tests pin the standing-query fold: the standing_window event
@@ -122,17 +124,17 @@ func TestStandingRingCapBoundsState(t *testing.T) {
 	for _, ev := range standingHistory() {
 		apply(ev)
 	}
-	n := StandingRingCap + 6
+	n := standing.RingCap + 6
 	for i := 0; i < n; i++ {
 		apply(standingWindow(uint64(i), 0.001, "ok"))
 	}
 	got := st.Standing[StandingKeyString("d", "sq-1")]
-	if len(got.Windows) != StandingRingCap {
-		t.Fatalf("ring holds %d records, want the %d cap", len(got.Windows), StandingRingCap)
+	if len(got.Windows) != standing.RingCap {
+		t.Fatalf("ring holds %d records, want the %d cap", len(got.Windows), standing.RingCap)
 	}
-	if got.Windows[0].Window != uint64(n-StandingRingCap) || got.Windows[StandingRingCap-1].Window != uint64(n-1) {
+	if got.Windows[0].Window != uint64(n-standing.RingCap) || got.Windows[standing.RingCap-1].Window != uint64(n-1) {
 		t.Fatalf("ring spans [%d,%d], want the most recent %d windows",
-			got.Windows[0].Window, got.Windows[StandingRingCap-1].Window, StandingRingCap)
+			got.Windows[0].Window, got.Windows[standing.RingCap-1].Window, standing.RingCap)
 	}
 	if got.NextWindow != uint64(n) {
 		t.Fatalf("cursor %d, want %d — eviction must not move the cursor", got.NextWindow, n)

@@ -3,6 +3,8 @@ package ledger
 import (
 	"fmt"
 	"sort"
+
+	"dptrace/internal/standing"
 )
 
 // State is the fold of a ledger's event history: everything a
@@ -105,7 +107,7 @@ type StandingState struct {
 	// Status is "active", "exhausted", or "canceled".
 	Status string `json:"status"`
 	// Windows is the bounded ring of recent window results, oldest
-	// first, capped at StandingRingCap like the live ring.
+	// first, capped at standing.RingCap like the live ring.
 	Windows []StandingWindowRecord `json:"windows,omitempty"`
 }
 
@@ -124,11 +126,6 @@ type StandingWindowRecord struct {
 func StandingKeyString(dataset, id string) string {
 	return dataset + "\x00" + id
 }
-
-// StandingRingCap bounds the per-query result ring, in the fold and in
-// the live registry alike — they must agree or replay would diverge
-// from the live ring's contents.
-const StandingRingCap = 64
 
 // Standing statuses persisted in StandingState.Status.
 const (
@@ -263,7 +260,7 @@ func (s *State) Apply(ev *Event) error {
 		if ev.Outcome == StandingExhausted {
 			st.Status = StandingExhausted
 		}
-		if len(st.Windows) >= StandingRingCap {
+		if len(st.Windows) >= standing.RingCap {
 			copy(st.Windows, st.Windows[1:])
 			st.Windows = st.Windows[:len(st.Windows)-1]
 		}

@@ -17,9 +17,7 @@
 //     server's GET /debug/queries flight recorder; the ring never
 //     grows and never blocks a writer.
 //   - Cheap to drop: a nil *Logger is valid and discards everything,
-//     so call sites need no guards; per-event-name sampling thins
-//     high-volume event types (sheds under overload) without losing
-//     the rare ones.
+//     so call sites need no guards.
 //
 // Events carry operational metadata only — names, durations, counts,
 // ε amounts, outcomes. Never record data, and never raw (pre-noise)
@@ -228,60 +226,32 @@ type Options struct {
 	// the ring only — the mode a server uses when no log sink is
 	// configured but /debug/queries should still work.
 	W io.Writer
-	// MinLevel drops events below it (default Debug: keep everything).
-	MinLevel Level
-	// RingSize bounds the ring of recent events; non-positive selects
-	// DefaultRingSize.
-	RingSize int
-	// Sample maps an event name to its keep-1-in-N sampling rate:
-	// Sample["query_shed"] = 100 keeps the 1st, 101st, 201st... shed
-	// event and drops the rest (writer and ring alike). Names absent
-	// from the map — and rates < 2 — are never sampled. Sampling is
-	// counter-based and deterministic, so tests and replays see the
-	// same kept set.
-	Sample map[string]int
 	// Now is the clock (a test seam); nil means time.Now.
 	Now func() time.Time
 }
 
-// DefaultRingSize bounds the recent-event ring when Options.RingSize
-// is unset.
-const DefaultRingSize = 256
+// RingSize bounds the ring of recent events.
+const RingSize = 256
 
 // Logger emits wide events. All methods are safe for concurrent use,
 // and all methods on a nil *Logger are no-ops, so optional telemetry
 // call sites need no guards.
 type Logger struct {
-	mu       sync.Mutex
-	w        io.Writer
-	min      Level
-	ring     []Event
-	next     int
-	count    int
-	sample   map[string]int
-	counters map[string]uint64
-	now      func() time.Time
-	dropped  uint64
+	mu    sync.Mutex
+	w     io.Writer
+	ring  [RingSize]Event
+	next  int
+	count int
+	now   func() time.Time
 }
 
 // New creates a Logger (see Options).
 func New(opts Options) *Logger {
-	size := opts.RingSize
-	if size <= 0 {
-		size = DefaultRingSize
-	}
 	now := opts.Now
 	if now == nil {
 		now = time.Now
 	}
-	return &Logger{
-		w:        opts.W,
-		min:      opts.MinLevel,
-		ring:     make([]Event, size),
-		sample:   opts.Sample,
-		counters: make(map[string]uint64),
-		now:      now,
-	}
+	return &Logger{w: opts.W, now: now}
 }
 
 // Log emits one event with the given fields, stamped now.
@@ -294,18 +264,11 @@ func (l *Logger) Log(level Level, name string, fields ...Field) {
 
 // Emit records one event: into the ring and onto the writer. A zero
 // Time is stamped with the logger's clock.
-// Events below MinLevel, and events thinned by sampling, are counted
-// as dropped and otherwise ignored.
 func (l *Logger) Emit(e Event) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	if e.Level < l.min || !l.keepLocked(e.Name) {
-		l.dropped++
-		l.mu.Unlock()
-		return
-	}
 	if e.Time.IsZero() {
 		e.Time = l.now()
 	}
@@ -327,17 +290,6 @@ func (l *Logger) Emit(e Event) {
 	if w != nil && line != nil {
 		_, _ = w.Write(append(line, '\n'))
 	}
-}
-
-// keepLocked applies counter-based sampling for one event name.
-func (l *Logger) keepLocked(name string) bool {
-	rate := l.sample[name]
-	if rate < 2 {
-		return true
-	}
-	n := l.counters[name]
-	l.counters[name] = n + 1
-	return n%uint64(rate) == 0
 }
 
 // Recent returns up to n recent events, newest first; n <= 0 returns
@@ -366,17 +318,6 @@ func (l *Logger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.count
-}
-
-// Dropped reports how many events were discarded by level filtering
-// or sampling since creation.
-func (l *Logger) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // Logf adapts the logger to the func(format, args...) shape older

@@ -108,21 +108,21 @@ func TestEventUnencodableField(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	l := New(Options{RingSize: 4, Now: fixedClock(0)})
-	for i := 0; i < 10; i++ {
+	l := New(Options{Now: fixedClock(0)})
+	const n = RingSize + 6
+	for i := 0; i < n; i++ {
 		l.Log(Info, fmt.Sprintf("e%d", i))
 	}
-	if got := l.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
+	if got := l.Len(); got != RingSize {
+		t.Fatalf("Len = %d, want %d", got, RingSize)
 	}
 	got := l.Recent(0)
-	want := []string{"e9", "e8", "e7", "e6"}
 	for i, e := range got {
-		if e.Name != want[i] {
-			t.Errorf("Recent[%d] = %q, want %q", i, e.Name, want[i])
+		if want := fmt.Sprintf("e%d", n-1-i); e.Name != want {
+			t.Errorf("Recent[%d] = %q, want %q", i, e.Name, want)
 		}
 	}
-	if sub := l.Recent(2); len(sub) != 2 || sub[0].Name != "e9" || sub[1].Name != "e8" {
+	if sub := l.Recent(2); len(sub) != 2 || sub[0].Name != fmt.Sprintf("e%d", n-1) || sub[1].Name != fmt.Sprintf("e%d", n-2) {
 		t.Errorf("Recent(2) = %+v", sub)
 	}
 }
@@ -131,7 +131,7 @@ func TestRingEviction(t *testing.T) {
 // concurrent writers; run with -race. The ring must neither grow nor
 // lose its newest-first ordering invariants.
 func TestRingConcurrentWriters(t *testing.T) {
-	l := New(Options{RingSize: 8})
+	l := New(Options{})
 	const writers, per = 16, 200
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -147,11 +147,11 @@ func TestRingConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := l.Len(); got != 8 {
-		t.Fatalf("Len = %d, want 8", got)
+	if got := l.Len(); got != RingSize {
+		t.Fatalf("Len = %d, want %d", got, RingSize)
 	}
 	recent := l.Recent(0)
-	if len(recent) != 8 {
+	if len(recent) != RingSize {
 		t.Fatalf("Recent(0) returned %d events", len(recent))
 	}
 	for _, e := range recent {
@@ -161,57 +161,17 @@ func TestRingConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestSamplingDeterministic(t *testing.T) {
-	l := New(Options{RingSize: 64, Sample: map[string]int{"noisy": 3}})
-	for i := 0; i < 9; i++ {
-		l.Log(Info, "noisy", F("i", i))
-		l.Log(Info, "rare")
-	}
-	var noisy, rare int
-	for _, e := range l.Recent(0) {
-		switch e.Name {
-		case "noisy":
-			noisy++
-		case "rare":
-			rare++
-		}
-	}
-	if noisy != 3 {
-		t.Errorf("kept %d noisy events, want 3 (1 in 3 of 9)", noisy)
-	}
-	if rare != 9 {
-		t.Errorf("kept %d rare events, want all 9", rare)
-	}
-	if got := l.Dropped(); got != 6 {
-		t.Errorf("Dropped = %d, want 6", got)
-	}
-}
-
-func TestMinLevel(t *testing.T) {
-	l := New(Options{RingSize: 8, MinLevel: Warn})
-	l.Log(Debug, "d")
-	l.Log(Info, "i")
-	l.Log(Warn, "w")
-	l.Log(Error, "e")
-	if got := l.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-	if got := l.Dropped(); got != 2 {
-		t.Errorf("Dropped = %d, want 2", got)
-	}
-}
-
 func TestNilLoggerSafe(t *testing.T) {
 	var l *Logger
 	l.Log(Info, "x", F("k", "v"))
 	l.Emit(Event{Name: "y"})
-	if l.Recent(5) != nil || l.Len() != 0 || l.Dropped() != 0 {
+	if l.Recent(5) != nil || l.Len() != 0 {
 		t.Error("nil logger must act empty")
 	}
 }
 
 func TestLogfAdapter(t *testing.T) {
-	l := New(Options{RingSize: 8})
+	l := New(Options{})
 	f := l.Logf(Warn, "ledger_warning")
 	f("snapshot %d stale", 7)
 	ev := l.Recent(1)

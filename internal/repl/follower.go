@@ -21,10 +21,6 @@ type FollowerConfig struct {
 	Primary string
 	// Name identifies this node in handshakes and events.
 	Name string
-	// Retry paces reconnect attempts; zero value gets sensible caps.
-	Retry retry.Policy
-	// DialTimeout bounds each connection attempt; <=0 means 5s.
-	DialTimeout time.Duration
 	// Events receives repl_connected / repl_lost wide events (nil
 	// discards).
 	Events *qlog.Logger
@@ -35,13 +31,14 @@ type FollowerConfig struct {
 	// OnReset is called when a snapshot is installed (the in-memory
 	// state must be rebuilt from the ledger, not patched).
 	OnReset func()
-	// Dial overrides the dialer (tests inject fault paths); nil uses
-	// net.Dialer.
-	Dial DialFunc
 }
 
-// DialFunc opens a connection to a primary's replication address.
-type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
+// reconnect paces the follower's re-dials: capped exponential backoff
+// with jitter (it retries forever, so MaxAttempts is unused).
+var reconnect = retry.Policy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 5 * time.Second, Jitter: 0.2}
+
+// dialTimeout bounds each connection attempt.
+const dialTimeout = 5 * time.Second
 
 // Follower tails a primary into the local ledger, acking a seq only
 // after it (and everything before it) is durable locally. It serves
@@ -69,18 +66,6 @@ type Follower struct {
 // NewFollower prepares a follower over led. Call Start to begin
 // tailing.
 func NewFollower(led *ledger.Ledger, cfg FollowerConfig) (*Follower, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.Retry.BaseBackoff <= 0 {
-		cfg.Retry.BaseBackoff = 100 * time.Millisecond
-	}
-	if cfg.Retry.MaxBackoff <= 0 {
-		cfg.Retry.MaxBackoff = 5 * time.Second
-	}
-	if cfg.Retry.Jitter == 0 {
-		cfg.Retry.Jitter = 0.2
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{led: led, cfg: cfg, ctx: ctx, cancel: cancel}
 	f.applied.Store(led.CommittedSeq())
@@ -127,7 +112,7 @@ func (f *Follower) run() {
 		if streamed {
 			attempt = 0 // made progress: restart the backoff ladder
 		}
-		if sleepErr := f.cfg.Retry.Sleep(f.ctx, attempt); sleepErr != nil {
+		if sleepErr := reconnect.Sleep(f.ctx, attempt); sleepErr != nil {
 			return
 		}
 		attempt++
@@ -144,16 +129,10 @@ func isFatal(err error) bool {
 // session runs one connection lifetime. The bool reports whether the
 // handshake completed (progress was made).
 func (f *Follower) session() (bool, error) {
-	dialCtx, cancel := context.WithTimeout(f.ctx, f.cfg.DialTimeout)
+	dialCtx, cancel := context.WithTimeout(f.ctx, dialTimeout)
 	defer cancel()
-	dial := f.cfg.Dial
-	if dial == nil {
-		var d net.Dialer
-		dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	conn, err := dial(dialCtx, f.cfg.Primary)
+	var d net.Dialer
+	conn, err := d.DialContext(dialCtx, "tcp", f.cfg.Primary)
 	if err != nil {
 		return false, err
 	}

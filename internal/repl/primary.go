@@ -28,12 +28,6 @@ type PrimaryConfig struct {
 	// durable locally, so callers treat the spend as charged
 	// (conservative over-count, never an under-count).
 	AckTimeout time.Duration
-	// HeartbeatInterval paces 'H' frames on idle streams; <=0 means
-	// 500ms. Dead peers are detected after ~10 intervals.
-	HeartbeatInterval time.Duration
-	// RingSize is the in-memory window of recent commits served
-	// without disk reads; <=0 means 4096.
-	RingSize int
 	// Events receives repl_connected / repl_lost wide events (nil
 	// discards).
 	Events *qlog.Logger
@@ -42,6 +36,14 @@ type PrimaryConfig struct {
 	// accepting spends. Nil is allowed; Fenced() still reports it.
 	OnFenced func(err error)
 }
+
+// heartbeatInterval paces 'H' frames on idle streams. Dead peers are
+// detected after 10 intervals.
+const heartbeatInterval = 500 * time.Millisecond
+
+// commitRingSize is the in-memory window of recent commits served
+// without disk reads.
+const commitRingSize = 4096
 
 // Primary streams the ledger to followers and (optionally) holds
 // appends until enough of them have durably acked.
@@ -99,17 +101,11 @@ func NewPrimary(led *ledger.Ledger, cfg PrimaryConfig) *Primary {
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 5 * time.Second
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 4096
-	}
 	p := &Primary{
 		led:      led,
 		cfg:      cfg,
 		sessions: make(map[*session]struct{}),
-		ring:     commitRing{entries: make([]ringEntry, cfg.RingSize)},
+		ring:     commitRing{entries: make([]ringEntry, commitRingSize)},
 	}
 	p.committed = led.CommittedSeq()
 	led.SetCommitHook(p.onCommit)
@@ -503,7 +499,7 @@ func (p *Primary) handle(conn net.Conn) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		idle := 10 * p.cfg.HeartbeatInterval
+		idle := 10 * heartbeatInterval
 		for {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
 			kind, payload, err := readFrame(br)
@@ -535,7 +531,7 @@ func (p *Primary) handle(conn net.Conn) {
 // stream is the sender loop: backlog (ring or disk) then live tail.
 func (s *session) stream(bw *bufio.Writer, tr *ledger.TailReader, nextSeq uint64, pending [][]byte, readErr chan error) error {
 	p := s.p
-	hb := time.NewTicker(p.cfg.HeartbeatInterval)
+	hb := time.NewTicker(heartbeatInterval)
 	defer hb.Stop()
 	fromDisk := true // tr is positioned at nextSeq
 	for {

@@ -11,8 +11,8 @@
 // Determinism is the design center. Window boundaries are defined in
 // record-sequence terms against the dataset's monotonic watermark, so
 // the same record sequence produces the same windows regardless of how
-// ingest batches chunk it; firing is serialized (the ingest appender
-// goroutine drives Stage) and ordered by (registration order, window
+// ingest batches chunk it; firing is serialized (the ingest apply,
+// one batch at a time, drives Stage) and ordered by (registration order, window
 // index), so noise draws happen in a reproducible order; wall-clock
 // specs resolve to sequence watermarks at batch-apply time and the
 // resolved boundaries are journaled, so replay never re-reads a clock.
@@ -139,25 +139,19 @@ const (
 type Config struct {
 	// Fire executes and journals one due window (required).
 	Fire Fire
-	// RingCap bounds each query's result ring; 0 takes DefaultRingCap.
-	// It must match the journal fold's ring bound or replay diverges.
-	RingCap int
-	// MaxPerDataset bounds registrations per dataset (0 takes
-	// DefaultMaxPerDataset); canceled and exhausted queries count —
-	// they still hold state.
-	MaxPerDataset int
 	// Now is the scheduler clock for wall-clock windows and fire
 	// latency stats; nil takes time.Now.
 	Now func() time.Time
 }
 
-// DefaultRingCap matches ledger.StandingRingCap: the journal fold
-// keeps the same number of recent windows, so a restart restores the
-// identical ring.
-const DefaultRingCap = 64
+// RingCap bounds each query's result ring. The journal fold keeps the
+// same number of recent windows (ledger state.go), so a restart
+// restores the identical ring.
+const RingCap = 64
 
-// DefaultMaxPerDataset bounds registrations per dataset.
-const DefaultMaxPerDataset = 256
+// maxPerDataset bounds registrations per dataset; canceled and
+// exhausted queries count — they still hold state.
+const maxPerDataset = 256
 
 // Registration errors.
 var (
@@ -340,7 +334,8 @@ type Registry struct {
 
 	// advanceMu serializes Advance calls: window firing must be
 	// totally ordered for noise-draw determinism. In the server only
-	// the ingest appender goroutine advances, so this is insurance.
+	// the ingest apply advances, under its own mutex, so this is
+	// insurance.
 	advanceMu sync.Mutex
 
 	mu       sync.Mutex
@@ -374,12 +369,6 @@ func NewRegistry(cfg Config) *Registry {
 	if cfg.Fire == nil {
 		panic("standing: Config.Fire is required")
 	}
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = DefaultRingCap
-	}
-	if cfg.MaxPerDataset <= 0 {
-		cfg.MaxPerDataset = DefaultMaxPerDataset
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -407,8 +396,8 @@ func (r *Registry) Register(spec Spec, journal func(Spec) error) (*Query, error)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ds := r.entry(spec.Dataset)
-	if len(ds.order) >= r.cfg.MaxPerDataset {
-		return nil, fmt.Errorf("%w: cap %d", ErrTooMany, r.cfg.MaxPerDataset)
+	if len(ds.order) >= maxPerDataset {
+		return nil, fmt.Errorf("%w: cap %d", ErrTooMany, maxPerDataset)
 	}
 	if spec.ID == "" {
 		for {
@@ -463,7 +452,7 @@ func (r *Registry) Restore(spec Spec, st Restored) (*Query, error) {
 		lastFire = r.cfg.Now()
 	}
 	results := st.Results
-	if n := len(results) - r.cfg.RingCap; n > 0 {
+	if n := len(results) - RingCap; n > 0 {
 		results = results[n:]
 	}
 	q := &Query{
@@ -540,8 +529,8 @@ func (r *Registry) Advance(dataset string, mark uint64) {
 // Stage fires every window that became due when the dataset's
 // watermark reached mark, in deterministic order: queries in
 // registration order, each query's windows in index order. It is the
-// stream-side hook — the ingest appender calls it after each batch
-// apply — and is serialized so concurrent callers cannot interleave
+// stream-side hook — the ingest apply calls it after each batch —
+// and is serialized so concurrent callers cannot interleave
 // noise draws. Each fired window moves its query's cursor and spend at
 // once (the next window is computed from them), but its result is held
 // back until Publish.
@@ -635,7 +624,7 @@ func (r *Registry) Publish(upTo uint64, each func(Result)) {
 	r.pending = append(r.pending[:0], r.pending[n:]...)
 	for _, p := range out {
 		q := p.q
-		if len(q.results) >= r.cfg.RingCap {
+		if len(q.results) >= RingCap {
 			copy(q.results, q.results[1:])
 			q.results = q.results[:len(q.results)-1]
 		}

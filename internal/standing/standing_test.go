@@ -300,23 +300,23 @@ func TestExhaustionStopsFiring(t *testing.T) {
 // TestRingEviction: the ring keeps the most recent RingCap results and
 // ResultsAfter pages by window index.
 func TestRingEviction(t *testing.T) {
-	h := newHarness(t, Config{RingCap: 4})
+	h := newHarness(t, Config{})
 	q, err := h.reg.Register(spec("ring", 10, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.reg.Advance("ds", 70) // 7 windows
+	const windows = RingCap + 3
+	h.reg.Advance("ds", 10*windows)
 	results, _, next, _ := q.ResultsAfter(0)
-	if next != 7 || len(results) != 4 {
-		t.Fatalf("ring holds %d results (next %d), want 4 (next 7)", len(results), next)
+	if next != windows || len(results) != RingCap {
+		t.Fatalf("ring holds %d results (next %d), want %d (next %d)", len(results), next, RingCap, windows)
 	}
-	if results[0].Window.Index != 3 || results[3].Window.Index != 6 {
-		t.Fatalf("ring spans [%d,%d], want [3,6]",
-			results[0].Window.Index, results[3].Window.Index)
+	if first, last := results[0].Window.Index, results[RingCap-1].Window.Index; first != 3 || last != windows-1 {
+		t.Fatalf("ring spans [%d,%d], want [3,%d]", first, last, windows-1)
 	}
-	tail, _, _, _ := q.ResultsAfter(6)
-	if len(tail) != 1 || tail[0].Window.Index != 6 {
-		t.Fatalf("ResultsAfter(6) = %v, want window 6 only", tail)
+	tail, _, _, _ := q.ResultsAfter(windows - 1)
+	if len(tail) != 1 || tail[0].Window.Index != windows-1 {
+		t.Fatalf("ResultsAfter(%d) = %v, want window %d only", windows-1, tail, windows-1)
 	}
 }
 
@@ -391,15 +391,17 @@ func TestCancelSemantics(t *testing.T) {
 }
 
 func TestRegisterLimitsAndDuplicates(t *testing.T) {
-	h := newHarness(t, Config{MaxPerDataset: 2})
+	h := newHarness(t, Config{})
 	if _, err := h.reg.Register(spec("a", 10, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.reg.Register(spec("a", 10, 0), nil); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("duplicate id: %v, want ErrDuplicateID", err)
 	}
-	if _, err := h.reg.Register(spec("b", 10, 0), nil); err != nil {
-		t.Fatal(err)
+	for i := 1; i < maxPerDataset; i++ {
+		if _, err := h.reg.Register(spec(fmt.Sprintf("b%d", i), 10, 0), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := h.reg.Register(spec("c", 10, 0), nil); !errors.Is(err, ErrTooMany) {
 		t.Fatalf("over cap: %v, want ErrTooMany", err)
@@ -418,7 +420,7 @@ func TestRegisterLimitsAndDuplicates(t *testing.T) {
 // TestRestore: recovered state resumes exactly where it left off — the
 // cursor continues, spend carries, restored results stay readable.
 func TestRestore(t *testing.T) {
-	h := newHarness(t, Config{RingCap: 4})
+	h := newHarness(t, Config{})
 	s := spec("back", 10, 0)
 	restored := []Result{
 		{Window: Window{Index: 4, Start: 40, End: 50}, Outcome: OutcomeOK, Charged: 0.1, Body: []byte(`{"w":4}`)},

@@ -8,24 +8,48 @@ package trace_test
 
 import (
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"dptrace/internal/trace"
 )
 
-// decodeCost is what one decode allocates, averaged over 20 runs after
-// a warm-up long enough for the runtime's per-CPU lists of free
-// goroutines to fill, so that a decode handing pieces to goroutines
-// reuses them.
+// decodeCost is what one decode allocates, averaged over 20 runs.
+//
+// The count is the process's malloc count, so it also holds what the
+// runtime allocates for itself; two things keep that out of it. The
+// collector is off from before the warm-up to the end: a collection
+// makes the runtime allocate (an m for an OS thread when the world
+// restarts, the unique package's cleanup pass, a sudog once the
+// central cache is dropped), and whether one lands in the 20 runs
+// depends on what ran before the test. And before the runs, 256
+// goroutines start, block, and exit at once, which leaves more free
+// goroutine descriptors and sudogs than a single P's local cache can
+// hold: a decode that hands a piece to a goroutine and waits for it
+// then finds both on its own P's list or the global one, instead of
+// calling runtime.malg or new(sudog) when the other P holds them all.
 func decodeCost(t *testing.T, decode func() error) (allocs, bytes float64) {
 	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const runs = 20
 	for i := 0; i < 10*runs; i++ {
 		if err := decode(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	for i := 0; i < 256; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+		}()
+	}
+	close(release)
+	wg.Wait()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -68,8 +92,8 @@ func TestAllocDecodeDPTRBatch(t *testing.T) {
 // piece, in less than twice the bytes it outputs: pieces that joined by
 // copying would take twice the records. Besides those, the decoder may
 // allocate its piece table and, per extra piece, the goroutine's
-// closure and the WaitGroup; the runtime's own occasional allocation
-// (a goroutine, a semaphore waiter) stays under one per run.
+// closure and the WaitGroup (decodeCost keeps the runtime's own
+// allocations, a goroutine descriptor or a semaphore waiter, out).
 func TestAllocDecodeNDJSONBatch(t *testing.T) {
 	packets := hotspot()[:benchBatch]
 	body := trace.MarshalPacketsNDJSON(packets)
