@@ -43,6 +43,16 @@ if grep -rnE --include='*.go' "\"($kinds)\"" internal/dpserver |
 	echo "a served query kind's name is spelled outside internal/dpserver/kinds.go's table" >&2
 	exit 1
 fi
+# The server reads the ledger's state only through its locked accessors
+# (Ledger.Dataset, Audit, Replies, Standing): State() hands out the live
+# fold every append mutates, and spends and a follower's stream can run
+# beside any server code, so no non-test file of internal/dpserver may
+# call it.
+if grep -rnE --include='*.go' '\.State\(\)' internal/dpserver |
+	grep -vE '_test\.go:|^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "internal/dpserver calls the ledger's State(); read through its locked accessors" >&2
+	exit 1
+fi
 # Every Test* / Fuzz* / Benchmark* the docs name must be declared in
 # some test file (a trailing * names a prefix), so prose cannot keep
 # pointing at a test that was renamed or deleted.

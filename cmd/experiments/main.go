@@ -6,16 +6,16 @@
 //	experiments -run fig4       # one experiment
 //	experiments -seed 7         # change the noise seed
 //	experiments -list           # list experiment names
-//	experiments -metrics        # append the run's engine metrics snapshot
+//	experiments -metrics        # append the run's engine metrics
 //
 // Results go to stdout; EXPERIMENTS.md records a reference run side by
 // side with the paper's numbers. With -metrics, every engine pipeline
 // in the run reports to an obs registry (per-operator timings,
-// records in/out, aggregation outcomes, ε spend) and the JSON snapshot
-// is printed after the tables. Every pipeline splits inputs of
-// core.DefaultParallelThreshold records or more across GOMAXPROCS
-// workers; the tables are the same at any width (GOMAXPROCS=1 gives a
-// one-worker run to diff against).
+// records in/out, aggregation outcomes, ε spend) and the registry is
+// printed after the tables in the Prometheus text format. Every
+// pipeline splits inputs of core.DefaultParallelThreshold records or
+// more across GOMAXPROCS workers; the tables are the same at any width
+// (GOMAXPROCS=1 gives a one-worker run to diff against).
 package main
 
 import (
@@ -90,7 +90,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "noise seed for reproducible runs")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also write plottable series to <dir>/<name>.csv")
-	metrics := flag.Bool("metrics", false, "dump the run's engine metrics snapshot (JSON) after the tables")
+	metrics := flag.Bool("metrics", false, "print the run's engine metrics (Prometheus text) after the tables")
 	flag.Parse()
 
 	var reg *obs.Registry
@@ -148,8 +148,8 @@ func main() {
 	}
 	if reg != nil {
 		fmt.Println(strings.Repeat("=", 72))
-		fmt.Println("engine metrics snapshot")
-		if err := reg.WriteJSON(os.Stdout); err != nil {
+		fmt.Println("engine metrics")
+		if err := reg.WritePrometheus(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}

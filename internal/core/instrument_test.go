@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -168,15 +169,18 @@ func TestRootAgentRegisterGauges(t *testing.T) {
 	if _, err := q.NoisyCount(0.5); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	got := map[string]float64{}
-	for _, g := range snap.Gauges {
-		if g.Labels["dataset"] == "t" {
-			got[g.Name] = g.Value
-		}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if got["dp_budget_total"] != 2.0 || got["dp_budget_spent"] != 0.5 || got["dp_budget_remaining"] != 1.5 {
-		t.Fatalf("budget gauges = %v", got)
+	for _, want := range []string{
+		`dp_budget_total{dataset="t"} 2` + "\n",
+		`dp_budget_spent{dataset="t"} 0.5` + "\n",
+		`dp_budget_remaining{dataset="t"} 1.5` + "\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("budget gauges missing %q:\n%s", want, b.String())
+		}
 	}
 }
 

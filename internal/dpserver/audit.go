@@ -2,6 +2,7 @@ package dpserver
 
 import (
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -29,53 +30,55 @@ type AuditEntry struct {
 	Outcome string `json:"outcome"`
 }
 
-// auditLog is a bounded in-memory ledger: it keeps at most
-// ledger.AuditCap entries, the bound the durable trail replays under.
+// auditLog is a ledger-less server's audit trail, bounded by
+// ledger.AppendAudit like the ledger's own. With a ledger attached the
+// trail is the ledger's fold and this one stays empty.
 type auditLog struct {
 	mu      sync.Mutex
-	entries []AuditEntry
+	entries []ledger.AuditRecord
 }
 
-func (l *auditLog) add(e AuditEntry) {
-	e.Time = time.Now()
+func (l *auditLog) add(rec ledger.AuditRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.entries) >= ledger.AuditCap {
-		// Drop the oldest half to amortize copying.
-		keep := ledger.AuditCap / 2
-		copy(l.entries, l.entries[len(l.entries)-keep:])
-		l.entries = l.entries[:keep]
+	l.entries = ledger.AppendAudit(l.entries, rec)
+}
+
+// trail returns the entries, oldest first; AppendAudit never overwrites
+// one, so the slice stays valid beside later adds. Read-only.
+func (l *auditLog) trail() []ledger.AuditRecord {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clip(l.entries)
+}
+
+// auditTrail is the server's one audit trail, oldest first: the
+// ledger's fold when one is attached (what a restart or a follower
+// shows), else the server's own. Read-only.
+func (s *Server) auditTrail() []ledger.AuditRecord {
+	if s.ledger != nil {
+		return s.ledger.Audit()
 	}
-	l.entries = append(l.entries, e)
+	return s.audit.trail()
 }
 
-// restore replaces the trail with ledger-recovered entries (startup
-// only); the fold already bounds them by ledger.AuditCap.
-func (l *auditLog) restore(entries []AuditEntry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = append([]AuditEntry(nil), entries...)
-}
-
-func (l *auditLog) snapshot() []AuditEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]AuditEntry, len(l.entries))
-	copy(out, l.entries)
-	return out
-}
-
-// len reports the current ledger depth (exported to the owner as the
-// dpserver_audit_entries gauge).
-func (l *auditLog) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
+// auditEntry renders one trail record for the owner.
+func auditEntry(rec ledger.AuditRecord) AuditEntry {
+	return AuditEntry{
+		Time: time.Unix(0, rec.Time), Analyst: rec.Analyst,
+		Dataset: rec.Dataset, Query: rec.Query, Epsilon: rec.Epsilon,
+		Charged: rec.Charged, Outcome: rec.Outcome,
+	}
 }
 
 // Audit returns a copy of the query ledger, oldest first.
 func (s *Server) Audit() []AuditEntry {
-	return s.audit.snapshot()
+	trail := s.auditTrail()
+	out := make([]AuditEntry, len(trail))
+	for i, rec := range trail {
+		out[i] = auditEntry(rec)
+	}
+	return out
 }
 
 // handleAudit serves GET /v1/audit with optional ?analyst=, ?dataset=,
@@ -95,17 +98,17 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		limit = l
 	}
 	out := []AuditEntry{}
-	for _, e := range s.audit.snapshot() {
-		if analyst != "" && e.Analyst != analyst {
+	for _, rec := range s.auditTrail() {
+		if analyst != "" && rec.Analyst != analyst {
 			continue
 		}
-		if dataset != "" && e.Dataset != dataset {
+		if dataset != "" && rec.Dataset != dataset {
 			continue
 		}
-		if outcome != "" && e.Outcome != outcome {
+		if outcome != "" && rec.Outcome != outcome {
 			continue
 		}
-		out = append(out, e)
+		out = append(out, auditEntry(rec))
 	}
 	if limit >= 0 && len(out) > limit {
 		out = out[len(out)-limit:]

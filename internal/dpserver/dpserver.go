@@ -33,11 +33,15 @@
 //	GET  /v1/audit          the query ledger (?analyst=&dataset=&outcome=&limit=)
 //	POST /v1/ingest/{dataset}   append a record batch
 //	POST /v1/admin/promote  promote a replication follower
-//	GET  /v1/metrics        Prometheus text exposition (?format=json)
+//	GET  /v1/metrics        Prometheus text exposition
 //	GET  /v1/healthz        liveness: uptime, dataset count, goroutines
 //	GET  /v1/readyz         readiness
 //	GET  /v1/debug/queries  ring of recent wide events (?n= limit)
 //	/debug/pprof/*          optional; mount with Handler(WithPprof())
+//
+// With a ledger attached (WithLedger), the audit trail is the ledger's
+// fold of its journal, kept once: a primary, a restarted server and a
+// follower list the same entries.
 //
 // Everything an analyst-facing route returns, outside its noisy
 // values, is the same on neighbouring datasets
@@ -187,7 +191,7 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 	}
 	s.engineRec = obs.NewMetricsRecorder(s.metrics)
 	s.metrics.GaugeFunc("dpserver_audit_entries", func() float64 {
-		return float64(s.audit.len())
+		return float64(len(s.auditTrail()))
 	})
 	// Cumulative transformations executed under a parallel strategy
 	// (process-wide; see core.ParallelExecutions). Reads as a counter.
@@ -335,7 +339,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	// Ledger-side totals per dataset+analyst, folded into the listing.
 	type ledgerKey struct{ dataset, analyst string }
 	ledger := make(map[ledgerKey]*AnalystUsage)
-	for _, e := range s.audit.snapshot() {
+	for _, e := range s.auditTrail() {
 		k := ledgerKey{e.Dataset, e.Analyst}
 		u := ledger[k]
 		if u == nil {

@@ -407,9 +407,9 @@ func TestAuditLedger(t *testing.T) {
 func TestAuditLogBounded(t *testing.T) {
 	l := new(auditLog)
 	for i := 0; i < 2*ledger.AuditCap+5; i++ {
-		l.add(AuditEntry{Analyst: "a"})
+		l.add(ledger.AuditRecord{Analyst: "a"})
 	}
-	if got := len(l.snapshot()); got > ledger.AuditCap {
+	if got := len(l.trail()); got > ledger.AuditCap {
 		t.Fatalf("audit log grew to %d entries, cap %d", got, ledger.AuditCap)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -374,28 +375,16 @@ func TestAnalystBudgetTelemetry(t *testing.T) {
 			Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5}, nil)
 	}
 
-	snap := s.Metrics().Snapshot()
-	var sawHist, sawGauge bool
-	for _, h := range snap.Histograms {
-		if h.Name == "dp_query_epsilon" && h.Labels["analyst"] == "alice" && h.Labels["dataset"] == "hotspot" {
-			sawHist = true
-			if h.Count != 2 {
-				t.Errorf("dp_query_epsilon count = %d, want 2", h.Count)
-			}
-		}
+	if n := s.Metrics().Histogram("dp_query_epsilon", obs.EpsilonBuckets(),
+		"analyst", "alice", "dataset", "hotspot").Count(); n != 2 {
+		t.Errorf("dp_query_epsilon{analyst=alice} count = %d, want 2", n)
 	}
-	for _, g := range snap.Gauges {
-		if g.Name == "dp_analyst_budget_spent_ratio" && g.Labels["analyst"] == "alice" {
-			sawGauge = true
-			if math.Abs(g.Value-0.5) > 1e-9 { // spent 1.0 of a 2.0 cap
-				t.Errorf("spent ratio = %v, want 0.5", g.Value)
-			}
-		}
+	var text strings.Builder
+	if err := s.Metrics().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
 	}
-	if !sawHist {
-		t.Error("dp_query_epsilon{analyst=alice} histogram not registered")
-	}
-	if !sawGauge {
-		t.Error("dp_analyst_budget_spent_ratio{analyst=alice} gauge not registered")
+	// spent 1.0 of a 2.0 cap
+	if want := `dp_analyst_budget_spent_ratio{analyst="alice",dataset="hotspot"} 0.5` + "\n"; !strings.Contains(text.String(), want) {
+		t.Errorf("scrape missing %q:\n%s", want, text.String())
 	}
 }

@@ -311,7 +311,7 @@ func TestDeadlineCancelsBeforeCharge(t *testing.T) {
 	if spent := s.datasets["hotspot"].policy.TotalSpent(); spent != 0 {
 		t.Fatalf("cancelled query charged ε = %v, want 0", spent)
 	}
-	entries := s.audit.snapshot()
+	entries := s.Audit()
 	if len(entries) != 1 || entries[0].Outcome != "canceled" || entries[0].Charged != 0 {
 		t.Fatalf("audit = %+v, want one canceled entry with zero charge", entries)
 	}

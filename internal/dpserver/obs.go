@@ -17,10 +17,10 @@ import (
 )
 
 // This file is the server's observability surface: per-endpoint
-// request metrics, the Prometheus/JSON scrape endpoint, and the
-// health and readiness probes — all owner-facing routes. None of it
-// exposes record data — only operational metadata and the budget
-// ledger the data owner already governs by.
+// request metrics, the Prometheus scrape endpoint, and the health and
+// readiness probes — all owner-facing routes. None of it exposes
+// record data — only operational metadata and the budget ledger the
+// data owner already governs by.
 
 // Metrics returns the server's metrics registry, for embedding
 // servers that want to add their own series or scrape in-process.
@@ -147,14 +147,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics serves the registry in the Prometheus text format, or
-// as a JSON snapshot with ?format=json.
+// handleMetrics serves the registry in the Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		_ = s.metrics.WriteJSON(w)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.WritePrometheus(w)
 }
@@ -174,7 +168,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Datasets:      n,
 		Goroutines:    runtime.NumGoroutine(),
-		AuditEntries:  s.audit.len(),
+		AuditEntries:  len(s.auditTrail()),
 	}
 	// Role-based shedding (follower, quorum) is /readyz's concern;
 	// liveness only flags actual ledger damage.

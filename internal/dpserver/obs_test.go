@@ -8,13 +8,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
-	"dptrace/internal/obs"
 )
 
 // obsServer is like testServer but also returns the Server so tests
@@ -50,40 +50,20 @@ func scrapeText(t *testing.T, ts *httptest.Server) string {
 	return string(body)
 }
 
-func scrapeJSON(t *testing.T, ts *httptest.Server) *obs.Snapshot {
+// seriesValue reads one series' value out of a Prometheus text scrape;
+// series is the sample's name and labels as the exposition spells them.
+func seriesValue(t *testing.T, text, series string) float64 {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	return &snap
-}
-
-// gaugeValue finds one gauge by name and label subset; fails the test
-// if absent.
-func gaugeValue(t *testing.T, snap *obs.Snapshot, name string, labels map[string]string) float64 {
-	t.Helper()
-	for _, g := range snap.Gauges {
-		if g.Name != name {
-			continue
-		}
-		match := true
-		for k, v := range labels {
-			if g.Labels[k] != v {
-				match = false
-				break
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
 			}
-		}
-		if match {
-			return g.Value
+			return f
 		}
 	}
-	t.Fatalf("gauge %s%v not in snapshot", name, labels)
+	t.Fatalf("series %s not in scrape", series)
 	return 0
 }
 
@@ -143,36 +123,25 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 
 	// Budget gauges equal the policy's own view, exactly.
-	snap := scrapeJSON(t, ts)
 	d := srv.datasets["hotspot"]
-	labels := map[string]string{"dataset": "hotspot"}
-	if got := gaugeValue(t, snap, "dp_budget_total", labels); got != 10.0 {
+	if got := seriesValue(t, text, `dp_budget_total{dataset="hotspot"}`); got != 10.0 {
 		t.Errorf("dp_budget_total %v, want 10", got)
 	}
-	if got, want := gaugeValue(t, snap, "dp_budget_spent", labels), d.policy.TotalSpent(); got != want {
+	if got, want := seriesValue(t, text, `dp_budget_spent{dataset="hotspot"}`), d.policy.TotalSpent(); got != want {
 		t.Errorf("dp_budget_spent %v, policy says %v", got, want)
 	}
-	if got, want := gaugeValue(t, snap, "dp_budget_remaining", labels), d.policy.TotalRemaining(); got != want {
+	if got, want := seriesValue(t, text, `dp_budget_remaining{dataset="hotspot"}`), d.policy.TotalRemaining(); got != want {
 		t.Errorf("dp_budget_remaining %v, policy says %v", got, want)
 	}
 	// The ε-spend counter sums the ε successful aggregations asked
 	// for (0.5 + 0.2); the charged total (0.9, GroupBy doubles) is the
 	// gauges' business — the counter is for spend-rate alerting.
-	spendSeen := false
-	for _, c := range snap.Counters {
-		if c.Name == "dp_budget_spend_total" {
-			spendSeen = true
-			if math.Abs(c.Value-0.7) > 1e-9 {
-				t.Errorf("dp_budget_spend_total %v, want 0.7", c.Value)
-			}
-		}
+	if got := seriesValue(t, text, "dp_budget_spend_total"); math.Abs(got-0.7) > 1e-9 {
+		t.Errorf("dp_budget_spend_total %v, want 0.7", got)
 	}
-	if !spendSeen {
-		t.Error("dp_budget_spend_total missing from snapshot")
-	}
-	// The audit-depth gauge matches the ledger.
-	if got := gaugeValue(t, snap, "dpserver_audit_entries", nil); got != float64(srv.audit.len()) {
-		t.Errorf("dpserver_audit_entries %v, ledger has %d", got, srv.audit.len())
+	// The audit-depth gauge matches the trail.
+	if got := seriesValue(t, text, "dpserver_audit_entries"); got != float64(len(srv.Audit())) {
+		t.Errorf("dpserver_audit_entries %v, trail has %d", got, len(srv.Audit()))
 	}
 
 	// One more query: the scraped values move accordingly.
@@ -187,8 +156,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 			t.Errorf("after extra query, scrape missing %q", want)
 		}
 	}
-	snap = scrapeJSON(t, ts)
-	if got, want := gaugeValue(t, snap, "dp_budget_spent", labels), d.policy.TotalSpent(); got != want || want <= 0.9 {
+	if got, want := seriesValue(t, text, `dp_budget_spent{dataset="hotspot"}`), d.policy.TotalSpent(); got != want || want <= 0.9 {
 		t.Errorf("dp_budget_spent %v after extra query, policy %v (want >0.9)", got, want)
 	}
 }
@@ -229,21 +197,21 @@ func TestAuditEvictionConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < logCap/2; i++ {
-				l.add(AuditEntry{Analyst: fmt.Sprintf("g%d", g), Epsilon: float64(i)})
+				l.add(ledger.AuditRecord{Analyst: fmt.Sprintf("g%d", g), Epsilon: float64(i)})
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := l.len(); got > logCap || got == 0 {
+	if got := len(l.trail()); got > logCap || got == 0 {
 		t.Fatalf("ledger depth %d after concurrent writes, want 1..%d", got, logCap)
 	}
 
 	// Sequential markers: eviction must keep the newest entries in
 	// arrival order.
 	for i := 0; i < logCap; i++ {
-		l.add(AuditEntry{Analyst: "marker", Epsilon: float64(i)})
+		l.add(ledger.AuditRecord{Analyst: "marker", Epsilon: float64(i)})
 	}
-	snap := l.snapshot()
+	snap := l.trail()
 	if len(snap) > logCap {
 		t.Fatalf("snapshot depth %d, cap %d", len(snap), logCap)
 	}
@@ -316,15 +284,14 @@ func TestConcurrentQueriesNeverOverspend(t *testing.T) {
 	}
 
 	// The exported gauges are the policy's view, not a shadow copy.
-	snap := scrapeJSON(t, ts)
-	labels := map[string]string{"dataset": "hotspot"}
-	if got := gaugeValue(t, snap, "dp_budget_spent", labels); got != d.policy.TotalSpent() {
+	text := scrapeText(t, ts)
+	if got := seriesValue(t, text, `dp_budget_spent{dataset="hotspot"}`); got != d.policy.TotalSpent() {
 		t.Errorf("dp_budget_spent gauge %v, policy %v", got, d.policy.TotalSpent())
 	}
-	if got := gaugeValue(t, snap, "dp_budget_total", labels); got != 2.0 {
+	if got := seriesValue(t, text, `dp_budget_total{dataset="hotspot"}`); got != 2.0 {
 		t.Errorf("dp_budget_total gauge %v, want 2", got)
 	}
-	if got, want := gaugeValue(t, snap, "dp_budget_remaining", labels), d.policy.TotalRemaining(); got != want {
+	if got, want := seriesValue(t, text, `dp_budget_remaining{dataset="hotspot"}`), d.policy.TotalRemaining(); got != want {
 		t.Errorf("dp_budget_remaining gauge %v, policy %v", got, want)
 	}
 }

@@ -209,8 +209,7 @@ func TestServedKindsParallelByDefault(t *testing.T) {
 		if one {
 			s.exec = core.ExecOptions{}
 		}
-		// Finite budgets: the JSON snapshot has no encoding for +Inf.
-		if err := s.AddPacketTrace("hotspot", packets, 1e9, 1e9); err != nil {
+		if err := s.AddPacketTrace("hotspot", packets, math.Inf(1), math.Inf(1)); err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(s.Handler())
@@ -224,13 +223,7 @@ func TestServedKindsParallelByDefault(t *testing.T) {
 	_, tsOne := serve(true)
 	split := map[string]bool{"count": true, "lencdf": true, "lenquantile": true, "distinctsrc": true}
 	parallelExecs := func() float64 {
-		for _, g := range scrapeJSON(t, tsDef).Gauges {
-			if g.Name == "dp_parallel_exec_total" {
-				return g.Value
-			}
-		}
-		t.Fatal("no dp_parallel_exec_total gauge")
-		return 0
+		return seriesValue(t, scrapeText(t, tsDef), "dp_parallel_exec_total")
 	}
 	minLen := 100
 	for _, filter := range []*api.Filter{nil, {MinLen: &minLen}} {

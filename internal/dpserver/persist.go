@@ -41,9 +41,10 @@ const (
 var ErrLedgerMismatch = errors.New("dpserver: registration conflicts with persisted ledger")
 
 // WithLedger attaches a durable budget ledger (opened by the caller;
-// see ledger.Open). The server restores the persisted audit trail and
-// idempotent responses immediately; per-dataset budgets are restored
-// as datasets are re-registered via Add*Trace.
+// see ledger.Open). The ledger's fold is then the server's audit
+// trail, and its stored idempotent responses are restored immediately;
+// per-dataset budgets are restored as datasets are re-registered via
+// Add*Trace.
 func WithLedger(led *ledger.Ledger) ServerOption {
 	return func(s *Server) { s.ledger = led }
 }
@@ -73,8 +74,8 @@ func (s *Server) ledgerRefusal() error {
 }
 
 // restoreFromLedger runs once in New, after options: exports ledger
-// metrics and rebuilds the audit trail and idempotency cache from the
-// recovered state.
+// metrics and restores the idempotency cache from the recovered
+// state's stored replies.
 func (s *Server) restoreFromLedger() {
 	led := s.ledger
 	led.AttachMetrics(s.metrics)
@@ -87,7 +88,7 @@ func (s *Server) restoreFromLedger() {
 		s.events.Log(qlog.Error, "ledger_frozen", qlog.F("cause", cause.Error()))
 		s.degradedNoted.Store(true)
 	}
-	s.restoreAuditIdem(led.State())
+	s.restoreReplies()
 }
 
 // registerDataset is the ledger half of Add*Trace (callers hold s.mu):
@@ -153,24 +154,30 @@ func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, 
 
 // recordAudit stages one audit entry in the journal (refusals under
 // their own event type, per the ledger's schema), charging the time to
-// o.stage, and adds it to the live trail. The ledger append is
-// best-effort: the charge events are the ε ground truth, the audit
-// trail is the owner's activity record.
+// o.stage; the ledger's fold is then the trail /v1/audit serves. The
+// append is best-effort: the charge events are the ε ground truth, the
+// audit trail is the owner's activity record. Without a ledger the
+// entry goes to the server's own trail.
 func (s *Server) recordAudit(o *queryOutcome, e AuditEntry) {
-	if s.ledger != nil {
-		start := time.Now()
-		typ := ledger.EventAudit
-		if e.Outcome == "refused" {
-			typ = ledger.EventRefusal
-		}
-		_ = s.journalAppend(ledger.Event{
-			Type: typ, Dataset: e.Dataset, Analyst: e.Analyst,
-			Query: e.Query, Epsilon: e.Epsilon, Charged: e.Charged,
-			Outcome: e.Outcome,
+	if s.ledger == nil {
+		s.audit.add(ledger.AuditRecord{
+			Time: time.Now().UnixNano(), Analyst: e.Analyst,
+			Dataset: e.Dataset, Query: e.Query, Epsilon: e.Epsilon,
+			Charged: e.Charged, Outcome: e.Outcome,
 		})
-		o.stage += time.Since(start)
+		return
 	}
-	s.audit.add(e)
+	start := time.Now()
+	typ := ledger.EventAudit
+	if e.Outcome == "refused" {
+		typ = ledger.EventRefusal
+	}
+	_ = s.journalAppend(ledger.Event{
+		Type: typ, Dataset: e.Dataset, Analyst: e.Analyst,
+		Query: e.Query, Epsilon: e.Epsilon, Charged: e.Charged,
+		Outcome: e.Outcome,
+	})
+	o.stage += time.Since(start)
 }
 
 // ingestReply reports whether a keyed reply answers an ingest path.

@@ -126,7 +126,7 @@ func (s *Server) StartReplication(cfg ReplicationConfig) error {
 			Name:    cfg.Name,
 			Events:  s.events,
 			OnApply: s.applyReplicated,
-			OnReset: s.resetReplicated,
+			OnReset: s.resyncSpends,
 		})
 		if err != nil {
 			s.repl.cfg = nil
@@ -276,29 +276,15 @@ func shedCodeFor(cause error) (code, message string) {
 // applyReplicated is the follower's warm-state bridge, called by the
 // replication stream in seq order after each event is durable in the
 // local WAL (and already folded into the ledger's replayed state).
-// It keeps the serving-layer caches — policy spend counters, the
-// audit trail, the idempotency cache — hot, so promotion serves the
-// first request at the exact boundary the stream reached.
+// It keeps the hosted datasets' policy spend counters hot, so
+// promotion serves the first request at the exact boundary the stream
+// reached. Nothing else needs warming: the audit trail is the ledger's
+// fold, and a follower sheds every keyed request, so its reply cache
+// stays unread until Promote restores it from the ledger.
 func (s *Server) applyReplicated(ev ledger.Event) {
 	switch ev.Type {
 	case ledger.EventCharge, ledger.EventRollback, ledger.EventStandingWindow:
 		s.warmPolicy(ev.Dataset)
-	case ledger.EventAudit, ledger.EventRefusal:
-		s.audit.add(AuditEntry{
-			Time: time.Unix(0, ev.Time), Analyst: ev.Analyst,
-			Dataset: ev.Dataset, Query: ev.Query, Epsilon: ev.Epsilon,
-			Charged: ev.Charged, Outcome: ev.Outcome,
-		})
-	case ledger.EventIdemReply:
-		expires := time.Unix(0, ev.Expires)
-		if expires.After(time.Now()) && !ingestReply(ev.Endpoint) {
-			s.idem.restore(
-				idemKey{endpoint: ev.Endpoint, dataset: ev.Dataset, analyst: ev.Analyst, key: ev.Key},
-				ev.Status, ev.Body, expires)
-		}
-	case ledger.EventDatasetCreated:
-		// Registration replicates budget bounds, not records: if this
-		// process also hosts the dataset, the next charge warms it.
 	}
 }
 
@@ -316,38 +302,28 @@ func (s *Server) warmPolicy(name string) {
 	}
 }
 
-// resetReplicated runs when the follower installs a full snapshot
-// (empty follower behind the primary's compaction horizon): the whole
-// warm state is rebuilt from the replayed ledger, exactly like a
-// restart's restore.
-func (s *Server) resetReplicated() {
-	state := s.ledger.State()
+// resyncSpends re-syncs every hosted dataset's spend counters from the
+// ledger: when the follower installs a full snapshot (empty follower
+// behind the primary's compaction horizon), and on promotion.
+func (s *Server) resyncSpends() {
 	s.mu.RLock()
-	for name, ds := range state.Datasets {
-		if d := s.datasets[name]; d != nil {
+	defer s.mu.RUnlock()
+	for name, d := range s.datasets {
+		if ds, ok := s.ledger.Dataset(name); ok {
 			d.policy.RestoreSpent(ds.Spent, ds.TotalSpent)
 		}
 	}
-	s.mu.RUnlock()
-	s.restoreAuditIdem(state)
 }
 
-// restoreAuditIdem rebuilds the audit trail and idempotency cache
-// from a replayed ledger state (shared by the startup restore, the
-// snapshot reset, and promotion).
-func (s *Server) restoreAuditIdem(state *ledger.State) {
-	entries := make([]AuditEntry, 0, len(state.Audit))
-	for _, rec := range state.Audit {
-		entries = append(entries, AuditEntry{
-			Time: time.Unix(0, rec.Time), Analyst: rec.Analyst,
-			Dataset: rec.Dataset, Query: rec.Query, Epsilon: rec.Epsilon,
-			Charged: rec.Charged, Outcome: rec.Outcome,
-		})
-	}
-	s.audit.restore(entries)
-
+// restoreReplies fills the idempotency cache from the ledger's stored
+// replies (at startup and on promotion), oldest expiry first: the cache
+// evicts in insertion order, so with more replies stored than it holds
+// the newest are the ones kept, and a recently retried key replays
+// instead of charging again. Expired replies and ingest ACKs are
+// skipped.
+func (s *Server) restoreReplies() {
 	now := time.Now()
-	for _, rec := range state.Idem {
+	for _, rec := range s.ledger.Replies() {
 		expires := time.Unix(0, rec.Expires)
 		if !expires.After(now) || ingestReply(rec.Endpoint) {
 			continue
@@ -376,9 +352,14 @@ func (s *Server) Promote() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Flip the role first: the resync below journals registrations
-	// for hosted-but-never-persisted datasets, which must not bounce
-	// off the follower refusal.
+	// The stream is sealed and the role still sheds every spend, so
+	// the ledger holds still: settle the spend counters and the stored
+	// replies now, before a spend can move them or retry a key.
+	s.resyncSpends()
+	s.restoreReplies()
+	// Then flip the role: the resync below journals registrations for
+	// hosted-but-never-persisted datasets, which must not bounce off
+	// the follower refusal.
 	s.replMu.Lock()
 	s.repl.follower = nil
 	if cfg.Listen != nil {
@@ -392,19 +373,15 @@ func (s *Server) Promote() (uint64, error) {
 	return epoch, nil
 }
 
-// resyncAfterPromote settles the new primary's serving state against
-// its (now authoritative) ledger: hosted datasets get their spends
-// restored, datasets hosted here but never persisted get their
-// registration journaled (it could not be while following), the audit
-// and idempotency caches are reconciled, and standing queries are
+// resyncAfterPromote finishes what needs the primary role: datasets
+// hosted here but never persisted get their registration journaled (it
+// could not be while following), and standing queries are
 // re-installed so the scheduler resumes firing windows.
 func (s *Server) resyncAfterPromote() {
-	state := s.ledger.State()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for name, d := range s.datasets {
-		if ds, ok := state.Datasets[name]; ok {
-			d.policy.RestoreSpent(ds.Spent, ds.TotalSpent)
-		} else {
+		if _, ok := s.ledger.Dataset(name); !ok {
 			total, perAnalyst := d.policy.Budgets()
 			// Direct append, not journalAppend: a fresh primary with
 			// MinSync > 0 has no followers yet, and registrations are
@@ -421,8 +398,6 @@ func (s *Server) resyncAfterPromote() {
 		}
 		s.restoreStanding(name)
 	}
-	s.mu.Unlock()
-	s.restoreAuditIdem(state)
 }
 
 // handlePromote serves POST /v1/admin/promote. It bypasses the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -134,6 +135,52 @@ func TestKillAndRestartPreservesBudgets(t *testing.T) {
 	// budgets (plus the refusal and charge recorded just above).
 	if n := len(s2.Audit()); n < 3 {
 		t.Fatalf("audit trail has %d entries after restart, want the full history", n)
+	}
+}
+
+// TestRestartKeepsNewestReplies: the ledger may store more unexpired
+// replies than the idempotency cache holds, and a restart must refill
+// the cache so the newest survive — they are the keys a client may
+// still be retrying, and a retry that misses the cache executes and
+// charges ε a second time. Filling the cache in the ledger's map order
+// kept a random subset.
+func TestRestartKeepsNewestReplies(t *testing.T) {
+	const sent = 1100
+	dir := t.TempDir()
+	led1 := openLedger(t, dir)
+	s1, ts1 := ledgerServer(t, led1, math.Inf(1), math.Inf(1))
+	kept := s1.idem.capacity
+	if sent <= kept {
+		t.Fatalf("%d replies fit the %d-entry cache; the test needs more", sent, kept)
+	}
+	keyed := func(i int) QueryRequest {
+		return QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count",
+			Epsilon: 0.01, IdempotencyKey: fmt.Sprintf("newest-%d", i)}
+	}
+	bodies := make([][]byte, sent)
+	for i := range bodies {
+		resp, body := postV1(t, ts1.URL+"/v1/query", keyed(i), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("keyed charge %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		bodies[i] = body
+	}
+	ts1.Close()
+	led1.Close()
+
+	led2 := openLedger(t, dir)
+	defer led2.Close()
+	s2, ts2 := ledgerServer(t, led2, math.Inf(1), math.Inf(1))
+	spent := s2.datasets["hotspot"].policy.TotalSpent()
+	for i := sent - kept; i < sent; i++ {
+		resp, body := postV1(t, ts2.URL+"/v1/query", keyed(i), nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies[i]) {
+			t.Fatalf("key %d of the newest %d did not replay: status %d\n pre: %s\npost: %s",
+				i, kept, resp.StatusCode, bodies[i], body)
+		}
+	}
+	if got := s2.datasets["hotspot"].policy.TotalSpent(); got != spent {
+		t.Fatalf("replays of the newest keys charged ε: spent %v -> %v", spent, got)
 	}
 }
 

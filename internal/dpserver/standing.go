@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -254,21 +253,13 @@ func isBudgetExceeded(err error) bool {
 }
 
 // restoreStanding re-installs a dataset's persisted standing queries in
-// registration (ledger seq) order. Called from registerDataset's
-// restore path, under s.mu; the registry has its own lock.
+// registration (ledger seq) order. Called from addDataset and from
+// promotion, under s.mu; the registry has its own lock.
 func (s *Server) restoreStanding(name string) {
 	if s.ledger == nil {
 		return
 	}
-	state := s.ledger.State()
-	var entries []*ledger.StandingState
-	for _, st := range state.Standing {
-		if st.Dataset == name {
-			entries = append(entries, st)
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Seq < entries[j].Seq })
-	for _, st := range entries {
+	for _, st := range s.ledger.Standing(name) {
 		results := make([]standing.Result, 0, len(st.Windows))
 		for _, w := range st.Windows {
 			results = append(results, standing.Result{

@@ -2,12 +2,14 @@ package ledger
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -426,10 +428,11 @@ func decodeSnapshotState(ev *Event) (*State, error) {
 	return st, nil
 }
 
-// State returns the ledger's folded state. Read it during startup
-// restoration, before concurrent Appends begin: the same object is
-// updated in place by Append. Code that can run beside appends — a
-// follower's replicated stream never stops — reads through Dataset.
+// State returns the ledger's folded state. The same object is updated
+// in place by every append, so read it only where none can run (tools,
+// tests, a sealed follower's promotion check); a server, whose spends
+// and follower stream may run at any time, reads through the locked
+// accessors below.
 func (l *Ledger) State() *State { return l.state }
 
 // Dataset returns a copy of one dataset's folded state, taken under
@@ -444,6 +447,47 @@ func (l *Ledger) Dataset(name string) (DatasetState, bool) {
 	out := *ds
 	out.Spent = maps.Clone(ds.Spent)
 	return out, true
+}
+
+// Audit returns the folded audit trail, oldest first, taken under the
+// ledger lock. AppendAudit never overwrites an entry, so the slice
+// shares the fold's array instead of copying up to AuditCap records,
+// and stays valid beside later appends; callers must not modify it.
+func (l *Ledger) Audit() []AuditRecord {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clip(l.state.Audit)
+}
+
+// Replies returns copies of the stored idempotent replies, taken under
+// the ledger lock, oldest expiry first: the order a bounded cache must
+// be filled in for the newest replies to survive.
+func (l *Ledger) Replies() []IdemRecord {
+	l.mu.Lock()
+	out := make([]IdemRecord, 0, len(l.state.Idem))
+	for _, rec := range l.state.Idem {
+		out = append(out, *rec)
+	}
+	l.mu.Unlock()
+	slices.SortFunc(out, func(a, b IdemRecord) int { return cmp.Compare(a.Expires, b.Expires) })
+	return out
+}
+
+// Standing returns copies of one dataset's standing-query states, taken
+// under the ledger lock, in registration (Seq) order.
+func (l *Ledger) Standing(dataset string) []StandingState {
+	l.mu.Lock()
+	var out []StandingState
+	for _, st := range l.state.Standing {
+		if st.Dataset == dataset {
+			c := *st
+			c.Windows = slices.Clone(st.Windows)
+			out = append(out, c)
+		}
+	}
+	l.mu.Unlock()
+	slices.SortFunc(out, func(a, b StandingState) int { return cmp.Compare(a.Seq, b.Seq) })
+	return out
 }
 
 // Recovery reports what Open reconstructed.

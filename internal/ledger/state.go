@@ -19,7 +19,7 @@ type State struct {
 	Seq      uint64                   `json:"seq"`
 	Datasets map[string]*DatasetState `json:"datasets,omitempty"`
 	// Audit is the persisted audit trail, oldest first, bounded by
-	// AuditCap with the same drop-oldest-half policy as the live log.
+	// AuditCap through AppendAudit.
 	Audit []AuditRecord `json:"audit,omitempty"`
 	// Idem maps idemKeyString() to stored idempotent replies.
 	Idem map[string]*IdemRecord `json:"idem,omitempty"`
@@ -134,9 +134,20 @@ const (
 	StandingCanceled  = "canceled"
 )
 
-// AuditCap bounds the audit trail, in the fold and in the server's live
-// log alike: past it, the oldest half is dropped.
+// AuditCap bounds the audit trail, in the fold and in a ledger-less
+// server's own trail alike: past it, the oldest half is dropped.
 const AuditCap = 10000
+
+// AppendAudit appends rec to trail, first dropping the oldest half when
+// the trail holds AuditCap entries. The kept half moves to a new array,
+// so an appended entry is never overwritten: a slice of the trail taken
+// earlier stays readable beside later appends (see Ledger.Audit).
+func AppendAudit(trail []AuditRecord, rec AuditRecord) []AuditRecord {
+	if len(trail) >= AuditCap {
+		trail = append(make([]AuditRecord, 0, AuditCap), trail[len(trail)-AuditCap/2:]...)
+	}
+	return append(trail, rec)
+}
 
 // NewState returns an empty state.
 func NewState() *State {
@@ -193,12 +204,7 @@ func (s *State) Apply(ev *Event) error {
 		}
 
 	case EventRefusal, EventAudit:
-		if len(s.Audit) >= AuditCap {
-			keep := AuditCap / 2
-			copy(s.Audit, s.Audit[len(s.Audit)-keep:])
-			s.Audit = s.Audit[:keep]
-		}
-		s.Audit = append(s.Audit, AuditRecord{
+		s.Audit = AppendAudit(s.Audit, AuditRecord{
 			Time: ev.Time, Analyst: ev.Analyst, Dataset: ev.Dataset,
 			Query: ev.Query, Epsilon: ev.Epsilon, Charged: ev.Charged,
 			Outcome: ev.Outcome,

@@ -1,6 +1,6 @@
 // Package obs is the system's self-instrumentation layer: a
-// dependency-free metrics registry (counters, gauges, fixed-bucket
-// histograms) with JSON and Prometheus-text exposition, a lightweight
+// dependency-free metrics registry (counters, live gauges, fixed-bucket
+// histograms) with Prometheus-text exposition, a lightweight
 // span abstraction for per-query traces, and the Recorder interface
 // the DP engine reports through.
 //
@@ -14,7 +14,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -39,8 +38,6 @@ func (f *atomicFloat) Add(v float64) {
 	}
 }
 
-func (f *atomicFloat) Set(v float64) { f.bits.Store(math.Float64bits(v)) }
-
 func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // Counter is a monotonically increasing value.
@@ -62,20 +59,6 @@ func (c *Counter) Add(v float64) {
 
 // Value reports the current total.
 func (c *Counter) Value() float64 { return c.v.Load() }
-
-// Gauge is a value that can move both ways.
-type Gauge struct {
-	v atomicFloat
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.v.Set(v) }
-
-// Add shifts the gauge by v (may be negative).
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return g.v.Load() }
 
 // Histogram counts observations into fixed buckets (cumulative "le"
 // semantics on export, like Prometheus). Bounds are upper edges in
@@ -169,83 +152,6 @@ func (k metricKey) String() string {
 	return k.name + "{" + k.labels + "}"
 }
 
-// labelMap re-parses the canonical label string for JSON snapshots.
-func (k metricKey) labelMap() map[string]string {
-	if k.labels == "" {
-		return nil
-	}
-	out := make(map[string]string)
-	for _, pair := range splitLabelPairs(k.labels) {
-		eq := strings.IndexByte(pair, '=')
-		if eq < 0 {
-			continue
-		}
-		val := pair[eq+1:]
-		if s, err := unquoteLabel(val); err == nil {
-			val = s
-		}
-		out[pair[:eq]] = val
-	}
-	return out
-}
-
-// splitLabelPairs splits `a="x",b="y"` on commas outside quotes.
-func splitLabelPairs(s string) []string {
-	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(out, s[start:])
-}
-
-// unquoteLabel reverses escapeLabel in a single pass, so values like
-// `a\nb` (an escaped backslash followed by "nb") round-trip exactly —
-// sequential ReplaceAll would corrupt them.
-func unquoteLabel(s string) (string, error) {
-	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
-		return s, fmt.Errorf("obs: not quoted")
-	}
-	s = s[1 : len(s)-1]
-	if !strings.ContainsRune(s, '\\') {
-		return s, nil
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] != '\\' {
-			b.WriteByte(s[i])
-			continue
-		}
-		i++
-		if i >= len(s) {
-			return "", fmt.Errorf("obs: trailing backslash in label value")
-		}
-		switch s[i] {
-		case '\\':
-			b.WriteByte('\\')
-		case '"':
-			b.WriteByte('"')
-		case 'n':
-			b.WriteByte('\n')
-		default:
-			return "", fmt.Errorf("obs: invalid escape \\%c in label value", s[i])
-		}
-	}
-	return b.String(), nil
-}
-
 // Registry holds a process- or server-scoped set of metrics. Lookups
 // create on first use, so call sites just name what they record:
 //
@@ -256,7 +162,6 @@ func unquoteLabel(s string) (string, error) {
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[metricKey]*Counter
-	gauges     map[metricKey]*Gauge
 	gaugeFuncs map[metricKey]func() float64
 	hists      map[metricKey]*Histogram
 }
@@ -265,7 +170,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[metricKey]*Counter),
-		gauges:     make(map[metricKey]*Gauge),
 		gaugeFuncs: make(map[metricKey]func() float64),
 		hists:      make(map[metricKey]*Histogram),
 	}
@@ -289,25 +193,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge for name+labels, creating it if needed.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	k := makeKey(name, labels)
-	r.mu.RLock()
-	g, ok := r.gauges[k]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[k]; !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
-}
-
-// GaugeFunc registers a live gauge whose value is read at snapshot
+// GaugeFunc registers a live gauge whose value is read at scrape
 // time — the natural shape for budget totals that already live behind
 // a policy's mutex. Re-registering the same name+labels replaces f.
 func (r *Registry) GaugeFunc(name string, f func() float64, labels ...string) {
@@ -342,88 +228,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	return h
 }
 
-// MetricPoint is one scalar metric in a Snapshot.
-type MetricPoint struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`
-}
-
-// HistogramPoint is one histogram in a Snapshot. Bucket counts are
-// cumulative (Prometheus "le" semantics); the final count covers +Inf.
-type HistogramPoint struct {
-	Name    string            `json:"name"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Bounds  []float64         `json:"bounds"`
-	Buckets []uint64          `json:"buckets"`
-	Count   uint64            `json:"count"`
-	Sum     float64           `json:"sum"`
-}
-
-// Snapshot is a point-in-time copy of every metric, ordered by name
-// for stable output.
-type Snapshot struct {
-	Counters   []MetricPoint    `json:"counters"`
-	Gauges     []MetricPoint    `json:"gauges"`
-	Histograms []HistogramPoint `json:"histograms"`
-}
-
-// Snapshot copies the registry's current state.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	counterKeys := sortedKeys(r.counters)
-	gaugeKeys := sortedKeys(r.gauges)
-	funcKeys := sortedKeys(r.gaugeFuncs)
-	histKeys := sortedKeys(r.hists)
-
-	var snap Snapshot
-	for _, k := range counterKeys {
-		snap.Counters = append(snap.Counters, MetricPoint{
-			Name: k.name, Labels: k.labelMap(), Value: r.counters[k].Value(),
-		})
-	}
-	for _, k := range gaugeKeys {
-		snap.Gauges = append(snap.Gauges, MetricPoint{
-			Name: k.name, Labels: k.labelMap(), Value: r.gauges[k].Value(),
-		})
-	}
-	funcs := make([]func() float64, len(funcKeys))
-	for i, k := range funcKeys {
-		funcs[i] = r.gaugeFuncs[k]
-	}
-	for _, k := range histKeys {
-		h := r.hists[k]
-		hp := HistogramPoint{
-			Name: k.name, Labels: k.labelMap(),
-			Bounds: append([]float64(nil), h.bounds...),
-			Count:  h.Count(), Sum: h.Sum(),
-		}
-		cum := uint64(0)
-		for i := range h.counts {
-			cum += h.counts[i].Load()
-			hp.Buckets = append(hp.Buckets, cum)
-		}
-		snap.Histograms = append(snap.Histograms, hp)
-	}
-	r.mu.RUnlock()
-
-	// Live gauges are read outside the registry lock: their closures
-	// may take other locks (budget policies) and must not deadlock
-	// against concurrent registrations.
-	for i, k := range funcKeys {
-		snap.Gauges = append(snap.Gauges, MetricPoint{
-			Name: k.name, Labels: k.labelMap(), Value: funcs[i](),
-		})
-	}
-	sort.Slice(snap.Gauges, func(i, j int) bool {
-		if snap.Gauges[i].Name != snap.Gauges[j].Name {
-			return snap.Gauges[i].Name < snap.Gauges[j].Name
-		}
-		return fmt.Sprint(snap.Gauges[i].Labels) < fmt.Sprint(snap.Gauges[j].Labels)
-	})
-	return snap
-}
-
 func sortedKeys[V any](m map[metricKey]V) []metricKey {
 	keys := make([]metricKey, 0, len(m))
 	for k := range m {
@@ -438,29 +242,17 @@ func sortedKeys[V any](m map[metricKey]V) []metricKey {
 	return keys
 }
 
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
 // WritePrometheus writes the registry in the Prometheus text
 // exposition format (version 0.0.4): one # TYPE line per metric
 // family, histograms as cumulative _bucket/_sum/_count series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	counterKeys := sortedKeys(r.counters)
-	gaugeKeys := sortedKeys(r.gauges)
 	funcKeys := sortedKeys(r.gaugeFuncs)
 	histKeys := sortedKeys(r.hists)
 	counters := make([]float64, len(counterKeys))
 	for i, k := range counterKeys {
 		counters[i] = r.counters[k].Value()
-	}
-	gauges := make([]float64, len(gaugeKeys))
-	for i, k := range gaugeKeys {
-		gauges[i] = r.gauges[k].Value()
 	}
 	funcs := make([]func() float64, len(funcKeys))
 	for i, k := range funcKeys {
@@ -497,17 +289,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	writeFamily(counterKeys, "counter", func(i int) float64 { return counters[i] })
-	writeFamily(gaugeKeys, "gauge", func(i int) float64 { return gauges[i] })
-	// Live gauges read outside the lock, same reason as Snapshot.
+	// Live gauges are read outside the registry lock: their closures
+	// may take other locks (budget policies) and must not deadlock
+	// against concurrent registrations.
+	writeFamily(funcKeys, "gauge", func(i int) float64 { return funcs[i]() })
 	lastName := ""
-	for i, k := range funcKeys {
-		if k.name != lastName {
-			fmt.Fprintf(&b, "# TYPE %s gauge\n", k.name)
-			lastName = k.name
-		}
-		fmt.Fprintf(&b, "%s %s\n", k.String(), formatValue(funcs[i]()))
-	}
-	lastName = ""
 	for i, k := range histKeys {
 		if k.name != lastName {
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", k.name)

@@ -1,12 +1,22 @@
 package obs
 
 import (
-	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// scrape renders reg in the Prometheus text format.
+func scrape(t *testing.T, reg *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
 
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := NewRegistry()
@@ -24,23 +34,19 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatal("different labels should return a different counter")
 	}
 
-	g := reg.Gauge("depth")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %v, want 5", got)
-	}
-
-	reg.GaugeFunc("live", func() float64 { return 42 })
-	snap := reg.Snapshot()
-	found := false
-	for _, p := range snap.Gauges {
-		if p.Name == "live" && p.Value == 42 {
-			found = true
+	depth := 7.0
+	reg.GaugeFunc("depth", func() float64 { return depth })
+	depth -= 2 // read at scrape time, not at registration
+	reg.GaugeFunc("live", func() float64 { return 41 })
+	reg.GaugeFunc("live", func() float64 { return 42 }) // replaces the first
+	out := scrape(t, reg)
+	for _, want := range []string{"# TYPE depth gauge\ndepth 5\n", "# TYPE live gauge\nlive 42\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q\ngot:\n%s", want, out)
 		}
 	}
-	if !found {
-		t.Fatalf("gauge func missing from snapshot: %+v", snap.Gauges)
+	if strings.Contains(out, "live 41") {
+		t.Errorf("re-registered gauge func kept its old value:\n%s", out)
 	}
 }
 
@@ -56,18 +62,17 @@ func TestHistogramBuckets(t *testing.T) {
 	if math.Abs(h.Sum()-55.65) > 1e-9 {
 		t.Fatalf("sum = %v, want 55.65", h.Sum())
 	}
-	snap := reg.Snapshot()
-	if len(snap.Histograms) != 1 {
-		t.Fatalf("histograms = %d, want 1", len(snap.Histograms))
-	}
-	hp := snap.Histograms[0]
 	// Cumulative: ≤0.1 holds 2 (0.05 and the boundary 0.1), ≤1 holds
 	// 3, ≤10 holds 4, +Inf holds all 5.
-	want := []uint64{2, 3, 4, 5}
-	for i, w := range want {
-		if hp.Buckets[i] != w {
-			t.Fatalf("bucket[%d] = %d, want %d (all: %v)", i, hp.Buckets[i], w, hp.Buckets)
-		}
+	want := `latency_bucket{le="0.1"} 2
+latency_bucket{le="1"} 3
+latency_bucket{le="10"} 4
+latency_bucket{le="+Inf"} 5
+latency_sum 55.65
+latency_count 5
+`
+	if out := scrape(t, reg); !strings.Contains(out, want) {
+		t.Fatalf("exposition missing\n%s\ngot:\n%s", want, out)
 	}
 }
 
@@ -75,15 +80,11 @@ func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("dp_agg_total", "agg", "count", "outcome", "ok").Add(4)
 	reg.Counter("dp_agg_total", "agg", "count", "outcome", "refused").Inc()
-	reg.Gauge("dp_budget_spent", "dataset", "hotspot").Set(1.5)
+	reg.GaugeFunc("dp_budget_spent", func() float64 { return 1.5 }, "dataset", "hotspot")
 	reg.GaugeFunc("dp_budget_remaining", func() float64 { return math.Inf(1) }, "dataset", "hotspot")
 	reg.Histogram("req_seconds", []float64{0.5}, "endpoint", "/query").Observe(0.25)
 
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := scrape(t, reg)
 	for _, want := range []string{
 		"# TYPE dp_agg_total counter",
 		`dp_agg_total{agg="count",outcome="ok"} 4`,
@@ -107,25 +108,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("a_total", "k", `odd"value`+"\n").Inc()
-	var b strings.Builder
-	if err := reg.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(b.String()), &snap); err != nil {
-		t.Fatalf("snapshot JSON invalid: %v\n%s", err, b.String())
-	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Value != 1 {
-		t.Fatalf("bad counters: %+v", snap.Counters)
-	}
-	if snap.Counters[0].Labels["k"] == "" {
-		t.Fatalf("label lost: %+v", snap.Counters[0].Labels)
-	}
-}
-
 func TestRegistryConcurrency(t *testing.T) {
 	reg := NewRegistry()
 	var wg sync.WaitGroup
@@ -135,25 +117,25 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				reg.Counter("c_total", "g", itoa(g%2)).Inc()
-				reg.Gauge("g").Add(1)
+				reg.GaugeFunc("g", func() float64 { return float64(g) }, "g", itoa(g))
 				reg.Histogram("h", []float64{1, 2}).Observe(float64(i % 3))
 				if i%100 == 0 {
-					reg.Snapshot()
+					if err := reg.WritePrometheus(io.Discard); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	snap := reg.Snapshot()
-	total := 0.0
-	for _, c := range snap.Counters {
-		total += c.Value
-	}
-	if total != 8000 {
+	if total := reg.Counter("c_total", "g", "0").Value() + reg.Counter("c_total", "g", "1").Value(); total != 8000 {
 		t.Fatalf("counter total = %v, want 8000", total)
 	}
-	if snap.Histograms[0].Count != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", snap.Histograms[0].Count)
+	if n := reg.Histogram("h", nil).Count(); n != 8000 {
+		t.Fatalf("histogram count = %d, want 8000", n)
+	}
+	if n := strings.Count(scrape(t, reg), "\ng{g="); n != 8 {
+		t.Fatalf("%d gauge series, want 8", n)
 	}
 }
 
@@ -204,7 +186,8 @@ func TestMultiRecorder(t *testing.T) {
 
 // TestLabelEscapingRoundTrip pins the Prometheus text exposition
 // escaping rules — backslash, double-quote, and line feed escaped
-// exactly once — and that labelMap recovers the original value.
+// exactly once — and that reading the escapes back out of the
+// exposition recovers the original value.
 func TestLabelEscapingRoundTrip(t *testing.T) {
 	values := []string{
 		`plain`,
@@ -221,22 +204,21 @@ func TestLabelEscapingRoundTrip(t *testing.T) {
 		reg := NewRegistry()
 		reg.Counter("m_total", "k", v).Inc()
 
-		var b strings.Builder
-		if err := reg.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
+		out := scrape(t, reg)
 		line := ""
-		for _, l := range strings.Split(b.String(), "\n") {
+		for _, l := range strings.Split(out, "\n") {
 			if strings.HasPrefix(l, "m_total{") {
 				line = l
 			}
 		}
 		if line == "" {
-			t.Fatalf("no sample line for %q:\n%s", v, b.String())
+			t.Fatalf("no sample line for %q:\n%s", v, out)
 		}
 		// The exposition value must contain no raw quote, backslash, or
-		// newline inside the quoted label (only escape sequences).
+		// newline inside the quoted label (only escape sequences), and
+		// undoing those escapes in one pass must give back the value.
 		inner := strings.TrimSuffix(strings.TrimPrefix(line, `m_total{k="`), `"} 1`)
+		var got strings.Builder
 		for i := 0; i < len(inner); i++ {
 			switch inner[i] {
 			case '\n':
@@ -245,18 +227,24 @@ func TestLabelEscapingRoundTrip(t *testing.T) {
 				t.Errorf("unescaped quote in exposition of %q: %q", v, inner)
 			case '\\':
 				i++ // escape sequence: consumes the next byte
-				if i >= len(inner) || (inner[i] != '\\' && inner[i] != '"' && inner[i] != 'n') {
+				if i >= len(inner) {
+					t.Errorf("trailing backslash in exposition of %q: %q", v, inner)
+					continue
+				}
+				switch inner[i] {
+				case '\\', '"':
+					got.WriteByte(inner[i])
+				case 'n':
+					got.WriteByte('\n')
+				default:
 					t.Errorf("bad escape in exposition of %q: %q", v, inner)
 				}
+				continue
 			}
+			got.WriteByte(inner[i])
 		}
-		// And the canonical key must decode back to the original value.
-		snap := reg.Snapshot()
-		if len(snap.Counters) != 1 {
-			t.Fatalf("counters = %+v", snap.Counters)
-		}
-		if got := snap.Counters[0].Labels["k"]; got != v {
-			t.Errorf("round trip: got %q, want %q (line %q)", got, v, line)
+		if got.String() != v {
+			t.Errorf("round trip: got %q, want %q (line %q)", got.String(), v, line)
 		}
 	}
 }
@@ -267,7 +255,7 @@ func TestEscapeLabelDistinctValues(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("m_total", "k", `a\nb`).Inc()
 	reg.Counter("m_total", "k", "a\nb").Inc()
-	if got := len(reg.Snapshot().Counters); got != 2 {
+	if got := strings.Count(scrape(t, reg), "\nm_total{"); got != 2 {
 		t.Fatalf("distinct values collided: %d instances", got)
 	}
 }

@@ -88,9 +88,6 @@ func NewMetricsRecorder(reg *Registry) *MetricsRecorder {
 	return &MetricsRecorder{reg: reg}
 }
 
-// Registry returns the backing registry.
-func (m *MetricsRecorder) Registry() *Registry { return m.reg }
-
 // OpDone implements Recorder.
 func (m *MetricsRecorder) OpDone(op string, d time.Duration, in, out, workers int) {
 	m.reg.Histogram("dp_op_duration_seconds", DurationBuckets(), "op", op).Observe(d.Seconds())

@@ -45,7 +45,8 @@ func checkBuckets(buckets []int64) error {
 // "incredibly high" in error; use CDF2 or CDF3 instead.
 //
 // The returned slice has one cumulative count per bucket edge:
-// out[i] ≈ #records with value < buckets[i].
+// out[i] ≈ #records with value < buckets[i]. Each edge is counted
+// through a fused Stream, so no record is copied per edge.
 func CDF1[T any](q *core.Queryable[T], epsilon float64, value func(T) int64, buckets []int64) ([]float64, error) {
 	if err := checkBuckets(buckets); err != nil {
 		return nil, err
@@ -53,7 +54,7 @@ func CDF1[T any](q *core.Queryable[T], epsilon float64, value func(T) int64, buc
 	out := make([]float64, len(buckets))
 	for i, x := range buckets {
 		edge := x
-		c, err := q.Where(func(r T) bool { return value(r) < edge }).NoisyCount(epsilon)
+		c, err := q.Stream().Where(func(r T) bool { return value(r) < edge }).NoisyCount(epsilon)
 		if err != nil {
 			return nil, fmt.Errorf("toolkit: CDF1 bucket %d: %w", i, err)
 		}
