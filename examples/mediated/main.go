@@ -21,6 +21,7 @@ import (
 
 	"dptrace/internal/dpclient"
 	"dptrace/internal/dpserver"
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/noise"
 	"dptrace/internal/tracegen"
 )
@@ -45,18 +46,19 @@ func main() {
 	// ---- Alice's side: the typed analyst client ----
 	alice := dpclient.New(ts.URL, "alice", dpclient.WithTimeout(10*time.Second))
 	port80 := 80
-	webFilter := &dpserver.Filter{DstPort: &port80}
+	webFilter := &api.Filter{DstPort: &port80}
 
 	fmt.Println("alice studies web traffic:")
-	count, err := alice.Count(ctx, "hotspot", 0.1, webFilter)
+	count, err := alice.Query(ctx, api.QueryRequest{Dataset: "hotspot", Query: "count", Epsilon: 0.1, Filter: webFilter})
 	must(err)
-	fmt.Printf("  port-80 packets ≈ %.0f\n", count)
+	fmt.Printf("  port-80 packets ≈ %.0f\n", count.Values[0])
 
-	hosts, err := alice.Hosts(ctx, "hotspot", 0.1, webFilter, 1024)
+	hosts, err := alice.Query(ctx, api.QueryRequest{Dataset: "hotspot", Query: "hosts", Epsilon: 0.1,
+		Filter: webFilter, MinBytes: 1024})
 	must(err)
-	fmt.Printf("  heavy web hosts ≈ %.0f\n", hosts)
+	fmt.Printf("  heavy web hosts ≈ %.0f\n", hosts.Values[0])
 
-	lens, err := alice.LengthCDF(ctx, "hotspot", 0.1, 16)
+	lens, err := alice.Query(ctx, api.QueryRequest{Dataset: "hotspot", Query: "lencdf", Epsilon: 0.1, BucketStep: 16})
 	must(err)
 	fmt.Printf("  length CDF: %d points, noise std %.1f per bucket\n",
 		len(lens.Values), lens.NoiseStd)
@@ -66,13 +68,13 @@ func main() {
 	fmt.Printf("  alice's budget: spent %.2f, %.2f left\n", spent, remaining)
 
 	// The next query exceeds her per-analyst cap: a typed refusal.
-	if _, err := alice.Count(ctx, "hotspot", 0.2, nil); errors.Is(err, dpclient.ErrBudgetExceeded) {
+	if _, err := alice.Query(ctx, api.QueryRequest{Dataset: "hotspot", Query: "count", Epsilon: 0.2}); errors.Is(err, dpclient.ErrBudgetExceeded) {
 		fmt.Printf("  refused: %v\n", err)
 	}
 
 	// ---- Bob has his own allowance within the shared total ----
 	bob := dpclient.New(ts.URL, "bob")
-	rtts, err := bob.RTTCDF(ctx, "hotspot", 0.1, 10)
+	rtts, err := bob.Query(ctx, api.QueryRequest{Dataset: "hotspot", Query: "rttcdf", Epsilon: 0.1, BucketStep: 10})
 	must(err)
 	fmt.Printf("bob's RTT CDF: %d points (cost 0.2: the join charges twice)\n", len(rtts.Values))
 

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dptrace/internal/dpserver"
 	"dptrace/internal/dpserver/api"
 	"dptrace/internal/obs"
 	"dptrace/internal/obs/qlog"
@@ -150,8 +149,8 @@ var randRead = rand.Read
 var fallbackKeyCounter atomic.Uint64
 
 // NewIdempotencyKey returns a fresh random key for at-most-once
-// queries. Query, LoadMatrix and MonitorAverages call it automatically
-// when the request carries none; set your own to deduplicate across
+// queries. Query and Explain call it automatically when the request
+// carries none; set your own to deduplicate across
 // client instances or process restarts.
 //
 // If crypto/rand fails (it essentially never does on a healthy OS),
@@ -240,7 +239,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, hea
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		if ms := time.Until(deadline).Milliseconds(); ms > 0 {
-			req.Header.Set(dpserver.TimeoutHeader, strconv.FormatInt(ms, 10))
+			req.Header.Set(api.TimeoutHeader, strconv.FormatInt(ms, 10))
 		}
 	}
 	resp, err := c.http.Do(req)
@@ -299,11 +298,12 @@ type Result struct {
 	Profile *obs.Profile
 }
 
-// Query runs one raw query (see dpserver.QueryRequest for fields); the
+// Query runs one query: any kind the server's kind table declares
+// (dpserver.PacketKinds), with the fields of api.QueryRequest. The
 // analyst field is filled in by the client, and an idempotency key is
 // attached when the request carries none so retries spend ε at most
 // once.
-func (c *Client) Query(ctx context.Context, req dpserver.QueryRequest) (*Result, error) {
+func (c *Client) Query(ctx context.Context, req api.QueryRequest) (*Result, error) {
 	return c.query(ctx, req, nil)
 }
 
@@ -311,11 +311,11 @@ func (c *Client) Query(ctx context.Context, req dpserver.QueryRequest) (*Result,
 // additionally carries the server's execution profile — the operator
 // plan, timings, strategies, and per-aggregation ε accounting.
 // Explaining is free; the budget charge is identical to Query.
-func (c *Client) Explain(ctx context.Context, req dpserver.QueryRequest) (*Result, error) {
-	return c.query(ctx, req, map[string]string{dpserver.ExplainHeader: "true"})
+func (c *Client) Explain(ctx context.Context, req api.QueryRequest) (*Result, error) {
+	return c.query(ctx, req, map[string]string{api.ExplainHeader: "true"})
 }
 
-func (c *Client) query(ctx context.Context, req dpserver.QueryRequest, headers map[string]string) (*Result, error) {
+func (c *Client) query(ctx context.Context, req api.QueryRequest, headers map[string]string) (*Result, error) {
 	req.Analyst = c.analyst
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = NewIdempotencyKey()
@@ -328,7 +328,7 @@ func (c *Client) query(ctx context.Context, req dpserver.QueryRequest, headers m
 	if err != nil {
 		return nil, err
 	}
-	var qr dpserver.QueryResponse
+	var qr api.QueryResponse
 	if err := json.Unmarshal(out, &qr); err != nil {
 		return nil, fmt.Errorf("dpclient: decoding response: %w", err)
 	}
@@ -336,85 +336,6 @@ func (c *Client) query(ctx context.Context, req dpserver.QueryRequest, headers m
 		Values: qr.Values, Buckets: qr.Buckets, NoiseStd: qr.NoiseStd,
 		Spent: qr.Spent, Remaining: qr.Remaining, Profile: qr.Profile,
 	}, nil
-}
-
-// Count returns a noisy packet count at epsilon, optionally filtered.
-func (c *Client) Count(ctx context.Context, dataset string, epsilon float64, filter *dpserver.Filter) (float64, error) {
-	r, err := c.Query(ctx, dpserver.QueryRequest{
-		Dataset: dataset, Query: "count", Epsilon: epsilon, Filter: filter,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return r.Values[0], nil
-}
-
-// Hosts returns the noisy number of distinct source hosts sending
-// more than minBytes bytes (the paper's §2.3 query).
-func (c *Client) Hosts(ctx context.Context, dataset string, epsilon float64, filter *dpserver.Filter, minBytes int) (float64, error) {
-	r, err := c.Query(ctx, dpserver.QueryRequest{
-		Dataset: dataset, Query: "hosts", Epsilon: epsilon,
-		Filter: filter, MinBytes: minBytes,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return r.Values[0], nil
-}
-
-// LengthQuantile returns a noisy packet-length quantile at the given
-// rank fraction (0.5 = median), served from the engine's fused
-// streaming path over a mergeable rank sketch. sketchEps sets the
-// sketch's rank-accuracy target; 0 selects the server default.
-func (c *Client) LengthQuantile(ctx context.Context, dataset string, epsilon, fraction, sketchEps float64, filter *dpserver.Filter) (float64, error) {
-	r, err := c.Query(ctx, dpserver.QueryRequest{
-		Dataset: dataset, Query: "lenquantile", Epsilon: epsilon,
-		Fraction: fraction, SketchEps: sketchEps, Filter: filter,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return r.Values[0], nil
-}
-
-// SourceFrequency returns the noisy approximate number of packets sent
-// by the source IP key (dotted form, e.g. "10.0.0.1"), from a
-// count-min sketch built on the fused path.
-func (c *Client) SourceFrequency(ctx context.Context, dataset string, epsilon float64, key string, filter *dpserver.Filter) (float64, error) {
-	r, err := c.Query(ctx, dpserver.QueryRequest{
-		Dataset: dataset, Query: "srcfreq", Epsilon: epsilon,
-		Key: key, Filter: filter,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return r.Values[0], nil
-}
-
-// DistinctSources returns the noisy approximate number of distinct
-// source IPs, from HLL-style registers that see each source once.
-func (c *Client) DistinctSources(ctx context.Context, dataset string, epsilon float64, filter *dpserver.Filter) (float64, error) {
-	r, err := c.Query(ctx, dpserver.QueryRequest{
-		Dataset: dataset, Query: "distinctsrc", Epsilon: epsilon, Filter: filter,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return r.Values[0], nil
-}
-
-// LengthCDF returns the packet-length CDF at the given bucket step.
-func (c *Client) LengthCDF(ctx context.Context, dataset string, epsilon float64, bucketStep int64) (*Result, error) {
-	return c.Query(ctx, dpserver.QueryRequest{
-		Dataset: dataset, Query: "lencdf", Epsilon: epsilon, BucketStep: bucketStep,
-	})
-}
-
-// RTTCDF returns the handshake-RTT CDF in milliseconds.
-func (c *Client) RTTCDF(ctx context.Context, dataset string, epsilon float64, bucketStepMs int64) (*Result, error) {
-	return c.Query(ctx, dpserver.QueryRequest{
-		Dataset: dataset, Query: "rttcdf", Epsilon: epsilon, BucketStep: bucketStepMs,
-	})
 }
 
 // Budget reports the analyst's spent and remaining allowance on a
@@ -436,12 +357,12 @@ func (c *Client) Budget(ctx context.Context, dataset string) (spent, remaining f
 // Datasets lists the server's hosted datasets with their sizes and
 // every analyst's usage. It is an owner-side route (see the dpserver
 // package docs), for the data owner's tooling rather than analysts.
-func (c *Client) Datasets(ctx context.Context) ([]dpserver.DatasetInfo, error) {
+func (c *Client) Datasets(ctx context.Context) ([]api.DatasetInfo, error) {
 	out, err := c.call(ctx, http.MethodGet, "/v1/datasets", nil)
 	if err != nil {
 		return nil, err
 	}
-	var infos []dpserver.DatasetInfo
+	var infos []api.DatasetInfo
 	if err := json.Unmarshal(out, &infos); err != nil {
 		return nil, fmt.Errorf("dpclient: decoding datasets: %w", err)
 	}
@@ -449,12 +370,12 @@ func (c *Client) Datasets(ctx context.Context) ([]dpserver.DatasetInfo, error) {
 }
 
 // Health fetches the server's GET /healthz status.
-func (c *Client) Health(ctx context.Context) (*dpserver.HealthStatus, error) {
+func (c *Client) Health(ctx context.Context) (*api.HealthStatus, error) {
 	out, err := c.call(ctx, http.MethodGet, "/v1/healthz", nil)
 	if err != nil {
 		return nil, err
 	}
-	var hs dpserver.HealthStatus
+	var hs api.HealthStatus
 	if err := json.Unmarshal(out, &hs); err != nil {
 		return nil, fmt.Errorf("dpclient: decoding healthz: %w", err)
 	}
@@ -532,48 +453,4 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 		return "", err
 	}
 	return string(out), nil
-}
-
-// LoadMatrix extracts the noisy link×bin count matrix from a hosted
-// link trace (one ε total). Data is row-major with rows = bins. The
-// call is idempotent under retries.
-func (c *Client) LoadMatrix(ctx context.Context, dataset string, epsilon float64) (*api.MatrixResponse, error) {
-	body, err := json.Marshal(api.MatrixRequest{
-		Analyst: c.analyst, Dataset: dataset, Epsilon: epsilon,
-		IdempotencyKey: NewIdempotencyKey(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dpclient: encoding request: %w", err)
-	}
-	out, err := c.call(ctx, http.MethodPost, "/v1/query/loadmatrix", body)
-	if err != nil {
-		return nil, err
-	}
-	var mr api.MatrixResponse
-	if err := json.Unmarshal(out, &mr); err != nil {
-		return nil, fmt.Errorf("dpclient: decoding matrix: %w", err)
-	}
-	return &mr, nil
-}
-
-// MonitorAverages fetches per-monitor noisy average hop counts from a
-// hosted hop trace (one ε total via Partition max-accounting). The
-// call is idempotent under retries.
-func (c *Client) MonitorAverages(ctx context.Context, dataset string, epsilon, maxHops float64) ([]float64, error) {
-	body, err := json.Marshal(api.HopAveragesRequest{
-		Analyst: c.analyst, Dataset: dataset, Epsilon: epsilon, MaxHops: maxHops,
-		IdempotencyKey: NewIdempotencyKey(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dpclient: encoding request: %w", err)
-	}
-	out, err := c.call(ctx, http.MethodPost, "/v1/query/monitoravgs", body)
-	if err != nil {
-		return nil, err
-	}
-	var hr api.HopAveragesResponse
-	if err := json.Unmarshal(out, &hr); err != nil {
-		return nil, fmt.Errorf("dpclient: decoding averages: %w", err)
-	}
-	return hr.Averages, nil
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dptrace/internal/dpserver"
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/noise"
 	"dptrace/internal/tracegen"
 )
@@ -36,15 +37,29 @@ func clientAndServer(t *testing.T, total, perAnalyst float64, opts ...Option) *C
 	return New(ts.URL, "alice", opts...)
 }
 
-func TestClientCountAndBudget(t *testing.T) {
-	ctx := context.Background()
-	c := clientAndServer(t, 10, 5)
-	count, err := c.Count(ctx, "hotspot", 1.0, nil)
+// count is a count query on dataset at epsilon.
+func count(dataset string, epsilon float64) api.QueryRequest {
+	return api.QueryRequest{Dataset: dataset, Query: "count", Epsilon: epsilon}
+}
+
+// value runs req through c.Query and returns its one noisy value.
+func value(t *testing.T, c *Client, req api.QueryRequest) float64 {
+	t.Helper()
+	r, err := c.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count < 1000 {
-		t.Errorf("implausible count %v", count)
+	if len(r.Values) != 1 {
+		t.Fatalf("%s: %d values, want 1", req.Query, len(r.Values))
+	}
+	return r.Values[0]
+}
+
+func TestClientCountAndBudget(t *testing.T) {
+	ctx := context.Background()
+	c := clientAndServer(t, 10, 5)
+	if n := value(t, c, count("hotspot", 1.0)); n < 1000 {
+		t.Errorf("implausible count %v", n)
 	}
 	spent, remaining, err := c.Budget(ctx, "hotspot")
 	if err != nil {
@@ -58,10 +73,8 @@ func TestClientCountAndBudget(t *testing.T) {
 func TestClientHostsQuery(t *testing.T) {
 	c := clientAndServer(t, math.Inf(1), math.Inf(1))
 	port := 80
-	hosts, err := c.Hosts(context.Background(), "hotspot", 0.5, &dpserver.Filter{DstPort: &port}, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hosts := value(t, c, api.QueryRequest{Dataset: "hotspot", Query: "hosts", Epsilon: 0.5,
+		Filter: &api.Filter{DstPort: &port}, MinBytes: 1024})
 	if hosts < 10 {
 		t.Errorf("implausible hosts %v", hosts)
 	}
@@ -70,14 +83,14 @@ func TestClientHostsQuery(t *testing.T) {
 func TestClientCDFs(t *testing.T) {
 	ctx := context.Background()
 	c := clientAndServer(t, math.Inf(1), math.Inf(1))
-	lens, err := c.LengthCDF(ctx, "hotspot", 1.0, 32)
+	lens, err := c.Query(ctx, api.QueryRequest{Dataset: "hotspot", Query: "lencdf", Epsilon: 1.0, BucketStep: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lens.Values) == 0 || len(lens.Values) != len(lens.Buckets) {
 		t.Fatalf("length CDF shape: %d/%d", len(lens.Values), len(lens.Buckets))
 	}
-	rtts, err := c.RTTCDF(ctx, "hotspot", 1.0, 10)
+	rtts, err := c.Query(ctx, api.QueryRequest{Dataset: "hotspot", Query: "rttcdf", Epsilon: 1.0, BucketStep: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +102,8 @@ func TestClientCDFs(t *testing.T) {
 func TestClientBudgetRefusalTyped(t *testing.T) {
 	ctx := context.Background()
 	c := clientAndServer(t, math.Inf(1), 1.0)
-	if _, err := c.Count(ctx, "hotspot", 0.9, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, err := c.Count(ctx, "hotspot", 0.5, nil)
+	value(t, c, count("hotspot", 0.9))
+	_, err := c.Query(ctx, count("hotspot", 0.5))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
@@ -122,48 +133,11 @@ func TestClientDatasets(t *testing.T) {
 func TestClientServerErrors(t *testing.T) {
 	ctx := context.Background()
 	c := clientAndServer(t, 1, 1)
-	if _, err := c.Count(ctx, "nope", 0.1, nil); err == nil {
+	if _, err := c.Query(ctx, count("nope", 0.1)); err == nil {
 		t.Error("unknown dataset accepted")
 	}
-	if _, err := c.Query(ctx, dpserver.QueryRequest{Dataset: "hotspot", Query: "zap", Epsilon: 1}); err == nil {
+	if _, err := c.Query(ctx, api.QueryRequest{Dataset: "hotspot", Query: "zap", Epsilon: 1}); err == nil {
 		t.Error("unknown query accepted")
-	}
-}
-
-func TestClientLoadMatrixAndMonitorAverages(t *testing.T) {
-	ctx := context.Background()
-	isp := tracegen.IspConfig{Seed: 5, Links: 8, Bins: 12, MeanPacketsPerBin: 40, NoiseFrac: 0.05}
-	samples, _ := tracegen.IspTraffic(isp)
-	scatter := tracegen.DefaultScatterConfig()
-	scatter.IPsPerCluster = 40
-	scatter.Clusters = 3
-	scatter.Monitors = 5
-	records, _ := tracegen.IPScatter(scatter)
-
-	s := dpserver.New(noise.NewSeededSource(9, 10))
-	s.AddLinkTrace("isp", samples, isp.Links, isp.Bins, math.Inf(1), math.Inf(1))
-	s.AddHopTrace("scatter", records, scatter.Monitors, math.Inf(1), 1.5)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	c := New(ts.URL, "carol")
-	mr, err := c.LoadMatrix(ctx, "isp", 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mr.Bins != isp.Bins || mr.Links != isp.Links || len(mr.Data) != isp.Bins*isp.Links {
-		t.Fatalf("matrix shape %dx%d/%d", mr.Bins, mr.Links, len(mr.Data))
-	}
-	avgs, err := c.MonitorAverages(ctx, "scatter", 1.0, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(avgs) != scatter.Monitors {
-		t.Fatalf("got %d averages", len(avgs))
-	}
-	// Second hop query exceeds the 1.5 cap.
-	if _, err := c.MonitorAverages(ctx, "scatter", 1.0, 32); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("over-cap: %v", err)
 	}
 }
 
@@ -172,7 +146,7 @@ func TestClientObservability(t *testing.T) {
 	c := clientAndServer(t, 10, 5)
 
 	// An explained query carries its redacted plan through the client.
-	r, err := c.Explain(ctx, dpserver.QueryRequest{
+	r, err := c.Explain(ctx, api.QueryRequest{
 		Dataset: "hotspot", Query: "count", Epsilon: 0.5,
 	})
 	if err != nil {
@@ -183,7 +157,7 @@ func TestClientObservability(t *testing.T) {
 	}
 
 	// Plain queries do not.
-	r, err = c.Query(ctx, dpserver.QueryRequest{
+	r, err = c.Query(ctx, api.QueryRequest{
 		Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	})
 	if err != nil {
@@ -231,41 +205,30 @@ func TestClientSketchQueries(t *testing.T) {
 	ctx := context.Background()
 	c := clientAndServer(t, math.Inf(1), math.Inf(1))
 
-	median, err := c.LengthQuantile(ctx, "hotspot", 5, 0.5, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	median := value(t, c, api.QueryRequest{Dataset: "hotspot", Query: "lenquantile", Epsilon: 5, Fraction: 0.5})
 	if median <= 0 || median > 1500 {
 		t.Errorf("implausible median packet length %v", median)
 	}
-	p99, err := c.LengthQuantile(ctx, "hotspot", 5, 0.99, 0.01, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p99 := value(t, c, api.QueryRequest{Dataset: "hotspot", Query: "lenquantile", Epsilon: 5, Fraction: 0.99, SketchEps: 0.01})
 	if p99 < median {
 		t.Errorf("p99 %v below median %v", p99, median)
 	}
 
-	if _, err := c.SourceFrequency(ctx, "hotspot", 5, "10.0.0.1", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Query(ctx, dpserver.QueryRequest{
+	value(t, c, api.QueryRequest{Dataset: "hotspot", Query: "srcfreq", Epsilon: 5, Key: "10.0.0.1"})
+	if _, err := c.Query(ctx, api.QueryRequest{
 		Dataset: "hotspot", Query: "srcfreq", Epsilon: 1,
 	}); err == nil {
 		t.Error("srcfreq without key should fail")
 	}
 
-	distinct, err := c.DistinctSources(ctx, "hotspot", 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	distinct := value(t, c, api.QueryRequest{Dataset: "hotspot", Query: "distinctsrc", Epsilon: 5})
 	if distinct < 2 {
 		t.Errorf("implausible distinct sources %v", distinct)
 	}
 
 	// The filter runs as a fused stage: Explain shows a "fused" where
 	// row and the quantile aggregation row, with the ε charge intact.
-	r, err := c.Explain(ctx, dpserver.QueryRequest{
+	r, err := c.Explain(ctx, api.QueryRequest{
 		Dataset: "hotspot", Query: "lenquantile", Epsilon: 2, Fraction: 0.5,
 	})
 	if err != nil {
@@ -289,7 +252,7 @@ func TestClientRetriesShedsOnce(t *testing.T) {
 	var attempts atomic.Int64
 	keys := make(chan string, 4)
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req dpserver.QueryRequest
+		var req api.QueryRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		keys <- req.IdempotencyKey
 		if attempts.Add(1) == 1 {
@@ -298,18 +261,14 @@ func TestClientRetriesShedsOnce(t *testing.T) {
 			w.Write([]byte(`{"code":"overloaded","message":"at capacity","retryable":true}` + "\n"))
 			return
 		}
-		json.NewEncoder(w).Encode(dpserver.QueryResponse{Values: []float64{42}})
+		json.NewEncoder(w).Encode(api.QueryResponse{Values: []float64{42}})
 	}))
 	defer fake.Close()
 
 	c := New(fake.URL, "alice", WithRetryPolicy(RetryPolicy{
 		MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 	}))
-	v, err := c.Count(context.Background(), "d", 0.1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 42 {
+	if v := value(t, c, count("d", 0.1)); v != 42 {
 		t.Fatalf("value %v, want 42", v)
 	}
 	if n := attempts.Load(); n != 2 {
@@ -333,7 +292,7 @@ func TestClientDoesNotRetryRefusals(t *testing.T) {
 	defer fake.Close()
 
 	c := New(fake.URL, "alice")
-	_, err := c.Count(context.Background(), "d", 0.1, nil)
+	_, err := c.Query(context.Background(), count("d", 0.1))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
@@ -356,7 +315,7 @@ func TestClientRetriesExhaust(t *testing.T) {
 	c := New(fake.URL, "alice", WithRetryPolicy(RetryPolicy{
 		MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 	}))
-	_, err := c.Count(context.Background(), "d", 0.1, nil)
+	_, err := c.Query(context.Background(), count("d", 0.1))
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Code != "shutting_down" {
 		t.Fatalf("got %v, want shutting_down APIError", err)
@@ -371,14 +330,14 @@ func TestClientRetriesExhaust(t *testing.T) {
 func TestClientTimeoutHeader(t *testing.T) {
 	var sawMs atomic.Int64
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ms, _ := strconv.ParseInt(r.Header.Get(dpserver.TimeoutHeader), 10, 64)
+		ms, _ := strconv.ParseInt(r.Header.Get(api.TimeoutHeader), 10, 64)
 		sawMs.Store(ms)
-		json.NewEncoder(w).Encode(dpserver.QueryResponse{Values: []float64{1}})
+		json.NewEncoder(w).Encode(api.QueryResponse{Values: []float64{1}})
 	}))
 	defer fake.Close()
 
 	c := New(fake.URL, "alice", WithTimeout(30*time.Second), WithRetryPolicy(NoRetry()))
-	if _, err := c.Count(context.Background(), "d", 0.1, nil); err != nil {
+	if _, err := c.Query(context.Background(), count("d", 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	if ms := sawMs.Load(); ms <= 0 || ms > 30_000 {
@@ -388,7 +347,7 @@ func TestClientTimeoutHeader(t *testing.T) {
 	// An explicit caller deadline wins over the client default.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := c.Count(ctx, "d", 0.1, nil); err != nil {
+	if _, err := c.Query(ctx, count("d", 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	if ms := sawMs.Load(); ms <= 0 || ms > 5_000 {
@@ -413,7 +372,7 @@ func TestClientContextCancelStopsRetries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Count(ctx, "d", 0.1, nil)
+		_, err := c.Query(ctx, count("d", 0.1))
 		done <- err
 	}()
 	// Let the first attempt land, then cancel during the 1h backoff.

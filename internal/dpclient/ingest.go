@@ -27,12 +27,9 @@ import (
 // binary container; the server also accepts NDJSON and batches without
 // an identity from other senders.
 
-// Batch is one ingest payload: exactly one of the record slices must
-// be non-empty, matching the target dataset's kind.
+// Batch is one ingest payload: at least one packet.
 type Batch struct {
 	Packets []trace.Packet
-	Links   []trace.LinkSample
-	Hops    []trace.HopRecord
 }
 
 // IngestAck is the server's acknowledgement of one applied batch.
@@ -62,39 +59,15 @@ func (id *ingestIdentity) nextSeq() string {
 // flushing a batch.
 const streamBatchSize = 1000
 
-// kindCount reports which record slices the batch populates.
-func (b *Batch) kindCount() int {
-	n := 0
-	if len(b.Packets) > 0 {
-		n++
-	}
-	if len(b.Links) > 0 {
-		n++
-	}
-	if len(b.Hops) > 0 {
-		n++
-	}
-	return n
-}
-
 // Records is the batch's record count.
-func (b *Batch) Records() int {
-	return len(b.Packets) + len(b.Links) + len(b.Hops)
-}
+func (b *Batch) Records() int { return len(b.Packets) }
 
 // encode renders the batch as a DPTR container.
 func (b *Batch) encode() ([]byte, error) {
-	if b.kindCount() != 1 {
-		return nil, errors.New("dpclient: batch must hold exactly one record kind")
+	if len(b.Packets) == 0 {
+		return nil, errors.New("dpclient: batch holds no packets")
 	}
-	switch {
-	case len(b.Packets) > 0:
-		return trace.MarshalPacketsDPTR(b.Packets), nil
-	case len(b.Links) > 0:
-		return trace.MarshalLinkSamplesDPTR(b.Links), nil
-	default:
-		return trace.MarshalHopRecordsDPTR(b.Hops), nil
-	}
+	return trace.MarshalPacketsDPTR(b.Packets), nil
 }
 
 // IngestBatch appends one batch of records to a live dataset,
@@ -153,24 +126,6 @@ func (s *Stream) Packets(ps ...trace.Packet) error {
 	return s.maybeFlush()
 }
 
-// Links adds link samples, flushing full batches as it goes.
-func (s *Stream) Links(ls ...trace.LinkSample) error {
-	if s.err != nil {
-		return s.err
-	}
-	s.pending.Links = append(s.pending.Links, ls...)
-	return s.maybeFlush()
-}
-
-// Hops adds hop records, flushing full batches as it goes.
-func (s *Stream) Hops(hs ...trace.HopRecord) error {
-	if s.err != nil {
-		return s.err
-	}
-	s.pending.Hops = append(s.pending.Hops, hs...)
-	return s.maybeFlush()
-}
-
 func (s *Stream) maybeFlush() error {
 	for s.pending.Records() >= streamBatchSize {
 		if err := s.flush(); err != nil {
@@ -183,23 +138,12 @@ func (s *Stream) maybeFlush() error {
 // flush ships the oldest streamBatchSize pending records (all of them
 // when the backlog is smaller) as one batch.
 func (s *Stream) flush() error {
-	var b Batch
-	switch {
-	case len(s.pending.Packets) > 0:
-		k := min(len(s.pending.Packets), streamBatchSize)
-		b.Packets = s.pending.Packets[:k:k]
-		s.pending.Packets = s.pending.Packets[k:]
-	case len(s.pending.Links) > 0:
-		k := min(len(s.pending.Links), streamBatchSize)
-		b.Links = s.pending.Links[:k:k]
-		s.pending.Links = s.pending.Links[k:]
-	case len(s.pending.Hops) > 0:
-		k := min(len(s.pending.Hops), streamBatchSize)
-		b.Hops = s.pending.Hops[:k:k]
-		s.pending.Hops = s.pending.Hops[k:]
-	default:
+	if len(s.pending.Packets) == 0 {
 		return nil
 	}
+	k := min(len(s.pending.Packets), streamBatchSize)
+	b := Batch{Packets: s.pending.Packets[:k:k]}
+	s.pending.Packets = s.pending.Packets[k:]
 	ack, err := s.c.IngestBatch(s.ctx, s.dataset, b)
 	if err != nil {
 		s.err = err

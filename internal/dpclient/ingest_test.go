@@ -3,6 +3,7 @@ package dpclient
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -14,18 +15,11 @@ import (
 	"dptrace/internal/trace"
 )
 
-// ingestServer hosts one empty packet dataset plus link/hop datasets
-// for stream tests.
+// ingestServer hosts one empty packet dataset, "live".
 func ingestServer(t *testing.T) (*dpserver.Server, *Client) {
 	t.Helper()
 	s := dpserver.New(noise.NewSeededSource(1, 2))
 	if err := s.AddPacketTrace("live", nil, 100, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddLinkTrace("links", nil, 4, 4, 100, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddHopTrace("hops", nil, 3, 100, 10); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -78,29 +72,26 @@ func TestIngestBatchDPTRAndNDJSON(t *testing.T) {
 	}
 
 	// The ingested records are queryable.
-	v, err := c.Count(ctx, "live", 4, nil)
-	if err != nil {
-		t.Fatalf("Count after ingest: %v", err)
-	}
-	if v < 20 || v > 80 {
+	if v := value(t, c, count("live", 4)); v < 20 || v > 80 {
 		t.Fatalf("count %v wildly off 50", v)
 	}
 }
 
+// TestIngestBatchKindValidation: a batch no dataset could apply is
+// refused — an empty one before it is sent, one for a dataset the
+// server does not host with 404.
 func TestIngestBatchKindValidation(t *testing.T) {
 	ctx := context.Background()
-	_, c := ingestServer(t)
+	s, c := ingestServer(t)
 	if _, err := c.IngestBatch(ctx, "live", Batch{}); err == nil {
 		t.Fatal("expected error for empty batch")
 	}
-	if _, err := c.IngestBatch(ctx, "live", Batch{
-		Packets: ingestPackets(1), Links: []trace.LinkSample{{Link: 1}},
-	}); err == nil {
-		t.Fatal("expected error for mixed-kind batch")
+	var ae *APIError
+	if _, err := c.IngestBatch(ctx, "nope", Batch{Packets: ingestPackets(1)}); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
+		t.Fatalf("ingest into an unknown dataset: %v, want a 404", err)
 	}
-	// Wrong kind for the dataset: server rejects the decode.
-	if _, err := c.IngestBatch(ctx, "links", Batch{Packets: ingestPackets(1)}); err == nil {
-		t.Fatal("expected error ingesting packets into a link dataset")
+	if got := s.IngestStats().AdmittedBatches; got != 0 {
+		t.Fatalf("server admitted %d batches, want 0", got)
 	}
 }
 
@@ -166,34 +157,5 @@ func TestIngestStreamFlushesBatches(t *testing.T) {
 	}
 	if ack := st.LastAck(); ack == nil || ack.TotalRecords != n || ack.Records != 50 {
 		t.Fatalf("last ack: %+v", ack)
-	}
-}
-
-func TestIngestStreamLinksAndHops(t *testing.T) {
-	ctx := context.Background()
-	_, c := ingestServer(t)
-
-	st := c.IngestStream(ctx, "links")
-	for i := 0; i < 20; i++ {
-		if err := st.Links(trace.LinkSample{Link: int32(i % 4), Bin: int32(i % 4)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, records := st.Sent(); records != 20 {
-		t.Fatalf("sent %d link samples, want 20", records)
-	}
-
-	hs := c.IngestStream(ctx, "hops")
-	if err := hs.Hops(trace.HopRecord{Monitor: 0, IP: trace.MakeIPv4(1, 2, 3, 4), Hops: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := hs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, records := hs.Sent(); records != 1 {
-		t.Fatalf("sent %d hop records, want 1", records)
 	}
 }

@@ -8,9 +8,9 @@
 // propagates to both sides.
 //
 // The package is pure data: no handlers, no transport, no privacy
-// machinery. It may import internal/trace (record shapes ride in
-// ingest batches) and internal/obs (redacted execution profiles ride
-// in query responses), and nothing else of the engine.
+// machinery. It may import internal/trace (a Filter matches a packet)
+// and internal/obs (redacted execution profiles ride in query
+// responses), and nothing else of the engine.
 package api
 
 // Protocol headers.

@@ -4,12 +4,11 @@ package api
 // of records to a live dataset. The body is a batch in one of two
 // encodings, named by Content-Type:
 //
-//	application/x-ndjson   one JSON record per line (see
-//	                       internal/trace's *JSON shapes; packets for
-//	                       packet datasets, link samples for link
-//	                       datasets, hop records for hop datasets)
+//	application/x-ndjson   one JSON packet per line (see
+//	                       internal/trace's PacketJSON)
 //	application/x-dptr     the DPTR binary container (same bytes as
-//	                       the on-disk trace files), count-prefixed
+//	                       the on-disk packet trace files),
+//	                       count-prefixed
 //
 // A batch either applies atomically or not at all: queries never see
 // a half-applied batch, and a batch carrying a (source, seq) identity

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
 	"dptrace/internal/vfs"
@@ -93,7 +94,7 @@ func chaosRound(t *testing.T, seed uint64) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+				resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 					Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: epsilon,
 				}, nil)
 				var e apiError

@@ -106,7 +106,7 @@ func crashCases() []crashCase {
 	}
 	query := func(kind, key string) func(*testing.T, string) (*http.Response, []byte) {
 		return func(t *testing.T, base string) (*http.Response, []byte) {
-			return postV1(t, base+"/v1/query", QueryRequest{
+			return postV1(t, base+"/v1/query", api.QueryRequest{
 				Analyst: "alice", Dataset: "hotspot", Query: kind, Epsilon: 0.1, IdempotencyKey: key,
 			}, nil)
 		}
@@ -325,7 +325,7 @@ func crashAndRestart(t *testing.T, tc crashCase, eps float64, rule *vfs.Rule, po
 func TestCommitSyncFailureWithholdsResult(t *testing.T) {
 	s, ts, fsys, dir := faultLedgerServer(t, math.Inf(1), math.Inf(1))
 	fsys.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal-", Err: syscall.EIO})
-	req := QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1, IdempotencyKey: "k1"}
+	req := api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1, IdempotencyKey: "k1"}
 
 	resp, body := postV1(t, ts.URL+"/v1/query", req, nil)
 	var e apiError
@@ -371,7 +371,7 @@ func TestCommitSyncFailureWithholdsResult(t *testing.T) {
 func TestWriteFaultAfterChargeStillCommits(t *testing.T) {
 	s, ts, fsys, dir := faultLedgerServer(t, math.Inf(1), math.Inf(1))
 	fsys.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", N: 2, Err: syscall.EIO, Sticky: true})
-	resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -384,7 +384,7 @@ func TestWriteFaultAfterChargeStillCommits(t *testing.T) {
 	if err != nil || st.Datasets["hotspot"].Spent["alice"] != 0.1 {
 		t.Fatalf("replay: %v, spent %v, want the released answer's 0.1", err, st.Datasets["hotspot"].Spent["alice"])
 	}
-	resp, _ = postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, _ = postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -437,7 +437,7 @@ func TestAckTimeoutWithholdsResult(t *testing.T) {
 	}, "standby catch-up")
 	fsysB.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal-", Err: syscall.EIO, Sticky: true})
 
-	req := QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1, IdempotencyKey: "k1"}
+	req := api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1, IdempotencyKey: "k1"}
 	resp, body := postV1(t, tsA.URL+"/v1/query", req, nil)
 	var e apiError
 	if resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(body, &e) != nil ||
@@ -487,7 +487,7 @@ func TestConcurrentSpendersShareSyncs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+				resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 					Analyst: fmt.Sprintf("a%d", g), Dataset: "hotspot", Query: "count", Epsilon: eps,
 					IdempotencyKey: fmt.Sprintf("k-%d-%d", g, i),
 				}, nil)
@@ -553,7 +553,7 @@ func TestDuplicateGetsNothingFromFailedCommit(t *testing.T) {
 	proceed := make(chan struct{})
 	s.execHook = func(context.Context) { <-proceed }
 	fsys.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal-", Err: syscall.EIO})
-	req := QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1, IdempotencyKey: "k1"}
+	req := api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1, IdempotencyKey: "k1"}
 
 	type reply struct {
 		status int

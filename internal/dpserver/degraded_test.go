@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"dptrace/internal/core"
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
 	"dptrace/internal/obs/qlog"
@@ -80,7 +81,7 @@ func TestDegradedLedgerStormFailsClosed(t *testing.T) {
 				if started.Add(1) == faultAt {
 					fsys.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Err: syscall.EIO, Sticky: true})
 				}
-				resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+				resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 					Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: epsilon,
 				}, nil)
 				switch resp.StatusCode {
@@ -130,7 +131,7 @@ func TestDegradedLedgerStormFailsClosed(t *testing.T) {
 	}
 
 	// The degraded server sheds new spends immediately, fail closed…
-	resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -148,7 +149,7 @@ func TestDegradedLedgerStormFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h HealthStatus
+	var h api.HealthStatus
 	json.NewDecoder(hr.Body).Decode(&h)
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusOK || !h.Degraded || h.Status != "degraded" || h.LedgerError == "" {
@@ -158,7 +159,7 @@ func TestDegradedLedgerStormFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ready ReadyStatus
+	var ready api.ReadyStatus
 	json.NewDecoder(rr.Body).Decode(&ready)
 	rr.Body.Close()
 	if rr.StatusCode != http.StatusServiceUnavailable || ready.Ready || ready.Status != "ledger_refused" {
@@ -186,7 +187,7 @@ func TestHandlerPanicBecomesInternalEnvelope(t *testing.T) {
 	}
 
 	explode.Store(true)
-	resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -212,7 +213,7 @@ func TestHandlerPanicBecomesInternalEnvelope(t *testing.T) {
 
 	// The server survives: the next query works.
 	explode.Store(false)
-	resp, body = postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, body = postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -238,7 +239,7 @@ func TestWorkerPanicCrossesToEnvelope(t *testing.T) {
 	}
 
 	explode.Store(true)
-	resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -253,7 +254,7 @@ func TestWorkerPanicCrossesToEnvelope(t *testing.T) {
 	}
 
 	explode.Store(false)
-	resp, _ = postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, _ = postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -271,7 +272,7 @@ func TestReadyzDistinguishesDrainingFromReady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ready ReadyStatus
+	var ready api.ReadyStatus
 	json.NewDecoder(rr.Body).Decode(&ready)
 	rr.Body.Close()
 	if rr.StatusCode != http.StatusOK || !ready.Ready || ready.Status != "ready" {
@@ -285,7 +286,7 @@ func TestReadyzDistinguishesDrainingFromReady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ready = ReadyStatus{}
+	ready = api.ReadyStatus{}
 	json.NewDecoder(rr.Body).Decode(&ready)
 	rr.Body.Close()
 	if rr.StatusCode != http.StatusServiceUnavailable || ready.Ready || ready.Status != "draining" {
@@ -337,7 +338,7 @@ func TestFrozenLedgerStillHostsReadOnly(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -363,7 +364,7 @@ func TestFrozenLedgerStillHostsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ready ReadyStatus
+	var ready api.ReadyStatus
 	json.NewDecoder(rr.Body).Decode(&ready)
 	rr.Body.Close()
 	if rr.StatusCode != http.StatusServiceUnavailable || ready.Status != "ledger_refused" {

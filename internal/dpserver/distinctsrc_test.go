@@ -20,7 +20,7 @@ import (
 // parentDistinctSrc is distinctsrc as it ran before it kept each source
 // once: every packet's source formatted and added to the registers.
 // Every other kind runs as served.
-func parentDistinctSrc(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryResponse, error) {
+func parentDistinctSrc(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
 	if req.Query != "distinctsrc" {
 		return RunPacketQuery(q, req)
 	}
@@ -33,14 +33,14 @@ func parentDistinctSrc(q *core.Queryable[trace.Packet], req *QueryRequest) (*Que
 	if err != nil {
 		return nil, err
 	}
-	return &QueryResponse{Values: []float64{v}, NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
+	return &api.QueryResponse{Values: []float64{v}, NoiseStd: noise.LaplaceStd(req.Epsilon)}, nil
 }
 
 // twinServer hosts packets as "live" on a ledger-backed server that
 // executes packet kinds through exec on the given workers. Twins are
 // seeded alike, so equal pipelines draw equal noise.
 func twinServer(t *testing.T, packets []trace.Packet, opts core.ExecOptions,
-	exec func(*core.Queryable[trace.Packet], *QueryRequest) (*QueryResponse, error)) (*Server, *httptest.Server, string) {
+	exec func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error)) (*Server, *httptest.Server, string) {
 	t.Helper()
 	dir := t.TempDir()
 	led, err := ledger.Open(ledger.Options{Dir: dir, Logf: t.Logf})
@@ -129,7 +129,7 @@ func TestDistinctSrcMatchesParentPipeline(t *testing.T) {
 					}
 				}
 				query := func(base string) (int, []byte) {
-					resp, body := postV1(t, base+"/v1/query", QueryRequest{Analyst: "a", Dataset: "live",
+					resp, body := postV1(t, base+"/v1/query", api.QueryRequest{Analyst: "a", Dataset: "live",
 						Query: "distinctsrc", Epsilon: 0.3, Filter: filter}, nil)
 					return resp.StatusCode, body
 				}
@@ -208,22 +208,22 @@ func (c *firesAfter) Err() error {
 // charge, left it standing.
 func TestDistinctSrcDeadlineMidPassChargesNothing(t *testing.T) {
 	packets := ingestPkts(4 * 512)
-	midPass := func(run func(*core.Queryable[trace.Packet], *QueryRequest) (*QueryResponse, error)) func(*core.Queryable[trace.Packet], *QueryRequest) (*QueryResponse, error) {
-		return func(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryResponse, error) {
+	midPass := func(run func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error)) func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error) {
+		return func(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
 			// The third Err call is the second chunk's poll.
 			return run(q.WithContext(&firesAfter{Context: context.Background(), n: 3}), req)
 		}
 	}
 	for _, tc := range []struct {
 		name    string
-		run     func(*core.Queryable[trace.Packet], *QueryRequest) (*QueryResponse, error)
+		run     func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error)
 		charged float64
 	}{
 		{"served", RunPacketQuery, 0},
 		{"parent pipeline", parentDistinctSrc, 0.25},
 	} {
 		s, ts, _ := twinServer(t, packets, core.ExecOptions{}, midPass(tc.run))
-		resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{Analyst: "a", Dataset: "live",
+		resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{Analyst: "a", Dataset: "live",
 			Query: "distinctsrc", Epsilon: 0.25}, nil)
 		spent := s.datasets["live"].policy.SpentBy("a")
 		if resp.StatusCode != http.StatusGatewayTimeout || spent != tc.charged {

@@ -8,9 +8,7 @@
 // under /v1. Analysts call:
 //
 //	POST /v1/query                   run one differentially-private query
-//	POST /v1/query/loadmatrix        the noisy link×bin matrix
-//	POST /v1/query/monitoravgs       per-monitor noisy hop averages
-//	GET  /v1/budget?dataset=&analyst=   an analyst's remaining allowance, on any dataset
+//	GET  /v1/budget?dataset=&analyst=   an analyst's remaining allowance
 //	/v1/standing/{dataset}[/{id}[/results]]   standing queries
 //
 // A query names the analyst (authentication is out of scope — wire it
@@ -29,7 +27,7 @@
 // The data owner operating the server as a long-lived service has the
 // owner-facing routes (Route.Owner) — shield them at the ingress:
 //
-//	GET  /v1/datasets       every dataset: kind, size, budget state, per-analyst usage
+//	GET  /v1/datasets       every dataset: size, budget state, per-analyst usage
 //	GET  /v1/audit          the query ledger (?analyst=&dataset=&outcome=&limit=)
 //	POST /v1/ingest/{dataset}   append a record batch
 //	POST /v1/admin/promote  promote a replication follower
@@ -76,7 +74,7 @@ import (
 // Server hosts protected datasets behind the query API.
 type Server struct {
 	mu       sync.RWMutex
-	datasets map[string]*dataset // every hosted dataset, of every kind
+	datasets map[string]*dataset // every hosted packet trace, by name
 	src      noise.Source
 	audit    *auditLog
 
@@ -112,7 +110,7 @@ type Server struct {
 
 	// execPacket executes one-shot and standing packet queries:
 	// RunPacketQuery, unless a test runs a reference pipeline on a twin.
-	execPacket func(*core.Queryable[trace.Packet], *QueryRequest) (*QueryResponse, error)
+	execPacket func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error)
 
 	// exec is the execution width of every query on every dataset:
 	// GOMAXPROCS workers above core.DefaultParallelThreshold records.
@@ -282,8 +280,6 @@ var routeTable = []Route{
 	{Method: "GET", Path: "/budget", handler: func(s *Server) http.HandlerFunc { return s.handleBudget }},
 	{Method: "POST", Path: "/query", query: true, handler: func(s *Server) http.HandlerFunc { return s.handleQuery }},
 	{Method: "GET", Path: "/audit", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handleAudit }},
-	{Method: "POST", Path: "/query/loadmatrix", query: true, handler: func(s *Server) http.HandlerFunc { return s.handleLoadMatrix }},
-	{Method: "POST", Path: "/query/monitoravgs", query: true, handler: func(s *Server) http.HandlerFunc { return s.handleMonitorAverages }},
 	{Method: "POST", Path: "/ingest/{dataset}", Owner: true, handler: func(s *Server) http.HandlerFunc { return s.handleIngest }},
 	{Method: "POST", Path: "/standing/{dataset}", query: true, handler: func(s *Server) http.HandlerFunc { return s.handleStandingRegister }},
 	{Method: "GET", Path: "/standing/{dataset}", handler: func(s *Server) http.HandlerFunc { return s.handleStandingList }},
@@ -303,21 +299,6 @@ func Routes() []Route {
 	return out
 }
 
-// The /v1 wire contract — request/response structs, the error
-// envelope, codes, headers, and the query-kind registry — lives in
-// the api subpackage, shared verbatim with internal/dpclient. The
-// aliases below keep this package's exported surface (and every
-// existing caller) intact.
-
-// Filter restricts the packets a query sees (see api.Filter).
-type Filter = api.Filter
-
-// QueryRequest is the POST /v1/query body (see api.QueryRequest).
-type QueryRequest = api.QueryRequest
-
-// QueryResponse is the success body (see api.QueryResponse).
-type QueryResponse = api.QueryResponse
-
 // finiteOrUnlimited maps +Inf (an unlimited budget) to the JSON
 // sentinel -1.
 func finiteOrUnlimited(v float64) float64 {
@@ -327,23 +308,15 @@ func finiteOrUnlimited(v float64) float64 {
 	return v
 }
 
-// AnalystUsage summarizes one analyst's activity on one dataset (see
-// api.AnalystUsage).
-type AnalystUsage = api.AnalystUsage
-
-// DatasetInfo describes one hosted dataset in GET /v1/datasets (see
-// api.DatasetInfo).
-type DatasetInfo = api.DatasetInfo
-
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	// Ledger-side totals per dataset+analyst, folded into the listing.
 	type ledgerKey struct{ dataset, analyst string }
-	ledger := make(map[ledgerKey]*AnalystUsage)
+	ledger := make(map[ledgerKey]*api.AnalystUsage)
 	for _, e := range s.auditTrail() {
 		k := ledgerKey{e.Dataset, e.Analyst}
 		u := ledger[k]
 		if u == nil {
-			u = &AnalystUsage{Analyst: e.Analyst}
+			u = &api.AnalystUsage{Analyst: e.Analyst}
 			ledger[k] = u
 		}
 		u.Queries++
@@ -352,11 +325,10 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.RLock()
-	infos := make([]DatasetInfo, 0, len(s.datasets))
+	infos := make([]api.DatasetInfo, 0, len(s.datasets))
 	for name, d := range s.datasets {
-		info := DatasetInfo{
+		info := api.DatasetInfo{
 			Name:           name,
-			Kind:           d.kind.String(),
 			TotalSpent:     d.policy.TotalSpent(),
 			TotalRemaining: finiteOrUnlimited(d.policy.TotalRemaining()),
 			// The record count IS the watermark: the same monotonic
@@ -365,7 +337,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			IngestedBatches: d.ingestedBatches,
 		}
 		for analyst, spent := range d.policy.PerAnalystSpent() {
-			u := AnalystUsage{Analyst: analyst, Spent: spent}
+			u := api.AnalystUsage{Analyst: analyst, Spent: spent}
 			if l := ledger[ledgerKey{name, analyst}]; l != nil {
 				u.Queries, u.Requested, u.Charged = l.Queries, l.Requested, l.Charged
 			}
@@ -420,7 +392,7 @@ func (s *Server) watermark(d *dataset) uint64 {
 // sees a frozen dataset for its whole execution — its noise draws and
 // ε-charges are byte-identical to a run against a static dataset with
 // the same contents.
-func snapshot[T any](s *Server, l *core.Log[T]) core.LogView[T] {
+func snapshot(s *Server, l *core.Log[trace.Packet]) core.LogView[trace.Packet] {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return l.View()
@@ -438,18 +410,13 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
+// handleQuery serves POST /v1/query: it admits one spending query, then
+// runs it through the envelope, at most once per idempotency key.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+	var req api.QueryRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, kindPacket, request{QueryRequest: &req})
-}
-
-// serveQuery admits one spending query on a route that serves datasets
-// of kind dataset, then runs it through the envelope, at most once per
-// idempotency key.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, dataset ingest.Kind, req request) {
 	if req.Analyst == "" || req.Dataset == "" {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst and dataset are required"})
 		return
@@ -458,7 +425,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, dataset inge
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "epsilon must be positive"})
 		return
 	}
-	d, ok := s.datasetFor(w, req.Dataset, dataset)
+	d, ok := s.datasetFor(w, req.Dataset)
 	if !ok {
 		return
 	}
@@ -466,29 +433,22 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, dataset inge
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
 		func(ctx context.Context) execResult {
-			return s.execute(ctx, endpoint, explain, d, req)
+			return s.execute(ctx, endpoint, explain, d, &req)
 		})
 }
 
-// datasetFor resolves the dataset a request names for a route serving
-// datasets of kind want, writing a 404 when no dataset has the name and
-// a 400 when it holds another kind's records.
-func (s *Server) datasetFor(w http.ResponseWriter, name string, want ingest.Kind) (*dataset, bool) {
+// datasetFor resolves the dataset a request names, writing a 404 when
+// no dataset has the name.
+func (s *Server) datasetFor(w http.ResponseWriter, name string) (*dataset, bool) {
 	d, ok := s.lookup(name)
-	switch {
-	case !ok:
+	if !ok {
 		writeError(w, http.StatusNotFound, apiError{Code: codeNotFound, Message: fmt.Sprintf("unknown dataset %q", name)})
-	case d.kind != want:
-		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest,
-			Message: fmt.Sprintf("dataset %q holds %s records; this route queries %s datasets", name, d.kind, want)})
-		return nil, false
 	}
 	return d, ok
 }
 
 // execute runs one spending query to completion under ctx — the one
-// envelope behind /v1/query, /v1/query/loadmatrix and
-// /v1/query/monitoravgs: snapshot the dataset, meter the analyst's
+// envelope behind /v1/query: snapshot the dataset, meter the analyst's
 // agent, record the engine and the profile, run the kind, audit what it
 // charged, then complete the success body with the analyst's budget
 // and, when explain is set, the redacted profile (explaining changes no
@@ -497,7 +457,7 @@ func (s *Server) datasetFor(w http.ResponseWriter, name string, want ingest.Kind
 // retry should execute. What it journals is staged: the caller releases
 // the result through Server.settle, which also emits the execution's
 // one "query" wide event.
-func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *dataset, req request) execResult {
+func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *dataset, req *api.QueryRequest) execResult {
 	start := time.Now()
 	if s.execHook != nil {
 		s.execHook(ctx)
@@ -506,16 +466,7 @@ func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
 	rec := obs.Multi(s.engineRec, prof)
 	spentBefore := d.policy.SpentBy(req.Analyst)
-	var resp reply
-	var err error
-	switch d.kind {
-	case kindPacket:
-		resp, err = s.execPacket(open(s, d.packets, agent, rec, ctx), req.QueryRequest)
-	case kindLink:
-		resp, err = runKind(input{samples: open(s, d.samples, agent, rec, ctx), d: d}, req)
-	case kindHop:
-		resp, err = runKind(input{hops: open(s, d.hops, agent, rec, ctx), d: d}, req)
-	}
+	resp, err := s.execPacket(open(s, d.packets, agent, rec, ctx), req)
 	entry := AuditEntry{
 		Analyst: req.Analyst, Dataset: req.Dataset,
 		Query: req.Query, Epsilon: req.Epsilon, Outcome: "ok",
@@ -554,13 +505,13 @@ func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *
 	if explain {
 		redacted = done.profile.Redact()
 	}
-	resp.SetBudget(spent, remaining, redacted)
+	resp.Spent, resp.Remaining, resp.Profile = spent, remaining, redacted
 	return s.queryResult(done, marshalJSON(resp), true)
 }
 
 // open builds a query's Queryable over a snapshot of l, behind agent,
 // recording to rec and bounded by ctx, at the server's execution width.
-func open[T any](s *Server, l *core.Log[T], agent core.Agent, rec obs.Recorder, ctx context.Context) *core.Queryable[T] {
+func open(s *Server, l *core.Log[trace.Packet], agent core.Agent, rec obs.Recorder, ctx context.Context) *core.Queryable[trace.Packet] {
 	return core.NewQueryableForView(snapshot(s, l), agent, s.src).
 		WithRecorder(rec).WithExecOptions(s.exec).WithContext(ctx)
 }
@@ -584,8 +535,8 @@ func marshalJSON(v any) []byte {
 // registers, and lencdf / portcdf count Partition's parts. rttcdf and
 // losscdf Materialize() once, in front of the Join and GroupBy that
 // need the records.
-func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryResponse, error) {
-	k, err := kindFor(req, kindPacket)
+func RunPacketQuery(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+	k, err := kindFor(req)
 	if err != nil {
 		return nil, err
 	}
@@ -593,21 +544,17 @@ func RunPacketQuery(q *core.Queryable[trace.Packet], req *QueryRequest) (*QueryR
 	if req.Filter != nil {
 		match = func(p trace.Packet) bool { return req.Filter.Match(&p) }
 	}
-	resp, err := k.run(input{packets: q.Stream().Where(match)}, request{QueryRequest: req})
-	if err != nil {
-		return nil, err
-	}
-	return resp.(*QueryResponse), nil
-}
-
-// runKind runs a link or hop kind: look it up for its dataset's kind,
-// check its parameters, and run it over in.
-func runKind(in input, req request) (reply, error) {
-	k, err := kindFor(req.QueryRequest, in.d.kind)
-	if err != nil {
-		return nil, err
-	}
-	return k.run(in, req)
+	// framePad holds every kind's chunk loop at the stack depth it was
+	// tuned at — the sum of the frames from the HTTP middleware down to
+	// the kind's closure: a shift of 8 bytes puts the record temporary
+	// of the fold and scan loops across a cache line (DESIGN.md §S27,
+	// "By value, through the stack"; admit's framePad is the other
+	// one). check.sh holds the path's frames to
+	// internal/dpserver/testdata/served_frames.txt.
+	var framePad [25]uintptr
+	resp, err := k.run(q.Stream().Where(match), req)
+	runtime.KeepAlive(&framePad)
+	return resp, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -19,19 +19,15 @@ import (
 // the per-analyst budget telemetry derived from it. The flight
 // recorder behind GET /debug/queries is the event ring itself.
 
-// ExplainHeader (api.ExplainHeader) is the request header through
-// which an analyst asks for the query's execution profile in the
-// response ("true" or "1").
-// Explaining is free: it changes no budget accounting, no noise, and
-// no ledger traffic — the profile is assembled from Recorder callbacks
-// the query fires anyway. The returned profile is redacted (record
-// counts zeroed) because exact operator cardinalities are pre-noise
-// aggregate values (DESIGN.md §S31).
-const ExplainHeader = api.ExplainHeader
-
-// wantsExplain reports whether the request asked for its profile.
+// wantsExplain reports whether the request asked for its profile with
+// api.ExplainHeader ("true" or "1"). Explaining is free: it changes no
+// budget accounting, no noise, and no ledger traffic — the profile is
+// assembled from Recorder callbacks the query fires anyway. The
+// returned profile is redacted (record counts zeroed) because exact
+// operator cardinalities are pre-noise aggregate values (DESIGN.md
+// §S31).
 func wantsExplain(r *http.Request) bool {
-	v := r.Header.Get(ExplainHeader)
+	v := r.Header.Get(api.ExplainHeader)
 	return v == "true" || v == "1"
 }
 

@@ -15,7 +15,6 @@ import (
 	"dptrace/internal/noise"
 	"dptrace/internal/obs"
 	"dptrace/internal/obs/qlog"
-	"dptrace/internal/tracegen"
 )
 
 // eventsNamed filters a server's recent events by name, oldest last
@@ -54,7 +53,7 @@ func TestQueryWideEventInvariant(t *testing.T) {
 
 	// Three spending requests with three outcomes: ok, refused (over
 	// the per-analyst cap), and error (unknown query kind).
-	for _, req := range []QueryRequest{
+	for _, req := range []api.QueryRequest{
 		{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5},
 		{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 5.0},
 		{Analyst: "alice", Dataset: "hotspot", Query: "nonsense", Epsilon: 0.1},
@@ -80,6 +79,9 @@ func TestQueryWideEventInvariant(t *testing.T) {
 	// profile must hold the operator tree (the where row) and the
 	// aggregation's ε accounting.
 	okEvent := events[2]
+	if ep := fieldValue(okEvent, "endpoint"); ep != "/query" {
+		t.Errorf("endpoint = %v, want /query", ep)
+	}
 	if got := fieldValue(okEvent, "charged_epsilon").(float64); got != 0.5 {
 		t.Errorf("charged_epsilon = %v, want 0.5", got)
 	}
@@ -121,38 +123,6 @@ func TestQueryWideEventInvariant(t *testing.T) {
 	}
 }
 
-// TestWideEventPerEndpoint extends the one-event invariant to the
-// other two spending endpoints.
-func TestWideEventPerEndpoint(t *testing.T) {
-	gen := tracegen.DefaultScatterConfig()
-	gen.IPsPerCluster = 10
-	gen.Clusters = 2
-	gen.Monitors = 4
-	records, _ := tracegen.IPScatter(gen)
-	s := New(noise.NewSeededSource(3, 4))
-	if err := s.AddHopTrace("hops", records, gen.Monitors, math.Inf(1), math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	postV1(t, ts.URL+"/v1/query/monitoravgs", api.HopAveragesRequest{
-		Analyst: "alice", Dataset: "hops", Epsilon: 0.5, MaxHops: 32,
-	}, nil)
-
-	events := eventsNamed(s, "query")
-	if len(events) != 1 {
-		t.Fatalf("got %d query events, want 1", len(events))
-	}
-	if ep := fieldValue(events[0], "endpoint"); ep != "/query/monitoravgs" {
-		t.Errorf("endpoint = %v", ep)
-	}
-	prof := fieldValue(events[0], "profile").(*obs.Profile)
-	if len(prof.Ops) == 0 || len(prof.Aggs) == 0 {
-		t.Errorf("monitoravgs profile empty: %+v", prof)
-	}
-}
-
 // TestSlowQueryBoundary pins the threshold comparison: a query landing
 // exactly ON the threshold is slow (>=), one below is not, and zero
 // disables the log entirely.
@@ -187,14 +157,14 @@ func TestSlowQueryEvent(t *testing.T) {
 	defer ts.Close()
 
 	delay = 0
-	postV1(t, ts.URL+"/v1/query", QueryRequest{
+	postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1}, nil)
 	if n := len(eventsNamed(s, "slow_query")); n != 0 {
 		t.Fatalf("fast query emitted %d slow_query events", n)
 	}
 
 	delay = 10 * time.Millisecond
-	postV1(t, ts.URL+"/v1/query", QueryRequest{
+	postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1}, nil)
 	slow := eventsNamed(s, "slow_query")
 	if len(slow) != 1 {
@@ -241,13 +211,13 @@ func TestExplainZeroEpsilonParity(t *testing.T) {
 	_, tsPlain := explainLedgerServer(t, dirPlain)
 	_, tsExplain := explainLedgerServer(t, dirExplain)
 
-	reqs := []QueryRequest{
+	reqs := []api.QueryRequest{
 		{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.3},
 		{Analyst: "alice", Dataset: "hotspot", Query: "hosts", Epsilon: 0.2, MinBytes: 10},
 		{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 9.0}, // refused
 	}
-	explainHdr := map[string]string{ExplainHeader: "true"}
-	var lastPlain, lastExplain QueryResponse
+	explainHdr := map[string]string{api.ExplainHeader: "true"}
+	var lastPlain, lastExplain api.QueryResponse
 	for _, req := range reqs {
 		respP, bodyP := postV1(t, tsPlain.URL+"/v1/query", req, nil)
 		respE, bodyE := postV1(t, tsExplain.URL+"/v1/query", req, explainHdr)
@@ -328,7 +298,7 @@ func TestShedAndReplayEvents(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	keyed := QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count",
+	keyed := api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count",
 		Epsilon: 0.1, IdempotencyKey: "replay-me"}
 	postV1(t, ts.URL+"/v1/query", keyed, nil)
 	postV1(t, ts.URL+"/v1/query", keyed, nil) // replayed from cache
@@ -346,7 +316,7 @@ func TestShedAndReplayEvents(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	postV1(t, ts.URL+"/v1/query", QueryRequest{
+	postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1}, nil)
 	if n := len(eventsNamed(s, "drain_started")); n != 1 {
 		t.Errorf("drain_started events = %d, want 1", n)
@@ -371,7 +341,7 @@ func TestAnalystBudgetTelemetry(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ {
-		postV1(t, ts.URL+"/v1/query", QueryRequest{
+		postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 			Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5}, nil)
 	}
 

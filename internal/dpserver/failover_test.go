@@ -135,7 +135,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string)
 // ackedQuery is one 200-acknowledged keyed query: the request that
 // earned it and the exact response bytes the client holds.
 type ackedQuery struct {
-	req  QueryRequest
+	req  api.QueryRequest
 	body []byte
 }
 
@@ -164,7 +164,7 @@ func failoverCycle(t *testing.T, seed uint64) {
 					return
 				default:
 				}
-				req := QueryRequest{
+				req := api.QueryRequest{
 					Analyst: fmt.Sprintf("analyst-%d", g), Dataset: "hotspot",
 					Query: "count", Epsilon: epsilon,
 					IdempotencyKey: fmt.Sprintf("storm-%d-%d-%d", seed, g, i),
@@ -280,7 +280,7 @@ func failoverCycle(t *testing.T, seed uint64) {
 
 	// The promoted primary accepts NEW spends from the replayed
 	// boundary onward.
-	fresh := QueryRequest{
+	fresh := api.QueryRequest{
 		Analyst: "analyst-0", Dataset: "hotspot", Query: "count", Epsilon: epsilon,
 		IdempotencyKey: fmt.Sprintf("post-%d", seed),
 	}

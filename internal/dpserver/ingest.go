@@ -66,22 +66,17 @@ type ingestApplied struct {
 	batches uint64
 }
 
-// ingestTarget resolves a dataset name to its record kind and an
-// apply function. The apply function validates then appends the
-// decoded batch to the dataset's log under s.mu's write lock —
-// atomically: a batch that fails validation changes nothing.
-func (s *Server) ingestTarget(name string) (ingest.Kind, func(ingest.Decoded) (ingestApplied, error), bool) {
+// ingestTarget resolves a dataset name to an apply function, which
+// appends a decoded batch to the dataset's log under s.mu's write lock.
+func (s *Server) ingestTarget(name string) (func(ingest.Decoded) ingestApplied, bool) {
 	d, ok := s.lookup(name)
 	if !ok {
-		return 0, nil, false
+		return nil, false
 	}
-	return d.kind, func(dec ingest.Decoded) (ingestApplied, error) {
+	return func(dec ingest.Decoded) ingestApplied {
 		s.mu.Lock()
-		n, err := d.append(dec)
-		if err != nil {
-			s.mu.Unlock()
-			return ingestApplied{}, err
-		}
+		d.packets.Append(dec.Packets)
+		n := len(dec.Packets)
 		d.watermark += uint64(n)
 		d.ingestedBatches++
 		applied := ingestApplied{n, int(d.watermark), d.ingestedBatches}
@@ -95,7 +90,7 @@ func (s *Server) ingestTarget(name string) (ingest.Kind, func(ingest.Decoded) (i
 		// request's commit (settle) makes them durable and publishes the
 		// results.
 		s.standing.Stage(name, mark)
-		return applied, nil
+		return applied
 	}, true
 }
 
@@ -129,7 +124,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	kind, apply, ok := s.ingestTarget(name)
+	apply, ok := s.ingestTarget(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, apiError{
 			Code: codeNotFound, Message: fmt.Sprintf("unknown dataset %q", name)})
@@ -179,7 +174,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.serveIdempotent(w, r, name, source, key,
 		func(ctx context.Context) execResult {
-			return s.executeIngest(w, r, name, kind, ct, source, seq, apply)
+			return s.executeIngest(w, r, name, ct, source, seq, apply)
 		})
 }
 
@@ -187,8 +182,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // Retry-After header on w (written when serveIdempotent flushes the
 // returned status). Only a 200 ACK is cacheable; the ACK and the
 // batch's "ingest" wide event wait for settle's commit.
-func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name string, kind ingest.Kind,
-	ct, source, seq string, apply func(ingest.Decoded) (ingestApplied, error)) execResult {
+func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name, ct, source, seq string,
+	apply func(ingest.Decoded) ingestApplied) execResult {
 	start := time.Now()
 	pipe := s.ingest
 
@@ -234,13 +229,9 @@ func (s *Server) executeIngest(w http.ResponseWriter, r *http.Request, name stri
 
 	var applied ingestApplied
 	job := &ingest.Job{
-		Kind: kind, ContentType: ct, Data: body,
+		Kind: ingest.KindPacket, ContentType: ct, Data: body,
 		Apply: func(d ingest.Decoded) error {
-			a, err := apply(d)
-			if err != nil {
-				return err
-			}
-			applied = a
+			applied = apply(d)
 			return nil
 		},
 	}

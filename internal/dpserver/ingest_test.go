@@ -369,7 +369,7 @@ func TestIngestQuerySnapshotConsistency(t *testing.T) {
 					}
 				}
 				queries.Add(1)
-				resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+				resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 					Analyst: fmt.Sprintf("analyst-%d", a), Dataset: "live",
 					Query: "count", Epsilon: eps,
 				}, nil)
@@ -377,7 +377,7 @@ func TestIngestQuerySnapshotConsistency(t *testing.T) {
 					t.Errorf("query: %d: %s", resp.StatusCode, body)
 					return
 				}
-				var qr QueryResponse
+				var qr api.QueryResponse
 				if err := json.Unmarshal(body, &qr); err != nil {
 					t.Error(err)
 					return
@@ -449,7 +449,7 @@ func TestIngestedDatasetServesLikeRegistered(t *testing.T) {
 	minLen := 100
 	for _, filter := range []*api.Filter{nil, {MinLen: &minLen}} {
 		for _, kind := range packetKindNames() {
-			req := QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1, Key: "10.0.0.1", Filter: filter}
+			req := api.QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1, Key: "10.0.0.1", Filter: filter}
 			respG, bodyG := postV1(t, grown.URL+"/v1/query", req, nil)
 			respW, bodyW := postV1(t, whole.URL+"/v1/query", req, nil)
 			if respG.StatusCode != http.StatusOK || respG.StatusCode != respW.StatusCode || !bytes.Equal(bodyG, bodyW) {
@@ -459,42 +459,22 @@ func TestIngestedDatasetServesLikeRegistered(t *testing.T) {
 	}
 }
 
-// TestRegistrationCopiesRecords: registering recs[:n] of a longer
-// slice and then ingesting leaves recs[n:] as it was — for every
-// dataset kind, the dataset holds its own copy of the records.
+// TestRegistrationCopiesRecords: registering pkts[:n] of a longer
+// slice and then ingesting leaves pkts[n:] as it was — the dataset
+// holds its own copy of the records.
 func TestRegistrationCopiesRecords(t *testing.T) {
 	s := New(noise.NewSeededSource(1, 2))
 	pkts := ingestPkts(10)
-	links := make([]trace.LinkSample, 8)
-	for i := range links {
-		links[i] = trace.LinkSample{Link: int32(i % 2), Bin: int32(i / 4)}
-	}
-	hops := make([]trace.HopRecord, 6)
-	for i := range hops {
-		hops[i] = trace.HopRecord{Monitor: int32(i % 2), IP: trace.IPv4(i + 1), Hops: int32(i + 3)}
-	}
-	wantPkts, wantLinks, wantHops := slices.Clone(pkts), slices.Clone(links), slices.Clone(hops)
+	want := slices.Clone(pkts)
 	if err := s.AddPacketTrace("p", pkts[:4], math.Inf(1), math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddLinkTrace("l", links[:4], 2, 2, math.Inf(1), math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddHopTrace("h", hops[:2], 2, math.Inf(1), math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	for name, body := range map[string][]byte{
-		"p": trace.MarshalPacketsNDJSON(ingestPkts(3)),
-		"l": trace.MarshalLinkSamplesNDJSON([]trace.LinkSample{{Link: 0, Bin: 1}, {Link: 1, Bin: 0}}),
-		"h": trace.MarshalHopRecordsNDJSON([]trace.HopRecord{{Monitor: 0, IP: 9, Hops: 9}}),
-	} {
-		if resp, out := postIngest(t, ts.URL+"/v1/ingest/"+name, body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("ingest into %s: %d: %s", name, resp.StatusCode, out)
-		}
+	if resp, out := postIngest(t, ts.URL+"/v1/ingest/p", trace.MarshalPacketsNDJSON(ingestPkts(3))); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %d: %s", resp.StatusCode, out)
 	}
-	if !reflect.DeepEqual(pkts, wantPkts) || !slices.Equal(links, wantLinks) || !slices.Equal(hops, wantHops) {
+	if !reflect.DeepEqual(pkts, want) {
 		t.Fatal("an ingest wrote into the spare capacity of a slice passed at registration")
 	}
 }
@@ -537,7 +517,7 @@ func TestIngestDegradedFailsClosed(t *testing.T) {
 
 	fsys.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Err: syscall.EIO, Sticky: true})
 	// Trip the freeze: the next spend attempt hits the dead WAL.
-	if resp, _ := postV1(t, ts.URL+"/v1/query", QueryRequest{
+	if resp, _ := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query against dead WAL: got %d, want 503", resp.StatusCode)

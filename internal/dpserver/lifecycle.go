@@ -48,15 +48,6 @@ type Limits struct {
 	SlowQuery time.Duration
 }
 
-// TimeoutHeader is the request header through which a client asks for
-// a per-request execution deadline in milliseconds. The server caps it
-// at Limits.MaxTimeout.
-const TimeoutHeader = api.TimeoutHeader
-
-// IdempotencyHeader is the request header carrying an idempotency key
-// for endpoints whose body has no idempotencyKey field.
-const IdempotencyHeader = api.IdempotencyHeader
-
 // ServerOption configures New.
 type ServerOption func(*Server)
 
@@ -161,7 +152,7 @@ func auditOutcome(err error) string {
 // Limits.MaxTimeout, else Limits.DefaultTimeout.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	timeout := s.limits.DefaultTimeout
-	if h := r.Header.Get(TimeoutHeader); h != "" {
+	if h := r.Header.Get(api.TimeoutHeader); h != "" {
 		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
 			timeout = time.Duration(ms) * time.Millisecond
 		}

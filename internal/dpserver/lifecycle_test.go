@@ -16,7 +16,6 @@ import (
 
 	"dptrace/internal/dpserver/api"
 	"dptrace/internal/noise"
-	"dptrace/internal/trace"
 	"dptrace/internal/tracegen"
 )
 
@@ -89,7 +88,7 @@ func TestIdempotentQueryStorm(t *testing.T) {
 			defer wg.Done()
 			for a := 0; a < retries; a++ {
 				key := (w + a) % distinct
-				resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+				resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 					Analyst: "alice", Dataset: "hotspot", Query: "count",
 					Epsilon: eps, IdempotencyKey: fmt.Sprintf("storm-%d", key),
 				}, nil)
@@ -125,7 +124,7 @@ func TestIdempotentQueryStorm(t *testing.T) {
 func TestIdempotentReplayOfFailures(t *testing.T) {
 	_, ts := lifecycleServer(t, math.Inf(1), 1.0)
 	// Exhaust alice's allowance.
-	resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 1.0,
 		IdempotencyKey: "spend-all",
 	}, nil)
@@ -133,14 +132,14 @@ func TestIdempotentReplayOfFailures(t *testing.T) {
 		t.Fatalf("setup query failed: %d %s", resp.StatusCode, body)
 	}
 	var first, second []byte
-	resp, first = postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, first = postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5,
 		IdempotencyKey: "over-budget",
 	}, nil)
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("status = %d, want 403", resp.StatusCode)
 	}
-	resp, second = postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, second = postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5,
 		IdempotencyKey: "over-budget",
 	}, nil)
@@ -176,13 +175,13 @@ func TestShedUnderSaturation(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		postV1(t, ts.URL+"/v1/query", QueryRequest{
+		postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 			Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 		}, nil)
 	}()
 	<-entered // the slot is now held
 
-	resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -228,7 +227,7 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+		resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 			Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.25,
 		}, nil)
 		inflight <- result{resp.StatusCode, body}
@@ -245,7 +244,7 @@ func TestShutdownDrains(t *testing.T) {
 	// Drain flag flips inside Shutdown; poll until new work is refused.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+		resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 			Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 		}, nil)
 		if resp.StatusCode == http.StatusServiceUnavailable {
@@ -295,9 +294,9 @@ func TestDeadlineCancelsBeforeCharge(t *testing.T) {
 		WithLimits(Limits{MaxTimeout: time.Minute}))
 	s.execHook = func(ctx context.Context) { <-ctx.Done() }
 
-	resp, body := postV1(t, ts.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5,
-	}, map[string]string{TimeoutHeader: "30"})
+	}, map[string]string{api.TimeoutHeader: "30"})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body %s", resp.StatusCode, body)
 	}
@@ -328,11 +327,11 @@ func TestCancelledOutcomeNotCached(t *testing.T) {
 			<-ctx.Done()
 		}
 	}
-	req := QueryRequest{
+	req := api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5,
 		IdempotencyKey: "retry-after-timeout",
 	}
-	resp, _ := postV1(t, ts.URL+"/v1/query", req, map[string]string{TimeoutHeader: "30"})
+	resp, _ := postV1(t, ts.URL+"/v1/query", req, map[string]string{api.TimeoutHeader: "30"})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("first attempt status = %d, want 504", resp.StatusCode)
 	}
@@ -363,8 +362,6 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		{"unknown dataset", "POST", "/v1/query", `{"analyst":"a","dataset":"nope","query":"count","epsilon":1}`, http.StatusNotFound, codeNotFound},
 		{"budget params", "GET", "/v1/budget", "", http.StatusBadRequest, codeBadRequest},
 		{"budget unknown", "GET", "/v1/budget?dataset=nope&analyst=a", "", http.StatusNotFound, codeNotFound},
-		{"loadmatrix unknown", "POST", "/v1/query/loadmatrix", `{"analyst":"a","dataset":"nope","epsilon":1}`, http.StatusNotFound, codeNotFound},
-		{"monitoravgs unknown", "POST", "/v1/query/monitoravgs", `{"analyst":"a","dataset":"nope","epsilon":1}`, http.StatusNotFound, codeNotFound},
 		{"audit bad limit", "GET", "/v1/audit?limit=-1", "", http.StatusBadRequest, codeBadRequest},
 		{"events bad n", "GET", "/v1/debug/queries?n=-1", "", http.StatusBadRequest, codeBadRequest},
 		{"trace field", "POST", "/v1/query", `{"analyst":"a","dataset":"hotspot","query":"count","epsilon":1,"trace":true}`, http.StatusBadRequest, codeBadRequest},
@@ -420,24 +417,17 @@ func TestUnversionedPathsNotFound(t *testing.T) {
 	}
 }
 
-// TestIdempotencyMetrics checks the hit/miss counters and that the
-// idempotent matrix endpoints replay too.
+// TestIdempotencyMetrics checks the hit/miss counters around one
+// keyed query and its replay.
 func TestIdempotencyMetrics(t *testing.T) {
-	s := New(noise.NewSeededSource(3, 4))
-	samples := []trace.LinkSample{{Link: 0, Bin: 0}, {Link: 1, Bin: 1}, {Link: 0, Bin: 1}}
-	if err := s.AddLinkTrace("isp", samples, 2, 2, math.Inf(1), math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req := api.MatrixRequest{Analyst: "alice", Dataset: "isp", Epsilon: 0.2, IdempotencyKey: "m1"}
-	_, first := postV1(t, ts.URL+"/v1/query/loadmatrix", req, nil)
-	_, second := postV1(t, ts.URL+"/v1/query/loadmatrix", req, nil)
+	s, ts := lifecycleServer(t, math.Inf(1), math.Inf(1))
+	req := api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "lencdf", Epsilon: 0.2, IdempotencyKey: "m1"}
+	_, first := postV1(t, ts.URL+"/v1/query", req, nil)
+	_, second := postV1(t, ts.URL+"/v1/query", req, nil)
 	if !bytes.Equal(first, second) {
-		t.Fatalf("matrix replay diverged:\n%s\n%s", first, second)
+		t.Fatalf("replay diverged:\n%s\n%s", first, second)
 	}
-	if spent := s.datasets["isp"].policy.TotalSpent(); spent != 0.2 {
+	if spent := s.datasets["hotspot"].policy.TotalSpent(); spent != 0.2 {
 		t.Fatalf("ε = %v, want one 0.2 charge", spent)
 	}
 	rec := httptest.NewRecorder()

@@ -62,7 +62,7 @@ func obsPackets(sessions int) []trace.Packet {
 
 // released names the response fields that carry noisy releases, plus
 // wall times: the only fields allowed to differ between neighbours.
-var released = []string{"values", "data", "averages", "durationNs"}
+var released = []string{"values", "durationNs"}
 
 // standingExempt are the standing-query fields that still show the
 // record watermark (base, a window's start and end) or track it (fire
@@ -80,25 +80,13 @@ type neighbourCase struct {
 var neighbourCases = []neighbourCase{
 	{route: "POST /query", run: func(p *neighbourPair) {
 		for _, kind := range packetKindNames() {
-			req := QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1, Key: "10.0.0.1"}
+			req := api.QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1, Key: "10.0.0.1"}
 			p.compare("POST", "/v1/query", req, false)
 			p.compare("POST", "/v1/query", req, true)
 		}
 	}},
-	{route: "POST /query/loadmatrix", run: func(p *neighbourPair) {
-		req := api.MatrixRequest{Analyst: "a", Dataset: "isp", Epsilon: 0.1}
-		p.compare("POST", "/v1/query/loadmatrix", req, false)
-		p.compare("POST", "/v1/query/loadmatrix", req, true)
-	}},
-	{route: "POST /query/monitoravgs", run: func(p *neighbourPair) {
-		req := api.HopAveragesRequest{Analyst: "a", Dataset: "scatter", Epsilon: 0.1, MaxHops: 32}
-		p.compare("POST", "/v1/query/monitoravgs", req, false)
-		p.compare("POST", "/v1/query/monitoravgs", req, true)
-	}},
 	{route: "GET /budget", run: func(p *neighbourPair) {
-		for _, dataset := range []string{"hotspot", "isp", "scatter"} {
-			p.compare("GET", "/v1/budget?dataset="+dataset+"&analyst=a", nil, false)
-		}
+		p.compare("GET", "/v1/budget?dataset=hotspot&analyst=a", nil, false)
 	}},
 	// The standing cases run in order: register, let the owner ingest
 	// one batch into both servers (two windows fire), then read and
@@ -141,13 +129,9 @@ func runNeighbourDiff(t *testing.T, packets []trace.Packet, workers int) {
 		}
 	}
 
-	links, hops := neighbourLinksAndHops()
 	p := &neighbourPair{t: t,
-		d: neighbourServer(t, packets, links, hops, workers),
-		d1: neighbourServer(t, append(packets[:len(packets):len(packets)], adversarialPacket(t, packets)),
-			append(links[:len(links):len(links)], trace.LinkSample{Link: 3, Bin: 7}),
-			append(hops[:len(hops):len(hops)], trace.HopRecord{Monitor: 0, IP: trace.MakeIPv4(203, 0, 113, 9), Hops: 31}),
-			workers),
+		d:  neighbourServer(t, packets, workers),
+		d1: neighbourServer(t, append(packets[:len(packets):len(packets)], adversarialPacket(t, packets)), workers),
 	}
 	for _, c := range neighbourCases {
 		p.mask = map[string]bool{}
@@ -165,17 +149,6 @@ func runNeighbourDiff(t *testing.T, packets []trace.Packet, workers int) {
 			}
 		}
 	}
-}
-
-// neighbourLinksAndHops builds small link and hop datasets.
-func neighbourLinksAndHops() ([]trace.LinkSample, []trace.HopRecord) {
-	links, _ := tracegen.IspTraffic(tracegen.IspConfig{Seed: 5, Links: 6, Bins: 8, MeanPacketsPerBin: 20, NoiseFrac: 0.05})
-	cfg := tracegen.DefaultScatterConfig()
-	cfg.IPsPerCluster = 20
-	cfg.Clusters = 2
-	cfg.Monitors = 3
-	hops, _ := tracegen.IPScatter(cfg)
-	return links, hops
 }
 
 // adversarialPacket is a record D does not have: a new source and a
@@ -199,10 +172,10 @@ func adversarialPacket(t *testing.T, packets []trace.Packet) trace.Packet {
 		SrcPort: 40000, DstPort: 80, Proto: trace.ProtoTCP, Len: length}
 }
 
-// neighbourServer hosts the three dataset kinds with unlimited budgets
-// and the noise seed every neighbour shares, at workers workers above
-// the default threshold (0: the server's default width).
-func neighbourServer(t *testing.T, packets []trace.Packet, links []trace.LinkSample, hops []trace.HopRecord, workers int) *httptest.Server {
+// neighbourServer hosts packets with unlimited budgets and the noise
+// seed every neighbour shares, at workers workers above the default
+// threshold (0: the server's default width).
+func neighbourServer(t *testing.T, packets []trace.Packet, workers int) *httptest.Server {
 	t.Helper()
 	s := New(noise.NewSeededSource(1, 2))
 	if workers > 0 {
@@ -210,12 +183,6 @@ func neighbourServer(t *testing.T, packets []trace.Packet, links []trace.LinkSam
 	}
 	inf := math.Inf(1)
 	if err := s.AddPacketTrace("hotspot", packets, inf, inf); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddLinkTrace("isp", links, 6, 8, inf, inf); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddHopTrace("scatter", hops, 3, inf, inf); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -240,7 +207,7 @@ func (p *neighbourPair) compare(method, path string, body any, explain bool) {
 	}
 	header := map[string]string{}
 	if explain {
-		header[ExplainHeader] = "true"
+		header[api.ExplainHeader] = "true"
 	}
 	codeD, outD := p.send(p.d, method, path, raw, header)
 	codeD1, outD1 := p.send(p.d1, method, path, raw, header)

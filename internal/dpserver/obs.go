@@ -109,13 +109,11 @@ func (s *Server) recoverPanics(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// ReadyStatus is the GET /readyz body (see api.ReadyStatus):
-// readiness, distinct from /healthz liveness. A degraded server
-// (frozen or degraded ledger, or a drain in progress) is alive —
-// read-only endpoints serve — but not ready for spending traffic, so
-// load balancers should stop routing new analyst queries to it.
-type ReadyStatus = api.ReadyStatus
-
+// handleReadyz serves GET /v1/readyz (api.ReadyStatus): readiness,
+// distinct from /healthz liveness. A degraded server (frozen or
+// degraded ledger, or a drain in progress) is alive — read-only
+// endpoints serve — but not ready for spending traffic, so load
+// balancers should stop routing new analyst queries to it.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	repl := s.replReadyStatus()
 	var role string
@@ -124,24 +122,24 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	switch cause := s.spendRefusal(); {
 	case s.isDraining():
-		writeJSON(w, http.StatusServiceUnavailable, ReadyStatus{
+		writeJSON(w, http.StatusServiceUnavailable, api.ReadyStatus{
 			Status: "draining", Role: role, Repl: repl,
 		})
 	case repl != nil && repl.Role == "follower":
 		// A warm standby: alive and replicating, but not ready for
 		// spending traffic until promoted. The lag field is the
 		// operator's promote-safety signal (0 = fully caught up).
-		writeJSON(w, http.StatusServiceUnavailable, ReadyStatus{
+		writeJSON(w, http.StatusServiceUnavailable, api.ReadyStatus{
 			Status: "follower", Role: role, Repl: repl,
 			Reason: "read-only standby; POST /v1/admin/promote to take over",
 		})
 	case cause != nil:
-		writeJSON(w, http.StatusServiceUnavailable, ReadyStatus{
+		writeJSON(w, http.StatusServiceUnavailable, api.ReadyStatus{
 			Status: "ledger_refused", Reason: cause.Error(),
 			Role: role, Repl: repl,
 		})
 	default:
-		writeJSON(w, http.StatusOK, ReadyStatus{
+		writeJSON(w, http.StatusOK, api.ReadyStatus{
 			Ready: true, Status: "ready", Role: role, Repl: repl,
 		})
 	}
@@ -153,17 +151,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.metrics.WritePrometheus(w)
 }
 
-// HealthStatus is the GET /healthz body (see api.HealthStatus). It
-// always answers 200 while the process lives — liveness, not
-// readiness (see /readyz): a degraded server still serves its
-// read-only surface, and restarting it would not help.
-type HealthStatus = api.HealthStatus
-
+// handleHealthz serves GET /v1/healthz (api.HealthStatus). It always
+// answers 200 while the process lives — liveness, not readiness (see
+// /readyz): a degraded server still serves its read-only surface, and
+// restarting it would not help.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	n := len(s.datasets)
 	s.mu.RUnlock()
-	h := HealthStatus{
+	h := api.HealthStatus{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Datasets:      n,

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"dptrace/internal/dpserver/api"
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
 )
@@ -76,12 +77,12 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 
 	// alice: two ok queries (0.5 + 2×0.2 charged = 0.9 spent), then a
 	// refusal (0.7 > 0.1 remaining); bob: an invalid query kind.
-	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5})
-	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "hosts", Epsilon: 0.2})
-	if resp, _ := postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.7}); resp.StatusCode != http.StatusForbidden {
+	postQuery(t, ts, api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5})
+	postQuery(t, ts, api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "hosts", Epsilon: 0.2})
+	if resp, _ := postQuery(t, ts, api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.7}); resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("over-budget query status %d, want 403", resp.StatusCode)
 	}
-	if resp, _ := postQuery(t, ts, QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "bogus", Epsilon: 0.1}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postQuery(t, ts, api.QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "bogus", Epsilon: 0.1}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus query status %d, want 400", resp.StatusCode)
 	}
 
@@ -145,7 +146,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 
 	// One more query: the scraped values move accordingly.
-	postQuery(t, ts, QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.5})
+	postQuery(t, ts, api.QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.5})
 	text = scrapeText(t, ts)
 	for _, want := range []string{
 		`dpserver_requests_total{code="200",endpoint="/v1/query"} 3`,
@@ -161,27 +162,22 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAddTraceNameCollision is the satellite fix: re-registering any
-// dataset kind under a taken name is refused, across kinds too.
+// TestAddTraceNameCollision: re-registering a dataset under a taken
+// name is refused, whatever its budgets, and leaves the first
+// registration hosted.
 func TestAddTraceNameCollision(t *testing.T) {
 	s := New(noise.NewSeededSource(1, 2))
 	if err := s.AddPacketTrace("d", nil, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddPacketTrace("d", nil, 1, 1); !errors.Is(err, ErrDatasetExists) {
-		t.Errorf("packet/packet collision: %v, want ErrDatasetExists", err)
+		t.Errorf("collision: %v, want ErrDatasetExists", err)
 	}
-	if err := s.AddLinkTrace("d", nil, 2, 2, 1, 1); !errors.Is(err, ErrDatasetExists) {
-		t.Errorf("link/packet collision: %v, want ErrDatasetExists", err)
+	if err := s.AddPacketTrace("d", ingestPkts(3), 5, 5); !errors.Is(err, ErrDatasetExists) {
+		t.Errorf("collision with other budgets: %v, want ErrDatasetExists", err)
 	}
-	if err := s.AddHopTrace("d", nil, 2, 1, 1); !errors.Is(err, ErrDatasetExists) {
-		t.Errorf("hop/packet collision: %v, want ErrDatasetExists", err)
-	}
-	if err := s.AddLinkTrace("links", nil, 2, 2, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddPacketTrace("links", nil, 1, 1); !errors.Is(err, ErrDatasetExists) {
-		t.Errorf("packet/link collision: %v, want ErrDatasetExists", err)
+	if d := s.datasets["d"]; d.watermark != 0 || d.policy.TotalRemaining() != 1 {
+		t.Errorf("the refused registration replaced the first: %d records, %v remaining", d.watermark, d.policy.TotalRemaining())
 	}
 }
 
@@ -252,7 +248,7 @@ func TestConcurrentQueriesNeverOverspend(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			for i := 0; i < queries; i++ {
-				resp, _ := postQuery(t, ts, QueryRequest{
+				resp, _ := postQuery(t, ts, api.QueryRequest{
 					Analyst: fmt.Sprintf("analyst%d", a), Dataset: "hotspot",
 					Query: "count", Epsilon: eps,
 				})
@@ -301,15 +297,15 @@ func TestConcurrentQueriesNeverOverspend(t *testing.T) {
 // reconciled with the policy's spent ground truth.
 func TestDatasetsAnalystUsage(t *testing.T) {
 	_, ts := obsServer(t, 10.0, 1.0)
-	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5})
-	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "hosts", Epsilon: 0.25})
-	postQuery(t, ts, QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 2.0}) // refused
+	postQuery(t, ts, api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5})
+	postQuery(t, ts, api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "hosts", Epsilon: 0.25})
+	postQuery(t, ts, api.QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 2.0}) // refused
 
 	resp, err := http.Get(ts.URL + "/v1/datasets")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var infos []DatasetInfo
+	var infos []api.DatasetInfo
 	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
@@ -336,9 +332,9 @@ func TestDatasetsAnalystUsage(t *testing.T) {
 // TestAuditOutcomeAndLimitFilters covers the new /audit query params.
 func TestAuditOutcomeAndLimitFilters(t *testing.T) {
 	_, ts := obsServer(t, 10.0, 1.0)
-	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5})
-	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.9}) // refused
-	postQuery(t, ts, QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.3})
+	postQuery(t, ts, api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5})
+	postQuery(t, ts, api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.9}) // refused
+	postQuery(t, ts, api.QueryRequest{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.3})
 
 	get := func(params string) []AuditEntry {
 		t.Helper()
@@ -378,7 +374,7 @@ func TestAuditOutcomeAndLimitFilters(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	_, ts := obsServer(t, math.Inf(1), math.Inf(1))
-	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1})
+	postQuery(t, ts, api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1})
 
 	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
@@ -388,7 +384,7 @@ func TestHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	var hs HealthStatus
+	var hs api.HealthStatus
 	if err := json.NewDecoder(resp.Body).Decode(&hs); err != nil {
 		t.Fatal(err)
 	}

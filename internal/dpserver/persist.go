@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dptrace/internal/core"
-	"dptrace/internal/ingest"
 	"dptrace/internal/ledger"
 	"dptrace/internal/obs/qlog"
 )
@@ -27,13 +26,11 @@ import (
 // replayed freezes, which refuses all new charges (fail closed) while
 // read-only endpoints stay up for inspection.
 
-// A dataset's kind is the record type it holds, as the ingest decoder
-// names it; dataset_created events persist its String.
-const (
-	kindPacket = ingest.KindPacket
-	kindLink   = ingest.KindLink
-	kindHop    = ingest.KindHop
-)
+// packetKind is the record kind every dataset_created event this
+// server journals names. A ledger written by an older server may also
+// name "link" or "hop" datasets; registering a packet trace under such
+// a name is refused (ErrLedgerMismatch).
+const packetKind = "packet"
 
 // ErrLedgerMismatch is returned when a dataset is re-registered with a
 // kind or budget bounds different from its persisted ledger: silently
@@ -44,7 +41,7 @@ var ErrLedgerMismatch = errors.New("dpserver: registration conflicts with persis
 // see ledger.Open). The ledger's fold is then the server's audit
 // trail, and its stored idempotent responses are restored immediately;
 // per-dataset budgets are restored as datasets are re-registered via
-// Add*Trace.
+// AddPacketTrace.
 func WithLedger(led *ledger.Ledger) ServerOption {
 	return func(s *Server) { s.ledger = led }
 }
@@ -91,17 +88,17 @@ func (s *Server) restoreFromLedger() {
 	s.restoreReplies()
 }
 
-// registerDataset is the ledger half of Add*Trace (callers hold s.mu):
+// registerDataset is the ledger half of AddPacketTrace (callers hold s.mu):
 // a dataset already in the recovered state gets its spends restored
 // and no new event; a new dataset is journaled durably before
 // registration is acknowledged. Either way the policy's future charges
 // flow through the ledger. With no ledger attached it does nothing.
-func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, totalBudget, perAnalystBudget float64) error {
+func (s *Server) registerDataset(name string, policy *core.AnalystPolicy, totalBudget, perAnalystBudget float64) error {
 	if s.ledger == nil {
 		return nil
 	}
 	if ds, ok := s.ledger.Dataset(name); ok {
-		if ds.Kind != kind ||
+		if ds.Kind != packetKind ||
 			ds.Total != ledger.EncodeBudget(totalBudget) ||
 			ds.PerAnalyst != ledger.EncodeBudget(perAnalystBudget) {
 			return fmt.Errorf("%w: %q is persisted as kind=%s total=%v perAnalyst=%v",
@@ -111,7 +108,7 @@ func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, 
 		policy.RestoreSpent(ds.Spent, ds.TotalSpent)
 	} else {
 		err := s.journalAppend(ledger.Event{
-			Type: ledger.EventDatasetCreated, Dataset: name, Kind: kind,
+			Type: ledger.EventDatasetCreated, Dataset: name, Kind: packetKind,
 			Total:      ledger.EncodeBudget(totalBudget),
 			PerAnalyst: ledger.EncodeBudget(perAnalystBudget),
 		})
@@ -130,7 +127,7 @@ func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, 
 			// stays up. A healthy restart re-registers and journals
 			// normally; a promoted follower journals it during resync.
 			s.events.Log(qlog.Warn, "registration_unjournaled",
-				qlog.F("dataset", name), qlog.F("kind", kind),
+				qlog.F("dataset", name), qlog.F("kind", packetKind),
 				qlog.F("error", err.Error()))
 		}
 	}

@@ -105,8 +105,8 @@ func TestPromoteBesideKeyedSpends(t *testing.T) {
 	// A history worth restoring: keyed spends whose replies are
 	// journaled, and a standing query to re-install on promotion.
 	pre := make([][]byte, 100)
-	preReq := func(i int) QueryRequest {
-		return QueryRequest{Analyst: fmt.Sprintf("pre-%d", i%3), Dataset: "hotspot", Query: "count",
+	preReq := func(i int) api.QueryRequest {
+		return api.QueryRequest{Analyst: fmt.Sprintf("pre-%d", i%3), Dataset: "hotspot", Query: "count",
 			Epsilon: 0.01, IdempotencyKey: fmt.Sprintf("pre-%d", i)}
 	}
 	for i := range pre {
@@ -141,7 +141,7 @@ func TestPromoteBesideKeyedSpends(t *testing.T) {
 					return
 				default:
 				}
-				resp, _, err := tryPostV1(p.tsB.URL+"/v1/query", QueryRequest{
+				resp, _, err := tryPostV1(p.tsB.URL+"/v1/query", api.QueryRequest{
 					Analyst: fmt.Sprintf("racer-%d", g), Dataset: "hotspot", Query: "count",
 					Epsilon: 0.01, IdempotencyKey: fmt.Sprintf("race-%d-%d", g, i),
 				})

@@ -387,12 +387,12 @@ func (s *Server) resyncAfterPromote() {
 			// MinSync > 0 has no followers yet, and registrations are
 			// this node's own catch-up, not client-acked spends.
 			if err := s.ledger.Append(ledger.Event{
-				Type: ledger.EventDatasetCreated, Dataset: name, Kind: d.kind.String(),
+				Type: ledger.EventDatasetCreated, Dataset: name, Kind: packetKind,
 				Total:      ledger.EncodeBudget(total),
 				PerAnalyst: ledger.EncodeBudget(perAnalyst),
 			}); err != nil {
 				s.events.Log(qlog.Warn, "registration_unjournaled",
-					qlog.F("dataset", name), qlog.F("kind", d.kind.String()),
+					qlog.F("dataset", name), qlog.F("kind", packetKind),
 					qlog.F("error", err.Error()))
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,13 +65,13 @@ func TestKillAndRestartPreservesBudgets(t *testing.T) {
 
 	// alice spends 0.8 of her 1.0 cap; the second query carries an
 	// idempotency key so its reply is journaled for replay.
-	resp, _ := postV1(t, ts1.URL+"/v1/query", QueryRequest{
+	resp, _ := postV1(t, ts1.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.4,
 	}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first charge: status %d", resp.StatusCode)
 	}
-	keyed := QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count",
+	keyed := api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count",
 		Epsilon: 0.4, IdempotencyKey: "restart-key-1"}
 	resp, body1 := postV1(t, ts1.URL+"/v1/query", keyed, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -113,7 +114,7 @@ func TestKillAndRestartPreservesBudgets(t *testing.T) {
 
 	// The refusal boundary carried over: alice has 0.2 of headroom, so
 	// 0.4 is refused exactly as it would have been before the kill.
-	resp, body := postV1(t, ts2.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts2.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.4,
 	}, nil)
 	if resp.StatusCode != http.StatusForbidden {
@@ -124,7 +125,7 @@ func TestKillAndRestartPreservesBudgets(t *testing.T) {
 		t.Fatalf("refusal envelope %s (err %v), want code %q", body, err, codeBudgetExhausted)
 	}
 	// ...while a charge within the surviving headroom still lands.
-	resp, body = postV1(t, ts2.URL+"/v1/query", QueryRequest{
+	resp, body = postV1(t, ts2.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.15,
 	}, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -153,8 +154,8 @@ func TestRestartKeepsNewestReplies(t *testing.T) {
 	if sent <= kept {
 		t.Fatalf("%d replies fit the %d-entry cache; the test needs more", sent, kept)
 	}
-	keyed := func(i int) QueryRequest {
-		return QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count",
+	keyed := func(i int) api.QueryRequest {
+		return api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count",
 			Epsilon: 0.01, IdempotencyKey: fmt.Sprintf("newest-%d", i)}
 	}
 	bodies := make([][]byte, sent)
@@ -206,6 +207,38 @@ func TestRestartRefusesMismatchedRegistration(t *testing.T) {
 	if err := s2.AddPacketTrace("hotspot", restartTrace(), 2.0, 1.0); err != nil {
 		t.Fatalf("matching re-registration: %v", err)
 	}
+
+	// A link dataset, as older servers journaled it: a packet trace
+	// under its name is refused at equal budgets too, the refusal adds
+	// nothing to the ledger, and the history still replays in full (what
+	// dpledger verify checks).
+	if err := led2.Append(ledger.Event{
+		Type: ledger.EventDatasetCreated, Dataset: "isp", Kind: "link",
+		Total: ledger.EncodeBudget(2.0), PerAnalyst: ledger.EncodeBudget(1.0),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	led2.Close()
+	led3 := openLedger(t, dir)
+	defer led3.Close()
+	seq := led3.StagedSeq()
+	s3 := New(noise.NewSeededSource(1, 2), WithLedger(led3))
+	if err := s3.AddPacketTrace("isp", restartTrace(), 2.0, 1.0); !errors.Is(err, ErrLedgerMismatch) || !strings.Contains(err.Error(), "kind=link") {
+		t.Fatalf("packet trace over a journaled link dataset: %v, want ErrLedgerMismatch naming kind=link", err)
+	}
+	if err := s3.AddPacketTrace("hotspot", restartTrace(), 2.0, 1.0); err != nil {
+		t.Fatalf("re-registration beside the link dataset: %v", err)
+	}
+	if got := led3.StagedSeq(); got != seq {
+		t.Errorf("the refused registration journaled: seq %d → %d", seq, got)
+	}
+	state, rec, err := ledger.Replay(dir, 0)
+	if err != nil || rec.TornBytes != 0 {
+		t.Fatalf("replay after the refusal: %v (%d torn bytes)", err, rec.TornBytes)
+	}
+	if ds, ok := state.Datasets["isp"]; !ok || ds.Kind != "link" {
+		t.Errorf("replayed isp = %+v, want the link dataset", ds)
+	}
 }
 
 // TestFrozenLedgerFailsClosed: corrupt history freezes the ledger;
@@ -219,7 +252,7 @@ func TestFrozenLedgerFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	resp, _ := postV1(t, ts1.URL+"/v1/query", QueryRequest{
+	resp, _ := postV1(t, ts1.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.4,
 	}, nil)
 	ts1.Close()
@@ -261,7 +294,7 @@ func TestFrozenLedgerFailsClosed(t *testing.T) {
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 
-	resp, body := postV1(t, ts2.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, ts2.URL+"/v1/query", api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -280,7 +313,7 @@ func TestFrozenLedgerFailsClosed(t *testing.T) {
 func hostedRecords(t *testing.T, base, name string) int {
 	t.Helper()
 	resp, body := getBody(t, base+"/v1/datasets")
-	var infos []DatasetInfo
+	var infos []api.DatasetInfo
 	if err := json.Unmarshal(body, &infos); resp.StatusCode != http.StatusOK || err != nil {
 		t.Fatalf("datasets: %d %s (err %v)", resp.StatusCode, body, err)
 	}

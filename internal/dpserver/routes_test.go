@@ -1,11 +1,16 @@
 package dpserver
 
 import (
+	"encoding/json"
+	"math"
+	"net/http"
 	"os"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"dptrace/internal/dpserver/api"
 )
 
 // These tests pin the route table as the API's single source of
@@ -67,5 +72,34 @@ func TestReadmeOwnerEndpointsMatchRoutes(t *testing.T) {
 	if strings.Join(documented, "\n") != strings.Join(owner, "\n") {
 		t.Fatalf("README's owner-side endpoints:\n%s\nOwner routes in the table:\n%s",
 			strings.Join(documented, "\n"), strings.Join(owner, "\n"))
+	}
+}
+
+// TestOneSpendingQueryRoute pins the query surface: /v1/query is the
+// one route that runs a query kind, the retired link and hop
+// extraction routes answer 404, and naming their kinds on /v1/query is
+// a 400 listing the kinds there are.
+func TestOneSpendingQueryRoute(t *testing.T) {
+	var query []string
+	for _, rt := range Routes() {
+		if strings.HasPrefix(rt.Path, "/query") {
+			query = append(query, rt.Method+" "+rt.Path)
+		}
+	}
+	if strings.Join(query, ",") != "POST /query" {
+		t.Fatalf("query routes %v, want only POST /query", query)
+	}
+	_, ts := lifecycleServer(t, math.Inf(1), math.Inf(1))
+	for _, kind := range []string{"loadmatrix", "monitoravgs"} {
+		resp, body := postV1(t, ts.URL+"/v1/query/"+kind, map[string]any{"analyst": "a", "dataset": "hotspot", "epsilon": 0.1}, nil)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST /v1/query/%s = %d %s, want 404", kind, resp.StatusCode, body)
+		}
+		resp, body = postV1(t, ts.URL+"/v1/query", api.QueryRequest{Analyst: "a", Dataset: "hotspot", Query: kind, Epsilon: 0.1}, nil)
+		var e api.Error
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil ||
+			e.Code != api.CodeBadRequest || !strings.Contains(e.Message, strings.Join(packetKindNames(), ", ")) {
+			t.Errorf(`POST /v1/query {"query":%q} = %d %s, want 400 listing the kinds`, kind, resp.StatusCode, body)
+		}
 	}
 }

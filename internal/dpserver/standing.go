@@ -115,8 +115,8 @@ func (m *meteredAgent) charged() float64 {
 // standingQueryRequest is the QueryRequest every window of a standing
 // query executes, made from its registration request; the spec keeps
 // it as its Params.
-func standingQueryRequest(spec *standing.Spec, sr *api.StandingRequest) *QueryRequest {
-	return &QueryRequest{
+func standingQueryRequest(spec *standing.Spec, sr *api.StandingRequest) *api.QueryRequest {
+	return &api.QueryRequest{
 		Analyst: spec.Analyst, Dataset: spec.Dataset, Query: spec.Kind,
 		Epsilon: spec.Epsilon, Filter: sr.Filter, MinBytes: sr.MinBytes,
 		BucketStep: sr.BucketStep, Fraction: sr.Fraction,
@@ -169,7 +169,7 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 		}
 		qry := core.NewQueryableForView(snap.Slice(int(w.Start), int(w.End)), core.Agent(agent), s.src).
 			WithExecOptions(s.exec)
-		resp, err := s.execPacket(qry, spec.Params.(*QueryRequest))
+		resp, err := s.execPacket(qry, spec.Params.(*api.QueryRequest))
 		res.Charged = agent.charged()
 		wire.Charged = res.Charged
 		wire.Spent = spent + res.Charged
@@ -253,7 +253,7 @@ func isBudgetExceeded(err error) bool {
 }
 
 // restoreStanding re-installs a dataset's persisted standing queries in
-// registration (ledger seq) order. Called from addDataset and from
+// registration (ledger seq) order. Called from AddPacketTrace and from
 // promotion, under s.mu; the registry has its own lock.
 func (s *Server) restoreStanding(name string) {
 	if s.ledger == nil {
@@ -334,16 +334,14 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "analyst is required"})
 		return
 	}
-	// Windows run the packet kinds' executor — link and hop records come
-	// pre-binned, so only packet datasets are windowed: a kind of another
-	// dataset kind, or parameters it could never execute with, are
-	// refused here, before any window can fire.
-	if _, err := kindFor(&QueryRequest{Query: req.Query, BucketStep: req.BucketStep,
-		Fraction: req.Fraction, SketchEps: req.SketchEps, Key: req.Key}, kindPacket); err != nil {
+	// An unknown kind, or parameters the kind could never execute with,
+	// are refused here, before any window can fire.
+	if _, err := kindFor(&api.QueryRequest{Query: req.Query, BucketStep: req.BucketStep,
+		Fraction: req.Fraction, SketchEps: req.SketchEps, Key: req.Key}); err != nil {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
 		return
 	}
-	d, ok := s.datasetFor(w, name, kindPacket)
+	d, ok := s.datasetFor(w, name)
 	if !ok {
 		return
 	}
@@ -398,7 +396,7 @@ func (s *Server) executeStandingRegister(d *dataset, name string, req *api.Stand
 // registrations in registration order. Read-only.
 func (s *Server) handleStandingList(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("dataset")
-	if _, ok := s.datasetFor(w, name, kindPacket); !ok {
+	if _, ok := s.datasetFor(w, name); !ok {
 		return
 	}
 	list := api.StandingList{Dataset: name, Queries: []api.StandingInfo{}}

@@ -197,7 +197,7 @@ func TestStandingOneShotParity(t *testing.T) {
 
 	// Server B: the same 40 records pre-seeded, one one-shot query.
 	_, tsB := standingServer(t, pkts)
-	resp, body := postV1(t, tsB.URL+"/v1/query", QueryRequest{
+	resp, body := postV1(t, tsB.URL+"/v1/query", api.QueryRequest{
 		Analyst: "mon", Dataset: "live", Query: "count", Epsilon: 0.3,
 		Filter: &api.Filter{DstPort: &port80},
 	}, nil)
@@ -391,8 +391,8 @@ func TestStandingValidation(t *testing.T) {
 		want int
 	}{
 		{"unknown kind", api.StandingRequest{Analyst: "a", Query: "dnslookup", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
-		{"link kind on a packet dataset", api.StandingRequest{Analyst: "a", Query: "loadmatrix", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
-		{"hop kind on a packet dataset", api.StandingRequest{Analyst: "a", Query: "monitoravgs", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
+		{"retired link kind", api.StandingRequest{Analyst: "a", Query: "loadmatrix", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
+		{"retired hop kind", api.StandingRequest{Analyst: "a", Query: "monitoravgs", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
 		{"missing analyst", api.StandingRequest{Query: "count", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10}}, "/v1/standing/live", http.StatusBadRequest},
 		{"no window", api.StandingRequest{Analyst: "a", Query: "count", Epsilon: 0.1, Reservation: 1}, "/v1/standing/live", http.StatusBadRequest},
 		{"both windows", api.StandingRequest{Analyst: "a", Query: "count", Epsilon: 0.1, Reservation: 1, Window: api.StandingWindow{Width: 10, EveryMs: 100}}, "/v1/standing/live", http.StatusBadRequest},

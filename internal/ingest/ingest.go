@@ -52,28 +52,12 @@ var ErrClosed = errors.New("ingest: pipeline closed")
 // distinct from ErrOverloaded (413 vs 429 at the HTTP layer).
 var ErrTooLarge = errors.New("ingest: batch exceeds size limit")
 
-// Kind names which record stream a batch belongs to — the record type
-// a hosted dataset holds.
+// Kind names a batch's record type. Packets are the only one: every
+// hosted dataset is a packet trace.
 type Kind uint8
 
-const (
-	KindPacket Kind = iota + 1
-	KindLink
-	KindHop
-)
-
-// String is the kind's name: "packet", "link" or "hop".
-func (k Kind) String() string {
-	switch k {
-	case KindPacket:
-		return "packet"
-	case KindLink:
-		return "link"
-	case KindHop:
-		return "hop"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
+// KindPacket is a batch of trace.Packet records.
+const KindPacket Kind = 1
 
 // Content types Decode understands (mirrored in internal/dpserver/api).
 const (
@@ -108,17 +92,14 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// Decoded is one batch after decoding: exactly one of the slices is
-// non-nil, matching the job's Kind.
+// Decoded is one batch after decoding.
 type Decoded struct {
 	Packets []trace.Packet
-	Links   []trace.LinkSample
-	Hops    []trace.HopRecord
 }
 
-// Records is the record count of whichever stream is populated.
+// Records is the batch's record count.
 func (d Decoded) Records() int {
-	return len(d.Packets) + len(d.Links) + len(d.Hops)
+	return len(d.Packets)
 }
 
 // Job is one admitted batch travelling the pipeline.
@@ -303,35 +284,20 @@ func (p *Pipeline) Stats() Stats {
 // and offline tools can reuse the exact wire decoding the pipeline
 // applies.
 func Decode(kind Kind, contentType string, data []byte) (Decoded, error) {
+	if kind != KindPacket {
+		return Decoded{}, fmt.Errorf("ingest: unknown kind %d", kind)
+	}
+	var d Decoded
+	var err error
 	switch contentType {
 	case ContentTypeNDJSON:
-		switch kind {
-		case KindPacket:
-			ps, err := trace.ParsePacketsNDJSON(data)
-			return Decoded{Packets: ps}, err
-		case KindLink:
-			ls, err := trace.ParseLinkSamplesNDJSON(data)
-			return Decoded{Links: ls}, err
-		case KindHop:
-			hs, err := trace.ParseHopRecordsNDJSON(data)
-			return Decoded{Hops: hs}, err
-		}
+		d.Packets, err = trace.ParsePacketsNDJSON(data)
 	case ContentTypeDPTR:
-		switch kind {
-		case KindPacket:
-			ps, err := trace.ParsePacketsDPTR(data)
-			return Decoded{Packets: ps}, err
-		case KindLink:
-			ls, err := trace.ParseLinkSamplesDPTR(data)
-			return Decoded{Links: ls}, err
-		case KindHop:
-			hs, err := trace.ParseHopRecordsDPTR(data)
-			return Decoded{Hops: hs}, err
-		}
+		d.Packets, err = trace.ParsePacketsDPTR(data)
 	default:
 		return Decoded{}, fmt.Errorf("ingest: unsupported content type %q", contentType)
 	}
-	return Decoded{}, fmt.Errorf("ingest: unknown kind %d", kind)
+	return d, err
 }
 
 // atomicMax raises *a to v if v is larger.

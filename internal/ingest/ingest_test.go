@@ -156,14 +156,14 @@ func TestPipelineDecodeErrorFailsBatchAndReleases(t *testing.T) {
 func TestPipelineApplyErrorPropagates(t *testing.T) {
 	p := New(Limits{})
 	defer p.Close()
-	body := trace.MarshalLinkSamplesNDJSON([]trace.LinkSample{{Link: 1, Bin: 2}})
+	body := trace.MarshalPacketsNDJSON(testPackets(1))
 	size := int64(len(body))
 	if err := p.Reserve(size); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
 	_, err := p.Submit(&Job{
-		Kind: KindLink, ContentType: ContentTypeNDJSON, Data: body,
+		Kind: KindPacket, ContentType: ContentTypeNDJSON, Data: body,
 		Apply: func(Decoded) error { return boom },
 	}, size)
 	if !errors.Is(err, boom) {
@@ -183,7 +183,7 @@ func TestPipelineBoundedUnderFlood(t *testing.T) {
 	var applied atomic.Int64
 	var acked atomic.Int64
 	var wg sync.WaitGroup
-	body := trace.MarshalLinkSamplesNDJSON([]trace.LinkSample{{Link: 1, Bin: 1}, {Link: 2, Bin: 2}})
+	body := trace.MarshalPacketsNDJSON(testPackets(2))
 	size := int64(len(body))
 
 	for g := 0; g < 16; g++ {
@@ -201,9 +201,9 @@ func TestPipelineBoundedUnderFlood(t *testing.T) {
 					t.Errorf("bytes in flight %d > limit %d", got, limitBytes)
 				}
 				n, err := p.Submit(&Job{
-					Kind: KindLink, ContentType: ContentTypeNDJSON, Data: body,
+					Kind: KindPacket, ContentType: ContentTypeNDJSON, Data: body,
 					Apply: func(d Decoded) error {
-						applied.Add(int64(len(d.Links)))
+						applied.Add(int64(len(d.Packets)))
 						return nil
 					},
 				}, size)
@@ -233,7 +233,7 @@ func TestPipelineBoundedUnderFlood(t *testing.T) {
 
 func TestCloseDrainsAndRefuses(t *testing.T) {
 	p := New(Limits{})
-	body := trace.MarshalLinkSamplesNDJSON([]trace.LinkSample{{Link: 1, Bin: 1}})
+	body := trace.MarshalPacketsNDJSON(testPackets(1))
 	size := int64(len(body))
 
 	var wg sync.WaitGroup
@@ -246,7 +246,7 @@ func TestCloseDrainsAndRefuses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			_, _ = p.Submit(&Job{
-				Kind: KindLink, ContentType: ContentTypeNDJSON, Data: body,
+				Kind: KindPacket, ContentType: ContentTypeNDJSON, Data: body,
 				Apply: func(d Decoded) error { applied.Add(1); return nil },
 			}, size)
 		}()
@@ -268,7 +268,7 @@ func TestCloseDrainsAndRefuses(t *testing.T) {
 // ErrClosed, and no reservation leaks.
 func TestCloseDuringSubmits(t *testing.T) {
 	p := New(Limits{})
-	body := trace.MarshalLinkSamplesNDJSON([]trace.LinkSample{{Link: 1, Bin: 1}})
+	body := trace.MarshalPacketsNDJSON(testPackets(1))
 	size := int64(len(body))
 
 	var closed atomic.Bool
@@ -286,12 +286,12 @@ func TestCloseDuringSubmits(t *testing.T) {
 					return
 				}
 				n, err := p.Submit(&Job{
-					Kind: KindLink, ContentType: ContentTypeNDJSON, Data: body,
+					Kind: KindPacket, ContentType: ContentTypeNDJSON, Data: body,
 					Apply: func(d Decoded) error {
 						if closed.Load() {
 							t.Error("Apply ran after Close returned")
 						}
-						applied.Add(int64(len(d.Links)))
+						applied.Add(int64(len(d.Packets)))
 						return nil
 					},
 				}, size)

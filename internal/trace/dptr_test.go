@@ -22,9 +22,10 @@ func dptrPackets() []Packet {
 	return ps
 }
 
-// The batch encoders write exactly the bytes the file writers do, and
-// the batch decoder and the reader (fed one byte per Read, so every
-// record straddles a refill) both return the records encoded.
+// The packet batch encoder writes exactly the bytes the file writer
+// does, the batch decoder and the reader (fed one byte per Read, so
+// every record straddles a refill) both return the records encoded,
+// and the link and hop file codecs round-trip across refills.
 func TestDPTRBatchAndFileCodecsAgree(t *testing.T) {
 	packets := dptrPackets()
 	// Enough link samples to cross several fileChunk flushes.
@@ -44,17 +45,12 @@ func TestDPTRBatchAndFileCodecsAgree(t *testing.T) {
 	if err := WriteHopRecords(&wh, hops); err != nil {
 		t.Fatal(err)
 	}
-	for name, pair := range map[string][2][]byte{
-		"packets": {MarshalPacketsDPTR(packets), wp.Bytes()},
-		"links":   {MarshalLinkSamplesDPTR(links), wl.Bytes()},
-		"hops":    {MarshalHopRecordsDPTR(hops), wh.Bytes()},
-	} {
-		if !bytes.Equal(pair[0], pair[1]) {
-			t.Fatalf("%s: Marshal*DPTR wrote %d bytes, Write* %d, or different ones", name, len(pair[0]), len(pair[1]))
-		}
-		if len(pair[0]) != cap(pair[0]) {
-			t.Errorf("%s: batch body has %d bytes in a %d-byte buffer", name, len(pair[0]), cap(pair[0]))
-		}
+	batch := MarshalPacketsDPTR(packets)
+	if !bytes.Equal(batch, wp.Bytes()) {
+		t.Fatalf("MarshalPacketsDPTR wrote %d bytes, WritePackets %d, or different ones", len(batch), wp.Len())
+	}
+	if len(batch) != cap(batch) {
+		t.Errorf("batch body has %d bytes in a %d-byte buffer", len(batch), cap(batch))
 	}
 
 	gotP, err := ParsePacketsDPTR(wp.Bytes())
@@ -64,18 +60,10 @@ func TestDPTRBatchAndFileCodecsAgree(t *testing.T) {
 	if gotP, err = ReadPackets(iotest.OneByteReader(bytes.NewReader(wp.Bytes()))); err != nil || !reflect.DeepEqual(gotP, packets) {
 		t.Fatalf("ReadPackets: err %v", err)
 	}
-	gotL, err := ParseLinkSamplesDPTR(wl.Bytes())
-	if err != nil || !reflect.DeepEqual(gotL, links) {
-		t.Fatalf("ParseLinkSamplesDPTR: err %v", err)
-	}
-	if gotL, err = ReadLinkSamples(iotest.HalfReader(bytes.NewReader(wl.Bytes()))); err != nil || !reflect.DeepEqual(gotL, links) {
+	if gotL, err := ReadLinkSamples(iotest.HalfReader(bytes.NewReader(wl.Bytes()))); err != nil || !reflect.DeepEqual(gotL, links) {
 		t.Fatalf("ReadLinkSamples: err %v", err)
 	}
-	gotH, err := ParseHopRecordsDPTR(wh.Bytes())
-	if err != nil || !reflect.DeepEqual(gotH, hops) {
-		t.Fatalf("ParseHopRecordsDPTR: err %v", err)
-	}
-	if gotH, err = ReadHopRecords(iotest.OneByteReader(bytes.NewReader(wh.Bytes()))); err != nil || !reflect.DeepEqual(gotH, hops) {
+	if gotH, err := ReadHopRecords(iotest.OneByteReader(bytes.NewReader(wh.Bytes()))); err != nil || !reflect.DeepEqual(gotH, hops) {
 		t.Fatalf("ReadHopRecords: err %v", err)
 	}
 }
@@ -103,27 +91,24 @@ func TestParsePacketsDPTRDoesNotAliasBody(t *testing.T) {
 	}
 }
 
-// A batch holding more bytes than its declared records is refused with
-// the offset the extra bytes start at, for every kind; a file reader
-// still stops at the count (TestReaderStopsAtCount).
+// A batch holding more bytes than its declared records is refused
+// with the offset the extra bytes start at; a file reader still stops
+// at the count (TestReaderStopsAtCount).
 func TestParseDPTRRefusesTrailingData(t *testing.T) {
 	packets := samplePackets()[:2]
 	two := MarshalPacketsDPTR(packets)
 	one := MarshalPacketsDPTR(packets[:1])
 	// A header declaring one record over a two-record body.
 	forged := append(append([]byte(nil), one[:headerSize]...), two[headerSize:]...)
-	links := MarshalLinkSamplesDPTR([]LinkSample{{1, 2}})
-	hops := MarshalHopRecordsDPTR([]HopRecord{{1, 2, 3}})
 	for name, tc := range map[string]struct {
-		body  []byte
-		end   int // where the declared records end
-		parse func([]byte) error
+		body []byte
+		end  int // where the declared records end
 	}{
-		"packet": {forged, len(one), func(b []byte) error { _, err := ParsePacketsDPTR(b); return err }},
-		"link":   {append(links, 0), len(links), func(b []byte) error { _, err := ParseLinkSamplesDPTR(b); return err }},
-		"hop":    {append(hops, "garbage"...), len(hops), func(b []byte) error { _, err := ParseHopRecordsDPTR(b); return err }},
+		"a record too many": {forged, len(one)},
+		"one byte":          {append(two[:len(two):len(two)], 0), len(two)},
+		"garbage":           {append(one[:len(one):len(one)], "garbage"...), len(one)},
 	} {
-		err := tc.parse(tc.body)
+		_, err := ParsePacketsDPTR(tc.body)
 		if !errors.Is(err, ErrTrailingData) {
 			t.Fatalf("%s: got %v, want ErrTrailingData", name, err)
 		}
@@ -138,23 +123,17 @@ func TestParseDPTRRefusesTrailingData(t *testing.T) {
 }
 
 // A header alone that claims 2^20 records reserves nothing: the batch
-// decoders preallocate only what the body's bytes could hold.
+// decoder preallocates only what the body's bytes could hold.
 func TestForgedCountAllocatesByBytes(t *testing.T) {
-	for kind, parse := range map[uint16]func([]byte) error{
-		KindPacket: func(b []byte) error { _, err := ParsePacketsDPTR(b); return err },
-		KindLink:   func(b []byte) error { _, err := ParseLinkSamplesDPTR(b); return err },
-		KindHop:    func(b []byte) error { _, err := ParseHopRecordsDPTR(b); return err },
-	} {
-		body := appendHeader(nil, kind, 1<<20)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := parse(body)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("kind %d: a header claiming 2^20 records decoded", kind)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
-			t.Errorf("kind %d: a %d-byte body allocated %d bytes", kind, len(body), grew)
-		}
+	body := appendHeader(nil, KindPacket, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParsePacketsDPTR(body)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header claiming 2^20 records decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("a %d-byte body allocated %d bytes", len(body), grew)
 	}
 }

@@ -22,11 +22,12 @@ import (
 // and self-describing enough that the CLI tools can refuse mismatched
 // inputs with a clear error.
 //
-// The same container is the binary ingest wire format. One decoder per
-// record kind reads it off a byte window: a batch's window is its body,
-// decoded in place; a file's window refills from its reader. One append
-// encoder per record kind writes it, into an exactly-sized batch body
-// or through a fileChunk buffer to a file.
+// The same container, holding packets, is the binary ingest wire
+// format. One decoder per record kind reads it off a byte window: a
+// packet batch's window is its body, decoded in place; a file's window
+// refills from its reader. One append encoder per record kind writes
+// it, through a fileChunk buffer to a file, or into an exactly-sized
+// packet batch body.
 
 // Record-stream kinds.
 const (
@@ -278,40 +279,19 @@ func decodeHopRecords(w *window) ([]HopRecord, error) {
 	return records, nil
 }
 
-// batchEnd finishes a batch decode, refusing bytes after the declared
-// records. Each caller builds its own window: one handed to a decoder
-// through a func value would move to the heap.
-func batchEnd[T any](w *window, records []T, err error) ([]T, error) {
-	if err == nil && w.off < len(w.buf) {
-		err = fmt.Errorf("%w: %d bytes at offset %d, after %d records", ErrTrailingData, len(w.buf)-w.off, w.off, len(records))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return records, nil
-}
-
 // ParsePacketsDPTR decodes a DPTR packet batch in place: no read
 // buffer, one arena for all its payloads (which never alias data), and
 // a refusal naming the offset of any bytes after the declared records.
 func ParsePacketsDPTR(data []byte) ([]Packet, error) {
 	w := window{buf: data}
 	packets, err := decodePackets(&w)
-	return batchEnd(&w, packets, err)
-}
-
-// ParseLinkSamplesDPTR decodes a DPTR link-sample batch in place.
-func ParseLinkSamplesDPTR(data []byte) ([]LinkSample, error) {
-	w := window{buf: data}
-	samples, err := decodeLinkSamples(&w)
-	return batchEnd(&w, samples, err)
-}
-
-// ParseHopRecordsDPTR decodes a DPTR hop-record batch in place.
-func ParseHopRecordsDPTR(data []byte) ([]HopRecord, error) {
-	w := window{buf: data}
-	records, err := decodeHopRecords(&w)
-	return batchEnd(&w, records, err)
+	if err == nil && w.off < len(w.buf) {
+		err = fmt.Errorf("%w: %d bytes at offset %d, after %d records", ErrTrailingData, len(w.buf)-w.off, w.off, len(packets))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return packets, nil
 }
 
 // ReadPackets reads a packet trace written by WritePackets. It stops
@@ -365,15 +345,6 @@ func appendHopRecord(dst []byte, h *HopRecord) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(h.Hops))
 }
 
-// marshalRecords encodes records into one body of exactly size bytes.
-func marshalRecords[T any](kind uint16, records []T, size int, appendRecord func([]byte, *T) []byte) []byte {
-	dst := appendHeader(make([]byte, 0, size), kind, len(records))
-	for i := range records {
-		dst = appendRecord(dst, &records[i])
-	}
-	return dst
-}
-
 // MarshalPacketsDPTR encodes a packet batch as one exactly-sized DPTR
 // body, byte-identical to what WritePackets writes.
 func MarshalPacketsDPTR(packets []Packet) []byte {
@@ -382,17 +353,11 @@ func MarshalPacketsDPTR(packets []Packet) []byte {
 		n := len(packets[i].Payload)
 		size += packetFixed + (bits.Len64(uint64(n)|1)+6)/7 + n
 	}
-	return marshalRecords(KindPacket, packets, size, appendPacket)
-}
-
-// MarshalLinkSamplesDPTR encodes a link-sample batch as one DPTR body.
-func MarshalLinkSamplesDPTR(samples []LinkSample) []byte {
-	return marshalRecords(KindLink, samples, headerSize+linkSize*len(samples), appendLinkSample)
-}
-
-// MarshalHopRecordsDPTR encodes a hop-record batch as one DPTR body.
-func MarshalHopRecordsDPTR(records []HopRecord) []byte {
-	return marshalRecords(KindHop, records, headerSize+hopSize*len(records), appendHopRecord)
+	dst := appendHeader(make([]byte, 0, size), KindPacket, len(packets))
+	for i := range packets {
+		dst = appendPacket(dst, &packets[i])
+	}
+	return dst
 }
 
 // writeRecords streams records to w through one fileChunk buffer, so

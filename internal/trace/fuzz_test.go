@@ -80,8 +80,8 @@ func FuzzReadHopRecords(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDPTR holds the batch decoders to the file readers on
-// arbitrary bytes, for all three record kinds. The readers are fed at
+// FuzzDecodeDPTR holds the packet batch decoder to the file reader on
+// arbitrary bytes. The reader is fed at
 // most chunk bytes per Read, so records straddle window refills. The
 // two must return equal records (payload bytes included) or both fail,
 // except that a batch must also refuse bytes after its declared
@@ -93,9 +93,10 @@ func FuzzDecodeDPTR(f *testing.F) {
 		{Time: -1, Payload: bytes.Repeat([]byte{7}, 200)},
 		{Seq: 9},
 	})
-	links := MarshalLinkSamplesDPTR([]LinkSample{{Link: 1, Bin: 2}, {Link: -3, Bin: 4}})
-	hops := MarshalHopRecordsDPTR([]HopRecord{{Monitor: 1, IP: 2, Hops: 3}})
-	for _, body := range [][]byte{packets, links, hops} {
+	empty := MarshalPacketsDPTR(nil)
+	// Payload lengths across the one- to two-byte varint boundary.
+	boundary := MarshalPacketsDPTR([]Packet{{Payload: bytes.Repeat([]byte{1}, 127)}, {Len: 9, Payload: bytes.Repeat([]byte{2}, 128)}})
+	for _, body := range [][]byte{packets, empty, boundary} {
 		f.Add(uint8(0), body)
 		f.Add(uint8(3), body[:len(body)-3])
 		f.Add(uint8(5), append(body[:len(body):len(body)], 0))
@@ -104,14 +105,12 @@ func FuzzDecodeDPTR(f *testing.F) {
 	long := append(append([]byte(nil), packets[:headerSize+packetFixed]...), 0x85, 0x00, 'h', 'e', 'l', 'l', 'o')
 	binary.LittleEndian.PutUint64(long[8:16], 1)
 	f.Add(uint8(1), long)
-	f.Add(uint8(0), appendHeader(nil, KindHop, 1<<40))
+	f.Add(uint8(0), appendHeader(nil, KindPacket, 1<<40))
 	f.Add(uint8(0), []byte("DPTR"))
 
 	f.Fuzz(func(t *testing.T, chunk uint8, data []byte) {
 		n := int(chunk%16) + 1
 		diffDecode(t, "packet", data, n, decodePackets, ParsePacketsDPTR, MarshalPacketsDPTR)
-		diffDecode(t, "link", data, n, decodeLinkSamples, ParseLinkSamplesDPTR, MarshalLinkSamplesDPTR)
-		diffDecode(t, "hop", data, n, decodeHopRecords, ParseHopRecordsDPTR, MarshalHopRecordsDPTR)
 	})
 }
 
@@ -220,24 +219,6 @@ func refPacket(pj *PacketJSON) (Packet, string, error) {
 		Flags: TCPFlags(pj.Flags), Seq: pj.Seq, Ack: pj.Ack, Len: pj.Len, Payload: pj.Payload}, "", nil
 }
 
-func refLinkSample(lj *LinkSampleJSON) (LinkSample, string, error) {
-	if lj.Link < 0 || lj.Bin < 0 {
-		return LinkSample{}, ":", errors.New("link and bin must be non-negative")
-	}
-	return LinkSample{Link: lj.Link, Bin: lj.Bin}, "", nil
-}
-
-func refHopRecord(hj *HopRecordJSON) (HopRecord, string, error) {
-	ip, err := ParseIPv4(hj.IP)
-	if err != nil {
-		return HopRecord{}, " ip:", err
-	}
-	if hj.Monitor < 0 {
-		return HopRecord{}, ":", errors.New("monitor must be non-negative")
-	}
-	return HopRecord{Monitor: hj.Monitor, IP: ip, Hops: hj.Hops}, "", nil
-}
-
 // agree fails unless the parser under test and the reference accept
 // the same batches with the same records (nil and empty payloads
 // apart) and refuse the rest in the same words.
@@ -252,52 +233,51 @@ func agree[T any](t *testing.T, kind string, data []byte, got []T, gotErr error,
 }
 
 // FuzzNDJSONLine is the differential check behind the fast path: on
-// arbitrary bytes, all three NDJSON parsers must be indistinguishable
+// arbitrary bytes, the NDJSON packet parser must be indistinguishable
 // from encoding/json plus the nothing-after-the-object rule.
 func FuzzNDJSONLine(f *testing.F) {
-	// One shape per seed: a key of another shape is an unknown field,
-	// which would defer (and refuse) the line before the interesting
-	// token is reached.
+	// Every seed uses packet keys: an unknown key would defer (and
+	// refuse) the line before the interesting token is reached.
 	for _, seed := range []string{
 		// canonical and Python-spaced
 		`{"time":1000,"srcIP":"10.0.0.1","dstIP":"10.0.0.2","srcPort":443,"dstPort":51000,"proto":6,"flags":18,"seq":7,"ack":9,"len":1200,"payload":"aGVsbG8="}`,
 		`{"time": 1, "srcIP": "1.2.3.4", "dstIP": "5.6.7.8", "len": 1}`,
-		`{"link":3,"bin":12}`,
-		`{"monitor":1,"ip":"172.16.0.9","hops":14}`,
+		`{"time":0,"srcIP":"0.0.0.0","dstIP":"0.0.0.0","len":0}`,
+		`{"srcIP":"172.16.0.9","dstIP":"10.0.0.1","dstPort":80,"len":14}`,
 		// case-folded keys
 		`{"TIME":1,"SrcIp":"1.2.3.4","dstip":"5.6.7.8","LEN":1}`,
-		`{"LINK":1,"Bin":2}`,
-		`{"Monitor":1,"IP":"1.2.3.4","hopS":3}`,
+		`{"Time":1,"SRCIP":"1.2.3.4","DstIP":"5.6.7.8","Payload":"aGk="}`,
+		`{"srcip":"1.2.3.4","dstIP":"5.6.7.8","DstPort":80,"lEn":3}`,
 		// escapes in keys and values
 		`{"t\u0069me":1,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
 		`{"srcIP":"1.2.3.\u0034","dstIP":"5.6.7.8"}`,
 		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"a\/\/+"}`,
 		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"aGk=\""}`,
-		`{"l\u0069nk":1,"bin":2}`,
-		`{"monitor":1,"ip":"\u0031.2.3.4"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","\u006cen":2}`,
+		`{"srcIP":"1.2.3.4","dstIP":"\u0035.6.7.8"}`,
 		// duplicate keys: the last one wins
 		`{"time":1,"time":2,"srcIP":"1.2.3.4","srcIP":"9.9.9.9","dstIP":"5.6.7.8"}`,
 		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"aGk=","payload":""}`,
-		`{"link":1,"link":2,"bin":3}`,
-		`{"ip":"1.1.1.1","ip":"2.2.2.2"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":1,"len":2}`,
+		`{"srcIP":"1.1.1.1","dstIP":"5.6.7.8","dstIP":"2.2.2.2"}`,
 		// null
 		`{"time":null,"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":null}`,
 		`{"srcIP":null,"dstIP":"5.6.7.8"}`,
-		`{"link":null,"bin":1}`,
-		`{"monitor":1,"ip":null}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":null}`,
+		`{"srcIP":"1.2.3.4","dstIP":null}`,
 		`null`,
 		// -0, leading zeros, fractions and exponents
 		`{"time":-0,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
 		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":-0}`,
-		`{"link":-0,"bin":0}`,
-		`{"ip":"1.2.3.4","hops":-0}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","srcPort":-0}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","seq":-0,"ack":0}`,
 		`{"time":01,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
 		`{"time":-01,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
-		`{"link":01,"bin":00}`,
-		`{"ip":"1.2.3.4","hops":01}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","proto":06,"flags":00}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":01}`,
 		`{"time":1e3,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
-		`{"link":1e3,"bin":1.0}`,
-		`{"ip":"1.2.3.4","hops":1.0}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","dstPort":1e3,"len":1.0}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":1.5}`,
 		`{"time":-,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
 		// integer range edges
 		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","srcPort":65535,"proto":255}`,
@@ -311,12 +291,12 @@ func FuzzNDJSONLine(f *testing.F) {
 		`{"time":-9223372036854775809,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
 		`{"time":18446744073709551616,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
 		`{"time":123456789012345678901234567890,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
-		`{"link":2147483647,"bin":2147483648}`,
-		`{"link":-1,"bin":2}`,
-		`{"monitor":-1,"ip":"1.2.3.4"}`,
-		`{"monitor":2147483648,"ip":"1.2.3.4"}`,
-		`{"ip":"1.2.3.4","hops":-2147483648}`,
-		`{"ip":"1.2.3.4","hops":-2147483649}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","dstPort":65535,"len":65536}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":-1}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","flags":-1}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","flags":256}`,
+		`{"time":-1,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","dstPort":-65536}`,
 		// addresses
 		`{"srcIP":"1.2.3.04","dstIP":"5.6.7.8"}`,
 		`{"srcIP":"1.2.3","dstIP":"5.6.7.8"}`,
@@ -330,10 +310,10 @@ func FuzzNDJSONLine(f *testing.F) {
 		`{"dstIP":"1.2.3.4"}`,
 		`{"srcIP":"::1","dstIP":"5.6.7.8"}`,
 		`{"srcIP":"1.2.3.4","dstIP":"::ffff:1.2.3.4"}`,
-		`{"ip":"256.1.1.1"}`,
-		`{"ip":"1.2.3.0004"}`,
-		`{"ip":"fe80::1%eth0"}`,
-		`{"monitor":1,"hops":2}`,
+		`{"srcIP":"256.1.1.1","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"1.2.3.0004"}`,
+		`{"srcIP":"fe80::1%eth0","dstIP":"5.6.7.8"}`,
+		`{"time":1,"len":2}`,
 		// payloads
 		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":"aGVsbG8"}`,
 		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","payload":""}`,
@@ -347,31 +327,31 @@ func FuzzNDJSONLine(f *testing.F) {
 		// structure and whitespace
 		`{}`,
 		`{ }`,
-		"{\"link\":1,\"bin\":2}\r\n{\"link\":3,\"bin\":4}\r\n",
-		"{\t\"link\"\t:\t1\t,\t\"bin\"\t:\t2\t}\t",
-		"\n\n{\"link\":1,\"bin\":2}\n   \n{\"link\":3}\n",
-		`{"link":1,"bin":2}{"link":3,"bin":4}`,
-		`{"link":1,"bin":2} garbage`,
-		`{"link":1,"bin":2}}`,
-		`{"link":1,"bin":2,}`,
-		`{"link":1 "bin":2}`,
-		`{"link" 1}`,
-		`{,"link":1}`,
-		`{"link":1,"bogus":true}`,
-		`{"bin":2,"link":1}`,
-		`{"hops":3,"ip":"1.2.3.4","monitor":1}`,
-		"{\"link\":1,\"bin\":2}\v",
-		"{\"link\":1,\v\"bin\":2}",
-		"\u00a0{\"link\":1,\"bin\":2}\u0085",
-		"{\"link\":1,\"b\x80n\":2}",
-		"{\"ip\":\"1.2.3.4\x7f\"}",
-		`[{"link":1}]`,
-		`{"link":1`,
+		"{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\"}\r\n{\"srcIP\":\"5.6.7.8\",\"dstIP\":\"1.2.3.4\",\"len\":4}\r\n",
+		"{\t\"srcIP\"\t:\t\"1.2.3.4\"\t,\t\"dstIP\"\t:\t\"5.6.7.8\"\t,\t\"len\"\t:\t2\t}\t",
+		"\n\n{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\"}\n   \n{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\",\"len\":3}\n",
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":4}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":2} garbage`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":2}}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":2,}`,
+		`{"srcIP":"1.2.3.4" "dstIP":"5.6.7.8"}`,
+		`{"time" 1,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{,"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","bogus":true}`,
+		`{"len":2,"dstIP":"5.6.7.8","srcIP":"1.2.3.4"}`,
+		`{"payload":"aGk=","dstPort":80,"srcIP":"1.2.3.4","dstIP":"5.6.7.8","time":1}`,
+		"{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\"}\v",
+		"{\"srcIP\":\"1.2.3.4\",\v\"dstIP\":\"5.6.7.8\"}",
+		"\u00a0{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\"}\u0085",
+		"{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\",\"l\x80n\":2}",
+		"{\"srcIP\":\"1.2.3.4\x7f\",\"dstIP\":\"5.6.7.8\"}",
+		`[{"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}]`,
+		`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8","len":1`,
 		`{"srcIP":"1.2.3.4`,
-		`"link"`,
+		`"srcIP"`,
 		`7`,
 		// a bad line behind blank lines, another after it: the first wins
-		"{\"link\":1,\"bin\":2}\n{\"link\":3,\"bin\":4}\n\n\n{\"link\":-5}\n{\"link\":6}\n{\"bin\":x}\n{\"link\":7}",
+		"{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\"}\n{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\",\"len\":4}\n\n\n{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\",\"len\":-5}\n{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\",\"len\":6}\n{\"len\":x}\n{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\",\"len\":7}",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -380,14 +360,6 @@ func FuzzNDJSONLine(f *testing.F) {
 		wantPackets, wantErr := refParse(data, refPacket)
 		agree(t, "packets", data, packets, err, wantPackets, wantErr)
 		samePieces(t, "packets", data, &packetShape)
-		links, err := ParseLinkSamplesNDJSON(data)
-		wantLinks, wantErr := refParse(data, refLinkSample)
-		agree(t, "links", data, links, err, wantLinks, wantErr)
-		samePieces(t, "links", data, &linkShape)
-		hops, err := ParseHopRecordsNDJSON(data)
-		wantHops, wantErr := refParse(data, refHopRecord)
-		agree(t, "hops", data, hops, err, wantHops, wantErr)
-		samePieces(t, "hops", data, &hopShape)
 	})
 }
 

@@ -21,9 +21,9 @@ import (
 // framing. Both decode to identical records.
 //
 // The wire contract is: whatever encoding/json with
-// DisallowUnknownFields decodes into the *JSON structs below
+// DisallowUnknownFields decodes into PacketJSON
 // (addresses must then parse as IPv4), one object per line, nothing
-// after it. decodeStrict and the slow* functions are that contract
+// after it. decodeStrict and slowPacket are that contract
 // and the only place a line is refused; errors name the 1-based line,
 // because an ingest 400 must tell the sender which one to look at.
 //
@@ -58,19 +58,6 @@ type PacketJSON struct {
 	Ack     uint32 `json:"ack,omitempty"`
 	Len     uint16 `json:"len"`
 	Payload []byte `json:"payload,omitempty"`
-}
-
-// LinkSampleJSON is the NDJSON wire shape of one LinkSample.
-type LinkSampleJSON struct {
-	Link int32 `json:"link"`
-	Bin  int32 `json:"bin"`
-}
-
-// HopRecordJSON is the NDJSON wire shape of one HopRecord.
-type HopRecordJSON struct {
-	Monitor int32  `json:"monitor"`
-	IP      string `json:"ip"`
-	Hops    int32  `json:"hops"`
 }
 
 // ParseIPv4 parses a dotted-quad IPv4 address.
@@ -160,28 +147,6 @@ var packetShape = shape[Packet]{
 		{name: "ack", max: math.MaxUint32, omitempty: true, set: func(p *Packet, v int64, _ []byte) { p.Ack = uint32(v) }},
 		{name: "len", max: math.MaxUint16, set: func(p *Packet, v int64, _ []byte) { p.Len = uint16(v) }},
 		{name: "payload", kind: kindBase64, omitempty: true, set: func(p *Packet, _ int64, b []byte) { p.Payload = b }},
-	}),
-}
-
-// link, bin and monitor are int32 on the wire but must be
-// non-negative: a negative one is deferred so the slow path words the
-// refusal.
-var linkShape = shape[LinkSample]{
-	minLine: len(`{}`),
-	slow:    slowLinkSample,
-	fields: keyed([]field[LinkSample]{
-		{name: "link", max: math.MaxInt32, set: func(s *LinkSample, v int64, _ []byte) { s.Link = int32(v) }},
-		{name: "bin", max: math.MaxInt32, set: func(s *LinkSample, v int64, _ []byte) { s.Bin = int32(v) }},
-	}),
-}
-
-var hopShape = shape[HopRecord]{
-	minLine: len(`{"ip":"1.1.1.1"}`),
-	slow:    slowHopRecord,
-	fields: keyed([]field[HopRecord]{
-		{name: "monitor", max: math.MaxInt32, set: func(h *HopRecord, v int64, _ []byte) { h.Monitor = int32(v) }},
-		{name: "ip", kind: kindIPv4, required: true, set: func(h *HopRecord, v int64, _ []byte) { h.IP = IPv4(v) }},
-		{name: "hops", max: math.MaxInt32, neg: true, set: func(h *HopRecord, v int64, _ []byte) { h.Hops = int32(v) }},
 	}),
 }
 
@@ -532,47 +497,9 @@ func slowPacket(line int, raw []byte) (Packet, error) {
 	}, nil
 }
 
-// ParseLinkSamplesNDJSON decodes a batch of LinkSampleJSON lines.
-func ParseLinkSamplesNDJSON(data []byte) ([]LinkSample, error) {
-	out, _, err := parseNDJSON(data, &linkShape)
-	return out, err
-}
-
-func slowLinkSample(line int, raw []byte) (LinkSample, error) {
-	var lj LinkSampleJSON
-	if err := decodeStrict(raw, &lj); err != nil {
-		return LinkSample{}, fmt.Errorf("trace: ndjson line %d: %w", line, err)
-	}
-	if lj.Link < 0 || lj.Bin < 0 {
-		return LinkSample{}, fmt.Errorf("trace: ndjson line %d: link and bin must be non-negative", line)
-	}
-	return LinkSample{Link: lj.Link, Bin: lj.Bin}, nil
-}
-
-// ParseHopRecordsNDJSON decodes a batch of HopRecordJSON lines.
-func ParseHopRecordsNDJSON(data []byte) ([]HopRecord, error) {
-	out, _, err := parseNDJSON(data, &hopShape)
-	return out, err
-}
-
-func slowHopRecord(line int, raw []byte) (HopRecord, error) {
-	var hj HopRecordJSON
-	if err := decodeStrict(raw, &hj); err != nil {
-		return HopRecord{}, fmt.Errorf("trace: ndjson line %d: %w", line, err)
-	}
-	ip, err := ParseIPv4(hj.IP)
-	if err != nil {
-		return HopRecord{}, fmt.Errorf("trace: ndjson line %d ip: %w", line, err)
-	}
-	if hj.Monitor < 0 {
-		return HopRecord{}, fmt.Errorf("trace: ndjson line %d: monitor must be non-negative", line)
-	}
-	return HopRecord{Monitor: hj.Monitor, IP: ip, Hops: hj.Hops}, nil
-}
-
-// The append encoders write exactly the bytes json.Marshal produces
-// for the *JSON structs (a test holds them to it), with strconv and
-// base64 straight into dst.
+// The append encoder writes exactly the bytes json.Marshal produces
+// for PacketJSON (a test holds it to that), with strconv and base64
+// straight into dst.
 
 // appendNonZero appends key and v unless v is zero (omitempty).
 func appendNonZero(dst []byte, key string, v uint64) []byte {
@@ -611,39 +538,6 @@ func MarshalPacketsNDJSON(packets []Packet) []byte {
 	dst := make([]byte, 0, 160*len(packets))
 	for i := range packets {
 		dst = AppendPacketNDJSON(dst, &packets[i])
-	}
-	return dst
-}
-
-// AppendLinkSampleNDJSON appends one link sample as a JSON line.
-func AppendLinkSampleNDJSON(dst []byte, s LinkSample) []byte {
-	dst = strconv.AppendInt(append(dst, `{"link":`...), int64(s.Link), 10)
-	dst = strconv.AppendInt(append(dst, `,"bin":`...), int64(s.Bin), 10)
-	return append(dst, "}\n"...)
-}
-
-// MarshalLinkSamplesNDJSON encodes a link-sample batch as NDJSON.
-func MarshalLinkSamplesNDJSON(samples []LinkSample) []byte {
-	var dst []byte
-	for _, s := range samples {
-		dst = AppendLinkSampleNDJSON(dst, s)
-	}
-	return dst
-}
-
-// AppendHopRecordNDJSON appends one hop record as a JSON line.
-func AppendHopRecordNDJSON(dst []byte, h HopRecord) []byte {
-	dst = strconv.AppendInt(append(dst, `{"monitor":`...), int64(h.Monitor), 10)
-	dst = h.IP.appendTo(append(dst, `,"ip":"`...))
-	dst = strconv.AppendInt(append(dst, `","hops":`...), int64(h.Hops), 10)
-	return append(dst, "}\n"...)
-}
-
-// MarshalHopRecordsNDJSON encodes a hop-record batch as NDJSON.
-func MarshalHopRecordsNDJSON(records []HopRecord) []byte {
-	var dst []byte
-	for _, h := range records {
-		dst = AppendHopRecordNDJSON(dst, h)
 	}
 	return dst
 }

@@ -41,57 +41,22 @@ func TestPacketsNDJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLinkSamplesNDJSONRoundTrip(t *testing.T) {
-	in := []LinkSample{{Link: 3, Bin: 12}, {Link: 0, Bin: 0}}
-	out, err := ParseLinkSamplesNDJSON(MarshalLinkSamplesNDJSON(in))
-	if err != nil {
-		t.Fatalf("ParseLinkSamplesNDJSON: %v", err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("expected %d samples, got %d", len(in), len(out))
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Errorf("sample %d: %+v != %+v", i, in[i], out[i])
-		}
-	}
-}
-
-func TestHopRecordsNDJSONRoundTrip(t *testing.T) {
-	in := []HopRecord{
-		{Monitor: 1, IP: MakeIPv4(172, 16, 0, 9), Hops: 14},
-		{Monitor: 2, IP: MakeIPv4(10, 1, 2, 3), Hops: 3},
-	}
-	out, err := ParseHopRecordsNDJSON(MarshalHopRecordsNDJSON(in))
-	if err != nil {
-		t.Fatalf("ParseHopRecordsNDJSON: %v", err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("expected %d records, got %d", len(in), len(out))
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Errorf("record %d: %+v != %+v", i, in[i], out[i])
-		}
-	}
-}
-
 func TestParseNDJSONSkipsBlankLines(t *testing.T) {
-	data := []byte("\n{\"link\":1,\"bin\":2}\n\n  \n{\"link\":3,\"bin\":4}\n\n")
-	out, err := ParseLinkSamplesNDJSON(data)
+	data := []byte("\n{\"srcIP\":\"1.2.3.4\",\"dstIP\":\"5.6.7.8\"}\n\n  \n{\"srcIP\":\"5.6.7.8\",\"dstIP\":\"1.2.3.4\"}\n\n")
+	out, err := ParsePacketsNDJSON(data)
 	if err != nil {
-		t.Fatalf("ParseLinkSamplesNDJSON: %v", err)
+		t.Fatalf("ParsePacketsNDJSON: %v", err)
 	}
 	if len(out) != 2 {
-		t.Fatalf("expected 2 samples, got %d", len(out))
+		t.Fatalf("expected 2 packets, got %d", len(out))
 	}
 }
 
 func TestParseNDJSONNoTrailingNewline(t *testing.T) {
-	data := []byte(`{"link":1,"bin":2}`)
-	out, err := ParseLinkSamplesNDJSON(data)
+	data := []byte(`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`)
+	out, err := ParsePacketsNDJSON(data)
 	if err != nil || len(out) != 1 {
-		t.Fatalf("expected 1 sample, got %d (err=%v)", len(out), err)
+		t.Fatalf("expected 1 packet, got %d (err=%v)", len(out), err)
 	}
 }
 
@@ -129,42 +94,18 @@ func TestParsePacketsNDJSONErrors(t *testing.T) {
 	}
 }
 
-func TestParseLinkSamplesNDJSONRejectsNegative(t *testing.T) {
-	if _, err := ParseLinkSamplesNDJSON([]byte(`{"link":-1,"bin":0}`)); err == nil {
-		t.Fatal("expected error for negative link")
-	}
-}
-
-func TestParseHopRecordsNDJSONRejectsNegativeMonitor(t *testing.T) {
-	if _, err := ParseHopRecordsNDJSON([]byte(`{"monitor":-1,"ip":"1.2.3.4","hops":2}`)); err == nil {
-		t.Fatal("expected error for negative monitor")
-	}
-}
-
-// Nothing may follow a line's object, for every record kind, whether
-// the object itself is canonical (fast path up to the closing brace)
-// or needs encoding/json (here: an escaped key).
+// Nothing may follow a line's object, whether the object itself is
+// canonical (fast path up to the closing brace) or needs encoding/json
+// (here: an escaped key).
 func TestParseNDJSONRefusesTrailingData(t *testing.T) {
-	parsers := map[string]func([]byte) error{
-		"packet": func(b []byte) error { _, err := ParsePacketsNDJSON(b); return err },
-		"link":   func(b []byte) error { _, err := ParseLinkSamplesNDJSON(b); return err },
-		"hop":    func(b []byte) error { _, err := ParseHopRecordsNDJSON(b); return err },
-	}
-	objects := map[string][]string{
-		"packet": {`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`, `{"srcIP":"1.2.3.4","dst\u0049P":"5.6.7.8"}`},
-		"link":   {`{"link":1,"bin":2}`, `{"link":1,"b\u0069n":2}`},
-		"hop":    {`{"monitor":1,"ip":"1.2.3.4","hops":3}`, `{"monitor":1,"\u0069p":"1.2.3.4","hops":3}`},
-	}
-	for kind, parse := range parsers {
-		for _, obj := range objects[kind] {
-			if err := parse([]byte(obj + " \t\r\n")); err != nil {
-				t.Errorf("%s %s alone: %v", kind, obj, err)
-			}
-			for _, tail := range []string{obj, " garbage", "}", ",", " 1", "\v{}"} {
-				err := parse([]byte(obj + "\n" + obj + tail))
-				if err == nil || !strings.Contains(err.Error(), "trace: ndjson line 2: more than one JSON value") {
-					t.Errorf("%s %s%s: got %v, want a line-2 trailing-data refusal", kind, obj, tail, err)
-				}
+	for _, obj := range []string{`{"srcIP":"1.2.3.4","dstIP":"5.6.7.8"}`, `{"srcIP":"1.2.3.4","dst\u0049P":"5.6.7.8"}`} {
+		if _, err := ParsePacketsNDJSON([]byte(obj + " \t\r\n")); err != nil {
+			t.Errorf("%s alone: %v", obj, err)
+		}
+		for _, tail := range []string{obj, " garbage", "}", ",", " 1", "\v{}"} {
+			_, err := ParsePacketsNDJSON([]byte(obj + "\n" + obj + tail))
+			if err == nil || !strings.Contains(err.Error(), "trace: ndjson line 2: more than one JSON value") {
+				t.Errorf("%s%s: got %v, want a line-2 trailing-data refusal", obj, tail, err)
 			}
 		}
 	}
@@ -208,15 +149,10 @@ func TestMarshalledLinesTakeFastPath(t *testing.T) {
 		{Time: math.MaxInt64, SrcIP: MakeIPv4(1, 20, 255, 0), DstIP: 1, Payload: []byte{0}},
 	}
 	assertFast(t, &packetShape, MarshalPacketsNDJSON(packets), packets)
-	links := []LinkSample{{}, {Link: 3, Bin: 12}, {Link: math.MaxInt32, Bin: math.MaxInt32}}
-	assertFast(t, &linkShape, MarshalLinkSamplesNDJSON(links), links)
-	hops := []HopRecord{{}, {Monitor: 1, IP: MakeIPv4(172, 16, 0, 9), Hops: 14},
-		{Monitor: math.MaxInt32, IP: math.MaxUint32, Hops: math.MinInt32}, {Hops: math.MaxInt32}}
-	assertFast(t, &hopShape, MarshalHopRecordsNDJSON(hops), hops)
 }
 
-// The append encoders must produce json.Marshal's bytes for the *JSON
-// structs: senders and trace.ndjson_bytes_per_rec see no difference.
+// The append encoder must produce json.Marshal's bytes for PacketJSON:
+// senders and trace.ndjson_bytes_per_rec see no difference.
 func TestAppendEncodersMatchJSONMarshal(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	// Half the draws are zero, so omitempty fields come and go.
@@ -242,9 +178,5 @@ func TestAppendEncodersMatchJSONMarshal(t *testing.T) {
 		check(AppendPacketNDJSON(nil, &p), PacketJSON{Time: p.Time, SrcIP: p.SrcIP.String(), DstIP: p.DstIP.String(),
 			SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Proto, Flags: uint8(p.Flags),
 			Seq: p.Seq, Ack: p.Ack, Len: p.Len, Payload: p.Payload})
-		l := LinkSample{Link: int32(draw()), Bin: int32(draw())}
-		check(AppendLinkSampleNDJSON(nil, l), LinkSampleJSON{Link: l.Link, Bin: l.Bin})
-		h := HopRecord{Monitor: int32(draw()), IP: IPv4(draw()), Hops: int32(draw())}
-		check(AppendHopRecordNDJSON(nil, h), HopRecordJSON{Monitor: h.Monitor, IP: h.IP.String(), Hops: h.Hops})
 	}
 }
