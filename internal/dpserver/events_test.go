@@ -79,9 +79,6 @@ func TestQueryWideEventInvariant(t *testing.T) {
 	// profile must hold the operator tree (the where row) and the
 	// aggregation's ε accounting.
 	okEvent := events[2]
-	if ep := fieldValue(okEvent, "endpoint"); ep != "/query" {
-		t.Errorf("endpoint = %v, want /query", ep)
-	}
 	if got := fieldValue(okEvent, "charged_epsilon").(float64); got != 0.5 {
 		t.Errorf("charged_epsilon = %v, want 0.5", got)
 	}
@@ -120,6 +117,40 @@ func TestQueryWideEventInvariant(t *testing.T) {
 	}
 	if ops, ok := profAny["ops"].([]any); !ok || len(ops) == 0 {
 		t.Fatalf("fetched profile has no ops: %v", profAny)
+	}
+}
+
+// TestWideEventPerEndpoint extends the one-event invariant to every
+// query kind the spending endpoint serves: each successful request
+// emits one "query" event naming the endpoint, with a non-empty
+// operator profile.
+func TestWideEventPerEndpoint(t *testing.T) {
+	s := New(noise.NewSeededSource(3, 4))
+	if err := s.AddPacketTrace("hotspot", restartTrace(), math.Inf(1), math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i, k := range queryKinds {
+		postV1(t, ts.URL+"/v1/query", api.QueryRequest{
+			Analyst: "alice", Dataset: "hotspot", Query: k.name, Epsilon: 0.5, Key: "0.0.0.1",
+		}, nil)
+		events := eventsNamed(s, "query")
+		if len(events) != i+1 {
+			t.Fatalf("%s: got %d query events after %d requests", k.name, len(events), i+1)
+		}
+		e := events[0] // newest first
+		if ep := fieldValue(e, "endpoint"); ep != "/query" {
+			t.Errorf("%s: endpoint = %v, want /query", k.name, ep)
+		}
+		if out := fieldValue(e, "outcome"); out != "ok" {
+			t.Errorf("%s: outcome = %v, want ok", k.name, out)
+		}
+		prof, ok := fieldValue(e, "profile").(*obs.Profile)
+		if !ok || len(prof.Ops) == 0 || len(prof.Aggs) == 0 {
+			t.Errorf("%s: profile empty: %+v", k.name, fieldValue(e, "profile"))
+		}
 	}
 }
 
