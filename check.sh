@@ -118,11 +118,10 @@ go test -run=. -fuzz=FuzzQuantileMatchesReference -fuzztime=3s ./internal/sketch
 # batch cut into 1, 2 or 3 pieces parsed concurrently must decode as
 # one pass does, fast-path count included.
 go test -run=. -fuzz=FuzzNDJSONLine -fuzztime=5s ./internal/trace
-# Short differential fuzz smoke over the DPTR decoders: on arbitrary
-# bytes, for every record kind, decoding the bytes as one batch and
-# reading them through a reader in small pieces must return the same
-# records or both fail, the batch also refusing bytes after its
-# declared records.
+# Short differential fuzz smoke over the DPTR decoder: on arbitrary
+# bytes, decoding the bytes as one batch and reading them through a
+# reader in small pieces must return the same records or both fail,
+# the batch also refusing bytes after its declared records.
 go test -run=. -fuzz=FuzzDecodeDPTR -fuzztime=3s ./internal/trace
 # Short differential fuzz smoke over the time-order kernel: on any keys
 # (ties, sign bit, extremes) the radix permutation must equal the
@@ -160,11 +159,6 @@ go test -race -run 'TestChaosStorm' -count=1 ./internal/dpserver -chaosdur 3s
 # primary, idempotent replays byte-identical across the failover, and
 # the two ledger directories prefix-consistent (see DESIGN.md §S35).
 go test -race -run 'TestKillPrimaryFailover|TestFailoverStorm' -count=1 ./internal/dpserver -failoverdur 3s
-# Standing-query smoke: register + ingest + windows firing end to end,
-# and the kill-restart acceptance (byte-identical replay, no window
-# double-charged or skipped) — the continual-monitoring contract in
-# ~2s under the race detector.
-go test -race -run 'TestStandingEndToEnd|TestStandingKillRestart' -count=1 ./internal/dpserver
 # Load-harness smoke: a 2-second mixed-live run of the repository
 # benchmark (BENCHMARK.json) — concurrent analysts and an ingest sender
 # through the real HTTP stack, the spend phases in every ledger mode,

@@ -1,13 +1,13 @@
-// Command tracegen writes the synthetic substitute datasets to disk in
-// the repository's binary trace format, for use with cmd/dpquery or
-// external tooling:
+// Command tracegen writes the synthetic hotspot packet trace to disk in
+// the repository's binary trace format, for cmd/dpserver, cmd/dpquery
+// or external tooling:
 //
 //	tracegen -kind hotspot -out hotspot.dptr -scale 1.0
-//	tracegen -kind isp     -out isp.dptr
-//	tracegen -kind scatter -out scatter.dptr
 //
-// -scale multiplies the record-count knobs of the chosen generator;
-// -seed makes runs reproducible.
+// -scale multiplies the generator's record-count knobs; -seed makes
+// runs reproducible. The link and hop datasets (tracegen.IspTraffic,
+// tracegen.IPScatter) are built in memory by the experiments and
+// examples that use them and have no file format.
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	kind := flag.String("kind", "hotspot", "dataset: hotspot, isp, or scatter")
+	kind := flag.String("kind", "hotspot", "dataset: hotspot")
 	out := flag.String("out", "", "output file (required)")
 	seed := flag.Uint64("seed", 1, "generator seed")
 	scale := flag.Float64("scale", 1.0, "record-count multiplier")
@@ -33,6 +33,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracegen: -scale must be positive")
 		os.Exit(2)
 	}
+	if *kind != "hotspot" {
+		fmt.Fprintf(os.Stderr, "tracegen: unknown kind %q\n", *kind)
+		os.Exit(2)
+	}
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -41,40 +45,16 @@ func main() {
 	}
 	defer f.Close()
 
-	switch *kind {
-	case "hotspot":
-		cfg := tracegen.DefaultHotspotConfig()
-		cfg.Seed = *seed
-		cfg.Sessions = int(float64(cfg.Sessions) * *scale)
-		cfg.BackgroundTotal = int(float64(cfg.BackgroundTotal) * *scale)
-		cfg.StoneActivations = int(float64(cfg.StoneActivations) * *scale)
-		packets, _ := tracegen.Hotspot(cfg)
-		if err := trace.WritePackets(f, packets); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d packets to %s\n", len(packets), *out)
-	case "isp":
-		cfg := tracegen.DefaultIspConfig()
-		cfg.Seed = *seed
-		cfg.MeanPacketsPerBin *= *scale
-		samples, _ := tracegen.IspTraffic(cfg)
-		if err := trace.WriteLinkSamples(f, samples); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d link samples to %s\n", len(samples), *out)
-	case "scatter":
-		cfg := tracegen.DefaultScatterConfig()
-		cfg.Seed = *seed
-		cfg.IPsPerCluster = int(float64(cfg.IPsPerCluster) * *scale)
-		records, _ := tracegen.IPScatter(cfg)
-		if err := trace.WriteHopRecords(f, records); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d hop records to %s\n", len(records), *out)
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown kind %q\n", *kind)
-		os.Exit(2)
+	cfg := tracegen.DefaultHotspotConfig()
+	cfg.Seed = *seed
+	cfg.Sessions = int(float64(cfg.Sessions) * *scale)
+	cfg.BackgroundTotal = int(float64(cfg.BackgroundTotal) * *scale)
+	cfg.StoneActivations = int(float64(cfg.StoneActivations) * *scale)
+	packets, _ := tracegen.Hotspot(cfg)
+	if err := trace.WritePackets(f, packets); err != nil {
+		fatal(err)
 	}
+	fmt.Printf("wrote %d packets to %s\n", len(packets), *out)
 }
 
 func fatal(err error) {

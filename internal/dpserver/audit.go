@@ -15,16 +15,17 @@ import (
 // analyst or across all analysts") presumes the owner can see who
 // spent what; entries record request metadata and outcome — never
 // data. Refusals are logged too: a refusal consumes no budget but the
-// owner still wants the attempt visible.
+// owner still wants the attempt visible. Queries refused at the door
+// never execute and are not entries.
 type AuditEntry struct {
 	Time    time.Time `json:"time"`
 	Analyst string    `json:"analyst"`
 	Dataset string    `json:"dataset"`
 	Query   string    `json:"query"`
 	Epsilon float64   `json:"epsilon"`
-	// Charged is the budget actually drawn (0 for refused or invalid
-	// queries). It can exceed Epsilon when the query's derivation
-	// amplifies sensitivity (GroupBy, self-joins).
+	// Charged is the budget this request drew, as metered on its own
+	// agent (0 for refused queries). It can exceed Epsilon when the
+	// query's derivation amplifies sensitivity (GroupBy, self-joins).
 	Charged float64 `json:"charged"`
 	// Outcome is "ok", "refused", or "error".
 	Outcome string `json:"outcome"`

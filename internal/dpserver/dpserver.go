@@ -425,6 +425,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "epsilon must be positive"})
 		return
 	}
+	// An unknown kind, or parameters the kind could never execute with,
+	// are refused at the door: nothing is audited, journaled or charged.
+	if _, err := kindFor(&req); err != nil {
+		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
+		return
+	}
 	d, ok := s.datasetFor(w, req.Dataset)
 	if !ok {
 		return
@@ -452,33 +458,27 @@ func (s *Server) datasetFor(w http.ResponseWriter, name string) (*dataset, bool)
 // agent, record the engine and the profile, run the kind, audit what it
 // charged, then complete the success body with the analyst's budget
 // and, when explain is set, the redacted profile (explaining changes no
-// accounting and no ledger traffic). Every outcome may be replayed for
-// an idempotency key but a cancellation that charged nothing, which a
-// retry should execute. What it journals is staged: the caller releases
-// the result through Server.settle, which also emits the execution's
-// one "query" wide event.
+// accounting and no ledger traffic). Its charge is read off its own
+// agent. Every outcome may be replayed for an idempotency key but a
+// cancellation that charged nothing, which a retry should execute. What
+// it journals is staged: the caller releases the result through
+// Server.settle, which also emits the execution's one "query" event.
 func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *dataset, req *api.QueryRequest) execResult {
 	start := time.Now()
 	if s.execHook != nil {
 		s.execHook(ctx)
 	}
-	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
+	prof := obs.NewProfileRecorder(agent.charged)
 	rec := obs.Multi(s.engineRec, prof)
-	spentBefore := d.policy.SpentBy(req.Analyst)
 	resp, err := s.execPacket(open(s, d.packets, agent, rec, ctx), req)
-	entry := AuditEntry{
-		Analyst: req.Analyst, Dataset: req.Dataset,
-		Query: req.Query, Epsilon: req.Epsilon, Outcome: "ok",
-	}
 	done := queryOutcome{
 		endpoint: endpoint, analyst: req.Analyst, dataset: req.Dataset,
 		query: req.Query, epsilon: req.Epsilon, started: start,
 		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy, agent: agent,
+		outcome: "ok", status: http.StatusOK, charged: agent.charged(), profile: prof.Profile(),
 	}
-	spent := d.policy.SpentBy(req.Analyst)
 	remaining := finiteOrUnlimited(d.policy.RemainingFor(req.Analyst))
-	entry.Charged = spent - spentBefore
 	if err != nil {
 		if errors.Is(err, core.ErrInternal) {
 			// A panic recovered at the aggregation boundary (the worker
@@ -493,19 +493,17 @@ func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *
 				qlog.F("query", req.Query),
 				qlog.F("error", err.Error()))
 		}
-		entry.Outcome = auditOutcome(err)
-		s.recordAudit(&done, entry)
-		status, ae := classify(err, remaining, entry.Charged)
-		done.outcome, done.status, done.charged, done.profile = entry.Outcome, status, entry.Charged, prof.Profile()
-		return s.queryResult(done, marshalJSON(ae), !(entry.Outcome == "canceled" && entry.Charged == 0))
+		done.outcome = auditOutcome(err)
+		var ae apiError
+		done.status, ae = classify(err, remaining, done.charged)
+		s.recordAudit(&done)
+		return s.queryResult(done, marshalJSON(ae), !(done.outcome == "canceled" && done.charged == 0))
 	}
-	s.recordAudit(&done, entry)
-	done.outcome, done.status, done.charged, done.profile = entry.Outcome, http.StatusOK, entry.Charged, prof.Profile()
-	var redacted *obs.Profile
+	s.recordAudit(&done)
 	if explain {
-		redacted = done.profile.Redact()
+		resp.Profile = done.profile.Redact()
 	}
-	resp.Spent, resp.Remaining, resp.Profile = spent, remaining, redacted
+	resp.Spent, resp.Remaining = d.policy.SpentBy(req.Analyst), remaining
 	return s.queryResult(done, marshalJSON(resp), true)
 }
 
@@ -551,7 +549,7 @@ func RunPacketQuery(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*ap
 	// "By value, through the stack"; admit's framePad is the other
 	// one). check.sh holds the path's frames to
 	// internal/dpserver/testdata/served_frames.txt.
-	var framePad [25]uintptr
+	var framePad [34]uintptr
 	resp, err := k.run(q.Stream().Where(match), req)
 	runtime.KeepAlive(&framePad)
 	return resp, err

@@ -3,6 +3,7 @@ package dpserver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"dptrace/internal/dpserver/api"
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
+	"dptrace/internal/obs"
 	"dptrace/internal/trace"
 	"dptrace/internal/tracegen"
 )
@@ -352,8 +354,25 @@ func TestServerMedianQuery(t *testing.T) {
 	}
 }
 
+// errInjected is an execution failure a test injects through the
+// execPacket seam: a well-formed query that fails while it executes.
+var errInjected = errors.New("injected execution failure")
+
+// failQueriesBy makes every query by analyst fail in execution, before
+// it charges, with errInjected; other analysts' queries run as served.
+// Call it before the server takes requests.
+func failQueriesBy(s *Server, analyst string) {
+	s.execPacket = func(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		if req.Analyst == analyst {
+			return nil, errInjected
+		}
+		return RunPacketQuery(q, req)
+	}
+}
+
 func TestAuditLedger(t *testing.T) {
-	ts := testServer(t, math.Inf(1), 1.0)
+	s, ts := hotspotServer(t, math.Inf(1), 1.0)
+	failQueriesBy(s, "bob")
 	// One ok query (GroupBy: charged 2x epsilon), one refusal, one error.
 	_, _ = postQuery(t, ts, api.QueryRequest{
 		Analyst: "alice", Dataset: "hotspot", Query: "hosts", Epsilon: 0.4,
@@ -362,7 +381,7 @@ func TestAuditLedger(t *testing.T) {
 		Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.9,
 	})
 	_, _ = postQuery(t, ts, api.QueryRequest{
-		Analyst: "bob", Dataset: "hotspot", Query: "bogus", Epsilon: 0.1,
+		Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.1,
 	})
 
 	resp, err := http.Get(ts.URL + "/v1/audit")
@@ -383,8 +402,8 @@ func TestAuditLedger(t *testing.T) {
 	if entries[1].Outcome != "refused" || entries[1].Charged != 0 {
 		t.Errorf("second entry: %+v (want refused, charged 0)", entries[1])
 	}
-	if entries[2].Outcome != "error" {
-		t.Errorf("third entry: %+v (want error)", entries[2])
+	if entries[2].Outcome != "error" || entries[2].Charged != 0 {
+		t.Errorf("third entry: %+v (want error, charged 0)", entries[2])
 	}
 
 	// Filtered view.
@@ -401,25 +420,154 @@ func TestAuditLedger(t *testing.T) {
 		t.Fatalf("filtered audit: %+v", entries)
 	}
 
-	// An entry records the charge actually made: the analyst's spend
-	// after the query less the spend before, not the requested ε
-	// (0.1 + 0.2 − 0.1 is not 0.2 in floats).
-	var spent []float64
+	// An entry records the charge the request made, as its own agent
+	// applied it: exactly 0.2 after a 0.1 charge, where the difference
+	// of the analyst's running totals is not (0.1 + 0.2 − 0.1 is not
+	// 0.2 in floats).
 	for _, eps := range []float64{0.1, 0.2} {
 		resp, body := postQuery(t, ts, api.QueryRequest{Analyst: "carol", Dataset: "hotspot", Query: "count", Epsilon: eps})
-		var out api.QueryResponse
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil {
+		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("count at %v: %d %s", eps, resp.StatusCode, body)
 		}
-		spent = append(spent, out.Spent)
 	}
 	_, body := getBody(t, ts.URL+"/v1/audit?analyst=carol")
 	entries = nil
 	if err := json.Unmarshal(body, &entries); err != nil || len(entries) != 2 {
 		t.Fatalf("carol's audit: %v %s", err, body)
 	}
-	if last := entries[1]; last.Charged != spent[1]-spent[0] || last.Outcome != "ok" {
-		t.Errorf("audit entry %+v, want charged %v (spent %v → %v)", last, spent[1]-spent[0], spent[0], spent[1])
+	if last := entries[1]; last.Charged != 0.2 || last.Outcome != "ok" {
+		t.Errorf("audit entry %+v, want charged 0.2", last)
+	}
+}
+
+// TestAuditChargedPerRequest: two requests by one analyst in flight at
+// once each record their own charge — in the audit trail the ledger
+// keeps, in their "query" wide events and in their profiles — however
+// their charges interleave on the analyst's shared budget.
+func TestAuditChargedPerRequest(t *testing.T) {
+	s, ts := ledgerServer(t, openLedger(t, t.TempDir()), math.Inf(1), math.Inf(1))
+	held, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // a failing test must not leave the held request blocking the server's Close
+	s.execPacket = func(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		if req.Epsilon == 0.25 {
+			close(held)
+			<-gate
+		}
+		return RunPacketQuery(q, req)
+	}
+	query := func(eps float64) (int, error) {
+		body, _ := json.Marshal(api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: eps})
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	type answer struct {
+		status int
+		err    error
+	}
+	first := make(chan answer, 1)
+	go func() {
+		status, err := query(0.25)
+		first <- answer{status, err}
+	}()
+	select {
+	case <-held: // the 0.25 count is inside its execution, not yet charged
+	case a := <-first:
+		t.Fatalf("0.25 count answered without executing: %d %v", a.status, a.err)
+	}
+	if status, err := query(0.5); err != nil || status != http.StatusOK {
+		t.Fatalf("0.5 count: %d %v", status, err)
+	}
+	release()
+	if a := <-first; a.err != nil || a.status != http.StatusOK {
+		t.Fatalf("0.25 count: %d %v", a.status, a.err)
+	}
+
+	var sum float64
+	for _, e := range s.Audit() {
+		if e.Charged != e.Epsilon {
+			t.Errorf("audit entry at ε %v records charged %v", e.Epsilon, e.Charged)
+		}
+		sum += e.Charged
+	}
+	if spent := s.datasets["hotspot"].policy.SpentBy("alice"); sum != spent {
+		t.Errorf("audit charges sum to %v, the analyst spent %v", sum, spent)
+	}
+	events := eventsNamed(s, "query")
+	if len(events) != 2 {
+		t.Fatalf("got %d query events, want 2", len(events))
+	}
+	for _, e := range events {
+		eps := fieldValue(e, "epsilon").(float64)
+		if got := fieldValue(e, "charged_epsilon").(float64); got != eps {
+			t.Errorf("query event at ε %v: charged_epsilon %v", eps, got)
+		}
+		prof := fieldValue(e, "profile").(*obs.Profile)
+		if len(prof.Aggs) != 1 || prof.Aggs[0].EpsilonCharged != eps {
+			t.Errorf("query event at ε %v: profile aggs %+v, want one row charging %v", eps, prof.Aggs, eps)
+		}
+	}
+}
+
+// TestMalformedQueryStagesNothing: a query the kind table refuses — an
+// unknown kind, a bucketStep wider than the kind's domain, srcfreq
+// without its key (idempotency-keyed) — is answered 400 at the door:
+// nothing is staged in the ledger, audited, counted among the
+// analyst's queries, or emitted as a "query" event.
+func TestMalformedQueryStagesNothing(t *testing.T) {
+	led := openLedger(t, t.TempDir())
+	s, ts := ledgerServer(t, led, math.Inf(1), math.Inf(1))
+	if resp, body := postQuery(t, ts, api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("count: %d %s", resp.StatusCode, body)
+	}
+	queries := func() int {
+		_, body := getBody(t, ts.URL+"/v1/datasets")
+		var infos []api.DatasetInfo
+		if err := json.Unmarshal(body, &infos); err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range infos {
+			for _, u := range info.Analysts {
+				if info.Name == "hotspot" && u.Analyst == "alice" {
+					return u.Queries
+				}
+			}
+		}
+		t.Fatalf("no usage row for alice: %s", body)
+		return 0
+	}
+	audited := func() []byte {
+		_, body := getBody(t, ts.URL+"/v1/audit")
+		return body
+	}
+	seq, audit, count, events := led.StagedSeq(), audited(), queries(), len(eventsNamed(s, "query"))
+	for _, req := range []api.QueryRequest{
+		{Query: "bogus"},
+		{Query: "lencdf", BucketStep: 2000},
+		{Query: "srcfreq", IdempotencyKey: "k1"},
+	} {
+		req.Analyst, req.Dataset, req.Epsilon = "alice", "hotspot", 0.1
+		resp, body := postQuery(t, ts, req)
+		var e api.Error
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Code != "bad_request" {
+			t.Errorf("%s: %d %s, want 400 bad_request", req.Query, resp.StatusCode, body)
+		}
+		if got := led.StagedSeq(); got != seq {
+			t.Errorf("%s: the ledger staged through seq %d, was %d", req.Query, got, seq)
+		}
+		if got := audited(); !bytes.Equal(got, audit) {
+			t.Errorf("%s: /v1/audit moved: %s", req.Query, got)
+		}
+		if got := queries(); got != count {
+			t.Errorf("%s: /v1/datasets counts %d queries for alice, was %d", req.Query, got, count)
+		}
+		if got := len(eventsNamed(s, "query")); got != events {
+			t.Errorf("%s: %d query events, was %d", req.Query, got, events)
+		}
 	}
 }
 

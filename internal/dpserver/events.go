@@ -32,8 +32,7 @@ func wantsExplain(r *http.Request) bool {
 }
 
 // queryOutcome is everything finishQuery needs to emit the one wide
-// event for a completed spending request. The executing handler fills
-// the identity fields up front and the outcome fields when done.
+// event for a completed spending request, and recordAudit its record.
 type queryOutcome struct {
 	endpoint    string
 	analyst     string
@@ -46,7 +45,7 @@ type queryOutcome struct {
 
 	outcome string
 	status  int
-	charged float64
+	charged float64 // the net ε applied through agent
 	profile *obs.Profile
 
 	// agent is the execution's budget agent: the time spent in it is

@@ -48,15 +48,16 @@ func TestQueryWideEventInvariant(t *testing.T) {
 	if err := s.AddPacketTrace("hotspot", restartTrace(), 2.0, 1.0); err != nil {
 		t.Fatal(err)
 	}
+	failQueriesBy(s, "bob")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	// Three spending requests with three outcomes: ok, refused (over
-	// the per-analyst cap), and error (unknown query kind).
+	// the per-analyst cap), and error (a failure in execution).
 	for _, req := range []api.QueryRequest{
 		{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.5},
 		{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 5.0},
-		{Analyst: "alice", Dataset: "hotspot", Query: "nonsense", Epsilon: 0.1},
+		{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.1},
 	} {
 		postV1(t, ts.URL+"/v1/query", req, nil)
 	}

@@ -149,30 +149,30 @@ func (s *Server) registerDataset(name string, policy *core.AnalystPolicy, totalB
 	return nil
 }
 
-// recordAudit stages one audit entry in the journal (refusals under
+// recordAudit stages o's audit record in the journal (refusals under
 // their own event type, per the ledger's schema), charging the time to
 // o.stage; the ledger's fold is then the trail /v1/audit serves. The
 // append is best-effort: the charge events are the ε ground truth, the
 // audit trail is the owner's activity record. Without a ledger the
-// entry goes to the server's own trail.
-func (s *Server) recordAudit(o *queryOutcome, e AuditEntry) {
+// record goes to the server's own trail.
+func (s *Server) recordAudit(o *queryOutcome) {
+	start := time.Now()
+	rec := ledger.AuditRecord{
+		Time: start.UnixNano(), Analyst: o.analyst, Dataset: o.dataset,
+		Query: o.query, Epsilon: o.epsilon, Charged: o.charged, Outcome: o.outcome,
+	}
 	if s.ledger == nil {
-		s.audit.add(ledger.AuditRecord{
-			Time: time.Now().UnixNano(), Analyst: e.Analyst,
-			Dataset: e.Dataset, Query: e.Query, Epsilon: e.Epsilon,
-			Charged: e.Charged, Outcome: e.Outcome,
-		})
+		s.audit.add(rec)
 		return
 	}
-	start := time.Now()
 	typ := ledger.EventAudit
-	if e.Outcome == "refused" {
+	if rec.Outcome == "refused" {
 		typ = ledger.EventRefusal
 	}
 	_ = s.journalAppend(ledger.Event{
-		Type: typ, Dataset: e.Dataset, Analyst: e.Analyst,
-		Query: e.Query, Epsilon: e.Epsilon, Charged: e.Charged,
-		Outcome: e.Outcome,
+		Type: typ, Dataset: rec.Dataset, Analyst: rec.Analyst,
+		Query: rec.Query, Epsilon: rec.Epsilon, Charged: rec.Charged,
+		Outcome: rec.Outcome,
 	})
 	o.stage += time.Since(start)
 }

@@ -65,12 +65,13 @@ func (s *Server) newStandingRegistry() *standing.Registry {
 func (s *Server) StandingStats() standing.Stats { return s.standing.Stats() }
 
 // meteredAgent wraps a budget agent and accumulates the net ε applied
-// through it — the race-free way to measure what one window execution
-// charged (a SpentBy delta would count concurrent one-shot queries by
-// the same analyst) — and the time spent inside it, which for a
-// journaled policy is the staging of the request's charge records. It
-// sits at the top of the query's agent tree, so scaled charges (e.g.
-// GroupBy's ×2) are measured as the roots see them.
+// through it — the one meter of what one query or window execution
+// charged, for its audit record, its wide event and its profile (a
+// SpentBy delta would count concurrent requests by the same analyst) —
+// and the time spent inside it, which for a journaled policy is the
+// staging of the request's charge records. It sits at the top of the
+// query's agent tree, so scaled charges (e.g. GroupBy's ×2) are
+// measured as the roots see them.
 type meteredAgent struct {
 	inner core.Agent
 	mu    sync.Mutex
@@ -113,12 +114,12 @@ func (m *meteredAgent) charged() float64 {
 }
 
 // standingQueryRequest is the QueryRequest every window of a standing
-// query executes, made from its registration request; the spec keeps
-// it as its Params.
-func standingQueryRequest(spec *standing.Spec, sr *api.StandingRequest) *api.QueryRequest {
+// query on dataset executes, made from its registration request;
+// registration checks it and the spec keeps it as its Params.
+func standingQueryRequest(dataset string, sr *api.StandingRequest) *api.QueryRequest {
 	return &api.QueryRequest{
-		Analyst: spec.Analyst, Dataset: spec.Dataset, Query: spec.Kind,
-		Epsilon: spec.Epsilon, Filter: sr.Filter, MinBytes: sr.MinBytes,
+		Analyst: sr.Analyst, Dataset: dataset, Query: sr.Query,
+		Epsilon: sr.Epsilon, Filter: sr.Filter, MinBytes: sr.MinBytes,
 		BucketStep: sr.BucketStep, Fraction: sr.Fraction,
 		SketchEps: sr.SketchEps, Key: sr.Key,
 	}
@@ -280,7 +281,7 @@ func (s *Server) restoreStanding(name string) {
 		var sr api.StandingRequest
 		err := json.Unmarshal(st.Request, &sr)
 		if err == nil {
-			spec.Params = standingQueryRequest(&spec, &sr)
+			spec.Params = standingQueryRequest(st.Dataset, &sr)
 			_, err = s.standing.Restore(spec, standing.Restored{
 				NextWindow: st.NextWindow, LastMark: st.LastMark,
 				LastFire: lastFire, Spent: st.Spent,
@@ -336,8 +337,8 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 	}
 	// An unknown kind, or parameters the kind could never execute with,
 	// are refused here, before any window can fire.
-	if _, err := kindFor(&api.QueryRequest{Query: req.Query, BucketStep: req.BucketStep,
-		Fraction: req.Fraction, SketchEps: req.SketchEps, Key: req.Key}); err != nil {
+	params := standingQueryRequest(name, &req)
+	if _, err := kindFor(params); err != nil {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
 		return
 	}
@@ -347,23 +348,22 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 	}
 	s.serveIdempotent(w, r, name, req.Analyst, req.IdempotencyKey,
 		func(ctx context.Context) execResult {
-			return s.executeStandingRegister(d, name, &req)
+			return s.executeStandingRegister(d, name, &req, params)
 		})
 }
 
 // executeStandingRegister registers under the current watermark. The
 // registration record is staged; settle commits it before the
 // response leaves.
-func (s *Server) executeStandingRegister(d *dataset, name string, req *api.StandingRequest) execResult {
+func (s *Server) executeStandingRegister(d *dataset, name string, req *api.StandingRequest, params *api.QueryRequest) execResult {
 	stored, _ := json.Marshal(req)
 	spec := standing.Spec{
 		Dataset: name, Analyst: req.Analyst, ID: req.ID, Kind: req.Query,
 		Epsilon: req.Epsilon, Reservation: req.Reservation,
 		Width: req.Window.Width, Stride: req.Window.Stride,
 		EveryMs: req.Window.EveryMs,
-		Base:    s.watermark(d), Request: stored,
+		Base:    s.watermark(d), Request: stored, Params: params,
 	}
-	spec.Params = standingQueryRequest(&spec, req)
 	q, err := s.standing.Register(spec, func(sp standing.Spec) error {
 		if s.ledger == nil {
 			return nil

@@ -153,12 +153,15 @@ func (p *Profile) WriteText(w io.Writer) {
 	}
 }
 
-// ChargeMeter reports cumulative ε charged so far for the principal a
-// profile is being built for — typically a closure over the dataset
-// policy's SpentBy(analyst). The recorder reads it around each
-// aggregation to derive the per-aggregation charge, which captures
-// sensitivity scaling and dual-agent rollbacks that the requested ε
-// does not reflect.
+// ChargeMeter reports the cumulative ε charged so far by the one query
+// a profile is being built for — the net ε applied through that
+// query's own budget agent (dpserver meters each request's agent;
+// dpquery's local mode reads its root agent's spend). A running total
+// shared with other queries, such as a policy's SpentBy(analyst),
+// would book their concurrent charges to this one. The recorder reads
+// it around each aggregation to derive the per-aggregation charge,
+// which captures sensitivity scaling and dual-agent rollbacks that the
+// requested ε does not reflect.
 type ChargeMeter func() float64
 
 // ProfileRecorder assembles a Profile from Recorder callbacks. Safe

@@ -24,25 +24,11 @@ func dptrPackets() []Packet {
 
 // The packet batch encoder writes exactly the bytes the file writer
 // does, the batch decoder and the reader (fed one byte per Read, so
-// every record straddles a refill) both return the records encoded,
-// and the link and hop file codecs round-trip across refills.
+// every record straddles a refill) both return the records encoded.
 func TestDPTRBatchAndFileCodecsAgree(t *testing.T) {
 	packets := dptrPackets()
-	// Enough link samples to cross several fileChunk flushes.
-	links := make([]LinkSample, 3*fileChunk/linkSize+5)
-	for i := range links {
-		links[i] = LinkSample{Link: int32(i), Bin: int32(-i)}
-	}
-	hops := []HopRecord{{Monitor: 1, IP: 2, Hops: 3}, {Monitor: -1, IP: 1 << 31, Hops: 1 << 30}}
-
-	var wp, wl, wh bytes.Buffer
+	var wp bytes.Buffer
 	if err := WritePackets(&wp, packets); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteLinkSamples(&wl, links); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteHopRecords(&wh, hops); err != nil {
 		t.Fatal(err)
 	}
 	batch := MarshalPacketsDPTR(packets)
@@ -59,12 +45,6 @@ func TestDPTRBatchAndFileCodecsAgree(t *testing.T) {
 	}
 	if gotP, err = ReadPackets(iotest.OneByteReader(bytes.NewReader(wp.Bytes()))); err != nil || !reflect.DeepEqual(gotP, packets) {
 		t.Fatalf("ReadPackets: err %v", err)
-	}
-	if gotL, err := ReadLinkSamples(iotest.HalfReader(bytes.NewReader(wl.Bytes()))); err != nil || !reflect.DeepEqual(gotL, links) {
-		t.Fatalf("ReadLinkSamples: err %v", err)
-	}
-	if gotH, err := ReadHopRecords(iotest.OneByteReader(bytes.NewReader(wh.Bytes()))); err != nil || !reflect.DeepEqual(gotH, hops) {
-		t.Fatalf("ReadHopRecords: err %v", err)
 	}
 }
 

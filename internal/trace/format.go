@@ -12,10 +12,10 @@ import (
 //
 //	magic   [4]byte "DPTR"
 //	version uint16  (currently 1)
-//	kind    uint16  (KindPacket | KindLink | KindHop)
+//	kind    uint16  (KindPacket; older builds also wrote 2 and 3,
+//	                link and hop records, which the reader refuses)
 //	count   uint64  number of records
-//	records ...     fixed layout per kind; packets carry a
-//	                varint-prefixed payload
+//	records ...     packets, each with a varint-prefixed payload
 //
 // The format is deliberately trivial — the point of this repository is
 // the privacy machinery, not a pcap replacement — but it is versioned
@@ -23,18 +23,14 @@ import (
 // inputs with a clear error.
 //
 // The same container, holding packets, is the binary ingest wire
-// format. One decoder per record kind reads it off a byte window: a
-// packet batch's window is its body, decoded in place; a file's window
-// refills from its reader. One append encoder per record kind writes
-// it, through a fileChunk buffer to a file, or into an exactly-sized
-// packet batch body.
+// format. One decoder reads it off a byte window: a batch's window is
+// its body, decoded in place; a file's window refills from its reader.
+// One append encoder writes it, through a fileChunk buffer to a file,
+// or into an exactly-sized batch body.
 
-// Record-stream kinds.
-const (
-	KindPacket uint16 = 1
-	KindLink   uint16 = 2
-	KindHop    uint16 = 3
-)
+// KindPacket is the header's record kind for packets, the only kind
+// written or read.
+const KindPacket uint16 = 1
 
 const (
 	formatVersion uint16 = 1
@@ -45,15 +41,13 @@ const (
 
 var magic = [4]byte{'D', 'P', 'T', 'R'}
 
-// Encoded sizes: the header, a packet's fixed fields (a varint payload
-// length and the payload follow, so a packet takes at least
-// packetFixed+1 bytes), a link sample and a hop record.
+// Encoded sizes: the header and a packet's fixed fields (a varint
+// payload length and the payload follow, so a packet takes at least
+// packetFixed+1 bytes).
 const (
 	headerSize  = 16
 	packetFixed = 32
 	packetMin   = packetFixed + 1
-	linkSize    = 8
-	hopSize     = 12
 )
 
 // maxPrealloc caps slice pre-allocation from the (untrusted) header
@@ -127,7 +121,7 @@ func (w *window) short() error {
 }
 
 // header consumes the 16-byte header and returns its record count.
-func (w *window) header(wantKind uint16) (count uint64, err error) {
+func (w *window) header() (count uint64, err error) {
 	if !w.need(len(magic)) {
 		return 0, fmt.Errorf("trace: reading magic: %w", w.short())
 	}
@@ -141,8 +135,8 @@ func (w *window) header(wantKind uint16) (count uint64, err error) {
 	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != formatVersion {
 		return 0, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	if k := binary.LittleEndian.Uint16(hdr[2:4]); k != wantKind {
-		return 0, fmt.Errorf("%w: got kind %d, want %d", ErrWrongKind, k, wantKind)
+	if k := binary.LittleEndian.Uint16(hdr[2:4]); k != KindPacket {
+		return 0, fmt.Errorf("%w: got kind %d, want %d", ErrWrongKind, k, KindPacket)
 	}
 	w.off += headerSize
 	return binary.LittleEndian.Uint64(hdr[4:12]), nil
@@ -179,7 +173,7 @@ func (w *window) carve(src []byte) []byte {
 
 // decodePackets is the packet decoder, for batches and files alike.
 func decodePackets(w *window) ([]Packet, error) {
-	count, err := w.header(KindPacket)
+	count, err := w.header()
 	if err != nil {
 		return nil, err
 	}
@@ -236,49 +230,6 @@ func decodePackets(w *window) ([]Packet, error) {
 	return packets, nil
 }
 
-// decodeLinkSamples is the link-sample decoder.
-func decodeLinkSamples(w *window) ([]LinkSample, error) {
-	count, err := w.header(KindLink)
-	if err != nil {
-		return nil, err
-	}
-	samples := make([]LinkSample, 0, w.prealloc(count, linkSize))
-	for i := uint64(0); i < count; i++ {
-		if !w.need(linkSize) {
-			return nil, fmt.Errorf("trace: link sample %d: %w", i, w.short())
-		}
-		b := w.buf[w.off : w.off+linkSize]
-		samples = append(samples, LinkSample{
-			Link: int32(binary.LittleEndian.Uint32(b[0:4])),
-			Bin:  int32(binary.LittleEndian.Uint32(b[4:8])),
-		})
-		w.off += linkSize
-	}
-	return samples, nil
-}
-
-// decodeHopRecords is the hop-record decoder.
-func decodeHopRecords(w *window) ([]HopRecord, error) {
-	count, err := w.header(KindHop)
-	if err != nil {
-		return nil, err
-	}
-	records := make([]HopRecord, 0, w.prealloc(count, hopSize))
-	for i := uint64(0); i < count; i++ {
-		if !w.need(hopSize) {
-			return nil, fmt.Errorf("trace: hop record %d: %w", i, w.short())
-		}
-		b := w.buf[w.off : w.off+hopSize]
-		records = append(records, HopRecord{
-			Monitor: int32(binary.LittleEndian.Uint32(b[0:4])),
-			IP:      IPv4(binary.LittleEndian.Uint32(b[4:8])),
-			Hops:    int32(binary.LittleEndian.Uint32(b[8:12])),
-		})
-		w.off += hopSize
-	}
-	return records, nil
-}
-
 // ParsePacketsDPTR decodes a DPTR packet batch in place: no read
 // buffer, one arena for all its payloads (which never alias data), and
 // a refusal naming the offset of any bytes after the declared records.
@@ -298,16 +249,6 @@ func ParsePacketsDPTR(data []byte) ([]Packet, error) {
 // at the declared count; whatever follows is left unread.
 func ReadPackets(r io.Reader) ([]Packet, error) {
 	return decodePackets(newReadWindow(r))
-}
-
-// ReadLinkSamples reads a link trace written by WriteLinkSamples.
-func ReadLinkSamples(r io.Reader) ([]LinkSample, error) {
-	return decodeLinkSamples(newReadWindow(r))
-}
-
-// ReadHopRecords reads a hop-count trace written by WriteHopRecords.
-func ReadHopRecords(r io.Reader) ([]HopRecord, error) {
-	return decodeHopRecords(newReadWindow(r))
 }
 
 func appendHeader(dst []byte, kind uint16, count int) []byte {
@@ -332,19 +273,6 @@ func appendPacket(dst []byte, p *Packet) []byte {
 	return append(dst, p.Payload...)
 }
 
-// appendLinkSample is the link-sample encoder.
-func appendLinkSample(dst []byte, s *LinkSample) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Link))
-	return binary.LittleEndian.AppendUint32(dst, uint32(s.Bin))
-}
-
-// appendHopRecord is the hop-record encoder.
-func appendHopRecord(dst []byte, h *HopRecord) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.Monitor))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.IP))
-	return binary.LittleEndian.AppendUint32(dst, uint32(h.Hops))
-}
-
 // MarshalPacketsDPTR encodes a packet batch as one exactly-sized DPTR
 // body, byte-identical to what WritePackets writes.
 func MarshalPacketsDPTR(packets []Packet) []byte {
@@ -360,12 +288,12 @@ func MarshalPacketsDPTR(packets []Packet) []byte {
 	return dst
 }
 
-// writeRecords streams records to w through one fileChunk buffer, so
-// writing a trace never holds a second copy of it.
-func writeRecords[T any](w io.Writer, kind uint16, records []T, appendRecord func([]byte, *T) []byte) error {
-	buf := appendHeader(make([]byte, 0, fileChunk), kind, len(records))
-	for i := range records {
-		buf = appendRecord(buf, &records[i])
+// WritePackets writes a packet trace, streaming it through one
+// fileChunk buffer so that writing never holds a second copy of it.
+func WritePackets(w io.Writer, packets []Packet) error {
+	buf := appendHeader(make([]byte, 0, fileChunk), KindPacket, len(packets))
+	for i := range packets {
+		buf = appendPacket(buf, &packets[i])
 		if len(buf) >= fileChunk {
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -375,19 +303,4 @@ func writeRecords[T any](w io.Writer, kind uint16, records []T, appendRecord fun
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-// WritePackets writes a packet trace.
-func WritePackets(w io.Writer, packets []Packet) error {
-	return writeRecords(w, KindPacket, packets, appendPacket)
-}
-
-// WriteLinkSamples writes a de-aggregated link trace.
-func WriteLinkSamples(w io.Writer, samples []LinkSample) error {
-	return writeRecords(w, KindLink, samples, appendLinkSample)
-}
-
-// WriteHopRecords writes an IPscatter-style hop-count trace.
-func WriteHopRecords(w io.Writer, records []HopRecord) error {
-	return writeRecords(w, KindHop, records, appendHopRecord)
 }

@@ -54,32 +54,6 @@ func FuzzReadPackets(f *testing.F) {
 	})
 }
 
-// FuzzReadLinkSamples and FuzzReadHopRecords cover the fixed-layout
-// readers.
-func FuzzReadLinkSamples(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteLinkSamples(&buf, []LinkSample{{Link: 1, Bin: 2}}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadLinkSamples(bytes.NewReader(data))
-	})
-}
-
-func FuzzReadHopRecords(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteHopRecords(&buf, []HopRecord{{Monitor: 1, IP: 2, Hops: 3}}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadHopRecords(bytes.NewReader(data))
-	})
-}
-
 // FuzzDecodeDPTR holds the packet batch decoder to the file reader on
 // arbitrary bytes. The reader is fed at
 // most chunk bytes per Read, so records straddle window refills. The

@@ -126,56 +126,27 @@ func TestEmptyPacketTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLinkSampleRoundTrip(t *testing.T) {
-	want := []LinkSample{{Link: 0, Bin: 0}, {Link: 399, Bin: 671}, {Link: 7, Bin: 100}}
-	var buf bytes.Buffer
-	if err := WriteLinkSamples(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLinkSamples(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestHopRecordRoundTrip(t *testing.T) {
-	want := []HopRecord{
-		{Monitor: 0, IP: MakeIPv4(1, 2, 3, 4), Hops: 12},
-		{Monitor: 37, IP: MakeIPv4(200, 201, 202, 203), Hops: 3},
-	}
-	var buf bytes.Buffer
-	if err := WriteHopRecords(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadHopRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestBadMagicRejected(t *testing.T) {
 	if _, err := ReadPackets(bytes.NewReader([]byte("NOPE0123456789ab"))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("got %v, want ErrBadMagic", err)
 	}
 }
 
+// A header of another record kind — older builds wrote link samples
+// as kind 2 and hop records as kind 3 — is refused by the file reader
+// and the batch decoder alike.
 func TestWrongKindRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteLinkSamples(&buf, []LinkSample{{1, 2}}); err != nil {
-		t.Fatal(err)
+	file := []byte{
+		'D', 'P', 'T', 'R', 1, 0, // magic, version 1
+		2, 0, // kind 2
+		1, 0, 0, 0, 0, 0, 0, 0, // one record
+		1, 0, 0, 0, 2, 0, 0, 0, // link 1, bin 2
 	}
-	if _, err := ReadPackets(&buf); !errors.Is(err, ErrWrongKind) {
-		t.Fatalf("got %v, want ErrWrongKind", err)
+	if _, err := ReadPackets(bytes.NewReader(file)); !errors.Is(err, ErrWrongKind) {
+		t.Errorf("ReadPackets: got %v, want ErrWrongKind", err)
+	}
+	if _, err := ParsePacketsDPTR(file); !errors.Is(err, ErrWrongKind) {
+		t.Errorf("ParsePacketsDPTR: got %v, want ErrWrongKind", err)
 	}
 }
 
