@@ -79,6 +79,16 @@ if grep -rnE --include='*.go' '\.State\(\)' internal/dpserver |
 	echo "internal/dpserver calls the ledger's State(); read through its locked accessors" >&2
 	exit 1
 fi
+# Every server folds its charges, audit and replies through a ledger —
+# the durable one WithLedger attaches, or one over vfs.Discard that
+# keeps nothing — so no non-test file of internal/dpserver may compare
+# the ledger with nil: a branch on its absence would fork the one
+# record of what a query did back into two server modes.
+if grep -rnE --include='*.go' 'ledger[[:space:]]*[!=]=[[:space:]]*nil|nil[[:space:]]*[!=]=[[:space:]]*[A-Za-z_.]*ledger\b' internal/dpserver |
+	grep -vE '_test\.go:|^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "internal/dpserver compares its ledger with nil; every server has one" >&2
+	exit 1
+fi
 # Every Test* / Fuzz* / Benchmark* the docs name must be declared in
 # some test file (a trailing * names a prefix), so prose cannot keep
 # pointing at a test that was renamed or deleted.

@@ -19,8 +19,9 @@
 // the answer it backs is released — one commit, one fsync, per request
 // (snapshots + compaction every -snapshot-every events) — and restored
 // on restart, so a crash or power loss never resets analyst budgets.
-// Without it, budgets are in-memory only and a restart re-opens the
-// full budget. Inspect a ledger directory with the dpledger tool
+// Without it, the server journals the same records to a ledger that
+// keeps nothing: budgets are lost and a restart re-opens the full
+// budget. Inspect a ledger directory with the dpledger tool
 // (inspect / verify / compact).
 //
 // Replication (requires -ledger-dir): -repl-listen makes this node a
@@ -120,7 +121,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "default per-query deadline (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested X-DP-Timeout-Ms deadlines (0 = default only)")
 	drainWait := flag.Duration("drain-wait", 30*time.Second, "how long shutdown waits for in-flight queries to drain")
-	ledgerDir := flag.String("ledger-dir", "", "directory for the durable privacy-budget ledger (empty = in-memory budgets, lost on restart)")
+	ledgerDir := flag.String("ledger-dir", "", "directory for the durable privacy-budget ledger (empty = a ledger that keeps nothing: budgets are lost on restart)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "ledger events between snapshots + compaction (0 = default 4096, negative = never)")
 	slowQuery := flag.Duration("slow-query", 0, "slow-query log threshold: completed queries at least this slow emit a slow_query warning event (0 = off)")
 	eventLog := flag.String("event-log", "stderr", "wide-event JSON stream destination: stderr, a file path, or 'none' (ring-only, still served at /v1/debug/queries)")

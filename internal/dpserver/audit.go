@@ -2,9 +2,7 @@ package dpserver
 
 import (
 	"net/http"
-	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"dptrace/internal/ledger"
@@ -31,38 +29,6 @@ type AuditEntry struct {
 	Outcome string `json:"outcome"`
 }
 
-// auditLog is a ledger-less server's audit trail, bounded by
-// ledger.AppendAudit like the ledger's own. With a ledger attached the
-// trail is the ledger's fold and this one stays empty.
-type auditLog struct {
-	mu      sync.Mutex
-	entries []ledger.AuditRecord
-}
-
-func (l *auditLog) add(rec ledger.AuditRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = ledger.AppendAudit(l.entries, rec)
-}
-
-// trail returns the entries, oldest first; AppendAudit never overwrites
-// one, so the slice stays valid beside later adds. Read-only.
-func (l *auditLog) trail() []ledger.AuditRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return slices.Clip(l.entries)
-}
-
-// auditTrail is the server's one audit trail, oldest first: the
-// ledger's fold when one is attached (what a restart or a follower
-// shows), else the server's own. Read-only.
-func (s *Server) auditTrail() []ledger.AuditRecord {
-	if s.ledger != nil {
-		return s.ledger.Audit()
-	}
-	return s.audit.trail()
-}
-
 // auditEntry renders one trail record for the owner.
 func auditEntry(rec ledger.AuditRecord) AuditEntry {
 	return AuditEntry{
@@ -72,9 +38,10 @@ func auditEntry(rec ledger.AuditRecord) AuditEntry {
 	}
 }
 
-// Audit returns a copy of the query ledger, oldest first.
+// Audit returns a copy of the server's audit trail, the ledger's fold,
+// oldest first.
 func (s *Server) Audit() []AuditEntry {
-	trail := s.auditTrail()
+	trail := s.ledger.Audit()
 	out := make([]AuditEntry, len(trail))
 	for i, rec := range trail {
 		out[i] = auditEntry(rec)
@@ -99,7 +66,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		limit = l
 	}
 	out := []AuditEntry{}
-	for _, rec := range s.auditTrail() {
+	for _, rec := range s.ledger.Audit() {
 		if analyst != "" && rec.Analyst != analyst {
 			continue
 		}

@@ -36,8 +36,8 @@ type dataset struct {
 // holds its own records, so ingest never writes into the caller's
 // slice. It refuses (ErrDatasetExists) if the name is taken:
 // replacement would reset the spent-budget ledger and let analysts
-// re-spend against the same records. With a ledger attached, it
-// restores the dataset's spends or journals its registration.
+// re-spend against the same records. It restores the dataset's spends
+// from the ledger or journals its registration.
 func (s *Server) AddPacketTrace(name string, packets []trace.Packet, totalBudget, perAnalystBudget float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

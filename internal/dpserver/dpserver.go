@@ -37,8 +37,8 @@
 //	GET  /v1/debug/queries  ring of recent wide events (?n= limit)
 //	/debug/pprof/*          optional; mount with Handler(WithPprof())
 //
-// With a ledger attached (WithLedger), the audit trail is the ledger's
-// fold of its journal, kept once: a primary, a restarted server and a
+// The audit trail is the ledger's fold of its journal, kept once: with
+// a durable ledger (WithLedger), a primary, a restarted server and a
 // follower list the same entries.
 //
 // Everything an analyst-facing route returns, outside its noisy
@@ -76,13 +76,17 @@ type Server struct {
 	mu       sync.RWMutex
 	datasets map[string]*dataset // every hosted packet trace, by name
 	src      noise.Source
-	audit    *auditLog
 
-	// ledger, when attached (WithLedger), makes budget state durable:
-	// charges are journaled as they happen, made durable before the
-	// answer they paid for is released, and replayed on restart (see
-	// persist.go). Nil keeps in-memory-only behavior.
-	ledger *ledger.Ledger
+	// ledger folds everything the server journals — charges, audit
+	// records, stored replies, standing queries — and is the one record
+	// of them every surface reads (see persist.go). Charges are staged
+	// as they happen and committed before the answer they paid for is
+	// released. WithLedger attaches a durable ledger, replayed on
+	// restart; without it the ledger runs over vfs.Discard and keeps
+	// nothing. durable is set by WithLedger: only such a ledger can
+	// serve a follower's catch-up.
+	ledger  *ledger.Ledger
+	durable bool
 
 	// repl is the replication role (see repl.go): nil handles mean
 	// standalone. replMu guards the rare role transitions
@@ -165,7 +169,6 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 	s := &Server{
 		datasets: make(map[string]*dataset),
 		src:      noise.NewLockedSource(src),
-		audit:    new(auditLog),
 		start:    time.Now(),
 		metrics:  obs.NewRegistry(),
 		idem:     newIdemCache(),
@@ -181,15 +184,16 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 			opt(s)
 		}
 	}
-	if s.ledger != nil {
-		s.restoreFromLedger()
+	if !s.durable {
+		s.ledger = memoryLedger()
 	}
+	s.restoreFromLedger()
 	if s.limits.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, s.limits.MaxConcurrent)
 	}
 	s.engineRec = obs.NewMetricsRecorder(s.metrics)
 	s.metrics.GaugeFunc("dpserver_audit_entries", func() float64 {
-		return float64(len(s.auditTrail()))
+		return float64(len(s.ledger.Audit()))
 	})
 	// Cumulative transformations executed under a parallel strategy
 	// (process-wide; see core.ParallelExecutions). Reads as a counter.
@@ -204,7 +208,7 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 	// ledger); read-only endpoints keep serving. Alert on this. A
 	// healthy follower reads 0 — its shedding is a role, not damage.
 	s.metrics.GaugeFunc("dp_degraded", func() float64 {
-		if s.ledgerRefusal() != nil {
+		if s.ledger.Refusing() != nil {
 			return 1
 		}
 		return 0
@@ -312,7 +316,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	// Ledger-side totals per dataset+analyst, folded into the listing.
 	type ledgerKey struct{ dataset, analyst string }
 	ledger := make(map[ledgerKey]*api.AnalystUsage)
-	for _, e := range s.auditTrail() {
+	for _, e := range s.ledger.Audit() {
 		k := ledgerKey{e.Dataset, e.Analyst}
 		u := ledger[k]
 		if u == nil {

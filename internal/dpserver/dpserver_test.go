@@ -571,12 +571,14 @@ func TestMalformedQueryStagesNothing(t *testing.T) {
 	}
 }
 
+// TestAuditLogBounded: a server's audit trail, the ledger's fold, keeps
+// at most ledger.AuditCap entries however many are recorded.
 func TestAuditLogBounded(t *testing.T) {
-	l := new(auditLog)
+	s := New(noise.NewSeededSource(1, 2))
 	for i := 0; i < 2*ledger.AuditCap+5; i++ {
-		l.add(ledger.AuditRecord{Analyst: "a"})
+		s.recordAudit(&queryOutcome{analyst: "a", outcome: "ok"})
 	}
-	if got := len(l.trail()); got > ledger.AuditCap {
+	if got := len(s.Audit()); got > ledger.AuditCap {
 		t.Fatalf("audit log grew to %d entries, cap %d", got, ledger.AuditCap)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -390,5 +391,26 @@ func TestKeyedReingestAfterFailover(t *testing.T) {
 				t.Fatalf("second re-send after failover appended again:\n was: %s\n now: %s", after, again)
 			}
 		})
+	}
+}
+
+// TestStartReplicationRequiresDurableLedger: a server built without
+// WithLedger refuses both replication roles — its in-memory ledger keeps
+// no segments to catch a follower up from — and starts neither, so its
+// spends are not refused.
+func TestStartReplicationRequiresDurableLedger(t *testing.T) {
+	s := New(noise.NewSeededSource(1, 2))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for _, cfg := range []ReplicationConfig{{Listen: ln, Name: "p"}, {Follow: ln.Addr().String(), Name: "f"}} {
+		if err := s.StartReplication(cfg); err == nil || !strings.Contains(err.Error(), "WithLedger") {
+			t.Errorf("StartReplication(%+v) = %v, want a refusal naming WithLedger", cfg, err)
+		}
+	}
+	if err := s.spendRefusal(); err != nil {
+		t.Errorf("a refused StartReplication left spends refused: %v", err)
 	}
 }

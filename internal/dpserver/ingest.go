@@ -153,7 +153,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.inflight.Done()
-	s.noteDegraded(s.ledgerRefusal())
+	s.noteDegraded(s.ledger.Refusing())
 	if cause := s.spendRefusal(); cause != nil {
 		code, msg := shedCodeFor(cause)
 		s.ingestShed(name, code)

@@ -237,7 +237,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		defer s.inflight.Done()
-		s.noteDegraded(s.ledgerRefusal())
+		s.noteDegraded(s.ledger.Refusing())
 		if cause := s.spendRefusal(); cause != nil {
 			// Fail closed: no spend can be journaled right now — the
 			// ledger refuses appends (frozen history or a runtime

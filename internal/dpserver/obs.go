@@ -164,11 +164,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Datasets:      n,
 		Goroutines:    runtime.NumGoroutine(),
-		AuditEntries:  len(s.auditTrail()),
+		AuditEntries:  len(s.ledger.Audit()),
 	}
 	// Role-based shedding (follower, quorum) is /readyz's concern;
 	// liveness only flags actual ledger damage.
-	if cause := s.ledgerRefusal(); cause != nil {
+	if cause := s.ledger.Refusing(); cause != nil {
 		h.Status = "degraded"
 		h.Degraded = true
 		h.LedgerError = cause.Error()

@@ -181,33 +181,36 @@ func TestAddTraceNameCollision(t *testing.T) {
 	}
 }
 
-// TestAuditEvictionConcurrent hammers the bounded ledger from many
+// TestAuditEvictionConcurrent hammers a server's audit trail from many
 // goroutines (run under -race) and checks the cap holds and the most
 // recent entries survive eviction.
 func TestAuditEvictionConcurrent(t *testing.T) {
 	const logCap = ledger.AuditCap
-	l := new(auditLog)
+	s := New(noise.NewSeededSource(1, 2))
+	add := func(analyst string, eps float64) {
+		s.recordAudit(&queryOutcome{analyst: analyst, epsilon: eps, outcome: "ok"})
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < logCap/2; i++ {
-				l.add(ledger.AuditRecord{Analyst: fmt.Sprintf("g%d", g), Epsilon: float64(i)})
+				add(fmt.Sprintf("g%d", g), float64(i))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := len(l.trail()); got > logCap || got == 0 {
+	if got := len(s.Audit()); got > logCap || got == 0 {
 		t.Fatalf("ledger depth %d after concurrent writes, want 1..%d", got, logCap)
 	}
 
 	// Sequential markers: eviction must keep the newest entries in
 	// arrival order.
 	for i := 0; i < logCap; i++ {
-		l.add(ledger.AuditRecord{Analyst: "marker", Epsilon: float64(i)})
+		add("marker", float64(i))
 	}
-	snap := l.trail()
+	snap := s.Audit()
 	if len(snap) > logCap {
 		t.Fatalf("snapshot depth %d, cap %d", len(snap), logCap)
 	}

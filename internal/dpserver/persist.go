@@ -9,13 +9,16 @@ import (
 	"dptrace/internal/core"
 	"dptrace/internal/ledger"
 	"dptrace/internal/obs/qlog"
+	"dptrace/internal/vfs"
 )
 
-// This file wires the durable budget ledger (internal/ledger) through
-// the server: dataset registrations, every acknowledged ε-charge, the
-// audit trail, and keyed idempotent responses are journaled, and a
-// restarted server rebuilds all of them before serving. Without a
-// ledger the server keeps its original in-memory-only behavior.
+// This file wires the budget ledger (internal/ledger) through the
+// server: dataset registrations, every acknowledged ε-charge, the audit
+// trail, and keyed idempotent responses are journaled, and a restarted
+// server rebuilds all of them before serving. Every server has a
+// ledger: WithLedger attaches a durable one, and without it the server
+// folds the same records through a ledger over vfs.Discard, which
+// stores nothing (budgets are then lost on restart).
 //
 // The privacy invariant is durable-before-release: a charge is
 // journaled when core accepts it (core.SpendJournal stages the record,
@@ -38,12 +41,24 @@ const packetKind = "packet"
 var ErrLedgerMismatch = errors.New("dpserver: registration conflicts with persisted ledger")
 
 // WithLedger attaches a durable budget ledger (opened by the caller;
-// see ledger.Open). The ledger's fold is then the server's audit
-// trail, and its stored idempotent responses are restored immediately;
+// see ledger.Open) in place of the in-memory one every server has
+// otherwise. Its stored idempotent responses are restored immediately;
 // per-dataset budgets are restored as datasets are re-registered via
-// AddPacketTrace.
+// AddPacketTrace. Only a server built with it can replicate.
 func WithLedger(led *ledger.Ledger) ServerOption {
-	return func(s *Server) { s.ledger = led }
+	return func(s *Server) { s.ledger, s.durable = led, true }
+}
+
+// memoryLedger opens the ledger of a server built without WithLedger:
+// the same fold, accessors and metrics as a durable one, over an FS
+// that keeps no bytes. Opening an empty Discard FS cannot fail but by
+// a bug, so an error panics.
+func memoryLedger() *ledger.Ledger {
+	led, err := ledger.Open(ledger.Options{Dir: "memory", FS: vfs.Discard})
+	if err != nil {
+		panic("dpserver: open the in-memory ledger: " + err.Error())
+	}
+	return led
 }
 
 // spendRefusal reports why budget-spending endpoints must shed, or
@@ -51,21 +66,11 @@ func WithLedger(led *ledger.Ledger) ServerOption {
 // (read-only until promoted), the primary lacks its synchronous
 // quorum or has been fenced by a newer epoch, or the ledger itself
 // refuses appends (frozen on corrupt history, degraded after a
-// runtime journal I/O failure). Without a ledger there is nothing to
-// refuse.
+// runtime journal I/O failure). Health surfaces read the ledger's own
+// Refusing alone, so a healthy follower does not read as damaged.
 func (s *Server) spendRefusal() error {
 	if err := s.replGate(); err != nil {
 		return err
-	}
-	return s.ledgerRefusal()
-}
-
-// ledgerRefusal is spendRefusal minus the replication role: only the
-// ledger's own frozen/degraded state. Health surfaces use it so a
-// healthy follower does not read as damaged.
-func (s *Server) ledgerRefusal() error {
-	if s.ledger == nil {
-		return nil
 	}
 	return s.ledger.Refusing()
 }
@@ -90,13 +95,10 @@ func (s *Server) restoreFromLedger() {
 
 // registerDataset is the ledger half of AddPacketTrace (callers hold s.mu):
 // a dataset already in the recovered state gets its spends restored
-// and no new event; a new dataset is journaled durably before
+// and no new event; a new dataset is journaled and committed before
 // registration is acknowledged. Either way the policy's future charges
-// flow through the ledger. With no ledger attached it does nothing.
+// flow through the ledger.
 func (s *Server) registerDataset(name string, policy *core.AnalystPolicy, totalBudget, perAnalystBudget float64) error {
-	if s.ledger == nil {
-		return nil
-	}
 	if ds, ok := s.ledger.Dataset(name); ok {
 		if ds.Kind != packetKind ||
 			ds.Total != ledger.EncodeBudget(totalBudget) ||
@@ -153,26 +155,17 @@ func (s *Server) registerDataset(name string, policy *core.AnalystPolicy, totalB
 // their own event type, per the ledger's schema), charging the time to
 // o.stage; the ledger's fold is then the trail /v1/audit serves. The
 // append is best-effort: the charge events are the ε ground truth, the
-// audit trail is the owner's activity record. Without a ledger the
-// record goes to the server's own trail.
+// audit trail is the owner's activity record.
 func (s *Server) recordAudit(o *queryOutcome) {
 	start := time.Now()
-	rec := ledger.AuditRecord{
-		Time: start.UnixNano(), Analyst: o.analyst, Dataset: o.dataset,
-		Query: o.query, Epsilon: o.epsilon, Charged: o.charged, Outcome: o.outcome,
-	}
-	if s.ledger == nil {
-		s.audit.add(rec)
-		return
-	}
 	typ := ledger.EventAudit
-	if rec.Outcome == "refused" {
+	if o.outcome == "refused" {
 		typ = ledger.EventRefusal
 	}
 	_ = s.journalAppend(ledger.Event{
-		Type: typ, Dataset: rec.Dataset, Analyst: rec.Analyst,
-		Query: rec.Query, Epsilon: rec.Epsilon, Charged: rec.Charged,
-		Outcome: rec.Outcome,
+		Type: typ, Dataset: o.dataset, Analyst: o.analyst,
+		Query: o.query, Epsilon: o.epsilon, Charged: o.charged,
+		Outcome: o.outcome,
 	})
 	o.stage += time.Since(start)
 }
@@ -194,9 +187,6 @@ func ingestReply(endpoint string) bool {
 // It follows the request's charge and audit records in the WAL: a
 // crash can keep a charge without its reply, never the reverse.
 func (s *Server) recordIdemReply(k idemKey, status int, body []byte, expires time.Time) {
-	if s.ledger == nil {
-		return
-	}
 	_ = s.journalAppend(ledger.Event{
 		Type: ledger.EventIdemReply, Endpoint: k.endpoint,
 		Dataset: k.dataset, Analyst: k.analyst, Key: k.key,

@@ -4,7 +4,7 @@ package dpserver
 // server. A server is exactly one of:
 //
 //   - standalone: no replication; spends journal straight to the
-//     ledger (the pre-replication behavior, unchanged);
+//     ledger (durable or in-memory);
 //   - primary: every journaled event additionally streams to
 //     connected followers, and — with MinSync > 0 — a spend is not
 //     acknowledged until that many followers have it durably;
@@ -105,9 +105,11 @@ func (s *Server) replPrimaryHandle() *repl.Primary {
 // follower starts BEFORE — with the role set, a hosted dataset's
 // registration is not journaled locally (it arrives through the
 // stream as the primary's exact bytes; journaling it here would fork
-// the WAL). Requires an attached ledger. Starting twice is an error.
+// the WAL). Requires a durable ledger (WithLedger): the in-memory one
+// keeps no segments to catch a follower up from. Starting twice is an
+// error.
 func (s *Server) StartReplication(cfg ReplicationConfig) error {
-	if s.ledger == nil {
+	if !s.durable {
 		return errors.New("dpserver: replication requires WithLedger")
 	}
 	if cfg.Follow == "" && cfg.Listen == nil {
@@ -236,23 +238,21 @@ func (s *Server) journalCommit(js *journalStats) error {
 	// Every window result staged by now was journaled before this
 	// commit begins, so a successful commit covers it.
 	windows := s.standing.Staged()
-	if s.ledger != nil {
-		p, err := s.replRole()
-		if err != nil {
-			return err
-		}
-		seq := s.ledger.StagedSeq()
-		start := time.Now()
-		err = s.ledger.Commit(seq)
-		js.fsync = time.Since(start)
-		if err == nil && p != nil {
-			start = time.Now()
-			err = p.WaitSynced(seq)
-			js.quorum = time.Since(start)
-		}
-		if err != nil {
-			return err
-		}
+	p, err := s.replRole()
+	if err != nil {
+		return err
+	}
+	seq := s.ledger.StagedSeq()
+	start := time.Now()
+	err = s.ledger.Commit(seq)
+	js.fsync = time.Since(start)
+	if err == nil && p != nil {
+		start = time.Now()
+		err = p.WaitSynced(seq)
+		js.quorum = time.Since(start)
+	}
+	if err != nil {
+		return err
 	}
 	s.standing.Publish(windows, func(res standing.Result) {
 		fields, _ := res.Note.([]qlog.Field)

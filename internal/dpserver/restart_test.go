@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -393,5 +394,49 @@ func TestKeyedReingestAfterRestart(t *testing.T) {
 				t.Fatalf("second re-send after restart appended again:\n was: %s\n now: %s", after, again)
 			}
 		})
+	}
+}
+
+// TestAuditSameWithAndWithoutLedger: a server with a durable ledger and
+// one without list the same /v1/audit entries, times aside, for the
+// same requests — ok, amplified, refused and keyed-replayed — since
+// both fold them through a ledger.
+func TestAuditSameWithAndWithoutLedger(t *testing.T) {
+	led := openLedger(t, t.TempDir())
+	defer led.Close()
+	_, durable := ledgerServer(t, led, 1, 0.5)
+	mem := New(noise.NewSeededSource(1, 2))
+	if err := mem.AddPacketTrace("hotspot", restartTrace(), 1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	memTS := httptest.NewServer(mem.Handler())
+	defer memTS.Close()
+
+	audit := func(ts *httptest.Server) []AuditEntry {
+		for _, req := range []api.QueryRequest{
+			{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.2},
+			{Analyst: "alice", Dataset: "hotspot", Query: "hosts", Epsilon: 0.1},
+			{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.2},
+			{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.3, IdempotencyKey: "k"},
+			{Analyst: "bob", Dataset: "hotspot", Query: "count", Epsilon: 0.3, IdempotencyKey: "k"},
+		} {
+			postQuery(t, ts, req)
+		}
+		_, body := getBody(t, ts.URL+"/v1/audit")
+		var out []AuditEntry
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		for i := range out {
+			out[i].Time = time.Time{}
+		}
+		return out
+	}
+	withLedger, without := audit(durable), audit(memTS)
+	if len(withLedger) != 4 || withLedger[2].Outcome != "refused" {
+		t.Fatalf("durable server's trail: %+v, want 4 entries, the third refused", withLedger)
+	}
+	if !reflect.DeepEqual(withLedger, without) {
+		t.Fatalf("/v1/audit differs:\nwith WithLedger: %+v\nwithout:         %+v", withLedger, without)
 	}
 }

@@ -196,28 +196,25 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 
 	body, _ := json.Marshal(wire)
 	res.Body = body
-	var stage time.Duration
-	if s.ledger != nil {
-		staging := time.Now()
-		err := s.journalAppend(ledger.Event{
-			Type: ledger.EventStandingWindow, Dataset: spec.Dataset,
-			Analyst: spec.Analyst, Standing: spec.ID,
-			Window: w.Index, WindowStart: w.Start, Watermark: w.End,
-			Charged: res.Charged, Outcome: res.Outcome, Body: body,
-		})
-		stage = time.Since(staging)
-		if err != nil {
-			// The charge could not be journaled: undo the in-memory
-			// silent charge and leave the window due. The ledger has
-			// degraded, so the fail-closed gate blocks further fires.
-			if res.Charged > 0 {
-				d.policy.SilentAgentFor(spec.Analyst).Rollback(res.Charged)
-			}
-			s.events.Log(qlog.Error, "standing_window_unjournaled",
-				qlog.F("dataset", spec.Dataset), qlog.F("standing", spec.ID),
-				qlog.F("window", w.Index), qlog.F("error", err.Error()))
-			return standing.Result{}, false
+	staging := time.Now()
+	err := s.journalAppend(ledger.Event{
+		Type: ledger.EventStandingWindow, Dataset: spec.Dataset,
+		Analyst: spec.Analyst, Standing: spec.ID,
+		Window: w.Index, WindowStart: w.Start, Watermark: w.End,
+		Charged: res.Charged, Outcome: res.Outcome, Body: body,
+	})
+	stage := time.Since(staging)
+	if err != nil {
+		// The charge could not be journaled: undo the in-memory
+		// silent charge and leave the window due. The ledger has
+		// degraded, so the fail-closed gate blocks further fires.
+		if res.Charged > 0 {
+			d.policy.SilentAgentFor(spec.Analyst).Rollback(res.Charged)
 		}
+		s.events.Log(qlog.Error, "standing_window_unjournaled",
+			qlog.F("dataset", spec.Dataset), qlog.F("standing", spec.ID),
+			qlog.F("window", w.Index), qlog.F("error", err.Error()))
+		return standing.Result{}, false
 	}
 
 	s.metrics.Counter("dp_standing_windows_total",
@@ -257,9 +254,6 @@ func isBudgetExceeded(err error) bool {
 // registration (ledger seq) order. Called from AddPacketTrace and from
 // promotion, under s.mu; the registry has its own lock.
 func (s *Server) restoreStanding(name string) {
-	if s.ledger == nil {
-		return
-	}
 	for _, st := range s.ledger.Standing(name) {
 		results := make([]standing.Result, 0, len(st.Windows))
 		for _, w := range st.Windows {
@@ -281,7 +275,11 @@ func (s *Server) restoreStanding(name string) {
 		var sr api.StandingRequest
 		err := json.Unmarshal(st.Request, &sr)
 		if err == nil {
-			spec.Params = standingQueryRequest(st.Dataset, &sr)
+			params := standingQueryRequest(st.Dataset, &sr)
+			spec.Params = params
+			_, err = kindFor(params)
+		}
+		if err == nil {
 			_, err = s.standing.Restore(spec, standing.Restored{
 				NextWindow: st.NextWindow, LastMark: st.LastMark,
 				LastFire: lastFire, Spent: st.Spent,
@@ -289,10 +287,11 @@ func (s *Server) restoreStanding(name string) {
 			})
 		}
 		if err != nil {
-			// A persisted registration whose request does not decode, or
-			// that the live registry refuses, is a ledger/server version
-			// skew, not corruption: say so and keep the rest. Installed,
-			// it would fire with zero-valued parameters.
+			// A persisted registration whose request does not decode,
+			// names a kind or parameters this server cannot run, or that
+			// the live registry refuses, is a ledger/server version skew,
+			// not corruption: say so and keep the rest. Installed, it
+			// would fire with zero-valued or unrunnable parameters.
 			s.events.Log(qlog.Error, "standing_restore_failed",
 				qlog.F("dataset", st.Dataset), qlog.F("standing", st.ID),
 				qlog.F("error", err.Error()))
@@ -365,9 +364,6 @@ func (s *Server) executeStandingRegister(d *dataset, name string, req *api.Stand
 		Base:    s.watermark(d), Request: stored, Params: params,
 	}
 	q, err := s.standing.Register(spec, func(sp standing.Spec) error {
-		if s.ledger == nil {
-			return nil
-		}
 		return s.journalAppend(ledger.Event{
 			Type: ledger.EventStandingRegistered, Dataset: sp.Dataset,
 			Analyst: sp.Analyst, Standing: sp.ID, Query: sp.Kind,
@@ -412,9 +408,6 @@ func (s *Server) handleStandingList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStandingCancel(w http.ResponseWriter, r *http.Request) {
 	name, id := r.PathValue("dataset"), r.PathValue("id")
 	q, did, err := s.standing.Cancel(name, id, func(sp standing.Spec) error {
-		if s.ledger == nil {
-			return nil
-		}
 		return s.journalAppend(ledger.Event{
 			Type: ledger.EventStandingCanceled, Dataset: sp.Dataset,
 			Analyst: sp.Analyst, Standing: sp.ID,

@@ -583,6 +583,60 @@ func TestStandingRestoreUndecodableRequest(t *testing.T) {
 	}
 }
 
+// TestStandingRestoreRefusesUnrunnableRequest: a persisted registration
+// whose request decodes but names a kind this server does not serve, or
+// parameters its kind cannot run with, is logged standing_restore_failed
+// and not installed, as /v1/standing would have refused it at the door.
+func TestStandingRestoreRefusesUnrunnableRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  api.StandingRequest
+	}{
+		{"unknown kind", api.StandingRequest{Query: "loadmatrix"}},
+		{"bucketStep wider than the domain", api.StandingRequest{Query: "lencdf", BucketStep: 2000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			led1 := openLedger(t, dir)
+			ledgerServer(t, led1, 100, 100)
+			tc.req.Analyst, tc.req.Epsilon, tc.req.Reservation = "mon", 0.1, 1
+			tc.req.Window = api.StandingWindow{Width: 20}
+			stored, _ := json.Marshal(tc.req)
+			if err := led1.Append(ledger.Event{
+				Type: ledger.EventStandingRegistered, Dataset: "hotspot",
+				Analyst: "mon", Standing: "sq-1", Query: tc.req.Query,
+				Epsilon: 0.1, Reservation: 1, Width: 20, Base: 64, Body: stored,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := led1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			led2 := openLedger(t, dir)
+			defer led2.Close()
+			events := qlog.New(qlog.Options{})
+			s2 := New(noise.NewSeededSource(1, 2), WithLedger(led2), WithEventLog(events))
+			if err := s2.AddPacketTrace("hotspot", restartTrace(), 100, 100); err != nil {
+				t.Fatal(err)
+			}
+			ts2 := httptest.NewServer(s2.Handler())
+			defer ts2.Close()
+			if len(eventsNamed(s2, "standing_restore_failed")) != 1 {
+				t.Error("no standing_restore_failed event for the unrunnable registration")
+			}
+			_, body := getBody(t, ts2.URL+"/v1/standing/hotspot")
+			var list api.StandingList
+			if err := json.Unmarshal(body, &list); err != nil {
+				t.Fatal(err)
+			}
+			if len(list.Queries) != 0 {
+				t.Fatalf("restored %d standing queries from an unrunnable registration: %s", len(list.Queries), body)
+			}
+		})
+	}
+}
+
 // TestStandingLedgerFaultFailsClosed: when the standing_window append
 // hits a dead WAL mid-flight, the in-memory charge is rolled back, the
 // cursor stays, and the degraded gate blocks all further firing.

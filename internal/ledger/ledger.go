@@ -450,7 +450,7 @@ func (l *Ledger) Dataset(name string) (DatasetState, bool) {
 }
 
 // Audit returns the folded audit trail, oldest first, taken under the
-// ledger lock. AppendAudit never overwrites an entry, so the slice
+// ledger lock. appendAudit never overwrites an entry, so the slice
 // shares the fold's array instead of copying up to AuditCap records,
 // and stays valid beside later appends; callers must not modify it.
 func (l *Ledger) Audit() []AuditRecord {

@@ -5,9 +5,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"dptrace/internal/vfs"
 )
 
 // chargeEvents builds a simple history: one dataset plus n charges.
@@ -351,5 +354,77 @@ func TestAuditCapBoundsState(t *testing.T) {
 	}
 	if len(st.Audit) > AuditCap {
 		t.Fatalf("audit trail grew to %d entries, cap is %d", len(st.Audit), AuditCap)
+	}
+}
+
+// TestDiscardLedgerMatchesDisk: a ledger over vfs.Discard, as a server
+// without a durable ledger runs, folds what it is fed exactly like a
+// ledger on disk — the same Dataset, Audit, Replies and Standing — and
+// snapshots and rotates its segments without error, storing nothing.
+func TestDiscardLedgerMatchesDisk(t *testing.T) {
+	disk, err := Open(Options{Dir: t.TempDir(), SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	mem, err := Open(Options{Dir: "memory", FS: vfs.Discard, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+
+	future := time.Now().Add(time.Hour).UnixNano()
+	evs := append(standingHistory(),
+		Event{Type: EventCharge, Dataset: "d", Analyst: "alice", Epsilon: 0.3},
+		Event{Type: EventAudit, Dataset: "d", Analyst: "alice", Query: "count", Epsilon: 0.3, Charged: 0.3, Outcome: "ok"},
+		Event{Type: EventIdemReply, Endpoint: "/query", Dataset: "d", Analyst: "alice",
+			Key: "k1", Status: 200, Body: []byte(`{"values":[1]}`), Expires: future},
+		Event{Type: EventCharge, Dataset: "d", Analyst: "bob", Epsilon: 0.2},
+		Event{Type: EventRollback, Dataset: "d", Analyst: "bob", Epsilon: 0.2},
+		Event{Type: EventRefusal, Dataset: "d", Analyst: "bob", Query: "hosts", Epsilon: 9, Outcome: "refused"},
+		standingWindow(0, 0.1, "ok"),
+		standingWindow(1, 0.1, "ok"),
+		Event{Type: EventStandingCanceled, Dataset: "d", Analyst: "mon", Standing: "sq-1"},
+	)
+	for i := range evs {
+		evs[i].Time = int64(1000 + i) // Stage would stamp each ledger's own clock
+		for _, l := range []*Ledger{disk, mem} {
+			seq, err := l.Stage(evs[i])
+			if err == nil {
+				err = l.Commit(seq)
+			}
+			if err != nil {
+				t.Fatalf("event %d: %v", i, err)
+			}
+		}
+	}
+	for _, l := range []*Ledger{disk, mem} {
+		if err := l.Snapshot(); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		if err := l.Append(Event{Type: EventCharge, Dataset: "d", Analyst: "carol", Epsilon: 0.1, Time: 5000}); err != nil {
+			t.Fatalf("append after the snapshot's rotation: %v", err)
+		}
+		if err := l.Refusing(); err != nil {
+			t.Fatalf("ledger refusing: %v", err)
+		}
+	}
+
+	dd, _ := disk.Dataset("d")
+	md, ok := mem.Dataset("d")
+	if !ok || !reflect.DeepEqual(dd, md) {
+		t.Errorf("Dataset: disk %+v, discard %+v", dd, md)
+	}
+	if d, m := disk.Audit(), mem.Audit(); len(d) != 2 || !reflect.DeepEqual(d, m) {
+		t.Errorf("Audit: disk %+v, discard %+v", d, m)
+	}
+	if d, m := disk.Replies(), mem.Replies(); len(d) != 1 || !reflect.DeepEqual(d, m) {
+		t.Errorf("Replies: disk %+v, discard %+v", d, m)
+	}
+	if d, m := disk.Standing("d"), mem.Standing("d"); len(d) != 1 || !reflect.DeepEqual(d, m) {
+		t.Errorf("Standing: disk %+v, discard %+v", d, m)
+	}
+	if d, m := disk.CommittedSeq(), mem.CommittedSeq(); d != m {
+		t.Errorf("committed seq: disk %d, discard %d", d, m)
 	}
 }

@@ -19,7 +19,7 @@ type State struct {
 	Seq      uint64                   `json:"seq"`
 	Datasets map[string]*DatasetState `json:"datasets,omitempty"`
 	// Audit is the persisted audit trail, oldest first, bounded by
-	// AuditCap through AppendAudit.
+	// AuditCap through appendAudit.
 	Audit []AuditRecord `json:"audit,omitempty"`
 	// Idem maps idemKeyString() to stored idempotent replies.
 	Idem map[string]*IdemRecord `json:"idem,omitempty"`
@@ -134,15 +134,15 @@ const (
 	StandingCanceled  = "canceled"
 )
 
-// AuditCap bounds the audit trail, in the fold and in a ledger-less
-// server's own trail alike: past it, the oldest half is dropped.
+// AuditCap bounds the audit trail the fold keeps: past it, the oldest
+// half is dropped.
 const AuditCap = 10000
 
-// AppendAudit appends rec to trail, first dropping the oldest half when
+// appendAudit appends rec to trail, first dropping the oldest half when
 // the trail holds AuditCap entries. The kept half moves to a new array,
 // so an appended entry is never overwritten: a slice of the trail taken
 // earlier stays readable beside later appends (see Ledger.Audit).
-func AppendAudit(trail []AuditRecord, rec AuditRecord) []AuditRecord {
+func appendAudit(trail []AuditRecord, rec AuditRecord) []AuditRecord {
 	if len(trail) >= AuditCap {
 		trail = append(make([]AuditRecord, 0, AuditCap), trail[len(trail)-AuditCap/2:]...)
 	}
@@ -204,7 +204,7 @@ func (s *State) Apply(ev *Event) error {
 		}
 
 	case EventRefusal, EventAudit:
-		s.Audit = AppendAudit(s.Audit, AuditRecord{
+		s.Audit = appendAudit(s.Audit, AuditRecord{
 			Time: ev.Time, Analyst: ev.Analyst, Dataset: ev.Dataset,
 			Query: ev.Query, Epsilon: ev.Epsilon, Charged: ev.Charged,
 			Outcome: ev.Outcome,

@@ -102,8 +102,11 @@ func Quantile(xs []float64, q float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
+	// lo + (hi−lo)·frac, not lo·(1−frac) + hi·frac: the second can round
+	// below lo between equal neighbours, so q ↦ Quantile would not be
+	// monotone.
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return sorted[lo] + (sorted[hi]-sorted[lo])*frac
 }
 
 // Pearson returns the Pearson correlation coefficient of two

@@ -2,6 +2,7 @@ package toolkit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dptrace/internal/core"
@@ -106,23 +107,17 @@ func FrequentItemsets(q *core.Queryable[Basket], universe int, cfg FrequentItems
 // a deterministic hash of its contents across ALL the candidates it
 // supports, so no candidate is starved while each record still
 // contributes to exactly one count. One Partition, so the round costs
-// a single epsilon.
+// a single epsilon. Every candidate is sorted (singletons, then
+// aprioriJoin's output), so a record's items are sorted once and each
+// candidate is tested by one merge walk.
 func partitionedSupport(q *core.Queryable[Basket], cands [][]int, epsilon float64) ([]float64, error) {
 	parts := core.Partition(q, upTo(len(cands)), func(rec Basket) int {
-		have := make(map[int]bool, len(rec.Items))
-		for _, it := range rec.Items {
-			have[it] = true
-		}
+		var buf [16]int
+		items := append(buf[:0], rec.Items...)
+		slices.Sort(items)
 		var supported []int
 		for ci, cand := range cands {
-			supports := true
-			for _, it := range cand {
-				if !have[it] {
-					supports = false
-					break
-				}
-			}
-			if supports {
+			if sortedSubset(cand, items) {
 				supported = append(supported, ci)
 			}
 		}
@@ -140,6 +135,22 @@ func partitionedSupport(q *core.Queryable[Basket], cands [][]int, epsilon float6
 		counts[i] = c
 	}
 	return counts, nil
+}
+
+// sortedSubset reports whether every item of the sorted cand is in the
+// sorted items. Repeats on either side are allowed: an item is tested
+// for membership, as a set would.
+func sortedSubset(cand, items []int) bool {
+	j := 0
+	for _, it := range cand {
+		for j < len(items) && items[j] < it {
+			j++
+		}
+		if j == len(items) || items[j] != it {
+			return false
+		}
+	}
+	return true
 }
 
 // aprioriJoin merges size-1 survivors into size-sized candidates: two

@@ -3,6 +3,8 @@ package toolkit
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dptrace/internal/core"
@@ -185,5 +187,35 @@ func TestAprioriJoin(t *testing.T) {
 	got = aprioriJoin([][]int{{0, 1}, {0, 2}}, 3)
 	if len(got) != 0 {
 		t.Fatalf("aprioriJoin without full subset support = %v, want none", got)
+	}
+}
+
+// TestSortedSubsetMatchesSetMembership checks the merge walk
+// partitionedSupport tests candidates with against set membership, on
+// unsorted records with repeated items and records longer than the
+// walk's stack buffer.
+func TestSortedSubsetMatchesSetMembership(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 2000; trial++ {
+		rec := make([]int, rng.IntN(24))
+		have := make(map[int]bool)
+		for i := range rec {
+			rec[i] = rng.IntN(12)
+			have[rec[i]] = true
+		}
+		cand := make([]int, 1+rng.IntN(4))
+		for i := range cand {
+			cand[i] = rng.IntN(12)
+		}
+		slices.Sort(cand)
+		want := true
+		for _, it := range cand {
+			want = want && have[it]
+		}
+		items := slices.Clone(rec)
+		slices.Sort(items)
+		if got := sortedSubset(cand, items); got != want {
+			t.Fatalf("sortedSubset(%v, %v) = %v, set membership says %v", cand, rec, got, want)
+		}
 	}
 }

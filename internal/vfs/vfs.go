@@ -4,11 +4,13 @@
 // rename, power loss between a write and its sync — can be exercised
 // deterministically in tests.
 //
-// Two implementations ship here: OS, a thin pass-through to the real
-// filesystem, and FaultFS (fault.go), a wrapper that injects scripted
-// or randomized faults and can simulate a crash by truncating every
-// file back to its last-synced length. internal/ledger takes an FS in
-// its Options; production callers leave it nil and get OS.
+// Three implementations ship here: OS, a thin pass-through to the real
+// filesystem; Discard, which keeps nothing (the ledger of a server
+// that stores no budgets); and FaultFS (fault.go), a wrapper that
+// injects scripted or randomized faults and can simulate a crash by
+// truncating every file back to its last-synced length.
+// internal/ledger takes an FS in its Options; production callers leave
+// it nil and get OS.
 package vfs
 
 import (
@@ -75,3 +77,32 @@ func (OS) SyncDir(name string) error {
 	}
 	return err
 }
+
+// Discard is an FS that keeps no bytes: files accept and drop every
+// write, syncs, renames and removals succeed without doing anything,
+// every directory is empty and no file exists to be read. A ledger
+// opened on it folds what it journals in memory and stores nothing.
+var Discard FS = discard{}
+
+type discard struct{}
+
+func (discard) MkdirAll(string, os.FileMode) error              { return nil }
+func (discard) OpenFile(string, int, os.FileMode) (File, error) { return discardFile{}, nil }
+func (discard) ReadDir(string) ([]fs.DirEntry, error)           { return nil, nil }
+func (discard) Remove(string) error                             { return nil }
+func (discard) Rename(string, string) error                     { return nil }
+func (discard) Truncate(string, int64) error                    { return nil }
+func (discard) SyncDir(string) error                            { return nil }
+
+func (discard) ReadFile(name string) ([]byte, error) {
+	return nil, &fs.PathError{Op: "read", Path: name, Err: fs.ErrNotExist}
+}
+
+// discardFile is a file of Discard: it drops what is written to it.
+type discardFile struct{}
+
+func (discardFile) Write(p []byte) (int, error)            { return len(p), nil }
+func (discardFile) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
+func (discardFile) Seek(int64, int) (int64, error)         { return 0, nil }
+func (discardFile) Sync() error                            { return nil }
+func (discardFile) Close() error                           { return nil }

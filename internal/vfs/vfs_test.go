@@ -242,3 +242,24 @@ func TestCountsTrackOps(t *testing.T) {
 		t.Fatalf("Counts = %v", c)
 	}
 }
+
+// TestDiscardKeepsNothing: Discard takes every write and sync, and
+// afterwards has no file to list or read.
+func TestDiscardKeepsNothing(t *testing.T) {
+	f := mustOpen(t, Discard, "d/wal")
+	if n, err := f.WriteAt([]byte("record"), 0); n != 6 || err != nil {
+		t.Fatalf("WriteAt = %d, %v; want 6, nil", n, err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Discard.Rename("d/wal", "d/wal2"); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := Discard.ReadDir("d"); len(entries) != 0 || err != nil {
+		t.Fatalf("ReadDir = %v, %v; want nothing", entries, err)
+	}
+	if _, err := Discard.ReadFile("d/wal2"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("ReadFile: %v, want ErrNotExist", err)
+	}
+}
