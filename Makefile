@@ -14,8 +14,8 @@ test:
 cover:
 	go test -cover ./... | grep -v '\[no test files\]'
 
-# Engine, ledger, trace-codec, trace-generator and served-query
-# benchmarks, parsed into BENCH_core.json (cmd/benchjson) so every PR
+# Engine, ledger, trace-codec, trace-generator, metrics-registry and
+# served-query benchmarks, parsed into BENCH_core.json (cmd/benchjson) so every PR
 # leaves a perf trajectory. Sequential and Parallel variants of each
 # operator land side by side, as do the ledger's append cost (one
 # fsync per record, the price of durable ε-accounting) and
@@ -25,7 +25,7 @@ cover:
 # package at a time, so no benchmark is timed against another package's
 # load (on a 2-CPU host two ran at once and core's rows went missing).
 # -run '^$': the tests are check's job, not five times over here.
-BENCHPKGS := ./internal/core/... ./internal/sketch/... ./internal/ledger/... ./internal/trace/... ./internal/tracegen/... ./internal/dpserver
+BENCHPKGS := ./internal/core/... ./internal/sketch/... ./internal/ledger/... ./internal/trace/... ./internal/tracegen/... ./internal/obs ./internal/dpserver
 bench:
 	go test -p 1 -run '^$$' -bench=. -benchmem -count=5 $(BENCHFLAGS) $(BENCHPKGS) | go run ./cmd/benchjson > BENCH_core.json
 	@echo "wrote BENCH_core.json"

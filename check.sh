@@ -104,11 +104,12 @@ grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*\*?' README.md DESIGN.md EXP
 		fi
 	done
 go test -race -shuffle=on -timeout 10m ./...
-# Allocation guards for the chunk loop and the batch decoders run
-# without the race detector: its instrumentation inflates allocation
-# counts, so these tests skip themselves (core) or are not built
-# (trace) under -race (see each package's alloc_test.go).
-go test -run 'TestAlloc' -count=1 ./internal/core ./internal/trace
+# Allocation guards for the chunk loop, the metrics registry's hit
+# path and the batch decoders run without the race detector: its
+# instrumentation inflates allocation counts, so these tests skip
+# themselves (core, obs) or are not built (trace) under -race (see
+# each package's alloc_test.go).
+go test -run 'TestAlloc' -count=1 ./internal/core ./internal/obs ./internal/trace
 # Short fuzz smoke over the ledger's WAL record decoder: the recovery
 # path must classify arbitrary bytes without ever panicking.
 go test -run=. -fuzz=FuzzLedgerDecode -fuzztime=5s ./internal/ledger

@@ -71,8 +71,10 @@ import (
 // time: large enough that per-chunk costs (one dynamic call per stage,
 // one context poll, one counter update) vanish next to the per-record
 // work, small enough that a stage's scratch buffer of trace records
-// (56-byte packets: 28 KB) stays cache-resident and a small-object
-// allocation, which is what a query over a thousand-record window pays.
+// (64-byte packets: 32 KB) stays cache-resident. It is not a
+// small-object allocation: a Packet holds a pointer (its Payload), and
+// a pointerful object of 32 KB takes the runtime's large-object path,
+// which is part of what a query over a thousand-record window pays.
 const chunkSize = 512
 
 // sink consumes a pipeline's output one chunk at a time. A chunk is

@@ -121,6 +121,82 @@ func makeKey(name string, labels []string) metricKey {
 	return metricKey{name: name, labels: strings.Join(pairs, ",")}
 }
 
+// maxHitPairs is the most label pairs a lookup may carry and still
+// find its series by the raw tuple; every call site in the repository
+// passes at most two.
+const maxHitPairs = 2
+
+// rawKey is a lookup's (name, label…) tuple exactly as the caller
+// spelled it. It is comparable, so finding an existing series hashes
+// the caller's strings and builds none; the sorted, escaped metricKey
+// is rendered only when a tuple is first seen. Two spellings of one
+// series (the same pairs in another order) are two rawKeys aliasing
+// one instance.
+type rawKey struct {
+	name   string
+	n      int // label strings used, so ("k","") and ("k","","","") differ
+	labels [2 * maxHitPairs]string
+}
+
+// makeRawKey returns the tuple's rawKey, or false when it carries more
+// than maxHitPairs pairs and must go through makeKey on every lookup.
+func makeRawKey(name string, labels []string) (rawKey, bool) {
+	k := rawKey{name: name, n: len(labels)}
+	if len(labels) > len(k.labels) {
+		return rawKey{}, false
+	}
+	copy(k.labels[:], labels)
+	return k, true
+}
+
+// series is one kind of metric's instances: the canonical map the
+// exposition walks, and the raw-tuple aliases lookups hit.
+type series[V any] struct {
+	byKey map[metricKey]V
+	byRaw map[rawKey]V
+}
+
+func newSeries[V any]() series[V] {
+	return series[V]{byKey: make(map[metricKey]V), byRaw: make(map[rawKey]V)}
+}
+
+// lookup returns the instance for name+labels in s, calling create
+// (under r's write lock) when the series does not exist yet. A hit
+// costs a read lock and one hash of the raw tuple; only a tuple's
+// first lookup renders its canonical key, and makeKey's panic on an
+// odd label count guards every insert, so no odd tuple is ever a hit.
+func lookup[V any](r *Registry, s *series[V], name string, labels []string, create func() V) V {
+	rk, aliased := makeRawKey(name, labels)
+	if aliased {
+		r.mu.RLock()
+		v, ok := s.byRaw[rk]
+		r.mu.RUnlock()
+		if ok {
+			return v
+		}
+	}
+	k := makeKey(name, labels)
+	if !aliased {
+		r.mu.RLock()
+		v, ok := s.byKey[k]
+		r.mu.RUnlock()
+		if ok {
+			return v
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := s.byKey[k]
+	if !ok {
+		v = create()
+		s.byKey[k] = v
+	}
+	if aliased {
+		s.byRaw[rk] = v
+	}
+	return v
+}
+
 // escapeLabel escapes a label value per the Prometheus text exposition
 // format (version 0.0.4): backslash, double-quote, and line feed are
 // the only characters escaped, each exactly once.
@@ -157,40 +233,28 @@ func (k metricKey) String() string {
 //
 //	reg.Counter("dpserver_requests_total", "endpoint", "/query").Inc()
 //
-// Labels are alternating key/value strings; the same name+labels
-// always returns the same instance.
+// Labels are alternating key/value strings; the same name+labels, in
+// any order, always returns the same instance. Looking up an existing
+// series with up to two label pairs allocates nothing.
 type Registry struct {
 	mu         sync.RWMutex
-	counters   map[metricKey]*Counter
+	counters   series[*Counter]
 	gaugeFuncs map[metricKey]func() float64
-	hists      map[metricKey]*Histogram
+	hists      series[*Histogram]
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[metricKey]*Counter),
+		counters:   newSeries[*Counter](),
 		gaugeFuncs: make(map[metricKey]func() float64),
-		hists:      make(map[metricKey]*Histogram),
+		hists:      newSeries[*Histogram](),
 	}
 }
 
 // Counter returns the counter for name+labels, creating it if needed.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	k := makeKey(name, labels)
-	r.mu.RLock()
-	c, ok := r.counters[k]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[k]; !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return lookup(r, &r.counters, name, labels, func() *Counter { return &Counter{} })
 }
 
 // GaugeFunc registers a live gauge whose value is read at scrape
@@ -207,25 +271,14 @@ func (r *Registry) GaugeFunc(name string, f func() float64, labels ...string) {
 // the given bucket bounds if needed (bounds are ignored on later
 // lookups of an existing histogram).
 func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
-	k := makeKey(name, labels)
-	r.mu.RLock()
-	h, ok := r.hists[k]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.hists[k]; !ok {
+	return lookup(r, &r.hists, name, labels, func() *Histogram {
 		if !sort.Float64sAreSorted(bounds) {
 			panic("obs: histogram bounds must be ascending")
 		}
 		b := make([]float64, len(bounds))
 		copy(b, bounds)
-		h = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-		r.hists[k] = h
-	}
-	return h
+		return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+	})
 }
 
 func sortedKeys[V any](m map[metricKey]V) []metricKey {
@@ -247,12 +300,12 @@ func sortedKeys[V any](m map[metricKey]V) []metricKey {
 // family, histograms as cumulative _bucket/_sum/_count series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
-	counterKeys := sortedKeys(r.counters)
+	counterKeys := sortedKeys(r.counters.byKey)
 	funcKeys := sortedKeys(r.gaugeFuncs)
-	histKeys := sortedKeys(r.hists)
+	histKeys := sortedKeys(r.hists.byKey)
 	counters := make([]float64, len(counterKeys))
 	for i, k := range counterKeys {
-		counters[i] = r.counters[k].Value()
+		counters[i] = r.counters.byKey[k].Value()
 	}
 	funcs := make([]func() float64, len(funcKeys))
 	for i, k := range funcKeys {
@@ -266,7 +319,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	hists := make([]histCopy, len(histKeys))
 	for i, k := range histKeys {
-		h := r.hists[k]
+		h := r.hists.byKey[k]
 		hc := histCopy{bounds: h.bounds, count: h.Count(), sum: h.Sum()}
 		cum := uint64(0)
 		for j := range h.counts {
