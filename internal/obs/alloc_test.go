@@ -17,16 +17,17 @@ func TestAllocRegistryHit(t *testing.T) {
 	}
 	reg := NewRegistry()
 	rec := NewMetricsRecorder(reg)
-	bounds := DurationBuckets()
 	outcome := OutcomeOK
 	for name, hit := range map[string]func(){
 		"Counter/0 pairs":   func() { reg.Counter("dp_idem_hits_total").Inc() },
 		"Counter/1 pair":    func() { reg.Counter("dp_shed_total", "endpoint", "/v1/query").Inc() },
 		"Counter/2 pairs":   func() { reg.Counter("dp_agg_total", "agg", "count", "outcome", outcome).Inc() },
-		"Histogram/0 pairs": func() { reg.Histogram("dp_ledger_fsync_seconds", bounds).Observe(0.001) },
-		"Histogram/1 pair":  func() { reg.Histogram("dp_op_duration_seconds", bounds, "op", "where").Observe(0.001) },
+		"Histogram/0 pairs": func() { reg.Histogram("dp_ledger_fsync_seconds", DurationBuckets()).Observe(0.001) },
+		"Histogram/1 pair": func() {
+			reg.Histogram("dp_op_duration_seconds", DurationBuckets(), "op", "where").Observe(0.001)
+		},
 		"Histogram/2 pairs": func() {
-			reg.Histogram("dpserver_request_seconds", bounds, "endpoint", "/v1/query", "code", "200").Observe(0.001)
+			reg.Histogram("dpserver_request_seconds", DurationBuckets(), "endpoint", "/v1/query", "code", "200").Observe(0.001)
 		},
 		"AggDone/ok":      func() { rec.AggDone("count", OutcomeOK, 0.1, time.Millisecond) },
 		"AggDone/refused": func() { rec.AggDone("count", OutcomeRefused, 0.1, 0) },

@@ -138,62 +138,53 @@ type rawKey struct {
 	labels [2 * maxHitPairs]string
 }
 
-// makeRawKey returns the tuple's rawKey, or false when it carries more
-// than maxHitPairs pairs and must go through makeKey on every lookup.
-func makeRawKey(name string, labels []string) (rawKey, bool) {
+// makeRawKey returns the tuple's rawKey. A tuple of more than
+// maxHitPairs pairs does not fit: its key holds the canonical
+// rendering instead (n is -1, which no raw tuple has), so such a
+// lookup runs makeKey every time.
+func makeRawKey(name string, labels []string) rawKey {
 	k := rawKey{name: name, n: len(labels)}
 	if len(labels) > len(k.labels) {
-		return rawKey{}, false
+		k.n, k.labels[0] = -1, makeKey(name, labels).labels
+		return k
 	}
 	copy(k.labels[:], labels)
-	return k, true
+	return k
 }
 
 // series is one kind of metric's instances: the canonical map the
-// exposition walks, and the raw-tuple aliases lookups hit.
+// exposition walks, and the raw-tuple aliases lookups hit. Both maps
+// are made on the first insert.
 type series[V any] struct {
 	byKey map[metricKey]V
 	byRaw map[rawKey]V
 }
 
-func newSeries[V any]() series[V] {
-	return series[V]{byKey: make(map[metricKey]V), byRaw: make(map[rawKey]V)}
-}
-
 // lookup returns the instance for name+labels in s, calling create
 // (under r's write lock) when the series does not exist yet. A hit
 // costs a read lock and one hash of the raw tuple; only a tuple's
-// first lookup renders its canonical key, and makeKey's panic on an
-// odd label count guards every insert, so no odd tuple is ever a hit.
+// first lookup renders its canonical key (beyond maxHitPairs pairs,
+// makeRawKey renders it every time), and makeKey's panic on an odd
+// label count guards every insert, so no odd tuple is ever a hit.
 func lookup[V any](r *Registry, s *series[V], name string, labels []string, create func() V) V {
-	rk, aliased := makeRawKey(name, labels)
-	if aliased {
-		r.mu.RLock()
-		v, ok := s.byRaw[rk]
-		r.mu.RUnlock()
-		if ok {
-			return v
-		}
+	rk := makeRawKey(name, labels)
+	r.mu.RLock()
+	v, ok := s.byRaw[rk]
+	r.mu.RUnlock()
+	if ok {
+		return v
 	}
 	k := makeKey(name, labels)
-	if !aliased {
-		r.mu.RLock()
-		v, ok := s.byKey[k]
-		r.mu.RUnlock()
-		if ok {
-			return v
-		}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v, ok := s.byKey[k]
-	if !ok {
+	if v, ok = s.byKey[k]; !ok {
 		v = create()
+		if s.byKey == nil {
+			s.byKey, s.byRaw = make(map[metricKey]V), make(map[rawKey]V)
+		}
 		s.byKey[k] = v
 	}
-	if aliased {
-		s.byRaw[rk] = v
-	}
+	s.byRaw[rk] = v
 	return v
 }
 
@@ -245,11 +236,7 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:   newSeries[*Counter](),
-		gaugeFuncs: make(map[metricKey]func() float64),
-		hists:      newSeries[*Histogram](),
-	}
+	return &Registry{gaugeFuncs: make(map[metricKey]func() float64)}
 }
 
 // Counter returns the counter for name+labels, creating it if needed.

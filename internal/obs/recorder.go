@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -80,59 +79,20 @@ func (NopRecorder) AggDone(string, string, float64, time.Duration) {}
 //	dp_agg_duration_seconds{agg=...}  histogram of aggregation wall time
 //	dp_budget_spend_total             sum of requested ε on successful
 //	                                  aggregations (pre-scaling)
-//
-// It keeps each operator's and each (aggregation, outcome)'s resolved
-// instruments, so a report is one map hit and a few atomic adds.
-// Series are still created on their first report, never before: the
-// exposition lists exactly what happened.
 type MetricsRecorder struct {
-	reg  *Registry
-	mu   sync.RWMutex
-	ops  map[string]*opSeries
-	aggs map[aggKey]*aggSeries
-}
-
-// opSeries is one operator's instruments. dp_op_parallel_total is not
-// among them: it exists only once the parallel engine ran the
-// operator.
-type opSeries struct {
-	dur     *Histogram
-	in, out *Counter
-}
-
-type aggKey struct{ agg, outcome string }
-
-// aggSeries is one (aggregation, outcome)'s instruments; dur and spend
-// are nil unless the outcome is OutcomeOK.
-type aggSeries struct {
-	total *Counter
-	dur   *Histogram
-	spend *Counter
+	reg *Registry
 }
 
 // NewMetricsRecorder wraps reg as a Recorder.
 func NewMetricsRecorder(reg *Registry) *MetricsRecorder {
-	return &MetricsRecorder{reg: reg, ops: make(map[string]*opSeries), aggs: make(map[aggKey]*aggSeries)}
+	return &MetricsRecorder{reg: reg}
 }
 
 // OpDone implements Recorder.
 func (m *MetricsRecorder) OpDone(op string, d time.Duration, in, out, workers int) {
-	m.mu.RLock()
-	s := m.ops[op]
-	m.mu.RUnlock()
-	if s == nil {
-		s = &opSeries{
-			dur: m.reg.Histogram("dp_op_duration_seconds", DurationBuckets(), "op", op),
-			in:  m.reg.Counter("dp_op_records_in_total", "op", op),
-			out: m.reg.Counter("dp_op_records_out_total", "op", op),
-		}
-		m.mu.Lock()
-		m.ops[op] = s
-		m.mu.Unlock()
-	}
-	s.dur.Observe(d.Seconds())
-	s.in.Add(float64(in))
-	s.out.Add(float64(out))
+	m.reg.Histogram("dp_op_duration_seconds", DurationBuckets(), "op", op).Observe(d.Seconds())
+	m.reg.Counter("dp_op_records_in_total", "op", op).Add(float64(in))
+	m.reg.Counter("dp_op_records_out_total", "op", op).Add(float64(out))
 	if workers >= 2 {
 		m.reg.Counter("dp_op_parallel_total", "op", op).Inc()
 	}
@@ -140,24 +100,10 @@ func (m *MetricsRecorder) OpDone(op string, d time.Duration, in, out, workers in
 
 // AggDone implements Recorder.
 func (m *MetricsRecorder) AggDone(agg, outcome string, epsilon float64, d time.Duration) {
-	k := aggKey{agg, outcome}
-	m.mu.RLock()
-	s := m.aggs[k]
-	m.mu.RUnlock()
-	if s == nil {
-		s = &aggSeries{total: m.reg.Counter("dp_agg_total", "agg", agg, "outcome", outcome)}
-		if outcome == OutcomeOK {
-			s.dur = m.reg.Histogram("dp_agg_duration_seconds", DurationBuckets(), "agg", agg)
-			s.spend = m.reg.Counter("dp_budget_spend_total")
-		}
-		m.mu.Lock()
-		m.aggs[k] = s
-		m.mu.Unlock()
-	}
-	s.total.Inc()
-	if s.dur != nil {
-		s.dur.Observe(d.Seconds())
-		s.spend.Add(epsilon)
+	m.reg.Counter("dp_agg_total", "agg", agg, "outcome", outcome).Inc()
+	if outcome == OutcomeOK {
+		m.reg.Histogram("dp_agg_duration_seconds", DurationBuckets(), "agg", agg).Observe(d.Seconds())
+		m.reg.Counter("dp_budget_spend_total").Add(epsilon)
 	}
 }
 
