@@ -44,31 +44,6 @@ if grep -rnE --include='*.go' "\"($kinds)\"" internal/dpserver internal/dpclient
 	echo "a served query kind's name is spelled outside internal/dpserver/kinds.go's table" >&2
 	exit 1
 fi
-# The served query path's stack frames (DESIGN.md §S27, "By value,
-# through the stack"): every kind's chunk loop runs below the HTTP
-# middleware, admission, the envelope, RunPacketQuery and the kind's
-# closure (the init.funcN), so a frame on that path that grows or
-# shrinks by 8 bytes moves the loops' record temporaries across cache
-# lines — served hosts over 20,000 packets once read 1.5x slower from
-# one such shift. The frames must equal the recorded ones, for the Go
-# release and architecture the record names.
-frames_want=internal/dpserver/testdata/served_frames.txt
-frames_on="$(go env GOVERSION GOARCH | paste -sd' ' -)"
-if [ "$frames_on" = "$(sed -n 's/^# //p' $frames_want)" ]; then
-	frames=$(go build -gcflags=-S ./internal/dpserver 2>&1 |
-		sed -nE 's/^dptrace\/internal\/dpserver\.([^ ]+) STEXT.* (args=[^ ]+) (locals=[^ ]+).*/\1 \2 \3/p' |
-		grep -E '^(\(\*Server\)\.((Handler\.\(\*Server\)\.)?admit\.func1|instrument\.func1|recoverPanics\.func1|handleQuery(-fm|\.func1)?|serveIdempotent|settle|execute)|RunPacketQuery|init\.func[0-9]+) ' |
-		LC_ALL=C sort)
-	if [ "$frames" != "$(grep -v '^#' $frames_want)" ]; then
-		printf '%s\n' "$frames" | diff $frames_want - >&2 || true
-		echo "a served-path frame moved (diff above: recorded, then built). Before re-recording $frames_want, A/B the served kinds against the parent at one CPU, e.g. build old.test at the parent and new.test here with 'go test -c ./internal/dpserver', then alternate" >&2
-		echo "  ./old.test and ./new.test -test.run '^\$' -test.bench 'BenchmarkServedHosts/packets=20000\$' -test.cpu 1 -test.count 1" >&2
-		echo "and pad the path (admit's and RunPacketQuery's framePad) until no kind reads slower." >&2
-		exit 1
-	fi
-else
-	echo "$frames_want records $(sed -n 's/^# //p' $frames_want); skipping the frame check on $frames_on"
-fi
 # The server reads the ledger's state only through its locked accessors
 # (Ledger.Dataset, Audit, Replies, Standing): State() hands out the live
 # fold every append mutates, and spends and a follower's stream can run

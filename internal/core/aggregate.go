@@ -31,8 +31,8 @@ func clamp(v, bound float64) float64 {
 //  4. release scans the pipeline and draws the mechanism's noise. A
 //     scan the context abandons midway (release reports !ok) returns
 //     ErrCanceled with the charge standing, and so does a panic —
-//     typically a bug in an analyst-supplied function, or a
-//     *WorkerPanic re-raised by runWorkers — as ErrInternal: both lie
+//     typically a bug in an analyst-supplied function, re-raised from
+//     the scan's workers as a *WorkerPanic — as ErrInternal: both lie
 //     after Apply, and ε is only ever over-counted;
 //  5. exactly one AggDone reaches the recorder, whatever the outcome.
 func aggregate[T, V any](s *Stream[T], agg string, epsilon float64, invalid error, release func() (V, bool)) (v V, err error) {

@@ -10,8 +10,8 @@ import (
 	"dptrace/internal/noise"
 )
 
-// These tests pin the panic-containment contract: a panic in a
-// parallel worker surfaces on the coordinating goroutine as a
+// These tests pin the panic-containment contract: a panic in a scan
+// worker, at any width, surfaces on the coordinating goroutine as a
 // recoverable *WorkerPanic (instead of killing the process), and the
 // aggregation boundary converts panics to ErrInternal with the same
 // ε-contract as cancellation — before agent.Apply nothing is charged,
@@ -27,31 +27,33 @@ func manyInts(n int) []int {
 }
 
 func TestWorkerPanicIsRecoverableOnCaller(t *testing.T) {
-	q, _ := NewQueryable(manyInts(1000), math.Inf(1), noise.NewSeededSource(1, 2))
-	q = q.WithExecOptions(ExecOptions{Workers: 4, Threshold: 1})
+	for _, o := range []ExecOptions{{Workers: 4, Threshold: 1}, {}} {
+		q, _ := NewQueryable(manyInts(1000), math.Inf(1), noise.NewSeededSource(1, 2))
+		q = q.WithExecOptions(o)
 
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		q.Where(func(v int) bool {
-			if v == 617 {
-				panic("predicate bug")
-			}
-			return true
-		})
-	}()
-	wp, ok := recovered.(*WorkerPanic)
-	if !ok {
-		t.Fatalf("recovered %T (%v), want *WorkerPanic", recovered, recovered)
-	}
-	if wp.Value != "predicate bug" {
-		t.Fatalf("WorkerPanic.Value = %v", wp.Value)
-	}
-	if len(wp.Stack) == 0 || !strings.Contains(string(wp.Stack), "panic_test") {
-		t.Fatalf("WorkerPanic.Stack should capture the worker's stack, got %q", wp.Stack)
-	}
-	if !strings.Contains(wp.Error(), "predicate bug") {
-		t.Fatalf("Error() = %q", wp.Error())
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			q.Where(func(v int) bool {
+				if v == 617 {
+					panic("predicate bug")
+				}
+				return true
+			})
+		}()
+		wp, ok := recovered.(*WorkerPanic)
+		if !ok {
+			t.Fatalf("%+v: recovered %T (%v), want *WorkerPanic", o, recovered, recovered)
+		}
+		if wp.Value != "predicate bug" {
+			t.Fatalf("%+v: WorkerPanic.Value = %v", o, wp.Value)
+		}
+		if len(wp.Stack) == 0 || !strings.Contains(string(wp.Stack), "panic_test") {
+			t.Fatalf("%+v: WorkerPanic.Stack should capture the worker's stack, got %q", o, wp.Stack)
+		}
+		if !strings.Contains(wp.Error(), "predicate bug") {
+			t.Fatalf("%+v: Error() = %q", o, wp.Error())
+		}
 	}
 }
 

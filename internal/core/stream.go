@@ -56,12 +56,13 @@ import (
 // temporary to argument slots, 16 bytes at a time — however the loop is
 // spelled. When the temporary straddles a cache line the reload stalls
 // on store forwarding, and whether it straddles depends on the frame
-// sizes above the loop: the same query has read 3× slower served than
-// called directly. So every per-record loop here and in the sinks
-// indexes its chunk (f(c[j])), and one that reads a record twice copies
-// it to a local first — f(c[j]) … g(c[j]) keeps four addresses live
-// across the call and measures slower. The dpserver BenchmarkServed*
-// rows are the shape that shows it; A/B them after touching a loop.
+// sizes above the loop — this package's scan frames alone, since every
+// scan runs on its worker goroutines (runWorkers). So every per-record
+// loop here and in the sinks indexes its chunk (f(c[j])), and one that
+// reads a record twice copies it to a local first — f(c[j]) … g(c[j])
+// keeps four addresses live across the call and measures slower. The
+// dpserver BenchmarkServed* rows are the shape that shows it; A/B them
+// after touching a scan frame or a loop.
 //
 // Allocation: building a stage allocates a constant handful of small
 // objects; a scan allocates one scratch buffer per stage plus one

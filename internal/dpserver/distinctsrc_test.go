@@ -20,9 +20,9 @@ import (
 // parentDistinctSrc is distinctsrc as it ran before it kept each source
 // once: every packet's source formatted and added to the registers.
 // Every other kind runs as served.
-func parentDistinctSrc(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+func parentDistinctSrc(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
 	if req.Query != "distinctsrc" {
-		return RunPacketQuery(q, req)
+		return runKind(q, k, req)
 	}
 	var match func(trace.Packet) bool
 	if req.Filter != nil {
@@ -40,7 +40,7 @@ func parentDistinctSrc(q *core.Queryable[trace.Packet], req *api.QueryRequest) (
 // executes packet kinds through exec on the given workers. Twins are
 // seeded alike, so equal pipelines draw equal noise.
 func twinServer(t *testing.T, packets []trace.Packet, opts core.ExecOptions,
-	exec func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error)) (*Server, *httptest.Server, string) {
+	exec func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)) (*Server, *httptest.Server, string) {
 	t.Helper()
 	dir := t.TempDir()
 	led, err := ledger.Open(ledger.Options{Dir: dir, Logf: t.Logf})
@@ -118,7 +118,7 @@ func TestDistinctSrcMatchesParentPipeline(t *testing.T) {
 		for _, opts := range []core.ExecOptions{{}, {Workers: 4, Threshold: 1}} {
 			for _, filter := range []*api.Filter{nil, {DstPort: &port80}} {
 				label := fmt.Sprintf("%s workers=%d filter=%v", in.name, max(opts.Workers, 1), filter != nil)
-				_, tsA, dirA := twinServer(t, in.packets, opts, RunPacketQuery)
+				_, tsA, dirA := twinServer(t, in.packets, opts, runKind)
 				_, tsB, dirB := twinServer(t, in.packets, opts, parentDistinctSrc)
 				same := func(what string, a, b func(base string) (int, []byte)) {
 					t.Helper()
@@ -208,18 +208,18 @@ func (c *firesAfter) Err() error {
 // charge, left it standing.
 func TestDistinctSrcDeadlineMidPassChargesNothing(t *testing.T) {
 	packets := ingestPkts(4 * 512)
-	midPass := func(run func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error)) func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error) {
-		return func(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+	midPass := func(run func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)) func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error) {
+		return func(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
 			// The third Err call is the second chunk's poll.
-			return run(q.WithContext(&firesAfter{Context: context.Background(), n: 3}), req)
+			return run(q.WithContext(&firesAfter{Context: context.Background(), n: 3}), k, req)
 		}
 	}
 	for _, tc := range []struct {
 		name    string
-		run     func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error)
+		run     func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)
 		charged float64
 	}{
-		{"served", RunPacketQuery, 0},
+		{"served", runKind, 0},
 		{"parent pipeline", parentDistinctSrc, 0.25},
 	} {
 		s, ts, _ := twinServer(t, packets, core.ExecOptions{}, midPass(tc.run))

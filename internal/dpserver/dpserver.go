@@ -112,9 +112,9 @@ type Server struct {
 	// observe cancellation; production code leaves it nil.
 	execHook func(context.Context)
 
-	// execPacket executes one-shot and standing packet queries:
-	// RunPacketQuery, unless a test runs a reference pipeline on a twin.
-	execPacket func(*core.Queryable[trace.Packet], *api.QueryRequest) (*api.QueryResponse, error)
+	// execPacket executes one-shot and standing packet queries of a kind
+	// looked up: runKind, unless a test runs a reference pipeline on a twin.
+	execPacket func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)
 
 	// exec is the execution width of every query on every dataset:
 	// GOMAXPROCS workers above core.DefaultParallelThreshold records.
@@ -175,7 +175,7 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 		events:   qlog.New(qlog.Options{}),
 		ingest:   ingest.New(ingest.Limits{}),
 
-		execPacket: RunPacketQuery,
+		execPacket: runKind,
 		exec:       core.ExecOptions{Workers: runtime.GOMAXPROCS(0)},
 	}
 	s.standing = s.newStandingRegistry()
@@ -431,7 +431,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// An unknown kind, or parameters the kind could never execute with,
 	// are refused at the door: nothing is audited, journaled or charged.
-	if _, err := kindFor(&req); err != nil {
+	k, err := kindFor(&req)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
 		return
 	}
@@ -443,7 +444,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	explain := wantsExplain(r)
 	s.serveIdempotent(w, r, req.Dataset, req.Analyst, req.IdempotencyKey,
 		func(ctx context.Context) execResult {
-			return s.execute(ctx, endpoint, explain, d, &req)
+			return s.execute(ctx, endpoint, explain, d, k, &req)
 		})
 }
 
@@ -467,7 +468,7 @@ func (s *Server) datasetFor(w http.ResponseWriter, name string) (*dataset, bool)
 // cancellation that charged nothing, which a retry should execute. What
 // it journals is staged: the caller releases the result through
 // Server.settle, which also emits the execution's one "query" event.
-func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *dataset, req *api.QueryRequest) execResult {
+func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *dataset, k *queryKind, req *api.QueryRequest) execResult {
 	start := time.Now()
 	if s.execHook != nil {
 		s.execHook(ctx)
@@ -475,7 +476,7 @@ func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *
 	agent := &meteredAgent{inner: d.policy.AgentFor(req.Analyst)}
 	prof := obs.NewProfileRecorder(agent.charged)
 	rec := obs.Multi(s.engineRec, prof)
-	resp, err := s.execPacket(open(s, d.packets, agent, rec, ctx), req)
+	resp, err := s.execPacket(open(s, d.packets, agent, rec, ctx), k, req)
 	done := queryOutcome{
 		endpoint: endpoint, analyst: req.Analyst, dataset: req.Dataset,
 		query: req.Query, epsilon: req.Epsilon, started: start,
@@ -485,10 +486,10 @@ func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *
 	remaining := finiteOrUnlimited(d.policy.RemainingFor(req.Analyst))
 	if err != nil {
 		if errors.Is(err, core.ErrInternal) {
-			// A panic recovered at the aggregation boundary (the worker
-			// or recoverAgg guards): the request gets a clean 500 and
-			// the process lives, but the panic is still a bug — count
-			// and log it like one the HTTP middleware caught.
+			// A panic recovered at the aggregation boundary (a scan
+			// worker's or the mechanism's): the request gets a clean 500
+			// and the process lives, but the panic is still a bug —
+			// count and log it like one the HTTP middleware caught.
 			s.metrics.Counter("dp_panics_total", "site", "aggregation").Inc()
 			s.events.Log(qlog.Error, "panic_recovered",
 				qlog.F("site", "aggregation"),
@@ -525,38 +526,32 @@ func marshalJSON(v any) []byte {
 	return append(b, '\n')
 }
 
-// RunPacketQuery executes one packet query kind over q — what the
-// envelope runs for POST /v1/query, and standing windows and dpquery's
-// local mode run directly. It looks req's kind up in the kind table,
-// checks its parameters, and runs the kind's run function from the
-// request filter as a fused stage, q.Stream().Where(match). Most kinds
-// never copy a record: the record-wise kinds (count, medianlen,
-// lenquantile, srcfreq) aggregate straight off the chunk loop, hosts
-// folds each source's byte total as the chunks go by (GroupFold),
-// distinctsrc keeps each source once (Distinct) in front of its
-// registers, and lencdf / portcdf count Partition's parts. rttcdf and
-// losscdf Materialize() once, in front of the Join and GroupBy that
-// need the records.
+// RunPacketQuery executes one packet query kind over q, for dpquery's
+// local mode and tests: it looks req's kind up in the kind table, checks
+// its parameters, and runs it as runKind does for POST /v1/query and
+// standing windows, which look the kind up once. Most kinds never copy a
+// record: the record-wise kinds (count, medianlen, lenquantile, srcfreq)
+// aggregate straight off the chunk loop, hosts folds each source's byte
+// total as the chunks go by (GroupFold), distinctsrc keeps each source
+// once (Distinct) in front of its registers, and lencdf / portcdf count
+// Partition's parts. rttcdf and losscdf Materialize() once, in front of
+// the Join and GroupBy that need the records.
 func RunPacketQuery(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
 	k, err := kindFor(req)
 	if err != nil {
 		return nil, err
 	}
+	return runKind(q, k, req)
+}
+
+// runKind runs kind k, which req names and which has checked req's
+// parameters, from the request filter as a fused stage over q.
+func runKind(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
 	var match func(trace.Packet) bool // nil without a filter: every packet passes, unread
 	if req.Filter != nil {
 		match = func(p trace.Packet) bool { return req.Filter.Match(&p) }
 	}
-	// framePad holds every kind's chunk loop at the stack depth it was
-	// tuned at — the sum of the frames from the HTTP middleware down to
-	// the kind's closure: a shift of 8 bytes puts the record temporary
-	// of the fold and scan loops across a cache line (DESIGN.md §S27,
-	// "By value, through the stack"; admit's framePad is the other
-	// one). check.sh holds the path's frames to
-	// internal/dpserver/testdata/served_frames.txt.
-	var framePad [34]uintptr
-	resp, err := k.run(q.Stream().Where(match), req)
-	runtime.KeepAlive(&framePad)
-	return resp, err
+	return k.run(q.Stream().Where(match), req)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -362,11 +362,11 @@ var errInjected = errors.New("injected execution failure")
 // it charges, with errInjected; other analysts' queries run as served.
 // Call it before the server takes requests.
 func failQueriesBy(s *Server, analyst string) {
-	s.execPacket = func(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+	s.execPacket = func(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
 		if req.Analyst == analyst {
 			return nil, errInjected
 		}
-		return RunPacketQuery(q, req)
+		return runKind(q, k, req)
 	}
 }
 
@@ -449,12 +449,12 @@ func TestAuditChargedPerRequest(t *testing.T) {
 	held, gate := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release() // a failing test must not leave the held request blocking the server's Close
-	s.execPacket = func(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+	s.execPacket = func(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
 		if req.Epsilon == 0.25 {
 			close(held)
 			<-gate
 		}
-		return RunPacketQuery(q, req)
+		return runKind(q, k, req)
 	}
 	query := func(eps float64) (int, error) {
 		body, _ := json.Marshal(api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: eps})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -269,19 +268,9 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		defer s.release()
 		s.inflightGauge.Add(1)
 		defer s.inflightGauge.Add(-1)
-		// framePad holds this frame at 8 mod 16 bytes, the size it has
-		// had since the chunk loops were last tuned: every query runs
-		// below it, and a shift of 8 puts the record temporary of the
-		// fold and scan loops across a cache line (DESIGN.md §S27, "By
-		// value, through the stack"; without it served hosts over 20,000
-		// packets read 1.5x slower on a 2-CPU x86-64 host). Check
-		// BenchmarkServed* against the parent after any change to this
-		// function.
-		var framePad [1]uintptr
 		ctx, cancel := s.requestContext(r)
 		defer cancel()
 		h(w, r.WithContext(ctx))
-		runtime.KeepAlive(framePad)
 	}
 }
 

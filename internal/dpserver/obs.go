@@ -72,9 +72,9 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // recoverPanics is the outermost middleware on every endpoint: a
 // handler panic becomes a 500 {code:"internal"} envelope and a
 // dp_panics_total{site} increment instead of a dead process. The
-// engine's own guards (runWorkers, recoverAgg) normally convert panics
-// to core.ErrInternal before they reach here; this is the backstop for
-// handler-level bugs. http.ErrAbortHandler is re-raised — it is the
+// engine's aggregation boundary normally converts panics (a scan
+// worker's is a *core.WorkerPanic) to core.ErrInternal before they
+// reach here; this is the backstop for handler-level bugs. http.ErrAbortHandler is re-raised — it is the
 // stdlib's sanctioned way to abort a response and net/http handles it
 // quietly.
 func (s *Server) recoverPanics(h http.HandlerFunc) http.HandlerFunc {

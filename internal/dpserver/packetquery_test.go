@@ -242,10 +242,10 @@ func TestServedKindsParallelByDefault(t *testing.T) {
 // measures what they get. The chunk loop hands each record to analyst
 // functions by value, through a stack temporary; when that temporary
 // straddles a cache line its reload stalls, and whether it straddles
-// depends on the frames above the loop (DESIGN.md §S27) — a direct
-// RunPacketQuery call has other frames and has read 3× faster than the
-// same query served. A/B these against the parent's test binary after
-// any change to a loop on the chunk path or to what a Stream carries.
+// depends on the engine's scan frames, the only ones above the loop
+// (DESIGN.md §S27). A/B these against the parent's test binary after
+// any change to those frames, to a loop on the chunk path or to what a
+// Stream carries.
 // The sizes are a standing window's (1,000), spend-small's (20,000) and
 // scan-large's (500,000).
 func benchServed(b *testing.B, query string) {

@@ -27,7 +27,7 @@ import (
 // The budget invariants:
 //
 //   - ε-parity with one-shot queries: a window executes through the
-//     same RunPacketQuery dispatch, over a frozen snapshot slice of the
+//     same runKind dispatch, over a frozen snapshot slice of the
 //     dataset, drawing from the same noise source — its noise draws
 //     and ε-charges are byte-identical to an equivalent one-shot query
 //     over the same records at the same point in the draw sequence.
@@ -113,16 +113,23 @@ func (m *meteredAgent) charged() float64 {
 	return m.net
 }
 
-// standingQueryRequest is the QueryRequest every window of a standing
-// query on dataset executes, made from its registration request;
-// registration checks it and the spec keeps it as its Params.
-func standingQueryRequest(dataset string, sr *api.StandingRequest) *api.QueryRequest {
-	return &api.QueryRequest{
+// standingQuery is what every window of a standing query executes, made
+// once from its registration request; the spec keeps it as its Params.
+type standingQuery struct {
+	req  *api.QueryRequest
+	kind *queryKind
+}
+
+// newStandingQuery refuses a kind or parameters no window could execute.
+func newStandingQuery(dataset string, sr *api.StandingRequest) (standingQuery, error) {
+	req := &api.QueryRequest{
 		Analyst: sr.Analyst, Dataset: dataset, Query: sr.Query,
 		Epsilon: sr.Epsilon, Filter: sr.Filter, MinBytes: sr.MinBytes,
 		BucketStep: sr.BucketStep, Fraction: sr.Fraction,
 		SketchEps: sr.SketchEps, Key: sr.Key,
 	}
+	k, err := kindFor(req)
+	return standingQuery{req: req, kind: k}, err
 }
 
 // fireStandingWindow is the registry's Fire callback: execute, charge,
@@ -170,7 +177,8 @@ func (s *Server) fireStandingWindow(q *standing.Query, w standing.Window) (stand
 		}
 		qry := core.NewQueryableForView(snap.Slice(int(w.Start), int(w.End)), core.Agent(agent), s.src).
 			WithExecOptions(s.exec)
-		resp, err := s.execPacket(qry, spec.Params.(*api.QueryRequest))
+		sq := spec.Params.(standingQuery)
+		resp, err := s.execPacket(qry, sq.kind, sq.req)
 		res.Charged = agent.charged()
 		wire.Charged = res.Charged
 		wire.Spent = spent + res.Charged
@@ -275,9 +283,7 @@ func (s *Server) restoreStanding(name string) {
 		var sr api.StandingRequest
 		err := json.Unmarshal(st.Request, &sr)
 		if err == nil {
-			params := standingQueryRequest(st.Dataset, &sr)
-			spec.Params = params
-			_, err = kindFor(params)
+			spec.Params, err = newStandingQuery(st.Dataset, &sr)
 		}
 		if err == nil {
 			_, err = s.standing.Restore(spec, standing.Restored{
@@ -336,8 +342,8 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 	}
 	// An unknown kind, or parameters the kind could never execute with,
 	// are refused here, before any window can fire.
-	params := standingQueryRequest(name, &req)
-	if _, err := kindFor(params); err != nil {
+	params, err := newStandingQuery(name, &req)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: err.Error()})
 		return
 	}
@@ -354,7 +360,7 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 // executeStandingRegister registers under the current watermark. The
 // registration record is staged; settle commits it before the
 // response leaves.
-func (s *Server) executeStandingRegister(d *dataset, name string, req *api.StandingRequest, params *api.QueryRequest) execResult {
+func (s *Server) executeStandingRegister(d *dataset, name string, req *api.StandingRequest, params standingQuery) execResult {
 	stored, _ := json.Marshal(req)
 	spec := standing.Spec{
 		Dataset: name, Analyst: req.Analyst, ID: req.ID, Kind: req.Query,
