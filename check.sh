@@ -2,7 +2,7 @@
 # Tier-1 verification gate: everything must be gofmt-clean, build, vet
 # clean, and pass the full test suite with the race detector on and
 # test order shuffled (the lifecycle layer, budget policies, and
-# idempotency cache are exercised concurrently; shuffling catches
+# idempotency table are exercised concurrently; shuffling catches
 # test-order coupling, the timeout catches hangs).
 set -eux
 
@@ -45,7 +45,7 @@ if grep -rnE --include='*.go' "\"($kinds)\"" internal/dpserver internal/dpclient
 	exit 1
 fi
 # The server reads the ledger's state only through its locked accessors
-# (Ledger.Dataset, Audit, Replies, Standing): State() hands out the live
+# (Ledger.Dataset, Audit, Reply, Standing): State() hands out the live
 # fold every append mutates, and spends and a follower's stream can run
 # beside any server code, so no non-test file of internal/dpserver may
 # call it.

@@ -472,6 +472,32 @@ func TestAckTimeoutWithholdsResult(t *testing.T) {
 	if hits := sA.metrics.Counter("dp_idem_hits_total").Value(); hits != 0 {
 		t.Fatalf("the withheld outcome was served from the idempotency cache %v times", hits)
 	}
+
+	// Once a healthy standby has caught up, the quorum covers the stored
+	// reply: the retry is served it, and the answer is paid for once.
+	ledC, err := ledger.Open(ledger.Options{Dir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ledC.Close()
+	sC := New(noise.NewSeededSource(5, 6), WithLedger(ledC))
+	if err := sC.StartReplication(ReplicationConfig{Follow: ln.Addr().String(), Name: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	defer sC.CloseReplication()
+	waitFor(t, 5*time.Second, func() bool {
+		return ledC.CommittedSeq() == ledA.CommittedSeq()
+	}, "second standby catch-up")
+	resp, body = postV1(t, tsA.URL+"/v1/query", req, nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("values")) {
+		t.Fatalf("retry with the quorum back answered %d %s, want the stored 200", resp.StatusCode, body)
+	}
+	if got := sA.datasets["hotspot"].policy.SpentBy("alice"); got != 0.1 {
+		t.Fatalf("the retry charged again: spent %v, want 0.1", got)
+	}
+	if hits := sA.metrics.Counter("dp_idem_hits_total").Value(); hits != 1 {
+		t.Fatalf("dp_idem_hits_total = %v after the replay, want 1", hits)
+	}
 }
 
 // Eight analysts spending at once on one ledger share fsyncs — strictly

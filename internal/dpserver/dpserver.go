@@ -187,7 +187,7 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 	if !s.durable {
 		s.ledger = memoryLedger()
 	}
-	s.restoreFromLedger()
+	s.attachLedger()
 	if s.limits.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, s.limits.MaxConcurrent)
 	}

@@ -70,9 +70,9 @@ func (s *Server) queryResult(o queryOutcome, body []byte, cacheable bool) execRe
 	}
 }
 
-// idemStatus names how a request relates to the idempotency cache at
+// idemStatus names how a request relates to the idempotency table at
 // execution time: "none" (no key) or "miss" (keyed, first execution).
-// Cache hits never reach an executor — serveIdempotent replays stored
+// Replays never reach an executor — serveIdempotent replays stored
 // bytes and emits "query_replayed" instead.
 func idemStatus(key string) string {
 	if key == "" {

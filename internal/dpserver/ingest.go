@@ -32,7 +32,7 @@ import (
 //     at all, and an append costs the batch's own copy, however large
 //     the dataset has grown.
 //   - At-most-once apply within one server lifetime: a batch carrying
-//     a (source, seq) identity goes through the idempotency cache keyed
+//     a (source, seq) identity goes through the idempotency table keyed
 //     on it — a retried batch replays the stored ACK instead of
 //     appending twice. The ACK is not journaled or replicated
 //     (ingestReply): the records live in memory only, so after a
@@ -163,7 +163,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// At-most-once: (source, seq) rides the idempotency cache like a
+	// At-most-once: (source, seq) rides the idempotency table like a
 	// query's idempotency key — the endpoint path (which embeds the
 	// dataset) scopes it, source takes the analyst slot — but in this
 	// process only (ingestReply). Only the applied ACK is cached;

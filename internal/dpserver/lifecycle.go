@@ -11,6 +11,7 @@ import (
 
 	"dptrace/internal/core"
 	"dptrace/internal/dpserver/api"
+	"dptrace/internal/ledger"
 	"dptrace/internal/obs/qlog"
 )
 
@@ -329,14 +330,16 @@ type idemKey struct {
 }
 
 // idemEntry is one in-flight or completed execution. done closes when
-// the outcome is known; cached reports whether status/body were
-// stored for replay (executions that charged nothing and were
-// cancelled re-execute instead).
+// the outcome is known; cached reports whether status/body may be
+// replayed (executions that charged nothing and were cancelled
+// re-execute instead), and stored that they were read from the
+// ledger's fold, so they are released only through a commit.
 type idemEntry struct {
 	done    chan struct{}
 	status  int
 	body    []byte
 	cached  bool
+	stored  bool
 	expires time.Time
 }
 
@@ -345,14 +348,17 @@ type idemRef struct {
 	e *idemEntry
 }
 
-// idemCache is the at-most-once ledger: a bounded TTL map from
-// idempotency key to stored response. Replays are byte-identical and
-// charge nothing; concurrent duplicates coalesce onto the first
-// execution (singleflight) rather than racing the budget.
+// idemCache is the at-most-once table: concurrent duplicates of one key
+// coalesce onto the first execution (singleflight) rather than racing
+// the budget. A journaled reply (a query's, a standing registration's)
+// leaves the table when its execution finishes — the ledger's fold is
+// its one store, and begin reads it there. Only ingest ACKs, which are
+// never journaled (ingestReply), stay, under a TTL and a FIFO capacity
+// bound. Lock order is the table, then the ledger.
 type idemCache struct {
 	mu       sync.Mutex
 	entries  map[idemKey]*idemEntry
-	order    []idemRef // FIFO insertion order for capacity eviction
+	order    []idemRef // finished ingest ACKs, oldest first, for capacity eviction
 	capacity int
 	ttl      time.Duration
 	now      func() time.Time // test seam
@@ -369,15 +375,19 @@ func newIdemCache() *idemCache {
 
 // begin claims key k. The first caller (leader=true) must execute the
 // request and call finish; later callers get the same entry and wait
-// on entry.done for the leader's outcome.
-func (c *idemCache) begin(k idemKey) (*idemEntry, bool) {
+// on entry.done for the leader's outcome. A key with no entry in the
+// table whose reply the ledger holds (never an ingest ACK's) gets a
+// finished, stored entry of its own. Reading the ledger under the
+// table lock means a reply the leader staged is found in its entry or
+// in the fold.
+func (c *idemCache) begin(k idemKey, led *ledger.Ledger) (*idemEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[k]; ok {
 		expired := false
 		select {
 		case <-e.done:
-			expired = e.cached && c.now().After(e.expires)
+			expired = c.now().After(e.expires)
 		default:
 			// In-flight entries never expire.
 		}
@@ -386,67 +396,53 @@ func (c *idemCache) begin(k idemKey) (*idemEntry, bool) {
 		}
 		delete(c.entries, k)
 	}
+	if !ingestReply(k.endpoint) {
+		if rec, ok := led.Reply(k.endpoint, k.dataset, k.analyst, k.key); ok {
+			e := &idemEntry{done: make(chan struct{}), status: rec.Status, body: rec.Body,
+				cached: true, stored: true}
+			close(e.done)
+			return e, false
+		}
+	}
 	e := &idemEntry{done: make(chan struct{})}
 	c.entries[k] = e
-	c.order = append(c.order, idemRef{k, e})
-	c.evictLocked()
 	return e, true
 }
 
-// evictLocked enforces the capacity bound, oldest completed entries
-// first. In-flight entries are skipped (evicting one would strand its
-// waiters) and re-queued.
-func (c *idemCache) evictLocked() {
-	scanned := 0
-	for len(c.entries) > c.capacity && scanned < len(c.order) {
-		ref := c.order[0]
-		c.order = c.order[1:]
-		scanned++
-		if c.entries[ref.k] != ref.e {
-			continue // stale ref: the key was replaced after expiry
-		}
-		select {
-		case <-ref.e.done:
-			delete(c.entries, ref.k)
-		default:
-			c.order = append(c.order, ref)
-		}
-	}
-}
-
-// restore pre-populates one completed entry — the startup path that
-// replays ledger-persisted responses, so a keyed request retried
-// across a server restart gets its stored bytes without re-charging ε.
-func (c *idemCache) restore(k idemKey, status int, body []byte, expires time.Time) {
-	e := &idemEntry{done: make(chan struct{}), status: status, body: body,
-		cached: true, expires: expires}
-	close(e.done)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[k]; ok {
-		return
-	}
-	c.entries[k] = e
-	c.order = append(c.order, idemRef{k, e})
-	c.evictLocked()
-}
-
-// finish records the leader's outcome. cacheable=false drops the
-// entry (a retry should re-execute — used when the execution was
-// cancelled before charging anything); either way waiters wake.
+// finish records the leader's outcome and wakes its waiters. A
+// replayable ingest ACK stays in the table until its TTL or the
+// capacity bound evicts it; every other entry leaves, since a journaled
+// reply is read from the ledger and an outcome that is not replayable
+// (cacheable=false) must let a retry re-execute.
 func (c *idemCache) finish(k idemKey, e *idemEntry, status int, body []byte, cacheable bool) {
 	c.mu.Lock()
 	e.status = status
 	e.body = body
 	e.cached = cacheable
 	e.expires = c.now().Add(c.ttl)
-	if !cacheable {
-		if c.entries[k] == e {
+	if c.entries[k] == e {
+		if cacheable && ingestReply(k.endpoint) {
+			c.order = append(c.order, idemRef{k, e})
+			c.evictLocked()
+		} else {
 			delete(c.entries, k)
 		}
 	}
 	c.mu.Unlock()
 	close(e.done)
+}
+
+// evictLocked enforces the capacity bound, oldest finished ACKs first.
+// In-flight entries count toward it but are never evicted (that would
+// strand their waiters).
+func (c *idemCache) evictLocked() {
+	for len(c.entries) > c.capacity && len(c.order) > 0 {
+		ref := c.order[0]
+		c.order = c.order[1:]
+		if c.entries[ref.k] == ref.e { // else stale: the key expired and was re-claimed
+			delete(c.entries, ref.k)
+		}
+	}
 }
 
 // execResult is what one execution hands back to serveIdempotent: the
@@ -470,9 +466,11 @@ type execResult struct {
 // and not an ingest ACK — see ingestReply), commits everything the
 // request journaled — one fsync and one quorum wait however many
 // records that was — and only then returns what may be written to the
-// client and stored for replays. A failed commit withholds the outcome:
-// the client gets a retryable 503, nothing is cached for the key, and
-// the charges stand (ε is only ever over-counted).
+// client and replayed. A failed commit withholds the outcome: the
+// client gets a retryable 503, nothing is replayed from the table, and
+// the charges stand (ε is only ever over-counted). A retry reads the
+// staged reply from the ledger and releases it through a commit of its
+// own.
 func (s *Server) settle(r *http.Request, k *idemKey, res execResult) execResult {
 	js := journalStats{stage: res.stage}
 	if k != nil && res.cacheable && !ingestReply(k.endpoint) {
@@ -497,8 +495,10 @@ func (s *Server) settle(r *http.Request, k *idemKey, res execResult) execResult 
 // serveIdempotent runs exec at most once per (endpoint, dataset,
 // analyst, key), replaying the stored response on retries. Without a
 // key, exec simply runs. Either way the outcome passes through settle
-// before a byte of it reaches the client, the replay cache, or a
-// concurrent duplicate waiting on the same key.
+// before a byte of it reaches the client or a concurrent duplicate
+// waiting on the same key, and so does a reply read from the ledger:
+// its leader's commit may have failed or timed out, and the bytes
+// leave only once a commit covers them.
 func (s *Server) serveIdempotent(w http.ResponseWriter, r *http.Request, dataset, analyst, key string,
 	exec func(ctx context.Context) execResult) {
 	ctx := r.Context()
@@ -509,7 +509,7 @@ func (s *Server) serveIdempotent(w http.ResponseWriter, r *http.Request, dataset
 	}
 	k := idemKey{endpoint: r.URL.Path, dataset: dataset, analyst: analyst, key: key}
 	for {
-		e, leader := s.idem.begin(k)
+		e, leader := s.idem.begin(k, s.ledger)
 		if leader {
 			s.metrics.Counter("dp_idem_misses_total").Inc()
 			res := s.settle(r, &k, exec(ctx))
@@ -524,17 +524,24 @@ func (s *Server) serveIdempotent(w http.ResponseWriter, r *http.Request, dataset
 			writeError(w, status, ae)
 			return
 		}
-		if e.cached {
-			s.metrics.Counter("dp_idem_hits_total").Inc()
-			s.events.Log(qlog.Info, "query_replayed",
-				qlog.F("endpoint", r.URL.Path),
-				qlog.F("analyst", analyst),
-				qlog.F("dataset", dataset),
-				qlog.F("status", e.status))
-			writeRaw(w, e.status, e.body)
-			return
+		if !e.cached {
+			// The leader's outcome was not replayable; take another turn.
+			continue
 		}
-		// The leader's outcome was not replayable; take another turn.
+		if e.stored {
+			if res := s.settle(r, nil, execResult{status: e.status, body: e.body, cacheable: true}); !res.cacheable {
+				writeRaw(w, res.status, res.body)
+				return
+			}
+		}
+		s.metrics.Counter("dp_idem_hits_total").Inc()
+		s.events.Log(qlog.Info, "query_replayed",
+			qlog.F("endpoint", r.URL.Path),
+			qlog.F("analyst", analyst),
+			qlog.F("dataset", dataset),
+			qlog.F("status", e.status))
+		writeRaw(w, e.status, e.body)
+		return
 	}
 }
 

@@ -438,43 +438,48 @@ func TestIdempotencyMetrics(t *testing.T) {
 	}
 }
 
-// TestIdemCacheEviction exercises capacity eviction and expiry,
-// including the aliasing case: after an entry expires and its key is
-// re-claimed, the stale FIFO slot must not evict the new entry.
+// TestIdemCacheEviction exercises the table's capacity eviction and
+// expiry over ingest keys — ingest ACKs are the only finished entries
+// it keeps — including the aliasing case: after an entry expires and
+// its key is re-claimed, the stale FIFO slot must not evict the new
+// entry. A finished /v1/query entry leaves the table, replayable or
+// not: its reply is read from the ledger.
 func TestIdemCacheEviction(t *testing.T) {
 	c := newIdemCache()
 	c.capacity = 2
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
+	led := memoryLedger()
+	defer led.Close()
 
 	k := func(i int) idemKey {
-		return idemKey{endpoint: "/v1/query", dataset: "d", analyst: "a", key: fmt.Sprint(i)}
+		return idemKey{endpoint: "/v1/ingest/d", dataset: "d", analyst: "src", key: fmt.Sprint(i)}
 	}
-	e1, lead := c.begin(k(1))
+	e1, lead := c.begin(k(1), led)
 	if !lead {
 		t.Fatal("first begin should lead")
 	}
 	c.finish(k(1), e1, 200, []byte("one"), true)
 
 	// Replay hit.
-	if e, lead := c.begin(k(1)); lead || string(e.body) != "one" {
-		t.Fatalf("expected cached entry, lead=%v", lead)
+	if e, lead := c.begin(k(1), led); lead || string(e.body) != "one" || e.stored {
+		t.Fatalf("expected the table's entry, lead=%v", lead)
 	}
 
 	// Expiry: after the TTL the same key re-executes.
 	now = now.Add(c.ttl + time.Second)
-	e1b, lead := c.begin(k(1))
+	e1b, lead := c.begin(k(1), led)
 	if !lead {
 		t.Fatal("expired key should re-lead")
 	}
 	c.finish(k(1), e1b, 200, []byte("one-b"), true)
-	if e, lead := c.begin(k(1)); lead || string(e.body) != "one-b" {
+	if e, lead := c.begin(k(1), led); lead || string(e.body) != "one-b" {
 		t.Fatalf("stale slot shadowed the refreshed entry; lead=%v", lead)
 	}
 
 	// Capacity: filling past cap evicts the oldest completed entry.
 	for i := 2; i <= 4; i++ {
-		e, lead := c.begin(k(i))
+		e, lead := c.begin(k(i), led)
 		if !lead {
 			t.Fatalf("key %d should lead", i)
 		}
@@ -483,14 +488,27 @@ func TestIdemCacheEviction(t *testing.T) {
 	if len(c.entries) > 2 {
 		t.Fatalf("cache size %d exceeds capacity 2", len(c.entries))
 	}
-	if _, lead := c.begin(k(4)); lead {
+	if _, lead := c.begin(k(4), led); lead {
 		t.Fatal("newest entry should have survived eviction")
 	}
 
 	// Non-cacheable outcomes drop the entry: next begin leads again.
-	e5, _ := c.begin(k(5))
+	e5, _ := c.begin(k(5), led)
 	c.finish(k(5), e5, 504, []byte("timeout"), false)
-	if _, lead := c.begin(k(5)); !lead {
+	if _, lead := c.begin(k(5), led); !lead {
 		t.Fatal("non-cacheable outcome should not replay")
+	}
+
+	// A finished query entry leaves the table, cacheable or not.
+	for _, cacheable := range []bool{true, false} {
+		q := idemKey{endpoint: "/v1/query", dataset: "d", analyst: "a", key: fmt.Sprint(cacheable)}
+		e, _ := c.begin(q, led)
+		c.finish(q, e, 200, []byte("q"), cacheable)
+		if _, ok := c.entries[q]; ok {
+			t.Fatalf("finished query entry (cacheable=%v) stayed in the table", cacheable)
+		}
+		if _, lead := c.begin(q, led); !lead {
+			t.Fatalf("a query key the ledger holds no reply for should lead (cacheable=%v)", cacheable)
+		}
 	}
 }

@@ -42,7 +42,7 @@ var ErrLedgerMismatch = errors.New("dpserver: registration conflicts with persis
 
 // WithLedger attaches a durable budget ledger (opened by the caller;
 // see ledger.Open) in place of the in-memory one every server has
-// otherwise. Its stored idempotent responses are restored immediately;
+// otherwise. Its stored idempotent responses replay from its fold;
 // per-dataset budgets are restored as datasets are re-registered via
 // AddPacketTrace. Only a server built with it can replicate.
 func WithLedger(led *ledger.Ledger) ServerOption {
@@ -75,10 +75,9 @@ func (s *Server) spendRefusal() error {
 	return s.ledger.Refusing()
 }
 
-// restoreFromLedger runs once in New, after options: exports ledger
-// metrics and restores the idempotency cache from the recovered
-// state's stored replies.
-func (s *Server) restoreFromLedger() {
+// attachLedger runs once in New, after options: exports ledger
+// metrics and events, and reports a ledger that recovered frozen.
+func (s *Server) attachLedger() {
 	led := s.ledger
 	led.AttachMetrics(s.metrics)
 	led.AttachEvents(s.events)
@@ -90,7 +89,6 @@ func (s *Server) restoreFromLedger() {
 		s.events.Log(qlog.Error, "ledger_frozen", qlog.F("cause", cause.Error()))
 		s.degradedNoted.Store(true)
 	}
-	s.restoreReplies()
 }
 
 // registerDataset is the ledger half of AddPacketTrace (callers hold s.mu):
@@ -171,13 +169,13 @@ func (s *Server) recordAudit(o *queryOutcome) {
 }
 
 // ingestReply reports whether a keyed reply answers an ingest path.
-// Such a reply lives in the process's idempotency cache only: the
+// Such a reply lives in the process's idempotency table only: the
 // records an ingest ACK acknowledges are held in memory, so a journaled
 // ACK would outlive them, and a sender re-sending the batch after a
 // restart or a failover would be told it was applied while nothing is
-// appended. settle does not journal it, and restore and follower
-// warm-up skip the ones older ledgers hold. The unversioned spelling
-// covers replies journaled while the API had a second mount.
+// appended. settle does not journal it, and the table never reads one
+// from the ledger, where older builds journaled some. The unversioned
+// spelling covers replies journaled while the API had a second mount.
 func ingestReply(endpoint string) bool {
 	return strings.HasPrefix(strings.TrimPrefix(endpoint, "/v1"), "/ingest/")
 }

@@ -278,9 +278,8 @@ func shedCodeFor(cause error) (code, message string) {
 // local WAL (and already folded into the ledger's replayed state).
 // It keeps the hosted datasets' policy spend counters hot, so
 // promotion serves the first request at the exact boundary the stream
-// reached. Nothing else needs warming: the audit trail is the ledger's
-// fold, and a follower sheds every keyed request, so its reply cache
-// stays unread until Promote restores it from the ledger.
+// reached. Nothing else needs warming: the audit trail and the stored
+// replies are read from the ledger's fold.
 func (s *Server) applyReplicated(ev ledger.Event) {
 	switch ev.Type {
 	case ledger.EventCharge, ledger.EventRollback, ledger.EventStandingWindow:
@@ -315,25 +314,6 @@ func (s *Server) resyncSpends() {
 	}
 }
 
-// restoreReplies fills the idempotency cache from the ledger's stored
-// replies (at startup and on promotion), oldest expiry first: the cache
-// evicts in insertion order, so with more replies stored than it holds
-// the newest are the ones kept, and a recently retried key replays
-// instead of charging again. Expired replies and ingest ACKs are
-// skipped.
-func (s *Server) restoreReplies() {
-	now := time.Now()
-	for _, rec := range s.ledger.Replies() {
-		expires := time.Unix(0, rec.Expires)
-		if !expires.After(now) || ingestReply(rec.Endpoint) {
-			continue
-		}
-		s.idem.restore(
-			idemKey{endpoint: rec.Endpoint, dataset: rec.Dataset, analyst: rec.Analyst, key: rec.Key},
-			rec.Status, rec.Body, expires)
-	}
-}
-
 // Promote turns a follower into a primary: the replication stream is
 // sealed, the local WAL tail is fsynced and re-verified against a
 // full replay (bit-exact spend sums), the fencing epoch is bumped
@@ -353,10 +333,10 @@ func (s *Server) Promote() (uint64, error) {
 		return 0, err
 	}
 	// The stream is sealed and the role still sheds every spend, so
-	// the ledger holds still: settle the spend counters and the stored
-	// replies now, before a spend can move them or retry a key.
+	// the ledger holds still: settle the spend counters now, before a
+	// spend can move them. Stored replies need nothing: a retried key
+	// reads them from the ledger's fold.
 	s.resyncSpends()
-	s.restoreReplies()
 	// Then flip the role: the resync below journals registrations for
 	// hosted-but-never-persisted datasets, which must not bounce off
 	// the follower refusal.

@@ -140,24 +140,22 @@ func TestKillAndRestartPreservesBudgets(t *testing.T) {
 	}
 }
 
-// TestRestartKeepsNewestReplies: the ledger may store more unexpired
-// replies than the idempotency cache holds, and a restart must refill
-// the cache so the newest survive — they are the keys a client may
-// still be retrying, and a retry that misses the cache executes and
-// charges ε a second time. Filling the cache in the ledger's map order
-// kept a random subset.
-func TestRestartKeepsNewestReplies(t *testing.T) {
+// TestReplayOutlivesCacheCapacity: every unexpired reply the ledger
+// stores replays, however many there are — on the server that answered
+// it and after a restart. A bounded cache beside the ledger kept only
+// its newest 1,024, so a retry of an older key executed and charged ε a
+// second time for the same answer.
+func TestReplayOutlivesCacheCapacity(t *testing.T) {
 	const sent = 1100
 	dir := t.TempDir()
 	led1 := openLedger(t, dir)
 	s1, ts1 := ledgerServer(t, led1, math.Inf(1), math.Inf(1))
-	kept := s1.idem.capacity
-	if sent <= kept {
-		t.Fatalf("%d replies fit the %d-entry cache; the test needs more", sent, kept)
+	if sent <= s1.idem.capacity {
+		t.Fatalf("%d replies fit the %d-entry table; the test needs more", sent, s1.idem.capacity)
 	}
 	keyed := func(i int) api.QueryRequest {
 		return api.QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count",
-			Epsilon: 0.01, IdempotencyKey: fmt.Sprintf("newest-%d", i)}
+			Epsilon: 0.01, IdempotencyKey: fmt.Sprintf("key-%d", i)}
 	}
 	bodies := make([][]byte, sent)
 	for i := range bodies {
@@ -167,23 +165,28 @@ func TestRestartKeepsNewestReplies(t *testing.T) {
 		}
 		bodies[i] = body
 	}
+	replayAll := func(s *Server, url, when string) {
+		t.Helper()
+		spent := s.datasets["hotspot"].policy.TotalSpent()
+		for i := range bodies {
+			resp, body := postV1(t, url+"/v1/query", keyed(i), nil)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies[i]) {
+				t.Fatalf("%s: key %d of %d did not replay: status %d\n pre: %s\npost: %s",
+					when, i, sent, resp.StatusCode, bodies[i], body)
+			}
+		}
+		if got := s.datasets["hotspot"].policy.TotalSpent(); got != spent {
+			t.Fatalf("%s: replays charged ε: spent %v -> %v", when, spent, got)
+		}
+	}
+	replayAll(s1, ts1.URL, "same server")
 	ts1.Close()
 	led1.Close()
 
 	led2 := openLedger(t, dir)
 	defer led2.Close()
 	s2, ts2 := ledgerServer(t, led2, math.Inf(1), math.Inf(1))
-	spent := s2.datasets["hotspot"].policy.TotalSpent()
-	for i := sent - kept; i < sent; i++ {
-		resp, body := postV1(t, ts2.URL+"/v1/query", keyed(i), nil)
-		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies[i]) {
-			t.Fatalf("key %d of the newest %d did not replay: status %d\n pre: %s\npost: %s",
-				i, kept, resp.StatusCode, bodies[i], body)
-		}
-	}
-	if got := s2.datasets["hotspot"].policy.TotalSpent(); got != spent {
-		t.Fatalf("replays of the newest keys charged ε: spent %v -> %v", spent, got)
-	}
+	replayAll(s2, ts2.URL, "after a restart")
 }
 
 // TestRestartRefusesMismatchedRegistration: re-registering a recovered

@@ -328,7 +328,7 @@ func standingInfo(snap standing.Snapshot) api.StandingInfo {
 
 // handleStandingRegister is POST /v1/standing/{dataset}: admit one
 // standing query. Behind the admission lifecycle (it journals and will
-// spend budget on every window) and the idempotency cache (a retried
+// spend budget on every window) and the idempotency table (a retried
 // registration must not register twice).
 func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("dataset")

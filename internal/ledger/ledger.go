@@ -459,18 +459,18 @@ func (l *Ledger) Audit() []AuditRecord {
 	return slices.Clip(l.state.Audit)
 }
 
-// Replies returns copies of the stored idempotent replies, taken under
-// the ledger lock, oldest expiry first: the order a bounded cache must
-// be filled in for the newest replies to survive.
-func (l *Ledger) Replies() []IdemRecord {
+// Reply returns a copy of one stored idempotent reply, taken under the
+// ledger lock. A staged reply is found as soon as it is folded, before
+// its commit; one past its expiry is absent, as the next snapshot or
+// recovery would prune it. Callers must not modify the body.
+func (l *Ledger) Reply(endpoint, dataset, analyst, key string) (IdemRecord, bool) {
 	l.mu.Lock()
-	out := make([]IdemRecord, 0, len(l.state.Idem))
-	for _, rec := range l.state.Idem {
-		out = append(out, *rec)
+	defer l.mu.Unlock()
+	rec, ok := l.state.Idem[IdemKeyString(endpoint, dataset, analyst, key)]
+	if !ok || rec.expired(l.now().UnixNano()) {
+		return IdemRecord{}, false
 	}
-	l.mu.Unlock()
-	slices.SortFunc(out, func(a, b IdemRecord) int { return cmp.Compare(a.Expires, b.Expires) })
-	return out
+	return *rec, true
 }
 
 // Standing returns copies of one dataset's standing-query states, taken

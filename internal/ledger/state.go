@@ -293,10 +293,16 @@ func (s *State) Apply(ev *Event) error {
 // pruneIdem drops replies that expired before now (Unix nanoseconds).
 func (s *State) pruneIdem(now int64) {
 	for k, rec := range s.Idem {
-		if rec.Expires != 0 && rec.Expires < now {
+		if rec.expired(now) {
 			delete(s.Idem, k)
 		}
 	}
+}
+
+// expired reports whether the reply expired before now (Unix
+// nanoseconds); one without an expiry never does.
+func (r *IdemRecord) expired(now int64) bool {
+	return r.Expires != 0 && r.Expires < now
 }
 
 // dataset resolves the event's dataset, failing closed on references
