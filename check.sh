@@ -64,6 +64,23 @@ if grep -rnE --include='*.go' 'ledger[[:space:]]*[!=]=[[:space:]]*nil|nil[[:spac
 	echo "internal/dpserver compares its ledger with nil; every server has one" >&2
 	exit 1
 fi
+# A ledger directory has one reader (internal/ledger/disk.go): one
+# listing, list, and one record scanner with one torn-tail rule, so
+# recovery, compaction, Events, a primary's catch-up and dpledger diff
+# agree on which history a directory holds. No other non-test function
+# of internal/ledger may list the directory, and no non-test file
+# outside it (the frozen bench/ aside) may spell the wal- or snap- file
+# prefixes, so a second listing cannot regrow.
+if awk '/^func /{fn=$0} /ReadDir\(/ && !/^[[:space:]]*\/\// && fn !~ /^func list\(/ {print FILENAME ":" FNR ":" $0}' \
+	$(ls internal/ledger/*.go | grep -v '_test\.go$') | grep .; then
+	echo "internal/ledger lists its directory outside list (disk.go)" >&2
+	exit 1
+fi
+if grep -rnE --include='*.go' --exclude-dir=.bench_build '\b(wal|snap)-' . |
+	grep -vE '_test\.go:|^\./(internal/ledger|bench)/|^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "a ledger file prefix (wal-, snap-) is spelled outside internal/ledger; read the directory through the ledger" >&2
+	exit 1
+fi
 # Every Test* / Fuzz* / Benchmark* the docs name must be declared in
 # some test file (a trailing * names a prefix), so prose cannot keep
 # pointing at a test that was renamed or deleted.

@@ -20,7 +20,7 @@ import (
 // datasets while the primary's stream keeps folding charges into the
 // ledger's state, so registerDataset and warmPolicy must read that
 // state through the locked accessor. Before ledger.Dataset they read
-// the live *State — a data race with ReplicaAppend that failed
+// the live *State — a data race with StageReplica that failed
 // TestFailoverStorm under -race whenever the machine was busy. Run
 // with -race; the assertions only check the restore was coherent.
 func TestRegisterDatasetBesideReplicaAppends(t *testing.T) {
@@ -42,21 +42,25 @@ func TestRegisterDatasetBesideReplicaAppends(t *testing.T) {
 		}
 	}
 	tail := ledger.NewTailReader(nil, primary.Dir(), 0)
-	next := func() (uint64, []byte) {
-		seq, payload, err := tail.Next()
-		if err != nil {
-			t.Fatalf("tail: %v", err)
-		}
-		return seq, payload
-	}
-
 	replica, err := ledger.Open(ledger.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer replica.Close()
 	s := New(noise.NewSeededSource(1, 2), WithLedger(replica))
-	if err := replica.ReplicaAppend(next()); err != nil { // the registration
+	// replicate stages one streamed record and commits it, as a
+	// follower does for a burst of one.
+	replicate := func(seq uint64, payload []byte) error {
+		if _, _, err := replica.StageReplica(payload); err != nil {
+			return err
+		}
+		return replica.Commit(seq)
+	}
+	seq, payload, err := tail.Next()
+	if err != nil {
+		t.Fatalf("tail: %v", err)
+	}
+	if err := replicate(seq, payload); err != nil { // the registration
 		t.Fatal(err)
 	}
 
@@ -69,7 +73,7 @@ func TestRegisterDatasetBesideReplicaAppends(t *testing.T) {
 				return
 			}
 			if err == nil {
-				err = replica.ReplicaAppend(seq, payload)
+				err = replicate(seq, payload)
 			}
 			if err != nil {
 				streamed <- err

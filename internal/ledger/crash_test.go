@@ -2,8 +2,10 @@ package ledger
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -183,4 +185,150 @@ func TestTornRecordMidHistoryIsCorrupt(t *testing.T) {
 	if err := l2.Append(Event{Type: EventCharge, Dataset: "d", Analyst: "alice", Epsilon: 0.1}); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("append: %v, want ErrFrozen", err)
 	}
+}
+
+// readAll runs the three readers of a ledger directory — Replay, Events
+// and a TailReader after `after` — and returns what each delivered and
+// the error it stopped with (nil for the reader's clean end).
+func readAll(dir string, after uint64) (st *State, rec Recovery, replayErr error, events []uint64, eventsErr error, tail []uint64, tailErr error) {
+	st, rec, replayErr = Replay(dir, 0)
+	eventsErr = Events(dir, func(ev Event) error {
+		events = append(events, ev.Seq)
+		return nil
+	})
+	tr := NewTailReader(nil, dir, after)
+	for {
+		seq, _, err := tr.Next()
+		if err != nil {
+			if err != io.EOF {
+				tailErr = err
+			}
+			break
+		}
+		tail = append(tail, seq)
+	}
+	return
+}
+
+// TestReadersAgreeOnDamagedHistory: recovery, Events, a TailReader and
+// SnapshotPayload read a directory through one listing, one scanner and
+// one snapshot rule, so they agree on which history a damaged directory
+// holds.
+func TestReadersAgreeOnDamagedHistory(t *testing.T) {
+	t.Run("torn non-final segment", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := Open(Options{Dir: dir, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, l, chargeEvents(5)) // seqs 1..6 in the first segment
+		l.Close()
+		next, err := EncodeRecord(nil, &Event{Seq: 7, Type: EventCharge, Dataset: "d", Analyst: "alice", Epsilon: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Half of seq 7 ends the first segment, and a later segment
+		// holds seq 7 whole: the tear is mid-history.
+		first := filepath.Join(dir, segmentName(1))
+		data, err := os.ReadFile(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(first, append(data, next[:len(next)/2]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segmentName(7)), append([]byte(walMagic), next...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, replayErr, _, eventsErr, tail, tailErr := readAll(dir, 0)
+		for name, err := range map[string]error{"Replay": replayErr, "Events": eventsErr, "TailReader": tailErr} {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %v, want ErrCorrupt", name, err)
+			}
+		}
+		if len(tail) != 6 {
+			t.Errorf("TailReader delivered %v before refusing", tail)
+		}
+	})
+
+	t.Run("newest snapshot unreadable", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := Open(Options{Dir: dir, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, l, chargeEvents(2)) // seqs 1..3
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, l, chargeEvents(3)[1:]) // seqs 4..6
+		// Keep what the second snapshot compacts away: snap-3 and the
+		// segment holding seqs 4..6.
+		kept := map[string][]byte{}
+		for _, name := range []string{snapshotName(3), segmentName(4)} {
+			if kept[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		for name, data := range kept {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		newest := filepath.Join(dir, snapshotName(6))
+		data, err := os.ReadFile(newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-2] ^= 0xff
+		if err := os.WriteFile(newest, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		st, rec, err := Replay(dir, 0)
+		if err != nil || rec.SnapshotSeq != 3 || st.Seq != 6 {
+			t.Fatalf("Replay: snapshot %d, seq %d, err %v; want snapshot 3, seq 6", rec.SnapshotSeq, st.Seq, err)
+		}
+		seq, payload, err := SnapshotPayload(nil, dir)
+		if err != nil || seq != rec.SnapshotSeq {
+			t.Fatalf("SnapshotPayload: seq %d, err %v; recovery loaded snapshot %d", seq, err, rec.SnapshotSeq)
+		}
+		var ev Event
+		if err := decodePayload(payload, &ev); err != nil || ev.Seq != seq {
+			t.Fatalf("SnapshotPayload's payload: seq %d, err %v", ev.Seq, err)
+		}
+	})
+
+	t.Run("compacted with a torn final record", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := Open(Options{Dir: dir, SnapshotEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, l, chargeEvents(9)) // seqs 1..10; snapshots at 4 and 8
+		l.Close()
+		last := filepath.Join(dir, segmentName(9))
+		data, err := os.ReadFile(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(last, data[:len(data)-3], 0o644); err != nil { // tear seq 10
+			t.Fatal(err)
+		}
+		st, rec, replayErr, events, eventsErr, tail, tailErr := readAll(dir, 8)
+		if replayErr != nil || eventsErr != nil || tailErr != nil {
+			t.Fatalf("errors: Replay %v, Events %v, TailReader %v", replayErr, eventsErr, tailErr)
+		}
+		if rec.SnapshotSeq != 8 || rec.TornBytes == 0 {
+			t.Fatalf("Replay: snapshot %d, %d torn bytes; want snapshot 8 and a torn tail", rec.SnapshotSeq, rec.TornBytes)
+		}
+		want := []uint64{9}
+		if !slices.Equal(events, want) || !slices.Equal(tail, want) || st.Seq != want[len(want)-1] {
+			t.Fatalf("Events %v, TailReader %v, Replay through seq %d; want %v", events, tail, st.Seq, want)
+		}
+	})
 }

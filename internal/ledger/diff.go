@@ -8,8 +8,11 @@
 package ledger
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"iter"
+	"maps"
 	"math"
 
 	"dptrace/internal/vfs"
@@ -63,16 +66,16 @@ func Diff(dirA, dirB string, auditCap int) (*DiffReport, error) {
 	}
 	r := &DiffReport{SeqA: stA.Seq, SeqB: stB.Seq}
 
-	availA, err := oldestRetained(dirA, stA.Seq)
+	availA, err := OldestRetained(vfs.OS{}, dirA, stA.Seq)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", dirA, err)
 	}
-	availB, err := oldestRetained(dirB, stB.Seq)
+	availB, err := OldestRetained(vfs.OS{}, dirB, stB.Seq)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", dirB, err)
 	}
-	r.From = max64(availA, availB)
-	r.Through = min64(stA.Seq, stB.Seq)
+	r.From = max(availA, availB)
+	r.Through = min(stA.Seq, stB.Seq)
 
 	if r.From <= r.Through {
 		ta := NewTailReader(nil, dirA, r.From-1)
@@ -108,31 +111,14 @@ func Diff(dirA, dirB string, auditCap int) (*DiffReport, error) {
 
 	r.SpentDelta = make(map[string]map[string]float64)
 	r.TotalDelta = make(map[string]float64)
-	for _, name := range unionKeys(stA.Datasets, stB.Datasets) {
-		var da, db *DatasetState
-		if stA.Datasets != nil {
-			da = stA.Datasets[name]
-		}
-		if stB.Datasets != nil {
-			db = stB.Datasets[name]
-		}
-		if d := datasetTotal(da) - datasetTotal(db); d != 0 {
+	var none DatasetState
+	for name := range union(stA.Datasets, stB.Datasets) {
+		da, db := cmp.Or(stA.Datasets[name], &none), cmp.Or(stB.Datasets[name], &none)
+		if d := da.TotalSpent - db.TotalSpent; d != 0 {
 			r.TotalDelta[name] = d
 		}
-		analysts := map[string]struct{}{}
-		if da != nil {
-			for a := range da.Spent {
-				analysts[a] = struct{}{}
-			}
-		}
-		if db != nil {
-			for a := range db.Spent {
-				analysts[a] = struct{}{}
-			}
-		}
-		for a := range analysts {
-			d := analystSpent(da, a) - analystSpent(db, a)
-			if d != 0 {
+		for a := range union(da.Spent, db.Spent) {
+			if d := da.Spent[a] - db.Spent[a]; d != 0 {
 				if r.SpentDelta[name] == nil {
 					r.SpentDelta[name] = make(map[string]float64)
 				}
@@ -158,65 +144,10 @@ func (r *DiffReport) MaxSpentDelta() float64 {
 	return m
 }
 
-// oldestRetained is the smallest seq still readable from dir's WAL
-// segments (headSeq+1 when nothing is retained, e.g. an empty dir).
-func oldestRetained(dir string, headSeq uint64) (uint64, error) {
-	segs, err := listSegments(vfs.OS{}, dir)
-	if err != nil {
-		return 0, err
-	}
-	for _, seg := range segs {
-		// A segment can be empty (rotation happened, nothing appended
-		// yet); its start is still the next retainable seq.
-		if seg.start <= headSeq {
-			return seg.start, nil
-		}
-	}
-	return headSeq + 1, nil
-}
-
-func datasetTotal(ds *DatasetState) float64 {
-	if ds == nil {
-		return 0
-	}
-	return ds.TotalSpent
-}
-
-func analystSpent(ds *DatasetState, analyst string) float64 {
-	if ds == nil {
-		return 0
-	}
-	return ds.Spent[analyst]
-}
-
-func unionKeys(a, b map[string]*DatasetState) []string {
-	seen := map[string]struct{}{}
-	var out []string
-	for k := range a {
-		if _, ok := seen[k]; !ok {
-			seen[k] = struct{}{}
-			out = append(out, k)
-		}
-	}
-	for k := range b {
-		if _, ok := seen[k]; !ok {
-			seen[k] = struct{}{}
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+// union yields each key of a and b once.
+func union[V any](a, b map[string]V) iter.Seq[string] {
+	merged := make(map[string]V, len(a)+len(b))
+	maps.Copy(merged, a)
+	maps.Copy(merged, b)
+	return maps.Keys(merged)
 }

@@ -22,7 +22,7 @@ func replicate(t *testing.T, srcDir, dir string) *Ledger {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.ReplicaAppend(seq, p); err != nil {
+		if err := replicaAppend(l, seq, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestDiffAcrossCompactionHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ReplicaAppend(9, p); err != nil {
+	if err := replicaAppend(b, 9, p); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,18 +1,15 @@
 package ledger
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -148,18 +145,6 @@ const (
 	magicSize = 8
 )
 
-func segmentName(startSeq uint64) string { return fmt.Sprintf("wal-%016d.wal", startSeq) }
-func snapshotName(seq uint64) string     { return fmt.Sprintf("snap-%016d.snap", seq) }
-
-// parseSeq extracts the sequence number from a wal-/snap- file name.
-func parseSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(name[len(prefix):len(name)-len(suffix)], 10, 64)
-	return n, err == nil
-}
-
 // Open opens (creating if needed) the ledger in opts.Dir and runs
 // crash recovery. A torn final record is truncated with a warning; any
 // deeper corruption leaves the ledger frozen: Open still returns it
@@ -217,7 +202,7 @@ func (l *Ledger) degrade(cause error) error {
 // opens the active segment for appending.
 func (l *Ledger) recover() error {
 	start := time.Now()
-	state, rec, segs, tornPath, tornKeep := replay(l.fs, l.dir, l.logf)
+	state, rec, segs, torn := replay(l.fs, l.dir, l.logf)
 	l.state = state
 	l.durable = state.Seq
 	l.rec = rec
@@ -229,17 +214,17 @@ func (l *Ledger) recover() error {
 		l.logf("ledger: RECOVERY FAILED, freezing (no new charges will be accepted): %v", rec.Err)
 		return nil
 	}
-	if tornPath != "" {
+	if torn.path != "" {
 		l.logf("ledger: truncating torn tail of %s (%d bytes) after seq %d",
-			filepath.Base(tornPath), rec.TornBytes, state.Seq)
-		if tornKeep < magicSize {
+			filepath.Base(torn.path), rec.TornBytes, state.Seq)
+		if torn.keep < magicSize {
 			// The tear hit the segment header itself: the file holds no
 			// records, so drop it and let rotation start a clean one.
-			if err := l.fs.Remove(tornPath); err != nil {
+			if err := l.fs.Remove(torn.path); err != nil {
 				return fmt.Errorf("ledger: remove torn segment: %w", err)
 			}
 			segs = segs[:len(segs)-1]
-		} else if err := l.fs.Truncate(tornPath, tornKeep); err != nil {
+		} else if err := l.fs.Truncate(torn.path, int64(torn.keep)); err != nil {
 			return fmt.Errorf("ledger: truncate torn tail: %w", err)
 		}
 	}
@@ -258,117 +243,61 @@ func (l *Ledger) recover() error {
 		f.Close()
 		return fmt.Errorf("ledger: seek active segment: %w", err)
 	}
-	l.active, l.activeSize, l.activeStart = f, size, last.start
+	l.active, l.activeSize, l.activeStart = f, size, last.seq
 	return nil
 }
 
-// segment is one WAL file found on disk.
-type segment struct {
-	path  string
-	start uint64
+// tornTail is the torn final record recovery truncates: the segment
+// and the length to keep (path "" = a clean end).
+type tornTail struct {
+	path string
+	keep int
 }
 
 // replay reconstructs state from dir without modifying anything on
-// disk. It returns the folded state, recovery stats, the segment list,
-// and — when the final segment ends in a torn record — that segment's
-// path plus the byte offset to keep. rec.Err is set (and folding stops)
-// on corrupt history.
-func replay(fsys vfs.FS, dir string, logf func(string, ...any)) (*State, Recovery, []segment, string, int64) {
+// disk: the newest loadable snapshot, then the WAL records after it,
+// read through the one scanner. It returns the folded state, recovery
+// stats, the WAL segments and the torn tail of the final one. rec.Err
+// is set (and folding stops) on corrupt history.
+func replay(fsys vfs.FS, dir string, logf func(string, ...any)) (*State, Recovery, []file, tornTail) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	state := NewState()
 	var rec Recovery
-
-	entries, err := fsys.ReadDir(dir)
+	ls, err := list(fsys, dir)
 	if err != nil {
 		rec.Err = fmt.Errorf("ledger: read dir: %w", err)
-		return state, rec, nil, "", 0
+		return NewState(), rec, nil, tornTail{}
 	}
-	var segs []segment
-	var snaps []uint64
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "wal-", ".wal"); ok {
-			segs = append(segs, segment{path: filepath.Join(dir, e.Name()), start: seq})
-		} else if seq, ok := parseSeq(e.Name(), "snap-", ".snap"); ok {
-			snaps = append(snaps, seq)
+	seq, state, _ := newestSnapshot(fsys, ls, logf)
+	if state == nil {
+		state = NewState()
+	}
+	rec.SnapshotSeq = seq
+	if len(ls.segs) == 0 {
+		return state, rec, nil, tornTail{}
+	}
+	t := NewTailReader(fsys, dir, state.Seq)
+	for {
+		ev, _, err := t.scan()
+		if err == io.EOF {
+			break
 		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] }) // newest first
-
-	// Newest loadable snapshot wins; unreadable ones are warned past.
-	for _, seq := range snaps {
-		path := filepath.Join(dir, snapshotName(seq))
-		st, err := loadSnapshot(fsys, path)
+		if errors.Is(err, ErrCompacted) {
+			err = fmt.Errorf("%w: no WAL segment holds seq %d", ErrCorrupt, state.Seq+1)
+		}
+		if err == nil {
+			err = state.Apply(&ev)
+		}
 		if err != nil {
-			logf("ledger: skipping unreadable snapshot %s: %v", filepath.Base(path), err)
-			continue
+			rec.Err, rec.Segments = err, t.segments
+			return state, rec, ls.segs, tornTail{}
 		}
-		state = st
-		rec.SnapshotSeq = seq
-		break
+		rec.Events++
 	}
-
-	// Replay WAL records with seq > snapshot seq. Segments whose entire
-	// range predates the snapshot are skipped without reading (their
-	// successor's start seq bounds their contents).
-	var tornPath string
-	var tornKeep int64
-	for i, seg := range segs {
-		if i+1 < len(segs) && segs[i+1].start <= state.Seq+1 {
-			continue
-		}
-		rec.Segments++
-		data, err := fsys.ReadFile(seg.path)
-		if err != nil {
-			rec.Err = fmt.Errorf("ledger: read %s: %w", filepath.Base(seg.path), err)
-			return state, rec, segs, "", 0
-		}
-		last := i == len(segs)-1
-		if len(data) < magicSize {
-			// A crash can tear even the header write of a fresh
-			// segment, but only the final one.
-			if last {
-				tornPath, tornKeep = seg.path, 0
-				rec.TornBytes = int64(len(data))
-				break
-			}
-			rec.Err = fmt.Errorf("%w: %s: short header", ErrCorrupt, filepath.Base(seg.path))
-			return state, rec, segs, "", 0
-		}
-		if string(data[:magicSize]) != walMagic {
-			rec.Err = fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(seg.path))
-			return state, rec, segs, "", 0
-		}
-		off := int64(magicSize)
-		for off < int64(len(data)) {
-			ev, n, err := DecodeRecord(data[off:])
-			if errors.Is(err, ErrTornRecord) {
-				if last {
-					tornPath, tornKeep = seg.path, off
-					rec.TornBytes = int64(len(data)) - off
-					break
-				}
-				rec.Err = fmt.Errorf("%w: %s: torn record at offset %d with later history present",
-					ErrCorrupt, filepath.Base(seg.path), off)
-				return state, rec, segs, "", 0
-			}
-			if err != nil {
-				rec.Err = fmt.Errorf("%s at offset %d: %w", filepath.Base(seg.path), off, err)
-				return state, rec, segs, "", 0
-			}
-			if ev.Seq > state.Seq {
-				if err := state.Apply(&ev); err != nil {
-					rec.Err = fmt.Errorf("%s at offset %d: %w", filepath.Base(seg.path), off, err)
-					return state, rec, segs, "", 0
-				}
-				rec.Events++
-			}
-			off += int64(n)
-		}
-	}
-	return state, rec, segs, tornPath, tornKeep
+	torn, n := t.tail()
+	rec.Segments, rec.TornBytes = t.segments, int64(n)
+	return state, rec, ls.segs, torn
 }
 
 // Replay reconstructs the ledger state read-only (nothing on disk is
@@ -380,28 +309,9 @@ func Replay(dir string, auditCap int) (*State, Recovery, error) {
 		return NewState(), Recovery{Err: err}, err
 	}
 	start := time.Now()
-	state, rec, _, _, _ := replay(vfs.OS{}, dir, nil)
+	state, rec, _, _ := replay(vfs.OS{}, dir, nil)
 	rec.Duration = time.Since(start)
 	return state, rec, rec.Err
-}
-
-// loadSnapshot reads and verifies one snapshot file.
-func loadSnapshot(fsys vfs.FS, path string) (*State, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < magicSize || string(data[:magicSize]) != snapMagic {
-		return nil, errors.New("bad magic")
-	}
-	ev, n, err := DecodeRecord(data[magicSize:])
-	if err != nil {
-		return nil, err
-	}
-	if int64(magicSize+n) != int64(len(data)) {
-		return nil, errors.New("trailing bytes after snapshot record")
-	}
-	return decodeSnapshotState(&ev)
 }
 
 // decodeSnapshotState folds a decoded snapshot record into a State,
@@ -413,6 +323,9 @@ func decodeSnapshotState(ev *Event) (*State, error) {
 	st := NewState()
 	if err := json.Unmarshal(ev.Body, st); err != nil {
 		return nil, err
+	}
+	if st.Seq != ev.Seq {
+		return nil, fmt.Errorf("snapshot state seq %d, record seq %d", st.Seq, ev.Seq)
 	}
 	if st.Datasets == nil {
 		st.Datasets = make(map[string]*DatasetState)
@@ -804,17 +717,16 @@ func (l *Ledger) writeSnapshotLocked() error {
 	if err := l.rotateLocked(); err != nil {
 		return l.degrade(fmt.Errorf("rotate after snapshot: %w", err))
 	}
-	entries, err := l.fs.ReadDir(l.dir)
+	ls, err := list(l.fs, l.dir)
 	if err != nil {
 		return nil // compaction is best-effort
 	}
-	for _, e := range entries {
-		if s, ok := parseSeq(e.Name(), "wal-", ".wal"); ok && s <= seq {
-			if err := l.fs.Remove(filepath.Join(l.dir, e.Name())); err != nil {
-				l.logf("ledger: compaction: %v", err)
-			}
-		} else if s, ok := parseSeq(e.Name(), "snap-", ".snap"); ok && s < seq {
-			if err := l.fs.Remove(filepath.Join(l.dir, e.Name())); err != nil {
+	// Every segment starting at or before seq holds only records the
+	// snapshot covers (rotation just started seq+1's); every other
+	// snapshot is older.
+	for _, f := range slices.Concat(ls.segs, ls.snaps) {
+		if f.seq < seq || f.seq == seq && f.path != final {
+			if err := l.fs.Remove(f.path); err != nil {
 				l.logf("ledger: compaction: %v", err)
 			}
 		}
@@ -987,55 +899,4 @@ func (l *Ledger) noteSnapshotFailure(err error) {
 	}
 	log.Log(qlog.Warn, "ledger_snapshot_failed",
 		qlog.F("seq", l.state.Seq), qlog.F("error", err.Error()))
-}
-
-// --- inspection ------------------------------------------------------
-
-// Events reads every event in dir's WAL segments in order, read-only,
-// calling fn for each (including those a snapshot already covers, when
-// their segments still exist). It stops at a torn tail and returns
-// ErrCorrupt-wrapped errors on deeper damage — `dpledger inspect`.
-func Events(dir string, fn func(Event) error) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	var segs []segment
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "wal-", ".wal"); ok {
-			segs = append(segs, segment{path: filepath.Join(dir, e.Name()), start: seq})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-	for i, seg := range segs {
-		data, err := os.ReadFile(seg.path)
-		if err != nil {
-			return err
-		}
-		last := i == len(segs)-1
-		if len(data) < magicSize || !bytes.Equal(data[:magicSize], []byte(walMagic)) {
-			if last && len(data) < magicSize {
-				return nil
-			}
-			return fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(seg.path))
-		}
-		off := magicSize
-		for off < len(data) {
-			ev, n, err := DecodeRecord(data[off:])
-			if errors.Is(err, ErrTornRecord) {
-				if last {
-					return nil
-				}
-				return fmt.Errorf("%w: %s: torn record mid-history", ErrCorrupt, filepath.Base(seg.path))
-			}
-			if err != nil {
-				return fmt.Errorf("%s at offset %d: %w", filepath.Base(seg.path), off, err)
-			}
-			if err := fn(ev); err != nil {
-				return err
-			}
-			off += n
-		}
-	}
-	return nil
 }

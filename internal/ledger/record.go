@@ -205,8 +205,16 @@ func DecodeRecord(b []byte) (Event, int, error) {
 	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(b[4:8]); got != want {
 		return ev, 0, fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
 	}
-	if err := json.Unmarshal(payload, &ev); err != nil {
-		return ev, 0, fmt.Errorf("%w: bad payload: %v", ErrCorrupt, err)
+	if err := decodePayload(payload, &ev); err != nil {
+		return ev, 0, err
 	}
 	return ev, recordHeaderSize + int(n), nil
+}
+
+// decodePayload decodes a record payload whose checksum holds.
+func decodePayload(payload []byte, ev *Event) error {
+	if err := json.Unmarshal(payload, ev); err != nil {
+		return fmt.Errorf("%w: bad payload: %v", ErrCorrupt, err)
+	}
+	return nil
 }

@@ -4,14 +4,21 @@
 //     covers it) for every committed record with its raw payload, in
 //     seq order, so a primary can fan events out without re-reading
 //     the disk — and never ahead of its own durable prefix.
-//   - TailReader re-reads committed records from any seq, re-verifying
+//   - TailReader (disk.go) re-reads records from any seq, re-verifying
 //     every CRC — the catch-up path for followers that are behind the
-//     in-memory window, and the engine behind dpledger diff.
-//   - StageReplica (and ReplicaAppend, its stage-plus-commit form) lets
-//     a follower write the primary's records into its own WAL verbatim
-//     (byte-identical segments, same refusal boundary on replay), and
-//     InstallSnapshot seeds an empty follower that is behind the
-//     primary's compaction horizon.
+//     in-memory window, and the engine behind dpledger diff. It is the
+//     scanner recovery and Events read through too, under the same
+//     listing (list) and the same torn-tail rule: torn bytes ending the
+//     final segment are the tail ("no more yet" to a live reader,
+//     truncated by recovery), torn bytes anywhere else are ErrCorrupt.
+//     OldestRetained and SnapshotPayload tell a primary whether a
+//     follower can stream from the WAL or must first take the snapshot
+//     recovery would load.
+//   - StageReplica is the follower's one write path: it writes the
+//     primary's records into the follower's WAL verbatim (byte-identical
+//     segments, same refusal boundary on replay), and the follower makes
+//     them durable with Commit. InstallSnapshot seeds an empty follower
+//     that is behind the primary's compaction horizon.
 //   - A durable fencing epoch, stored next to the WAL, makes a deposed
 //     primary's late appends rejectable after a promotion.
 package ledger
@@ -21,10 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -136,65 +142,47 @@ func (l *Ledger) SetEpoch(e uint64) error {
 
 // --- follower write path ----------------------------------------------
 
-// ReplicaAppend is StageReplica followed by Commit: a nil return means
-// the record is on stable storage and safe to ack.
-func (l *Ledger) ReplicaAppend(seq uint64, payload []byte) error {
-	if err := l.StageReplica(seq, payload); err != nil {
-		return err
-	}
-	return l.Commit(seq)
-}
-
 // StageReplica stages a replicated record verbatim: payload must be
 // the primary's raw record payload for exactly the next seq. The bytes
 // written are identical to the primary's, so the two WALs replay to
-// the same refusal boundary and compare clean under dpledger diff. A
-// follower stages a burst of frames and Commits the last seq once
-// before acking it.
-func (l *Ledger) StageReplica(seq uint64, payload []byte) error {
-	var ev Event
-	if err := decodePayload(payload, &ev); err != nil {
-		return err
-	}
-	if ev.Seq != seq {
-		return fmt.Errorf("%w: payload seq %d, frame seq %d", ErrCorrupt, ev.Seq, seq)
+// the same refusal boundary and compare clean under dpledger diff. It
+// returns the decoded event and the payload's CRC. A follower stages a
+// burst of frames and Commits the last seq once before acking it.
+func (l *Ledger) StageReplica(payload []byte) (Event, uint32, error) {
+	buf, ev, crc, err := wrapPayload(nil, payload)
+	if err != nil {
+		return Event{}, 0, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.refusingLocked(); err != nil {
-		return err
+		return Event{}, 0, err
 	}
-	if seq != l.state.Seq+1 {
-		return fmt.Errorf("ledger: replica append seq %d, want %d", seq, l.state.Seq+1)
+	if ev.Seq != l.state.Seq+1 {
+		return Event{}, 0, fmt.Errorf("ledger: replica append seq %d, want %d", ev.Seq, l.state.Seq+1)
 	}
-	buf := make([]byte, recordHeaderSize, recordHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], Checksum(payload))
-	buf = append(buf, payload...)
-	return l.stageRecordLocked(&ev, buf)
+	if err := l.stageRecordLocked(&ev, buf); err != nil {
+		return Event{}, 0, err
+	}
+	return ev, crc, nil
 }
 
-// DecodeEventPayload re-verifies and decodes a raw record payload —
-// the follower's view into the events it replicates.
-func DecodeEventPayload(payload []byte, ev *Event) error {
-	return decodePayload(payload, ev)
-}
-
-// decodePayload re-verifies and decodes a raw record payload.
-func decodePayload(payload []byte, ev *Event) error {
+// wrapPayload appends a replicated payload to dst as a whole record —
+// header, then payload: the bytes a replica writes — and decodes the
+// event it holds, returning the payload's CRC too.
+func wrapPayload(dst, payload []byte) ([]byte, Event, uint32, error) {
+	var ev Event
 	if len(payload) == 0 || len(payload) > maxRecordSize {
-		return fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, len(payload))
+		return dst, ev, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, len(payload))
 	}
-	rec := make([]byte, recordHeaderSize, recordHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], Checksum(payload))
-	rec = append(rec, payload...)
-	decoded, _, err := DecodeRecord(rec)
-	if err != nil {
-		return err
+	if err := decodePayload(payload, &ev); err != nil {
+		return dst, ev, 0, err
 	}
-	*ev = decoded
-	return nil
+	crc := Checksum(payload)
+	dst = slices.Grow(dst, recordHeaderSize+len(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	return append(dst, payload...), ev, crc, nil
 }
 
 // InstallSnapshot seeds an EMPTY follower ledger from a primary
@@ -204,8 +192,8 @@ func decodePayload(payload []byte, ev *Event) error {
 // already applied events refuses — mixing histories silently is how
 // budgets drift; re-seed from a fresh directory instead.
 func (l *Ledger) InstallSnapshot(payload []byte) error {
-	var ev Event
-	if err := decodePayload(payload, &ev); err != nil {
+	buf, ev, _, err := wrapPayload([]byte(snapMagic), payload)
+	if err != nil {
 		return err
 	}
 	if ev.Seq == 0 {
@@ -214,9 +202,6 @@ func (l *Ledger) InstallSnapshot(payload []byte) error {
 	st, err := decodeSnapshotState(&ev)
 	if err != nil {
 		return fmt.Errorf("%w: snapshot state: %v", ErrCorrupt, err)
-	}
-	if st.Seq != ev.Seq {
-		return fmt.Errorf("%w: snapshot state seq %d, record seq %d", ErrCorrupt, st.Seq, ev.Seq)
 	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -229,12 +214,6 @@ func (l *Ledger) InstallSnapshot(payload []byte) error {
 		return fmt.Errorf("ledger: snapshot install refused: ledger has history through seq %d", l.state.Seq)
 	}
 
-	buf := append([]byte(nil), snapMagic...)
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], Checksum(payload))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
 	final := filepath.Join(l.dir, snapshotName(ev.Seq))
 	tmp := final + ".tmp"
 	if err := writeFileSync(l.fs, tmp, buf); err != nil {
@@ -259,194 +238,4 @@ func (l *Ledger) InstallSnapshot(payload []byte) error {
 		}
 	}
 	return nil
-}
-
-// --- tail reading -----------------------------------------------------
-
-// TailReader iterates committed WAL records from a given position,
-// re-verifying every CRC, resuming across segment rotation, and
-// tolerating concurrent appends (a partially-written tail reads as
-// "no more yet"). It takes no ledger lock — it works off the on-disk
-// bytes, exactly like recovery would — so over a live ledger it also
-// sees records that are staged but not yet committed: a caller that
-// must stay within the durable prefix (the replication primary) stops
-// at CommittedSeq itself.
-//
-// Next returns io.EOF when it has delivered everything currently
-// committed (call again after more commits), ErrCompacted when the
-// wanted seq has been compacted away, and ErrCorrupt on damage.
-type TailReader struct {
-	fs    vfs.FS
-	dir   string
-	next  uint64 // seq the next call must deliver
-	path  string // buffered segment ("" = none)
-	start uint64
-	buf   []byte
-	off   int64
-}
-
-// NewTailReader returns a reader delivering the records after afterSeq
-// (so afterSeq = 0 streams the whole retained history). A nil fsys
-// reads the real filesystem.
-func NewTailReader(fsys vfs.FS, dir string, afterSeq uint64) *TailReader {
-	if fsys == nil {
-		fsys = vfs.OS{}
-	}
-	return &TailReader{fs: fsys, dir: dir, next: afterSeq + 1}
-}
-
-// Next returns the next committed record's seq and raw payload. The
-// payload aliases an internal buffer valid until the following call.
-func (t *TailReader) Next() (uint64, []byte, error) {
-	for {
-		for t.off < int64(len(t.buf)) {
-			ev, n, err := DecodeRecord(t.buf[t.off:])
-			if errors.Is(err, ErrTornRecord) {
-				break // incomplete tail: refill below
-			}
-			if err != nil {
-				return 0, nil, fmt.Errorf("%s at offset %d: %w", filepath.Base(t.path), t.off, err)
-			}
-			off := t.off
-			t.off += int64(n)
-			if ev.Seq < t.next {
-				continue
-			}
-			if ev.Seq != t.next {
-				return 0, nil, fmt.Errorf("%w: %s: seq %d where %d expected",
-					ErrCorrupt, filepath.Base(t.path), ev.Seq, t.next)
-			}
-			t.next++
-			return ev.Seq, t.buf[off+recordHeaderSize : off+int64(n)], nil
-		}
-		more, err := t.refill()
-		if err != nil {
-			return 0, nil, err
-		}
-		if !more {
-			return 0, nil, io.EOF
-		}
-	}
-}
-
-// refill grows the buffered segment or advances to the one containing
-// t.next. Returns false when everything committed has been delivered.
-func (t *TailReader) refill() (bool, error) {
-	if t.path != "" {
-		data, err := t.fs.ReadFile(t.path)
-		if err == nil && len(data) > len(t.buf) {
-			t.buf = data
-			return true, nil
-		}
-		// Shorter/missing (compacted beneath us) or unchanged: fall
-		// through and re-locate against the live directory listing.
-	}
-	segs, err := listSegments(t.fs, t.dir)
-	if err != nil {
-		return false, err
-	}
-	var pick *segment
-	for i := range segs {
-		if segs[i].start <= t.next {
-			pick = &segs[i]
-		} else {
-			break
-		}
-	}
-	if pick == nil {
-		if len(segs) == 0 && t.next == 1 {
-			return false, nil // brand-new ledger, nothing committed yet
-		}
-		return false, ErrCompacted
-	}
-	if pick.path == t.path {
-		return false, nil // same segment, no growth: caught up
-	}
-	data, err := t.fs.ReadFile(pick.path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return false, ErrCompacted // raced with compaction
-		}
-		return false, err
-	}
-	if len(data) < magicSize {
-		if pick.path == segs[len(segs)-1].path {
-			return false, nil // header write still in flight
-		}
-		return false, fmt.Errorf("%w: %s: short header", ErrCorrupt, filepath.Base(pick.path))
-	}
-	if string(data[:magicSize]) != walMagic {
-		return false, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(pick.path))
-	}
-	t.path, t.start, t.buf, t.off = pick.path, pick.start, data, magicSize
-	return true, nil
-}
-
-// listSegments returns dir's WAL segments sorted by start seq.
-func listSegments(fsys vfs.FS, dir string) ([]segment, error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []segment
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "wal-", ".wal"); ok {
-			segs = append(segs, segment{path: filepath.Join(dir, e.Name()), start: seq})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-	return segs, nil
-}
-
-// RecordPayload reads the raw payload of the record at seq, CRC
-// re-verified — the primary's side of the handshake divergence check.
-func RecordPayload(fsys vfs.FS, dir string, seq uint64) ([]byte, error) {
-	if seq == 0 {
-		return nil, fmt.Errorf("ledger: no record at seq 0")
-	}
-	_, payload, err := NewTailReader(fsys, dir, seq-1).Next()
-	if err == io.EOF {
-		return nil, fmt.Errorf("ledger: no record at seq %d", seq)
-	}
-	return payload, err
-}
-
-// SnapshotPayload returns the newest on-disk snapshot's seq and raw
-// record payload (CRC re-verified), or (0, nil, nil) when none exists.
-func SnapshotPayload(fsys vfs.FS, dir string) (uint64, []byte, error) {
-	if fsys == nil {
-		fsys = vfs.OS{}
-	}
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return 0, nil, err
-	}
-	var best uint64
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "snap-", ".snap"); ok && seq > best {
-			best = seq
-		}
-	}
-	if best == 0 {
-		return 0, nil, nil
-	}
-	path := filepath.Join(dir, snapshotName(best))
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(data) < magicSize || string(data[:magicSize]) != snapMagic {
-		return 0, nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
-	}
-	ev, n, err := DecodeRecord(data[magicSize:])
-	if err != nil {
-		return 0, nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	if int64(magicSize+n) != int64(len(data)) {
-		return 0, nil, fmt.Errorf("%w: %s: trailing bytes", ErrCorrupt, filepath.Base(path))
-	}
-	if ev.Seq != best {
-		return 0, nil, fmt.Errorf("%w: %s: snapshot seq %d in record", ErrCorrupt, filepath.Base(path), ev.Seq)
-	}
-	return best, data[magicSize+recordHeaderSize:], nil
 }

@@ -25,6 +25,15 @@ func drain(t *testing.T, tr *TailReader) (seqs []uint64, payloads [][]byte) {
 	}
 }
 
+// replicaAppend stages a replicated payload and commits it, as a
+// follower does for a burst of one.
+func replicaAppend(l *Ledger, seq uint64, payload []byte) error {
+	if _, _, err := l.StageReplica(payload); err != nil {
+		return err
+	}
+	return l.Commit(seq)
+}
+
 func TestTailReaderStreamsAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir})
@@ -182,8 +191,8 @@ func TestReplicaAppendByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.ReplicaAppend(seq, p); err != nil {
-			t.Fatalf("ReplicaAppend(%d): %v", seq, err)
+		if err := replicaAppend(b, seq, p); err != nil {
+			t.Fatalf("replicaAppend(%d): %v", seq, err)
 		}
 	}
 	if a.CommittedSeq() != b.CommittedSeq() {
@@ -203,7 +212,7 @@ func TestReplicaAppendByteIdentical(t *testing.T) {
 	}
 	// Out-of-order and gapped appends are refused.
 	_, p, _ := NewTailReader(nil, dirA, 2).Next()
-	if err := b.ReplicaAppend(3, p); err == nil {
+	if err := replicaAppend(b, 3, p); err == nil {
 		t.Fatal("duplicate replica append accepted")
 	}
 }

@@ -320,24 +320,21 @@ func (f *Follower) streamFrames(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 // durable) and adds it to the burst. Sealed followers refuse:
 // promotion froze the history.
 func (f *Follower) stageEvent(payload []byte, b *burst) error {
-	var ev ledger.Event
-	if err := ledger.DecodeEventPayload(payload, &ev); err != nil {
-		return err
-	}
 	f.mu.Lock()
 	sealed := f.sealed
 	f.mu.Unlock()
 	if sealed {
 		return errors.New("repl: follower sealed (promotion in progress)")
 	}
-	if err := f.led.StageReplica(ev.Seq, payload); err != nil {
+	ev, crc, err := f.led.StageReplica(payload)
+	if err != nil {
 		return err
 	}
 	if ev.Seq > f.primarySeq.Load() {
 		f.primarySeq.Store(ev.Seq)
 	}
 	b.events = append(b.events, ev)
-	b.lastCRC = ledger.Checksum(payload)
+	b.lastCRC = crc
 	return nil
 }
 

@@ -383,74 +383,44 @@ func (p *Primary) handle(conn net.Conn) {
 		p.fence(err)
 		return
 	}
+	refuse := func(code, message string) {
+		sendError(bw, code, message, epoch)
+		bw.Flush()
+	}
 	committed := p.led.CommittedSeq()
 	if sub.LastSeq > committed {
-		sendError(bw, "diverged", fmt.Sprintf("follower at seq %d, primary at %d", sub.LastSeq, committed), epoch)
-		bw.Flush()
+		refuse("diverged", fmt.Sprintf("follower at seq %d, primary at %d", sub.LastSeq, committed))
 		return
 	}
-	if sub.LastSeq > 0 {
-		// Divergence check: the follower's last record must be OUR
-		// record, byte for byte.
-		mine, err := ledger.RecordPayload(p.led.FS(), p.led.Dir(), sub.LastSeq)
-		if err != nil {
-			if errors.Is(err, ledger.ErrCompacted) {
-				sendError(bw, "behind", fmt.Sprintf("seq %d compacted away; re-seed the follower from an empty directory", sub.LastSeq), epoch)
-			} else {
-				sendError(bw, "internal", err.Error(), epoch)
-			}
-			bw.Flush()
-			return
-		}
-		if ledger.Checksum(mine) != sub.LastCRC {
-			sendError(bw, "diverged", fmt.Sprintf("record %d CRC mismatch (follower %08x, primary %08x)",
-				sub.LastSeq, sub.LastCRC, ledger.Checksum(mine)), epoch)
-			bw.Flush()
-			return
-		}
+	// Decide the catch-up path against the oldest retained record: an
+	// empty follower behind it is seeded with the snapshot recovery
+	// would load, and any other streams from the WAL once its last
+	// record checks out.
+	oldest, err := ledger.OldestRetained(p.led.FS(), p.led.Dir(), committed)
+	if err != nil {
+		refuse("internal", err.Error())
+		return
 	}
-
-	// Decide the catch-up path: stream from the WAL when the
-	// follower's position is still retained, otherwise seed an empty
-	// follower with a snapshot.
 	nextSeq := sub.LastSeq + 1
-	tr := ledger.NewTailReader(p.led.FS(), p.led.Dir(), sub.LastSeq)
+	var tr *ledger.TailReader
 	var snapPayload []byte
-	probeSeq, probePayload, probeErr := tr.Next()
-	pending := [][]byte(nil)
 	switch {
-	case probeErr == nil && probeSeq > committed:
-		// On disk but only staged: not ours to send until its commit
-		// publishes it. Caught up; re-read it from the start then.
-		tr = ledger.NewTailReader(p.led.FS(), p.led.Dir(), sub.LastSeq)
-	case probeErr == nil:
-		if probeSeq != nextSeq {
-			sendError(bw, "internal", fmt.Sprintf("probe seq %d, want %d", probeSeq, nextSeq), epoch)
-			bw.Flush()
-			return
-		}
-		pending = append(pending, append([]byte(nil), probePayload...))
-	case probeErr == io.EOF:
-		// caught up
-	case errors.Is(probeErr, ledger.ErrCompacted):
-		if sub.LastSeq != 0 {
-			sendError(bw, "behind", fmt.Sprintf("seq %d compacted away; re-seed the follower from an empty directory", nextSeq), epoch)
-			bw.Flush()
-			return
-		}
+	case sub.LastSeq == 0 && oldest > 1:
 		snapSeq, sp, err := ledger.SnapshotPayload(p.led.FS(), p.led.Dir())
 		if err != nil || snapSeq == 0 {
-			sendError(bw, "internal", fmt.Sprintf("no snapshot behind compaction horizon: %v", err), epoch)
-			bw.Flush()
+			refuse("internal", fmt.Sprintf("no snapshot behind compaction horizon: %v", err))
 			return
 		}
-		snapPayload = sp
-		nextSeq = snapSeq + 1
+		snapPayload, nextSeq = sp, snapSeq+1
 		tr = ledger.NewTailReader(p.led.FS(), p.led.Dir(), snapSeq)
+	case sub.LastSeq > 0:
+		tr = ledger.NewTailReader(p.led.FS(), p.led.Dir(), sub.LastSeq-1)
+		if code, message := checkLast(tr, sub, oldest); code != "" {
+			refuse(code, message)
+			return
+		}
 	default:
-		sendError(bw, "internal", probeErr.Error(), epoch)
-		bw.Flush()
-		return
+		tr = ledger.NewTailReader(p.led.FS(), p.led.Dir(), 0)
 	}
 
 	if err := writeJSONFrame(bw, kindPub, pubReply{Epoch: epoch, Seq: committed, Snapshot: snapPayload != nil}); err != nil {
@@ -525,11 +495,36 @@ func (p *Primary) handle(conn net.Conn) {
 		}
 	}()
 
-	lostReason = s.stream(bw, tr, nextSeq, pending, readErr)
+	lostReason = s.stream(bw, tr, nextSeq, readErr)
+}
+
+// checkLast reads a follower's last record from tr, positioned just
+// before it, and reports why the follower cannot stream — its record
+// compacted away ("behind"), unreadable ("internal"), or not OUR
+// record, byte for byte ("diverged") — or "" when it can; tr then
+// stands at the follower's next seq.
+func checkLast(tr *ledger.TailReader, sub subRequest, oldest uint64) (code, message string) {
+	var mine []byte
+	err := ledger.ErrCompacted
+	if sub.LastSeq >= oldest {
+		_, mine, err = tr.Next()
+	}
+	switch {
+	case errors.Is(err, ledger.ErrCompacted):
+		return "behind", fmt.Sprintf("seq %d compacted away; re-seed the follower from an empty directory", sub.LastSeq)
+	case err == io.EOF:
+		return "internal", fmt.Sprintf("no record at seq %d", sub.LastSeq)
+	case err != nil:
+		return "internal", err.Error()
+	case ledger.Checksum(mine) != sub.LastCRC:
+		return "diverged", fmt.Sprintf("record %d CRC mismatch (follower %08x, primary %08x)",
+			sub.LastSeq, sub.LastCRC, ledger.Checksum(mine))
+	}
+	return "", ""
 }
 
 // stream is the sender loop: backlog (ring or disk) then live tail.
-func (s *session) stream(bw *bufio.Writer, tr *ledger.TailReader, nextSeq uint64, pending [][]byte, readErr chan error) error {
+func (s *session) stream(bw *bufio.Writer, tr *ledger.TailReader, nextSeq uint64, readErr chan error) error {
 	p := s.p
 	hb := time.NewTicker(heartbeatInterval)
 	defer hb.Stop()
@@ -539,41 +534,33 @@ func (s *session) stream(bw *bufio.Writer, tr *ledger.TailReader, nextSeq uint64
 		for {
 			p.mu.Lock()
 			committed := p.committed
+			payload, ok := p.ring.get(nextSeq)
 			p.mu.Unlock()
-			if nextSeq > committed && len(pending) == 0 {
+			if nextSeq > committed {
 				break
 			}
-			var payload []byte
-			if len(pending) > 0 {
-				payload, pending = pending[0], pending[1:]
+			if ok {
+				fromDisk = false
 			} else {
-				p.mu.Lock()
-				ringPayload, ok := p.ring.get(nextSeq)
-				p.mu.Unlock()
-				if ok {
-					payload = ringPayload
-					fromDisk = false
-				} else {
-					if !fromDisk {
-						// Fell out of the ring window: re-position a
-						// disk reader.
-						tr = ledger.NewTailReader(p.led.FS(), p.led.Dir(), nextSeq-1)
-						fromDisk = true
-					}
-					seq, diskPayload, err := tr.Next()
-					if err == io.EOF {
-						// Committed but not yet visible on disk —
-						// the ring will have it momentarily.
-						break
-					}
-					if err != nil {
-						return err
-					}
-					if seq != nextSeq {
-						return fmt.Errorf("repl: disk reader at seq %d, want %d", seq, nextSeq)
-					}
-					payload = diskPayload
+				if !fromDisk {
+					// Fell out of the ring window: re-position a disk
+					// reader.
+					tr = ledger.NewTailReader(p.led.FS(), p.led.Dir(), nextSeq-1)
+					fromDisk = true
 				}
+				seq, diskPayload, err := tr.Next()
+				if err == io.EOF {
+					// Committed but not yet visible on disk — the ring
+					// will have it momentarily.
+					break
+				}
+				if err != nil {
+					return err
+				}
+				if seq != nextSeq {
+					return fmt.Errorf("repl: disk reader at seq %d, want %d", seq, nextSeq)
+				}
+				payload = diskPayload
 			}
 			_ = s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 			if err := writeFrame(bw, kindEvent, payload); err != nil {
