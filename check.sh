@@ -23,13 +23,16 @@ if command -v staticcheck >/dev/null 2>&1; then
 else
 	echo "staticcheck not installed; skipping (go vet still ran)"
 fi
-# The spellings the two benchforwards.go files keep for the frozen
-# bench/ directory must not regrow callers: with none, they are deleted
-# the moment bench/ moves off them. The ledger's (FsyncPolicy,
-# FsyncAlways, Options.Fsync) may still appear inside internal/ledger.
-if grep -rnE '\b(WhereRecorded|StreamNoisy[A-Za-z]*|FsyncAlways|FsyncPolicy)\b|\bFsync:' --include='*.go' --exclude-dir=.bench_build . |
-	grep -vE '^\./(bench/|internal/ledger/|internal/core/benchforwards\.go:)'; then
-	echo "bench-only forwards (core.WhereRecorded, core.StreamNoisy*, ledger.FsyncPolicy, ledger.FsyncAlways, Options.Fsync) referenced outside bench/" >&2
+# The spellings the benchforwards.go files keep for the frozen bench/
+# directory must not regrow callers: with none, they are deleted the
+# moment bench/ moves off them. The ledger's (FsyncPolicy, FsyncAlways,
+# Options.Fsync) may still appear inside internal/ledger. The two
+# whole-packet forwards are api.Filter.Match, which every caller hands
+# a packet's address (the server filters headers with MatchHeader), and
+# packetdist.PrivateLengthCDF (the server runs LengthCDF over headers).
+if grep -rnE '\b(WhereRecorded|StreamNoisy[A-Za-z]*|FsyncAlways|FsyncPolicy|PrivateLengthCDF)\b|\bFsync:|\.Match\(&' --include='*.go' --exclude-dir=.bench_build . |
+	grep -vE '^\./(bench/|internal/ledger/|internal/(core|dpserver/api|analyses/packetdist)/benchforwards\.go:)'; then
+	echo "bench-only forwards (core.WhereRecorded, core.StreamNoisy*, ledger.FsyncPolicy, ledger.FsyncAlways, Options.Fsync, api.Filter.Match, packetdist.PrivateLengthCDF) referenced outside bench/" >&2
 	exit 1
 fi
 # Each served query kind is declared once, in internal/dpserver's kind
@@ -121,6 +124,11 @@ go test -run=. -fuzz=FuzzQuantileMatchesReference -fuzztime=3s ./internal/sketch
 # batch cut into 1, 2 or 3 pieces parsed concurrently must decode as
 # one pass does, fast-path count included.
 go test -run=. -fuzz=FuzzNDJSONLine -fuzztime=5s ./internal/trace
+# Short differential fuzz smoke over ingest's decode: on arbitrary
+# bytes in either wire format, keeping headers must refuse what the
+# full packet parser refuses, with its error, and otherwise keep every
+# header field the parser reads.
+go test -run=. -fuzz=FuzzDecodeKeepsHeaders -fuzztime=3s ./internal/ingest
 # Short differential fuzz smoke over the DPTR decoder: on arbitrary
 # bytes, decoding the bytes as one batch and reading them through a
 # reader in small pieces must return the same records or both fail,

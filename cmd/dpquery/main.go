@@ -122,7 +122,7 @@ func main() {
 	} else {
 		src = noise.NewSeededSource(*seed, *seed+1)
 	}
-	q, root := core.NewQueryable(packets, *budget, src)
+	q, root := core.NewQueryable(trace.Headers(packets), *budget, src)
 	prof := obs.NewProfileRecorder(func() float64 { return root.Spent() })
 	if *explain {
 		q = q.WithRecorder(prof)

@@ -49,8 +49,8 @@ func exactCDF(values []int64, buckets []int64) []float64 {
 
 func TestExactDegreesHandCrafted(t *testing.T) {
 	pkts := []trace.Packet{
-		{SrcIP: 1, DstIP: 10}, {SrcIP: 1, DstIP: 11}, {SrcIP: 1, DstIP: 10}, // out-degree 2
-		{SrcIP: 2, DstIP: 10}, // out-degree 1
+		{Header: trace.Header{SrcIP: 1, DstIP: 10}}, {Header: trace.Header{SrcIP: 1, DstIP: 11}}, {Header: trace.Header{SrcIP: 1, DstIP: 10}}, // out-degree 2
+		{Header: trace.Header{SrcIP: 2, DstIP: 10}}, // out-degree 1
 	}
 	out := ExactOutDegrees(pkts)
 	if len(out) != 2 || out[0] != 1 || out[1] != 2 {

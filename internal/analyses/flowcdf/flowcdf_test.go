@@ -16,12 +16,14 @@ func synthFlows(nFlows int) []trace.Packet {
 	var out []trace.Packet
 	for i := 0; i < nFlows; i++ {
 		p := trace.Packet{
-			SrcIP:   trace.IPv4(0x0a000000 + uint32(i)),
-			DstIP:   0x0a000001,
-			SrcPort: uint16(1024 + i%60000),
-			DstPort: 80,
-			Proto:   trace.ProtoTCP,
-			Len:     512,
+			Header: trace.Header{
+				SrcIP:   trace.IPv4(0x0a000000 + uint32(i)),
+				DstIP:   0x0a000001,
+				SrcPort: uint16(1024 + i%60000),
+				DstPort: 80,
+				Proto:   trace.ProtoTCP,
+				Len:     512,
+			},
 		}
 		for j := 0; j <= i; j++ {
 			out = append(out, p)

@@ -16,10 +16,11 @@ import (
 // connection-level analyses are straightforward." This file implements
 // the first fix and the straightforward analysis on top of it.
 
-// ConnPacket is a packet annotated with its connection ordinal within
-// its 5-tuple flow — the pre-processed record the data owner exposes.
+// ConnPacket is a packet header annotated with its connection ordinal
+// within its 5-tuple flow — the pre-processed record the data owner
+// exposes.
 type ConnPacket struct {
-	trace.Packet
+	trace.Header
 	// Conn is 0 for the flow's first connection and increments at
 	// every subsequent SYN on the same 5-tuple.
 	Conn uint32
@@ -48,9 +49,9 @@ func canonicalFlow(f trace.FlowKey) trace.FlowKey {
 // already-seen flow. Packets of a flow seen before any SYN belong to
 // connection 0 (a connection already in progress when capture began).
 // The input is not modified.
-func WithConnectionIDs(packets []trace.Packet) []ConnPacket {
+func WithConnectionIDs(packets []trace.Header) []ConnPacket {
 	// Process in time order without disturbing the caller's slice.
-	order := trace.TimeOrder(packets)
+	order := trace.HeaderTimeOrder(packets)
 	type flowState struct {
 		conn    uint32
 		sawSYN  bool
@@ -73,7 +74,7 @@ func WithConnectionIDs(packets []trace.Packet) []ConnPacket {
 			st.sawSYN = true
 		}
 		st.started = true
-		out[idx] = ConnPacket{Packet: p, Conn: st.conn}
+		out[idx] = ConnPacket{Header: p, Conn: st.conn}
 	}
 	return out
 }

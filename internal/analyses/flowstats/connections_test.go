@@ -16,13 +16,13 @@ import (
 )
 
 // mkPkt builds a minimal TCP packet on flow (1->2, 10->80).
-func mkPkt(tm int64, flags trace.TCPFlags, seq uint32) trace.Packet {
-	return trace.Packet{Time: tm, SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80,
+func mkPkt(tm int64, flags trace.TCPFlags, seq uint32) trace.Header {
+	return trace.Header{Time: tm, SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80,
 		Proto: trace.ProtoTCP, Flags: flags, Seq: seq, Len: 100}
 }
 
 func TestWithConnectionIDsSplitsOnSYN(t *testing.T) {
-	pkts := []trace.Packet{
+	pkts := []trace.Header{
 		mkPkt(0, trace.FlagSYN, 100),  // conn 0 handshake
 		mkPkt(10, trace.FlagACK, 101), // conn 0 data
 		mkPkt(20, trace.FlagACK, 102), // conn 0 data
@@ -42,7 +42,7 @@ func TestWithConnectionIDsSplitsOnSYN(t *testing.T) {
 func TestWithConnectionIDsMidstreamCapture(t *testing.T) {
 	// Data before any SYN: connection 0 already in progress; the
 	// first SYN starts a NEW connection only if one was already seen.
-	pkts := []trace.Packet{
+	pkts := []trace.Header{
 		mkPkt(0, trace.FlagACK, 50),   // pre-capture connection
 		mkPkt(10, trace.FlagSYN, 100), // first observed handshake
 		mkPkt(20, trace.FlagACK, 101),
@@ -58,7 +58,7 @@ func TestWithConnectionIDsMidstreamCapture(t *testing.T) {
 
 func TestWithConnectionIDsUnsortedInput(t *testing.T) {
 	// Assignment must follow time order even if the slice is shuffled.
-	pkts := []trace.Packet{
+	pkts := []trace.Header{
 		mkPkt(30, trace.FlagSYN, 500), // conn 1 (later in time)
 		mkPkt(0, trace.FlagSYN, 100),  // conn 0
 		mkPkt(40, trace.FlagACK, 501), // conn 1 data
@@ -75,13 +75,13 @@ func TestWithConnectionIDsUnsortedInput(t *testing.T) {
 
 // connIDsByStableSort is WithConnectionIDs over the ordering it used
 // before trace.TimeOrder: a stable reflective sort of an index slice.
-func connIDsByStableSort(packets []trace.Packet) []ConnPacket {
+func connIDsByStableSort(packets []trace.Header) []ConnPacket {
 	order := make([]int, len(packets))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return packets[order[a]].Time < packets[order[b]].Time })
-	sorted := make([]trace.Packet, len(packets))
+	sorted := make([]trace.Header, len(packets))
 	for i, idx := range order {
 		sorted[i] = packets[idx]
 	}
@@ -96,7 +96,7 @@ func connIDsByStableSort(packets []trace.Packet) []ConnPacket {
 func TestWithConnectionIDsTiesKeepInputOrder(t *testing.T) {
 	// Three SYNs on one flow at the same instant: the one earlier in
 	// the slice opens the earlier connection.
-	pkts := []trace.Packet{
+	pkts := []trace.Header{
 		mkPkt(10, trace.FlagSYN, 300),
 		mkPkt(5, trace.FlagACK, 50),
 		mkPkt(10, trace.FlagSYN, 100),
@@ -119,9 +119,9 @@ func TestWithConnectionIDsTiesKeepInputOrder(t *testing.T) {
 	cfg.StonePairs, cfg.DecoyFlows = 0, 0
 	gen, _ := tracegen.Hotspot(cfg)
 	rng := rand.New(rand.NewPCG(3, 4))
-	shuffled := make([]trace.Packet, len(gen))
+	shuffled := make([]trace.Header, len(gen))
 	for i, j := range rng.Perm(len(gen)) {
-		shuffled[i] = gen[j]
+		shuffled[i] = gen[j].Header
 		shuffled[i].Time -= shuffled[i].Time % 10_000
 	}
 	if got, want := WithConnectionIDs(shuffled), connIDsByStableSort(shuffled); !reflect.DeepEqual(got, want) {
@@ -130,9 +130,9 @@ func TestWithConnectionIDsTiesKeepInputOrder(t *testing.T) {
 }
 
 func TestWithConnectionIDsSeparateFlows(t *testing.T) {
-	other := trace.Packet{Time: 5, SrcIP: 9, DstIP: 2, SrcPort: 10, DstPort: 80,
+	other := trace.Header{Time: 5, SrcIP: 9, DstIP: 2, SrcPort: 10, DstPort: 80,
 		Proto: trace.ProtoTCP, Flags: trace.FlagSYN, Seq: 1, Len: 40}
-	pkts := []trace.Packet{
+	pkts := []trace.Header{
 		mkPkt(0, trace.FlagSYN, 100),
 		other,
 		mkPkt(10, trace.FlagSYN, 200), // second conn on flow 1
@@ -156,7 +156,8 @@ func TestConnectionCountMatchesGeneratorTruth(t *testing.T) {
 	cfg.BackgroundTotal = 0
 	cfg.StonePairs = 0
 	cfg.DecoyFlows = 0
-	pkts, truth := tracegen.Hotspot(cfg)
+	gen, truth := tracegen.Hotspot(cfg)
+	pkts := trace.Headers(gen)
 	if truth.Connections <= cfg.Sessions {
 		t.Fatalf("FlowReuse produced no extra connections: %d", truth.Connections)
 	}
@@ -170,7 +171,7 @@ func TestConnectionCountMatchesGeneratorTruth(t *testing.T) {
 			hasSYN[pkts[i].Flow().Reverse()] = true
 		}
 	}
-	tcp := make([]trace.Packet, 0, len(pkts))
+	tcp := make([]trace.Header, 0, len(pkts))
 	for i := range pkts {
 		if hasSYN[pkts[i].Flow()] {
 			tcp = append(tcp, pkts[i])
@@ -197,7 +198,7 @@ func TestPrivatePacketsPerConnectionCDF(t *testing.T) {
 	cfg.StonePairs = 0
 	cfg.DecoyFlows = 0
 	pkts, _ := tracegen.Hotspot(cfg)
-	tagged := WithConnectionIDs(pkts)
+	tagged := WithConnectionIDs(trace.Headers(pkts))
 
 	buckets := toolkit.LinearBuckets(0, 4, 32)
 	exact := ExactCDFFromValues(ExactPacketsPerConnection(tagged), buckets)

@@ -33,29 +33,29 @@ type handshakeKey struct {
 // where ack = seq+1. The result is a protected dataset ready for a CDF
 // or other aggregation; the Join itself costs nothing until
 // aggregated (then 2×, both sides deriving from the same trace).
-func RTTMicros(q *core.Queryable[trace.Packet]) *core.Queryable[int64] {
-	syns := q.Where(func(p trace.Packet) bool { return p.IsSYN() })
-	acks := q.Where(func(p trace.Packet) bool { return p.IsSYNACK() })
+func RTTMicros(q *core.Queryable[trace.Header]) *core.Queryable[int64] {
+	syns := q.Where(func(p trace.Header) bool { return p.IsSYN() })
+	acks := q.Where(func(p trace.Header) bool { return p.IsSYNACK() })
 	return core.Join(syns, acks,
-		func(p trace.Packet) handshakeKey {
+		func(p trace.Header) handshakeKey {
 			return handshakeKey{a: p.SrcIP, b: p.DstIP, pa: p.SrcPort, pb: p.DstPort, val: p.Seq + 1}
 		},
-		func(p trace.Packet) handshakeKey {
+		func(p trace.Header) handshakeKey {
 			return handshakeKey{a: p.DstIP, b: p.SrcIP, pa: p.DstPort, pb: p.SrcPort, val: p.Ack}
 		},
-		func(syn, ack trace.Packet) int64 { return ack.Time - syn.Time })
+		func(syn, ack trace.Header) int64 { return ack.Time - syn.Time })
 }
 
 // PrivateRTTCDF measures the RTT CDF (Figure 3a) in the given
 // millisecond buckets at privacy level epsilon. Total cost: 2·epsilon
 // (self-join).
-func PrivateRTTCDF(q *core.Queryable[trace.Packet], epsilon float64, bucketsMs []int64) ([]float64, error) {
+func PrivateRTTCDF(q *core.Queryable[trace.Header], epsilon float64, bucketsMs []int64) ([]float64, error) {
 	rtts := RTTMicros(q)
 	return toolkit.CDF2(rtts, epsilon, func(us int64) int64 { return us / 1000 }, bucketsMs)
 }
 
 // ExactRTTs returns the noise-free RTT samples in microseconds.
-func ExactRTTs(packets []trace.Packet) []int64 {
+func ExactRTTs(packets []trace.Header) []int64 {
 	synTime := make(map[handshakeKey][]int64)
 	for i := range packets {
 		p := &packets[i]
@@ -85,27 +85,27 @@ func ExactRTTs(packets []trace.Packet) []int64 {
 // more than minPackets packets, and compare distinct sequence numbers
 // to total packets — a retransmitted (lost downstream) packet repeats
 // its sequence number. Costs 2× at aggregation time (GroupBy).
-func LossPermille(q *core.Queryable[trace.Packet], minPackets int) *core.Queryable[int64] {
-	flows := core.GroupBy(dataPackets(q), func(p trace.Packet) trace.FlowKey { return p.Flow() })
-	big := flows.Where(func(g core.Group[trace.FlowKey, trace.Packet]) bool {
+func LossPermille(q *core.Queryable[trace.Header], minPackets int) *core.Queryable[int64] {
+	flows := core.GroupBy(dataPackets(q), func(p trace.Header) trace.FlowKey { return p.Flow() })
+	big := flows.Where(func(g core.Group[trace.FlowKey, trace.Header]) bool {
 		return len(g.Items) > minPackets
 	})
-	return core.Select(big, func(g core.Group[trace.FlowKey, trace.Packet]) int64 {
+	return core.Select(big, func(g core.Group[trace.FlowKey, trace.Header]) int64 {
 		return lossPermilleOf(g.Items)
 	})
 }
 
 // PrivateLossCDF measures the loss-rate CDF (Figure 3b) in permille
 // buckets at privacy level epsilon. Total cost: 2·epsilon (GroupBy).
-func PrivateLossCDF(q *core.Queryable[trace.Packet], epsilon float64, minPackets int, bucketsPermille []int64) ([]float64, error) {
+func PrivateLossCDF(q *core.Queryable[trace.Header], epsilon float64, minPackets int, bucketsPermille []int64) ([]float64, error) {
 	loss := LossPermille(q, minPackets)
 	return toolkit.CDF2(loss, epsilon, func(v int64) int64 { return v }, bucketsPermille)
 }
 
 // ExactLossPermille returns the noise-free per-flow loss rates in
 // permille for flows with more than minPackets packets.
-func ExactLossPermille(packets []trace.Packet, minPackets int) []int64 {
-	flows := make(map[trace.FlowKey][]trace.Packet)
+func ExactLossPermille(packets []trace.Header, minPackets int) []int64 {
+	flows := make(map[trace.FlowKey][]trace.Header)
 	for i := range packets {
 		p := packets[i]
 		if !isDataPacket(&p) {
@@ -141,7 +141,7 @@ type transmissions struct {
 // quantity Figure 1 builds its CDFs over. First transmissions join
 // with their duplicates on (flow, seq); the bounded join pairs each
 // first transmission with one retransmission.
-func RetransmitDelaysMs(q *core.Queryable[trace.Packet]) *core.Queryable[int64] {
+func RetransmitDelaysMs(q *core.Queryable[trace.Header]) *core.Queryable[int64] {
 	data := dataPackets(q)
 	// Keys are almost all distinct (a retransmission is the exception),
 	// and all a sample needs from a (flow, seq) group is its size and its
@@ -152,8 +152,8 @@ func RetransmitDelaysMs(q *core.Queryable[trace.Packet]) *core.Queryable[int64] 
 	// range re-inserts almost all of its keys on one worker, which costs
 	// more than the split saves.
 	groups := core.GroupFold(data,
-		func(p trace.Packet) retxKey { return retxKey{flow: p.Flow(), seq: p.Seq} },
-		func(t transmissions, p trace.Packet) transmissions {
+		func(p trace.Header) retxKey { return retxKey{flow: p.Flow(), seq: p.Seq} },
+		func(t transmissions, p trace.Header) transmissions {
 			if t.n == 0 {
 				t.first, t.second = math.MaxInt64, math.MaxInt64
 			}
@@ -174,14 +174,14 @@ func RetransmitDelaysMs(q *core.Queryable[trace.Packet]) *core.Queryable[int64] 
 
 // PrivateRetransmitCDF measures the retransmission-delay CDF in
 // millisecond buckets. Total cost: 2·epsilon (GroupBy).
-func PrivateRetransmitCDF(q *core.Queryable[trace.Packet], epsilon float64, bucketsMs []int64) ([]float64, error) {
+func PrivateRetransmitCDF(q *core.Queryable[trace.Header], epsilon float64, bucketsMs []int64) ([]float64, error) {
 	delays := RetransmitDelaysMs(q)
 	return toolkit.CDF2(delays, epsilon, func(v int64) int64 { return v }, bucketsMs)
 }
 
 // ExactRetransmitDelaysMs returns the noise-free retransmission
 // delays in milliseconds.
-func ExactRetransmitDelaysMs(packets []trace.Packet) []int64 {
+func ExactRetransmitDelaysMs(packets []trace.Header) []int64 {
 	groups := make(map[retxKey][]int64)
 	for i := range packets {
 		p := packets[i]
@@ -223,7 +223,7 @@ func ExactCDFFromValues(values []int64, buckets []int64) []float64 {
 	return out
 }
 
-func lossPermilleOf(pkts []trace.Packet) int64 {
+func lossPermilleOf(pkts []trace.Header) int64 {
 	distinct := make(map[uint32]struct{}, len(pkts))
 	for i := range pkts {
 		distinct[pkts[i].Seq] = struct{}{}
@@ -232,10 +232,10 @@ func lossPermilleOf(pkts []trace.Packet) int64 {
 	return int64(loss * 1000)
 }
 
-func isDataPacket(p *trace.Packet) bool {
+func isDataPacket(p *trace.Header) bool {
 	return p.Proto == trace.ProtoTCP && !p.Flags.Has(trace.FlagSYN) && p.Len > 40
 }
 
-func dataPackets(q *core.Queryable[trace.Packet]) *core.Queryable[trace.Packet] {
-	return q.Where(func(p trace.Packet) bool { return isDataPacket(&p) })
+func dataPackets(q *core.Queryable[trace.Header]) *core.Queryable[trace.Header] {
+	return q.Where(func(p trace.Header) bool { return isDataPacket(&p) })
 }

@@ -12,7 +12,7 @@ import (
 	"dptrace/internal/tracegen"
 )
 
-func flowTrace(t *testing.T) []trace.Packet {
+func flowTrace(t *testing.T) []trace.Header {
 	t.Helper()
 	cfg := tracegen.DefaultHotspotConfig()
 	cfg.Sessions = 800
@@ -27,7 +27,7 @@ func flowTrace(t *testing.T) []trace.Packet {
 	cfg.DecoyFlows = 0
 	cfg.Duration = 600
 	pkts, _ := tracegen.Hotspot(cfg)
-	return pkts
+	return trace.Headers(pkts)
 }
 
 func TestExactRTTsPlausible(t *testing.T) {
@@ -147,16 +147,16 @@ func TestPrivateRetransmitCDF(t *testing.T) {
 // TestRTTJoinIsBounded: duplicate SYNs cannot multiply matches beyond
 // the bounded join's zip.
 func TestRTTJoinIsBounded(t *testing.T) {
-	mkSyn := func(tm int64) trace.Packet {
-		return trace.Packet{Time: tm, SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80,
+	mkSyn := func(tm int64) trace.Header {
+		return trace.Header{Time: tm, SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80,
 			Proto: trace.ProtoTCP, Flags: trace.FlagSYN, Seq: 100, Len: 40}
 	}
-	mkAck := func(tm int64) trace.Packet {
-		return trace.Packet{Time: tm, SrcIP: 2, DstIP: 1, SrcPort: 80, DstPort: 10,
+	mkAck := func(tm int64) trace.Header {
+		return trace.Header{Time: tm, SrcIP: 2, DstIP: 1, SrcPort: 80, DstPort: 10,
 			Proto: trace.ProtoTCP, Flags: trace.FlagSYN | trace.FlagACK, Seq: 500, Ack: 101, Len: 40}
 	}
 	// 3 identical SYNs (retries) and 1 SYN-ACK: one pair, not three.
-	pkts := []trace.Packet{mkSyn(0), mkSyn(1000), mkSyn(2000), mkAck(5000)}
+	pkts := []trace.Header{mkSyn(0), mkSyn(1000), mkSyn(2000), mkAck(5000)}
 	q, _ := core.NewQueryable(pkts, math.Inf(1), noise.NewSeededSource(17, 18))
 	rtts := RTTMicros(q)
 	c, err := rtts.NoisyCount(100) // tiny noise

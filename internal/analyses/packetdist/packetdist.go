@@ -25,32 +25,31 @@ func PortBuckets(step int64) []int64 {
 	return toolkit.LinearBuckets(0, step, int(65536/step))
 }
 
-// PrivateLengthCDF measures the packet-length CDF at privacy level
-// epsilon (total — CDF2's cost is resolution-independent). q is either
-// handle on the packets.
-func PrivateLengthCDF(q core.Streamer[trace.Packet], epsilon float64, buckets []int64) ([]float64, error) {
-	return toolkit.CDF2(q, epsilon, func(p trace.Packet) int64 { return int64(p.Len) }, buckets)
+// LengthCDF measures the packet-length CDF at privacy level epsilon
+// (total — CDF2's cost is resolution-independent). q is either handle
+// on the packet headers.
+func LengthCDF(q core.Streamer[trace.Header], epsilon float64, buckets []int64) ([]float64, error) {
+	return toolkit.CDF2(q, epsilon, func(p trace.Header) int64 { return int64(p.Len) }, buckets)
 }
 
-// PrivatePortCDF measures the destination-port CDF at privacy level
-// epsilon.
-func PrivatePortCDF(q core.Streamer[trace.Packet], epsilon float64, buckets []int64) ([]float64, error) {
-	return toolkit.CDF2(q, epsilon, func(p trace.Packet) int64 { return int64(p.DstPort) }, buckets)
+// PortCDF measures the destination-port CDF at privacy level epsilon.
+func PortCDF(q core.Streamer[trace.Header], epsilon float64, buckets []int64) ([]float64, error) {
+	return toolkit.CDF2(q, epsilon, func(p trace.Header) int64 { return int64(p.DstPort) }, buckets)
 }
 
-// ExactLengthCDF is the noise-free baseline of PrivateLengthCDF.
-func ExactLengthCDF(packets []trace.Packet, buckets []int64) []float64 {
-	return exactCDF(packets, buckets, func(p trace.Packet) int64 { return int64(p.Len) })
+// ExactLengthCDF is the noise-free baseline of LengthCDF.
+func ExactLengthCDF(packets []trace.Header, buckets []int64) []float64 {
+	return exactCDF(packets, buckets, func(p trace.Header) int64 { return int64(p.Len) })
 }
 
-// ExactPortCDF is the noise-free baseline of PrivatePortCDF.
-func ExactPortCDF(packets []trace.Packet, buckets []int64) []float64 {
-	return exactCDF(packets, buckets, func(p trace.Packet) int64 { return int64(p.DstPort) })
+// ExactPortCDF is the noise-free baseline of PortCDF.
+func ExactPortCDF(packets []trace.Header, buckets []int64) []float64 {
+	return exactCDF(packets, buckets, func(p trace.Header) int64 { return int64(p.DstPort) })
 }
 
 // exactCDF counts each value into its bucket, then accumulates — the
 // same semantics as CDF2 without noise.
-func exactCDF(packets []trace.Packet, buckets []int64, value func(trace.Packet) int64) []float64 {
+func exactCDF(packets []trace.Header, buckets []int64, value func(trace.Header) int64) []float64 {
 	out := make([]float64, len(buckets))
 	freq := make([]float64, len(buckets))
 	b := toolkit.NewBucketer(buckets)

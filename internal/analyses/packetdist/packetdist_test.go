@@ -10,7 +10,7 @@ import (
 	"dptrace/internal/tracegen"
 )
 
-func testTrace(t *testing.T) []trace.Packet {
+func testTrace(t *testing.T) []trace.Header {
 	t.Helper()
 	cfg := tracegen.DefaultHotspotConfig()
 	cfg.Sessions = 500
@@ -25,7 +25,7 @@ func testTrace(t *testing.T) []trace.Packet {
 	cfg.StoneActivations = 100
 	cfg.Duration = 300
 	pkts, _ := tracegen.Hotspot(cfg)
-	return pkts
+	return trace.Headers(pkts)
 }
 
 func TestLengthCDFCloseToExact(t *testing.T) {
@@ -33,7 +33,7 @@ func TestLengthCDFCloseToExact(t *testing.T) {
 	buckets := LengthBuckets(8)
 	exact := ExactLengthCDF(pkts, buckets)
 	q, root := core.NewQueryable(pkts, math.Inf(1), noise.NewSeededSource(1, 2))
-	private, err := PrivateLengthCDF(q, 0.1, buckets)
+	private, err := LengthCDF(q, 0.1, buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPortCDFCloseToExact(t *testing.T) {
 	buckets := PortBuckets(512)
 	exact := ExactPortCDF(pkts, buckets)
 	q, _ := core.NewQueryable(pkts, math.Inf(1), noise.NewSeededSource(3, 4))
-	private, err := PrivatePortCDF(q, 1.0, buckets)
+	private, err := PortCDF(q, 1.0, buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAccuracyImprovesWithEpsilon(t *testing.T) {
 		const runs = 5
 		for r := 0; r < runs; r++ {
 			q, _ := core.NewQueryable(pkts, math.Inf(1), noise.NewSeededSource(uint64(r), 77))
-			private, err := PrivateLengthCDF(q, eps, buckets)
+			private, err := LengthCDF(q, eps, buckets)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestAccuracyImprovesWithEpsilon(t *testing.T) {
 func TestBudgetEnforced(t *testing.T) {
 	pkts := testTrace(t)
 	q, _ := core.NewQueryable(pkts, 0.05, noise.NewSeededSource(1, 1))
-	if _, err := PrivateLengthCDF(q, 0.1, LengthBuckets(8)); err == nil {
+	if _, err := LengthCDF(q, 0.1, LengthBuckets(8)); err == nil {
 		t.Fatal("over-budget CDF accepted")
 	}
 }
@@ -148,14 +148,15 @@ func TestScaleMillionPackets(t *testing.T) {
 	cfg.BackgroundTotal = 100000
 	cfg.StonePairs = 0
 	cfg.DecoyFlows = 0
-	pkts, _ := tracegen.Hotspot(cfg)
+	gen, _ := tracegen.Hotspot(cfg)
+	pkts := trace.Headers(gen)
 	if len(pkts) < 900_000 {
 		t.Fatalf("only %d packets generated", len(pkts))
 	}
 	buckets := LengthBuckets(8)
 	exact := ExactLengthCDF(pkts, buckets)
 	q, _ := core.NewQueryable(pkts, math.Inf(1), noise.NewSeededSource(91, 92))
-	private, err := PrivateLengthCDF(q, 0.1, buckets)
+	private, err := LengthCDF(q, 0.1, buckets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,11 +39,11 @@ func interactiveFlows(truth *tracegen.HotspotTruth) []trace.FlowKey {
 
 func TestExactActivationsRespectIdleGap(t *testing.T) {
 	pkts := []trace.Packet{
-		{Time: 0, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP},
-		{Time: 100_000, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP},   // active: no
-		{Time: 800_000, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP},   // gap 700ms: yes
-		{Time: 900_000, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP},   // no
-		{Time: 2_000_000, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP}, // yes
+		{Header: trace.Header{Time: 0, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP}},
+		{Header: trace.Header{Time: 100_000, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP}},   // active: no
+		{Header: trace.Header{Time: 800_000, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP}},   // gap 700ms: yes
+		{Header: trace.Header{Time: 900_000, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP}},   // no
+		{Header: trace.Header{Time: 2_000_000, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: trace.ProtoTCP}}, // yes
 	}
 	acts := ExactActivations(pkts, DefaultTIdleUs)
 	if len(acts) != 3 {

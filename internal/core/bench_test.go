@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dptrace/internal/noise"
+	"dptrace/internal/trace"
+	"dptrace/internal/tracegen"
 )
 
 // Micro-benchmarks for the engine's operations, sized at 1M records to
@@ -410,5 +412,46 @@ func BenchmarkPartitionAgentApply(b *testing.B) {
 		if err := members[i%64].Apply(0.001); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkHostedLogGC times one forced collection while a 500,000-
+// packet hotspot trace is hosted in a Log: "header" as a server hosts
+// a trace, its packets' headers; "packet" as it hosted whole packets,
+// payload slices and all. A collection scans every pointer-bearing
+// record in the heap, so this is the cost the hosted type adds to every
+// GC cycle of a live server.
+func BenchmarkHostedLogGC(b *testing.B) {
+	const n = 500_000
+	generate := func() []trace.Packet {
+		cfg := tracegen.DefaultHotspotConfig() // ≈ 2.6e5 packets
+		f := 1.3 * n / 2.6e5
+		cfg.Sessions = int(math.Ceil(float64(cfg.Sessions) * f))
+		cfg.BackgroundTotal = int(math.Ceil(float64(cfg.BackgroundTotal) * f))
+		cfg.StoneActivations = int(math.Ceil(float64(cfg.StoneActivations) * f))
+		packets, _ := tracegen.Hotspot(cfg)
+		if len(packets) < n {
+			b.Fatalf("generated %d packets, want %d", len(packets), n)
+		}
+		return packets[:n:n]
+	}
+	for _, c := range []struct {
+		name string
+		host func() any
+	}{
+		{"header", func() any { return NewLog(trace.Headers(generate())) }},
+		{"packet", func() any { return NewLog(generate()) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			hosted := c.host()
+			runtime.GC() // the generator's garbage goes before the clock starts
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+			}
+			b.StopTimer()
+			runtime.KeepAlive(hosted)
+			reportRecords(b, n)
+		})
 	}
 }

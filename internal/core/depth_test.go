@@ -55,7 +55,7 @@ func nest(levels, narrow int, f func()) {
 func offsetMask(x uintptr) uint64 { return 1 << (x % 64) }
 
 func TestScanDepthIndependentOfCaller(t *testing.T) {
-	packets := make([]trace.Packet, 4*chunkSize+3)
+	packets := make([]trace.Header, 4*chunkSize+3)
 	for i := range packets {
 		packets[i].Len = uint16(i)
 	}
@@ -71,7 +71,7 @@ func TestScanDepthIndependentOfCaller(t *testing.T) {
 					callers |= offsetMask(uintptr(unsafe.Pointer(&here)))
 					// Odd lengths are rejected, so both of Where's loops
 					// (the passing prefix and the filtering one) run.
-					if _, err := q.Stream().Where(func(p trace.Packet) bool {
+					if _, err := q.Stream().Where(func(p trace.Header) bool {
 						seen.Or(offsetMask(uintptr(unsafe.Pointer(&p))))
 						return p.Len%2 == 0
 					}).NoisyCount(1); err != nil {

@@ -26,9 +26,9 @@ import "dptrace/internal/noise"
 // buffer. A view inside one segment needs neither and becomes an
 // ordinary slice-backed Queryable.
 
-// logSegment is a Log's segment capacity in records: 2^16 packets are
-// 4 MiB, so a 1.66 M-packet dataset is 26 segments and a snapshot's
-// segment list is a few hundred bytes of headers.
+// logSegment is a Log's segment capacity in records: 2^16 packet
+// headers are 2 MiB, so a 1.66 M-packet dataset is 26 segments and a
+// snapshot's segment list is a few hundred bytes of slice headers.
 const logSegment = 1 << 16
 
 // A segment must be a whole number of chunks, so that a scan from a

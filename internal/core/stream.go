@@ -51,18 +51,19 @@ import (
 // (DESIGN.md §S27).
 //
 // By value, through the stack: analyst functions take records by value,
-// and the compiler hands a record too large for registers (a 64-byte
-// trace.Packet) over by way of a stack temporary — chunk to temporary,
+// and the compiler hands a record it cannot assign to registers (a
+// 32-byte trace.Header has ten fields, one more than amd64 has integer
+// argument registers) over by way of the stack — chunk to temporary,
 // temporary to argument slots, 16 bytes at a time — however the loop is
-// spelled. When the temporary straddles a cache line the reload stalls
-// on store forwarding, and whether it straddles depends on the frame
-// sizes above the loop — this package's scan frames alone, since every
-// scan runs on its worker goroutines (runWorkers). So every per-record
-// loop here and in the sinks indexes its chunk (f(c[j])), and one that
-// reads a record twice copies it to a local first — f(c[j]) … g(c[j])
-// keeps four addresses live across the call and measures slower. The
-// dpserver BenchmarkServed* rows are the shape that shows it; A/B them
-// after touching a scan frame or a loop.
+// spelled. When a 16-byte piece straddles a cache line the reload
+// stalls on store forwarding, and whether it straddles depends on the
+// frame sizes above the loop — this package's scan frames alone, since
+// every scan runs on its worker goroutines (runWorkers). So every
+// per-record loop here and in the sinks indexes its chunk (f(c[j])),
+// and one that reads a record twice copies it to a local first —
+// f(c[j]) … g(c[j]) keeps the piece addresses live across the call and
+// measures slower. The dpserver BenchmarkServed* rows are the shape
+// that shows it; A/B them after touching a scan frame or a loop.
 //
 // Allocation: building a stage allocates a constant handful of small
 // objects; a scan allocates one scratch buffer per stage plus one
@@ -71,11 +72,12 @@ import (
 // chunkSize is the number of source records the loop hands down at a
 // time: large enough that per-chunk costs (one dynamic call per stage,
 // one context poll, one counter update) vanish next to the per-record
-// work, small enough that a stage's scratch buffer of trace records
-// (64-byte packets: 32 KB) stays cache-resident. It is not a
-// small-object allocation: a Packet holds a pointer (its Payload), and
-// a pointerful object of 32 KB takes the runtime's large-object path,
-// which is part of what a query over a thousand-record window pays.
+// work, small enough that a stage's scratch buffer of hosted records
+// (32-byte trace.Headers: 16 KB) stays cache-resident. That buffer is
+// a small, pointer-free object: the allocator takes it from a size
+// class and the collector never scans it. (Chunks of 56-byte
+// trace.Packets, payload pointers and all, are 28 KB objects the
+// collector scans.)
 const chunkSize = 512
 
 // sink consumes a pipeline's output one chunk at a time. A chunk is

@@ -31,10 +31,12 @@ func ingestPackets(n int) []trace.Packet {
 	ps := make([]trace.Packet, n)
 	for i := range ps {
 		ps[i] = trace.Packet{
-			Time:  int64(i) * 1000,
-			SrcIP: trace.MakeIPv4(10, 0, byte(i>>8), byte(i)),
-			DstIP: trace.MakeIPv4(10, 1, 0, 1),
-			Proto: 6, DstPort: 80, Len: 100,
+			Header: trace.Header{
+				Time:  int64(i) * 1000,
+				SrcIP: trace.MakeIPv4(10, 0, byte(i>>8), byte(i)),
+				DstIP: trace.MakeIPv4(10, 1, 0, 1),
+				Proto: 6, DstPort: 80, Len: 100,
+			},
 		}
 	}
 	return ps

@@ -14,9 +14,10 @@ type Filter struct {
 	Proto   *int `json:"proto,omitempty"`
 }
 
-// Match reports whether p passes the filter; a nil filter passes
-// everything.
-func (f *Filter) Match(p *trace.Packet) bool {
+// MatchHeader reports whether the packet with header p passes the
+// filter; a nil filter passes everything. Every field a filter reads is
+// a header field.
+func (f *Filter) MatchHeader(p *trace.Header) bool {
 	if f == nil {
 		return true
 	}

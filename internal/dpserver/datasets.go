@@ -11,13 +11,13 @@ import (
 // name, budget policy and append-only log, in one map.
 
 // dataset is one hosted packet trace: its budget policy, its counters
-// and the append-only log of its records. Ingest appends under s.mu's
-// write lock, never moving a record the log holds; queries take a view
-// of the log once under the read lock and run against that immutable
-// snapshot (see snapshot).
+// and the append-only log of its packets' headers. Ingest appends under
+// s.mu's write lock, never moving a record the log holds; queries take
+// a view of the log once under the read lock and run against that
+// immutable snapshot (see snapshot).
 type dataset struct {
 	policy  *core.AnalystPolicy
-	packets *core.Log[trace.Packet]
+	packets *core.Log[trace.Header]
 	// ingestedBatches counts batches applied via /v1/ingest (guarded by
 	// s.mu like the log).
 	ingestedBatches uint64
@@ -33,11 +33,12 @@ type dataset struct {
 
 // AddPacketTrace registers a copy of a packet trace under name with
 // the given total and per-analyst privacy budgets: the dataset's log
-// holds its own records, so ingest never writes into the caller's
-// slice. It refuses (ErrDatasetExists) if the name is taken:
-// replacement would reset the spent-budget ledger and let analysts
-// re-spend against the same records. It restores the dataset's spends
-// from the ledger or journals its registration.
+// holds its own records — the packets' headers, which are all any
+// served kind reads — so ingest never writes into the caller's slice.
+// It refuses (ErrDatasetExists) if the name is taken: replacement would
+// reset the spent-budget ledger and let analysts re-spend against the
+// same records. It restores the dataset's spends from the ledger or
+// journals its registration.
 func (s *Server) AddPacketTrace(name string, packets []trace.Packet, totalBudget, perAnalystBudget float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -46,7 +47,7 @@ func (s *Server) AddPacketTrace(name string, packets []trace.Packet, totalBudget
 	}
 	d := &dataset{
 		policy:    core.NewAnalystPolicy(totalBudget, perAnalystBudget),
-		packets:   core.NewLog(packets),
+		packets:   core.NewLog(trace.Headers(packets)),
 		watermark: uint64(len(packets)),
 	}
 	if err := s.registerDataset(name, d.policy, totalBudget, perAnalystBudget); err != nil {

@@ -20,16 +20,16 @@ import (
 // parentDistinctSrc is distinctsrc as it ran before it kept each source
 // once: every packet's source formatted and added to the registers.
 // Every other kind runs as served.
-func parentDistinctSrc(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
+func parentDistinctSrc(q *core.Queryable[trace.Header], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
 	if req.Query != "distinctsrc" {
 		return runKind(q, k, req)
 	}
-	var match func(trace.Packet) bool
+	var match func(trace.Header) bool
 	if req.Filter != nil {
-		match = func(p trace.Packet) bool { return req.Filter.Match(&p) }
+		match = func(p trace.Header) bool { return req.Filter.MatchHeader(&p) }
 	}
 	v, err := core.NoisyDistinctSketch(q.Stream().Where(match), req.Epsilon,
-		func(p trace.Packet) string { return p.SrcIP.String() })
+		func(p trace.Header) string { return p.SrcIP.String() })
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +40,7 @@ func parentDistinctSrc(q *core.Queryable[trace.Packet], k *queryKind, req *api.Q
 // executes packet kinds through exec on the given workers. Twins are
 // seeded alike, so equal pipelines draw equal noise.
 func twinServer(t *testing.T, packets []trace.Packet, opts core.ExecOptions,
-	exec func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)) (*Server, *httptest.Server, string) {
+	exec func(*core.Queryable[trace.Header], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)) (*Server, *httptest.Server, string) {
 	t.Helper()
 	dir := t.TempDir()
 	led, err := ledger.Open(ledger.Options{Dir: dir, Logf: t.Logf})
@@ -108,7 +108,7 @@ func TestDistinctSrcMatchesParentPipeline(t *testing.T) {
 		for _, n := range []int{chunk - 1, chunk, chunk + 1} {
 			ps := make([]trace.Packet, n)
 			for i := range ps {
-				ps[i] = trace.Packet{Time: int64(i), SrcIP: src(i), DstIP: 1, DstPort: uint16(80 + 363*(i%3/2)), Proto: 6, Len: 100}
+				ps[i] = trace.Packet{Header: trace.Header{Time: int64(i), SrcIP: src(i), DstIP: 1, DstPort: uint16(80 + 363*(i%3/2)), Proto: 6, Len: 100}}
 			}
 			inputs = append(inputs, input{fmt.Sprintf("%s/n=%d", name, n), ps})
 		}
@@ -208,15 +208,15 @@ func (c *firesAfter) Err() error {
 // charge, left it standing.
 func TestDistinctSrcDeadlineMidPassChargesNothing(t *testing.T) {
 	packets := ingestPkts(4 * 512)
-	midPass := func(run func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)) func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error) {
-		return func(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
+	midPass := func(run func(*core.Queryable[trace.Header], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)) func(*core.Queryable[trace.Header], *queryKind, *api.QueryRequest) (*api.QueryResponse, error) {
+		return func(q *core.Queryable[trace.Header], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
 			// The third Err call is the second chunk's poll.
 			return run(q.WithContext(&firesAfter{Context: context.Background(), n: 3}), k, req)
 		}
 	}
 	for _, tc := range []struct {
 		name    string
-		run     func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)
+		run     func(*core.Queryable[trace.Header], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)
 		charged float64
 	}{
 		{"served", runKind, 0},

@@ -114,7 +114,7 @@ type Server struct {
 
 	// execPacket executes one-shot and standing packet queries of a kind
 	// looked up: runKind, unless a test runs a reference pipeline on a twin.
-	execPacket func(*core.Queryable[trace.Packet], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)
+	execPacket func(*core.Queryable[trace.Header], *queryKind, *api.QueryRequest) (*api.QueryResponse, error)
 
 	// exec is the execution width of every query on every dataset:
 	// GOMAXPROCS workers above core.DefaultParallelThreshold records.
@@ -396,7 +396,7 @@ func (s *Server) watermark(d *dataset) uint64 {
 // sees a frozen dataset for its whole execution — its noise draws and
 // ε-charges are byte-identical to a run against a static dataset with
 // the same contents.
-func snapshot(s *Server, l *core.Log[trace.Packet]) core.LogView[trace.Packet] {
+func snapshot(s *Server, l *core.Log[trace.Header]) core.LogView[trace.Header] {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return l.View()
@@ -514,7 +514,7 @@ func (s *Server) execute(ctx context.Context, endpoint string, explain bool, d *
 
 // open builds a query's Queryable over a snapshot of l, behind agent,
 // recording to rec and bounded by ctx, at the server's execution width.
-func open(s *Server, l *core.Log[trace.Packet], agent core.Agent, rec obs.Recorder, ctx context.Context) *core.Queryable[trace.Packet] {
+func open(s *Server, l *core.Log[trace.Header], agent core.Agent, rec obs.Recorder, ctx context.Context) *core.Queryable[trace.Header] {
 	return core.NewQueryableForView(snapshot(s, l), agent, s.src).
 		WithRecorder(rec).WithExecOptions(s.exec).WithContext(ctx)
 }
@@ -536,7 +536,7 @@ func marshalJSON(v any) []byte {
 // once (Distinct) in front of its registers, and lencdf / portcdf count
 // Partition's parts. rttcdf and losscdf Materialize() once, in front of
 // the Join and GroupBy that need the records.
-func RunPacketQuery(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+func RunPacketQuery(q *core.Queryable[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 	k, err := kindFor(req)
 	if err != nil {
 		return nil, err
@@ -546,10 +546,10 @@ func RunPacketQuery(q *core.Queryable[trace.Packet], req *api.QueryRequest) (*ap
 
 // runKind runs kind k, which req names and which has checked req's
 // parameters, from the request filter as a fused stage over q.
-func runKind(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
-	var match func(trace.Packet) bool // nil without a filter: every packet passes, unread
+func runKind(q *core.Queryable[trace.Header], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
+	var match func(trace.Header) bool // nil without a filter: every packet passes, unread
 	if req.Filter != nil {
-		match = func(p trace.Packet) bool { return req.Filter.Match(&p) }
+		match = func(p trace.Header) bool { return req.Filter.MatchHeader(&p) }
 	}
 	return k.run(q.Stream().Where(match), req)
 }

@@ -293,7 +293,7 @@ func TestServerConcurrentAnalysts(t *testing.T) {
 }
 
 func TestFilterMatching(t *testing.T) {
-	p := trace.Packet{DstPort: 80, SrcPort: 1234, Len: 100, Proto: trace.ProtoTCP}
+	p := trace.Header{DstPort: 80, SrcPort: 1234, Len: 100, Proto: trace.ProtoTCP}
 	intp := func(v int) *int { return &v }
 	cases := []struct {
 		f    *api.Filter
@@ -308,7 +308,7 @@ func TestFilterMatching(t *testing.T) {
 		{&api.Filter{Proto: intp(trace.ProtoUDP)}, false},
 	}
 	for i, c := range cases {
-		if got := c.f.Match(&p); got != c.want {
+		if got := c.f.MatchHeader(&p); got != c.want {
 			t.Errorf("case %d: match = %v, want %v", i, got, c.want)
 		}
 	}
@@ -362,7 +362,7 @@ var errInjected = errors.New("injected execution failure")
 // it charges, with errInjected; other analysts' queries run as served.
 // Call it before the server takes requests.
 func failQueriesBy(s *Server, analyst string) {
-	s.execPacket = func(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
+	s.execPacket = func(q *core.Queryable[trace.Header], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
 		if req.Analyst == analyst {
 			return nil, errInjected
 		}
@@ -449,7 +449,7 @@ func TestAuditChargedPerRequest(t *testing.T) {
 	held, gate := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release() // a failing test must not leave the held request blocking the server's Close
-	s.execPacket = func(q *core.Queryable[trace.Packet], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
+	s.execPacket = func(q *core.Queryable[trace.Header], k *queryKind, req *api.QueryRequest) (*api.QueryResponse, error) {
 		if req.Epsilon == 0.25 {
 			close(held)
 			<-gate

@@ -75,8 +75,8 @@ func (s *Server) ingestTarget(name string) (func(ingest.Decoded) ingestApplied, 
 	}
 	return func(dec ingest.Decoded) ingestApplied {
 		s.mu.Lock()
-		d.packets.Append(dec.Packets)
-		n := len(dec.Packets)
+		d.packets.Append(dec.Headers)
+		n := len(dec.Headers)
 		d.watermark += uint64(n)
 		d.ingestedBatches++
 		applied := ingestApplied{n, int(d.watermark), d.ingestedBatches}

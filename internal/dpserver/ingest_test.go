@@ -3,6 +3,7 @@ package dpserver
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,8 +37,10 @@ func ingestPkts(n int) []trace.Packet {
 	ps := make([]trace.Packet, n)
 	for i := range ps {
 		ps[i] = trace.Packet{
-			Time: int64(i), SrcIP: trace.IPv4(i), DstIP: 1,
-			DstPort: 80, Proto: 6, Len: 100,
+			Header: trace.Header{
+				Time: int64(i), SrcIP: trace.IPv4(i), DstIP: 1,
+				DstPort: 80, Proto: 6, Len: 100,
+			},
 		}
 	}
 	return ps
@@ -632,6 +635,51 @@ func TestIngestMediaTypeCaseInsensitive(t *testing.T) {
 	} {
 		if resp, out := postIngestAs(t, url, c.contentType, c.body); resp.StatusCode != c.status {
 			t.Errorf("Content-Type %q: %d %s, want %d", c.contentType, resp.StatusCode, out, c.status)
+		}
+	}
+}
+
+// TestIngestValidatesPayloads: the server keeps only packet headers,
+// but a batch is decoded whole first, so a payload the wire format
+// refuses still refuses the batch — with the decoder's own message, and
+// appending nothing: bad base64 on an NDJSON line, and on DPTR a
+// payload length over the per-packet limit or a payload cut short.
+func TestIngestValidatesPayloads(t *testing.T) {
+	withPayload := ingestPkts(2)
+	withPayload[1].Payload = []byte("0123456789")
+	dptr := trace.MarshalPacketsDPTR(withPayload)
+	// A packet whose varint length says 65,537 payload bytes: one over
+	// the limit, refused before any payload byte is read.
+	oversized := trace.MarshalPacketsDPTR(ingestPkts(1))
+	oversized = append(oversized[:len(oversized)-1], binary.AppendUvarint(nil, 1<<16+1)...)
+	for _, c := range []struct {
+		name, contentType string
+		body              []byte
+		message           string
+	}{
+		{"ndjson bad base64", api.ContentTypeNDJSON,
+			[]byte(`{"time":1,"srcIP":"10.0.0.1","dstIP":"10.0.0.2","len":60,"payload":"!!!!"}` + "\n"),
+			"bad batch: trace: ndjson line 1: illegal base64 data at input byte 0"},
+		{"dptr payload over the limit", api.ContentTypeDPTR, oversized,
+			"bad batch: trace: packet 0 payload length 65537 exceeds limit"},
+		{"dptr payload cut short", api.ContentTypeDPTR, dptr[:len(dptr)-3],
+			"bad batch: trace: packet 1 payload: unexpected EOF"},
+	} {
+		s, ts := ingestTestServer(t, ingestPkts(5), ingest.Limits{})
+		resp, out := postIngestAs(t, ts.URL+"/v1/ingest/live", c.contentType, c.body)
+		var e apiError
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil || e.Code != codeBadRequest {
+			t.Errorf("%s: got %d %s, want a 400 bad_request", c.name, resp.StatusCode, out)
+			continue
+		}
+		if e.Message != c.message {
+			t.Errorf("%s: refusal %q, want %q", c.name, e.Message, c.message)
+		}
+		s.mu.RLock()
+		records := s.datasets["live"].packets.Len()
+		s.mu.RUnlock()
+		if st := s.IngestStats(); records != 5 || st.FailedBatches != 1 || st.AppliedBatches != 0 {
+			t.Errorf("%s: %d records hosted (want the 5 registered), stats %+v", c.name, records, st)
 		}
 	}
 }

@@ -30,51 +30,51 @@ type queryKind struct {
 	// run executes the kind over one query's packets, already through
 	// the request filter, and returns the success body, which the
 	// envelope completes with the analyst's budget.
-	run func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error)
+	run func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error)
 }
 
 var queryKinds = []queryKind{
 	{name: "count", description: "noisy packet count",
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 			v, err := packets.NoisyCount(req.Epsilon)
 			return value(v, err, noise.LaplaceStd(req.Epsilon))
 		}},
 	{name: "hosts", description: "noisy count of sources sending more than minBytes (paper §2.3)",
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 			minBytes := orDefault(req.MinBytes, 1024)
 			bytesBySource := core.GroupFold(packets,
-				func(p trace.Packet) trace.IPv4 { return p.SrcIP },
-				func(total int, p trace.Packet) int { return total + int(p.Len) },
+				func(p trace.Header) trace.IPv4 { return p.SrcIP },
+				func(total int, p trace.Header) int { return total + int(p.Len) },
 				func(a, b int) int { return a + b })
 			heavy := bytesBySource.Stream().Where(func(g core.Folded[trace.IPv4, int]) bool { return g.Value > minBytes })
 			v, err := heavy.NoisyCount(req.Epsilon)
 			return value(v, err, 2*noise.LaplaceStd(req.Epsilon)) // GroupBy doubles the sensitivity
 		}},
 	{name: "lencdf", description: "packet-length CDF", widestStep: 1520,
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 			buckets := packetdist.LengthBuckets(orDefault(req.BucketStep, 16))
-			values, err := packetdist.PrivateLengthCDF(packets, req.Epsilon, buckets)
+			values, err := packetdist.LengthCDF(packets, req.Epsilon, buckets)
 			return cdf(buckets, values, err, req.Epsilon)
 		}},
 	{name: "portcdf", description: "destination-port CDF", widestStep: 65536,
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 			buckets := packetdist.PortBuckets(orDefault(req.BucketStep, 1024))
-			values, err := packetdist.PrivatePortCDF(packets, req.Epsilon, buckets)
+			values, err := packetdist.PortCDF(packets, req.Epsilon, buckets)
 			return cdf(buckets, values, err, req.Epsilon)
 		}},
 	{name: "medianlen", description: "noisy median packet length",
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 			v, err := core.NoisyMedian(packets, req.Epsilon, packetLen)
 			return value(v, err, 0) // exponential mechanism: no additive noise scale
 		}},
 	{name: "rttcdf", description: "handshake-RTT CDF", widestStep: math.MaxInt64 / 64,
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 			buckets := toolkit.LinearBuckets(0, orDefault(req.BucketStep, 10), 64) // ms
 			values, err := flowstats.PrivateRTTCDF(packets.Materialize(), req.Epsilon, buckets)
 			return cdf(buckets, values, err, req.Epsilon)
 		}},
 	{name: "losscdf", description: "per-flow retransmission-rate CDF", widestStep: math.MaxInt64 / 41,
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 			buckets := toolkit.LinearBuckets(0, orDefault(req.BucketStep, 25), 41) // permille
 			values, err := flowstats.PrivateLossCDF(packets.Materialize(), req.Epsilon, 10, buckets)
 			return cdf(buckets, values, err, req.Epsilon)
@@ -89,7 +89,7 @@ var queryKinds = []queryKind{
 			}
 			return nil
 		},
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 			fraction := req.Fraction
 			if fraction == 0 {
 				fraction = 0.5
@@ -104,15 +104,15 @@ var queryKinds = []queryKind{
 			}
 			return nil
 		},
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
-			v, err := core.NoisyFrequency(packets, req.Epsilon, func(p trace.Packet) string { return p.SrcIP.String() }, req.Key)
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
+			v, err := core.NoisyFrequency(packets, req.Epsilon, func(p trace.Header) string { return p.SrcIP.String() }, req.Key)
 			return value(v, err, noise.LaplaceStd(req.Epsilon))
 		}},
 	{name: "distinctsrc", description: "distinct sources from HLL-style registers, each source added once",
-		run: func(packets core.Stream[trace.Packet], req *api.QueryRequest) (*api.QueryResponse, error) {
+		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 			// Each source once, then the registers: an add is a register max,
 			// so a source's later packets would change nothing (DESIGN §S32).
-			srcIP := func(p trace.Packet) trace.IPv4 { return p.SrcIP }
+			srcIP := func(p trace.Header) trace.IPv4 { return p.SrcIP }
 			sources := core.Distinct(core.StreamSelect(packets, srcIP), func(ip trace.IPv4) trace.IPv4 { return ip })
 			v, err := core.NoisyDistinctSketch(sources, req.Epsilon, trace.IPv4.String)
 			return value(v, err, noise.LaplaceStd(req.Epsilon))
@@ -181,7 +181,7 @@ func cdf(buckets []int64, values []float64, err error, epsilon float64) (*api.Qu
 
 // packetLen is a packet's length, the value medianlen and lenquantile
 // rank.
-func packetLen(p trace.Packet) float64 { return float64(p.Len) }
+func packetLen(p trace.Header) float64 { return float64(p.Len) }
 
 // orDefault is v, or def when the request left the field unset.
 func orDefault[N int | int64](v, def N) N {

@@ -168,8 +168,8 @@ func adversarialPacket(t *testing.T, packets []trace.Packet) trace.Packet {
 		length--
 	}
 	last := packets[len(packets)-1]
-	return trace.Packet{Time: last.Time + 1, SrcIP: src, DstIP: last.DstIP,
-		SrcPort: 40000, DstPort: 80, Proto: trace.ProtoTCP, Len: length}
+	return trace.Packet{Header: trace.Header{Time: last.Time + 1, SrcIP: src, DstIP: last.DstIP,
+		SrcPort: 40000, DstPort: 80, Proto: trace.ProtoTCP, Len: length}}
 }
 
 // neighbourServer hosts packets with unlimited budgets and the noise

@@ -20,8 +20,8 @@ import (
 	"dptrace/internal/tracegen"
 )
 
-func packetQueryable(n int) *core.Queryable[trace.Packet] {
-	q, _ := core.NewQueryable(ingestPkts(n), math.Inf(1), noise.NewSeededSource(3, 4))
+func packetQueryable(n int) *core.Queryable[trace.Header] {
+	q, _ := core.NewQueryable(trace.Headers(ingestPkts(n)), math.Inf(1), noise.NewSeededSource(3, 4))
 	return q
 }
 
@@ -100,7 +100,7 @@ func TestCountPipelineAllocatesO1(t *testing.T) {
 // ≈ 137 and ≈ 420 bytes per packet.)
 func TestKeyedKindsCopyNoRecord(t *testing.T) {
 	const n = 1 << 16
-	packets := ingestPkts(n)
+	packets := trace.Headers(ingestPkts(n))
 	for i := range packets {
 		packets[i].SrcIP = trace.IPv4(i % 64)
 	}

@@ -26,7 +26,7 @@ import (
 func restartTrace() []trace.Packet {
 	pkts := make([]trace.Packet, 64)
 	for i := range pkts {
-		pkts[i] = trace.Packet{SrcIP: trace.IPv4(i), DstIP: 1, DstPort: 80, Proto: 6, Len: 100}
+		pkts[i] = trace.Packet{Header: trace.Header{SrcIP: trace.IPv4(i), DstIP: 1, DstPort: 80, Proto: 6, Len: 100}}
 	}
 	return pkts
 }

@@ -71,7 +71,7 @@ func TestSharedDerivationMatchesPerCurve(t *testing.T) {
 			}},
 		}
 		for _, c := range curves {
-			want, err := c.cdf(flowstats.RetransmitDelaysMs(fresh(h.packets, seed, c.stream)))
+			want, err := c.cdf(flowstats.RetransmitDelaysMs(fresh(h.headers, seed, c.stream)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,12 +82,12 @@ func TestSharedDerivationMatchesPerCurve(t *testing.T) {
 	t.Run("fig3", func(t *testing.T) {
 		res := RunFig3(seed)
 		for i, eps := range Epsilons {
-			want, err := flowstats.PrivateRTTCDF(fresh(h.packets, seed, uint64(80+i)), eps, res.RTTBucketsMs)
+			want, err := flowstats.PrivateRTTCDF(fresh(h.headers, seed, uint64(80+i)), eps, res.RTTBucketsMs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameFloats(t, fmt.Sprintf("rtt eps=%g", eps), res.RTTCurves[i].Values, want)
-			want, err = flowstats.PrivateLossCDF(fresh(h.packets, seed, uint64(90+i)), eps, lossMinPackets, res.LossBuckets)
+			want, err = flowstats.PrivateLossCDF(fresh(h.headers, seed, uint64(90+i)), eps, lossMinPackets, res.LossBuckets)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestSharedDerivationMatchesPerCurve(t *testing.T) {
 // an unset source, so noise drawn before a curve picks its stream fails
 // loudly instead of shifting that curve's draws.
 func TestCurveSourceRefusesDerivationNoise(t *testing.T) {
-	q, curve := curveQueryable([]trace.Packet{{Len: 1}})
+	q, curve := curveQueryable([]trace.Packet{{Header: trace.Header{Len: 1}}})
 	if _, err := q.NoisyCount(1); !errors.Is(err, core.ErrInternal) {
 		t.Fatalf("a count on an unset curveSource: err %v, want core.ErrInternal", err)
 	}

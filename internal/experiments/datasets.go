@@ -22,11 +22,19 @@ import (
 // Epsilons are the paper's three privacy levels: strong, medium, weak.
 var Epsilons = []float64{0.1, 1.0, 10.0}
 
-// hotspotData bundles the Hotspot trace with its ground truth.
+// hotspotData bundles the Hotspot trace with its ground truth. The
+// analyses that read no payload take its headers, converted once.
 type hotspotData struct {
 	cfg     tracegen.HotspotConfig
 	packets []trace.Packet
+	headers []trace.Header
 	truth   *tracegen.HotspotTruth
+}
+
+// newHotspotData generates the Hotspot trace of cfg.
+func newHotspotData(cfg tracegen.HotspotConfig) *hotspotData {
+	packets, truth := tracegen.Hotspot(cfg)
+	return &hotspotData{cfg: cfg, packets: packets, headers: trace.Headers(packets), truth: truth}
 }
 
 var (
@@ -38,9 +46,7 @@ var (
 // (~3·10⁵ packets with all planted features).
 func hotspot() *hotspotData {
 	hotspotOnce.Do(func() {
-		cfg := tracegen.DefaultHotspotConfig()
-		packets, truth := tracegen.Hotspot(cfg)
-		hotspotD = &hotspotData{cfg: cfg, packets: packets, truth: truth}
+		hotspotD = newHotspotData(tracegen.DefaultHotspotConfig())
 	})
 	return hotspotD
 }
@@ -69,8 +75,7 @@ func hotspotSparse() *hotspotData {
 		cfg.DecoyFlows = 20
 		cfg.StoneActivations = 60
 		cfg.Duration = 600
-		packets, truth := tracegen.Hotspot(cfg)
-		sparseD = &hotspotData{cfg: cfg, packets: packets, truth: truth}
+		sparseD = newHotspotData(cfg)
 	})
 	return sparseD
 }

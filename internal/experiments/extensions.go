@@ -108,17 +108,17 @@ type ConnectionsResult struct {
 func RunConnections(seed uint64, epsilon float64) *ConnectionsResult {
 	h := hotspot()
 	hasSYN := make(map[trace.FlowKey]bool)
-	for i := range h.packets {
-		if h.packets[i].IsSYN() {
-			f := h.packets[i].Flow()
+	for i := range h.headers {
+		if h.headers[i].IsSYN() {
+			f := h.headers[i].Flow()
 			hasSYN[f] = true
 			hasSYN[f.Reverse()] = true
 		}
 	}
-	sessionPackets := make([]trace.Packet, 0, len(h.packets))
-	for i := range h.packets {
-		if hasSYN[h.packets[i].Flow()] {
-			sessionPackets = append(sessionPackets, h.packets[i])
+	sessionPackets := make([]trace.Header, 0, len(h.headers))
+	for i := range h.headers {
+		if hasSYN[h.headers[i].Flow()] {
+			sessionPackets = append(sessionPackets, h.headers[i])
 		}
 	}
 	tagged := flowstats.WithConnectionIDs(sessionPackets)

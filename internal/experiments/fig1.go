@@ -33,7 +33,7 @@ type Fig1Result struct {
 func RunFig1(seed uint64, totalEpsilon float64) *Fig1Result {
 	h := hotspot()
 	buckets := toolkit.LinearBuckets(0, 1, 256)
-	exact := flowstats.ExactCDFFromValues(flowstats.ExactRetransmitDelaysMs(h.packets), buckets)
+	exact := flowstats.ExactCDFFromValues(flowstats.ExactRetransmitDelaysMs(h.headers), buckets)
 
 	res := &Fig1Result{TotalEpsilon: totalEpsilon, BucketsMs: buckets, Exact: exact}
 	nb := float64(len(buckets))
@@ -43,7 +43,7 @@ func RunFig1(seed uint64, totalEpsilon float64) *Fig1Result {
 	// stream; each estimator's per-measurement ε is scaled so the TOTAL
 	// cost (through the GroupBy ×2 of the retransmit derivation)
 	// matches.
-	q, curve := curveQueryable(h.packets)
+	q, curve := curveQueryable(h.headers)
 	delays := flowstats.RetransmitDelaysMs(q)
 	run := func(stream uint64, f func() ([]float64, error)) []float64 {
 		curve.use(seed, stream)

@@ -41,20 +41,20 @@ func RunFig2(seed uint64) *Fig2Result {
 		LengthBuckets: packetdist.LengthBuckets(8),
 		PortBuckets:   packetdist.PortBuckets(256),
 	}
-	res.LengthExact = packetdist.ExactLengthCDF(h.packets, res.LengthBuckets)
-	res.PortExact = packetdist.ExactPortCDF(h.packets, res.PortBuckets)
+	res.LengthExact = packetdist.ExactLengthCDF(h.headers, res.LengthBuckets)
+	res.PortExact = packetdist.ExactPortCDF(h.headers, res.PortBuckets)
 
 	for i, eps := range Epsilons {
-		q, _ := core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, uint64(20+i)))
-		values, err := packetdist.PrivateLengthCDF(q, eps, res.LengthBuckets)
+		q, _ := core.NewQueryable(h.headers, math.Inf(1), noise.NewSeededSource(seed, uint64(20+i)))
+		values, err := packetdist.LengthCDF(q, eps, res.LengthBuckets)
 		if err != nil {
 			panic(err)
 		}
 		rmse, _ := packetdist.RMSE(values, res.LengthExact)
 		res.LengthCurves = append(res.LengthCurves, Fig2Curve{Epsilon: eps, Values: values, RMSE: rmse})
 
-		q, _ = core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, uint64(30+i)))
-		values, err = packetdist.PrivatePortCDF(q, eps, res.PortBuckets)
+		q, _ = core.NewQueryable(h.headers, math.Inf(1), noise.NewSeededSource(seed, uint64(30+i)))
+		values, err = packetdist.PortCDF(q, eps, res.PortBuckets)
 		if err != nil {
 			panic(err)
 		}
@@ -63,10 +63,10 @@ func RunFig2(seed uint64) *Fig2Result {
 	}
 
 	// Paper's robustness probe: a tenth of the data at ε=0.1.
-	tenth := h.packets[:len(h.packets)/10]
+	tenth := h.headers[:len(h.headers)/10]
 	tenthExact := packetdist.ExactLengthCDF(tenth, res.LengthBuckets)
 	q, _ := core.NewQueryable(tenth, math.Inf(1), noise.NewSeededSource(seed, 40))
-	values, err := packetdist.PrivateLengthCDF(q, 0.1, res.LengthBuckets)
+	values, err := packetdist.LengthCDF(q, 0.1, res.LengthBuckets)
 	if err != nil {
 		panic(err)
 	}

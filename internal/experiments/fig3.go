@@ -32,16 +32,16 @@ func RunFig3(seed uint64) *Fig3Result {
 		LossBuckets:  toolkit.LinearBuckets(0, 25, 41), // permille to 1025
 	}
 	rttMs := make([]int64, 0)
-	for _, us := range flowstats.ExactRTTs(h.packets) {
+	for _, us := range flowstats.ExactRTTs(h.headers) {
 		rttMs = append(rttMs, us/1000)
 	}
 	res.RTTExact = flowstats.ExactCDFFromValues(rttMs, res.RTTBucketsMs)
 	res.LossExact = flowstats.ExactCDFFromValues(
-		flowstats.ExactLossPermille(h.packets, lossMinPackets), res.LossBuckets)
+		flowstats.ExactLossPermille(h.headers, lossMinPackets), res.LossBuckets)
 
 	// Each curve measures the two derived datasets on its own noise
 	// stream; the Join and the GroupBy run once for all three ε.
-	q, curve := curveQueryable(h.packets)
+	q, curve := curveQueryable(h.headers)
 	rtts := flowstats.RTTMicros(q)
 	loss := flowstats.LossPermille(q, lossMinPackets)
 	for i, eps := range Epsilons {

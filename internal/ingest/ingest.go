@@ -56,7 +56,8 @@ var ErrTooLarge = errors.New("ingest: batch exceeds size limit")
 // hosted dataset is a packet trace.
 type Kind uint8
 
-// KindPacket is a batch of trace.Packet records.
+// KindPacket is a batch of packet records, decoded as trace.Packet
+// and kept as trace.Header.
 const KindPacket Kind = 1
 
 // Content types Decode understands (mirrored in internal/dpserver/api).
@@ -92,14 +93,17 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// Decoded is one batch after decoding.
+// Decoded is one batch after decoding: the headers of its packets.
+// Decoding reads and checks every payload as the wire format defines
+// it; a hosted dataset keeps only the headers, which is all any served
+// query reads.
 type Decoded struct {
-	Packets []trace.Packet
+	Headers []trace.Header
 }
 
 // Records is the batch's record count.
 func (d Decoded) Records() int {
-	return len(d.Packets)
+	return len(d.Headers)
 }
 
 // Job is one admitted batch travelling the pipeline.
@@ -282,22 +286,26 @@ func (p *Pipeline) Stats() Stats {
 
 // Decode turns one batch body into typed records. Exposed so tests
 // and offline tools can reuse the exact wire decoding the pipeline
-// applies.
+// applies. The packets go through the wire format's one parser, payload
+// checks included, and only their headers are kept.
 func Decode(kind Kind, contentType string, data []byte) (Decoded, error) {
 	if kind != KindPacket {
 		return Decoded{}, fmt.Errorf("ingest: unknown kind %d", kind)
 	}
-	var d Decoded
+	var packets []trace.Packet
 	var err error
 	switch contentType {
 	case ContentTypeNDJSON:
-		d.Packets, err = trace.ParsePacketsNDJSON(data)
+		packets, err = trace.ParsePacketsNDJSON(data)
 	case ContentTypeDPTR:
-		d.Packets, err = trace.ParsePacketsDPTR(data)
+		packets, err = trace.ParsePacketsDPTR(data)
 	default:
 		return Decoded{}, fmt.Errorf("ingest: unsupported content type %q", contentType)
 	}
-	return d, err
+	if err != nil {
+		return Decoded{}, err
+	}
+	return Decoded{Headers: trace.Headers(packets)}, nil
 }
 
 // atomicMax raises *a to v if v is larger.

@@ -15,10 +15,12 @@ func testPackets(n int) []trace.Packet {
 	ps := make([]trace.Packet, n)
 	for i := range ps {
 		ps[i] = trace.Packet{
-			Time:  int64(i) * 1000,
-			SrcIP: trace.MakeIPv4(10, 0, byte(i>>8), byte(i)),
-			DstIP: trace.MakeIPv4(10, 1, 0, 1),
-			Proto: 6, Len: 100,
+			Header: trace.Header{
+				Time:  int64(i) * 1000,
+				SrcIP: trace.MakeIPv4(10, 0, byte(i>>8), byte(i)),
+				DstIP: trace.MakeIPv4(10, 1, 0, 1),
+				Proto: 6, Len: 100,
+			},
 		}
 	}
 	return ps
@@ -29,7 +31,7 @@ func TestPipelineAppliesBatches(t *testing.T) {
 	defer p.Close()
 
 	var mu sync.Mutex
-	var store []trace.Packet
+	var store []trace.Header
 
 	body := trace.MarshalPacketsNDJSON(testPackets(50))
 	size := int64(len(body))
@@ -40,7 +42,7 @@ func TestPipelineAppliesBatches(t *testing.T) {
 		Kind: KindPacket, ContentType: ContentTypeNDJSON, Data: body,
 		Apply: func(d Decoded) error {
 			mu.Lock()
-			store = append(store, d.Packets...)
+			store = append(store, d.Headers...)
 			mu.Unlock()
 			return nil
 		},
@@ -76,7 +78,7 @@ func TestPipelineDPTRDecode(t *testing.T) {
 	var got int
 	n, err := p.Submit(&Job{
 		Kind: KindPacket, ContentType: ContentTypeDPTR, Data: body,
-		Apply: func(d Decoded) error { got = len(d.Packets); return nil },
+		Apply: func(d Decoded) error { got = len(d.Headers); return nil },
 	}, size)
 	if err != nil || n != 7 || got != 7 {
 		t.Fatalf("n=%d got=%d err=%v", n, got, err)
@@ -203,7 +205,7 @@ func TestPipelineBoundedUnderFlood(t *testing.T) {
 				n, err := p.Submit(&Job{
 					Kind: KindPacket, ContentType: ContentTypeNDJSON, Data: body,
 					Apply: func(d Decoded) error {
-						applied.Add(int64(len(d.Packets)))
+						applied.Add(int64(len(d.Headers)))
 						return nil
 					},
 				}, size)
@@ -291,7 +293,7 @@ func TestCloseDuringSubmits(t *testing.T) {
 						if closed.Load() {
 							t.Error("Apply ran after Close returned")
 						}
-						applied.Add(int64(len(d.Packets)))
+						applied.Add(int64(len(d.Headers)))
 						return nil
 					},
 				}, size)

@@ -17,7 +17,7 @@ import (
 func dptrPackets() []Packet {
 	ps := samplePackets()
 	for _, n := range []int{1, 127, 128, 300, maxPayload} {
-		ps = append(ps, Packet{Time: int64(n), SrcIP: 1, DstIP: 2, Len: uint16(n), Payload: bytes.Repeat([]byte{byte(n)}, n)})
+		ps = append(ps, Packet{Header: Header{Time: int64(n), SrcIP: 1, DstIP: 2, Len: uint16(n)}, Payload: bytes.Repeat([]byte{byte(n)}, n)})
 	}
 	return ps
 }

@@ -209,7 +209,7 @@ func decodePackets(w *window) ([]Packet, error) {
 			return nil, fmt.Errorf("trace: packet %d payload: %w", i, w.short())
 		}
 		b = w.buf[w.off : w.off+size]
-		p := Packet{
+		p := Packet{Header: Header{
 			Time:    int64(binary.LittleEndian.Uint64(b[0:8])),
 			SrcIP:   IPv4(binary.LittleEndian.Uint32(b[8:12])),
 			DstIP:   IPv4(binary.LittleEndian.Uint32(b[12:16])),
@@ -220,7 +220,7 @@ func decodePackets(w *window) ([]Packet, error) {
 			Seq:     binary.LittleEndian.Uint32(b[22:26]),
 			Ack:     binary.LittleEndian.Uint32(b[26:30]),
 			Len:     binary.LittleEndian.Uint16(b[30:32]),
-		}
+		}}
 		if plen > 0 {
 			p.Payload = w.carve(b[packetFixed+n:])
 		}

@@ -19,9 +19,8 @@ func FuzzReadPackets(f *testing.F) {
 	// Seed with a valid trace and a few corruptions of it.
 	var buf bytes.Buffer
 	if err := WritePackets(&buf, []Packet{
-		{Time: 1, SrcIP: 2, DstIP: 3, SrcPort: 4, DstPort: 5,
-			Proto: ProtoTCP, Flags: FlagSYN, Seq: 6, Ack: 7, Len: 40,
-			Payload: []byte("hello")},
+		{Header: Header{Time: 1, SrcIP: 2, DstIP: 3, SrcPort: 4, DstPort: 5,
+			Proto: ProtoTCP, Flags: FlagSYN, Seq: 6, Ack: 7, Len: 40}, Payload: []byte("hello")},
 	}); err != nil {
 		f.Fatal(err)
 	}
@@ -63,13 +62,13 @@ func FuzzReadPackets(f *testing.F) {
 // offset the refusal names decodes to the reader's records.
 func FuzzDecodeDPTR(f *testing.F) {
 	packets := MarshalPacketsDPTR([]Packet{
-		{Time: 1, SrcIP: 2, DstIP: 3, Proto: ProtoTCP, Len: 40, Payload: []byte("hello")},
-		{Time: -1, Payload: bytes.Repeat([]byte{7}, 200)},
-		{Seq: 9},
+		{Header: Header{Time: 1, SrcIP: 2, DstIP: 3, Proto: ProtoTCP, Len: 40}, Payload: []byte("hello")},
+		{Header: Header{Time: -1}, Payload: bytes.Repeat([]byte{7}, 200)},
+		{Header: Header{Seq: 9}},
 	})
 	empty := MarshalPacketsDPTR(nil)
 	// Payload lengths across the one- to two-byte varint boundary.
-	boundary := MarshalPacketsDPTR([]Packet{{Payload: bytes.Repeat([]byte{1}, 127)}, {Len: 9, Payload: bytes.Repeat([]byte{2}, 128)}})
+	boundary := MarshalPacketsDPTR([]Packet{{Payload: bytes.Repeat([]byte{1}, 127)}, {Header: Header{Len: 9}, Payload: bytes.Repeat([]byte{2}, 128)}})
 	for _, body := range [][]byte{packets, empty, boundary} {
 		f.Add(uint8(0), body)
 		f.Add(uint8(3), body[:len(body)-3])
@@ -189,8 +188,8 @@ func refPacket(pj *PacketJSON) (Packet, string, error) {
 	if err != nil {
 		return Packet{}, " dstIP:", err
 	}
-	return Packet{Time: pj.Time, SrcIP: src, DstIP: dst, SrcPort: pj.SrcPort, DstPort: pj.DstPort, Proto: pj.Proto,
-		Flags: TCPFlags(pj.Flags), Seq: pj.Seq, Ack: pj.Ack, Len: pj.Len, Payload: pj.Payload}, "", nil
+	return Packet{Header: Header{Time: pj.Time, SrcIP: src, DstIP: dst, SrcPort: pj.SrcPort, DstPort: pj.DstPort, Proto: pj.Proto,
+		Flags: TCPFlags(pj.Flags), Seq: pj.Seq, Ack: pj.Ack, Len: pj.Len}, Payload: pj.Payload}, "", nil
 }
 
 // agree fails unless the parser under test and the reference accept

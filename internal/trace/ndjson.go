@@ -489,12 +489,12 @@ func slowPacket(line int, raw []byte) (Packet, error) {
 	if err != nil {
 		return Packet{}, fmt.Errorf("trace: ndjson line %d dstIP: %w", line, err)
 	}
-	return Packet{
+	return Packet{Header: Header{
 		Time: pj.Time, SrcIP: src, DstIP: dst,
 		SrcPort: pj.SrcPort, DstPort: pj.DstPort,
 		Proto: pj.Proto, Flags: TCPFlags(pj.Flags),
-		Seq: pj.Seq, Ack: pj.Ack, Len: pj.Len, Payload: pj.Payload,
-	}, nil
+		Seq: pj.Seq, Ack: pj.Ack, Len: pj.Len,
+	}, Payload: pj.Payload}, nil
 }
 
 // The append encoder writes exactly the bytes json.Marshal produces

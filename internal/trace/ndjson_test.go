@@ -12,11 +12,11 @@ import (
 
 func TestPacketsNDJSONRoundTrip(t *testing.T) {
 	in := []Packet{
-		{Time: 1000, SrcIP: MakeIPv4(10, 0, 0, 1), DstIP: MakeIPv4(10, 0, 0, 2),
+		{Header: Header{Time: 1000, SrcIP: MakeIPv4(10, 0, 0, 1), DstIP: MakeIPv4(10, 0, 0, 2),
 			SrcPort: 443, DstPort: 51000, Proto: 6, Flags: FlagSYN | FlagACK,
-			Seq: 7, Ack: 9, Len: 1200, Payload: []byte("hello")},
-		{Time: 2000, SrcIP: MakeIPv4(192, 168, 1, 5), DstIP: MakeIPv4(8, 8, 8, 8),
-			Proto: 17, Len: 64},
+			Seq: 7, Ack: 9, Len: 1200}, Payload: []byte("hello")},
+		{Header: Header{Time: 2000, SrcIP: MakeIPv4(192, 168, 1, 5), DstIP: MakeIPv4(8, 8, 8, 8),
+			Proto: 17, Len: 64}},
 	}
 	data := MarshalPacketsNDJSON(in)
 	if got := strings.Count(string(data), "\n"); got != len(in) {
@@ -139,14 +139,13 @@ func assertFast[T any](t *testing.T, sh *shape[T], data []byte, want []T) {
 
 func TestMarshalledLinesTakeFastPath(t *testing.T) {
 	packets := []Packet{
-		{SrcIP: 0, DstIP: 0}, // every omitempty field absent
-		{Time: 1000, SrcIP: MakeIPv4(10, 0, 0, 1), DstIP: MakeIPv4(10, 0, 0, 2), SrcPort: 443, DstPort: 51000,
-			Proto: ProtoTCP, Flags: FlagSYN | FlagACK, Seq: 7, Ack: 9, Len: 1200, Payload: []byte("hello")},
-		{Time: 2000, SrcIP: MakeIPv4(192, 168, 1, 5), DstIP: MakeIPv4(8, 8, 8, 8), Proto: ProtoUDP, Len: 64},
-		{Time: math.MinInt64, SrcIP: math.MaxUint32, DstIP: math.MaxUint32, SrcPort: math.MaxUint16, DstPort: math.MaxUint16,
-			Proto: math.MaxUint8, Flags: math.MaxUint8, Seq: math.MaxUint32, Ack: math.MaxUint32, Len: math.MaxUint16,
-			Payload: []byte{0xfb, 0xff, 0xfe, 0x00}}, // base64 "+//+AA=="
-		{Time: math.MaxInt64, SrcIP: MakeIPv4(1, 20, 255, 0), DstIP: 1, Payload: []byte{0}},
+		{Header: Header{SrcIP: 0, DstIP: 0}}, // every omitempty field absent
+		{Header: Header{Time: 1000, SrcIP: MakeIPv4(10, 0, 0, 1), DstIP: MakeIPv4(10, 0, 0, 2), SrcPort: 443, DstPort: 51000,
+			Proto: ProtoTCP, Flags: FlagSYN | FlagACK, Seq: 7, Ack: 9, Len: 1200}, Payload: []byte("hello")},
+		{Header: Header{Time: 2000, SrcIP: MakeIPv4(192, 168, 1, 5), DstIP: MakeIPv4(8, 8, 8, 8), Proto: ProtoUDP, Len: 64}},
+		{Header: Header{Time: math.MinInt64, SrcIP: math.MaxUint32, DstIP: math.MaxUint32, SrcPort: math.MaxUint16, DstPort: math.MaxUint16,
+			Proto: math.MaxUint8, Flags: math.MaxUint8, Seq: math.MaxUint32, Ack: math.MaxUint32, Len: math.MaxUint16}, Payload: []byte{0xfb, 0xff, 0xfe, 0x00}}, // base64 "+//+AA=="
+		{Header: Header{Time: math.MaxInt64, SrcIP: MakeIPv4(1, 20, 255, 0), DstIP: 1}, Payload: []byte{0}},
 	}
 	assertFast(t, &packetShape, MarshalPacketsNDJSON(packets), packets)
 }
@@ -168,9 +167,9 @@ func TestAppendEncodersMatchJSONMarshal(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		p := Packet{Time: int64(draw()), SrcIP: IPv4(draw()), DstIP: IPv4(draw()), SrcPort: uint16(draw()),
+		p := Packet{Header: Header{Time: int64(draw()), SrcIP: IPv4(draw()), DstIP: IPv4(draw()), SrcPort: uint16(draw()),
 			DstPort: uint16(draw()), Proto: uint8(draw()), Flags: TCPFlags(draw()), Seq: uint32(draw()),
-			Ack: uint32(draw()), Len: uint16(draw())}
+			Ack: uint32(draw()), Len: uint16(draw())}}
 		if n := rng.Intn(4); n > 0 { // nil, empty, short, longer
 			p.Payload = make([]byte, (n-1)*rng.Intn(40))
 			rng.Read(p.Payload)

@@ -13,7 +13,18 @@ import "math"
 // timestamps share (found from their AND and OR), so a capture's
 // microsecond timestamps take about four passes.
 func TimeOrder(ps []Packet) []int32 {
-	if len(ps) > math.MaxInt32 {
+	return timeOrder(len(ps), func(i int) int64 { return ps[i].Time })
+}
+
+// HeaderTimeOrder is TimeOrder over packet headers.
+func HeaderTimeOrder(hs []Header) []int32 {
+	return timeOrder(len(hs), func(i int) int64 { return hs[i].Time })
+}
+
+// timeOrder is TimeOrder's radix sort over n records whose timestamps
+// time reads.
+func timeOrder(n int, time func(i int) int64) []int32 {
+	if n > math.MaxInt32 {
 		panic("trace: TimeOrder over more than MaxInt32 packets")
 	}
 	// Flipping the sign bit makes unsigned order agree with signed order.
@@ -21,15 +32,15 @@ func TimeOrder(ps []Packet) []int32 {
 		key uint64
 		idx int32
 	}
-	src := make([]entry, len(ps))
+	src := make([]entry, n)
 	and, or := ^uint64(0), uint64(0)
-	for i := range ps {
-		k := uint64(ps[i].Time) ^ 1<<63
+	for i := range src {
+		k := uint64(time(i)) ^ 1<<63
 		src[i] = entry{k, int32(i)}
 		and &= k
 		or |= k
 	}
-	dst := make([]entry, len(ps))
+	dst := make([]entry, n)
 	for shift := uint(0); shift < 64; shift += 8 {
 		if byte((and^or)>>shift) == 0 {
 			continue // this byte is the same in every key
@@ -50,7 +61,7 @@ func TimeOrder(ps []Packet) []int32 {
 		}
 		src, dst = dst, src
 	}
-	perm := make([]int32, len(ps))
+	perm := make([]int32, n)
 	for i, e := range src {
 		perm[i] = e.idx
 	}

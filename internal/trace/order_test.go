@@ -23,7 +23,7 @@ func stableTimeOrder(ps []Packet) []int32 {
 func packetsAt(times []int64) []Packet {
 	ps := make([]Packet, len(times))
 	for i, t := range times {
-		ps[i] = Packet{Time: t, Seq: uint32(i)}
+		ps[i] = Packet{Header: Header{Time: t, Seq: uint32(i)}}
 	}
 	return ps
 }

@@ -78,11 +78,13 @@ const (
 // Has reports whether all bits in mask are set.
 func (f TCPFlags) Has(mask TCPFlags) bool { return f&mask == mask }
 
-// Packet is one record of a packet-level trace: the Hotspot dataset's
-// <timestamp, packet> rows. Timestamps are microseconds from the start
-// of the trace; integral microseconds keep every analysis deterministic
-// and serialization exact.
-type Packet struct {
+// Header is one packet's header fields: everything of a Packet but its
+// payload. It holds no pointer and is 32 bytes — Len sits in the
+// padding after Flags — so a dataset of headers is one flat array that
+// a scan reads at half a Packet's bytes and the garbage collector never
+// scans. Servers host headers: every served analysis reads only these
+// fields.
+type Header struct {
 	Time    int64 // microseconds since trace start
 	SrcIP   IPv4
 	DstIP   IPv4
@@ -90,10 +92,29 @@ type Packet struct {
 	DstPort uint16
 	Proto   uint8
 	Flags   TCPFlags
+	Len     uint16 // total packet length in bytes
 	Seq     uint32 // TCP sequence number
 	Ack     uint32 // TCP acknowledgment number
-	Len     uint16 // total packet length in bytes
+}
+
+// Packet is one record of a packet-level trace: the Hotspot dataset's
+// <timestamp, packet> rows, a Header and its payload. Timestamps are
+// microseconds from the start of the trace; integral microseconds keep
+// every analysis deterministic and serialization exact. The header's
+// fields are promoted, so p.Len reads the same on either type.
+type Packet struct {
+	Header
 	Payload []byte // application payload (may be nil)
+}
+
+// Headers returns the headers of packets, in order: what a host keeps
+// of a trace once nothing will read the payloads.
+func Headers(packets []Packet) []Header {
+	out := make([]Header, len(packets))
+	for i := range packets {
+		out[i] = packets[i].Header
+	}
+	return out
 }
 
 // FlowKey is the standard 5-tuple the paper's flow-level analyses key
@@ -107,8 +128,8 @@ type FlowKey struct {
 }
 
 // Flow returns the packet's 5-tuple.
-func (p *Packet) Flow() FlowKey {
-	return FlowKey{SrcIP: p.SrcIP, DstIP: p.DstIP, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Proto}
+func (h *Header) Flow() FlowKey {
+	return FlowKey{SrcIP: h.SrcIP, DstIP: h.DstIP, SrcPort: h.SrcPort, DstPort: h.DstPort, Proto: h.Proto}
 }
 
 // Reverse returns the 5-tuple of the opposite direction.
@@ -122,13 +143,13 @@ func (k FlowKey) String() string {
 }
 
 // IsSYN reports a pure connection-request segment (SYN without ACK).
-func (p *Packet) IsSYN() bool {
-	return p.Proto == ProtoTCP && p.Flags.Has(FlagSYN) && !p.Flags.Has(FlagACK)
+func (h *Header) IsSYN() bool {
+	return h.Proto == ProtoTCP && h.Flags.Has(FlagSYN) && !h.Flags.Has(FlagACK)
 }
 
 // IsSYNACK reports the second handshake segment.
-func (p *Packet) IsSYNACK() bool {
-	return p.Proto == ProtoTCP && p.Flags.Has(FlagSYN|FlagACK)
+func (h *Header) IsSYNACK() bool {
+	return h.Proto == ProtoTCP && h.Flags.Has(FlagSYN|FlagACK)
 }
 
 // LinkSample is one record of the de-aggregated IspTraffic dataset:

@@ -56,10 +56,10 @@ func TestFlowKeyReverse(t *testing.T) {
 }
 
 func TestTCPFlagHelpers(t *testing.T) {
-	syn := Packet{Proto: ProtoTCP, Flags: FlagSYN}
-	synack := Packet{Proto: ProtoTCP, Flags: FlagSYN | FlagACK}
-	data := Packet{Proto: ProtoTCP, Flags: FlagACK}
-	udp := Packet{Proto: ProtoUDP, Flags: FlagSYN}
+	syn := Packet{Header: Header{Proto: ProtoTCP, Flags: FlagSYN}}
+	synack := Packet{Header: Header{Proto: ProtoTCP, Flags: FlagSYN | FlagACK}}
+	data := Packet{Header: Header{Proto: ProtoTCP, Flags: FlagACK}}
+	udp := Packet{Header: Header{Proto: ProtoUDP, Flags: FlagSYN}}
 	if !syn.IsSYN() || syn.IsSYNACK() {
 		t.Error("SYN misclassified")
 	}
@@ -76,17 +76,17 @@ func TestTCPFlagHelpers(t *testing.T) {
 
 func samplePackets() []Packet {
 	return []Packet{
-		{Time: 0, SrcIP: MakeIPv4(10, 0, 0, 1), DstIP: MakeIPv4(10, 0, 0, 2),
+		{Header: Header{Time: 0, SrcIP: MakeIPv4(10, 0, 0, 1), DstIP: MakeIPv4(10, 0, 0, 2),
 			SrcPort: 12345, DstPort: 80, Proto: ProtoTCP, Flags: FlagSYN,
-			Seq: 1000, Len: 40},
-		{Time: 1500, SrcIP: MakeIPv4(10, 0, 0, 2), DstIP: MakeIPv4(10, 0, 0, 1),
+			Seq: 1000, Len: 40}},
+		{Header: Header{Time: 1500, SrcIP: MakeIPv4(10, 0, 0, 2), DstIP: MakeIPv4(10, 0, 0, 1),
 			SrcPort: 80, DstPort: 12345, Proto: ProtoTCP, Flags: FlagSYN | FlagACK,
-			Seq: 555, Ack: 1001, Len: 40},
-		{Time: 3000, SrcIP: MakeIPv4(10, 0, 0, 1), DstIP: MakeIPv4(10, 0, 0, 2),
+			Seq: 555, Ack: 1001, Len: 40}},
+		{Header: Header{Time: 3000, SrcIP: MakeIPv4(10, 0, 0, 1), DstIP: MakeIPv4(10, 0, 0, 2),
 			SrcPort: 12345, DstPort: 80, Proto: ProtoTCP, Flags: FlagACK | FlagPSH,
-			Seq: 1001, Ack: 556, Len: 1492, Payload: []byte("GET / HTTP/1.1\r\n")},
-		{Time: 4000, SrcIP: MakeIPv4(8, 8, 8, 8), DstIP: MakeIPv4(10, 0, 0, 1),
-			SrcPort: 53, DstPort: 5353, Proto: ProtoUDP, Len: 120, Payload: []byte{0, 1, 2}},
+			Seq: 1001, Ack: 556, Len: 1492}, Payload: []byte("GET / HTTP/1.1\r\n")},
+		{Header: Header{Time: 4000, SrcIP: MakeIPv4(8, 8, 8, 8), DstIP: MakeIPv4(10, 0, 0, 1),
+			SrcPort: 53, DstPort: 5353, Proto: ProtoUDP, Len: 120}, Payload: []byte{0, 1, 2}},
 	}
 }
 
@@ -186,9 +186,9 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		if len(payload) > maxPayload {
 			payload = payload[:maxPayload]
 		}
-		p := Packet{Time: tm, SrcIP: IPv4(src), DstIP: IPv4(dst), SrcPort: sp,
+		p := Packet{Header: Header{Time: tm, SrcIP: IPv4(src), DstIP: IPv4(dst), SrcPort: sp,
 			DstPort: dp, Proto: proto, Flags: TCPFlags(flags), Seq: seq, Ack: ack,
-			Len: ln, Payload: payload}
+			Len: ln}, Payload: payload}
 		var buf bytes.Buffer
 		if err := WritePackets(&buf, []Packet{p}); err != nil {
 			return false

@@ -346,10 +346,10 @@ func (g *hotspotGen) genSessions() {
 		if (dport == 80 || dport == 443) && g.rng.Float64() < 0.8 {
 			resolver := trace.MakeIPv4(10, 0, 0, 53)
 			qport := uint16(1024 + g.rng.IntN(60000))
-			g.emit(trace.Packet{Time: usec(start - 0.030), SrcIP: src, DstIP: resolver,
-				SrcPort: qport, DstPort: 53, Proto: trace.ProtoUDP, Len: 64})
-			g.emit(trace.Packet{Time: usec(start - 0.010), SrcIP: resolver, DstIP: src,
-				SrcPort: 53, DstPort: qport, Proto: trace.ProtoUDP, Len: 128})
+			g.emit(trace.Packet{Header: trace.Header{Time: usec(start - 0.030), SrcIP: src, DstIP: resolver,
+				SrcPort: qport, DstPort: 53, Proto: trace.ProtoUDP, Len: 64}})
+			g.emit(trace.Packet{Header: trace.Header{Time: usec(start - 0.010), SrcIP: resolver, DstIP: src,
+				SrcPort: 53, DstPort: qport, Proto: trace.ProtoUDP, Len: 128}})
 		}
 		for {
 			end := g.genConnection(src, dst, sport, dport, start)
@@ -372,16 +372,16 @@ func (g *hotspotGen) genConnection(src, dst trace.IPv4, sport, dport uint16, sta
 	rtt := g.sampleRTT()
 	isn := g.rng.Uint32()
 
-	g.emit(trace.Packet{Time: usec(start), SrcIP: src, DstIP: dst,
+	g.emit(trace.Packet{Header: trace.Header{Time: usec(start), SrcIP: src, DstIP: dst,
 		SrcPort: sport, DstPort: dport, Proto: trace.ProtoTCP,
-		Flags: trace.FlagSYN, Seq: isn, Len: 40})
+		Flags: trace.FlagSYN, Seq: isn, Len: 40}})
 	serverISN := g.rng.Uint32()
-	g.emit(trace.Packet{Time: usec(start + rtt), SrcIP: dst, DstIP: src,
+	g.emit(trace.Packet{Header: trace.Header{Time: usec(start + rtt), SrcIP: dst, DstIP: src,
 		SrcPort: dport, DstPort: sport, Proto: trace.ProtoTCP,
-		Flags: trace.FlagSYN | trace.FlagACK, Seq: serverISN, Ack: isn + 1, Len: 40})
-	g.emit(trace.Packet{Time: usec(start + rtt*1.5), SrcIP: src, DstIP: dst,
+		Flags: trace.FlagSYN | trace.FlagACK, Seq: serverISN, Ack: isn + 1, Len: 40}})
+	g.emit(trace.Packet{Header: trace.Header{Time: usec(start + rtt*1.5), SrcIP: src, DstIP: dst,
 		SrcPort: sport, DstPort: dport, Proto: trace.ProtoTCP,
-		Flags: trace.FlagACK, Seq: isn + 1, Ack: serverISN + 1, Len: 40})
+		Flags: trace.FlagACK, Seq: isn + 1, Ack: serverISN + 1, Len: 40}})
 
 	// Data packets; a heavy-tailed count so some flows exceed the
 	// >10-packet threshold Fig 3b applies.
@@ -395,9 +395,9 @@ func (g *hotspotGen) genConnection(src, dst trace.IPv4, sport, dport uint16, sta
 		}
 		t = next
 		ln := g.dataLen()
-		pkt := trace.Packet{Time: usec(t), SrcIP: src, DstIP: dst,
+		pkt := trace.Packet{Header: trace.Header{Time: usec(t), SrcIP: src, DstIP: dst,
 			SrcPort: sport, DstPort: dport, Proto: trace.ProtoTCP,
-			Flags: trace.FlagACK | trace.FlagPSH, Seq: seq, Ack: serverISN + 1, Len: ln}
+			Flags: trace.FlagACK | trace.FlagPSH, Seq: seq, Ack: serverISN + 1, Len: ln}}
 		g.emit(pkt)
 		if g.rng.Float64() < g.cfg.LossRate {
 			// Downstream loss: the monitor sees a retransmission
@@ -452,11 +452,10 @@ func (g *hotspotGen) genWorms() {
 			src := trace.MakeIPv4(10, 9, byte(srcIdx), byte(w))
 			dst := trace.MakeIPv4(192, 168, byte(dstIdx), byte(w))
 			t := g.rng.Float64() * g.cfg.Duration
-			g.emit(trace.Packet{Time: usec(t), SrcIP: src, DstIP: dst,
+			g.emit(trace.Packet{Header: trace.Header{Time: usec(t), SrcIP: src, DstIP: dst,
 				SrcPort: uint16(1024 + g.rng.IntN(60000)), DstPort: 445,
 				Proto: trace.ProtoTCP, Flags: trace.FlagACK | trace.FlagPSH,
-				Seq: g.rng.Uint32(), Len: uint16(60 + len(payload)),
-				Payload: payload})
+				Seq: g.rng.Uint32(), Len: uint16(60 + len(payload))}, Payload: payload})
 		}
 		if st, ok := g.payloads[string(payload)]; ok {
 			st.isWorm = true
@@ -469,11 +468,10 @@ func (g *hotspotGen) genWorms() {
 		pkts := g.cfg.WormDispersion * 4
 		for i := 0; i < pkts; i++ {
 			t := g.rng.Float64() * g.cfg.Duration
-			g.emit(trace.Packet{Time: usec(t), SrcIP: src, DstIP: dst,
+			g.emit(trace.Packet{Header: trace.Header{Time: usec(t), SrcIP: src, DstIP: dst,
 				SrcPort: 4000 + uint16(d), DstPort: 80,
 				Proto: trace.ProtoTCP, Flags: trace.FlagACK | trace.FlagPSH,
-				Seq: g.rng.Uint32(), Len: uint16(60 + len(payload)),
-				Payload: payload})
+				Seq: g.rng.Uint32(), Len: uint16(60 + len(payload))}, Payload: payload})
 		}
 	}
 }
@@ -509,12 +507,11 @@ func (g *hotspotGen) genBackgroundStrings() {
 			// Payload strings ride on the host's usual services; a
 			// fixed port here would add that port to every host's
 			// basket and poison the itemset experiment.
-			g.emit(trace.Packet{Time: usec(t),
+			g.emit(trace.Packet{Header: trace.Header{Time: usec(t),
 				SrcIP: g.clientIP(host), DstIP: g.serverIP(server),
 				SrcPort: uint16(1024 + g.rng.IntN(60000)), DstPort: g.pickServerPort(host),
 				Proto: trace.ProtoTCP, Flags: trace.FlagACK | trace.FlagPSH,
-				Seq: g.rng.Uint32(), Len: uint16(60 + len(payload)),
-				Payload: payload})
+				Seq: g.rng.Uint32(), Len: uint16(60 + len(payload))}, Payload: payload})
 		}
 	}
 }
@@ -536,11 +533,11 @@ func (g *hotspotGen) genSteppingStones() {
 	emitBurst := func(f trace.FlowKey, t float64) {
 		n := 1 + g.rng.IntN(3)
 		for i := 0; i < n; i++ {
-			g.emit(trace.Packet{Time: usec(t + float64(i)*0.005),
+			g.emit(trace.Packet{Header: trace.Header{Time: usec(t + float64(i)*0.005),
 				SrcIP: f.SrcIP, DstIP: f.DstIP, SrcPort: f.SrcPort,
 				DstPort: f.DstPort, Proto: f.Proto,
 				Flags: trace.FlagACK | trace.FlagPSH,
-				Seq:   g.rng.Uint32(), Len: 92})
+				Seq:   g.rng.Uint32(), Len: 92}})
 		}
 	}
 	// Mean epoch gap chosen so StoneActivations epochs fit the trace.
