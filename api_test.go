@@ -89,13 +89,16 @@ func TestFacadeAggregations(t *testing.T) {
 	if err != nil || math.Abs(avg-0.4995) > 0.05 {
 		t.Errorf("avg %v, %v; want ~0.5", avg, err)
 	}
-	med, err := dptrace.NoisyMedian(q, 1.0, func(v float64) float64 { return v })
-	if err != nil || math.Abs(med-0.5) > 0.05 {
-		t.Errorf("median %v, %v; want ~0.5", med, err)
+	// The order statistics rank i over the public domain [0, 999] for
+	// each value i/1000.
+	rank := func(v float64) int64 { return int64(math.Round(v * 1000)) }
+	med, err := dptrace.NoisyMedian(q, 1.0, 0, 999, rank)
+	if err != nil || med < 450 || med > 550 {
+		t.Errorf("median rank %v, %v; want ~500", med, err)
 	}
-	q90, err := dptrace.NoisyOrderStatistic(q, 1.0, 0.9, func(v float64) float64 { return v })
-	if err != nil || math.Abs(q90-0.9) > 0.05 {
-		t.Errorf("p90 %v, %v; want ~0.9", q90, err)
+	q90, err := dptrace.NoisyOrderStatistic(q, 1.0, 0.9, 0, 999, rank)
+	if err != nil || q90 < 850 || q90 > 950 {
+		t.Errorf("p90 rank %v, %v; want ~900", q90, err)
 	}
 	scaled, err := dptrace.Sum(q, 1.0, func(v float64) float64 { return v * 5 }, dptrace.WithBound(10))
 	if err != nil || math.Abs(scaled-2497.5) > 50 {

@@ -35,6 +35,14 @@ if grep -rnE '\b(WhereRecorded|StreamNoisy[A-Za-z]*|FsyncAlways|FsyncPolicy|Priv
 	echo "bench-only forwards (core.WhereRecorded, core.StreamNoisy*, ledger.FsyncPolicy, ledger.FsyncAlways, Options.Fsync, api.Filter.Match, packetdist.PrivateLengthCDF) referenced outside bench/" >&2
 	exit 1
 fi
+# No served kind or analysis answers from a count-min estimate, which
+# over-counts by every colliding key: only internal/sketch (its home)
+# and the frozen bench/ may name the count-min sketch.
+if grep -rnE --include='*.go' --exclude-dir=.bench_build '\bsketch\.(NewCountMin|CountMin)\b' . |
+	grep -vE '_test\.go:|^\./(bench|internal/sketch)/|^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "a count-min sketch is named outside internal/sketch and bench/" >&2
+	exit 1
+fi
 # Each served query kind is declared once, in internal/dpserver's kind
 # table (kinds.go): no other non-test file of the server or of its
 # client may spell a kind's name as a string literal, so a second
@@ -147,6 +155,12 @@ go test -run=. -fuzz=FuzzBucketIndex -fuzztime=3s ./internal/toolkit
 # keys, any multiplier) the open-addressing table and the map path must
 # number keys as a map[K]int32 does.
 go test -run=FuzzKeyIndex -fuzz=FuzzKeyIndex -fuzztime=3s ./internal/core
+# Short differential fuzz smoke over the rank mechanism: on any values
+# (on and past both ends of the domain) and any domain of up to 64
+# integers anywhere in int64, NoisyMedian's and NoisyOrderStatistic's
+# run-wise draws must match the naive per-integer exponential
+# mechanism's probabilities, in exactly two draws.
+go test -run=FuzzDenseQuantile -fuzz=FuzzDenseQuantile -fuzztime=3s ./internal/core
 # Short differential fuzz smoke over the joins: for any records, key
 # skew, segment capacity and width, Join and GroupJoin must release the
 # records the naive map-loop references do, in the same order.

@@ -81,7 +81,7 @@ var all = []experiment{
 		func(s uint64) fmt.Stringer { return experiments.RunThresholdSweep(s, 0.5) }},
 	{"degrees", "in/out degree distributions (§5.3)",
 		func(s uint64) fmt.Stringer { return experiments.RunDegrees(s) }},
-	{"flowcdf", "flow-size CDF from noisy quantile sketches",
+	{"flowcdf", "flow-size CDF from noisy order statistics",
 		func(s uint64) fmt.Stringer { return experiments.RunFlowCDF(s) }},
 }
 

@@ -210,24 +210,24 @@ func Average[T any](q Streamer[T], epsilon float64, f func(T) float64, opts ...A
 	return core.NoisyAverageScaled(q, epsilon, c.bound, f)
 }
 
-// NoisyMedian selects an approximate median via the exponential
-// mechanism.
-func NoisyMedian[T any](q Streamer[T], epsilon float64, f func(T) float64) (float64, error) {
-	return core.NoisyMedian(q, epsilon, f)
+// NoisyMedian releases an approximate median of f's values: an integer
+// of the public domain [lo, hi], drawn by the exponential mechanism.
+// Values outside the domain clamp to its ends.
+func NoisyMedian[T any](q Streamer[T], epsilon float64, lo, hi int64, f func(T) int64) (int64, error) {
+	return core.NoisyMedian(q, epsilon, lo, hi, f)
 }
 
-// NoisyOrderStatistic selects an approximate quantile via the
-// exponential mechanism.
-func NoisyOrderStatistic[T any](q Streamer[T], epsilon, fraction float64, f func(T) float64) (float64, error) {
-	return core.NoisyOrderStatistic(q, epsilon, fraction, f)
+// NoisyOrderStatistic is NoisyMedian at an arbitrary rank fraction.
+func NoisyOrderStatistic[T any](q Streamer[T], epsilon, fraction float64, lo, hi int64, f func(T) int64) (int64, error) {
+	return core.NoisyOrderStatistic(q, epsilon, fraction, lo, hi, f)
 }
 
 // Sketch-backed aggregations: one-pass mergeable summaries (GK-family
-// quantile ranks, count-min frequencies, HLL-style distinct counts)
-// with calibrated noise on the released scalar. They answer the same
-// questions as NoisyOrderStatistic / per-key counts / Distinct+count
-// at trace scale in sketch-sized memory, and their parallel builds are
-// byte-identical to sequential ones.
+// quantile ranks, HLL-style distinct counts) with calibrated noise on
+// the released scalar. They answer the same questions as
+// NoisyOrderStatistic / Distinct+count at trace scale in sketch-sized
+// memory, and their parallel builds are byte-identical to sequential
+// ones.
 
 // DefaultQuantileAccuracy is the quantile summary's rank-accuracy
 // target used when NoisyQuantile's sketchEps is 0.
@@ -239,13 +239,6 @@ const DefaultQuantileAccuracy = core.DefaultQuantileAccuracy
 // Memory is O(1/sketchEps) instead of a full sort.
 func NoisyQuantile[T any](q Streamer[T], epsilon, fraction, sketchEps float64, f func(T) float64) (float64, error) {
 	return core.NoisyQuantile(q, epsilon, fraction, sketchEps, f)
-}
-
-// NoisyFrequency returns the approximate number of records whose key
-// equals target, from a one-pass count-min sketch plus Laplace noise
-// of scale 1/ε (sensitivity 1, like NoisyCount).
-func NoisyFrequency[T any](q Streamer[T], epsilon float64, key func(T) string, target string) (float64, error) {
-	return core.NoisyFrequency(q, epsilon, key, target)
 }
 
 // NoisyDistinctSketch returns the approximate number of distinct keys

@@ -54,11 +54,13 @@ func main() {
 		budget.Spent(), budget.Budget(), budget.Remaining())
 
 	// A second query on the same data draws the same budget down.
-	median, err := dptrace.NoisyMedian(q, 0.2, func(p trace.Packet) float64 { return float64(p.Len) })
+	// A packet length is in [0, 65535]: the public domain the median is
+	// drawn from.
+	median, err := dptrace.NoisyMedian(q, 0.2, 0, 65535, func(p trace.Packet) int64 { return int64(p.Len) })
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("noisy median packet length: %.0f bytes\n", median)
+	fmt.Printf("noisy median packet length: %d bytes\n", median)
 	fmt.Printf("privacy budget: spent %.2f, %.2f left\n", budget.Spent(), budget.Remaining())
 
 	// Exhausting the budget is refused, not silently degraded.

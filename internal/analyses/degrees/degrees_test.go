@@ -141,11 +141,11 @@ func TestMaxDegreeIsFragile(t *testing.T) {
 	var devSum float64
 	const runs = 20
 	for i := 0; i < runs; i++ {
-		v, err := core.NoisyOrderStatistic(degs, 0.1, 1.0, func(d int64) float64 { return float64(d) })
+		v, err := core.NoisyOrderStatistic(degs, 0.1, 1.0, 0, 1<<16, func(d int64) int64 { return d })
 		if err != nil {
 			t.Fatal(err)
 		}
-		devSum += math.Abs(v - trueMax)
+		devSum += math.Abs(float64(v) - trueMax)
 	}
 	medianDeg := float64(exact[len(exact)/2])
 	if devSum/runs < 0.01*trueMax && trueMax > medianDeg*1.5 {

@@ -1,21 +1,18 @@
 // Package flowcdf measures the distribution of flow sizes — packets
 // per src→dst host conversation — as a differentially-private CDF
-// built from noisy quantiles. Where the toolkit's CDF estimators fix a
-// value grid and measure noisy counts per bucket, this analysis
-// inverts the axes: it fixes a grid of rank fractions and asks the
-// engine's sketch-backed NoisyQuantile for the flow size at each rank.
+// built from noisy order statistics. Where the toolkit's CDF
+// estimators fix a value grid and measure noisy counts per bucket,
+// this analysis inverts the axes: it fixes a grid of rank fractions and
+// asks the engine's NoisyOrderStatistic for the flow size at each rank.
 // That suits heavy-tailed flow-size distributions, where a fixed value
 // grid wastes resolution on the sparse tail; rank-spaced probes adapt
 // to wherever the mass is.
 //
-// The pipeline is GroupBy(host pair) → count per group → quantile,
-// executed on the engine's fused streaming path: the per-group size
-// projection fuses into the one-pass sketch build, with no
-// intermediate size slice. Sensitivity: GroupBy doubles sensitivity
-// (one packet can leave one conversation and join another), and each
-// quantile is an exponential-mechanism release of sensitivity 1, so a
-// K-point CDF at per-probe ε costs 2·K·ε of the (packet-principal)
-// budget.
+// The pipeline is GroupBy(host pair) → count per group → order
+// statistic over the public domain [1, MaxFlowSize]. Sensitivity: GroupBy doubles sensitivity (one packet can
+// leave one conversation and join another), and each probe is an
+// exponential-mechanism release of sensitivity 1, so a K-point CDF at
+// per-probe ε costs 2·K·ε of the (packet-principal) budget.
 package flowcdf
 
 import (
@@ -23,7 +20,6 @@ import (
 	"sort"
 
 	"dptrace/internal/core"
-	"dptrace/internal/stats"
 	"dptrace/internal/trace"
 )
 
@@ -52,29 +48,30 @@ func TailFractions() []float64 {
 	return []float64{0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999}
 }
 
-// PrivateFlowSizeCDF returns the noisy flow-size quantile at each rank
-// fraction, spending epsilonPerProbe on each (2× that in sensitivity-
-// adjusted charge, from the GroupBy). sketchEps is the rank-accuracy
-// target of the underlying mergeable summary (0 = engine default).
-func PrivateFlowSizeCDF(q *core.Queryable[trace.Packet], epsilonPerProbe, sketchEps float64, fractions []float64) ([]float64, error) {
+// MaxFlowSize is the public upper end of the flow-size domain the
+// probes draw from: a flow larger than 2^20 packets reads as 2^20.
+const MaxFlowSize = 1 << 20
+
+// PrivateFlowSizeCDF returns the noisy flow size at each rank fraction,
+// spending epsilonPerProbe on each (2× that in sensitivity-adjusted
+// charge, from the GroupBy).
+func PrivateFlowSizeCDF(q *core.Queryable[trace.Packet], epsilonPerProbe float64, fractions []float64) ([]float64, error) {
 	grouped := core.GroupBy(q, keyOf)
 	out := make([]float64, len(fractions))
 	for i, f := range fractions {
-		sizes := core.StreamSelect(grouped.Stream(),
-			func(g core.Group[FlowKey, trace.Packet]) float64 { return float64(len(g.Items)) })
-		v, err := core.NoisyQuantile(sizes, epsilonPerProbe, f, sketchEps,
-			func(s float64) float64 { return s })
+		v, err := core.NoisyOrderStatistic(grouped, epsilonPerProbe, f, 1, MaxFlowSize,
+			func(g core.Group[FlowKey, trace.Packet]) int64 { return int64(len(g.Items)) })
 		if err != nil {
 			return nil, fmt.Errorf("flowcdf: probe %d (fraction %v): %w", i, f, err)
 		}
-		out[i] = v
+		out[i] = float64(v)
 	}
 	return out, nil
 }
 
 // ExactFlowSizeCDF is the noise-free baseline: per-flow packet counts,
-// read at the same rank fractions with the same lower-rank convention
-// the quantile sketch uses (value at rank ⌈f·n⌉).
+// read at the same rank fractions (the value at rank ⌊f·n⌋, counting
+// from 0).
 func ExactFlowSizeCDF(packets []trace.Packet, fractions []float64) []float64 {
 	counts := map[FlowKey]int{}
 	for _, p := range packets {
@@ -97,10 +94,4 @@ func ExactFlowSizeCDF(packets []trace.Packet, fractions []float64) []float64 {
 		out[i] = sizes[rank]
 	}
 	return out
-}
-
-// RMSE is the relative root-mean-square error between a private curve
-// and its exact baseline.
-func RMSE(private, exact []float64) (float64, error) {
-	return stats.RMSE(private, exact)
 }

@@ -7,6 +7,7 @@ import (
 
 	"dptrace/internal/core"
 	"dptrace/internal/noise"
+	"dptrace/internal/stats"
 	"dptrace/internal/trace"
 )
 
@@ -51,12 +52,12 @@ func TestPrivateFlowSizeCDFAccuracyAndCharge(t *testing.T) {
 	q := core.NewQueryableFor(packets, root, noise.NewSeededSource(5, 7))
 
 	const perProbe = 10.0
-	private, err := PrivateFlowSizeCDF(q, perProbe, 0.001, fractions)
+	private, err := PrivateFlowSizeCDF(q, perProbe, fractions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := ExactFlowSizeCDF(packets, fractions)
-	rmse, err := RMSE(private, exact)
+	rmse, err := stats.RMSE(private, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestPrivateFlowSizeCDFRefusal(t *testing.T) {
 	root := core.NewRootAgent(1.0)
 	q := core.NewQueryableFor(packets, root, noise.NewSeededSource(5, 7))
 	// One probe at ε=1 charges 2.0 > budget 1.0: refused, nothing spent.
-	if _, err := PrivateFlowSizeCDF(q, 1.0, 0, Fractions(1)); !errors.Is(err, core.ErrBudgetExceeded) {
+	if _, err := PrivateFlowSizeCDF(q, 1.0, Fractions(1)); !errors.Is(err, core.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
 	if got := root.Spent(); got != 0 {

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dptrace/internal/noise"
 )
@@ -232,70 +233,109 @@ func NoisyAverageScaled[T any](src Streamer[T], epsilon, bound float64, f func(T
 	})
 }
 
-// valuesSink collects f over the pipeline's output.
-type valuesSink[T any] struct {
-	f    func(T) float64
-	vals []float64
+// validDomain refuses an empty rank domain, or one 2^53 or more wide,
+// where a run width would not be an exact float64.
+func validDomain(lo, hi int64) error {
+	if lo > hi || uint64(hi)-uint64(lo) >= 1<<53 {
+		return ErrInvalidEpsilon
+	}
+	return nil
 }
 
-func (k *valuesSink[T]) acceptChunk(c []T) {
+// rankRun is a run of integers [lo, lo+width) that share one score.
+type rankRun struct{ lo, width int64 }
+
+// rankRuns cuts [lo, hi] into runs of equal score over sorted, the
+// clamped values: each distinct value, and each gap around them. An
+// integer with i values below it and n-j above scores score(i, j, n),
+// sensitivity 1; a run of w integers weighs w·exp(ε·score/2), held in
+// log space as score + 2·ln(w)/ε for noise.Exponential.
+func rankRuns(sorted []int64, lo, hi int64, epsilon float64, score func(i, j, n int) float64) (runs []rankRun, scores []float64) {
+	n, distinct := len(sorted), 0
+	for i := range sorted {
+		if i == 0 || sorted[i] != sorted[i-1] {
+			distinct++
+		}
+	}
+	runs, scores = make([]rankRun, 0, 2*distinct+1), make([]float64, 0, 2*distinct+1)
+	next := lo // the first integer no run holds yet
+	for i := 0; i < n; {
+		v, j := sorted[i], i
+		for j < n && sorted[j] == v {
+			j++
+		}
+		if v > next {
+			runs = append(runs, rankRun{next, v - next})
+			scores = append(scores, score(i, i, n)+2*math.Log(float64(v-next))/epsilon)
+		}
+		runs, scores = append(runs, rankRun{v, 1}), append(scores, score(i, j, n))
+		next, i = v+1, j
+	}
+	if n == 0 || sorted[n-1] < hi {
+		runs = append(runs, rankRun{next, hi - next + 1})
+		scores = append(scores, score(n, n, n)+2*math.Log(float64(hi-next+1))/epsilon)
+	}
+	return runs, scores
+}
+
+// rankSink collects f, clamped into [lo, hi], over its range of the
+// pipeline's output.
+type rankSink[T any] struct {
+	f      func(T) int64
+	lo, hi int64
+	vals   []int64
+}
+
+func (k *rankSink[T]) acceptChunk(c []T) {
 	for j := range c {
-		k.vals = append(k.vals, k.f(c[j]))
+		k.vals = append(k.vals, min(max(k.f(c[j]), k.lo), k.hi))
 	}
 }
 
-// chooseByRank is the exponential mechanism over the distinct values
-// of f: the values are sorted, each distinct value's run of equal
-// elements [i, j) is scored, and one value is drawn. Moving one record
-// shifts every run boundary by at most one, so rank-based scores have
-// sensitivity 1. An empty pipeline yields 0 and draws no noise.
-func chooseByRank[T any](s *Stream[T], epsilon float64, f func(T) float64, score func(i, j, n int) float64) (float64, bool) {
-	parts, ok := scan(*s, 0, false, func(_, n int) *valuesSink[T] { return &valuesSink[T]{f: f, vals: make([]float64, 0, n)} })
+// chooseRank is the exponential mechanism over every integer of [lo,
+// hi] under a rank score: a first draw picks a run (O(distinct values)
+// past the sort, not O(hi - lo)), a second an integer inside it. Two
+// draws whatever the data, the empty input included.
+func chooseRank[T any](s *Stream[T], epsilon float64, lo, hi int64, f func(T) int64, score func(i, j, n int) float64) (int64, bool) {
+	parts, ok := scan(*s, 1, false, func(_, n int) *rankSink[T] {
+		return &rankSink[T]{f: f, lo: lo, hi: hi, vals: make([]int64, 0, n)}
+	})
 	if !ok {
 		return 0, false
 	}
 	values := parts[0].vals
-	if len(values) == 0 {
-		return 0, true
+	for _, p := range parts[1:] {
+		values = append(values, p.vals...)
 	}
-	sort.Float64s(values)
-	cands := make([]float64, 0, len(values))
-	scores := make([]float64, 0, len(values))
-	for i := 0; i < len(values); {
-		j := i
-		for j < len(values) && values[j] == values[i] {
-			j++
-		}
-		cands = append(cands, values[i])
-		scores = append(scores, score(i, j, len(values)))
-		i = j
-	}
-	return cands[noise.Exponential(s.nsrc, scores, 1, epsilon)], true
+	slices.Sort(values)
+	runs, scores := rankRuns(values, lo, hi, epsilon, score)
+	r := runs[noise.Exponential(s.nsrc, scores, 1, epsilon)]
+	return r.lo + min(int64(s.nsrc.Float64()*float64(r.width)), r.width-1), true
 }
 
-// NoisyMedian selects a record value via the exponential mechanism with
-// the rank-balance score -|#below - #above|: the returned value
-// partitions the input into two sets whose sizes differ by roughly
-// √2/ε (Table 1). The candidate set is the distinct values present in
-// the data; the mechanism's randomization is what protects each
-// record's presence.
-func NoisyMedian[T any](src Streamer[T], epsilon float64, f func(T) float64) (float64, error) {
+// NoisyMedian releases an integer of [lo, hi] by the exponential
+// mechanism with the rank-balance score -|#below - #above|: the value
+// splits the input into sets whose sizes differ by roughly √2/ε (Table
+// 1). The domain comes from public knowledge (a packet length is in
+// [0, 65535]), never from the data; f's values clamp into it, and lo >
+// hi or a span of 2^53 or more is refused before the charge.
+func NoisyMedian[T any](src Streamer[T], epsilon float64, lo, hi int64, f func(T) int64) (int64, error) {
 	s := src.Stream()
-	return aggregate(&s, "median", epsilon, nil, func() (float64, bool) {
-		return chooseByRank(&s, epsilon, f, func(i, j, n int) float64 {
+	return aggregate(&s, "median", epsilon, validDomain(lo, hi), func() (int64, bool) {
+		return chooseRank(&s, epsilon, lo, hi, f, func(i, j, n int) float64 {
 			return -math.Abs(float64(i - (n - j))) // i strictly below, n-j strictly above
 		})
 	})
 }
 
 // NoisyOrderStatistic generalizes NoisyMedian to an arbitrary rank
-// fraction in [0, 1], scoring each distinct value by the distance from
-// its mid-rank to fraction·n. Useful for the noisy quantiles that
+// fraction in [0, 1], scoring each integer of [lo, hi] by the distance
+// from its mid-rank to fraction·n. Useful for the noisy quantiles that
 // several trace analyses report.
-func NoisyOrderStatistic[T any](src Streamer[T], epsilon, fraction float64, f func(T) float64) (float64, error) {
+func NoisyOrderStatistic[T any](src Streamer[T], epsilon, fraction float64, lo, hi int64, f func(T) int64) (int64, error) {
 	s := src.Stream()
-	return aggregate(&s, "orderstat", epsilon, validFraction(fraction), func() (float64, bool) {
-		return chooseByRank(&s, epsilon, f, func(i, j, n int) float64 {
+	return aggregate(&s, "orderstat", epsilon, cmp.Or(validFraction(fraction), validDomain(lo, hi)), func() (int64, bool) {
+		return chooseRank(&s, epsilon, lo, hi, f, func(i, j, n int) float64 {
 			return -math.Abs(float64(i+j)/2 - fraction*float64(n))
 		})
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -172,22 +173,22 @@ func TestNoisyAverageEmptyDataset(t *testing.T) {
 // sqrt(2)/eps.
 func TestNoisyMedianPartitionBalance(t *testing.T) {
 	const n = 10001
-	recs := make([]float64, n)
+	recs := make([]int64, n)
 	for i := range recs {
-		recs[i] = float64(i)
+		recs[i] = int64(i)
 	}
 	q, _ := NewQueryable(recs, math.Inf(1), noise.NewSeededSource(19, 23))
 	eps := 1.0
 	const trials = 500
 	var totalImbalance float64
 	for i := 0; i < trials; i++ {
-		v, err := NoisyMedian(q, eps, func(x float64) float64 { return x })
+		v, err := NoisyMedian(q, eps, 0, n-1, func(x int64) int64 { return x })
 		if err != nil {
 			t.Fatal(err)
 		}
 		below := v // values are 0..n-1, so rank == value
-		above := float64(n-1) - v
-		totalImbalance += math.Abs(below - above)
+		above := n - 1 - v
+		totalImbalance += math.Abs(float64(below - above))
 	}
 	avg := totalImbalance / trials
 	// Imbalance should be O(1/eps): tiny relative to n.
@@ -196,28 +197,41 @@ func TestNoisyMedianPartitionBalance(t *testing.T) {
 	}
 }
 
+// TestNoisyMedianEmpty: an empty input draws over the whole domain,
+// with the same two draws as any other input.
 func TestNoisyMedianEmpty(t *testing.T) {
-	q, _ := NewQueryable([]float64{}, math.Inf(1), noise.NewSeededSource(1, 2))
-	v, err := NoisyMedian(q, 1.0, func(x float64) float64 { return x })
-	if err != nil || v != 0 {
-		t.Errorf("empty median = %v, %v; want 0, nil", v, err)
+	src := &countingSource{src: noise.NewSeededSource(1, 2)}
+	q, _ := NewQueryable([]int64{}, math.Inf(1), src)
+	seen := map[int64]bool{}
+	for range 200 {
+		v, err := NoisyMedian(q, 1.0, -5, 5, func(x int64) int64 { return x })
+		if err != nil || v < -5 || v > 5 {
+			t.Fatalf("empty median = %v, %v; want a value of [-5, 5]", v, err)
+		}
+		seen[v] = true
+	}
+	if src.draws != 400 {
+		t.Errorf("200 empty medians made %d draws, want 400", src.draws)
+	}
+	if len(seen) != 11 {
+		t.Errorf("200 empty medians drew %d of the domain's 11 values", len(seen))
 	}
 }
 
 func TestNoisyOrderStatisticQuartiles(t *testing.T) {
 	const n = 4000
-	recs := make([]float64, n)
+	recs := make([]int64, n)
 	for i := range recs {
-		recs[i] = float64(i)
+		recs[i] = int64(i)
 	}
 	q, _ := NewQueryable(recs, math.Inf(1), noise.NewSeededSource(29, 31))
 	for _, frac := range []float64{0.25, 0.5, 0.9} {
-		v, err := NoisyOrderStatistic(q, 1.0, frac, func(x float64) float64 { return x })
+		v, err := NoisyOrderStatistic(q, 1.0, frac, 0, 1<<20, func(x int64) int64 { return x })
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := frac * n
-		if math.Abs(v-want) > 60 {
+		if math.Abs(float64(v)-want) > 60 {
 			t.Errorf("order stat %v: got %v, want ~%v", frac, v, want)
 		}
 	}
@@ -225,8 +239,94 @@ func TestNoisyOrderStatisticQuartiles(t *testing.T) {
 
 func TestNoisyOrderStatisticRejectsBadFraction(t *testing.T) {
 	q, _ := newTestQueryable(ints(10), 1)
-	if _, err := NoisyOrderStatistic(q, 1.0, 1.5, func(x int) float64 { return float64(x) }); err == nil {
+	if _, err := NoisyOrderStatistic(q, 1.0, 1.5, 0, 9, func(x int) int64 { return int64(x) }); err == nil {
 		t.Error("fraction > 1 accepted")
+	}
+}
+
+// TestRankDomainRefusedBeforeCharge: an empty domain, or one 2^53 or
+// more integers wide, is refused before the charge.
+func TestRankDomainRefusedBeforeCharge(t *testing.T) {
+	q, root := newTestQueryable(ints(10), 1)
+	id := func(x int) int64 { return int64(x) }
+	for _, d := range [][2]int64{{1, 0}, {0, 1 << 53}, {-1 << 52, 1 << 52}, {math.MinInt64, math.MaxInt64}} {
+		if _, err := NoisyMedian(q, 0.5, d[0], d[1], id); !errors.Is(err, ErrInvalidEpsilon) {
+			t.Errorf("NoisyMedian over [%d, %d]: err %v, want ErrInvalidEpsilon", d[0], d[1], err)
+		}
+		if _, err := NoisyOrderStatistic(q, 0.5, 0.5, d[0], d[1], id); !errors.Is(err, ErrInvalidEpsilon) {
+			t.Errorf("NoisyOrderStatistic over [%d, %d]: err %v, want ErrInvalidEpsilon", d[0], d[1], err)
+		}
+	}
+	if root.Spent() != 0 {
+		t.Errorf("refused domains spent %v", root.Spent())
+	}
+	// The widest domain accepted, at either end of int64.
+	for _, d := range [][2]int64{{0, 1<<53 - 1}, {math.MaxInt64 - (1<<53 - 1), math.MaxInt64}, {math.MinInt64, math.MinInt64 + 1<<53 - 1}} {
+		if v, err := NoisyMedian(q, 0.1, d[0], d[1], id); err != nil || v < d[0] || v > d[1] {
+			t.Errorf("NoisyMedian over [%d, %d] = %d, %v", d[0], d[1], v, err)
+		}
+	}
+}
+
+// script is a noise source that returns its values in order and
+// fails the test past the end.
+type script struct {
+	t *testing.T
+	u []float64
+}
+
+func (s *script) Float64() float64 {
+	if len(s.u) == 0 {
+		s.t.Fatal("a draw past the script")
+	}
+	u := s.u[0]
+	s.u = s.u[1:]
+	return u
+}
+
+// reachable is every output a rank release over values can give, from
+// a grid of first and second draws fine enough to land in every run
+// this test's small inputs make, and on every integer of a run up to
+// 41 wide.
+func reachable(t *testing.T, values []int64, lo, hi int64, release func(q *Queryable[int64]) (int64, error)) map[int64]bool {
+	t.Helper()
+	out := map[int64]bool{}
+	for i := range 400 {
+		for k := range 41 {
+			src := &script{t: t, u: []float64{(float64(i) + 0.5) / 400, (float64(k) + 0.5) / 41}}
+			q, _ := NewQueryable(values, math.Inf(1), src)
+			v, err := release(q)
+			if err != nil || v < lo || v > hi {
+				t.Fatalf("release over [%d, %d] = %d, %v", lo, hi, v, err)
+			}
+			if len(src.u) != 0 {
+				t.Fatalf("a release made %d draws, want 2", 2-len(src.u))
+			}
+			out[v] = true
+		}
+	}
+	return out
+}
+
+// TestRankSupportCoversNeighbours: the median and an order statistic
+// can release a value that only the added record of a neighbouring
+// input carries from both neighbours, and every integer of the domain
+// from the empty input — each in exactly two draws.
+func TestRankSupportCoversNeighbours(t *testing.T) {
+	id := func(x int64) int64 { return x }
+	releases := map[string]func(q *Queryable[int64]) (int64, error){
+		"median":    func(q *Queryable[int64]) (int64, error) { return NoisyMedian(q, 1, 0, 40, id) },
+		"orderstat": func(q *Queryable[int64]) (int64, error) { return NoisyOrderStatistic(q, 1, 0.75, 0, 40, id) },
+	}
+	for name, release := range releases {
+		without := reachable(t, []int64{10, 20, 30}, 0, 40, release)
+		with := reachable(t, []int64{10, 20, 25, 30}, 0, 40, release)
+		if !without[25] || !with[25] {
+			t.Errorf("%s: 25, which only the added record carries, reachable without it %v, with it %v", name, without[25], with[25])
+		}
+		if empty := reachable(t, nil, 0, 40, release); !empty[0] || !empty[40] || len(empty) != 41 {
+			t.Errorf("%s: the empty input reaches %d of the domain's 41 integers", name, len(empty))
+		}
 	}
 }
 
@@ -242,7 +342,7 @@ func TestAggregationsRejectInvalidEpsilon(t *testing.T) {
 		if _, err := NoisyAverage(q, eps, func(x int) float64 { return 1 }); err == nil {
 			t.Errorf("NoisyAverage(%v) accepted", eps)
 		}
-		if _, err := NoisyMedian(q, eps, func(x int) float64 { return 1 }); err == nil {
+		if _, err := NoisyMedian(q, eps, 0, 1, func(x int) int64 { return 1 }); err == nil {
 			t.Errorf("NoisyMedian(%v) accepted", eps)
 		}
 	}
@@ -296,4 +396,136 @@ func TestPaperExampleDistinctHosts(t *testing.T) {
 	if spent := root.Spent(); math.Abs(spent-0.2) > 1e-12 {
 		t.Errorf("spent %v, want 0.2", spent)
 	}
+}
+
+// naiveRank is the exponential mechanism over [lo, hi] computed one
+// integer at a time: each integer's below (values < x) and through
+// (values <= x) counts by a loop over the values, its probability
+// exp(ε·score/2) normalized in log space. Neighbouring integers with
+// the same counts share a score; they form the runs, each returned
+// with its probability.
+func naiveRank(values []int64, lo, hi int64, eps float64, score func(below, through, n int) float64) (runLo, runHi []int64, prob []float64) {
+	var logw []float64
+	var prevBelow, prevThrough int
+	for x := lo; ; x++ {
+		below, through := 0, 0
+		for _, v := range values {
+			v = min(max(v, lo), hi)
+			if v < x {
+				below++
+			}
+			if v <= x {
+				through++
+			}
+		}
+		w := eps * score(below, through, len(values)) / 2
+		if x > lo && below == prevBelow && through == prevThrough {
+			runHi[len(runHi)-1] = x
+			logw[len(logw)-1] = logAdd(logw[len(logw)-1], w)
+		} else {
+			runLo, runHi, logw = append(runLo, x), append(runHi, x), append(logw, w)
+		}
+		prevBelow, prevThrough = below, through
+		if x == hi {
+			break
+		}
+	}
+	total := math.Inf(-1)
+	for _, w := range logw {
+		total = logAdd(total, w)
+	}
+	for _, w := range logw {
+		prob = append(prob, math.Exp(w-total))
+	}
+	return runLo, runHi, prob
+}
+
+// logAdd is log(e^a + e^b).
+func logAdd(a, b float64) float64 {
+	if a < b {
+		a, b = b, a
+	}
+	if math.IsInf(b, -1) {
+		return a
+	}
+	return a + math.Log1p(math.Exp(b-a))
+}
+
+// FuzzDenseQuantile checks NoisyMedian and NoisyOrderStatistic against
+// naiveRank on domains of up to 64 integers, anywhere in int64, with
+// values on and past both ends: a first draw inside a run's share of
+// the naive cumulative probability must pick that run, and a second
+// draw the integer at its position in the run, in exactly two draws.
+func FuzzDenseQuantile(f *testing.F) {
+	f.Add([]byte{3, 3, 7, 0, 200}, int64(0), uint8(15), uint16(999), uint8(128), true)
+	f.Add([]byte{}, int64(-7), uint8(63), uint16(99), uint8(0), false)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, int64(math.MaxInt64), uint8(9), uint16(4999), uint8(255), false)
+	f.Add([]byte{0, 0, 0, 255}, int64(math.MinInt64), uint8(0), uint16(0), uint8(64), true)
+	f.Fuzz(func(t *testing.T, raw []byte, lo int64, span uint8, epsMilli uint16, frac uint8, median bool) {
+		width := int64(span%64) + 1
+		lo = min(lo, math.MaxInt64-(width-1))
+		hi := lo + width - 1
+		eps := float64(epsMilli%5000+1) / 1000
+		fraction := float64(frac) / 255
+		// Offsets -2 … width+1 from lo, saturating at the ends of int64.
+		var values []int64
+		for _, b := range raw[:min(len(raw), 200)] {
+			off := int64(b)%(width+4) - 2
+			switch {
+			case off < 0 && lo < math.MinInt64-off:
+				values = append(values, math.MinInt64)
+			case off > 0 && lo > math.MaxInt64-off:
+				values = append(values, math.MaxInt64)
+			default:
+				values = append(values, lo+off)
+			}
+		}
+		score := func(below, through, n int) float64 { return -math.Abs(float64(below - (n - through))) }
+		release := func(q *Queryable[int64]) (int64, error) {
+			return NoisyMedian(q, eps, lo, hi, func(v int64) int64 { return v })
+		}
+		if !median {
+			score = func(below, through, n int) float64 { return -math.Abs(float64(below+through)/2 - fraction*float64(n)) }
+			release = func(q *Queryable[int64]) (int64, error) {
+				return NoisyOrderStatistic(q, eps, fraction, lo, hi, func(v int64) int64 { return v })
+			}
+		}
+		draw := func(u1, u2 float64) int64 {
+			src := &script{t: t, u: []float64{u1, u2}}
+			q, _ := NewQueryable(values, math.Inf(1), src)
+			v, err := release(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(src.u) != 0 {
+				t.Fatalf("a release made %d draws, want 2", 2-len(src.u))
+			}
+			return v
+		}
+		runLo, runHi, prob := naiveRank(values, lo, hi, eps, score)
+		below := 0.0 // the naive probability of the runs before r
+		for r := range prob {
+			p := prob[r]
+			// A first draw a millionth of the run's share inside either
+			// end of it, or in its middle, where that share is too small
+			// for the ends to tell apart from rounding.
+			u1s := []float64{below + p/2}
+			if p > 1e-6 {
+				u1s = append(u1s, below+p*1e-6, below+p*(1-1e-6))
+			}
+			below += p
+			if p < 1e-12 {
+				continue
+			}
+			n := runHi[r] - runLo[r] + 1
+			for _, u1 := range u1s {
+				for _, k := range []int64{0, n / 2, n - 1} {
+					if got, want := draw(u1, (float64(k)+0.5)/float64(n)), runLo[r]+k; got != want {
+						t.Fatalf("draws (%v, position %d of %d) over [%d, %d] gave %d, want %d (run [%d, %d], probability %v)",
+							u1, k, n, lo, hi, got, want, runLo[r], runHi[r], p)
+					}
+				}
+			}
+		}
+	})
 }

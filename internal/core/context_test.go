@@ -42,6 +42,7 @@ func TestCancelBeforeAggregationChargesZero(t *testing.T) {
 
 	// Every aggregation honors the gate, on either handle.
 	id := func(v float64) float64 { return v }
+	rank := func(v float64) int64 { return int64(v) }
 	key := func(v float64) string { return "k" }
 	for name, h := range map[string]Streamer[float64]{"queryable": filtered, "stream": q.WithContext(ctx).Stream().Where(func(v float64) bool { return v > 2 })} {
 		gated := map[string]func() error{
@@ -49,10 +50,9 @@ func TestCancelBeforeAggregationChargesZero(t *testing.T) {
 			"NoisyCountInt":       func() error { _, err := h.Stream().NoisyCountInt(1.0); return err },
 			"NoisySum":            func() error { _, err := NoisySum(h, 1.0, id); return err },
 			"NoisyAverage":        func() error { _, err := NoisyAverage(h, 1.0, id); return err },
-			"NoisyMedian":         func() error { _, err := NoisyMedian(h, 1.0, id); return err },
-			"NoisyOrderStatistic": func() error { _, err := NoisyOrderStatistic(h, 1.0, 0.25, id); return err },
+			"NoisyMedian":         func() error { _, err := NoisyMedian(h, 1.0, 0, 9, rank); return err },
+			"NoisyOrderStatistic": func() error { _, err := NoisyOrderStatistic(h, 1.0, 0.25, 0, 9, rank); return err },
 			"NoisyQuantile":       func() error { _, err := NoisyQuantile(h, 1.0, 0.5, 0, id); return err },
-			"NoisyFrequency":      func() error { _, err := NoisyFrequency(h, 1.0, key, "k"); return err },
 			"NoisyDistinctSketch": func() error { _, err := NoisyDistinctSketch(h, 1.0, key); return err },
 		}
 		for agg, run := range gated {
@@ -186,9 +186,9 @@ func TestCancelMidScan(t *testing.T) {
 					wantSpent = 0
 				case fused:
 					st := q.Stream().Where(func(float64) bool { tick(); return true })
-					_, err = NoisyFrequency(st, 0.5, func(float64) string { return "k" }, "k")
+					_, err = NoisyDistinctSketch(st, 0.5, func(float64) string { return "k" })
 				default:
-					_, err = NoisyFrequency(q, 0.5, func(float64) string { tick(); return "k" }, "k")
+					_, err = NoisyDistinctSketch(q, 0.5, func(float64) string { tick(); return "k" })
 				}
 				cancel()
 				if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -146,33 +147,47 @@ var pipeCases = []pipeCase{
 var (
 	unitLen = func(f flowRec) float64 { return float64(f.Len)/750 - 1 }
 	rawLen  = func(f flowRec) float64 { return float64(f.Len) }
+	rankLen = func(f flowRec) int64 { return int64(f.Len) }
 	portKey = func(f flowRec) string { return string(rune('a' + f.Port%16)) }
 	srcKey  = func(f flowRec) string { return fmt.Sprint(f.Src % 512) }
 )
 
-// refChoose is the exponential mechanism over sorted distinct values.
-func refChoose(src noise.Source, out []flowRec, eps float64, score func(below, through, n int) float64) float64 {
-	if len(out) == 0 {
-		return 0
-	}
-	vals := make([]float64, 0, len(out))
+// The public domain the rank cases draw from: narrower than the
+// lengths randomFlows makes ([0, 1500)), so values clamp at both ends.
+const rankLo, rankHi = 100, 1200
+
+// refRank is the exponential mechanism over every integer of [rankLo,
+// rankHi], built one integer at a time: an integer's below and through
+// counts come from binary searches over the sorted clamped lengths,
+// neighbours with the same counts form one run (a distinct value, or a
+// gap between two), and a run is drawn with weight width·exp(ε·score/2),
+// then an integer uniformly inside it.
+func refRank(src noise.Source, out []flowRec, eps float64, score func(below, through, n int) float64) float64 {
+	vals := make([]int64, 0, len(out))
 	for _, r := range out {
-		vals = append(vals, rawLen(r))
+		vals = append(vals, min(max(rankLen(r), rankLo), rankHi))
 	}
-	sort.Float64s(vals)
-	var cands, scores []float64
-	for i := range vals {
-		if i > 0 && vals[i] == vals[i-1] {
+	slices.Sort(vals)
+	type run struct {
+		lo, width      int64
+		below, through int
+	}
+	var runs []run
+	for x := int64(rankLo); x <= rankHi; x++ {
+		below := sort.Search(len(vals), func(k int) bool { return vals[k] >= x })
+		through := sort.Search(len(vals), func(k int) bool { return vals[k] > x })
+		if last := len(runs) - 1; last >= 0 && runs[last].below == below && runs[last].through == through {
+			runs[last].width++
 			continue
 		}
-		through := i
-		for through < len(vals) && vals[through] == vals[i] {
-			through++
-		}
-		cands = append(cands, vals[i])
-		scores = append(scores, score(i, through, len(vals)))
+		runs = append(runs, run{x, 1, below, through})
 	}
-	return cands[noise.Exponential(src, scores, 1, eps)]
+	scores := make([]float64, len(runs))
+	for i, r := range runs {
+		scores[i] = score(r.below, r.through, len(vals)) + 2*math.Log(float64(r.width))/eps
+	}
+	r := runs[noise.Exponential(src, scores, 1, eps)]
+	return float64(r.lo + min(int64(src.Float64()*float64(r.width)), r.width-1))
 }
 
 // aggCase is one mechanism: the engine call on either handle and the
@@ -235,18 +250,22 @@ var aggCases = []aggCase{
 			return sum/n + noise.LaplaceForEpsilon(src, 2000/n, eps)
 		}},
 	{"median", 0.5,
-		func(s Streamer[flowRec], eps float64) (float64, error) { return NoisyMedian(s, eps, rawLen) },
+		func(s Streamer[flowRec], eps float64) (float64, error) {
+			v, err := NoisyMedian(s, eps, rankLo, rankHi, rankLen)
+			return float64(v), err
+		},
 		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
-			return refChoose(src, out, eps, func(below, through, n int) float64 {
+			return refRank(src, out, eps, func(below, through, n int) float64 {
 				return -math.Abs(float64(below - (n - through)))
 			})
 		}},
 	{"orderstat", 0.5,
 		func(s Streamer[flowRec], eps float64) (float64, error) {
-			return NoisyOrderStatistic(s, eps, 0.9, rawLen)
+			v, err := NoisyOrderStatistic(s, eps, 0.9, rankLo, rankHi, rankLen)
+			return float64(v), err
 		},
 		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
-			return refChoose(src, out, eps, func(below, through, n int) float64 {
+			return refRank(src, out, eps, func(below, through, n int) float64 {
 				return -math.Abs(float64(below+through)/2 - 0.9*float64(n))
 			})
 		}},
@@ -283,15 +302,6 @@ var aggCases = []aggCase{
 				scores[i] = -math.Max(0, math.Max(lo-target, target-float64(tp.RMax)))
 			}
 			return tuples[noise.Exponential(src, scores, 1, eps)].Value
-		}},
-	{"frequency", 0.4,
-		func(s Streamer[flowRec], eps float64) (float64, error) { return NoisyFrequency(s, eps, portKey, "c") },
-		func(out []flowRec, _ []int, src noise.Source, eps float64) float64 {
-			cm := sketch.NewCountMin(freqSketchWidth, freqSketchDepth)
-			for _, r := range out {
-				cm.Add(portKey(r))
-			}
-			return float64(cm.Estimate("c")) + noise.LaplaceForEpsilon(src, 1, eps)
 		}},
 	{"distinctcount", 0.4,
 		func(s Streamer[flowRec], eps float64) (float64, error) { return NoisyDistinctSketch(s, eps, srcKey) },
@@ -545,11 +555,11 @@ func TestInvalidParams(t *testing.T) {
 			{"countint/eps=NaN", func() error { _, err := h.Stream().NoisyCountInt(math.NaN()); return err }},
 			{"sum/bound<0", func() error { _, err := NoisySumScaled(h, 0.5, -2, one); return err }},
 			{"average/bound=Inf", func() error { _, err := NoisyAverageScaled(h, 0.5, math.Inf(1), one); return err }},
-			{"median/eps=Inf", func() error { _, err := NoisyMedian(h, math.Inf(1), one); return err }},
-			{"orderstat/fraction<0", func() error { _, err := NoisyOrderStatistic(h, 0.5, -0.1, one); return err }},
+			{"median/eps=Inf", func() error { _, err := NoisyMedian(h, math.Inf(1), 0, 1, rankLen); return err }},
+			{"median/lo>hi", func() error { _, err := NoisyMedian(h, 0.5, 1, 0, rankLen); return err }},
+			{"orderstat/fraction<0", func() error { _, err := NoisyOrderStatistic(h, 0.5, -0.1, 0, 1, rankLen); return err }},
 			{"quantile/fraction>1", func() error { _, err := NoisyQuantile(h, 0.5, 1.5, 0, one); return err }},
 			{"quantile/sketcheps>=1", func() error { _, err := NoisyQuantile(h, 0.5, 0.5, 1.5, one); return err }},
-			{"frequency/eps=0", func() error { _, err := NoisyFrequency(h, 0, portKey, "a"); return err }},
 			{"distinct/eps<0", func() error { _, err := NoisyDistinctSketch(h, -3, portKey); return err }},
 		}
 		for _, c := range cases {

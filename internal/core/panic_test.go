@@ -187,7 +187,7 @@ func TestParallelWorkerPanicBecomesErrInternalAtAggregation(t *testing.T) {
 
 func TestMedianSelectorPanicContained(t *testing.T) {
 	q, root := NewQueryable(manyInts(50), 2.0, noise.NewSeededSource(9, 10))
-	_, err := NoisyMedian(q, 0.3, func(v int) float64 { panic("median bug") })
+	_, err := NoisyMedian(q, 0.3, 0, 100, func(v int) int64 { panic("median bug") })
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}

@@ -8,10 +8,8 @@ import (
 )
 
 // This file adds the sketch-backed aggregations: NoisyQuantile (GK
-// rank summary + exponential mechanism), NoisyFrequency (count-min +
-// Laplace), and NoisyDistinctSketch (HLL-style registers + Laplace).
-// They are what make quantile / heavy-hitter / distinct-count
-// analyses practical at trace scale — one pass, O(1/ε_sketch) or
+// rank summary + exponential mechanism) and NoisyDistinctSketch
+// (HLL-style registers + Laplace): one pass, O(1/ε_sketch) or
 // O(sketch-width) memory, no full sort or giant map.
 //
 // ε-contract: identical to every other aggregation — ctx checked
@@ -28,9 +26,9 @@ import (
 // block order, so the parallel build (workers each building their
 // own blocks) is byte-identical to the sequential one — the block
 // structure, not the worker count, decides every merge — behind any
-// fused stage. Count-min and distinct merges are exact (counter
-// addition / register max), so any deterministic sharding yields
-// identical sketches. Both properties are pinned by tests.
+// fused stage. Distinct merges are exact (register max), so any
+// deterministic sharding yields identical sketches. Both properties
+// are pinned by tests.
 
 // sketchBlock is the fixed number of consecutive source records per
 // quantile-summary block. It is a structural constant of the build —
@@ -54,13 +52,6 @@ var _ [0]struct{} = [sketchBlock % chunkSize]struct{}{}
 // at the ε values trace analyses use.
 const DefaultQuantileAccuracy = 0.005
 
-// Frequency-sketch geometry: 4 rows × 8192 counters ≈ 256 KiB,
-// overcount ≤ ~0.025% of n with probability 1-2^-4 per query.
-const (
-	freqSketchWidth = 8192
-	freqSketchDepth = 4
-)
-
 // distinctSketchPrecision gives 2^12 registers ≈ 1.6% relative
 // standard error on distinct counts.
 const distinctSketchPrecision = 12
@@ -81,9 +72,10 @@ func resolveSketchEps(sketchEps float64) (float64, error) {
 // the target rank to the tuple's plausible rank span. Adding or
 // removing one record moves every rank bound — and hence every
 // span endpoint and the target — by at most one, so the score
-// sensitivity is 1, the same calibration NoisyMedian and
-// NoisyOrderStatistic use for their rank scores. Exactly one noise
-// draw (inside noise.Exponential).
+// sensitivity is 1. Unlike NoisyOrderStatistic, whose candidates are
+// every integer of a public domain, the candidates here are values
+// taken from the data (DESIGN.md §S32). Exactly one noise draw
+// (inside noise.Exponential).
 func quantileChoose(src noise.Source, qs *sketch.Quantile, fraction, epsilon float64) float64 {
 	tuples := qs.Tuples()
 	if len(tuples) == 0 {
@@ -165,10 +157,9 @@ func quantileSummary[T any](s Stream[T], se float64, f func(T) float64) (*sketch
 // NoisyQuantile returns a value whose rank is near fraction·n,
 // selected by the exponential mechanism over a mergeable one-pass
 // rank summary with accuracy target sketchEps (0 means
-// DefaultQuantileAccuracy). It is the sketch-backed, trace-scale
-// counterpart of NoisyOrderStatistic: O(1/sketchEps) memory instead
-// of a full sort, at the cost of candidates being summary tuples
-// rather than every distinct value. Charges ε like every aggregation;
+// DefaultQuantileAccuracy): O(1/sketchEps) memory instead of a full
+// sort, with summary tuples taken from the data as its candidates, where
+// NoisyOrderStatistic draws from a public domain. Charges ε like every aggregation;
 // an empty pipeline yields 0 and draws no noise. A NaN from f has no
 // rank: the summary drops it, as a Where in front would.
 func NoisyQuantile[T any](src Streamer[T], epsilon, fraction, sketchEps float64, f func(T) float64) (float64, error) {
@@ -183,46 +174,6 @@ func NoisyQuantile[T any](src Streamer[T], epsilon, fraction, sketchEps float64,
 			return 0, false
 		}
 		return quantileChoose(s.nsrc, merged, fraction, epsilon), true
-	})
-}
-
-// freqSink feeds its range of the pipeline's output into a count-min
-// sketch. Counter addition is exact, so per-range sketches merge into
-// the sequential build bit for bit.
-type freqSink[T any] struct {
-	key func(T) string
-	c   *sketch.CountMin
-}
-
-func (k *freqSink[T]) acceptChunk(c []T) {
-	for j := range c {
-		k.c.Add(k.key(c[j]))
-	}
-}
-
-// NoisyFrequency returns the approximate number of records whose key
-// equals target, from a one-pass count-min sketch, perturbed with
-// Laplace noise of scale 1/ε. One record contributes one increment,
-// so the estimate's sensitivity is 1 — the same calibration as
-// NoisyCount — and the sketch's (public-geometry) overcount is a
-// bias, not a privacy cost. Charges ε like every aggregation.
-func NoisyFrequency[T any](src Streamer[T], epsilon float64, key func(T) string, target string) (float64, error) {
-	s := src.Stream()
-	return aggregate(&s, "frequency", epsilon, nil, func() (float64, bool) {
-		parts, ok := scan(s, 1, false, func(_, _ int) *freqSink[T] {
-			return &freqSink[T]{key: key, c: sketch.NewCountMin(freqSketchWidth, freqSketchDepth)}
-		})
-		if !ok {
-			return 0, false
-		}
-		merged := parts[0].c
-		for _, p := range parts[1:] {
-			// Same geometry by construction; the error is impossible.
-			if err := merged.Merge(p.c); err != nil {
-				panic(err)
-			}
-		}
-		return float64(merged.Estimate(target)) + noise.LaplaceForEpsilon(s.nsrc, 1, epsilon), true
 	})
 }
 
@@ -245,7 +196,7 @@ func (k *distinctSink[T]) acceptChunk(c []T) {
 // distinct count, whose ideal sensitivity is 1 (one record adds or
 // removes at most one distinct key); the registers themselves are
 // never released. The estimator's deviation from the true distinct
-// count is public-geometry bias, like count-min's overcount. Charges
+// count is public-geometry bias. Charges
 // ε like every aggregation. See DESIGN.md §S32 for the honest caveat
 // on estimator-level vs ideal sensitivity.
 func NoisyDistinctSketch[T any](src Streamer[T], epsilon float64, key func(T) string) (float64, error) {

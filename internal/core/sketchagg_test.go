@@ -39,11 +39,6 @@ func TestSketchAggParallelMatchesSequential(t *testing.T) {
 				{"quantile", func(q *Queryable[flowRec]) (float64, error) {
 					return NoisyQuantile(q, 0.5, 0.75, 0.02, func(f flowRec) float64 { return float64(f.Len) })
 				}},
-				{"frequency", func(q *Queryable[flowRec]) (float64, error) {
-					return NoisyFrequency(q, 0.5, func(f flowRec) string {
-						return string(rune('a' + f.Port%16))
-					}, "b")
-				}},
 				{"distinctcount", func(q *Queryable[flowRec]) (float64, error) {
 					return NoisyDistinctSketch(q, 0.5, func(f flowRec) string {
 						return string(rune('A' + f.Src%128))
@@ -111,40 +106,6 @@ func TestNoisyQuantileAccuracy(t *testing.T) {
 	}
 }
 
-// TestNoisyFrequencyAccuracy: the sketch estimate plus noise must land
-// near the true key frequency at generous ε.
-func TestNoisyFrequencyAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(600))
-	const n = 50000
-	recs := make([]flowRec, n)
-	trueHits := 0
-	for i := range recs {
-		recs[i] = flowRec{Port: uint16(rng.Intn(100))}
-		if recs[i].Port == 7 {
-			trueHits++
-		}
-	}
-	q, _ := NewQueryable(recs, math.Inf(1), noise.NewSeededSource(2, 2))
-	got, err := NoisyFrequency(q, 50, func(f flowRec) string {
-		return string(rune('0' + f.Port%10))
-	}, "7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Key "7" collects ports ≡ 7 (mod 10); recount under that mapping.
-	want := 0
-	for _, r := range recs {
-		if r.Port%10 == 7 {
-			want++
-		}
-	}
-	// Count-min never undercounts; width 8192 over 10 keys means no
-	// collisions in practice, and ε=50 noise is sub-unit.
-	if math.Abs(got-float64(want)) > 0.01*float64(want)+5 {
-		t.Errorf("frequency estimate %v, true %d", got, want)
-	}
-}
-
 // TestNoisyDistinctAccuracy: HLL estimate plus noise lands within a
 // few percent of the true distinct count.
 func TestNoisyDistinctAccuracy(t *testing.T) {
@@ -184,9 +145,6 @@ func TestSketchAggContract(t *testing.T) {
 		if _, err := NoisyQuantile(q, 0.5, 0.5, -0.1, lenOf); !errors.Is(err, ErrInvalidEpsilon) {
 			t.Errorf("bad sketchEps: %v", err)
 		}
-		if _, err := NoisyFrequency(q, math.NaN(), keyOf, "k"); !errors.Is(err, ErrInvalidEpsilon) {
-			t.Errorf("frequency bad ε: %v", err)
-		}
 		if _, err := NoisyDistinctSketch(q, 0, keyOf); !errors.Is(err, ErrInvalidEpsilon) {
 			t.Errorf("distinct bad ε: %v", err)
 		}
@@ -200,7 +158,7 @@ func TestSketchAggContract(t *testing.T) {
 		if _, err := NoisyQuantile(q, 0.8, 0.5, 0, lenOf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NoisyFrequency(q, 0.8, keyOf, "k"); !errors.Is(err, ErrBudgetExceeded) {
+		if _, err := NoisyDistinctSketch(q, 0.8, keyOf); !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("want refusal, got %v", err)
 		}
 		if spent := root.Spent(); spent != 0.8 {
@@ -214,17 +172,14 @@ func TestSketchAggContract(t *testing.T) {
 		if err != nil || v != 0 {
 			t.Fatalf("empty quantile: (%v, %v), want (0, nil)", v, err)
 		}
-		// Count-like sketches still answer (pure noise) on empty data,
+		// The distinct count still answers (pure noise) on empty data,
 		// like NoisyCount.
-		if _, err := NoisyFrequency(q, 0.5, keyOf, "k"); err != nil {
-			t.Fatalf("empty frequency: %v", err)
-		}
 		if _, err := NoisyDistinctSketch(q, 0.5, keyOf); err != nil {
 			t.Fatalf("empty distinct: %v", err)
 		}
-		// All three charged.
-		if spent := root.Spent(); spent != 1.5 {
-			t.Fatalf("spent %v, want 1.5", spent)
+		// Both charged.
+		if spent := root.Spent(); spent != 1 {
+			t.Fatalf("spent %v, want 1", spent)
 		}
 	})
 }

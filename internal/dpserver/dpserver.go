@@ -530,12 +530,13 @@ func marshalJSON(v any) []byte {
 // local mode and tests: it looks req's kind up in the kind table, checks
 // its parameters, and runs it as runKind does for POST /v1/query and
 // standing windows, which look the kind up once. Most kinds never copy a
-// record: the record-wise kinds (count, medianlen, lenquantile, srcfreq)
-// aggregate straight off the chunk loop, hosts folds each source's byte
-// total as the chunks go by (GroupFold), distinctsrc keeps each source
-// once (Distinct) in front of its registers, and lencdf / portcdf count
-// Partition's parts. rttcdf and losscdf Materialize() once, in front of
-// the Join and GroupBy that need the records.
+// record: count, srcfreq (a filtered count) and lenquantile aggregate
+// straight off the chunk loop, hosts folds each source's byte total as
+// the chunks go by (GroupFold), distinctsrc keeps each source once
+// (Distinct) in front of its registers, and lencdf / portcdf count
+// Partition's parts. medianlen collects the records once to sort their
+// lengths; rttcdf and losscdf Materialize() once, in front of the Join
+// and GroupBy that need the records.
 func RunPacketQuery(q *core.Queryable[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
 	k, err := kindFor(req)
 	if err != nil {

@@ -46,6 +46,35 @@ type failoverPair struct {
 	ledA, ledB *ledger.Ledger
 	sA, sB     *Server
 	tsA, tsB   *httptest.Server
+	replA      *connListener // the primary's replication listener
+}
+
+// connListener keeps the connections it accepts, so a test can cut a
+// follower's stream and watch it reconnect.
+type connListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *connListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+// cut closes every connection accepted so far.
+func (l *connListener) cut() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+	l.conns = nil
 }
 
 func newFailoverPair(t *testing.T, seed uint64) *failoverPair {
@@ -66,8 +95,9 @@ func newFailoverPair(t *testing.T, seed uint64) *failoverPair {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.replA = &connListener{Listener: ln}
 	if err := p.sA.StartReplication(ReplicationConfig{
-		Listen: ln, MinSync: 1, AckTimeout: 10 * time.Second, Name: "a",
+		Listen: p.replA, MinSync: 1, AckTimeout: 10 * time.Second, Name: "a",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +177,15 @@ func failoverCycle(t *testing.T, seed uint64) {
 	p := newFailoverPair(t, seed)
 
 	// The storm: workers hammer the primary with keyed count queries
-	// until the kill. Only 200 responses count as acked.
+	// until the kill. Only 200 responses count as acked. A worker holds
+	// gate's read side for each query, so the test can pause the storm.
 	const workers = 6
 	var (
 		mu    sync.Mutex
 		acked []ackedQuery
 		wg    sync.WaitGroup
 		stop  = make(chan struct{})
+		gate  sync.RWMutex
 	)
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -170,7 +202,9 @@ func failoverCycle(t *testing.T, seed uint64) {
 					Query: "count", Epsilon: epsilon,
 					IdempotencyKey: fmt.Sprintf("storm-%d-%d-%d", seed, g, i),
 				}
+				gate.RLock()
 				resp, body, err := tryPostV1(p.tsA.URL+"/v1/query", req)
+				gate.RUnlock()
 				if err != nil {
 					// The kill in progress: connection refused/reset.
 					return
@@ -184,14 +218,34 @@ func failoverCycle(t *testing.T, seed uint64) {
 		}(g)
 	}
 
-	// Let the storm land some charges, then kill the primary
+	landed := func(n int) func() bool {
+		return func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(acked) >= n
+		}
+	}
+	// Mid-storm, the standby reconnects just after a snapshot: with the
+	// storm paused and the standby caught up, the primary snapshots
+	// (compacting the standby's last record away) and the replication
+	// stream is cut. The storm's next charges wait for the standby's
+	// ack, so they land only once it has resumed from the snapshot seq.
+	waitFor(t, 10*time.Second, landed(5), "storm to land acked charges")
+	gate.Lock()
+	mu.Lock()
+	paused := len(acked)
+	mu.Unlock()
+	waitFor(t, 5*time.Second, func() bool { return p.ledB.CommittedSeq() == p.ledA.CommittedSeq() }, "standby to catch up")
+	if err := p.ledA.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	p.replA.cut()
+	gate.Unlock()
+
+	// Let the storm land more charges, then kill the primary
 	// abruptly: in-flight connections die, the replication stream
 	// dies, nothing is drained.
-	waitFor(t, 10*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(acked) >= 10
-	}, "storm to land acked charges")
+	waitFor(t, 10*time.Second, landed(paused+5), "storm to land acked charges after the reconnect")
 	close(stop)
 	p.tsA.CloseClientConnections()
 	p.sA.CloseReplication()
@@ -391,6 +445,38 @@ func TestKeyedReingestAfterFailover(t *testing.T) {
 				t.Fatalf("second re-send after failover appended again:\n was: %s\n now: %s", after, again)
 			}
 		})
+	}
+}
+
+// TestIdemReplyStagedWithoutQuorum: a keyed reply completes an answer
+// whose charge the quorum gate already admitted, so it is staged even
+// while no follower is connected — the answer's commit is what waits
+// for the quorum. It used to be dropped: a follower that reconnected
+// between a request's charge and its reply let the 200 out with no
+// reply journaled, and after a failover a retry was charged again
+// (TestFailoverStorm's cut after a snapshot showed it).
+func TestIdemReplyStagedWithoutQuorum(t *testing.T) {
+	led, err := ledger.Open(ledger.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { led.Close() })
+	s := New(noise.NewSeededSource(1, 2), WithLedger(led))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StartReplication(ReplicationConfig{Listen: ln, MinSync: 1, AckTimeout: time.Second, Name: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.CloseReplication)
+	if err := s.spendRefusal(); err == nil {
+		t.Fatal("a primary with no follower admits spends")
+	}
+	k := idemKey{endpoint: "/v1/query", dataset: "hotspot", analyst: "a", key: "k"}
+	s.recordIdemReply(k, http.StatusOK, []byte(`{"values":[1]}`), time.Now().Add(time.Hour))
+	if _, ok := led.Reply(k.endpoint, k.dataset, k.analyst, k.key); !ok {
+		t.Fatal("the reply was dropped while the quorum was down")
 	}
 }
 

@@ -64,8 +64,8 @@ var queryKinds = []queryKind{
 		}},
 	{name: "medianlen", description: "noisy median packet length",
 		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
-			v, err := core.NoisyMedian(packets, req.Epsilon, packetLen)
-			return value(v, err, 0) // exponential mechanism: no additive noise scale
+			v, err := core.NoisyMedian(packets, req.Epsilon, 0, math.MaxUint16, func(p trace.Header) int64 { return int64(p.Len) })
+			return value(float64(v), err, 0) // exponential mechanism: no additive noise scale
 		}},
 	{name: "rttcdf", description: "handshake-RTT CDF", widestStep: math.MaxInt64 / 64,
 		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
@@ -94,18 +94,19 @@ var queryKinds = []queryKind{
 			if fraction == 0 {
 				fraction = 0.5
 			}
-			v, err := core.NoisyQuantile(packets, req.Epsilon, fraction, req.SketchEps, packetLen)
+			v, err := core.NoisyQuantile(packets, req.Epsilon, fraction, req.SketchEps, func(p trace.Header) float64 { return float64(p.Len) })
 			return value(v, err, 0)
 		}},
-	{name: "srcfreq", description: "packets from one source (key) from a count-min summary",
+	{name: "srcfreq", description: "noisy count of packets from one source (key)",
 		check: func(req *api.QueryRequest) error {
-			if req.Key == "" {
-				return fmt.Errorf(`srcfreq requires "key": the target source IP, e.g. "10.0.0.1"`)
+			if _, err := trace.ParseIPv4(req.Key); err != nil {
+				return fmt.Errorf(`srcfreq requires "key": the target source IP, e.g. "10.0.0.1" (%v)`, err)
 			}
 			return nil
 		},
 		run: func(packets core.Stream[trace.Header], req *api.QueryRequest) (*api.QueryResponse, error) {
-			v, err := core.NoisyFrequency(packets, req.Epsilon, func(p trace.Header) string { return p.SrcIP.String() }, req.Key)
+			ip, _ := trace.ParseIPv4(req.Key) // check refused a key that does not parse
+			v, err := packets.Where(func(p trace.Header) bool { return p.SrcIP == ip }).NoisyCount(req.Epsilon)
 			return value(v, err, noise.LaplaceStd(req.Epsilon))
 		}},
 	{name: "distinctsrc", description: "distinct sources from HLL-style registers, each source added once",
@@ -178,10 +179,6 @@ func cdf(buckets []int64, values []float64, err error, epsilon float64) (*api.Qu
 	}
 	return &api.QueryResponse{Values: values, Buckets: buckets, NoiseStd: noise.LaplaceStd(epsilon)}, nil
 }
-
-// packetLen is a packet's length, the value medianlen and lenquantile
-// rank.
-func packetLen(p trace.Header) float64 { return float64(p.Len) }
 
 // orDefault is v, or def when the request left the field unset.
 func orDefault[N int | int64](v, def N) N {

@@ -62,6 +62,44 @@ func packetKindNames() []string {
 	return names
 }
 
+// midpoint is a noise source whose every draw is 0.5, where the
+// inverse-CDF Laplace sampler returns exactly zero.
+type midpoint struct{}
+
+func (midpoint) Float64() float64 { return 0.5 }
+
+// TestSrcFreqIsExactCount: under zero noise srcfreq answers the exact
+// number of packets from its key, however many other sources the trace
+// holds, and one added packet moves it by at most 1. (A count-min
+// estimate read 24 for a key with 3 packets beside 200,000 other
+// sources.)
+func TestSrcFreqIsExactCount(t *testing.T) {
+	key := trace.MakeIPv4(10, 0, 0, 1)
+	packets := trace.Headers(ingestPkts(200_000)) // sources 0 … 199,999
+	for i := range 3 {
+		packets[i*1000].SrcIP = key
+	}
+	req := &api.QueryRequest{Query: "srcfreq", Epsilon: 0.5, Key: "10.0.0.1"}
+	answer := func(packets []trace.Header) float64 {
+		q, _ := core.NewQueryable(packets, math.Inf(1), midpoint{})
+		resp, err := RunPacketQuery(q, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Values[0]
+	}
+	if got := answer(packets); got != 3 {
+		t.Fatalf("srcfreq = %v under zero noise, want the exact count 3", got)
+	}
+	for _, added := range []trace.IPv4{key, trace.MakeIPv4(10, 0, 0, 2), 7} {
+		p := packets[1]
+		p.SrcIP = added
+		if got := answer(append(packets[:len(packets):len(packets)], p)); math.Abs(got-3) > 1 {
+			t.Errorf("a packet from %v moved srcfreq from 3 to %v", added, got)
+		}
+	}
+}
+
 // TestCountPipelineAllocatesO1: the served count runs the request
 // filter as a fused stage under NoisyCount, so its heap use is one
 // chunk of scratch whatever the dataset size. (It used to copy the
@@ -142,7 +180,7 @@ func TestBucketStepWithinDomain(t *testing.T) {
 	cases := map[string][]param{
 		"lenquantile": {{"fraction", 0, true}, {"fraction", 1, true}, {"fraction", 1.5, false}, {"fraction", -0.25, false},
 			{"sketchEps", 0.01, true}, {"sketchEps", 1, false}, {"sketchEps", 2, false}, {"sketchEps", -0.5, false}},
-		"srcfreq": {{"key", "10.0.0.1", true}, {"key", "", false}},
+		"srcfreq": {{"key", "10.0.0.1", true}, {"key", "", false}, {"key", "10.0.0.256", false}, {"key", "host", false}},
 	}
 	for _, k := range queryKinds {
 		if domain := k.widestStep; domain > 0 {

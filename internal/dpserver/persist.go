@@ -185,7 +185,7 @@ func ingestReply(endpoint string) bool {
 // It follows the request's charge and audit records in the WAL: a
 // crash can keep a charge without its reply, never the reverse.
 func (s *Server) recordIdemReply(k idemKey, status int, body []byte, expires time.Time) {
-	_ = s.journalAppend(ledger.Event{
+	_ = s.journalFollow(ledger.Event{
 		Type: ledger.EventIdemReply, Endpoint: k.endpoint,
 		Dataset: k.dataset, Analyst: k.analyst, Key: k.key,
 		Status: status, Body: body, Expires: expires.UnixNano(),

@@ -51,7 +51,7 @@ func TestRegisterDatasetBesideReplicaAppends(t *testing.T) {
 	// replicate stages one streamed record and commits it, as a
 	// follower does for a burst of one.
 	replicate := func(seq uint64, payload []byte) error {
-		if _, _, err := replica.StageReplica(payload); err != nil {
+		if _, err := replica.StageReplica(payload); err != nil {
 			return err
 		}
 		return replica.Commit(seq)

@@ -178,6 +178,18 @@ func (s *Server) journalAppend(ev ledger.Event) error {
 	return err
 }
 
+// journalFollow is journalAppend without the quorum gate, for a reply
+// that completes an answer whose charge the gate admitted: the answer's
+// journalCommit waits for the quorum over both, so a follower that drops
+// in between delays the answer instead of costing its reply.
+func (s *Server) journalFollow(ev ledger.Event) error {
+	if _, err := s.replRole(); err != nil {
+		return err
+	}
+	_, err := s.ledger.Stage(ev)
+	return err
+}
+
 // replRole reads the replication role once: the live primary (nil
 // when the node is not one), and the refusal the role gives anything
 // that would journal — errNotPrimary on a follower, errReplRetired

@@ -8,6 +8,7 @@ import (
 	"dptrace/internal/analyses/flowcdf"
 	"dptrace/internal/core"
 	"dptrace/internal/noise"
+	"dptrace/internal/stats"
 )
 
 // FlowCDFPoint is one privacy level of the flow-size CDF: the noisy
@@ -18,9 +19,9 @@ type FlowCDFPoint struct {
 	RMSE    float64
 }
 
-// FlowCDFResult is the accuracy-vs-ε sweep of the quantile-sketch
-// flow-size CDF (packets per 5-tuple flow), built on the engine's
-// fused streaming path.
+// FlowCDFResult is the accuracy-vs-ε sweep of the flow-size CDF
+// (packets per src→dst host pair) from noisy order statistics over the
+// public domain [1, flowcdf.MaxFlowSize].
 type FlowCDFResult struct {
 	Fractions []float64
 	Exact     []float64
@@ -29,9 +30,7 @@ type FlowCDFResult struct {
 
 // RunFlowCDF probes the flow-size distribution at a tail-weighted grid
 // of rank fractions for each privacy level, reporting the error of the
-// rank-spaced quantile method as ε shrinks. The sketch's rank-accuracy target is
-// fixed (public geometry), so the curve isolates the cost of privacy:
-// at ε=10 the error is sketch-limited, at ε=0.1 mechanism-limited.
+// rank-spaced method as ε shrinks.
 func RunFlowCDF(seed uint64) *FlowCDFResult {
 	h := hotspot()
 	res := &FlowCDFResult{Fractions: flowcdf.TailFractions()}
@@ -39,11 +38,11 @@ func RunFlowCDF(seed uint64) *FlowCDFResult {
 
 	for i, eps := range Epsilons {
 		q, _ := core.NewQueryable(h.packets, math.Inf(1), noise.NewSeededSource(seed, uint64(50+i)))
-		values, err := flowcdf.PrivateFlowSizeCDF(q, eps, 0.001, res.Fractions)
+		values, err := flowcdf.PrivateFlowSizeCDF(q, eps, res.Fractions)
 		if err != nil {
 			panic(err)
 		}
-		rmse, _ := flowcdf.RMSE(values, res.Exact)
+		rmse, _ := stats.RMSE(values, res.Exact)
 		res.Points = append(res.Points, FlowCDFPoint{Epsilon: eps, Values: values, RMSE: rmse})
 	}
 	return res
@@ -52,7 +51,7 @@ func RunFlowCDF(seed uint64) *FlowCDFResult {
 // String renders the accuracy-vs-ε table.
 func (r *FlowCDFResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Flow-size CDF — noisy quantiles over a mergeable rank sketch (fused path)\n")
+	fmt.Fprintf(&b, "Flow-size CDF — noisy order statistics over the public domain [1, 2^20]\n")
 	fmt.Fprintf(&b, "%-10s", "fraction")
 	for _, f := range r.Fractions {
 		fmt.Fprintf(&b, "%8.3f", f)

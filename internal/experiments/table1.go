@@ -89,20 +89,21 @@ func RunTable1(seed uint64) *Table1Result {
 			TheoryStd: math.Sqrt(8) / (eps * float64(len(records))), EmpiricalStd: stdOf(samples),
 		})
 
-		// Median partition imbalance: ~sqrt(2)/eps.
-		ranked := make([]float64, 1001)
+		// Median partition imbalance: ~sqrt(2)/eps, over the public
+		// domain [0, 1000] that the ranked values fill.
+		ranked := make([]int64, 1001)
 		for i := range ranked {
-			ranked[i] = float64(i)
+			ranked[i] = int64(i)
 		}
 		q2, _ := core.NewQueryable(ranked, math.Inf(1), noise.NewSeededSource(seed, 4))
 		imb := make([]float64, 2000)
 		for i := range imb {
-			v, err := core.NoisyMedian(q2, eps, func(x float64) float64 { return x })
+			v, err := core.NoisyMedian(q2, eps, 0, 1000, func(x int64) int64 { return x })
 			if err != nil {
 				panic(err)
 			}
-			below, above := v, float64(len(ranked)-1)-v
-			imb[i] = below - above
+			below, above := v, int64(len(ranked)-1)-v
+			imb[i] = float64(below - above)
 		}
 		res.Rows = append(res.Rows, Table1Row{
 			Operation: "Median imbalance", Epsilon: eps,

@@ -293,7 +293,7 @@ func TestReadersAgreeOnDamagedHistory(t *testing.T) {
 		if err != nil || rec.SnapshotSeq != 3 || st.Seq != 6 {
 			t.Fatalf("Replay: snapshot %d, seq %d, err %v; want snapshot 3, seq 6", rec.SnapshotSeq, st.Seq, err)
 		}
-		seq, payload, err := SnapshotPayload(nil, dir)
+		seq, _, payload, err := SnapshotPayload(nil, dir)
 		if err != nil || seq != rec.SnapshotSeq {
 			t.Fatalf("SnapshotPayload: seq %d, err %v; recovery loaded snapshot %d", seq, err, rec.SnapshotSeq)
 		}

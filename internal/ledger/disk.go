@@ -266,19 +266,6 @@ func (t *TailReader) tail() (tornTail, int) {
 	return tornTail{t.seg.path, t.off}, len(t.buf) - t.off
 }
 
-// RecordPayload reads the raw payload of the record at seq, CRC
-// re-verified — a follower's CRC of its own last record.
-func RecordPayload(fsys vfs.FS, dir string, seq uint64) ([]byte, error) {
-	if seq == 0 {
-		return nil, fmt.Errorf("ledger: no record at seq 0")
-	}
-	_, payload, err := NewTailReader(fsys, dir, seq-1).Next()
-	if err == io.EOF {
-		return nil, fmt.Errorf("ledger: no record at seq %d", seq)
-	}
-	return payload, err
-}
-
 // Events reads every event in dir's WAL segments in order, read-only,
 // calling fn for each (including those a snapshot already covers, when
 // their segments still exist). It stops at a torn tail and returns
@@ -348,16 +335,20 @@ func loadSnapshot(fsys vfs.FS, snap file) (*State, []byte, error) {
 }
 
 // SnapshotPayload returns the seq and raw record payload of the
-// snapshot recovery would load from dir — the newest loadable one — or
-// (0, nil, nil) when none loads.
-func SnapshotPayload(fsys vfs.FS, dir string) (uint64, []byte, error) {
+// snapshot recovery would load from dir — the newest loadable one — and
+// the CRC of the record at that seq it carries (State.LastCRC), or
+// zeros when none loads.
+func SnapshotPayload(fsys vfs.FS, dir string) (seq uint64, lastCRC uint32, payload []byte, err error) {
 	if fsys == nil {
 		fsys = vfs.OS{}
 	}
 	ls, err := list(fsys, dir)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
-	seq, _, payload := newestSnapshot(fsys, ls, func(string, ...any) {})
-	return seq, payload, nil
+	seq, st, payload := newestSnapshot(fsys, ls, func(string, ...any) {})
+	if st == nil {
+		return 0, 0, nil, nil
+	}
+	return seq, st.LastCRC, payload, nil
 }

@@ -279,7 +279,7 @@ func replay(fsys vfs.FS, dir string, logf func(string, ...any)) (*State, Recover
 	}
 	t := NewTailReader(fsys, dir, state.Seq)
 	for {
-		ev, _, err := t.scan()
+		ev, raw, err := t.scan()
 		if err == io.EOF {
 			break
 		}
@@ -287,7 +287,7 @@ func replay(fsys vfs.FS, dir string, logf func(string, ...any)) (*State, Recover
 			err = fmt.Errorf("%w: no WAL segment holds seq %d", ErrCorrupt, state.Seq+1)
 		}
 		if err == nil {
-			err = state.Apply(&ev)
+			err = state.fold(&ev, raw)
 		}
 		if err != nil {
 			rec.Err, rec.Segments = err, t.segments
@@ -521,7 +521,7 @@ func (l *Ledger) stageRecordLocked(ev *Event, buf []byte) error {
 	}
 	l.dirty = true
 	l.activeSize += int64(len(buf))
-	if err := l.state.Apply(ev); err != nil {
+	if err := l.state.fold(ev, buf); err != nil {
 		// Cannot happen for events this process built; fail closed if
 		// it somehow does.
 		l.frozen = err

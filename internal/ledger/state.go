@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -16,7 +17,11 @@ import (
 // DecodeBudget at the consumer boundary.
 type State struct {
 	// Seq is the sequence number of the last applied event.
-	Seq      uint64                   `json:"seq"`
+	Seq uint64 `json:"seq"`
+	// LastCRC is the payload CRC of the record at Seq, which a snapshot
+	// vouches for after compaction deletes it; 0 when unknown (a
+	// snapshot from before the field, and no record since).
+	LastCRC  uint32                   `json:"lastCRC,omitempty"`
 	Datasets map[string]*DatasetState `json:"datasets,omitempty"`
 	// Audit is the persisted audit trail, oldest first, bounded by
 	// AuditCap through appendAudit.
@@ -287,6 +292,16 @@ func (s *State) Apply(ev *Event) error {
 		return fmt.Errorf("%w: unknown event type %q (seq %d)", ErrCorrupt, ev.Type, ev.Seq)
 	}
 	s.Seq = ev.Seq
+	return nil
+}
+
+// fold applies ev, decoded from rec (a whole record: header, then
+// payload), and notes the record's CRC.
+func (s *State) fold(ev *Event, rec []byte) error {
+	if err := s.Apply(ev); err != nil {
+		return err
+	}
+	s.LastCRC = binary.LittleEndian.Uint32(rec[4:recordHeaderSize])
 	return nil
 }
 

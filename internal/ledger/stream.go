@@ -77,6 +77,15 @@ func (l *Ledger) CommittedSeq() uint64 {
 	return l.durable
 }
 
+// LastCRC returns the CRC of the newest staged record's payload, or the
+// one the installed or recovered snapshot carries when none followed it
+// (State.LastCRC).
+func (l *Ledger) LastCRC() uint32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.state.LastCRC
+}
+
 // StagedSeq returns the seq of the newest staged event (>= CommittedSeq)
 // — what a Commit issued now must cover.
 func (l *Ledger) StagedSeq() uint64 {
@@ -146,43 +155,42 @@ func (l *Ledger) SetEpoch(e uint64) error {
 // the primary's raw record payload for exactly the next seq. The bytes
 // written are identical to the primary's, so the two WALs replay to
 // the same refusal boundary and compare clean under dpledger diff. It
-// returns the decoded event and the payload's CRC. A follower stages a
-// burst of frames and Commits the last seq once before acking it.
-func (l *Ledger) StageReplica(payload []byte) (Event, uint32, error) {
-	buf, ev, crc, err := wrapPayload(nil, payload)
+// returns the decoded event. A follower stages a burst of frames and
+// Commits the last seq once before acking it.
+func (l *Ledger) StageReplica(payload []byte) (Event, error) {
+	buf, ev, err := wrapPayload(nil, payload)
 	if err != nil {
-		return Event{}, 0, err
+		return Event{}, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.refusingLocked(); err != nil {
-		return Event{}, 0, err
+		return Event{}, err
 	}
 	if ev.Seq != l.state.Seq+1 {
-		return Event{}, 0, fmt.Errorf("ledger: replica append seq %d, want %d", ev.Seq, l.state.Seq+1)
+		return Event{}, fmt.Errorf("ledger: replica append seq %d, want %d", ev.Seq, l.state.Seq+1)
 	}
 	if err := l.stageRecordLocked(&ev, buf); err != nil {
-		return Event{}, 0, err
+		return Event{}, err
 	}
-	return ev, crc, nil
+	return ev, nil
 }
 
 // wrapPayload appends a replicated payload to dst as a whole record —
 // header, then payload: the bytes a replica writes — and decodes the
-// event it holds, returning the payload's CRC too.
-func wrapPayload(dst, payload []byte) ([]byte, Event, uint32, error) {
+// event it holds.
+func wrapPayload(dst, payload []byte) ([]byte, Event, error) {
 	var ev Event
 	if len(payload) == 0 || len(payload) > maxRecordSize {
-		return dst, ev, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, len(payload))
+		return dst, ev, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, len(payload))
 	}
 	if err := decodePayload(payload, &ev); err != nil {
-		return dst, ev, 0, err
+		return dst, ev, err
 	}
-	crc := Checksum(payload)
 	dst = slices.Grow(dst, recordHeaderSize+len(payload))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	return append(dst, payload...), ev, crc, nil
+	dst = binary.LittleEndian.AppendUint32(dst, Checksum(payload))
+	return append(dst, payload...), ev, nil
 }
 
 // InstallSnapshot seeds an EMPTY follower ledger from a primary
@@ -192,7 +200,7 @@ func wrapPayload(dst, payload []byte) ([]byte, Event, uint32, error) {
 // already applied events refuses — mixing histories silently is how
 // budgets drift; re-seed from a fresh directory instead.
 func (l *Ledger) InstallSnapshot(payload []byte) error {
-	buf, ev, _, err := wrapPayload([]byte(snapMagic), payload)
+	buf, ev, err := wrapPayload([]byte(snapMagic), payload)
 	if err != nil {
 		return err
 	}

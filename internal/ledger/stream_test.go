@@ -28,7 +28,7 @@ func drain(t *testing.T, tr *TailReader) (seqs []uint64, payloads [][]byte) {
 // replicaAppend stages a replicated payload and commits it, as a
 // follower does for a burst of one.
 func replicaAppend(l *Ledger, seq uint64, payload []byte) error {
-	if _, _, err := l.StageReplica(payload); err != nil {
+	if _, err := l.StageReplica(payload); err != nil {
 		return err
 	}
 	return l.Commit(seq)
@@ -229,7 +229,7 @@ func TestInstallSnapshotSeedsEmptyLedgerOnly(t *testing.T) {
 	}
 	a.Close()
 
-	seq, payload, err := SnapshotPayload(nil, dirA)
+	seq, _, payload, err := SnapshotPayload(nil, dirA)
 	if err != nil || seq != 10 {
 		t.Fatalf("SnapshotPayload = seq %d, err %v", seq, err)
 	}
@@ -301,23 +301,45 @@ func TestEpochPersists(t *testing.T) {
 	}
 }
 
+// TestRecordPayloadDivergenceProbe: the CRC a follower sends for its
+// last record — the ledger's LastCRC — is that record's payload CRC,
+// after appends, after a reopen that replays them, and after a reopen
+// from a snapshot that compacted the record away.
 func TestRecordPayloadDivergenceProbe(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir})
+	l, err := Open(Options{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	appendAll(t, l, chargeEvents(4))
-	p, err := RecordPayload(nil, dir, 3)
+	appendAll(t, l, chargeEvents(3)) // seqs 1 … 4
+	_, p, err := NewTailReader(nil, dir, 3).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev Event
-	if err := decodePayload(p, &ev); err != nil || ev.Seq != 3 {
-		t.Fatalf("RecordPayload(3) decoded seq %d, err %v", ev.Seq, err)
+	want := Checksum(p)
+	if got := l.LastCRC(); got != want {
+		t.Fatalf("LastCRC after appends = %08x, want record 4's %08x", got, want)
 	}
-	if _, err := RecordPayload(nil, dir, 99); err == nil {
-		t.Fatal("RecordPayload past the head succeeded")
+	reopen := func(what string) {
+		t.Helper()
+		l.Close()
+		if l, err = Open(Options{Dir: dir, SnapshotEvery: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.LastCRC(); got != want {
+			t.Fatalf("LastCRC after %s = %08x, want record 4's %08x", what, got, want)
+		}
 	}
+	reopen("a replay")
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := NewTailReader(nil, dir, 3).Next(); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("record 4 after the snapshot: %v, want ErrCompacted", err)
+	}
+	reopen("a snapshot")
+	if seq, crc, _, err := SnapshotPayload(nil, dir); seq != 4 || crc != want || err != nil {
+		t.Fatalf("SnapshotPayload = seq %d, CRC %08x, %v; want 4, %08x", seq, crc, err, want)
+	}
+	l.Close()
 }

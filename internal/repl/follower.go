@@ -60,7 +60,6 @@ type Follower struct {
 	applied      atomic.Uint64
 	primarySeq   atomic.Uint64
 	primaryEpoch atomic.Uint64
-	lastCRC      atomic.Uint32
 }
 
 // NewFollower prepares a follower over led. Call Start to begin
@@ -70,13 +69,6 @@ func NewFollower(led *ledger.Ledger, cfg FollowerConfig) (*Follower, error) {
 	f := &Follower{led: led, cfg: cfg, ctx: ctx, cancel: cancel}
 	f.applied.Store(led.CommittedSeq())
 	f.primarySeq.Store(led.CommittedSeq())
-	if seq := led.CommittedSeq(); seq > 0 {
-		p, err := ledger.RecordPayload(led.FS(), led.Dir(), seq)
-		if err != nil {
-			return nil, fmt.Errorf("repl: read own tail record %d: %w", seq, err)
-		}
-		f.lastCRC.Store(ledger.Checksum(p))
-	}
 	return f, nil
 }
 
@@ -162,7 +154,7 @@ func (f *Follower) session() (bool, error) {
 	lastSeq := f.led.CommittedSeq()
 	sub := subRequest{Name: f.cfg.Name, Epoch: f.led.Epoch(), LastSeq: lastSeq}
 	if lastSeq > 0 {
-		sub.LastCRC = f.lastCRC.Load()
+		sub.LastCRC = f.led.LastCRC() // stream committed every staged record
 	}
 	if err := writeJSONFrame(bw, kindSub, sub); err != nil {
 		return false, err
@@ -213,7 +205,6 @@ func (f *Follower) session() (bool, error) {
 			return false, fmt.Errorf("repl: install snapshot: %w", err)
 		}
 		f.applied.Store(f.led.CommittedSeq())
-		f.lastCRC.Store(ledger.Checksum(payload))
 		if f.cfg.OnReset != nil {
 			f.cfg.OnReset()
 		}
@@ -238,8 +229,7 @@ func (f *Follower) session() (bool, error) {
 // burst is the run of event frames staged in the local WAL since the
 // last commit: one fsync and one cumulative ack cover all of it.
 type burst struct {
-	events  []ledger.Event
-	lastCRC uint32
+	events []ledger.Event
 }
 
 // stream applies events until the connection dies or the follower is
@@ -326,7 +316,7 @@ func (f *Follower) stageEvent(payload []byte, b *burst) error {
 	if sealed {
 		return errors.New("repl: follower sealed (promotion in progress)")
 	}
-	ev, crc, err := f.led.StageReplica(payload)
+	ev, err := f.led.StageReplica(payload)
 	if err != nil {
 		return err
 	}
@@ -334,7 +324,6 @@ func (f *Follower) stageEvent(payload []byte, b *burst) error {
 		f.primarySeq.Store(ev.Seq)
 	}
 	b.events = append(b.events, ev)
-	b.lastCRC = crc
 	return nil
 }
 
@@ -350,7 +339,6 @@ func (f *Follower) commitBurst(b *burst) (uint64, error) {
 		return 0, err
 	}
 	f.applied.Store(last)
-	f.lastCRC.Store(b.lastCRC)
 	if f.cfg.OnApply != nil {
 		for _, ev := range b.events {
 			f.cfg.OnApply(ev)

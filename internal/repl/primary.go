@@ -406,7 +406,7 @@ func (p *Primary) handle(conn net.Conn) {
 	var snapPayload []byte
 	switch {
 	case sub.LastSeq == 0 && oldest > 1:
-		snapSeq, sp, err := ledger.SnapshotPayload(p.led.FS(), p.led.Dir())
+		snapSeq, _, sp, err := ledger.SnapshotPayload(p.led.FS(), p.led.Dir())
 		if err != nil || snapSeq == 0 {
 			refuse("internal", fmt.Sprintf("no snapshot behind compaction horizon: %v", err))
 			return
@@ -414,8 +414,8 @@ func (p *Primary) handle(conn net.Conn) {
 		snapPayload, nextSeq = sp, snapSeq+1
 		tr = ledger.NewTailReader(p.led.FS(), p.led.Dir(), snapSeq)
 	case sub.LastSeq > 0:
-		tr = ledger.NewTailReader(p.led.FS(), p.led.Dir(), sub.LastSeq-1)
-		if code, message := checkLast(tr, sub, oldest); code != "" {
+		var code, message string
+		if tr, code, message = p.checkLast(sub, oldest); code != "" {
 			refuse(code, message)
 			return
 		}
@@ -498,29 +498,37 @@ func (p *Primary) handle(conn net.Conn) {
 	lostReason = s.stream(bw, tr, nextSeq, readErr)
 }
 
-// checkLast reads a follower's last record from tr, positioned just
-// before it, and reports why the follower cannot stream — its record
-// compacted away ("behind"), unreadable ("internal"), or not OUR
-// record, byte for byte ("diverged") — or "" when it can; tr then
-// stands at the follower's next seq.
-func checkLast(tr *ledger.TailReader, sub subRequest, oldest uint64) (code, message string) {
-	var mine []byte
+// checkLast checks a follower's last record against ours through its
+// CRC: the record itself while the WAL retains it, else the CRC the
+// snapshot at its seq carries. It reports why the follower cannot
+// stream — its record compacted away and no snapshot at its seq that
+// knows the CRC ("behind"), unreadable ("internal"), or not OUR record
+// ("diverged") — or "" and a reader standing at the follower's next seq.
+func (p *Primary) checkLast(sub subRequest, oldest uint64) (tr *ledger.TailReader, code, message string) {
+	fsys, dir := p.led.FS(), p.led.Dir()
+	var mine uint32
 	err := ledger.ErrCompacted
 	if sub.LastSeq >= oldest {
-		_, mine, err = tr.Next()
+		tr = ledger.NewTailReader(fsys, dir, sub.LastSeq-1)
+		var rec []byte
+		if _, rec, err = tr.Next(); err == nil {
+			mine = ledger.Checksum(rec)
+		}
+	} else if snapSeq, crc, _, serr := ledger.SnapshotPayload(fsys, dir); serr != nil || snapSeq == sub.LastSeq && crc != 0 {
+		// A snapshot at the follower's seq vouches for the compacted record.
+		mine, err, tr = crc, serr, ledger.NewTailReader(fsys, dir, sub.LastSeq)
 	}
 	switch {
 	case errors.Is(err, ledger.ErrCompacted):
-		return "behind", fmt.Sprintf("seq %d compacted away; re-seed the follower from an empty directory", sub.LastSeq)
+		return nil, "behind", fmt.Sprintf("seq %d compacted away; re-seed the follower from an empty directory", sub.LastSeq)
 	case err == io.EOF:
-		return "internal", fmt.Sprintf("no record at seq %d", sub.LastSeq)
+		return nil, "internal", fmt.Sprintf("no record at seq %d", sub.LastSeq)
 	case err != nil:
-		return "internal", err.Error()
-	case ledger.Checksum(mine) != sub.LastCRC:
-		return "diverged", fmt.Sprintf("record %d CRC mismatch (follower %08x, primary %08x)",
-			sub.LastSeq, sub.LastCRC, ledger.Checksum(mine))
+		return nil, "internal", err.Error()
+	case mine != sub.LastCRC:
+		return nil, "diverged", fmt.Sprintf("record %d CRC mismatch (follower %08x, primary %08x)", sub.LastSeq, sub.LastCRC, mine)
 	}
-	return "", ""
+	return tr, "", ""
 }
 
 // stream is the sender loop: backlog (ring or disk) then live tail.

@@ -184,6 +184,67 @@ func TestSnapshotCatchUpBehindCompaction(t *testing.T) {
 	assertDiffClean(t, dirA, dirB)
 }
 
+// TestFollowerResumesAtSnapshotSeq: a follower whose last record is the
+// one a primary's snapshot covers resumes, although compaction deleted
+// that record — the snapshot carries its CRC. It used to be refused as
+// behind ("seq 5 compacted away") and re-seeded from an empty directory.
+// A follower whose record at that seq differs is refused as diverged,
+// and one a snapshot seeded resumes the same way.
+func TestFollowerResumesAtSnapshotSeq(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	pl := openLedger(t, dirA, nil, -1)
+	seedDataset(t, pl)
+	for i := 0; i < 4; i++ {
+		if err := pl.Append(charge("alice", 0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, addr := startPrimary(t, pl, PrimaryConfig{Name: "p"})
+	fl := openLedger(t, dirB, nil, -1)
+	f := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f"})
+	waitUntil(t, 5*time.Second, func() bool { return f.Applied() == 5 }, "catch-up to seq 5")
+	f.Close()
+
+	if err := pl.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Append(charge("bob", 0.2)); err != nil {
+		t.Fatal(err)
+	}
+	f2 := startFollower(t, fl, FollowerConfig{Primary: addr, Name: "f"})
+	waitUntil(t, 5*time.Second, func() bool { return f2.Applied() == 6 || f2.Err() != nil }, "resume at the snapshot seq")
+	if err := f2.Err(); err != nil {
+		t.Fatalf("follower at the snapshot seq: %v", err)
+	}
+	f2.Close()
+	assertDiffClean(t, dirA, dirB)
+
+	// The same seq with other bytes: diverged, not behind.
+	if err := pl.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	_, kind, payload := dialFake(t, addr, subRequest{Name: "x", Epoch: pl.Epoch(), LastSeq: 6, LastCRC: fl.LastCRC() + 1})
+	var em errMsg
+	if kind != kindError || decodeJSON(payload, &em) != nil || em.Code != "diverged" {
+		t.Fatalf("a different record at the snapshot seq: frame %q %s, want a diverged error", kind, payload)
+	}
+
+	// A follower seeded from that snapshot resumes at its seq too.
+	dirC := t.TempDir()
+	sl := openLedger(t, dirC, nil, -1)
+	f3 := startFollower(t, sl, FollowerConfig{Primary: addr, Name: "s"})
+	waitUntil(t, 5*time.Second, func() bool { return f3.Applied() == 6 }, "snapshot seed")
+	f3.Close()
+	if err := p.Append(charge("carol", 0.3)); err != nil {
+		t.Fatal(err)
+	}
+	f4 := startFollower(t, sl, FollowerConfig{Primary: addr, Name: "s"})
+	waitUntil(t, 5*time.Second, func() bool { return f4.Applied() == 7 || f4.Err() != nil }, "seeded follower's resume")
+	if err := f4.Err(); err != nil {
+		t.Fatalf("a follower seeded at the snapshot seq: %v", err)
+	}
+}
+
 func TestQuorumGateRefusesBeforeJournaling(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	pl := openLedger(t, dirA, nil, -1)

@@ -1,8 +1,8 @@
-// Package sketch implements the mergeable one-pass summaries behind
-// the engine's sketch-backed aggregations (core.NoisyQuantile,
-// core.NoisyFrequency, core.NoisyDistinctSketch): a GK-style
-// ε-quantile summary, a count-min frequency sketch, and an
-// HLL-style distinct counter.
+// Package sketch implements mergeable one-pass summaries: a GK-style
+// ε-quantile summary and an HLL-style distinct counter, behind the
+// engine's sketch-backed aggregations (core.NoisyQuantile,
+// core.NoisyDistinctSketch), and a count-min frequency sketch, which
+// no aggregation uses.
 //
 // Two properties matter more here than asymptotic optimality, and
 // both are load-bearing for the privacy engine above:
